@@ -81,6 +81,22 @@ echo "== aggregate oracle =="
 # pushdown off AND of an independent plain-Rust reference evaluator.
 cargo test -q --test aggregate_oracle
 
+echo "== round-trip gate =="
+# The messages a statement may send are part of its contract: net.messages
+# per paper statement class, cold session vs warm, text and binary wire,
+# pinned exactly; plus the endpoint/per_link churn regression (a session
+# holds its connections). The failure semantics of a pooled connection ride
+# in the fault_tolerance run of the tier-1 pass above.
+cargo test -q --test round_trips
+
+echo "== fedbench: build + smoke =="
+# fedbench/ compiles against the crates' public API and may not be edited by
+# a change that claims a gain, so an API break must fail here, not in the
+# benchmark pipeline. Built before the bench smoke below; its own smoke test
+# runs every workload for a few passes and checks every result.
+cargo build --release --offline --manifest-path fedbench/Cargo.toml
+cargo test -q --offline --manifest-path fedbench/Cargo.toml
+
 echo "== bench smoke (--test mode) =="
 # Every benchmark payload must still execute; no timing sweep. This includes
 # b9_cross_join, b10_local_index, b11_concurrency, b12_wire_codec,

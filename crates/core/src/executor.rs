@@ -11,14 +11,13 @@
 //! * updates and multitransactions report per-database termination states
 //!   and the DOL return code.
 
-use crate::codec::WireFormat;
 use crate::error::MdbsError;
-use crate::lamclient::{decode_task_result, LamClient, LamFactory, PartialResult};
+use crate::lamclient::{decode_task_result, LamFactory, PartialResult};
 use crate::merge;
 use crate::multitable::{Multitable, MultitableEntry};
 use crate::planner::{self, Estimate, PlannerContext};
 use crate::proto::{Request, Response, TaskMode};
-use crate::retry::{shared_stats, ExecStats, RetryPolicy, SharedExecStats};
+use crate::retry::{shared_stats, ExecStats, SharedExecStats};
 use crate::translate::{
     DbRoute, DbSubquery, Decomposition, GeneratedPlan, PushdownPlan, MTX_FAILED,
 };
@@ -30,11 +29,10 @@ use ldbs::eval::value_literal;
 use ldbs::value::Value;
 use msql_lang::printer::print_select;
 use msql_lang::{BinaryOp, ColumnRef, Expr, Literal, Select, SelectItem};
-use netsim::{FaultKind, Network};
-use obs::{labeled, ExplainReport, MetricsRegistry, Span, SpanCtx};
+use netsim::FaultKind;
+use obs::{labeled, ExplainReport, Span, SpanCtx};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Default per-edge cap on the distinct key values shipped as a semi-join
 /// `IN (…)` filter. This is the *no-statistics fallback*: when the cost
@@ -164,21 +162,13 @@ impl MsqlOutcome {
 
 /// Executes generated plans against the federation's network.
 pub struct Executor {
-    /// The shared network.
-    pub net: Network,
-    /// Whether DOL task batches run in parallel (one thread per service).
+    /// How every LAM connection this executor uses is opened: the session's
+    /// pool, timeout, retry policy, wire format and metrics sink. Its
+    /// `stats` cell is the session-level accounting every run merges into.
+    pub lams: LamFactory,
+    /// Whether DOL task batches and settle lists run in parallel (one
+    /// thread per service), and cross-database partials one thread per LAM.
     pub parallel: bool,
-    /// Per-request timeout.
-    pub timeout: Duration,
-    /// Transient-fault retry policy for every LAM request this executor
-    /// issues.
-    pub retry: RetryPolicy,
-    /// Session-level accounting: every run merges its counters here.
-    pub stats: SharedExecStats,
-    /// Graceful degradation: treat an unreachable LAM at OPEN time as a
-    /// failed (but reported) subquery instead of failing the whole plan —
-    /// the §3.2 vital semantics then decide the statement's fate.
-    pub tolerate_unreachable: bool,
     /// Semi-join reduction of cross-database joins: ship the reducer's
     /// distinct join-key values to the other sites as `IN (…)` filters so
     /// only matching rows cross the wire.
@@ -196,11 +186,6 @@ pub struct Executor {
     /// Where execution spans hang (disabled unless the federation is
     /// tracing the statement).
     pub trace: SpanCtx,
-    /// Metrics sink shared with the federation.
-    pub metrics: MetricsRegistry,
-    /// Encoding every LAM request travels in: line-oriented text (the
-    /// default and the golden-trace format) or binary columnar frames.
-    pub wire_format: WireFormat,
     /// Site statistics for cost-based planning of cross-database joins.
     /// `None` (or a context lacking a table) keeps the heuristic data-flow
     /// decisions, byte-for-byte.
@@ -213,22 +198,15 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// An executor with default policies (no retries, fail fast on
-    /// unreachable services).
-    pub fn new(net: Network, parallel: bool, timeout: Duration) -> Self {
+    /// An executor over `lams` with the default data-flow policies.
+    pub fn new(lams: LamFactory, parallel: bool) -> Self {
         Executor {
-            net,
+            lams,
             parallel,
-            timeout,
-            retry: RetryPolicy::default(),
-            stats: shared_stats(),
-            tolerate_unreachable: false,
             semijoin: true,
             semijoin_cap: DEFAULT_SEMIJOIN_CAP,
             agg_pushdown: true,
             trace: SpanCtx::disabled(),
-            metrics: MetricsRegistry::new(),
-            wire_format: WireFormat::default(),
             planner: None,
             wal: None,
         }
@@ -238,15 +216,7 @@ impl Executor {
     /// communication accounting (also merged into the session stats).
     fn run_program(&self, plan: &GeneratedPlan) -> Result<(DolOutcome, ExecStats), MdbsError> {
         let run_stats = shared_stats();
-        let factory = LamFactory {
-            net: self.net.clone(),
-            timeout: self.timeout,
-            retry: self.retry.clone(),
-            stats: SharedExecStats::clone(&run_stats),
-            metrics: self.metrics.clone(),
-            tolerate_unreachable: self.tolerate_unreachable,
-            wire_format: self.wire_format,
-        };
+        let factory = LamFactory { stats: SharedExecStats::clone(&run_stats), ..self.lams.clone() };
         let mut engine =
             if self.parallel { DolEngine::new(&factory) } else { DolEngine::serial(&factory) };
         engine.trace = self.trace.clone();
@@ -277,11 +247,19 @@ impl Executor {
         // Merge the run's accounting even when the program failed — the
         // faults that sank it are exactly what the session stats must show.
         let snapshot = run_stats.lock().clone();
-        self.stats.lock().merge(&snapshot);
+        self.lams.stats.lock().merge(&snapshot);
         let out = result?;
-        // END only on success: any error (including a simulated crash) leaves
-        // the image open so recovery re-resolves it.
-        if let Some((wal, mtx_id)) = logged {
+        // END only once every subtransaction's fate is known. Any error
+        // (including a simulated crash) leaves the image open so recovery
+        // re-resolves it — and so does a task whose request went out but
+        // whose replies were all lost: the plan treats it as aborted (§3.2),
+        // yet it may sit prepared or committed at its LAM, and only
+        // recovery's RESOLVE can find out.
+        let in_doubt = plan.tasks.iter().any(|t| {
+            out.status(&t.task) == Some(TaskStatus::Error)
+                && snapshot.task(&t.task).is_some_and(|m| m.attempts > 0)
+        });
+        if let (Some((wal, mtx_id)), false) = (logged, in_doubt) {
             wal.append(&WalRecord::End { mtx_id }).map_err(MdbsError::from)?;
         }
         Ok((out, snapshot))
@@ -331,7 +309,7 @@ impl Executor {
             .count() as u64;
         if degraded > 0 {
             stats.degraded += degraded;
-            self.stats.lock().degraded += degraded;
+            self.lams.stats.lock().degraded += degraded;
         }
     }
 
@@ -442,7 +420,7 @@ impl Executor {
             .as_ref()
             .and_then(|ctx| dec.subqueries.iter().map(|s| ctx.estimate_subquery(s)).collect());
         if estimates.is_some() {
-            self.metrics.counter_add("planner.costed_joins", 1);
+            self.lams.metrics.counter_add("planner.costed_joins", 1);
         }
 
         // Aggregate/top-k pushdown: when decomposition proved the query
@@ -529,7 +507,7 @@ impl Executor {
                             } else {
                                 "planner.edges_skipped"
                             };
-                            self.metrics.counter_add(verdict, 1);
+                            self.lams.metrics.counter_add(verdict, 1);
                             ship
                         }
                         _ => values.len() <= self.semijoin_cap,
@@ -644,21 +622,13 @@ impl Executor {
         if estimates.is_some() {
             join_span.note("planner", "costed");
         }
-        self.metrics.counter_add(&labeled("join.strategy", "strategy", &strategy), 1);
-        self.metrics.counter_add("join.keys_shipped", keys_shipped);
+        self.lams.metrics.counter_add(&labeled("join.strategy", "strategy", &strategy), 1);
+        self.lams.metrics.counter_add("join.keys_shipped", keys_shipped);
         let route = routes.get(&dec.coordinator).ok_or_else(|| {
             MdbsError::Catalog(format!("no route for coordinator `{}`", dec.coordinator))
         })?;
         // 4. Collect the partial results at the coordinator.
-        let mut coord = LamClient::connect_with(
-            &self.net,
-            &route.site,
-            &dec.coordinator,
-            self.timeout,
-            self.retry.clone(),
-            SharedExecStats::clone(&self.stats),
-        )?;
-        coord.set_wire_format(self.wire_format);
+        let coord = self.lams.checkout(&route.site, &dec.coordinator)?;
         {
             let span = join_span.child(format!("lam:collect:{}", dec.coordinator));
             span.note("db", &dec.coordinator);
@@ -740,16 +710,7 @@ impl Executor {
         est_rows: Option<u64>,
         ctx: &SpanCtx,
     ) -> Result<PartialResult, MdbsError> {
-        let mut client = LamClient::connect_with(
-            &self.net,
-            &route.site,
-            &sub.database,
-            self.timeout,
-            self.retry.clone(),
-            SharedExecStats::clone(&self.stats),
-        )?;
-        client.set_metrics(self.metrics.clone());
-        client.set_wire_format(self.wire_format);
+        let client = self.lams.checkout(&route.site, &sub.database)?;
         let span = ctx.child(format!("lam:partial:{}", sub.database));
         if let Some(est) = est_rows {
             span.note("est_rows", est);
@@ -768,7 +729,7 @@ impl Executor {
         if result.full_bytes > 0 {
             let saved = result.full_bytes.saturating_sub(result.payload.len() as u64);
             span.note("saved", saved);
-            self.metrics.counter_add(&labeled("lam.bytes_saved", "db", &sub.database), saved);
+            self.lams.metrics.counter_add(&labeled("lam.bytes_saved", "db", &sub.database), saved);
         }
         Ok(result)
     }
@@ -870,15 +831,15 @@ impl Executor {
         let shipped: u64 = parts.iter().map(|p| p.rows.len() as u64).sum();
         let bytes_saved: u64 =
             partials.iter().map(|p| p.full_bytes.saturating_sub(p.payload.len() as u64)).sum();
-        self.metrics.counter_add("agg.pushdown", 1);
+        self.lams.metrics.counter_add("agg.pushdown", 1);
         let merged = match plan {
             PushdownPlan::Aggregate(p) => {
                 let rs = merge::merge_aggregate(p, &parts)?;
-                self.metrics.counter_add("agg.groups_merged", rs.rows.len() as u64);
+                self.lams.metrics.counter_add("agg.groups_merged", rs.rows.len() as u64);
                 rs
             }
             PushdownPlan::TopK(p) => {
-                self.metrics.counter_add("topk.rows_shipped", shipped);
+                self.lams.metrics.counter_add("topk.rows_shipped", shipped);
                 merge::merge_topk(p, &parts)?
             }
         };
@@ -888,7 +849,8 @@ impl Executor {
         if estimates.is_some() {
             join_span.note("planner", "costed");
         }
-        self.metrics
+        self.lams
+            .metrics
             .counter_add(&labeled("join.strategy", "strategy", &format!("{kind}-pushdown")), 1);
         Ok(merged)
     }
@@ -910,16 +872,7 @@ impl Executor {
         est_rows: Option<u64>,
         ctx: &SpanCtx,
     ) -> Result<PartialResult, MdbsError> {
-        let mut client = LamClient::connect_with(
-            &self.net,
-            &route.site,
-            &sub.database,
-            self.timeout,
-            self.retry.clone(),
-            SharedExecStats::clone(&self.stats),
-        )?;
-        client.set_metrics(self.metrics.clone());
-        client.set_wire_format(self.wire_format);
+        let client = self.lams.checkout(&route.site, &sub.database)?;
         let span = ctx.child(format!("lam:partial:{}", sub.database));
         if let Some(est) = est_rows {
             span.note("est_rows", est);
@@ -933,7 +886,7 @@ impl Executor {
         if result.full_bytes > 0 {
             let saved = result.full_bytes.saturating_sub(result.payload.len() as u64);
             span.note("saved", saved);
-            self.metrics.counter_add(&labeled("lam.bytes_saved", "db", &sub.database), saved);
+            self.lams.metrics.counter_add(&labeled("lam.bytes_saved", "db", &sub.database), saved);
         }
         Ok(result)
     }

@@ -19,7 +19,7 @@ use crate::error::MdbsError;
 use crate::executor::{DbOutcome, Executor, MsqlOutcome, UpdateReport, DEFAULT_SEMIJOIN_CAP};
 use crate::gtxn::GlobalTransaction;
 use crate::lam::{spawn_lam_with, LamConfig, LamHandle};
-use crate::lamclient::{LamClient, LamFactory};
+use crate::lamclient::{ConnectionPool, LamClient, LamFactory};
 use crate::planner::PlannerContext;
 use crate::retry::{shared_stats, ExecStats, RetryPolicy, SharedExecStats};
 use crate::scope::SessionScope;
@@ -106,7 +106,8 @@ pub struct Session {
     scope: SessionScope,
     /// Recursion guard for cascading triggers.
     trigger_depth: u32,
-    /// Run DOL task batches in parallel (default true).
+    /// Fan DOL task batches and `COMMIT`/`ABORT` settle lists out in
+    /// parallel, one thread per service (default true).
     pub parallel: bool,
     /// Per-request network timeout.
     pub timeout: Duration,
@@ -151,6 +152,11 @@ pub struct Session {
     pub wire_format: WireFormat,
     /// Session-level communication accounting.
     stats: SharedExecStats,
+    /// This session's LAM connections: opened on first use, reused by every
+    /// later statement, closed with the session. Declared after `gtxn` (whose
+    /// members hand their connections back when they resolve) and before
+    /// `core`.
+    pool: ConnectionPool,
     /// The tracer of the statement currently executing (None between
     /// statements; trigger actions reuse the active tracer).
     trace: Option<Tracer>,
@@ -257,6 +263,7 @@ impl Session {
             agg_pushdown: true,
             wire_format: WireFormat::default(),
             stats: shared_stats(),
+            pool: ConnectionPool::new(core.net.clone()),
             trace: None,
             trace_ctx: SpanCtx::disabled(),
             last_trace: None,
@@ -435,20 +442,29 @@ impl Session {
         Ok(out)
     }
 
-    fn executor(&self) -> Executor {
-        Executor {
-            net: self.core.net.clone(),
-            parallel: self.parallel,
+    /// How this session opens LAM connections right now: its pool, plus the
+    /// timeout, retry policy, wire format and degradation setting of the
+    /// moment (all of which may change between statements).
+    fn lams(&self) -> LamFactory {
+        LamFactory {
+            pool: self.pool.clone(),
             timeout: self.timeout,
             retry: self.retry.clone(),
             stats: SharedExecStats::clone(&self.stats),
+            metrics: self.core.metrics.clone(),
             tolerate_unreachable: self.tolerate_unreachable,
+            wire_format: self.wire_format,
+        }
+    }
+
+    fn executor(&self) -> Executor {
+        Executor {
+            lams: self.lams(),
+            parallel: self.parallel,
             semijoin: self.semijoin,
             semijoin_cap: self.semijoin_cap,
             agg_pushdown: self.agg_pushdown,
             trace: self.trace_ctx.clone(),
-            metrics: self.core.metrics.clone(),
-            wire_format: self.wire_format,
             planner: None,
             wal: self.wal.clone(),
         }
@@ -585,17 +601,7 @@ impl Session {
     /// A LAM client for direct (non-DOL) traffic, wired to the
     /// federation's retry policy and accounting.
     fn connect(&self, site: &str, database: &str) -> Result<LamClient, MdbsError> {
-        let mut client = LamClient::connect_with(
-            &self.core.net,
-            site,
-            database,
-            self.timeout,
-            self.retry.clone(),
-            SharedExecStats::clone(&self.stats),
-        )?;
-        client.set_metrics(self.core.metrics.clone());
-        client.set_wire_format(self.wire_format);
-        Ok(client)
+        self.lams().checkout(site, database)
     }
 
     /// Parses and executes a raw DOL program against the federation's
@@ -604,15 +610,7 @@ impl Session {
     /// <site>` statements resolve against the live network.
     pub fn execute_dol(&mut self, program: &str) -> Result<dol::DolOutcome, MdbsError> {
         let parsed = dol::parse_program(program)?;
-        let factory = LamFactory {
-            net: self.core.net.clone(),
-            timeout: self.timeout,
-            retry: self.retry.clone(),
-            stats: SharedExecStats::clone(&self.stats),
-            metrics: self.core.metrics.clone(),
-            tolerate_unreachable: self.tolerate_unreachable,
-            wire_format: self.wire_format,
-        };
+        let factory = self.lams();
         let mut engine = if self.parallel {
             dol::DolEngine::new(&factory)
         } else {

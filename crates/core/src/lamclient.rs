@@ -5,6 +5,11 @@
 //! requests over the simulated network, and adds the data-flow operations
 //! the executor needs (schema fetch, partial-result loading at the
 //! coordinator).
+//!
+//! Connections are session-scoped: a [`ConnectionPool`] keeps the links a
+//! session has opened, keyed by `(site, database)`, and
+//! [`LamFactory::checkout`] — the one way the federation gets a connection —
+//! reuses an idle link instead of paying the `PING` handshake again.
 
 use crate::codec::{self, WireFormat};
 use crate::error::MdbsError;
@@ -15,7 +20,10 @@ use dol::TaskStatus;
 use dol::{DolError, DolService, ServiceFactory};
 use netsim::{Body, BufferPool, Endpoint, FaultKind, NetError, Network};
 use obs::{labeled, MetricsRegistry, Span};
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::Mutex;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 static CLIENT_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -64,10 +72,78 @@ pub struct PartialResult {
     pub access: Option<String>,
 }
 
-/// One connection to a LAM, bound to a database on that service.
-pub struct LamClient {
+/// The part of a connection that outlives a checkout: the client endpoint
+/// registered on the network. It carries no per-request state (correlation
+/// ids are per request, the LAM keeps nothing per client), so whoever checks
+/// it out next can drive it as is.
+struct Link {
     endpoint: Endpoint,
     net: Network,
+}
+
+impl Drop for Link {
+    fn drop(&mut self) {
+        self.net.deregister(self.endpoint.name());
+    }
+}
+
+/// A session's open LAM connections, keyed by `(site, database)`. Cloning
+/// shares the pool; the links are closed (their endpoints deregistered) when
+/// the last clone — the session's — goes away.
+///
+/// A key holds as many idle links as were ever checked out at once, which is
+/// bounded by what one statement opens concurrently, so there is nothing to
+/// size.
+#[derive(Clone)]
+pub struct ConnectionPool {
+    inner: Arc<PoolInner>,
+}
+
+struct PoolInner {
+    net: Network,
+    idle: Mutex<HashMap<PoolKey, Vec<Arc<Link>>>>,
+}
+
+/// `(site, database)`.
+type PoolKey = (String, String);
+
+impl ConnectionPool {
+    /// An empty pool on `net`.
+    pub fn new(net: Network) -> Self {
+        ConnectionPool { inner: Arc::new(PoolInner { net, idle: Mutex::new(HashMap::new()) }) }
+    }
+
+    /// The network the pooled connections run over.
+    pub fn network(&self) -> &Network {
+        &self.inner.net
+    }
+
+    /// Connections currently checked in.
+    pub fn idle_connections(&self) -> usize {
+        self.inner.idle.lock().values().map(Vec::len).sum()
+    }
+
+    fn take(&self, site: &str, database: &str) -> Option<Arc<Link>> {
+        self.inner.idle.lock().get_mut(&(site.to_string(), database.to_string()))?.pop()
+    }
+
+    fn put(&self, site: &str, database: &str, link: Arc<Link>) {
+        let key = (site.to_string(), database.to_string());
+        self.inner.idle.lock().entry(key).or_default().push(link);
+    }
+}
+
+/// One connection to a LAM, bound to a database on that service.
+pub struct LamClient {
+    link: Arc<Link>,
+    /// The pool the link goes back to when this client is dropped (`None`
+    /// for a connection opened directly with [`LamClient::connect_with`]).
+    home: Option<ConnectionPool>,
+    /// Set once any request on this connection hit a network fault or a
+    /// protocol error. A suspect connection is closed instead of pooled: a
+    /// late reply to the abandoned request may still arrive in its mailbox,
+    /// and the next statement must never find it there.
+    suspect: AtomicBool,
     site: String,
     /// The database this connection is opened on.
     pub database: String,
@@ -124,9 +200,26 @@ impl LamClient {
     ) -> Result<Self, MdbsError> {
         let name = format!("__cli_{}_{}", site, CLIENT_SEQ.fetch_add(1, Ordering::Relaxed));
         let endpoint = net.register(&name)?;
-        let client = LamClient {
-            endpoint,
-            net: net.clone(),
+        let link = Arc::new(Link { endpoint, net: net.clone() });
+        let client = LamClient::over(link, site, database, timeout, retry, stats);
+        client.handshake()?;
+        Ok(client)
+    }
+
+    /// A client driving `link`, with text framing and a private metrics
+    /// registry until the owner says otherwise.
+    fn over(
+        link: Arc<Link>,
+        site: &str,
+        database: &str,
+        timeout: Duration,
+        retry: RetryPolicy,
+        stats: SharedExecStats,
+    ) -> Self {
+        LamClient {
+            link,
+            home: None,
+            suspect: AtomicBool::new(false),
             site: site.to_string(),
             database: database.to_string(),
             timeout,
@@ -135,11 +228,15 @@ impl LamClient {
             metrics: MetricsRegistry::new(),
             wire_format: WireFormat::default(),
             pool: BufferPool::default(),
-        };
-        // The bootstrap PING always travels as text: negotiation is applied
-        // by the owner after connect, and text is the universal fallback.
-        match client.call(Request::Ping)? {
-            Response::Ok => Ok(client),
+        }
+    }
+
+    /// Pings the LAM to verify it is reachable. Runs before the owner
+    /// negotiates a format, so it always travels as text — the universal
+    /// fallback.
+    fn handshake(&self) -> Result<(), MdbsError> {
+        match self.call(Request::Ping)? {
+            Response::Ok => Ok(()),
             other => Err(MdbsError::Net(format!("unexpected ping reply: {other:?}"))),
         }
     }
@@ -236,6 +333,7 @@ impl LamClient {
                 Err(AttemptError::Net(e)) => {
                     let kind = e.fault_kind();
                     rpc.note("fault", fault_label(kind));
+                    self.suspect.store(true, Ordering::Relaxed);
                     faults.push(kind);
                     last_net = Some(e);
                     if kind == FaultKind::Terminal {
@@ -244,6 +342,7 @@ impl LamClient {
                 }
                 Err(AttemptError::Fatal(e)) => {
                     rpc.note("error", "protocol");
+                    self.suspect.store(true, Ordering::Relaxed);
                     drop(rpc);
                     self.stats.lock().record_call(attempts, &faults, false);
                     return (Err(e), attempts, faults);
@@ -268,14 +367,14 @@ impl LamClient {
     /// are accepted in either wire format — the server mirrors the request's
     /// format, but a stale text reply must not wedge a binary client.
     fn attempt(&self, id: u64, framed: &Body) -> Result<Response, AttemptError> {
-        self.endpoint.send(&self.site, framed.clone()).map_err(AttemptError::Net)?;
+        self.link.endpoint.send(&self.site, framed.clone()).map_err(AttemptError::Net)?;
         let deadline = Instant::now() + self.timeout;
         loop {
             let now = Instant::now();
             if now >= deadline {
                 return Err(AttemptError::Net(NetError::Timeout));
             }
-            let msg = self.endpoint.recv_timeout(deadline - now).map_err(AttemptError::Net)?;
+            let msg = self.link.endpoint.recv_timeout(deadline - now).map_err(AttemptError::Net)?;
             let decode_start = Instant::now();
             let (matched, format) = match &msg.body {
                 Body::Text(text) => {
@@ -679,8 +778,14 @@ fn payload_rows(payload: &str) -> u64 {
 }
 
 impl Drop for LamClient {
+    /// Checks a healthy pooled link back in; anything else closes with the
+    /// last reference to the link.
     fn drop(&mut self) {
-        self.net.deregister(self.endpoint.name());
+        if let Some(pool) = self.home.take() {
+            if !*self.suspect.get_mut() {
+                pool.put(&self.site, &self.database, Arc::clone(&self.link));
+            }
+        }
     }
 }
 
@@ -725,15 +830,17 @@ impl DolService for LamClient {
     }
 
     fn close(&mut self) {
-        // Connection teardown happens in Drop (endpoint deregistration).
+        // The link goes back to its pool (or closes) in Drop.
     }
 }
 
-/// [`ServiceFactory`] for DOL programs: `OPEN <database> AT <site>` becomes
-/// a [`LamClient`] bound to that database.
+/// How the federation opens LAM connections: every `OPEN <database> AT
+/// <site>` of a DOL program, every partial dispatch, coordinator collect and
+/// direct catalog request is one [`Self::checkout`].
+#[derive(Clone)]
 pub struct LamFactory {
-    /// The shared network.
-    pub net: Network,
+    /// The owning session's connections.
+    pub pool: ConnectionPool,
     /// Per-request timeout.
     pub timeout: Duration,
     /// Retry policy handed to every client this factory opens.
@@ -752,10 +859,11 @@ pub struct LamFactory {
 }
 
 impl LamFactory {
-    /// A factory with the default (no-retry, fail-fast) behaviour.
+    /// A factory with the default (no-retry, fail-fast) behaviour and a pool
+    /// of its own.
     pub fn new(net: Network, timeout: Duration) -> Self {
         LamFactory {
-            net,
+            pool: ConnectionPool::new(net),
             timeout,
             retry: RetryPolicy::default(),
             stats: shared_stats(),
@@ -764,23 +872,51 @@ impl LamFactory {
             wire_format: WireFormat::default(),
         }
     }
+
+    /// Checks out a connection to `database` at `site`, wired to this
+    /// factory's timeout, retry policy, accounting, metrics and wire format;
+    /// dropping the client checks it back in.
+    ///
+    /// An idle pooled link is validated against the network's own tables (no
+    /// message): while the site is registered and not partitioned from the
+    /// link's endpoint, it is reused as is. Otherwise the handshake runs
+    /// again over the same endpoint and decides — so a LAM that went down or
+    /// became unreachable since the last statement fails here, at OPEN, with
+    /// the error a first connection would get, and the link is closed. A
+    /// miss (nothing pooled for the key, or every link for it checked out)
+    /// opens a connection and pays the handshake.
+    pub fn checkout(&self, site: &str, database: &str) -> Result<LamClient, MdbsError> {
+        let stats = SharedExecStats::clone(&self.stats);
+        let mut client = match self.pool.take(site, database) {
+            Some(link) => {
+                let up = self.pool.network().link_is_up(link.endpoint.name(), site);
+                let client =
+                    LamClient::over(link, site, database, self.timeout, self.retry.clone(), stats);
+                if !up {
+                    client.handshake()?;
+                }
+                client
+            }
+            None => LamClient::connect_with(
+                self.pool.network(),
+                site,
+                database,
+                self.timeout,
+                self.retry.clone(),
+                stats,
+            )?,
+        };
+        client.home = Some(self.pool.clone());
+        client.set_metrics(self.metrics.clone());
+        client.set_wire_format(self.wire_format);
+        Ok(client)
+    }
 }
 
 impl ServiceFactory for LamFactory {
     fn connect(&self, service: &str, site: &str) -> Result<Box<dyn DolService>, DolError> {
-        match LamClient::connect_with(
-            &self.net,
-            site,
-            service,
-            self.timeout,
-            self.retry.clone(),
-            SharedExecStats::clone(&self.stats),
-        ) {
-            Ok(mut client) => {
-                client.set_metrics(self.metrics.clone());
-                client.set_wire_format(self.wire_format);
-                Ok(Box::new(client))
-            }
+        match self.checkout(site, service) {
+            Ok(client) => Ok(Box::new(client)),
             Err(e) if self.tolerate_unreachable => Ok(Box::new(UnreachableService {
                 site: site.to_string(),
                 reason: e.to_string(),
@@ -920,7 +1056,7 @@ mod tests {
         let (net, _lam) = setup();
         let mut client =
             LamClient::connect(&net, "site1", "avis", Duration::from_millis(200)).unwrap();
-        net.partition(client.endpoint.name(), "site1");
+        net.partition(client.link.endpoint.name(), "site1");
         let task = dol::TaskDef {
             name: "T1".into(),
             service: "a".into(),
@@ -995,7 +1131,7 @@ mod tests {
         )
         .unwrap();
         // The next client→LAM message is lost; the retry must succeed.
-        net.drop_next(client.endpoint.name(), "site1", 1);
+        net.drop_next(client.link.endpoint.name(), "site1", 1);
         let resp = client.call(Request::Ping).unwrap();
         assert_eq!(resp, Response::Ok);
         let s = stats.lock();
@@ -1019,7 +1155,7 @@ mod tests {
         .unwrap();
         // The LAM's *reply* is lost: the update commits locally, the ack
         // does not arrive. Without a re-ask this misreports an abort.
-        net.drop_next("site1", client.endpoint.name(), 1);
+        net.drop_next("site1", client.link.endpoint.name(), 1);
         let resp = client
             .call(Request::Task {
                 name: "T1".into(),
@@ -1050,7 +1186,7 @@ mod tests {
         let net = Network::with_seed(13);
         let (net, _lam) = setup_on(net);
         let client = LamClient::connect(&net, "site1", "avis", Duration::from_millis(50)).unwrap();
-        net.drop_next(client.endpoint.name(), "site1", 1);
+        net.drop_next(client.link.endpoint.name(), "site1", 1);
         let err = client.call(Request::Ping).unwrap_err();
         assert!(matches!(err, MdbsError::Net(_)), "single attempt times out: {err:?}");
     }
@@ -1077,7 +1213,7 @@ mod tests {
         };
         assert_eq!(client.execute_task(&task).status, TaskStatus::Prepared);
         // Every commit acknowledgement is lost; the commit itself lands.
-        net.set_link_drop_probability("site1", client.endpoint.name(), 1.0);
+        net.set_link_drop_probability("site1", client.link.endpoint.name(), 1.0);
         let err = client.commit_task("T1").unwrap_err();
         assert!(
             matches!(err, DolError::InDoubt { ref service, ref task }
@@ -1089,7 +1225,7 @@ mod tests {
         assert!(matches!(mdbs, MdbsError::InDoubt { ref site, ref task }
             if site == "site1" && task == "T1"));
         // The LAM really did commit — recovery's re-ask would find 'C'.
-        net.set_link_drop_probability("site1", client.endpoint.name(), 0.0);
+        net.set_link_drop_probability("site1", client.link.endpoint.name(), 0.0);
         assert_eq!(client.resolve_task_outcome("T1", true, &Span::disabled()).unwrap(), 'C');
         let rate = {
             let mut e = lam.engine.lock();

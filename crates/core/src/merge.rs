@@ -173,6 +173,13 @@ pub fn merge_aggregate(plan: &AggPushdown, parts: &[ResultSet]) -> Result<Result
                     int_value(&lrow[cnt_idx[0]], "group count")?,
                     int_value(&rrow[cnt_idx[1]], "group count")?,
                 ];
+                // A site query with no GROUP BY of its own (no join keys, no
+                // own group keys) answers an empty table with one all-default
+                // state row, `COUNT(*) = 0`. That row stands for no rows, so
+                // it joins with nothing — it must not create a group.
+                if cnt[0] == 0 || cnt[1] == 0 {
+                    continue;
+                }
                 let gkey =
                     KeyTuple(slot_src.iter().map(|&(si, ci)| row_of(si)[ci].clone()).collect());
                 let acc = groups.entry(gkey).or_insert_with(|| GroupAcc::new(plan.aggs.len()));

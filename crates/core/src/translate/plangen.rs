@@ -352,10 +352,13 @@ pub fn multitransaction_plan(
     let (mut statements, aliases) = open_statements(&refs, routes)?;
     let mut tasks = Vec::new();
     let mut wal_tasks = Vec::new();
+    // Which subqueries run NOCOMMIT (and so take part in the second phase).
+    let mut two_phase: HashMap<String, bool> = HashMap::new();
     for (l, comps) in &all {
         let route = route_for(routes, &l.database)?;
         let compensation = comps.get(&l.key).cloned().unwrap_or_default();
         let nocommit = route.supports_2pc;
+        two_phase.insert(l.key.clone(), nocommit);
         if !route.supports_2pc && compensation.is_empty() {
             // §3.4: "If some of the accessed databases do not support 2PC,
             // compensation must be specified for all subqueries that are
@@ -399,7 +402,7 @@ pub fn multitransaction_plan(
     // Failure branch: undo everything. DECIDE logs the decision (WAL)
     // before the first settle message; recovery replays it after a crash.
     let mut chain = vec![DolStmt::Decide(MTX_FAILED)];
-    chain.extend(settle_branch(&all_keys, &[], &comp_map));
+    chain.extend(settle_branch(&all_keys, &[], &two_phase, &comp_map));
     chain.push(DolStmt::SetStatus(MTX_FAILED));
 
     for (idx, state) in states.iter().enumerate().rev() {
@@ -417,7 +420,7 @@ pub fn multitransaction_plan(
             });
         }
         let mut branch = vec![DolStmt::Decide(idx as i32)];
-        branch.extend(settle_branch(&all_keys, state, &comp_map));
+        branch.extend(settle_branch(&all_keys, state, &two_phase, &comp_map));
         branch.push(DolStmt::SetStatus(idx as i32));
         chain = vec![DolStmt::If {
             cond: cond.expect("state non-empty"),
@@ -462,37 +465,44 @@ pub fn multitransaction_plan(
     Ok(GeneratedPlan { program: DolProgram { statements }, tasks, recovery })
 }
 
-/// Statements that install one termination state: commit the members,
-/// abort/compensate every other subquery.
+/// Statements that install one termination state: one `COMMIT` list for
+/// the members, one `ABORT` list for everything else, so each list costs a
+/// single round trip when the engine fans it out.
+///
+/// Only subqueries that ran `NOCOMMIT` (`two_phase`) are listed: the state's
+/// reachability condition already guarantees every member is `P` or `C`,
+/// and the engine skips tasks that are already where the list wants them
+/// (`COMMIT` on `C`, `ABORT` on `A`/`E`), so no per-key status guard is
+/// needed. An autocommitted subquery outside the state cannot be aborted —
+/// it is compensated, and only if it actually committed.
 fn settle_branch(
     all_keys: &[String],
     members: &[String],
+    two_phase: &HashMap<String, bool>,
     comp_map: &HashMap<String, bool>,
 ) -> Vec<DolStmt> {
+    let listed = |member: bool| -> Vec<String> {
+        all_keys
+            .iter()
+            .filter(|k| members.contains(k) == member && two_phase[*k])
+            .cloned()
+            .collect()
+    };
     let mut out = Vec::new();
-    for key in all_keys {
-        if members.contains(key) {
-            // A prepared member commits; an autocommitted member is already
-            // C and COMMIT is idempotent there.
-            out.push(DolStmt::If {
-                cond: DolCond::StatusEq { task: key.clone(), status: TaskStatus::Prepared },
-                then_branch: vec![DolStmt::Commit { tasks: vec![key.clone()] }],
-                else_branch: Vec::new(),
-            });
-        } else {
-            out.push(DolStmt::If {
-                cond: DolCond::StatusEq { task: key.clone(), status: TaskStatus::Prepared },
-                then_branch: vec![DolStmt::Abort { tasks: vec![key.clone()] }],
-                else_branch: Vec::new(),
-            });
-            if comp_map.get(key).copied().unwrap_or(false) {
-                out.push(DolStmt::If {
-                    cond: DolCond::StatusEq { task: key.clone(), status: TaskStatus::Committed },
-                    then_branch: vec![DolStmt::Compensate { task: key.clone() }],
-                    else_branch: Vec::new(),
-                });
-            }
-        }
+    let commit = listed(true);
+    if !commit.is_empty() {
+        out.push(DolStmt::Commit { tasks: commit });
+    }
+    let abort = listed(false);
+    if !abort.is_empty() {
+        out.push(DolStmt::Abort { tasks: abort });
+    }
+    for key in all_keys.iter().filter(|k| !members.contains(k) && comp_map[*k]) {
+        out.push(DolStmt::If {
+            cond: DolCond::StatusEq { task: key.clone(), status: TaskStatus::Committed },
+            then_branch: vec![DolStmt::Compensate { task: key.clone() }],
+            else_branch: Vec::new(),
+        });
     }
     out
 }
@@ -708,6 +718,18 @@ mod tests {
         for decision in ["DECIDE 0;", "DECIDE 1;", &format!("DECIDE {MTX_FAILED};")] {
             assert!(text.contains(decision), "{text}");
         }
+        // Each state settles with two lists — one round trip each when the
+        // engine fans them out — not one guarded statement per subquery.
+        for list in [
+            "COMMIT continental, national;",
+            "ABORT delta, avis;",
+            "COMMIT delta, avis;",
+            "ABORT continental, national;",
+            "ABORT continental, delta, avis, national;",
+        ] {
+            assert!(text.contains(list), "missing `{list}` in {text}");
+        }
+        assert!(!text.contains("=P) THEN"), "no per-key status guard left: {text}");
         assert!(dol::parse_program(&text).is_ok());
     }
 
@@ -790,6 +812,21 @@ mod tests {
             &routes(&[("continental", true), ("delta", true), ("avis", false), ("national", true)]),
         )
         .unwrap();
+        // Only NOCOMMIT subqueries are listed: autocommitted avis is already
+        // `C` as a member, and as a non-member can only be compensated.
+        let text = print_program(&plan.program);
+        for settle in [
+            "COMMIT continental, national;",
+            "ABORT delta;",
+            "COMMIT delta;",
+            "ABORT continental, national;",
+            "ABORT continental, delta, national;",
+            "IF (avis=C) THEN",
+            "COMPENSATE avis;",
+        ] {
+            assert!(text.contains(settle), "missing `{settle}` in {text}");
+        }
+        assert!(!text.contains("ABORT delta, avis"), "{text}");
         let rec = plan.recovery.expect("multitransactions always have recovery material");
         assert_eq!(rec.states, states);
         assert_eq!(

@@ -8,8 +8,10 @@
 //!
 //! Consecutive `TASK` statements form a *batch*. In parallel mode (the
 //! default, matching the paper's emphasis on data-flow parallelism) a batch
-//! runs with one thread per service; in serial mode tasks run one after
-//! another — benchmark B7 measures the difference.
+//! runs with one thread per service, and so does the second phase of a
+//! `COMMIT`/`ABORT` list that spans several services; in serial mode tasks
+//! and acknowledgements run one after another — benchmark B7 measures the
+//! difference.
 
 use crate::ast::{DolCond, DolProgram, DolStmt, TaskDef, TaskStatus};
 use crate::error::DolError;
@@ -149,12 +151,36 @@ impl DolOutcome {
 /// The DOL engine.
 pub struct DolEngine<'f> {
     factory: &'f dyn ServiceFactory,
-    /// Run task batches with one thread per service (default true).
+    /// Run task batches and settle lists with one thread per service
+    /// (default true).
     pub parallel: bool,
     /// Where to hang execution spans (disabled by default).
     pub trace: SpanCtx,
     /// Protocol-transition observer (the coordinator's WAL), if any.
     pub observer: Option<Arc<dyn TaskObserver>>,
+}
+
+/// Which way a `COMMIT`/`ABORT` list settles its prepared tasks.
+#[derive(Clone, Copy)]
+enum Settle {
+    Commit,
+    Abort,
+}
+
+impl Settle {
+    fn verb(self) -> &'static str {
+        match self {
+            Settle::Commit => "commit",
+            Settle::Abort => "abort",
+        }
+    }
+
+    fn resolved(self) -> TaskStatus {
+        match self {
+            Settle::Commit => TaskStatus::Committed,
+            Settle::Abort => TaskStatus::Aborted,
+        }
+    }
 }
 
 struct RunState {
@@ -250,18 +276,8 @@ impl<'f> DolEngine<'f> {
                     self.run_block(else_branch, state, ctx)
                 }
             }
-            DolStmt::Commit { tasks } => {
-                for name in tasks {
-                    self.commit_task(name, state, ctx)?;
-                }
-                Ok(())
-            }
-            DolStmt::Abort { tasks } => {
-                for name in tasks {
-                    self.abort_task(name, state, ctx)?;
-                }
-                Ok(())
-            }
+            DolStmt::Commit { tasks } => self.settle(Settle::Commit, tasks, state, ctx),
+            DolStmt::Abort { tasks } => self.settle(Settle::Abort, tasks, state, ctx),
             DolStmt::Compensate { task } => self.compensate_task(task, state, ctx),
             DolStmt::Decide(code) => {
                 if let Some(observer) = &self.observer {
@@ -329,32 +345,10 @@ impl<'f> DolEngine<'f> {
 
         let mut executions: Vec<(String, TaskExecution)> = Vec::new();
         if self.parallel && groups.len() > 1 {
-            // One thread per service; each thread owns its service box.
-            let mut taken: Vec<(String, Box<dyn DolService>, Vec<TaskDef>)> = Vec::new();
-            for (alias, tasks) in groups {
-                let svc = state.services.remove(&alias).expect("checked above");
-                taken.push((alias, svc, tasks));
-            }
-            type Finished = Vec<(String, Box<dyn DolService>, Vec<(String, TaskExecution)>)>;
-            let finished: Finished = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (alias, mut svc, tasks) in taken.drain(..) {
-                    let ctx = ctx.clone();
-                    handles.push(scope.spawn(move || {
-                        let mut local = Vec::new();
-                        for task in &tasks {
-                            let exec = traced_exec(&mut svc, task, &alias, &ctx);
-                            local.push((task.name.clone(), exec));
-                        }
-                        (alias, svc, local)
-                    }));
-                }
-                handles.into_iter().map(|h| h.join().expect("task thread panicked")).collect()
+            executions = fan_out(&mut state.services, groups, |svc, alias, task: TaskDef| {
+                let exec = traced_exec(svc, &task, alias, ctx);
+                (task.name, exec)
             });
-            for (alias, svc, local) in finished {
-                state.services.insert(alias, svc);
-                executions.extend(local);
-            }
         } else {
             for (alias, tasks) in groups {
                 let svc = state.services.get_mut(&alias).expect("checked above");
@@ -380,63 +374,118 @@ impl<'f> DolEngine<'f> {
         Ok(())
     }
 
-    fn commit_task(&self, name: &str, state: &mut RunState, ctx: &SpanCtx) -> Result<(), DolError> {
-        let def =
-            state.defs.get(name).ok_or_else(|| DolError::UnknownTask(name.to_string()))?.clone();
-        let status = state.outcome.task_statuses[name];
-        match status {
-            TaskStatus::Prepared => {
-                let svc = state
-                    .services
-                    .get_mut(&def.service)
-                    .ok_or_else(|| DolError::UnknownService(def.service.clone()))?;
-                let span = ctx.child(format!("commit:{name}"));
-                span.note("service", &def.service);
-                svc.commit_task_traced(name, &span)?;
-                state.outcome.task_statuses.insert(name.to_string(), TaskStatus::Committed);
-                if let Some(observer) = &self.observer {
-                    observer.task_resolved(name, TaskStatus::Committed)?;
+    /// Drives the second phase for a `COMMIT`/`ABORT` task list.
+    ///
+    /// Every listed task is attempted; the first error in list order is
+    /// returned. Tasks still prepared get the second-phase message, tasks
+    /// already where the statement wants them are skipped (`COMMIT` is
+    /// idempotent on `C`; `ABORT` is a no-op on `A`/`E` — the paper's else
+    /// branch aborts the whole vital set, members of which may have aborted
+    /// on their own), anything else is a plan error.
+    ///
+    /// Serially, each message is followed by its status update and
+    /// [`TaskObserver::task_resolved`] before the next one goes out. In
+    /// parallel mode the messages of a list that spans several services go
+    /// out together, one thread per service as in [`Self::run_batch`], and
+    /// the updates and observer calls follow in list order — so the log
+    /// reads the same either way and the list costs one round trip. An
+    /// observer error (a simulated coordinator crash) stops on the spot.
+    fn settle(
+        &self,
+        action: Settle,
+        names: &[String],
+        state: &mut RunState,
+        ctx: &SpanCtx,
+    ) -> Result<(), DolError> {
+        // Per listed task: `Ok(Some(alias))` = prepared, message its service;
+        // `Ok(None)` = nothing to do; `Err` = the plan is wrong about it.
+        let targets: Vec<Result<Option<String>, DolError>> = names
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                let def =
+                    state.defs.get(name).ok_or_else(|| DolError::UnknownTask(name.clone()))?;
+                if names[..i].contains(name) {
+                    return Ok(None); // listed twice: the first mention settles it
                 }
-                Ok(())
-            }
-            TaskStatus::Committed => Ok(()), // idempotent
-            other => Err(DolError::BadTaskStatus {
-                task: name.to_string(),
-                action: "commit",
-                status: other.code(),
-            }),
-        }
-    }
+                match (state.outcome.task_statuses[name], action) {
+                    (TaskStatus::Prepared, _) if state.services.contains_key(&def.service) => {
+                        Ok(Some(def.service.clone()))
+                    }
+                    (TaskStatus::Prepared, _) => Err(DolError::UnknownService(def.service.clone())),
+                    (TaskStatus::Committed, Settle::Commit)
+                    | (TaskStatus::Aborted | TaskStatus::Error, Settle::Abort) => Ok(None),
+                    (other, _) => Err(DolError::BadTaskStatus {
+                        task: name.clone(),
+                        action: action.verb(),
+                        status: other.code(),
+                    }),
+                }
+            })
+            .collect();
 
-    fn abort_task(&self, name: &str, state: &mut RunState, ctx: &SpanCtx) -> Result<(), DolError> {
-        let def =
-            state.defs.get(name).ok_or_else(|| DolError::UnknownTask(name.to_string()))?.clone();
-        let status = state.outcome.task_statuses[name];
-        match status {
-            TaskStatus::Prepared => {
-                let svc = state
-                    .services
-                    .get_mut(&def.service)
-                    .ok_or_else(|| DolError::UnknownService(def.service.clone()))?;
-                let span = ctx.child(format!("abort:{name}"));
-                span.note("service", &def.service);
-                svc.abort_task_traced(name, &span)?;
-                state.outcome.task_statuses.insert(name.to_string(), TaskStatus::Aborted);
-                if let Some(observer) = &self.observer {
-                    observer.task_resolved(name, TaskStatus::Aborted)?;
-                }
-                Ok(())
+        // Sends one task's second-phase message under its span.
+        fn send(
+            svc: &mut Box<dyn DolService>,
+            action: Settle,
+            name: &str,
+            alias: &str,
+            ctx: &SpanCtx,
+        ) -> Result<(), DolError> {
+            let span = ctx.child(format!("{}:{name}", action.verb()));
+            span.note("service", alias);
+            match action {
+                Settle::Commit => svc.commit_task_traced(name, &span),
+                Settle::Abort => svc.abort_task_traced(name, &span),
             }
-            // Already failed locally: aborting is a no-op (the paper's else
-            // branch aborts the whole vital set, members of which may have
-            // aborted on their own).
-            TaskStatus::Aborted | TaskStatus::Error => Ok(()),
-            other => Err(DolError::BadTaskStatus {
-                task: name.to_string(),
-                action: "abort",
-                status: other.code(),
-            }),
         }
+
+        // In parallel mode, a list that spans several services sends all its
+        // messages now; tasks on one service share its connection, in order.
+        let mut sent: HashMap<usize, Result<(), DolError>> = HashMap::new();
+        if self.parallel {
+            let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
+            for (i, target) in targets.iter().enumerate() {
+                if let Ok(Some(alias)) = target {
+                    match groups.iter_mut().find(|(a, _)| a == alias) {
+                        Some((_, members)) => members.push(i),
+                        None => groups.push((alias.clone(), vec![i])),
+                    }
+                }
+            }
+            if groups.len() > 1 {
+                sent = fan_out(&mut state.services, groups, |svc, alias, i| {
+                    (i, send(svc, action, &names[i], alias, ctx))
+                })
+                .into_iter()
+                .collect();
+            }
+        }
+
+        let mut first_err = None;
+        for (i, (name, target)) in names.iter().zip(targets).enumerate() {
+            let result = match target {
+                Ok(Some(alias)) => sent.remove(&i).unwrap_or_else(|| {
+                    let svc = state.services.get_mut(&alias).expect("checked above");
+                    send(svc, action, name, &alias, ctx)
+                }),
+                Ok(None) => continue,
+                Err(e) => Err(e),
+            };
+            match result {
+                Ok(()) => {
+                    let status = action.resolved();
+                    state.outcome.task_statuses.insert(name.clone(), status);
+                    if let Some(observer) = &self.observer {
+                        observer.task_resolved(name, status)?;
+                    }
+                }
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        first_err.map_or(Ok(()), Err)
     }
 
     fn compensate_task(
@@ -475,6 +524,44 @@ impl<'f> DolEngine<'f> {
     }
 }
 
+/// Runs `work` over every group's items with one scoped thread per service
+/// alias. Each thread owns its service for the duration (the boxes go back
+/// into `services` afterwards); the items of one group run in order on that
+/// service's connection. Callers have checked that every alias is open.
+fn fan_out<I: Send, T: Send>(
+    services: &mut HashMap<String, Box<dyn DolService>>,
+    groups: Vec<(String, Vec<I>)>,
+    work: impl Fn(&mut Box<dyn DolService>, &str, I) -> T + Sync,
+) -> Vec<T> {
+    let taken: Vec<(String, Box<dyn DolService>, Vec<I>)> = groups
+        .into_iter()
+        .map(|(alias, items)| {
+            let svc = services.remove(&alias).expect("alias checked by the caller");
+            (alias, svc, items)
+        })
+        .collect();
+    let work = &work;
+    let finished: Vec<(String, Box<dyn DolService>, Vec<T>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = taken
+            .into_iter()
+            .map(|(alias, mut svc, items)| {
+                scope.spawn(move || {
+                    let results =
+                        items.into_iter().map(|item| work(&mut svc, &alias, item)).collect();
+                    (alias, svc, results)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("service thread panicked")).collect()
+    });
+    let mut out = Vec::new();
+    for (alias, svc, results) in finished {
+        services.insert(alias, svc);
+        out.extend(results);
+    }
+    out
+}
+
 /// Evaluates a status condition.
 pub fn eval_cond(cond: &DolCond, statuses: &HashMap<String, TaskStatus>) -> Result<bool, DolError> {
     match cond {
@@ -502,6 +589,8 @@ mod tests {
         fail_tasks: Vec<String>,
         log: Vec<String>,
         delay: Option<Duration>,
+        /// How long a second-phase acknowledgement takes.
+        settle_delay: Option<Duration>,
     }
 
     #[derive(Clone, Default)]
@@ -546,6 +635,10 @@ mod tests {
         }
 
         fn commit_task(&mut self, task_name: &str) -> Result<(), DolError> {
+            let delay = self.state.lock().settle_delay;
+            if let Some(d) = delay {
+                std::thread::sleep(d);
+            }
             self.state.lock().log.push(format!("commit {task_name}"));
             Ok(())
         }
@@ -842,6 +935,83 @@ mod tests {
             events,
             vec!["exec T1 P", "exec T2 P", "decide 0", "resolve T1 C", "resolve T2 C"]
         );
+    }
+
+    #[test]
+    fn parallel_settle_list_costs_one_acknowledgement_not_one_per_task() {
+        let program = parse_program(
+            "DOLBEGIN
+             OPEN a AT s1 AS a;
+             OPEN b AT s2 AS b;
+             OPEN c AT s3 AS c;
+             TASK Ta NOCOMMIT FOR a { UPDATE x SET y = 1 } ENDTASK;
+             TASK Tb NOCOMMIT FOR b { UPDATE x SET y = 2 } ENDTASK;
+             TASK Tc NOCOMMIT FOR c { UPDATE x SET y = 3 } ENDTASK;
+             COMMIT Ta, Tb, Tc;
+             DOLEND",
+        )
+        .unwrap();
+        let timed = |parallel: bool| {
+            let factory = MockFactory::default();
+            factory.state.lock().settle_delay = Some(Duration::from_millis(40));
+            let observer = Arc::new(RecordingObserver::default());
+            let mut engine =
+                if parallel { DolEngine::new(&factory) } else { DolEngine::serial(&factory) };
+            engine.observer = Some(Arc::clone(&observer) as Arc<dyn TaskObserver>);
+            let start = std::time::Instant::now();
+            let out = engine.execute(&program).unwrap();
+            let elapsed = start.elapsed();
+            for task in ["Ta", "Tb", "Tc"] {
+                assert_eq!(out.status(task), Some(TaskStatus::Committed));
+            }
+            // The log reads in list order whichever way the acks raced.
+            let resolved: Vec<String> = observer
+                .events
+                .lock()
+                .iter()
+                .filter(|e| e.starts_with("resolve"))
+                .cloned()
+                .collect();
+            assert_eq!(resolved, vec!["resolve Ta C", "resolve Tb C", "resolve Tc C"]);
+            elapsed
+        };
+        let parallel_time = timed(true);
+        let serial_time = timed(false);
+        assert!(parallel_time < Duration::from_millis(100), "parallel: {parallel_time:?}");
+        assert!(serial_time >= Duration::from_millis(110), "serial: {serial_time:?}");
+    }
+
+    #[test]
+    fn every_listed_task_is_attempted_and_the_first_error_in_list_order_wins() {
+        // Tb cannot be committed (it aborted locally): the list still settles
+        // Ta and Tc, then reports Tb's error.
+        for parallel in [true, false] {
+            let factory = MockFactory::default();
+            factory.state.lock().fail_tasks.push("Tb".into());
+            let mut engine = DolEngine::new(&factory);
+            engine.parallel = parallel;
+            let err = engine.execute(
+                &parse_program(
+                    "DOLBEGIN
+                     OPEN a AT s1 AS a;
+                     OPEN b AT s2 AS b;
+                     OPEN c AT s3 AS c;
+                     TASK Ta NOCOMMIT FOR a { UPDATE x SET y = 1 } ENDTASK;
+                     TASK Tb NOCOMMIT FOR b { UPDATE x SET y = 2 } ENDTASK;
+                     TASK Tc NOCOMMIT FOR c { UPDATE x SET y = 3 } ENDTASK;
+                     COMMIT Ta, Tb, Tc;
+                     DOLEND",
+                )
+                .unwrap(),
+            );
+            assert!(
+                matches!(&err, Err(DolError::BadTaskStatus { task, action: "commit", .. }) if task == "Tb"),
+                "{err:?}"
+            );
+            let log = factory.state.lock().log.clone();
+            assert!(log.contains(&"commit Ta".to_string()), "{log:?}");
+            assert!(log.contains(&"commit Tc".to_string()), "{log:?}");
+        }
     }
 
     #[test]

@@ -150,6 +150,20 @@ impl Network {
         p.remove(&(b.to_string(), a.to_string()));
     }
 
+    /// True when a send from `from` to `to` would find a mailbox and not be
+    /// refused by a partition. Answered from the fabric's own tables — no
+    /// message, no clock tick, no RNG draw — so a connection pool can
+    /// validate an idle link for free.
+    pub fn link_is_up(&self, from: &str, to: &str) -> bool {
+        self.fabric.sites.read().contains_key(to)
+            && !self.fabric.partitions.read().contains(&(from.to_string(), to.to_string()))
+    }
+
+    /// Names of the currently registered sites (unordered).
+    pub fn site_names(&self) -> Vec<String> {
+        self.fabric.sites.read().keys().cloned().collect()
+    }
+
     /// Attaches an observability probe: every delivered or dropped message
     /// ticks `clock` once and increments the `net.messages` / `net.bytes` /
     /// `net.dropped` / `net.refused` counters in `metrics`.
@@ -347,6 +361,24 @@ mod tests {
         a.send("b", "x").unwrap();
         assert_eq!(b.recv().unwrap().body, "x");
         assert_eq!(net.stats().refused, 2);
+    }
+
+    #[test]
+    fn link_is_up_tracks_registration_and_partitions_without_traffic() {
+        let net = Network::new();
+        let _a = net.register("a").unwrap();
+        assert!(!net.link_is_up("a", "b"), "b is not registered yet");
+        let _b = net.register("b").unwrap();
+        assert!(net.link_is_up("a", "b"));
+        net.partition("a", "b");
+        assert!(!net.link_is_up("a", "b") && !net.link_is_up("b", "a"));
+        net.heal("a", "b");
+        net.deregister("b");
+        assert!(!net.link_is_up("a", "b"));
+        let mut names = net.site_names();
+        names.sort();
+        assert_eq!(names, vec!["a".to_string()]);
+        assert_eq!(net.stats(), NetStats::default(), "asking costs no message");
     }
 
     #[test]

@@ -32,7 +32,7 @@ struct Scenario {
     query: usize,
 }
 
-const N_QUERIES: usize = 5;
+const N_QUERIES: usize = 6;
 
 fn scenario() -> impl Strategy<Value = Scenario> {
     let opt = || prop::option::of(0i64..7);
@@ -46,7 +46,9 @@ fn scenario() -> impl Strategy<Value = Scenario> {
 
 /// The query shapes: 0–2 are decomposable aggregates (plain, grand total,
 /// ordered + limited), 3 is a pure-product top-k, 4 is a single-site
-/// degenerate that never decomposes (pushdown must be a no-op).
+/// degenerate that never decomposes (pushdown must be a no-op), 5 is a
+/// pure-product GROUP BY — no join key, so the site without group keys
+/// answers with a single ungrouped state row even when its table is empty.
 fn query_sql(q: usize) -> &'static str {
     match q {
         0 => {
@@ -66,6 +68,7 @@ fn query_sql(q: usize) -> &'static str {
              ORDER BY t.v DESC, u.w LIMIT 4"
         }
         4 => "SELECT t.g, COUNT(*), SUM(t.v) FROM avis.t1 t GROUP BY t.g",
+        5 => "SELECT t.g, COUNT(*), SUM(u.w) FROM avis.t1 t, national.t2 u GROUP BY t.g",
         _ => unreachable!(),
     }
 }
@@ -195,6 +198,19 @@ fn reference(s: &Scenario) -> Vec<Vec<Value>> {
             rows.truncate(4);
             rows
         }
+        5 => {
+            // Pure product, grouped by t1's g: an empty t2 leaves no groups.
+            let mut groups: BTreeMap<i64, Acc> = BTreeMap::new();
+            for (_, g, v) in &s.t1 {
+                for (_, w) in &s.t2 {
+                    groups.entry(*g).or_default().add(*v, *w);
+                }
+            }
+            groups
+                .into_iter()
+                .map(|(g, a)| vec![Value::Int(g), Value::Int(a.count), int_or_null(a.sum_w)])
+                .collect()
+        }
         _ => {
             // Equi-join on k, then aggregate.
             let mut groups: BTreeMap<i64, Acc> = BTreeMap::new();
@@ -275,6 +291,11 @@ fn empty_sites_and_all_null_columns_agree() {
             (vec![], vec![]),                                    // both sites empty
             (vec![(1, 0, None), (1, 1, None)], vec![(1, None)]), // all-NULL aggregates
             (vec![(1, 0, Some(3))], vec![]),                     // one empty site
+            // Two groups × an empty site: under query 5 (pure product, GROUP
+            // BY) the pushed plan once answered `[[0,0],[1,0]]` where the
+            // classic plan answers no rows.
+            (vec![(1, 0, Some(3)), (1, 1, Some(4))], vec![]),
+            (vec![], vec![(1, Some(2))]),
         ] {
             let s = Scenario { t1, t2, query };
             let expected = reference(&s);

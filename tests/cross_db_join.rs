@@ -242,3 +242,32 @@ fn join_with_empty_partial_result() {
         .unwrap();
     assert!(rs.rows.is_empty());
 }
+
+#[test]
+fn coordinator_requests_are_metered_like_every_other_request() {
+    // Every logical LAM request is encoded once and its reply decoded once
+    // against the federation's registry — the coordinator's LOADMANY, Q' and
+    // DROPMANY included (they used to land in a private registry and vanish).
+    for format in [mdbs::WireFormat::Text, mdbs::WireFormat::Binary] {
+        let mut fed = paper_federation();
+        fed.wire_format = format;
+        fed.execute("USE continental avis").unwrap();
+        let join = "SELECT f.flnu, c.code FROM continental.flights f, avis.cars c
+                    WHERE c.rate < f.rate";
+        // Warm-up: connections pooled, the statistics cache answered.
+        fed.execute(join).unwrap();
+        let series = |name: &str| obs::labeled(name, "format", format.label());
+        let before = fed.metrics();
+        fed.execute(join).unwrap();
+        let after = fed.metrics();
+        let grew = |name: &str| {
+            let count = |m: &obs::MetricsSnapshot| m.histograms.get(name).map_or(0, |h| h.count);
+            count(&after) - count(&before)
+        };
+        let messages = after.counters["net.messages"] - before.counters["net.messages"];
+        // Two partials, then LOADMANY + Q' + DROPMANY at the coordinator.
+        assert_eq!(grew(&series("wire.encode_us")), 5, "{format:?}");
+        assert_eq!(grew(&series("wire.decode_us")), 5, "{format:?}");
+        assert_eq!(messages, 10, "{format:?}: one request and one reply each");
+    }
+}

@@ -11,14 +11,18 @@
 //! * an unreachable NON VITAL site degrades the statement instead of
 //!   failing it when the federation opts in (§3.2);
 //! * a lost commit acknowledgement is re-asked and answered from the LAM's
-//!   reply cache — reported as committed, executed exactly once.
+//!   reply cache — reported as committed, executed exactly once;
+//! * a session's pooled connections change none of this: a LAM that died,
+//!   came back or was cut off between two statements is found out at OPEN,
+//!   exactly as a first connection would find it, and a connection that saw
+//!   a fault is closed, never reused.
 
-use dol::TaskStatus;
+use dol::{DolError, TaskDef, TaskStatus};
 use ldbs::profile::DbmsProfile;
 use ldbs::value::Value;
 use mdbs::fixtures::{paper_federation_with, FederationProfiles};
 use mdbs::lam::spawn_lam;
-use mdbs::lamclient::LamClient;
+use mdbs::lamclient::{LamClient, LamFactory};
 use mdbs::proto::{Request, Response, TaskMode};
 use mdbs::retry::shared_stats;
 use mdbs::{CrashPlan, CrashWhen, Federation, MdbsError, RetryPolicy};
@@ -439,4 +443,202 @@ fn dead_lam_fails_fast_even_with_retries_enabled() {
         "terminal faults are not retried: {err:?}"
     );
     assert!(start.elapsed() < Duration::from_secs(1), "no timeout, no backoff loop");
+}
+
+/// A loss-free paper federation whose primary session has run Q1 and Q2
+/// once: every database the scenarios below touch has a pooled connection.
+fn warm_federation() -> Federation {
+    let mut fed = paper_federation_with(Network::new(), FederationProfiles::default());
+    fed.parallel = false;
+    fed.timeout = Duration::from_millis(200);
+    fed.execute(Q1).unwrap();
+    assert!(fed.execute(Q2).unwrap().into_update().unwrap().success);
+    fed
+}
+
+/// The client endpoints currently registered towards `site`.
+fn client_endpoints(fed: &Federation, site: &str) -> Vec<String> {
+    let prefix = format!("__cli_{site}_");
+    let mut names: Vec<String> =
+        fed.network().site_names().into_iter().filter(|n| n.starts_with(&prefix)).collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn a_lam_that_died_between_statements_fails_at_open_like_a_cold_connection() {
+    let mut fed = warm_federation();
+    let sent = fed.network().stats().messages;
+    fed.network().deregister("site5"); // national's LAM vanishes
+
+    let warm = fed.execute(Q1).unwrap_err().to_string();
+    assert_eq!(fed.network().stats().messages, sent, "found out locally: no message was sent");
+    let cold = fed.session().execute(Q1).unwrap_err().to_string();
+    assert_eq!(warm, cold, "a pooled connection fails exactly as a first one does");
+    assert!(warm.contains("national") && warm.contains("unavailable"), "{warm}");
+    assert!(client_endpoints(&fed, "site5").is_empty(), "the dead link was closed, not pooled");
+}
+
+#[test]
+fn a_dead_lam_behind_a_pooled_connection_degrades_or_fails_by_vitality() {
+    // NON VITAL delta (site2) vanishes after the warm-up: tolerated.
+    let mut fed = warm_federation();
+    fed.tolerate_unreachable = true;
+    fed.network().deregister("site2");
+    let report = fed.execute(Q2).unwrap().into_update().unwrap();
+    assert!(report.success, "{report:?}");
+    let delta = report.outcomes.iter().find(|o| o.key == "delta").unwrap();
+    assert_ne!(delta.status, TaskStatus::Committed, "{delta:?}");
+    assert_eq!(delta.attempts, 0, "delta's LAM was never reached");
+    assert_eq!(delta.fault, Some(FaultKind::Terminal), "{delta:?}");
+    assert!(report.stats.degraded >= 1, "{:?}", report.stats);
+    assert_eq!(
+        rate(&fed, "svc_continental", "continental", "SELECT rate FROM flights WHERE flnu = 1"),
+        Value::Float(100.0 * 1.1 * 1.1),
+        "the vital members committed both times"
+    );
+
+    // VITAL united (site3) vanishes after the warm-up: never degraded away.
+    let mut fed = warm_federation();
+    fed.tolerate_unreachable = true;
+    fed.network().deregister("site3");
+    let report = fed.execute(Q2).unwrap().into_update().unwrap();
+    assert!(!report.success, "{report:?}");
+    assert_eq!(
+        rate(&fed, "svc_continental", "continental", "SELECT rate FROM flights WHERE flnu = 1"),
+        Value::Float(100.0 * 1.1),
+        "continental rolled back with its vital partner lost"
+    );
+}
+
+#[test]
+fn a_respawned_lam_is_reconnected_transparently() {
+    let net = Network::new();
+    let engine = || {
+        let mut engine = ldbs::Engine::new("svc", DbmsProfile::oracle_like());
+        engine.create_database("avis").unwrap();
+        engine.execute("avis", "CREATE TABLE cars (code INT)").unwrap();
+        engine
+    };
+    let select = |factory: &LamFactory| {
+        factory.checkout("site1", "avis")?.call(Request::Task {
+            name: "Q".into(),
+            mode: TaskMode::Auto,
+            database: "avis".into(),
+            commands: vec!["SELECT code FROM cars".into()],
+        })
+    };
+    let factory = LamFactory::new(net.clone(), Duration::from_millis(200));
+    let lam = spawn_lam(&net, "svc", "site1", engine()).unwrap();
+    assert!(matches!(select(&factory), Ok(Response::TaskDone { status: 'C', .. })));
+    assert_eq!(factory.pool.idle_connections(), 1);
+
+    lam.shutdown();
+    let err = select(&factory).unwrap_err();
+    assert!(matches!(err, MdbsError::LamUnavailable { ref site } if site == "site1"), "{err:?}");
+    assert_eq!(factory.pool.idle_connections(), 0, "the dead link was evicted");
+
+    let _lam = spawn_lam(&net, "svc", "site1", engine()).unwrap();
+    assert!(matches!(select(&factory), Ok(Response::TaskDone { status: 'C', .. })));
+    assert_eq!(factory.pool.idle_connections(), 1);
+}
+
+#[test]
+fn a_partition_installed_between_statements_is_refused_at_open() {
+    let mut fed = warm_federation();
+    let pooled = client_endpoints(&fed, "site4");
+    assert_eq!(pooled.len(), 1, "one pooled connection to avis: {pooled:?}");
+    fed.network().partition(&pooled[0], "site4");
+
+    let sent = fed.network().stats().messages;
+    let err = fed.execute(Q1).unwrap_err().to_string();
+    assert!(err.contains("avis") && err.contains("partition"), "{err}");
+    let stats = fed.network().stats();
+    assert_eq!(stats.messages, sent, "nothing got through");
+    assert_eq!(stats.refused, 1, "the handshake was refused; no task was ever sent");
+
+    // The refused link was closed; the session opens a new one and goes on.
+    fed.network().heal(&pooled[0], "site4");
+    assert_eq!(fed.execute(Q1).unwrap().into_multitable().unwrap().tables.len(), 2);
+    assert!(!client_endpoints(&fed, "site4").contains(&pooled[0]));
+}
+
+#[test]
+fn a_request_that_timed_out_evicts_its_connection() {
+    let mut fed = warm_federation();
+    fed.timeout = Duration::from_millis(100);
+    let pooled = client_endpoints(&fed, "site4");
+    assert_eq!(pooled.len(), 1, "{pooled:?}");
+
+    // avis' next reply is lost: its subquery times out, national answers.
+    fed.network().drop_next("site4", "*", 1);
+    let mt = fed.execute(Q1).unwrap().into_multitable().unwrap();
+    assert_eq!(mt.tables.len(), 1, "avis timed out");
+    // Whatever may still arrive for the abandoned request has no mailbox to
+    // arrive in: the endpoint is gone, the next statement gets a new one.
+    assert!(client_endpoints(&fed, "site4").is_empty(), "the suspect link was closed");
+    let mt = fed.execute(Q1).unwrap().into_multitable().unwrap();
+    assert_eq!(mt.table("avis").unwrap().rows.len(), 2);
+    let fresh = client_endpoints(&fed, "site4");
+    assert_eq!(fresh.len(), 1);
+    assert_ne!(fresh, pooled);
+}
+
+/// Arms the loss of continental's next outgoing message at the moment the
+/// engine reaches `DECIDE` — after both votes arrived, before any COMMIT.
+struct DropAckAtDecision(Network);
+
+impl dol::TaskObserver for DropAckAtDecision {
+    fn task_executed(&self, _task: &TaskDef, _status: TaskStatus) -> Result<(), DolError> {
+        Ok(())
+    }
+
+    fn decision(&self, _code: i32) -> Result<(), DolError> {
+        self.0.drop_next("site1", "*", 1);
+        Ok(())
+    }
+
+    fn task_resolved(&self, _task: &str, _status: TaskStatus) -> Result<(), DolError> {
+        Ok(())
+    }
+}
+
+#[test]
+fn one_lost_ack_among_parallel_commits_is_in_doubt_while_the_other_commits() {
+    let fed = paper_federation_with(Network::new(), FederationProfiles::default());
+    let factory = LamFactory::new(fed.network().clone(), Duration::from_millis(150));
+    let program = dol::parse_program(
+        "DOLBEGIN
+         OPEN continental AT site1 AS c;
+         OPEN united AT site3 AS u;
+         TASK T1 NOCOMMIT FOR c { UPDATE flights SET rate = 1 WHERE flnu = 1 } ENDTASK;
+         TASK T2 NOCOMMIT FOR u { UPDATE flight SET rates = 2 WHERE fn = 20 } ENDTASK;
+         DECIDE 0;
+         COMMIT T1, T2;
+         CLOSE c u;
+         DOLEND",
+    )
+    .unwrap();
+    let mut engine = dol::DolEngine::new(&factory);
+    engine.observer = Some(std::sync::Arc::new(DropAckAtDecision(fed.network().clone())));
+    let err = engine.execute(&program).unwrap_err();
+    assert!(
+        matches!(err, DolError::InDoubt { ref service, ref task } if service == "site1" && task == "T1"),
+        "the lost ack is in doubt, never a presumed abort: {err:?}"
+    );
+    // Both sites committed — T1's acknowledgement was all that got lost —
+    // and T2's round trip did not wait for T1's timeout to be attempted.
+    for service in ["svc_continental", "svc_united"] {
+        assert!(fed.engine(service).unwrap().lock().prepared_txns().is_empty(), "{service}");
+    }
+    assert_eq!(
+        rate(&fed, "svc_continental", "continental", "SELECT rate FROM flights WHERE flnu = 1"),
+        Value::Float(1.0)
+    );
+    assert_eq!(
+        rate(&fed, "svc_united", "united", "SELECT rates FROM flight WHERE fn = 20"),
+        Value::Float(2.0)
+    );
+    // The connection that lost the ack is not reused; the healthy one is.
+    assert_eq!(factory.pool.idle_connections(), 1);
 }
