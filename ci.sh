@@ -89,6 +89,27 @@ echo "== round-trip gate =="
 # in the fault_tolerance run of the tier-1 pass above.
 cargo test -q --test round_trips
 
+echo "== single-execution gate =="
+# A site runs each subquery once: only EXPLAIN asks it to evaluate the
+# unreduced / unpushed baseline as well. Pinned on the wire (what PARTIAL /
+# PARTIALAGG carried) and in the engines' statements / rows_scanned counters,
+# for a semi-join-reduced join, a pushed GROUP BY and a pushed top-k, under
+# both wire formats.
+cargo test -q --test cross_db_join a_reduced_join_runs_each_subquery_once_outside_explain
+cargo test -q --test aggregate_oracle pushed_site_queries_run_once_outside_explain
+
+echo "== payload gate =="
+# Between the LAM's engine and the executor a result set is rows; only the
+# codec boundary (proto.rs / wire.rs / codec/columnar.rs) turns it into text
+# or bytes. A text encode/decode of a result set in these files, outside
+# their unit tests, means a re-parse crept back onto the data path.
+for f in crates/core/src/{executor,lam,lamclient}.rs crates/core/src/codec/frame.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '(encode|decode)_result_set'; then
+        echo "result-set text codec call on the data path in $f" >&2
+        exit 1
+    fi
+done
+
 echo "== fedbench: build + smoke =="
 # fedbench/ compiles against the crates' public API and may not be edited by
 # a change that claims a gain, so an API break must fail here, not in the

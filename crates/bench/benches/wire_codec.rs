@@ -1,28 +1,38 @@
 //! Experiment B12 — the binary columnar wire codec vs. the text proto.
 //!
-//! Two granularities, matching the two layers of the codec:
+//! Three granularities:
 //!
 //! * payload level: a partial-result `ResultSet` serialized by the line
 //!   codec (`wire::encode_result_set`) vs. the columnar layout
 //!   (`codec::columnar`) — where dictionary encoding, varint ints and NULL
 //!   bitmaps earn their keep;
-//! * frame level: the same payload shipped as a complete correlated
+//! * frame level: the same rows shipped as a complete correlated
 //!   `Response::PartialDone`, text framing vs. binary framing — the bytes a
-//!   LAM actually puts on the simulated wire.
+//!   LAM actually puts on the simulated wire;
+//! * LAM level: one `LamClient::run_partial` against a spawned LAM on a
+//!   0-latency network, from the call to rows usable at the coordinator —
+//!   local execution, one encode, the hop, one decode. This is the number a
+//!   statement pays; the two above are its parts.
 //!
 //! `write_summary` records bytes and encode/decode wall time at 1k and 10k
-//! rows to `BENCH_wire_codec.json` and asserts the headline claim: binary
-//! ships ≥2x fewer payload bytes than text at 10k-row partials.
+//! rows, and the LAM-level round trip at 1k and 20k rows, to
+//! `BENCH_wire_codec.json` and asserts the headline claim: binary ships ≥2x
+//! fewer payload bytes than text at 10k-row partials.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ldbs::engine::{ColumnMeta, ResultSet};
+use ldbs::profile::DbmsProfile;
 use ldbs::value::{DataType, Value};
-use mdbs::codec::{self, columnar};
-use mdbs::proto::Response;
+use ldbs::Engine;
+use mdbs::codec::{self, columnar, WireFormat};
+use mdbs::lam::{spawn_lam, LamHandle};
+use mdbs::lamclient::LamClient;
+use mdbs::proto::RowsResponse;
 use mdbs::wire;
-use netsim::BufferPool;
+use netsim::{BufferPool, Network};
+use obs::Span;
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const STATUSES: [&str; 3] = ["available", "rented", "maintenance"];
 const CITIES: [&str; 5] = ["Houston", "San Antonio", "Dallas", "Austin", "El Paso"];
@@ -73,11 +83,8 @@ fn bench_payload(c: &mut Criterion) {
     group.finish();
 }
 
-/// Marginal framing cost given an already-serialized payload string. The
-/// text side is a near-free concatenation; the binary side pays the
-/// columnar transcode plus its canonicity check — the compatibility price
-/// of keeping the canonical text payload as the in-memory form. The CPU win
-/// lives at the payload level above, where a columnar producer sits.
+/// Framing cost of a reply holding rows: each codec serialises the result
+/// set once into the frame and parses it once back out.
 fn bench_frame(c: &mut Criterion) {
     let mut group = c.benchmark_group("b12_wire_codec_frame");
     group.sample_size(10);
@@ -95,26 +102,68 @@ fn bench_frame(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("decode_text", rows), &rows, |b, _| {
             b.iter(|| {
                 let (_, body) = mdbs::proto::split_correlation(&text);
-                black_box(Response::decode(body).unwrap())
+                black_box(RowsResponse::decode_as(body).unwrap())
             })
         });
         group.bench_with_input(BenchmarkId::new("decode_binary", rows), &rows, |b, _| {
-            b.iter(|| black_box(codec::decode_response(&binary).unwrap()))
+            b.iter(|| black_box(codec::decode_response_as::<ResultSet>(&binary).unwrap()))
         });
     }
     group.finish();
 }
 
-/// The frame a LAM sends back for a 10k-row partial.
-fn partial_response(rows: usize) -> Response {
-    let rs = partial_rows(rows);
-    Response::PartialDone {
-        payload: Some(wire::encode_result_set(&rs)),
+/// The frame a LAM sends back for a `rows`-row partial.
+fn partial_response(rows: usize) -> RowsResponse {
+    RowsResponse::PartialDone {
+        payload: Some(partial_rows(rows)),
         error: None,
         full_rows: rows as u64,
         full_bytes: 0,
         access: Some("scan".into()),
     }
+}
+
+/// A LAM serving `partial_rows(rows)` as table `t`, and a client connected
+/// to it in `format`, on a 0-latency network.
+fn lam_with_rows(rows: usize, format: WireFormat) -> (LamHandle, LamClient) {
+    let mut engine = Engine::new("svc", DbmsProfile::oracle_like());
+    engine.create_database("db").unwrap();
+    engine
+        .execute("db", "CREATE TABLE t (fnu INT, rate FLOAT, status CHAR(12), source CHAR(16))")
+        .unwrap();
+    let table = engine.database_mut("db").unwrap().table_mut("t").unwrap();
+    for row in partial_rows(rows).rows {
+        table.insert(row).unwrap();
+    }
+    let net = Network::new();
+    let lam = spawn_lam(&net, "svc", "site", engine).unwrap();
+    let mut client = LamClient::connect(&net, "site", "db", Duration::from_secs(30)).unwrap();
+    client.set_wire_format(format);
+    (lam, client)
+}
+
+/// `LamClient` call → `ResultSet`: what the coordinator waits for one
+/// partial.
+fn lam_to_rows(client: &LamClient) -> ResultSet {
+    client
+        .run_partial("SELECT fnu, rate, status, source FROM t", None, false, &Span::disabled())
+        .unwrap()
+        .rows
+}
+
+fn bench_lam_to_rows(c: &mut Criterion) {
+    let mut group = c.benchmark_group("b12_wire_codec_lam_to_rows");
+    group.sample_size(10);
+    for rows in [1_000usize, 20_000] {
+        for format in [WireFormat::Text, WireFormat::Binary] {
+            let (_lam, client) = lam_with_rows(rows, format);
+            assert_eq!(lam_to_rows(&client).rows.len(), rows);
+            group.bench_with_input(BenchmarkId::new(format.label(), rows), &rows, |b, _| {
+                b.iter(|| black_box(lam_to_rows(&client)))
+            });
+        }
+    }
+    group.finish();
 }
 
 /// Wall time for `iters` runs of `f`, in milliseconds.
@@ -172,9 +221,23 @@ fn write_summary(_c: &mut Criterion) {
             binary_frame.len(),
         ));
     }
+    let mut lam = Vec::new();
+    for rows in [1_000usize, 20_000] {
+        let iters = if rows >= 20_000 { 10 } else { 100 };
+        let ms = [WireFormat::Text, WireFormat::Binary].map(|format| {
+            let (_lam, client) = lam_with_rows(rows, format);
+            lam_to_rows(&client); // warm the connection and the buffer pool
+            timed(iters, || lam_to_rows(&client))
+        });
+        lam.push(format!(
+            "    {{\"rows\": {rows}, \"text_ms\": {:.3}, \"binary_ms\": {:.3}}}",
+            ms[0], ms[1]
+        ));
+    }
     let json = format!(
-        "{{\n  \"bench\": \"b12_wire_codec\",\n  \"sweep\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
+        "{{\n  \"bench\": \"b12_wire_codec\",\n  \"sweep\": [\n{}\n  ],\n  \"lam_to_rows\": [\n{}\n  ]\n}}\n",
+        entries.join(",\n"),
+        lam.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wire_codec.json");
     std::fs::write(path, &json).unwrap();
@@ -184,6 +247,6 @@ fn write_summary(_c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_payload, bench_frame, write_summary
+    targets = bench_payload, bench_frame, bench_lam_to_rows, write_summary
 }
 criterion_main!(benches);

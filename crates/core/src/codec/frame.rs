@@ -8,21 +8,19 @@
 //! tag byte · fields
 //! ```
 //!
-//! Requests use tags `0x01..=0x11` (declaration order in `proto.rs`, with
-//! later additions appended),
-//! responses `0x81..=0x85`. Result-set payloads travel as *payload blocks*:
-//! a canonical payload (one produced by `wire::encode_result_set`) ships
-//! columnar (`codec::columnar`); any other string — hand-built payloads,
-//! unusual whitespace — falls back to a verbatim length-prefixed string, so
+//! Requests use tags `0x01..=0x12` (declaration order in `proto.rs`, with
+//! later additions appended; `0x0B`/`0x0C` are retired and stay reserved),
+//! responses `0x81..=0x86`. Result-set payloads travel as *payload blocks*
+//! written and read by the message's [`Payload`] type: a result set ships
+//! columnar (`codec::columnar`); the `String` shim falls back to a verbatim
+//! length-prefixed string for texts that are not canonical result sets, so
 //! `decode(encode(x)) == x` holds for every input, bit for bit. Frames are
 //! encoded into buffers leased from a [`BufferPool`] and must decode with
 //! exact consumption: trailing bytes are an error.
 
-use super::columnar;
 use super::varint::{write_str, write_u64, Reader};
 use crate::error::MdbsError;
-use crate::proto::{Request, Response, TaskMode};
-use crate::wire;
+use crate::proto::{Payload, Request, Response, TaskMode};
 use netsim::{BufferPool, PooledBuf};
 
 /// First byte of every binary frame (never a printable ASCII byte, so text
@@ -43,8 +41,9 @@ const REQ_RESOLVE: u8 = 0x07;
 const REQ_COMPENSATE: u8 = 0x08;
 const REQ_PARTIAL: u8 = 0x09;
 const REQ_SCHEMA: u8 = 0x0A;
-const REQ_LOAD: u8 = 0x0B;
-const REQ_DROPTEMP: u8 = 0x0C;
+/// `LOAD` / `DROPTEMP`, superseded by `LOADMANY` / `DROPMANY`: the numbers
+/// stay reserved so an old peer gets an error, never a misparse.
+const REQ_RETIRED: std::ops::RangeInclusive<u8> = 0x0B..=0x0C;
 const REQ_LOADMANY: u8 = 0x0D;
 const REQ_DROPMANY: u8 = 0x0E;
 const REQ_PING: u8 = 0x0F;
@@ -59,8 +58,10 @@ const RESP_OKPAYLOAD: u8 = 0x84;
 const RESP_ERR: u8 = 0x85;
 const RESP_PARTIALAGGDONE: u8 = 0x86;
 
-const PAYLOAD_VERBATIM: u8 = 0;
-const PAYLOAD_COLUMNAR: u8 = 1;
+/// Payload block tag: a length-prefixed string follows.
+pub(crate) const PAYLOAD_VERBATIM: u8 = 0;
+/// Payload block tag: a `codec::columnar` result set follows.
+pub(crate) const PAYLOAD_COLUMNAR: u8 = 1;
 
 /// True when the body starts like a binary frame (used by servers to pick a
 /// decode path; the `Body` enum already distinguishes, this is a guard for
@@ -108,28 +109,6 @@ pub fn peek_correlation(bytes: &[u8]) -> Option<u64> {
     read_header(&mut Reader::new(bytes)).ok().flatten()
 }
 
-/// Payload block: canonical result sets go columnar, everything else ships
-/// verbatim so arbitrary strings survive exactly.
-fn write_payload(buf: &mut Vec<u8>, payload: &str) {
-    if let Ok(rs) = wire::decode_result_set(payload) {
-        if wire::encode_result_set(&rs) == payload {
-            buf.push(PAYLOAD_COLUMNAR);
-            columnar::write_result_set(buf, &rs);
-            return;
-        }
-    }
-    buf.push(PAYLOAD_VERBATIM);
-    write_str(buf, payload);
-}
-
-fn read_payload(r: &mut Reader) -> Result<String, MdbsError> {
-    match r.u8()? {
-        PAYLOAD_VERBATIM => r.string(),
-        PAYLOAD_COLUMNAR => Ok(wire::encode_result_set(&columnar::read_result_set(r)?)),
-        other => Err(MdbsError::Wire(format!("unknown payload block tag {other}"))),
-    }
-}
-
 fn write_opt_str(buf: &mut Vec<u8>, s: &Option<String>) {
     match s {
         Some(s) => {
@@ -148,20 +127,26 @@ fn read_opt_str(r: &mut Reader) -> Result<Option<String>, MdbsError> {
     }
 }
 
-fn write_opt_payload(buf: &mut Vec<u8>, s: &Option<String>) {
-    match s {
-        Some(s) => {
+fn write_opt_payload<P: Payload>(buf: &mut Vec<u8>, payload: &Option<P>) {
+    match payload {
+        Some(p) => {
             buf.push(1);
-            write_payload(buf, s);
+            p.write_block(buf);
         }
         None => buf.push(0),
     }
 }
 
-fn read_opt_payload(r: &mut Reader) -> Result<Option<String>, MdbsError> {
+/// Reads an optional payload block; also returns the block's byte size (0
+/// when absent).
+fn read_opt_payload<P: Payload>(r: &mut Reader) -> Result<(Option<P>, usize), MdbsError> {
     match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(read_payload(r)?)),
+        0 => Ok((None, 0)),
+        1 => {
+            let start = r.pos();
+            let payload = P::read_block(r)?;
+            Ok((Some(payload), r.pos() - start))
+        }
         other => Err(MdbsError::Wire(format!("bad presence byte {other}"))),
     }
 }
@@ -186,7 +171,11 @@ fn read_strings(r: &mut Reader) -> Result<Vec<String>, MdbsError> {
 }
 
 /// Encodes a request frame into a pooled buffer.
-pub fn encode_request(pool: &BufferPool, corr: Option<u64>, req: &Request) -> PooledBuf {
+pub fn encode_request<P: Payload>(
+    pool: &BufferPool,
+    corr: Option<u64>,
+    req: &Request<P>,
+) -> PooledBuf {
     let mut buf = pool.lease();
     write_header(&mut buf, corr);
     match req {
@@ -254,24 +243,13 @@ pub fn encode_request(pool: &BufferPool, corr: Option<u64>, req: &Request) -> Po
             write_str(&mut buf, database);
             write_opt_str(&mut buf, table);
         }
-        Request::Load { database, table, payload } => {
-            buf.push(REQ_LOAD);
-            write_str(&mut buf, database);
-            write_str(&mut buf, table);
-            write_payload(&mut buf, payload);
-        }
-        Request::DropTemp { database, table } => {
-            buf.push(REQ_DROPTEMP);
-            write_str(&mut buf, database);
-            write_str(&mut buf, table);
-        }
         Request::LoadMany { database, parts } => {
             buf.push(REQ_LOADMANY);
             write_str(&mut buf, database);
             write_u64(&mut buf, parts.len() as u64);
             for (table, payload) in parts {
                 write_str(&mut buf, table);
-                write_payload(&mut buf, payload);
+                payload.write_block(&mut buf);
             }
         }
         Request::DropMany { database, tables } => {
@@ -285,8 +263,14 @@ pub fn encode_request(pool: &BufferPool, corr: Option<u64>, req: &Request) -> Po
     buf
 }
 
-/// Decodes a request frame: correlation id (if any) plus the request.
+/// Decodes a request frame with text payloads: correlation id (if any) plus
+/// the request.
 pub fn decode_request(bytes: &[u8]) -> Result<(Option<u64>, Request), MdbsError> {
+    decode_request_as(bytes)
+}
+
+/// Decodes a request frame holding `P` payloads.
+pub fn decode_request_as<P: Payload>(bytes: &[u8]) -> Result<(Option<u64>, Request<P>), MdbsError> {
     let mut r = Reader::new(bytes);
     let corr = read_header(&mut r)?;
     let tag = r.u8()?;
@@ -335,12 +319,6 @@ pub fn decode_request(bytes: &[u8]) -> Result<(Option<u64>, Request), MdbsError>
         },
         REQ_SCHEMA => Request::Schema { database: r.string()? },
         REQ_STATS => Request::Stats { database: r.string()?, table: read_opt_str(&mut r)? },
-        REQ_LOAD => Request::Load {
-            database: r.string()?,
-            table: r.string()?,
-            payload: read_payload(&mut r)?,
-        },
-        REQ_DROPTEMP => Request::DropTemp { database: r.string()?, table: r.string()? },
         REQ_LOADMANY => {
             let database = r.string()?;
             let n = r.u64()? as usize;
@@ -349,15 +327,16 @@ pub fn decode_request(bytes: &[u8]) -> Result<(Option<u64>, Request), MdbsError>
             }
             let mut parts = Vec::with_capacity(n);
             for _ in 0..n {
-                let table = r.string()?;
-                let payload = read_payload(&mut r)?;
-                parts.push((table, payload));
+                parts.push((r.string()?, P::read_block(&mut r)?));
             }
             Request::LoadMany { database, parts }
         }
         REQ_DROPMANY => Request::DropMany { database: r.string()?, tables: read_strings(&mut r)? },
         REQ_PING => Request::Ping,
         REQ_SHUTDOWN => Request::Shutdown,
+        retired if REQ_RETIRED.contains(&retired) => {
+            return Err(MdbsError::Wire(format!("retired request tag {retired:#04x}")));
+        }
         other => {
             return Err(MdbsError::Wire(format!("unknown request tag {other:#04x}")));
         }
@@ -367,7 +346,11 @@ pub fn decode_request(bytes: &[u8]) -> Result<(Option<u64>, Request), MdbsError>
 }
 
 /// Encodes a response frame into a pooled buffer.
-pub fn encode_response(pool: &BufferPool, corr: Option<u64>, resp: &Response) -> PooledBuf {
+pub fn encode_response<P: Payload>(
+    pool: &BufferPool,
+    corr: Option<u64>,
+    resp: &Response<P>,
+) -> PooledBuf {
     let mut buf = pool.lease();
     write_header(&mut buf, corr);
     match resp {
@@ -407,11 +390,26 @@ pub fn encode_response(pool: &BufferPool, corr: Option<u64>, resp: &Response) ->
     buf
 }
 
-/// Decodes a response frame: correlation id (if any) plus the response.
+/// Decodes a response frame with a text payload: correlation id (if any)
+/// plus the response.
 pub fn decode_response(bytes: &[u8]) -> Result<(Option<u64>, Response), MdbsError> {
+    decode_response_as(bytes).map(|(corr, resp, _)| (corr, resp))
+}
+
+/// Decodes a response frame holding a `P` payload. The third element is the
+/// byte size of the payload block it carried (0 when it carried none).
+pub fn decode_response_as<P: Payload>(
+    bytes: &[u8],
+) -> Result<(Option<u64>, Response<P>, usize), MdbsError> {
     let mut r = Reader::new(bytes);
     let corr = read_header(&mut r)?;
     let tag = r.u8()?;
+    let mut payload_bytes = 0;
+    let mut payload = |r: &mut Reader| -> Result<Option<P>, MdbsError> {
+        let (payload, size) = read_opt_payload(r)?;
+        payload_bytes = size;
+        Ok(payload)
+    };
     let resp = match tag {
         RESP_TASKDONE => {
             let code = r.u64()?;
@@ -423,7 +421,7 @@ pub fn decode_response(bytes: &[u8]) -> Result<(Option<u64>, Response), MdbsErro
                 status,
                 affected: r.u64()?,
                 error: read_opt_str(&mut r)?,
-                payload: read_opt_payload(&mut r)?,
+                payload: payload(&mut r)?,
             }
         }
         RESP_PARTIALDONE => Response::PartialDone {
@@ -431,14 +429,14 @@ pub fn decode_response(bytes: &[u8]) -> Result<(Option<u64>, Response), MdbsErro
             full_bytes: r.u64()?,
             access: read_opt_str(&mut r)?,
             error: read_opt_str(&mut r)?,
-            payload: read_opt_payload(&mut r)?,
+            payload: payload(&mut r)?,
         },
         RESP_PARTIALAGGDONE => Response::PartialAggDone {
             groups: r.u64()?,
             full_rows: r.u64()?,
             full_bytes: r.u64()?,
             error: read_opt_str(&mut r)?,
-            payload: read_opt_payload(&mut r)?,
+            payload: payload(&mut r)?,
         },
         RESP_OK => Response::Ok,
         RESP_OKPAYLOAD => Response::OkPayload { payload: r.string()? },
@@ -448,12 +446,14 @@ pub fn decode_response(bytes: &[u8]) -> Result<(Option<u64>, Response), MdbsErro
         }
     };
     r.finish()?;
-    Ok((corr, resp))
+    Ok((corr, resp, payload_bytes))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldbs::engine::{ColumnMeta, ResultSet};
+    use ldbs::value::{DataType, Value};
 
     fn pool() -> BufferPool {
         BufferPool::new(8)
@@ -548,18 +548,6 @@ mod tests {
         roundtrip_request(
             Some(17),
             Request::Stats { database: "avis".into(), table: Some("cars".into()) },
-        );
-        roundtrip_request(
-            Some(9),
-            Request::Load {
-                database: "avis".into(),
-                table: "part_national".into(),
-                payload: "COLS code:int\nR I:1\n".into(),
-            },
-        );
-        roundtrip_request(
-            Some(10),
-            Request::DropTemp { database: "avis".into(), table: "t".into() },
         );
         roundtrip_request(
             Some(11),
@@ -699,7 +687,7 @@ mod tests {
 
     #[test]
     fn bad_frames_rejected() {
-        let frame = encode_request(&pool(), Some(1), &Request::Ping);
+        let frame = encode_request(&pool(), Some(1), &Request::<String>::Ping);
         // Wrong magic.
         let mut bad = frame.clone().into_vec();
         bad[0] = b'@';
@@ -727,12 +715,33 @@ mod tests {
         assert!(peek_correlation(&[]).is_none());
     }
 
+    /// A hand-built text that the `String` shim ships verbatim still reaches
+    /// a peer holding rows as rows (`codec_proptests` covers the canonical
+    /// case: both payload types frame byte-identically).
+    #[test]
+    fn verbatim_blocks_decode_into_rows() {
+        let rs = ResultSet {
+            columns: vec![ColumnMeta { name: "code".into(), data_type: DataType::Int }],
+            rows: vec![vec![Value::Int(1)], vec![Value::Null]],
+        };
+        // A trailing blank line makes the text non-canonical.
+        let loose = format!("{}\n", crate::wire::encode_result_set(&rs));
+        let req =
+            Request::LoadMany { database: "avis".into(), parts: vec![("t".to_string(), loose)] };
+        let frame = encode_request(&pool(), None, &req);
+        let (_, typed) = decode_request_as::<ResultSet>(&frame).unwrap();
+        assert_eq!(
+            typed,
+            Request::LoadMany { database: "avis".into(), parts: vec![("t".to_string(), rs)] }
+        );
+    }
+
     #[test]
     fn frames_reuse_pooled_buffers() {
         let pool = pool();
-        drop(encode_request(&pool, Some(1), &Request::Ping));
+        drop(encode_request(&pool, Some(1), &Request::<String>::Ping));
         assert_eq!(pool.idle(), 1);
-        drop(encode_request(&pool, Some(2), &Request::Ping));
+        drop(encode_request(&pool, Some(2), &Request::<String>::Ping));
         assert_eq!(pool.reuses(), 1);
     }
 }

@@ -20,8 +20,12 @@ pub mod columnar;
 pub mod frame;
 pub mod varint;
 
+use crate::proto::Payload;
+use ldbs::engine::ResultSet;
+
 pub use frame::{
-    decode_request, decode_response, encode_request, encode_response, peek_correlation,
+    decode_request, decode_request_as, decode_response, decode_response_as, encode_request,
+    encode_response, peek_correlation,
 };
 
 /// Which encoding a client uses for LAM requests.
@@ -36,6 +40,25 @@ pub enum WireFormat {
 }
 
 impl WireFormat {
+    /// Byte size of the payload block `rs` occupies on a connection of this
+    /// format: its `wire::encode_result_set` text, or its columnar block.
+    /// This is the unit of every `bytes=` / `saved=` span note and `lam.bytes*`
+    /// counter, so the two formats honestly report different volumes.
+    pub fn payload_len(&self, rs: &ResultSet) -> usize {
+        match self {
+            WireFormat::Text => {
+                let mut text = String::new();
+                rs.write_text(&mut text);
+                text.len()
+            }
+            WireFormat::Binary => {
+                let mut block = Vec::new();
+                rs.write_block(&mut block);
+                block.len()
+            }
+        }
+    }
+
     /// Metric-label form (`wire.encode_us{format=...}`).
     pub fn label(&self) -> &'static str {
         match self {

@@ -12,17 +12,16 @@
 //!   and the DOL return code.
 
 use crate::error::MdbsError;
-use crate::lamclient::{decode_task_result, LamFactory, PartialResult};
+use crate::lamclient::{LamFactory, PartialResult, TaskOutput, TaskOutputs};
 use crate::merge;
 use crate::multitable::{Multitable, MultitableEntry};
 use crate::planner::{self, Estimate, PlannerContext};
-use crate::proto::{Request, Response, TaskMode};
+use crate::proto::{RowsRequest as Request, RowsResponse as Response, TaskMode};
 use crate::retry::{shared_stats, ExecStats, SharedExecStats};
 use crate::translate::{
     DbRoute, DbSubquery, Decomposition, GeneratedPlan, PushdownPlan, MTX_FAILED,
 };
 use crate::wal::{Wal, WalObserver, WalRecord};
-use crate::wire;
 use dol::{DolEngine, DolOutcome, TaskStatus};
 use ldbs::engine::ResultSet;
 use ldbs::eval::value_literal;
@@ -186,6 +185,11 @@ pub struct Executor {
     /// Where execution spans hang (disabled unless the federation is
     /// tracing the statement).
     pub trace: SpanCtx,
+    /// Set by `EXPLAIN` alone: sites that run a reduced or pushed-down
+    /// subquery also evaluate — never ship — the subquery the classic plan
+    /// would have run, so the report can show what the rewrite saved. Any
+    /// other statement makes a site run each subquery once.
+    pub(crate) measure_baseline: bool,
     /// Site statistics for cost-based planning of cross-database joins.
     /// `None` (or a context lacking a table) keeps the heuristic data-flow
     /// decisions, byte-for-byte.
@@ -207,16 +211,26 @@ impl Executor {
             semijoin_cap: DEFAULT_SEMIJOIN_CAP,
             agg_pushdown: true,
             trace: SpanCtx::disabled(),
+            measure_baseline: false,
             planner: None,
             wal: None,
         }
     }
 
-    /// Runs the program, returning the DOL outcome plus this run's own
-    /// communication accounting (also merged into the session stats).
-    fn run_program(&self, plan: &GeneratedPlan) -> Result<(DolOutcome, ExecStats), MdbsError> {
+    /// Runs the program, returning the DOL outcome, this run's own
+    /// communication accounting (also merged into the session stats) and what
+    /// its tasks produced, by task name.
+    fn run_program(
+        &self,
+        plan: &GeneratedPlan,
+    ) -> Result<(DolOutcome, ExecStats, HashMap<String, TaskOutput>), MdbsError> {
         let run_stats = shared_stats();
-        let factory = LamFactory { stats: SharedExecStats::clone(&run_stats), ..self.lams.clone() };
+        let outputs = TaskOutputs::default();
+        let factory = LamFactory {
+            stats: SharedExecStats::clone(&run_stats),
+            outputs: TaskOutputs::clone(&outputs),
+            ..self.lams.clone()
+        };
         let mut engine =
             if self.parallel { DolEngine::new(&factory) } else { DolEngine::serial(&factory) };
         engine.trace = self.trace.clone();
@@ -262,7 +276,8 @@ impl Executor {
         if let (Some((wal, mtx_id)), false) = (logged, in_doubt) {
             wal.append(&WalRecord::End { mtx_id }).map_err(MdbsError::from)?;
         }
-        Ok((out, snapshot))
+        let outputs = std::mem::take(&mut *outputs.lock());
+        Ok((out, snapshot, outputs))
     }
 
     fn outcomes(
@@ -270,17 +285,13 @@ impl Executor {
         plan: &GeneratedPlan,
         out: &DolOutcome,
         stats: &ExecStats,
+        outputs: &HashMap<String, TaskOutput>,
     ) -> Vec<DbOutcome> {
         plan.tasks
             .iter()
             .map(|t| {
                 let status = out.status(&t.task).unwrap_or(TaskStatus::Error);
-                let affected = out
-                    .task_results
-                    .get(&t.task)
-                    .and_then(|r| decode_task_result(r).ok())
-                    .map(|(a, _)| a)
-                    .unwrap_or(0);
+                let affected = outputs.get(&t.task).map_or(0, |o| o.affected);
                 let telemetry = stats.task(&t.task);
                 DbOutcome {
                     database: t.database.clone(),
@@ -317,21 +328,19 @@ impl Executor {
     /// partial results. A database whose task failed contributes no table;
     /// if every database failed the query fails.
     pub fn run_retrieval(&self, plan: &GeneratedPlan) -> Result<Multitable, MdbsError> {
-        let (out, _stats) = self.run_program(plan)?;
+        let (out, _stats, mut outputs) = self.run_program(plan)?;
         let mut tables = Vec::new();
         let mut last_error: Option<String> = None;
         for t in &plan.tasks {
             match out.status(&t.task) {
                 Some(TaskStatus::Committed) => {
-                    let result = out.task_results.get(&t.task).ok_or_else(|| {
+                    let output = outputs.remove(&t.task).ok_or_else(|| {
                         MdbsError::Internal(format!("task {} lost its result", t.task))
                     })?;
-                    let (_, payload) = decode_task_result(result)?;
-                    let rs = match payload {
-                        Some(p) => wire::decode_result_set(&p)?,
-                        None => ResultSet::default(),
-                    };
-                    tables.push(MultitableEntry { database: t.database.clone(), result: rs });
+                    tables.push(MultitableEntry {
+                        database: t.database.clone(),
+                        result: output.rows.unwrap_or_default(),
+                    });
                 }
                 _ => {
                     last_error = Some(format!("retrieval failed at `{}`", t.database));
@@ -348,8 +357,8 @@ impl Executor {
 
     /// Runs a vital update plan.
     pub fn run_update(&self, plan: &GeneratedPlan) -> Result<UpdateReport, MdbsError> {
-        let (out, mut stats) = self.run_program(plan)?;
-        let outcomes = self.outcomes(plan, &out, &stats);
+        let (out, mut stats, outputs) = self.run_program(plan)?;
+        let outcomes = self.outcomes(plan, &out, &stats, &outputs);
         let success = out.dolstatus == 0;
         if success {
             self.count_degraded(plan, &outcomes, &mut stats);
@@ -360,7 +369,7 @@ impl Executor {
     /// Runs a multitransaction plan. `n_states` is the number of acceptable
     /// states (to map the DOL return code back to a state index).
     pub fn run_mtx(&self, plan: &GeneratedPlan, n_states: usize) -> Result<MtxReport, MdbsError> {
-        let (out, mut stats) = self.run_program(plan)?;
+        let (out, mut stats, outputs) = self.run_program(plan)?;
         let achieved_state = if out.dolstatus >= 0
             && (out.dolstatus as usize) < n_states
             && out.dolstatus != MTX_FAILED
@@ -369,7 +378,7 @@ impl Executor {
         } else {
             None
         };
-        let outcomes = self.outcomes(plan, &out, &stats);
+        let outcomes = self.outcomes(plan, &out, &stats, &outputs);
         if achieved_state.is_some() {
             self.count_degraded(plan, &outcomes, &mut stats);
         }
@@ -446,15 +455,15 @@ impl Executor {
             };
             let sub = &dec.subqueries[reducer];
             let est_rows = estimates.as_ref().map(|e| e[reducer].rows.round() as u64);
-            let result = self.dispatch_partial(
+            let result = self.dispatch_site(
                 sub,
                 sub_routes[reducer],
-                &[],
-                false,
+                &print_select(&sub.select),
+                Rewrite::None,
                 est_rows,
                 &join_span.ctx(),
             )?;
-            let rs = wire::decode_result_set(&result.payload)?;
+            let rs = &result.rows;
             for key in &dec.join_keys {
                 let (Some(own), Some(other)) =
                     (key.side_in(&sub.database), key.side_opposite(&sub.database))
@@ -542,71 +551,30 @@ impl Executor {
         }
 
         // 2. Dispatch the remaining subqueries — concurrently when allowed.
-        // The unreduced baseline is measured (never shipped) only under
-        // tracing, where the savings feed the EXPLAIN report.
-        let measure = join_span.is_enabled();
         let pending: Vec<usize> = (0..n).filter(|&i| results[i].is_none()).collect();
-        let dispatched: Vec<(usize, Result<PartialResult, MdbsError>)> =
-            if self.parallel && pending.len() > 1 {
-                let ctx = join_span.ctx();
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = pending
-                        .iter()
-                        .map(|&i| {
-                            let ctx = ctx.clone();
-                            let sub = &dec.subqueries[i];
-                            let route = sub_routes[i];
-                            let extra = filters[i].as_slice();
-                            let est = estimates.as_ref().map(|e| e[i].rows.round() as u64);
-                            scope.spawn(move || {
-                                (i, self.dispatch_partial(sub, route, extra, measure, est, &ctx))
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("partial dispatch thread panicked"))
-                        .collect()
-                })
+        let ctx = join_span.ctx();
+        let dispatched = self.dispatch_all(&pending, |i| {
+            let sub = &dec.subqueries[i];
+            let (sql, rewrite) = if filters[i].is_empty() {
+                (print_select(&sub.select), Rewrite::None)
             } else {
-                pending
-                    .iter()
-                    .map(|&i| {
-                        let sub = &dec.subqueries[i];
-                        (
-                            i,
-                            self.dispatch_partial(
-                                sub,
-                                sub_routes[i],
-                                &filters[i],
-                                measure,
-                                estimates.as_ref().map(|e| e[i].rows.round() as u64),
-                                &join_span.ctx(),
-                            ),
-                        )
-                    })
-                    .collect()
+                (print_select(&with_conjuncts(&sub.select, &filters[i])), Rewrite::Semijoin)
             };
-        let mut first_err: Option<(usize, MdbsError)> = None;
-        for (i, r) in dispatched {
-            match r {
-                Ok(p) => results[i] = Some(p),
-                Err(e) => {
-                    if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_err = Some((i, e));
-                    }
-                }
-            }
+            let est_rows = estimates.as_ref().map(|e| e[i].rows.round() as u64);
+            self.dispatch_site(sub, sub_routes[i], &sql, rewrite, est_rows, &ctx)
+        })?;
+        for (&i, p) in pending.iter().zip(dispatched) {
+            results[i] = Some(p);
         }
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
-        let partials: Vec<(String, PartialResult)> = dec
-            .subqueries
-            .iter()
-            .zip(results)
-            .map(|(sub, r)| (sub.part_table.clone(), r.expect("every subquery dispatched")))
-            .collect();
+        let partials: Vec<PartialResult> = results
+            .into_iter()
+            .zip(&dec.subqueries)
+            .map(|(r, sub)| {
+                r.ok_or_else(|| {
+                    MdbsError::Internal(format!("subquery for `{}` was never run", sub.database))
+                })
+            })
+            .collect::<Result<_, _>>()?;
 
         // 3. Name the strategy and total savings on the join span/metrics.
         // The coordinator's LDBS hash-joins a two-table Q' on its equi keys;
@@ -614,11 +582,12 @@ impl Executor {
         let reduced = filters.iter().any(|f| !f.is_empty());
         let base = if n == 2 && !dec.join_keys.is_empty() { "hash" } else { "product" };
         let strategy = if reduced { format!("semijoin+{base}") } else { base.to_string() };
-        let bytes_saved: u64 =
-            partials.iter().map(|(_, p)| p.full_bytes.saturating_sub(p.payload.len() as u64)).sum();
+        let bytes_saved: u64 = partials.iter().map(PartialResult::saved).sum();
         join_span.note("strategy", &strategy);
         join_span.note("keys_shipped", keys_shipped);
-        join_span.note("bytes_saved", bytes_saved);
+        if self.measure_baseline {
+            join_span.note("bytes_saved", bytes_saved);
+        }
         if estimates.is_some() {
             join_span.note("planner", "costed");
         }
@@ -627,8 +596,10 @@ impl Executor {
         let route = routes.get(&dec.coordinator).ok_or_else(|| {
             MdbsError::Catalog(format!("no route for coordinator `{}`", dec.coordinator))
         })?;
-        // 4. Collect the partial results at the coordinator.
+        // 4. Collect the partial results at the coordinator: the rows move
+        // into the request as they are.
         let coord = self.lams.checkout(&route.site, &dec.coordinator)?;
+        let temps: Vec<String> = dec.subqueries.iter().map(|s| s.part_table.clone()).collect();
         {
             let span = join_span.child(format!("lam:collect:{}", dec.coordinator));
             span.note("db", &dec.coordinator);
@@ -636,7 +607,7 @@ impl Executor {
             // One batched round trip: collection stays ≈1 link latency no
             // matter how many sites contributed partials.
             coord.load_partials(
-                partials.iter().map(|(t, p)| (t.clone(), p.payload.clone())).collect(),
+                temps.iter().cloned().zip(partials.into_iter().map(|p| p.rows)).collect(),
             )?;
         }
 
@@ -678,35 +649,64 @@ impl Executor {
         };
         let (resp, attempts, _faults) = coord.call_traced(&req, &span);
         span.note("attempts", attempts);
-        let _ = coord.drop_temps(partials.iter().map(|(t, _)| t.clone()).collect());
+        let _ = coord.drop_temps(temps);
         match resp? {
-            Response::TaskDone { status: 'C', payload: Some(p), .. } => {
-                span.note("bytes", p.len());
-                let rs = wire::decode_result_set(&p)?;
+            (Response::TaskDone { status: 'C', payload: Some(rs), .. }, bytes) => {
+                span.note("bytes", bytes);
                 span.note("rows", rs.rows.len());
                 Ok(rs)
             }
-            Response::TaskDone { status: 'C', payload: None, .. } => Ok(ResultSet::default()),
-            Response::TaskDone { error, .. } => Err(MdbsError::Local {
+            (Response::TaskDone { status: 'C', payload: None, .. }, _) => Ok(ResultSet::default()),
+            (Response::TaskDone { error, .. }, _) => Err(MdbsError::Local {
                 service: dec.coordinator.clone(),
                 message: error.unwrap_or_else(|| "global query failed".into()),
             }),
-            other => Err(MdbsError::Wire(format!("unexpected reply: {other:?}"))),
+            (other, _) => Err(MdbsError::Wire(format!("unexpected reply: {other:?}"))),
         }
     }
 
-    /// Connects to one subquery's LAM and evaluates it there, with `extra`
-    /// conjuncts (semi-join filters) ANDed onto its WHERE clause. When
-    /// filters were injected and `measure` is set, the LAM also measures the
-    /// unreduced subquery so the span/metrics can report bytes saved.
-    /// `est_rows` is the planner's pre-reduction row estimate, noted on the
-    /// partial span so EXPLAIN can show estimated vs. actual.
-    fn dispatch_partial(
+    /// Runs `dispatch(i)` for every `i` in `pending` — one scoped thread per
+    /// site when [`Self::parallel`] — and returns the results in `pending`
+    /// order. When several sites fail, the error of the first one in that
+    /// order wins, so serial and parallel runs report the same one.
+    fn dispatch_all<F>(
+        &self,
+        pending: &[usize],
+        dispatch: F,
+    ) -> Result<Vec<PartialResult>, MdbsError>
+    where
+        F: Fn(usize) -> Result<PartialResult, MdbsError> + Sync,
+    {
+        let dispatched: Vec<Result<PartialResult, MdbsError>> =
+            if self.parallel && pending.len() > 1 {
+                std::thread::scope(|scope| {
+                    let dispatch = &dispatch;
+                    let handles: Vec<_> =
+                        pending.iter().map(|&i| scope.spawn(move || dispatch(i))).collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("partial dispatch thread panicked"))
+                        .collect()
+                })
+            } else {
+                pending.iter().map(|&i| dispatch(i)).collect()
+            };
+        dispatched.into_iter().collect()
+    }
+
+    /// Connects to one subquery's LAM and evaluates `sql` there — the
+    /// subquery as decomposed, or rewritten as `rewrite` says. `est_rows` is
+    /// the planner's row estimate for the subquery *as decomposed*, noted on
+    /// the span so EXPLAIN can show estimated vs. actual. Under
+    /// [`Self::measure_baseline`] a rewritten subquery's LAM also measures
+    /// the decomposed one, and the span and metrics report what the rewrite
+    /// kept off the wire.
+    fn dispatch_site(
         &self,
         sub: &DbSubquery,
         route: &DbRoute,
-        extra: &[Expr],
-        measure: bool,
+        sql: &str,
+        rewrite: Rewrite,
         est_rows: Option<u64>,
         ctx: &SpanCtx,
     ) -> Result<PartialResult, MdbsError> {
@@ -715,21 +715,31 @@ impl Executor {
         if let Some(est) = est_rows {
             span.note("est_rows", est);
         }
-        let sql = if extra.is_empty() {
-            print_select(&sub.select)
-        } else {
-            span.note("reduced", "semijoin");
-            print_select(&with_conjuncts(&sub.select, extra))
+        let pushed = match rewrite {
+            Rewrite::None => false,
+            Rewrite::Semijoin => {
+                span.note("reduced", "semijoin");
+                false
+            }
+            Rewrite::Pushed(kind) => {
+                span.note("pushed", kind);
+                true
+            }
         };
-        let baseline = (measure && !extra.is_empty()).then(|| print_select(&sub.select));
-        let result = client.run_partial(&sql, baseline.as_deref(), &span)?;
+        let baseline = (self.measure_baseline && !matches!(rewrite, Rewrite::None))
+            .then(|| print_select(&sub.select));
+        let result = client.run_partial(sql, baseline.as_deref(), pushed, &span)?;
         if let Some(access) = &result.access {
             span.note("access", access);
         }
+        if pushed && result.full_rows > 0 {
+            span.note("full_rows", result.full_rows);
+        }
         if result.full_bytes > 0 {
-            let saved = result.full_bytes.saturating_sub(result.payload.len() as u64);
-            span.note("saved", saved);
-            self.lams.metrics.counter_add(&labeled("lam.bytes_saved", "db", &sub.database), saved);
+            span.note("saved", result.saved());
+            self.lams
+                .metrics
+                .counter_add(&labeled("lam.bytes_saved", "db", &sub.database), result.saved());
         }
         Ok(result)
     }
@@ -738,8 +748,6 @@ impl Executor {
     /// rewritten subquery (partial aggregates grouped by join + group keys,
     /// or a site-local top-k), the reduced partials cross the wire, and the
     /// merge happens here at the MDBS layer — no coordinator round trips.
-    /// Under tracing, each site also measures (never ships) its *unpushed*
-    /// subquery so EXPLAIN can show the pushdown's savings.
     fn run_pushdown(
         &self,
         dec: &Decomposition,
@@ -756,81 +764,21 @@ impl Executor {
                 ("topk", p.sites.iter().map(|s| print_select(&s.select)).collect())
             }
         };
-        let measure = join_span.is_enabled();
-        let n = dec.subqueries.len();
-        let dispatched: Vec<(usize, Result<PartialResult, MdbsError>)> = if self.parallel && n > 1 {
-            let ctx = join_span.ctx();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n)
-                    .map(|i| {
-                        let ctx = ctx.clone();
-                        let sub = &dec.subqueries[i];
-                        let sql = site_sql[i].as_str();
-                        let est = estimates.map(|e| e[i].rows.round() as u64);
-                        scope.spawn(move || {
-                            (
-                                i,
-                                self.dispatch_pushed(
-                                    sub,
-                                    sub_routes[i],
-                                    sql,
-                                    kind,
-                                    measure,
-                                    est,
-                                    &ctx,
-                                ),
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("pushed dispatch thread panicked"))
-                    .collect()
-            })
-        } else {
-            (0..n)
-                .map(|i| {
-                    (
-                        i,
-                        self.dispatch_pushed(
-                            &dec.subqueries[i],
-                            sub_routes[i],
-                            &site_sql[i],
-                            kind,
-                            measure,
-                            estimates.map(|e| e[i].rows.round() as u64),
-                            &join_span.ctx(),
-                        ),
-                    )
-                })
-                .collect()
-        };
-        let mut results: Vec<Option<PartialResult>> = vec![None; n];
-        let mut first_err: Option<(usize, MdbsError)> = None;
-        for (i, r) in dispatched {
-            match r {
-                Ok(p) => results[i] = Some(p),
-                Err(e) => {
-                    if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_err = Some((i, e));
-                    }
-                }
-            }
-        }
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
-        let partials: Vec<PartialResult> =
-            results.into_iter().map(|r| r.expect("every site dispatched")).collect();
-        let parts: Vec<ResultSet> = partials
-            .iter()
-            .map(|p| wire::decode_result_set(&p.payload))
-            .collect::<Result<_, _>>()?;
-
-        let shipped: u64 = parts.iter().map(|p| p.rows.len() as u64).sum();
-        let bytes_saved: u64 =
-            partials.iter().map(|p| p.full_bytes.saturating_sub(p.payload.len() as u64)).sum();
+        let all: Vec<usize> = (0..dec.subqueries.len()).collect();
+        let ctx = join_span.ctx();
+        let partials = self.dispatch_all(&all, |i| {
+            let est_rows = estimates.map(|e| e[i].rows.round() as u64);
+            self.dispatch_site(
+                &dec.subqueries[i],
+                sub_routes[i],
+                &site_sql[i],
+                Rewrite::Pushed(kind),
+                est_rows,
+                &ctx,
+            )
+        })?;
+        let bytes_saved: u64 = partials.iter().map(PartialResult::saved).sum();
+        let parts: Vec<ResultSet> = partials.into_iter().map(|p| p.rows).collect();
         self.lams.metrics.counter_add("agg.pushdown", 1);
         let merged = match plan {
             PushdownPlan::Aggregate(p) => {
@@ -839,13 +787,16 @@ impl Executor {
                 rs
             }
             PushdownPlan::TopK(p) => {
+                let shipped: u64 = parts.iter().map(|p| p.rows.len() as u64).sum();
                 self.lams.metrics.counter_add("topk.rows_shipped", shipped);
                 merge::merge_topk(p, &parts)?
             }
         };
         join_span.note("strategy", format!("{kind}-pushdown"));
         join_span.note("keys_shipped", 0u64);
-        join_span.note("bytes_saved", bytes_saved);
+        if self.measure_baseline {
+            join_span.note("bytes_saved", bytes_saved);
+        }
         if estimates.is_some() {
             join_span.note("planner", "costed");
         }
@@ -854,42 +805,18 @@ impl Executor {
             .counter_add(&labeled("join.strategy", "strategy", &format!("{kind}-pushdown")), 1);
         Ok(merged)
     }
+}
 
-    /// Connects to one site's LAM and evaluates its *pushed* (pre-aggregated
-    /// or top-k-limited) subquery there. `est_rows` is the planner's
-    /// estimate for the site's *unpushed* partial, noted on the span so
-    /// EXPLAIN can contrast shipped rows against what full shipping would
-    /// have cost; when `measure` is set the LAM also measures (never ships)
-    /// the unpushed subquery for the same comparison.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_pushed(
-        &self,
-        sub: &DbSubquery,
-        route: &DbRoute,
-        sql: &str,
-        kind: &str,
-        measure: bool,
-        est_rows: Option<u64>,
-        ctx: &SpanCtx,
-    ) -> Result<PartialResult, MdbsError> {
-        let client = self.lams.checkout(&route.site, &sub.database)?;
-        let span = ctx.child(format!("lam:partial:{}", sub.database));
-        if let Some(est) = est_rows {
-            span.note("est_rows", est);
-        }
-        span.note("pushed", kind);
-        let baseline = measure.then(|| print_select(&sub.select));
-        let result = client.run_partial_agg(sql, baseline.as_deref(), &span)?;
-        if result.full_rows > 0 {
-            span.note("full_rows", result.full_rows);
-        }
-        if result.full_bytes > 0 {
-            let saved = result.full_bytes.saturating_sub(result.payload.len() as u64);
-            span.note("saved", saved);
-            self.lams.metrics.counter_add(&labeled("lam.bytes_saved", "db", &sub.database), saved);
-        }
-        Ok(result)
-    }
+/// How the subquery a site is sent differs from the one decomposition
+/// produced for it.
+#[derive(Clone, Copy)]
+enum Rewrite<'a> {
+    /// It does not.
+    None,
+    /// Semi-join filters were ANDed onto its WHERE clause.
+    Semijoin,
+    /// It is a pushdown plan's site query of this kind (`agg` / `topk`).
+    Pushed(&'a str),
 }
 
 /// Chooses the semi-join reducer: among the subqueries on at least one join

@@ -106,6 +106,9 @@ pub struct Session {
     scope: SessionScope,
     /// Recursion guard for cascading triggers.
     trigger_depth: u32,
+    /// True while [`Session::explain`] runs its target: the one time sites
+    /// are asked to measure the subquery a rewrite replaced.
+    explaining: bool,
     /// Fan DOL task batches and `COMMIT`/`ABORT` settle lists out in
     /// parallel, one thread per service (default true).
     pub parallel: bool,
@@ -252,6 +255,7 @@ impl Session {
             deferred: false,
             scope: SessionScope::new(),
             trigger_depth: 0,
+            explaining: false,
             parallel: true,
             timeout: Duration::from_secs(10),
             retry: RetryPolicy::default(),
@@ -454,6 +458,7 @@ impl Session {
             metrics: self.core.metrics.clone(),
             tolerate_unreachable: self.tolerate_unreachable,
             wire_format: self.wire_format,
+            outputs: Default::default(),
         }
     }
 
@@ -465,6 +470,7 @@ impl Session {
             semijoin_cap: self.semijoin_cap,
             agg_pushdown: self.agg_pushdown,
             trace: self.trace_ctx.clone(),
+            measure_baseline: self.explaining,
             planner: None,
             wal: self.wal.clone(),
         }
@@ -617,7 +623,15 @@ impl Session {
             dol::DolEngine::serial(&factory)
         };
         engine.trace = self.trace_ctx.clone();
-        Ok(engine.execute(&parsed)?)
+        let mut out = engine.execute(&parsed)?;
+        // DOL reports a retrieval task's result serialized; the text codec
+        // is the federation's readable format.
+        for (task, output) in factory.outputs.lock().drain() {
+            if let Some(rows) = output.rows {
+                out.task_results.insert(task, crate::wire::encode_result_set(&rows));
+            }
+        }
+        Ok(out)
     }
 
     /// Switches §3.2.2 deferred-commit mode on or off. In deferred mode,
@@ -740,26 +754,33 @@ impl Session {
     /// statement's own outcome. EXPLAIN *runs* its target (the paper's
     /// simulated costs are observed, not estimated).
     pub fn explain(&mut self, stmt: &Statement) -> Result<MsqlOutcome, MdbsError> {
-        let text = print(stmt);
-        // Snapshot the wire byte counters around the run so the report can
-        // show what this statement alone put on the wire per format.
+        let wire = self.run_explain_target(stmt)?;
+        let tree = self.last_trace().unwrap_or_default();
+        let mut report = ExplainReport::from_tree(print(stmt), tree);
+        report.wire = wire;
+        Ok(MsqlOutcome::Explain(Box::new(report)))
+    }
+
+    /// Executes an EXPLAIN target. This is the one execution during which
+    /// sites are asked to measure the subqueries a semi-join or pushdown
+    /// rewrite replaced; every other statement runs each subquery once.
+    /// Returns what the statement alone put on the wire per format —
+    /// populated only when binary frames actually shipped: the text default
+    /// renders byte-identically to pre-codec reports, which the golden traces
+    /// pin.
+    fn run_explain_target(&mut self, stmt: &Statement) -> Result<Option<WireSummary>, MdbsError> {
         let text_before = self.core.metrics.counter("net.bytes_text");
         let binary_before = self.core.metrics.counter("net.bytes_binary");
-        self.execute_statement(stmt)?;
-        let tree = self.last_trace().unwrap_or_default();
-        let mut report = ExplainReport::from_tree(text, tree);
-        // Populated only when binary frames actually shipped: the text
-        // default renders byte-identically to pre-codec reports, which the
-        // golden traces pin.
+        let outer = std::mem::replace(&mut self.explaining, true);
+        let run = self.execute_statement(stmt);
+        self.explaining = outer;
+        run?;
         let bytes_binary = self.core.metrics.counter("net.bytes_binary") - binary_before;
-        if bytes_binary > 0 {
-            report.wire = Some(WireSummary {
-                format: self.wire_format.label().to_string(),
-                bytes_text: self.core.metrics.counter("net.bytes_text") - text_before,
-                bytes_binary,
-            });
-        }
-        Ok(MsqlOutcome::Explain(Box::new(report)))
+        Ok((bytes_binary > 0).then(|| WireSummary {
+            format: self.wire_format.label().to_string(),
+            bytes_text: self.core.metrics.counter("net.bytes_text") - text_before,
+            bytes_binary,
+        }))
     }
 
     /// Parses and executes a script, returning one outcome per statement.
@@ -853,24 +874,12 @@ impl Session {
                 // Already inside a trace (this EXPLAIN arrived as text or as
                 // a trigger action): run the target as a nested statement,
                 // then report on the spans collected so far.
-                let text = print(inner);
-                let text_before = self.core.metrics.counter("net.bytes_text");
-                let binary_before = self.core.metrics.counter("net.bytes_binary");
-                self.execute_statement(inner)?;
+                let wire = self.run_explain_target(inner)?;
                 let records = self.trace.as_ref().map(|t| t.records()).unwrap_or_default();
                 let mut tree = SpanTree::from_records(&records);
                 tree.normalize();
-                let mut report = ExplainReport::from_tree(text, tree);
-                // Same rule as `Session::explain`: the wire summary appears
-                // only when binary frames actually shipped.
-                let bytes_binary = self.core.metrics.counter("net.bytes_binary") - binary_before;
-                if bytes_binary > 0 {
-                    report.wire = Some(WireSummary {
-                        format: self.wire_format.label().to_string(),
-                        bytes_text: self.core.metrics.counter("net.bytes_text") - text_before,
-                        bytes_binary,
-                    });
-                }
+                let mut report = ExplainReport::from_tree(print(inner), tree);
+                report.wire = wire;
                 Ok(MsqlOutcome::Explain(Box::new(report)))
             }
             Statement::CreateTable(ct) => self.execute_create_table(ct),
@@ -1177,7 +1186,7 @@ impl Session {
             };
             let (resp, attempts, _faults) = client.call_traced(&req, &span);
             span.note("attempts", attempts);
-            match resp? {
+            match resp?.0 {
                 crate::proto::Response::TaskDone { status: 'C', .. } => {}
                 crate::proto::Response::TaskDone { error, .. } => {
                     return Err(MdbsError::Local {

@@ -8,10 +8,10 @@
 
 use crate::codec::{self, WireFormat};
 use crate::error::MdbsError;
-use crate::proto::{self, Request, Response, TaskMode};
+use crate::proto::{self, RowsRequest as Request, RowsResponse as Response, TaskMode};
 use crate::wire;
 use catalog::{GddColumn, GddTable};
-use ldbs::engine::{Engine, ExecOutcome};
+use ldbs::engine::{Engine, ExecOutcome, ResultSet};
 use ldbs::error::DbError;
 use ldbs::schema::{ColumnSchema, TableSchema};
 use ldbs::table::Table;
@@ -298,8 +298,8 @@ pub fn spawn_lam_with(
                     }
                 }
                 let decoded = match &msg.body {
-                    Body::Text(text) => Request::decode(proto::split_correlation(text).1),
-                    Body::Binary(bytes) => codec::decode_request(bytes).map(|(_, req)| req),
+                    Body::Text(text) => Request::decode_as(proto::split_correlation(text).1),
+                    Body::Binary(bytes) => codec::decode_request_as(bytes).map(|(_, req)| req),
                 };
                 match decoded {
                     Ok(Request::Shutdown) => {
@@ -316,7 +316,7 @@ pub fn spawn_lam_with(
                         let spawned = std::thread::Builder::new()
                             .name(format!("lam-{thread_site}-w"))
                             .spawn(move || {
-                                let response = handle_request(&worker_shared, req);
+                                let response = handle_request(&worker_shared, req, format);
                                 let out = frame_reply(&worker_shared, corr, response, format);
                                 let _ = worker_endpoint.send(&from, out);
                             });
@@ -526,7 +526,9 @@ fn rollback_tolerant(shared: &SrvShared, txn: TxnId) {
     let _ = shared.engine.lock().rollback(txn);
 }
 
-fn handle_request(shared: &SrvShared, req: Request) -> Response {
+/// Executes one request. `format` is the wire format it arrived in — the
+/// unit a requested baseline measurement is reported in.
+fn handle_request(shared: &SrvShared, req: Request, format: WireFormat) -> Response {
     match req {
         Request::Begin { name, database } => {
             let mut state = shared.state.lock();
@@ -557,9 +559,7 @@ fn handle_request(shared: &SrvShared, req: Request) -> Response {
             for cmd in &commands {
                 match exec_with_wait(shared, txn, &database, cmd) {
                     Ok(ExecOutcome::Affected(n)) => affected += n as u64,
-                    Ok(ExecOutcome::Rows(rs)) => {
-                        payload = Some(wire::encode_result_set(&rs));
-                    }
+                    Ok(ExecOutcome::Rows(rs)) => payload = Some(rs),
                     Err(e) => {
                         if matches!(e, DbError::Deadlock { .. }) {
                             // The transaction is already rolled back: close
@@ -651,10 +651,40 @@ fn handle_request(shared: &SrvShared, req: Request) -> Response {
             Response::Ok
         }
         Request::Partial { database, sql, baseline } => {
-            run_partial(shared, &database, &sql, baseline.as_deref())
+            match run_subquery(shared, &database, &sql, baseline.as_deref(), format) {
+                Ok(sub) => Response::PartialDone {
+                    payload: Some(sub.rows),
+                    error: None,
+                    full_rows: sub.full_rows,
+                    full_bytes: sub.full_bytes,
+                    access: sub.access,
+                },
+                Err(e) => Response::PartialDone {
+                    payload: None,
+                    error: Some(e),
+                    full_rows: 0,
+                    full_bytes: 0,
+                    access: None,
+                },
+            }
         }
         Request::PartialAgg { database, sql, baseline } => {
-            run_partial_agg(shared, &database, &sql, baseline.as_deref())
+            match run_subquery(shared, &database, &sql, baseline.as_deref(), format) {
+                Ok(sub) => Response::PartialAggDone {
+                    groups: sub.rows.rows.len() as u64,
+                    payload: Some(sub.rows),
+                    error: None,
+                    full_rows: sub.full_rows,
+                    full_bytes: sub.full_bytes,
+                },
+                Err(e) => Response::PartialAggDone {
+                    payload: None,
+                    error: Some(e),
+                    groups: 0,
+                    full_rows: 0,
+                    full_bytes: 0,
+                },
+            }
         }
         Request::Schema { database } => {
             let engine = shared.engine.lock();
@@ -670,20 +700,9 @@ fn handle_request(shared: &SrvShared, req: Request) -> Response {
                 Err(e) => Response::Err { message: e.to_string() },
             }
         }
-        Request::Load { database, table, payload } => load(shared, &database, &table, &payload),
-        Request::DropTemp { database, table } => {
-            let mut engine = shared.engine.lock();
-            match engine.database_mut(&database) {
-                Ok(db) => {
-                    let _ = db.remove_table(&table);
-                    Response::Ok
-                }
-                Err(e) => Response::Err { message: e.to_string() },
-            }
-        }
         Request::LoadMany { database, parts } => {
-            for (table, payload) in &parts {
-                match load(shared, &database, table, payload) {
+            for (table, rows) in parts {
+                match load(shared, &database, &table, rows) {
                     Response::Ok => {}
                     other => return other,
                 }
@@ -736,9 +755,7 @@ fn run_task(
             for cmd in commands {
                 match exec_with_wait(shared, txn, database, cmd) {
                     Ok(ExecOutcome::Affected(n)) => affected += n as u64,
-                    Ok(ExecOutcome::Rows(rs)) => {
-                        payload = Some(wire::encode_result_set(&rs));
-                    }
+                    Ok(ExecOutcome::Rows(rs)) => payload = Some(rs),
                     Err(e) => {
                         rollback_tolerant(shared, txn);
                         return Response::TaskDone {
@@ -785,7 +802,7 @@ fn run_task(
                         }
                         match out {
                             ExecOutcome::Affected(n) => affected += n as u64,
-                            ExecOutcome::Rows(rs) => payload = Some(wire::encode_result_set(&rs)),
+                            ExecOutcome::Rows(rs) => payload = Some(rs),
                         }
                     }
                     Err(e) => {
@@ -811,89 +828,44 @@ fn run_task(
     }
 }
 
-fn run_partial(shared: &SrvShared, database: &str, sql: &str, baseline: Option<&str>) -> Response {
-    // Autocommit SELECTs read a snapshot and never block on locks, so the
-    // engine is only held for the statement itself.
-    let mut engine = shared.engine.lock();
-    let payload = match engine.execute(database, sql) {
-        Ok(ExecOutcome::Rows(rs)) => wire::encode_result_set(&rs),
-        Ok(ExecOutcome::Affected(_)) => {
-            return Response::PartialDone {
-                payload: None,
-                error: Some("partial subquery did not produce rows".to_string()),
-                full_rows: 0,
-                full_bytes: 0,
-                access: None,
-            };
-        }
-        Err(e) => {
-            return Response::PartialDone {
-                payload: None,
-                error: Some(e.to_string()),
-                full_rows: 0,
-                full_bytes: 0,
-                access: None,
-            };
-        }
-    };
-    // Which access path the engine took for the shipped subquery (the
-    // baseline run below must not overwrite it).
-    let access = engine.last_access().map(str::to_string);
-    // Measure — but never ship — the unreduced baseline. A baseline
-    // failure only zeroes the measurement; it must not fail a request
-    // whose real subquery succeeded.
-    let (full_rows, full_bytes) = match baseline.map(|b| engine.execute(database, b)) {
-        Some(Ok(ExecOutcome::Rows(rs))) => {
-            let encoded = wire::encode_result_set(&rs);
-            (rs.rows.len() as u64, encoded.len() as u64)
-        }
-        _ => (0, 0),
-    };
-    Response::PartialDone { payload: Some(payload), error: None, full_rows, full_bytes, access }
+/// What one `PARTIAL` / `PARTIALAGG` subquery produced.
+struct Subquery {
+    rows: ResultSet,
+    /// Access path the engine took for the shipped subquery.
+    access: Option<String>,
+    /// Row and payload-byte volume of the baseline (0 when not asked for).
+    full_rows: u64,
+    full_bytes: u64,
 }
 
-/// Evaluates a pushed-down (pre-aggregating or top-k) site query. Mirrors
-/// [`run_partial`] but reports the reduced group/row count it shipped, and
-/// the baseline it measures is the *unpushed* subquery — the rows the
-/// classic plan would have put on the wire.
-fn run_partial_agg(
+/// Evaluates one site subquery of a cross-database join — reduced by a
+/// semi-join filter, pre-aggregated or top-k-limited, the LAM does not care.
+/// `baseline`, sent only by `EXPLAIN`, is the subquery the classic plan would
+/// have shipped: it is evaluated and sized in `format` but never shipped. A
+/// baseline failure only zeroes the measurement; it must not fail a request
+/// whose real subquery succeeded.
+fn run_subquery(
     shared: &SrvShared,
     database: &str,
     sql: &str,
     baseline: Option<&str>,
-) -> Response {
+    format: WireFormat,
+) -> Result<Subquery, String> {
+    // Autocommit SELECTs read a snapshot and never block on locks, so the
+    // engine is only held for the statement itself.
     let mut engine = shared.engine.lock();
-    let (payload, groups) = match engine.execute(database, sql) {
-        Ok(ExecOutcome::Rows(rs)) => (wire::encode_result_set(&rs), rs.rows.len() as u64),
-        Ok(ExecOutcome::Affected(_)) => {
-            return Response::PartialAggDone {
-                payload: None,
-                error: Some("pushed subquery did not produce rows".to_string()),
-                groups: 0,
-                full_rows: 0,
-                full_bytes: 0,
-            };
-        }
-        Err(e) => {
-            return Response::PartialAggDone {
-                payload: None,
-                error: Some(e.to_string()),
-                groups: 0,
-                full_rows: 0,
-                full_bytes: 0,
-            };
-        }
+    let rows = match engine.execute(database, sql) {
+        Ok(ExecOutcome::Rows(rs)) => rs,
+        Ok(ExecOutcome::Affected(_)) => return Err("subquery did not produce rows".to_string()),
+        Err(e) => return Err(e.to_string()),
     };
-    // Measure — but never ship — the unpushed subquery. A baseline failure
-    // only zeroes the measurement.
+    // Read before the baseline run below can overwrite it.
+    let access = engine.last_access().map(str::to_string);
     let (full_rows, full_bytes) = match baseline.map(|b| engine.execute(database, b)) {
-        Some(Ok(ExecOutcome::Rows(rs))) => {
-            let encoded = wire::encode_result_set(&rs);
-            (rs.rows.len() as u64, encoded.len() as u64)
-        }
+        Some(Ok(ExecOutcome::Rows(rs))) => (rs.rows.len() as u64, format.payload_len(&rs) as u64),
         _ => (0, 0),
     };
-    Response::PartialAggDone { payload: Some(payload), error: None, groups, full_rows, full_bytes }
+    Ok(Subquery { rows, access, full_rows, full_bytes })
 }
 
 fn finish_task(shared: &SrvShared, task: &str, commit: bool) -> Response {
@@ -977,11 +949,8 @@ fn resolve_task(shared: &SrvShared, task: &str, commit: bool) -> Response {
     }
 }
 
-fn load(shared: &SrvShared, database: &str, table: &str, payload: &str) -> Response {
-    let rs = match wire::decode_result_set(payload) {
-        Ok(rs) => rs,
-        Err(e) => return Response::Err { message: e.to_string() },
-    };
+/// Creates temp table `table` holding `rs` (coordinator collection).
+fn load(shared: &SrvShared, database: &str, table: &str, rs: ResultSet) -> Response {
     let mut engine = shared.engine.lock();
     let db = match engine.database_mut(database) {
         Ok(db) => db,
@@ -1006,6 +975,7 @@ fn load(shared: &SrvShared, database: &str, table: &str, payload: &str) -> Respo
 mod tests {
     use super::*;
     use ldbs::profile::DbmsProfile;
+    use ldbs::value::Value;
 
     #[test]
     fn outcome_memory_is_bounded_fifo() {
@@ -1042,7 +1012,7 @@ mod tests {
     fn call(client: &netsim::Endpoint, req: Request) -> Response {
         client.send("site1", req.encode()).unwrap();
         let msg = client.recv().unwrap();
-        Response::decode(msg.body.as_str()).unwrap()
+        Response::decode_as(msg.body.as_str()).unwrap().0
     }
 
     #[test]
@@ -1064,10 +1034,9 @@ mod tests {
                 commands: vec!["SELECT code FROM cars WHERE carst = 'available'".into()],
             },
         );
-        let Response::TaskDone { status: 'C', payload: Some(p), .. } = resp else {
+        let Response::TaskDone { status: 'C', payload: Some(rs), .. } = resp else {
             panic!("{resp:?}");
         };
-        let rs = wire::decode_result_set(&p).unwrap();
         assert_eq!(rs.rows.len(), 1);
     }
 
@@ -1152,18 +1121,15 @@ mod tests {
     }
 
     #[test]
-    fn load_and_droptemp() {
+    fn loadmany_and_dropmany() {
         let (_net, _lam, client) = setup();
+        // A hand-written text client: the LAM reads the rows out of whatever
+        // format the request arrived in.
         let payload = "COLS x:int|y:char(0)\nR I:7|S:hello\n";
-        let resp = call(
-            &client,
-            Request::Load {
-                database: "avis".into(),
-                table: "part_t".into(),
-                payload: payload.into(),
-            },
-        );
-        assert_eq!(resp, Response::Ok);
+        client
+            .send("site1", format!("LOADMANY avis\npart_t {}\n{payload}", payload.len()))
+            .unwrap();
+        assert_eq!(client.recv().unwrap().body.as_str(), "OK");
         let resp = call(
             &client,
             Request::Task {
@@ -1173,13 +1139,19 @@ mod tests {
                 commands: vec!["SELECT x, y FROM part_t".into()],
             },
         );
-        let Response::TaskDone { payload: Some(p), .. } = resp else { panic!("{resp:?}") };
-        let rs = wire::decode_result_set(&p).unwrap();
-        assert_eq!(rs.rows[0][0], ldbs::value::Value::Int(7));
+        let Response::TaskDone { payload: Some(rs), .. } = resp else { panic!("{resp:?}") };
+        assert_eq!(rs.rows, vec![vec![Value::Int(7), Value::Str("hello".into())]]);
         assert_eq!(
-            call(&client, Request::DropTemp { database: "avis".into(), table: "part_t".into() }),
+            call(
+                &client,
+                Request::DropMany { database: "avis".into(), tables: vec!["part_t".into()] }
+            ),
             Response::Ok
         );
+        // The retired single-table requests are refused, not served.
+        client.send("site1", format!("LOAD avis part_t\n{payload}")).unwrap();
+        let refused = client.recv().unwrap();
+        assert!(refused.body.as_str().starts_with("ERR "), "{:?}", refused.body);
     }
 
     #[test]
@@ -1193,15 +1165,17 @@ mod tests {
                 baseline: Some("SELECT code FROM cars".into()),
             },
         );
-        let Response::PartialDone { payload: Some(p), error: None, full_rows, full_bytes, access } =
+        let Response::PartialDone { payload: Some(rs), error: None, full_rows, full_bytes, access } =
             resp
         else {
             panic!("{resp:?}")
         };
-        let rs = wire::decode_result_set(&p).unwrap();
         assert_eq!(rs.rows.len(), 1, "reduced result ships one row");
         assert_eq!(full_rows, 2, "baseline measured both rows");
-        assert!(full_bytes as usize > p.len(), "baseline payload is larger");
+        assert!(
+            full_bytes as usize > WireFormat::Text.payload_len(&rs),
+            "baseline payload is larger"
+        );
         assert_eq!(access.as_deref(), Some("scan"), "no index exists, so the engine scanned");
     }
 
@@ -1391,7 +1365,7 @@ mod tests {
         let (_net, _lam, client) = setup();
         client.send("site1", "GARBAGE").unwrap();
         let msg = client.recv().unwrap();
-        assert!(matches!(Response::decode(msg.body.as_str()).unwrap(), Response::Err { .. }));
+        assert!(matches!(Response::decode_as(msg.body.as_str()).unwrap().0, Response::Err { .. }));
     }
 
     #[test]
@@ -1413,7 +1387,7 @@ mod tests {
         let (corr, body) = proto::split_correlation(second.body.as_str());
         assert_eq!(corr, Some(99));
         assert!(matches!(
-            Response::decode(body).unwrap(),
+            Response::decode_as(body).unwrap().0,
             Response::TaskDone { status: 'C', affected: 1, .. }
         ));
         // The update ran exactly once: 40.0 + 1, not + 2.

@@ -13,11 +13,12 @@
 
 use crate::codec::{self, WireFormat};
 use crate::error::MdbsError;
-use crate::proto::{self, Request, Response, TaskMode};
+use crate::proto::{self, RowsRequest as Request, RowsResponse as Response, TaskMode};
 use crate::retry::{shared_stats, RetryPolicy, SharedExecStats};
 use dol::engine::TaskExecution;
 use dol::TaskStatus;
 use dol::{DolError, DolService, ServiceFactory};
+use ldbs::engine::ResultSet;
 use netsim::{Body, BufferPool, Endpoint, FaultKind, NetError, Network};
 use obs::{labeled, MetricsRegistry, Span};
 use parking_lot::Mutex;
@@ -33,43 +34,48 @@ static CLIENT_SEQ: AtomicU64 = AtomicU64::new(0);
 /// the client can discard stale responses from abandoned attempts.
 static REQUEST_SEQ: AtomicU64 = AtomicU64::new(1);
 
-/// Packs a task's affected-row count and optional result payload into the
-/// single result string [`dol::engine::TaskExecution`] carries.
-pub fn encode_task_result(affected: u64, payload: Option<&str>) -> String {
-    match payload {
-        Some(p) => format!("AFFECTED {affected}\n{p}"),
-        None => format!("AFFECTED {affected}\n"),
-    }
+/// What a task produced besides its status.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TaskOutput {
+    /// Rows affected by the task's DML commands.
+    pub affected: u64,
+    /// Result set of its last SELECT, if any.
+    pub rows: Option<ResultSet>,
 }
 
-/// Reverses [`encode_task_result`]; returns `(affected, payload)`.
-pub fn decode_task_result(result: &str) -> Result<(u64, Option<String>), MdbsError> {
-    let (header, payload) = result
-        .split_once('\n')
-        .ok_or_else(|| MdbsError::Wire("missing task result header".into()))?;
-    let affected = header
-        .strip_prefix("AFFECTED ")
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| MdbsError::Wire(format!("bad task result header `{header}`")))?;
-    let payload = if payload.is_empty() { None } else { Some(payload.to_string()) };
-    Ok((affected, payload))
-}
+/// The outputs of one DOL program's tasks, by task name. The services one
+/// [`LamFactory`] opens share it, so a task's rows reach whoever ran the
+/// program as rows — DOL itself only carries statuses and errors.
+pub type TaskOutputs = Arc<Mutex<HashMap<String, TaskOutput>>>;
+
+/// A decoded reply plus the byte size of the payload block that carried its
+/// result set on the wire (0 when it carried none).
+pub type Reply = (Response, usize);
 
 /// The outcome of one [`LamClient::run_partial`] call.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartialResult {
-    /// `wire::encode_result_set` payload of the (possibly reduced) subquery.
-    pub payload: String,
-    /// Rows in `payload`.
-    pub rows: u64,
-    /// Rows the unreduced baseline would have shipped (0 when unmeasured).
+    /// Result set of the (possibly reduced or pushed-down) subquery.
+    pub rows: ResultSet,
+    /// Size of the payload block that carried `rows`, in the connection's
+    /// wire format.
+    pub bytes: u64,
+    /// Rows the baseline subquery would have shipped (0 when unmeasured).
     pub full_rows: u64,
-    /// Bytes the unreduced baseline would have shipped (0 when unmeasured).
+    /// Bytes the baseline subquery would have shipped (0 when unmeasured).
     pub full_bytes: u64,
     /// Round-trip attempts spent on the request.
     pub attempts: u32,
     /// Access path the local engine took (`probe` or `scan`), when reported.
     pub access: Option<String>,
+}
+
+impl PartialResult {
+    /// Bytes the rewrite kept off the wire: baseline minus shipped (0 when
+    /// the baseline was not measured).
+    pub fn saved(&self) -> u64 {
+        self.full_bytes.saturating_sub(self.bytes)
+    }
 }
 
 /// The part of a connection that outlives a checkout: the client endpoint
@@ -160,6 +166,9 @@ pub struct LamClient {
     wire_format: WireFormat,
     /// Lease pool for binary frame buffers.
     pool: BufferPool,
+    /// Where the tasks this connection executes as a [`DolService`] leave
+    /// their outputs (the factory's table when checked out from one).
+    outputs: TaskOutputs,
 }
 
 /// One attempt's failure: a classified network fault, or a protocol error
@@ -228,6 +237,7 @@ impl LamClient {
             metrics: MetricsRegistry::new(),
             wire_format: WireFormat::default(),
             pool: BufferPool::default(),
+            outputs: TaskOutputs::default(),
         }
     }
 
@@ -283,17 +293,18 @@ impl LamClient {
         req: &Request,
     ) -> (Result<Response, MdbsError>, u32, Option<FaultKind>) {
         let (result, attempts, faults) = self.call_traced(req, &Span::disabled());
-        (result, attempts, faults.last().copied())
+        (result.map(|(resp, _)| resp), attempts, faults.last().copied())
     }
 
     /// Like [`Self::call_full`], opening one `rpc` child of `span` per
     /// attempt (annotated with the fault that killed it, if any) and
-    /// returning every fault observed across the attempts.
+    /// returning every fault observed across the attempts, plus the wire
+    /// size of the reply's payload block.
     pub fn call_traced(
         &self,
         req: &Request,
         span: &Span,
-    ) -> (Result<Response, MdbsError>, u32, Vec<FaultKind>) {
+    ) -> (Result<Reply, MdbsError>, u32, Vec<FaultKind>) {
         let id = REQUEST_SEQ.fetch_add(1, Ordering::Relaxed);
         // Encoded once per logical call; every retry resends the same bytes.
         let encode_start = Instant::now();
@@ -366,7 +377,7 @@ impl LamClient {
     /// are stale replies to abandoned attempts and are discarded. Replies
     /// are accepted in either wire format — the server mirrors the request's
     /// format, but a stale text reply must not wedge a binary client.
-    fn attempt(&self, id: u64, framed: &Body) -> Result<Response, AttemptError> {
+    fn attempt(&self, id: u64, framed: &Body) -> Result<Reply, AttemptError> {
         self.link.endpoint.send(&self.site, framed.clone()).map_err(AttemptError::Net)?;
         let deadline = Instant::now() + self.timeout;
         loop {
@@ -379,12 +390,13 @@ impl LamClient {
             let (matched, format) = match &msg.body {
                 Body::Text(text) => {
                     let (corr, body) = proto::split_correlation(text);
-                    let matched = (corr == Some(id)).then(|| Response::decode(body));
+                    let matched = (corr == Some(id)).then(|| Response::decode_as(body));
                     (matched, WireFormat::Text)
                 }
                 Body::Binary(bytes) => {
-                    let matched = (codec::peek_correlation(bytes) == Some(id))
-                        .then(|| codec::decode_response(bytes).map(|(_, resp)| resp));
+                    let matched = (codec::peek_correlation(bytes) == Some(id)).then(|| {
+                        codec::decode_response_as(bytes).map(|(_, resp, size)| (resp, size))
+                    });
                     (matched, WireFormat::Binary)
                 }
             };
@@ -470,121 +482,60 @@ impl LamClient {
         }
     }
 
-    /// Evaluates one local subquery of a decomposed cross-database join on
-    /// the LAM and ships its serialized result back, annotating `span` and
-    /// the `lam.*` metrics with the shipped volume. When `baseline` is set,
-    /// the LAM also measures (without shipping) the unreduced subquery so
-    /// semi-join savings are quantifiable.
+    /// Evaluates one site subquery of a decomposed cross-database join on the
+    /// LAM and ships its result set back, annotating `span` and the `lam.*`
+    /// metrics with the shipped volume. `pushed` marks a pre-aggregating or
+    /// top-k site query of a pushdown plan (`PARTIALAGG`) rather than a plain,
+    /// possibly semi-join-reduced one (`PARTIAL`). When `baseline` is set —
+    /// `EXPLAIN` only — the LAM also measures, without shipping, the subquery
+    /// the classic plan would have run, so the savings are quantifiable.
     pub fn run_partial(
         &self,
         sql: &str,
         baseline: Option<&str>,
+        pushed: bool,
         span: &Span,
     ) -> Result<PartialResult, MdbsError> {
-        let req = Request::Partial {
-            database: self.database.clone(),
-            sql: sql.to_string(),
-            baseline: baseline.map(str::to_string),
+        let (database, sql, baseline) =
+            (self.database.clone(), sql.to_string(), baseline.map(str::to_string));
+        let req = if pushed {
+            Request::PartialAgg { database, sql, baseline }
+        } else {
+            Request::Partial { database, sql, baseline }
         };
         let (result, attempts, faults) = self.call_traced(&req, span);
         self.record_obs(span, attempts, &faults);
-        match result? {
+        let (resp, bytes) = result?;
+        let (rows, full_rows, full_bytes, access) = match resp {
             Response::PartialDone {
-                payload: Some(p),
+                payload: Some(rows),
                 error: None,
                 full_rows,
                 full_bytes,
                 access,
-            } => {
-                let rows = payload_rows(&p);
-                span.note("rows", rows);
-                span.note("bytes", p.len());
-                let db = self.database.as_str();
-                self.metrics.counter_add(&labeled("lam.rows", "db", db), rows);
-                self.metrics.counter_add(&labeled("lam.bytes", "db", db), p.len() as u64);
-                Ok(PartialResult { payload: p, rows, full_rows, full_bytes, attempts, access })
-            }
-            Response::PartialDone { error: Some(message), .. } => {
-                Err(MdbsError::Local { service: self.site.clone(), message })
-            }
-            Response::Err { message } => {
-                Err(MdbsError::Local { service: self.site.clone(), message })
-            }
-            other => Err(MdbsError::Wire(format!("unexpected partial reply: {other:?}"))),
-        }
-    }
-
-    /// Evaluates a pushed-down (pre-aggregating or top-k) site query on the
-    /// LAM and ships its reduced result back, annotating `span` and the
-    /// `lam.*` metrics with the shipped volume. When `baseline` is set, the
-    /// LAM also measures (without shipping) the *unpushed* subquery so the
-    /// pushdown's savings are quantifiable.
-    pub fn run_partial_agg(
-        &self,
-        sql: &str,
-        baseline: Option<&str>,
-        span: &Span,
-    ) -> Result<PartialResult, MdbsError> {
-        let req = Request::PartialAgg {
-            database: self.database.clone(),
-            sql: sql.to_string(),
-            baseline: baseline.map(str::to_string),
-        };
-        let (result, attempts, faults) = self.call_traced(&req, span);
-        self.record_obs(span, attempts, &faults);
-        match result? {
+            } => (rows, full_rows, full_bytes, access),
             Response::PartialAggDone {
-                payload: Some(p),
+                payload: Some(rows),
                 error: None,
-                groups: _,
                 full_rows,
                 full_bytes,
-            } => {
-                let rows = payload_rows(&p);
-                span.note("rows", rows);
-                span.note("bytes", p.len());
-                let db = self.database.as_str();
-                self.metrics.counter_add(&labeled("lam.rows", "db", db), rows);
-                self.metrics.counter_add(&labeled("lam.bytes", "db", db), p.len() as u64);
-                Ok(PartialResult {
-                    payload: p,
-                    rows,
-                    full_rows,
-                    full_bytes,
-                    attempts,
-                    access: None,
-                })
+                ..
+            } => (rows, full_rows, full_bytes, None),
+            Response::PartialDone { error: Some(message), .. }
+            | Response::PartialAggDone { error: Some(message), .. }
+            | Response::Err { message } => {
+                return Err(MdbsError::Local { service: self.site.clone(), message });
             }
-            Response::PartialAggDone { error: Some(message), .. } => {
-                Err(MdbsError::Local { service: self.site.clone(), message })
-            }
-            Response::Err { message } => {
-                Err(MdbsError::Local { service: self.site.clone(), message })
-            }
-            other => Err(MdbsError::Wire(format!("unexpected partialagg reply: {other:?}"))),
-        }
-    }
-
-    /// Loads a serialized partial result as a temporary table (coordinator
-    /// collection).
-    pub fn load_partial(&self, table: &str, payload: &str) -> Result<(), MdbsError> {
-        match self.call(Request::Load {
-            database: self.database.clone(),
-            table: table.to_string(),
-            payload: payload.to_string(),
-        })? {
-            Response::Ok => Ok(()),
-            Response::Err { message } => {
-                Err(MdbsError::Local { service: self.site.clone(), message })
-            }
-            other => Err(MdbsError::Wire(format!("unexpected load reply: {other:?}"))),
-        }
+            other => return Err(MdbsError::Wire(format!("unexpected partial reply: {other:?}"))),
+        };
+        self.record_shipped(span, &rows, bytes);
+        Ok(PartialResult { rows, bytes: bytes as u64, full_rows, full_bytes, attempts, access })
     }
 
     /// Loads every partial result as a temporary table in a single round
     /// trip, so coordinator collection costs one link latency regardless of
     /// how many sites contributed partials.
-    pub fn load_partials(&self, parts: Vec<(String, String)>) -> Result<(), MdbsError> {
+    pub fn load_partials(&self, parts: Vec<(String, ResultSet)>) -> Result<(), MdbsError> {
         match self.call(Request::LoadMany { database: self.database.clone(), parts })? {
             Response::Ok => Ok(()),
             Response::Err { message } => {
@@ -597,19 +548,6 @@ impl LamClient {
     /// Drops several temporary tables in a single round trip.
     pub fn drop_temps(&self, tables: Vec<String>) -> Result<(), MdbsError> {
         match self.call(Request::DropMany { database: self.database.clone(), tables })? {
-            Response::Ok => Ok(()),
-            Response::Err { message } => {
-                Err(MdbsError::Local { service: self.site.clone(), message })
-            }
-            other => Err(MdbsError::Wire(format!("unexpected drop reply: {other:?}"))),
-        }
-    }
-
-    /// Drops a temporary table.
-    pub fn drop_temp(&self, table: &str) -> Result<(), MdbsError> {
-        match self
-            .call(Request::DropTemp { database: self.database.clone(), table: table.to_string() })?
-        {
             Response::Ok => Ok(()),
             Response::Err { message } => {
                 Err(MdbsError::Local { service: self.site.clone(), message })
@@ -637,6 +575,18 @@ impl LamClient {
         self.metrics.counter_add(&labeled("lam.faults", "db", db), faults.len() as u64);
     }
 
+    /// Notes a shipped result set on `span` and the `lam.*` volume counters;
+    /// `bytes` is the size of the payload block that carried it.
+    fn record_shipped(&self, span: &Span, rows: &ResultSet, bytes: usize) {
+        span.note("rows", rows.rows.len());
+        span.note("bytes", bytes);
+        let db = self.database.as_str();
+        self.metrics.counter_add(&labeled("lam.rows", "db", db), rows.rows.len() as u64);
+        self.metrics.counter_add(&labeled("lam.bytes", "db", db), bytes as u64);
+    }
+
+    /// Runs a task on the LAM; its affected-row count and rows go to
+    /// [`Self::outputs`] under the task's name.
     fn run_task(&mut self, task: &dol::TaskDef, span: &Span) -> TaskExecution {
         let mode = if task.nocommit { TaskMode::NoCommit } else { TaskMode::Auto };
         let req = Request::Task {
@@ -649,7 +599,7 @@ impl LamClient {
         self.record_obs(span, attempts, &faults);
         self.stats.lock().record_task(&task.name, attempts, faults.last().copied());
         match result {
-            Ok(Response::TaskDone { status, affected, payload, error }) => {
+            Ok((Response::TaskDone { status, affected, payload, error }, bytes)) => {
                 let status = match status {
                     'P' => TaskStatus::Prepared,
                     'C' => TaskStatus::Committed,
@@ -659,21 +609,15 @@ impl LamClient {
                 if affected > 0 {
                     span.note("affected", affected);
                 }
-                if let Some(p) = payload.as_deref() {
-                    let rows = payload_rows(p);
-                    span.note("rows", rows);
-                    span.note("bytes", p.len());
-                    let db = self.database.as_str();
-                    self.metrics.counter_add(&labeled("lam.rows", "db", db), rows);
-                    self.metrics.counter_add(&labeled("lam.bytes", "db", db), p.len() as u64);
+                if let Some(rows) = &payload {
+                    self.record_shipped(span, rows, bytes);
                 }
-                TaskExecution {
-                    status,
-                    result: Some(encode_task_result(affected, payload.as_deref())),
-                    error,
-                }
+                self.outputs
+                    .lock()
+                    .insert(task.name.clone(), TaskOutput { affected, rows: payload });
+                TaskExecution { status, result: None, error }
             }
-            Ok(other) => TaskExecution {
+            Ok((other, _)) => TaskExecution {
                 status: TaskStatus::Error,
                 result: None,
                 error: Some(format!("unexpected reply: {other:?}")),
@@ -698,7 +642,7 @@ impl LamClient {
     fn phase_two(&mut self, req: Request, span: &Span) -> Result<(), DolError> {
         let (result, attempts, faults) = self.call_traced(&req, span);
         self.record_obs(span, attempts, &faults);
-        match result {
+        match result.map(|(resp, _)| resp) {
             Ok(Response::Ok) => Ok(()),
             Ok(Response::Err { message }) => Err(DolError::Service(message)),
             Ok(other) => Err(DolError::Service(format!("unexpected reply: {other:?}"))),
@@ -728,7 +672,7 @@ impl LamClient {
         let req = Request::Resolve { task: task.to_string(), commit };
         let (result, attempts, faults) = self.call_traced(&req, span);
         self.record_obs(span, attempts, &faults);
-        match result? {
+        match result?.0 {
             Response::TaskDone { status, .. } => Ok(status),
             Response::Err { message } => {
                 Err(MdbsError::Local { service: self.site.clone(), message })
@@ -754,7 +698,7 @@ impl LamClient {
         };
         let (result, attempts, faults) = self.call_traced(&req, span);
         self.record_obs(span, attempts, &faults);
-        match result? {
+        match result?.0 {
             Response::Ok => Ok(()),
             Response::Err { message } => {
                 Err(MdbsError::Local { service: self.site.clone(), message })
@@ -770,11 +714,6 @@ fn fault_label(kind: FaultKind) -> &'static str {
         FaultKind::Transient => "transient",
         FaultKind::Terminal => "terminal",
     }
-}
-
-/// Counts the data rows in a wire-encoded result-set payload.
-fn payload_rows(payload: &str) -> u64 {
-    payload.lines().filter(|l| *l == "R" || l.starts_with("R ")).count() as u64
 }
 
 impl Drop for LamClient {
@@ -856,6 +795,9 @@ pub struct LamFactory {
     pub tolerate_unreachable: bool,
     /// Wire format handed to every client this factory opens.
     pub wire_format: WireFormat,
+    /// Where the tasks of the program this factory serves leave their
+    /// outputs.
+    pub(crate) outputs: TaskOutputs,
 }
 
 impl LamFactory {
@@ -870,6 +812,7 @@ impl LamFactory {
             metrics: MetricsRegistry::new(),
             tolerate_unreachable: false,
             wire_format: WireFormat::default(),
+            outputs: TaskOutputs::default(),
         }
     }
 
@@ -907,6 +850,7 @@ impl LamFactory {
             )?,
         };
         client.home = Some(self.pool.clone());
+        client.outputs = TaskOutputs::clone(&self.outputs);
         client.set_metrics(self.metrics.clone());
         client.set_wire_format(self.wire_format);
         Ok(client)
@@ -991,17 +935,6 @@ mod tests {
     }
 
     #[test]
-    fn task_result_roundtrip() {
-        let enc = encode_task_result(5, Some("COLS x:int\nR I:1\n"));
-        let (affected, payload) = decode_task_result(&enc).unwrap();
-        assert_eq!(affected, 5);
-        assert!(payload.unwrap().starts_with("COLS"));
-        let (a2, p2) = decode_task_result(&encode_task_result(0, None)).unwrap();
-        assert_eq!(a2, 0);
-        assert!(p2.is_none());
-    }
-
-    #[test]
     fn client_executes_select_task() {
         let (net, _lam) = setup();
         let mut client = LamClient::connect(&net, "site1", "avis", TEST_TIMEOUT).unwrap();
@@ -1014,9 +947,11 @@ mod tests {
         };
         let exec = client.execute_task(&task);
         assert_eq!(exec.status, TaskStatus::Committed);
-        let (_, payload) = decode_task_result(&exec.result.unwrap()).unwrap();
-        let rs = crate::wire::decode_result_set(&payload.unwrap()).unwrap();
-        assert_eq!(rs.rows.len(), 1);
+        // DOL carries the status; the rows wait under the task's name.
+        assert_eq!(exec.result, None);
+        let output = client.outputs.lock().remove("Q1").unwrap();
+        assert_eq!(output.affected, 0);
+        assert_eq!(output.rows.unwrap().rows, vec![vec![ldbs::value::Value::Int(1)]]);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use crate::error::MdbsError;
-use crate::translate::{AggKind, AggOutput, AggPushdown, TopKPushdown};
+use crate::translate::{AggKind, AggOutput, AggPushdown, AggState, TopKPushdown};
 use ldbs::engine::{ColumnMeta, ResultSet};
 use ldbs::value::{CanonicalKey, DataType, Value};
 use msql_lang::SortOrder;
@@ -72,9 +72,45 @@ impl GroupAcc {
     }
 }
 
-fn column_index(rs: &ResultSet, col: &str, what: &str) -> Result<usize, MdbsError> {
-    rs.column_index(col)
-        .ok_or_else(|| MdbsError::Wire(format!("pushed {what} partial lacks column `{col}`")))
+/// Index of a shipped column in `site`'s partial (`site` indexes the plan's
+/// sites).
+fn column_index(rs: &ResultSet, col: &str, what: &str, site: usize) -> Result<usize, MdbsError> {
+    rs.column_index(col).ok_or_else(|| {
+        MdbsError::Wire(format!("pushed {what} partial of site {site} lacks column `{col}`"))
+    })
+}
+
+/// The partial-state column an aggregate of `a`'s kind reads; a plan that
+/// did not ship one is broken.
+fn state_col(col: Option<usize>, a: &AggState, what: &str) -> Result<usize, MdbsError> {
+    col.ok_or_else(|| {
+        MdbsError::Internal(format!(
+            "aggregate pushdown plan ships no {what} column for {:?} at site {}",
+            a.kind, a.site
+        ))
+    })
+}
+
+/// Both merges are planned for exactly two sites, and what the sites shipped
+/// must line up with the plan.
+fn two_sites(what: &str, planned: usize, shipped: usize) -> Result<(), MdbsError> {
+    if planned != 2 {
+        return Err(MdbsError::Internal(format!(
+            "{what} pushdown merges two sites, the plan has {planned}"
+        )));
+    }
+    if shipped != 2 {
+        return Err(MdbsError::Wire(format!(
+            "{what} pushdown merges two sites' partials, {shipped} arrived"
+        )));
+    }
+    Ok(())
+}
+
+fn site_part(parts: &[ResultSet], site: usize) -> Result<&ResultSet, MdbsError> {
+    parts
+        .get(site)
+        .ok_or_else(|| MdbsError::Internal(format!("pushdown plan names site {site}, two shipped")))
 }
 
 fn int_value(v: &Value, what: &str) -> Result<i64, MdbsError> {
@@ -94,10 +130,10 @@ struct SiteIndex {
     buckets: HashMap<Vec<CanonicalKey>, Vec<usize>>,
 }
 
-fn index_site(rs: &ResultSet, join_cols: &[String]) -> Result<SiteIndex, MdbsError> {
+fn index_site(rs: &ResultSet, join_cols: &[String], site: usize) -> Result<SiteIndex, MdbsError> {
     let join_idx = join_cols
         .iter()
-        .map(|c| column_index(rs, c, "aggregate"))
+        .map(|c| column_index(rs, c, "aggregate", site))
         .collect::<Result<Vec<_>, _>>()?;
     let mut buckets: HashMap<Vec<CanonicalKey>, Vec<usize>> = HashMap::new();
     'rows: for (ri, row) in rs.rows.iter().enumerate() {
@@ -116,21 +152,21 @@ fn index_site(rs: &ResultSet, join_cols: &[String]) -> Result<SiteIndex, MdbsErr
 /// Merges two sites' pre-aggregated partials into the global result set.
 /// `parts` is aligned with `plan.sites`.
 pub fn merge_aggregate(plan: &AggPushdown, parts: &[ResultSet]) -> Result<ResultSet, MdbsError> {
-    assert_eq!(parts.len(), 2, "aggregate pushdown is planned for exactly two sites");
-    assert_eq!(plan.sites.len(), 2);
+    two_sites("aggregate", plan.sites.len(), parts.len())?;
 
     // Resolve every shipped column the merge reads.
     let cnt_idx: Vec<usize> = plan
         .sites
         .iter()
         .zip(parts)
-        .map(|(s, rs)| column_index(rs, &s.count_col, "aggregate"))
+        .enumerate()
+        .map(|(si, (s, rs))| column_index(rs, &s.count_col, "aggregate", si))
         .collect::<Result<_, _>>()?;
     // slot → (site, column index) for the group keys.
     let mut slot_src: Vec<Option<(usize, usize)>> = vec![None; plan.slots];
     for (si, (site, rs)) in plan.sites.iter().zip(parts).enumerate() {
         for (slot, alias) in &site.key_cols {
-            slot_src[*slot] = Some((si, column_index(rs, alias, "aggregate")?));
+            slot_src[*slot] = Some((si, column_index(rs, alias, "aggregate", si)?));
         }
     }
     let slot_src: Vec<(usize, usize)> = slot_src
@@ -140,14 +176,15 @@ pub fn merge_aggregate(plan: &AggPushdown, parts: &[ResultSet]) -> Result<Result
     // Per aggregate: indices of its partial-state columns at its owner site.
     let mut agg_cols: Vec<(Option<usize>, Option<usize>)> = Vec::with_capacity(plan.aggs.len());
     for a in &plan.aggs {
-        let rs = &parts[a.site];
-        let value = a.value_col.as_deref().map(|c| column_index(rs, c, "aggregate")).transpose()?;
-        let count = a.count_col.as_deref().map(|c| column_index(rs, c, "aggregate")).transpose()?;
-        agg_cols.push((value, count));
+        let rs = site_part(parts, a.site)?;
+        let index = |col: &Option<String>| {
+            col.as_deref().map(|c| column_index(rs, c, "aggregate", a.site)).transpose()
+        };
+        agg_cols.push((index(&a.value_col)?, index(&a.count_col)?));
     }
 
-    let left = index_site(&parts[0], &plan.sites[0].join_cols)?;
-    let right = index_site(&parts[1], &plan.sites[1].join_cols)?;
+    let left = index_site(&parts[0], &plan.sites[0].join_cols, 0)?;
+    let right = index_site(&parts[1], &plan.sites[1].join_cols, 1)?;
 
     let mut groups: std::collections::BTreeMap<KeyTuple, GroupAcc> =
         std::collections::BTreeMap::new();
@@ -188,11 +225,12 @@ pub fn merge_aggregate(plan: &AggPushdown, parts: &[ResultSet]) -> Result<Result
                     match a.kind {
                         AggKind::CountStar => acc.counts[ai] += cnt[0] * cnt[1],
                         AggKind::Count => {
-                            let c = int_value(&row_of(a.site)[qi.unwrap()], "partial count")?;
+                            let qi = state_col(qi, a, "count")?;
+                            let c = int_value(&row_of(a.site)[qi], "partial count")?;
                             acc.counts[ai] += c * other;
                         }
                         AggKind::Sum | AggKind::Avg => {
-                            let v = &row_of(a.site)[vi.unwrap()];
+                            let v = &row_of(a.site)[state_col(vi, a, "value")?];
                             if !v.is_null() {
                                 // This group's rows appear `other` times in
                                 // the join, so its partial sum scales.
@@ -205,12 +243,13 @@ pub fn merge_aggregate(plan: &AggPushdown, parts: &[ResultSet]) -> Result<Result
                                 acc.saw_sum[ai] = true;
                             }
                             if a.kind == AggKind::Avg {
-                                let c = int_value(&row_of(a.site)[qi.unwrap()], "partial count")?;
+                                let qi = state_col(qi, a, "count")?;
+                                let c = int_value(&row_of(a.site)[qi], "partial count")?;
                                 acc.counts[ai] += c * other;
                             }
                         }
                         AggKind::Min => {
-                            let v = &row_of(a.site)[vi.unwrap()];
+                            let v = &row_of(a.site)[state_col(vi, a, "value")?];
                             if !v.is_null() {
                                 acc.extremes[ai] = Some(match acc.extremes[ai].take() {
                                     Some(cur) => {
@@ -225,7 +264,7 @@ pub fn merge_aggregate(plan: &AggPushdown, parts: &[ResultSet]) -> Result<Result
                             }
                         }
                         AggKind::Max => {
-                            let v = &row_of(a.site)[vi.unwrap()];
+                            let v = &row_of(a.site)[state_col(vi, a, "value")?];
                             if !v.is_null() {
                                 acc.extremes[ai] = Some(match acc.extremes[ai].take() {
                                     Some(cur) => {
@@ -260,7 +299,7 @@ pub fn merge_aggregate(plan: &AggPushdown, parts: &[ResultSet]) -> Result<Result
                     AggKind::Avg => DataType::Float,
                     AggKind::Sum | AggKind::Min | AggKind::Max => {
                         let (vi, _) = agg_cols[*agg];
-                        parts[a.site].columns[vi.unwrap()].data_type
+                        parts[a.site].columns[state_col(vi, a, "value")?].data_type
                     }
                 };
                 (name.clone(), dt)
@@ -341,16 +380,18 @@ fn sort_output(rows: &mut [Vec<Value>], order_by: &[(usize, SortOrder)]) {
 /// Merges two sites' top-k prefixes into the global top k. `parts` is
 /// aligned with `plan.sites`.
 pub fn merge_topk(plan: &TopKPushdown, parts: &[ResultSet]) -> Result<ResultSet, MdbsError> {
-    assert_eq!(parts.len(), 2, "top-k pushdown is planned for exactly two sites");
+    two_sites("top-k", plan.sites.len(), parts.len())?;
     let out_idx: Vec<(usize, usize)> = plan
         .output
         .iter()
-        .map(|(si, col, _)| Ok((*si, column_index(&parts[*si], col, "top-k")?)))
+        .map(|(si, col, _)| Ok((*si, column_index(site_part(parts, *si)?, col, "top-k", *si)?)))
         .collect::<Result<_, MdbsError>>()?;
     let ord_idx: Vec<(usize, usize, SortOrder)> = plan
         .order_by
         .iter()
-        .map(|o| Ok((o.site, column_index(&parts[o.site], &o.col, "top-k")?, o.order)))
+        .map(|o| {
+            Ok((o.site, column_index(site_part(parts, o.site)?, &o.col, "top-k", o.site)?, o.order))
+        })
         .collect::<Result<_, MdbsError>>()?;
 
     // Candidate pairings in deterministic (i, j) enumeration order; the
@@ -517,6 +558,37 @@ mod tests {
         let b = rs(&agg_cols1(), vec![vec![i(1), i(3), Value::Null]]);
         let out = merge_aggregate(&plan, &[a, b]).unwrap();
         assert_eq!(out.rows, vec![vec![Value::Null]]);
+    }
+
+    /// What sites ship is remote input: a wrong part count, a missing
+    /// partial-state column or a plan that names no such column is an error
+    /// naming the site and column, never a panic.
+    #[test]
+    fn malformed_parts_are_errors_not_panics() {
+        let plan = agg_plan();
+        let a = rs(&agg_cols0(), vec![vec![i(1), s("x"), i(2)]]);
+        let b = rs(&agg_cols1(), vec![vec![i(1), i(3), i(30)]]);
+        for parts in [vec![a.clone()], vec![a.clone(), b.clone(), b.clone()]] {
+            let err = merge_aggregate(&plan, &parts).unwrap_err();
+            assert!(matches!(&err, MdbsError::Wire(m) if m.contains("two sites")), "{err}");
+        }
+        let (x, y) = topk_parts();
+        for parts in [vec![x.clone()], vec![x.clone(), y.clone(), y]] {
+            let err = merge_topk(&topk_plan(3), &parts).unwrap_err();
+            assert!(matches!(&err, MdbsError::Wire(m) if m.contains("two sites")), "{err}");
+        }
+        // Site 1 did not ship the SUM state column the plan reads.
+        let short = rs(&agg_cols1()[..2], vec![vec![i(1), i(3)]]);
+        let err = merge_aggregate(&plan, &[a.clone(), short]).unwrap_err();
+        assert!(
+            matches!(&err, MdbsError::Wire(m) if m.contains("site 1") && m.contains("`agg1_s`")),
+            "{err}"
+        );
+        // A plan whose SUM names no value column is broken, not fatal.
+        let mut broken = agg_plan();
+        broken.aggs[1].value_col = None;
+        let err = merge_aggregate(&broken, &[a, b]).unwrap_err();
+        assert!(matches!(&err, MdbsError::Internal(m) if m.contains("site 1")), "{err}");
     }
 
     fn topk_plan(limit: u64) -> TopKPushdown {

@@ -3,9 +3,19 @@
 //! One request message yields exactly one response message. Requests carry a
 //! header line plus optional payload lines; SQL commands are escaped (so
 //! they occupy one line each) with [`crate::wire::escape`].
+//!
+//! Messages are generic over how they hold a result set ([`Payload`]): the
+//! LAM, its client and the executor exchange `Request<ResultSet>` /
+//! `Response<ResultSet>` and the codecs serialise the rows exactly once at
+//! the network boundary. The default parameter, `String`, is the frozen
+//! text-payload shim described on [`Payload`].
 
+use crate::codec::columnar;
+use crate::codec::frame::{PAYLOAD_COLUMNAR, PAYLOAD_VERBATIM};
+use crate::codec::varint::{write_str, Reader};
 use crate::error::MdbsError;
-use crate::wire::{escape, unescape};
+use crate::wire::{self, escape, unescape};
+use ldbs::engine::ResultSet;
 
 /// Frames a message body with a correlation id: `@<id>` on the first line,
 /// the body after it. The id lets a retrying client match responses to the
@@ -25,6 +35,81 @@ pub fn split_correlation(body: &str) -> (Option<u64>, &str) {
     match id_text.parse::<u64>() {
         Ok(id) => (Some(id), tail),
         Err(_) => (None, body),
+    }
+}
+
+/// How a result set rides inside a [`Request`] or [`Response`]: its text
+/// form in a text body and its payload block in a binary frame.
+///
+/// [`ResultSet`] is the payload production code uses. `String` — a
+/// `wire::encode_result_set` text — is a compatibility shim, frozen because
+/// `fedbench/` (which a change claiming a gain may not edit), the text
+/// goldens and the codec corpora build and match messages with text
+/// payloads; it keeps the verbatim fallback for hand-built texts that are not
+/// canonical. Both produce byte-identical messages for the same rows. The
+/// shim goes once fedbench moves to the typed API.
+pub trait Payload: Sized {
+    /// Appends the text form to a message body.
+    fn write_text(&self, out: &mut String);
+    /// Reads the text form.
+    fn from_text(text: &str) -> Result<Self, MdbsError>;
+    /// Appends a payload block (tag byte + body) to a binary frame.
+    fn write_block(&self, buf: &mut Vec<u8>);
+    /// Reads a payload block.
+    fn read_block(r: &mut Reader) -> Result<Self, MdbsError>;
+}
+
+impl Payload for ResultSet {
+    fn write_text(&self, out: &mut String) {
+        wire::write_result_set(out, self);
+    }
+
+    fn from_text(text: &str) -> Result<Self, MdbsError> {
+        wire::decode_result_set(text)
+    }
+
+    fn write_block(&self, buf: &mut Vec<u8>) {
+        buf.push(PAYLOAD_COLUMNAR);
+        columnar::write_result_set(buf, self);
+    }
+
+    fn read_block(r: &mut Reader) -> Result<Self, MdbsError> {
+        match r.u8()? {
+            PAYLOAD_COLUMNAR => columnar::read_result_set(r),
+            // A peer on the `String` shim sent a text that was not canonical.
+            PAYLOAD_VERBATIM => wire::decode_result_set(&r.string()?),
+            other => Err(MdbsError::Wire(format!("unknown payload block tag {other}"))),
+        }
+    }
+}
+
+impl Payload for String {
+    fn write_text(&self, out: &mut String) {
+        out.push_str(self);
+    }
+
+    fn from_text(text: &str) -> Result<Self, MdbsError> {
+        Ok(text.to_string())
+    }
+
+    /// Canonical result-set texts go columnar, everything else ships verbatim
+    /// so arbitrary strings survive exactly.
+    fn write_block(&self, buf: &mut Vec<u8>) {
+        match wire::decode_result_set(self) {
+            Ok(rs) if wire::encode_result_set(&rs) == *self => rs.write_block(buf),
+            _ => {
+                buf.push(PAYLOAD_VERBATIM);
+                write_str(buf, self);
+            }
+        }
+    }
+
+    fn read_block(r: &mut Reader) -> Result<Self, MdbsError> {
+        match r.u8()? {
+            PAYLOAD_VERBATIM => r.string(),
+            PAYLOAD_COLUMNAR => Ok(wire::encode_result_set(&columnar::read_result_set(r)?)),
+            other => Err(MdbsError::Wire(format!("unknown payload block tag {other}"))),
+        }
     }
 }
 
@@ -48,7 +133,7 @@ impl TaskMode {
 
 /// A request to a LAM.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+pub enum Request<P = String> {
     /// Open a persistent local transaction under a task name (deferred
     /// global transactions, §3.2.2).
     Begin {
@@ -111,10 +196,10 @@ pub enum Request {
         commands: Vec<String>,
     },
     /// Evaluate one local subquery of a decomposed cross-database join and
-    /// return its serialized result set. When `baseline` is present (the
-    /// unreduced subquery, sent only under tracing), the LAM also evaluates
-    /// it and reports its row/byte volume so semi-join savings can be
-    /// measured without shipping the unreduced rows.
+    /// return its result set. When `baseline` is present (the unreduced
+    /// subquery, sent only by `EXPLAIN`), the LAM also evaluates it and
+    /// reports its row/byte volume so semi-join savings can be measured
+    /// without shipping the unreduced rows.
     Partial {
         /// Target database.
         database: String,
@@ -124,11 +209,11 @@ pub enum Request {
         baseline: Option<String>,
     },
     /// Evaluate one pre-reduced site query of an aggregation/top-k pushdown
-    /// and return its serialized result set. Like [`Request::Partial`] but
-    /// the subquery aggregates (or truncates) locally, so the response also
-    /// reports how many reduced groups/rows it shipped; `baseline` (sent
-    /// only under tracing) is the unpushed subquery, evaluated to measure
-    /// the row/byte volume the pushdown kept off the wire.
+    /// and return its result set. Like [`Request::Partial`] but the subquery
+    /// aggregates (or truncates) locally, so the response also reports how
+    /// many reduced groups/rows it shipped; `baseline` (sent only by
+    /// `EXPLAIN`) is the unpushed subquery, evaluated to measure the
+    /// row/byte volume the pushdown kept off the wire.
     PartialAgg {
         /// Target database.
         database: String,
@@ -151,31 +236,14 @@ pub enum Request {
         /// Restrict the export to one table, or fetch all analyzed tables.
         table: Option<String>,
     },
-    /// Create a temporary table from a serialized result set and load its
-    /// rows (coordinator collection of partial results).
-    Load {
-        /// Target database.
-        database: String,
-        /// Temp table name.
-        table: String,
-        /// `wire::encode_result_set` payload.
-        payload: String,
-    },
-    /// Drop a temporary table.
-    DropTemp {
-        /// Target database.
-        database: String,
-        /// Temp table name.
-        table: String,
-    },
     /// Create and load several temporary tables in one round trip — the
     /// coordinator collects all partial results of a cross-database join
-    /// with a single exchange instead of one `LOAD` per site.
+    /// with a single exchange.
     LoadMany {
         /// Target database.
         database: String,
-        /// `(temp table, wire::encode_result_set payload)` pairs.
-        parts: Vec<(String, String)>,
+        /// `(temp table, result set)` pairs.
+        parts: Vec<(String, P)>,
     },
     /// Drop several temporary tables in one round trip.
     DropMany {
@@ -192,16 +260,16 @@ pub enum Request {
 
 /// A response from a LAM.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Response {
+pub enum Response<P = String> {
     /// Task execution finished with a status code (`P`/`C`/`A`/`E`), an
-    /// affected-row count, and an optional serialized result set.
+    /// affected-row count, and an optional result set.
     TaskDone {
         /// Status code.
         status: char,
         /// Rows affected by DML commands.
         affected: u64,
-        /// Serialized result set of the last SELECT, if any.
-        payload: Option<String>,
+        /// Result set of the last SELECT, if any.
+        payload: Option<P>,
         /// Error description when the status is not `P`/`C`.
         error: Option<String>,
     },
@@ -209,13 +277,14 @@ pub enum Response {
     /// subquery succeeded) plus the measured volume of the unreduced
     /// baseline (zero when no baseline was requested or it failed).
     PartialDone {
-        /// Serialized result set of the reduced subquery.
-        payload: Option<String>,
+        /// Result set of the reduced subquery.
+        payload: Option<P>,
         /// Error description when the subquery failed.
         error: Option<String>,
         /// Rows the unreduced baseline would have shipped.
         full_rows: u64,
-        /// Payload bytes the unreduced baseline would have shipped.
+        /// Payload bytes the unreduced baseline would have shipped, in the
+        /// format of the connection that asked.
         full_bytes: u64,
         /// Access path the local engine took for the reduced subquery
         /// (`probe` or `scan`), when the engine reported one.
@@ -225,15 +294,16 @@ pub enum Response {
     /// the measured volume of the unpushed baseline (zero when no baseline
     /// was requested or it failed).
     PartialAggDone {
-        /// Serialized result set of the pushed site query.
-        payload: Option<String>,
+        /// Result set of the pushed site query.
+        payload: Option<P>,
         /// Error description when the site query failed.
         error: Option<String>,
         /// Reduced groups (or top-k rows) the site shipped.
         groups: u64,
         /// Rows the unpushed subquery would have shipped.
         full_rows: u64,
-        /// Payload bytes the unpushed subquery would have shipped.
+        /// Payload bytes the unpushed subquery would have shipped, in the
+        /// format of the connection that asked.
         full_bytes: u64,
     },
     /// Generic success.
@@ -250,27 +320,49 @@ pub enum Response {
     },
 }
 
-impl Request {
+/// A request as the LAM, its client and the executor hold it: result sets as
+/// rows.
+pub type RowsRequest = Request<ResultSet>;
+/// A response as the LAM, its client and the executor hold it.
+pub type RowsResponse = Response<ResultSet>;
+
+/// `header` followed by one escaped line per entry of `lines`.
+fn with_lines<'a>(header: String, lines: impl IntoIterator<Item = &'a String>) -> String {
+    let mut out = header;
+    for line in lines {
+        out.push('\n');
+        out.push_str(&escape(line));
+    }
+    out.push('\n');
+    out
+}
+
+/// An optional field of a response header: `-` when absent.
+fn opt_field(field: &Option<String>) -> String {
+    field.as_deref().map_or_else(|| "-".to_string(), escape)
+}
+
+fn parse_opt_field(text: &str) -> Result<Option<String>, MdbsError> {
+    if text == "-" {
+        Ok(None)
+    } else {
+        unescape(text).map(Some)
+    }
+}
+
+fn parse_count(text: &str, what: &str) -> Result<u64, MdbsError> {
+    text.parse().map_err(|_| MdbsError::Wire(format!("bad {what} `{text}`")))
+}
+
+impl<P: Payload> Request<P> {
     /// Encodes the request as a message body.
     pub fn encode(&self) -> String {
         match self {
             Request::Begin { name, database } => format!("BEGIN {name} {database}"),
-            Request::Exec { task, commands } => {
-                let mut out = format!("EXEC {task}\n");
-                for c in commands {
-                    out.push_str(&escape(c));
-                    out.push('\n');
-                }
-                out
-            }
+            Request::Exec { task, commands } => with_lines(format!("EXEC {task}"), commands),
             Request::Prepare { task } => format!("PREPARE {task}"),
             Request::Task { name, mode, database, commands } => {
-                let mut out = format!("TASK {name} {} {database}\n", mode.as_str());
-                for c in commands {
-                    out.push_str(&escape(c));
-                    out.push('\n');
-                }
-                out
+                with_lines(format!("TASK {name} {} {database}", mode.as_str()), commands)
             }
             Request::Commit { task } => format!("COMMIT {task}"),
             Request::Abort { task } => format!("ABORT {task}"),
@@ -278,49 +370,29 @@ impl Request {
                 format!("RESOLVE {task} {}", if *commit { "COMMIT" } else { "ABORT" })
             }
             Request::Compensate { task, database, commands } => {
-                let mut out = format!("COMP {task} {database}\n");
-                for c in commands {
-                    out.push_str(&escape(c));
-                    out.push('\n');
-                }
-                out
+                with_lines(format!("COMP {task} {database}"), commands)
             }
             Request::Partial { database, sql, baseline } => {
-                let mut out = format!("PARTIAL {database}\n");
-                out.push_str(&escape(sql));
-                out.push('\n');
-                if let Some(b) = baseline {
-                    out.push_str(&escape(b));
-                    out.push('\n');
-                }
-                out
+                with_lines(format!("PARTIAL {database}"), std::iter::once(sql).chain(baseline))
             }
             Request::PartialAgg { database, sql, baseline } => {
-                let mut out = format!("PARTIALAGG {database}\n");
-                out.push_str(&escape(sql));
-                out.push('\n');
-                if let Some(b) = baseline {
-                    out.push_str(&escape(b));
-                    out.push('\n');
-                }
-                out
+                with_lines(format!("PARTIALAGG {database}"), std::iter::once(sql).chain(baseline))
             }
             Request::Schema { database } => format!("SCHEMA {database}"),
             Request::Stats { database, table } => match table {
                 Some(t) => format!("STATS {database} {t}"),
                 None => format!("STATS {database}"),
             },
-            Request::Load { database, table, payload } => {
-                format!("LOAD {database} {table}\n{payload}")
-            }
-            Request::DropTemp { database, table } => format!("DROPTEMP {database} {table}"),
             Request::LoadMany { database, parts } => {
                 // Length-prefixed framing: payloads are multi-line, so each
                 // part header carries the exact byte count that follows it.
                 let mut out = format!("LOADMANY {database}\n");
+                let mut text = String::new();
                 for (table, payload) in parts {
-                    out.push_str(&format!("{table} {}\n", payload.len()));
-                    out.push_str(payload);
+                    text.clear();
+                    payload.write_text(&mut text);
+                    out.push_str(&format!("{table} {}\n", text.len()));
+                    out.push_str(&text);
                 }
                 out
             }
@@ -332,15 +404,20 @@ impl Request {
         }
     }
 
-    /// Decodes a message body into a request.
-    pub fn decode(body: &str) -> Result<Request, MdbsError> {
-        let (header, payload) = match body.split_once('\n') {
-            Some((h, p)) => (h, p),
-            None => (body, ""),
-        };
+    /// Decodes a message body into a request holding `P` payloads.
+    pub fn decode_as(body: &str) -> Result<Self, MdbsError> {
+        let (header, payload) = body.split_once('\n').unwrap_or((body, ""));
         let words: Vec<&str> = header.split_whitespace().collect();
         let decode_commands = |payload: &str| -> Result<Vec<String>, MdbsError> {
             payload.lines().filter(|l| !l.is_empty()).map(unescape).collect()
+        };
+        // `<sql>` and an optional `<baseline>` line.
+        let decode_subquery = |what: &str| -> Result<(String, Option<String>), MdbsError> {
+            let mut lines = decode_commands(payload)?.into_iter();
+            let sql = lines
+                .next()
+                .ok_or_else(|| MdbsError::Wire(format!("{what} without a subquery")))?;
+            Ok((sql, lines.next()))
         };
         match words.as_slice() {
             ["BEGIN", name, database] => {
@@ -383,24 +460,12 @@ impl Request {
                 commands: decode_commands(payload)?,
             }),
             ["PARTIAL", database] => {
-                let lines = decode_commands(payload)?;
-                let mut lines = lines.into_iter();
-                let sql = lines
-                    .next()
-                    .ok_or_else(|| MdbsError::Wire("PARTIAL without a subquery".to_string()))?;
-                Ok(Request::Partial { database: database.to_string(), sql, baseline: lines.next() })
+                let (sql, baseline) = decode_subquery("PARTIAL")?;
+                Ok(Request::Partial { database: database.to_string(), sql, baseline })
             }
             ["PARTIALAGG", database] => {
-                let lines = decode_commands(payload)?;
-                let mut lines = lines.into_iter();
-                let sql = lines
-                    .next()
-                    .ok_or_else(|| MdbsError::Wire("PARTIALAGG without a subquery".to_string()))?;
-                Ok(Request::PartialAgg {
-                    database: database.to_string(),
-                    sql,
-                    baseline: lines.next(),
-                })
+                let (sql, baseline) = decode_subquery("PARTIALAGG")?;
+                Ok(Request::PartialAgg { database: database.to_string(), sql, baseline })
             }
             ["SCHEMA", database] => Ok(Request::Schema { database: database.to_string() }),
             ["STATS", database] => {
@@ -410,14 +475,6 @@ impl Request {
                 database: database.to_string(),
                 table: Some(table.to_string()),
             }),
-            ["LOAD", database, table] => Ok(Request::Load {
-                database: database.to_string(),
-                table: table.to_string(),
-                payload: payload.to_string(),
-            }),
-            ["DROPTEMP", database, table] => {
-                Ok(Request::DropTemp { database: database.to_string(), table: table.to_string() })
-            }
             ["LOADMANY", database] => {
                 let mut parts = Vec::new();
                 let mut rest = payload;
@@ -428,15 +485,13 @@ impl Request {
                     let (table, len) = head.split_once(' ').ok_or_else(|| {
                         MdbsError::Wire(format!("malformed LOADMANY part header `{head}`"))
                     })?;
-                    let len: usize = len.parse().map_err(|_| {
-                        MdbsError::Wire(format!("bad LOADMANY part length `{len}`"))
-                    })?;
+                    let len = parse_count(len, "LOADMANY part length")? as usize;
                     if tail.len() < len || !tail.is_char_boundary(len) {
                         return Err(MdbsError::Wire(format!(
                             "truncated LOADMANY part for `{table}`"
                         )));
                     }
-                    parts.push((table.to_string(), tail[..len].to_string()));
+                    parts.push((table.to_string(), P::from_text(&tail[..len])?));
                     rest = &tail[len..];
                 }
                 Ok(Request::LoadMany { database: database.to_string(), parts })
@@ -452,130 +507,109 @@ impl Request {
     }
 }
 
-impl Response {
+impl Request {
+    /// Decodes a message body into a request with text payloads.
+    pub fn decode(body: &str) -> Result<Request, MdbsError> {
+        Request::decode_as(body)
+    }
+}
+
+impl<P: Payload> Response<P> {
     /// Encodes the response as a message body.
     pub fn encode(&self) -> String {
-        match self {
+        let (mut out, payload) = match self {
             Response::TaskDone { status, affected, payload, error } => {
-                let err = match error {
-                    Some(e) => escape(e),
-                    None => "-".to_string(),
-                };
-                let mut out = format!("OK TASK {status} {affected} {err}\n");
-                if let Some(p) = payload {
-                    out.push_str(p);
-                }
-                out
+                (format!("OK TASK {status} {affected} {}\n", opt_field(error)), payload)
             }
-            Response::PartialDone { payload, error, full_rows, full_bytes, access } => {
-                let err = match error {
-                    Some(e) => escape(e),
-                    None => "-".to_string(),
-                };
-                let acc = match access {
-                    Some(a) => escape(a),
-                    None => "-".to_string(),
-                };
-                let mut out = format!("OK PARTIAL {full_rows} {full_bytes} {acc} {err}\n");
-                if let Some(p) = payload {
-                    out.push_str(p);
-                }
-                out
-            }
-            Response::PartialAggDone { payload, error, groups, full_rows, full_bytes } => {
-                let err = match error {
-                    Some(e) => escape(e),
-                    None => "-".to_string(),
-                };
-                let mut out = format!("OK PARTIALAGG {groups} {full_rows} {full_bytes} {err}\n");
-                if let Some(p) = payload {
-                    out.push_str(p);
-                }
-                out
-            }
-            Response::Ok => "OK".to_string(),
-            Response::OkPayload { payload } => format!("OK PAYLOAD\n{payload}"),
-            Response::Err { message } => format!("ERR {}", escape(message)),
+            Response::PartialDone { payload, error, full_rows, full_bytes, access } => (
+                format!(
+                    "OK PARTIAL {full_rows} {full_bytes} {} {}\n",
+                    opt_field(access),
+                    opt_field(error)
+                ),
+                payload,
+            ),
+            Response::PartialAggDone { payload, error, groups, full_rows, full_bytes } => (
+                format!("OK PARTIALAGG {groups} {full_rows} {full_bytes} {}\n", opt_field(error)),
+                payload,
+            ),
+            Response::Ok => return "OK".to_string(),
+            Response::OkPayload { payload } => return format!("OK PAYLOAD\n{payload}"),
+            Response::Err { message } => return format!("ERR {}", escape(message)),
+        };
+        if let Some(p) = payload {
+            p.write_text(&mut out);
         }
+        out
     }
 
-    /// Decodes a message body into a response.
-    pub fn decode(body: &str) -> Result<Response, MdbsError> {
-        let (header, payload) = match body.split_once('\n') {
-            Some((h, p)) => (h, p),
-            None => (body, ""),
-        };
+    /// Decodes a message body into a response holding a `P` payload. Also
+    /// returns the byte size of the result-set payload it carried (0 when it
+    /// carried none).
+    pub fn decode_as(body: &str) -> Result<(Self, usize), MdbsError> {
+        let (header, payload) = body.split_once('\n').unwrap_or((body, ""));
         if let Some(msg) = header.strip_prefix("ERR ") {
-            return Ok(Response::Err { message: unescape(msg)? });
+            return Ok((Response::Err { message: unescape(msg)? }, 0));
         }
         if header == "OK" {
-            return Ok(Response::Ok);
+            return Ok((Response::Ok, 0));
         }
         if header == "OK PAYLOAD" {
-            return Ok(Response::OkPayload { payload: payload.to_string() });
+            return Ok((Response::OkPayload { payload: payload.to_string() }, 0));
         }
-        // `OK PARTIALAGG` must be tested before `OK PARTIAL `: the latter is
-        // a prefix of the former.
-        if let Some(rest) = header.strip_prefix("OK PARTIALAGG ") {
-            // `<groups> <full_rows> <full_bytes> <error-or-dash>`; the error
-            // is the tail of the line (it may contain spaces).
-            let mut parts = rest.splitn(4, ' ');
-            let groups_text = parts.next().unwrap_or("");
-            let rows_text = parts.next().unwrap_or("");
-            let bytes_text = parts.next().unwrap_or("");
-            let err = parts.next().unwrap_or("-");
-            let groups: u64 = groups_text
-                .parse()
-                .map_err(|_| MdbsError::Wire(format!("bad group count `{groups_text}`")))?;
-            let full_rows: u64 = rows_text
-                .parse()
-                .map_err(|_| MdbsError::Wire(format!("bad baseline rows `{rows_text}`")))?;
-            let full_bytes: u64 = bytes_text
-                .parse()
-                .map_err(|_| MdbsError::Wire(format!("bad baseline bytes `{bytes_text}`")))?;
-            let error = if err == "-" { None } else { Some(unescape(err)?) };
-            let payload = if payload.is_empty() { None } else { Some(payload.to_string()) };
-            return Ok(Response::PartialAggDone { payload, error, groups, full_rows, full_bytes });
-        }
-        if let Some(rest) = header.strip_prefix("OK PARTIAL ") {
-            // `<full_rows> <full_bytes> <access-or-dash> <error-or-dash>`;
-            // the error is the tail of the line (it may contain spaces).
-            let mut parts = rest.splitn(4, ' ');
-            let rows_text = parts.next().unwrap_or("");
-            let bytes_text = parts.next().unwrap_or("");
-            let acc = parts.next().unwrap_or("-");
-            let err = parts.next().unwrap_or("-");
-            let full_rows: u64 = rows_text
-                .parse()
-                .map_err(|_| MdbsError::Wire(format!("bad baseline rows `{rows_text}`")))?;
-            let full_bytes: u64 = bytes_text
-                .parse()
-                .map_err(|_| MdbsError::Wire(format!("bad baseline bytes `{bytes_text}`")))?;
-            let access = if acc == "-" { None } else { Some(unescape(acc)?) };
-            let error = if err == "-" { None } else { Some(unescape(err)?) };
-            let payload = if payload.is_empty() { None } else { Some(payload.to_string()) };
-            return Ok(Response::PartialDone { payload, error, full_rows, full_bytes, access });
-        }
-        if let Some(rest) = header.strip_prefix("OK TASK ") {
-            // `<status> <affected> <error-or-dash>`; the error is the tail of
-            // the line (it may contain spaces).
-            let mut parts = rest.splitn(3, ' ');
-            let status_text = parts.next().unwrap_or("");
-            let affected_text = parts.next().unwrap_or("");
-            let err = parts.next().unwrap_or("-");
+        let rows = || -> Result<Option<P>, MdbsError> {
+            if payload.is_empty() {
+                Ok(None)
+            } else {
+                P::from_text(payload).map(Some)
+            }
+        };
+        // Header fields are space-separated; the last one (the error) is the
+        // tail of the line and may contain spaces. `OK PARTIALAGG` is tested
+        // before `OK PARTIAL `, which is a prefix of it.
+        let resp = if let Some(rest) = header.strip_prefix("OK PARTIALAGG ") {
+            let mut f = rest.splitn(4, ' ');
+            Response::PartialAggDone {
+                groups: parse_count(f.next().unwrap_or(""), "group count")?,
+                full_rows: parse_count(f.next().unwrap_or(""), "baseline rows")?,
+                full_bytes: parse_count(f.next().unwrap_or(""), "baseline bytes")?,
+                error: parse_opt_field(f.next().unwrap_or("-"))?,
+                payload: rows()?,
+            }
+        } else if let Some(rest) = header.strip_prefix("OK PARTIAL ") {
+            let mut f = rest.splitn(4, ' ');
+            Response::PartialDone {
+                full_rows: parse_count(f.next().unwrap_or(""), "baseline rows")?,
+                full_bytes: parse_count(f.next().unwrap_or(""), "baseline bytes")?,
+                access: parse_opt_field(f.next().unwrap_or("-"))?,
+                error: parse_opt_field(f.next().unwrap_or("-"))?,
+                payload: rows()?,
+            }
+        } else if let Some(rest) = header.strip_prefix("OK TASK ") {
+            let mut f = rest.splitn(3, ' ');
+            let status_text = f.next().unwrap_or("");
             let status = status_text
                 .chars()
                 .next()
                 .filter(|_| status_text.len() == 1)
                 .ok_or_else(|| MdbsError::Wire(format!("bad status `{status_text}`")))?;
-            let affected: u64 = affected_text
-                .parse()
-                .map_err(|_| MdbsError::Wire(format!("bad affected count `{affected_text}`")))?;
-            let error = if err == "-" { None } else { Some(unescape(err)?) };
-            let payload = if payload.is_empty() { None } else { Some(payload.to_string()) };
-            return Ok(Response::TaskDone { status, affected, payload, error });
-        }
-        Err(MdbsError::Wire(format!("unknown response `{header}`")))
+            Response::TaskDone {
+                status,
+                affected: parse_count(f.next().unwrap_or(""), "affected count")?,
+                error: parse_opt_field(f.next().unwrap_or("-"))?,
+                payload: rows()?,
+            }
+        } else {
+            return Err(MdbsError::Wire(format!("unknown response `{header}`")));
+        };
+        Ok((resp, payload.len()))
+    }
+}
+
+impl Response {
+    /// Decodes a message body into a response with a text payload.
+    pub fn decode(body: &str) -> Result<Response, MdbsError> {
+        Response::decode_as(body).map(|(resp, _)| resp)
     }
 }
 
@@ -616,12 +650,6 @@ mod tests {
         roundtrip_request(Request::Schema { database: "avis".into() });
         roundtrip_request(Request::Stats { database: "avis".into(), table: None });
         roundtrip_request(Request::Stats { database: "avis".into(), table: Some("cars".into()) });
-        roundtrip_request(Request::Load {
-            database: "avis".into(),
-            table: "part_national".into(),
-            payload: "COLS code:int\nR I:1\n".into(),
-        });
-        roundtrip_request(Request::DropTemp { database: "avis".into(), table: "t".into() });
         roundtrip_request(Request::Ping);
         roundtrip_request(Request::Shutdown);
         roundtrip_request(Request::Begin { name: "G1".into(), database: "avis".into() });
@@ -753,7 +781,7 @@ mod tests {
     fn partialagg_header_is_not_mistaken_for_partial() {
         // `OK PARTIAL ` is a prefix of `OK PARTIALAGG `; make sure the
         // decoder keeps the two apart in both directions.
-        let agg = Response::PartialAggDone {
+        let agg: Response = Response::PartialAggDone {
             payload: None,
             error: None,
             groups: 2,
@@ -764,7 +792,7 @@ mod tests {
             Response::decode(&agg.encode()).unwrap(),
             Response::PartialAggDone { groups: 2, full_rows: 5, full_bytes: 100, .. }
         ));
-        let plain = Response::PartialDone {
+        let plain: Response = Response::PartialDone {
             payload: None,
             error: None,
             full_rows: 5,

@@ -18,12 +18,18 @@ use ldbs::engine::{ColumnMeta, ResultSet};
 use ldbs::stats::{ColumnStats, TableStats};
 use ldbs::value::{DataType, Value};
 use msql_lang::TypeName;
+use std::fmt::Write;
 
 // ----------------------------------------------------------------- escaping
 
 /// Escapes `\`, `|` and newlines.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -33,7 +39,6 @@ pub fn escape(s: &str) -> String {
             other => out.push(other),
         }
     }
-    out
 }
 
 /// Reverses [`escape`]. Errors carry the byte offset of the offending
@@ -68,12 +73,25 @@ pub fn unescape(s: &str) -> Result<String, MdbsError> {
 
 /// Encodes one value.
 pub fn encode_value(v: &Value) -> String {
+    let mut out = String::new();
+    write_value(&mut out, v);
+    out
+}
+
+fn write_value(out: &mut String, v: &Value) {
     match v {
-        Value::Null => "N".to_string(),
-        Value::Int(i) => format!("I:{i}"),
-        Value::Float(f) => format!("F:{f:?}"),
-        Value::Str(s) => format!("S:{}", escape(s)),
-        Value::Bool(b) => format!("B:{}", u8::from(*b)),
+        Value::Null => out.push('N'),
+        Value::Int(i) => {
+            let _ = write!(out, "I:{i}");
+        }
+        Value::Float(f) => {
+            let _ = write!(out, "F:{f:?}");
+        }
+        Value::Str(s) => {
+            out.push_str("S:");
+            escape_into(out, s);
+        }
+        Value::Bool(b) => out.push_str(if *b { "B:1" } else { "B:0" }),
     }
 }
 
@@ -143,21 +161,34 @@ pub fn decode_type(s: &str) -> Result<DataType, MdbsError> {
 /// R v|v|v
 /// ```
 pub fn encode_result_set(rs: &ResultSet) -> String {
-    let mut out = String::from("COLS ");
-    let cols: Vec<String> = rs
-        .columns
-        .iter()
-        .map(|c| format!("{}:{}", escape(&c.name), encode_type(c.data_type)))
-        .collect();
-    out.push_str(&cols.join("|"));
+    let mut out = String::new();
+    write_result_set(&mut out, rs);
+    out
+}
+
+/// Appends the [`encode_result_set`] form of `rs` to `out` — how a message
+/// body takes its payload without an intermediate string.
+pub fn write_result_set(out: &mut String, rs: &ResultSet) {
+    out.push_str("COLS ");
+    for (i, c) in rs.columns.iter().enumerate() {
+        if i > 0 {
+            out.push('|');
+        }
+        escape_into(out, &c.name);
+        out.push(':');
+        out.push_str(&encode_type(c.data_type));
+    }
     out.push('\n');
     for row in &rs.rows {
         out.push_str("R ");
-        let vals: Vec<String> = row.iter().map(encode_value).collect();
-        out.push_str(&vals.join("|"));
+        for (i, v) in row.iter().enumerate() {
+            if i > 0 {
+                out.push('|');
+            }
+            write_value(out, v);
+        }
         out.push('\n');
     }
-    out
 }
 
 /// Splits an encoded record on unescaped `|`.

@@ -8,7 +8,10 @@
 
 use ldbs::engine::{ColumnMeta, ResultSet};
 use ldbs::value::{DataType, Value};
-use mdbs::codec::{columnar, decode_request, decode_response, encode_request, encode_response};
+use mdbs::codec::{
+    columnar, decode_request, decode_request_as, decode_response, decode_response_as,
+    encode_request, encode_response, WireFormat,
+};
 use mdbs::proto::{Request, Response, TaskMode};
 use mdbs::wire;
 use netsim::BufferPool;
@@ -62,9 +65,8 @@ fn type_strategy() -> impl Strategy<Value = DataType> {
     ]
 }
 
-/// A random result set, serialized canonically — what real payload fields
-/// carry.
-fn payload_strategy() -> impl Strategy<Value = String> {
+/// A random result set — what a LAM's engine hands its codec.
+fn result_set_strategy() -> impl Strategy<Value = ResultSet> {
     (
         proptest::collection::vec((ident(), type_strategy()), 1..4),
         proptest::collection::vec(value_strategy(), 0..24),
@@ -75,8 +77,14 @@ fn payload_strategy() -> impl Strategy<Value = String> {
                 cols.into_iter().map(|(name, data_type)| ColumnMeta { name, data_type }).collect();
             let rows: Vec<Vec<Value>> =
                 values.chunks_exact(ncols).map(|chunk| chunk.to_vec()).collect();
-            wire::encode_result_set(&ResultSet { columns, rows })
+            ResultSet { columns, rows }
         })
+}
+
+/// A random result set, serialized canonically — what the payload fields of
+/// the `String`-payload messages carry.
+fn payload_strategy() -> impl Strategy<Value = String> {
+    result_set_strategy().prop_map(|rs| wire::encode_result_set(&rs))
 }
 
 fn commands_strategy() -> impl Strategy<Value = Vec<String>> {
@@ -110,9 +118,6 @@ fn request_strategy() -> impl Strategy<Value = Request> {
         (ident(), nasty_string(), proptest::option::of(nasty_string()))
             .prop_map(|(database, sql, baseline)| Request::PartialAgg { database, sql, baseline }),
         ident().prop_map(|database| Request::Schema { database }),
-        (ident(), ident(), payload_strategy())
-            .prop_map(|(database, table, payload)| { Request::Load { database, table, payload } }),
-        (ident(), ident()).prop_map(|(database, table)| Request::DropTemp { database, table }),
         (ident(), proptest::collection::vec((ident(), payload_strategy()), 0..3))
             .prop_map(|(database, parts)| Request::LoadMany { database, parts }),
         (ident(), proptest::collection::vec(ident(), 0..4))
@@ -231,7 +236,7 @@ proptest! {
     #[test]
     fn binary_frames_preserve_payload_bytes(payload in payload_strategy()) {
         let pool = BufferPool::default();
-        let resp = Response::OkPayload { payload: payload.clone() };
+        let resp: Response = Response::OkPayload { payload: payload.clone() };
         let frame = encode_response(&pool, None, &resp);
         let (_, got) = decode_response(&frame).unwrap();
         prop_assert_eq!(got, Response::OkPayload { payload });
@@ -243,14 +248,76 @@ proptest! {
     #[test]
     fn binary_frames_preserve_arbitrary_payloads(payload in ".{0,120}") {
         let pool = BufferPool::default();
-        let req = Request::Load {
-            database: "db".into(),
-            table: "t".into(),
-            payload: payload.clone(),
-        };
+        let parts = vec![("t".to_string(), payload)];
+        let req = Request::LoadMany { database: "db".into(), parts };
         let frame = encode_request(&pool, Some(7), &req);
         let (corr, got) = decode_request(&frame).unwrap();
         prop_assert_eq!(corr, Some(7));
-        prop_assert_eq!(got, Request::Load { database: "db".into(), table: "t".into(), payload });
+        prop_assert_eq!(got, req);
+    }
+
+    /// Messages holding rows and messages holding the rows' canonical text
+    /// are the same bytes on the wire, in both formats — the `String` shim
+    /// and the typed path cannot drift apart.
+    #[test]
+    fn typed_and_text_payload_encoders_agree(
+        rs in result_set_strategy(),
+        corr in proptest::option::of(any::<u64>()),
+    ) {
+        let pool = BufferPool::default();
+        let text = wire::encode_result_set(&rs);
+        let typed_resp =
+            Response::TaskDone { status: 'C', affected: 1, payload: Some(rs.clone()), error: None };
+        let text_resp =
+            Response::TaskDone { status: 'C', affected: 1, payload: Some(text.clone()), error: None };
+        prop_assert_eq!(typed_resp.encode(), text_resp.encode());
+        prop_assert_eq!(
+            &*encode_response(&pool, corr, &typed_resp),
+            &*encode_response(&pool, corr, &text_resp)
+        );
+        let typed_req = Request::LoadMany {
+            database: "db".into(),
+            parts: vec![("p1".to_string(), rs.clone()), ("p2".to_string(), rs.clone())],
+        };
+        let text_req = Request::LoadMany {
+            database: "db".into(),
+            parts: vec![("p1".to_string(), text.clone()), ("p2".to_string(), text.clone())],
+        };
+        prop_assert_eq!(typed_req.encode(), text_req.encode());
+        prop_assert_eq!(
+            &*encode_request(&pool, corr, &typed_req),
+            &*encode_request(&pool, corr, &text_req)
+        );
+    }
+
+    /// Typed decode ∘ typed encode is the identity in both formats, and the
+    /// decoder reports the size of the block that carried the rows — the
+    /// number `bytes=` notes and `lam.bytes` count.
+    #[test]
+    fn typed_roundtrip_is_identity(
+        rs in result_set_strategy(),
+        corr in proptest::option::of(any::<u64>()),
+    ) {
+        let pool = BufferPool::default();
+        let resp = Response::PartialDone {
+            payload: Some(rs.clone()),
+            error: None,
+            full_rows: 7,
+            full_bytes: 9,
+            access: Some("scan".to_string()),
+        };
+        let (got, size) = Response::<ResultSet>::decode_as(&resp.encode()).unwrap();
+        prop_assert_eq!(&got, &resp);
+        prop_assert_eq!(size, WireFormat::Text.payload_len(&rs));
+        let frame = encode_response(&pool, corr, &resp);
+        let (got_corr, got, size) = decode_response_as::<ResultSet>(&frame).unwrap();
+        prop_assert_eq!(got_corr, corr);
+        prop_assert_eq!(&got, &resp);
+        prop_assert_eq!(size, WireFormat::Binary.payload_len(&rs));
+
+        let req = Request::LoadMany { database: "db".into(), parts: vec![("p".to_string(), rs)] };
+        prop_assert_eq!(&Request::<ResultSet>::decode_as(&req.encode()).unwrap(), &req);
+        let frame = encode_request(&pool, corr, &req);
+        prop_assert_eq!(decode_request_as::<ResultSet>(&frame).unwrap(), (corr, req));
     }
 }

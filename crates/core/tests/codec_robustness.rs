@@ -4,7 +4,12 @@
 //! varints, and a seeded bit-flip mutation sweep over a corpus of real
 //! frames.
 
-use mdbs::codec::{decode_request, decode_response, encode_request, encode_response};
+use ldbs::engine::ResultSet;
+use mdbs::codec::varint::{write_str, write_u64};
+use mdbs::codec::{
+    decode_request, decode_request_as, decode_response, decode_response_as, encode_request,
+    encode_response,
+};
 use mdbs::proto::{Request, Response, TaskMode};
 use mdbs::MdbsError;
 use netsim::BufferPool;
@@ -45,11 +50,9 @@ fn request_corpus() -> Vec<Vec<u8>> {
             baseline: Some("SELECT cartype FROM cars".into()),
         },
         Request::Schema { database: "avis".into() },
-        Request::Load { database: "avis".into(), table: "part_t".into(), payload: payload.into() },
-        Request::DropTemp { database: "avis".into(), table: "part_t".into() },
         Request::LoadMany {
             database: "avis".into(),
-            parts: vec![("p1".into(), payload.to_string()), ("p2".into(), String::new())],
+            parts: vec![("p1".into(), payload.to_string()), ("p2".into(), "COLS \n".to_string())],
         },
         Request::DropMany { database: "avis".into(), tables: vec!["p1".into(), "p2".into()] },
         Request::Ping,
@@ -65,7 +68,7 @@ fn request_corpus() -> Vec<Vec<u8>> {
 fn response_corpus() -> Vec<Vec<u8>> {
     let pool = BufferPool::default();
     let payload = "COLS code:int\nR I:1\nR I:2\nR N\n";
-    let resps = [
+    let resps: [Response; 7] = [
         Response::Ok,
         Response::OkPayload { payload: payload.into() },
         Response::Err { message: "lock conflict | details\nline2".into() },
@@ -109,10 +112,9 @@ fn assert_wire_err<T: std::fmt::Debug>(result: Result<T, MdbsError>, context: &s
 fn every_truncation_of_every_request_frame_is_rejected() {
     for frame in request_corpus() {
         for cut in 0..frame.len() {
-            assert_wire_err(
-                decode_request(&frame[..cut]),
-                &format!("request frame truncated to {cut}/{} bytes", frame.len()),
-            );
+            let context = format!("request frame truncated to {cut}/{} bytes", frame.len());
+            assert_wire_err(decode_request(&frame[..cut]), &context);
+            assert_wire_err(decode_request_as::<ResultSet>(&frame[..cut]), &context);
         }
     }
 }
@@ -121,10 +123,9 @@ fn every_truncation_of_every_request_frame_is_rejected() {
 fn every_truncation_of_every_response_frame_is_rejected() {
     for frame in response_corpus() {
         for cut in 0..frame.len() {
-            assert_wire_err(
-                decode_response(&frame[..cut]),
-                &format!("response frame truncated to {cut}/{} bytes", frame.len()),
-            );
+            let context = format!("response frame truncated to {cut}/{} bytes", frame.len());
+            assert_wire_err(decode_response(&frame[..cut]), &context);
+            assert_wire_err(decode_response_as::<ResultSet>(&frame[..cut]), &context);
         }
     }
 }
@@ -132,10 +133,10 @@ fn every_truncation_of_every_response_frame_is_rejected() {
 #[test]
 fn corrupt_tag_bytes_are_rejected() {
     let pool = BufferPool::default();
-    let frame = encode_request(&pool, Some(5), &Request::Ping).into_vec();
+    let frame = encode_request(&pool, Some(5), &Request::<String>::Ping).into_vec();
     // The tag is the byte after magic/version/flags/varint-corr; locate it
     // by re-encoding without correlation (tag is then the last byte).
-    let tagless = encode_request(&pool, None, &Request::Ping).into_vec();
+    let tagless = encode_request(&pool, None, &Request::<String>::Ping).into_vec();
     let tag_at = tagless.len() - 1;
     for bad in [0u8, 0x11, 0x40, 0x7f, 0x80, 0x86, 0xff] {
         let mut corrupt = tagless.clone();
@@ -143,7 +144,7 @@ fn corrupt_tag_bytes_are_rejected() {
         assert_wire_err(decode_request(&corrupt), &format!("request tag {bad:#04x}"));
     }
     // A response tag in a request frame (and vice versa) is also corrupt.
-    let resp_frame = encode_response(&pool, None, &Response::Ok).into_vec();
+    let resp_frame = encode_response(&pool, None, &Response::<String>::Ok).into_vec();
     assert_wire_err(decode_request(&resp_frame), "response tag fed to request decoder");
     assert_wire_err(decode_response(&tagless), "request tag fed to response decoder");
     // Sanity: the untouched frames decode.
@@ -153,7 +154,7 @@ fn corrupt_tag_bytes_are_rejected() {
 #[test]
 fn overlong_and_oversized_varints_are_rejected() {
     let pool = BufferPool::default();
-    let good = encode_request(&pool, Some(1), &Request::Ping).into_vec();
+    let good = encode_request(&pool, Some(1), &Request::<String>::Ping).into_vec();
     // Frame layout: magic, version, flags(=1), varint corr(=1 byte), tag.
     // Replace the 1-byte correlation varint with pathological encodings.
     let (head, tail) = (&good[..3], &good[4..]);
@@ -179,7 +180,7 @@ fn overlong_and_oversized_varints_are_rejected() {
 fn trailing_garbage_is_rejected() {
     let pool = BufferPool::default();
     for extra in [&[0u8][..], &[0u8, 1, 2, 3][..]] {
-        let mut frame = encode_request(&pool, Some(9), &Request::Ping).into_vec();
+        let mut frame = encode_request(&pool, Some(9), &Request::<String>::Ping).into_vec();
         frame.extend_from_slice(extra);
         assert_wire_err(decode_request(&frame), "trailing bytes after a complete frame");
     }
@@ -205,6 +206,7 @@ fn seeded_bit_flip_sweep_never_panics_or_destabilizes() {
                 let bit = rng.gen_range(0u32..8);
                 mutant[byte] ^= 1 << bit;
             }
+            typed_request_decode_is_stable(&pool, &mutant);
             match decode_request(&mutant) {
                 Err(MdbsError::Wire(_)) => rejected += 1,
                 Err(other) => panic!("non-wire error from a corrupt frame: {other:?}"),
@@ -226,6 +228,7 @@ fn seeded_bit_flip_sweep_never_panics_or_destabilizes() {
             let byte = rng.gen_range(0usize..mutant.len());
             let bit = rng.gen_range(0u32..8);
             mutant[byte] ^= 1 << bit;
+            typed_response_decode_is_stable(&pool, &mutant);
             match decode_response(&mutant) {
                 Err(MdbsError::Wire(_)) => rejected += 1,
                 Err(other) => panic!("non-wire error from a corrupt frame: {other:?}"),
@@ -242,7 +245,82 @@ fn seeded_bit_flip_sweep_never_panics_or_destabilizes() {
     // The sweep must actually exercise the rejection paths (and a strict
     // format rejects the overwhelming majority of random corruption).
     assert!(rejected > absorbed, "rejected={rejected} absorbed={absorbed}");
-    assert!(rejected + absorbed == 17 * 200 + 7 * 200);
+    assert!(rejected + absorbed == 15 * 200 + 7 * 200);
+}
+
+/// The typed decoders under the same mutants: rejected with
+/// `MdbsError::Wire`, or decoded to rows whose re-encoding decodes back to
+/// the same rows.
+fn typed_request_decode_is_stable(pool: &BufferPool, mutant: &[u8]) {
+    match decode_request_as::<ResultSet>(mutant) {
+        Err(MdbsError::Wire(_)) => {}
+        Err(other) => panic!("non-wire error from a corrupt frame: {other:?}"),
+        Ok((corr, req)) => {
+            let re = encode_request(pool, corr, &req);
+            let again = decode_request_as::<ResultSet>(&re).expect("re-encode of decoded mutant");
+            assert_eq!(again, (corr, req));
+        }
+    }
+}
+
+fn typed_response_decode_is_stable(pool: &BufferPool, mutant: &[u8]) {
+    match decode_response_as::<ResultSet>(mutant) {
+        Err(MdbsError::Wire(_)) => {}
+        Err(other) => panic!("non-wire error from a corrupt frame: {other:?}"),
+        Ok((corr, resp, _)) => {
+            let re = encode_response(pool, corr, &resp);
+            let (corr2, resp2, _) =
+                decode_response_as::<ResultSet>(&re).expect("re-encode of decoded mutant");
+            assert_eq!((corr2, resp2), (corr, resp));
+        }
+    }
+}
+
+/// The frame tags of the retired `LOAD` / `DROPTEMP` requests stay reserved:
+/// a peer still sending them gets a wire error from both decoders.
+#[test]
+fn retired_request_tags_are_rejected() {
+    let pool = BufferPool::default();
+    let ping = encode_request(&pool, None, &Request::<String>::Ping).into_vec();
+    for tag in [0x0Bu8, 0x0C] {
+        let mut frame = ping.clone();
+        *frame.last_mut().unwrap() = tag;
+        write_str(&mut frame, "avis");
+        write_str(&mut frame, "part_t");
+        let err = decode_request(&frame).unwrap_err().to_string();
+        assert!(err.contains("retired request tag"), "{err}");
+        for cut in ping.len()..=frame.len() {
+            assert_wire_err(decode_request(&frame[..cut]), &format!("retired tag {tag:#04x}"));
+            assert_wire_err(
+                decode_request_as::<ResultSet>(&frame[..cut]),
+                &format!("retired tag {tag:#04x}"),
+            );
+        }
+    }
+}
+
+/// A forged row count must be refused before anything is allocated for it:
+/// a tiny frame claiming 2^62 rows is an error, not an out-of-memory abort.
+#[test]
+fn forged_row_count_is_rejected_without_allocating() {
+    let mut frame = vec![0xB1, 0x01, 0x00, 0x81];
+    write_u64(&mut frame, u64::from(u32::from('C'))); // status
+    write_u64(&mut frame, 0); // affected
+    frame.push(0); // no error
+    frame.push(1); // payload present
+    frame.push(1); // columnar block
+    write_u64(&mut frame, 1); // one column
+    write_str(&mut frame, "a");
+    frame.push(0); // int
+    write_u64(&mut frame, 1 << 62); // rows
+    assert_wire_err(decode_response(&frame), "forged row count, text payload");
+    assert_wire_err(decode_response_as::<ResultSet>(&frame), "forged row count, typed payload");
+    // The same with a forged column count.
+    let at = frame.len() - 13;
+    assert_eq!(frame[at], 1, "column count byte");
+    let mut wide = frame[..at].to_vec();
+    write_u64(&mut wide, 1 << 40);
+    assert_wire_err(decode_response_as::<ResultSet>(&wide), "forged column count");
 }
 
 /// The text decoders share the no-panic guarantee: any char-boundary
@@ -251,14 +329,14 @@ fn seeded_bit_flip_sweep_never_panics_or_destabilizes() {
 #[test]
 fn text_truncations_never_panic() {
     let bodies = [
-        Request::Task {
+        Request::<String>::Task {
             name: "t1".into(),
             mode: TaskMode::Auto,
             database: "avis".into(),
             commands: vec!["SELECT 'ünïcode | pipe' FROM cars".into()],
         }
         .encode(),
-        Response::TaskDone {
+        Response::<String>::TaskDone {
             status: 'C',
             affected: 2,
             payload: Some("COLS code:int\nR I:1\n".into()),
@@ -273,6 +351,8 @@ fn text_truncations_never_panic() {
             }
             let _ = Request::decode(&body[..cut]);
             let _ = Response::decode(&body[..cut]);
+            let _ = Request::<ResultSet>::decode_as(&body[..cut]);
+            let _ = Response::<ResultSet>::decode_as(&body[..cut]);
         }
     }
 }

@@ -16,8 +16,13 @@
 //! scaled multiplication while the reference adds sequentially, and only
 //! integer arithmetic makes those bit-identical.
 
+mod common;
+
+use common::{engine_counters, table_rows, Tap};
 use ldbs::value::Value;
 use mdbs::fixtures::paper_federation;
+use mdbs::proto::Request;
+use mdbs::WireFormat;
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -301,6 +306,76 @@ fn empty_sites_and_all_null_columns_agree() {
             let expected = reference(&s);
             assert_eq!(run(&s, true), expected, "pushdown-on, scenario {s:?}");
             assert_eq!(run(&s, false), expected, "pushdown-off, scenario {s:?}");
+        }
+    }
+}
+
+/// A pushed GROUP BY and a pushed top-k run one statement per site: the
+/// rewritten site query. Only `EXPLAIN` asks the sites to evaluate the
+/// unpushed subquery too (to report `full_rows` / `saved`); a plain statement
+/// sends `PARTIALAGG` without a baseline and each site scans its table once —
+/// under both wire formats.
+#[test]
+fn pushed_site_queries_run_once_outside_explain() {
+    const PUSHED_GROUP_BY: &str = "SELECT f.source, COUNT(*), MIN(g.rate)
+        FROM continental.flights f, delta.flight g
+        WHERE f.source = g.source
+        GROUP BY f.source";
+    const PUSHED_TOPK: &str = "SELECT f.flnu, g.fnu FROM continental.flights f, delta.flight g
+        ORDER BY f.flnu DESC, g.fnu LIMIT 2";
+    for format in [WireFormat::Text, WireFormat::Binary] {
+        for (query, strategy) in [(PUSHED_GROUP_BY, "agg-pushdown"), (PUSHED_TOPK, "topk-pushdown")]
+        {
+            let mut fed = paper_federation();
+            fed.parallel = false;
+            fed.wire_format = format;
+            let tap = Tap::install(&mut fed, "svc_delta", "site2");
+            fed.execute("USE continental delta").unwrap();
+            let sizes = [
+                ("svc_continental", table_rows(&fed, "svc_continental", "continental", "flights")),
+                ("svc_delta", table_rows(&fed, "svc_delta", "delta", "flight")),
+            ];
+            let counters = |fed: &mdbs::Federation| sizes.map(|(svc, _)| engine_counters(fed, svc));
+            let what = format!("{format:?} {strategy}");
+            tap.drain_partials();
+
+            let before = counters(&fed);
+            let plain = fed.execute(query).unwrap().into_table().unwrap();
+            let after = counters(&fed);
+            for (i, (svc, size)) in sizes.iter().enumerate() {
+                assert_eq!(after[i].0 - before[i].0, 1, "{what}: {svc} ran one statement");
+                assert_eq!(after[i].1 - before[i].1, *size, "{what}: {svc} scanned its table once");
+            }
+            let sent = tap.drain_partials();
+            assert!(
+                matches!(sent.as_slice(), [Request::PartialAgg { baseline: None, .. }]),
+                "{what}: one PARTIALAGG without a baseline, saw {sent:?}"
+            );
+
+            let report = fed.execute(&format!("EXPLAIN {query}")).unwrap().into_explain().unwrap();
+            let explained = counters(&fed);
+            for (i, (svc, size)) in sizes.iter().enumerate() {
+                assert_eq!(explained[i].0 - after[i].0, 2, "{what}: {svc} pushed query + baseline");
+                assert_eq!(explained[i].1 - after[i].1, 2 * size, "{what}: {svc} scanned twice");
+            }
+            let sent = tap.drain_partials();
+            assert!(
+                matches!(sent.as_slice(), [Request::PartialAgg { baseline: Some(_), .. }]),
+                "{what}: EXPLAIN sends the baseline, saw {sent:?}"
+            );
+            assert_eq!(report.join.as_ref().map(|j| j.strategy.as_str()), Some(strategy));
+            let pushdown = report.pushdown.as_ref().expect("a pushdown summary");
+            let unpushed: Vec<u64> = pushdown.rows.iter().map(|r| r.unpushed_rows).collect();
+            assert_eq!(unpushed, sizes.map(|(_, size)| size), "{what}: measured baselines");
+            if (format, strategy) == (WireFormat::Text, "agg-pushdown") {
+                // The text-wire numbers tests/golden/aggregate_pushdown.trace pins.
+                let text = report.render();
+                assert!(text.contains("bytes=68 full_rows=3 saved=0}"), "{text}");
+                assert!(text.contains("bytes=73 full_rows=2 saved=6}"), "{text}");
+                assert!(text.contains("bytes saved by semijoin: 6"), "{text}");
+            }
+            // EXPLAIN executed the statement again; nothing about it differs.
+            assert_eq!(fed.execute(query).unwrap().into_table().unwrap().rows, plain.rows);
         }
     }
 }

@@ -1,0 +1,95 @@
+//! A wire tap for integration tests: a site that records every request a
+//! service is sent and relays it to the service's real LAM, so a test can
+//! assert on what actually crossed the wire in either format.
+
+use ldbs::engine::ResultSet;
+use mdbs::proto::{self, RowsRequest};
+use mdbs::{codec, Federation};
+use netsim::Body;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::Duration;
+
+pub struct Tap {
+    seen: Arc<Mutex<Vec<RowsRequest>>>,
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Tap {
+    /// Re-points `service` (whose LAM listens at `real_site`) at a relay site
+    /// and starts recording.
+    pub fn install(fed: &mut Federation, service: &str, real_site: &str) -> Tap {
+        let tap_site = format!("tap_{service}");
+        let endpoint = fed.network().register(&tap_site).expect("tap site");
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (thread_seen, thread_stop, real) =
+            (Arc::clone(&seen), Arc::clone(&stop), real_site.to_string());
+        let thread = std::thread::spawn(move || {
+            // correlation id → the client waiting for that reply.
+            let mut waiting: HashMap<u64, String> = HashMap::new();
+            while !thread_stop.load(Ordering::SeqCst) {
+                let Ok(msg) = endpoint.recv_timeout(Duration::from_millis(20)) else { continue };
+                let corr = match &msg.body {
+                    Body::Text(text) => proto::split_correlation(text).0,
+                    Body::Binary(bytes) => codec::peek_correlation(bytes),
+                };
+                if msg.from == real {
+                    if let Some(client) = corr.and_then(|id| waiting.remove(&id)) {
+                        let _ = endpoint.send(&client, msg.body);
+                    }
+                    continue;
+                }
+                let decoded = match &msg.body {
+                    Body::Text(text) => {
+                        proto::Request::<ResultSet>::decode_as(proto::split_correlation(text).1)
+                    }
+                    Body::Binary(bytes) => codec::decode_request_as(bytes).map(|(_, req)| req),
+                };
+                thread_seen.lock().unwrap().push(decoded.expect("a well-formed request"));
+                if let Some(id) = corr {
+                    waiting.insert(id, msg.from.clone());
+                }
+                let _ = endpoint.send(&real, msg.body);
+            }
+        });
+        fed.execute(&format!(
+            "INCORPORATE SERVICE {service} SITE {tap_site} CONNECTMODE CONNECT COMMITMODE NOCOMMIT"
+        ))
+        .expect("re-point the service at the tap");
+        Tap { seen, stop, thread: Some(thread) }
+    }
+
+    /// The `PARTIAL` / `PARTIALAGG` requests recorded since the last call
+    /// (handshakes, statistics fetches and the like are dropped).
+    pub fn drain_partials(&self) -> Vec<RowsRequest> {
+        let mut seen = std::mem::take(&mut *self.seen.lock().unwrap());
+        seen.retain(|r| matches!(r, RowsRequest::Partial { .. } | RowsRequest::PartialAgg { .. }));
+        seen
+    }
+}
+
+impl Drop for Tap {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// `(statements, rows_scanned)` of a service's engine.
+pub fn engine_counters(fed: &Federation, service: &str) -> (u64, u64) {
+    let stats = fed.engine(service).expect("service engine").lock().stats();
+    (stats.statements, stats.rows_scanned)
+}
+
+/// Rows currently stored in `service`'s table `db.table`.
+pub fn table_rows(fed: &Federation, service: &str, db: &str, table: &str) -> u64 {
+    let engine = fed.engine(service).expect("service engine");
+    let engine = engine.lock();
+    engine.database(db).expect("database").table(table).expect("table").len() as u64
+}

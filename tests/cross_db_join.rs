@@ -3,8 +3,13 @@
 //! (paper §4.3's decomposition phase + §4.1's "partial results are collected
 //! in one database, acting as the coordinator").
 
+mod common;
+
+use common::{engine_counters, table_rows, Tap};
 use ldbs::value::Value;
 use mdbs::fixtures::paper_federation;
+use mdbs::proto::Request;
+use mdbs::WireFormat;
 
 #[test]
 fn join_flights_with_cars_across_databases() {
@@ -269,5 +274,84 @@ fn coordinator_requests_are_metered_like_every_other_request() {
         assert_eq!(grew(&series("wire.encode_us")), 5, "{format:?}");
         assert_eq!(grew(&series("wire.decode_us")), 5, "{format:?}");
         assert_eq!(messages, 10, "{format:?}: one request and one reply each");
+    }
+}
+
+/// A site runs each subquery once. Only `EXPLAIN` asks the reduced site to
+/// evaluate the unreduced subquery as well, to report what the semi-join
+/// saved; a plain statement sends no baseline and scans no row for one —
+/// pinned on the wire (what `PARTIAL` carried) and in the engines' own
+/// counters, under both wire formats.
+#[test]
+fn a_reduced_join_runs_each_subquery_once_outside_explain() {
+    for format in [WireFormat::Text, WireFormat::Binary] {
+        let mut fed = paper_federation();
+        fed.parallel = false;
+        fed.wire_format = format;
+        let tap = Tap::install(&mut fed, "svc_delta", "site2");
+        fed.execute("USE continental delta").unwrap();
+        let flights = table_rows(&fed, "svc_continental", "continental", "flights");
+        let flight = table_rows(&fed, "svc_delta", "delta", "flight");
+        tap.drain_partials();
+
+        // Plain execute: continental (the reducer) and delta scan their
+        // table once each; the coordinator then scans the two temp tables.
+        let cont0 = engine_counters(&fed, "svc_continental");
+        let delta0 = engine_counters(&fed, "svc_delta");
+        let rs = fed.execute(EQUI_JOIN).unwrap().into_table().unwrap();
+        let cont1 = engine_counters(&fed, "svc_continental");
+        let delta1 = engine_counters(&fed, "svc_delta");
+        // `lam.rows` counts the rows of the shipped partials.
+        let shipped: u64 = ["continental", "delta"]
+            .iter()
+            .map(|db| fed.metrics_registry().counter(&format!("lam.rows{{db={db}}}")))
+            .sum();
+        assert_eq!(rs.rows.len(), 1);
+        assert_eq!(delta1.0 - delta0.0, 1, "{format:?}: delta ran one statement");
+        assert_eq!(delta1.1 - delta0.1, flight, "{format:?}: delta scanned its table once");
+        assert_eq!(cont1.0 - cont0.0, 2, "{format:?}: the partial and Q'");
+        assert_eq!(
+            cont1.1 - cont0.1,
+            flights + shipped,
+            "{format:?}: one scan plus Q' over the partials"
+        );
+        let sent = tap.drain_partials();
+        let [Request::Partial { sql, baseline: None, .. }] = sent.as_slice() else {
+            panic!("{format:?}: delta should see one PARTIAL without a baseline, saw {sent:?}");
+        };
+        assert!(sql.contains(" IN ("), "the subquery was semi-join reduced: {sql}");
+        assert_eq!(fed.metrics_registry().counter("lam.bytes_saved{db=delta}"), 0);
+
+        // EXPLAIN of the same statement: delta also runs the unreduced
+        // subquery, and the report shows what the reduction saved.
+        let report = fed.execute(&format!("EXPLAIN {EQUI_JOIN}")).unwrap().into_explain().unwrap();
+        let delta2 = engine_counters(&fed, "svc_delta");
+        assert_eq!(delta2.0 - delta1.0, 2, "{format:?}: reduced subquery + baseline");
+        assert_eq!(
+            delta2.1 - delta1.1,
+            2 * flight,
+            "{format:?}: the baseline scans the table again"
+        );
+        let sent = tap.drain_partials();
+        let [Request::Partial { baseline: Some(unreduced), .. }] = sent.as_slice() else {
+            panic!("{format:?}: EXPLAIN sends the baseline, saw {sent:?}");
+        };
+        assert!(!unreduced.contains(" IN ("), "{unreduced}");
+        let text = report.render();
+        let join = report.join.as_ref().expect("a join summary");
+        assert!(
+            join.bytes_saved > 0 && text.contains(&format!("saved={}}}", join.bytes_saved)),
+            "{text}"
+        );
+        assert_eq!(
+            fed.metrics_registry().counter("lam.bytes_saved{db=delta}"),
+            join.bytes_saved,
+            "{format:?}"
+        );
+        if format == WireFormat::Text {
+            // The text-wire numbers are the ones the goldens always showed.
+            assert!(text.contains("access=scan saved=31}"), "{text}");
+            assert!(text.contains("bytes saved by semijoin: 31"), "{text}");
+        }
     }
 }

@@ -72,8 +72,7 @@ fn dol_retrieval_returns_serialized_partials() {
         )
         .unwrap();
     let raw = out.task_results.get("Q1").expect("partial result");
-    let (_affected, payload) = mdbs::lamclient::decode_task_result(raw).unwrap();
-    let rs = mdbs::wire::decode_result_set(&payload.unwrap()).unwrap();
+    let rs = mdbs::wire::decode_result_set(raw).unwrap();
     assert_eq!(rs.rows.len(), 2);
     assert_eq!(rs.columns[0].name, "code");
 }
