@@ -42,8 +42,9 @@ cargo test -q -p ldbs --test index_equivalence
 
 echo "== lock-manager stress matrix =="
 # The seeded lock/deadlock stress schedules under increasing thread counts:
-# invariants (no lost locks, no lost updates, every cycle broken) must hold
-# whether contention is light or heavily oversubscribed on this host.
+# invariants (no lost locks, no lost updates, every cycle that forms broken)
+# must hold whether contention is light or heavily oversubscribed on this
+# host; the barrier-built AB/BA pair in the same file proves detection.
 for n in 2 4 8; do
     echo "--  $n worker threads"
     LOCK_STRESS_THREADS=$n cargo test -q -p ldbs --test lock_stress
@@ -89,6 +90,29 @@ echo "== round-trip gate =="
 # in the fault_tolerance run of the tier-1 pass above.
 cargo test -q --test round_trips
 
+echo "== thread gate =="
+# After warm-up no statement starts a thread: a LAM serves each request on
+# the thread that received it and grows only when a request parks on a lock
+# wait; a session fans out on one long-lived worker set. Pinned three ways:
+# the thread gauges do not move over 500 warm statements (and contention
+# moves exactly one); the LAM keeps serving while requests are parked — each
+# of those tests hangs or fails on a server that never grows; and the only
+# thread-creation sites on the statement path are the LAM's server-thread
+# start and the worker-set module.
+cargo test -q --test thread_budget
+cargo test -q -p mdbs --lib lam::tests::
+cargo test -q -p dol --lib workers::
+for f in crates/core/src/{lam,lamclient,executor,federation}.rs crates/dol/src/*.rs; do
+    [ "$f" = crates/dol/src/workers.rs ] && continue
+    allowed=0
+    [ "$f" = crates/core/src/lam.rs ] && allowed=1 # start_server_thread
+    found=$(sed '/^#\[cfg(test)\]/,$d' "$f" | grep -cE 'thread::(spawn|scope|Builder)' || true)
+    if [ "$found" != "$allowed" ]; then
+        echo "$f creates threads at $found site(s) outside its tests, expected $allowed" >&2
+        exit 1
+    fi
+done
+
 echo "== single-execution gate =="
 # A site runs each subquery once: only EXPLAIN asks it to evaluate the
 # unreduced / unpushed baseline as well. Pinned on the wire (what PARTIAL /
@@ -117,6 +141,17 @@ echo "== fedbench: build + smoke =="
 # runs every workload for a few passes and checks every result.
 cargo build --release --offline --manifest-path fedbench/Cargo.toml
 cargo test -q --offline --manifest-path fedbench/Cargo.toml
+# Two sessions running the same cross-database join must not share the
+# coordinator's temp tables (each spawned session names its own).
+collision=$(cargo run --release --offline --quiet --manifest-path fedbench/Cargo.toml -- --repro xjoin_collision)
+echo "$collision"
+case "$collision" in
+*": 0 failed;"*) ;;
+*)
+    echo "concurrent cross-database joins failed" >&2
+    exit 1
+    ;;
+esac
 
 echo "== bench smoke (--test mode) =="
 # Every benchmark payload must still execute; no timing sweep. This includes

@@ -22,7 +22,7 @@ use crate::translate::{
     DbRoute, DbSubquery, Decomposition, GeneratedPlan, PushdownPlan, MTX_FAILED,
 };
 use crate::wal::{Wal, WalObserver, WalRecord};
-use dol::{DolEngine, DolOutcome, TaskStatus};
+use dol::{DolEngine, DolOutcome, TaskStatus, WorkerSet};
 use ldbs::engine::ResultSet;
 use ldbs::eval::value_literal;
 use ldbs::value::Value;
@@ -165,8 +165,8 @@ pub struct Executor {
     /// pool, timeout, retry policy, wire format and metrics sink. Its
     /// `stats` cell is the session-level accounting every run merges into.
     pub lams: LamFactory,
-    /// Whether DOL task batches and settle lists run in parallel (one
-    /// thread per service), and cross-database partials one thread per LAM.
+    /// Whether the services of a DOL task batch or settle list, and the
+    /// sites of a cross-database join's partials, work concurrently.
     pub parallel: bool,
     /// Semi-join reduction of cross-database joins: ship the reducer's
     /// distinct join-key values to the other sites as `IN (…)` filters so
@@ -199,10 +199,14 @@ pub struct Executor {
     /// the settle decision, resolutions, END) so
     /// [`crate::Federation::recover`] can finish interrupted statements.
     pub wal: Option<Wal>,
+    /// The threads every fan-out of this executor runs on — the owning
+    /// session's, so they outlive the executor; its DOL engines share them.
+    pub(crate) workers: WorkerSet,
 }
 
 impl Executor {
-    /// An executor over `lams` with the default data-flow policies.
+    /// An executor over `lams` with the default data-flow policies and a
+    /// worker set of its own.
     pub fn new(lams: LamFactory, parallel: bool) -> Self {
         Executor {
             lams,
@@ -214,6 +218,7 @@ impl Executor {
             measure_baseline: false,
             planner: None,
             wal: None,
+            workers: WorkerSet::new(),
         }
     }
 
@@ -231,8 +236,8 @@ impl Executor {
             outputs: TaskOutputs::clone(&outputs),
             ..self.lams.clone()
         };
-        let mut engine =
-            if self.parallel { DolEngine::new(&factory) } else { DolEngine::serial(&factory) };
+        let mut engine = DolEngine::new(&factory).with_workers(&self.workers);
+        engine.parallel = self.parallel;
         engine.trace = self.trace.clone();
         // Log the multitransaction BEGIN (tasks, states, oracle, the
         // presumed-abort compensation set) before anything executes, and
@@ -400,8 +405,9 @@ impl Executor {
     ///   wire. An edge whose key set exceeds [`Self::semijoin_cap`] falls
     ///   back to full shipping.
     /// * **Parallel partial dispatch** (when [`Self::parallel`]): the
-    ///   remaining subqueries run concurrently, one scoped thread per LAM,
-    ///   so N sites cost ≈1 round trip instead of N.
+    ///   remaining subqueries run concurrently — the first on this thread,
+    ///   the others on the session's parked workers — so N sites cost ≈1
+    ///   round trip instead of N.
     pub fn run_cross_db(
         &self,
         dec: &Decomposition,
@@ -455,14 +461,15 @@ impl Executor {
             };
             let sub = &dec.subqueries[reducer];
             let est_rows = estimates.as_ref().map(|e| e[reducer].rows.round() as u64);
-            let result = self.dispatch_site(
-                sub,
-                sub_routes[reducer],
-                &print_select(&sub.select),
-                Rewrite::None,
-                est_rows,
-                &join_span.ctx(),
-            )?;
+            let result = self
+                .site_dispatch(
+                    sub,
+                    sub_routes[reducer],
+                    print_select(&sub.select),
+                    Rewrite::None,
+                    est_rows,
+                )
+                .run(&self.lams, &join_span.ctx())?;
             let rs = &result.rows;
             for key in &dec.join_keys {
                 let (Some(own), Some(other)) =
@@ -552,17 +559,20 @@ impl Executor {
 
         // 2. Dispatch the remaining subqueries — concurrently when allowed.
         let pending: Vec<usize> = (0..n).filter(|&i| results[i].is_none()).collect();
-        let ctx = join_span.ctx();
-        let dispatched = self.dispatch_all(&pending, |i| {
-            let sub = &dec.subqueries[i];
-            let (sql, rewrite) = if filters[i].is_empty() {
-                (print_select(&sub.select), Rewrite::None)
-            } else {
-                (print_select(&with_conjuncts(&sub.select, &filters[i])), Rewrite::Semijoin)
-            };
-            let est_rows = estimates.as_ref().map(|e| e[i].rows.round() as u64);
-            self.dispatch_site(sub, sub_routes[i], &sql, rewrite, est_rows, &ctx)
-        })?;
+        let dispatches = pending
+            .iter()
+            .map(|&i| {
+                let sub = &dec.subqueries[i];
+                let (sql, rewrite) = if filters[i].is_empty() {
+                    (print_select(&sub.select), Rewrite::None)
+                } else {
+                    (print_select(&with_conjuncts(&sub.select, &filters[i])), Rewrite::Semijoin)
+                };
+                let est_rows = estimates.as_ref().map(|e| e[i].rows.round() as u64);
+                self.site_dispatch(sub, sub_routes[i], sql, rewrite, est_rows)
+            })
+            .collect();
+        let dispatched = self.dispatch_all(dispatches, &join_span.ctx())?;
         for (&i, p) in pending.iter().zip(dispatched) {
             results[i] = Some(p);
         }
@@ -665,83 +675,54 @@ impl Executor {
         }
     }
 
-    /// Runs `dispatch(i)` for every `i` in `pending` — one scoped thread per
-    /// site when [`Self::parallel`] — and returns the results in `pending`
-    /// order. When several sites fail, the error of the first one in that
+    /// Runs every dispatch — concurrently on the worker set when
+    /// [`Self::parallel`], the first on this thread — and returns the results
+    /// in order. When several sites fail, the error of the first one in that
     /// order wins, so serial and parallel runs report the same one.
-    fn dispatch_all<F>(
+    fn dispatch_all(
         &self,
-        pending: &[usize],
-        dispatch: F,
-    ) -> Result<Vec<PartialResult>, MdbsError>
-    where
-        F: Fn(usize) -> Result<PartialResult, MdbsError> + Sync,
-    {
+        dispatches: Vec<SiteDispatch>,
+        ctx: &SpanCtx,
+    ) -> Result<Vec<PartialResult>, MdbsError> {
         let dispatched: Vec<Result<PartialResult, MdbsError>> =
-            if self.parallel && pending.len() > 1 {
-                std::thread::scope(|scope| {
-                    let dispatch = &dispatch;
-                    let handles: Vec<_> =
-                        pending.iter().map(|&i| scope.spawn(move || dispatch(i))).collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("partial dispatch thread panicked"))
-                        .collect()
-                })
+            if self.parallel && dispatches.len() > 1 {
+                let jobs = dispatches
+                    .into_iter()
+                    .map(|dispatch| {
+                        let (lams, ctx) = (self.lams.clone(), ctx.clone());
+                        move || dispatch.run(&lams, &ctx)
+                    })
+                    .collect();
+                self.workers.run(jobs)
             } else {
-                pending.iter().map(|&i| dispatch(i)).collect()
+                dispatches.into_iter().map(|dispatch| dispatch.run(&self.lams, ctx)).collect()
             };
         dispatched.into_iter().collect()
     }
 
-    /// Connects to one subquery's LAM and evaluates `sql` there — the
-    /// subquery as decomposed, or rewritten as `rewrite` says. `est_rows` is
-    /// the planner's row estimate for the subquery *as decomposed*, noted on
-    /// the span so EXPLAIN can show estimated vs. actual. Under
-    /// [`Self::measure_baseline`] a rewritten subquery's LAM also measures
-    /// the decomposed one, and the span and metrics report what the rewrite
-    /// kept off the wire.
-    fn dispatch_site(
+    /// What to send one subquery's site: `sql` is the subquery as decomposed,
+    /// or rewritten as `rewrite` says. `est_rows` is the planner's row
+    /// estimate for the subquery *as decomposed*. Under
+    /// [`Self::measure_baseline`] a rewritten subquery's LAM is also asked to
+    /// measure the decomposed one.
+    fn site_dispatch(
         &self,
         sub: &DbSubquery,
         route: &DbRoute,
-        sql: &str,
+        sql: String,
         rewrite: Rewrite,
         est_rows: Option<u64>,
-        ctx: &SpanCtx,
-    ) -> Result<PartialResult, MdbsError> {
-        let client = self.lams.checkout(&route.site, &sub.database)?;
-        let span = ctx.child(format!("lam:partial:{}", sub.database));
-        if let Some(est) = est_rows {
-            span.note("est_rows", est);
-        }
-        let pushed = match rewrite {
-            Rewrite::None => false,
-            Rewrite::Semijoin => {
-                span.note("reduced", "semijoin");
-                false
-            }
-            Rewrite::Pushed(kind) => {
-                span.note("pushed", kind);
-                true
-            }
-        };
+    ) -> SiteDispatch {
         let baseline = (self.measure_baseline && !matches!(rewrite, Rewrite::None))
             .then(|| print_select(&sub.select));
-        let result = client.run_partial(sql, baseline.as_deref(), pushed, &span)?;
-        if let Some(access) = &result.access {
-            span.note("access", access);
+        SiteDispatch {
+            database: sub.database.clone(),
+            site: route.site.clone(),
+            sql,
+            rewrite,
+            baseline,
+            est_rows,
         }
-        if pushed && result.full_rows > 0 {
-            span.note("full_rows", result.full_rows);
-        }
-        if result.full_bytes > 0 {
-            span.note("saved", result.saved());
-            self.lams
-                .metrics
-                .counter_add(&labeled("lam.bytes_saved", "db", &sub.database), result.saved());
-        }
-        Ok(result)
     }
 
     /// Executes an aggregate/top-k pushdown plan: every site evaluates its
@@ -756,7 +737,7 @@ impl Executor {
         estimates: Option<&[Estimate]>,
         join_span: &Span,
     ) -> Result<ResultSet, MdbsError> {
-        let (kind, site_sql): (&str, Vec<String>) = match plan {
+        let (kind, site_sql): (&'static str, Vec<String>) = match plan {
             PushdownPlan::Aggregate(p) => {
                 ("agg", p.sites.iter().map(|s| print_select(&s.select)).collect())
             }
@@ -764,19 +745,21 @@ impl Executor {
                 ("topk", p.sites.iter().map(|s| print_select(&s.select)).collect())
             }
         };
-        let all: Vec<usize> = (0..dec.subqueries.len()).collect();
-        let ctx = join_span.ctx();
-        let partials = self.dispatch_all(&all, |i| {
-            let est_rows = estimates.map(|e| e[i].rows.round() as u64);
-            self.dispatch_site(
-                &dec.subqueries[i],
-                sub_routes[i],
-                &site_sql[i],
-                Rewrite::Pushed(kind),
-                est_rows,
-                &ctx,
-            )
-        })?;
+        let dispatches = site_sql
+            .into_iter()
+            .enumerate()
+            .map(|(i, sql)| {
+                let est_rows = estimates.map(|e| e[i].rows.round() as u64);
+                self.site_dispatch(
+                    &dec.subqueries[i],
+                    sub_routes[i],
+                    sql,
+                    Rewrite::Pushed(kind),
+                    est_rows,
+                )
+            })
+            .collect();
+        let partials = self.dispatch_all(dispatches, &join_span.ctx())?;
         let bytes_saved: u64 = partials.iter().map(PartialResult::saved).sum();
         let parts: Vec<ResultSet> = partials.into_iter().map(|p| p.rows).collect();
         self.lams.metrics.counter_add("agg.pushdown", 1);
@@ -810,13 +793,63 @@ impl Executor {
 /// How the subquery a site is sent differs from the one decomposition
 /// produced for it.
 #[derive(Clone, Copy)]
-enum Rewrite<'a> {
+enum Rewrite {
     /// It does not.
     None,
     /// Semi-join filters were ANDed onto its WHERE clause.
     Semijoin,
     /// It is a pushdown plan's site query of this kind (`agg` / `topk`).
-    Pushed(&'a str),
+    Pushed(&'static str),
+}
+
+/// One site's share of a cross-database join, owning all it needs so that
+/// it can run on a worker thread.
+struct SiteDispatch {
+    database: String,
+    site: String,
+    sql: String,
+    rewrite: Rewrite,
+    /// The subquery as decomposed, when its LAM should measure it too.
+    baseline: Option<String>,
+    est_rows: Option<u64>,
+}
+
+impl SiteDispatch {
+    /// Checks out the site's LAM and evaluates the subquery there, noting
+    /// the estimate (so EXPLAIN can show estimated vs. actual), the rewrite
+    /// and — when a baseline was measured — what it kept off the wire on the
+    /// span and the metrics.
+    fn run(self, lams: &LamFactory, ctx: &SpanCtx) -> Result<PartialResult, MdbsError> {
+        let client = lams.checkout(&self.site, &self.database)?;
+        let span = ctx.child(format!("lam:partial:{}", self.database));
+        if let Some(est) = self.est_rows {
+            span.note("est_rows", est);
+        }
+        let pushed = match self.rewrite {
+            Rewrite::None => false,
+            Rewrite::Semijoin => {
+                span.note("reduced", "semijoin");
+                false
+            }
+            Rewrite::Pushed(kind) => {
+                span.note("pushed", kind);
+                true
+            }
+        };
+        let result = client.run_partial(&self.sql, self.baseline.as_deref(), pushed, &span)?;
+        if let Some(access) = &result.access {
+            span.note("access", access);
+        }
+        if pushed && result.full_rows > 0 {
+            span.note("full_rows", result.full_rows);
+        }
+        if result.full_bytes > 0 {
+            span.note("saved", result.saved());
+            lams.metrics
+                .counter_add(&labeled("lam.bytes_saved", "db", &self.database), result.saved());
+        }
+        Ok(result)
+    }
 }
 
 /// Chooses the semi-join reducer: among the subqueries on at least one join

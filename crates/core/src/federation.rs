@@ -31,6 +31,7 @@ use crate::wal::{Wal, WalDecision, WalRecord};
 use catalog::{
     apply_import, AuxiliaryDirectory, GddColumn, GddTable, GlobalDataDictionary, ServiceEntry,
 };
+use dol::WorkerSet;
 use ldbs::profile::StatementClass;
 use ldbs::Engine;
 use msql_lang::printer::print;
@@ -109,16 +110,16 @@ pub struct Session {
     /// True while [`Session::explain`] runs its target: the one time sites
     /// are asked to measure the subquery a rewrite replaced.
     explaining: bool,
-    /// Fan DOL task batches and `COMMIT`/`ABORT` settle lists out in
-    /// parallel, one thread per service (default true).
+    /// Let the services of a DOL task batch or `COMMIT`/`ABORT` settle list,
+    /// and the sites of a join's partials, work concurrently (default true).
     pub parallel: bool,
     /// Per-request network timeout.
     pub timeout: Duration,
     /// Transient-fault retry policy for every LAM request (default: a
     /// single attempt, faults surface immediately).
     pub retry: RetryPolicy,
-    /// Tunables for the LAM server threads this federation spawns
-    /// (control timeout, poll interval, dedup cache size).
+    /// Tunables for the LAM servers this federation spawns (control
+    /// timeout, lock-wait timeout, dedup cache size).
     pub lam_config: LamConfig,
     /// Graceful degradation: tolerate services unreachable at OPEN time,
     /// letting the §3.2 vital semantics decide the statement's fate
@@ -160,6 +161,10 @@ pub struct Session {
     /// members hand their connections back when they resolve) and before
     /// `core`.
     pool: ConnectionPool,
+    /// The parked threads every fan-out of this session's statements runs
+    /// on (the calling thread takes the first share itself): started by the
+    /// first statement that needs them, joined with the session.
+    workers: WorkerSet,
     /// The tracer of the statement currently executing (None between
     /// statements; trigger actions reuse the active tracer).
     trace: Option<Tracer>,
@@ -268,6 +273,7 @@ impl Session {
             wire_format: WireFormat::default(),
             stats: shared_stats(),
             pool: ConnectionPool::new(core.net.clone()),
+            workers: WorkerSet::new(),
             trace: None,
             trace_ctx: SpanCtx::disabled(),
             last_trace: None,
@@ -311,8 +317,10 @@ impl Session {
 
     /// Observability snapshot: every counter/gauge/histogram accumulated so
     /// far (network traffic, per-LAM calls and payloads, per-phase
-    /// latencies), with each service's local engine statistics scraped into
-    /// `ldbs.*{service=...}` gauges at call time.
+    /// latencies), with each service's local engine statistics and LAM server
+    /// counters scraped into `ldbs.*{service=...}` / `lam.*{service=...}`
+    /// gauges, and the size of this session's worker set into
+    /// `session.worker_threads`, at call time.
     pub fn metrics(&self) -> MetricsSnapshot {
         for (service, lam) in self.core.lams.read().iter() {
             let stats = lam.engine.lock().stats();
@@ -327,7 +335,18 @@ impl Session {
             gauge("ldbs.index_hits", stats.index_hits);
             gauge("lam.served", lam.stats.served.load(std::sync::atomic::Ordering::Relaxed));
             gauge("lam.replayed", lam.stats.replayed.load(std::sync::atomic::Ordering::Relaxed));
+            gauge(
+                "lam.server_threads",
+                lam.stats.server_threads.load(std::sync::atomic::Ordering::Relaxed),
+            );
         }
+        // This session's worker set; labeled like everything else a spawned
+        // session reports.
+        let workers = match self.id {
+            0 => "session.worker_threads".to_string(),
+            id => labeled("session.worker_threads", "session", &id.to_string()),
+        };
+        self.core.metrics.gauge_set(&workers, self.workers.threads() as i64);
         self.core.metrics.snapshot()
     }
 
@@ -473,6 +492,7 @@ impl Session {
             measure_baseline: self.explaining,
             planner: None,
             wal: self.wal.clone(),
+            workers: self.workers.clone(),
         }
     }
 
@@ -617,11 +637,8 @@ impl Session {
     pub fn execute_dol(&mut self, program: &str) -> Result<dol::DolOutcome, MdbsError> {
         let parsed = dol::parse_program(program)?;
         let factory = self.lams();
-        let mut engine = if self.parallel {
-            dol::DolEngine::new(&factory)
-        } else {
-            dol::DolEngine::serial(&factory)
-        };
+        let mut engine = dol::DolEngine::new(&factory).with_workers(&self.workers);
+        engine.parallel = self.parallel;
         engine.trace = self.trace_ctx.clone();
         let mut out = engine.execute(&parsed)?;
         // DOL reports a retrieval task's result serialized; the text codec
@@ -1034,7 +1051,7 @@ impl Session {
             },
             Translated::CrossDb(dec) => {
                 let started = self.core.clock.now();
-                let rs = self.run_cross_db_costed(&dec, &routes)?;
+                let rs = self.run_cross_db_costed(*dec, &routes)?;
                 self.core
                     .metrics
                     .observe("phase.execute", self.core.clock.now().saturating_sub(started));
@@ -1138,7 +1155,7 @@ impl Session {
                 let mt = self.executor().run_retrieval(&plan)?;
                 mt.tables.into_iter().next().map(|t| t.result).unwrap_or_default()
             }
-            Translated::CrossDb(dec) => self.run_cross_db_costed(&dec, &routes)?,
+            Translated::CrossDb(dec) => self.run_cross_db_costed(*dec, &routes)?,
         };
 
         // 2. Ship the rows as batched INSERT statements.
@@ -1577,14 +1594,23 @@ impl Session {
 
     /// Runs a cross-database decomposition with the cost planner's context
     /// attached (when the session has it enabled and statistics exist).
+    ///
+    /// Sessions share the coordinator database, so a spawned session gives
+    /// its partial-result tables names of its own (`part_<db>_s<id>`): it
+    /// runs one statement at a time, so they collide with nobody's, and a
+    /// crashed statement's leftovers are replaced by the same session's next
+    /// join exactly as the primary session's `part_<db>` are.
     fn run_cross_db_costed(
         &self,
-        dec: &Decomposition,
+        mut dec: Decomposition,
         routes: &HashMap<String, DbRoute>,
     ) -> Result<ldbs::engine::ResultSet, MdbsError> {
+        if self.id != 0 {
+            dec.suffix_part_tables(&format!("_s{}", self.id));
+        }
         let mut ex = self.executor();
-        ex.planner = self.planner_context(dec, routes);
-        ex.run_cross_db(dec, routes)
+        ex.planner = self.planner_context(&dec, routes);
+        ex.run_cross_db(&dec, routes)
     }
 
     /// Ships a CREATE INDEX to the owning LAM. Indexes are a local access

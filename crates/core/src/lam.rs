@@ -3,8 +3,11 @@
 //! A LAM (paper §4.1) runs at a site, wraps one local DBMS engine, executes
 //! the commands the DOL engine ships to it, and sends partial results back.
 //! "LAMs execute local commands and produce partial results, which are sent
-//! either to the engine or to other LAMs." Here each LAM is a thread
-//! servicing a [`netsim`] mailbox with the [`crate::proto`] protocol.
+//! either to the engine or to other LAMs." Here each LAM is a long-running
+//! server on a [`netsim`] mailbox speaking the [`crate::proto`] protocol: one
+//! thread that receives a request, executes it against the engine and sends
+//! the reply itself, joined by a second (third, …) identical thread only
+//! while a request is parked on a lock wait — see [`spawn_lam_with`].
 
 use crate::codec::{self, WireFormat};
 use crate::error::MdbsError;
@@ -18,9 +21,10 @@ use ldbs::table::Table;
 use ldbs::txn::TxnId;
 use ldbs::value::DataType;
 use msql_lang::TypeName;
-use netsim::{Body, BufferPool, NetError, Network};
+use netsim::{Body, BufferPool, Endpoint, Network};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -30,16 +34,14 @@ use std::time::{Duration, Instant};
 /// slice (it wakes earlier the moment a lock is released).
 const LOCK_WAIT_SLICE: Duration = Duration::from_millis(50);
 
-/// Tunables for a LAM server thread. Threaded down from
+/// Tunables for a LAM server. Threaded down from
 /// [`crate::federation::Federation`] so a deployment is configured in one
 /// place instead of through magic constants.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LamConfig {
-    /// How long shutdown waits for the server thread to acknowledge the
-    /// control message before joining anyway.
+    /// How long shutdown waits for a server thread to acknowledge the
+    /// control message before taking the site down anyway.
     pub control_timeout: Duration,
-    /// Mailbox poll granularity of the server loop.
-    pub poll_interval: Duration,
     /// How many correlated responses the server remembers for retry
     /// deduplication (FIFO eviction).
     pub response_cache_capacity: usize,
@@ -57,7 +59,6 @@ impl Default for LamConfig {
     fn default() -> Self {
         LamConfig {
             control_timeout: Duration::from_secs(2),
-            poll_interval: Duration::from_millis(200),
             response_cache_capacity: 256,
             lock_wait_timeout: Duration::from_secs(2),
             outcome_memory_capacity: 1024,
@@ -137,8 +138,8 @@ pub fn site_statistics(
     Ok(out)
 }
 
-/// Live request counters of one LAM server thread, shared with the handle
-/// (and scraped into the federation's metrics registry on demand).
+/// Live counters of one LAM server, shared with the handle (and scraped
+/// into the federation's metrics registry on demand).
 #[derive(Debug, Default)]
 pub struct LamServerStats {
     /// Requests executed against the wrapped engine.
@@ -146,9 +147,12 @@ pub struct LamServerStats {
     /// Retried requests answered from the reply cache without re-execution
     /// (the at-most-once deduplication path).
     pub replayed: AtomicU64,
+    /// Server threads ever started: 1, plus one for every request that was
+    /// parked on a lock wait while all the others were parked too.
+    pub server_threads: AtomicU64,
 }
 
-/// A running LAM: owns the server thread and shares the engine with the
+/// A running LAM: owns the server threads and shares the engine with the
 /// test/benchmark harness (so fixtures can seed data and inspect outcomes).
 pub struct LamHandle {
     /// Service name (as incorporated).
@@ -157,44 +161,50 @@ pub struct LamHandle {
     pub site: String,
     /// The wrapped engine, shared with the harness.
     pub engine: Arc<Mutex<Engine>>,
-    /// Request counters kept by the server thread.
+    /// Counters kept by the server threads.
     pub stats: Arc<LamServerStats>,
-    net: Network,
-    thread: Option<JoinHandle<()>>,
-    config: LamConfig,
-    /// Cleared by the server thread when it dies (shutdown or terminal
-    /// network fault). A dead LAM has deregistered its site, so clients get
-    /// an immediate `UnknownSite` instead of hanging until timeout.
-    alive: Arc<AtomicBool>,
+    shared: Arc<SrvShared>,
 }
 
 impl LamHandle {
-    /// True while the server thread is processing requests. A LAM that hit
-    /// a terminal network fault turns this off and deregisters its site.
+    /// True while the server is processing requests. A LAM that was shut
+    /// down, or whose site was taken off the network under it (a terminal
+    /// fault), turns this off; either way the site is deregistered, so
+    /// clients get an immediate `UnknownSite` instead of hanging until
+    /// timeout.
     pub fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::SeqCst)
+        self.shared.alive.load(Ordering::SeqCst)
     }
 
-    /// Stops the server thread and deregisters the site.
+    /// Stops the server threads and deregisters the site.
     pub fn shutdown(mut self) {
         self.do_shutdown();
     }
 
     fn do_shutdown(&mut self) {
-        if let Some(thread) = self.thread.take() {
-            // Only go through the control round while the server is alive;
-            // a dead thread would never acknowledge and we would block for
-            // the full control timeout.
-            if self.is_alive() {
-                let ctl_name = format!("__ctl_{}", self.site);
-                if let Ok(ctl) = self.net.register(&ctl_name) {
-                    let _ = ctl.send(&self.site, Request::Shutdown.encode());
-                    let _ = ctl.recv_timeout(self.config.control_timeout);
-                    self.net.deregister(&ctl_name);
+        let shared = &self.shared;
+        // Only go through the control round while the server is alive; a
+        // dead one would never acknowledge and we would block for the full
+        // control timeout.
+        if self.is_alive() {
+            let ctl_name = format!("__ctl_{}", shared.site);
+            if let Ok(ctl) = shared.net.register(&ctl_name) {
+                // Nothing to wait for if the site just went off the network.
+                if ctl.send(&shared.site, Request::Shutdown.encode()).is_ok() {
+                    let _ = ctl.recv_timeout(shared.config.control_timeout);
                 }
+                shared.net.deregister(&ctl_name);
             }
+            // Acknowledged or not (every thread may be busy): taking the
+            // site down disconnects the mailbox, which wakes every thread
+            // blocked on it, and clearing the flag ends every lock wait at
+            // its next slice and keeps new threads from starting.
+            shared.alive.store(false, Ordering::SeqCst);
+            shared.net.deregister(&shared.site);
+        }
+        let threads = std::mem::take(&mut shared.threads.lock().handles);
+        for thread in threads {
             let _ = thread.join();
-            self.net.deregister(&self.site);
         }
     }
 }
@@ -217,18 +227,30 @@ pub fn spawn_lam(
 
 /// Spawns a LAM serving `engine` at `site`.
 ///
-/// The server is a dispatcher plus detached worker threads: the dispatcher
-/// drains the mailbox, answers cached/inflight retries and control
-/// messages inline, and hands every engine-touching request to its own
-/// worker so one session's lock wait never stalls another session's
-/// statements. Workers lock the shared state only briefly — never across a
-/// lock wait — and put the framed reply in the cache *before* clearing the
-/// inflight marker, so client retries stay at-most-once: a retry arriving
-/// while the original executes is dropped (the client re-asks and hits the
-/// populated cache), and a retry after completion replays the cached reply
-/// without re-execution. On a terminal network fault the dispatcher marks
-/// the handle dead and deregisters its own site, so clients fail fast
-/// instead of timing out.
+/// The server is one or more identical, long-lived threads blocked on the
+/// site's mailbox. Whichever dequeues a request serves it start to finish
+/// (`serve`): it answers a cached or inflight retry or a control message
+/// on the spot, and otherwise decodes the request, executes it against the
+/// engine, frames the reply and sends it — no hand-off, and no thread is
+/// created for it. Threads lock the shared state only briefly — never across
+/// a lock wait — and put the framed reply in the cache *before* clearing
+/// the inflight marker, so client retries stay at-most-once: a retry
+/// arriving while the original executes is dropped (the client re-asks and
+/// hits the populated cache), and a retry after completion replays the
+/// cached reply without re-execution.
+///
+/// A LAM starts with one thread, and requests to it serialise on the engine
+/// mutex anyway. The one time a request holds its thread *without* the
+/// engine is a lock wait (`exec_with_wait`), and one session's lock wait
+/// must never stall another session's statements — least of all the lock
+/// holder's own `COMMIT`. So a request about to park first makes sure some
+/// other thread is not parked, starting one if need be. Threads stay until
+/// shutdown: their number is 1 + the most requests ever parked at once, and
+/// is 1 for a LAM that never saw contention.
+///
+/// Shutdown, and a terminal fault (the site taken off the network), mark
+/// the handle dead and leave the site deregistered, so clients fail fast
+/// instead of timing out; [`LamHandle`] joins every thread.
 pub fn spawn_lam_with(
     net: &Network,
     service: &str,
@@ -236,15 +258,9 @@ pub fn spawn_lam_with(
     engine: Engine,
     config: LamConfig,
 ) -> Result<LamHandle, MdbsError> {
-    let endpoint = Arc::new(net.register(site)?);
+    let endpoint = net.register(site)?;
     let engine = Arc::new(Mutex::new(engine));
-    let alive = Arc::new(AtomicBool::new(true));
-    let thread_alive = Arc::clone(&alive);
     let stats = Arc::new(LamServerStats::default());
-    let thread_stats = Arc::clone(&stats);
-    let thread_net = net.clone();
-    let thread_site = site.to_string();
-    let poll = config.poll_interval;
     let shared = Arc::new(SrvShared {
         engine: Arc::clone(&engine),
         state: Mutex::new(SrvState {
@@ -254,107 +270,128 @@ pub fn spawn_lam_with(
             replies: ReplyCache::new(config.response_cache_capacity),
             inflight: HashSet::new(),
         }),
-        config: config.clone(),
-        pool: BufferPool::default(),
-    });
-    let thread = std::thread::Builder::new()
-        .name(format!("lam-{site}"))
-        .spawn(move || {
-            loop {
-                let msg = match endpoint.recv_timeout(poll) {
-                    Ok(m) => m,
-                    Err(NetError::Timeout) => continue,
-                    Err(_) => {
-                        // Terminal fault: the network is gone. Mark the
-                        // handle dead and take the site down so clients get
-                        // UnknownSite immediately instead of timing out.
-                        thread_alive.store(false, Ordering::SeqCst);
-                        thread_net.deregister(&thread_site);
-                        break;
-                    }
-                };
-                // The server mirrors whatever format each request arrived
-                // in, so mixed-format clients coexist on one LAM. The
-                // correlation id is peeked *before* full decoding, keeping
-                // the cache-check → inflight-insert → decode order that the
-                // at-most-once guarantee depends on.
-                let (corr, format) = match &msg.body {
-                    Body::Text(text) => (proto::split_correlation(text).0, WireFormat::Text),
-                    Body::Binary(bytes) => (codec::peek_correlation(bytes), WireFormat::Binary),
-                };
-                if let Some(id) = corr {
-                    let mut state = shared.state.lock();
-                    if let Some(cached) = state.replies.get(id) {
-                        drop(state);
-                        thread_stats.replayed.fetch_add(1, Ordering::Relaxed);
-                        let _ = endpoint.send(&msg.from, cached);
-                        continue;
-                    }
-                    if !state.inflight.insert(id) {
-                        // The original request is still executing in a
-                        // worker: drop this retry silently; the client's
-                        // next retry will hit the reply cache.
-                        continue;
-                    }
-                }
-                let decoded = match &msg.body {
-                    Body::Text(text) => Request::decode_as(proto::split_correlation(text).1),
-                    Body::Binary(bytes) => codec::decode_request_as(bytes).map(|(_, req)| req),
-                };
-                match decoded {
-                    Ok(Request::Shutdown) => {
-                        let out = frame_reply(&shared, corr, Response::Ok, format);
-                        let _ = endpoint.send(&msg.from, out);
-                        thread_alive.store(false, Ordering::SeqCst);
-                        break;
-                    }
-                    Ok(req) => {
-                        thread_stats.served.fetch_add(1, Ordering::Relaxed);
-                        let worker_shared = Arc::clone(&shared);
-                        let worker_endpoint = Arc::clone(&endpoint);
-                        let from = msg.from.clone();
-                        let spawned = std::thread::Builder::new()
-                            .name(format!("lam-{thread_site}-w"))
-                            .spawn(move || {
-                                let response = handle_request(&worker_shared, req, format);
-                                let out = frame_reply(&worker_shared, corr, response, format);
-                                let _ = worker_endpoint.send(&from, out);
-                            });
-                        if spawned.is_err() {
-                            // Out of threads: fail the request instead of
-                            // leaving the client to time out.
-                            let out = frame_reply(
-                                &shared,
-                                corr,
-                                Response::Err { message: "LAM worker spawn failed".into() },
-                                format,
-                            );
-                            let _ = endpoint.send(&msg.from, out);
-                        }
-                    }
-                    Err(e) => {
-                        let out = frame_reply(
-                            &shared,
-                            corr,
-                            Response::Err { message: e.to_string() },
-                            format,
-                        );
-                        let _ = endpoint.send(&msg.from, out);
-                    }
-                }
-            }
-        })
-        .map_err(|e| MdbsError::Internal(format!("failed to spawn LAM thread: {e}")))?;
-    Ok(LamHandle {
-        service: service.to_string(),
-        site: site.to_string(),
-        engine,
-        stats,
-        net: net.clone(),
-        thread: Some(thread),
         config,
-        alive,
-    })
+        pool: BufferPool::default(),
+        endpoint,
+        net: net.clone(),
+        site: site.to_string(),
+        alive: AtomicBool::new(true),
+        stats: Arc::clone(&stats),
+        threads: Mutex::new(ServerThreads::default()),
+    });
+    if let Err(e) = start_server_thread(&shared, &mut shared.threads.lock()) {
+        net.deregister(site);
+        return Err(MdbsError::Internal(format!("failed to spawn LAM thread: {e}")));
+    }
+    Ok(LamHandle { service: service.to_string(), site: site.to_string(), engine, stats, shared })
+}
+
+/// The threads of one LAM server.
+#[derive(Default)]
+struct ServerThreads {
+    /// Every thread started so far (emptied by shutdown, which joins them).
+    handles: Vec<JoinHandle<()>>,
+    /// How many of them are parked on a lock wait right now.
+    parked: usize,
+}
+
+/// Starts one more thread serving `shared`'s mailbox.
+fn start_server_thread(shared: &Arc<SrvShared>, threads: &mut ServerThreads) -> io::Result<()> {
+    let server = Arc::clone(shared);
+    let handle = std::thread::Builder::new()
+        .name(format!("lam-{}", shared.site))
+        .spawn(move || serve(&server))?;
+    threads.handles.push(handle);
+    shared.stats.server_threads.fetch_add(1, Ordering::Relaxed);
+    Ok(())
+}
+
+/// A request's claim on "parked": counted from its first lock wait until it
+/// is done waiting.
+struct Parked<'a>(&'a SrvShared);
+
+impl Drop for Parked<'_> {
+    fn drop(&mut self) {
+        self.0.threads.lock().parked -= 1;
+    }
+}
+
+/// Called by a request about to wait for a lock with the engine released:
+/// counts its thread as parked and, if that leaves none to listen, starts
+/// another first. `None` — do not park — when the server is going down or
+/// the thread it needs cannot be had: better to fail this one request than
+/// to leave the mailbox, and with it the lock holder's `COMMIT`, unserved.
+fn park(shared: &Arc<SrvShared>) -> Option<Parked<'_>> {
+    let mut threads = shared.threads.lock();
+    if !shared.alive.load(Ordering::SeqCst) {
+        return None;
+    }
+    if threads.parked + 1 == threads.handles.len() {
+        start_server_thread(shared, &mut threads).ok()?;
+    }
+    threads.parked += 1;
+    Some(Parked(shared))
+}
+
+/// One server thread: receive, serve, reply, until the LAM goes down.
+fn serve(shared: &Arc<SrvShared>) {
+    let endpoint = &shared.endpoint;
+    while let Ok(msg) = endpoint.recv_blocking() {
+        if !shared.alive.load(Ordering::SeqCst) {
+            // Queued behind the shutdown: the site is gone, the client's
+            // next attempt says so.
+            break;
+        }
+        // The server mirrors whatever format each request arrived in, so
+        // mixed-format clients coexist on one LAM. The correlation id is
+        // peeked *before* full decoding, keeping the cache-check →
+        // inflight-insert → decode order that the at-most-once guarantee
+        // depends on.
+        let (corr, format) = match &msg.body {
+            Body::Text(text) => (proto::split_correlation(text).0, WireFormat::Text),
+            Body::Binary(bytes) => (codec::peek_correlation(bytes), WireFormat::Binary),
+        };
+        if let Some(id) = corr {
+            let mut state = shared.state.lock();
+            if let Some(cached) = state.replies.get(id) {
+                drop(state);
+                shared.stats.replayed.fetch_add(1, Ordering::Relaxed);
+                let _ = endpoint.send(&msg.from, cached);
+                continue;
+            }
+            if !state.inflight.insert(id) {
+                // The original request is still executing on a sibling
+                // thread: drop this retry silently; the client's next retry
+                // will hit the reply cache.
+                continue;
+            }
+        }
+        let decoded = match &msg.body {
+            Body::Text(text) => Request::decode_as(proto::split_correlation(text).1),
+            Body::Binary(bytes) => codec::decode_request_as(bytes).map(|(_, req)| req),
+        };
+        let response = match decoded {
+            Ok(Request::Shutdown) => {
+                let out = frame_reply(shared, corr, Response::Ok, format);
+                let _ = endpoint.send(&msg.from, out);
+                // Taking the site down disconnects the mailbox, which is
+                // what wakes the sibling threads.
+                shared.alive.store(false, Ordering::SeqCst);
+                shared.net.deregister(&shared.site);
+                break;
+            }
+            Ok(req) => {
+                shared.stats.served.fetch_add(1, Ordering::Relaxed);
+                handle_request(shared, req, format)
+            }
+            Err(e) => Response::Err { message: e.to_string() },
+        };
+        let out = frame_reply(shared, corr, response, format);
+        let _ = endpoint.send(&msg.from, out);
+    }
+    // Shut down, or a terminal fault: the mailbox only disconnects when the
+    // site is off the network. Either way the handle reads dead.
+    shared.alive.store(false, Ordering::SeqCst);
 }
 
 /// Encodes a response, recording it in the reply cache and clearing the
@@ -457,9 +494,9 @@ impl OutcomeMemory {
     }
 }
 
-/// Mutable LAM server state, shared between the dispatcher and its workers.
-/// The mutex is only ever held for map bookkeeping — never across engine
-/// execution or a lock wait.
+/// Mutable LAM server state, shared between the server threads. The mutex is
+/// only ever held for map bookkeeping — never across engine execution or a
+/// lock wait.
 struct SrvState {
     /// Open/prepared transactions by task name.
     tasks: HashMap<String, TxnId>,
@@ -472,13 +509,13 @@ struct SrvState {
     resolved: OutcomeMemory,
     /// Correlated responses already sent (retry deduplication).
     replies: ReplyCache,
-    /// Correlation ids currently executing in a worker; retries for them
-    /// are dropped until the reply lands in the cache.
+    /// Correlation ids currently executing; retries for them are dropped
+    /// until the reply lands in the cache.
     inflight: HashSet<u64>,
 }
 
-/// Everything a worker thread needs: the engine behind its own lock and
-/// the server state behind another.
+/// Everything the server threads of one LAM share: the engine behind its own
+/// lock, the server state behind another, and the mailbox they all block on.
 struct SrvShared {
     engine: Arc<Mutex<Engine>>,
     state: Mutex<SrvState>,
@@ -486,28 +523,44 @@ struct SrvShared {
     /// Lease pool binary replies are encoded into; leases return when the
     /// receiver drops the delivered frame.
     pool: BufferPool,
+    /// The site's mailbox.
+    endpoint: Endpoint,
+    net: Network,
+    site: String,
+    /// Cleared when the server goes down (shutdown or terminal fault).
+    alive: AtomicBool,
+    stats: Arc<LamServerStats>,
+    threads: Mutex<ServerThreads>,
 }
 
 /// Executes one command inside `txn`, parking on the engine's lock signal
 /// whenever the statement would block on a write lock. The engine mutex is
-/// released while parked, so other sessions keep executing. If the wait
-/// outlives the configured timeout the transaction is rolled back and the
-/// retriable deadlock error returned — the backstop for lock cycles that
-/// span engines.
+/// released while parked and another server thread is listening ([`park`]),
+/// so other sessions keep executing. If the wait outlives the configured
+/// timeout — or the server goes down, or may not park — the transaction is
+/// rolled back and the retriable deadlock error returned: the backstop for
+/// lock cycles that span engines.
 fn exec_with_wait(
-    shared: &SrvShared,
+    shared: &Arc<SrvShared>,
     txn: TxnId,
     database: &str,
     cmd: &str,
 ) -> Result<ExecOutcome, DbError> {
     let signal = shared.engine.lock().lock_signal();
     let deadline = Instant::now() + shared.config.lock_wait_timeout;
+    let mut parked = None;
     loop {
         let epoch = signal.epoch();
         let result = shared.engine.lock().execute_in(txn, database, cmd);
         match result {
             Err(DbError::LockWait { table }) => {
-                if Instant::now() >= deadline {
+                if parked.is_none() {
+                    parked = park(shared);
+                }
+                if parked.is_none()
+                    || Instant::now() >= deadline
+                    || !shared.alive.load(Ordering::SeqCst)
+                {
                     let mut engine = shared.engine.lock();
                     engine.cancel_wait(txn);
                     let _ = engine.rollback(txn);
@@ -528,7 +581,7 @@ fn rollback_tolerant(shared: &SrvShared, txn: TxnId) {
 
 /// Executes one request. `format` is the wire format it arrived in — the
 /// unit a requested baseline measurement is reported in.
-fn handle_request(shared: &SrvShared, req: Request, format: WireFormat) -> Response {
+fn handle_request(shared: &Arc<SrvShared>, req: Request, format: WireFormat) -> Response {
     match req {
         Request::Begin { name, database } => {
             let mut state = shared.state.lock();
@@ -727,7 +780,7 @@ fn handle_request(shared: &SrvShared, req: Request, format: WireFormat) -> Respo
 }
 
 fn run_task(
-    shared: &SrvShared,
+    shared: &Arc<SrvShared>,
     name: &str,
     mode: TaskMode,
     database: &str,
@@ -1434,6 +1487,255 @@ mod tests {
         assert!(lam.is_alive());
         assert_eq!(call(&client, Request::Ping), Response::Ok);
         lam.shutdown();
+    }
+
+    /// The `setup` LAM with a lock-wait timeout no test outlasts (a server
+    /// that failed to grow must fail the test, not be rescued by the
+    /// timeout) and a short shutdown control round.
+    fn contended_setup() -> (Network, LamHandle) {
+        let net = Network::new();
+        let mut engine = Engine::new("svc", DbmsProfile::oracle_like());
+        engine.create_database("avis").unwrap();
+        engine.execute("avis", "CREATE TABLE cars (code INT, rate FLOAT)").unwrap();
+        engine.execute("avis", "INSERT INTO cars VALUES (1, 40.0)").unwrap();
+        let config = LamConfig {
+            lock_wait_timeout: Duration::from_secs(60),
+            control_timeout: Duration::from_millis(200),
+            ..LamConfig::default()
+        };
+        let lam = spawn_lam_with(&net, "svc", "site1", engine, config).unwrap();
+        (net, lam)
+    }
+
+    /// A test client speaking one wire format, one correlated request at a
+    /// time. Replies are awaited for 5 s: an unserved request fails its test.
+    struct Peer {
+        endpoint: netsim::Endpoint,
+        format: WireFormat,
+        pool: BufferPool,
+    }
+
+    impl Peer {
+        fn new(net: &Network, name: &str, format: WireFormat) -> Peer {
+            Peer { endpoint: net.register(name).unwrap(), format, pool: BufferPool::default() }
+        }
+
+        fn send(&self, id: u64, req: &Request) {
+            let body = match self.format {
+                WireFormat::Text => Body::Text(proto::encode_with_correlation(id, &req.encode())),
+                WireFormat::Binary => {
+                    Body::Binary(codec::encode_request(&self.pool, Some(id), req))
+                }
+            };
+            self.endpoint.send("site1", body).unwrap();
+        }
+
+        fn recv(&self) -> (u64, Response) {
+            let msg = self.endpoint.recv_timeout(Duration::from_secs(5)).expect("request served");
+            match &msg.body {
+                Body::Text(text) => {
+                    let (id, body) = proto::split_correlation(text);
+                    (id.unwrap(), Response::decode_as(body).unwrap().0)
+                }
+                Body::Binary(bytes) => {
+                    let (id, resp, _) = codec::decode_response_as(bytes).unwrap();
+                    (id.unwrap(), resp)
+                }
+            }
+        }
+
+        fn call(&self, id: u64, req: &Request) -> Response {
+            self.send(id, req);
+            let (got, resp) = self.recv();
+            assert_eq!(got, id);
+            resp
+        }
+
+        fn silent(&self) -> bool {
+            !self.endpoint.has_mail()
+        }
+    }
+
+    fn bump_rate(name: &str, mode: TaskMode) -> Request {
+        Request::Task {
+            name: name.into(),
+            mode,
+            database: "avis".into(),
+            commands: vec!["UPDATE cars SET rate = rate + 1 WHERE code = 1".into()],
+        }
+    }
+
+    fn rate(lam: &LamHandle) -> Value {
+        let mut e = lam.engine.lock();
+        let rs = e.execute("avis", "SELECT rate FROM cars WHERE code = 1").unwrap();
+        rs.into_result_set().unwrap().rows[0][0].clone()
+    }
+
+    fn threads(lam: &LamHandle) -> u64 {
+        lam.stats.server_threads.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn the_lock_holders_commit_is_served_while_a_waiter_is_parked() {
+        for format in [WireFormat::Text, WireFormat::Binary] {
+            let (net, lam) = contended_setup();
+            let (a, b) = (Peer::new(&net, "a", format), Peer::new(&net, "b", format));
+            let held = a.call(1, &bump_rate("TA", TaskMode::NoCommit));
+            assert!(matches!(held, Response::TaskDone { status: 'P', .. }), "{held:?}");
+            assert_eq!(threads(&lam), 1, "an uncontended LAM is one thread");
+            // B's task needs A's lock: it parks. A's COMMIT is queued behind
+            // it — only a second server thread can serve it, and only it can
+            // release B.
+            b.send(2, &bump_rate("TB", TaskMode::Auto));
+            assert_eq!(a.call(3, &Request::Commit { task: "TA".into() }), Response::Ok);
+            let (id, done) = b.recv();
+            assert!(
+                id == 2 && matches!(done, Response::TaskDone { status: 'C', affected: 1, .. }),
+                "{done:?}"
+            );
+            assert_eq!(rate(&lam), Value::Float(42.0));
+            assert_eq!(threads(&lam), 2, "grown by the one parked request");
+            // Both threads stay: the next contention starts none.
+            a.call(4, &bump_rate("TA2", TaskMode::NoCommit));
+            b.send(5, &bump_rate("TB2", TaskMode::Auto));
+            assert_eq!(a.call(6, &Request::Commit { task: "TA2".into() }), Response::Ok);
+            b.recv();
+            assert_eq!(threads(&lam), 2);
+        }
+    }
+
+    #[test]
+    fn three_parked_waiters_leave_a_thread_to_answer_ping() {
+        for format in [WireFormat::Text, WireFormat::Binary] {
+            let (net, lam) = contended_setup();
+            let a = Peer::new(&net, "a", format);
+            a.call(1, &bump_rate("TA", TaskMode::NoCommit));
+            let waiters: Vec<Peer> =
+                (0..3).map(|i| Peer::new(&net, &format!("w{i}"), format)).collect();
+            for (i, w) in waiters.iter().enumerate() {
+                w.send(10 + i as u64, &bump_rate(&format!("TW{i}"), TaskMode::Auto));
+            }
+            assert_eq!(a.call(2, &Request::Ping), Response::Ok);
+            assert_eq!(threads(&lam), 4, "1 + the three requests parked at once");
+            assert!(waiters.iter().all(Peer::silent), "nobody gets the lock before A commits");
+            assert_eq!(a.call(3, &Request::Commit { task: "TA".into() }), Response::Ok);
+            for w in &waiters {
+                let (_, done) = w.recv();
+                assert!(matches!(done, Response::TaskDone { status: 'C', .. }), "{done:?}");
+            }
+            assert_eq!(rate(&lam), Value::Float(44.0));
+        }
+    }
+
+    #[test]
+    fn a_parked_requests_retry_is_dropped_and_a_finished_ones_replayed() {
+        for format in [WireFormat::Text, WireFormat::Binary] {
+            let (net, lam) = contended_setup();
+            let (a, b) = (Peer::new(&net, "a", format), Peer::new(&net, "b", format));
+            a.call(1, &bump_rate("TA", TaskMode::NoCommit));
+            let task = bump_rate("TB", TaskMode::Auto);
+            b.send(7, &task);
+            // The retry finds the original inflight (parked): dropped. The
+            // PING queued behind it is answered, so it was looked at.
+            b.send(7, &task);
+            assert_eq!(b.call(8, &Request::Ping), Response::Ok);
+            assert!(b.silent());
+            assert_eq!(a.call(2, &Request::Commit { task: "TA".into() }), Response::Ok);
+            let (id, first) = b.recv();
+            assert!(
+                id == 7 && matches!(first, Response::TaskDone { status: 'C', .. }),
+                "{first:?}"
+            );
+            // Finished: the same retry is now answered from the cache.
+            assert_eq!(b.call(7, &task), first);
+            assert_eq!(rate(&lam), Value::Float(42.0), "A's and B's update, once each");
+            let served = lam.stats.served.load(Ordering::Relaxed);
+            let replayed = lam.stats.replayed.load(Ordering::Relaxed);
+            assert_eq!((served, replayed), (4, 1), "TA, TB, PING, COMMIT executed; one replay");
+        }
+    }
+
+    #[test]
+    fn shutdown_is_prompt_idle_busy_parked_or_dead() {
+        let prompt = |what: &str, lam: LamHandle| {
+            let start = Instant::now();
+            lam.shutdown();
+            assert!(start.elapsed() < Duration::from_secs(2), "{what}: {:?}", start.elapsed());
+        };
+        // Idle: the one thread acknowledges the control message.
+        let (_net, lam) = contended_setup();
+        prompt("idle", lam);
+
+        // Dead: the site was taken off the network under the LAM.
+        let (net, lam) = contended_setup();
+        net.deregister("site1");
+        prompt("dead", lam);
+
+        // Parked: a request sits in a lock wait that would last a minute.
+        let (net, lam) = contended_setup();
+        let (a, b) =
+            (Peer::new(&net, "a", WireFormat::Text), Peer::new(&net, "b", WireFormat::Text));
+        a.call(1, &bump_rate("TA", TaskMode::NoCommit));
+        b.send(2, &bump_rate("TB", TaskMode::Auto));
+        assert_eq!(a.call(3, &Request::Ping), Response::Ok); // B's request is being served
+        prompt("parked", lam);
+        let (_, gave_up) = b.recv();
+        assert!(matches!(gave_up, Response::TaskDone { status: 'A', .. }), "{gave_up:?}");
+
+        // Busy: the only thread is inside a request (held up on the engine)
+        // and cannot acknowledge; shutdown takes the site down after the
+        // control round and returns as soon as that request is done.
+        let (net, mut lam) = contended_setup();
+        let a = Peer::new(&net, "a", WireFormat::Text);
+        let engine = Arc::clone(&lam.engine);
+        let busy = engine.lock();
+        a.send(1, &bump_rate("TA", TaskMode::Auto));
+        let stopper = std::thread::spawn(move || {
+            lam.do_shutdown();
+            lam
+        });
+        while net.link_is_up("a", "site1") {
+            std::thread::yield_now();
+        }
+        drop(busy);
+        let lam = stopper.join().unwrap();
+        assert!(!lam.is_alive());
+        let (_, done) = a.recv();
+        assert!(matches!(done, Response::TaskDone { status: 'C', .. }), "{done:?}");
+    }
+
+    #[test]
+    fn a_terminal_fault_marks_the_handle_dead() {
+        let (net, mut lam) = contended_setup();
+        net.deregister("site1");
+        lam.do_shutdown();
+        assert!(!lam.is_alive());
+        assert_eq!(Arc::strong_count(&lam.shared), 1, "the server thread is gone");
+    }
+
+    #[test]
+    fn shutdown_joins_every_sibling_thread() {
+        let (net, mut lam) = contended_setup();
+        let a = Peer::new(&net, "a", WireFormat::Text);
+        a.call(1, &bump_rate("TA", TaskMode::NoCommit));
+        let waiters: Vec<Peer> =
+            (0..2).map(|i| Peer::new(&net, &format!("w{i}"), WireFormat::Binary)).collect();
+        for (i, w) in waiters.iter().enumerate() {
+            w.send(10 + i as u64, &bump_rate(&format!("TW{i}"), TaskMode::Auto));
+        }
+        assert_eq!(a.call(2, &Request::Ping), Response::Ok);
+        assert_eq!(threads(&lam), 3);
+        // Every thread holds one reference to the shared state until it ends.
+        assert_eq!(Arc::strong_count(&lam.shared), 4);
+        lam.do_shutdown();
+        assert_eq!(
+            Arc::strong_count(&lam.shared),
+            1,
+            "two parked threads and one idle, all joined"
+        );
+        assert!(!net.link_is_up("a", "site1"));
+        // A second shutdown (the handle's Drop) has nothing left to do.
+        lam.do_shutdown();
     }
 
     #[test]

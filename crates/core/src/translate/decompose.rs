@@ -107,6 +107,41 @@ pub struct Decomposition {
     pub pushdown: Option<PushdownPlan>,
 }
 
+impl Decomposition {
+    /// Appends `suffix` to the name of every partial-result table: on the
+    /// subqueries, in Q′'s FROM list and on Q′'s column qualifiers. (A
+    /// pushdown plan names partial *columns* only; it has no coordinator.)
+    pub fn suffix_part_tables(&mut self, suffix: &str) {
+        let old: Vec<String> = self.subqueries.iter().map(|s| s.part_table.clone()).collect();
+        let rename = |name: &mut WildName| {
+            if old.iter().any(|o| o == name.as_str()) {
+                *name = WildName::new(format!("{}{suffix}", name.as_str()));
+            }
+        };
+        for sub in &mut self.subqueries {
+            sub.part_table.push_str(suffix);
+        }
+        let q = &mut self.global_query;
+        q.from.iter_mut().for_each(|t| rename(&mut t.table));
+        let items = q.items.iter_mut().filter_map(|item| match item {
+            SelectItem::Expr { expr, .. } => Some(expr),
+            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => None,
+        });
+        let exprs = items
+            .chain(&mut q.where_clause)
+            .chain(&mut q.group_by)
+            .chain(&mut q.having)
+            .chain(q.order_by.iter_mut().map(|o| &mut o.expr));
+        for expr in exprs {
+            expr.walk_columns_mut(&mut |c| {
+                if let Some(table) = &mut c.table {
+                    rename(table);
+                }
+            });
+        }
+    }
+}
+
 /// A plan for answering a cross-database query from pre-reduced partials
 /// merged at the MDBS layer, instead of shipping raw rows to a coordinator.
 #[derive(Debug, Clone, PartialEq)]
@@ -1145,6 +1180,32 @@ mod tests {
         assert!(g.contains("part_avis"), "{g}");
         assert!(g.contains("part_continental"), "{g}");
         assert!(g.contains("part_avis.b_c_rate < part_continental.b_f_rate"), "{g}");
+    }
+
+    #[test]
+    fn suffixing_the_part_tables_renames_them_everywhere_in_the_global_query() {
+        let mut d = decompose(
+            &select(
+                "SELECT c.cartype, MAX(c.rate) FROM avis.cars c, continental.flights f
+                 WHERE c.rate < f.rate GROUP BY c.cartype HAVING MAX(c.rate) > 1
+                 ORDER BY c.cartype",
+            ),
+            &scope(),
+            &gdd(),
+        )
+        .unwrap();
+        let before = print_select(&d.global_query);
+        let subqueries = d.subqueries.clone();
+        d.suffix_part_tables("_s7");
+        for (sub, was) in d.subqueries.iter().zip(&subqueries) {
+            assert_eq!(sub.part_table, format!("{}_s7", was.part_table));
+            assert_eq!(sub.select, was.select, "what the sites run does not change");
+        }
+        let expected = before
+            .replace("part_avis", "part_avis_s7")
+            .replace("part_continental", "part_continental_s7");
+        assert_eq!(print_select(&d.global_query), expected);
+        assert_eq!(expected.matches("_s7").count(), before.matches("part_").count());
     }
 
     #[test]

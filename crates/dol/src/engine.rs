@@ -7,14 +7,20 @@
 //! phase (`COMMIT`/`ABORT` task lists) and compensation.
 //!
 //! Consecutive `TASK` statements form a *batch*. In parallel mode (the
-//! default, matching the paper's emphasis on data-flow parallelism) a batch
-//! runs with one thread per service, and so does the second phase of a
-//! `COMMIT`/`ABORT` list that spans several services; in serial mode tasks
-//! and acknowledgements run one after another — benchmark B7 measures the
-//! difference.
+//! default, matching the paper's emphasis on data-flow parallelism) the
+//! services of a batch work concurrently, and so do those of a
+//! `COMMIT`/`ABORT` list that spans several: the engine's own thread drives
+//! the first service and parked threads of its [`WorkerSet`] the others, so
+//! a batch or list on one service — and everything in serial mode, where
+//! tasks and acknowledgements run one after another — involves no second
+//! thread. Benchmark B7 measures the difference. The set is the caller's
+//! when it passes one ([`DolEngine::with_workers`]: a session keeps one for
+//! all its statements, so none of them starts a thread), the engine's own
+//! otherwise.
 
 use crate::ast::{DolCond, DolProgram, DolStmt, TaskDef, TaskStatus};
 use crate::error::DolError;
+use crate::workers::WorkerSet;
 use obs::{Span, SpanCtx};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -151,7 +157,9 @@ impl DolOutcome {
 /// The DOL engine.
 pub struct DolEngine<'f> {
     factory: &'f dyn ServiceFactory,
-    /// Run task batches and settle lists with one thread per service
+    /// The threads multi-service batches and settle lists fan out on.
+    workers: WorkerSet,
+    /// Run the services of a task batch or settle list concurrently
     /// (default true).
     pub parallel: bool,
     /// Where to hang execution spans (disabled by default).
@@ -192,12 +200,25 @@ struct RunState {
 impl<'f> DolEngine<'f> {
     /// Creates an engine over a service factory (parallel batches enabled).
     pub fn new(factory: &'f dyn ServiceFactory) -> Self {
-        DolEngine { factory, parallel: true, trace: SpanCtx::disabled(), observer: None }
+        DolEngine {
+            factory,
+            workers: WorkerSet::new(),
+            parallel: true,
+            trace: SpanCtx::disabled(),
+            observer: None,
+        }
     }
 
     /// Creates an engine that executes task batches serially.
     pub fn serial(factory: &'f dyn ServiceFactory) -> Self {
-        DolEngine { factory, parallel: false, trace: SpanCtx::disabled(), observer: None }
+        DolEngine { parallel: false, ..DolEngine::new(factory) }
+    }
+
+    /// Fans out on `workers` instead of a set of the engine's own, so the
+    /// threads outlive this engine and the next one finds them parked.
+    pub fn with_workers(mut self, workers: &WorkerSet) -> Self {
+        self.workers = workers.clone();
+        self
     }
 
     /// Executes a program to completion.
@@ -345,10 +366,11 @@ impl<'f> DolEngine<'f> {
 
         let mut executions: Vec<(String, TaskExecution)> = Vec::new();
         if self.parallel && groups.len() > 1 {
-            executions = fan_out(&mut state.services, groups, |svc, alias, task: TaskDef| {
-                let exec = traced_exec(svc, &task, alias, ctx);
-                (task.name, exec)
-            });
+            executions =
+                self.fan_out(&mut state.services, groups, ctx, |svc, alias, task: TaskDef, ctx| {
+                    let exec = traced_exec(svc, &task, alias, ctx);
+                    (task.name, exec)
+                });
         } else {
             for (alias, tasks) in groups {
                 let svc = state.services.get_mut(&alias).expect("checked above");
@@ -386,10 +408,10 @@ impl<'f> DolEngine<'f> {
     /// Serially, each message is followed by its status update and
     /// [`TaskObserver::task_resolved`] before the next one goes out. In
     /// parallel mode the messages of a list that spans several services go
-    /// out together, one thread per service as in [`Self::run_batch`], and
-    /// the updates and observer calls follow in list order — so the log
-    /// reads the same either way and the list costs one round trip. An
-    /// observer error (a simulated coordinator crash) stops on the spot.
+    /// out together, fanned out as in [`Self::run_batch`], and the updates
+    /// and observer calls follow in list order — so the log reads the same
+    /// either way and the list costs one round trip. An observer error (a
+    /// simulated coordinator crash) stops on the spot.
     fn settle(
         &self,
         action: Settle,
@@ -454,11 +476,22 @@ impl<'f> DolEngine<'f> {
                 }
             }
             if groups.len() > 1 {
-                sent = fan_out(&mut state.services, groups, |svc, alias, i| {
-                    (i, send(svc, action, &names[i], alias, ctx))
-                })
-                .into_iter()
-                .collect();
+                // A message may go out from a worker thread, so it owns what
+                // it needs: its place in the list, the verb, the task's name.
+                let owned = groups
+                    .into_iter()
+                    .map(|(alias, members)| {
+                        let members = members.into_iter().map(|i| (i, action, names[i].clone()));
+                        (alias, members.collect())
+                    })
+                    .collect();
+                sent = self
+                    .fan_out(&mut state.services, owned, ctx, |svc, alias, member, ctx| {
+                        let (i, action, name): (usize, Settle, String) = member;
+                        (i, send(svc, action, &name, alias, ctx))
+                    })
+                    .into_iter()
+                    .collect();
             }
         }
 
@@ -522,44 +555,44 @@ impl<'f> DolEngine<'f> {
             }),
         }
     }
-}
 
-/// Runs `work` over every group's items with one scoped thread per service
-/// alias. Each thread owns its service for the duration (the boxes go back
-/// into `services` afterwards); the items of one group run in order on that
-/// service's connection. Callers have checked that every alias is open.
-fn fan_out<I: Send, T: Send>(
-    services: &mut HashMap<String, Box<dyn DolService>>,
-    groups: Vec<(String, Vec<I>)>,
-    work: impl Fn(&mut Box<dyn DolService>, &str, I) -> T + Sync,
-) -> Vec<T> {
-    let taken: Vec<(String, Box<dyn DolService>, Vec<I>)> = groups
-        .into_iter()
-        .map(|(alias, items)| {
-            let svc = services.remove(&alias).expect("alias checked by the caller");
-            (alias, svc, items)
-        })
-        .collect();
-    let work = &work;
-    let finished: Vec<(String, Box<dyn DolService>, Vec<T>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = taken
+    /// Runs `work` over every group's items, the groups concurrently on the
+    /// engine's [`WorkerSet`] — the first on this thread, the others on
+    /// parked workers. Each group's job owns its service for the duration
+    /// (the boxes go back into `services` afterwards) and a handle on `ctx`;
+    /// the items of one group run in order on that service's connection.
+    /// Results come back group by group, in `groups` order. Callers have
+    /// checked that every alias is open.
+    fn fan_out<I, T>(
+        &self,
+        services: &mut HashMap<String, Box<dyn DolService>>,
+        groups: Vec<(String, Vec<I>)>,
+        ctx: &SpanCtx,
+        work: fn(&mut Box<dyn DolService>, &str, I, &SpanCtx) -> T,
+    ) -> Vec<T>
+    where
+        I: Send + 'static,
+        T: Send + 'static,
+    {
+        let jobs: Vec<_> = groups
             .into_iter()
-            .map(|(alias, mut svc, items)| {
-                scope.spawn(move || {
-                    let results =
-                        items.into_iter().map(|item| work(&mut svc, &alias, item)).collect();
+            .map(|(alias, items)| {
+                let mut svc = services.remove(&alias).expect("alias checked by the caller");
+                let ctx = ctx.clone();
+                move || {
+                    let results: Vec<T> =
+                        items.into_iter().map(|item| work(&mut svc, &alias, item, &ctx)).collect();
                     (alias, svc, results)
-                })
+                }
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("service thread panicked")).collect()
-    });
-    let mut out = Vec::new();
-    for (alias, svc, results) in finished {
-        services.insert(alias, svc);
-        out.extend(results);
+        let mut out = Vec::new();
+        for (alias, svc, results) in self.workers.run(jobs) {
+            services.insert(alias, svc);
+            out.extend(results);
+        }
+        out
     }
-    out
 }
 
 /// Evaluates a status condition.
@@ -591,6 +624,8 @@ mod tests {
         delay: Option<Duration>,
         /// How long a second-phase acknowledgement takes.
         settle_delay: Option<Duration>,
+        /// The thread each `exec` / `commit` log line ran on.
+        threads: Vec<(String, std::thread::ThreadId)>,
     }
 
     #[derive(Clone, Default)]
@@ -624,6 +659,7 @@ mod tests {
             }
             let mut st = self.state.lock();
             st.log.push(format!("exec {} on {}", task.name, self.service));
+            st.threads.push((format!("exec {}", task.name), std::thread::current().id()));
             if st.fail_tasks.contains(&task.name) {
                 return TaskExecution::aborted("scripted failure");
             }
@@ -639,7 +675,9 @@ mod tests {
             if let Some(d) = delay {
                 std::thread::sleep(d);
             }
-            self.state.lock().log.push(format!("commit {task_name}"));
+            let mut st = self.state.lock();
+            st.log.push(format!("commit {task_name}"));
+            st.threads.push((format!("commit {task_name}"), std::thread::current().id()));
             Ok(())
         }
 
@@ -857,6 +895,50 @@ mod tests {
 
         assert!(parallel_time < Duration::from_millis(100), "parallel: {parallel_time:?}");
         assert!(serial_time >= Duration::from_millis(110), "serial: {serial_time:?}");
+    }
+
+    #[test]
+    fn the_first_group_runs_on_the_calling_thread_and_workers_are_reused() {
+        let program = parse_program(
+            "DOLBEGIN
+             OPEN a AT s1 AS a;
+             OPEN b AT s2 AS b;
+             OPEN c AT s3 AS c;
+             TASK Ta NOCOMMIT FOR a { UPDATE x SET y = 1 } ENDTASK;
+             TASK Tb NOCOMMIT FOR b { UPDATE x SET y = 2 } ENDTASK;
+             TASK Tc NOCOMMIT FOR c { UPDATE x SET y = 3 } ENDTASK;
+             COMMIT Ta, Tb, Tc;
+             DOLEND",
+        )
+        .unwrap();
+        let me = std::thread::current().id();
+        let workers = WorkerSet::new();
+        for parallel in [true, true, false] {
+            let factory = MockFactory::default();
+            let mut engine = DolEngine::new(&factory).with_workers(&workers);
+            engine.parallel = parallel;
+            engine.execute(&program).unwrap();
+            let threads = factory.state.lock().threads.clone();
+            let on = |what: &str| threads.iter().find(|(w, _)| w == what).unwrap().1;
+            // The batch's and the list's first group never leave this thread;
+            // in parallel mode the other groups run on workers.
+            assert_eq!((on("exec Ta"), on("commit Ta")), (me, me));
+            for other in ["exec Tb", "exec Tc", "commit Tb", "commit Tc"] {
+                assert_eq!(on(other) == me, !parallel, "{other}, parallel = {parallel}");
+            }
+            // Two engines and four fan-outs later the caller's set still holds
+            // the two threads the first batch started.
+            assert_eq!(workers.threads(), 2);
+        }
+        // A batch on one service, parallel or not, touches no worker.
+        let factory = MockFactory::default();
+        let workers = WorkerSet::new();
+        let single =
+            parse_program("DOLBEGIN OPEN a AT s1 AS a; TASK T1 FOR a { SELECT 1 } ENDTASK; DOLEND")
+                .unwrap();
+        DolEngine::new(&factory).with_workers(&workers).execute(&single).unwrap();
+        assert_eq!(factory.state.lock().threads, vec![("exec T1".to_string(), me)]);
+        assert_eq!(workers.threads(), 0);
     }
 
     #[test]

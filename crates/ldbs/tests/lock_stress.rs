@@ -6,10 +6,13 @@
 //!
 //! * **no lost locks** — after every thread finishes, `held_locks() == 0`
 //!   and a fresh transaction can lock every table;
-//! * **deadlocks are detected** — across the seed matrix at least one cycle
-//!   is broken, and every break surfaces as the retriable
-//!   [`DbError::Deadlock`] (or as the victim's aborted state at commit),
-//!   never as a hang (a wall-clock deadline guards the whole run);
+//! * **every cycle that forms is broken** — a break surfaces as the
+//!   retriable [`DbError::Deadlock`] (or as the victim's aborted state at
+//!   commit), never as a hang (a wall-clock deadline guards the whole run).
+//!   Whether the seeded schedules form a cycle at all is up to the host's
+//!   scheduler — two CPUs rarely interleave mid-transaction — so that is not
+//!   asserted here: `two_thread_abba_deadlock_is_always_broken` *constructs*
+//!   the cycle with a barrier and proves detection;
 //! * **no lost updates** — the summed `hits` column equals exactly
 //!   2 × (committed transactions), so every commit applied both increments
 //!   and every abort applied none.
@@ -70,7 +73,10 @@ fn run_txn(
         loop {
             assert!(Instant::now() < deadline, "lock wait outlived the run deadline: hang");
             let epoch = signal.epoch();
-            match engine.lock().execute_in(txn, "db", &sql) {
+            // Bound first: a guard in the `match` scrutinee would live through
+            // the arms and the wait below would sleep holding the engine.
+            let attempt = engine.lock().execute_in(txn, "db", &sql);
+            match attempt {
                 Ok(_) => break,
                 Err(DbError::LockWait { .. }) => signal.wait_past(epoch, WAIT_SLICE),
                 Err(DbError::Deadlock { .. }) => return TxnOutcome::DeadlockVictim,
@@ -113,20 +119,18 @@ fn stress_run(seed: u64, threads: usize) -> (u64, u64) {
                         let tables =
                             if who % 2 == 0 { [a.min(b), a.max(b)] } else { [a.max(b), a.min(b)] };
                         // A victim retries the whole transaction (the error
-                        // is retriable by contract); bounded so a detector
-                        // bug cannot loop forever.
-                        let mut settled = false;
-                        for _attempt in 0..8 {
-                            match run_txn(&engine, &signal, tables, deadline) {
-                                TxnOutcome::Committed => {
-                                    committed += 1;
-                                    settled = true;
-                                    break;
-                                }
-                                TxnOutcome::DeadlockVictim => deadlocks += 1,
-                            }
+                        // is retriable by contract) until it commits. The
+                        // detector kills the youngest member of a cycle and a
+                        // retry is younger still, so how many tries that
+                        // takes is the schedule's business; `run_txn` checks
+                        // the run deadline on every one, so a detector that
+                        // lets nobody through still fails the run.
+                        while let TxnOutcome::DeadlockVictim =
+                            run_txn(&engine, &signal, tables, deadline)
+                        {
+                            deadlocks += 1;
                         }
-                        assert!(settled, "transaction never settled after 8 deadlock retries");
+                        committed += 1;
                     }
                     (committed, deadlocks)
                 })
@@ -170,18 +174,14 @@ fn stress_run(seed: u64, threads: usize) -> (u64, u64) {
 
 #[test]
 fn seeded_schedules_keep_lock_invariants() {
-    let mut total_deadlocks = 0;
     for seed in 0..6 {
-        let (committed, deadlocks) = stress_run(seed, thread_count());
-        assert!(committed > 0, "seed {seed}: nothing committed");
-        total_deadlocks += deadlocks;
-    }
-    // Opposite lock orders across 6 seeds × ≥4 threads × 12 transactions:
-    // at least one cycle must have formed and been broken. At narrower
-    // widths (a 2-thread CI sweep on a single core rarely interleaves
-    // mid-transaction) cycles are not guaranteed, only the invariants above.
-    if thread_count() >= THREADS {
-        assert!(total_deadlocks > 0, "no deadlock ever detected across the seed matrix");
+        let threads = thread_count();
+        let (committed, deadlocks) = stress_run(seed, threads);
+        // Every transaction settles (a victim retries until it commits), so
+        // the commit count is exact; the deadlock count is whatever the
+        // schedule happened to produce.
+        assert_eq!(committed, (threads * TXNS_PER_THREAD) as u64, "seed {seed}");
+        println!("seed {seed}: {threads} threads, {deadlocks} deadlock(s) broken");
     }
 }
 
@@ -211,7 +211,8 @@ fn two_thread_abba_deadlock_is_always_broken() {
                     loop {
                         assert!(Instant::now() < deadline, "AB/BA cycle was never broken: hang");
                         let epoch = signal.epoch();
-                        match engine.lock().execute_in(txn, "db", &second) {
+                        let attempt = engine.lock().execute_in(txn, "db", &second);
+                        match attempt {
                             Ok(_) => break,
                             Err(DbError::LockWait { .. }) => signal.wait_past(epoch, WAIT_SLICE),
                             Err(DbError::Deadlock { .. }) => return TxnOutcome::DeadlockVictim,

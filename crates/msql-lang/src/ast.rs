@@ -335,6 +335,40 @@ impl Expr {
         }
     }
 
+    /// [`Self::walk_columns`] with the references handed out mutably.
+    pub fn walk_columns_mut(&mut self, f: &mut impl FnMut(&mut ColumnRef)) {
+        match self {
+            Expr::Column(c) => f(c),
+            Expr::Literal(_) | Expr::Subquery(_) | Expr::Exists { .. } => {}
+            Expr::Unary { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::InSubquery { expr, .. } => expr.walk_columns_mut(f),
+            Expr::Binary { left, right, .. } => {
+                left.walk_columns_mut(f);
+                right.walk_columns_mut(f);
+            }
+            Expr::Aggregate { arg, .. } => {
+                if let Some(a) = arg {
+                    a.walk_columns_mut(f);
+                }
+            }
+            Expr::Function { args, .. } => args.iter_mut().for_each(|a| a.walk_columns_mut(f)),
+            Expr::InList { expr, list, .. } => {
+                expr.walk_columns_mut(f);
+                list.iter_mut().for_each(|e| e.walk_columns_mut(f));
+            }
+            Expr::Between { expr, low, high, .. } => {
+                expr.walk_columns_mut(f);
+                low.walk_columns_mut(f);
+                high.walk_columns_mut(f);
+            }
+            Expr::Like { expr, pattern, .. } => {
+                expr.walk_columns_mut(f);
+                pattern.walk_columns_mut(f);
+            }
+        }
+    }
+
     /// True if the expression (outside of nested subqueries) contains any
     /// multiple identifier.
     pub fn has_multiple_identifier(&self) -> bool {

@@ -50,6 +50,9 @@ impl LatencyModel {
 
     /// The one-way delay from `from` to `to`, including any injected spike.
     pub fn delay(&self, from: &str, to: &str) -> Duration {
+        if self.overrides.is_empty() && self.spikes.is_empty() {
+            return self.base;
+        }
         let key = (from.to_string(), to.to_string());
         let normal = self.overrides.get(&key).copied().unwrap_or(self.base);
         normal + self.spikes.get(&key).copied().unwrap_or(Duration::ZERO)

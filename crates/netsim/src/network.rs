@@ -223,21 +223,33 @@ impl Endpoint {
     /// behaviour.
     pub fn send(&self, to: &str, body: impl Into<Body>) -> Result<(), NetError> {
         let body = body.into();
-        if self.fabric.partitions.read().contains(&(self.name.clone(), to.to_string())) {
+        // The fault tables are empty on a healthy fabric: each is asked that
+        // under its read lock before any key is built for it, so a send
+        // allocates nothing it does not ship and concurrent senders share
+        // every lock up to the stats.
+        let partitioned = {
+            let partitions = self.fabric.partitions.read();
+            !partitions.is_empty() && partitions.contains(&(self.name.clone(), to.to_string()))
+        };
+        if partitioned {
             self.fabric.stats.lock().refused += 1;
             self.probe_event("net.refused", None);
             return Err(NetError::Partitioned { from: self.name.clone(), to: to.to_string() });
         }
         let sites = self.fabric.sites.read();
         let tx = sites.get(to).ok_or_else(|| NetError::UnknownSite(to.to_string()))?;
-        let link = (self.name.clone(), to.to_string());
         // Exact match first, then wildcard sender, then wildcard receiver.
-        let link_keys =
-            [link.clone(), ("*".to_string(), to.to_string()), (self.name.clone(), "*".to_string())];
+        let link_keys = || {
+            [
+                (self.name.clone(), to.to_string()),
+                ("*".to_string(), to.to_string()),
+                (self.name.clone(), "*".to_string()),
+            ]
+        };
         // Deterministic forced drop (highest precedence).
-        {
+        if !self.fabric.forced_drops.read().is_empty() {
             let mut forced = self.fabric.forced_drops.write();
-            for key in &link_keys {
+            for key in &link_keys() {
                 if let Some(remaining) = forced.get_mut(key) {
                     if *remaining > 0 {
                         *remaining -= 1;
@@ -255,7 +267,11 @@ impl Endpoint {
         let p = {
             let global = *self.fabric.drop_probability.read();
             let map = self.fabric.link_drop_probability.read();
-            let per_link = link_keys.iter().find_map(|key| map.get(key).copied()).unwrap_or(0.0);
+            let per_link = if map.is_empty() {
+                0.0
+            } else {
+                link_keys().iter().find_map(|key| map.get(key).copied()).unwrap_or(0.0)
+            };
             global.max(per_link)
         };
         if p > 0.0 {
@@ -282,22 +298,24 @@ impl Endpoint {
     /// message's simulated delivery time.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Message, NetError> {
         let deadline = Instant::now() + timeout;
-        let envelope = match self.rx.recv_deadline(deadline) {
-            Ok(e) => e,
-            Err(RecvTimeoutError::Timeout) => return Err(NetError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => return Err(NetError::Disconnected),
-        };
-        // Wait out the simulated flight time (senders enqueue instantly).
-        let now = Instant::now();
-        if envelope.deliver_at > now {
-            std::thread::sleep(envelope.deliver_at - now);
+        match self.rx.recv_deadline(deadline) {
+            Ok(envelope) => Ok(land(envelope)),
+            Err(RecvTimeoutError::Timeout) => Err(NetError::Timeout),
+            Err(RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
         }
-        Ok(envelope.message)
     }
 
-    /// Receives with a generous default timeout (tests, servers).
+    /// Receives with a generous default timeout (tests).
     pub fn recv(&self) -> Result<Message, NetError> {
         self.recv_timeout(Duration::from_secs(10))
+    }
+
+    /// Receives the next message however long it takes (servers): returns
+    /// only with a message or, once the site has been deregistered and its
+    /// mailbox drained, with [`NetError::Disconnected`]. Every thread blocked
+    /// here on one endpoint wakes on the deregistration.
+    pub fn recv_blocking(&self) -> Result<Message, NetError> {
+        self.rx.recv().map(land).map_err(|_| NetError::Disconnected)
     }
 
     /// True when a message is ready in the mailbox (may still be in
@@ -305,6 +323,16 @@ impl Endpoint {
     pub fn has_mail(&self) -> bool {
         !self.rx.is_empty()
     }
+}
+
+/// Waits out a dequeued message's simulated flight time (senders enqueue
+/// instantly).
+fn land(envelope: Envelope) -> Message {
+    let now = Instant::now();
+    if envelope.deliver_at > now {
+        std::thread::sleep(envelope.deliver_at - now);
+    }
+    envelope.message
 }
 
 #[cfg(test)]
@@ -567,6 +595,35 @@ mod tests {
         let net = Network::new();
         let a = net.register("a").unwrap();
         assert!(matches!(a.recv_timeout(Duration::from_millis(10)), Err(NetError::Timeout)));
+    }
+
+    #[test]
+    fn blocked_receivers_all_wake_when_the_site_is_deregistered() {
+        let net = Network::new();
+        let server = Arc::new(net.register("server").unwrap());
+        let client = net.register("client").unwrap();
+        let (woke, wakes) = std::sync::mpsc::channel();
+        let threads: Vec<_> = (0..3)
+            .map(|_| {
+                let (server, woke) = (Arc::clone(&server), woke.clone());
+                std::thread::spawn(move || loop {
+                    let got = server.recv_blocking();
+                    woke.send(got.clone().map(|m| m.body)).unwrap();
+                    if got.is_err() {
+                        break;
+                    }
+                })
+            })
+            .collect();
+        client.send("server", "one").unwrap();
+        assert_eq!(wakes.recv().unwrap().unwrap(), "one", "exactly one receiver takes a message");
+        net.deregister("server");
+        for _ in 0..3 {
+            assert!(matches!(wakes.recv().unwrap(), Err(NetError::Disconnected)));
+        }
+        for t in threads {
+            t.join().unwrap();
+        }
     }
 
     #[test]

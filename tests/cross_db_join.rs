@@ -107,6 +107,43 @@ fn temporaries_are_cleaned_up_at_the_coordinator() {
 }
 
 #[test]
+fn concurrent_sessions_do_not_share_coordinator_temporaries() {
+    // Two sessions running the same join used to load and drop the same
+    // `part_<db>` tables at the coordinator, one's DROPMANY removing what the
+    // other had just loaded ("unknown table part_avis").
+    let mut fed = paper_federation();
+    fed.execute("USE avis UPDATE cars SET rate = 80 WHERE code = 2").unwrap();
+    let join = "USE avis continental
+                SELECT c.code, f.flnu, f.rate FROM avis.cars c, continental.flights f
+                WHERE c.rate = f.rate";
+    let expected = fed.execute(join).unwrap().into_table().unwrap();
+    assert!(!expected.rows.is_empty());
+    let failures: Vec<String> = std::thread::scope(|scope| {
+        let runs: Vec<_> = (0..2)
+            .map(|_| {
+                let (mut session, expected) = (fed.session(), &expected);
+                scope.spawn(move || {
+                    (0..300)
+                        .filter_map(|_| match session.execute(join).and_then(|o| o.into_table()) {
+                            Ok(rs) if rs == *expected => None,
+                            Ok(rs) => Some(format!("wrong rows: {rs:?}")),
+                            Err(e) => Some(e.to_string()),
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        runs.into_iter().flat_map(|run| run.join().unwrap()).collect()
+    });
+    assert_eq!(failures, Vec::<String>::new());
+    for (svc, db) in [("svc_continental", "continental"), ("svc_avis", "avis")] {
+        let engine = fed.engine(svc).unwrap();
+        let names = engine.lock().database(db).unwrap().table_names();
+        assert!(names.iter().all(|n| !n.starts_with("part_")), "leftovers in {db}: {names:?}");
+    }
+}
+
+#[test]
 fn three_way_cross_database_join() {
     let mut fed = paper_federation();
     fed.execute("USE continental delta avis").unwrap();
