@@ -40,6 +40,22 @@ echo "== access-path equivalence =="
 # already ran it; this names it so a failure is unmistakable).
 cargo test -q -p ldbs --test index_equivalence
 
+echo "== bound local execution =="
+# The generated oracle for the local engine's bind-once executor: seeded
+# tables (NULLs, Int/Float equal pairs, NaN) x WHERE x GROUP BY x aggregates
+# x HAVING x ORDER BY x LIMIT x DISTINCT against a plain-Rust reference, one
+# pinned case per semantic rule, correlated subqueries in queries and DML
+# (the workspace pass above already ran it; this names it). And the per-row
+# environment it replaced is gone, not bypassed: no `Env` / `Binding` is
+# built anywhere in the engine outside its unit tests.
+cargo test -q -p ldbs --test select_oracle
+for f in crates/ldbs/src/*.rs crates/ldbs/src/exec/*.rs; do
+    if sed '/^mod tests {/,$d' "$f" | grep -nE 'make_env|Env \{|Binding \{'; then
+        echo "per-row name environment in $f" >&2
+        exit 1
+    fi
+done
+
 echo "== lock-manager stress matrix =="
 # The seeded lock/deadlock stress schedules under increasing thread counts:
 # invariants (no lost locks, no lost updates, every cycle that forms broken)

@@ -1,7 +1,8 @@
 //! Experiment B6 — local engine microbenchmarks.
 //!
-//! The substrate's raw costs: scans, filtered scans, joins, aggregates,
-//! point updates and the full 2PC cycle, over table sizes 1k–100k rows.
+//! The substrate's raw costs: scans, filtered scans, joins, aggregates (few
+//! groups and a thousand), top-k, an IN-list filter, point updates and the
+//! full 2PC cycle, over table sizes 1k–100k rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ldbs::profile::DbmsProfile;
@@ -13,7 +14,8 @@ fn engine_with_rows(rows: usize) -> Engine {
     e.create_database("db").unwrap();
     e.execute(
         "db",
-        "CREATE TABLE flights (flnu INT, source CHAR(20), destination CHAR(20), rate FLOAT)",
+        "CREATE TABLE flights \
+         (flnu INT, source CHAR(20), destination CHAR(20), rate FLOAT, grp INT)",
     )
     .unwrap();
     let cities = ["Houston", "Dallas", "Austin", "El Paso"];
@@ -21,10 +23,11 @@ fn engine_with_rows(rows: usize) -> Engine {
         e.execute(
             "db",
             &format!(
-                "INSERT INTO flights VALUES ({r}, '{}', '{}', {})",
+                "INSERT INTO flights VALUES ({r}, '{}', '{}', {}, {})",
                 cities[r % 4],
                 cities[(r + 1) % 4],
-                50.0 + (r % 100) as f64
+                50.0 + (r % 100) as f64,
+                (r * 7) % 1000
             ),
         )
         .unwrap();
@@ -34,6 +37,10 @@ fn engine_with_rows(rows: usize) -> Engine {
 
 fn bench_scans(c: &mut Criterion) {
     let mut group = c.benchmark_group("b6_scan");
+    let in_25 = format!(
+        "SELECT flnu FROM flights WHERE grp IN ({})",
+        (0..25).map(|i| (i * 37).to_string()).collect::<Vec<_>>().join(", ")
+    );
     for rows in [1_000usize, 10_000, 100_000] {
         let mut e = engine_with_rows(rows);
         group.throughput(Throughput::Elements(rows as u64));
@@ -62,6 +69,15 @@ fn bench_scans(c: &mut Criterion) {
                 )
             })
         });
+        for (name, sql) in [
+            ("aggregate_1000_groups", "SELECT grp, COUNT(*), SUM(rate) FROM flights GROUP BY grp"),
+            ("top_10", "SELECT flnu, rate FROM flights ORDER BY rate DESC, flnu LIMIT 10"),
+            ("in_25_filter", in_25.as_str()),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, rows), &rows, |b, _| {
+                b.iter(|| black_box(e.execute("db", sql).unwrap()))
+            });
+        }
     }
     group.finish();
 }
@@ -104,7 +120,7 @@ fn bench_dml_and_txn(c: &mut Criterion) {
     });
     group.bench_function("insert_delete", |b| {
         b.iter(|| {
-            e.execute("db", "INSERT INTO flights VALUES (999999, 'X', 'Y', 1.0)").unwrap();
+            e.execute("db", "INSERT INTO flights VALUES (999999, 'X', 'Y', 1.0, 0)").unwrap();
             e.execute("db", "DELETE FROM flights WHERE flnu = 999999").unwrap();
         })
     });

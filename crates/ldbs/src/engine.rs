@@ -40,8 +40,7 @@ pub struct ResultSet {
 impl ResultSet {
     /// Index of a column by name.
     pub fn column_index(&self, name: &str) -> Option<usize> {
-        let lower = name.to_ascii_lowercase();
-        self.columns.iter().position(|c| c.name == lower)
+        self.columns.iter().position(|c| c.name.eq_ignore_ascii_case(name))
     }
 }
 
@@ -420,7 +419,7 @@ impl Engine {
                         // Fast path: nothing changed since the snapshot —
                         // read the live tables zero-copy.
                         let db = self.database(&dbname)?;
-                        select::execute_select_stats(db, sel, &[], &stats)?
+                        select::execute_select_stats(db, sel, &stats)?
                     } else {
                         // Swap reconstructed snapshot tables in, run the
                         // SELECT, swap the live tables back (even on error).
@@ -434,7 +433,7 @@ impl Engine {
                                 saved.push((name, std::mem::replace(slot, snap_table)));
                             }
                         }
-                        let result = select::execute_select_stats(db, sel, &[], &stats);
+                        let result = select::execute_select_stats(db, sel, &stats);
                         for (name, live) in saved {
                             if let Ok(slot) = db.table_mut(&name) {
                                 *slot = live;

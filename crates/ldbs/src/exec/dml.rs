@@ -6,7 +6,7 @@
 
 use crate::engine::Database;
 use crate::error::DbError;
-use crate::eval::{Binding, Env, Evaluator, SubqueryCache};
+use crate::eval::{Binder, Bound, Frame, Scope, ScopeSource, SubqueryCache};
 use crate::table::{Row, RowId};
 use crate::txn::UndoOp;
 use crate::value::Value;
@@ -58,18 +58,19 @@ pub fn execute_insert(
         };
         let source_rows: Vec<Row> = match &ins.source {
             InsertSource::Values(rows) => {
-                let ev = Evaluator::constant(dbr);
+                let cache = SubqueryCache::new();
+                let binder = Binder::new(dbr, &cache, None);
                 let mut out = Vec::with_capacity(rows.len());
                 for row in rows {
                     let mut vals = Vec::with_capacity(row.len());
                     for e in row {
-                        vals.push(ev.eval(e)?);
+                        vals.push(binder.bind(e).eval(&Frame::EMPTY)?.into_owned());
                     }
                     out.push(vals);
                 }
                 out
             }
-            InsertSource::Select(sel) => crate::exec::select::execute_select(dbr, sel, &[])?.rows,
+            InsertSource::Select(sel) => crate::exec::select::execute_select(dbr, sel)?.rows,
         };
         let mut planned = Vec::with_capacity(source_rows.len());
         for vals in source_rows {
@@ -128,20 +129,20 @@ pub fn execute_update(
             );
         }
         let cache = SubqueryCache::new();
+        let sources = [ScopeSource { binding: &binding_name, schema }];
+        let scope = Scope { sources: &sources, parent: None };
+        let binder = Binder::new(dbr, &cache, Some(&scope));
+        let pred = up.where_clause.as_ref().map(|p| binder.bind(p));
+        let values: Vec<Bound<'_>> = up.assignments.iter().map(|a| binder.bind(&a.value)).collect();
         let mut planned = Vec::new();
         for (id, row) in table.iter() {
-            let env = Env { bindings: vec![Binding { name: binding_name.clone(), schema, row }] };
-            let ev = Evaluator::new(dbr, &env).with_cache(&cache);
-            let hit = match &up.where_clause {
-                None => true,
-                Some(pred) => ev.eval(pred)?.as_truth()? == Some(true),
-            };
-            if !hit {
+            let frame = Frame::of(std::slice::from_ref(&row), None);
+            if !pred.as_ref().map_or(Ok(true), |p| p.accepts(&frame))? {
                 continue;
             }
             let mut new_row = row.clone();
-            for (pos, a) in targets.iter().zip(&up.assignments) {
-                new_row[*pos] = ev.eval(&a.value)?;
+            for (pos, value) in targets.iter().zip(&values) {
+                new_row[*pos] = value.eval(&frame)?.into_owned();
             }
             planned.push((id, new_row));
         }
@@ -172,17 +173,15 @@ pub fn execute_delete(
     let victims: Vec<RowId> = {
         let dbr: &Database = db;
         let table = dbr.table(&table_name)?;
-        let schema = &table.schema;
         let cache = SubqueryCache::new();
+        let sources = [ScopeSource { binding: &binding_name, schema: &table.schema }];
+        let scope = Scope { sources: &sources, parent: None };
+        let pred =
+            del.where_clause.as_ref().map(|p| Binder::new(dbr, &cache, Some(&scope)).bind(p));
         let mut victims = Vec::new();
         for (id, row) in table.iter() {
-            let env = Env { bindings: vec![Binding { name: binding_name.clone(), schema, row }] };
-            let ev = Evaluator::new(dbr, &env).with_cache(&cache);
-            let hit = match &del.where_clause {
-                None => true,
-                Some(pred) => ev.eval(pred)?.as_truth()? == Some(true),
-            };
-            if hit {
+            let frame = Frame::of(std::slice::from_ref(&row), None);
+            if pred.as_ref().map_or(Ok(true), |p| p.accepts(&frame))? {
                 victims.push(id);
             }
         }

@@ -2,10 +2,17 @@
 //! projection.
 //!
 //! The executor is an iterate-and-filter engine (SQL-89 style implicit
-//! joins, as in all of the paper's examples). Aggregates are computed per
-//! group and *substituted* into the projection/HAVING/ORDER BY expressions
-//! as literals, after which the ordinary row evaluator finishes the job —
-//! this keeps a single evaluator implementation.
+//! joins, as in all of the paper's examples) in two steps. **Prepare**
+//! ([`prepare_select`]) resolves the FROM tables, binds every expression of
+//! the block once ([`crate::eval`]) — subqueries included, each into a plan
+//! of its own — and collects what access-path selection needs from the WHERE
+//! tree. **Run** ([`SelectPlan::run`]) is a tight loop over rows: survivors
+//! of the WHERE filter are kept in one flat buffer; GROUP BY hashes the group
+//! key and folds every aggregate into per-group accumulators in the same
+//! pass, then evaluates HAVING, the projection and the ORDER BY keys from the
+//! accumulators and the group's first row; ORDER BY moves rows into place
+//! and, under a LIMIT, selects only the first k. A correlated subquery runs
+//! its prepared plan once per outer row; nothing is bound twice.
 //!
 //! Before enumeration each FROM source picks an **access path**: when the
 //! WHERE tree carries a sargable conjunct (`col = lit`, `col IN (lits)`,
@@ -27,18 +34,19 @@
 
 use crate::engine::{ColumnMeta, Database, ResultSet};
 use crate::error::DbError;
-use crate::eval::{literal_value, value_literal, Binding, Env, Evaluator, SubqueryCache};
+use crate::eval::{
+    literal_value, lookup, Acc, AggSpec, Binder, Bound, Frame, Scope, ScopeSource, SubqueryCache,
+};
 use crate::index::KeyBound;
-use crate::schema::TableSchema;
 use crate::table::{Row, RowId, Table};
 use crate::value::{CanonicalKey, DataType, Value};
 use msql_lang::printer::print_expr;
-use msql_lang::{
-    AggregateKind, BinaryOp, Expr, OrderByItem, Select, SelectItem, SortOrder, TableRef,
-};
+use msql_lang::{AggregateKind, BinaryOp, Expr, Select, SelectItem, SortOrder, TableRef};
+use std::borrow::{Borrow, Cow};
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher, RandomState};
 
 /// Per-statement access-path counters, shared by reference so the engine can
 /// aggregate them without threading mutable state through the recursion.
@@ -63,26 +71,30 @@ impl AccessStats {
     }
 }
 
-/// One resolved FROM entry: the table, its (possibly index-reduced) visible
-/// rows, and the ids those rows live under — `rows[i]` is always row
-/// `ids[i]`, in ascending id order, so enumeration stays deterministic.
+/// One resolved FROM entry.
 struct Source<'a> {
     table: &'a Table,
-    schema: &'a TableSchema,
-    rows: Vec<&'a Row>,
-    ids: Vec<RowId>,
     binding: String,
 }
 
-/// Executes a SELECT against `db`. `outer` carries the binding scopes of
-/// enclosing query blocks (for correlated subqueries); top-level queries pass
-/// an empty slice.
-pub fn execute_select(
-    db: &Database,
-    sel: &Select,
-    outer: &[&Env<'_>],
-) -> Result<ResultSet, DbError> {
-    execute_select_with(db, sel, outer, true)
+/// The rows one run reads from a source: the table's visible rows, or the
+/// candidates of an index probe, and the ids they live under — `rows[i]` is
+/// always row `ids[i]`, in ascending id order, so enumeration stays
+/// deterministic.
+struct Input<'a> {
+    rows: Vec<&'a Row>,
+    ids: Vec<RowId>,
+}
+
+/// The element type of [`execute_select_with`]'s `outer` parameter. A
+/// top-level statement has no enclosing block — a subquery receives its
+/// enclosing rows as [`Frame`]s from the evaluator — so the type has no
+/// values and the slice is always `&[]`.
+pub enum NoOuterBlock {}
+
+/// Executes a top-level SELECT against `db`.
+pub fn execute_select(db: &Database, sel: &Select) -> Result<ResultSet, DbError> {
+    execute_select_with(db, sel, &[], true)
 }
 
 /// [`execute_select`] with the index and hash-join fast paths toggleable.
@@ -91,172 +103,561 @@ pub fn execute_select(
 pub fn execute_select_with(
     db: &Database,
     sel: &Select,
-    outer: &[&Env<'_>],
+    _outer: &[NoOuterBlock],
     fast: bool,
 ) -> Result<ResultSet, DbError> {
-    let stats = AccessStats::default();
-    execute_select_impl(db, sel, outer, fast, &stats)
+    let cache = SubqueryCache::new();
+    prepare_select(db, sel, None, &cache)?.run(None, fast, &AccessStats::default())
 }
 
 /// [`execute_select`] with access-path accounting: index probe candidates and
-/// materialised rows are added to `stats`. Subqueries run through the plain
-/// entry point and are intentionally not counted.
+/// materialised rows are added to `stats`. Subqueries are intentionally not
+/// counted.
 pub fn execute_select_stats(
     db: &Database,
     sel: &Select,
-    outer: &[&Env<'_>],
     stats: &AccessStats,
 ) -> Result<ResultSet, DbError> {
-    execute_select_impl(db, sel, outer, true, stats)
+    let cache = SubqueryCache::new();
+    prepare_select(db, sel, None, &cache)?.run(None, true, stats)
 }
 
-fn execute_select_impl(
-    db: &Database,
+/// One query block, every name resolved: what [`prepare_select`] builds and
+/// [`SelectPlan::run`] executes, once for a top-level statement or an
+/// uncorrelated subquery, once per outer row for a correlated one.
+pub(crate) struct SelectPlan<'a> {
+    sources: Vec<Source<'a>>,
+    filter: Option<Bound<'a>>,
+    /// Sargable WHERE conjuncts, for access-path selection.
+    sargs: Vec<(usize, usize, Sarg)>,
+    /// Equality conjuncts joining source 0 to source 1 of a two-table block.
+    equi: Vec<(usize, usize)>,
+    /// What to do with the rows WHERE lets through — or the error in the
+    /// shape of the select list, reported only after WHERE has run.
+    body: Result<Body<'a>, DbError>,
+    /// Direction of each ORDER BY key.
+    order: Vec<SortOrder>,
+    distinct: bool,
+    limit: Option<u64>,
+    /// Output column names with the types static inference could give.
+    columns: Vec<(String, Option<DataType>)>,
+    /// How many blocks out the block's farthest reference reaches.
+    reach: usize,
+}
+
+enum Body<'a> {
+    /// One output row per surviving row.
+    Rows { items: Vec<Proj<'a>>, order_keys: Vec<Bound<'a>> },
+    /// One output row per group.
+    Groups(Box<Grouping<'a>>),
+}
+
+/// One output column of a non-aggregating block.
+enum Proj<'a> {
+    /// Evaluate this expression.
+    Expr(Bound<'a>),
+    /// Copy the column directly from a source (for wildcards).
+    Direct { source: usize, column: usize },
+}
+
+struct Grouping<'a> {
+    keys: Vec<Bound<'a>>,
+    aggs: Vec<AggSpec<'a>>,
+    output: GroupOutput<'a>,
+    /// The same expressions bound with *no* innermost row, for the one row
+    /// an ungrouped aggregate yields over empty input: a bare column there
+    /// resolves in an enclosing block or not at all.
+    empty_output: Option<GroupOutput<'a>>,
+}
+
+/// What is evaluated per group.
+struct GroupOutput<'a> {
+    having: Option<GroupExpr<'a>>,
+    items: Vec<GroupExpr<'a>>,
+    order_keys: Vec<GroupExpr<'a>>,
+}
+
+/// One per-group expression and the accumulators its aggregate calls read.
+struct GroupExpr<'a> {
+    expr: Bound<'a>,
+    aggs: std::ops::Range<usize>,
+}
+
+impl GroupExpr<'_> {
+    /// Evaluates over one group. Every aggregate of the expression is read
+    /// first, so one that failed fails the expression even where `AND`
+    /// would have short-circuited past it.
+    fn eval<'v>(&'v self, frame: &Frame<'_, 'v>) -> Result<Cow<'v, Value>, DbError> {
+        frame.aggs[self.aggs.clone()].iter().try_for_each(Acc::check)?;
+        self.expr.eval(frame)
+    }
+}
+
+impl<'a> GroupOutput<'a> {
+    /// Binds HAVING, the select list and the ORDER BY keys, in that order.
+    /// `bind` binds one expression and says how many aggregate calls the
+    /// block has seen so far.
+    fn bind(sel: &Select, mut bind: impl FnMut(&Expr) -> (Bound<'a>, usize)) -> Self {
+        let mut seen = 0;
+        let mut bind = |e: &Expr| {
+            let (expr, total) = bind(e);
+            let aggs = std::mem::replace(&mut seen, total)..total;
+            GroupExpr { expr, aggs }
+        };
+        let having = sel.having.as_ref().map(&mut bind);
+        let items = sel
+            .items
+            .iter()
+            .map(|item| match item {
+                SelectItem::Expr { expr, .. } => bind(expr),
+                _ => unreachable!("wildcards rejected by the caller"),
+            })
+            .collect();
+        let order_keys = sel.order_by.iter().map(|o| bind(&o.expr)).collect();
+        GroupOutput { having, items, order_keys }
+    }
+
+    /// Evaluates HAVING and, for a group it accepts, the output row and its
+    /// ORDER BY keys.
+    fn emit<'v>(
+        &'v self,
+        frame: &Frame<'_, 'v>,
+        rows: &mut Vec<Row>,
+        keys: &mut Vec<Cow<'v, Value>>,
+    ) -> Result<(), DbError> {
+        if let Some(h) = &self.having {
+            if h.eval(frame)?.as_truth()? != Some(true) {
+                return Ok(());
+            }
+        }
+        let mut row = Vec::with_capacity(self.items.len());
+        for item in &self.items {
+            row.push(item.eval(frame)?.into_owned());
+        }
+        for k in &self.order_keys {
+            keys.push(k.eval(frame)?);
+        }
+        rows.push(row);
+        Ok(())
+    }
+}
+
+/// Resolves the FROM clause of `sel` and binds its expressions. `parent` is
+/// the enclosing block's scope when `sel` is a subquery.
+pub(crate) fn prepare_select<'a>(
+    db: &'a Database,
     sel: &Select,
-    outer: &[&Env<'_>],
-    fast: bool,
-    stats: &AccessStats,
-) -> Result<ResultSet, DbError> {
-    // Statement-scoped cache for uncorrelated scalar subqueries.
-    let subq_cache = SubqueryCache::new();
-    // Resolve FROM tables. Rows are borrowed straight out of the table — no
-    // per-statement clone of the stored data.
-    let mut sources: Vec<Source> = Vec::with_capacity(sel.from.len());
+    parent: Option<&Scope<'_>>,
+    cache: &'a SubqueryCache,
+) -> Result<SelectPlan<'a>, DbError> {
+    let mut sources: Vec<Source<'a>> = Vec::with_capacity(sel.from.len());
     for tref in &sel.from {
         let table = resolve_table(db, tref)?;
         let binding = tref.binding_name().to_ascii_lowercase();
         if sources.iter().any(|s| s.binding == binding) {
             return Err(DbError::AmbiguousColumn(format!("duplicate FROM binding `{binding}`")));
         }
-        let (ids, rows) = table.iter().unzip();
-        sources.push(Source { table, schema: &table.schema, rows, ids, binding });
+        sources.push(Source { table, binding });
     }
+    let names: Vec<ScopeSource<'_>> = sources
+        .iter()
+        .map(|s| ScopeSource { binding: &s.binding, schema: &s.table.schema })
+        .collect();
+    let scope = Scope { sources: &names, parent };
+    let binder = Binder::new(db, cache, Some(&scope));
 
-    // Access-path selection: route sargable WHERE conjuncts to index probes,
-    // shrinking each source to the candidate rows before enumeration.
-    if fast {
-        if let Some(w) = &sel.where_clause {
-            let mut sargs = Vec::new();
-            collect_sargs(w, &sources, &mut sargs);
-            for (si, source) in sources.iter_mut().enumerate() {
-                let Some(candidates) = choose_probe(source, si, &sargs) else { continue };
-                stats.add_hits(candidates.len() as u64);
-                source.rows = candidates.iter().filter_map(|id| source.table.get(*id)).collect();
-                source.ids = candidates;
-            }
-        }
-    }
-    for s in &sources {
-        stats.add_scanned(s.rows.len() as u64);
-    }
-
-    // Enumerate the cross product, filter by WHERE. An empty FROM clause
-    // (e.g. `SELECT 1`) contributes exactly one empty combination; an empty
-    // table anywhere makes the product empty.
-    let mut combos: Vec<Vec<&Row>> = Vec::new();
-    let keep_combo = |combo: &Vec<&Row>| -> Result<bool, DbError> {
-        match &sel.where_clause {
-            None => Ok(true),
-            Some(pred) => {
-                let env = make_env(&sources, combo);
-                let ev = evaluator(db, outer, &env, &subq_cache);
-                Ok(ev.eval(pred)?.as_truth()? == Some(true))
-            }
-        }
-    };
-    if sources.is_empty() {
-        let combo = Vec::new();
-        if keep_combo(&combo)? {
-            combos.push(combo);
-        }
-    } else if sources.iter().all(|s| !s.rows.is_empty()) {
-        let equi =
-            if fast && sources.len() == 2 { equi_key_columns(sel, &sources) } else { vec![] };
-        if !equi.is_empty() {
-            // Equi-join: pair only key-matched rows, then apply the full
-            // WHERE unchanged, so the result is exactly the filtered cross
-            // product (any pair the key-match pruned had an unequal or NULL
-            // key, which already falsifies an AND-ed equality; any pair it
-            // over-returned is rejected by the re-check).
-            let matches = index_join_matches(&sources, &equi, stats)
-                .unwrap_or_else(|| hash_join_matches(&sources[0].rows, &sources[1].rows, &equi));
-            for (li, ri) in matches {
-                let combo = vec![sources[0].rows[li], sources[1].rows[ri]];
-                if keep_combo(&combo)? {
-                    combos.push(combo);
-                }
-            }
-        } else {
-            let mut idx = vec![0usize; sources.len()];
-            'product: loop {
-                let combo: Vec<&Row> = sources.iter().zip(&idx).map(|(s, i)| s.rows[*i]).collect();
-                if keep_combo(&combo)? {
-                    combos.push(combo);
-                }
-                // Advance the odometer, rightmost position fastest.
-                let mut k = sources.len() - 1;
-                loop {
-                    idx[k] += 1;
-                    if idx[k] < sources[k].rows.len() {
-                        break;
-                    }
-                    idx[k] = 0;
-                    if k == 0 {
-                        break 'product;
-                    }
-                    k -= 1;
-                }
-            }
+    let filter = sel.where_clause.as_ref().map(|w| binder.bind(w));
+    let mut sargs = Vec::new();
+    let mut equi = Vec::new();
+    if let Some(w) = &sel.where_clause {
+        collect_sargs(w, &names, &mut sargs);
+        if names.len() == 2 {
+            collect_equi_keys(w, &names, &mut equi);
         }
     }
 
-    let aggregate_mode = !sel.group_by.is_empty()
+    let aggregates = !sel.group_by.is_empty()
         || sel.items.iter().any(|i| match i {
             SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
             _ => false,
         })
         || sel.having.as_ref().map(Expr::contains_aggregate).unwrap_or(false);
-
-    let (mut names, mut rows, order_keys) = if aggregate_mode {
-        run_aggregate(db, sel, outer, &sources, combos, &subq_cache)?
+    let mut empty_reach = 0;
+    let body = if !aggregates {
+        project_items(sel, &names, &binder).map(|items| Body::Rows {
+            items,
+            order_keys: sel.order_by.iter().map(|o| binder.bind(&o.expr)).collect(),
+        })
+    } else if sel.items.iter().any(|i| !matches!(i, SelectItem::Expr { .. })) {
+        Err(DbError::TypeError("`*` projection cannot be combined with aggregation".into()))
     } else {
-        run_rowwise(db, sel, outer, &sources, combos, &subq_cache)?
+        let mut aggs = Vec::new();
+        let output = GroupOutput::bind(sel, |e| {
+            let expr = binder.bind_grouped(e, &mut aggs);
+            (expr, aggs.len())
+        });
+        let empty_output = sel.group_by.is_empty().then(|| {
+            let no_sources = Scope { sources: &[], parent };
+            let no_rows = Binder::new(db, cache, Some(&no_sources));
+            let mut next = 0;
+            let output = GroupOutput::bind(sel, |e| {
+                let expr = no_rows.bind_regrouped(e, &mut next);
+                (expr, next)
+            });
+            empty_reach = no_rows.reach();
+            output
+        });
+        let keys = sel.group_by.iter().map(|g| binder.bind(g)).collect();
+        Ok(Body::Groups(Box::new(Grouping { keys, aggs, output, empty_output })))
     };
 
-    // ORDER BY: keys were computed alongside each output row.
-    if !sel.order_by.is_empty() {
-        let mut perm: Vec<usize> = (0..rows.len()).collect();
-        perm.sort_by(|&a, &b| compare_keys(&order_keys[a], &order_keys[b], &sel.order_by));
-        rows = perm.iter().map(|&i| rows[i].clone()).collect();
-    }
-
-    // DISTINCT: stable dedup via sorted view.
-    if sel.distinct {
-        let mut seen: Vec<Row> = Vec::new();
-        rows.retain(|r| {
-            if seen.iter().any(|s| rows_equal(s, r)) {
-                false
-            } else {
-                seen.push(r.clone());
-                true
-            }
-        });
-    }
-
-    // LIMIT: applied last, after ORDER BY and DISTINCT (SQL evaluation order).
-    if let Some(n) = sel.limit {
-        rows.truncate(n as usize);
-    }
-
-    // Column metadata: static inference refined by the first non-null value.
-    let columns = build_column_meta(&mut names, &sources, sel, &rows);
-    Ok(ResultSet { columns, rows })
+    let columns = output_columns(sel, &names);
+    let reach = binder.reach().max(empty_reach);
+    Ok(SelectPlan {
+        sources,
+        filter,
+        sargs,
+        equi,
+        body,
+        order: sel.order_by.iter().map(|o| o.order).collect(),
+        distinct: sel.distinct,
+        limit: sel.limit,
+        columns,
+        reach,
+    })
 }
 
-fn resolve_table<'a>(
-    db: &'a Database,
-    tref: &TableRef,
-) -> Result<&'a crate::table::Table, DbError> {
+/// The surviving combinations of a block's sources, `stride` rows each, in
+/// one buffer. A block without FROM has stride 0 and at most one (empty)
+/// combination.
+struct Survivors<'r> {
+    flat: Vec<&'r Row>,
+    stride: usize,
+    len: usize,
+}
+
+impl<'r> Survivors<'r> {
+    fn push(&mut self, combo: &[&'r Row]) {
+        self.flat.extend_from_slice(combo);
+        self.len += 1;
+    }
+
+    fn get(&self, i: usize) -> &[&'r Row] {
+        &self.flat[i * self.stride..(i + 1) * self.stride]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[&'r Row]> {
+        (0..self.len).map(|i| self.get(i))
+    }
+}
+
+impl<'a> SelectPlan<'a> {
+    /// How many blocks out the block's farthest reference reaches: 0 for a
+    /// self-contained block, whose result does not depend on where it is
+    /// evaluated.
+    pub(crate) fn reach(&self) -> usize {
+        self.reach
+    }
+
+    /// Executes the block. `parent` carries the current rows of the
+    /// enclosing blocks when the block is a subquery.
+    pub(crate) fn run(
+        &self,
+        parent: Option<&Frame<'_, '_>>,
+        fast: bool,
+        stats: &AccessStats,
+    ) -> Result<ResultSet, DbError> {
+        // Rows are borrowed straight out of the tables — no per-statement
+        // clone of the stored data.
+        let mut inputs: Vec<Input<'a>> = self
+            .sources
+            .iter()
+            .map(|s| {
+                let (ids, rows) = s.table.iter().unzip();
+                Input { rows, ids }
+            })
+            .collect();
+        // Access-path selection: route sargable WHERE conjuncts to index
+        // probes, shrinking each source to the candidate rows before
+        // enumeration.
+        if fast {
+            for (si, (source, input)) in self.sources.iter().zip(&mut inputs).enumerate() {
+                let Some(candidates) = choose_probe(source, si, &self.sargs) else { continue };
+                stats.add_hits(candidates.len() as u64);
+                input.rows = candidates.iter().filter_map(|id| source.table.get(*id)).collect();
+                input.ids = candidates;
+            }
+        }
+        for input in &inputs {
+            stats.add_scanned(input.rows.len() as u64);
+        }
+
+        let survivors = self.filter(&inputs, parent, fast, stats)?;
+        let mut rows = Vec::new();
+        let mut keys = Vec::new();
+        match self.body.as_ref().map_err(Clone::clone)? {
+            Body::Rows { items, order_keys } => {
+                rows.reserve(survivors.len);
+                keys.reserve(survivors.len * order_keys.len());
+                for combo in survivors.iter() {
+                    let frame = Frame::of(combo, parent);
+                    let mut row = Vec::with_capacity(items.len());
+                    for item in items {
+                        row.push(match item {
+                            Proj::Expr(e) => e.eval(&frame)?.into_owned(),
+                            Proj::Direct { source, column } => combo[*source][*column].clone(),
+                        });
+                    }
+                    for k in order_keys {
+                        keys.push(k.eval(&frame)?);
+                    }
+                    rows.push(row);
+                }
+            }
+            Body::Groups(grouping) => grouping.run(&survivors, parent, &mut rows, &mut keys)?,
+        }
+
+        if !self.order.is_empty() {
+            rows = sort_rows(rows, &keys, &self.order, self.limit.filter(|_| !self.distinct));
+        }
+        if self.distinct {
+            // Keeps first occurrences, after ORDER BY and before LIMIT.
+            let mut kept: Vec<Row> = Vec::new();
+            let mut index = KeyIndex::default();
+            for row in rows {
+                if index.find_or_insert(&row, |i| &kept[i]).is_err() {
+                    kept.push(row);
+                }
+            }
+            rows = kept;
+        }
+        // LIMIT: applied last, after ORDER BY and DISTINCT (SQL evaluation
+        // order).
+        if let Some(n) = self.limit {
+            rows.truncate(usize::try_from(n).unwrap_or(usize::MAX));
+        }
+
+        // Column metadata: static inference refined by the first non-null
+        // value.
+        let columns = self
+            .columns
+            .iter()
+            .enumerate()
+            .map(|(i, (name, ty))| ColumnMeta {
+                name: name.clone(),
+                data_type: ty
+                    .or_else(|| rows.iter().find_map(|r| r.get(i).and_then(|v| v.data_type())))
+                    .unwrap_or(DataType::Char(0)),
+            })
+            .collect();
+        Ok(ResultSet { columns, rows })
+    }
+
+    /// Enumerates the cross product of `inputs` and keeps what WHERE accepts.
+    /// An empty FROM clause (e.g. `SELECT 1`) contributes exactly one empty
+    /// combination; an empty table anywhere makes the product empty.
+    fn filter<'r>(
+        &self,
+        inputs: &[Input<'r>],
+        parent: Option<&Frame<'_, '_>>,
+        fast: bool,
+        stats: &AccessStats,
+    ) -> Result<Survivors<'r>, DbError> {
+        let mut survivors = Survivors { flat: Vec::new(), stride: inputs.len(), len: 0 };
+        let mut offer = |combo: &[&'r Row]| -> Result<(), DbError> {
+            let keep = match &self.filter {
+                None => true,
+                Some(pred) => pred.accepts(&Frame::of(combo, parent))?,
+            };
+            if keep {
+                survivors.push(combo);
+            }
+            Ok(())
+        };
+        if inputs.iter().any(|i| i.rows.is_empty()) {
+            // Nothing to enumerate.
+        } else if fast && !self.equi.is_empty() {
+            // Equi-join: pair only key-matched rows, then apply the full
+            // WHERE unchanged, so the result is exactly the filtered cross
+            // product (any pair the key-match pruned had an unequal or NULL
+            // key, which already falsifies an AND-ed equality; any pair it
+            // over-returned is rejected by the re-check).
+            let matches = index_join_matches(&self.sources, inputs, &self.equi, stats)
+                .unwrap_or_else(|| hash_join_matches(&inputs[0].rows, &inputs[1].rows, &self.equi));
+            for (li, ri) in matches {
+                offer(&[inputs[0].rows[li], inputs[1].rows[ri]])?;
+            }
+        } else if let [only] = inputs {
+            for row in &only.rows {
+                offer(std::slice::from_ref(row))?;
+            }
+        } else {
+            // The odometer, rightmost position fastest. With no source at
+            // all it offers the one empty combination and stops.
+            let mut idx = vec![0usize; inputs.len()];
+            let mut combo: Vec<&Row> = inputs.iter().map(|i| i.rows[0]).collect();
+            'product: loop {
+                offer(&combo)?;
+                let mut k = inputs.len();
+                loop {
+                    if k == 0 {
+                        break 'product;
+                    }
+                    k -= 1;
+                    idx[k] += 1;
+                    if idx[k] < inputs[k].rows.len() {
+                        combo[k] = inputs[k].rows[idx[k]];
+                        break;
+                    }
+                    idx[k] = 0;
+                    combo[k] = inputs[k].rows[0];
+                }
+            }
+        }
+        Ok(survivors)
+    }
+}
+
+/// The first-appearance index of a set of keys under `total_cmp` equality:
+/// group keys for GROUP BY, whole rows for DISTINCT.
+///
+/// Keys are bucketed by a hash that is coarser than the relation (`2` and
+/// `2.0` share it, NULL has its own) and re-checked inside the bucket in
+/// insertion order, so a probe finds the *first* equal key. NaN compares
+/// `Equal` to every number and fits no bucket: from the first key holding
+/// one, every probe scans all keys, which is what the relation then asks for.
+#[derive(Default)]
+struct KeyIndex {
+    hasher: RandomState,
+    /// Hash → first and last key with that hash.
+    chains: HashMap<u64, (usize, usize)>,
+    /// `next[i]`: the next key with the same hash as key `i`, if any.
+    next: Vec<Option<usize>>,
+    /// Set by the first NaN.
+    linear: bool,
+}
+
+impl KeyIndex {
+    /// `Ok(i)` when key `i` equals `probe`; otherwise `Err(n)`, and `probe`
+    /// is now key `n` — the caller stores it where `stored(n)` will find it.
+    fn find_or_insert<'k, K: Borrow<Value>>(
+        &mut self,
+        probe: &[K],
+        stored: impl Fn(usize) -> &'k [Value],
+    ) -> Result<usize, usize> {
+        let mut hasher = self.hasher.build_hasher();
+        for v in probe {
+            self.linear |= !v.borrow().hash_canonical(&mut hasher);
+        }
+        let hash = hasher.finish();
+        let equal = |i: &usize| {
+            let key = stored(*i);
+            key.len() == probe.len()
+                && key.iter().zip(probe).all(|(a, b)| a.total_cmp(b.borrow()) == Ordering::Equal)
+        };
+        let n = self.next.len();
+        let found = if self.linear {
+            (0..n).find(equal)
+        } else {
+            let head = self.chains.get(&hash).map(|c| c.0);
+            std::iter::successors(head, |i| self.next[*i]).find(equal)
+        };
+        if let Some(i) = found {
+            return Ok(i);
+        }
+        self.next.push(None);
+        match self.chains.get_mut(&hash) {
+            Some((_, last)) => {
+                self.next[*last] = Some(n);
+                *last = n;
+            }
+            None => {
+                self.chains.insert(hash, (n, n));
+            }
+        }
+        Err(n)
+    }
+}
+
+impl Grouping<'_> {
+    /// Groups `survivors` and appends one output row (and its ORDER BY keys)
+    /// per group HAVING accepts, in order of the groups' first appearance.
+    fn run<'v>(
+        &'v self,
+        survivors: &Survivors<'v>,
+        parent: Option<&Frame<'_, 'v>>,
+        rows: &mut Vec<Row>,
+        keys: &mut Vec<Cow<'v, Value>>,
+    ) -> Result<(), DbError> {
+        let aggs = &self.aggs;
+        // Per group: its key and the survivor it first appeared in; its
+        // accumulators are `accs[g * aggs.len()..][..aggs.len()]`.
+        let mut groups: Vec<(Vec<Value>, usize)> = Vec::new();
+        let mut accs = Vec::new();
+        let mut index = KeyIndex::default();
+        let mut key: Vec<Cow<'_, Value>> = Vec::with_capacity(self.keys.len());
+        for (i, combo) in survivors.iter().enumerate() {
+            let frame = Frame::of(combo, parent);
+            key.clear();
+            for k in &self.keys {
+                key.push(k.eval(&frame)?);
+            }
+            let g = index.find_or_insert(&key, |g| &groups[g].0).unwrap_or_else(|g| {
+                groups.push((key.drain(..).map(Cow::into_owned).collect(), i));
+                accs.extend(aggs.iter().map(AggSpec::start));
+                g
+            });
+            for (spec, acc) in aggs.iter().zip(&mut accs[g * aggs.len()..]) {
+                spec.feed(acc, &frame);
+            }
+        }
+        for (g, (_, first)) in groups.iter().enumerate() {
+            let group = &accs[g * aggs.len()..][..aggs.len()];
+            let frame = Frame { rows: survivors.get(*first), aggs: group, parent };
+            self.output.emit(&frame, rows, keys)?;
+        }
+        // An ungrouped aggregate over empty input still produces one row.
+        if let (true, Some(output)) = (groups.is_empty(), &self.empty_output) {
+            let group: Vec<_> = aggs.iter().map(AggSpec::start).collect();
+            output.emit(&Frame { rows: &[], aggs: &group, parent }, rows, keys)?;
+        }
+        Ok(())
+    }
+}
+
+/// Puts `rows` into ORDER BY order. `keys` holds `order.len()` sort keys per
+/// row; ties keep enumeration order. With `top = Some(k)` only the first `k`
+/// rows of that order are produced (and only they are sorted).
+fn sort_rows(
+    mut rows: Vec<Row>,
+    keys: &[Cow<'_, Value>],
+    order: &[SortOrder],
+    top: Option<u64>,
+) -> Vec<Row> {
+    let by_keys = |a: &usize, b: &usize| {
+        let (ka, kb) = (&keys[a * order.len()..], &keys[b * order.len()..]);
+        for (i, dir) in order.iter().enumerate() {
+            let cmp = ka[i].total_cmp(&kb[i]);
+            let cmp = if *dir == SortOrder::Desc { cmp.reverse() } else { cmp };
+            if cmp != Ordering::Equal {
+                return cmp;
+            }
+        }
+        a.cmp(b)
+    };
+    let mut perm: Vec<usize> = (0..rows.len()).collect();
+    let k = top.and_then(|k| usize::try_from(k).ok()).filter(|k| *k < perm.len());
+    if let Some(k) = k {
+        if k > 0 {
+            perm.select_nth_unstable_by(k - 1, by_keys);
+        }
+        perm.truncate(k);
+    }
+    perm.sort_unstable_by(by_keys);
+    perm.into_iter().map(|i| std::mem::take(&mut rows[i])).collect()
+}
+
+fn resolve_table<'a>(db: &'a Database, tref: &TableRef) -> Result<&'a Table, DbError> {
     if tref.table.is_multiple() || tref.database.as_ref().map(|d| d.is_multiple()).unwrap_or(false)
     {
         return Err(DbError::NotLocalSql(format!(
@@ -272,27 +673,6 @@ fn resolve_table<'a>(
         }
     }
     db.table(tref.table.as_str())
-}
-
-fn make_env<'a>(sources: &'a [Source<'a>], combo: &[&'a Row]) -> Env<'a> {
-    Env {
-        bindings: sources
-            .iter()
-            .zip(combo)
-            .map(|(s, row)| Binding { name: s.binding.clone(), schema: s.schema, row })
-            .collect(),
-    }
-}
-
-fn evaluator<'a>(
-    db: &'a Database,
-    outer: &[&'a Env<'a>],
-    env: &'a Env<'a>,
-    cache: &'a SubqueryCache,
-) -> Evaluator<'a> {
-    let mut scopes: Vec<&Env> = outer.to_vec();
-    scopes.push(env);
-    Evaluator { db, scopes, cache: Some(cache) }
 }
 
 /// One sargable WHERE conjunct: a predicate on a single source column whose
@@ -312,7 +692,7 @@ enum Sarg {
 /// Walks the AND-spine of a WHERE tree collecting sargable conjuncts as
 /// `(source index, column index, sarg)`. Branches under OR/NOT are skipped:
 /// a disjunct cannot be enforced by shrinking one source.
-fn collect_sargs(e: &Expr, sources: &[Source], out: &mut Vec<(usize, usize, Sarg)>) {
+fn collect_sargs(e: &Expr, sources: &[ScopeSource<'_>], out: &mut Vec<(usize, usize, Sarg)>) {
     match e {
         Expr::Binary { left, op: BinaryOp::And, right } => {
             collect_sargs(left, sources, out);
@@ -384,7 +764,7 @@ fn flip_cmp(op: BinaryOp) -> BinaryOp {
 /// scan. Preference order: point equality, then IN, then a fused range over
 /// all comparison conjuncts on one B-tree-indexed column.
 fn choose_probe(source: &Source, si: usize, sargs: &[(usize, usize, Sarg)]) -> Option<Vec<RowId>> {
-    let column = |ci: usize| source.schema.columns[ci].name.as_str();
+    let column = |ci: usize| source.table.schema.columns[ci].name.as_str();
     for (s, ci, sarg) in sargs {
         if *s != si {
             continue;
@@ -476,66 +856,43 @@ fn probe_priced_out(table: &Table, column: &str, keys: usize) -> bool {
     expected * 2.0 >= stats.row_count as f64
 }
 
-/// Equality conjuncts of the WHERE tree joining source 0 to source 1,
-/// as `(left column index, right column index)` pairs. Only column = column
-/// conjuncts whose sides resolve — by the evaluator's own rules — to the two
-/// different FROM bindings qualify; anything unresolvable or ambiguous is
-/// left for the evaluator (the caller falls back to the cross product).
-fn equi_key_columns(sel: &Select, sources: &[Source]) -> Vec<(usize, usize)> {
-    fn walk(e: &Expr, sources: &[Source], keys: &mut Vec<(usize, usize)>) {
-        match e {
-            Expr::Binary { left, op: BinaryOp::And, right } => {
-                walk(left, sources, keys);
-                walk(right, sources, keys);
-            }
-            Expr::Binary { left, op: BinaryOp::Eq, right } => {
-                if let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref()) {
-                    match (resolve_key_column(a, sources), resolve_key_column(b, sources)) {
-                        (Some((0, ca)), Some((1, cb))) => keys.push((ca, cb)),
-                        (Some((1, ca)), Some((0, cb))) => keys.push((cb, ca)),
-                        _ => {}
-                    }
+/// Collects the equality conjuncts of a WHERE tree that join source 0 to
+/// source 1, as `(left column index, right column index)` pairs. Only
+/// column = column conjuncts whose sides resolve — by the binder's own rules
+/// — to the two different FROM bindings qualify; anything unresolvable or
+/// ambiguous is left for the evaluator (the block falls back to the cross
+/// product).
+fn collect_equi_keys(e: &Expr, sources: &[ScopeSource<'_>], keys: &mut Vec<(usize, usize)>) {
+    match e {
+        Expr::Binary { left, op: BinaryOp::And, right } => {
+            collect_equi_keys(left, sources, keys);
+            collect_equi_keys(right, sources, keys);
+        }
+        Expr::Binary { left, op: BinaryOp::Eq, right } => {
+            if let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref()) {
+                match (resolve_key_column(a, sources), resolve_key_column(b, sources)) {
+                    (Some((0, ca)), Some((1, cb))) => keys.push((ca, cb)),
+                    (Some((1, ca)), Some((0, cb))) => keys.push((cb, ca)),
+                    _ => {}
                 }
             }
-            _ => {}
         }
+        _ => {}
     }
-    let mut keys = Vec::new();
-    if let Some(w) = &sel.where_clause {
-        walk(w, sources, &mut keys);
-    }
-    keys
 }
 
-/// Resolves a column reference to `(source index, column index)` exactly the
-/// way [`Env::lookup`] would: a qualifier matches the first binding by name
-/// or schema name; an unqualified column must be unique across the sources.
-/// `None` means "not cleanly ours" — possibly outer-correlated, ambiguous,
-/// or unknown — and disqualifies the conjunct from key duty.
-fn resolve_key_column(c: &msql_lang::ColumnRef, sources: &[Source]) -> Option<(usize, usize)> {
+/// Resolves a column reference to `(source index, column index)` inside the
+/// block, by the binder's [`lookup`]. `None` means "not cleanly ours" —
+/// possibly outer-correlated, ambiguous, or unknown — and disqualifies the
+/// conjunct from key duty.
+fn resolve_key_column(
+    c: &msql_lang::ColumnRef,
+    sources: &[ScopeSource<'_>],
+) -> Option<(usize, usize)> {
     if c.is_multiple() || c.database.is_some() {
         return None;
     }
-    let column = c.column.as_str();
-    match c.table.as_ref().map(|t| t.as_str()) {
-        Some(t) => {
-            let si = sources.iter().position(|s| s.binding == t || s.schema.name == t)?;
-            let ci = sources[si].schema.column_index(column)?;
-            Some((si, ci))
-        }
-        None => {
-            let mut found = None;
-            for (si, s) in sources.iter().enumerate() {
-                if let Some(ci) = s.schema.column_index(column) {
-                    if found.is_some() {
-                        return None;
-                    }
-                    found = Some((si, ci));
-                }
-            }
-            found
-        }
-    }
+    lookup(sources, c.table.as_ref().map(|t| t.as_str()), c.column.as_str()).ok().flatten()
 }
 
 /// `None` for values that can never satisfy an equality (NULL, NaN): rows
@@ -566,19 +923,20 @@ fn keys_sql_equal(a: &[Value], b: &[Value]) -> bool {
 /// the caller re-applies the full WHERE to every pair.
 fn index_join_matches(
     sources: &[Source],
+    inputs: &[Input],
     keys: &[(usize, usize)],
     stats: &AccessStats,
 ) -> Option<Vec<(usize, usize)>> {
     for (b, p) in [(0usize, 1usize), (1usize, 0usize)] {
         for &(c_left, c_right) in keys {
             let (cb, cp) = if b == 0 { (c_left, c_right) } else { (c_right, c_left) };
-            let col = sources[b].schema.columns[cb].name.as_str();
+            let col = sources[b].table.schema.columns[cb].name.as_str();
             let Some(idx) = sources[b].table.index_on(col, false) else { continue };
             let pos: HashMap<RowId, usize> =
-                sources[b].ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+                inputs[b].ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
             let mut matches = Vec::new();
             let mut hits = 0u64;
-            for (j, row) in sources[p].rows.iter().enumerate() {
+            for (j, row) in inputs[p].rows.iter().enumerate() {
                 let Some(key) = row[cp].canonical_key() else { continue };
                 for id in idx.probe_key(&key) {
                     if let Some(&i) = pos.get(id) {
@@ -637,47 +995,56 @@ fn hash_join_matches(
     matches
 }
 
-/// Expands `*` / `t.*` items into concrete column expressions, returning
-/// `(display name, expr-or-direct-index)` pairs.
-enum ProjItem {
-    /// Evaluate this expression.
-    Expr { expr: Expr, name: String },
-    /// Copy the column directly from a binding (for wildcards).
-    Direct { source: usize, column: usize, name: String },
-}
-
-fn expand_items(sel: &Select, sources: &[Source]) -> Result<Vec<ProjItem>, DbError> {
+/// Binds the select list of a non-aggregating block, expanding `*` / `t.*`
+/// into direct column copies.
+fn project_items<'a>(
+    sel: &Select,
+    sources: &[ScopeSource<'_>],
+    binder: &Binder<'a, '_>,
+) -> Result<Vec<Proj<'a>>, DbError> {
     let mut out = Vec::new();
+    let all_of = |source: usize| {
+        (0..sources[source].schema.arity()).map(move |column| Proj::Direct { source, column })
+    };
     for item in &sel.items {
         match item {
-            SelectItem::Wildcard => {
-                for (si, s) in sources.iter().enumerate() {
-                    for (ci, col) in s.schema.columns.iter().enumerate() {
-                        out.push(ProjItem::Direct {
-                            source: si,
-                            column: ci,
-                            name: col.name.clone(),
-                        });
-                    }
-                }
-            }
-            SelectItem::QualifiedWildcard(t) => {
-                let target = t.as_str();
-                let si = sources
-                    .iter()
-                    .position(|s| s.binding == target || s.schema.name == target)
-                    .ok_or_else(|| DbError::UnknownTable(target.to_string()))?;
-                for (ci, col) in sources[si].schema.columns.iter().enumerate() {
-                    out.push(ProjItem::Direct { source: si, column: ci, name: col.name.clone() });
-                }
-            }
-            SelectItem::Expr { expr, alias, .. } => {
-                let name = alias.clone().unwrap_or_else(|| derive_name(expr));
-                out.push(ProjItem::Expr { expr: expr.clone(), name });
-            }
+            SelectItem::Wildcard => out.extend((0..sources.len()).flat_map(all_of)),
+            SelectItem::QualifiedWildcard(t) => out.extend(all_of(
+                wildcard_source(t.as_str(), sources)
+                    .ok_or_else(|| DbError::UnknownTable(t.as_str().to_string()))?,
+            )),
+            SelectItem::Expr { expr, .. } => out.push(Proj::Expr(binder.bind(expr))),
         }
     }
     Ok(out)
+}
+
+/// The source a `t.*` item names: the first whose binding or table is `t`.
+fn wildcard_source(target: &str, sources: &[ScopeSource<'_>]) -> Option<usize> {
+    sources.iter().position(|s| s.binding == target || s.schema.name == target)
+}
+
+/// Output column names and, where derivable from the AST, their types.
+fn output_columns(sel: &Select, sources: &[ScopeSource<'_>]) -> Vec<(String, Option<DataType>)> {
+    let mut out = Vec::new();
+    let all_of = |s: &ScopeSource<'_>| {
+        s.schema.columns.iter().map(|c| (c.name.clone(), Some(c.data_type))).collect::<Vec<_>>()
+    };
+    for item in &sel.items {
+        match item {
+            SelectItem::Wildcard => out.extend(sources.iter().flat_map(all_of)),
+            SelectItem::QualifiedWildcard(t) => out.extend(
+                wildcard_source(t.as_str(), sources)
+                    .map(|s| all_of(&sources[s]))
+                    .unwrap_or_default(),
+            ),
+            SelectItem::Expr { expr, alias, .. } => out.push((
+                alias.clone().unwrap_or_else(|| derive_name(expr)),
+                infer_type(expr, sources),
+            )),
+        }
+    }
+    out
 }
 
 fn derive_name(expr: &Expr) -> String {
@@ -688,329 +1055,7 @@ fn derive_name(expr: &Expr) -> String {
     }
 }
 
-type RowsAndKeys = (Vec<String>, Vec<Row>, Vec<Vec<Value>>);
-
-fn run_rowwise(
-    db: &Database,
-    sel: &Select,
-    outer: &[&Env<'_>],
-    sources: &[Source],
-    combos: Vec<Vec<&Row>>,
-    subq_cache: &SubqueryCache,
-) -> Result<RowsAndKeys, DbError> {
-    let items = expand_items(sel, sources)?;
-    let names: Vec<String> = items
-        .iter()
-        .map(|i| match i {
-            ProjItem::Expr { name, .. } | ProjItem::Direct { name, .. } => name.clone(),
-        })
-        .collect();
-    let mut rows = Vec::with_capacity(combos.len());
-    let mut keys = Vec::with_capacity(combos.len());
-    for combo in combos {
-        let env = make_env(sources, &combo);
-        let ev = evaluator(db, outer, &env, subq_cache);
-        let mut row = Vec::with_capacity(items.len());
-        for item in &items {
-            match item {
-                ProjItem::Expr { expr, .. } => row.push(ev.eval(expr)?),
-                ProjItem::Direct { source, column, .. } => {
-                    row.push(combo[*source][*column].clone())
-                }
-            }
-        }
-        let mut key = Vec::with_capacity(sel.order_by.len());
-        for o in &sel.order_by {
-            key.push(ev.eval(&o.expr)?);
-        }
-        rows.push(row);
-        keys.push(key);
-    }
-    Ok((names, rows, keys))
-}
-
-fn run_aggregate(
-    db: &Database,
-    sel: &Select,
-    outer: &[&Env<'_>],
-    sources: &[Source],
-    combos: Vec<Vec<&Row>>,
-    subq_cache: &SubqueryCache,
-) -> Result<RowsAndKeys, DbError> {
-    for item in &sel.items {
-        if matches!(item, SelectItem::Wildcard | SelectItem::QualifiedWildcard(_)) {
-            return Err(DbError::TypeError(
-                "`*` projection cannot be combined with aggregation".into(),
-            ));
-        }
-    }
-
-    // Group combos by the GROUP BY key.
-    let mut groups: Vec<(Vec<Value>, Vec<Vec<&Row>>)> = Vec::new();
-    for combo in combos {
-        let env = make_env(sources, &combo);
-        let ev = evaluator(db, outer, &env, subq_cache);
-        let mut key = Vec::with_capacity(sel.group_by.len());
-        for g in &sel.group_by {
-            key.push(ev.eval(g)?);
-        }
-        match groups.iter_mut().find(|(k, _)| keys_equal(k, &key)) {
-            Some((_, members)) => members.push(combo),
-            None => groups.push((key, vec![combo])),
-        }
-    }
-    // A global aggregate over an empty input still produces one row.
-    if groups.is_empty() && sel.group_by.is_empty() {
-        groups.push((Vec::new(), Vec::new()));
-    }
-
-    let names: Vec<String> = sel
-        .items
-        .iter()
-        .map(|i| match i {
-            SelectItem::Expr { expr, alias, .. } => {
-                alias.clone().unwrap_or_else(|| derive_name(expr))
-            }
-            _ => unreachable!("wildcards rejected above"),
-        })
-        .collect();
-
-    let mut rows = Vec::new();
-    let mut keys = Vec::new();
-    for (_, members) in &groups {
-        // HAVING.
-        if let Some(h) = &sel.having {
-            let hv = eval_group_expr(db, sel, outer, sources, members, h, subq_cache)?;
-            if hv.as_truth()? != Some(true) {
-                continue;
-            }
-        }
-        let mut row = Vec::with_capacity(sel.items.len());
-        for item in &sel.items {
-            let SelectItem::Expr { expr, .. } = item else { unreachable!() };
-            row.push(eval_group_expr(db, sel, outer, sources, members, expr, subq_cache)?);
-        }
-        let mut key = Vec::with_capacity(sel.order_by.len());
-        for o in &sel.order_by {
-            key.push(eval_group_expr(db, sel, outer, sources, members, &o.expr, subq_cache)?);
-        }
-        rows.push(row);
-        keys.push(key);
-    }
-    Ok((names, rows, keys))
-}
-
-/// Evaluates an expression over one group: aggregate subexpressions are
-/// computed over the group's rows and substituted as literals, then the
-/// rewritten expression is evaluated on the group's first row (or no row for
-/// an empty global group).
-fn eval_group_expr(
-    db: &Database,
-    _sel: &Select,
-    outer: &[&Env<'_>],
-    sources: &[Source],
-    members: &[Vec<&Row>],
-    expr: &Expr,
-    subq_cache: &SubqueryCache,
-) -> Result<Value, DbError> {
-    let rewritten = substitute_aggregates(expr, &mut |kind, arg, distinct| {
-        compute_aggregate(db, outer, sources, members, kind, arg, distinct, subq_cache)
-    })?;
-    if let Some(first) = members.first() {
-        let env = make_env(sources, first);
-        let ev = evaluator(db, outer, &env, subq_cache);
-        ev.eval(&rewritten)
-    } else {
-        let env = Env::default();
-        let ev = evaluator(db, outer, &env, subq_cache);
-        ev.eval(&rewritten)
-    }
-}
-
-fn substitute_aggregates(
-    expr: &Expr,
-    compute: &mut impl FnMut(AggregateKind, Option<&Expr>, bool) -> Result<Value, DbError>,
-) -> Result<Expr, DbError> {
-    Ok(match expr {
-        Expr::Aggregate { kind, arg, distinct } => {
-            let v = compute(*kind, arg.as_deref(), *distinct)?;
-            Expr::Literal(value_literal(&v))
-        }
-        Expr::Unary { op, expr } => {
-            Expr::Unary { op: *op, expr: Box::new(substitute_aggregates(expr, compute)?) }
-        }
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(substitute_aggregates(left, compute)?),
-            op: *op,
-            right: Box::new(substitute_aggregates(right, compute)?),
-        },
-        Expr::Function { name, args } => Expr::Function {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| substitute_aggregates(a, compute))
-                .collect::<Result<_, _>>()?,
-        },
-        Expr::InList { expr, list, negated } => Expr::InList {
-            expr: Box::new(substitute_aggregates(expr, compute)?),
-            list: list
-                .iter()
-                .map(|a| substitute_aggregates(a, compute))
-                .collect::<Result<_, _>>()?,
-            negated: *negated,
-        },
-        Expr::Between { expr, low, high, negated } => Expr::Between {
-            expr: Box::new(substitute_aggregates(expr, compute)?),
-            low: Box::new(substitute_aggregates(low, compute)?),
-            high: Box::new(substitute_aggregates(high, compute)?),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(substitute_aggregates(expr, compute)?),
-            negated: *negated,
-        },
-        Expr::Like { expr, pattern, negated } => Expr::Like {
-            expr: Box::new(substitute_aggregates(expr, compute)?),
-            pattern: Box::new(substitute_aggregates(pattern, compute)?),
-            negated: *negated,
-        },
-        other => other.clone(),
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn compute_aggregate(
-    db: &Database,
-    outer: &[&Env<'_>],
-    sources: &[Source],
-    members: &[Vec<&Row>],
-    kind: AggregateKind,
-    arg: Option<&Expr>,
-    distinct: bool,
-    subq_cache: &SubqueryCache,
-) -> Result<Value, DbError> {
-    // COUNT(*) counts group members.
-    let Some(arg) = arg else {
-        return Ok(Value::Int(members.len() as i64));
-    };
-    let mut values = Vec::with_capacity(members.len());
-    for combo in members {
-        let env = make_env(sources, combo);
-        let ev = evaluator(db, outer, &env, subq_cache);
-        let v = ev.eval(arg)?;
-        if !v.is_null() {
-            values.push(v);
-        }
-    }
-    if distinct {
-        let mut unique: Vec<Value> = Vec::new();
-        for v in values {
-            if !unique.iter().any(|u| u.sql_cmp(&v) == Some(Ordering::Equal)) {
-                unique.push(v);
-            }
-        }
-        values = unique;
-    }
-    match kind {
-        AggregateKind::Count => Ok(Value::Int(values.len() as i64)),
-        AggregateKind::Min => {
-            Ok(values.into_iter().min_by(|a, b| a.total_cmp(b)).unwrap_or(Value::Null))
-        }
-        AggregateKind::Max => {
-            Ok(values.into_iter().max_by(|a, b| a.total_cmp(b)).unwrap_or(Value::Null))
-        }
-        AggregateKind::Sum | AggregateKind::Avg => {
-            if values.is_empty() {
-                return Ok(Value::Null);
-            }
-            let n = values.len();
-            let mut acc = Value::Int(0);
-            for v in values {
-                acc = acc.add(&v)?;
-            }
-            if kind == AggregateKind::Sum {
-                Ok(acc)
-            } else {
-                acc.div(&Value::Int(n as i64))
-            }
-        }
-    }
-}
-
-fn keys_equal(a: &[Value], b: &[Value]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.total_cmp(y) == Ordering::Equal)
-}
-
-fn rows_equal(a: &Row, b: &Row) -> bool {
-    keys_equal(a, b)
-}
-
-fn compare_keys(a: &[Value], b: &[Value], order: &[OrderByItem]) -> Ordering {
-    for (i, o) in order.iter().enumerate() {
-        let cmp = a[i].total_cmp(&b[i]);
-        let cmp = if o.order == SortOrder::Desc { cmp.reverse() } else { cmp };
-        if cmp != Ordering::Equal {
-            return cmp;
-        }
-    }
-    Ordering::Equal
-}
-
-/// Static type inference with dynamic refinement from the produced rows.
-fn build_column_meta(
-    names: &mut Vec<String>,
-    sources: &[Source],
-    sel: &Select,
-    rows: &[Row],
-) -> Vec<ColumnMeta> {
-    // Static guesses per output column, where derivable from the AST.
-    let mut static_types: Vec<Option<DataType>> = Vec::new();
-    let mut expanded_names: Vec<String> = Vec::new();
-    for item in &sel.items {
-        match item {
-            SelectItem::Wildcard => {
-                for s in sources {
-                    for c in &s.schema.columns {
-                        static_types.push(Some(c.data_type));
-                        expanded_names.push(c.name.clone());
-                    }
-                }
-            }
-            SelectItem::QualifiedWildcard(t) => {
-                for s in sources {
-                    if s.binding == t.as_str() || s.schema.name == t.as_str() {
-                        for c in &s.schema.columns {
-                            static_types.push(Some(c.data_type));
-                            expanded_names.push(c.name.clone());
-                        }
-                    }
-                }
-            }
-            SelectItem::Expr { expr, alias, .. } => {
-                static_types.push(infer_type(expr, sources));
-                expanded_names.push(alias.clone().unwrap_or_else(|| derive_name(expr)));
-            }
-        }
-    }
-    if expanded_names.len() == names.len() {
-        *names = expanded_names;
-    }
-    names
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            let ty = static_types
-                .get(i)
-                .copied()
-                .flatten()
-                .or_else(|| rows.iter().find_map(|r| r.get(i).and_then(|v| v.data_type())))
-                .unwrap_or(DataType::Char(0));
-            ColumnMeta { name: name.clone(), data_type: ty }
-        })
-        .collect()
-}
-
-fn infer_type(expr: &Expr, sources: &[Source]) -> Option<DataType> {
+fn infer_type(expr: &Expr, sources: &[ScopeSource<'_>]) -> Option<DataType> {
     match expr {
         Expr::Column(c) => {
             let table = c.table.as_ref().map(|t| t.as_str());
@@ -1020,8 +1065,8 @@ fn infer_type(expr: &Expr, sources: &[Source]) -> Option<DataType> {
                         continue;
                     }
                 }
-                if let Ok(col) = s.schema.column(c.column.as_str()) {
-                    return Some(col.data_type);
+                if let Some(i) = s.schema.column_index(c.column.as_str()) {
+                    return Some(s.schema.columns[i].data_type);
                 }
             }
             None
@@ -1059,7 +1104,7 @@ fn infer_type(expr: &Expr, sources: &[Source]) -> Option<DataType> {
 mod tests {
     use super::*;
     use crate::engine::Database;
-    use crate::schema::{ColumnSchema, IndexDef, IndexKind};
+    use crate::schema::{ColumnSchema, IndexDef, IndexKind, TableSchema};
     use crate::table::Table;
     use msql_lang::parse_statement;
 
@@ -1105,7 +1150,7 @@ mod tests {
         let stmt = parse_statement(sql).unwrap();
         let msql_lang::Statement::Query(q) = stmt else { panic!() };
         let msql_lang::QueryBody::Select(sel) = q.body else { panic!() };
-        execute_select(db, &sel, &[]).unwrap()
+        execute_select(db, &sel).unwrap()
     }
 
     #[test]
@@ -1252,7 +1297,7 @@ mod tests {
             let stmt = parse_statement(sql).unwrap();
             let msql_lang::Statement::Query(q) = stmt else { panic!() };
             let msql_lang::QueryBody::Select(sel) = q.body else { panic!() };
-            execute_select(&db, &sel, &[])
+            execute_select(&db, &sel)
         };
         assert!(matches!(try_select("SELECT x FROM nonexistent"), Err(DbError::UnknownTable(_))));
         assert!(matches!(
@@ -1268,7 +1313,7 @@ mod tests {
             parse_statement("SELECT code FROM cars WHERE rate = (SELECT rate FROM cars)").unwrap();
         let msql_lang::Statement::Query(q) = stmt else { panic!() };
         let msql_lang::QueryBody::Select(sel) = q.body else { panic!() };
-        assert!(matches!(execute_select(&db, &sel, &[]), Err(DbError::SubqueryCardinality)));
+        assert!(matches!(execute_select(&db, &sel), Err(DbError::SubqueryCardinality)));
     }
 
     #[test]
@@ -1319,7 +1364,7 @@ mod tests {
             "SELECT cars.code FROM cars, rentals
              WHERE cars.code = rentals.code AND cars.rate > 1000",
         );
-        let rs = execute_select(&db, &sel, &[]).unwrap();
+        let rs = execute_select(&db, &sel).unwrap();
         assert_eq!(rs.rows.len(), 0, "non-key conjuncts still filter the matches");
     }
 
@@ -1355,7 +1400,7 @@ mod tests {
     fn run_stats(db: &Database, sql: &str) -> (ResultSet, AccessStats) {
         let sel = parse_select(sql);
         let stats = AccessStats::default();
-        let rs = execute_select_stats(db, &sel, &[], &stats).unwrap();
+        let rs = execute_select_stats(db, &sel, &stats).unwrap();
         (rs, stats)
     }
 
@@ -1497,5 +1542,121 @@ mod tests {
         assert_eq!(codes, vec![Value::Int(1), Value::Int(3)]);
         assert_eq!(stats.index_hits.get(), 2);
         assert_eq!(stats.rows_scanned.get(), 2);
+    }
+
+    /// `cars` grown to `n` rows (codes 1..=n), `rentals` as in [`avis`].
+    fn big_avis(n: i64) -> Database {
+        let mut db = avis();
+        let cars = db.table_mut("cars").unwrap();
+        for code in 5..=n {
+            cars.insert(vec![
+                Value::Int(code),
+                Value::Str(["sedan", "suv", "compact"][code as usize % 3].into()),
+                Value::Float(20.0 + (code % 40) as f64),
+                Value::Str("available".into()),
+            ])
+            .unwrap();
+        }
+        db
+    }
+
+    /// Runs `sql` with a cache the test can read afterwards.
+    fn run_cached(db: &Database, sql: &str) -> (Result<ResultSet, DbError>, SubqueryCache) {
+        let cache = SubqueryCache::new();
+        let rs = prepare_select(db, &parse_select(sql), None, &cache)
+            .and_then(|plan| plan.run(None, true, &AccessStats::default()));
+        (rs, cache)
+    }
+
+    #[test]
+    fn uncorrelated_subqueries_run_once_per_statement() {
+        let db = big_avis(1000);
+        for (sql, rows) in [
+            ("SELECT code FROM cars WHERE code NOT IN (SELECT code FROM rentals)", 999),
+            ("SELECT code FROM cars WHERE EXISTS (SELECT 1 FROM rentals)", 1000),
+            ("SELECT code FROM cars WHERE rate = (SELECT MIN(rate) FROM cars)", 25),
+        ] {
+            let (rs, cache) = run_cached(&db, sql);
+            assert_eq!(rs.unwrap().rows.len(), rows, "{sql}");
+            assert_eq!(cache.executions(), 1, "{sql}");
+            assert_eq!(cache.len(), 1, "{sql}");
+        }
+    }
+
+    #[test]
+    fn correlated_subqueries_run_per_outer_row() {
+        let db = big_avis(50);
+        let (rs, cache) = run_cached(
+            &db,
+            "SELECT code FROM cars WHERE EXISTS (SELECT 1 FROM rentals WHERE rentals.code = cars.code)",
+        );
+        assert_eq!(rs.unwrap().rows, vec![vec![Value::Int(2)]]);
+        assert_eq!(cache.executions(), 50);
+        assert!(cache.is_empty(), "a correlated result is never reused");
+        // Correlated two levels out: the middle block is correlated too.
+        let (rs, cache) = run_cached(
+            &db,
+            "SELECT code FROM cars c WHERE code < 4 AND EXISTS (SELECT 1 FROM rentals r \
+             WHERE r.code IN (SELECT x.code FROM cars x WHERE x.code = c.code))",
+        );
+        assert_eq!(rs.unwrap().rows, vec![vec![Value::Int(2)]]);
+        assert_eq!(cache.executions(), 3 + 3, "3 outer rows x (EXISTS + its IN over 1 rental)");
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn subquery_errors_are_raised_only_when_evaluated() {
+        let mut db = avis();
+        db.insert_table(Table::new(TableSchema::new(
+            "empty",
+            vec![ColumnSchema::new("x", DataType::Int)],
+        )));
+        // Over an empty table the unknown column is never evaluated.
+        for sql in [
+            "SELECT code FROM cars WHERE code IN (SELECT nonexistent FROM empty)",
+            "SELECT code FROM cars WHERE EXISTS (SELECT nonexistent FROM empty)",
+            "SELECT code FROM cars WHERE code = (SELECT nonexistent FROM empty)",
+            // An unknown table in a subquery no row reaches.
+            "SELECT x FROM empty WHERE x IN (SELECT y FROM nowhere)",
+            "SELECT code FROM cars WHERE FALSE AND code IN (SELECT y FROM nowhere)",
+        ] {
+            let (rs, _) = run_cached(&db, sql);
+            assert_eq!(rs.unwrap().rows.len(), 0, "{sql}");
+        }
+        for (sql, unknown_column) in [
+            ("SELECT code FROM cars WHERE code IN (SELECT nonexistent FROM rentals)", true),
+            ("SELECT code FROM cars WHERE code IN (SELECT y FROM nowhere)", false),
+        ] {
+            let (rs, _) = run_cached(&db, sql);
+            match rs {
+                Err(DbError::UnknownColumn(_)) if unknown_column => {}
+                Err(DbError::UnknownTable(_)) if !unknown_column => {}
+                other => panic!("{sql}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn binding_is_per_statement_not_per_row() {
+        use crate::eval::RESOLUTIONS;
+        let resolutions = |db: &Database, sql: &str| {
+            let before = RESOLUTIONS.with(Cell::get);
+            let (rs, _) = run_cached(db, sql);
+            let rows = rs.unwrap().rows.len();
+            (RESOLUTIONS.with(Cell::get) - before, rows)
+        };
+        let (small, large) = (big_avis(10), big_avis(10_000));
+        for sql in [
+            "SELECT code, rate * 2 FROM cars WHERE carst = 'available' AND rate > 30 ORDER BY rate, code",
+            "SELECT cartype, COUNT(*), SUM(rate), MAX(code) FROM cars GROUP BY cartype \
+             HAVING COUNT(*) > 1 ORDER BY cartype",
+            "SELECT c.code FROM cars c WHERE c.code IN (1, 2, 3) OR EXISTS \
+             (SELECT 1 FROM rentals r WHERE r.code = c.code AND r.client LIKE 'w%')",
+        ] {
+            let (few, rows_small) = resolutions(&small, sql);
+            let (many, rows_large) = resolutions(&large, sql);
+            assert!(few > 0 && rows_large >= rows_small, "{sql}");
+            assert_eq!(few, many, "{sql}: names resolved per row");
+        }
     }
 }

@@ -51,8 +51,7 @@ impl TableSchema {
 
     /// Index of a column by (case-insensitive) name.
     pub fn column_index(&self, name: &str) -> Option<usize> {
-        let lower = name.to_ascii_lowercase();
-        self.columns.iter().position(|c| c.name == lower)
+        self.columns.iter().position(|c| c.name.eq_ignore_ascii_case(name))
     }
 
     /// The column schema for `name`, or an error.

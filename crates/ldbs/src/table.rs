@@ -136,8 +136,12 @@ impl Table {
         };
         let new = &self.rows[&id];
         for idx in &mut self.indexes {
-            idx.remove(id, &old);
-            idx.insert(id, new);
+            // An index whose key did not change already holds the row.
+            let col = idx.column_pos;
+            if old[col].canonical_key() != new[col].canonical_key() {
+                idx.remove(id, &old);
+                idx.insert(id, new);
+            }
         }
         self.dml_since_analyze += 1;
         Ok(old)
@@ -205,8 +209,9 @@ impl Table {
     /// The first index covering `column` (preferring one that can serve
     /// range probes when `need_range` is set).
     pub fn index_on(&self, column: &str, need_range: bool) -> Option<&Index> {
-        let lower = column.to_ascii_lowercase();
-        self.indexes.iter().find(|i| i.def.column == lower && (!need_range || i.supports_range()))
+        self.indexes.iter().find(|i| {
+            i.def.column.eq_ignore_ascii_case(column) && (!need_range || i.supports_range())
+        })
     }
 
     /// All index definitions, in creation order.
@@ -295,6 +300,10 @@ mod tests {
         let idx = t.index_by_name("cars_code").unwrap();
         assert!(idx.probe_eq(&[Value::Int(2)]).is_empty());
         assert_eq!(idx.probe_eq(&[Value::Int(3)]), vec![b]);
+        // A replace that leaves the indexed column alone leaves the index alone.
+        t.replace(b, vec![Value::Int(3), Value::Float(7.0)]).unwrap();
+        assert_eq!(t.index_by_name("cars_code").unwrap().probe_eq(&[Value::Int(3)]), vec![b]);
+        assert_eq!(t.index_by_name("cars_code").unwrap().distinct_keys(), 2);
         let row = t.remove(a).unwrap();
         assert!(t.index_by_name("cars_code").unwrap().probe_eq(&[Value::Int(1)]).is_empty());
         t.restore(a, row);

@@ -8,6 +8,7 @@ use crate::error::DbError;
 use msql_lang::TypeName;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Column data types stored in schemas and the Global Data Dictionary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -261,6 +262,24 @@ impl Value {
             Value::Str(s) => Some(CanonicalKey::Str(s.clone())),
             Value::Bool(b) => Some(CanonicalKey::Bool(*b)),
         }
+    }
+
+    /// Feeds `state` the identity [`Value::total_cmp`] groups by, without
+    /// allocating: values that compare `Equal` feed the same bytes (`2` and
+    /// `2.0`, `0.0` and `-0.0`, NULL and NULL). Like the canonical key it is
+    /// coarser than the relation, so a bucket is a candidate set to re-check.
+    /// Returns `false` for NaN, which `total_cmp` calls equal to *every*
+    /// number and which therefore belongs in no single bucket.
+    pub(crate) fn hash_canonical<H: Hasher>(&self, state: &mut H) -> bool {
+        match self {
+            Value::Null => state.write_u8(0),
+            Value::Bool(b) => (1u8, *b).hash(state),
+            Value::Int(v) => (2u8, canonical_f64_bits(*v as f64)).hash(state),
+            Value::Float(v) if v.is_nan() => return false,
+            Value::Float(v) => (2u8, canonical_f64_bits(*v)).hash(state),
+            Value::Str(s) => (3u8, s.as_str()).hash(state),
+        }
+        true
     }
 }
 
