@@ -150,6 +150,18 @@ for f in crates/core/src/{executor,lam,lamclient}.rs crates/core/src/codec/frame
     fi
 done
 
+echo "== protocol boundary =="
+# Plan, sequence, talk: only lamclient.rs (and the LAM server, the codec and
+# proto.rs itself) may name a protocol message. The facade, the executor, the
+# global transaction and the planner go through LamClient's typed calls, so a
+# change to a request or reply shape is a one-module change.
+for f in crates/core/src/{federation,executor,gtxn,planner}.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'Request::|Response::'; then
+        echo "protocol message named outside lamclient.rs in $f" >&2
+        exit 1
+    fi
+done
+
 echo "== fedbench: build + smoke =="
 # fedbench/ compiles against the crates' public API and may not be edited by
 # a change that claims a gain, so an API break must fail here, not in the
@@ -171,11 +183,15 @@ esac
 
 echo "== bench smoke (--test mode) =="
 # Every benchmark payload must still execute; no timing sweep. This includes
-# b9_cross_join, b10_local_index, b11_concurrency, b12_wire_codec,
-# b13_planner and b14_aggregate, whose smoke passes also refresh
-# BENCH_cross_join.json, BENCH_local_index.json, BENCH_concurrency.json,
-# BENCH_wire_codec.json, BENCH_planner.json and BENCH_aggregate.json (the
-# b12, b13 and b14 smokes assert their ≥2x reductions inline).
+# the summary sweeps of b9_cross_join, b10_local_index, b11_concurrency,
+# b12_wire_codec, b13_planner and b14_aggregate (the b12, b13 and b14 smokes
+# assert their ≥2x reductions inline) — which a smoke pass runs but does not
+# record: the six tracked BENCH_*.json are rewritten only by a real
+# `cargo bench`, never by whatever host runs CI.
 cargo bench --workspace -- --test
+git diff --quiet -- 'BENCH_*.json' || {
+    echo "the bench smoke rewrote a tracked BENCH_*.json" >&2
+    exit 1
+}
 
 echo "CI OK"

@@ -129,6 +129,11 @@ fn write_summary(_c: &mut Criterion) {
         "{{\n  \"bench\": \"b14_aggregate\",\n  \"pushdown\": {{\n{}\n  }}\n}}\n",
         sections.join(",\n")
     );
+    // A `--test` smoke pass proves the sweep above (and what it asserts) still
+    // runs; only a real run rewrites the tracked summary.
+    if std::env::args().any(|arg| arg == "--test") {
+        return;
+    }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_aggregate.json");
     std::fs::write(path, &json).unwrap();
     println!("b14_aggregate: summary written to {path}");

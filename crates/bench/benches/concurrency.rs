@@ -130,6 +130,11 @@ fn write_summary(_c: &mut Criterion) {
         rows.join(",\n"),
         qps4 / qps1
     );
+    // A `--test` smoke pass proves the sweep above (and what it asserts) still
+    // runs; only a real run rewrites the tracked summary.
+    if std::env::args().any(|arg| arg == "--test") {
+        return;
+    }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_concurrency.json");
     std::fs::write(path, &json).unwrap();
     println!("b11_concurrency: summary written to {path}");

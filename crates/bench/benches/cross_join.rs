@@ -156,6 +156,11 @@ fn write_summary(_c: &mut Criterion) {
         dispatch.join(",\n"),
         reduction.join(",\n")
     );
+    // A `--test` smoke pass proves the sweep above (and what it asserts) still
+    // runs; only a real run rewrites the tracked summary.
+    if std::env::args().any(|arg| arg == "--test") {
+        return;
+    }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cross_join.json");
     std::fs::write(path, &json).unwrap();
     println!("b9_cross_join: summary written to {path}");

@@ -151,6 +151,11 @@ fn write_summary(_c: &mut Criterion) {
         lookup.join(",\n"),
         dml.join(",\n")
     );
+    // A `--test` smoke pass proves the sweep above (and what it asserts) still
+    // runs; only a real run rewrites the tracked summary.
+    if std::env::args().any(|arg| arg == "--test") {
+        return;
+    }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_local_index.json");
     std::fs::write(path, &json).unwrap();
     println!("b10_local_index: summary written to {path}");

@@ -127,6 +127,11 @@ fn write_summary(_c: &mut Criterion) {
         "{{\n  \"bench\": \"b13_planner\",\n  \"skewed_semijoin\": [\n{}\n  ]\n}}\n",
         sweep.join(",\n")
     );
+    // A `--test` smoke pass proves the sweep above (and what it asserts) still
+    // runs; only a real run rewrites the tracked summary.
+    if std::env::args().any(|arg| arg == "--test") {
+        return;
+    }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_planner.json");
     std::fs::write(path, &json).unwrap();
     println!("b13_planner: summary written to {path}");

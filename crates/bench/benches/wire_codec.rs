@@ -239,6 +239,11 @@ fn write_summary(_c: &mut Criterion) {
         entries.join(",\n"),
         lam.join(",\n")
     );
+    // A `--test` smoke pass proves the sweep above (and what it asserts) still
+    // runs; only a real run rewrites the tracked summary.
+    if std::env::args().any(|arg| arg == "--test") {
+        return;
+    }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wire_codec.json");
     std::fs::write(path, &json).unwrap();
     println!("b12_wire_codec: summary written to {path}");

@@ -1,8 +1,12 @@
-//! Plan execution and outcome reporting.
+//! Plan execution and outcome reporting: the *sequence* third of
+//! plan → sequence → talk.
 //!
-//! The executor drives generated DOL programs through [`dol::DolEngine`]
-//! with [`crate::lamclient::LamFactory`] services, then shapes the raw task
-//! statuses/results into user-facing reports:
+//! The executor decides nothing about data flow and speaks no protocol. It
+//! runs what the planning layers produced — generated DOL programs
+//! ([`crate::translate::GeneratedPlan`]) through [`dol::DolEngine`], a
+//! cross-database join's [`JoinPlan`] through [`Executor::run_join`] — over
+//! the typed calls of [`crate::lamclient::LamClient`], then shapes the raw
+//! task statuses/results into user-facing reports:
 //!
 //! * retrievals become [`Multitable`]s (one table per database, §2);
 //! * cross-database joins are executed by shipping partial results to the
@@ -15,29 +19,17 @@ use crate::error::MdbsError;
 use crate::lamclient::{LamFactory, PartialResult, TaskOutput, TaskOutputs};
 use crate::merge;
 use crate::multitable::{Multitable, MultitableEntry};
-use crate::planner::{self, Estimate, PlannerContext};
-use crate::proto::{RowsRequest as Request, RowsResponse as Response, TaskMode};
+use crate::planner::{Combine, JoinPlan, ReductionEdge, SitePlan};
 use crate::retry::{shared_stats, ExecStats, SharedExecStats};
-use crate::translate::{
-    DbRoute, DbSubquery, Decomposition, GeneratedPlan, PushdownPlan, MTX_FAILED,
-};
+use crate::translate::{GeneratedPlan, PushdownPlan, MTX_FAILED};
 use crate::wal::{Wal, WalObserver, WalRecord};
 use dol::{DolEngine, DolOutcome, TaskStatus, WorkerSet};
 use ldbs::engine::ResultSet;
-use ldbs::eval::value_literal;
 use ldbs::value::Value;
-use msql_lang::printer::print_select;
-use msql_lang::{BinaryOp, ColumnRef, Expr, Literal, Select, SelectItem};
 use netsim::FaultKind;
-use obs::{labeled, ExplainReport, Span, SpanCtx};
+use obs::{labeled, ExplainReport, SpanCtx};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Default per-edge cap on the distinct key values shipped as a semi-join
-/// `IN (…)` filter. This is the *no-statistics fallback*: when the cost
-/// planner has fresh estimates for both ends of an edge, the decision is an
-/// estimated-bytes comparison instead and the cap does not apply.
-pub const DEFAULT_SEMIJOIN_CAP: usize = 256;
 
 /// Per-database outcome of a modification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,7 +151,9 @@ impl MsqlOutcome {
     }
 }
 
-/// Executes generated plans against the federation's network.
+/// Executes generated plans against the federation's network. Built per
+/// statement by the owning session; holds only what sequencing needs — every
+/// data-flow decision arrives inside the plan.
 pub struct Executor {
     /// How every LAM connection this executor uses is opened: the session's
     /// pool, timeout, retry policy, wire format and metrics sink. Its
@@ -168,20 +162,6 @@ pub struct Executor {
     /// Whether the services of a DOL task batch or settle list, and the
     /// sites of a cross-database join's partials, work concurrently.
     pub parallel: bool,
-    /// Semi-join reduction of cross-database joins: ship the reducer's
-    /// distinct join-key values to the other sites as `IN (…)` filters so
-    /// only matching rows cross the wire.
-    pub semijoin: bool,
-    /// Per-edge cap on the distinct key values shipped as an `IN (…)`
-    /// filter; an edge whose key set exceeds it falls back to full shipping.
-    pub semijoin_cap: usize,
-    /// Aggregate/top-k pushdown of cross-database joins: when the
-    /// decomposition proved the query's aggregates decomposable (or it is a
-    /// pure-product top-k), each site computes partial aggregates (or a
-    /// site-local top-k) and the MDBS layer merges them, instead of shipping
-    /// full partials to a coordinator. Off — or an ineligible query — takes
-    /// the classic coordinator path, byte-for-byte.
-    pub agg_pushdown: bool,
     /// Where execution spans hang (disabled unless the federation is
     /// tracing the statement).
     pub trace: SpanCtx,
@@ -190,10 +170,6 @@ pub struct Executor {
     /// would have run, so the report can show what the rewrite saved. Any
     /// other statement makes a site run each subquery once.
     pub(crate) measure_baseline: bool,
-    /// Site statistics for cost-based planning of cross-database joins.
-    /// `None` (or a context lacking a table) keeps the heuristic data-flow
-    /// decisions, byte-for-byte.
-    pub planner: Option<PlannerContext>,
     /// Durable multitransaction log. When set, every plan that carries
     /// recovery material logs its lifecycle (BEGIN, first-phase outcomes,
     /// the settle decision, resolutions, END) so
@@ -205,23 +181,6 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// An executor over `lams` with the default data-flow policies and a
-    /// worker set of its own.
-    pub fn new(lams: LamFactory, parallel: bool) -> Self {
-        Executor {
-            lams,
-            parallel,
-            semijoin: true,
-            semijoin_cap: DEFAULT_SEMIJOIN_CAP,
-            agg_pushdown: true,
-            trace: SpanCtx::disabled(),
-            measure_baseline: false,
-            planner: None,
-            wal: None,
-            workers: WorkerSet::new(),
-        }
-    }
-
     /// Runs the program, returning the DOL outcome, this run's own
     /// communication accounting (also merged into the session stats) and what
     /// its tasks produced, by task name.
@@ -390,531 +349,196 @@ impl Executor {
         Ok(MtxReport { achieved_state, return_code: out.dolstatus, outcomes, stats })
     }
 
-    /// Executes a decomposed cross-database join: runs each local subquery,
-    /// ships the partial results to the coordinator, evaluates the modified
-    /// global query there, and cleans up the temporaries.
+    /// Runs a planned cross-database join: [reducer] → [other sites] →
+    /// combine. What it still decides, because only now can it be known:
     ///
-    /// Two data-flow optimisations apply (§5 argues multidatabase
-    /// optimisation is about exactly this — data flow control and
-    /// parallelism across sites, not individual database operations):
-    ///
-    /// * **Semi-join reduction** (when [`Self::semijoin`] and the
-    ///   decomposition carries equi-join edges): one *reducer* subquery runs
-    ///   first, its distinct join-key values are injected into the other
-    ///   subqueries as `IN (…)` filters, and only matching rows cross the
-    ///   wire. An edge whose key set exceeds [`Self::semijoin_cap`] falls
-    ///   back to full shipping.
-    /// * **Parallel partial dispatch** (when [`Self::parallel`]): the
-    ///   remaining subqueries run concurrently — the first on this thread,
-    ///   the others on the session's parked workers — so N sites cost ≈1
-    ///   round trip instead of N.
-    pub fn run_cross_db(
-        &self,
-        dec: &Decomposition,
-        routes: &HashMap<String, DbRoute>,
-    ) -> Result<ResultSet, MdbsError> {
+    /// * **which edges ship** — a reduction edge's rule is finished by the
+    ///   reducer's actual key list ([`crate::planner::ReductionEdge::ships`]);
+    ///   an edge that does not ship leaves its target on full shipping;
+    /// * **whether sites overlap** — under [`Self::parallel`] the sites left
+    ///   after the reducer run concurrently, so N sites cost ≈1 round trip
+    ///   instead of N;
+    /// * **cleanup** — once `LOADMANY` was attempted the temporaries are
+    ///   dropped on every exit path, whatever failed in between.
+    pub fn run_join(&self, plan: &JoinPlan) -> Result<ResultSet, MdbsError> {
         let join_span = self.trace.child("join");
-
-        // Resolve every route up front so a missing one fails before any
-        // subquery is dispatched.
-        let sub_routes: Vec<&DbRoute> = dec
-            .subqueries
-            .iter()
-            .map(|sub| {
-                routes.get(&sub.database).ok_or_else(|| {
-                    MdbsError::Catalog(format!("no route for database `{}`", sub.database))
-                })
-            })
-            .collect::<Result<_, _>>()?;
-
-        // Cost-based planning: estimates exist only when the planner context
-        // holds fresh statistics for *every* table of *every* subquery — a
-        // single unanalyzed table keeps the whole join on the heuristics.
-        let estimates: Option<Vec<Estimate>> = self
-            .planner
-            .as_ref()
-            .and_then(|ctx| dec.subqueries.iter().map(|s| ctx.estimate_subquery(s)).collect());
-        if estimates.is_some() {
-            self.lams.metrics.counter_add("planner.costed_joins", 1);
+        let metrics = &self.lams.metrics;
+        if plan.costed {
+            metrics.counter_add("planner.costed_joins", 1);
         }
 
-        // Aggregate/top-k pushdown: when decomposition proved the query
-        // eligible, skip the coordinator flow entirely — each site computes
-        // its partial aggregates (or local top-k) and the merge happens
-        // here, at the MDBS layer. Any ineligible query carries
-        // `pushdown: None` and continues on the classic path unchanged.
-        if self.agg_pushdown {
-            if let Some(plan) = &dec.pushdown {
-                return self.run_pushdown(dec, plan, &sub_routes, estimates.as_deref(), &join_span);
-            }
-        }
-
-        // 1. Semi-join reduction: run the reducer, harvest its join keys.
-        let n = dec.subqueries.len();
-        let mut results: Vec<Option<PartialResult>> = vec![None; n];
-        let mut filters: Vec<Vec<Expr>> = vec![Vec::new(); n];
+        // 1. Semi-join reduction: run the reducer, harvest its join keys and
+        // rewrite the subquery of every site an edge ships them to.
+        let n = plan.sites.len();
+        let ctx = join_span.ctx();
+        let mut first: Option<PartialResult> = None;
+        let mut reduced: Vec<Option<String>> = vec![None; n];
         let mut keys_shipped = 0u64;
-        if self.semijoin && n > 1 && !dec.join_keys.is_empty() {
-            let reducer = match &estimates {
-                Some(est) => pick_reducer_costed(dec, est),
-                None => pick_reducer(dec),
-            };
-            let sub = &dec.subqueries[reducer];
-            let est_rows = estimates.as_ref().map(|e| e[reducer].rows.round() as u64);
-            let result = self
-                .site_dispatch(
-                    sub,
-                    sub_routes[reducer],
-                    print_select(&sub.select),
-                    Rewrite::None,
-                    est_rows,
-                )
-                .run(&self.lams, &join_span.ctx())?;
-            let rs = &result.rows;
-            for key in &dec.join_keys {
-                let (Some(own), Some(other)) =
-                    (key.side_in(&sub.database), key.side_opposite(&sub.database))
-                else {
-                    continue;
-                };
-                let Some(col) = rs.columns.iter().position(|c| c.name == own.part_column) else {
-                    continue;
-                };
-                let mut values: Vec<Value> = rs
-                    .rows
-                    .iter()
-                    .map(|r| r[col].clone())
-                    .filter(|v| !matches!(v, Value::Null))
-                    .collect();
-                values.sort_by(|a, b| a.total_cmp(b));
-                values.dedup_by(|a, b| a.total_cmp(b) == std::cmp::Ordering::Equal);
-                let Some(target) = dec.subqueries.iter().position(|s| s.database == other.database)
-                else {
-                    continue;
-                };
-                // Reduce-or-not: costed when both ends have estimates (an
-                // empty key set always reduces — the filter is free and
-                // prunes everything), the fixed cap otherwise.
-                if !values.is_empty() {
-                    let ship = match (&estimates, &self.planner) {
-                        (Some(est), Some(ctx)) => {
-                            // Ship iff the bytes the filter prunes from the
-                            // target's partial exceed the key list's own
-                            // bytes. `min(1, keys/NDV)` of the target's rows
-                            // survive a k-key filter under uniformity.
-                            let key_bytes: f64 = values.iter().map(planner::value_width).sum();
-                            let survives = ctx
-                                .join_key_ndv(
-                                    &dec.subqueries[target],
-                                    other.binding.as_str(),
-                                    other.column.as_str(),
-                                )
-                                .map_or(1.0, |ndv| {
-                                    if ndv == 0 {
-                                        0.0
-                                    } else {
-                                        (values.len() as f64 / ndv as f64).min(1.0)
-                                    }
-                                });
-                            let benefit = est[target].bytes * (1.0 - survives);
-                            let ship = benefit > key_bytes;
-                            let verdict = if ship {
-                                "planner.edges_reduced"
-                            } else {
-                                "planner.edges_skipped"
-                            };
-                            self.lams.metrics.counter_add(verdict, 1);
-                            ship
-                        }
-                        _ => values.len() <= self.semijoin_cap,
-                    };
-                    if !ship {
-                        continue; // predicted (or presumed) too expensive — full shipping
-                    }
+        if let Some(reducer) = plan.reducer {
+            let result =
+                run_site(&self.lams, &ctx, &plan.sites[reducer], None, self.measure_baseline)?;
+            let ship = |edge: &ReductionEdge| {
+                let keys = distinct_keys(&result.rows, edge.key_column)?;
+                let ships = edge.ships(&keys);
+                if plan.costed && !keys.is_empty() {
+                    let verdict =
+                        if ships { "planner.edges_reduced" } else { "planner.edges_skipped" };
+                    metrics.counter_add(verdict, 1);
                 }
-                let filter = if values.is_empty() {
-                    // No key can match; keep the subquery's shape (the
-                    // coordinator still needs its column metadata) but let
-                    // it ship zero rows.
-                    Expr::Binary {
-                        left: Box::new(Expr::Literal(Literal::Int(0))),
-                        op: BinaryOp::Eq,
-                        right: Box::new(Expr::Literal(Literal::Int(1))),
-                    }
-                } else {
-                    keys_shipped += values.len() as u64;
-                    Expr::InList {
-                        expr: Box::new(Expr::Column(ColumnRef::with_table(
-                            other.binding.as_str(),
-                            other.column.as_str(),
-                        ))),
-                        list: values.iter().map(|v| Expr::Literal(value_literal(v))).collect(),
-                        negated: false,
-                    }
-                };
-                filters[target].push(filter);
-            }
-            results[reducer] = Some(result);
+                // Not shipping means predicted (or presumed) too expensive —
+                // the target ships its full partial.
+                ships.then_some(keys)
+            };
+            let shipped: Vec<Option<Vec<Value>>> = plan.edges.iter().map(ship).collect();
+            keys_shipped = shipped.iter().flatten().map(|keys| keys.len() as u64).sum();
+            reduced = (0..n).map(|i| plan.reduced_sql(i, &shipped)).collect();
+            first = Some(result);
         }
+        let was_reduced = reduced.iter().any(Option::is_some);
 
-        // 2. Dispatch the remaining subqueries — concurrently when allowed.
-        let pending: Vec<usize> = (0..n).filter(|&i| results[i].is_none()).collect();
-        let dispatches = pending
-            .iter()
-            .map(|&i| {
-                let sub = &dec.subqueries[i];
-                let (sql, rewrite) = if filters[i].is_empty() {
-                    (print_select(&sub.select), Rewrite::None)
-                } else {
-                    (print_select(&with_conjuncts(&sub.select, &filters[i])), Rewrite::Semijoin)
-                };
-                let est_rows = estimates.as_ref().map(|e| e[i].rows.round() as u64);
-                self.site_dispatch(sub, sub_routes[i], sql, rewrite, est_rows)
+        // 2. Run the remaining sites — concurrently when allowed: the first
+        // on this thread, the others on the session's parked workers. When
+        // several fail, the error of the first one in site order wins, so
+        // serial and parallel runs report the same one.
+        let jobs: Vec<_> = (0..n)
+            .filter(|&i| Some(i) != plan.reducer)
+            .map(|i| {
+                let (site, sql) = (plan.sites[i].clone(), reduced[i].take());
+                let (lams, ctx, baseline) = (self.lams.clone(), ctx.clone(), self.measure_baseline);
+                move || run_site(&lams, &ctx, &site, sql.as_deref(), baseline)
             })
             .collect();
-        let dispatched = self.dispatch_all(dispatches, &join_span.ctx())?;
-        for (&i, p) in pending.iter().zip(dispatched) {
-            results[i] = Some(p);
+        let dispatched = if self.parallel {
+            self.workers.run(jobs)
+        } else {
+            jobs.into_iter().map(|job| job()).collect()
+        };
+        let mut partials = dispatched.into_iter().collect::<Result<Vec<_>, MdbsError>>()?;
+        if let (Some(reducer), Some(partial)) = (plan.reducer, first) {
+            partials.insert(reducer, partial); // back into site order
         }
-        let partials: Vec<PartialResult> = results
-            .into_iter()
-            .zip(&dec.subqueries)
-            .map(|(r, sub)| {
-                r.ok_or_else(|| {
-                    MdbsError::Internal(format!("subquery for `{}` was never run", sub.database))
-                })
-            })
-            .collect::<Result<_, _>>()?;
 
         // 3. Name the strategy and total savings on the join span/metrics.
-        // The coordinator's LDBS hash-joins a two-table Q' on its equi keys;
-        // anything else enumerates the (filtered) cross product.
-        let reduced = filters.iter().any(|f| !f.is_empty());
-        let base = if n == 2 && !dec.join_keys.is_empty() { "hash" } else { "product" };
-        let strategy = if reduced { format!("semijoin+{base}") } else { base.to_string() };
+        let prefix = if was_reduced { "semijoin+" } else { "" };
+        let strategy = format!("{prefix}{}", plan.strategy);
         let bytes_saved: u64 = partials.iter().map(PartialResult::saved).sum();
         join_span.note("strategy", &strategy);
         join_span.note("keys_shipped", keys_shipped);
         if self.measure_baseline {
             join_span.note("bytes_saved", bytes_saved);
         }
-        if estimates.is_some() {
+        if plan.costed {
             join_span.note("planner", "costed");
         }
-        self.lams.metrics.counter_add(&labeled("join.strategy", "strategy", &strategy), 1);
-        self.lams.metrics.counter_add("join.keys_shipped", keys_shipped);
-        let route = routes.get(&dec.coordinator).ok_or_else(|| {
-            MdbsError::Catalog(format!("no route for coordinator `{}`", dec.coordinator))
-        })?;
-        // 4. Collect the partial results at the coordinator: the rows move
-        // into the request as they are.
-        let coord = self.lams.checkout(&route.site, &dec.coordinator)?;
-        let temps: Vec<String> = dec.subqueries.iter().map(|s| s.part_table.clone()).collect();
-        {
-            let span = join_span.child(format!("lam:collect:{}", dec.coordinator));
-            span.note("db", &dec.coordinator);
-            span.note("partials", partials.len());
-            // One batched round trip: collection stays ≈1 link latency no
-            // matter how many sites contributed partials.
-            coord.load_partials(
-                temps.iter().cloned().zip(partials.into_iter().map(|p| p.rows)).collect(),
-            )?;
-        }
+        metrics.counter_add(&labeled("join.strategy", "strategy", &strategy), 1);
 
-        // 5. Evaluate the modified global query Q' and clean up. With
-        // estimates, its FROM list is greedily reordered by ascending
-        // estimated partial cardinality, so the coordinator's join builds
-        // its smallest intermediates first. A wildcard projection expands
-        // in FROM order, so reordering would permute columns — skip it.
-        let span = join_span.child(format!("lam:global:{}", dec.coordinator));
-        span.note("db", &dec.coordinator);
-        let wildcard = dec
-            .global_query
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Wildcard | SelectItem::QualifiedWildcard(_)));
-        let sql = match &estimates {
-            Some(est) if n > 1 && !wildcard => {
-                let mut global = dec.global_query.clone();
-                let est_of = |tref: &msql_lang::TableRef| {
-                    dec.subqueries
-                        .iter()
-                        .position(|s| s.part_table == tref.table.as_str())
-                        .map_or(f64::MAX, |i| est[i].rows)
-                };
-                global.from.sort_by(|a, b| est_of(a).total_cmp(&est_of(b)));
-                if global.from != dec.global_query.from {
-                    let order: Vec<&str> = global.from.iter().map(|t| t.table.as_str()).collect();
-                    span.note("join_order", order.join(","));
-                }
-                print_select(&global)
-            }
-            _ => print_select(&dec.global_query),
-        };
-        let req = Request::Task {
-            name: "QGLOBAL".into(),
-            mode: TaskMode::Auto,
-            database: dec.coordinator.clone(),
-            commands: vec![sql],
-        };
-        let (resp, attempts, _faults) = coord.call_traced(&req, &span);
-        span.note("attempts", attempts);
-        let _ = coord.drop_temps(temps);
-        match resp? {
-            (Response::TaskDone { status: 'C', payload: Some(rs), .. }, bytes) => {
-                span.note("bytes", bytes);
-                span.note("rows", rs.rows.len());
-                Ok(rs)
-            }
-            (Response::TaskDone { status: 'C', payload: None, .. }, _) => Ok(ResultSet::default()),
-            (Response::TaskDone { error, .. }, _) => Err(MdbsError::Local {
-                service: dec.coordinator.clone(),
-                message: error.unwrap_or_else(|| "global query failed".into()),
-            }),
-            (other, _) => Err(MdbsError::Wire(format!("unexpected reply: {other:?}"))),
-        }
-    }
-
-    /// Runs every dispatch — concurrently on the worker set when
-    /// [`Self::parallel`], the first on this thread — and returns the results
-    /// in order. When several sites fail, the error of the first one in that
-    /// order wins, so serial and parallel runs report the same one.
-    fn dispatch_all(
-        &self,
-        dispatches: Vec<SiteDispatch>,
-        ctx: &SpanCtx,
-    ) -> Result<Vec<PartialResult>, MdbsError> {
-        let dispatched: Vec<Result<PartialResult, MdbsError>> =
-            if self.parallel && dispatches.len() > 1 {
-                let jobs = dispatches
-                    .into_iter()
-                    .map(|dispatch| {
-                        let (lams, ctx) = (self.lams.clone(), ctx.clone());
-                        move || dispatch.run(&lams, &ctx)
-                    })
-                    .collect();
-                self.workers.run(jobs)
-            } else {
-                dispatches.into_iter().map(|dispatch| dispatch.run(&self.lams, ctx)).collect()
-            };
-        dispatched.into_iter().collect()
-    }
-
-    /// What to send one subquery's site: `sql` is the subquery as decomposed,
-    /// or rewritten as `rewrite` says. `est_rows` is the planner's row
-    /// estimate for the subquery *as decomposed*. Under
-    /// [`Self::measure_baseline`] a rewritten subquery's LAM is also asked to
-    /// measure the decomposed one.
-    fn site_dispatch(
-        &self,
-        sub: &DbSubquery,
-        route: &DbRoute,
-        sql: String,
-        rewrite: Rewrite,
-        est_rows: Option<u64>,
-    ) -> SiteDispatch {
-        let baseline = (self.measure_baseline && !matches!(rewrite, Rewrite::None))
-            .then(|| print_select(&sub.select));
-        SiteDispatch {
-            database: sub.database.clone(),
-            site: route.site.clone(),
-            sql,
-            rewrite,
-            baseline,
-            est_rows,
-        }
-    }
-
-    /// Executes an aggregate/top-k pushdown plan: every site evaluates its
-    /// rewritten subquery (partial aggregates grouped by join + group keys,
-    /// or a site-local top-k), the reduced partials cross the wire, and the
-    /// merge happens here at the MDBS layer — no coordinator round trips.
-    fn run_pushdown(
-        &self,
-        dec: &Decomposition,
-        plan: &PushdownPlan,
-        sub_routes: &[&DbRoute],
-        estimates: Option<&[Estimate]>,
-        join_span: &Span,
-    ) -> Result<ResultSet, MdbsError> {
-        let (kind, site_sql): (&'static str, Vec<String>) = match plan {
-            PushdownPlan::Aggregate(p) => {
-                ("agg", p.sites.iter().map(|s| print_select(&s.select)).collect())
-            }
-            PushdownPlan::TopK(p) => {
-                ("topk", p.sites.iter().map(|s| print_select(&s.select)).collect())
-            }
-        };
-        let dispatches = site_sql
-            .into_iter()
-            .enumerate()
-            .map(|(i, sql)| {
-                let est_rows = estimates.map(|e| e[i].rows.round() as u64);
-                self.site_dispatch(
-                    &dec.subqueries[i],
-                    sub_routes[i],
-                    sql,
-                    Rewrite::Pushed(kind),
-                    est_rows,
-                )
-            })
-            .collect();
-        let partials = self.dispatch_all(dispatches, &join_span.ctx())?;
-        let bytes_saved: u64 = partials.iter().map(PartialResult::saved).sum();
+        // 4. Combine the partials into the statement's one table.
         let parts: Vec<ResultSet> = partials.into_iter().map(|p| p.rows).collect();
-        self.lams.metrics.counter_add("agg.pushdown", 1);
-        let merged = match plan {
-            PushdownPlan::Aggregate(p) => {
-                let rs = merge::merge_aggregate(p, &parts)?;
-                self.lams.metrics.counter_add("agg.groups_merged", rs.rows.len() as u64);
-                rs
+        match &plan.combine {
+            Combine::Merge(pushdown) => {
+                metrics.counter_add("agg.pushdown", 1);
+                match pushdown {
+                    PushdownPlan::Aggregate(p) => {
+                        let rs = merge::merge_aggregate(p, &parts)?;
+                        metrics.counter_add("agg.groups_merged", rs.rows.len() as u64);
+                        Ok(rs)
+                    }
+                    PushdownPlan::TopK(p) => {
+                        let shipped: u64 = parts.iter().map(|p| p.rows.len() as u64).sum();
+                        metrics.counter_add("topk.rows_shipped", shipped);
+                        merge::merge_topk(p, &parts)
+                    }
+                }
             }
-            PushdownPlan::TopK(p) => {
-                let shipped: u64 = parts.iter().map(|p| p.rows.len() as u64).sum();
-                self.lams.metrics.counter_add("topk.rows_shipped", shipped);
-                merge::merge_topk(p, &parts)?
+            Combine::Coordinator { database, site, temps, sql, join_order } => {
+                metrics.counter_add("join.keys_shipped", keys_shipped);
+                let owned = || temps.iter().map(|t| t.to_string());
+                // Collect the partial results at the coordinator: the rows
+                // move into the request as they are. One batched round trip:
+                // collection stays ≈1 link latency no matter how many sites
+                // contributed partials.
+                let coord = self.lams.checkout(site, database)?;
+                let loaded = {
+                    let span = join_span.child(format!("lam:collect:{database}"));
+                    span.note("db", database);
+                    span.note("partials", parts.len());
+                    coord.load_partials(owned().zip(parts).collect())
+                };
+                // From here on the temporaries may exist at an autonomous
+                // site — a refused load cleans up after itself, one whose
+                // reply was lost does not — so they are dropped whether or
+                // not the modified global query Q′ gets to run.
+                let reply = loaded.and_then(|()| {
+                    let span = join_span.child(format!("lam:global:{database}"));
+                    span.note("db", database);
+                    if let Some(order) = join_order {
+                        span.note("join_order", order);
+                    }
+                    coord.run_commands("QGLOBAL", vec![sql.clone()], &span)
+                });
+                if let Err(e) = coord.drop_temps(owned().collect()) {
+                    metrics.counter_add("join.temp_drop_failures", 1);
+                    join_span.note("temp_drop_failed", e.to_string());
+                }
+                Ok(reply?.committed(database, "global query")?.rows.unwrap_or_default())
             }
-        };
-        join_span.note("strategy", format!("{kind}-pushdown"));
-        join_span.note("keys_shipped", 0u64);
-        if self.measure_baseline {
-            join_span.note("bytes_saved", bytes_saved);
-        }
-        if estimates.is_some() {
-            join_span.note("planner", "costed");
-        }
-        self.lams
-            .metrics
-            .counter_add(&labeled("join.strategy", "strategy", &format!("{kind}-pushdown")), 1);
-        Ok(merged)
-    }
-}
-
-/// How the subquery a site is sent differs from the one decomposition
-/// produced for it.
-#[derive(Clone, Copy)]
-enum Rewrite {
-    /// It does not.
-    None,
-    /// Semi-join filters were ANDed onto its WHERE clause.
-    Semijoin,
-    /// It is a pushdown plan's site query of this kind (`agg` / `topk`).
-    Pushed(&'static str),
-}
-
-/// One site's share of a cross-database join, owning all it needs so that
-/// it can run on a worker thread.
-struct SiteDispatch {
-    database: String,
-    site: String,
-    sql: String,
-    rewrite: Rewrite,
-    /// The subquery as decomposed, when its LAM should measure it too.
-    baseline: Option<String>,
-    est_rows: Option<u64>,
-}
-
-impl SiteDispatch {
-    /// Checks out the site's LAM and evaluates the subquery there, noting
-    /// the estimate (so EXPLAIN can show estimated vs. actual), the rewrite
-    /// and — when a baseline was measured — what it kept off the wire on the
-    /// span and the metrics.
-    fn run(self, lams: &LamFactory, ctx: &SpanCtx) -> Result<PartialResult, MdbsError> {
-        let client = lams.checkout(&self.site, &self.database)?;
-        let span = ctx.child(format!("lam:partial:{}", self.database));
-        if let Some(est) = self.est_rows {
-            span.note("est_rows", est);
-        }
-        let pushed = match self.rewrite {
-            Rewrite::None => false,
-            Rewrite::Semijoin => {
-                span.note("reduced", "semijoin");
-                false
-            }
-            Rewrite::Pushed(kind) => {
-                span.note("pushed", kind);
-                true
-            }
-        };
-        let result = client.run_partial(&self.sql, self.baseline.as_deref(), pushed, &span)?;
-        if let Some(access) = &result.access {
-            span.note("access", access);
-        }
-        if pushed && result.full_rows > 0 {
-            span.note("full_rows", result.full_rows);
-        }
-        if result.full_bytes > 0 {
-            span.note("saved", result.saved());
-            lams.metrics
-                .counter_add(&labeled("lam.bytes_saved", "db", &self.database), result.saved());
-        }
-        Ok(result)
-    }
-}
-
-/// Chooses the semi-join reducer: among the subqueries on at least one join
-/// edge, the one whose WHERE clause carries the most pushed-down local
-/// conjuncts — a cheap proxy for selectivity — ties broken by plan order.
-fn pick_reducer(dec: &Decomposition) -> usize {
-    let mut best = 0usize;
-    let mut best_score = -1i64;
-    for (i, sub) in dec.subqueries.iter().enumerate() {
-        if !dec.join_keys.iter().any(|k| k.side_in(&sub.database).is_some()) {
-            continue;
-        }
-        let score = conjunct_count(sub.select.where_clause.as_ref()) as i64;
-        if score > best_score {
-            best = i;
-            best_score = score;
         }
     }
-    best
 }
 
-/// Chooses the semi-join reducer from the planner's estimates: among the
-/// subqueries on at least one join edge, the one with the smallest estimated
-/// partial — the most selective site reduces, whatever its conjunct count —
-/// ties broken by plan order.
-fn pick_reducer_costed(dec: &Decomposition, est: &[Estimate]) -> usize {
-    let mut best = 0usize;
-    let mut best_rows = f64::MAX;
-    for (i, sub) in dec.subqueries.iter().enumerate() {
-        if !dec.join_keys.iter().any(|k| k.side_in(&sub.database).is_some()) {
-            continue;
-        }
-        if est[i].rows < best_rows {
-            best = i;
-            best_rows = est[i].rows;
-        }
+/// Evaluates one site's share of a cross-database join at its LAM: the pushed
+/// site query of a pushdown plan, else `reduced` (the subquery with shipped
+/// key filters ANDed on), else the subquery as decomposed. Notes the estimate
+/// (so EXPLAIN can show estimated vs. actual), the rewrite and — when
+/// `baseline` had the LAM measure the decomposed subquery beside a rewritten
+/// one — what the rewrite kept off the wire, on the span and the metrics.
+fn run_site(
+    lams: &LamFactory,
+    ctx: &SpanCtx,
+    site: &SitePlan,
+    reduced: Option<&str>,
+    baseline: bool,
+) -> Result<PartialResult, MdbsError> {
+    let client = lams.checkout(&site.site, &site.database)?;
+    let span = ctx.child(format!("lam:partial:{}", site.database));
+    if let Some(est) = site.est_rows {
+        span.note("est_rows", est);
     }
-    best
+    let (sql, pushed) = match (&site.pushed, reduced) {
+        (Some((kind, sql)), _) => {
+            span.note("pushed", kind);
+            (sql.as_str(), true)
+        }
+        (None, Some(sql)) => {
+            span.note("reduced", "semijoin");
+            (sql, false)
+        }
+        (None, None) => (site.sql.as_str(), false),
+    };
+    let baseline = (baseline && (pushed || reduced.is_some())).then_some(site.sql.as_str());
+    let result = client.run_partial(sql, baseline, pushed, &span)?;
+    if let Some(access) = &result.access {
+        span.note("access", access);
+    }
+    if pushed && result.full_rows > 0 {
+        span.note("full_rows", result.full_rows);
+    }
+    if result.full_bytes > 0 {
+        span.note("saved", result.saved());
+        lams.metrics.counter_add(&labeled("lam.bytes_saved", "db", &site.database), result.saved());
+    }
+    Ok(result)
 }
 
-/// Counts the AND-ed conjuncts of a WHERE clause (0 when absent).
-fn conjunct_count(e: Option<&Expr>) -> usize {
-    fn walk(e: &Expr) -> usize {
-        match e {
-            Expr::Binary { left, op: BinaryOp::And, right } => walk(left) + walk(right),
-            _ => 1,
-        }
-    }
-    e.map_or(0, walk)
-}
-
-/// ANDs extra conjuncts onto a subquery's WHERE clause.
-fn with_conjuncts(sel: &Select, extra: &[Expr]) -> Select {
-    let mut out = sel.clone();
-    let mut clause = out.where_clause.take();
-    for e in extra {
-        clause = Some(match clause {
-            Some(w) => {
-                Expr::Binary { left: Box::new(w), op: BinaryOp::And, right: Box::new(e.clone()) }
-            }
-            None => e.clone(),
-        });
-    }
-    out.where_clause = clause;
-    out
+/// The distinct non-NULL values of `column` in a partial, sorted — the key
+/// set a semi-join edge may ship. `None` when the partial has no such column.
+fn distinct_keys(partial: &ResultSet, column: &str) -> Option<Vec<Value>> {
+    let col = partial.columns.iter().position(|c| c.name == column)?;
+    let mut values: Vec<Value> =
+        partial.rows.iter().map(|r| r[col].clone()).filter(|v| !matches!(v, Value::Null)).collect();
+    values.sort_by(|a, b| a.total_cmp(b));
+    values.dedup_by(|a, b| a.total_cmp(b) == std::cmp::Ordering::Equal);
+    Some(values)
 }
 
 #[cfg(test)]

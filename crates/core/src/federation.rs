@@ -16,11 +16,11 @@
 
 use crate::codec::WireFormat;
 use crate::error::MdbsError;
-use crate::executor::{DbOutcome, Executor, MsqlOutcome, UpdateReport, DEFAULT_SEMIJOIN_CAP};
+use crate::executor::{DbOutcome, Executor, MsqlOutcome, UpdateReport};
 use crate::gtxn::GlobalTransaction;
 use crate::lam::{spawn_lam_with, LamConfig, LamHandle};
-use crate::lamclient::{ConnectionPool, LamClient, LamFactory};
-use crate::planner::PlannerContext;
+use crate::lamclient::{ConnectionPool, LamClient, LamFactory, TaskReply};
+use crate::planner::{plan_join, PlannerContext, DEFAULT_SEMIJOIN_CAP};
 use crate::retry::{shared_stats, ExecStats, RetryPolicy, SharedExecStats};
 use crate::scope::SessionScope;
 use crate::translate::{
@@ -447,22 +447,11 @@ impl Session {
 
     /// Builds the `database → route` map the planner and executor need.
     fn routes(&self) -> Result<HashMap<String, DbRoute>, MdbsError> {
-        let gdd = self.core.gdd.read();
-        let ad = self.core.ad.read();
-        let mut out = HashMap::new();
-        for db in gdd.database_names() {
-            let service = gdd.service_of(db)?;
-            let entry = ad.service(service)?;
-            out.insert(
-                db.to_string(),
-                DbRoute {
-                    database: db.to_string(),
-                    site: entry.site.clone(),
-                    supports_2pc: entry.supports_2pc(),
-                },
-            );
-        }
-        Ok(out)
+        let (gdd, ad) = (self.core.gdd.read(), self.core.ad.read());
+        gdd.database_names()
+            .into_iter()
+            .map(|db| Ok((db.to_string(), route_in(&gdd, &ad, db)?)))
+            .collect()
     }
 
     /// How this session opens LAM connections right now: its pool, plus the
@@ -485,12 +474,8 @@ impl Session {
         Executor {
             lams: self.lams(),
             parallel: self.parallel,
-            semijoin: self.semijoin,
-            semijoin_cap: self.semijoin_cap,
-            agg_pushdown: self.agg_pushdown,
             trace: self.trace_ctx.clone(),
             measure_baseline: self.explaining,
-            planner: None,
             wal: self.wal.clone(),
             workers: self.workers.clone(),
         }
@@ -690,26 +675,31 @@ impl Session {
     }
 
     /// Parses and executes one MSQL statement. The parse itself runs under
-    /// the statement's root span, so traces show the full lifecycle.
+    /// the statement's root span, so traces show the full lifecycle — of
+    /// every attempt: a deadlock retry is the whole statement again.
     pub fn execute(&mut self, msql: &str) -> Result<MsqlOutcome, MdbsError> {
+        self.run_retrying(text_note(msql), |fed, span| {
+            let stmt = fed.timed("phase.parse", || {
+                let parse = span.child("parse");
+                msql_lang::parse_statement(msql).map_err(|e| {
+                    parse.note("error", "syntax");
+                    MdbsError::Parse(e.display_with_source(msql))
+                })
+            })?;
+            fed.dispatch_statement(&stmt, span)
+        })
+    }
+
+    /// Runs `f` as one traced statement, transparently re-running it (up to
+    /// [`DEADLOCK_RETRIES`] times, each under a root span of its own) while
+    /// its outcome is a [`Self::retriable_deadlock`].
+    fn run_retrying<F>(&mut self, label: String, mut f: F) -> Result<MsqlOutcome, MdbsError>
+    where
+        F: FnMut(&mut Session, &Span) -> Result<MsqlOutcome, MdbsError>,
+    {
         let mut attempts = 0;
         loop {
-            let result = self.traced_statement(text_note(msql), |fed, span| {
-                let started = fed.core.clock.now();
-                let parse = span.child("parse");
-                let stmt = match msql_lang::parse_statement(msql) {
-                    Ok(stmt) => stmt,
-                    Err(e) => {
-                        parse.note("error", "syntax");
-                        return Err(MdbsError::Parse(e.display_with_source(msql)));
-                    }
-                };
-                parse.end();
-                fed.core
-                    .metrics
-                    .observe("phase.parse", fed.core.clock.now().saturating_sub(started));
-                fed.dispatch_statement(&stmt, span)
-            });
+            let result = self.traced_statement(label.clone(), &mut f);
             if attempts < DEADLOCK_RETRIES && self.retriable_deadlock(&result) {
                 attempts += 1;
                 self.core.metrics.counter_add("session.deadlock_retries", 1);
@@ -717,6 +707,19 @@ impl Session {
             }
             return result;
         }
+    }
+
+    /// Runs `f` and, when it succeeds, records the logical ticks it took in
+    /// the `phase` histogram.
+    fn timed<T>(
+        &self,
+        phase: &str,
+        f: impl FnOnce() -> Result<T, MdbsError>,
+    ) -> Result<T, MdbsError> {
+        let started = self.core.clock.now();
+        let out = f()?;
+        self.core.metrics.observe(phase, self.core.clock.now().saturating_sub(started));
+        Ok(out)
     }
 
     /// Runs `f` under a per-statement root span. A top-level call starts a
@@ -769,35 +772,40 @@ impl Session {
     /// Executes the statement with full tracing, then returns the measured
     /// profile — span tree plus per-LAM cost table — instead of the
     /// statement's own outcome. EXPLAIN *runs* its target (the paper's
-    /// simulated costs are observed, not estimated).
+    /// simulated costs are observed, not estimated), and this is the one
+    /// execution during which sites are asked to measure the subqueries a
+    /// semi-join or pushdown rewrite replaced; every other statement runs
+    /// each subquery once.
     pub fn explain(&mut self, stmt: &Statement) -> Result<MsqlOutcome, MdbsError> {
-        let wire = self.run_explain_target(stmt)?;
-        let tree = self.last_trace().unwrap_or_default();
-        let mut report = ExplainReport::from_tree(print(stmt), tree);
-        report.wire = wire;
-        Ok(MsqlOutcome::Explain(Box::new(report)))
-    }
-
-    /// Executes an EXPLAIN target. This is the one execution during which
-    /// sites are asked to measure the subqueries a semi-join or pushdown
-    /// rewrite replaced; every other statement runs each subquery once.
-    /// Returns what the statement alone put on the wire per format —
-    /// populated only when binary frames actually shipped: the text default
-    /// renders byte-identically to pre-codec reports, which the golden traces
-    /// pin.
-    fn run_explain_target(&mut self, stmt: &Statement) -> Result<Option<WireSummary>, MdbsError> {
         let text_before = self.core.metrics.counter("net.bytes_text");
         let binary_before = self.core.metrics.counter("net.bytes_binary");
         let outer = std::mem::replace(&mut self.explaining, true);
         let run = self.execute_statement(stmt);
         self.explaining = outer;
         run?;
+        let tree = match &self.trace {
+            // Already inside a trace (this EXPLAIN arrived as text or as a
+            // trigger action): the target ran as a nested statement; report
+            // on the spans collected so far.
+            Some(tracer) => {
+                let mut tree = SpanTree::from_records(&tracer.records());
+                tree.normalize();
+                tree
+            }
+            // The target was a top-level statement and left its tree behind.
+            None => self.last_trace().unwrap_or_default(),
+        };
+        let mut report = ExplainReport::from_tree(print(stmt), tree);
+        // What the statement alone put on the wire per format — populated
+        // only when binary frames actually shipped: the text default renders
+        // byte-identically to pre-codec reports, which the golden traces pin.
         let bytes_binary = self.core.metrics.counter("net.bytes_binary") - binary_before;
-        Ok((bytes_binary > 0).then(|| WireSummary {
+        report.wire = (bytes_binary > 0).then(|| WireSummary {
             format: self.wire_format.label().to_string(),
             bytes_text: self.core.metrics.counter("net.bytes_text") - text_before,
             bytes_binary,
-        }))
+        });
+        Ok(MsqlOutcome::Explain(Box::new(report)))
     }
 
     /// Parses and executes a script, returning one outcome per statement.
@@ -816,18 +824,7 @@ impl Session {
         if let Statement::Explain(inner) = stmt {
             return self.explain(inner);
         }
-        let mut attempts = 0;
-        loop {
-            let result = self.traced_statement(text_note(&print(stmt)), |fed, span| {
-                fed.dispatch_statement(stmt, span)
-            });
-            if attempts < DEADLOCK_RETRIES && self.retriable_deadlock(&result) {
-                attempts += 1;
-                self.core.metrics.counter_add("session.deadlock_retries", 1);
-                continue;
-            }
-            return result;
-        }
+        self.run_retrying(text_note(&print(stmt)), |fed, span| fed.dispatch_statement(stmt, span))
     }
 
     /// The statement dispatcher proper, running under `span`.
@@ -887,18 +884,7 @@ impl Session {
             }
             Statement::Query(q) => self.execute_query(q, span),
             Statement::Multitransaction(m) => self.execute_multitransaction(m, span),
-            Statement::Explain(inner) => {
-                // Already inside a trace (this EXPLAIN arrived as text or as
-                // a trigger action): run the target as a nested statement,
-                // then report on the spans collected so far.
-                let wire = self.run_explain_target(inner)?;
-                let records = self.trace.as_ref().map(|t| t.records()).unwrap_or_default();
-                let mut tree = SpanTree::from_records(&records);
-                tree.normalize();
-                let mut report = ExplainReport::from_tree(print(inner), tree);
-                report.wire = wire;
-                Ok(MsqlOutcome::Explain(Box::new(report)))
-            }
+            Statement::Explain(inner) => self.explain(inner),
             Statement::CreateTable(ct) => self.execute_create_table(ct),
             Statement::DropTable(dt) => self.execute_drop_table(dt),
             Statement::Analyze(target) => self.execute_analyze(target.as_ref()),
@@ -976,14 +962,10 @@ impl Session {
             }
         }
         let routes = self.routes()?;
-        let translate_started = self.core.clock.now();
-        let translated = {
+        let translated = self.timed("phase.translate", || {
             let gdd = self.core.gdd.read();
-            translate::translate_body_traced(&q.body, &self.scope, &gdd, span)?
-        };
-        self.core
-            .metrics
-            .observe("phase.translate", self.core.clock.now().saturating_sub(translate_started));
+            translate::translate_body_traced(&q.body, &self.scope, &gdd, span)
+        })?;
         match translated {
             Translated::PerDb(locals) => match &q.body {
                 QueryBody::Select(_) => {
@@ -999,11 +981,8 @@ impl Session {
                         pg.note("tasks", plan.tasks.len());
                         plan
                     };
-                    let started = self.core.clock.now();
-                    let mt = self.executor().run_retrieval(&plan)?;
-                    self.core
-                        .metrics
-                        .observe("phase.execute", self.core.clock.now().saturating_sub(started));
+                    let mt =
+                        self.timed("phase.execute", || self.executor().run_retrieval(&plan))?;
                     Ok(MsqlOutcome::Multitable(mt))
                 }
                 _ => {
@@ -1018,11 +997,8 @@ impl Session {
                         pg.note("tasks", plan.tasks.len());
                         plan
                     };
-                    let started = self.core.clock.now();
-                    let report = self.executor().run_update(&plan)?;
-                    self.core
-                        .metrics
-                        .observe("phase.execute", self.core.clock.now().saturating_sub(started));
+                    let report =
+                        self.timed("phase.execute", || self.executor().run_update(&plan))?;
                     // Fire interdatabase triggers for committed subqueries.
                     let mut events = Vec::new();
                     for (local, outcome) in locals.iter().zip(&report.outcomes) {
@@ -1050,11 +1026,7 @@ impl Session {
                 }
             },
             Translated::CrossDb(dec) => {
-                let started = self.core.clock.now();
-                let rs = self.run_cross_db_costed(*dec, &routes)?;
-                self.core
-                    .metrics
-                    .observe("phase.execute", self.core.clock.now().saturating_sub(started));
+                let rs = self.timed("phase.execute", || self.run_join(*dec, &routes))?;
                 Ok(MsqlOutcome::Table(rs))
             }
         }
@@ -1155,7 +1127,7 @@ impl Session {
                 let mt = self.executor().run_retrieval(&plan)?;
                 mt.tables.into_iter().next().map(|t| t.result).unwrap_or_default()
             }
-            Translated::CrossDb(dec) => self.run_cross_db_costed(*dec, &routes)?,
+            Translated::CrossDb(dec) => self.run_join(*dec, &routes)?,
         };
 
         // 2. Ship the rows as batched INSERT statements.
@@ -1195,24 +1167,7 @@ impl Session {
             let span = self.trace_ctx.child(format!("transfer:{target}"));
             span.note("db", target);
             span.note("rows", transferred);
-            let req = crate::proto::Request::Task {
-                name: "TRANSFER".into(),
-                mode: crate::proto::TaskMode::Auto,
-                database: target.to_string(),
-                commands,
-            };
-            let (resp, attempts, _faults) = client.call_traced(&req, &span);
-            span.note("attempts", attempts);
-            match resp?.0 {
-                crate::proto::Response::TaskDone { status: 'C', .. } => {}
-                crate::proto::Response::TaskDone { error, .. } => {
-                    return Err(MdbsError::Local {
-                        service: target.to_string(),
-                        message: error.unwrap_or_else(|| "transfer failed".into()),
-                    })
-                }
-                other => return Err(MdbsError::Wire(format!("unexpected reply: {other:?}"))),
-            }
+            client.run_commands("TRANSFER", commands, &span)?.committed(target, "transfer")?;
         }
         Ok(MsqlOutcome::Update(crate::executor::UpdateReport {
             success: true,
@@ -1243,7 +1198,7 @@ impl Session {
                 .get(&l.database)
                 .ok_or_else(|| MdbsError::Catalog(format!("no route for `{}`", l.database)))?;
             let sql = print(&l.statement);
-            if l.vital {
+            let (status, affected, error) = if l.vital {
                 let compensation = comps.get(&l.key).cloned().unwrap_or_default();
                 if !route.supports_2pc && compensation.is_empty() {
                     return Err(MdbsError::VitalWithoutCompensation { database: l.key.clone() });
@@ -1257,38 +1212,19 @@ impl Session {
                     route.supports_2pc,
                     compensation,
                 )?;
-                outcomes.push(DbOutcome::new(
-                    l.database.clone(),
-                    l.key.clone(),
-                    status,
-                    affected,
-                    None,
-                ));
+                (status, affected, None)
             } else {
                 let client = self.connect(&route.site, &l.database)?;
-                let resp = client.call(crate::proto::Request::Task {
-                    name: format!("NV_{}", l.key),
-                    mode: crate::proto::TaskMode::Auto,
-                    database: l.database.clone(),
-                    commands: vec![sql],
-                })?;
-                let (status, affected, error) = match resp {
-                    crate::proto::Response::TaskDone { status: 'C', affected, .. } => {
+                let name = format!("NV_{}", l.key);
+                match client.run_commands(&name, vec![sql], &Span::disabled())? {
+                    TaskReply { status: 'C', affected, .. } => {
                         (dol::TaskStatus::Committed, affected, None)
                     }
-                    crate::proto::Response::TaskDone { error, .. } => {
-                        (dol::TaskStatus::Aborted, 0, error)
-                    }
-                    other => return Err(MdbsError::Wire(format!("unexpected reply: {other:?}"))),
-                };
-                outcomes.push(DbOutcome::new(
-                    l.database.clone(),
-                    l.key.clone(),
-                    status,
-                    affected,
-                    error,
-                ));
-            }
+                    TaskReply { error, .. } => (dol::TaskStatus::Aborted, 0, error),
+                }
+            };
+            let (database, key) = (l.database.clone(), l.key.clone());
+            outcomes.push(DbOutcome::new(database, key, status, affected, error));
         }
         // Interim report: success means the global transaction can still
         // commit; vital members show their held (Prepared/Committed) status.
@@ -1408,86 +1344,56 @@ impl Session {
             pg.note("tasks", plan.tasks.len());
             plan
         };
-        let started = self.core.clock.now();
-        let report = self.executor().run_mtx(&plan, states.len())?;
-        self.core.metrics.observe("phase.execute", self.core.clock.now().saturating_sub(started));
+        let report =
+            self.timed("phase.execute", || self.executor().run_mtx(&plan, states.len()))?;
         Ok(MsqlOutcome::Mtx(report))
+    }
+
+    /// Ships one single-database statement — its qualifier already stripped —
+    /// to the LAM of `database` as the autocommit task `name`, returning the
+    /// rows (for `ANALYZE`: tables) it affected. A site that refuses it fails
+    /// the statement with the site's own words, or "`what` failed".
+    fn run_at(
+        &self,
+        database: &str,
+        name: &str,
+        what: &str,
+        local: &Statement,
+    ) -> Result<u64, MdbsError> {
+        // Its own route, not the whole map a multi-database plan needs.
+        let route = route_in(&self.core.gdd.read(), &self.core.ad.read(), database)?;
+        let client = self.connect(&route.site, database)?;
+        let reply = client.run_commands(name, vec![print(local)], &Span::disabled())?;
+        Ok(reply.committed(database, what)?.affected)
     }
 
     fn execute_create_table(&mut self, ct: &CreateTable) -> Result<MsqlOutcome, MdbsError> {
         let database = self.ddl_target(&ct.table)?;
-        let routes = self.routes()?;
-        let route = routes
-            .get(&database)
-            .ok_or_else(|| MdbsError::Catalog(format!("no route for `{database}`")))?;
         // Ship the CREATE with the qualifier stripped.
         let mut local = ct.clone();
         local.table.database = None;
-        let client = self.connect(&route.site, &database)?;
-        let resp = client.call(crate::proto::Request::Task {
-            name: "DDL".into(),
-            mode: crate::proto::TaskMode::Auto,
-            database: database.clone(),
-            commands: vec![print(&Statement::CreateTable(local))],
-        })?;
-        match resp {
-            crate::proto::Response::TaskDone { status: 'C', .. } => {
-                // Export the new table to the multidatabase level.
-                let columns = ct
-                    .columns
-                    .iter()
-                    .map(|c| GddColumn::new(c.name.clone(), c.type_name))
-                    .collect();
-                self.core
-                    .gdd
-                    .write()
-                    .put_table(&database, GddTable::new(ct.table.table.as_str(), columns))?;
-                // DDL invalidates whatever statistics were cached for the
-                // database — the next costed join re-pulls them.
-                self.core.site_stats.write().remove(&database);
-                Ok(MsqlOutcome::Admin(format!(
-                    "table `{}` created in `{database}`",
-                    ct.table.table
-                )))
-            }
-            crate::proto::Response::TaskDone { error, .. } => Err(MdbsError::Local {
-                service: database,
-                message: error.unwrap_or_else(|| "CREATE TABLE failed".into()),
-            }),
-            other => Err(MdbsError::Wire(format!("unexpected reply: {other:?}"))),
-        }
+        self.run_at(&database, "DDL", "CREATE TABLE", &Statement::CreateTable(local))?;
+        // Export the new table to the multidatabase level.
+        let columns =
+            ct.columns.iter().map(|c| GddColumn::new(c.name.clone(), c.type_name)).collect();
+        self.core
+            .gdd
+            .write()
+            .put_table(&database, GddTable::new(ct.table.table.as_str(), columns))?;
+        // DDL invalidates whatever statistics were cached for the
+        // database — the next costed join re-pulls them.
+        self.core.site_stats.write().remove(&database);
+        Ok(MsqlOutcome::Admin(format!("table `{}` created in `{database}`", ct.table.table)))
     }
 
     fn execute_drop_table(&mut self, dt: &DropTable) -> Result<MsqlOutcome, MdbsError> {
         let database = self.ddl_target(&dt.table)?;
-        let routes = self.routes()?;
-        let route = routes
-            .get(&database)
-            .ok_or_else(|| MdbsError::Catalog(format!("no route for `{database}`")))?;
         let mut local = dt.clone();
         local.table.database = None;
-        let client = self.connect(&route.site, &database)?;
-        let resp = client.call(crate::proto::Request::Task {
-            name: "DDL".into(),
-            mode: crate::proto::TaskMode::Auto,
-            database: database.clone(),
-            commands: vec![print(&Statement::DropTable(local))],
-        })?;
-        match resp {
-            crate::proto::Response::TaskDone { status: 'C', .. } => {
-                let _ = self.core.gdd.write().drop_table(&database, dt.table.table.as_str());
-                self.core.site_stats.write().remove(&database);
-                Ok(MsqlOutcome::Admin(format!(
-                    "table `{}` dropped from `{database}`",
-                    dt.table.table
-                )))
-            }
-            crate::proto::Response::TaskDone { error, .. } => Err(MdbsError::Local {
-                service: database,
-                message: error.unwrap_or_else(|| "DROP TABLE failed".into()),
-            }),
-            other => Err(MdbsError::Wire(format!("unexpected reply: {other:?}"))),
-        }
+        self.run_at(&database, "DDL", "DROP TABLE", &Statement::DropTable(local))?;
+        let _ = self.core.gdd.write().drop_table(&database, dt.table.table.as_str());
+        self.core.site_stats.write().remove(&database);
+        Ok(MsqlOutcome::Admin(format!("table `{}` dropped from `{database}`", dt.table.table)))
     }
 
     /// Ships an ANALYZE to the owning LAM (a qualified target names its
@@ -1512,34 +1418,15 @@ impl Session {
                 }
             },
         };
-        let routes = self.routes()?;
-        let route = routes
-            .get(&database)
-            .ok_or_else(|| MdbsError::Catalog(format!("no route for `{database}`")))?;
         // Ship the ANALYZE with the qualifier stripped.
         let local = Statement::Analyze(target.map(|t| {
             let mut t = t.clone();
             t.database = None;
             t
         }));
-        let client = self.connect(&route.site, &database)?;
-        let resp = client.call(crate::proto::Request::Task {
-            name: "ANALYZE".into(),
-            mode: crate::proto::TaskMode::Auto,
-            database: database.clone(),
-            commands: vec![print(&local)],
-        })?;
-        match resp {
-            crate::proto::Response::TaskDone { status: 'C', affected, .. } => {
-                self.core.site_stats.write().remove(&database);
-                Ok(MsqlOutcome::Admin(format!("analyzed {affected} table(s) in `{database}`")))
-            }
-            crate::proto::Response::TaskDone { error, .. } => Err(MdbsError::Local {
-                service: database,
-                message: error.unwrap_or_else(|| "ANALYZE failed".into()),
-            }),
-            other => Err(MdbsError::Wire(format!("unexpected reply: {other:?}"))),
-        }
+        let affected = self.run_at(&database, "ANALYZE", "ANALYZE", &local)?;
+        self.core.site_stats.write().remove(&database);
+        Ok(MsqlOutcome::Admin(format!("analyzed {affected} table(s) in `{database}`")))
     }
 
     /// Builds the statistics context for one decomposition: per involved
@@ -1592,15 +1479,16 @@ impl Session {
         }
     }
 
-    /// Runs a cross-database decomposition with the cost planner's context
-    /// attached (when the session has it enabled and statistics exist).
+    /// Plans a cross-database decomposition — with the cost planner's context
+    /// when the session has it enabled and statistics exist — and runs the
+    /// plan.
     ///
     /// Sessions share the coordinator database, so a spawned session gives
     /// its partial-result tables names of its own (`part_<db>_s<id>`): it
     /// runs one statement at a time, so they collide with nobody's, and a
     /// crashed statement's leftovers are replaced by the same session's next
     /// join exactly as the primary session's `part_<db>` are.
-    fn run_cross_db_costed(
+    fn run_join(
         &self,
         mut dec: Decomposition,
         routes: &HashMap<String, DbRoute>,
@@ -1608,66 +1496,41 @@ impl Session {
         if self.id != 0 {
             dec.suffix_part_tables(&format!("_s{}", self.id));
         }
-        let mut ex = self.executor();
-        ex.planner = self.planner_context(&dec, routes);
-        ex.run_cross_db(&dec, routes)
+        let ctx = self.planner_context(&dec, routes);
+        let plan = plan_join(
+            &dec,
+            routes,
+            ctx.as_ref(),
+            self.semijoin,
+            self.semijoin_cap,
+            self.agg_pushdown,
+        )?;
+        self.executor().run_join(&plan)
     }
 
     /// Ships a CREATE INDEX to the owning LAM. Indexes are a local access
     /// path, not a multidatabase object, so nothing is registered in the GDD.
     fn execute_create_index(&mut self, ci: &CreateIndex) -> Result<MsqlOutcome, MdbsError> {
         let database = self.ddl_target(&ci.table)?;
-        let routes = self.routes()?;
-        let route = routes
-            .get(&database)
-            .ok_or_else(|| MdbsError::Catalog(format!("no route for `{database}`")))?;
         let mut local = ci.clone();
         local.table.database = None;
-        let client = self.connect(&route.site, &database)?;
-        let resp = client.call(crate::proto::Request::Task {
-            name: "DDL".into(),
-            mode: crate::proto::TaskMode::Auto,
-            database: database.clone(),
-            commands: vec![print(&Statement::CreateIndex(local))],
-        })?;
-        match resp {
-            crate::proto::Response::TaskDone { status: 'C', .. } => Ok(MsqlOutcome::Admin(
-                format!("index `{}` created on `{database}`.`{}`", ci.name, ci.table.table),
-            )),
-            crate::proto::Response::TaskDone { error, .. } => Err(MdbsError::Local {
-                service: database,
-                message: error.unwrap_or_else(|| "CREATE INDEX failed".into()),
-            }),
-            other => Err(MdbsError::Wire(format!("unexpected reply: {other:?}"))),
-        }
+        self.run_at(&database, "DDL", "CREATE INDEX", &Statement::CreateIndex(local))?;
+        Ok(MsqlOutcome::Admin(format!(
+            "index `{}` created on `{database}`.`{}`",
+            ci.name, ci.table.table
+        )))
     }
 
     /// Ships a DROP INDEX to the owning LAM.
     fn execute_drop_index(&mut self, di: &DropIndex) -> Result<MsqlOutcome, MdbsError> {
         let database = self.ddl_target(&di.table)?;
-        let routes = self.routes()?;
-        let route = routes
-            .get(&database)
-            .ok_or_else(|| MdbsError::Catalog(format!("no route for `{database}`")))?;
         let mut local = di.clone();
         local.table.database = None;
-        let client = self.connect(&route.site, &database)?;
-        let resp = client.call(crate::proto::Request::Task {
-            name: "DDL".into(),
-            mode: crate::proto::TaskMode::Auto,
-            database: database.clone(),
-            commands: vec![print(&Statement::DropIndex(local))],
-        })?;
-        match resp {
-            crate::proto::Response::TaskDone { status: 'C', .. } => Ok(MsqlOutcome::Admin(
-                format!("index `{}` dropped from `{database}`.`{}`", di.name, di.table.table),
-            )),
-            crate::proto::Response::TaskDone { error, .. } => Err(MdbsError::Local {
-                service: database,
-                message: error.unwrap_or_else(|| "DROP INDEX failed".into()),
-            }),
-            other => Err(MdbsError::Wire(format!("unexpected reply: {other:?}"))),
-        }
+        self.run_at(&database, "DDL", "DROP INDEX", &Statement::DropIndex(local))?;
+        Ok(MsqlOutcome::Admin(format!(
+            "index `{}` dropped from `{database}`.`{}`",
+            di.name, di.table.table
+        )))
     }
 
     /// The database a DDL statement targets: the explicit qualifier, or the
@@ -1691,6 +1554,20 @@ impl Session {
             )),
         }
     }
+}
+
+/// Where `database` is served, per the two dictionaries.
+fn route_in(
+    gdd: &GlobalDataDictionary,
+    ad: &AuxiliaryDirectory,
+    database: &str,
+) -> Result<DbRoute, MdbsError> {
+    let entry = ad.service(gdd.service_of(database)?)?;
+    Ok(DbRoute {
+        database: database.to_string(),
+        site: entry.site.clone(),
+        supports_2pc: entry.supports_2pc(),
+    })
 }
 
 fn status_from_code(code: char) -> dol::TaskStatus {

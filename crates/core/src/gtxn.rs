@@ -18,8 +18,8 @@
 use crate::error::MdbsError;
 use crate::executor::{DbOutcome, UpdateReport};
 use crate::lamclient::LamClient;
-use crate::proto::{Request, Response, TaskMode};
 use dol::{DolService, TaskStatus};
+use obs::Span;
 
 enum MemberKind {
     /// One open local transaction, prepared at the sync point.
@@ -116,27 +116,18 @@ impl GlobalTransaction {
             }
             MemberKind::Compensatable => {
                 let name = format!("{}_s{}", member.task, member.stmts);
-                let resp = member.client.call(Request::Task {
-                    name,
-                    mode: TaskMode::Auto,
-                    database: member.database.clone(),
-                    commands: vec![sql],
-                })?;
-                match resp {
-                    Response::TaskDone { status: 'C', affected, .. } => {
-                        member.affected += affected;
-                        // Newest first: compensation undoes in reverse order.
-                        compensation.reverse();
-                        for c in compensation {
-                            member.compensation.insert(0, c);
-                        }
-                        Ok((TaskStatus::Committed, affected))
+                let reply = member.client.run_commands(&name, vec![sql], &Span::disabled())?;
+                if reply.status == 'C' {
+                    member.affected += reply.affected;
+                    // Newest first: compensation undoes in reverse order.
+                    compensation.reverse();
+                    for c in compensation {
+                        member.compensation.insert(0, c);
                     }
-                    Response::TaskDone { .. } => {
-                        member.healthy = false;
-                        Ok((TaskStatus::Aborted, 0))
-                    }
-                    other => Err(MdbsError::Wire(format!("unexpected reply: {other:?}"))),
+                    Ok((TaskStatus::Committed, reply.affected))
+                } else {
+                    member.healthy = false;
+                    Ok((TaskStatus::Aborted, 0))
                 }
             }
         }
@@ -211,14 +202,14 @@ impl GlobalTransaction {
                         // Nothing committed (or nothing to undo).
                         TaskStatus::Aborted
                     } else {
-                        let resp = m.client.call(Request::Compensate {
-                            task: m.task.clone(),
-                            database: m.database.clone(),
-                            commands: m.compensation.clone(),
-                        });
-                        match resp {
-                            Ok(Response::Ok) => TaskStatus::Compensated,
-                            _ => TaskStatus::Error,
+                        let undone = m.client.compensate_commands(
+                            &m.task,
+                            &m.compensation,
+                            &Span::disabled(),
+                        );
+                        match undone {
+                            Ok(()) => TaskStatus::Compensated,
+                            Err(_) => TaskStatus::Error,
                         }
                     }
                 }

@@ -754,26 +754,21 @@ fn handle_request(shared: &Arc<SrvShared>, req: Request, format: WireFormat) -> 
             }
         }
         Request::LoadMany { database, parts } => {
+            let mut loaded = Vec::with_capacity(parts.len());
             for (table, rows) in parts {
                 match load(shared, &database, &table, rows) {
-                    Response::Ok => {}
-                    other => return other,
+                    Response::Ok => loaded.push(table),
+                    // All or nothing: the parts that made it go with the one
+                    // that did not, so a refused load leaves no temporary.
+                    refusal => {
+                        drop_tables(shared, &database, &loaded);
+                        return refusal;
+                    }
                 }
             }
             Response::Ok
         }
-        Request::DropMany { database, tables } => {
-            let mut engine = shared.engine.lock();
-            match engine.database_mut(&database) {
-                Ok(db) => {
-                    for table in &tables {
-                        let _ = db.remove_table(table);
-                    }
-                    Response::Ok
-                }
-                Err(e) => Response::Err { message: e.to_string() },
-            }
-        }
+        Request::DropMany { database, tables } => drop_tables(shared, &database, &tables),
         Request::Ping => Response::Ok,
         Request::Shutdown => Response::Ok,
     }
@@ -1022,6 +1017,20 @@ fn load(shared: &SrvShared, database: &str, table: &str, rs: ResultSet) -> Respo
     let _ = db.remove_table(table);
     db.insert_table(t);
     Response::Ok
+}
+
+/// Removes temporary tables from `database`; one that is not there is not an
+/// error.
+fn drop_tables(shared: &SrvShared, database: &str, tables: &[String]) -> Response {
+    match shared.engine.lock().database_mut(database) {
+        Ok(db) => {
+            for table in tables {
+                let _ = db.remove_table(table);
+            }
+            Response::Ok
+        }
+        Err(e) => Response::Err { message: e.to_string() },
+    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,13 @@
-//! Local Access Managers — the client side.
+//! Local Access Managers — the client side: the *talk* third of
+//! plan → sequence → talk.
 //!
 //! A [`LamClient`] is one open connection from the DOL engine to a remote
 //! LAM: it implements [`dol::DolService`] by shipping [`crate::proto`]
 //! requests over the simulated network, and adds the data-flow operations
 //! the executor needs (schema fetch, partial-result loading at the
-//! coordinator).
+//! coordinator). It is the only client-side module that names a protocol
+//! message: the facade, the executor and the global transaction call its
+//! typed methods and get Rust values back (`ci.sh` gates that).
 //!
 //! Connections are session-scoped: a [`ConnectionPool`] keeps the links a
 //! session has opened, keyed by `(site, database)`, and
@@ -75,6 +78,33 @@ impl PartialResult {
     /// the baseline was not measured).
     pub fn saved(&self) -> u64 {
         self.full_bytes.saturating_sub(self.bytes)
+    }
+}
+
+/// What one autocommit task came to at its LAM ([`LamClient::run_commands`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TaskReply {
+    /// The LAM's verdict: `'C'` committed, `'A'` aborted.
+    pub status: char,
+    /// Rows affected by the task's DML commands.
+    pub affected: u64,
+    /// Result set of its last SELECT, if any.
+    pub rows: Option<ResultSet>,
+    /// The local error of an aborted task.
+    pub error: Option<String>,
+}
+
+impl TaskReply {
+    /// For a task that had to commit: an abort becomes `database`'s local
+    /// error, in the site's words (or "`what` failed" when it gave none).
+    pub fn committed(self, database: &str, what: &str) -> Result<Self, MdbsError> {
+        if self.status == 'C' {
+            return Ok(self);
+        }
+        Err(MdbsError::Local {
+            service: database.to_string(),
+            message: self.error.unwrap_or_else(|| format!("{what} failed")),
+        })
     }
 }
 
@@ -276,11 +306,13 @@ impl LamClient {
     /// Sends one logical request and waits for its response, retrying
     /// transient faults per the client's [`RetryPolicy`].
     pub fn call(&self, req: Request) -> Result<Response, MdbsError> {
-        self.call_full(&req).0
+        self.call_traced(&req, &Span::disabled()).0.map(|(resp, _)| resp)
     }
 
-    /// Like [`Self::call`], also reporting how many attempts were spent and
-    /// the last fault observed (telemetry for per-task reporting).
+    /// Like [`Self::call`], opening one `rpc` child of `span` per attempt
+    /// (annotated with the fault that killed it, if any) and also returning
+    /// how many attempts were spent, every fault observed across them, and
+    /// the wire size of the reply's payload block.
     ///
     /// Every attempt of one logical call shares a correlation id, so the
     /// LAM server executes the request at most once no matter how often it
@@ -288,18 +320,6 @@ impl LamClient {
     /// `Exec`, `Compensate`) are as safe to retry as reads. A lost
     /// `Commit` acknowledgement in particular is re-asked here rather than
     /// misreported as an abort. Only `Shutdown` is never retried.
-    pub fn call_full(
-        &self,
-        req: &Request,
-    ) -> (Result<Response, MdbsError>, u32, Option<FaultKind>) {
-        let (result, attempts, faults) = self.call_traced(req, &Span::disabled());
-        (result.map(|(resp, _)| resp), attempts, faults.last().copied())
-    }
-
-    /// Like [`Self::call_full`], opening one `rpc` child of `span` per
-    /// attempt (annotated with the fault that killed it, if any) and
-    /// returning every fault observed across the attempts, plus the wire
-    /// size of the reply's payload block.
     pub fn call_traced(
         &self,
         req: &Request,
@@ -413,18 +433,31 @@ impl LamClient {
         }
     }
 
-    /// Opens a persistent local transaction under `name` (deferred global
-    /// transactions).
-    pub fn begin_task(&self, name: &str) -> Result<(), MdbsError> {
-        match self
-            .call(Request::Begin { name: name.to_string(), database: self.database.clone() })?
-        {
-            Response::Ok => Ok(()),
+    /// How every typed call below ends when the reply is not the one it
+    /// asked for: a refusal (`ERR`) is this site's local error, anything else
+    /// a protocol violation naming the exchange (`what`).
+    fn refused<T>(&self, what: &str, reply: Response) -> Result<T, MdbsError> {
+        match reply {
             Response::Err { message } => {
                 Err(MdbsError::Local { service: self.site.clone(), message })
             }
-            other => Err(MdbsError::Wire(format!("unexpected begin reply: {other:?}"))),
+            other => Err(MdbsError::Wire(format!("unexpected {what} reply: {other:?}"))),
         }
+    }
+
+    /// The reply of an exchange that only acknowledges.
+    fn acked(&self, what: &str, reply: Response) -> Result<(), MdbsError> {
+        match reply {
+            Response::Ok => Ok(()),
+            other => self.refused(what, other),
+        }
+    }
+
+    /// Opens a persistent local transaction under `name` (deferred global
+    /// transactions).
+    pub fn begin_task(&self, name: &str) -> Result<(), MdbsError> {
+        let req = Request::Begin { name: name.to_string(), database: self.database.clone() };
+        self.acked("begin", self.call(req)?)
     }
 
     /// Executes commands inside an open task. Returns `(status, affected,
@@ -437,10 +470,7 @@ impl LamClient {
     ) -> Result<(char, u64, Option<String>), MdbsError> {
         match self.call(Request::Exec { task: task.to_string(), commands })? {
             Response::TaskDone { status, affected, error, .. } => Ok((status, affected, error)),
-            Response::Err { message } => {
-                Err(MdbsError::Local { service: self.site.clone(), message })
-            }
-            other => Err(MdbsError::Wire(format!("unexpected exec reply: {other:?}"))),
+            other => self.refused("exec", other),
         }
     }
 
@@ -450,10 +480,38 @@ impl LamClient {
     pub fn prepare_task(&self, task: &str) -> Result<(char, Option<String>), MdbsError> {
         match self.call(Request::Prepare { task: task.to_string() })? {
             Response::TaskDone { status, error, .. } => Ok((status, error)),
-            Response::Err { message } => {
-                Err(MdbsError::Local { service: self.site.clone(), message })
+            other => self.refused("prepare", other),
+        }
+    }
+
+    /// Runs `commands` on this connection's database as one autocommit task
+    /// named `name` — how the federation ships a statement that is no DOL
+    /// program: DDL, `ANALYZE`, a transfer's INSERT batches, a deferred
+    /// non-vital update, the modified global query of a join. `span` gets the
+    /// attempts spent and, when the task returned rows, their volume.
+    pub fn run_commands(
+        &self,
+        name: &str,
+        commands: Vec<String>,
+        span: &Span,
+    ) -> Result<TaskReply, MdbsError> {
+        let req = Request::Task {
+            name: name.to_string(),
+            mode: TaskMode::Auto,
+            database: self.database.clone(),
+            commands,
+        };
+        let (result, attempts, _faults) = self.call_traced(&req, span);
+        span.note("attempts", attempts);
+        match result? {
+            (Response::TaskDone { status, affected, payload, error }, bytes) => {
+                if let Some(rows) = &payload {
+                    span.note("bytes", bytes);
+                    span.note("rows", rows.rows.len());
+                }
+                Ok(TaskReply { status, affected, rows: payload, error })
             }
-            other => Err(MdbsError::Wire(format!("unexpected prepare reply: {other:?}"))),
+            (other, _) => self.refused("task", other),
         }
     }
 
@@ -462,10 +520,7 @@ impl LamClient {
     pub fn fetch_schema(&self) -> Result<Vec<catalog::GddTable>, MdbsError> {
         match self.call(Request::Schema { database: self.database.clone() })? {
             Response::OkPayload { payload } => crate::wire::decode_schema(&payload),
-            Response::Err { message } => {
-                Err(MdbsError::Local { service: self.site.clone(), message })
-            }
-            other => Err(MdbsError::Wire(format!("unexpected schema reply: {other:?}"))),
+            other => self.refused("schema", other),
         }
     }
 
@@ -475,10 +530,7 @@ impl LamClient {
     pub fn fetch_stats(&self) -> Result<Vec<crate::wire::SiteTableStats>, MdbsError> {
         match self.call(Request::Stats { database: self.database.clone(), table: None })? {
             Response::OkPayload { payload } => crate::wire::decode_stats(&payload),
-            Response::Err { message } => {
-                Err(MdbsError::Local { service: self.site.clone(), message })
-            }
-            other => Err(MdbsError::Wire(format!("unexpected stats reply: {other:?}"))),
+            other => self.refused("stats", other),
         }
     }
 
@@ -522,11 +574,10 @@ impl LamClient {
                 ..
             } => (rows, full_rows, full_bytes, None),
             Response::PartialDone { error: Some(message), .. }
-            | Response::PartialAggDone { error: Some(message), .. }
-            | Response::Err { message } => {
+            | Response::PartialAggDone { error: Some(message), .. } => {
                 return Err(MdbsError::Local { service: self.site.clone(), message });
             }
-            other => return Err(MdbsError::Wire(format!("unexpected partial reply: {other:?}"))),
+            other => return self.refused("partial", other),
         };
         self.record_shipped(span, &rows, bytes);
         Ok(PartialResult { rows, bytes: bytes as u64, full_rows, full_bytes, attempts, access })
@@ -536,24 +587,14 @@ impl LamClient {
     /// trip, so coordinator collection costs one link latency regardless of
     /// how many sites contributed partials.
     pub fn load_partials(&self, parts: Vec<(String, ResultSet)>) -> Result<(), MdbsError> {
-        match self.call(Request::LoadMany { database: self.database.clone(), parts })? {
-            Response::Ok => Ok(()),
-            Response::Err { message } => {
-                Err(MdbsError::Local { service: self.site.clone(), message })
-            }
-            other => Err(MdbsError::Wire(format!("unexpected load reply: {other:?}"))),
-        }
+        let req = Request::LoadMany { database: self.database.clone(), parts };
+        self.acked("load", self.call(req)?)
     }
 
     /// Drops several temporary tables in a single round trip.
     pub fn drop_temps(&self, tables: Vec<String>) -> Result<(), MdbsError> {
-        match self.call(Request::DropMany { database: self.database.clone(), tables })? {
-            Response::Ok => Ok(()),
-            Response::Err { message } => {
-                Err(MdbsError::Local { service: self.site.clone(), message })
-            }
-            other => Err(MdbsError::Wire(format!("unexpected drop reply: {other:?}"))),
-        }
+        let req = Request::DropMany { database: self.database.clone(), tables };
+        self.acked("drop", self.call(req)?)
     }
 }
 
@@ -642,19 +683,15 @@ impl LamClient {
     fn phase_two(&mut self, req: Request, span: &Span) -> Result<(), DolError> {
         let (result, attempts, faults) = self.call_traced(&req, span);
         self.record_obs(span, attempts, &faults);
-        match result.map(|(resp, _)| resp) {
-            Ok(Response::Ok) => Ok(()),
-            Ok(Response::Err { message }) => Err(DolError::Service(message)),
-            Ok(other) => Err(DolError::Service(format!("unexpected reply: {other:?}"))),
-            Err(MdbsError::Net(_)) if matches!(&req, Request::Commit { .. }) => {
-                let task = match &req {
-                    Request::Commit { task } => task.clone(),
-                    _ => unreachable!(),
-                };
-                span.note("in_doubt", &task);
-                Err(DolError::InDoubt { service: self.site.clone(), task })
+        match (result.map(|(resp, _)| resp), &req) {
+            (Ok(Response::Ok), _) => Ok(()),
+            (Ok(Response::Err { message }), _) => Err(DolError::Service(message)),
+            (Ok(other), _) => Err(DolError::Service(format!("unexpected reply: {other:?}"))),
+            (Err(MdbsError::Net(_)), Request::Commit { task }) => {
+                span.note("in_doubt", task);
+                Err(DolError::InDoubt { service: self.site.clone(), task: task.clone() })
             }
-            Err(e) => Err(DolError::Service(e.to_string())),
+            (Err(e), _) => Err(DolError::Service(e.to_string())),
         }
     }
 
@@ -674,10 +711,7 @@ impl LamClient {
         self.record_obs(span, attempts, &faults);
         match result?.0 {
             Response::TaskDone { status, .. } => Ok(status),
-            Response::Err { message } => {
-                Err(MdbsError::Local { service: self.site.clone(), message })
-            }
-            other => Err(MdbsError::Wire(format!("unexpected resolve reply: {other:?}"))),
+            other => self.refused("resolve", other),
         }
     }
 
@@ -698,13 +732,7 @@ impl LamClient {
         };
         let (result, attempts, faults) = self.call_traced(&req, span);
         self.record_obs(span, attempts, &faults);
-        match result?.0 {
-            Response::Ok => Ok(()),
-            Response::Err { message } => {
-                Err(MdbsError::Local { service: self.site.clone(), message })
-            }
-            other => Err(MdbsError::Wire(format!("unexpected compensate reply: {other:?}"))),
-        }
+        self.acked("compensate", result?.0)
     }
 }
 

@@ -1,22 +1,31 @@
-//! Cost-based planning of cross-database joins (paper §5).
+//! Planning of cross-database joins (paper §4.3, §5): the *decide* third of
+//! plan → sequence → talk.
 //!
 //! The paper argues that multidatabase optimisation is about *data flow
 //! control* — which site reduces, what crosses the wire, in what order the
 //! coordinator combines partials — rather than individual database
-//! operations. This module supplies the missing ingredient: per-site
-//! statistics. Each LDBS collects them locally with `ANALYZE`
-//! ([`ldbs::stats`]), the coordinator pulls them over the `STATS` wire
-//! exchange ([`crate::wire::SiteTableStats`]) and assembles a
-//! [`PlannerContext`], against which the executor estimates every decomposed
-//! subquery's shipped rows and bytes.
+//! operations. [`plan_join`] makes every such decision before a row moves and
+//! returns it as a value, a [`JoinPlan`], which
+//! [`crate::executor::Executor::run_join`] then only sequences. It is a pure
+//! function of the decomposition, the routes, the session's three data-flow
+//! switches and — the ingredient the heuristics lacked — per-site statistics.
+//! Each LDBS collects them locally with `ANALYZE` ([`ldbs::stats`]), the
+//! coordinator pulls them over the `STATS` wire exchange
+//! ([`crate::wire::SiteTableStats`]) and assembles a [`PlannerContext`],
+//! against which every decomposed subquery's shipped rows and bytes are
+//! estimated.
 //!
-//! The estimates drive three decisions in [`crate::executor::Executor::run_cross_db`]:
+//! The estimates drive three decisions of [`plan_join`]:
 //!
 //! * **reducer choice** — the semi-join reducer becomes the subquery with the
 //!   smallest estimated partial, not the one with the most WHERE conjuncts;
 //! * **reduce-or-not, per edge** — the key set ships iff the bytes it is
 //!   predicted to prune from the target's partial exceed the bytes of the key
-//!   list itself, replacing the fixed [`crate::executor::DEFAULT_SEMIJOIN_CAP`];
+//!   list itself, replacing the fixed [`DEFAULT_SEMIJOIN_CAP`]. The key list
+//!   exists only once the reducer has run, so the plan carries each edge's
+//!   rule with its NDV and target bytes priced in, and
+//!   [`ReductionEdge::ships`] finishes the decision at run time as a pure
+//!   function of `(edge, keys)`;
 //! * **global join order** — the modified global query's FROM list is sorted
 //!   by ascending estimated partial cardinality.
 //!
@@ -24,13 +33,21 @@
 //! statistics simply contributes no estimate, and the affected decision falls
 //! back to the pre-statistics heuristic, byte-for-byte.
 
-use crate::translate::DbSubquery;
+use crate::error::MdbsError;
+use crate::translate::{DbRoute, DbSubquery, Decomposition, JoinKey, PushdownPlan};
 use crate::wire::SiteTableStats;
-use ldbs::eval::literal_value;
+use ldbs::eval::{literal_value, value_literal};
 use ldbs::stats::{ColumnStats, TableStats};
 use ldbs::value::{CanonicalKey, Value};
-use msql_lang::{BinaryOp, ColumnRef, Expr, Literal, Select, SelectItem, UnaryOp};
+use msql_lang::printer::print_select;
+use msql_lang::{BinaryOp, ColumnRef, Expr, Literal, Select, SelectItem, TableRef, UnaryOp};
 use std::collections::HashMap;
+
+/// Default per-edge cap on the distinct key values shipped as a semi-join
+/// `IN (…)` filter. This is the *no-statistics fallback*: when the cost
+/// planner has fresh estimates for both ends of an edge, the decision is an
+/// estimated-bytes comparison instead and the cap does not apply.
+pub const DEFAULT_SEMIJOIN_CAP: usize = 256;
 
 /// Selectivity assumed for a conjunct the estimator cannot price (an
 /// arithmetic comparison, a LIKE, a subquery…).
@@ -138,6 +155,309 @@ impl PlannerContext {
         }
         Some(out)
     }
+}
+
+/// What one site of a cross-database join is sent. Owns its strings: a site's
+/// share of the join may run on a worker thread.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SitePlan {
+    /// The database whose LAM evaluates the subquery.
+    pub database: String,
+    /// The site that LAM listens at.
+    pub site: String,
+    /// The subquery as decomposed. A site of a classic plan runs it as is
+    /// unless a reduction edge ships it a key filter; either way it is the
+    /// baseline `EXPLAIN` has a rewritten site measure as well.
+    pub sql: String,
+    /// A pushdown plan's site query — partial aggregates or a site-local
+    /// top-k, by kind (`agg` / `topk`) — which the site runs instead.
+    pub pushed: Option<(&'static str, String)>,
+    /// Estimated rows of the subquery *as decomposed* (fresh statistics
+    /// only), so EXPLAIN can show estimated vs. actual.
+    pub est_rows: Option<u64>,
+}
+
+/// How one reduction edge's ship-or-not is finished once the reducer's keys
+/// are known.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EdgeRule {
+    /// No statistics: ship a key set of at most this many values.
+    Cap(usize),
+    /// Both ends estimated: ship iff the bytes the filter prunes from the
+    /// target's partial (`bytes`, estimated unreduced) exceed the key list's
+    /// own. `min(1, keys/ndv)` of the target's rows survive a k-key filter
+    /// under uniformity, `ndv` being the filtered column's distinct values
+    /// there; without one the filter is presumed to prune nothing.
+    Bytes { ndv: Option<u64>, bytes: f64 },
+}
+
+/// One semi-join opportunity: the reducer's distinct values of `key_column`
+/// may travel to site `target` as a filter on its `binding.column`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReductionEdge<'a> {
+    /// Column of the reducer's partial that holds the key values.
+    pub key_column: &'a str,
+    /// Index (in [`JoinPlan::sites`]) of the site the filter goes to.
+    pub target: usize,
+    /// The target's subquery as decomposed, which the filter is ANDed onto.
+    pub select: &'a Select,
+    /// FROM binding and name of the filtered column at the target.
+    pub binding: &'a str,
+    pub column: &'a str,
+    /// Ship-or-not, up to the key list.
+    pub rule: EdgeRule,
+}
+
+impl ReductionEdge<'_> {
+    /// Whether the reducer's distinct `keys` ship along this edge; when not,
+    /// the target ships its full partial. An empty key set always ships — the
+    /// filter is free and prunes everything.
+    pub fn ships(&self, keys: &[Value]) -> bool {
+        let survives =
+            |ndv: u64| if ndv == 0 { 0.0 } else { (keys.len() as f64 / ndv as f64).min(1.0) };
+        match self.rule {
+            _ if keys.is_empty() => true,
+            EdgeRule::Cap(cap) => keys.len() <= cap,
+            EdgeRule::Bytes { ndv, bytes } => {
+                let key_bytes: f64 = keys.iter().map(value_width).sum();
+                bytes * (1.0 - ndv.map_or(1.0, survives)) > key_bytes
+            }
+        }
+    }
+
+    /// The filter `keys` become at the target: `binding.column IN (…)`, or
+    /// for an empty key set `0 = 1` — no key can match; the subquery keeps
+    /// its shape (the coordinator still needs its column metadata) but ships
+    /// zero rows.
+    pub fn filter(&self, keys: &[Value]) -> Expr {
+        if keys.is_empty() {
+            return Expr::Binary {
+                left: Box::new(Expr::Literal(Literal::Int(0))),
+                op: BinaryOp::Eq,
+                right: Box::new(Expr::Literal(Literal::Int(1))),
+            };
+        }
+        Expr::InList {
+            expr: Box::new(Expr::Column(ColumnRef::with_table(self.binding, self.column))),
+            list: keys.iter().map(|v| Expr::Literal(value_literal(v))).collect(),
+            negated: false,
+        }
+    }
+}
+
+/// How the sites' partials become the statement's one table.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Combine<'a> {
+    /// The classic flow of §4.1: the partials are collected as temporary
+    /// tables (`temps`, in site order) in one `database` at `site`, "acting
+    /// as the coordinator", which evaluates the modified global query Q′
+    /// (`sql`) over them. `join_order` is Q′'s FROM order, when the estimates
+    /// changed it.
+    Coordinator {
+        database: &'a str,
+        site: &'a str,
+        temps: Vec<&'a str>,
+        sql: String,
+        join_order: Option<String>,
+    },
+    /// Aggregate / top-k pushdown: the sites shipped pre-reduced partials and
+    /// the MDBS layer merges them — no coordinator round trips.
+    Merge(&'a PushdownPlan),
+}
+
+/// Everything decided about one cross-database join before a row moves:
+/// [reducer] → [other sites] → combine.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JoinPlan<'a> {
+    /// One entry per subquery of the decomposition, in its order.
+    pub sites: Vec<SitePlan>,
+    /// Semi-join reduction (§5's data-flow control): this site runs first and
+    /// its distinct join-key values are injected into the other subqueries
+    /// as filters, so only matching rows cross the wire. `None` sends every
+    /// site its subquery at once.
+    pub reducer: Option<usize>,
+    /// The join edges leaving the reducer, in the decomposition's order.
+    pub edges: Vec<ReductionEdge<'a>>,
+    /// What happens to the partials.
+    pub combine: Combine<'a>,
+    /// The strategy as the join span and `join.strategy` report it: the
+    /// coordinator's LDBS hash-joins a two-table Q′ on its equi keys
+    /// (`hash`), anything else enumerates the (filtered) cross product
+    /// (`product`); `agg-pushdown` / `topk-pushdown` merge here. A classic
+    /// plan's name gains the prefix `semijoin+` when an edge did ship.
+    pub strategy: &'static str,
+    /// Whether fresh estimates for *every* subquery drove the decisions.
+    pub costed: bool,
+}
+
+impl JoinPlan<'_> {
+    /// The subquery site `target` runs given what each edge shipped (`None`:
+    /// nothing): its decomposed subquery with every shipped key set's filter
+    /// ANDed on, or `None` when no edge into it shipped.
+    pub fn reduced_sql(&self, target: usize, shipped: &[Option<Vec<Value>>]) -> Option<String> {
+        let mut reduced: Option<Select> = None;
+        for (edge, keys) in self.edges.iter().zip(shipped) {
+            let Some(keys) = keys.as_ref().filter(|_| edge.target == target) else { continue };
+            let select = reduced.get_or_insert_with(|| edge.select.clone());
+            let filter = Box::new(edge.filter(keys));
+            select.where_clause = Some(match select.where_clause.take() {
+                Some(w) => Expr::Binary { left: Box::new(w), op: BinaryOp::And, right: filter },
+                None => *filter,
+            });
+        }
+        reduced.map(|select| print_select(&select))
+    }
+}
+
+/// Plans a decomposed cross-database join. `ctx` carries the site statistics
+/// (`None`, or a context lacking a table, keeps the heuristic decisions
+/// byte-for-byte); `semijoin`, `semijoin_cap` and `agg_pushdown` are the
+/// session's data-flow switches. Fails only on a database without a route —
+/// before any subquery is dispatched.
+pub fn plan_join<'a>(
+    dec: &'a Decomposition,
+    routes: &'a HashMap<String, DbRoute>,
+    ctx: Option<&PlannerContext>,
+    semijoin: bool,
+    semijoin_cap: usize,
+    agg_pushdown: bool,
+) -> Result<JoinPlan<'a>, MdbsError> {
+    let site_of = |database: &str| match routes.get(database) {
+        Some(route) => Ok(route.site.as_str()),
+        None => Err(MdbsError::Catalog(format!("no route for database `{database}`"))),
+    };
+    // Estimates exist only when the context holds fresh statistics for
+    // *every* table of *every* subquery — a single unanalyzed table keeps the
+    // whole join on the heuristics.
+    let estimates: Option<Vec<Estimate>> =
+        ctx.and_then(|ctx| dec.subqueries.iter().map(|s| ctx.estimate_subquery(s)).collect());
+    let costed = estimates.is_some();
+    let mut sites = Vec::with_capacity(dec.subqueries.len());
+    for (i, sub) in dec.subqueries.iter().enumerate() {
+        sites.push(SitePlan {
+            database: sub.database.clone(),
+            site: site_of(&sub.database)?.to_string(),
+            sql: print_select(&sub.select),
+            pushed: None,
+            est_rows: estimates.as_ref().map(|e| e[i].rows.round() as u64),
+        });
+    }
+
+    // Aggregate/top-k pushdown: when decomposition proved the query
+    // eligible, skip the coordinator flow entirely. Any ineligible query
+    // carries `pushdown: None` and takes the classic path unchanged.
+    if let Some(pushdown) = dec.pushdown.as_ref().filter(|_| agg_pushdown) {
+        let (kind, strategy, selects): (_, _, Vec<&Select>) = match pushdown {
+            PushdownPlan::Aggregate(p) => {
+                ("agg", "agg-pushdown", p.sites.iter().map(|s| &s.select).collect())
+            }
+            PushdownPlan::TopK(p) => {
+                ("topk", "topk-pushdown", p.sites.iter().map(|s| &s.select).collect())
+            }
+        };
+        for (site, select) in sites.iter_mut().zip(selects) {
+            site.pushed = Some((kind, print_select(select)));
+        }
+        let combine = Combine::Merge(pushdown);
+        return Ok(JoinPlan { sites, reducer: None, edges: Vec::new(), combine, strategy, costed });
+    }
+
+    let n = dec.subqueries.len();
+    let reducer = (semijoin && n > 1 && !dec.join_keys.is_empty())
+        .then(|| pick_reducer(dec, estimates.as_deref()));
+    let edge = |from: &str, key: &'a JoinKey| {
+        let (own, other) = (key.side_in(from)?, key.side_opposite(from)?);
+        let target = dec.subqueries.iter().position(|s| s.database == other.database)?;
+        let sub = &dec.subqueries[target];
+        let rule = match (&estimates, ctx) {
+            (Some(est), Some(ctx)) => EdgeRule::Bytes {
+                ndv: ctx.join_key_ndv(sub, &other.binding, &other.column),
+                bytes: est[target].bytes,
+            },
+            _ => EdgeRule::Cap(semijoin_cap),
+        };
+        Some(ReductionEdge {
+            key_column: &own.part_column,
+            target,
+            select: &sub.select,
+            binding: &other.binding,
+            column: &other.column,
+            rule,
+        })
+    };
+    let edges = reducer.map_or_else(Vec::new, |r| {
+        let from = dec.subqueries[r].database.as_str();
+        dec.join_keys.iter().filter_map(|key| edge(from, key)).collect()
+    });
+
+    // With estimates, Q′'s FROM list is greedily reordered by ascending
+    // estimated partial cardinality, so the coordinator's join builds its
+    // smallest intermediates first. A wildcard projection expands in FROM
+    // order, so reordering would permute columns — skip it.
+    let wildcard = dec
+        .global_query
+        .items
+        .iter()
+        .any(|i| matches!(i, SelectItem::Wildcard | SelectItem::QualifiedWildcard(_)));
+    let (sql, join_order) = match &estimates {
+        Some(est) if n > 1 && !wildcard => {
+            let mut global = dec.global_query.clone();
+            let est_of = |tref: &TableRef| {
+                dec.subqueries
+                    .iter()
+                    .position(|s| s.part_table == tref.table.as_str())
+                    .map_or(f64::MAX, |i| est[i].rows)
+            };
+            global.from.sort_by(|a, b| est_of(a).total_cmp(&est_of(b)));
+            let order = (global.from != dec.global_query.from).then(|| {
+                global.from.iter().map(|t| t.table.as_str()).collect::<Vec<_>>().join(",")
+            });
+            (print_select(&global), order)
+        }
+        _ => (print_select(&dec.global_query), None),
+    };
+    let combine = Combine::Coordinator {
+        database: &dec.coordinator,
+        site: site_of(&dec.coordinator)?,
+        temps: dec.subqueries.iter().map(|s| s.part_table.as_str()).collect(),
+        sql,
+        join_order,
+    };
+    let strategy = if n == 2 && !dec.join_keys.is_empty() { "hash" } else { "product" };
+    Ok(JoinPlan { sites, reducer, edges, combine, strategy, costed })
+}
+
+/// Chooses the semi-join reducer: among the subqueries on at least one join
+/// edge, the best-scoring one, ties broken by plan order. With estimates the
+/// score is the smallest estimated partial — the most selective site
+/// reduces, whatever its conjunct count; without, the most pushed-down local
+/// conjuncts in its WHERE clause — a cheap proxy for selectivity.
+fn pick_reducer(dec: &Decomposition, estimates: Option<&[Estimate]>) -> usize {
+    let (mut best, mut best_score) = (0usize, f64::NEG_INFINITY);
+    for (i, sub) in dec.subqueries.iter().enumerate() {
+        if !dec.join_keys.iter().any(|k| k.side_in(&sub.database).is_some()) {
+            continue;
+        }
+        let score = match estimates {
+            Some(est) => -est[i].rows,
+            None => conjunct_count(sub.select.where_clause.as_ref()) as f64,
+        };
+        if score > best_score {
+            (best, best_score) = (i, score);
+        }
+    }
+    best
+}
+
+/// Counts the AND-ed conjuncts of a WHERE clause (0 when absent).
+fn conjunct_count(e: Option<&Expr>) -> usize {
+    fn walk(e: &Expr) -> usize {
+        match e {
+            Expr::Binary { left, op: BinaryOp::And, right } => walk(left) + walk(right),
+            _ => 1,
+        }
+    }
+    e.map_or(0, walk)
 }
 
 /// Rough encoded width of one value in a shipped partial, in bytes.
@@ -530,5 +850,151 @@ mod tests {
             .estimate_select("avis", &select_of("SELECT code FROM cars WHERE code + 1 = 2"))
             .unwrap();
         assert!((est.rows - 100.0 * UNKNOWN_SELECTIVITY).abs() < 1e-9);
+    }
+
+    // ---- plan_join: pure, so none of this builds a network -------------
+
+    /// `avis.cars c` (two local conjuncts, ≈25 of 100 rows estimated) joined
+    /// on `code` with all ten rows of `hertz.cars v`, coordinated at avis.
+    fn join(global: &str, pushdown: Option<PushdownPlan>) -> Decomposition {
+        use crate::translate::{DbSubquery, JoinSide};
+        let sub = |db: &str, sql: &str| DbSubquery {
+            database: db.into(),
+            select: select_of(sql),
+            part_table: format!("part_{db}"),
+        };
+        let side = |db: &str, binding: &str| JoinSide {
+            database: db.into(),
+            binding: binding.into(),
+            column: "code".into(),
+            part_column: format!("b_{binding}_code"),
+        };
+        Decomposition {
+            subqueries: vec![
+                sub("avis", "SELECT c.code AS b_c_code FROM cars c WHERE c.carst = 'rented' AND c.code < 50"),
+                sub("hertz", "SELECT v.code AS b_v_code FROM cars v"),
+            ],
+            coordinator: "avis".into(),
+            global_query: select_of(global),
+            join_keys: vec![JoinKey { left: side("avis", "c"), right: side("hertz", "v") }],
+            pushdown,
+        }
+    }
+
+    const Q: &str = "SELECT part_avis.b_c_code FROM part_avis, part_hertz \
+                     WHERE part_avis.b_c_code = part_hertz.b_v_code";
+
+    fn routes() -> HashMap<String, DbRoute> {
+        let site = |db: &str| format!("site_{db}");
+        let route = |db: &str| DbRoute { database: db.into(), site: site(db), supports_2pc: true };
+        ["avis", "hertz"].into_iter().map(|db| (db.to_string(), route(db))).collect()
+    }
+
+    fn both_sites() -> PlannerContext {
+        let mut ctx = ctx();
+        ctx.insert_db("hertz", vec![cars_stats(10)]);
+        ctx
+    }
+
+    fn keys(n: i64) -> Vec<Value> {
+        (0..n).map(Value::Int).collect()
+    }
+
+    #[test]
+    fn reducer_is_the_smallest_estimate_else_the_most_conjuncts() {
+        let (dec, routes, ctx, avis_only) = (join(Q, None), routes(), both_sites(), ctx());
+        let plan = |ctx, semijoin| plan_join(&dec, &routes, ctx, semijoin, 256, true).unwrap();
+        let heuristic = plan(None, true);
+        assert_eq!((heuristic.reducer, heuristic.costed), (Some(0), false), "avis: 2 conjuncts");
+        assert_eq!(heuristic.sites[0].est_rows, None);
+        let costed = plan(Some(&ctx), true);
+        assert_eq!((costed.reducer, costed.costed), (Some(1), true), "hertz: 10 rows < 25");
+        assert_eq!(costed.edges[0].target, 0);
+        assert_eq!(
+            costed.sites.iter().map(|s| s.est_rows).collect::<Vec<_>>(),
+            [Some(25), Some(10)]
+        );
+        assert_eq!(costed, plan(Some(&ctx), true), "planning twice gives equal plans");
+        // A context lacking one table keeps the whole join on the heuristics.
+        assert_eq!(plan(Some(&avis_only), true), heuristic);
+        let off = plan(Some(&ctx), false);
+        assert!(off.reducer.is_none() && off.edges.is_empty());
+        assert_eq!(off.strategy, "hash");
+        assert!(plan_join(&dec, &HashMap::new(), None, true, 256, true).is_err(), "no route");
+    }
+
+    #[test]
+    fn pushdown_is_planned_iff_enabled_and_eligible() {
+        use crate::translate::{TopKPushdown, TopKSite};
+        let site = |sql| TopKSite { select: select_of(sql) };
+        let topk = PushdownPlan::TopK(TopKPushdown {
+            sites: vec![
+                site("SELECT c.code FROM cars c LIMIT 3"),
+                site("SELECT v.code FROM cars v LIMIT 3"),
+            ],
+            output: Vec::new(),
+            order_by: Vec::new(),
+            limit: 3,
+        });
+        let (eligible, not, routes) = (join(Q, Some(topk.clone())), join(Q, None), routes());
+        let pushed = plan_join(&eligible, &routes, None, true, 256, true).unwrap();
+        assert_eq!(pushed.combine, Combine::Merge(&topk));
+        assert_eq!((pushed.strategy, pushed.reducer), ("topk-pushdown", None));
+        let site_sql = pushed.sites[1].pushed.as_ref().unwrap();
+        assert_eq!((site_sql.0, site_sql.1.contains("LIMIT 3")), ("topk", true));
+        for (dec, enabled) in [(&eligible, false), (&not, true)] {
+            let classic = plan_join(dec, &routes, None, true, 256, enabled).unwrap();
+            assert!(matches!(classic.combine, Combine::Coordinator { .. }), "{classic:?}");
+            assert!(classic.sites.iter().all(|s| s.pushed.is_none()));
+        }
+    }
+
+    #[test]
+    fn global_from_is_reordered_only_with_estimates_and_no_wildcard() {
+        let (routes, ctx) = (routes(), both_sites());
+        let coordinator = |global: &str, ctx| {
+            let dec = join(global, None);
+            let plan = plan_join(&dec, &routes, ctx, true, 256, true).unwrap();
+            let Combine::Coordinator { database, site, temps, sql, join_order } = plan.combine
+            else {
+                panic!("classic plan expected")
+            };
+            assert_eq!(
+                (database, site, temps),
+                ("avis", "site_avis", vec!["part_avis", "part_hertz"])
+            );
+            (sql, join_order)
+        };
+        let (sql, order) = coordinator(Q, Some(&ctx));
+        assert!(sql.contains("FROM part_hertz, part_avis"), "{sql}");
+        assert_eq!(order.as_deref(), Some("part_hertz,part_avis"));
+        let (sql, order) = coordinator(Q, None);
+        assert!(sql.contains("FROM part_avis, part_hertz") && order.is_none(), "{sql}");
+        let (sql, order) = coordinator(&Q.replace("part_avis.b_c_code FROM", "* FROM"), Some(&ctx));
+        assert!(sql.contains("FROM part_avis, part_hertz") && order.is_none(), "{sql}");
+    }
+
+    #[test]
+    fn an_edge_ships_by_the_cap_without_statistics_and_by_bytes_with_them() {
+        let (dec, routes, ctx) = (join(Q, None), routes(), both_sites());
+        let capped = plan_join(&dec, &routes, None, true, 256, true).unwrap();
+        let edge = &capped.edges[0];
+        assert_eq!((edge.rule, edge.key_column, edge.target), (EdgeRule::Cap(256), "b_c_code", 1));
+        assert!(edge.ships(&keys(256)) && !edge.ships(&keys(257)));
+        // hertz reduces into avis: 100 distinct codes, ≈25 rows × 8 bytes.
+        let costed = plan_join(&dec, &routes, Some(&ctx), true, 256, true).unwrap();
+        let edge = &costed.edges[0];
+        assert_eq!(edge.rule, EdgeRule::Bytes { ndv: Some(100), bytes: 200.0 });
+        assert!(edge.ships(&keys(1)), "8 key bytes prune 99% of 200");
+        assert!(!edge.ships(&keys(30)), "240 key bytes prune 70% of 200");
+        // No key can match: the free `0 = 1` filter ships under either rule.
+        for plan in [&capped, &costed] {
+            assert!(plan.edges[0].ships(&[]));
+            let sql = plan.reduced_sql(plan.edges[0].target, &[Some(Vec::new())]).unwrap();
+            assert!(sql.ends_with("0 = 1"), "{sql}");
+            assert_eq!(plan.reduced_sql(plan.edges[0].target, &[None]), None);
+        }
+        let sql = costed.reduced_sql(0, &[Some(keys(2))]).unwrap();
+        assert!(sql.ends_with("AND c.code IN (0, 1)"), "{sql}");
     }
 }

@@ -81,6 +81,46 @@ fn ddl_and_analyze_invalidate_the_stats_cache() {
 }
 
 #[test]
+fn a_refused_statement_is_the_sites_local_error_and_changes_nothing() {
+    let mut fed = paper_federation();
+    fed.execute("ANALYZE continental.flights").unwrap();
+    fed.execute("ANALYZE delta.flight").unwrap();
+    fed.execute("USE continental delta").unwrap();
+    fed.execute(EQUI_JOIN).unwrap();
+    assert_eq!(counter(&fed, "planner.stats_fetches"), 2);
+    let tables = |fed: &mdbs::Federation| {
+        let gdd = fed.gdd();
+        gdd.tables("continental").unwrap().iter().map(|t| t.name.clone()).collect::<Vec<_>>()
+    };
+    let exported = tables(&fed);
+
+    // Each statement reaches continental's LAM, whose engine refuses it.
+    for (refused, site_says) in [
+        ("CREATE TABLE continental.flights (x INT)", "flights"),
+        ("DROP TABLE continental.nosuch", "nosuch"),
+        ("CREATE INDEX ix ON continental.flights (nosuch)", "nosuch"),
+        ("DROP INDEX nosuch ON continental.flights", "nosuch"),
+        ("ANALYZE continental.nosuch", "nosuch"),
+    ] {
+        match fed.execute(refused).unwrap_err() {
+            mdbs::MdbsError::Local { service, message } => {
+                assert_eq!(service, "continental", "{refused}");
+                assert!(message.contains(site_says), "{refused}: {message}");
+            }
+            other => panic!("{refused}: expected the site's local error, got {other:?}"),
+        }
+    }
+
+    // Neither dictionary tier moved: same exported tables, and the next
+    // costed join answers both databases from the statistics cache.
+    assert_eq!(tables(&fed), exported);
+    let hits = counter(&fed, "planner.stats_cache_hits");
+    fed.execute(EQUI_JOIN).unwrap();
+    assert_eq!(counter(&fed, "planner.stats_fetches"), 2, "a refusal invalidates nothing");
+    assert_eq!(counter(&fed, "planner.stats_cache_hits"), hits + 2);
+}
+
+#[test]
 fn disabling_the_planner_skips_stats_fetches() {
     let mut fed = paper_federation();
     fed.cost_planner = false;

@@ -14,6 +14,8 @@ use std::time::Duration;
 
 pub struct Tap {
     seen: Arc<Mutex<Vec<RowsRequest>>>,
+    /// Set to lose the reply to the next `LOADMANY` on its way back.
+    lose_load_reply: Arc<AtomicBool>,
     stop: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
 }
@@ -26,8 +28,10 @@ impl Tap {
         let endpoint = fed.network().register(&tap_site).expect("tap site");
         let seen = Arc::new(Mutex::new(Vec::new()));
         let stop = Arc::new(AtomicBool::new(false));
+        let lose_load_reply = Arc::new(AtomicBool::new(false));
         let (thread_seen, thread_stop, real) =
             (Arc::clone(&seen), Arc::clone(&stop), real_site.to_string());
+        let lose = Arc::clone(&lose_load_reply);
         let thread = std::thread::spawn(move || {
             // correlation id → the client waiting for that reply.
             let mut waiting: HashMap<u64, String> = HashMap::new();
@@ -49,8 +53,13 @@ impl Tap {
                     }
                     Body::Binary(bytes) => codec::decode_request_as(bytes).map(|(_, req)| req),
                 };
-                thread_seen.lock().unwrap().push(decoded.expect("a well-formed request"));
-                if let Some(id) = corr {
+                let decoded = decoded.expect("a well-formed request");
+                // The LAM still gets (and serves) the request; with nobody
+                // waiting for its id the reply is dropped here.
+                let lost = matches!(decoded, RowsRequest::LoadMany { .. })
+                    && lose.swap(false, Ordering::SeqCst);
+                thread_seen.lock().unwrap().push(decoded);
+                if let Some(id) = corr.filter(|_| !lost) {
                     waiting.insert(id, msg.from.clone());
                 }
                 let _ = endpoint.send(&real, msg.body);
@@ -60,7 +69,14 @@ impl Tap {
             "INCORPORATE SERVICE {service} SITE {tap_site} CONNECTMODE CONNECT COMMITMODE NOCOMMIT"
         ))
         .expect("re-point the service at the tap");
-        Tap { seen, stop, thread: Some(thread) }
+        Tap { seen, lose_load_reply, stop, thread: Some(thread) }
+    }
+
+    /// Loses the reply to the next `LOADMANY`: the LAM loads the partials,
+    /// its client never hears back.
+    #[allow(dead_code)] // not every test binary that shares this module uses it
+    pub fn lose_next_load_reply(&self) {
+        self.lose_load_reply.store(true, Ordering::SeqCst);
     }
 
     /// The `PARTIAL` / `PARTIALAGG` requests recorded since the last call

@@ -106,6 +106,75 @@ fn temporaries_are_cleaned_up_at_the_coordinator() {
     }
 }
 
+/// The `part_*` tables currently in the two paper databases a join below
+/// may coordinate at.
+fn leftover_temporaries(fed: &mdbs::Federation) -> Vec<String> {
+    let mut leftovers = Vec::new();
+    for (svc, db) in [("svc_continental", "continental"), ("svc_avis", "avis")] {
+        let engine = fed.engine(svc).unwrap();
+        let names = engine.lock().database(db).unwrap().table_names();
+        leftovers.extend(names.into_iter().filter(|n| n.starts_with("part_")));
+    }
+    leftovers
+}
+
+#[test]
+fn a_failed_join_leaves_no_temporaries_at_the_coordinator() {
+    use ldbs::engine::{ColumnMeta, ResultSet};
+    use mdbs::lamclient::LamClient;
+    use mdbs::proto::RowsResponse;
+    use std::time::Duration;
+
+    let mut fed = paper_federation();
+    fed.parallel = false;
+    fed.timeout = Duration::from_millis(150);
+    fed.execute("USE continental avis").unwrap();
+
+    // Q' fails at the coordinator: dividing a string by a number is a type
+    // error, and the operands live in different databases, so no site
+    // subquery — only the modified global query — evaluates the division.
+    let err = fed
+        .execute(
+            "SELECT f.flnu FROM continental.flights f, avis.cars c
+             WHERE c.rate < f.rate AND f.source / c.rate > 0",
+        )
+        .unwrap_err();
+    assert!(matches!(err, mdbs::MdbsError::Local { .. }), "{err:?}");
+    assert_eq!(leftover_temporaries(&fed), Vec::<String>::new(), "after a failed Q'");
+
+    // LOADMANY refused on its second part (a row wider than its columns):
+    // the first part must not stay behind.
+    let client =
+        LamClient::connect(fed.network(), "site1", "continental", Duration::from_secs(5)).unwrap();
+    let part = |row: Vec<Value>| ResultSet {
+        columns: vec![ColumnMeta { name: "k".into(), data_type: ldbs::value::DataType::Int }],
+        rows: vec![row],
+    };
+    let parts = vec![
+        ("part_one".to_string(), part(vec![Value::Int(1)])),
+        ("part_two".to_string(), part(vec![Value::Int(1), Value::Int(2)])),
+    ];
+    let refused = client.call(Request::LoadMany { database: "continental".into(), parts }).unwrap();
+    assert!(matches!(refused, RowsResponse::Err { .. }), "{refused:?}");
+    assert_eq!(leftover_temporaries(&fed), Vec::<String>::new(), "after a refused LOADMANY");
+
+    // LOADMANY served but its reply lost (one attempt, so the statement
+    // fails on the timeout): the coordinator did load the partials, and the
+    // failing statement still drops them.
+    let join = "SELECT f.flnu, c.code FROM continental.flights f, avis.cars c
+                WHERE c.rate < f.rate";
+    fed.execute(join).unwrap(); // the coordinator of this join is…
+    let (service, site) = ("svc_continental", "site1"); // …continental
+    let tap = Tap::install(&mut fed, service, site);
+    tap.lose_next_load_reply();
+    let err = fed.execute(join).unwrap_err();
+    assert!(matches!(err, mdbs::MdbsError::Net(_)), "{err:?}");
+    assert_eq!(leftover_temporaries(&fed), Vec::<String>::new(), "after a lost LOADMANY reply");
+    assert_eq!(fed.metrics_registry().counter("join.temp_drop_failures"), 0);
+    // And the session is none the worse for it.
+    assert_eq!(fed.execute(join).unwrap().into_table().unwrap().rows.len(), 9);
+}
+
 #[test]
 fn concurrent_sessions_do_not_share_coordinator_temporaries() {
     // Two sessions running the same join used to load and drop the same
