@@ -101,8 +101,9 @@ cargo test -q --test aggregate_oracle
 echo "== round-trip gate =="
 # The messages a statement may send are part of its contract: net.messages
 # per paper statement class, cold session vs warm, text and binary wire,
-# pinned exactly; plus the endpoint/per_link churn regression (a session
-# holds its connections). The failure semantics of a pooled connection ride
+# pinned exactly — a warm two-site join is 4: one travelling partial, then
+# the coordinator's COMBINE; the counts may only fall — plus the
+# endpoint/per_link churn regression (a session holds its connections). The failure semantics of a pooled connection ride
 # in the fault_tolerance run of the tier-1 pass above.
 cargo test -q --test round_trips
 
@@ -158,6 +159,17 @@ echo "== protocol boundary =="
 for f in crates/core/src/{federation,executor,gtxn,planner}.rs; do
     if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'Request::|Response::'; then
         echo "protocol message named outside lamclient.rs in $f" >&2
+        exit 1
+    fi
+done
+
+# LOADMANY / DROPMANY are retired from the client side: a join's coordinator is
+# one COMBINE. They stay decodable and served (proto.rs, codec/, lam.rs) only
+# because fedbench/src/layers.rs builds them field by field, and go with
+# ROADMAP item 1(b); nothing else in the crate may name them.
+for f in $(find crates/core/src -name '*.rs' ! -path '*/codec/*' ! -name proto.rs ! -name lam.rs); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'Request::(LoadMany|DropMany)'; then
+        echo "retired protocol message named in $f" >&2
         exit 1
     fi
 done

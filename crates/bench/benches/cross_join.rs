@@ -5,8 +5,10 @@
 //! * does parallel partial dispatch keep the wall clock at ≈1 link latency
 //!   regardless of the number of sites (vs. ≈N·L serial)?
 //! * does the semi-join reduction ship measurably fewer partial-result bytes
-//!   as the per-site row count grows?
-//! * what does the 2-site hash equi-join cost end to end as rows scale?
+//!   as the per-site row count grows? (Three sites: the coordinator's own
+//!   partial never ships, reduced or not, so with two the filter only
+//!   decides who travels — the sweep asserts both.)
+//! * what does the equi-join cost end to end as rows scale?
 //!
 //! Besides the criterion groups, `write_summary` records one machine-readable
 //! sweep to `BENCH_cross_join.json` at the repo root so the perf trajectory
@@ -20,13 +22,19 @@ use netsim::Network;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// 2-site equi join: `db0` keeps a selective local predicate so it becomes
-/// the semi-join reducer, `db1` ships either everything (off) or only the
-/// matching keys (on).
-fn two_site_query() -> String {
-    "SELECT a.flnu, b.rate FROM db0.flights a, db1.flights b
-     WHERE a.flnu = b.flnu AND a.source = 'Houston' ORDER BY a.flnu"
-        .to_string()
+/// Equi join over `sites` (2 or 3) databases: `db0` keeps a selective local
+/// predicate so it becomes the semi-join reducer and travels; `db1`
+/// coordinates, its rows staying home either way; `db2` ships either
+/// everything (off) or only the rows matching `db0`'s keys (on).
+fn star_query(sites: usize) -> String {
+    let (from, edge) = match sites {
+        2 => ("", ""),
+        _ => (", db2.flights c", " AND a.flnu = c.flnu"),
+    };
+    format!(
+        "SELECT a.flnu, b.rate FROM db0.flights a, db1.flights b{from}
+         WHERE a.flnu = b.flnu{edge} AND a.source = 'Houston' ORDER BY a.flnu"
+    )
 }
 
 /// N-site chain join with a per-site selective predicate, so partials and
@@ -71,14 +79,14 @@ fn shipped_bytes(fed: &Federation) -> u64 {
 }
 
 fn bench_rows_sweep(c: &mut Criterion) {
-    // 2 sites, hash equi-join at the coordinator, semijoin on vs. off.
+    // 3 sites, equi-join at the coordinator, semijoin on vs. off.
     let mut group = c.benchmark_group("b9_cross_join_rows");
     group.sample_size(10);
     for rows in [20usize, 80, 320] {
         for semijoin in [true, false] {
-            let mut fed = federation(2, rows, 0);
+            let mut fed = federation(3, rows, 0);
             fed.semijoin = semijoin;
-            let query = two_site_query();
+            let query = star_query(3);
             let label = if semijoin { "semijoin" } else { "full" };
             group.bench_with_input(BenchmarkId::new(label, rows), &rows, |b, _| {
                 b.iter(|| black_box(fed.execute(&query).unwrap()))
@@ -132,18 +140,34 @@ fn write_summary(_c: &mut Criterion) {
     // (`net.bytes` around the statement: requests, key lists and partials
     // alike). The sites' own `lam.bytes_saved` baseline measurement is fed
     // only under EXPLAIN, which a benchmark of plain statements never runs.
+    let measure = |sites: usize, rows: usize, semijoin: bool| {
+        let mut fed = federation(sites, rows, 0);
+        fed.semijoin = semijoin;
+        let before = fed.metrics_registry().counter("net.bytes");
+        fed.execute(&star_query(sites)).unwrap();
+        (shipped_bytes(&fed), fed.metrics_registry().counter("net.bytes") - before)
+    };
     let mut reduction = Vec::new();
     for rows in [20usize, 80, 320] {
         let mut bytes = [0u64; 2];
         let mut wire = [0u64; 2];
         for (slot, semijoin) in [(0, true), (1, false)] {
-            let mut fed = federation(2, rows, 0);
-            fed.semijoin = semijoin;
-            let before = fed.metrics_registry().counter("net.bytes");
-            fed.execute(&two_site_query()).unwrap();
-            wire[slot] = fed.metrics_registry().counter("net.bytes") - before;
-            bytes[slot] = shipped_bytes(&fed);
+            (bytes[slot], wire[slot]) = measure(3, rows, semijoin);
         }
+        assert!(
+            bytes[0] < bytes[1] && wire[0] < wire[1],
+            "the reduction should shrink what db2 ships at {rows} rows/site: partials {} vs {}, \
+             network {} vs {}",
+            bytes[0],
+            bytes[1],
+            wire[0],
+            wire[1]
+        );
+        // With two sites the one reduced partial is the coordinator's, which
+        // stays home: the filter itself saves no wire bytes. What it still
+        // decides is who travels — the selective reducer, not whichever site
+        // the FROM list names second.
+        assert!(measure(2, rows, true).0 <= measure(2, rows, false).0, "{rows} rows/site");
         let saved = wire[1].saturating_sub(wire[0]);
         reduction.push(format!(
             "    {{\"rows_per_site\": {rows}, \"semijoin_bytes\": {}, \"full_bytes\": {}, \"bytes_saved\": {saved}}}",

@@ -79,128 +79,119 @@ pub fn encode_result_set(rs: &ResultSet) -> Vec<u8> {
 }
 
 fn write_column(buf: &mut Vec<u8>, rs: &ResultSet, c: usize) {
-    let values: Vec<&Value> = rs.rows.iter().map(|row| &row[c]).collect();
-    let nonnull: Vec<&Value> =
-        values.iter().copied().filter(|v| !matches!(v, Value::Null)).collect();
-    let encoding = pick_encoding(&nonnull);
-    buf.push(encoding);
-    // NULL bitmap: LSB-first, a set bit means the row has a value.
-    let mut bitmap = vec![0u8; values.len().div_ceil(8)];
-    for (i, v) in values.iter().enumerate() {
-        if !matches!(v, Value::Null) {
-            bitmap[i / 8] |= 1 << (i % 8);
+    let column = || rs.rows.iter().map(|row| &row[c]);
+    // One pass decides the encoding — which kinds of value the column holds —
+    // and fills the NULL bitmap in place, behind the byte the encoding goes
+    // to once known. LSB-first; a set bit means the row has a value.
+    let encoding_at = buf.len();
+    buf.resize(encoding_at + 1 + rs.rows.len().div_ceil(8), 0);
+    let (mut ints, mut floats, mut bools, mut strs) = (false, false, false, false);
+    for (i, v) in column().enumerate() {
+        match v {
+            Value::Null => continue,
+            Value::Int(_) => ints = true,
+            Value::Float(_) => floats = true,
+            Value::Bool(_) => bools = true,
+            Value::Str(_) => strs = true,
         }
+        buf[encoding_at + 1 + i / 8] |= 1 << (i % 8);
     }
-    buf.extend_from_slice(&bitmap);
+    // A string column's dictionary is built once: to price it, and — if it
+    // wins — to be written.
+    let mut dict = None;
+    let encoding = match (ints, floats, bools, strs) {
+        (true, false, false, false) => COL_INTS,
+        (false, true, false, false) => COL_FLOATS,
+        (false, false, true, false) => COL_BOOLS,
+        (false, false, false, true) => {
+            let (entries, indexes, plain) = build_dict(column());
+            let dict_cost: usize = varint_len(entries.len() as u64)
+                + entries.iter().map(|s| varint_len(s.len() as u64) + s.len()).sum::<usize>()
+                + indexes.iter().map(|&ix| varint_len(ix as u64)).sum::<usize>();
+            if dict_cost < plain {
+                dict = Some((entries, indexes));
+                COL_DICT
+            } else {
+                COL_STRS
+            }
+        }
+        _ => COL_MIXED,
+    };
+    buf[encoding_at] = encoding;
     match encoding {
-        COL_INTS => {
-            for v in &nonnull {
-                if let Value::Int(i) = v {
-                    write_i64(buf, *i);
-                }
-            }
-        }
-        COL_FLOATS => {
-            for v in &nonnull {
-                if let Value::Float(f) = v {
-                    write_f64(buf, *f);
-                }
-            }
-        }
         COL_BOOLS => {
-            let mut bits = vec![0u8; nonnull.len().div_ceil(8)];
-            for (i, v) in nonnull.iter().enumerate() {
-                if matches!(v, Value::Bool(true)) {
-                    bits[i / 8] |= 1 << (i % 8);
+            let present = column().filter(|v| !matches!(v, Value::Null));
+            let bits_at = buf.len();
+            for (i, v) in present.enumerate() {
+                if i % 8 == 0 {
+                    buf.push(0);
                 }
-            }
-            buf.extend_from_slice(&bits);
-        }
-        COL_STRS => {
-            for v in &nonnull {
-                if let Value::Str(s) = v {
-                    write_str(buf, s);
+                if matches!(v, Value::Bool(true)) {
+                    buf[bits_at + i / 8] |= 1 << (i % 8);
                 }
             }
         }
         COL_DICT => {
-            let (dict, indexes) = build_dict(&nonnull);
-            write_u64(buf, dict.len() as u64);
-            for entry in &dict {
+            let (entries, indexes) = dict.expect("built when the encoding was chosen");
+            write_u64(buf, entries.len() as u64);
+            for entry in entries {
                 write_str(buf, entry);
             }
             for ix in indexes {
                 write_u64(buf, ix as u64);
             }
         }
-        COL_MIXED => {
-            for v in &nonnull {
+        // Typed columns drop the per-value tag a mixed one carries.
+        _ => {
+            for v in column() {
                 match v {
+                    Value::Null => {}
                     Value::Int(i) => {
-                        buf.push(MIXED_INT);
+                        if encoding == COL_MIXED {
+                            buf.push(MIXED_INT);
+                        }
                         write_i64(buf, *i);
                     }
                     Value::Float(f) => {
-                        buf.push(MIXED_FLOAT);
+                        if encoding == COL_MIXED {
+                            buf.push(MIXED_FLOAT);
+                        }
                         write_f64(buf, *f);
                     }
                     Value::Str(s) => {
-                        buf.push(MIXED_STR);
+                        if encoding == COL_MIXED {
+                            buf.push(MIXED_STR);
+                        }
                         write_str(buf, s);
                     }
                     Value::Bool(b) => {
                         buf.push(MIXED_BOOL);
                         buf.push(u8::from(*b));
                     }
-                    Value::Null => unreachable!("nulls filtered into the bitmap"),
                 }
             }
         }
-        other => unreachable!("unknown column encoding {other}"),
     }
 }
 
-fn pick_encoding(nonnull: &[&Value]) -> u8 {
-    if nonnull.is_empty() {
-        return COL_MIXED;
-    }
-    if nonnull.iter().all(|v| matches!(v, Value::Int(_))) {
-        return COL_INTS;
-    }
-    if nonnull.iter().all(|v| matches!(v, Value::Float(_))) {
-        return COL_FLOATS;
-    }
-    if nonnull.iter().all(|v| matches!(v, Value::Bool(_))) {
-        return COL_BOOLS;
-    }
-    if nonnull.iter().all(|v| matches!(v, Value::Str(_))) {
-        let (dict, indexes) = build_dict(nonnull);
-        let plain: usize = nonnull
-            .iter()
-            .map(|v| if let Value::Str(s) = v { varint_len(s.len() as u64) + s.len() } else { 0 })
-            .sum();
-        let dict_cost: usize = varint_len(dict.len() as u64)
-            + dict.iter().map(|s| varint_len(s.len() as u64) + s.len()).sum::<usize>()
-            + indexes.iter().map(|&ix| varint_len(ix as u64)).sum::<usize>();
-        return if dict_cost < plain { COL_DICT } else { COL_STRS };
-    }
-    COL_MIXED
-}
-
-fn build_dict<'a>(nonnull: &[&'a Value]) -> (Vec<&'a str>, Vec<usize>) {
+/// The distinct strings of a column in first-appearance order, each string's
+/// index among them, and what the strings cost written plainly.
+fn build_dict<'a>(column: impl Iterator<Item = &'a Value>) -> (Vec<&'a str>, Vec<usize>, usize) {
     let mut dict: Vec<&str> = Vec::new();
     let mut seen: HashMap<&str, usize> = HashMap::new();
-    let mut indexes = Vec::with_capacity(nonnull.len());
-    for v in nonnull {
+    let mut indexes = Vec::new();
+    let mut plain = 0;
+    for v in column {
         if let Value::Str(s) = v {
             let ix = *seen.entry(s.as_str()).or_insert_with(|| {
                 dict.push(s.as_str());
                 dict.len() - 1
             });
             indexes.push(ix);
+            plain += varint_len(s.len() as u64) + s.len();
         }
     }
-    (dict, indexes)
+    (dict, indexes, plain)
 }
 
 fn varint_len(v: u64) -> usize {
@@ -264,7 +255,7 @@ pub fn decode_result_set(bytes: &[u8]) -> Result<ResultSet, MdbsError> {
 
 fn read_column(r: &mut Reader, nrows: usize) -> Result<Vec<Value>, MdbsError> {
     let encoding = r.u8()?;
-    let bitmap = r.bytes(nrows.div_ceil(8))?.to_vec();
+    let bitmap = r.bytes(nrows.div_ceil(8))?;
     let present = |i: usize| -> bool { bitmap[i / 8] & (1 << (i % 8)) != 0 };
     let nonnull = (0..nrows).filter(|&i| present(i)).count();
     let mut values: Vec<Value> = Vec::with_capacity(nonnull);
@@ -356,6 +347,183 @@ mod tests {
 
     fn cols(specs: &[(&str, DataType)]) -> Vec<ColumnMeta> {
         specs.iter().map(|(n, t)| ColumnMeta { name: n.to_string(), data_type: *t }).collect()
+    }
+
+    // The column writer as first written — two `Vec<&Value>` per column, the
+    // dictionary built twice — kept as the definition of the bytes.
+    fn write_column_reference(buf: &mut Vec<u8>, rs: &ResultSet, c: usize) {
+        let values: Vec<&Value> = rs.rows.iter().map(|row| &row[c]).collect();
+        let nonnull: Vec<&Value> =
+            values.iter().copied().filter(|v| !matches!(v, Value::Null)).collect();
+        let encoding = pick_encoding_reference(&nonnull);
+        buf.push(encoding);
+        // NULL bitmap: LSB-first, a set bit means the row has a value.
+        let mut bitmap = vec![0u8; values.len().div_ceil(8)];
+        for (i, v) in values.iter().enumerate() {
+            if !matches!(v, Value::Null) {
+                bitmap[i / 8] |= 1 << (i % 8);
+            }
+        }
+        buf.extend_from_slice(&bitmap);
+        match encoding {
+            COL_INTS => {
+                for v in &nonnull {
+                    if let Value::Int(i) = v {
+                        write_i64(buf, *i);
+                    }
+                }
+            }
+            COL_FLOATS => {
+                for v in &nonnull {
+                    if let Value::Float(f) = v {
+                        write_f64(buf, *f);
+                    }
+                }
+            }
+            COL_BOOLS => {
+                let mut bits = vec![0u8; nonnull.len().div_ceil(8)];
+                for (i, v) in nonnull.iter().enumerate() {
+                    if matches!(v, Value::Bool(true)) {
+                        bits[i / 8] |= 1 << (i % 8);
+                    }
+                }
+                buf.extend_from_slice(&bits);
+            }
+            COL_STRS => {
+                for v in &nonnull {
+                    if let Value::Str(s) = v {
+                        write_str(buf, s);
+                    }
+                }
+            }
+            COL_DICT => {
+                let (dict, indexes) = build_dict_reference(&nonnull);
+                write_u64(buf, dict.len() as u64);
+                for entry in &dict {
+                    write_str(buf, entry);
+                }
+                for ix in indexes {
+                    write_u64(buf, ix as u64);
+                }
+            }
+            COL_MIXED => {
+                for v in &nonnull {
+                    match v {
+                        Value::Int(i) => {
+                            buf.push(MIXED_INT);
+                            write_i64(buf, *i);
+                        }
+                        Value::Float(f) => {
+                            buf.push(MIXED_FLOAT);
+                            write_f64(buf, *f);
+                        }
+                        Value::Str(s) => {
+                            buf.push(MIXED_STR);
+                            write_str(buf, s);
+                        }
+                        Value::Bool(b) => {
+                            buf.push(MIXED_BOOL);
+                            buf.push(u8::from(*b));
+                        }
+                        Value::Null => unreachable!("nulls filtered into the bitmap"),
+                    }
+                }
+            }
+            other => unreachable!("unknown column encoding {other}"),
+        }
+    }
+
+    fn pick_encoding_reference(nonnull: &[&Value]) -> u8 {
+        if nonnull.is_empty() {
+            return COL_MIXED;
+        }
+        if nonnull.iter().all(|v| matches!(v, Value::Int(_))) {
+            return COL_INTS;
+        }
+        if nonnull.iter().all(|v| matches!(v, Value::Float(_))) {
+            return COL_FLOATS;
+        }
+        if nonnull.iter().all(|v| matches!(v, Value::Bool(_))) {
+            return COL_BOOLS;
+        }
+        if nonnull.iter().all(|v| matches!(v, Value::Str(_))) {
+            let (dict, indexes) = build_dict_reference(nonnull);
+            let plain: usize =
+                nonnull
+                    .iter()
+                    .map(|v| {
+                        if let Value::Str(s) = v {
+                            varint_len(s.len() as u64) + s.len()
+                        } else {
+                            0
+                        }
+                    })
+                    .sum();
+            let dict_cost: usize = varint_len(dict.len() as u64)
+                + dict.iter().map(|s| varint_len(s.len() as u64) + s.len()).sum::<usize>()
+                + indexes.iter().map(|&ix| varint_len(ix as u64)).sum::<usize>();
+            return if dict_cost < plain { COL_DICT } else { COL_STRS };
+        }
+        COL_MIXED
+    }
+
+    fn build_dict_reference<'a>(nonnull: &[&'a Value]) -> (Vec<&'a str>, Vec<usize>) {
+        let mut dict: Vec<&str> = Vec::new();
+        let mut seen: HashMap<&str, usize> = HashMap::new();
+        let mut indexes = Vec::with_capacity(nonnull.len());
+        for v in nonnull {
+            if let Value::Str(s) = v {
+                let ix = *seen.entry(s.as_str()).or_insert_with(|| {
+                    dict.push(s.as_str());
+                    dict.len() - 1
+                });
+                indexes.push(ix);
+            }
+        }
+        (dict, indexes)
+    }
+
+    #[test]
+    fn columns_are_written_byte_for_byte_as_the_reference_writes_them() {
+        let mut state = 0x9E37_79B9u64;
+        let mut below = |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        // One column per encoding the writer can choose, with and without
+        // NULLs, over row counts around the bitmap's byte boundaries.
+        for case in 0..200 {
+            let nrows = [0, 1, 7, 8, 9, 16, 17, 60][case % 8];
+            let nulls = case % 3 == 0;
+            let kind = (case / 8) % 7;
+            let rows: Vec<Vec<Value>> = (0..nrows)
+                .map(|_| {
+                    if nulls && below(3) == 0 {
+                        return vec![Value::Null];
+                    }
+                    vec![match kind {
+                        0 => Value::Int(below(1 << 40) as i64 - (1 << 39)),
+                        1 => Value::Float(below(1000) as f64 / 8.0 - 60.0),
+                        2 => Value::Bool(below(2) == 0),
+                        3 => Value::Str(format!("unique-{}", below(1 << 30))),
+                        4 => Value::Str(["available", "rented", ""][below(3) as usize].into()),
+                        5 => Value::Null,
+                        _ => match below(4) {
+                            0 => Value::Int(below(9) as i64),
+                            1 => Value::Float(0.5),
+                            2 => Value::Bool(true),
+                            _ => Value::Str("s".into()),
+                        },
+                    }]
+                })
+                .collect();
+            let rs = ResultSet { columns: cols(&[("c", DataType::Char(16))]), rows };
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            write_column(&mut got, &rs, 0);
+            write_column_reference(&mut want, &rs, 0);
+            assert_eq!(got, want, "case {case}: {rs:?}");
+            roundtrip(&rs);
+        }
     }
 
     #[test]

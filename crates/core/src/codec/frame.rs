@@ -8,9 +8,9 @@
 //! tag byte · fields
 //! ```
 //!
-//! Requests use tags `0x01..=0x12` (declaration order in `proto.rs`, with
+//! Requests use tags `0x01..=0x13` (declaration order in `proto.rs`, with
 //! later additions appended; `0x0B`/`0x0C` are retired and stay reserved),
-//! responses `0x81..=0x86`. Result-set payloads travel as *payload blocks*
+//! responses `0x81..=0x87`. Result-set payloads travel as *payload blocks*
 //! written and read by the message's [`Payload`] type: a result set ships
 //! columnar (`codec::columnar`); the `String` shim falls back to a verbatim
 //! length-prefixed string for texts that are not canonical result sets, so
@@ -50,6 +50,7 @@ const REQ_PING: u8 = 0x0F;
 const REQ_SHUTDOWN: u8 = 0x10;
 const REQ_STATS: u8 = 0x11;
 const REQ_PARTIALAGG: u8 = 0x12;
+const REQ_COMBINE: u8 = 0x13;
 
 const RESP_TASKDONE: u8 = 0x81;
 const RESP_PARTIALDONE: u8 = 0x82;
@@ -57,6 +58,7 @@ const RESP_OK: u8 = 0x83;
 const RESP_OKPAYLOAD: u8 = 0x84;
 const RESP_ERR: u8 = 0x85;
 const RESP_PARTIALAGGDONE: u8 = 0x86;
+const RESP_COMBINEDONE: u8 = 0x87;
 
 /// Payload block tag: a length-prefixed string follows.
 pub(crate) const PAYLOAD_VERBATIM: u8 = 0;
@@ -151,6 +153,26 @@ fn read_opt_payload<P: Payload>(r: &mut Reader) -> Result<(Option<P>, usize), Md
     }
 }
 
+fn write_parts<P: Payload>(buf: &mut Vec<u8>, parts: &[(String, P)]) {
+    write_u64(buf, parts.len() as u64);
+    for (table, payload) in parts {
+        write_str(buf, table);
+        payload.write_block(buf);
+    }
+}
+
+fn read_parts<P: Payload>(r: &mut Reader) -> Result<Vec<(String, P)>, MdbsError> {
+    let n = r.u64()? as usize;
+    if n > r.remaining() {
+        return Err(MdbsError::Wire(format!("implausible part count {n}")));
+    }
+    let mut parts = Vec::with_capacity(n);
+    for _ in 0..n {
+        parts.push((r.string()?, P::read_block(r)?));
+    }
+    Ok(parts)
+}
+
 fn write_strings(buf: &mut Vec<u8>, items: &[String]) {
     write_u64(buf, items.len() as u64);
     for s in items {
@@ -243,14 +265,25 @@ pub fn encode_request<P: Payload>(
             write_str(&mut buf, database);
             write_opt_str(&mut buf, table);
         }
+        Request::Combine { database, home, parts, sql, baseline } => {
+            buf.push(REQ_COMBINE);
+            write_str(&mut buf, database);
+            write_str(&mut buf, sql);
+            match home {
+                Some((table, sql)) => {
+                    buf.push(1);
+                    write_str(&mut buf, table);
+                    write_str(&mut buf, sql);
+                }
+                None => buf.push(0),
+            }
+            write_opt_str(&mut buf, baseline);
+            write_parts(&mut buf, parts);
+        }
         Request::LoadMany { database, parts } => {
             buf.push(REQ_LOADMANY);
             write_str(&mut buf, database);
-            write_u64(&mut buf, parts.len() as u64);
-            for (table, payload) in parts {
-                write_str(&mut buf, table);
-                payload.write_block(&mut buf);
-            }
+            write_parts(&mut buf, parts);
         }
         Request::DropMany { database, tables } => {
             buf.push(REQ_DROPMANY);
@@ -319,18 +352,17 @@ pub fn decode_request_as<P: Payload>(bytes: &[u8]) -> Result<(Option<u64>, Reque
         },
         REQ_SCHEMA => Request::Schema { database: r.string()? },
         REQ_STATS => Request::Stats { database: r.string()?, table: read_opt_str(&mut r)? },
-        REQ_LOADMANY => {
-            let database = r.string()?;
-            let n = r.u64()? as usize;
-            if n > r.remaining() {
-                return Err(MdbsError::Wire(format!("implausible LOADMANY part count {n}")));
-            }
-            let mut parts = Vec::with_capacity(n);
-            for _ in 0..n {
-                parts.push((r.string()?, P::read_block(&mut r)?));
-            }
-            Request::LoadMany { database, parts }
+        REQ_COMBINE => {
+            let (database, sql) = (r.string()?, r.string()?);
+            let home = match r.u8()? {
+                0 => None,
+                1 => Some((r.string()?, r.string()?)),
+                other => return Err(MdbsError::Wire(format!("bad presence byte {other}"))),
+            };
+            let baseline = read_opt_str(&mut r)?;
+            Request::Combine { database, home, parts: read_parts(&mut r)?, sql, baseline }
         }
+        REQ_LOADMANY => Request::LoadMany { database: r.string()?, parts: read_parts(&mut r)? },
         REQ_DROPMANY => Request::DropMany { database: r.string()?, tables: read_strings(&mut r)? },
         REQ_PING => Request::Ping,
         REQ_SHUTDOWN => Request::Shutdown,
@@ -375,6 +407,13 @@ pub fn encode_response<P: Payload>(
             write_u64(&mut buf, *full_rows);
             write_u64(&mut buf, *full_bytes);
             write_opt_str(&mut buf, error);
+            write_opt_payload(&mut buf, payload);
+        }
+        Response::CombineDone { payload, home_rows, access, saved } => {
+            buf.push(RESP_COMBINEDONE);
+            write_u64(&mut buf, *home_rows);
+            write_u64(&mut buf, *saved);
+            write_opt_str(&mut buf, access);
             write_opt_payload(&mut buf, payload);
         }
         Response::Ok => buf.push(RESP_OK),
@@ -436,6 +475,12 @@ pub fn decode_response_as<P: Payload>(
             full_rows: r.u64()?,
             full_bytes: r.u64()?,
             error: read_opt_str(&mut r)?,
+            payload: payload(&mut r)?,
+        },
+        RESP_COMBINEDONE => Response::CombineDone {
+            home_rows: r.u64()?,
+            saved: r.u64()?,
+            access: read_opt_str(&mut r)?,
             payload: payload(&mut r)?,
         },
         RESP_OK => Response::Ok,
@@ -563,6 +608,29 @@ mod tests {
         );
         roundtrip_request(Some(12), Request::LoadMany { database: "a".into(), parts: vec![] });
         roundtrip_request(
+            Some(20),
+            Request::Combine {
+                database: "avis".into(),
+                home: Some(("part_avis".into(), "SELECT code\nFROM cars".into())),
+                parts: vec![
+                    ("part_national".into(), "COLS code:int\nR I:1\n".into()),
+                    ("part_weird".into(), "not a result set at all".into()),
+                ],
+                sql: "SELECT * FROM part_avis, part_national".into(),
+                baseline: Some("SELECT code FROM cars".into()),
+            },
+        );
+        roundtrip_request(
+            Some(21),
+            Request::Combine {
+                database: "a".into(),
+                home: None,
+                parts: vec![],
+                sql: String::new(),
+                baseline: None,
+            },
+        );
+        roundtrip_request(
             Some(13),
             Request::DropMany { database: "avis".into(), tables: vec!["p1".into(), "p2".into()] },
         );
@@ -630,6 +698,19 @@ mod tests {
                 full_rows: 40,
                 full_bytes: 900,
             },
+        );
+        roundtrip_response(
+            Some(9),
+            Response::CombineDone {
+                payload: Some("COLS code:int\nR I:1\n".into()),
+                home_rows: 12,
+                access: Some("scan".into()),
+                saved: 900,
+            },
+        );
+        roundtrip_response(
+            Some(10),
+            Response::CombineDone { payload: None, home_rows: 0, access: None, saved: 0 },
         );
         roundtrip_response(
             Some(8),

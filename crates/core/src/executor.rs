@@ -27,7 +27,7 @@ use dol::{DolEngine, DolOutcome, TaskStatus, WorkerSet};
 use ldbs::engine::ResultSet;
 use ldbs::value::Value;
 use netsim::FaultKind;
-use obs::{labeled, ExplainReport, SpanCtx};
+use obs::{labeled, ExplainReport, Span, SpanCtx};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -349,17 +349,17 @@ impl Executor {
         Ok(MtxReport { achieved_state, return_code: out.dolstatus, outcomes, stats })
     }
 
-    /// Runs a planned cross-database join: [reducer] → [other sites] →
-    /// combine. What it still decides, because only now can it be known:
+    /// Runs a planned cross-database join: [reducer] → [other travelling
+    /// sites] → combine; a classic plan's coordinator is sent no partial
+    /// request, its subquery (reduced like any other) rides inside the one
+    /// `COMBINE`. What it still decides, because only now can it be known:
     ///
     /// * **which edges ship** — a reduction edge's rule is finished by the
     ///   reducer's actual key list ([`crate::planner::ReductionEdge::ships`]);
-    ///   an edge that does not ship leaves its target on full shipping;
+    ///   an edge that does not ship leaves its target on its full subquery;
     /// * **whether sites overlap** — under [`Self::parallel`] the sites left
     ///   after the reducer run concurrently, so N sites cost ≈1 round trip
-    ///   instead of N;
-    /// * **cleanup** — once `LOADMANY` was attempted the temporaries are
-    ///   dropped on every exit path, whatever failed in between.
+    ///   instead of N.
     pub fn run_join(&self, plan: &JoinPlan) -> Result<ResultSet, MdbsError> {
         let join_span = self.trace.child("join");
         let metrics = &self.lams.metrics;
@@ -371,14 +371,14 @@ impl Executor {
         // rewrite the subquery of every site an edge ships them to.
         let n = plan.sites.len();
         let ctx = join_span.ctx();
-        let mut first: Option<PartialResult> = None;
+        let mut travelled: Vec<(usize, PartialResult)> = Vec::with_capacity(n);
         let mut reduced: Vec<Option<String>> = vec![None; n];
         let mut keys_shipped = 0u64;
         if let Some(reducer) = plan.reducer {
             let result =
                 run_site(&self.lams, &ctx, &plan.sites[reducer], None, self.measure_baseline)?;
             let ship = |edge: &ReductionEdge| {
-                let keys = distinct_keys(&result.rows, edge.key_column)?;
+                let keys = edge.keys(&result.rows)?;
                 let ships = edge.ships(&keys);
                 if plan.costed && !keys.is_empty() {
                     let verdict =
@@ -386,23 +386,29 @@ impl Executor {
                     metrics.counter_add(verdict, 1);
                 }
                 // Not shipping means predicted (or presumed) too expensive —
-                // the target ships its full partial.
+                // the target runs its full subquery.
                 ships.then_some(keys)
             };
             let shipped: Vec<Option<Vec<Value>>> = plan.edges.iter().map(ship).collect();
             keys_shipped = shipped.iter().flatten().map(|keys| keys.len() as u64).sum();
             reduced = (0..n).map(|i| plan.reduced_sql(i, &shipped)).collect();
-            first = Some(result);
+            travelled.push((reducer, result));
         }
-        let was_reduced = reduced.iter().any(Option::is_some);
+        let prefix = if reduced.iter().any(Option::is_some) { "semijoin+" } else { "" };
+        let strategy = format!("{prefix}{}", plan.strategy);
+        join_span.note("strategy", &strategy);
+        join_span.note("keys_shipped", keys_shipped);
+        metrics.counter_add(&labeled("join.strategy", "strategy", &strategy), 1);
 
-        // 2. Run the remaining sites — concurrently when allowed: the first
-        // on this thread, the others on the session's parked workers. When
-        // several fail, the error of the first one in site order wins, so
-        // serial and parallel runs report the same one.
-        let jobs: Vec<_> = (0..n)
-            .filter(|&i| Some(i) != plan.reducer)
-            .map(|i| {
+        // 2. Run the other travelling sites — concurrently when allowed: the
+        // first on this thread, the others on the session's parked workers.
+        // When several fail, the error of the first one in site order wins,
+        // so serial and parallel runs report the same one.
+        let others: Vec<usize> =
+            (0..n).filter(|&i| Some(i) != plan.reducer && Some(i) != plan.home()).collect();
+        let jobs: Vec<_> = others
+            .iter()
+            .map(|&i| {
                 let (site, sql) = (plan.sites[i].clone(), reduced[i].take());
                 let (lams, ctx, baseline) = (self.lams.clone(), ctx.clone(), self.measure_baseline);
                 move || run_site(&lams, &ctx, &site, sql.as_deref(), baseline)
@@ -413,85 +419,95 @@ impl Executor {
         } else {
             jobs.into_iter().map(|job| job()).collect()
         };
-        let mut partials = dispatched.into_iter().collect::<Result<Vec<_>, MdbsError>>()?;
-        if let (Some(reducer), Some(partial)) = (plan.reducer, first) {
-            partials.insert(reducer, partial); // back into site order
+        for (i, partial) in others.into_iter().zip(dispatched) {
+            travelled.push((i, partial?));
         }
+        travelled.sort_by_key(|(i, _)| *i); // back into site order
+        let mut bytes_saved: u64 = travelled.iter().filter_map(|(_, p)| p.saved).sum();
 
-        // 3. Name the strategy and total savings on the join span/metrics.
-        let prefix = if was_reduced { "semijoin+" } else { "" };
-        let strategy = format!("{prefix}{}", plan.strategy);
-        let bytes_saved: u64 = partials.iter().map(PartialResult::saved).sum();
-        join_span.note("strategy", &strategy);
-        join_span.note("keys_shipped", keys_shipped);
+        // 3. Combine the partials into the statement's one table.
+        let result = match &plan.combine {
+            Combine::Merge(pushdown) => {
+                metrics.counter_add("agg.pushdown", 1);
+                let parts: Vec<ResultSet> = travelled.into_iter().map(|(_, p)| p.rows).collect();
+                match pushdown {
+                    PushdownPlan::Aggregate(p) => {
+                        let rs = merge::merge_aggregate(p, &parts)?;
+                        metrics.counter_add("agg.groups_merged", rs.rows.len() as u64);
+                        rs
+                    }
+                    PushdownPlan::TopK(p) => {
+                        let shipped: u64 = parts.iter().map(|p| p.rows.len() as u64).sum();
+                        metrics.counter_add("topk.rows_shipped", shipped);
+                        merge::merge_topk(p, &parts)?
+                    }
+                }
+            }
+            Combine::Coordinator { database, site, home, temps, sql, join_order } => {
+                metrics.counter_add("join.keys_shipped", keys_shipped);
+                join_span.note("coordinator", database);
+                let span = join_span.child(format!("lam:combine:{database}"));
+                span.note("partials", temps.len());
+                if let Some(order) = join_order {
+                    span.note("join_order", order);
+                }
+                // The travelled rows move into the request as they are.
+                let home_site = &plan.sites[*home];
+                let home_sql = reduced[*home].take();
+                let baseline =
+                    (self.measure_baseline && home_sql.is_some()).then_some(home_site.sql.as_str());
+                let part = partial_span(&span.ctx(), home_site, "home", home_sql.is_some());
+                let home_sql = home_sql.unwrap_or_else(|| home_site.sql.clone());
+                let parts = travelled.into_iter().map(|(i, p)| (temps[i].to_string(), p.rows));
+                let (rows, saved) = self.lams.checkout(site, database)?.combine(
+                    (temps[*home].to_string(), home_sql),
+                    parts.collect(),
+                    sql,
+                    baseline,
+                    (&span, &part),
+                )?;
+                if baseline.is_some() {
+                    part.note("saved", saved);
+                    metrics.counter_add(&labeled("lam.bytes_saved", "db", database), saved);
+                    bytes_saved += saved;
+                }
+                rows
+            }
+        };
         if self.measure_baseline {
             join_span.note("bytes_saved", bytes_saved);
         }
         if plan.costed {
             join_span.note("planner", "costed");
         }
-        metrics.counter_add(&labeled("join.strategy", "strategy", &strategy), 1);
-
-        // 4. Combine the partials into the statement's one table.
-        let parts: Vec<ResultSet> = partials.into_iter().map(|p| p.rows).collect();
-        match &plan.combine {
-            Combine::Merge(pushdown) => {
-                metrics.counter_add("agg.pushdown", 1);
-                match pushdown {
-                    PushdownPlan::Aggregate(p) => {
-                        let rs = merge::merge_aggregate(p, &parts)?;
-                        metrics.counter_add("agg.groups_merged", rs.rows.len() as u64);
-                        Ok(rs)
-                    }
-                    PushdownPlan::TopK(p) => {
-                        let shipped: u64 = parts.iter().map(|p| p.rows.len() as u64).sum();
-                        metrics.counter_add("topk.rows_shipped", shipped);
-                        merge::merge_topk(p, &parts)
-                    }
-                }
-            }
-            Combine::Coordinator { database, site, temps, sql, join_order } => {
-                metrics.counter_add("join.keys_shipped", keys_shipped);
-                let owned = || temps.iter().map(|t| t.to_string());
-                // Collect the partial results at the coordinator: the rows
-                // move into the request as they are. One batched round trip:
-                // collection stays ≈1 link latency no matter how many sites
-                // contributed partials.
-                let coord = self.lams.checkout(site, database)?;
-                let loaded = {
-                    let span = join_span.child(format!("lam:collect:{database}"));
-                    span.note("db", database);
-                    span.note("partials", parts.len());
-                    coord.load_partials(owned().zip(parts).collect())
-                };
-                // From here on the temporaries may exist at an autonomous
-                // site — a refused load cleans up after itself, one whose
-                // reply was lost does not — so they are dropped whether or
-                // not the modified global query Q′ gets to run.
-                let reply = loaded.and_then(|()| {
-                    let span = join_span.child(format!("lam:global:{database}"));
-                    span.note("db", database);
-                    if let Some(order) = join_order {
-                        span.note("join_order", order);
-                    }
-                    coord.run_commands("QGLOBAL", vec![sql.clone()], &span)
-                });
-                if let Err(e) = coord.drop_temps(owned().collect()) {
-                    metrics.counter_add("join.temp_drop_failures", 1);
-                    join_span.note("temp_drop_failed", e.to_string());
-                }
-                Ok(reply?.committed(database, "global query")?.rows.unwrap_or_default())
-            }
-        }
+        Ok(result)
     }
 }
 
-/// Evaluates one site's share of a cross-database join at its LAM: the pushed
-/// site query of a pushdown plan, else `reduced` (the subquery with shipped
-/// key filters ANDed on), else the subquery as decomposed. Notes the estimate
-/// (so EXPLAIN can show estimated vs. actual), the rewrite and — when
-/// `baseline` had the LAM measure the decomposed subquery beside a rewritten
-/// one — what the rewrite kept off the wire, on the span and the metrics.
+/// Opens the span of one site's partial under `ctx` and notes the plan's side
+/// of it: the row estimate (so EXPLAIN can show estimated vs. actual), the
+/// `route` its rows take to the combine — `shipped` over the network, or
+/// `home`, materialised where the combine runs — and the rewrite, if any.
+fn partial_span(ctx: &SpanCtx, site: &SitePlan, route: &str, reduced: bool) -> Span {
+    let span = ctx.child(format!("lam:partial:{}", site.database));
+    if let Some(est) = site.est_rows {
+        span.note("est_rows", est);
+    }
+    span.note("route", route);
+    match &site.pushed {
+        Some((kind, _)) => span.note("pushed", kind),
+        None if reduced => span.note("reduced", "semijoin"),
+        None => {}
+    }
+    span
+}
+
+/// Evaluates one travelling site's share of a cross-database join at its
+/// LAM: the pushed site query of a pushdown plan, else `reduced` (the
+/// subquery with shipped key filters ANDed on), else the subquery as
+/// decomposed. Notes — when `baseline` had the LAM measure the decomposed
+/// subquery beside a rewritten one — what the rewrite kept off the wire, on
+/// the span and the metrics.
 fn run_site(
     lams: &LamFactory,
     ctx: &SpanCtx,
@@ -500,19 +516,10 @@ fn run_site(
     baseline: bool,
 ) -> Result<PartialResult, MdbsError> {
     let client = lams.checkout(&site.site, &site.database)?;
-    let span = ctx.child(format!("lam:partial:{}", site.database));
-    if let Some(est) = site.est_rows {
-        span.note("est_rows", est);
-    }
+    let span = partial_span(ctx, site, "shipped", reduced.is_some());
     let (sql, pushed) = match (&site.pushed, reduced) {
-        (Some((kind, sql)), _) => {
-            span.note("pushed", kind);
-            (sql.as_str(), true)
-        }
-        (None, Some(sql)) => {
-            span.note("reduced", "semijoin");
-            (sql, false)
-        }
+        (Some((_, sql)), _) => (sql.as_str(), true),
+        (None, Some(sql)) => (sql, false),
         (None, None) => (site.sql.as_str(), false),
     };
     let baseline = (baseline && (pushed || reduced.is_some())).then_some(site.sql.as_str());
@@ -523,22 +530,11 @@ fn run_site(
     if pushed && result.full_rows > 0 {
         span.note("full_rows", result.full_rows);
     }
-    if result.full_bytes > 0 {
-        span.note("saved", result.saved());
-        lams.metrics.counter_add(&labeled("lam.bytes_saved", "db", &site.database), result.saved());
+    if let Some(saved) = result.saved {
+        span.note("saved", saved);
+        lams.metrics.counter_add(&labeled("lam.bytes_saved", "db", &site.database), saved);
     }
     Ok(result)
-}
-
-/// The distinct non-NULL values of `column` in a partial, sorted — the key
-/// set a semi-join edge may ship. `None` when the partial has no such column.
-fn distinct_keys(partial: &ResultSet, column: &str) -> Option<Vec<Value>> {
-    let col = partial.columns.iter().position(|c| c.name == column)?;
-    let mut values: Vec<Value> =
-        partial.rows.iter().map(|r| r[col].clone()).filter(|v| !matches!(v, Value::Null)).collect();
-    values.sort_by(|a, b| a.total_cmp(b));
-    values.dedup_by(|a, b| a.total_cmp(b) == std::cmp::Ordering::Equal);
-    Some(values)
 }
 
 #[cfg(test)]

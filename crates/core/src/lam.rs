@@ -3,7 +3,12 @@
 //! A LAM (paper §4.1) runs at a site, wraps one local DBMS engine, executes
 //! the commands the DOL engine ships to it, and sends partial results back.
 //! "LAMs execute local commands and produce partial results, which are sent
-//! either to the engine or to other LAMs." Here each LAM is a long-running
+//! either to the engine or to other LAMs." Of that sentence the first half is
+//! implemented and the second is not: a partial that leaves its site goes to
+//! the engine (the MDBS layer), which forwards it inside the coordinator's
+//! `COMBINE`; what no longer travels at all is the coordinator's own partial,
+//! materialised in place by that same request. A LAM → LAM hop is ROADMAP
+//! item 3(b). Here each LAM is a long-running
 //! server on a [`netsim`] mailbox speaking the [`crate::proto`] protocol: one
 //! thread that receives a request, executes it against the engine and sends
 //! the reply itself, joined by a second (third, …) identical thread only
@@ -704,7 +709,8 @@ fn handle_request(shared: &Arc<SrvShared>, req: Request, format: WireFormat) -> 
             Response::Ok
         }
         Request::Partial { database, sql, baseline } => {
-            match run_subquery(shared, &database, &sql, baseline.as_deref(), format) {
+            let mut engine = shared.engine.lock();
+            match run_subquery(&mut engine, &database, &sql, baseline.as_deref(), format) {
                 Ok(sub) => Response::PartialDone {
                     payload: Some(sub.rows),
                     error: None,
@@ -722,7 +728,8 @@ fn handle_request(shared: &Arc<SrvShared>, req: Request, format: WireFormat) -> 
             }
         }
         Request::PartialAgg { database, sql, baseline } => {
-            match run_subquery(shared, &database, &sql, baseline.as_deref(), format) {
+            let mut engine = shared.engine.lock();
+            match run_subquery(&mut engine, &database, &sql, baseline.as_deref(), format) {
                 Ok(sub) => Response::PartialAggDone {
                     groups: sub.rows.rows.len() as u64,
                     payload: Some(sub.rows),
@@ -753,22 +760,28 @@ fn handle_request(shared: &Arc<SrvShared>, req: Request, format: WireFormat) -> 
                 Err(e) => Response::Err { message: e.to_string() },
             }
         }
-        Request::LoadMany { database, parts } => {
-            let mut loaded = Vec::with_capacity(parts.len());
-            for (table, rows) in parts {
-                match load(shared, &database, &table, rows) {
-                    Response::Ok => loaded.push(table),
-                    // All or nothing: the parts that made it go with the one
-                    // that did not, so a refused load leaves no temporary.
-                    refusal => {
-                        drop_tables(shared, &database, &loaded);
-                        return refusal;
-                    }
-                }
-            }
-            Response::Ok
+        Request::Combine { database, home, parts, sql, baseline } => {
+            let mut engine = shared.engine.lock();
+            combine(&mut engine, &database, home, parts, &sql, baseline.as_deref(), format)
+                .unwrap_or_else(|message| Response::Err { message })
         }
-        Request::DropMany { database, tables } => drop_tables(shared, &database, &tables),
+        // `LOADMANY` / `DROPMANY`: sent by no client of this crate since
+        // `COMBINE`; served for `fedbench/src/layers.rs` until ROADMAP 1(b).
+        Request::LoadMany { database, parts } => {
+            let mut engine = shared.engine.lock();
+            let temps: Result<Vec<Table>, String> =
+                parts.into_iter().map(|(table, rows)| temp_table(&table, rows)).collect();
+            match temps.and_then(|temps| install_temps(&mut engine, &database, temps)) {
+                Ok(()) => Response::Ok,
+                Err(message) => Response::Err { message },
+            }
+        }
+        Request::DropMany { database, tables } => {
+            match drop_temps(&mut shared.engine.lock(), &database, &tables) {
+                Ok(()) => Response::Ok,
+                Err(message) => Response::Err { message },
+            }
+        }
         Request::Ping => Response::Ok,
         Request::Shutdown => Response::Ok,
     }
@@ -876,7 +889,7 @@ fn run_task(
     }
 }
 
-/// What one `PARTIAL` / `PARTIALAGG` subquery produced.
+/// What one site subquery of a join produced.
 struct Subquery {
     rows: ResultSet,
     /// Access path the engine took for the shipped subquery.
@@ -893,15 +906,14 @@ struct Subquery {
 /// baseline failure only zeroes the measurement; it must not fail a request
 /// whose real subquery succeeded.
 fn run_subquery(
-    shared: &SrvShared,
+    engine: &mut Engine,
     database: &str,
     sql: &str,
     baseline: Option<&str>,
     format: WireFormat,
 ) -> Result<Subquery, String> {
     // Autocommit SELECTs read a snapshot and never block on locks, so the
-    // engine is only held for the statement itself.
-    let mut engine = shared.engine.lock();
+    // caller holds the engine only for the statements themselves.
     let rows = match engine.execute(database, sql) {
         Ok(ExecOutcome::Rows(rs)) => rs,
         Ok(ExecOutcome::Affected(_)) => return Err("subquery did not produce rows".to_string()),
@@ -997,40 +1009,90 @@ fn resolve_task(shared: &SrvShared, task: &str, commit: bool) -> Response {
     }
 }
 
-/// Creates temp table `table` holding `rs` (coordinator collection).
-fn load(shared: &SrvShared, database: &str, table: &str, rs: ResultSet) -> Response {
-    let mut engine = shared.engine.lock();
-    let db = match engine.database_mut(database) {
-        Ok(db) => db,
-        Err(e) => return Response::Err { message: e.to_string() },
-    };
+/// Serves one `COMBINE` (§4.1's "partial results are collected in one
+/// database, acting as the coordinator", in one exchange): the home subquery
+/// is evaluated and materialised in place — a local copy; its rows cross no
+/// network — beside the partials that travelled, Q′ (`sql`) runs over the
+/// temporaries, and every one of them is gone again before the reply. The
+/// caller holds the engine throughout (every statement here is a snapshot
+/// read, so nothing waits for a lock): no other request sees a temporary, and
+/// none outlives this one — `Err` or not.
+fn combine(
+    engine: &mut Engine,
+    database: &str,
+    home: Option<(String, String)>,
+    parts: Vec<(String, ResultSet)>,
+    sql: &str,
+    baseline: Option<&str>,
+    format: WireFormat,
+) -> Result<Response, String> {
+    let mut temps = Vec::with_capacity(parts.len() + 1);
+    for (table, rows) in parts {
+        temps.push(temp_table(&table, rows)?);
+    }
+    let (mut home_rows, mut access, mut saved) = (0, None, 0);
+    if let Some((table, home_sql)) = home {
+        let sub = run_subquery(engine, database, &home_sql, baseline, format)?;
+        home_rows = sub.rows.rows.len() as u64;
+        access = sub.access;
+        if sub.full_bytes > 0 {
+            saved = sub.full_bytes.saturating_sub(format.payload_len(&sub.rows) as u64);
+        }
+        temps.push(temp_table(&table, sub.rows)?);
+    }
+    let names: Vec<String> = temps.iter().map(|t| t.schema.name.clone()).collect();
+    install_temps(engine, database, temps)?;
+    let result = engine.execute(database, sql);
+    drop_temps(engine, database, &names)?;
+    match result {
+        Ok(ExecOutcome::Rows(rs)) => {
+            Ok(Response::CombineDone { payload: Some(rs), home_rows, access, saved })
+        }
+        Ok(ExecOutcome::Affected(_)) => Err("global query did not produce rows".to_string()),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// A temporary table `table` holding `rs`, not exported to the multidatabase
+/// level.
+fn temp_table(table: &str, rs: ResultSet) -> Result<Table, String> {
     let columns =
         rs.columns.iter().map(|c| ColumnSchema::new(c.name.clone(), c.data_type)).collect();
     let mut schema = TableSchema::new(table, columns);
-    schema.public = false; // temp tables are not exported
+    schema.public = false;
     let mut t = Table::new(schema);
     for row in rs.rows {
-        if let Err(e) = t.insert(row) {
-            return Response::Err { message: e.to_string() };
-        }
+        t.insert(row).map_err(|e| e.to_string())?;
     }
-    let _ = db.remove_table(table);
-    db.insert_table(t);
-    Response::Ok
+    Ok(t)
 }
 
-/// Removes temporary tables from `database`; one that is not there is not an
-/// error.
-fn drop_tables(shared: &SrvShared, database: &str, tables: &[String]) -> Response {
-    match shared.engine.lock().database_mut(database) {
-        Ok(db) => {
-            for table in tables {
-                let _ = db.remove_table(table);
-            }
-            Response::Ok
-        }
-        Err(e) => Response::Err { message: e.to_string() },
+/// Puts `temps` into `database`, all or none. The site is autonomous: a
+/// temporary may replace only what an earlier temporary left behind (a
+/// non-exported table), never a table the local DBA exports under that name.
+fn install_temps(engine: &mut Engine, database: &str, temps: Vec<Table>) -> Result<(), String> {
+    let db = engine.database_mut(database).map_err(|e| e.to_string())?;
+    if let Some(t) = temps.iter().find(|t| db.table(&t.schema.name).is_ok_and(|t| t.schema.public))
+    {
+        return Err(format!(
+            "temporary `{}` would replace an exported table of `{database}`",
+            t.schema.name
+        ));
     }
+    temps.into_iter().for_each(|t| db.insert_table(t));
+    Ok(())
+}
+
+/// Removes temporaries from `database`; one that is not there is not an
+/// error, and an exported table of the same name is not a temporary.
+fn drop_temps(engine: &mut Engine, database: &str, tables: &[String]) -> Result<(), String> {
+    let db = engine.database_mut(database).map_err(|e| e.to_string())?;
+    for table in tables {
+        if db.table(table).is_ok_and(|t| !t.schema.public) {
+            let _ = db.remove_table(table);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

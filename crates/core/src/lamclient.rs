@@ -4,7 +4,7 @@
 //! A [`LamClient`] is one open connection from the DOL engine to a remote
 //! LAM: it implements [`dol::DolService`] by shipping [`crate::proto`]
 //! requests over the simulated network, and adds the data-flow operations
-//! the executor needs (schema fetch, partial-result loading at the
+//! the executor needs (schema fetch, a join's partials and its combine at the
 //! coordinator). It is the only client-side module that names a protocol
 //! message: the facade, the executor and the global transaction call its
 //! typed methods and get Rust values back (`ci.sh` gates that).
@@ -60,25 +60,14 @@ pub type Reply = (Response, usize);
 pub struct PartialResult {
     /// Result set of the (possibly reduced or pushed-down) subquery.
     pub rows: ResultSet,
-    /// Size of the payload block that carried `rows`, in the connection's
-    /// wire format.
-    pub bytes: u64,
     /// Rows the baseline subquery would have shipped (0 when unmeasured).
     pub full_rows: u64,
-    /// Bytes the baseline subquery would have shipped (0 when unmeasured).
-    pub full_bytes: u64,
-    /// Round-trip attempts spent on the request.
-    pub attempts: u32,
+    /// Bytes the rewrite kept off the wire — the baseline's payload block
+    /// minus the one that carried `rows`, in the connection's wire format —
+    /// when a baseline was measured.
+    pub saved: Option<u64>,
     /// Access path the local engine took (`probe` or `scan`), when reported.
     pub access: Option<String>,
-}
-
-impl PartialResult {
-    /// Bytes the rewrite kept off the wire: baseline minus shipped (0 when
-    /// the baseline was not measured).
-    pub fn saved(&self) -> u64 {
-        self.full_bytes.saturating_sub(self.bytes)
-    }
 }
 
 /// What one autocommit task came to at its LAM ([`LamClient::run_commands`]).
@@ -88,8 +77,6 @@ pub struct TaskReply {
     pub status: char,
     /// Rows affected by the task's DML commands.
     pub affected: u64,
-    /// Result set of its last SELECT, if any.
-    pub rows: Option<ResultSet>,
     /// The local error of an aborted task.
     pub error: Option<String>,
 }
@@ -487,8 +474,7 @@ impl LamClient {
     /// Runs `commands` on this connection's database as one autocommit task
     /// named `name` — how the federation ships a statement that is no DOL
     /// program: DDL, `ANALYZE`, a transfer's INSERT batches, a deferred
-    /// non-vital update, the modified global query of a join. `span` gets the
-    /// attempts spent and, when the task returned rows, their volume.
+    /// non-vital update. `span` gets the attempts spent.
     pub fn run_commands(
         &self,
         name: &str,
@@ -503,15 +489,11 @@ impl LamClient {
         };
         let (result, attempts, _faults) = self.call_traced(&req, span);
         span.note("attempts", attempts);
-        match result? {
-            (Response::TaskDone { status, affected, payload, error }, bytes) => {
-                if let Some(rows) = &payload {
-                    span.note("bytes", bytes);
-                    span.note("rows", rows.rows.len());
-                }
-                Ok(TaskReply { status, affected, rows: payload, error })
+        match result?.0 {
+            Response::TaskDone { status, affected, error, .. } => {
+                Ok(TaskReply { status, affected, error })
             }
-            (other, _) => self.refused("task", other),
+            other => self.refused("task", other),
         }
     }
 
@@ -580,27 +562,49 @@ impl LamClient {
             other => return self.refused("partial", other),
         };
         self.record_shipped(span, &rows, bytes);
-        Ok(PartialResult { rows, bytes: bytes as u64, full_rows, full_bytes, attempts, access })
+        let saved = (full_bytes > 0).then(|| full_bytes.saturating_sub(bytes as u64));
+        Ok(PartialResult { rows, full_rows, saved, access })
     }
 
-    /// Loads every partial result as a temporary table in a single round
-    /// trip, so coordinator collection costs one link latency regardless of
-    /// how many sites contributed partials.
-    pub fn load_partials(&self, parts: Vec<(String, ResultSet)>) -> Result<(), MdbsError> {
-        let req = Request::LoadMany { database: self.database.clone(), parts };
-        self.acked("load", self.call(req)?)
-    }
-
-    /// Drops several temporary tables in a single round trip.
-    pub fn drop_temps(&self, tables: Vec<String>) -> Result<(), MdbsError> {
-        let req = Request::DropMany { database: self.database.clone(), tables };
-        self.acked("drop", self.call(req)?)
+    /// The coordinator's share of a cross-database join in one `COMBINE`:
+    /// this connection's database materialises `home` — `(temp table,
+    /// subquery)`, its own partial — loads the travelled `parts`, evaluates Q′
+    /// (`sql`) over the temporaries and drops them before replying. Returns
+    /// Q′'s rows and the bytes `baseline` (as in [`Self::run_partial`]) showed
+    /// the home key filter to save; `home_span` is the unshipped partial's.
+    pub fn combine(
+        &self,
+        home: (String, String),
+        parts: Vec<(String, ResultSet)>,
+        sql: &str,
+        baseline: Option<&str>,
+        (span, home_span): (&Span, &Span),
+    ) -> Result<(ResultSet, u64), MdbsError> {
+        let (database, baseline) = (self.database.clone(), baseline.map(str::to_string));
+        let req = Request::Combine { database, home: Some(home), parts, sql: sql.into(), baseline };
+        let (result, attempts, faults) = self.call_traced(&req, span);
+        self.record_obs(span, attempts, &faults);
+        match result? {
+            (Response::CombineDone { payload, home_rows, access, saved }, bytes) => {
+                let rows = payload.unwrap_or_default();
+                span.note("bytes", bytes);
+                span.note("rows", rows.rows.len());
+                home_span.note("db", &self.database);
+                home_span.note("rows", home_rows);
+                home_span.note("bytes", 0);
+                if let Some(access) = access {
+                    home_span.note("access", access);
+                }
+                Ok((rows, saved))
+            }
+            (other, _) => self.refused("combine", other),
+        }
     }
 }
 
 impl LamClient {
-    /// Annotates a task/commit/abort/compensate span with this client's
-    /// communication telemetry and folds it into the `lam.*` metrics.
+    /// Annotates a request's span with this client's communication telemetry
+    /// and folds it into the `lam.*` metrics.
     fn record_obs(&self, span: &Span, attempts: u32, faults: &[FaultKind]) {
         span.note("db", &self.database);
         span.note("attempts", attempts);

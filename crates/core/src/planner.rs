@@ -15,8 +15,11 @@
 //! against which every decomposed subquery's shipped rows and bytes are
 //! estimated.
 //!
-//! The estimates drive three decisions of [`plan_join`]:
+//! The estimates drive four decisions of [`plan_join`]:
 //!
+//! * **who stays home** — the coordinator, whose subquery is materialised in
+//!   place and never crosses the network, becomes the non-reducer site with
+//!   the largest estimated partial in bytes, so the small sides travel;
 //! * **reducer choice** — the semi-join reducer becomes the subquery with the
 //!   smallest estimated partial, not the one with the most WHERE conjuncts;
 //! * **reduce-or-not, per edge** — the key set ships iff the bytes it is
@@ -36,6 +39,7 @@
 use crate::error::MdbsError;
 use crate::translate::{DbRoute, DbSubquery, Decomposition, JoinKey, PushdownPlan};
 use crate::wire::SiteTableStats;
+use ldbs::engine::ResultSet;
 use ldbs::eval::{literal_value, value_literal};
 use ldbs::stats::{ColumnStats, TableStats};
 use ldbs::value::{CanonicalKey, Value};
@@ -209,6 +213,18 @@ pub struct ReductionEdge<'a> {
 }
 
 impl ReductionEdge<'_> {
+    /// The key set this edge may ship: the distinct non-NULL values of its
+    /// key column in the reducer's `partial`, sorted. `None` when the partial
+    /// has no such column.
+    pub fn keys(&self, partial: &ResultSet) -> Option<Vec<Value>> {
+        let col = partial.columns.iter().position(|c| c.name == self.key_column)?;
+        let mut values: Vec<Value> =
+            partial.rows.iter().map(|r| r[col].clone()).filter(|v| !v.is_null()).collect();
+        values.sort_by(|a, b| a.total_cmp(b));
+        values.dedup_by(|a, b| a.total_cmp(b) == std::cmp::Ordering::Equal);
+        Some(values)
+    }
+
     /// Whether the reducer's distinct `keys` ship along this edge; when not,
     /// the target ships its full partial. An empty key set always ships — the
     /// filter is free and prunes everything.
@@ -251,11 +267,15 @@ pub enum Combine<'a> {
     /// The classic flow of §4.1: the partials are collected as temporary
     /// tables (`temps`, in site order) in one `database` at `site`, "acting
     /// as the coordinator", which evaluates the modified global query Q′
-    /// (`sql`) over them. `join_order` is Q′'s FROM order, when the estimates
-    /// changed it.
+    /// (`sql`) over them. Site `home` *is* that database: it is sent no
+    /// partial request — its subquery rides inside the combine and is
+    /// materialised in place, so only the other sites' rows move. It is never
+    /// the reducer, whose rows must reach the MDBS layer for their keys.
+    /// `join_order` is Q′'s FROM order, when the estimates changed it.
     Coordinator {
         database: &'a str,
         site: &'a str,
+        home: usize,
         temps: Vec<&'a str>,
         sql: String,
         join_order: Option<String>,
@@ -291,6 +311,14 @@ pub struct JoinPlan<'a> {
 }
 
 impl JoinPlan<'_> {
+    /// The site that coordinates a classic plan and so sends no partial.
+    pub fn home(&self) -> Option<usize> {
+        match &self.combine {
+            Combine::Coordinator { home, .. } => Some(*home),
+            Combine::Merge(_) => None,
+        }
+    }
+
     /// The subquery site `target` runs given what each edge shipped (`None`:
     /// nothing): its decomposed subquery with every shipped key set's filter
     /// ANDed on, or `None` when no edge into it shipped.
@@ -416,9 +444,12 @@ pub fn plan_join<'a>(
         }
         _ => (print_select(&dec.global_query), None),
     };
+    let home = pick_coordinator(dec, estimates.as_deref(), reducer);
+    let database = dec.subqueries[home].database.as_str();
     let combine = Combine::Coordinator {
-        database: &dec.coordinator,
-        site: site_of(&dec.coordinator)?,
+        database,
+        site: site_of(database)?,
+        home,
         temps: dec.subqueries.iter().map(|s| s.part_table.as_str()).collect(),
         sql,
         join_order,
@@ -447,6 +478,27 @@ fn pick_reducer(dec: &Decomposition, estimates: Option<&[Estimate]>) -> usize {
         }
     }
     best
+}
+
+/// Chooses the coordinator among the sites that are not the reducer: with
+/// estimates the largest partial in bytes — the big side stays home, the
+/// small sides travel; without, the decomposition's own rule — the most FROM
+/// bindings. Ties go to the earlier site, so this is
+/// [`Decomposition::coordinator`] whenever that is not the reducer and
+/// nothing is estimated.
+fn pick_coordinator(
+    dec: &Decomposition,
+    estimates: Option<&[Estimate]>,
+    reducer: Option<usize>,
+) -> usize {
+    let score = |i: usize| match estimates {
+        Some(est) => est[i].bytes,
+        None => dec.subqueries[i].select.from.len() as f64,
+    };
+    (0..dec.subqueries.len())
+        .filter(|&i| Some(i) != reducer)
+        .reduce(|best, i| if score(i) > score(best) { i } else { best })
+        .expect("a decomposition has a subquery besides the reducer")
 }
 
 /// Counts the AND-ed conjuncts of a WHERE clause (0 when absent).
@@ -955,23 +1007,145 @@ mod tests {
         let coordinator = |global: &str, ctx| {
             let dec = join(global, None);
             let plan = plan_join(&dec, &routes, ctx, true, 256, true).unwrap();
-            let Combine::Coordinator { database, site, temps, sql, join_order } = plan.combine
+            let Combine::Coordinator { database, site, home, temps, sql, join_order } =
+                plan.combine
             else {
                 panic!("classic plan expected")
             };
+            // Whoever coordinates, the temporaries keep the sites' order.
+            assert_eq!(temps, vec!["part_avis", "part_hertz"]);
             assert_eq!(
-                (database, site, temps),
-                ("avis", "site_avis", vec!["part_avis", "part_hertz"])
+                (database, site),
+                (dec.subqueries[home].database.as_str(), routes[database].site.as_str())
             );
-            (sql, join_order)
+            (database.to_string(), sql, join_order)
         };
-        let (sql, order) = coordinator(Q, Some(&ctx));
-        assert!(sql.contains("FROM part_hertz, part_avis"), "{sql}");
+        // hertz (10 rows) reduces, so avis stays home; Q′ starts small.
+        let (home, sql, order) = coordinator(Q, Some(&ctx));
+        assert!(home == "avis" && sql.contains("FROM part_hertz, part_avis"), "{home}: {sql}");
         assert_eq!(order.as_deref(), Some("part_hertz,part_avis"));
-        let (sql, order) = coordinator(Q, None);
+        // Unestimated, avis (2 conjuncts) reduces and hertz coordinates.
+        let (home, sql, order) = coordinator(Q, None);
+        assert!(home == "hertz" && sql.contains("FROM part_avis, part_hertz"), "{home}: {sql}");
+        assert!(order.is_none());
+        // A wildcard Q′ expands in FROM order: its columns must not move.
+        let (_, sql, order) =
+            coordinator(&Q.replace("part_avis.b_c_code FROM", "* FROM"), Some(&ctx));
         assert!(sql.contains("FROM part_avis, part_hertz") && order.is_none(), "{sql}");
-        let (sql, order) = coordinator(&Q.replace("part_avis.b_c_code FROM", "* FROM"), Some(&ctx));
-        assert!(sql.contains("FROM part_avis, part_hertz") && order.is_none(), "{sql}");
+    }
+
+    /// `n` sites `db<i>.cars t<i>` chained on `code`; site `i` pushes down
+    /// `conjuncts(i)` local conjuncts and binds `bindings(i)` tables.
+    fn chain(
+        n: usize,
+        conjuncts: impl Fn(usize) -> usize,
+        bindings: impl Fn(usize) -> usize,
+    ) -> (Decomposition, HashMap<String, DbRoute>) {
+        use crate::translate::{DbSubquery, JoinSide};
+        let side = |i: usize| JoinSide {
+            database: format!("db{i}"),
+            binding: format!("t{i}"),
+            column: "code".into(),
+            part_column: format!("b_t{i}_code"),
+        };
+        let sub = |i: usize| {
+            let from: Vec<String> =
+                (0..bindings(i)).map(|b| format!("cars t{i}{}", "x".repeat(b))).collect();
+            let filter: Vec<String> =
+                (0..conjuncts(i)).map(|c| format!("t{i}.code >= -{c}")).collect();
+            let filter = if filter.is_empty() {
+                String::new()
+            } else {
+                format!(" WHERE {}", filter.join(" AND "))
+            };
+            DbSubquery {
+                database: format!("db{i}"),
+                select: select_of(&format!(
+                    "SELECT t{i}.code AS b_t{i}_code FROM {}{filter}",
+                    from.join(", ")
+                )),
+                part_table: format!("part_db{i}"),
+            }
+        };
+        let from: Vec<String> = (0..n).map(|i| format!("part_db{i}")).collect();
+        let dec = Decomposition {
+            subqueries: (0..n).map(sub).collect(),
+            coordinator: "db0".into(),
+            global_query: select_of(&format!("SELECT part_db0.b_t0_code FROM {}", from.join(", "))),
+            join_keys: (1..n).map(|i| JoinKey { left: side(i - 1), right: side(i) }).collect(),
+            pushdown: None,
+        };
+        let route = |i: usize| {
+            let route = DbRoute {
+                database: format!("db{i}"),
+                site: format!("site{i}"),
+                supports_2pc: true,
+            };
+            (format!("db{i}"), route)
+        };
+        (dec, (0..n).map(route).collect())
+    }
+
+    fn home_of(plan: &JoinPlan) -> usize {
+        match &plan.combine {
+            Combine::Coordinator { home, database, .. } => {
+                assert_eq!(*database, plan.sites[*home].database);
+                *home
+            }
+            Combine::Merge(_) => panic!("classic plan expected"),
+        }
+    }
+
+    #[test]
+    fn the_coordinator_is_never_the_reducer() {
+        for n in 2..=5 {
+            // Unestimated: whichever site has the most conjuncts reduces, and
+            // the first of the others (one binding each) coordinates.
+            for r in 0..n {
+                let (dec, routes) = chain(n, |i| usize::from(i == r), |_| 1);
+                let plan = plan_join(&dec, &routes, None, true, 256, true).unwrap();
+                assert_eq!(plan.reducer, Some(r), "n={n}");
+                assert_eq!(home_of(&plan), usize::from(r == 0), "n={n} r={r}");
+                // Without a reducer the decomposition's own choice stands.
+                let off = plan_join(&dec, &routes, None, false, 256, true).unwrap();
+                assert_eq!((off.reducer, home_of(&off)), (None, 0), "n={n} r={r}");
+            }
+            // Estimated: the smallest site reduces; the largest of the rest
+            // stays home — also when it is the smallest's neighbour, and
+            // whatever the conjunct counts say.
+            for small in 0..n {
+                let rows =
+                    |i: usize| if i == small { 10 } else { 100 * (1 + (i + small) % n) as i64 };
+                let mut ctx = PlannerContext::default();
+                (0..n).for_each(|i| ctx.insert_db(&format!("db{i}"), vec![cars_stats(rows(i))]));
+                let (dec, routes) = chain(n, |i| usize::from(i != small), |_| 1);
+                let plan = plan_join(&dec, &routes, Some(&ctx), true, 256, true).unwrap();
+                let largest = (0..n).filter(|&i| i != small).max_by_key(|&i| rows(i)).unwrap();
+                assert!(plan.costed);
+                assert_eq!((plan.reducer, home_of(&plan)), (Some(small), largest), "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_largest_estimate_stays_home_else_the_most_bindings() {
+        // No join reducer in the way: db1's 1 000 rows stay home (db2's self
+        // product is 400).
+        let (dec, routes) = chain(3, |_| 0, |i| 1 + usize::from(i == 2));
+        let mut ctx = PlannerContext::default();
+        for (i, rows) in [10, 1000, 20].into_iter().enumerate() {
+            ctx.insert_db(&format!("db{i}"), vec![cars_stats(rows)]);
+        }
+        let costed = plan_join(&dec, &routes, Some(&ctx), false, 256, true).unwrap();
+        assert_eq!(home_of(&costed), 1);
+        // A site without statistics puts the whole join back on the
+        // heuristic: db2 binds two tables, the most.
+        let mut partial = PlannerContext::default();
+        partial.insert_db("db0", vec![cars_stats(10)]);
+        for ctx in [None, Some(&partial)] {
+            let plan = plan_join(&dec, &routes, ctx, false, 256, true).unwrap();
+            assert_eq!((plan.costed, home_of(&plan)), (false, 2));
+        }
     }
 
     #[test]

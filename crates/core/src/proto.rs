@@ -236,9 +236,31 @@ pub enum Request<P = String> {
         /// Restrict the export to one table, or fetch all analyzed tables.
         table: Option<String>,
     },
-    /// Create and load several temporary tables in one round trip — the
-    /// coordinator collects all partial results of a cross-database join
-    /// with a single exchange.
+    /// The coordinator's whole share of a cross-database join in one
+    /// exchange: materialise its own subquery in place, load the partials
+    /// that travelled, evaluate the modified global query Q′ over the
+    /// temporaries and drop every one of them again before replying — a
+    /// temporary never outlives the request that made it.
+    Combine {
+        /// The coordinator database.
+        database: String,
+        /// `(temp table, subquery)`: the coordinator's own subquery, whose
+        /// rows never cross the network. `None` when every partial travels.
+        home: Option<(String, String)>,
+        /// `(temp table, result set)` pairs shipped from the other sites.
+        parts: Vec<(String, P)>,
+        /// The modified global query Q′ over the temporaries.
+        sql: String,
+        /// The home subquery as decomposed, sent only by `EXPLAIN` when
+        /// `home` carries a key filter: evaluated and measured beside it,
+        /// never materialised.
+        baseline: Option<String>,
+    },
+    /// Create and load several temporary tables in one round trip. No client
+    /// of this crate sends it since [`Request::Combine`]; it and
+    /// [`Request::DropMany`] stay decodable and served only because
+    /// `fedbench/src/layers.rs` builds them field by field, and go with
+    /// ROADMAP item 1(b).
     LoadMany {
         /// Target database.
         database: String,
@@ -306,6 +328,20 @@ pub enum Response<P = String> {
         /// format of the connection that asked.
         full_bytes: u64,
     },
+    /// A [`Request::Combine`] succeeded (a failed one is an [`Response::Err`],
+    /// and no temporary remains either way): Q′'s result set, plus what
+    /// became of the home subquery (all zero / absent when it had none).
+    CombineDone {
+        /// Result set of Q′.
+        payload: Option<P>,
+        /// Rows the home subquery materialised.
+        home_rows: u64,
+        /// Access path the local engine took for the home subquery.
+        access: Option<String>,
+        /// Payload bytes, in the format of the connection that asked, by
+        /// which the baseline exceeds the home rows (0 when unmeasured).
+        saved: u64,
+    },
     /// Generic success.
     Ok,
     /// Success with a payload (schema replies).
@@ -354,6 +390,39 @@ fn parse_count(text: &str, what: &str) -> Result<u64, MdbsError> {
     text.parse().map_err(|_| MdbsError::Wire(format!("bad {what} `{text}`")))
 }
 
+/// Appends `(temp table, payload)` parts. Length-prefixed framing: payloads
+/// are multi-line, so each part header carries the exact byte count that
+/// follows it.
+fn write_parts<P: Payload>(out: &mut String, parts: &[(String, P)]) {
+    let mut text = String::new();
+    for (table, payload) in parts {
+        text.clear();
+        payload.write_text(&mut text);
+        out.push_str(&format!("{table} {}\n", text.len()));
+        out.push_str(&text);
+    }
+}
+
+/// Reads the parts [`write_parts`] wrote, to the end of the body.
+fn read_parts<P: Payload>(mut rest: &str) -> Result<Vec<(String, P)>, MdbsError> {
+    let mut parts = Vec::new();
+    while !rest.is_empty() {
+        let (head, tail) = rest
+            .split_once('\n')
+            .ok_or_else(|| MdbsError::Wire("part without a header line".to_string()))?;
+        let (table, len) = head
+            .split_once(' ')
+            .ok_or_else(|| MdbsError::Wire(format!("malformed part header `{head}`")))?;
+        let len = parse_count(len, "part length")? as usize;
+        if tail.len() < len || !tail.is_char_boundary(len) {
+            return Err(MdbsError::Wire(format!("truncated part for `{table}`")));
+        }
+        parts.push((table.to_string(), P::from_text(&tail[..len])?));
+        rest = &tail[len..];
+    }
+    Ok(parts)
+}
+
 impl<P: Payload> Request<P> {
     /// Encodes the request as a message body.
     pub fn encode(&self) -> String {
@@ -383,17 +452,24 @@ impl<P: Payload> Request<P> {
                 Some(t) => format!("STATS {database} {t}"),
                 None => format!("STATS {database}"),
             },
-            Request::LoadMany { database, parts } => {
-                // Length-prefixed framing: payloads are multi-line, so each
-                // part header carries the exact byte count that follows it.
-                let mut out = format!("LOADMANY {database}\n");
-                let mut text = String::new();
-                for (table, payload) in parts {
-                    text.clear();
-                    payload.write_text(&mut text);
-                    out.push_str(&format!("{table} {}\n", text.len()));
-                    out.push_str(&text);
+            Request::Combine { database, home, parts, sql, baseline } => {
+                // Q′, then the home and baseline lines (`-` when absent; the
+                // letter keeps a present one apart from it), then the parts.
+                let mut out = format!("COMBINE {database}\n{}\n", escape(sql));
+                match home {
+                    Some((table, sql)) => out.push_str(&format!("H {table} {}\n", escape(sql))),
+                    None => out.push_str("-\n"),
                 }
+                match baseline {
+                    Some(sql) => out.push_str(&format!("B {}\n", escape(sql))),
+                    None => out.push_str("-\n"),
+                }
+                write_parts(&mut out, parts);
+                out
+            }
+            Request::LoadMany { database, parts } => {
+                let mut out = format!("LOADMANY {database}\n");
+                write_parts(&mut out, parts);
                 out
             }
             Request::DropMany { database, tables } => {
@@ -475,27 +551,45 @@ impl<P: Payload> Request<P> {
                 database: database.to_string(),
                 table: Some(table.to_string()),
             }),
-            ["LOADMANY", database] => {
-                let mut parts = Vec::new();
+            ["COMBINE", database] => {
                 let mut rest = payload;
-                while !rest.is_empty() {
-                    let (head, tail) = rest.split_once('\n').ok_or_else(|| {
-                        MdbsError::Wire("LOADMANY part without a header line".to_string())
-                    })?;
-                    let (table, len) = head.split_once(' ').ok_or_else(|| {
-                        MdbsError::Wire(format!("malformed LOADMANY part header `{head}`"))
-                    })?;
-                    let len = parse_count(len, "LOADMANY part length")? as usize;
-                    if tail.len() < len || !tail.is_char_boundary(len) {
-                        return Err(MdbsError::Wire(format!(
-                            "truncated LOADMANY part for `{table}`"
-                        )));
+                let mut line = |what: &str| {
+                    let (line, tail) = rest
+                        .split_once('\n')
+                        .ok_or_else(|| MdbsError::Wire(format!("COMBINE without {what}")))?;
+                    rest = tail;
+                    Ok::<_, MdbsError>(line)
+                };
+                let sql = unescape(line("a global query")?)?;
+                let home = match line("a home line")? {
+                    "-" => None,
+                    home => {
+                        let mut f = home.splitn(3, ' ');
+                        match (f.next(), f.next(), f.next()) {
+                            (Some("H"), Some(table), Some(sql)) => {
+                                Some((table.to_string(), unescape(sql)?))
+                            }
+                            _ => {
+                                return Err(MdbsError::Wire(format!(
+                                    "malformed COMBINE home line `{home}`"
+                                )))
+                            }
+                        }
                     }
-                    parts.push((table.to_string(), P::from_text(&tail[..len])?));
-                    rest = &tail[len..];
-                }
-                Ok(Request::LoadMany { database: database.to_string(), parts })
+                };
+                let baseline = match line("a baseline line")? {
+                    "-" => None,
+                    baseline => Some(unescape(baseline.strip_prefix("B ").ok_or_else(|| {
+                        MdbsError::Wire(format!("malformed COMBINE baseline line `{baseline}`"))
+                    })?)?),
+                };
+                let parts = read_parts(rest)?;
+                Ok(Request::Combine { database: database.to_string(), home, parts, sql, baseline })
             }
+            ["LOADMANY", database] => Ok(Request::LoadMany {
+                database: database.to_string(),
+                parts: read_parts(payload)?,
+            }),
             ["DROPMANY", database, tables @ ..] => Ok(Request::DropMany {
                 database: database.to_string(),
                 tables: tables.iter().map(|t| t.to_string()).collect(),
@@ -533,6 +627,9 @@ impl<P: Payload> Response<P> {
                 format!("OK PARTIALAGG {groups} {full_rows} {full_bytes} {}\n", opt_field(error)),
                 payload,
             ),
+            Response::CombineDone { payload, home_rows, access, saved } => {
+                (format!("OK COMBINE {home_rows} {saved} {}\n", opt_field(access)), payload)
+            }
             Response::Ok => return "OK".to_string(),
             Response::OkPayload { payload } => return format!("OK PAYLOAD\n{payload}"),
             Response::Err { message } => return format!("ERR {}", escape(message)),
@@ -583,6 +680,14 @@ impl<P: Payload> Response<P> {
                 full_bytes: parse_count(f.next().unwrap_or(""), "baseline bytes")?,
                 access: parse_opt_field(f.next().unwrap_or("-"))?,
                 error: parse_opt_field(f.next().unwrap_or("-"))?,
+                payload: rows()?,
+            }
+        } else if let Some(rest) = header.strip_prefix("OK COMBINE ") {
+            let mut f = rest.splitn(3, ' ');
+            Response::CombineDone {
+                home_rows: parse_count(f.next().unwrap_or(""), "home rows")?,
+                saved: parse_count(f.next().unwrap_or(""), "saved bytes")?,
+                access: parse_opt_field(f.next().unwrap_or("-"))?,
                 payload: rows()?,
             }
         } else if let Some(rest) = header.strip_prefix("OK TASK ") {
@@ -688,6 +793,31 @@ mod tests {
                 ("part_empty".into(), String::new()),
             ],
         });
+        roundtrip_request(Request::Combine {
+            database: "avis".into(),
+            home: Some(("part_avis".into(), "SELECT code AS b_c_code\nFROM cars | x".into())),
+            parts: vec![
+                ("part_national".into(), "COLS code:int\nR I:1\n".into()),
+                ("part_empty".into(), String::new()),
+            ],
+            sql: "SELECT * FROM part_avis, part_national".into(),
+            baseline: Some("SELECT code AS b_c_code FROM cars".into()),
+        });
+        // No home, no baseline, no parts; SQL that looks like an absent line.
+        roundtrip_request(Request::Combine {
+            database: "avis".into(),
+            home: None,
+            parts: vec![],
+            sql: "-".into(),
+            baseline: None,
+        });
+        roundtrip_request(Request::Combine {
+            database: "avis".into(),
+            home: Some(("part_avis".into(), "-".into())),
+            parts: vec![],
+            sql: String::new(),
+            baseline: Some("-".into()),
+        });
         roundtrip_request(Request::DropMany { database: "avis".into(), tables: vec![] });
         roundtrip_request(Request::DropMany {
             database: "avis".into(),
@@ -709,6 +839,20 @@ mod tests {
         assert!(Request::decode("LOADMANY avis\npart_t abc\nx").is_err());
         // Length pointing past the end of the body.
         assert!(Request::decode("LOADMANY avis\npart_t 99\nshort").is_err());
+    }
+
+    #[test]
+    fn malformed_combine_is_rejected() {
+        // Q′ only; no home line; no baseline line.
+        assert!(Request::decode("COMBINE avis").is_err());
+        assert!(Request::decode("COMBINE avis\nSELECT 1\n").is_err());
+        assert!(Request::decode("COMBINE avis\nSELECT 1\n-\n").is_err());
+        // A home line without its table, a baseline line without its letter.
+        assert!(Request::decode("COMBINE avis\nSELECT 1\nH part_avis\n-\n").is_err());
+        assert!(Request::decode("COMBINE avis\nSELECT 1\n-\nSELECT 2\n").is_err());
+        // A part whose length points past the end of the body.
+        assert!(Request::decode("COMBINE avis\nSELECT 1\n-\n-\npart_t 99\nshort").is_err());
+        assert!(Request::decode("COMBINE avis\nSELECT 1\n-\n-\n").is_ok());
     }
 
     #[test]
@@ -761,6 +905,18 @@ mod tests {
             groups: 1,
             full_rows: 40,
             full_bytes: 900,
+        });
+        roundtrip_response(Response::CombineDone {
+            payload: Some("COLS code:int\nR I:1\n".into()),
+            home_rows: 12,
+            access: Some("probe".into()),
+            saved: 900,
+        });
+        roundtrip_response(Response::CombineDone {
+            payload: None,
+            home_rows: 0,
+            access: None,
+            saved: 0,
         });
         roundtrip_response(Response::PartialAggDone {
             payload: None,

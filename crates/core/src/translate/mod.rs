@@ -62,7 +62,6 @@ pub fn translate_body_traced(
             let phase = span.child("decompose");
             let dec = decompose(sel, scope, gdd)?;
             phase.note("subqueries", dec.subqueries.len());
-            phase.note("coordinator", &dec.coordinator);
             phase.note("join_keys", dec.join_keys.len());
             return Ok(Translated::CrossDb(Box::new(dec)));
         }

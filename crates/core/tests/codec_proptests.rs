@@ -122,6 +122,20 @@ fn request_strategy() -> impl Strategy<Value = Request> {
             .prop_map(|(database, parts)| Request::LoadMany { database, parts }),
         (ident(), proptest::collection::vec(ident(), 0..4))
             .prop_map(|(database, tables)| Request::DropMany { database, tables }),
+        (
+            ident(),
+            proptest::option::of((ident(), nasty_string())),
+            proptest::collection::vec((ident(), payload_strategy()), 0..3),
+            nasty_string(),
+            proptest::option::of(nasty_string()),
+        )
+            .prop_map(|(database, home, parts, sql, baseline)| Request::Combine {
+                database,
+                home,
+                parts,
+                sql,
+                baseline,
+            }),
         Just(Request::Ping),
         Just(Request::Shutdown),
     ]
@@ -167,6 +181,17 @@ fn response_strategy() -> impl Strategy<Value = Response> {
             .prop_map(|(payload, error, groups, full_rows, full_bytes)| {
                 let payload = payload.filter(|p| !p.is_empty());
                 Response::PartialAggDone { payload, error, groups, full_rows, full_bytes }
+            }),
+        (
+            proptest::option::of(payload_strategy()),
+            any::<u64>(),
+            proptest::option::of(prop::sample::select(vec!["probe", "scan"])),
+            any::<u64>(),
+        )
+            .prop_map(|(payload, home_rows, access, saved)| {
+                let payload = payload.filter(|p| !p.is_empty());
+                let access = access.map(str::to_string);
+                Response::CombineDone { payload, home_rows, access, saved }
             }),
         Just(Response::Ok),
         payload_strategy().prop_map(|payload| Response::OkPayload { payload }),
@@ -288,6 +313,27 @@ proptest! {
             &*encode_request(&pool, corr, &typed_req),
             &*encode_request(&pool, corr, &text_req)
         );
+        let home = Some(("p0".to_string(), "SELECT 1".to_string()));
+        let (sql, baseline) = ("SELECT * FROM p0, p1".to_string(), Some("SELECT 2".to_string()));
+        let typed_req = Request::Combine {
+            database: "db".into(),
+            home: home.clone(),
+            parts: vec![("p1".to_string(), rs.clone())],
+            sql: sql.clone(),
+            baseline: baseline.clone(),
+        };
+        let text_req = Request::Combine {
+            database: "db".into(),
+            home,
+            parts: vec![("p1".to_string(), text)],
+            sql,
+            baseline,
+        };
+        prop_assert_eq!(typed_req.encode(), text_req.encode());
+        prop_assert_eq!(
+            &*encode_request(&pool, corr, &typed_req),
+            &*encode_request(&pool, corr, &text_req)
+        );
     }
 
     /// Typed decode ∘ typed encode is the identity in both formats, and the
@@ -315,6 +361,16 @@ proptest! {
         prop_assert_eq!(&got, &resp);
         prop_assert_eq!(size, WireFormat::Binary.payload_len(&rs));
 
+        let req = Request::Combine {
+            database: "db".into(),
+            home: Some(("h".to_string(), "SELECT 1".to_string())),
+            parts: vec![("p".to_string(), rs.clone())],
+            sql: "SELECT * FROM h, p".into(),
+            baseline: None,
+        };
+        prop_assert_eq!(&Request::<ResultSet>::decode_as(&req.encode()).unwrap(), &req);
+        let frame = encode_request(&pool, corr, &req);
+        prop_assert_eq!(decode_request_as::<ResultSet>(&frame).unwrap(), (corr, req));
         let req = Request::LoadMany { database: "db".into(), parts: vec![("p".to_string(), rs)] };
         prop_assert_eq!(&Request::<ResultSet>::decode_as(&req.encode()).unwrap(), &req);
         let frame = encode_request(&pool, corr, &req);

@@ -55,6 +55,13 @@ fn request_corpus() -> Vec<Vec<u8>> {
             parts: vec![("p1".into(), payload.to_string()), ("p2".into(), "COLS \n".to_string())],
         },
         Request::DropMany { database: "avis".into(), tables: vec!["p1".into(), "p2".into()] },
+        Request::Combine {
+            database: "avis".into(),
+            home: Some(("p0".into(), "SELECT code FROM cars WHERE code IN (1, 2)".into())),
+            parts: vec![("p1".into(), payload.to_string()), ("p2".into(), "COLS \n".to_string())],
+            sql: "SELECT * FROM p0, p1, p2".into(),
+            baseline: Some("SELECT code FROM cars".into()),
+        },
         Request::Ping,
         Request::Shutdown,
     ];
@@ -68,7 +75,7 @@ fn request_corpus() -> Vec<Vec<u8>> {
 fn response_corpus() -> Vec<Vec<u8>> {
     let pool = BufferPool::default();
     let payload = "COLS code:int\nR I:1\nR I:2\nR N\n";
-    let resps: [Response; 7] = [
+    let resps: [Response; 8] = [
         Response::Ok,
         Response::OkPayload { payload: payload.into() },
         Response::Err { message: "lock conflict | details\nline2".into() },
@@ -92,6 +99,12 @@ fn response_corpus() -> Vec<Vec<u8>> {
             groups: 1,
             full_rows: 12,
             full_bytes: 340,
+        },
+        Response::CombineDone {
+            payload: Some(payload.into()),
+            home_rows: 3,
+            access: Some("scan".into()),
+            saved: 340,
         },
     ];
     resps
@@ -245,7 +258,7 @@ fn seeded_bit_flip_sweep_never_panics_or_destabilizes() {
     // The sweep must actually exercise the rejection paths (and a strict
     // format rejects the overwhelming majority of random corruption).
     assert!(rejected > absorbed, "rejected={rejected} absorbed={absorbed}");
-    assert!(rejected + absorbed == 15 * 200 + 7 * 200);
+    assert!(rejected + absorbed == 16 * 200 + 8 * 200);
 }
 
 /// The typed decoders under the same mutants: rejected with

@@ -1,8 +1,10 @@
-//! Property test for the semi-join reduction: over random two-table data and
-//! random cross-database equi-join predicates, a federation with the
+//! Property test for the semi-join reduction: over random two- and three-table
+//! data and random cross-database equi-join predicates, a federation with the
 //! reduction enabled returns exactly the rows of one with it disabled —
 //! including under key-set caps that force the full-shipping fallback and
-//! NULL join keys that can never match.
+//! NULL join keys that can never match. With two sites the reduced site is
+//! the coordinator (its filter rides inside `COMBINE`); the third site is
+//! there so a filter also travels to a site whose partial then ships.
 
 use mdbs::fixtures::paper_federation_with;
 use mdbs::Federation;
@@ -36,13 +38,18 @@ fn flight_row() -> impl Strategy<Value = FlightRow> {
     })
 }
 
-/// A fresh two-site federation whose continental.flights / delta.flight
-/// tables hold exactly the given random rows.
-fn federation_with_rows(left: &[FlightRow], right: &[FlightRow]) -> Federation {
+/// A fresh federation whose continental.flights / delta.flight /
+/// united.flight tables hold exactly the given random rows.
+fn federation_with_rows(
+    left: &[FlightRow],
+    right: &[FlightRow],
+    third: &[FlightRow],
+) -> Federation {
     let fed = paper_federation_with(Network::new(), Default::default());
     for (svc, db, table, numcol, destcol, rows) in [
         ("svc_continental", "continental", "flights", "flnu", "destination", left),
         ("svc_delta", "delta", "flight", "fnu", "dest", right),
+        ("svc_united", "united", "flight", "fn", "dest", third),
     ] {
         let engine = fed.engine(svc).unwrap();
         let mut engine = engine.lock();
@@ -55,6 +62,7 @@ fn federation_with_rows(left: &[FlightRow], right: &[FlightRow]) -> Federation {
                     r.num, r.rate
                 )
             } else {
+                // delta and united: source, dest, then the times.
                 format!(
                     "INSERT INTO {table} VALUES ({}, {src}, {dst}, 'am', 'pm', 'tue', {})",
                     r.num, r.rate
@@ -103,7 +111,7 @@ proptest! {
         );
 
         let run = |semijoin: bool| {
-            let mut fed = federation_with_rows(&left, &right);
+            let mut fed = federation_with_rows(&left, &right, &[]);
             fed.semijoin = semijoin;
             fed.semijoin_cap = cap;
             fed.execute("USE continental delta").unwrap();
@@ -113,5 +121,42 @@ proptest! {
         let off = run(false);
         prop_assert_eq!(&on.columns.len(), &off.columns.len());
         prop_assert_eq!(&on.rows, &off.rows, "semijoin changed the result of `{}`", sql);
+    }
+
+    #[test]
+    fn three_site_semijoin_on_off_and_costed_agree(
+        left in proptest::collection::vec(flight_row(), 0..8),
+        right in proptest::collection::vec(flight_row(), 0..8),
+        third in proptest::collection::vec(flight_row(), 0..8),
+        star in proptest::bool::ANY,
+        selective in proptest::bool::ANY,
+        cap in prop::sample::select(vec![0usize, 2, 256]),
+    ) {
+        // A star around continental (it has an edge to both others) or a
+        // chain continental – delta – united; `selective` makes continental
+        // the heuristic reducer by giving it the only local conjunct.
+        let second = if star { "f.destination = u.dest" } else { "g.dest = u.dest" };
+        let local = if selective { " AND f.rate > 60" } else { "" };
+        let sql = format!(
+            "SELECT f.flnu, g.fnu, u.fn
+             FROM continental.flights f, delta.flight g, united.flight u
+             WHERE f.source = g.source AND {second}{local} ORDER BY f.flnu, g.fnu, u.fn"
+        );
+        // (semijoin, ANALYZE every table first so the costed planner decides)
+        let run = |semijoin: bool, costed: bool| {
+            let mut fed = federation_with_rows(&left, &right, &third);
+            fed.semijoin = semijoin;
+            fed.semijoin_cap = cap;
+            fed.execute("USE continental delta united").unwrap();
+            if costed {
+                for table in ["continental.flights", "delta.flight", "united.flight"] {
+                    fed.execute(&format!("ANALYZE {table}")).unwrap();
+                }
+            }
+            fed.execute(&sql).unwrap().into_table().unwrap()
+        };
+        let off = run(false, false);
+        prop_assert_eq!(&run(true, false).rows, &off.rows, "semijoin changed `{}`", sql);
+        prop_assert_eq!(&run(true, true).rows, &off.rows, "costed semijoin changed `{}`", sql);
     }
 }

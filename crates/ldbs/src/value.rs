@@ -254,13 +254,23 @@ impl Value {
     /// same f64), so key-based candidate sets are supersets and callers must
     /// re-check the original predicate.
     pub fn canonical_key(&self) -> Option<CanonicalKey> {
+        self.key_ref().map(|key| match key {
+            KeyRef::Bool(b) => CanonicalKey::Bool(b),
+            KeyRef::Num(bits) => CanonicalKey::Num(bits),
+            KeyRef::Str(s) => CanonicalKey::Str(s.to_string()),
+        })
+    }
+
+    /// [`Value::canonical_key`] without the allocation: the key borrows the
+    /// value's string.
+    pub(crate) fn key_ref(&self) -> Option<KeyRef<'_>> {
         match self {
             Value::Null => None,
-            Value::Int(v) => Some(CanonicalKey::Num(canonical_f64_bits(*v as f64))),
+            Value::Int(v) => Some(KeyRef::Num(canonical_f64_bits(*v as f64))),
             Value::Float(v) if v.is_nan() => None,
-            Value::Float(v) => Some(CanonicalKey::Num(canonical_f64_bits(*v))),
-            Value::Str(s) => Some(CanonicalKey::Str(s.clone())),
-            Value::Bool(b) => Some(CanonicalKey::Bool(*b)),
+            Value::Float(v) => Some(KeyRef::Num(canonical_f64_bits(*v))),
+            Value::Str(s) => Some(KeyRef::Str(s)),
+            Value::Bool(b) => Some(KeyRef::Bool(*b)),
         }
     }
 
@@ -296,6 +306,15 @@ pub enum CanonicalKey {
     Num(u64),
     /// String key.
     Str(String),
+}
+
+/// A [`CanonicalKey`] that borrows its string: the same variants in the same
+/// order, so the derived `Ord` sorts exactly as the owned key's does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum KeyRef<'a> {
+    Bool(bool),
+    Num(u64),
+    Str(&'a str),
 }
 
 /// Maps an f64 (not NaN) to a u64 whose unsigned order matches the float

@@ -248,7 +248,9 @@ pub struct ExplainReport {
 
 impl ExplainReport {
     /// Builds a report from a normalized tree, deriving the cost table from
-    /// `task:`/`lam:` spans annotated with `db`/`attempts`/`rows`/`bytes`.
+    /// `task:`/`lam:` spans annotated with `db`/`attempts`/`rows`/`bytes`. A
+    /// join's partials are `lam:partial:<db>` spans noting their `route`
+    /// (`shipped`, or `home` under the coordinator's `lam:combine:<db>`).
     pub fn from_tree(statement: impl Into<String>, tree: SpanTree) -> ExplainReport {
         let mut by_db: BTreeMap<String, LamCost> = BTreeMap::new();
         let mut join: Option<JoinSummary> = None;
@@ -303,12 +305,16 @@ impl ExplainReport {
             let cost = by_db
                 .entry(db.to_string())
                 .or_insert_with(|| LamCost { database: db.to_string(), ..LamCost::default() });
-            cost.tasks += 1;
-            cost.attempts += num("attempts").max(1);
-            cost.faults += num("faults");
-            cost.rows += num("rows");
-            cost.bytes += num("bytes");
-            cost.latency += node.end - node.start;
+            // A `home` partial is no exchange of its own: it was materialised
+            // inside its parent `lam:combine`, and no row of it was shipped.
+            if note("route") != Some("home") {
+                cost.tasks += 1;
+                cost.attempts += num("attempts").max(1);
+                cost.faults += num("faults");
+                cost.rows += num("rows");
+                cost.bytes += num("bytes");
+                cost.latency += node.end - node.start;
+            }
             if let Some(access) = note("access") {
                 if !cost.access.iter().any(|a| a == access) {
                     cost.access.push(access.to_string());

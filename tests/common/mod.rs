@@ -14,8 +14,8 @@ use std::time::Duration;
 
 pub struct Tap {
     seen: Arc<Mutex<Vec<RowsRequest>>>,
-    /// Set to lose the reply to the next `LOADMANY` on its way back.
-    lose_load_reply: Arc<AtomicBool>,
+    /// Set to lose the reply to the next `COMBINE` on its way back.
+    lose_combine_reply: Arc<AtomicBool>,
     stop: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
 }
@@ -28,10 +28,10 @@ impl Tap {
         let endpoint = fed.network().register(&tap_site).expect("tap site");
         let seen = Arc::new(Mutex::new(Vec::new()));
         let stop = Arc::new(AtomicBool::new(false));
-        let lose_load_reply = Arc::new(AtomicBool::new(false));
+        let lose_combine_reply = Arc::new(AtomicBool::new(false));
         let (thread_seen, thread_stop, real) =
             (Arc::clone(&seen), Arc::clone(&stop), real_site.to_string());
-        let lose = Arc::clone(&lose_load_reply);
+        let lose = Arc::clone(&lose_combine_reply);
         let thread = std::thread::spawn(move || {
             // correlation id → the client waiting for that reply.
             let mut waiting: HashMap<u64, String> = HashMap::new();
@@ -55,8 +55,9 @@ impl Tap {
                 };
                 let decoded = decoded.expect("a well-formed request");
                 // The LAM still gets (and serves) the request; with nobody
-                // waiting for its id the reply is dropped here.
-                let lost = matches!(decoded, RowsRequest::LoadMany { .. })
+                // waiting for its id the reply is dropped here. A resend of
+                // the same id is waited for again.
+                let lost = matches!(decoded, RowsRequest::Combine { .. })
                     && lose.swap(false, Ordering::SeqCst);
                 thread_seen.lock().unwrap().push(decoded);
                 if let Some(id) = corr.filter(|_| !lost) {
@@ -69,21 +70,30 @@ impl Tap {
             "INCORPORATE SERVICE {service} SITE {tap_site} CONNECTMODE CONNECT COMMITMODE NOCOMMIT"
         ))
         .expect("re-point the service at the tap");
-        Tap { seen, lose_load_reply, stop, thread: Some(thread) }
+        Tap { seen, lose_combine_reply, stop, thread: Some(thread) }
     }
 
-    /// Loses the reply to the next `LOADMANY`: the LAM loads the partials,
+    /// Loses the reply to the next `COMBINE`: the LAM serves the request,
     /// its client never hears back.
     #[allow(dead_code)] // not every test binary that shares this module uses it
-    pub fn lose_next_load_reply(&self) {
-        self.lose_load_reply.store(true, Ordering::SeqCst);
+    pub fn lose_next_combine_reply(&self) {
+        self.lose_combine_reply.store(true, Ordering::SeqCst);
     }
 
-    /// The `PARTIAL` / `PARTIALAGG` requests recorded since the last call
-    /// (handshakes, statistics fetches and the like are dropped).
+    /// The requests recorded since the last call that had the site evaluate
+    /// a join subquery — `PARTIAL` / `PARTIALAGG`, or a `COMBINE` carrying
+    /// its home subquery (handshakes, statistics fetches and the like are
+    /// dropped).
     pub fn drain_partials(&self) -> Vec<RowsRequest> {
         let mut seen = std::mem::take(&mut *self.seen.lock().unwrap());
-        seen.retain(|r| matches!(r, RowsRequest::Partial { .. } | RowsRequest::PartialAgg { .. }));
+        seen.retain(|r| {
+            matches!(
+                r,
+                RowsRequest::Partial { .. }
+                    | RowsRequest::PartialAgg { .. }
+                    | RowsRequest::Combine { .. }
+            )
+        });
         seen
     }
 }

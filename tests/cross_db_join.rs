@@ -106,12 +106,11 @@ fn temporaries_are_cleaned_up_at_the_coordinator() {
     }
 }
 
-/// The `part_*` tables currently in the two paper databases a join below
-/// may coordinate at.
+/// The `part_*` tables currently at any site of the paper federation.
 fn leftover_temporaries(fed: &mdbs::Federation) -> Vec<String> {
     let mut leftovers = Vec::new();
-    for (svc, db) in [("svc_continental", "continental"), ("svc_avis", "avis")] {
-        let engine = fed.engine(svc).unwrap();
+    for db in ["continental", "delta", "united", "avis", "national"] {
+        let engine = fed.engine(&format!("svc_{db}")).unwrap();
         let names = engine.lock().database(db).unwrap().table_names();
         leftovers.extend(names.into_iter().filter(|n| n.starts_with("part_")));
     }
@@ -123,6 +122,7 @@ fn a_failed_join_leaves_no_temporaries_at_the_coordinator() {
     use ldbs::engine::{ColumnMeta, ResultSet};
     use mdbs::lamclient::LamClient;
     use mdbs::proto::RowsResponse;
+    use mdbs::retry::RetryPolicy;
     use std::time::Duration;
 
     let mut fed = paper_federation();
@@ -142,37 +142,109 @@ fn a_failed_join_leaves_no_temporaries_at_the_coordinator() {
     assert!(matches!(err, mdbs::MdbsError::Local { .. }), "{err:?}");
     assert_eq!(leftover_temporaries(&fed), Vec::<String>::new(), "after a failed Q'");
 
-    // LOADMANY refused on its second part (a row wider than its columns):
-    // the first part must not stay behind.
+    // A COMBINE refused on its second part (a row wider than its columns: no
+    // well-formed message; a string in an INT column: no loadable table),
+    // and one whose home subquery fails: none installs anything.
     let client =
         LamClient::connect(fed.network(), "site1", "continental", Duration::from_secs(5)).unwrap();
     let part = |row: Vec<Value>| ResultSet {
         columns: vec![ColumnMeta { name: "k".into(), data_type: ldbs::value::DataType::Int }],
         rows: vec![row],
     };
-    let parts = vec![
-        ("part_one".to_string(), part(vec![Value::Int(1)])),
-        ("part_two".to_string(), part(vec![Value::Int(1), Value::Int(2)])),
-    ];
-    let refused = client.call(Request::LoadMany { database: "continental".into(), parts }).unwrap();
-    assert!(matches!(refused, RowsResponse::Err { .. }), "{refused:?}");
-    assert_eq!(leftover_temporaries(&fed), Vec::<String>::new(), "after a refused LOADMANY");
+    let combine = |home_sql: &str, second: Vec<Value>| Request::Combine {
+        database: "continental".into(),
+        home: Some(("part_home".to_string(), home_sql.to_string())),
+        parts: vec![
+            ("part_one".to_string(), part(vec![Value::Int(1)])),
+            ("part_two".to_string(), part(second)),
+        ],
+        sql: "SELECT part_one.k FROM part_one, part_two, part_home".into(),
+        baseline: None,
+    };
+    let wide = vec![Value::Int(1), Value::Int(2)];
+    for (what, request, said) in [
+        ("a malformed part", combine("SELECT flnu FROM flights", wide), "2 values for 1 columns"),
+        (
+            "a refused part",
+            combine("SELECT flnu FROM flights", vec![Value::Str("x".into())]),
+            "'x'",
+        ),
+        (
+            "a failed home subquery",
+            combine("SELECT nope FROM flights", vec![Value::Int(1)]),
+            "nope",
+        ),
+    ] {
+        let refused = client.call(request).unwrap();
+        assert!(
+            matches!(&refused, RowsResponse::Err { message } if message.contains(said)),
+            "{what}: {refused:?}"
+        );
+        assert_eq!(leftover_temporaries(&fed), Vec::<String>::new(), "after {what}");
+    }
+    // The same request, well-formed, is served — and cleans up as well.
+    let served = client.call(combine("SELECT flnu FROM flights", vec![Value::Int(1)])).unwrap();
+    let RowsResponse::CombineDone { payload: Some(rows), home_rows: 3, .. } = served else {
+        panic!("{served:?}")
+    };
+    assert_eq!(rows.rows.len(), 3);
+    assert_eq!(leftover_temporaries(&fed), Vec::<String>::new(), "after a served COMBINE");
 
-    // LOADMANY served but its reply lost (one attempt, so the statement
-    // fails on the timeout): the coordinator did load the partials, and the
-    // failing statement still drops them.
+    // COMBINE served but its reply lost (one attempt, so the statement fails
+    // on the timeout): the LAM had dropped the temporaries before it replied.
     let join = "SELECT f.flnu, c.code FROM continental.flights f, avis.cars c
                 WHERE c.rate < f.rate";
-    fed.execute(join).unwrap(); // the coordinator of this join is…
-    let (service, site) = ("svc_continental", "site1"); // …continental
-    let tap = Tap::install(&mut fed, service, site);
-    tap.lose_next_load_reply();
+    let explain = fed.execute(&format!("EXPLAIN {join}")).unwrap().into_explain().unwrap();
+    assert!(explain.render().contains("coordinator=continental"), "{}", explain.render());
+    let tap = Tap::install(&mut fed, "svc_continental", "site1");
+    tap.lose_next_combine_reply();
     let err = fed.execute(join).unwrap_err();
     assert!(matches!(err, mdbs::MdbsError::Net(_)), "{err:?}");
-    assert_eq!(leftover_temporaries(&fed), Vec::<String>::new(), "after a lost LOADMANY reply");
-    assert_eq!(fed.metrics_registry().counter("join.temp_drop_failures"), 0);
-    // And the session is none the worse for it.
+    assert_eq!(leftover_temporaries(&fed), Vec::<String>::new(), "after a lost COMBINE reply");
+    // With a retry the resent COMBINE is answered from the LAM's reply cache:
+    // the statement succeeds and the coordinator ran nothing twice.
+    fed.retry = RetryPolicy::retries(3);
+    let replayed =
+        |fed: &mdbs::Federation| fed.metrics().gauges["lam.replayed{service=svc_continental}"];
+    let (before, statements) = (replayed(&fed), engine_counters(&fed, "svc_continental").0);
+    tap.lose_next_combine_reply();
     assert_eq!(fed.execute(join).unwrap().into_table().unwrap().rows.len(), 9);
+    assert_eq!(replayed(&fed) - before, 1, "the retry was a replay");
+    assert_eq!(
+        engine_counters(&fed, "svc_continental").0 - statements,
+        2,
+        "the home subquery and Q', once each"
+    );
+    assert_eq!(leftover_temporaries(&fed), Vec::<String>::new(), "after a replayed COMBINE");
+}
+
+#[test]
+fn a_join_never_touches_a_local_table_it_did_not_create() {
+    // The sites are autonomous: a DBA may well own a table called
+    // `part_avis`. A join used to replace it with its temporary and then
+    // drop it.
+    let mut fed = paper_federation();
+    fed.execute("USE avis UPDATE cars SET rate = 80 WHERE code = 2").unwrap();
+    let join = "USE avis continental
+                SELECT c.code, f.flnu, f.rate FROM avis.cars c, continental.flights f
+                WHERE c.rate = f.rate";
+    let expected = fed.execute(join).unwrap().into_table().unwrap();
+    // avis reduces, so continental coordinates and would hold `part_avis`.
+    let engine = fed.engine("svc_continental").unwrap();
+    let local = |sql: &str| engine.lock().execute("continental", sql);
+    local("CREATE TABLE part_avis (owner CHAR(8))").unwrap();
+    local("INSERT INTO part_avis VALUES ('dba')").unwrap();
+    let err = fed.execute(join).unwrap_err();
+    assert!(
+        matches!(&err, mdbs::MdbsError::Local { message, .. } if message.contains("`part_avis`")),
+        "{err:?}"
+    );
+    let kept = local("SELECT owner FROM part_avis").unwrap().into_result_set().unwrap();
+    assert_eq!(kept.rows, vec![vec![Value::Str("dba".into())]]);
+    assert_eq!(leftover_temporaries(&fed), vec!["part_avis".to_string()], "and nothing else");
+    // Out of the way again, the join runs as before.
+    local("DROP TABLE part_avis").unwrap();
+    assert_eq!(fed.execute(join).unwrap().into_table().unwrap(), expected);
 }
 
 #[test]
@@ -238,15 +310,25 @@ const EQUI_JOIN: &str = "SELECT f.flnu, g.fnu
      WHERE f.source = g.source AND f.destination = g.dest
      ORDER BY f.flnu, g.fnu";
 
+/// Three sites on the same two join keys. One pricey continental flight
+/// reduces; of delta and united one coordinates (its rows stay home either
+/// way) and the other still ships a partial — reduced or not.
+const THREE_SITE_JOIN: &str = "SELECT f.flnu, g.fnu, u.fn
+     FROM continental.flights f, delta.flight g, united.flight u
+     WHERE f.source = g.source AND f.destination = g.dest
+       AND f.source = u.sour AND f.destination = u.dest AND f.rate > 90
+     ORDER BY f.flnu, g.fnu, u.fn";
+
 #[test]
 fn semijoin_reduces_shipped_bytes() {
     // `lam.bytes` counts the partial-result payloads shipped back from the
-    // sites — the volume the semi-join reduction attacks.
+    // sites — the volume the semi-join reduction attacks. The coordinator's
+    // own partial never ships, so it takes a third site to see it.
     let run = |semijoin: bool| {
         let mut fed = paper_federation();
         fed.semijoin = semijoin;
-        fed.execute("USE continental delta").unwrap();
-        let rs = fed.execute(EQUI_JOIN).unwrap().into_table().unwrap();
+        fed.execute("USE continental delta united").unwrap();
+        let rs = fed.execute(THREE_SITE_JOIN).unwrap().into_table().unwrap();
         let shipped: u64 = fed
             .metrics()
             .counters
@@ -258,6 +340,7 @@ fn semijoin_reduces_shipped_bytes() {
     };
     let (with, bytes_with) = run(true);
     let (without, bytes_without) = run(false);
+    assert_eq!(with.rows, vec![vec![Value::Int(1), Value::Int(10), Value::Int(20)]]);
     assert_eq!(with.rows, without.rows, "reduction must not change the result");
     assert!(
         bytes_with < bytes_without,
@@ -279,11 +362,14 @@ fn semijoin_on_and_off_agree_across_queries() {
         "SELECT a.flnu, b.fnu, c.code
          FROM continental.flights a, delta.flight b, avis.cars c
          WHERE a.source = b.source AND c.code = 1 ORDER BY a.flnu, b.fnu",
+        // Three sites, edges from the reducer to both others: one of them is
+        // the coordinator, the other receives its keys over the network.
+        THREE_SITE_JOIN,
     ] {
         let run = |semijoin: bool| {
             let mut fed = paper_federation();
             fed.semijoin = semijoin;
-            fed.execute("USE continental delta avis").unwrap();
+            fed.execute("USE continental delta united avis").unwrap();
             fed.execute(query).unwrap().into_table().unwrap()
         };
         let on = run(true);
@@ -357,8 +443,8 @@ fn join_with_empty_partial_result() {
 #[test]
 fn coordinator_requests_are_metered_like_every_other_request() {
     // Every logical LAM request is encoded once and its reply decoded once
-    // against the federation's registry — the coordinator's LOADMANY, Q' and
-    // DROPMANY included (they used to land in a private registry and vanish).
+    // against the federation's registry — the coordinator's COMBINE included
+    // (its predecessors used to land in a private registry and vanish).
     for format in [mdbs::WireFormat::Text, mdbs::WireFormat::Binary] {
         let mut fed = paper_federation();
         fed.wire_format = format;
@@ -376,18 +462,18 @@ fn coordinator_requests_are_metered_like_every_other_request() {
             count(&after) - count(&before)
         };
         let messages = after.counters["net.messages"] - before.counters["net.messages"];
-        // Two partials, then LOADMANY + Q' + DROPMANY at the coordinator.
-        assert_eq!(grew(&series("wire.encode_us")), 5, "{format:?}");
-        assert_eq!(grew(&series("wire.decode_us")), 5, "{format:?}");
-        assert_eq!(messages, 10, "{format:?}: one request and one reply each");
+        // One partial travels, then the COMBINE at the coordinator.
+        assert_eq!(grew(&series("wire.encode_us")), 2, "{format:?}");
+        assert_eq!(grew(&series("wire.decode_us")), 2, "{format:?}");
+        assert_eq!(messages, 4, "{format:?}: one request and one reply each");
     }
 }
 
 /// A site runs each subquery once. Only `EXPLAIN` asks the reduced site to
 /// evaluate the unreduced subquery as well, to report what the semi-join
 /// saved; a plain statement sends no baseline and scans no row for one —
-/// pinned on the wire (what `PARTIAL` carried) and in the engines' own
-/// counters, under both wire formats.
+/// pinned on the wire (what `COMBINE` carried for the reduced home subquery)
+/// and in the engines' own counters, under both wire formats.
 #[test]
 fn a_reduced_join_runs_each_subquery_once_outside_explain() {
     for format in [WireFormat::Text, WireFormat::Binary] {
@@ -400,31 +486,34 @@ fn a_reduced_join_runs_each_subquery_once_outside_explain() {
         let flight = table_rows(&fed, "svc_delta", "delta", "flight");
         tap.drain_partials();
 
-        // Plain execute: continental (the reducer) and delta scan their
-        // table once each; the coordinator then scans the two temp tables.
+        // Plain execute: continental (the reducer) and delta (the
+        // coordinator, in place) scan their table once each; delta then scans
+        // the two temp tables.
         let cont0 = engine_counters(&fed, "svc_continental");
         let delta0 = engine_counters(&fed, "svc_delta");
         let rs = fed.execute(EQUI_JOIN).unwrap().into_table().unwrap();
         let cont1 = engine_counters(&fed, "svc_continental");
         let delta1 = engine_counters(&fed, "svc_delta");
-        // `lam.rows` counts the rows of the shipped partials.
-        let shipped: u64 = ["continental", "delta"]
-            .iter()
-            .map(|db| fed.metrics_registry().counter(&format!("lam.rows{{db={db}}}")))
-            .sum();
+        // `lam.rows` counts the rows of the shipped partial; one delta flight
+        // survives the key filter and is materialised at home.
+        let shipped = fed.metrics_registry().counter("lam.rows{db=continental}");
+        assert_eq!(fed.metrics_registry().counter("lam.rows{db=delta}"), 0, "nothing left delta");
         assert_eq!(rs.rows.len(), 1);
-        assert_eq!(delta1.0 - delta0.0, 1, "{format:?}: delta ran one statement");
-        assert_eq!(delta1.1 - delta0.1, flight, "{format:?}: delta scanned its table once");
-        assert_eq!(cont1.0 - cont0.0, 2, "{format:?}: the partial and Q'");
+        assert_eq!(cont1.0 - cont0.0, 1, "{format:?}: continental ran one statement");
+        assert_eq!(cont1.1 - cont0.1, flights, "{format:?}: continental scanned its table once");
+        assert_eq!(delta1.0 - delta0.0, 2, "{format:?}: the home subquery and Q'");
         assert_eq!(
-            cont1.1 - cont0.1,
-            flights + shipped,
+            delta1.1 - delta0.1,
+            flight + shipped + 1,
             "{format:?}: one scan plus Q' over the partials"
         );
         let sent = tap.drain_partials();
-        let [Request::Partial { sql, baseline: None, .. }] = sent.as_slice() else {
-            panic!("{format:?}: delta should see one PARTIAL without a baseline, saw {sent:?}");
+        let [Request::Combine { home: Some((_, sql)), baseline: None, parts, .. }] =
+            sent.as_slice()
+        else {
+            panic!("{format:?}: delta should see one COMBINE without a baseline, saw {sent:?}");
         };
+        assert_eq!(parts.len(), 1, "only continental's partial travelled");
         assert!(sql.contains(" IN ("), "the subquery was semi-join reduced: {sql}");
         assert_eq!(fed.metrics_registry().counter("lam.bytes_saved{db=delta}"), 0);
 
@@ -432,14 +521,14 @@ fn a_reduced_join_runs_each_subquery_once_outside_explain() {
         // subquery, and the report shows what the reduction saved.
         let report = fed.execute(&format!("EXPLAIN {EQUI_JOIN}")).unwrap().into_explain().unwrap();
         let delta2 = engine_counters(&fed, "svc_delta");
-        assert_eq!(delta2.0 - delta1.0, 2, "{format:?}: reduced subquery + baseline");
+        assert_eq!(delta2.0 - delta1.0, 3, "{format:?}: reduced subquery + baseline + Q'");
         assert_eq!(
             delta2.1 - delta1.1,
-            2 * flight,
+            2 * flight + shipped + 1,
             "{format:?}: the baseline scans the table again"
         );
         let sent = tap.drain_partials();
-        let [Request::Partial { baseline: Some(unreduced), .. }] = sent.as_slice() else {
+        let [Request::Combine { baseline: Some(unreduced), .. }] = sent.as_slice() else {
             panic!("{format:?}: EXPLAIN sends the baseline, saw {sent:?}");
         };
         assert!(!unreduced.contains(" IN ("), "{unreduced}");

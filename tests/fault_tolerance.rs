@@ -512,6 +512,43 @@ fn a_dead_lam_behind_a_pooled_connection_degrades_or_fails_by_vitality() {
 }
 
 #[test]
+fn a_join_whose_coordinator_is_lost_fails_fast_or_retries_like_any_other_exchange() {
+    // avis reduces and travels; continental (site1) coordinates: its whole
+    // share of the join is the one COMBINE exchange.
+    let join = "USE avis continental
+                SELECT c.code, f.flnu, f.rate FROM avis.cars c, continental.flights f
+                WHERE c.rate = f.rate";
+    let mut fed = paper_federation_with(Network::new(), FederationProfiles::default());
+    fed.parallel = false;
+    fed.timeout = Duration::from_millis(200);
+    fed.retry = RetryPolicy::retries(4);
+    fed.execute("USE avis UPDATE cars SET rate = 80 WHERE code = 2").unwrap();
+    let expected = fed.execute(join).unwrap().into_table().unwrap();
+    assert_eq!(expected.rows.len(), 1);
+
+    // The COMBINE's reply is lost once: a transient fault, retried under the
+    // same correlation id and answered — the join is none the wiser.
+    fed.network().drop_next("site1", "*", 1);
+    let retries = fed.exec_stats().retries;
+    assert_eq!(fed.execute(join).unwrap().into_table().unwrap(), expected);
+    assert_eq!(fed.exec_stats().retries - retries, 1, "exactly one resend");
+
+    // The coordinator's LAM vanishes after avis has shipped its partial: a
+    // terminal fault, surfaced at once — no retry loop, no timeout, no hang.
+    fed.network().deregister("site1");
+    let start = Instant::now();
+    let err = fed.execute(join).unwrap_err();
+    assert!(
+        matches!(err, MdbsError::LamUnavailable { ref site } if site == "site1"),
+        "expected LamUnavailable, got {err:?}"
+    );
+    assert!(start.elapsed() < Duration::from_secs(1), "{:?}", start.elapsed());
+    let avis = fed.engine("svc_avis").unwrap();
+    let names = avis.lock().database("avis").unwrap().table_names();
+    assert!(names.iter().all(|n| !n.starts_with("part_")), "{names:?}");
+}
+
+#[test]
 fn a_respawned_lam_is_reconnected_transparently() {
     let net = Network::new();
     let engine = || {

@@ -5,7 +5,9 @@
 //! reducer choice, per-edge semi-join decisions, global join reordering)
 //! must return exactly the rows of the statistics-free heuristic plan.
 //! Global FROM reordering may permute row order, so both sides are compared
-//! as sorted multisets.
+//! as sorted multisets. Half the scenarios join a third site, so the costed
+//! plan also chooses among coordinators and ships a key filter to a site
+//! that is not one.
 
 use ldbs::value::Value;
 use mdbs::fixtures::paper_federation;
@@ -17,8 +19,10 @@ struct Scenario {
     t1: Vec<(i64, i64)>,
     /// Rows of `national.t2 (k, b)`.
     t2: Vec<(i64, i64)>,
-    /// Whether to ANALYZE t1 / t2 (absent stats fall back per table).
-    analyze: [bool; 2],
+    /// Rows of `continental.t3 (k, c)`, when the join spans three sites.
+    t3: Option<Vec<(i64, i64)>>,
+    /// Whether to ANALYZE t1 / t2 / t3 (absent stats fall back per table).
+    analyze: [bool; 3],
     /// Rows inserted into t1 *after* ANALYZE, so its snapshot drifts
     /// (and, past the freshness slack, would be dropped as stale).
     post_dml: Vec<(i64, i64)>,
@@ -35,13 +39,15 @@ fn scenario() -> impl Strategy<Value = Scenario> {
     (
         proptest::collection::vec(row(), 0..16),
         proptest::collection::vec(row(), 0..16),
-        proptest::array::uniform2(any::<bool>()),
+        proptest::option::of(proptest::collection::vec(row(), 0..16)),
+        proptest::array::uniform3(any::<bool>()),
         proptest::collection::vec(row(), 0..4),
         0usize..PREDICATES.len(),
     )
-        .prop_map(|(t1, t2, analyze, post_dml, pred)| Scenario {
+        .prop_map(|(t1, t2, t3, analyze, post_dml, pred)| Scenario {
             t1,
             t2,
+            t3,
             analyze,
             post_dml,
             pred,
@@ -52,9 +58,10 @@ fn scenario() -> impl Strategy<Value = Scenario> {
 fn run(s: &Scenario, costed: bool) -> Vec<Vec<Value>> {
     let mut fed = paper_federation();
     fed.cost_planner = costed;
-    fed.execute("USE avis national").unwrap();
+    fed.execute("USE avis national continental").unwrap();
     fed.execute("CREATE TABLE avis.t1 (k INT, a INT)").unwrap();
     fed.execute("CREATE TABLE national.t2 (k INT, b INT)").unwrap();
+    fed.execute("CREATE TABLE continental.t3 (k INT, c INT)").unwrap();
     let insert = |fed: &mdbs::Federation, svc: &str, db: &str, t: &str, rows: &[(i64, i64)]| {
         let engine = fed.engine(svc).unwrap();
         let mut engine = engine.lock();
@@ -64,6 +71,10 @@ fn run(s: &Scenario, costed: bool) -> Vec<Vec<Value>> {
     };
     insert(&fed, "svc_avis", "avis", "t1", &s.t1);
     insert(&fed, "svc_national", "national", "t2", &s.t2);
+    insert(&fed, "svc_continental", "continental", "t3", s.t3.as_deref().unwrap_or(&[]));
+    if s.analyze[2] {
+        fed.execute("ANALYZE continental.t3").unwrap();
+    }
     if s.analyze[0] {
         fed.execute("ANALYZE avis.t1").unwrap();
     }
@@ -71,9 +82,13 @@ fn run(s: &Scenario, costed: bool) -> Vec<Vec<Value>> {
         fed.execute("ANALYZE national.t2").unwrap();
     }
     insert(&fed, "svc_avis", "avis", "t1", &s.post_dml);
+    let (third, edge) = match s.t3 {
+        Some(_) => (", continental.t3 w", " AND u.k = w.k"),
+        None => ("", ""),
+    };
     let rs = fed
         .execute(&format!(
-            "SELECT t.k, t.a, u.b FROM avis.t1 t, national.t2 u WHERE t.k = u.k{}",
+            "SELECT t.k, t.a, u.b FROM avis.t1 t, national.t2 u{third} WHERE t.k = u.k{edge}{}",
             PREDICATES[s.pred]
         ))
         .unwrap()

@@ -9,8 +9,8 @@
 //!   `PING` handshake (2 messages) per database it opens;
 //! * **warm** — every later statement reuses the session's pooled
 //!   connections and sends only messages that carry work: one request and
-//!   one reply per task, per settle acknowledgement, per partial, and three
-//!   exchanges (LOADMANY, Q′, DROPMANY) at a join's coordinator.
+//!   one reply per task, per settle acknowledgement, per travelling partial,
+//!   and one exchange (COMBINE) at a join's coordinator.
 //!
 //! What a statement returns never depends on which of the two it was.
 
@@ -83,15 +83,14 @@ const CLASSES: &[(&str, &str, u64, u64)] = &[
         2,
     ),
     (
-        // Reducer partial, reduced partial, LOADMANY, Q′, DROPMANY. Cold, two
-        // handshakes, not three: the coordinator is one of the two sites,
-        // and its partial's connection is back in the pool by then.
+        // Reducer partial, then COMBINE at the other site, whose own reduced
+        // subquery rides inside it. Cold, one handshake per site.
         "xjoin_small",
         "USE avis continental
          SELECT c.code, f.flnu, f.rate FROM avis.cars c, continental.flights f
          WHERE c.rate = f.rate",
-        14,
-        10,
+        8,
+        4,
     ),
 ];
 

@@ -71,6 +71,12 @@ const JOINS: &[&str] = &[
     "SELECT a.flnu, b.fnu, c.code
      FROM continental.flights a, delta.flight b, avis.cars c
      WHERE a.source = b.source AND c.code = 1 ORDER BY a.flnu, b.fnu",
+    // Keys shipped both to the coordinator (inside its COMBINE) and to a site
+    // whose reduced partial travels.
+    "SELECT f.flnu, g.fnu, u.fn
+     FROM continental.flights f, delta.flight g, united.flight u
+     WHERE f.source = g.source AND f.destination = g.dest
+       AND f.source = u.sour AND f.destination = u.dest ORDER BY f.flnu, g.fnu, u.fn",
 ];
 
 /// Everything one suite run observes above the transport. Two runs that
@@ -122,7 +128,7 @@ fn run_suite(format: WireFormat) -> Observed {
     let q2 = format!("{:?}", fed.execute(Q2).unwrap().into_update().unwrap());
     let q3 = format!("{:?}", fed.execute(Q3).unwrap().into_update().unwrap());
     let q4 = format!("{:?}", fed.execute(Q4).unwrap().into_mtx().unwrap());
-    fed.execute("USE continental delta avis").unwrap();
+    fed.execute("USE continental delta united avis").unwrap();
     let joins = JOINS
         .iter()
         .map(|q| format!("{:?}", fed.execute(q).unwrap().into_table().unwrap()))
@@ -149,6 +155,11 @@ fn run_suite(format: WireFormat) -> Observed {
     let explain_tree = mask_byte_volumes(&explain.tree.render());
     assert!(
         explain_tree.contains("bytes=# ") && explain_tree.contains("saved=#}"),
+        "{explain_tree}"
+    );
+    // The join went through one COMBINE whose home partial shipped nothing.
+    assert!(
+        explain_tree.contains("lam:combine:delta") && explain_tree.contains("route=home"),
         "{explain_tree}"
     );
     Observed { q1, q2, q3, q4, joins, explain_tree, stats, metrics }
@@ -178,7 +189,7 @@ fn binary_ships_fewer_bytes_for_the_same_suite() {
         .map(|&format| {
             let mut fed = fresh_federation(format);
             fed.execute(Q1).unwrap();
-            fed.execute("USE continental delta avis").unwrap();
+            fed.execute("USE continental delta united avis").unwrap();
             for q in JOINS {
                 fed.execute(q).unwrap();
             }
