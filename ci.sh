@@ -26,29 +26,10 @@ echo "== crash-recovery simulation =="
 # the exact SIM_SEEDS reproduction command for the offending seed.
 SIM_SEEDS=0..8 cargo test -q -p sim --test random_schedules
 
-echo "== golden traces =="
-# Explicit drift gate: the committed span trees and the EXPLAIN renders under
-# tests/golden/ are a contract — including the access-path surface
-# (explain_indexed_join pins the access=probe span note and the per-database
-# "access path" cost lines). Regenerate intentionally with UPDATE_GOLDEN=1.
-cargo test -q --test t1_trace_golden
-cargo test -q --test fault_tolerance recovery_trace_is_golden
-
-echo "== access-path equivalence =="
-# Narrow re-run of the index oracle: indexed probes must answer exactly like
-# the reference scan, before and after aborted DML (the workspace pass above
-# already ran it; this names it so a failure is unmistakable).
-cargo test -q -p ldbs --test index_equivalence
-
 echo "== bound local execution =="
-# The generated oracle for the local engine's bind-once executor: seeded
-# tables (NULLs, Int/Float equal pairs, NaN) x WHERE x GROUP BY x aggregates
-# x HAVING x ORDER BY x LIMIT x DISTINCT against a plain-Rust reference, one
-# pinned case per semantic rule, correlated subqueries in queries and DML
-# (the workspace pass above already ran it; this names it). And the per-row
-# environment it replaced is gone, not bypassed: no `Env` / `Binding` is
-# built anywhere in the engine outside its unit tests.
-cargo test -q -p ldbs --test select_oracle
+# The per-row name environment the bind-once executor replaced is gone, not
+# bypassed: no `Env` / `Binding` is built anywhere in the engine outside its
+# unit tests (its generated oracle, select_oracle, ran in the workspace pass).
 for f in crates/ldbs/src/*.rs crates/ldbs/src/exec/*.rs; do
     if sed '/^mod tests {/,$d' "$f" | grep -nE 'make_env|Env \{|Binding \{'; then
         echo "per-row name environment in $f" >&2
@@ -65,47 +46,6 @@ for n in 2 4 8; do
     echo "--  $n worker threads"
     LOCK_STRESS_THREADS=$n cargo test -q -p ldbs --test lock_stress
 done
-
-echo "== concurrency oracle =="
-# Named re-run of the serializability check: 120 seeded two-session
-# schedules, each final state must equal some serial statement order (the
-# workspace pass above already ran it; a failure here is unmistakable).
-cargo test -q --test concurrency_oracle
-
-echo "== wire differential =="
-# The binary codec equivalence gate: the Q1–Q4 + join + fault-schedule suite
-# must be observably identical under text and binary framing, and the codec
-# property/robustness suites (roundtrips for every proto variant, truncation/
-# bit-flip rejection) must hold. The workspace pass above already ran these;
-# naming them makes a codec regression unmistakable.
-cargo test -q --test wire_differential
-cargo test -q -p mdbs --test codec_proptests
-cargo test -q -p mdbs --test codec_robustness
-
-echo "== planner oracle =="
-# The cost-based planner equivalence gate: for random data, random
-# fresh/stale/absent statistics and random predicate shapes, the costed
-# distributed plan must return exactly the rows of the statistics-free
-# heuristic plan. The ANALYZE lifecycle suite (statement routing, GDD stats
-# cache fetch/hit/invalidate, EXPLAIN estimates) rides along.
-cargo test -q --test planner_oracle
-cargo test -q --test analyze_stats
-
-echo "== aggregate oracle =="
-# The aggregate/top-k pushdown equivalence gate: for random data (empty
-# groups, all-NULL columns, empty sites, single-site degenerates), a query
-# with pushdown on must return exactly the rows of the same query with
-# pushdown off AND of an independent plain-Rust reference evaluator.
-cargo test -q --test aggregate_oracle
-
-echo "== round-trip gate =="
-# The messages a statement may send are part of its contract: net.messages
-# per paper statement class, cold session vs warm, text and binary wire,
-# pinned exactly — a warm two-site join is 4: one travelling partial, then
-# the coordinator's COMBINE; the counts may only fall — plus the
-# endpoint/per_link churn regression (a session holds its connections). The failure semantics of a pooled connection ride
-# in the fault_tolerance run of the tier-1 pass above.
-cargo test -q --test round_trips
 
 echo "== thread gate =="
 # After warm-up no statement starts a thread: a LAM serves each request on
@@ -170,6 +110,27 @@ done
 for f in $(find crates/core/src -name '*.rs' ! -path '*/codec/*' ! -name proto.rs ! -name lam.rs); do
     if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'Request::(LoadMany|DropMany)'; then
         echo "retired protocol message named in $f" >&2
+        exit 1
+    fi
+done
+
+echo "== one two-phase commit =="
+# A synchronization point is a settle program like every vital set's: the
+# global transaction generates it and hands it to the executor. It sends no
+# vote and no second-phase message of its own — only DolEngine::settle (and
+# recovery's recover_images) do — so the next change to those messages lands
+# in one lifecycle.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/gtxn.rs |
+    grep -nE 'prepare_task|commit_task|abort_task|compensate_commands'; then
+    echo "gtxn.rs drives a commit protocol of its own" >&2
+    exit 1
+fi
+# And at the LAM a subtransaction has one lifecycle: one command loop, one way
+# into the open-task table, one way out.
+for site in 'exec_with_wait(shared' '\.open\.insert(' '\.open\.remove('; do
+    found=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/lam.rs | grep -c "$site" || true)
+    if [ "$found" != 1 ]; then
+        echo "lam.rs has $found sites matching '$site' outside its tests, expected 1" >&2
         exit 1
     fi
 done

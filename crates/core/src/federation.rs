@@ -18,14 +18,14 @@ use crate::codec::WireFormat;
 use crate::error::MdbsError;
 use crate::executor::{DbOutcome, Executor, MsqlOutcome, UpdateReport};
 use crate::gtxn::GlobalTransaction;
-use crate::lam::{spawn_lam_with, LamConfig, LamHandle};
+use crate::lam::{spawn_lam, LamHandle};
 use crate::lamclient::{ConnectionPool, LamClient, LamFactory, TaskReply};
 use crate::planner::{plan_join, PlannerContext, DEFAULT_SEMIJOIN_CAP};
 use crate::retry::{shared_stats, ExecStats, RetryPolicy, SharedExecStats};
 use crate::scope::SessionScope;
 use crate::translate::{
-    self, multitransaction_plan, retrieval_plan, update_plan, DbRoute, Decomposition, MtxQueryPlan,
-    Translated,
+    self, multitransaction_plan, retrieval_plan, update_plan, DbRoute, Decomposition,
+    GeneratedPlan, MtxQueryPlan, Translated,
 };
 use crate::wal::{Wal, WalDecision, WalRecord};
 use catalog::{
@@ -118,9 +118,6 @@ pub struct Session {
     /// Transient-fault retry policy for every LAM request (default: a
     /// single attempt, faults surface immediately).
     pub retry: RetryPolicy,
-    /// Tunables for the LAM servers this federation spawns (control
-    /// timeout, lock-wait timeout, dedup cache size).
-    pub lam_config: LamConfig,
     /// Graceful degradation: tolerate services unreachable at OPEN time,
     /// letting the §3.2 vital semantics decide the statement's fate
     /// (default false: an unreachable service fails the plan at OPEN).
@@ -256,7 +253,7 @@ impl Federation {
 impl Session {
     fn with_core(core: Arc<FederationCore>, id: u64) -> Session {
         Session {
-            gtxn: GlobalTransaction::default(),
+            gtxn: GlobalTransaction::new(session_suffix(id)),
             deferred: false,
             scope: SessionScope::new(),
             trigger_depth: 0,
@@ -264,7 +261,6 @@ impl Session {
             parallel: true,
             timeout: Duration::from_secs(10),
             retry: RetryPolicy::default(),
-            lam_config: LamConfig::default(),
             tolerate_unreachable: false,
             semijoin: true,
             semijoin_cap: DEFAULT_SEMIJOIN_CAP,
@@ -293,7 +289,6 @@ impl Session {
         s.parallel = self.parallel;
         s.timeout = self.timeout;
         s.retry = self.retry.clone();
-        s.lam_config = self.lam_config.clone();
         s.tolerate_unreachable = self.tolerate_unreachable;
         s.semijoin = self.semijoin;
         s.semijoin_cap = self.semijoin_cap;
@@ -415,7 +410,7 @@ impl Session {
             return Err(MdbsError::Catalog(format!("service `{service}` already added")));
         }
         let profile = engine.profile.clone();
-        let lam = spawn_lam_with(&self.core.net, &service, site, engine, self.lam_config.clone())?;
+        let lam = spawn_lam(&self.core.net, &service, site, engine)?;
         self.core.ad.write().insert(ServiceEntry {
             name: service.clone(),
             site: site.to_string(),
@@ -467,6 +462,7 @@ impl Session {
             tolerate_unreachable: self.tolerate_unreachable,
             wire_format: self.wire_format,
             outputs: Default::default(),
+            held: Default::default(),
         }
     }
 
@@ -479,6 +475,16 @@ impl Session {
             wal: self.wal.clone(),
             workers: self.workers.clone(),
         }
+    }
+
+    /// Gives the tasks of a plan with a settle phase — the ones that stay open
+    /// at a LAM between their vote and the decision — names of this session's
+    /// own (see [`session_suffix`]), before anything is logged or sent.
+    fn own_tasks(&self, mut plan: GeneratedPlan) -> GeneratedPlan {
+        if self.id != 0 && plan.recovery.is_some() {
+            plan.suffix_tasks(&session_suffix(self.id));
+        }
+        plan
     }
 
     /// Enables an in-memory write-ahead log and returns its handle. The
@@ -640,12 +646,23 @@ impl Session {
     /// vital subqueries stay prepared across statements and are resolved
     /// together at the next synchronization point (`COMMIT`, `ROLLBACK`, a
     /// `USE` scope change, or session end). Turning the mode off is itself a
-    /// synchronization point.
+    /// synchronization point — one that cannot report an error: `None` when
+    /// nothing was pending or it failed (issue `COMMIT` first to see why).
     pub fn set_deferred_commit(&mut self, deferred: bool) -> Option<UpdateReport> {
-        let report =
-            if !deferred && !self.gtxn.is_empty() { Some(self.gtxn.resolve(false)) } else { None };
+        let report = if deferred { None } else { self.sync_point(false).ok().flatten() };
         self.deferred = deferred;
         report
+    }
+
+    /// A synchronization point (§3.2.2): settles the pending global
+    /// transaction, if there is one, as the vital set it is — through this
+    /// session's executor, so under its WAL, its tracer and its accounting.
+    fn sync_point(&mut self, rollback: bool) -> Result<Option<UpdateReport>, MdbsError> {
+        if self.gtxn.is_empty() {
+            return Ok(None);
+        }
+        let executor = self.executor();
+        self.gtxn.settle(rollback, &executor).map(Some)
     }
 
     /// Number of vital subqueries currently pending in the global
@@ -836,12 +853,11 @@ impl Session {
         match stmt {
             Statement::Use(u) => {
                 // A scope change is a synchronization point (§3.2.2).
-                if self.deferred && !self.gtxn.is_empty() {
-                    let report = self.gtxn.resolve(false);
-                    self.scope.apply_use(u)?;
+                let settled = self.sync_point(false)?;
+                self.scope.apply_use(u)?;
+                if let Some(report) = settled {
                     return Ok(MsqlOutcome::Update(report));
                 }
-                self.scope.apply_use(u)?;
                 Ok(MsqlOutcome::Admin(format!(
                     "scope: {}",
                     self.scope
@@ -926,21 +942,19 @@ impl Session {
                 }
                 Ok(MsqlOutcome::Admin(format!("trigger `{name}` dropped")))
             }
-            Statement::Commit => {
-                if self.deferred && !self.gtxn.is_empty() {
-                    return Ok(MsqlOutcome::Update(self.gtxn.resolve(false)));
-                }
-                Ok(MsqlOutcome::Admin(
-                    "synchronization point: nothing pending (each MSQL statement commits or \
-                     aborts its vital set when it terminates, §3.2.2)"
-                        .into(),
-                ))
-            }
-            Statement::Rollback => {
-                if self.deferred && !self.gtxn.is_empty() {
-                    return Ok(MsqlOutcome::Update(self.gtxn.resolve(true)));
-                }
-                Ok(MsqlOutcome::Admin("synchronization point: nothing pending to roll back".into()))
+            Statement::Commit | Statement::Rollback => {
+                let rollback = matches!(stmt, Statement::Rollback);
+                Ok(match self.sync_point(rollback)? {
+                    Some(report) => MsqlOutcome::Update(report),
+                    None if rollback => MsqlOutcome::Admin(
+                        "synchronization point: nothing pending to roll back".into(),
+                    ),
+                    None => MsqlOutcome::Admin(
+                        "synchronization point: nothing pending (each MSQL statement commits or \
+                         aborts its vital set when it terminates, §3.2.2)"
+                            .into(),
+                    ),
+                })
             }
         }
     }
@@ -993,7 +1007,7 @@ impl Session {
                     let plan = {
                         let pg = span.child("plangen");
                         pg.note("shape", "update");
-                        let plan = update_plan(&locals, &comps, &routes)?;
+                        let plan = self.own_tasks(update_plan(&locals, &comps, &routes)?);
                         pg.note("tasks", plan.tasks.len());
                         plan
                     };
@@ -1204,14 +1218,8 @@ impl Session {
                     return Err(MdbsError::VitalWithoutCompensation { database: l.key.clone() });
                 }
                 let client = self.connect(&route.site, &l.database)?;
-                let (status, affected) = self.gtxn.execute_held(
-                    client,
-                    &l.key,
-                    &l.database,
-                    sql,
-                    route.supports_2pc,
-                    compensation,
-                )?;
+                let (status, affected) =
+                    self.gtxn.execute_held(client, &l.key, route, sql, compensation)?;
                 (status, affected, None)
             } else {
                 let client = self.connect(&route.site, &l.database)?;
@@ -1340,7 +1348,7 @@ impl Session {
             pg.note("shape", "multitransaction");
             pg.note("queries", queries.len());
             pg.note("states", states.len());
-            let plan = multitransaction_plan(&queries, &states, &routes)?;
+            let plan = self.own_tasks(multitransaction_plan(&queries, &states, &routes)?);
             pg.note("tasks", plan.tasks.len());
             plan
         };
@@ -1494,7 +1502,7 @@ impl Session {
         routes: &HashMap<String, DbRoute>,
     ) -> Result<ldbs::engine::ResultSet, MdbsError> {
         if self.id != 0 {
-            dec.suffix_part_tables(&format!("_s{}", self.id));
+            dec.suffix_part_tables(&session_suffix(self.id));
         }
         let ctx = self.planner_context(&dec, routes);
         let plan = plan_join(
@@ -1553,6 +1561,27 @@ impl Session {
                 "DDL over a multi-database scope is ambiguous; qualify the table name".into(),
             )),
         }
+    }
+}
+
+/// What a session appends to the names it leaves at sites it shares with other
+/// sessions — its join temporaries, and the tasks of its plans that stay open
+/// at a LAM between their two phases, which LAMs key by name alone. Nothing
+/// for the primary session: single-user names, traces and goldens stay as they
+/// are.
+fn session_suffix(id: u64) -> String {
+    if id == 0 {
+        String::new()
+    } else {
+        format!("_s{id}")
+    }
+}
+
+impl Drop for Session {
+    /// "The last MSQL statement is terminated" (§3.2.2): a session that ends
+    /// with vital work pending rolls it back — the safe default.
+    fn drop(&mut self) {
+        let _ = self.sync_point(true);
     }
 }
 

@@ -14,35 +14,37 @@
 //! the synchronization point. Autocommit-only members commit each statement
 //! right away and accumulate compensating commands, applied in reverse
 //! order on rollback.
+//!
+//! This module keeps the members; it runs no commit protocol of its own. The
+//! synchronization point is part of the evaluation plan: the members are a
+//! vital set, settled by the program every vital update ends in
+//! ([`GlobalTransaction::settle`], DESIGN §3a.16).
 
 use crate::error::MdbsError;
-use crate::executor::{DbOutcome, UpdateReport};
-use crate::lamclient::LamClient;
-use dol::{DolService, TaskStatus};
+use crate::executor::{Executor, UpdateReport};
+use crate::lamclient::{LamClient, Vote};
+use crate::translate::{vital_set_plan, DbRoute, VitalTask};
+use dol::TaskStatus;
 use obs::Span;
-
-enum MemberKind {
-    /// One open local transaction, prepared at the sync point.
-    TwoPhase,
-    /// Statements autocommit; rollback means compensation.
-    Compensatable,
-}
+use std::collections::HashMap;
 
 /// One vital database participating in the global transaction.
 struct Member {
     key: String,
-    database: String,
-    /// Task name of the open local transaction (TwoPhase members).
+    /// Where the database lives and what its service can do: with a
+    /// prepared state, the member is one open local transaction, voted on at
+    /// the synchronization point; without, its statements autocommit and
+    /// rollback means compensation.
+    route: DbRoute,
+    /// The member's task name: what its local transaction is open under at
+    /// the LAM, and its task in the synchronization point's settle program.
     task: String,
-    kind: MemberKind,
     client: LamClient,
     /// False once any statement on this member failed.
     healthy: bool,
     affected: u64,
     /// Compensating commands, most recent first.
     compensation: Vec<String>,
-    /// Statement counter (names autocommit sub-statements).
-    stmts: u64,
 }
 
 /// The pending vital members of the current global transaction.
@@ -50,9 +52,17 @@ struct Member {
 pub struct GlobalTransaction {
     members: Vec<Member>,
     seq: u64,
+    /// Appended to every member's task name: the owning session's, so two
+    /// sessions' members on one database are open under different names.
+    suffix: String,
 }
 
 impl GlobalTransaction {
+    /// An empty global transaction whose members' task names end in `suffix`.
+    pub fn new(suffix: String) -> Self {
+        GlobalTransaction { suffix, ..Default::default() }
+    }
+
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
@@ -70,67 +80,55 @@ impl GlobalTransaction {
         &mut self,
         client: LamClient,
         key: &str,
-        database: &str,
+        route: &DbRoute,
         sql: String,
-        supports_2pc: bool,
         mut compensation: Vec<String>,
     ) -> Result<(TaskStatus, u64), MdbsError> {
         let idx = match self.members.iter().position(|m| m.key == key) {
             Some(i) => i,
             None => {
                 self.seq += 1;
-                let task = format!("G{}_{key}", self.seq);
-                let kind = if supports_2pc {
+                let task = format!("G{}_{key}{}", self.seq, self.suffix);
+                if route.supports_2pc {
                     client.begin_task(&task)?;
-                    MemberKind::TwoPhase
-                } else {
-                    MemberKind::Compensatable
-                };
+                }
                 self.members.push(Member {
                     key: key.to_string(),
-                    database: database.to_string(),
+                    route: route.clone(),
                     task,
-                    kind,
                     client,
                     healthy: true,
                     affected: 0,
                     compensation: Vec::new(),
-                    stmts: 0,
                 });
                 self.members.len() - 1
             }
         };
         let member = &mut self.members[idx];
-        member.stmts += 1;
-        match member.kind {
-            MemberKind::TwoPhase => {
-                let (status, affected, _err) =
-                    member.client.exec_in_task(&member.task, vec![sql])?;
-                if status == 'E' {
-                    member.affected += affected;
-                    Ok((TaskStatus::Prepared, affected))
-                } else {
-                    member.healthy = false;
-                    Ok((TaskStatus::Aborted, 0))
-                }
-            }
-            MemberKind::Compensatable => {
-                let name = format!("{}_s{}", member.task, member.stmts);
-                let reply = member.client.run_commands(&name, vec![sql], &Span::disabled())?;
-                if reply.status == 'C' {
-                    member.affected += reply.affected;
-                    // Newest first: compensation undoes in reverse order.
-                    compensation.reverse();
-                    for c in compensation {
-                        member.compensation.insert(0, c);
-                    }
-                    Ok((TaskStatus::Committed, reply.affected))
-                } else {
-                    member.healthy = false;
-                    Ok((TaskStatus::Aborted, 0))
-                }
-            }
+        let two_phase = member.route.supports_2pc;
+        let ran = if two_phase {
+            let ran = member.client.exec_in_task(&member.task, vec![sql]);
+            ran.map(|(status, affected, _err)| (status == 'E', affected))
+        } else {
+            // Every statement runs under the member's one task name, so the
+            // LAM remembers that name as committed: should the coordinator
+            // die inside the synchronization point, recovery's RESOLVE hears
+            // `C` and compensates.
+            let ran = member.client.run_commands(&member.task, vec![sql], &Span::disabled());
+            ran.map(|reply| (reply.status == 'C', reply.affected))
+        };
+        // A statement that failed, or whose fate is unknown, poisons the set.
+        let done = matches!(ran, Ok((true, _)));
+        member.healthy &= done;
+        let (_, affected) = ran?;
+        if !done {
+            return Ok((TaskStatus::Aborted, 0));
         }
+        member.affected += affected;
+        // Newest first: compensation undoes in reverse order.
+        compensation.reverse();
+        member.compensation.splice(0..0, compensation);
+        Ok((if two_phase { TaskStatus::Prepared } else { TaskStatus::Committed }, affected))
     }
 
     /// True when every member can still commit.
@@ -138,105 +136,52 @@ impl GlobalTransaction {
         self.members.iter().all(|m| m.healthy)
     }
 
-    /// Resolves the global transaction at a synchronization point.
+    /// Resolves the global transaction at a synchronization point: its
+    /// members are one vital set, so their settle program is the plan every
+    /// vital update ends in ([`vital_set_plan`]), run by `executor` like any
+    /// other — logged, recoverable, traced, the votes and the second phase
+    /// one round trip each — over the connections the members hold, each
+    /// member's task being its [`Vote`].
     ///
-    /// Commit path (no force, all healthy): every TwoPhase member votes
-    /// (prepare); if all vote YES they all commit. Any NO vote — or
-    /// `force_rollback`, or an unhealthy member — takes the rollback path:
-    /// open transactions are rolled back and Compensatable members are
+    /// Every member with a prepared state votes; if all vote YES they all
+    /// commit. Any NO vote takes the rollback path, and `rollback` — or a
+    /// member a statement failed on — takes it without a vote: open
+    /// transactions are rolled back, members that autocommitted are
     /// compensated.
-    pub fn resolve(&mut self, force_rollback: bool) -> UpdateReport {
-        let mut commit = !force_rollback && self.all_committable();
-
-        // Voting phase.
-        let mut voted: Vec<bool> = Vec::with_capacity(self.members.len());
-        if commit {
-            for m in &mut self.members {
-                match m.kind {
-                    MemberKind::TwoPhase => match m.client.prepare_task(&m.task) {
-                        Ok(('P', _)) => voted.push(true),
-                        _ => {
-                            // The LAM rolled the local transaction back.
-                            m.healthy = false;
-                            voted.push(false);
-                            commit = false;
-                        }
-                    },
-                    MemberKind::Compensatable => voted.push(true),
-                }
-            }
-        } else {
-            voted.resize(self.members.len(), false);
-        }
-
-        // Decision phase.
-        let mut outcomes = Vec::with_capacity(self.members.len());
-        for (i, mut m) in self.members.drain(..).enumerate() {
-            let status = match m.kind {
-                MemberKind::TwoPhase => {
-                    if commit {
-                        match m.client.commit_task(&m.task) {
-                            Ok(()) => TaskStatus::Committed,
-                            Err(_) => TaskStatus::Error,
-                        }
-                    } else if voted.get(i).copied().unwrap_or(false) || m.healthy {
-                        // Prepared (voted) or still active: roll back.
-                        match m.client.abort_task(&m.task) {
-                            Ok(()) => TaskStatus::Aborted,
-                            Err(_) => TaskStatus::Error,
-                        }
-                    } else if m.stmts > 0 && !m.healthy {
-                        // Failed vote or failed statement: the local side
-                        // may already have rolled back; aborting again is
-                        // harmless if the task is still open.
-                        let _ = m.client.abort_task(&m.task);
-                        TaskStatus::Aborted
-                    } else {
-                        TaskStatus::Aborted
-                    }
-                }
-                MemberKind::Compensatable => {
-                    if commit {
-                        TaskStatus::Committed
-                    } else if m.compensation.is_empty() {
-                        // Nothing committed (or nothing to undo).
-                        TaskStatus::Aborted
-                    } else {
-                        let undone = m.client.compensate_commands(
-                            &m.task,
-                            &m.compensation,
-                            &Span::disabled(),
-                        );
-                        match undone {
-                            Ok(()) => TaskStatus::Compensated,
-                            Err(_) => TaskStatus::Error,
-                        }
-                    }
-                }
+    pub fn settle(
+        &mut self,
+        rollback: bool,
+        executor: &Executor,
+    ) -> Result<UpdateReport, MdbsError> {
+        let rollback = rollback || !self.all_committable();
+        let mut set = Vec::with_capacity(self.members.len());
+        let mut held = Vec::with_capacity(self.members.len());
+        let mut routes = HashMap::new();
+        for mut m in self.members.drain(..) {
+            let vote = match (m.route.supports_2pc, rollback) {
+                (true, false) => Vote::Prepare,
+                (true, true) => Vote::Abort,
+                // Nothing committed means nothing to undo.
+                (false, true) if m.compensation.is_empty() => Vote::Settled(TaskStatus::Aborted),
+                (false, _) => Vote::Settled(TaskStatus::Committed),
             };
-            outcomes.push(DbOutcome::new(
-                m.database,
-                m.key,
-                status,
-                if status == TaskStatus::Committed { m.affected } else { 0 },
-                None,
-            ));
+            m.client.held = Some((vote, m.affected));
+            held.push(m.client);
+            set.push(VitalTask {
+                name: m.task,
+                database: m.route.database.clone(),
+                key: m.key,
+                vital: true,
+                commands: Vec::new(),
+                compensation: m.compensation,
+            });
+            routes.insert(m.route.database.clone(), m.route);
         }
-        UpdateReport {
-            success: commit,
-            return_code: if commit { 0 } else { 1 },
-            outcomes,
-            stats: Default::default(),
-        }
-    }
-}
-
-impl Drop for GlobalTransaction {
-    fn drop(&mut self) {
-        if !self.members.is_empty() {
-            // Session ended with work pending: the safe default is rollback.
-            let _ = self.resolve(true);
-        }
+        *executor.lams.held.lock() = held;
+        let report = executor.run_update(&vital_set_plan(set, &routes, rollback)?);
+        // A connection the program never opened (it failed first) closes.
+        executor.lams.held.lock().clear();
+        report
     }
 }
 
@@ -244,14 +189,16 @@ impl Drop for GlobalTransaction {
 mod tests {
     use super::*;
     use crate::lam::spawn_lam;
+    use crate::lamclient::LamFactory;
     use ldbs::profile::DbmsProfile;
+    use ldbs::value::Value;
     use ldbs::Engine;
     use netsim::Network;
     use std::time::Duration;
 
-    fn setup() -> (Network, crate::lam::LamHandle) {
+    fn setup(profile: DbmsProfile) -> (Network, crate::lam::LamHandle) {
         let net = Network::new();
-        let mut engine = Engine::new("svc", DbmsProfile::oracle_like());
+        let mut engine = Engine::new("svc", profile);
         engine.create_database("db").unwrap();
         engine.execute("db", "CREATE TABLE t (x FLOAT)").unwrap();
         engine.execute("db", "INSERT INTO t VALUES (1)").unwrap();
@@ -259,121 +206,121 @@ mod tests {
         (net, lam)
     }
 
-    fn client(net: &Network) -> LamClient {
-        LamClient::connect(net, "site1", "db", Duration::from_secs(5)).unwrap()
+    fn executor(net: &Network) -> Executor {
+        Executor {
+            lams: LamFactory::new(net.clone(), Duration::from_secs(5)),
+            parallel: true,
+            trace: obs::SpanCtx::disabled(),
+            measure_baseline: false,
+            wal: None,
+            workers: dol::WorkerSet::new(),
+        }
     }
 
-    fn value(lam: &crate::lam::LamHandle) -> ldbs::value::Value {
+    /// Runs `sql` (undone by `comp`, if given) as a held statement on `db`.
+    fn hold(
+        gt: &mut GlobalTransaction,
+        net: &Network,
+        supports_2pc: bool,
+        sql: &str,
+        comp: Option<&str>,
+    ) -> (TaskStatus, u64) {
+        let client = LamClient::connect(net, "site1", "db", Duration::from_secs(5)).unwrap();
+        let route = DbRoute { database: "db".into(), site: "site1".into(), supports_2pc };
+        let comp = comp.map(str::to_string).into_iter().collect();
+        gt.execute_held(client, "db", &route, sql.into(), comp).unwrap()
+    }
+
+    fn value(lam: &crate::lam::LamHandle) -> Value {
         let mut e = lam.engine.lock();
         e.execute("db", "SELECT x FROM t").unwrap().into_result_set().unwrap().rows[0][0].clone()
     }
 
     #[test]
     fn held_statements_share_one_local_transaction() {
-        let (net, lam) = setup();
+        let (net, lam) = setup(DbmsProfile::oracle_like());
         let mut gt = GlobalTransaction::default();
-        gt.execute_held(client(&net), "db", "db", "UPDATE t SET x = 2".into(), true, vec![])
-            .unwrap();
+        hold(&mut gt, &net, true, "UPDATE t SET x = 2", None);
         // Second statement on the same database reuses the open transaction
         // (no lock conflict with itself).
-        let (status, affected) = gt
-            .execute_held(client(&net), "db", "db", "UPDATE t SET x = x + 1".into(), true, vec![])
-            .unwrap();
+        let (status, affected) = hold(&mut gt, &net, true, "UPDATE t SET x = x + 1", None);
         assert_eq!(status, TaskStatus::Prepared);
         assert_eq!(affected, 1);
         assert_eq!(gt.len(), 1, "one member per database");
-        let report = gt.resolve(false);
+        let report = gt.settle(false, &executor(&net)).unwrap();
         assert!(report.success);
+        assert_eq!(report.outcomes[0].status, TaskStatus::Committed);
         assert_eq!(report.outcomes[0].affected, 2);
-        assert_eq!(value(&lam), ldbs::value::Value::Float(3.0));
+        assert_eq!(report.stats.per_task.len(), 1, "the vote is accounted like any task");
+        assert_eq!(value(&lam), Value::Float(3.0));
+        assert_eq!(lam.engine.lock().held_locks(), 0);
     }
 
     #[test]
     fn forced_rollback_undoes_held_work() {
-        let (net, lam) = setup();
+        let (net, lam) = setup(DbmsProfile::oracle_like());
         let mut gt = GlobalTransaction::default();
-        gt.execute_held(client(&net), "db", "db", "UPDATE t SET x = 2".into(), true, vec![])
-            .unwrap();
-        let report = gt.resolve(true);
+        hold(&mut gt, &net, true, "UPDATE t SET x = 2", None);
+        let report = gt.settle(true, &executor(&net)).unwrap();
         assert!(!report.success);
         assert_eq!(report.outcomes[0].status, TaskStatus::Aborted);
-        assert_eq!(value(&lam), ldbs::value::Value::Float(1.0));
+        assert_eq!(report.outcomes[0].affected, 0);
+        assert_eq!(value(&lam), Value::Float(1.0));
+        assert_eq!(lam.engine.lock().stats().prepares, 0, "a rollback does not ask for votes");
+        assert_eq!(lam.engine.lock().held_locks(), 0);
     }
 
     #[test]
     fn failed_statement_poisons_the_transaction() {
-        let (net, lam) = setup();
+        let (net, lam) = setup(DbmsProfile::oracle_like());
         let mut gt = GlobalTransaction::default();
-        gt.execute_held(client(&net), "db", "db", "UPDATE t SET x = 2".into(), true, vec![])
-            .unwrap();
-        let (status, _) = gt
-            .execute_held(client(&net), "db", "db", "UPDATE t SET nope = 1".into(), true, vec![])
-            .unwrap();
+        hold(&mut gt, &net, true, "UPDATE t SET x = 2", None);
+        let (status, _) = hold(&mut gt, &net, true, "UPDATE t SET nope = 1", None);
         assert_eq!(status, TaskStatus::Aborted);
         assert!(!gt.all_committable());
-        let report = gt.resolve(false);
+        let report = gt.settle(false, &executor(&net)).unwrap();
         assert!(!report.success);
-        assert_eq!(value(&lam), ldbs::value::Value::Float(1.0));
+        assert_eq!(value(&lam), Value::Float(1.0));
     }
 
     #[test]
-    fn drop_rolls_back_pending_work() {
-        let (net, lam) = setup();
-        {
-            let mut gt = GlobalTransaction::default();
-            gt.execute_held(client(&net), "db", "db", "UPDATE t SET x = 9".into(), true, vec![])
-                .unwrap();
-        }
-        assert_eq!(value(&lam), ldbs::value::Value::Float(1.0));
+    fn a_failed_vote_rolls_every_member_back() {
+        let (net, lam) = setup(DbmsProfile::oracle_like());
+        let mut gt = GlobalTransaction::default();
+        hold(&mut gt, &net, true, "UPDATE t SET x = 2", None);
+        *lam.engine.lock().failure_policy_mut() =
+            ldbs::failure::FailurePolicy::with_probabilities(1, 0.0, 1.0);
+        let report = gt.settle(false, &executor(&net)).unwrap();
+        assert!(!report.success);
+        assert_eq!(report.outcomes[0].status, TaskStatus::Aborted);
+        assert_eq!(value(&lam), Value::Float(1.0));
+        assert_eq!(lam.engine.lock().held_locks(), 0);
     }
 
     #[test]
     fn compensatable_member_compensates_in_reverse_order() {
-        let (net, lam) = setup();
+        let (net, lam) = setup(DbmsProfile::autocommit_only());
         let mut gt = GlobalTransaction::default();
         // x = 1 → (x+1)=2 → (x*3)=6; compensation must divide by 3 first,
         // then subtract 1, restoring 1. Wrong order would give (1-? ) ≠ 1:
         // ((6-1)/3) = 1.67.
-        gt.execute_held(
-            client(&net),
-            "db",
-            "db",
-            "UPDATE t SET x = x + 1".into(),
-            false,
-            vec!["UPDATE t SET x = x - 1".into()],
-        )
-        .unwrap();
-        gt.execute_held(
-            client(&net),
-            "db",
-            "db",
-            "UPDATE t SET x = x * 3".into(),
-            false,
-            vec!["UPDATE t SET x = x / 3".into()],
-        )
-        .unwrap();
-        assert_eq!(value(&lam), ldbs::value::Value::Float(6.0));
-        let report = gt.resolve(true);
+        hold(&mut gt, &net, false, "UPDATE t SET x = x + 1", Some("UPDATE t SET x = x - 1"));
+        hold(&mut gt, &net, false, "UPDATE t SET x = x * 3", Some("UPDATE t SET x = x / 3"));
+        assert_eq!(value(&lam), Value::Float(6.0));
+        let report = gt.settle(true, &executor(&net)).unwrap();
         assert_eq!(report.outcomes[0].status, TaskStatus::Compensated);
-        assert_eq!(value(&lam), ldbs::value::Value::Float(1.0));
+        assert_eq!(value(&lam), Value::Float(1.0));
     }
 
     #[test]
     fn commit_path_reports_totals() {
-        let (net, lam) = setup();
+        let (net, lam) = setup(DbmsProfile::autocommit_only());
         let mut gt = GlobalTransaction::default();
-        gt.execute_held(
-            client(&net),
-            "db",
-            "db",
-            "UPDATE t SET x = 5".into(),
-            false,
-            vec!["UPDATE t SET x = 1".into()],
-        )
-        .unwrap();
-        let report = gt.resolve(false);
+        hold(&mut gt, &net, false, "UPDATE t SET x = 5", Some("UPDATE t SET x = 1"));
+        let report = gt.settle(false, &executor(&net)).unwrap();
         assert!(report.success);
         assert_eq!(report.outcomes[0].status, TaskStatus::Committed);
-        assert_eq!(value(&lam), ldbs::value::Value::Float(5.0));
+        assert_eq!(report.outcomes[0].affected, 1);
+        assert_eq!(value(&lam), Value::Float(5.0));
     }
 }

@@ -39,34 +39,24 @@ use std::time::{Duration, Instant};
 /// slice (it wakes earlier the moment a lock is released).
 const LOCK_WAIT_SLICE: Duration = Duration::from_millis(50);
 
-/// Tunables for a LAM server. Threaded down from
-/// [`crate::federation::Federation`] so a deployment is configured in one
-/// place instead of through magic constants.
+/// Tunables for a LAM server ([`spawn_lam_with`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LamConfig {
     /// How long shutdown waits for a server thread to acknowledge the
     /// control message before taking the site down anyway.
     pub control_timeout: Duration,
-    /// How many correlated responses the server remembers for retry
-    /// deduplication (FIFO eviction).
-    pub response_cache_capacity: usize,
     /// How long a statement may wait for a local write lock before the
     /// server gives up, rolls the transaction back, and reports a
     /// retriable deadlock. This is the backstop for *distributed*
     /// deadlocks, which no single engine's waits-for graph can see.
     pub lock_wait_timeout: Duration,
-    /// How many settled task outcomes (`C`/`A`/`K`) the server remembers
-    /// for RESOLVE / idempotent-compensate answers (FIFO eviction).
-    pub outcome_memory_capacity: usize,
 }
 
 impl Default for LamConfig {
     fn default() -> Self {
         LamConfig {
             control_timeout: Duration::from_secs(2),
-            response_cache_capacity: 256,
             lock_wait_timeout: Duration::from_secs(2),
-            outcome_memory_capacity: 1024,
         }
     }
 }
@@ -269,10 +259,11 @@ pub fn spawn_lam_with(
     let shared = Arc::new(SrvShared {
         engine: Arc::clone(&engine),
         state: Mutex::new(SrvState {
-            tasks: HashMap::new(),
-            task_dbs: HashMap::new(),
-            resolved: OutcomeMemory::new(config.outcome_memory_capacity),
-            replies: ReplyCache::new(config.response_cache_capacity),
+            open: HashMap::new(),
+            // Far more than a coordinator's retries and recovery ever reach
+            // back for.
+            resolved: Fifo::new(1024),
+            replies: Fifo::new(256),
             inflight: HashSet::new(),
         }),
         config,
@@ -358,7 +349,7 @@ fn serve(shared: &Arc<SrvShared>) {
         };
         if let Some(id) = corr {
             let mut state = shared.state.lock();
-            if let Some(cached) = state.replies.get(id) {
+            if let Some(cached) = state.replies.get(&id).cloned() {
                 drop(state);
                 shared.stats.replayed.fetch_add(1, Ordering::Relaxed);
                 let _ = endpoint.send(&msg.from, cached);
@@ -424,7 +415,7 @@ fn frame_reply(
         Some(id) => {
             let framed = encode(Some(id));
             let mut state = shared.state.lock();
-            state.replies.put(id, framed.clone());
+            state.replies.insert(id, framed.clone());
             state.inflight.remove(&id);
             framed
         }
@@ -432,58 +423,32 @@ fn frame_reply(
     }
 }
 
-/// Bounded FIFO cache of already-sent correlated responses. Stores the
-/// framed [`Body`] so a retry is replayed verbatim in the format the
-/// original request used.
-struct ReplyCache {
+/// A map that remembers its newest `capacity` keys and forgets the oldest
+/// first, so a long-lived server's memory stays flat. Both things a LAM
+/// remembers about finished work are one: the framed replies it already sent
+/// (by correlation id — a retry is replayed verbatim, in the format the
+/// original request used) and the outcomes of settled tasks (by name — what
+/// recovery's `RESOLVE` and a repeated `COMPENSATE` are answered from). The
+/// retained window comfortably covers the horizon the retry paths need.
+struct Fifo<K, V> {
     capacity: usize,
-    entries: HashMap<u64, Body>,
-    order: VecDeque<u64>,
+    entries: HashMap<K, V>,
+    order: VecDeque<K>,
 }
 
-impl ReplyCache {
+impl<K: std::hash::Hash + Eq + Clone, V> Fifo<K, V> {
     fn new(capacity: usize) -> Self {
-        ReplyCache { capacity: capacity.max(1), entries: HashMap::new(), order: VecDeque::new() }
+        Fifo { capacity: capacity.max(1), entries: HashMap::new(), order: VecDeque::new() }
     }
 
-    fn get(&self, id: u64) -> Option<Body> {
-        self.entries.get(&id).cloned()
+    fn get(&self, key: &K) -> Option<&V> {
+        self.entries.get(key)
     }
 
-    fn put(&mut self, id: u64, framed: Body) {
-        if self.entries.insert(id, framed).is_none() {
-            self.order.push_back(id);
-            while self.order.len() > self.capacity {
-                if let Some(old) = self.order.pop_front() {
-                    self.entries.remove(&old);
-                }
-            }
-        }
-    }
-}
-
-/// Bounded FIFO memory of settled task outcomes (`C`/`A`/`K`) — the
-/// participant-side record recovery's `RESOLVE` answers from. Bounded so a
-/// long-lived server's memory stays flat; the retained window comfortably
-/// covers the horizon the idempotent retry/compensate paths need.
-struct OutcomeMemory {
-    capacity: usize,
-    entries: HashMap<String, char>,
-    order: VecDeque<String>,
-}
-
-impl OutcomeMemory {
-    fn new(capacity: usize) -> Self {
-        OutcomeMemory { capacity: capacity.max(1), entries: HashMap::new(), order: VecDeque::new() }
-    }
-
-    fn get(&self, task: &str) -> Option<char> {
-        self.entries.get(task).copied()
-    }
-
-    fn insert(&mut self, task: String, status: char) {
-        if self.entries.insert(task.clone(), status).is_none() {
-            self.order.push_back(task);
+    /// A key already present keeps its place in the queue.
+    fn insert(&mut self, key: K, value: V) {
+        if self.entries.insert(key.clone(), value).is_none() {
+            self.order.push_back(key);
             while self.order.len() > self.capacity {
                 if let Some(old) = self.order.pop_front() {
                     self.entries.remove(&old);
@@ -492,9 +457,9 @@ impl OutcomeMemory {
         }
     }
 
-    fn remove(&mut self, task: &str) {
-        if self.entries.remove(task).is_some() {
-            self.order.retain(|t| t != task);
+    fn remove(&mut self, key: &K) {
+        if self.entries.remove(key).is_some() {
+            self.order.retain(|k| k != key);
         }
     }
 }
@@ -503,17 +468,17 @@ impl OutcomeMemory {
 /// only ever held for map bookkeeping — never across engine execution or a
 /// lock wait.
 struct SrvState {
-    /// Open/prepared transactions by task name.
-    tasks: HashMap<String, TxnId>,
-    /// Database each open transaction was begun on.
-    task_dbs: HashMap<TxnId, String>,
-    /// Final outcome of every settled task. A coordinator that crashed
-    /// after delivering COMMIT but before logging the resolution re-asks
-    /// and gets the recorded outcome instead of presumed abort. Entries
-    /// are superseded when a task name is re-executed.
-    resolved: OutcomeMemory,
+    /// Open subtransactions — active or prepared — by task name, each with
+    /// the database it runs on. [`open_task`] alone inserts, [`close_task`]
+    /// alone removes.
+    open: HashMap<String, (TxnId, String)>,
+    /// Final outcome (`C`/`A`/`K`) of every settled task. A coordinator that
+    /// crashed after delivering COMMIT but before logging the resolution
+    /// re-asks and gets the recorded outcome instead of presumed abort.
+    /// Entries are superseded when a task name is re-executed.
+    resolved: Fifo<String, char>,
     /// Correlated responses already sent (retry deduplication).
-    replies: ReplyCache,
+    replies: Fifo<u64, Body>,
     /// Correlation ids currently executing; retries for them are dropped
     /// until the reply lands in the cache.
     inflight: HashSet<u64>,
@@ -578,105 +543,239 @@ fn exec_with_wait(
     }
 }
 
-/// Rolls `txn` back, tolerating a transaction the deadlock detector
-/// already aborted.
-fn rollback_tolerant(shared: &SrvShared, txn: TxnId) {
-    let _ = shared.engine.lock().rollback(txn);
+/// Rolls `txn` back; one the deadlock detector already aborted stays aborted.
+fn rollback_tolerant(shared: &SrvShared, txn: TxnId) -> Result<(), DbError> {
+    match shared.engine.lock().rollback(txn) {
+        Err(DbError::InvalidTxnState { state: "Aborted", .. }) => Ok(()),
+        other => other,
+    }
+}
+
+// One lifecycle for a subtransaction, whoever drives it: open → run … →
+// prepare → settle. `BEGIN`, `EXEC` and `PREPARE` are its steps one request
+// at a time (a deferred global transaction, §3.2.2), `TASK … NOCOMMIT` is the
+// first three in one request, `COMMIT` / `ABORT` / `RESOLVE` are the last.
+// The open-task table is keyed by name alone, so names are the coordinators'
+// to keep apart (DESIGN §3a.6): a name that is open is refused, never
+// replaced — replacing it would hand its `COMMIT` to the wrong transaction
+// and leave the first one prepared, with its locks, for good.
+
+/// Opens subtransaction `name` on `database`: the one way into the open-task
+/// table.
+fn open_task(shared: &SrvShared, name: &String, database: &str) -> Result<(), String> {
+    let mut state = shared.state.lock();
+    if state.open.contains_key(name) {
+        return Err(format!("task `{name}` already open"));
+    }
+    let mut engine = shared.engine.lock();
+    engine.database(database).map_err(|e| e.to_string())?;
+    let txn = engine.begin();
+    drop(engine);
+    state.resolved.remove(name); // new incarnation supersedes
+    state.open.insert(name.clone(), (txn, database.to_string()));
+    Ok(())
+}
+
+/// The one way out of the table: `name` is open no more, and `outcome` is
+/// what a `RESOLVE` for it hears from now on.
+fn close_task(shared: &SrvShared, name: &str, outcome: char) {
+    let mut state = shared.state.lock();
+    state.open.remove(name);
+    state.resolved.insert(name.to_string(), outcome);
+}
+
+/// The transaction and database of open task `name`.
+fn open_entry(shared: &SrvShared, name: &str) -> Result<(TxnId, String), Response> {
+    let entry = shared.state.lock().open.get(name).cloned();
+    entry.ok_or_else(|| Response::Err { message: format!("unknown open task `{name}`") })
+}
+
+/// What a run of commands came to: the rows affected by those that succeeded,
+/// the last result set, and the error that stopped the run, if one did.
+#[derive(Default)]
+struct Ran {
+    affected: u64,
+    payload: Option<ResultSet>,
+    error: Option<DbError>,
+}
+
+/// Runs `commands` in order until one fails — inside `held`, an open
+/// subtransaction, or, given none, each in a transaction of its own that is
+/// committed on the spot. That is autocommit: the commands before a failed
+/// one stay committed, exactly the hazard §3.3's compensation exists to
+/// handle. An explicit begin / commit rather than `engine.execute`, so a lock
+/// wait retries under the *same* transaction id and its wait-queue entry
+/// stays valid across attempts.
+fn run_commands(
+    shared: &Arc<SrvShared>,
+    database: &str,
+    commands: &[String],
+    held: Option<TxnId>,
+) -> Ran {
+    let mut ran = Ran::default();
+    for cmd in commands {
+        let txn = held.unwrap_or_else(|| shared.engine.lock().begin());
+        let mut result = exec_with_wait(shared, txn, database, cmd);
+        if held.is_none() {
+            result = result.and_then(|out| shared.engine.lock().commit(txn).map(|()| out));
+            if result.is_err() {
+                let _ = rollback_tolerant(shared, txn);
+            }
+        }
+        match result {
+            Ok(ExecOutcome::Affected(n)) => ran.affected += n as u64,
+            Ok(ExecOutcome::Rows(rs)) => ran.payload = Some(rs),
+            Err(e) => {
+                ran.error = Some(e);
+                break;
+            }
+        }
+    }
+    ran
+}
+
+fn task_done(
+    status: char,
+    affected: u64,
+    payload: Option<ResultSet>,
+    error: Option<String>,
+) -> Response {
+    Response::TaskDone { status, affected, payload, error }
+}
+
+/// `EXEC`: runs `commands` inside open task `task`. A statement that fails
+/// leaves the transaction open — statement-level atomicity holds, the caller
+/// decides whether to continue or roll back — unless it failed as a deadlock
+/// victim: that transaction is rolled back already, so the task is closed and
+/// the coordinator's abort sweep finds nothing to do.
+fn exec_task(shared: &Arc<SrvShared>, task: &str, commands: &[String]) -> Response {
+    let (txn, database) = match open_entry(shared, task) {
+        Ok(entry) => entry,
+        Err(refused) => return refused,
+    };
+    let ran = run_commands(shared, &database, commands, Some(txn));
+    match ran.error {
+        None => task_done('E', ran.affected, ran.payload, None),
+        Some(e) => {
+            if matches!(e, DbError::Deadlock { .. }) {
+                close_task(shared, task, 'A');
+            }
+            task_done('A', ran.affected, None, Some(e.to_string()))
+        }
+    }
+}
+
+/// `PREPARE`: the vote of open task `task`. A failed vote aborts it.
+fn prepare_task(shared: &SrvShared, task: &str) -> Response {
+    let txn = match open_entry(shared, task) {
+        Ok((txn, _)) => txn,
+        Err(refused) => return refused,
+    };
+    let result = shared.engine.lock().prepare(txn);
+    match result {
+        Ok(()) => task_done('P', 0, None, None),
+        Err(e) => {
+            // prepare() rolls back on an injected failure, not on a refusal.
+            let _ = rollback_tolerant(shared, txn);
+            close_task(shared, task, 'A');
+            task_done('A', 0, None, Some(e.to_string()))
+        }
+    }
+}
+
+/// Settles open task `task` — commits or rolls back its transaction — and
+/// closes it. Returns the status it ended in, or `None` when no such task is
+/// open: never opened here, or closed already (a deadlock victim, a failed
+/// vote, an earlier settle).
+fn settle_task(shared: &SrvShared, task: &str, commit: bool) -> Result<Option<char>, String> {
+    let Ok((txn, _)) = open_entry(shared, task) else { return Ok(None) };
+    let result =
+        if commit { shared.engine.lock().commit(txn) } else { rollback_tolerant(shared, txn) };
+    result.map_err(|e| e.to_string())?;
+    let status = if commit { 'C' } else { 'A' };
+    close_task(shared, task, status);
+    Ok(Some(status))
 }
 
 /// Executes one request. `format` is the wire format it arrived in — the
 /// unit a requested baseline measurement is reported in.
 fn handle_request(shared: &Arc<SrvShared>, req: Request, format: WireFormat) -> Response {
     match req {
-        Request::Begin { name, database } => {
-            let mut state = shared.state.lock();
-            if state.tasks.contains_key(&name) {
-                return Response::Err { message: format!("task `{name}` already open") };
+        Request::Begin { name, database } => match open_task(shared, &name, &database) {
+            Ok(()) => Response::Ok,
+            Err(message) => Response::Err { message },
+        },
+        Request::Exec { task, commands } => exec_task(shared, &task, &commands),
+        Request::Prepare { task } => prepare_task(shared, &task),
+        Request::Task { name, mode: TaskMode::NoCommit, database, commands } => {
+            let engine = shared.engine.lock();
+            if !engine.profile.supports_2pc {
+                let refusal =
+                    format!("service `{}` supports automatic commit only", engine.service_name);
+                return task_done('A', 0, None, Some(refusal));
             }
-            let mut engine = shared.engine.lock();
-            if engine.database(&database).is_err() {
-                return Response::Err { message: format!("unknown database `{database}`") };
-            }
-            let txn = engine.begin();
             drop(engine);
-            state.resolved.remove(&name); // new incarnation supersedes
-            state.tasks.insert(name, txn);
-            state.task_dbs.insert(txn, database);
-            Response::Ok
-        }
-        Request::Exec { task, commands } => {
-            let (txn, database) = {
-                let state = shared.state.lock();
-                let Some(&txn) = state.tasks.get(&task) else {
-                    return Response::Err { message: format!("unknown open task `{task}`") };
-                };
-                (txn, state.task_dbs.get(&txn).cloned().unwrap_or_default())
-            };
-            let mut affected = 0u64;
-            let mut payload = None;
-            for cmd in &commands {
-                match exec_with_wait(shared, txn, &database, cmd) {
-                    Ok(ExecOutcome::Affected(n)) => affected += n as u64,
-                    Ok(ExecOutcome::Rows(rs)) => payload = Some(rs),
-                    Err(e) => {
-                        if matches!(e, DbError::Deadlock { .. }) {
-                            // The transaction is already rolled back: close
-                            // the task so the coordinator's abort sweep is
-                            // a no-op and record the abort outcome.
-                            let mut state = shared.state.lock();
-                            state.tasks.remove(&task);
-                            state.task_dbs.remove(&txn);
-                            state.resolved.insert(task.clone(), 'A');
+            if let Err(refusal) = open_task(shared, &name, &database) {
+                return task_done('A', 0, None, Some(refusal));
+            }
+            match exec_task(shared, &name, &commands) {
+                Response::TaskDone { status: 'E', affected, payload, .. } => {
+                    match prepare_task(shared, &name) {
+                        Response::TaskDone { status: 'P', .. } => {
+                            task_done('P', affected, payload, None)
                         }
-                        // Otherwise the transaction stays open:
-                        // statement-level atomicity holds, the caller
-                        // decides whether to continue or roll back.
-                        return Response::TaskDone {
-                            status: 'A',
-                            affected,
-                            payload: None,
-                            error: Some(e.to_string()),
-                        };
+                        failed => failed,
                     }
+                }
+                Response::TaskDone { error, .. } => {
+                    let _ = settle_task(shared, &name, false);
+                    task_done('A', 0, None, error)
+                }
+                other => other,
+            }
+        }
+        Request::Task { name, mode: TaskMode::Auto, database, commands } => {
+            let ran = run_commands(shared, &database, &commands, None);
+            match ran.error {
+                Some(e) => task_done('A', ran.affected, None, Some(e.to_string())),
+                None => {
+                    // Autocommitted: already durable, so a later RESOLVE
+                    // answers `C` (recovery undoes such tasks via
+                    // compensation, never by rollback).
+                    shared.state.lock().resolved.insert(name, 'C');
+                    task_done('C', ran.affected, ran.payload, None)
                 }
             }
-            Response::TaskDone { status: 'E', affected, payload, error: None }
         }
-        Request::Prepare { task } => {
-            let txn = {
-                let state = shared.state.lock();
-                match state.tasks.get(&task) {
-                    Some(&txn) => txn,
-                    None => {
-                        return Response::Err { message: format!("unknown open task `{task}`") }
-                    }
-                }
+        Request::Commit { task } => match settle_task(shared, &task, true) {
+            Ok(Some(_)) => Response::Ok,
+            Ok(None) => Response::Err { message: format!("unknown prepared task `{task}`") },
+            Err(message) => Response::Err { message },
+        },
+        // Presumed abort: a task that is not open may be gone because its
+        // transaction was rolled back as a deadlock victim — the
+        // coordinator's abort sweep must succeed idempotently.
+        Request::Abort { task } => match settle_task(shared, &task, false) {
+            Ok(_) => Response::Ok,
+            Err(message) => Response::Err { message },
+        },
+        // Recovery's `RESOLVE`: settle an in-doubt task per the coordinator's
+        // replayed decision, answering from local state so the reply is
+        // truthful even when the first settle round already ran: a task
+        // settled before (by the pre-crash coordinator, an earlier recovery
+        // pass, or autocommit) answers its recorded outcome, one never
+        // prepared here (or aborted locally) is presumed aborted.
+        Request::Resolve { task, commit } => {
+            let recorded = shared.state.lock().resolved.get(&task).copied();
+            let settled = match recorded {
+                Some(status) => Ok(Some(status)),
+                None => settle_task(shared, &task, commit),
             };
-            let result = shared.engine.lock().prepare(txn);
-            match result {
-                Ok(()) => {
-                    Response::TaskDone { status: 'P', affected: 0, payload: None, error: None }
-                }
-                Err(e) => {
-                    // prepare() rolled the transaction back on failure.
-                    let mut state = shared.state.lock();
-                    state.tasks.remove(&task);
-                    state.task_dbs.remove(&txn);
-                    Response::TaskDone {
-                        status: 'A',
-                        affected: 0,
-                        payload: None,
-                        error: Some(e.to_string()),
-                    }
-                }
+            match settled {
+                Ok(status) => task_done(status.unwrap_or('A'), 0, None, None),
+                Err(message) => Response::Err { message },
             }
         }
-        Request::Task { name, mode, database, commands } => {
-            run_task(shared, &name, mode, &database, &commands)
-        }
-        Request::Commit { task } => finish_task(shared, &task, true),
-        Request::Abort { task } => finish_task(shared, &task, false),
-        Request::Resolve { task, commit } => resolve_task(shared, &task, commit),
         Request::Compensate { task, database, commands } => {
             // Idempotent: a recovery pass re-sending COMPENSATE (under a
             // fresh correlation id, so the reply cache cannot dedup it)
@@ -685,28 +784,18 @@ fn handle_request(shared: &Arc<SrvShared>, req: Request, format: WireFormat) -> 
             // instead of double-applying; a failure revokes the claim.
             {
                 let mut state = shared.state.lock();
-                if state.resolved.get(&task) == Some('K') {
+                if state.resolved.get(&task) == Some(&'K') {
                     return Response::Ok;
                 }
                 state.resolved.insert(task.clone(), 'K');
             }
-            for cmd in &commands {
-                let txn = shared.engine.lock().begin();
-                match exec_with_wait(shared, txn, &database, cmd) {
-                    Ok(_) => {
-                        if let Err(e) = shared.engine.lock().commit(txn) {
-                            shared.state.lock().resolved.remove(&task);
-                            return Response::Err { message: e.to_string() };
-                        }
-                    }
-                    Err(e) => {
-                        rollback_tolerant(shared, txn);
-                        shared.state.lock().resolved.remove(&task);
-                        return Response::Err { message: e.to_string() };
-                    }
+            match run_commands(shared, &database, &commands, None).error {
+                None => Response::Ok,
+                Some(e) => {
+                    shared.state.lock().resolved.remove(&task);
+                    Response::Err { message: e.to_string() }
                 }
             }
-            Response::Ok
         }
         Request::Partial { database, sql, baseline } => {
             let mut engine = shared.engine.lock();
@@ -787,108 +876,6 @@ fn handle_request(shared: &Arc<SrvShared>, req: Request, format: WireFormat) -> 
     }
 }
 
-fn run_task(
-    shared: &Arc<SrvShared>,
-    name: &str,
-    mode: TaskMode,
-    database: &str,
-    commands: &[String],
-) -> Response {
-    match mode {
-        TaskMode::NoCommit => {
-            let txn = {
-                let mut engine = shared.engine.lock();
-                if !engine.profile.supports_2pc {
-                    return Response::TaskDone {
-                        status: 'A',
-                        affected: 0,
-                        payload: None,
-                        error: Some(format!(
-                            "service `{}` supports automatic commit only",
-                            engine.service_name
-                        )),
-                    };
-                }
-                engine.begin()
-            };
-            let mut affected = 0u64;
-            let mut payload = None;
-            for cmd in commands {
-                match exec_with_wait(shared, txn, database, cmd) {
-                    Ok(ExecOutcome::Affected(n)) => affected += n as u64,
-                    Ok(ExecOutcome::Rows(rs)) => payload = Some(rs),
-                    Err(e) => {
-                        rollback_tolerant(shared, txn);
-                        return Response::TaskDone {
-                            status: 'A',
-                            affected: 0,
-                            payload: None,
-                            error: Some(e.to_string()),
-                        };
-                    }
-                }
-            }
-            if let Err(e) = shared.engine.lock().prepare(txn) {
-                // prepare() rolls back on injected failure.
-                return Response::TaskDone {
-                    status: 'A',
-                    affected: 0,
-                    payload: None,
-                    error: Some(e.to_string()),
-                };
-            }
-            let mut state = shared.state.lock();
-            state.resolved.remove(name); // new incarnation supersedes
-            state.tasks.insert(name.to_string(), txn);
-            state.task_dbs.insert(txn, database.to_string());
-            Response::TaskDone { status: 'P', affected, payload, error: None }
-        }
-        TaskMode::Auto => {
-            let mut affected = 0u64;
-            let mut payload = None;
-            for cmd in commands {
-                // An explicit begin/commit per command (not engine.execute)
-                // so a lock wait retries under the *same* transaction id —
-                // the wait queue entry stays valid across attempts.
-                let txn = shared.engine.lock().begin();
-                match exec_with_wait(shared, txn, database, cmd) {
-                    Ok(out) => {
-                        if let Err(e) = shared.engine.lock().commit(txn) {
-                            return Response::TaskDone {
-                                status: 'A',
-                                affected,
-                                payload: None,
-                                error: Some(e.to_string()),
-                            };
-                        }
-                        match out {
-                            ExecOutcome::Affected(n) => affected += n as u64,
-                            ExecOutcome::Rows(rs) => payload = Some(rs),
-                        }
-                    }
-                    Err(e) => {
-                        rollback_tolerant(shared, txn);
-                        // Earlier commands have already autocommitted —
-                        // exactly the hazard §3.3's compensation exists
-                        // to handle.
-                        return Response::TaskDone {
-                            status: 'A',
-                            affected,
-                            payload: None,
-                            error: Some(e.to_string()),
-                        };
-                    }
-                }
-            }
-            // Autocommitted: already durable, so a later RESOLVE answers
-            // `C` (recovery undoes such tasks via compensation, never by
-            // rollback).
-            shared.state.lock().resolved.insert(name.to_string(), 'C');
-            Response::TaskDone { status: 'C', affected, payload, error: None }
-        }
-    }
-}
-
 /// What one site subquery of a join produced.
 struct Subquery {
     rows: ResultSet,
@@ -926,87 +913,6 @@ fn run_subquery(
         _ => (0, 0),
     };
     Ok(Subquery { rows, access, full_rows, full_bytes })
-}
-
-fn finish_task(shared: &SrvShared, task: &str, commit: bool) -> Response {
-    let txn = {
-        let mut state = shared.state.lock();
-        match state.tasks.remove(task) {
-            Some(txn) => {
-                state.task_dbs.remove(&txn);
-                txn
-            }
-            None => {
-                if commit {
-                    return Response::Err { message: format!("unknown prepared task `{task}`") };
-                }
-                // Presumed abort: the task may already be gone because its
-                // transaction was rolled back as a deadlock victim — the
-                // coordinator's abort sweep must succeed idempotently.
-                return Response::Ok;
-            }
-        }
-    };
-    let result = {
-        let mut engine = shared.engine.lock();
-        if commit {
-            engine.commit(txn)
-        } else {
-            match engine.rollback(txn) {
-                // Already aborted (deadlock victim): the abort stands.
-                Err(DbError::InvalidTxnState { state: "Aborted", .. }) => Ok(()),
-                other => other,
-            }
-        }
-    };
-    match result {
-        Ok(()) => {
-            let status = if commit { 'C' } else { 'A' };
-            shared.state.lock().resolved.insert(task.to_string(), status);
-            Response::Ok
-        }
-        Err(e) => Response::Err { message: e.to_string() },
-    }
-}
-
-/// Recovery's `RESOLVE`: settle an in-doubt task per the coordinator's
-/// replayed decision, answering from local state so the reply is
-/// truthful even when the first settle round already ran.
-fn resolve_task(shared: &SrvShared, task: &str, commit: bool) -> Response {
-    let txn = {
-        let state = shared.state.lock();
-        // Already settled (by the pre-crash coordinator, an earlier recovery
-        // pass, or autocommit): answer the recorded outcome.
-        if let Some(status) = state.resolved.get(task) {
-            return Response::TaskDone { status, affected: 0, payload: None, error: None };
-        }
-        state.tasks.get(task).copied()
-    };
-    match txn {
-        Some(txn) => {
-            let result = {
-                let mut engine = shared.engine.lock();
-                if commit {
-                    engine.commit(txn)
-                } else {
-                    engine.rollback(txn)
-                }
-            };
-            match result {
-                Ok(()) => {
-                    let status = if commit { 'C' } else { 'A' };
-                    let mut state = shared.state.lock();
-                    state.tasks.remove(task);
-                    state.task_dbs.remove(&txn);
-                    state.resolved.insert(task.to_string(), status);
-                    Response::TaskDone { status, affected: 0, payload: None, error: None }
-                }
-                Err(e) => Response::Err { message: e.to_string() },
-            }
-        }
-        // Never prepared here (or aborted locally): presumed abort.
-        None => Response::TaskDone { status: 'A', affected: 0, payload: None, error: None },
-    }
 }
 
 /// Serves one `COMBINE` (§4.1's "partial results are collected in one
@@ -1102,23 +1008,32 @@ mod tests {
     use ldbs::value::Value;
 
     #[test]
-    fn outcome_memory_is_bounded_fifo() {
-        let mut mem = OutcomeMemory::new(4);
+    fn fifo_map_is_bounded_and_evicts_oldest_first() {
+        let mut mem = Fifo::new(4);
         for i in 0..100 {
             mem.insert(format!("t{i}"), 'C');
         }
         assert_eq!(mem.entries.len(), 4);
         // Oldest entries evicted, newest retained.
-        assert_eq!(mem.get("t96"), Some('C'));
-        assert_eq!(mem.get("t99"), Some('C'));
-        assert_eq!(mem.get("t0"), None);
+        let get = |mem: &Fifo<String, char>, key: &str| mem.get(&key.to_string()).copied();
+        assert_eq!(get(&mem, "t96"), Some('C'));
+        assert_eq!(get(&mem, "t99"), Some('C'));
+        assert_eq!(get(&mem, "t0"), None);
         // Re-inserting an existing key updates in place without growth.
         mem.insert("t99".to_string(), 'A');
         assert_eq!(mem.entries.len(), 4);
-        assert_eq!(mem.get("t99"), Some('A'));
-        mem.remove("t99");
-        assert_eq!(mem.get("t99"), None);
+        assert_eq!(get(&mem, "t99"), Some('A'));
+        mem.remove(&"t99".to_string());
+        assert_eq!(get(&mem, "t99"), None);
         assert_eq!(mem.entries.len(), 3);
+        // The reply cache is the same map keyed by correlation id.
+        let mut replies: Fifo<u64, Body> = Fifo::new(2);
+        replies.insert(1, "a".into());
+        replies.insert(2, "b".into());
+        replies.insert(3, "c".into());
+        assert_eq!(replies.get(&1), None, "oldest evicted");
+        assert_eq!(replies.get(&2), Some(&"b".into()));
+        assert_eq!(replies.get(&3), Some(&"c".into()));
     }
 
     fn setup() -> (Network, LamHandle, netsim::Endpoint) {
@@ -1213,6 +1128,67 @@ mod tests {
                 .clone()
         };
         assert_eq!(rate, ldbs::value::Value::Float(40.0));
+    }
+
+    /// Two coordinators that both call a subtransaction `T1`, on different
+    /// tables of one database. Replacing the open `T1` handed the first
+    /// `COMMIT T1` the second client's transaction and left the first
+    /// prepared, with its lock, for good.
+    #[test]
+    fn an_open_name_is_refused_not_replaced() {
+        let net = Network::new();
+        let mut engine = Engine::new("svc", DbmsProfile::oracle_like());
+        engine.create_database("continental").unwrap();
+        for sql in [
+            "CREATE TABLE flights (flnu INT, rate FLOAT)",
+            "CREATE TABLE f838 (seatnu INT, seatstatus CHAR(10))",
+            "INSERT INTO flights VALUES (1, 100.0)",
+            "INSERT INTO f838 VALUES (1, 'FREE')",
+        ] {
+            engine.execute("continental", sql).unwrap();
+        }
+        let lam = spawn_lam(&net, "svc", "site1", engine).unwrap();
+        let (a, b) =
+            (Peer::new(&net, "a", WireFormat::Text), Peer::new(&net, "b", WireFormat::Text));
+        let t1 = |sql: &str| Request::Task {
+            name: "T1".into(),
+            mode: TaskMode::NoCommit,
+            database: "continental".into(),
+            commands: vec![sql.into()],
+        };
+        let take_seat = t1("UPDATE f838 SET seatstatus = 'TAKEN' WHERE seatnu = 1");
+        let value = |sql: &str| {
+            let rs = lam.engine.lock().execute("continental", sql).unwrap();
+            rs.into_result_set().unwrap().rows[0][0].clone()
+        };
+
+        let first = a.call(1, &t1("UPDATE flights SET rate = 1 WHERE flnu = 1"));
+        assert!(matches!(first, Response::TaskDone { status: 'P', .. }), "{first:?}");
+        let begun = lam.engine.lock().stats().statements;
+        let Response::TaskDone { status: 'A', affected: 0, error: Some(refusal), .. } =
+            b.call(2, &take_seat)
+        else {
+            panic!("an open name must be refused")
+        };
+        assert!(refusal.contains("`T1`"), "{refusal}");
+        assert_eq!(lam.engine.lock().stats().statements, begun, "nothing ran");
+        assert_eq!(lam.engine.lock().prepared_txns().len(), 1, "the open T1 is untouched");
+
+        // The one COMMIT T1 commits the transaction T1 names: the first.
+        assert_eq!(a.call(3, &Request::Commit { task: "T1".into() }), Response::Ok);
+        assert_eq!(value("SELECT rate FROM flights WHERE flnu = 1"), Value::Float(1.0));
+        assert_eq!(
+            value("SELECT seatstatus FROM f838 WHERE seatnu = 1"),
+            Value::Str("FREE".into())
+        );
+        assert!(lam.engine.lock().prepared_txns().is_empty());
+        assert_eq!(lam.engine.lock().held_locks(), 0);
+
+        // Settled, the name is free again.
+        let retried = b.call(4, &take_seat);
+        assert!(matches!(retried, Response::TaskDone { status: 'P', affected: 1, .. }));
+        assert_eq!(b.call(5, &Request::Abort { task: "T1".into() }), Response::Ok);
+        assert_eq!(lam.engine.lock().held_locks(), 0);
     }
 
     #[test]
@@ -1572,7 +1548,6 @@ mod tests {
         let config = LamConfig {
             lock_wait_timeout: Duration::from_secs(60),
             control_timeout: Duration::from_millis(200),
-            ..LamConfig::default()
         };
         let lam = spawn_lam_with(&net, "svc", "site1", engine, config).unwrap();
         (net, lam)
@@ -1807,16 +1782,5 @@ mod tests {
         assert!(!net.link_is_up("a", "site1"));
         // A second shutdown (the handle's Drop) has nothing left to do.
         lam.do_shutdown();
-    }
-
-    #[test]
-    fn reply_cache_evicts_fifo() {
-        let mut c = ReplyCache::new(2);
-        c.put(1, "a".into());
-        c.put(2, "b".into());
-        c.put(3, "c".into());
-        assert_eq!(c.get(1), None, "oldest evicted");
-        assert_eq!(c.get(2), Some("b".into()));
-        assert_eq!(c.get(3), Some("c".into()));
     }
 }

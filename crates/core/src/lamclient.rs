@@ -95,6 +95,19 @@ impl TaskReply {
     }
 }
 
+/// What running "its" task means to a connection that holds a subtransaction
+/// open for a deferred global transaction (§3.2.2), when the settle program
+/// of a synchronization point reaches it: the member's vote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Vote {
+    /// `PREPARE` the open subtransaction: `P`, or `A` when the vote fails.
+    Prepare,
+    /// The coordinator is rolling back: abort it without asking.
+    Abort,
+    /// Nothing to ask: the member's statements autocommitted as they ran.
+    Settled(TaskStatus),
+}
+
 /// The part of a connection that outlives a checkout: the client endpoint
 /// registered on the network. It carries no per-request state (correlation
 /// ids are per request, the LAM keeps nothing per client), so whoever checks
@@ -186,6 +199,10 @@ pub struct LamClient {
     /// Where the tasks this connection executes as a [`DolService`] leave
     /// their outputs (the factory's table when checked out from one).
     outputs: TaskOutputs,
+    /// Set on a connection that holds a subtransaction open across
+    /// statements, for the synchronization point that settles it: its vote,
+    /// and the rows its statements affected so far.
+    pub(crate) held: Option<(Vote, u64)>,
 }
 
 /// One attempt's failure: a classified network fault, or a protocol error
@@ -255,6 +272,7 @@ impl LamClient {
             wire_format: WireFormat::default(),
             pool: BufferPool::default(),
             outputs: TaskOutputs::default(),
+            held: None,
         }
     }
 
@@ -461,16 +479,6 @@ impl LamClient {
         }
     }
 
-    /// Moves an open task to prepared-to-commit. Returns `'P'` on success or
-    /// `'A'` (with the error) when the vote failed and the local transaction
-    /// was rolled back.
-    pub fn prepare_task(&self, task: &str) -> Result<(char, Option<String>), MdbsError> {
-        match self.call(Request::Prepare { task: task.to_string() })? {
-            Response::TaskDone { status, error, .. } => Ok((status, error)),
-            other => self.refused("prepare", other),
-        }
-    }
-
     /// Runs `commands` on this connection's database as one autocommit task
     /// named `name` — how the federation ships a statement that is no DOL
     /// program: DDL, `ANALYZE`, a transfer's INSERT batches, a deferred
@@ -631,14 +639,26 @@ impl LamClient {
     }
 
     /// Runs a task on the LAM; its affected-row count and rows go to
-    /// [`Self::outputs`] under the task's name.
+    /// [`Self::outputs`] under the task's name. On a connection that
+    /// [holds](Self::held) the task's subtransaction open already, the
+    /// exchange is its [`Vote`].
     fn run_task(&mut self, task: &dol::TaskDef, span: &Span) -> TaskExecution {
-        let mode = if task.nocommit { TaskMode::NoCommit } else { TaskMode::Auto };
-        let req = Request::Task {
-            name: task.name.clone(),
-            mode,
-            database: self.database.clone(),
-            commands: task.commands.clone(),
+        let name = task.name.clone();
+        let req = match self.held {
+            None => Request::Task {
+                name,
+                mode: if task.nocommit { TaskMode::NoCommit } else { TaskMode::Auto },
+                database: self.database.clone(),
+                commands: task.commands.clone(),
+            },
+            Some((Vote::Prepare, _)) => Request::Prepare { task: name },
+            Some((Vote::Abort, _)) => Request::Abort { task: name },
+            Some((Vote::Settled(status), affected)) => {
+                if status == TaskStatus::Committed {
+                    self.outputs.lock().insert(name, TaskOutput { affected, rows: None });
+                }
+                return TaskExecution { status, result: None, error: None };
+            }
         };
         let (result, attempts, faults) = self.call_traced(&req, span);
         self.record_obs(span, attempts, &faults);
@@ -651,6 +671,12 @@ impl LamClient {
                     'A' => TaskStatus::Aborted,
                     _ => TaskStatus::Error,
                 };
+                // A vote carries no count: what a held subtransaction's
+                // statements affected is known here.
+                let affected = match self.held {
+                    Some((_, held)) if status == TaskStatus::Prepared => held,
+                    _ => affected,
+                };
                 if affected > 0 {
                     span.note("affected", affected);
                 }
@@ -661,6 +687,10 @@ impl LamClient {
                     .lock()
                     .insert(task.name.clone(), TaskOutput { affected, rows: payload });
                 TaskExecution { status, result: None, error }
+            }
+            // `ABORT` only acknowledges: the held subtransaction is rolled back.
+            Ok((Response::Ok, _)) if self.held.is_some() => {
+                TaskExecution { status: TaskStatus::Aborted, result: None, error: None }
             }
             Ok((other, _)) => TaskExecution {
                 status: TaskStatus::Error,
@@ -830,6 +860,11 @@ pub struct LamFactory {
     /// Where the tasks of the program this factory serves leave their
     /// outputs.
     pub(crate) outputs: TaskOutputs,
+    /// Connections that [hold](LamClient::held) a subtransaction open and
+    /// stand in for a checkout when a program `OPEN`s their database: a
+    /// synchronization point's settle program runs over the connections its
+    /// members were opened on.
+    pub(crate) held: Arc<Mutex<Vec<LamClient>>>,
 }
 
 impl LamFactory {
@@ -845,6 +880,7 @@ impl LamFactory {
             tolerate_unreachable: false,
             wire_format: WireFormat::default(),
             outputs: TaskOutputs::default(),
+            held: Default::default(),
         }
     }
 
@@ -891,6 +927,15 @@ impl LamFactory {
 
 impl ServiceFactory for LamFactory {
     fn connect(&self, service: &str, site: &str) -> Result<Box<dyn DolService>, DolError> {
+        let mut held = self.held.lock();
+        if let Some(i) = held.iter().position(|c| c.database == service && c.site == site) {
+            // Accounts to, and leaves its outputs with, this program's run.
+            let mut client = held.remove(i);
+            client.stats = SharedExecStats::clone(&self.stats);
+            client.outputs = TaskOutputs::clone(&self.outputs);
+            return Ok(Box::new(client));
+        }
+        drop(held);
         match self.checkout(site, service) {
             Ok(client) => Ok(Box::new(client)),
             Err(e) if self.tolerate_unreachable => Ok(Box::new(UnreachableService {

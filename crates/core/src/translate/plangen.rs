@@ -72,6 +72,28 @@ pub struct GeneratedPlan {
     pub recovery: Option<PlanRecovery>,
 }
 
+impl GeneratedPlan {
+    /// Appends `suffix` to the name of every task — in the program, the
+    /// provenance and the recovery material alike. LAMs key the
+    /// subtransactions open at them by task name alone, so a coordinator
+    /// that shares LAMs with others makes its names its own this way before
+    /// anything is logged or sent (DESIGN §3a.6).
+    pub fn suffix_tasks(&mut self, suffix: &str) {
+        let rename = |name: &mut String| name.push_str(suffix);
+        self.program.rename_tasks(&rename);
+        self.tasks.iter_mut().for_each(|t| rename(&mut t.task));
+        if let Some(recovery) = &mut self.recovery {
+            recovery.tasks.iter_mut().for_each(|t| rename(&mut t.name));
+            let decisions = recovery.decisions.values_mut();
+            let lists = decisions.flat_map(|d| [&mut d.commit, &mut d.compensate]);
+            lists
+                .chain(&mut recovery.states)
+                .chain([&mut recovery.oracle, &mut recovery.abort_compensate])
+                .for_each(|list| list.iter_mut().for_each(rename));
+        }
+    }
+}
+
 /// Everything the executor logs at BEGIN plus the DECIDE-code translation
 /// table — precomputed here so recovery never has to re-derive settle
 /// semantics from DOL text.
@@ -102,23 +124,25 @@ fn route_for<'r>(
     })
 }
 
-fn open_statements(
-    locals: &[&LocalQuery],
+/// One `OPEN` per scope key, in first-appearance order, over `(key, database)`
+/// pairs.
+fn open_statements<'a>(
+    services: impl Iterator<Item = (&'a str, &'a str)>,
     routes: &HashMap<String, DbRoute>,
 ) -> Result<(Vec<DolStmt>, Vec<String>), MdbsError> {
     let mut opens = Vec::new();
-    let mut aliases = Vec::new();
-    for l in locals {
-        if aliases.contains(&l.key) {
+    let mut aliases: Vec<String> = Vec::new();
+    for (key, database) in services {
+        if aliases.iter().any(|a| a == key) {
             continue;
         }
-        let route = route_for(routes, &l.database)?;
+        let route = route_for(routes, database)?;
         opens.push(DolStmt::Open {
-            service: l.database.clone(),
+            service: database.to_string(),
             site: route.site.clone(),
-            alias: l.key.clone(),
+            alias: key.to_string(),
         });
-        aliases.push(l.key.clone());
+        aliases.push(key.to_string());
     }
     Ok((opens, aliases))
 }
@@ -128,8 +152,8 @@ pub fn retrieval_plan(
     locals: &[LocalQuery],
     routes: &HashMap<String, DbRoute>,
 ) -> Result<GeneratedPlan, MdbsError> {
-    let refs: Vec<&LocalQuery> = locals.iter().collect();
-    let (mut statements, aliases) = open_statements(&refs, routes)?;
+    let services = locals.iter().map(|l| (l.key.as_str(), l.database.as_str()));
+    let (mut statements, aliases) = open_statements(services, routes)?;
     let mut tasks = Vec::new();
     for (i, l) in locals.iter().enumerate() {
         let name = format!("Q{}", i + 1);
@@ -153,6 +177,23 @@ pub fn retrieval_plan(
     Ok(GeneratedPlan { program: DolProgram { statements }, tasks, recovery: None })
 }
 
+/// One subquery of a vital set, named: what [`vital_set_plan`] plans.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VitalTask {
+    /// DOL task name — the name its subtransaction is open under at the LAM.
+    pub name: String,
+    /// Target database.
+    pub database: String,
+    /// Scope key (alias or database name).
+    pub key: String,
+    /// VITAL designation.
+    pub vital: bool,
+    /// The subquery, as local SQL.
+    pub commands: Vec<String>,
+    /// Its COMP clause, as local SQL (empty without one).
+    pub compensation: Vec<String>,
+}
+
 /// Generates the §3.2/§3.3 vital-update plan.
 ///
 /// `comps` maps scope keys to compensating SQL commands (from COMP clauses).
@@ -161,8 +202,41 @@ pub fn update_plan(
     comps: &HashMap<String, Vec<String>>,
     routes: &HashMap<String, DbRoute>,
 ) -> Result<GeneratedPlan, MdbsError> {
-    let refs: Vec<&LocalQuery> = locals.iter().collect();
-    let (mut statements, aliases) = open_statements(&refs, routes)?;
+    let mut tasks = Vec::with_capacity(locals.len());
+    for (i, l) in locals.iter().enumerate() {
+        let compensation = comps.get(&l.key).cloned().unwrap_or_default();
+        if l.vital && !route_for(routes, &l.database)?.supports_2pc && compensation.is_empty() {
+            // §3.3: "our prototype MDBS raises an error condition and
+            // refuses to process the query".
+            return Err(MdbsError::VitalWithoutCompensation { database: l.key.clone() });
+        }
+        tasks.push(VitalTask {
+            name: format!("T{}", i + 1),
+            database: l.database.clone(),
+            key: l.key.clone(),
+            vital: l.vital,
+            commands: vec![print(&l.statement)],
+            compensation,
+        });
+    }
+    vital_set_plan(tasks, routes, false)
+}
+
+/// Plans a vital set (§3.2): the tasks, then the one two-phase commit every
+/// vital set ends in — `IF` all vitals voted `THEN DECIDE 0; COMMIT` the
+/// prepared `ELSE DECIDE 1; ABORT` them `; COMPENSATE` the autocommitted that
+/// committed. An update statement is one vital set ([`update_plan`]); so are
+/// the members of a deferred global transaction at a synchronization point
+/// (§3.2.2), whose tasks are their votes. `rollback` plans the `ELSE` branch
+/// alone: a `ROLLBACK`, or a set known not to be committable, decides without
+/// asking.
+pub fn vital_set_plan(
+    set: Vec<VitalTask>,
+    routes: &HashMap<String, DbRoute>,
+    rollback: bool,
+) -> Result<GeneratedPlan, MdbsError> {
+    let services = set.iter().map(|t| (t.key.as_str(), t.database.as_str()));
+    let (mut statements, aliases) = open_statements(services, routes)?;
     let mut tasks = Vec::new();
     let mut wal_tasks = Vec::new();
     // Vital tasks that run prepared (2PC) vs. compensated (autocommit-only).
@@ -170,66 +244,51 @@ pub fn update_plan(
     let mut compensated_vitals: Vec<String> = Vec::new();
     let mut vitals: Vec<String> = Vec::new();
 
-    for (i, l) in locals.iter().enumerate() {
-        let name = format!("T{}", i + 1);
-        let route = route_for(routes, &l.database)?;
-        let compensation = comps.get(&l.key).cloned().unwrap_or_default();
-        let nocommit = l.vital && route.supports_2pc;
-        if l.vital && !route.supports_2pc {
-            if compensation.is_empty() {
-                // §3.3: "our prototype MDBS raises an error condition and
-                // refuses to process the query".
-                return Err(MdbsError::VitalWithoutCompensation { database: l.key.clone() });
-            }
-            compensated_vitals.push(name.clone());
-        } else if l.vital {
-            prepared_vitals.push(name.clone());
+    for t in set {
+        let route = route_for(routes, &t.database)?;
+        let nocommit = t.vital && route.supports_2pc;
+        if nocommit {
+            prepared_vitals.push(t.name.clone());
+        } else if t.vital {
+            compensated_vitals.push(t.name.clone());
         }
-        if l.vital {
-            vitals.push(name.clone());
+        if t.vital {
+            vitals.push(t.name.clone());
         }
-        statements.push(DolStmt::Task(TaskDef {
-            name: name.clone(),
-            service: l.key.clone(),
-            nocommit,
-            commands: vec![print(&l.statement)],
-            compensation: compensation.clone(),
-        }));
         wal_tasks.push(WalTask {
-            name: name.clone(),
-            database: l.database.clone(),
+            name: t.name.clone(),
+            database: t.database.clone(),
             site: route.site.clone(),
-            compensation: compensation.clone(),
+            compensation: t.compensation.clone(),
         });
         tasks.push(PlanTask {
-            task: name,
-            database: l.database.clone(),
-            key: l.key.clone(),
-            vital: l.vital,
-            compensated: !compensation.is_empty(),
+            task: t.name.clone(),
+            database: t.database,
+            key: t.key.clone(),
+            vital: t.vital,
+            compensated: !t.compensation.is_empty(),
         });
+        statements.push(DolStmt::Task(TaskDef {
+            name: t.name,
+            service: t.key,
+            nocommit,
+            commands: t.commands,
+            compensation: t.compensation,
+        }));
     }
 
-    if prepared_vitals.is_empty() && compensated_vitals.is_empty() {
+    if vitals.is_empty() {
         // "If all subqueries are NON VITAL the multiple query is always
         // successful."
         statements.push(DolStmt::SetStatus(0));
     } else {
-        let mut cond: Option<DolCond> = None;
-        for t in &prepared_vitals {
-            let c = DolCond::StatusEq { task: t.clone(), status: TaskStatus::Prepared };
-            cond = Some(match cond {
-                Some(acc) => DolCond::And(Box::new(acc), Box::new(c)),
-                None => c,
-            });
+        fn voted(tasks: &[String], status: TaskStatus) -> impl Iterator<Item = DolCond> + '_ {
+            tasks.iter().map(move |t| DolCond::StatusEq { task: t.clone(), status })
         }
-        for t in &compensated_vitals {
-            let c = DolCond::StatusEq { task: t.clone(), status: TaskStatus::Committed };
-            cond = Some(match cond {
-                Some(acc) => DolCond::And(Box::new(acc), Box::new(c)),
-                None => c,
-            });
-        }
+        let cond = voted(&prepared_vitals, TaskStatus::Prepared)
+            .chain(voted(&compensated_vitals, TaskStatus::Committed))
+            .reduce(|acc, c| DolCond::And(Box::new(acc), Box::new(c)))
+            .expect("vital set non-empty");
         // DECIDE logs the settle decision (WAL) before any second-phase
         // message goes out; recovery replays it after a coordinator crash.
         let mut then_branch = vec![DolStmt::Decide(0)];
@@ -251,11 +310,11 @@ pub fn update_plan(
             });
         }
         else_branch.push(DolStmt::SetStatus(1));
-        statements.push(DolStmt::If {
-            cond: cond.expect("vital set non-empty"),
-            then_branch,
-            else_branch,
-        });
+        if rollback {
+            statements.extend(else_branch);
+        } else {
+            statements.push(DolStmt::If { cond, then_branch, else_branch });
+        }
     }
     statements.push(DolStmt::Close { aliases });
     // A vital-free update never decides anything, so there is nothing to
@@ -348,8 +407,8 @@ pub fn multitransaction_plan(
         }
     }
 
-    let refs: Vec<&LocalQuery> = all.iter().map(|(l, _)| *l).collect();
-    let (mut statements, aliases) = open_statements(&refs, routes)?;
+    let services = all.iter().map(|(l, _)| (l.key.as_str(), l.database.as_str()));
+    let (mut statements, aliases) = open_statements(services, routes)?;
     let mut tasks = Vec::new();
     let mut wal_tasks = Vec::new();
     // Which subqueries run NOCOMMIT (and so take part in the second phase).

@@ -156,6 +156,42 @@ impl DolProgram {
         walk(&self.statements, &mut out);
         out
     }
+
+    /// Applies `rename` to every mention of a task name: definitions, status
+    /// conditions, `COMMIT` / `ABORT` lists and `COMPENSATE`.
+    pub fn rename_tasks(&mut self, rename: &dyn Fn(&mut String)) {
+        fn cond(c: &mut DolCond, rename: &dyn Fn(&mut String)) {
+            match c {
+                DolCond::StatusEq { task, .. } => rename(task),
+                DolCond::And(a, b) | DolCond::Or(a, b) => {
+                    cond(a, rename);
+                    cond(b, rename);
+                }
+                DolCond::Not(a) => cond(a, rename),
+            }
+        }
+        fn block(stmts: &mut [DolStmt], rename: &dyn Fn(&mut String)) {
+            for stmt in stmts {
+                match stmt {
+                    DolStmt::Task(t) => rename(&mut t.name),
+                    DolStmt::If { cond: c, then_branch, else_branch } => {
+                        cond(c, rename);
+                        block(then_branch, rename);
+                        block(else_branch, rename);
+                    }
+                    DolStmt::Commit { tasks } | DolStmt::Abort { tasks } => {
+                        tasks.iter_mut().for_each(rename)
+                    }
+                    DolStmt::Compensate { task } => rename(task),
+                    DolStmt::Open { .. }
+                    | DolStmt::Decide(_)
+                    | DolStmt::SetStatus(_)
+                    | DolStmt::Close { .. } => {}
+                }
+            }
+        }
+        block(&mut self.statements, rename);
+    }
 }
 
 #[cfg(test)]
@@ -200,5 +236,15 @@ mod tests {
         };
         let names: Vec<&str> = prog.tasks().iter().map(|t| t.name.as_str()).collect();
         assert_eq!(names, vec!["T1", "T2", "T3"]);
+
+        let mut renamed = prog.clone();
+        renamed.rename_tasks(&|name| name.push_str("_s7"));
+        let names: Vec<&str> = renamed.tasks().iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, vec!["T1_s7", "T2_s7", "T3_s7"]);
+        let DolStmt::If { cond: DolCond::StatusEq { task, .. }, .. } = &renamed.statements[1]
+        else {
+            panic!("{renamed:?}")
+        };
+        assert_eq!(task, "T1_s7");
     }
 }

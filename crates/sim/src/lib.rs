@@ -35,8 +35,9 @@ pub const SERVICES: &[&str] =
 /// The five fixture sites (site1..site5, same order as [`SERVICES`]).
 pub const SITES: &[&str] = &["site1", "site2", "site3", "site4", "site5"];
 
-/// One workload the simulation can crash: an MSQL statement plus the
-/// service-profile variation it needs.
+/// One workload the simulation can crash: an MSQL script — one statement,
+/// or several ending in a synchronization point — plus the service-profile
+/// variation it needs.
 #[derive(Debug, Clone, Copy)]
 pub struct Scenario {
     /// Stable name, used in failure reports.
@@ -46,6 +47,9 @@ pub struct Scenario {
     /// Run continental as an autocommit-only service (the §3.3
     /// compensation path needs one).
     pub autocommit_continental: bool,
+    /// Run the script in §3.2.2 deferred-commit mode: vital subqueries stay
+    /// open across its statements and settle at its `COMMIT`.
+    pub deferred: bool,
 }
 
 /// Q1 — the §2 multiple retrieval (avis + national). Retrievals log
@@ -57,6 +61,7 @@ pub const Q1_RETRIEVAL: Scenario = Scenario {
         LET car.type.status BE cars.cartype.carst vehicle.vty.vstat
         SELECT %code, type, ~rate FROM car WHERE status = 'available'",
     autocommit_continental: false,
+    deferred: false,
 };
 
 /// Q2 — the §3.2 vital update: continental and united prepare (2PC),
@@ -68,6 +73,7 @@ pub const Q2_VITAL_UPDATE: Scenario = Scenario {
         SET rate% = rate% * 1.1
         WHERE sour% = 'Houston' AND dest% = 'San Antonio'",
     autocommit_continental: false,
+    deferred: false,
 };
 
 /// Q3 — the §3.3 compensation path: continental is autocommit-only, so its
@@ -84,6 +90,7 @@ pub const Q3_COMP_UPDATE: Scenario = Scenario {
         SET rate = rate / 1.1
         WHERE source = 'Houston' AND destination = 'San Antonio'",
     autocommit_continental: true,
+    deferred: false,
 };
 
 /// Q4 — the §3.4 travel-agent multitransaction with two acceptable states.
@@ -107,11 +114,66 @@ pub const Q4_TRAVEL_AGENT: Scenario = Scenario {
           delta AND avis
         END MULTITRANSACTION",
     autocommit_continental: false,
+    deferred: false,
+};
+
+/// §3.2.2 — a global transaction over two statements: continental and delta
+/// each hold one local transaction open across both updates; the `COMMIT` is
+/// the synchronization point whose votes, decision and second phase the WAL
+/// records (the statements before it log nothing: a coordinator that dies
+/// there leaves unprepared transactions, DESIGN §3b).
+pub const DEFERRED_COMMIT: Scenario = Scenario {
+    name: "deferred_commit",
+    msql: "USE continental VITAL delta VITAL;
+        UPDATE flight%
+        SET rate% = rate% * 1.1
+        WHERE sour% = 'Houston' AND dest% = 'San Antonio';
+        UPDATE flight%
+        SET rate% = rate% + 1
+        WHERE sour% = 'Houston' AND dest% = 'San Antonio';
+        COMMIT",
+    autocommit_continental: false,
+    deferred: true,
+};
+
+/// The same with continental autocommit-only: its two updates are durable
+/// before the synchronization point, which must undo both — newest first —
+/// whenever delta does not commit.
+pub const DEFERRED_COMP: Scenario = Scenario {
+    name: "deferred_comp",
+    msql: "USE continental VITAL delta VITAL;
+        UPDATE flight%
+        SET rate% = rate% * 2
+        WHERE sour% = 'Houston' AND dest% = 'San Antonio'
+        COMP continental
+        UPDATE flights
+        SET rate = rate / 2
+        WHERE source = 'Houston' AND destination = 'San Antonio';
+        UPDATE flight%
+        SET rate% = rate% + 1
+        WHERE sour% = 'Houston' AND dest% = 'San Antonio'
+        COMP continental
+        UPDATE flights
+        SET rate = rate - 1
+        WHERE source = 'Houston' AND destination = 'San Antonio';
+        COMMIT",
+    autocommit_continental: true,
+    deferred: true,
 };
 
 /// Every scenario the sweeps cover.
-pub const SCENARIOS: &[Scenario] =
-    &[Q1_RETRIEVAL, Q2_VITAL_UPDATE, Q3_COMP_UPDATE, Q4_TRAVEL_AGENT];
+pub const SCENARIOS: &[Scenario] = &[
+    Q1_RETRIEVAL,
+    Q2_VITAL_UPDATE,
+    Q3_COMP_UPDATE,
+    Q4_TRAVEL_AGENT,
+    DEFERRED_COMMIT,
+    DEFERRED_COMP,
+];
+
+/// The scenarios with a settle phase — the ones a crash can interrupt.
+pub const CRASHABLE: &[Scenario] =
+    &[Q2_VITAL_UPDATE, Q3_COMP_UPDATE, Q4_TRAVEL_AGENT, DEFERRED_COMMIT, DEFERRED_COMP];
 
 /// One fully-described simulation schedule. `Debug`-printing a config (as
 /// every failure message does) is enough to replay it exactly.
@@ -180,6 +242,7 @@ fn build_federation(scenario: &Scenario, cfg: &SimConfig) -> Federation {
     fed.parallel = false;
     fed.timeout = Duration::from_millis(150);
     fed.retry = RetryPolicy::retries(4);
+    fed.set_deferred_commit(scenario.deferred);
     for site in &cfg.drop_sites {
         fed.network().set_link_drop_probability("*", site, cfg.drop_p);
         fed.network().set_link_drop_probability(site, "*", cfg.drop_p);
@@ -208,7 +271,7 @@ pub fn run(scenario: &Scenario, cfg: &SimConfig) -> Result<SimOutcome, String> {
     if let Some(plan) = cfg.crash {
         wal.arm_crash(plan);
     }
-    let exec_error = fed.execute(scenario.msql).err().map(|e| e.to_string());
+    let exec_error = fed.execute_script(scenario.msql).err().map(|e| e.to_string());
     let crashed = wal.crashed();
     if cfg.crash.is_some() && cfg.drop_sites.is_empty() && !crashed {
         // A loss-free schedule must reach its crash point unless the point
@@ -298,7 +361,7 @@ pub fn crash_point_count(scenario: &Scenario) -> usize {
     let cfg = SimConfig::clean(0);
     let mut fed = build_federation(scenario, &cfg);
     let wal = fed.enable_wal();
-    fed.execute(scenario.msql).expect("crash-free fixture scenario executes");
+    fed.execute_script(scenario.msql).expect("crash-free fixture scenario executes");
     wal.record_count()
 }
 
@@ -403,7 +466,7 @@ mod tests {
 
     #[test]
     fn settle_bearing_scenarios_have_crash_points() {
-        for scenario in [&Q2_VITAL_UPDATE, &Q3_COMP_UPDATE, &Q4_TRAVEL_AGENT] {
+        for scenario in CRASHABLE {
             let n = crash_point_count(scenario);
             assert!(n >= 4, "[{}] expected a real crash-point space, got {n}", scenario.name);
         }

@@ -6,7 +6,10 @@
 //! `run(scenario, &SimConfig::crash_only(seed, CrashPlan { at, when }))`.
 
 use mdbs::{CrashPlan, CrashWhen};
-use sim::{crash_point_count, run, SimConfig, Q2_VITAL_UPDATE, Q3_COMP_UPDATE, Q4_TRAVEL_AGENT};
+use sim::{
+    crash_point_count, run, SimConfig, DEFERRED_COMMIT, DEFERRED_COMP, Q2_VITAL_UPDATE,
+    Q3_COMP_UPDATE, Q4_TRAVEL_AGENT,
+};
 
 const SWEEP_SEED: u64 = 7;
 
@@ -43,6 +46,16 @@ fn q3_comp_update_survives_every_crash_point() {
 #[test]
 fn q4_travel_agent_survives_every_crash_point() {
     sweep(&Q4_TRAVEL_AGENT);
+}
+
+#[test]
+fn a_deferred_synchronization_point_survives_every_crash_point() {
+    sweep(&DEFERRED_COMMIT);
+}
+
+#[test]
+fn a_deferred_synchronization_point_with_compensation_survives_every_crash_point() {
+    sweep(&DEFERRED_COMP);
 }
 
 /// Mid-resolve double crashes: the coordinator dies during execution, the

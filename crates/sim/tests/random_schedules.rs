@@ -7,20 +7,13 @@
 //! SIM_SEEDS=<seed>..<seed+1> cargo test -p sim --test random_schedules
 //! ```
 
-use sim::{
-    crash_point_count, repro_command, run, schedule_for_seed, seed_range, Q2_VITAL_UPDATE,
-    Q3_COMP_UPDATE, Q4_TRAVEL_AGENT,
-};
+use sim::{crash_point_count, repro_command, run, schedule_for_seed, seed_range, CRASHABLE};
 
 #[test]
 fn seeded_schedules_keep_the_federation_consistent() {
     // Fixed per-scenario crash-point counts make each schedule a pure
     // function of its seed (recounting per seed would be pointlessly slow).
-    let points = [
-        (Q2_VITAL_UPDATE, crash_point_count(&Q2_VITAL_UPDATE)),
-        (Q3_COMP_UPDATE, crash_point_count(&Q3_COMP_UPDATE)),
-        (Q4_TRAVEL_AGENT, crash_point_count(&Q4_TRAVEL_AGENT)),
-    ];
+    let points: Vec<_> = CRASHABLE.iter().map(|s| (*s, crash_point_count(s))).collect();
     let range = seed_range(0..200);
     let mut crashed = 0u32;
     let mut lossy = 0u32;

@@ -126,3 +126,44 @@ fn every_concurrent_schedule_is_equivalent_to_a_serial_order() {
         check_seed(seed);
     }
 }
+
+/// Two sessions run vital updates against *different* tables of one database:
+/// nothing either does can conflict with the other. Both plans used to name
+/// their prepared task `T1`, and the LAM keys open tasks by name alone, so one
+/// session's `COMMIT T1` committed the other's transaction and its own stayed
+/// prepared, lock and all, until the 2 s lock-wait backstop failed whoever
+/// came next — 38 of 40 statements, 384 s. A spawned session's tasks carry
+/// its id, and the LAM refuses an open name instead of replacing it.
+#[test]
+fn concurrent_vital_updates_on_different_tables_never_collide() {
+    const STATEMENTS: usize = 40;
+    let fed = mdbs::fixtures::paper_federation();
+    let started = std::time::Instant::now();
+    std::thread::scope(|s| {
+        for update in [
+            "USE continental VITAL UPDATE flights SET rate = rate + 1 WHERE flnu = 1",
+            "USE continental VITAL UPDATE f838 SET seatstatus = 'HELD' WHERE seatnu = 2",
+        ] {
+            let mut session = fed.session();
+            s.spawn(move || {
+                for i in 0..STATEMENTS {
+                    let report = session.execute(update).unwrap().into_update().unwrap();
+                    assert!(report.success, "statement {i} of `{update}`: {report:?}");
+                }
+            });
+        }
+    });
+    let took = started.elapsed();
+    assert!(took < std::time::Duration::from_secs(2), "no statement may wait out a lock: {took:?}");
+
+    let engine = fed.engine("svc_continental").unwrap();
+    let mut engine = engine.lock();
+    assert!(engine.prepared_txns().is_empty(), "{:?}", engine.prepared_txns());
+    assert_eq!(engine.held_locks(), 0);
+    let rate = engine.execute("continental", "SELECT rate FROM flights WHERE flnu = 1").unwrap();
+    assert_eq!(
+        rate.into_result_set().unwrap().rows[0][0],
+        Value::Float(100.0 + STATEMENTS as f64),
+        "every update committed exactly once"
+    );
+}

@@ -170,3 +170,138 @@ fn non_vital_statements_autocommit_even_in_deferred_mode() {
         Value::Float(96.0)
     );
 }
+
+#[test]
+fn a_spawned_session_that_ends_rolls_its_pending_work_back() {
+    // The federation (and so the LAMs) outlives the session: what its end
+    // restored, and released, can be read back.
+    let fed = paper_federation();
+    let mut session = fed.session();
+    session.set_deferred_commit(true);
+    session.execute("USE continental VITAL").unwrap();
+    session.execute("UPDATE flights SET rate = 1 WHERE flnu = 1").unwrap();
+    assert_eq!(session.pending_vital_subqueries(), 1);
+    drop(session);
+    assert_eq!(
+        rate(&fed, "svc_continental", "continental", "SELECT rate FROM flights WHERE flnu = 1"),
+        Value::Float(100.0)
+    );
+    assert_eq!(fed.engine("svc_continental").unwrap().lock().held_locks(), 0);
+}
+
+/// Two sessions each hold a transaction open on `continental` — on different
+/// tables, so neither waits for the other — and both commit. Every session
+/// numbers its members from `G1`, and the LAM keys open tasks by name alone:
+/// the second `BEGIN G1_continental` used to be refused as `already open`.
+#[test]
+fn two_deferred_sessions_on_one_database_both_commit() {
+    let fed = paper_federation();
+    let (mut a, mut b) = (fed.session(), fed.session());
+    for (session, update) in [
+        (&mut a, "UPDATE flights SET rate = rate + 1 WHERE flnu = 1"),
+        (&mut b, "UPDATE f838 SET seatstatus = 'HELD' WHERE seatnu = 2"),
+    ] {
+        session.set_deferred_commit(true);
+        session.execute("USE continental VITAL").unwrap();
+        let interim = session.execute(update).unwrap().into_update().unwrap();
+        assert!(interim.success, "{interim:?}");
+    }
+    for session in [&mut b, &mut a] {
+        let report = session.execute("COMMIT").unwrap().into_update().unwrap();
+        assert!(report.success, "{report:?}");
+        assert_eq!(report.outcomes[0].status, dol::TaskStatus::Committed);
+    }
+    let read = |sql| rate(&fed, "svc_continental", "continental", sql);
+    assert_eq!(read("SELECT rate FROM flights WHERE flnu = 1"), Value::Float(101.0));
+    assert_eq!(read("SELECT seatstatus FROM f838 WHERE seatnu = 2"), Value::Str("HELD".into()));
+    let engine = fed.engine("svc_continental").unwrap();
+    assert!(engine.lock().prepared_txns().is_empty());
+    assert_eq!(engine.lock().held_locks(), 0);
+}
+
+/// A synchronization point is two exchanges, whatever the number of members:
+/// the votes go out together, then the commits. One after the other they
+/// were six on three members.
+#[test]
+fn a_three_member_commit_takes_two_round_trips() {
+    use std::time::{Duration, Instant};
+    let one_way = Duration::from_millis(10);
+    let mut fed = paper_federation();
+    fed.set_deferred_commit(true);
+    fed.execute("USE continental VITAL delta VITAL united VITAL").unwrap();
+    fed.execute("UPDATE flight% SET rate% = rate% + 1 WHERE sour% = 'Houston'").unwrap();
+    assert_eq!(fed.pending_vital_subqueries(), 3);
+
+    fed.network().set_latency(netsim::LatencyModel::uniform(one_way));
+    let started = Instant::now();
+    let report = fed.execute("COMMIT").unwrap().into_update().unwrap();
+    let took = started.elapsed();
+    fed.network().set_latency(netsim::LatencyModel::instant());
+    assert!(report.success, "{report:?}");
+    assert!(took >= 4 * one_way, "votes, then commits: {took:?}");
+    assert!(took < 8 * one_way, "a 3-member COMMIT took {took:?}: ≥ 4 round trips of 20 ms");
+}
+
+/// A synchronization point is logged like every other vital set, so a
+/// coordinator that dies inside it is finished by `recover()`: here between
+/// the commit decision and the first `COMMIT` message.
+#[test]
+fn a_synchronization_point_is_logged_and_recovered() {
+    use mdbs::{CrashPlan, CrashWhen};
+    let kinds = |wal: &mdbs::Wal| -> Vec<&'static str> {
+        wal.records().unwrap().iter().map(|r| r.kind()).collect()
+    };
+    let mut fed = paper_federation();
+    let wal = fed.enable_wal();
+    fed.set_deferred_commit(true);
+    fed.execute("USE continental VITAL united VITAL").unwrap();
+    fed.execute("UPDATE flight% SET rate% = rate% * 2 WHERE sour% = 'Houston'").unwrap();
+    assert!(kinds(&wal).is_empty(), "statements before the synchronization point log nothing");
+    assert!(fed.execute("COMMIT").unwrap().into_update().unwrap().success);
+    assert_eq!(
+        kinds(&wal),
+        ["begin", "prepared", "prepared", "decision_commit", "resolved", "resolved", "end"]
+    );
+
+    // Again, dying right after the decision is on the log.
+    fed.execute("UPDATE flight% SET rate% = rate% + 5 WHERE sour% = 'Houston'").unwrap();
+    wal.arm_crash(CrashPlan { at: 7 + 3, when: CrashWhen::After });
+    assert!(fed.execute("COMMIT").is_err(), "the coordinator died");
+    assert!(wal.crashed());
+    let prepared = |fed: &Federation, service| fed.engine(service).unwrap().lock().prepared_txns();
+    assert_eq!(prepared(&fed, "svc_continental").len(), 1, "in doubt");
+    assert_eq!(prepared(&fed, "svc_united").len(), 1, "in doubt");
+
+    let recovery = fed.recover().unwrap();
+    assert_eq!(recovery.recovered.len(), 1);
+    assert_eq!(recovery.recovered[0].achieved_state, Some(0), "the logged decision stands");
+    assert!(recovery.recovered[0].is_consistent());
+    for service in ["svc_continental", "svc_united"] {
+        assert!(prepared(&fed, service).is_empty());
+        assert_eq!(fed.engine(service).unwrap().lock().held_locks(), 0);
+    }
+    assert_eq!(
+        rate(&fed, "svc_continental", "continental", "SELECT rate FROM flights WHERE flnu = 1"),
+        Value::Float(205.0)
+    );
+    assert_eq!(
+        rate(&fed, "svc_united", "united", "SELECT rates FROM flight WHERE fn = 20"),
+        Value::Float(225.0)
+    );
+}
+
+#[test]
+fn leaving_deferred_mode_with_nothing_pending_leaves_it() {
+    let mut fed = paper_federation();
+    fed.set_deferred_commit(true);
+    assert!(fed.set_deferred_commit(false).is_none());
+    // Immediate mode again: a vital update settles as it terminates.
+    fed.execute("USE continental VITAL").unwrap();
+    let report = fed
+        .execute("UPDATE flights SET rate = rate * 2 WHERE flnu = 1")
+        .unwrap()
+        .into_update()
+        .unwrap();
+    assert_eq!(report.outcomes[0].status, dol::TaskStatus::Committed);
+    assert_eq!(fed.pending_vital_subqueries(), 0);
+}
