@@ -37,6 +37,31 @@ for f in crates/ldbs/src/*.rs crates/ldbs/src/exec/*.rs; do
     fi
 done
 
+echo "== per-row kernels =="
+# The kernels a star statement spends its time in (DESIGN §3a.17), timed one
+# by one; the example asserts that every path it times returns what another
+# path returns. Their differential tests against the kernels they replaced ran
+# in the workspace pass. Two structural pins: the text decoder hands out field
+# slices (no `split_fields` building a `Vec<String>` outside wire.rs's tests),
+# and a key is hashed once — keyindex.rs seeds and hashes in one place, and
+# neither select.rs nor eval.rs hashes a value on its own.
+cargo run --release --quiet --example row_kernels
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/wire.rs | grep -nE 'fn split_fields.*Vec<String>'; then
+    echo "wire.rs splits a record into owned strings again" >&2
+    exit 1
+fi
+found=$(grep -c 'build_hasher()' crates/ldbs/src/keyindex.rs || true)
+if [ "$found" != 1 ]; then
+    echo "keyindex.rs hashes a key at $found sites, expected 1" >&2
+    exit 1
+fi
+for f in crates/ldbs/src/exec/select.rs crates/ldbs/src/eval.rs; do
+    if sed '/^mod tests {/,$d' "$f" | grep -nE 'RandomState|build_hasher|hash_canonical'; then
+        echo "$f hashes values outside KeyIndex" >&2
+        exit 1
+    fi
+done
+
 echo "== lock-manager stress matrix =="
 # The seeded lock/deadlock stress schedules under increasing thread counts:
 # invariants (no lost locks, no lost updates, every cycle that forms broken)

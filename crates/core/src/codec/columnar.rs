@@ -51,6 +51,23 @@ const MIXED_BOOL: u8 = 3;
 
 /// Encodes a result set into `buf`.
 pub fn write_result_set(buf: &mut Vec<u8>, rs: &ResultSet) {
+    write_header(buf, rs);
+    // One row-major pass over the heap rows: every column appends to a
+    // bitmap and a value buffer of its own, which are then concatenated.
+    let nrows = rs.rows.len();
+    let mut cols: Vec<ColumnWriter> = rs.columns.iter().map(|_| ColumnWriter::new(nrows)).collect();
+    for (i, row) in rs.rows.iter().enumerate() {
+        for (col, v) in cols.iter_mut().zip(&row[..rs.columns.len()]) {
+            col.push(i, v);
+        }
+    }
+    for (c, col) in cols.into_iter().enumerate() {
+        col.finish(buf, rs, c);
+    }
+}
+
+/// The column descriptions and the row count.
+fn write_header(buf: &mut Vec<u8>, rs: &ResultSet) {
     write_u64(buf, rs.columns.len() as u64);
     for col in &rs.columns {
         write_str(buf, &col.name);
@@ -66,9 +83,6 @@ pub fn write_result_set(buf: &mut Vec<u8>, rs: &ResultSet) {
         }
     }
     write_u64(buf, rs.rows.len() as u64);
-    for (c, _) in rs.columns.iter().enumerate() {
-        write_column(buf, rs, c);
-    }
 }
 
 /// Encodes a result set as a standalone byte vector.
@@ -78,120 +92,136 @@ pub fn encode_result_set(rs: &ResultSet) -> Vec<u8> {
     buf
 }
 
-fn write_column(buf: &mut Vec<u8>, rs: &ResultSet, c: usize) {
-    let column = || rs.rows.iter().map(|row| &row[c]);
-    // One pass decides the encoding — which kinds of value the column holds —
-    // and fills the NULL bitmap in place, behind the byte the encoding goes
-    // to once known. LSB-first; a set bit means the row has a value.
-    let encoding_at = buf.len();
-    buf.resize(encoding_at + 1 + rs.rows.len().div_ceil(8), 0);
-    let (mut ints, mut floats, mut bools, mut strs) = (false, false, false, false);
-    for (i, v) in column().enumerate() {
-        match v {
-            Value::Null => continue,
-            Value::Int(_) => ints = true,
-            Value::Float(_) => floats = true,
-            Value::Bool(_) => bools = true,
-            Value::Str(_) => strs = true,
-        }
-        buf[encoding_at + 1 + i / 8] |= 1 << (i % 8);
-    }
-    // A string column's dictionary is built once: to price it, and — if it
-    // wins — to be written.
-    let mut dict = None;
-    let encoding = match (ints, floats, bools, strs) {
-        (true, false, false, false) => COL_INTS,
-        (false, true, false, false) => COL_FLOATS,
-        (false, false, true, false) => COL_BOOLS,
-        (false, false, false, true) => {
-            let (entries, indexes, plain) = build_dict(column());
-            let dict_cost: usize = varint_len(entries.len() as u64)
-                + entries.iter().map(|s| varint_len(s.len() as u64) + s.len()).sum::<usize>()
-                + indexes.iter().map(|&ix| varint_len(ix as u64)).sum::<usize>();
-            if dict_cost < plain {
-                dict = Some((entries, indexes));
-                COL_DICT
-            } else {
-                COL_STRS
-            }
-        }
-        _ => COL_MIXED,
-    };
-    buf[encoding_at] = encoding;
-    match encoding {
-        COL_BOOLS => {
-            let present = column().filter(|v| !matches!(v, Value::Null));
-            let bits_at = buf.len();
-            for (i, v) in present.enumerate() {
-                if i % 8 == 0 {
-                    buf.push(0);
-                }
-                if matches!(v, Value::Bool(true)) {
-                    buf[bits_at + i / 8] |= 1 << (i % 8);
-                }
-            }
-        }
-        COL_DICT => {
-            let (entries, indexes) = dict.expect("built when the encoding was chosen");
-            write_u64(buf, entries.len() as u64);
-            for entry in entries {
-                write_str(buf, entry);
-            }
-            for ix in indexes {
-                write_u64(buf, ix as u64);
-            }
-        }
-        // Typed columns drop the per-value tag a mixed one carries.
-        _ => {
-            for v in column() {
-                match v {
-                    Value::Null => {}
-                    Value::Int(i) => {
-                        if encoding == COL_MIXED {
-                            buf.push(MIXED_INT);
-                        }
-                        write_i64(buf, *i);
-                    }
-                    Value::Float(f) => {
-                        if encoding == COL_MIXED {
-                            buf.push(MIXED_FLOAT);
-                        }
-                        write_f64(buf, *f);
-                    }
-                    Value::Str(s) => {
-                        if encoding == COL_MIXED {
-                            buf.push(MIXED_STR);
-                        }
-                        write_str(buf, s);
-                    }
-                    Value::Bool(b) => {
-                        buf.push(MIXED_BOOL);
-                        buf.push(u8::from(*b));
-                    }
-                }
-            }
-        }
-    }
+/// One column being written: its NULL bitmap and its values in the typed
+/// layout of the one kind of value met so far.
+struct ColumnWriter<'a> {
+    /// `None` until the first value; `COL_MIXED` from the second kind on.
+    encoding: Option<u8>,
+    /// LSB-first; a set bit means the row has a value.
+    bitmap: Vec<u8>,
+    values: Vec<u8>,
+    /// Values written, for bit-packing booleans.
+    count: usize,
+    /// A string column's dictionary, built beside the plain strings so it
+    /// can be priced — and, if it wins, written — without another pass:
+    /// distinct strings in first-appearance order, and every string's index.
+    seen: HashMap<&'a str, usize>,
+    entries: Vec<&'a str>,
+    indexes: Vec<u8>,
 }
 
-/// The distinct strings of a column in first-appearance order, each string's
-/// index among them, and what the strings cost written plainly.
-fn build_dict<'a>(column: impl Iterator<Item = &'a Value>) -> (Vec<&'a str>, Vec<usize>, usize) {
-    let mut dict: Vec<&str> = Vec::new();
-    let mut seen: HashMap<&str, usize> = HashMap::new();
-    let mut indexes = Vec::new();
-    let mut plain = 0;
-    for v in column {
-        if let Value::Str(s) = v {
-            let ix = *seen.entry(s.as_str()).or_insert_with(|| {
-                dict.push(s.as_str());
-                dict.len() - 1
-            });
-            indexes.push(ix);
-            plain += varint_len(s.len() as u64) + s.len();
+impl<'a> ColumnWriter<'a> {
+    fn new(nrows: usize) -> Self {
+        ColumnWriter {
+            encoding: None,
+            bitmap: vec![0; nrows.div_ceil(8)],
+            values: Vec::with_capacity(nrows),
+            count: 0,
+            seen: HashMap::new(),
+            entries: Vec::new(),
+            indexes: Vec::new(),
         }
     }
-    (dict, indexes, plain)
+
+    fn push(&mut self, i: usize, v: &'a Value) {
+        let kind = match v {
+            Value::Null => return,
+            Value::Int(_) => COL_INTS,
+            Value::Float(_) => COL_FLOATS,
+            Value::Bool(_) => COL_BOOLS,
+            Value::Str(_) => COL_STRS,
+        };
+        self.bitmap[i / 8] |= 1 << (i % 8);
+        if *self.encoding.get_or_insert(kind) != kind {
+            // A second kind of value makes the column mixed: its values are
+            // written from the rows at the end, each behind a tag.
+            self.encoding = Some(COL_MIXED);
+            return;
+        }
+        match v {
+            Value::Null => {}
+            Value::Int(x) => write_i64(&mut self.values, *x),
+            Value::Float(f) => write_f64(&mut self.values, *f),
+            Value::Bool(b) => {
+                if self.count.is_multiple_of(8) {
+                    self.values.push(0);
+                }
+                self.values[self.count / 8] |= u8::from(*b) << (self.count % 8);
+            }
+            Value::Str(s) => {
+                if self.count == 0 {
+                    // Sized once for the rows left (the bitmap's bits, to
+                    // the byte): a column of distinct strings never rehashes.
+                    self.seen.reserve(self.bitmap.len() * 8 - i);
+                }
+                write_str(&mut self.values, s);
+                let ix = *self.seen.entry(s).or_insert(self.entries.len());
+                if ix == self.entries.len() {
+                    self.entries.push(s);
+                }
+                write_u64(&mut self.indexes, ix as u64);
+            }
+        }
+        self.count += 1;
+    }
+
+    fn finish(self, buf: &mut Vec<u8>, rs: &ResultSet, c: usize) {
+        let encoding = match self.encoding {
+            // The dictionary is chosen only when it is the smaller.
+            Some(COL_STRS) => {
+                let dict_cost = varint_len(self.entries.len() as u64)
+                    + self
+                        .entries
+                        .iter()
+                        .map(|s| varint_len(s.len() as u64) + s.len())
+                        .sum::<usize>()
+                    + self.indexes.len();
+                if dict_cost < self.values.len() {
+                    COL_DICT
+                } else {
+                    COL_STRS
+                }
+            }
+            Some(encoding) => encoding,
+            None => COL_MIXED,
+        };
+        buf.push(encoding);
+        buf.extend_from_slice(&self.bitmap);
+        match encoding {
+            COL_DICT => {
+                write_u64(buf, self.entries.len() as u64);
+                for entry in self.entries {
+                    write_str(buf, entry);
+                }
+                buf.extend_from_slice(&self.indexes);
+            }
+            COL_MIXED => {
+                for row in &rs.rows {
+                    match &row[c] {
+                        Value::Null => {}
+                        Value::Int(i) => {
+                            buf.push(MIXED_INT);
+                            write_i64(buf, *i);
+                        }
+                        Value::Float(f) => {
+                            buf.push(MIXED_FLOAT);
+                            write_f64(buf, *f);
+                        }
+                        Value::Str(s) => {
+                            buf.push(MIXED_STR);
+                            write_str(buf, s);
+                        }
+                        Value::Bool(b) => {
+                            buf.push(MIXED_BOOL);
+                            buf.push(u8::from(*b));
+                        }
+                    }
+                }
+            }
+            // Typed columns drop the per-value tag a mixed one carries.
+            _ => buf.extend_from_slice(&self.values),
+        }
+    }
 }
 
 fn varint_len(v: u64) -> usize {
@@ -200,6 +230,24 @@ fn varint_len(v: u64) -> usize {
 
 /// Decodes a result set from the reader's current position.
 pub fn read_result_set(r: &mut Reader) -> Result<ResultSet, MdbsError> {
+    let (columns, nrows) = read_header(r)?;
+    let ncols = columns.len();
+    // The rows are allocated once and every column decodes straight into
+    // them. Whole rows are reserved only if the bytes left could hold a
+    // bitmap per column, so a corrupt header cannot ask for more memory than
+    // its frame is long.
+    let width =
+        if ncols.saturating_mul(1 + nrows.div_ceil(8)) <= r.remaining() { ncols } else { 0 };
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    rows.resize_with(nrows, || Vec::with_capacity(width));
+    for _ in 0..ncols {
+        read_column(r, &mut rows)?;
+    }
+    Ok(ResultSet { columns, rows })
+}
+
+/// The column descriptions and the row count.
+fn read_header(r: &mut Reader) -> Result<(Vec<ColumnMeta>, usize), MdbsError> {
     let ncols = r.u64()? as usize;
     if ncols > 1 << 16 {
         return Err(MdbsError::Wire(format!("implausible column count {ncols}")));
@@ -230,19 +278,7 @@ pub fn read_result_set(r: &mut Reader) -> Result<ResultSet, MdbsError> {
     if nrows > r.remaining().saturating_mul(8).saturating_add(65536) {
         return Err(MdbsError::Wire(format!("implausible row count {nrows}")));
     }
-    let mut cols_data: Vec<Vec<Value>> = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        cols_data.push(read_column(r, nrows)?);
-    }
-    let mut rows = Vec::with_capacity(nrows);
-    for i in 0..nrows {
-        let mut row = Vec::with_capacity(ncols);
-        for col in cols_data.iter_mut() {
-            row.push(std::mem::replace(&mut col[i], Value::Null));
-        }
-        rows.push(row);
-    }
-    Ok(ResultSet { columns, rows })
+    Ok((columns, nrows))
 }
 
 /// Decodes a standalone columnar buffer, requiring exact consumption.
@@ -253,34 +289,25 @@ pub fn decode_result_set(bytes: &[u8]) -> Result<ResultSet, MdbsError> {
     Ok(rs)
 }
 
-fn read_column(r: &mut Reader, nrows: usize) -> Result<Vec<Value>, MdbsError> {
+/// Appends one column's values to `rows`, NULL where the bitmap has no bit.
+fn read_column(r: &mut Reader, rows: &mut [Vec<Value>]) -> Result<(), MdbsError> {
+    let nrows = rows.len();
     let encoding = r.u8()?;
     let bitmap = r.bytes(nrows.div_ceil(8))?;
     let present = |i: usize| -> bool { bitmap[i / 8] & (1 << (i % 8)) != 0 };
     let nonnull = (0..nrows).filter(|&i| present(i)).count();
-    let mut values: Vec<Value> = Vec::with_capacity(nonnull);
     match encoding {
-        COL_INTS => {
-            for _ in 0..nonnull {
-                values.push(Value::Int(r.i64()?));
-            }
-        }
-        COL_FLOATS => {
-            for _ in 0..nonnull {
-                values.push(Value::Float(r.f64()?));
-            }
-        }
+        COL_INTS => fill_column(rows, bitmap, || Ok(Value::Int(r.i64()?))),
+        COL_FLOATS => fill_column(rows, bitmap, || Ok(Value::Float(r.f64()?))),
         COL_BOOLS => {
             let bits = r.bytes(nonnull.div_ceil(8))?;
-            for i in 0..nonnull {
-                values.push(Value::Bool(bits[i / 8] & (1 << (i % 8)) != 0));
-            }
+            let mut n = 0;
+            fill_column(rows, bitmap, || {
+                n += 1;
+                Ok(Value::Bool(bits[(n - 1) / 8] & (1 << ((n - 1) % 8)) != 0))
+            })
         }
-        COL_STRS => {
-            for _ in 0..nonnull {
-                values.push(Value::Str(r.string()?));
-            }
-        }
+        COL_STRS => fill_column(rows, bitmap, || Ok(Value::Str(r.string()?))),
         COL_DICT => {
             let dict_len = r.u64()? as usize;
             if dict_len > nonnull {
@@ -292,48 +319,48 @@ fn read_column(r: &mut Reader, nrows: usize) -> Result<Vec<Value>, MdbsError> {
             for _ in 0..dict_len {
                 dict.push(r.string()?);
             }
-            for _ in 0..nonnull {
+            fill_column(rows, bitmap, || {
                 let ix = r.u64()? as usize;
-                let entry = dict.get(ix).ok_or_else(|| {
+                dict.get(ix).cloned().map(Value::Str).ok_or_else(|| {
                     MdbsError::Wire(format!("dictionary index {ix} out of range {dict_len}"))
-                })?;
-                values.push(Value::Str(entry.clone()));
-            }
+                })
+            })
         }
-        COL_MIXED => {
-            for _ in 0..nonnull {
-                let v = match r.u8()? {
-                    MIXED_INT => Value::Int(r.i64()?),
-                    MIXED_FLOAT => Value::Float(r.f64()?),
-                    MIXED_STR => Value::Str(r.string()?),
-                    MIXED_BOOL => match r.u8()? {
-                        0 => Value::Bool(false),
-                        1 => Value::Bool(true),
-                        other => {
-                            return Err(MdbsError::Wire(format!("bad bool byte {other}")));
-                        }
-                    },
+        COL_MIXED => fill_column(rows, bitmap, || {
+            Ok(match r.u8()? {
+                MIXED_INT => Value::Int(r.i64()?),
+                MIXED_FLOAT => Value::Float(r.f64()?),
+                MIXED_STR => Value::Str(r.string()?),
+                MIXED_BOOL => match r.u8()? {
+                    0 => Value::Bool(false),
+                    1 => Value::Bool(true),
                     other => {
-                        return Err(MdbsError::Wire(format!(
-                            "unknown value tag {other} at byte {}",
-                            r.pos()
-                        )));
+                        return Err(MdbsError::Wire(format!("bad bool byte {other}")));
                     }
-                };
-                values.push(v);
-            }
-        }
-        other => {
-            return Err(MdbsError::Wire(format!("unknown column encoding {other}")));
-        }
+                },
+                other => {
+                    return Err(MdbsError::Wire(format!(
+                        "unknown value tag {other} at byte {}",
+                        r.pos()
+                    )));
+                }
+            })
+        }),
+        other => Err(MdbsError::Wire(format!("unknown column encoding {other}"))),
     }
-    // Interleave NULLs back into row order.
-    let mut out = Vec::with_capacity(nrows);
-    let mut next = values.into_iter();
-    for i in 0..nrows {
-        out.push(if present(i) { next.next().expect("counted above") } else { Value::Null });
+}
+
+/// Gives every row its value of one column: the next one `next` decodes
+/// where `bitmap` has the row's bit, NULL elsewhere.
+fn fill_column(
+    rows: &mut [Vec<Value>],
+    bitmap: &[u8],
+    mut next: impl FnMut() -> Result<Value, MdbsError>,
+) -> Result<(), MdbsError> {
+    for (i, row) in rows.iter_mut().enumerate() {
+        row.push(if bitmap[i / 8] & (1 << (i % 8)) != 0 { next()? } else { Value::Null });
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -483,46 +510,183 @@ mod tests {
         (dict, indexes)
     }
 
+    // The writer's predecessor: a whole result set, one column at a time.
+    fn write_result_set_reference(buf: &mut Vec<u8>, rs: &ResultSet) {
+        write_header(buf, rs);
+        for c in 0..rs.columns.len() {
+            write_column_reference(buf, rs, c);
+        }
+    }
+
+    // The reader's predecessor: per column a vector of the values present, a
+    // second one with the NULLs interleaved, then a pivot into rows.
+    fn read_result_set_reference(r: &mut Reader) -> Result<ResultSet, MdbsError> {
+        let (columns, nrows) = read_header(r)?;
+        let mut cols_data: Vec<Vec<Value>> = Vec::with_capacity(columns.len());
+        for _ in 0..columns.len() {
+            cols_data.push(read_column_reference(r, nrows)?);
+        }
+        let mut rows = Vec::with_capacity(nrows);
+        for i in 0..nrows {
+            let mut row = Vec::with_capacity(columns.len());
+            for col in cols_data.iter_mut() {
+                row.push(std::mem::replace(&mut col[i], Value::Null));
+            }
+            rows.push(row);
+        }
+        Ok(ResultSet { columns, rows })
+    }
+
+    fn read_column_reference(r: &mut Reader, nrows: usize) -> Result<Vec<Value>, MdbsError> {
+        let encoding = r.u8()?;
+        let bitmap = r.bytes(nrows.div_ceil(8))?;
+        let present = |i: usize| -> bool { bitmap[i / 8] & (1 << (i % 8)) != 0 };
+        let nonnull = (0..nrows).filter(|&i| present(i)).count();
+        let mut values: Vec<Value> = Vec::with_capacity(nonnull);
+        match encoding {
+            COL_INTS => {
+                for _ in 0..nonnull {
+                    values.push(Value::Int(r.i64()?));
+                }
+            }
+            COL_FLOATS => {
+                for _ in 0..nonnull {
+                    values.push(Value::Float(r.f64()?));
+                }
+            }
+            COL_BOOLS => {
+                let bits = r.bytes(nonnull.div_ceil(8))?;
+                for i in 0..nonnull {
+                    values.push(Value::Bool(bits[i / 8] & (1 << (i % 8)) != 0));
+                }
+            }
+            COL_STRS => {
+                for _ in 0..nonnull {
+                    values.push(Value::Str(r.string()?));
+                }
+            }
+            COL_DICT => {
+                let dict_len = r.u64()? as usize;
+                if dict_len > nonnull {
+                    return Err(MdbsError::Wire(format!(
+                        "dictionary larger than column ({dict_len} > {nonnull})"
+                    )));
+                }
+                let mut dict = Vec::with_capacity(dict_len);
+                for _ in 0..dict_len {
+                    dict.push(r.string()?);
+                }
+                for _ in 0..nonnull {
+                    let ix = r.u64()? as usize;
+                    let entry = dict.get(ix).ok_or_else(|| {
+                        MdbsError::Wire(format!("dictionary index {ix} out of range {dict_len}"))
+                    })?;
+                    values.push(Value::Str(entry.clone()));
+                }
+            }
+            COL_MIXED => {
+                for _ in 0..nonnull {
+                    let v = match r.u8()? {
+                        MIXED_INT => Value::Int(r.i64()?),
+                        MIXED_FLOAT => Value::Float(r.f64()?),
+                        MIXED_STR => Value::Str(r.string()?),
+                        MIXED_BOOL => match r.u8()? {
+                            0 => Value::Bool(false),
+                            1 => Value::Bool(true),
+                            other => {
+                                return Err(MdbsError::Wire(format!("bad bool byte {other}")));
+                            }
+                        },
+                        other => {
+                            return Err(MdbsError::Wire(format!(
+                                "unknown value tag {other} at byte {}",
+                                r.pos()
+                            )));
+                        }
+                    };
+                    values.push(v);
+                }
+            }
+            other => {
+                return Err(MdbsError::Wire(format!("unknown column encoding {other}")));
+            }
+        }
+        // Interleave NULLs back into row order.
+        let mut out = Vec::with_capacity(nrows);
+        let mut next = values.into_iter();
+        for i in 0..nrows {
+            out.push(if present(i) { next.next().expect("counted above") } else { Value::Null });
+        }
+        Ok(out)
+    }
+
     #[test]
-    fn columns_are_written_byte_for_byte_as_the_reference_writes_them() {
+    fn result_sets_are_written_and_read_as_the_references_do() {
         let mut state = 0x9E37_79B9u64;
         let mut below = |n: u64| {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (state >> 33) % n
         };
-        // One column per encoding the writer can choose, with and without
-        // NULLs, over row counts around the bitmap's byte boundaries.
+        // Every encoding the writer can choose, with and without NULLs, over
+        // row counts around the bitmap's byte boundaries, side by side in one
+        // result set; kind 7 starts typed and turns mixed half-way.
         for case in 0..200 {
             let nrows = [0, 1, 7, 8, 9, 16, 17, 60][case % 8];
-            let nulls = case % 3 == 0;
-            let kind = (case / 8) % 7;
+            let kinds: Vec<(u64, bool)> =
+                (0..below(6)).map(|_| (below(8), below(3) == 0)).collect();
             let rows: Vec<Vec<Value>> = (0..nrows)
-                .map(|_| {
-                    if nulls && below(3) == 0 {
-                        return vec![Value::Null];
-                    }
-                    vec![match kind {
-                        0 => Value::Int(below(1 << 40) as i64 - (1 << 39)),
-                        1 => Value::Float(below(1000) as f64 / 8.0 - 60.0),
-                        2 => Value::Bool(below(2) == 0),
-                        3 => Value::Str(format!("unique-{}", below(1 << 30))),
-                        4 => Value::Str(["available", "rented", ""][below(3) as usize].into()),
-                        5 => Value::Null,
-                        _ => match below(4) {
-                            0 => Value::Int(below(9) as i64),
-                            1 => Value::Float(0.5),
-                            2 => Value::Bool(true),
-                            _ => Value::Str("s".into()),
-                        },
-                    }]
+                .map(|i| {
+                    kinds
+                        .iter()
+                        .map(|&(kind, nulls)| {
+                            if nulls && below(3) == 0 {
+                                return Value::Null;
+                            }
+                            match kind {
+                                0 => Value::Int(below(1 << 40) as i64 - (1 << 39)),
+                                1 => Value::Float(below(1000) as f64 / 8.0 - 60.0),
+                                2 => Value::Bool(below(2) == 0),
+                                3 => Value::Str(format!("unique-{}", below(1 << 30))),
+                                4 => Value::Str(
+                                    ["available", "rented", ""][below(3) as usize].into(),
+                                ),
+                                5 => Value::Null,
+                                7 if i < nrows / 2 => Value::Str("early".into()),
+                                _ => match below(4) {
+                                    0 => Value::Int(below(9) as i64),
+                                    1 => Value::Float(0.5),
+                                    2 => Value::Bool(true),
+                                    _ => Value::Str("s".into()),
+                                },
+                            }
+                        })
+                        .collect()
                 })
                 .collect();
-            let rs = ResultSet { columns: cols(&[("c", DataType::Char(16))]), rows };
+            let names: Vec<String> = (0..kinds.len()).map(|c| format!("c{c}")).collect();
+            let specs: Vec<(&str, DataType)> =
+                names.iter().map(|n| (n.as_str(), DataType::Char(16))).collect();
+            let rs = ResultSet { columns: cols(&specs), rows };
             let (mut got, mut want) = (Vec::new(), Vec::new());
-            write_column(&mut got, &rs, 0);
-            write_column_reference(&mut want, &rs, 0);
+            write_result_set(&mut got, &rs);
+            write_result_set_reference(&mut want, &rs);
             assert_eq!(got, want, "case {case}: {rs:?}");
             roundtrip(&rs);
+            // Damaged buffers: the same rows or the same error.
+            for _ in 0..20 {
+                let mut bad = got.clone();
+                match below(3) {
+                    0 => bad.truncate(below(bad.len() as u64 + 1) as usize),
+                    1 if !bad.is_empty() => {
+                        let at = below(bad.len() as u64) as usize;
+                        bad[at] ^= 1 << below(8);
+                    }
+                    _ => bad.insert(below(bad.len() as u64 + 1) as usize, below(256) as u8),
+                }
+                let got = read_result_set(&mut Reader::new(&bad));
+                let want = read_result_set_reference(&mut Reader::new(&bad));
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "case {case}: {bad:?}");
+            }
         }
     }
 

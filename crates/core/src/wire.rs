@@ -44,13 +44,17 @@ fn escape_into(out: &mut String, s: &str) {
 /// Reverses [`escape`]. Errors carry the byte offset of the offending
 /// backslash so a corrupt field inside a large payload can be located.
 pub fn unescape(s: &str) -> Result<String, MdbsError> {
+    // Most fields hold no escape at all: one copy, no per-char pushes.
+    let Some(first) = s.bytes().position(|b| b == b'\\') else { return Ok(s.to_owned()) };
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.char_indices();
+    out.push_str(&s[..first]);
+    let mut chars = s[first..].char_indices();
     while let Some((pos, c)) = chars.next() {
         if c != '\\' {
             out.push(c);
             continue;
         }
+        let pos = first + pos;
         match chars.next() {
             Some((_, '\\')) => out.push('\\'),
             Some((_, 'p')) => out.push('|'),
@@ -95,28 +99,28 @@ fn write_value(out: &mut String, v: &Value) {
     }
 }
 
-/// Decodes one value.
+/// Decodes one value, reading numbers and booleans straight from the slice.
 pub fn decode_value(s: &str) -> Result<Value, MdbsError> {
-    if s == "N" {
-        return Ok(Value::Null);
-    }
-    let (tag, rest) =
-        s.split_once(':').ok_or_else(|| MdbsError::Wire(format!("bad value encoding `{s}`")))?;
-    match tag {
-        "I" => {
+    let rest = s.get(2..).unwrap_or("");
+    match s.as_bytes() {
+        [b'N'] => Ok(Value::Null),
+        [b'I', b':', ..] => {
             rest.parse().map(Value::Int).map_err(|_| MdbsError::Wire(format!("bad int `{rest}`")))
         }
-        "F" => rest
+        [b'F', b':', ..] => rest
             .parse()
             .map(Value::Float)
             .map_err(|_| MdbsError::Wire(format!("bad float `{rest}`"))),
-        "S" => Ok(Value::Str(unescape(rest)?)),
-        "B" => match rest {
+        [b'S', b':', ..] => Ok(Value::Str(unescape(rest)?)),
+        [b'B', b':', ..] => match rest {
             "0" => Ok(Value::Bool(false)),
             "1" => Ok(Value::Bool(true)),
             _ => Err(MdbsError::Wire(format!("bad bool `{rest}`"))),
         },
-        _ => Err(MdbsError::Wire(format!("unknown value tag `{tag}`"))),
+        _ => Err(MdbsError::Wire(match s.split_once(':') {
+            Some((tag, _)) => format!("unknown value tag `{tag}`"),
+            None => format!("bad value encoding `{s}`"),
+        })),
     }
 }
 
@@ -191,29 +195,29 @@ pub fn write_result_set(out: &mut String, rs: &ResultSet) {
     }
 }
 
-/// Splits an encoded record on unescaped `|`.
-fn split_fields(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut current = String::new();
-    let mut escaped = false;
-    for c in line.chars() {
-        if escaped {
-            current.push('\\');
-            current.push(c);
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '|' {
-            fields.push(std::mem::take(&mut current));
-        } else {
-            current.push(c);
+/// The fields of an encoded record: the slices of `line` between unescaped
+/// `|`, escapes left as written. An empty line is one empty field.
+fn split_fields(line: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(line);
+    std::iter::from_fn(move || {
+        let line = rest?;
+        let bytes = line.as_bytes();
+        // `\` and `|` are ASCII, so a byte scan never splits a character;
+        // the byte after a backslash belongs to it whatever it is.
+        let mut i = 0;
+        while i < bytes.len() {
+            match bytes[i] {
+                b'\\' => i += 2,
+                b'|' => {
+                    rest = Some(&line[i + 1..]);
+                    return Some(&line[..i]);
+                }
+                _ => i += 1,
+            }
         }
-    }
-    if escaped {
-        current.push('\\');
-    }
-    fields.push(current);
-    fields
+        rest = None;
+        Some(line)
+    })
 }
 
 /// Deserializes a result set.
@@ -242,10 +246,10 @@ pub fn decode_result_set(text: &str) -> Result<ResultSet, MdbsError> {
             .strip_prefix("R ")
             .or_else(|| (line == "R").then_some(""))
             .ok_or_else(|| MdbsError::Wire(format!("bad row line `{line}`")))?;
-        let mut row = Vec::new();
+        let mut row = Vec::with_capacity(columns.len());
         if !row_text.is_empty() {
             for field in split_fields(row_text) {
-                row.push(decode_value(&field)?);
+                row.push(decode_value(field)?);
             }
         }
         if row.len() != columns.len() {
@@ -418,7 +422,7 @@ pub fn decode_stats(text: &str) -> Result<Vec<SiteTableStats>, MdbsError> {
             let current = out
                 .last_mut()
                 .ok_or_else(|| MdbsError::Wire("stats COL line before any TABLE".into()))?;
-            let fields = split_fields(rest);
+            let fields: Vec<&str> = split_fields(rest).collect();
             if fields.len() < 5 {
                 return Err(MdbsError::Wire(format!("bad stats column line `{line}`")));
             }
@@ -427,11 +431,11 @@ pub fn decode_stats(text: &str) -> Result<Vec<SiteTableStats>, MdbsError> {
                 histogram.push(decode_value(f)?);
             }
             current.stats.columns.push(ColumnStats {
-                name: unescape(&fields[0])?,
-                ndv: parse_u64(&fields[1], "ndv")?,
-                null_count: parse_u64(&fields[2], "null count")?,
-                min: opt_value(&fields[3])?,
-                max: opt_value(&fields[4])?,
+                name: unescape(fields[0])?,
+                ndv: parse_u64(fields[1], "ndv")?,
+                null_count: parse_u64(fields[2], "null count")?,
+                min: opt_value(fields[3])?,
+                max: opt_value(fields[4])?,
                 histogram,
             });
         } else {
@@ -444,6 +448,233 @@ pub fn decode_stats(text: &str) -> Result<Vec<SiteTableStats>, MdbsError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The text decoder as first written — every field pushed char by char
+    // into a fresh `String`, then unescaped into a second one — kept as the
+    // definition of what a text decodes to and of every error string.
+    fn unescape_reference(s: &str) -> Result<String, MdbsError> {
+        let mut out = String::with_capacity(s.len());
+        let mut chars = s.char_indices();
+        while let Some((pos, c)) = chars.next() {
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            match chars.next() {
+                Some((_, '\\')) => out.push('\\'),
+                Some((_, 'p')) => out.push('|'),
+                Some((_, 'n')) => out.push('\n'),
+                Some((_, 'r')) => out.push('\r'),
+                Some((_, other)) => {
+                    return Err(MdbsError::Wire(format!(
+                        "bad escape sequence `\\{other}` at byte {pos}"
+                    )));
+                }
+                None => {
+                    return Err(MdbsError::Wire(format!("trailing backslash at byte {pos}")));
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    fn decode_value_reference(s: &str) -> Result<Value, MdbsError> {
+        if s == "N" {
+            return Ok(Value::Null);
+        }
+        let (tag, rest) = s
+            .split_once(':')
+            .ok_or_else(|| MdbsError::Wire(format!("bad value encoding `{s}`")))?;
+        match tag {
+            "I" => rest
+                .parse()
+                .map(Value::Int)
+                .map_err(|_| MdbsError::Wire(format!("bad int `{rest}`"))),
+            "F" => rest
+                .parse()
+                .map(Value::Float)
+                .map_err(|_| MdbsError::Wire(format!("bad float `{rest}`"))),
+            "S" => Ok(Value::Str(unescape_reference(rest)?)),
+            "B" => match rest {
+                "0" => Ok(Value::Bool(false)),
+                "1" => Ok(Value::Bool(true)),
+                _ => Err(MdbsError::Wire(format!("bad bool `{rest}`"))),
+            },
+            _ => Err(MdbsError::Wire(format!("unknown value tag `{tag}`"))),
+        }
+    }
+
+    fn split_fields_reference(line: &str) -> Vec<String> {
+        let mut fields = Vec::new();
+        let mut current = String::new();
+        let mut escaped = false;
+        for c in line.chars() {
+            if escaped {
+                current.push('\\');
+                current.push(c);
+                escaped = false;
+            } else if c == '\\' {
+                escaped = true;
+            } else if c == '|' {
+                fields.push(std::mem::take(&mut current));
+            } else {
+                current.push(c);
+            }
+        }
+        if escaped {
+            current.push('\\');
+        }
+        fields.push(current);
+        fields
+    }
+
+    fn decode_result_set_reference(text: &str) -> Result<ResultSet, MdbsError> {
+        let mut lines = text.lines();
+        let header =
+            lines.next().ok_or_else(|| MdbsError::Wire("empty result set payload".into()))?;
+        let cols_text = header
+            .strip_prefix("COLS ")
+            .or_else(|| (header == "COLS").then_some(""))
+            .ok_or_else(|| MdbsError::Wire(format!("bad result header `{header}`")))?;
+        let mut columns = Vec::new();
+        if !cols_text.is_empty() {
+            for field in split_fields_reference(cols_text) {
+                let (name, ty) = field
+                    .rsplit_once(':')
+                    .ok_or_else(|| MdbsError::Wire(format!("bad column `{field}`")))?;
+                columns.push(ColumnMeta {
+                    name: unescape_reference(name)?,
+                    data_type: decode_type(ty)?,
+                });
+            }
+        }
+        let mut rows = Vec::new();
+        for line in lines {
+            if line.is_empty() {
+                continue;
+            }
+            let row_text = line
+                .strip_prefix("R ")
+                .or_else(|| (line == "R").then_some(""))
+                .ok_or_else(|| MdbsError::Wire(format!("bad row line `{line}`")))?;
+            let mut row = Vec::new();
+            if !row_text.is_empty() {
+                for field in split_fields_reference(row_text) {
+                    row.push(decode_value_reference(&field)?);
+                }
+            }
+            if row.len() != columns.len() {
+                return Err(MdbsError::Wire(format!(
+                    "row has {} values for {} columns",
+                    row.len(),
+                    columns.len()
+                )));
+            }
+            rows.push(row);
+        }
+        Ok(ResultSet { columns, rows })
+    }
+
+    /// `Debug` of either outcome: NaN decodes to NaN, which `==` rejects.
+    fn outcome(r: Result<ResultSet, MdbsError>) -> String {
+        format!("{r:?}")
+    }
+
+    #[test]
+    fn result_sets_decode_as_the_reference_decodes_them() {
+        let mut state = 0x5DEE_CE66Du64;
+        let mut below = |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let pieces = ["", "a", "|", "\\", "\n", "\r", "é", "p", "n", ":", "N", "I:", " ", "日本"];
+        for case in 0..600 {
+            let ncols = below(5) as usize;
+            let columns: Vec<ColumnMeta> = (0..ncols)
+                .map(|c| ColumnMeta {
+                    name: format!("c{c}{}", pieces[below(pieces.len() as u64) as usize]),
+                    data_type: [DataType::Int, DataType::Float, DataType::Char(8), DataType::Bool]
+                        [below(4) as usize],
+                })
+                .collect();
+            let rows: Vec<Vec<Value>> = (0..below(6))
+                .map(|_| {
+                    (0..ncols)
+                        .map(|_| match below(6) {
+                            0 => Value::Null,
+                            1 => Value::Int(below(1 << 50) as i64 - (1 << 49)),
+                            2 => Value::Float(
+                                [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.1, 1e300]
+                                    [below(6) as usize],
+                            ),
+                            3 => Value::Bool(below(2) == 0),
+                            _ => Value::Str(
+                                (0..below(4))
+                                    .map(|_| pieces[below(pieces.len() as u64) as usize])
+                                    .collect(),
+                            ),
+                        })
+                        .collect()
+                })
+                .collect();
+            let text = encode_result_set(&ResultSet { columns, rows });
+            let got = decode_result_set(&text);
+            assert!(got.is_ok(), "case {case}: {text:?}");
+            assert_eq!(outcome(got), outcome(decode_result_set_reference(&text)), "case {case}");
+            // Corrupt it: cut it short, break an escape, drop or add a field,
+            // garble a tag, a number or a line prefix, end lines in CR LF.
+            for _ in 0..8 {
+                let mut bad = text.clone();
+                let at = |n: u64, s: &str| {
+                    let mut i = (n as usize) % (s.len() + 1);
+                    while !s.is_char_boundary(i) {
+                        i -= 1;
+                    }
+                    i
+                };
+                match below(7) {
+                    0 => bad.truncate(at(below(1 << 20), &bad)),
+                    1 => bad.insert_str(
+                        at(below(1 << 20), &bad),
+                        ["\\x", "\\", "\\|"][below(3) as usize],
+                    ),
+                    2 => bad.insert(at(below(1 << 20), &bad), '|'),
+                    3 => bad = bad.replacen('|', "", 1),
+                    4 => bad.insert_str(
+                        at(below(1 << 20), &bad),
+                        ["Q:1", ":", "I:x", "F:", "B:2", "é"][below(6) as usize],
+                    ),
+                    5 => bad = bad.replace('\n', "\r\n"),
+                    _ => bad = bad.replacen("R ", ["R", "X ", ""][below(3) as usize], 1),
+                }
+                assert_eq!(
+                    outcome(decode_result_set(&bad)),
+                    outcome(decode_result_set_reference(&bad)),
+                    "case {case}: {bad:?}"
+                );
+            }
+        }
+        // Single values and bare escapes, where the error offsets live.
+        for s in [
+            "", "N", "NN", ":", "::x", "I", "I:", "I:+7", "F:nan", "F:-0", "S:", "S:a\\", "S:é\\q",
+            "é:1", "B:", "IS:1",
+        ] {
+            assert_eq!(
+                format!("{:?}", decode_value(s)),
+                format!("{:?}", decode_value_reference(s)),
+                "{s:?}"
+            );
+        }
+        for s in ["", "plain", "\\", "a\\", "é\\q", "\\p\\n\\r\\\\", "x\\p\\", "日\\本"] {
+            assert_eq!(
+                format!("{:?}", unescape(s)),
+                format!("{:?}", unescape_reference(s)),
+                "{s:?}"
+            );
+            let fields: Vec<&str> = split_fields(s).collect();
+            assert_eq!(fields, split_fields_reference(s), "{s:?}");
+        }
+    }
 
     #[test]
     fn value_roundtrip() {

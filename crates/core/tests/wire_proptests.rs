@@ -140,3 +140,42 @@ proptest! {
         prop_assert_eq!(Response::decode(&enc).unwrap(), resp);
     }
 }
+
+#[test]
+fn a_result_set_decodes_in_under_three_encodes() {
+    // Every partial, COMBINE part and reply is decoded once per crossing: a
+    // decoder that builds two strings per field costs four to five encodes.
+    let mut state = 0x2545_F491u64;
+    let mut next = || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let rows: Vec<Vec<Value>> = (0..20_000)
+        .map(|i| {
+            let s: String = (0..16).map(|_| (b'a' + (next() % 26) as u8) as char).collect();
+            vec![Value::Int(i % 500), Value::Int(i % 10), Value::Int(next() as i64), Value::Str(s)]
+        })
+        .collect();
+    let columns = [("k", DataType::Int), ("g", DataType::Int), ("v", DataType::Int)]
+        .into_iter()
+        .chain([("s", DataType::Char(16))])
+        .map(|(name, data_type)| ColumnMeta { name: name.into(), data_type })
+        .collect();
+    let rs = ResultSet { columns, rows };
+    let text = wire::encode_result_set(&rs);
+    assert_eq!(wire::decode_result_set(&text).unwrap(), rs);
+    // Fastest of five, so a descheduled run does not count.
+    let fastest = |f: &dyn Fn()| {
+        (0..5)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                f();
+                start.elapsed()
+            })
+            .min()
+            .unwrap()
+    };
+    let encode = fastest(&|| drop(wire::encode_result_set(&rs)));
+    let decode = fastest(&|| drop(wire::decode_result_set(&text)));
+    assert!(decode < 3 * encode, "decoding took {decode:?}, encoding {encode:?}");
+}

@@ -890,7 +890,7 @@ impl Engine {
         if undo.is_empty() {
             return;
         }
-        let mut per_table: HashMap<(String, String), Vec<UndoOp>> = HashMap::new();
+        let mut per_table: HashMap<(Arc<str>, Arc<str>), Vec<UndoOp>> = HashMap::new();
         for op in undo {
             let key = match &op {
                 UndoOp::Insert { database, table, .. }
@@ -905,7 +905,8 @@ impl Engine {
         }
         self.commit_seq += 1;
         let ts = self.commit_seq;
-        for (key, ops) in per_table {
+        for ((database, table), ops) in per_table {
+            let key = (database.to_string(), table.to_string());
             self.versions.entry(key).or_default().push_back((ts, ops));
         }
     }
@@ -1038,21 +1039,21 @@ impl Engine {
         for op in undo.into_iter().rev() {
             match op {
                 UndoOp::Insert { database, table, id } => {
-                    if let Some(db) = self.databases.get_mut(&database) {
+                    if let Some(db) = self.databases.get_mut(&*database) {
                         if let Ok(t) = db.table_mut(&table) {
                             t.remove(id);
                         }
                     }
                 }
                 UndoOp::Delete { database, table, id, row } => {
-                    if let Some(db) = self.databases.get_mut(&database) {
+                    if let Some(db) = self.databases.get_mut(&*database) {
                         if let Ok(t) = db.table_mut(&table) {
                             t.restore(id, row);
                         }
                     }
                 }
                 UndoOp::Update { database, table, id, old } => {
-                    if let Some(db) = self.databases.get_mut(&database) {
+                    if let Some(db) = self.databases.get_mut(&*database) {
                         if let Ok(t) = db.table_mut(&table) {
                             let _ = t.replace(id, old);
                         }
@@ -1108,13 +1109,17 @@ impl Engine {
 fn undo_rows_on_table(table: &mut Table, undo: &[UndoOp], database: &str, name: &str) {
     for op in undo.iter().rev() {
         match op {
-            UndoOp::Insert { database: d, table: t, id } if d == database && t == name => {
+            UndoOp::Insert { database: d, table: t, id } if **d == *database && **t == *name => {
                 table.remove(*id);
             }
-            UndoOp::Delete { database: d, table: t, id, row } if d == database && t == name => {
+            UndoOp::Delete { database: d, table: t, id, row }
+                if **d == *database && **t == *name =>
+            {
                 table.restore(*id, row.clone());
             }
-            UndoOp::Update { database: d, table: t, id, old } if d == database && t == name => {
+            UndoOp::Update { database: d, table: t, id, old }
+                if **d == *database && **t == *name =>
+            {
                 let _ = table.replace(*id, old.clone());
             }
             _ => {}

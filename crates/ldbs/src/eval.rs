@@ -23,6 +23,7 @@
 use crate::engine::{Database, ResultSet};
 use crate::error::DbError;
 use crate::exec::select::{prepare_select, AccessStats, SelectPlan};
+use crate::keyindex::KeyIndex;
 use crate::schema::TableSchema;
 use crate::table::Row;
 use crate::value::Value;
@@ -30,9 +31,8 @@ use msql_lang::{AggregateKind, BinaryOp, ColumnRef, Expr, Literal, Select, Unary
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher, RandomState};
 use std::rc::Rc;
+use std::slice::from_ref;
 
 /// Statement-scoped results of *uncorrelated* subqueries, keyed by node.
 ///
@@ -229,10 +229,13 @@ pub(crate) enum Bound<'a> {
         list: Vec<Bound<'a>>,
         negated: bool,
     },
-    /// An IN-list of literals only, converted once.
+    /// An IN-list of literals only, converted and indexed once: `members`
+    /// are the literals a probe can equal (not NULL, not NaN), in list order.
     InValues {
         expr: Box<Bound<'a>>,
-        values: Vec<Value>,
+        members: Vec<Value>,
+        index: KeyIndex,
+        saw_null: bool,
         negated: bool,
     },
     InSubquery {
@@ -310,8 +313,8 @@ pub(crate) struct Acc {
     /// Running SUM, or current MIN / MAX; `None` before the first value.
     value: Option<Value>,
     error: Option<DbError>,
-    /// DISTINCT: the values folded so far, bucketed by canonical hash.
-    seen: Option<(RandomState, HashMap<u64, Vec<Value>>)>,
+    /// DISTINCT: the values folded so far, in first-appearance order.
+    seen: Option<(KeyIndex, Vec<Value>)>,
 }
 
 impl AggSpec<'_> {
@@ -345,16 +348,15 @@ impl AggSpec<'_> {
         if v.is_null() {
             return;
         }
-        if let Some((hasher, seen)) = &mut acc.seen {
+        if let Some((index, seen)) = &mut acc.seen {
             // DISTINCT dedups by `sql_cmp`, keeping first occurrences. NaN
-            // equals nothing under `sql_cmp`, so every NaN is a new value.
-            let mut h = hasher.build_hasher();
-            if v.hash_canonical(&mut h) {
-                let bucket = seen.entry(h.finish()).or_default();
-                if bucket.iter().any(|u| u.sql_cmp(&v) == Some(Ordering::Equal)) {
-                    return;
+            // equals nothing under `sql_cmp`, so every NaN is a new value;
+            // on everything else here `sql_cmp` and the index agree.
+            if v.key_ref().is_some() {
+                match index.find_or_insert(from_ref(v.as_ref()), |i| from_ref(&seen[i])) {
+                    Ok(_) => return,
+                    Err(_) => seen.push(v.as_ref().clone()),
                 }
-                bucket.push(v.as_ref().clone());
             }
         }
         acc.count += 1;
@@ -488,8 +490,26 @@ impl<'a, 's> Binder<'a, 's> {
                     Expr::Literal(l) => Some(literal_value(l)),
                     _ => None,
                 });
-                match literals.collect() {
-                    Some(values) => Bound::InValues { expr: bx(expr), values, negated: *negated },
+                match literals.collect::<Option<Vec<Value>>>() {
+                    Some(values) => {
+                        let saw_null = values.iter().any(Value::is_null);
+                        // Every member is indexed, equal ones too: `=` is not
+                        // transitive past 2^53, so a probe may equal a later
+                        // duplicate and not the first.
+                        let members: Vec<Value> =
+                            values.into_iter().filter(|v| v.key_ref().is_some()).collect();
+                        let mut index = KeyIndex::default();
+                        for v in &members {
+                            index.insert(from_ref(v));
+                        }
+                        Bound::InValues {
+                            expr: bx(expr),
+                            members,
+                            index,
+                            saw_null,
+                            negated: *negated,
+                        }
+                    }
                     None => Bound::InList {
                         expr: bx(expr),
                         list: list.iter().map(|i| self.node(i, aggs)).collect(),
@@ -616,8 +636,13 @@ impl Bound<'_> {
                 }
                 owned(state.result(&probe, *negated))
             }
-            Bound::InValues { expr, values, negated } => {
-                owned(in_values(expr.eval(frame)?.as_ref(), values, *negated))
+            Bound::InValues { expr, members, index, saw_null, negated } => {
+                let probe = expr.eval(frame)?;
+                // One hash and a bucket re-check. NULL and NaN equal no
+                // member (and would read the index by another relation).
+                let found = probe.key_ref().is_some()
+                    && index.find(from_ref(probe.as_ref()), |i| from_ref(&members[i])).is_some();
+                owned(InState { found, saw_null: *saw_null }.result(&probe, *negated))
             }
             Bound::InSubquery { expr, subquery, negated } => {
                 let probe = expr.eval(frame)?;
@@ -974,6 +999,82 @@ mod tests {
         assert_eq!(eval_const("1 IN (1, NULL)").unwrap(), Value::Bool(true));
         assert_eq!(eval_const("1 NOT IN (2, NULL)").unwrap(), Value::Null);
         assert_eq!(eval_const("NULL IN (1)").unwrap(), Value::Null);
+    }
+
+    #[test]
+    fn indexed_in_lists_answer_as_the_linear_walk_does() {
+        let mut state = 0x1234_5678_9ABCu64;
+        let mut below = |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        // NULLs, `2` beside `2.0`, both zeros, NaN, integers past 2^53 (where
+        // `=` stops being transitive), strings beside numbers, booleans.
+        let big = 1i64 << 53;
+        let pool = [
+            Value::Null,
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(2.5),
+            Value::Int(big),
+            Value::Int(big + 1),
+            Value::Float(big as f64),
+            Value::Str("2".into()),
+            Value::Str(String::new()),
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Int(-7),
+        ];
+        let literal = |v: &Value| match v {
+            Value::Float(f) if f.is_nan() => "(1e308 * 1e308 - 1e308 * 1e308)".to_string(),
+            Value::Float(f) if f.is_infinite() => "(1e308 * 1e308)".to_string(),
+            Value::Float(f) if f.is_sign_negative() && *f == 0.0 => "(-(0.0))".to_string(),
+            Value::Float(f) => format!("{f:?}"),
+            Value::Str(s) => format!("'{s}'"),
+            Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
+            other => other.to_string(),
+        };
+        let db = Database::new("testdb");
+        let cache = SubqueryCache::new();
+        let mut indexed = 0;
+        for case in 0..400 {
+            let list: Vec<Value> =
+                (0..1 + below(6)).map(|_| pool[below(17) as usize].clone()).collect();
+            // Only literals are indexed: NaN, the infinities and anything
+            // negative have no literal, so they reach a list as a probe does
+            // — computed — and the list is walked as before.
+            let constant = |v: &Value| match v {
+                Value::Int(i) => *i >= 0,
+                Value::Float(f) => f.is_finite() && f.is_sign_positive(),
+                _ => true,
+            };
+            let literals = list.iter().all(constant);
+            let negated = below(2) == 0;
+            let items: Vec<String> = list.iter().map(literal).collect();
+            let src = format!("x {}IN ({})", if negated { "NOT " } else { "" }, items.join(", "));
+            let schema = TableSchema::new("t", vec![ColumnSchema::new("x", DataType::Float)]);
+            let sources = [ScopeSource { binding: "t", schema: &schema }];
+            let scope = Scope { sources: &sources, parent: None };
+            let bound = Binder::new(&db, &cache, Some(&scope)).bind(&parse_expr(&src).unwrap());
+            assert_eq!(matches!(bound, Bound::InValues { .. }), literals, "case {case}: {src}");
+            indexed += usize::from(literals);
+            for probe in &pool {
+                let row = vec![probe.clone()];
+                let got = bound.eval(&Frame::of(&[&row], None)).map(Cow::into_owned).unwrap();
+                let want = in_values(probe, &list, negated);
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "case {case}: {probe:?} in {src}"
+                );
+            }
+        }
+        assert!(indexed > 100, "{indexed} lists took the indexed path");
     }
 
     #[test]

@@ -11,8 +11,14 @@ use crate::table::{Row, RowId};
 use crate::txn::UndoOp;
 use crate::value::Value;
 use msql_lang::{Delete, Insert, InsertSource, Update};
+use std::sync::Arc;
 
-fn check_local_table(t: &msql_lang::TableRef, db: &Database) -> Result<String, DbError> {
+/// The `(database, table)` a statement writes: the two names every undo entry
+/// of the statement shares.
+fn check_local_table(
+    t: &msql_lang::TableRef,
+    db: &Database,
+) -> Result<(Arc<str>, Arc<str>), DbError> {
     if t.table.is_multiple() {
         return Err(DbError::NotLocalSql(format!("table `{}` still contains a wildcard", t.table)));
     }
@@ -23,7 +29,7 @@ fn check_local_table(t: &msql_lang::TableRef, db: &Database) -> Result<String, D
             )));
         }
     }
-    Ok(t.table.as_str().to_string())
+    Ok((db.name.as_str().into(), t.table.as_str().into()))
 }
 
 /// Executes an INSERT; returns the number of rows inserted.
@@ -32,7 +38,7 @@ pub fn execute_insert(
     ins: &Insert,
     undo: &mut Vec<UndoOp>,
 ) -> Result<usize, DbError> {
-    let table_name = check_local_table(&ins.table, db)?;
+    let (database, table_name) = check_local_table(&ins.table, db)?;
 
     // Plan: compute the concrete rows first (immutable phase).
     let planned: Vec<Row> = {
@@ -91,12 +97,11 @@ pub fn execute_insert(
     };
 
     // Apply.
-    let dbname = db.name.clone();
     let table = db.table_mut(&table_name)?;
     let mut inserted = 0usize;
     for row in planned {
         let id = table.insert(row)?;
-        undo.push(UndoOp::Insert { database: dbname.clone(), table: table_name.clone(), id });
+        undo.push(UndoOp::Insert { database: database.clone(), table: table_name.clone(), id });
         inserted += 1;
     }
     Ok(inserted)
@@ -108,7 +113,7 @@ pub fn execute_update(
     up: &Update,
     undo: &mut Vec<UndoOp>,
 ) -> Result<usize, DbError> {
-    let table_name = check_local_table(&up.table, db)?;
+    let (database, table_name) = check_local_table(&up.table, db)?;
     let binding_name = up.table.binding_name().to_ascii_lowercase();
 
     // Plan.
@@ -150,12 +155,16 @@ pub fn execute_update(
     };
 
     // Apply.
-    let dbname = db.name.clone();
     let table = db.table_mut(&table_name)?;
     let mut changed = 0usize;
     for (id, new_row) in planned {
         let old = table.replace(id, new_row)?;
-        undo.push(UndoOp::Update { database: dbname.clone(), table: table_name.clone(), id, old });
+        undo.push(UndoOp::Update {
+            database: database.clone(),
+            table: table_name.clone(),
+            id,
+            old,
+        });
         changed += 1;
     }
     Ok(changed)
@@ -167,7 +176,7 @@ pub fn execute_delete(
     del: &Delete,
     undo: &mut Vec<UndoOp>,
 ) -> Result<usize, DbError> {
-    let table_name = check_local_table(&del.table, db)?;
+    let (database, table_name) = check_local_table(&del.table, db)?;
     let binding_name = del.table.binding_name().to_ascii_lowercase();
 
     let victims: Vec<RowId> = {
@@ -188,13 +197,12 @@ pub fn execute_delete(
         victims
     };
 
-    let dbname = db.name.clone();
     let table = db.table_mut(&table_name)?;
     let mut removed = 0usize;
     for id in victims {
         if let Some(row) = table.remove(id) {
             undo.push(UndoOp::Delete {
-                database: dbname.clone(),
+                database: database.clone(),
                 table: table_name.clone(),
                 id,
                 row,

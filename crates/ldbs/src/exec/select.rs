@@ -38,15 +38,15 @@ use crate::eval::{
     literal_value, lookup, Acc, AggSpec, Binder, Bound, Frame, Scope, ScopeSource, SubqueryCache,
 };
 use crate::index::KeyBound;
+use crate::keyindex::KeyIndex;
 use crate::table::{Row, RowId, Table};
 use crate::value::{CanonicalKey, DataType, Value};
 use msql_lang::printer::print_expr;
 use msql_lang::{AggregateKind, BinaryOp, Expr, Select, SelectItem, SortOrder, TableRef};
-use std::borrow::{Borrow, Cow};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher, RandomState};
 
 /// Per-statement access-path counters, shared by reference so the engine can
 /// aggregate them without threading mutable state through the recursion.
@@ -77,13 +77,13 @@ struct Source<'a> {
     binding: String,
 }
 
-/// The rows one run reads from a source: the table's visible rows, or the
-/// candidates of an index probe, and the ids they live under — `rows[i]` is
-/// always row `ids[i]`, in ascending id order, so enumeration stays
-/// deterministic.
+/// The rows one run reads from a source, in ascending id order so
+/// enumeration stays deterministic: the table's visible rows, or the
+/// candidates of an index probe and the ids they live under (`rows[i]` is
+/// then row `probed[i]`).
 struct Input<'a> {
     rows: Vec<&'a Row>,
-    ids: Vec<RowId>,
+    probed: Option<Vec<RowId>>,
 }
 
 /// The element type of [`execute_select_with`]'s `outer` parameter. A
@@ -158,6 +158,14 @@ enum Proj<'a> {
     Expr(Bound<'a>),
     /// Copy the column directly from a source (for wildcards).
     Direct { source: usize, column: usize },
+}
+
+impl Proj<'_> {
+    /// True for an item that copies a column or a constant: whether it is
+    /// evaluated for a row or not, no one can tell.
+    fn cannot_raise(&self) -> bool {
+        matches!(self, Proj::Direct { .. } | Proj::Expr(Bound::Slot { .. } | Bound::Const(_)))
+    }
 }
 
 struct Grouping<'a> {
@@ -372,10 +380,7 @@ impl<'a> SelectPlan<'a> {
         let mut inputs: Vec<Input<'a>> = self
             .sources
             .iter()
-            .map(|s| {
-                let (ids, rows) = s.table.iter().unzip();
-                Input { rows, ids }
-            })
+            .map(|s| Input { rows: s.table.iter().map(|(_, row)| row).collect(), probed: None })
             .collect();
         // Access-path selection: route sargable WHERE conjuncts to index
         // probes, shrinking each source to the candidate rows before
@@ -385,7 +390,7 @@ impl<'a> SelectPlan<'a> {
                 let Some(candidates) = choose_probe(source, si, &self.sargs) else { continue };
                 stats.add_hits(candidates.len() as u64);
                 input.rows = candidates.iter().filter_map(|id| source.table.get(*id)).collect();
-                input.ids = candidates;
+                input.probed = Some(candidates);
             }
         }
         for input in &inputs {
@@ -395,30 +400,52 @@ impl<'a> SelectPlan<'a> {
         let survivors = self.filter(&inputs, parent, fast, stats)?;
         let mut rows = Vec::new();
         let mut keys = Vec::new();
+        // Under ORDER BY … LIMIT k only the first k rows of the order are
+        // produced (DISTINCT needs them all: it dedups before the LIMIT).
+        let top = self.limit.filter(|_| !self.distinct);
+        let mut ordered = self.order.is_empty();
         match self.body.as_ref().map_err(Clone::clone)? {
             Body::Rows { items, order_keys } => {
-                rows.reserve(survivors.len);
-                keys.reserve(survivors.len * order_keys.len());
-                for combo in survivors.iter() {
-                    let frame = Frame::of(combo, parent);
+                let project = |frame: &Frame<'_, '_>| -> Result<Row, DbError> {
                     let mut row = Vec::with_capacity(items.len());
                     for item in items {
                         row.push(match item {
-                            Proj::Expr(e) => e.eval(&frame)?.into_owned(),
-                            Proj::Direct { source, column } => combo[*source][*column].clone(),
+                            Proj::Expr(e) => e.eval(frame)?.into_owned(),
+                            Proj::Direct { source, column } => frame.rows[*source][*column].clone(),
                         });
+                    }
+                    Ok(row)
+                };
+                // Top-k: order on the keys alone and project the k rows kept
+                // — unless an item could raise for a row that is not kept,
+                // which must go on failing the statement.
+                let late = !ordered && top.is_some() && items.iter().all(Proj::cannot_raise);
+                if !late {
+                    rows.reserve(survivors.len);
+                }
+                keys.reserve(survivors.len * order_keys.len());
+                for combo in survivors.iter() {
+                    let frame = Frame::of(combo, parent);
+                    if !late {
+                        rows.push(project(&frame)?);
                     }
                     for k in order_keys {
                         keys.push(k.eval(&frame)?);
                     }
-                    rows.push(row);
+                }
+                if late {
+                    for i in sorted_order(survivors.len, &keys, &self.order, top) {
+                        rows.push(project(&Frame::of(survivors.get(i), parent))?);
+                    }
+                    ordered = true;
                 }
             }
             Body::Groups(grouping) => grouping.run(&survivors, parent, &mut rows, &mut keys)?,
         }
 
-        if !self.order.is_empty() {
-            rows = sort_rows(rows, &keys, &self.order, self.limit.filter(|_| !self.distinct));
+        if !ordered {
+            let order = sorted_order(rows.len(), &keys, &self.order, top);
+            rows = order.into_iter().map(|i| std::mem::take(&mut rows[i])).collect();
         }
         if self.distinct {
             // Keeps first occurrences, after ORDER BY and before LIMIT.
@@ -518,67 +545,6 @@ impl<'a> SelectPlan<'a> {
     }
 }
 
-/// The first-appearance index of a set of keys under `total_cmp` equality:
-/// group keys for GROUP BY, whole rows for DISTINCT.
-///
-/// Keys are bucketed by a hash that is coarser than the relation (`2` and
-/// `2.0` share it, NULL has its own) and re-checked inside the bucket in
-/// insertion order, so a probe finds the *first* equal key. NaN compares
-/// `Equal` to every number and fits no bucket: from the first key holding
-/// one, every probe scans all keys, which is what the relation then asks for.
-#[derive(Default)]
-struct KeyIndex {
-    hasher: RandomState,
-    /// Hash → first and last key with that hash.
-    chains: HashMap<u64, (usize, usize)>,
-    /// `next[i]`: the next key with the same hash as key `i`, if any.
-    next: Vec<Option<usize>>,
-    /// Set by the first NaN.
-    linear: bool,
-}
-
-impl KeyIndex {
-    /// `Ok(i)` when key `i` equals `probe`; otherwise `Err(n)`, and `probe`
-    /// is now key `n` — the caller stores it where `stored(n)` will find it.
-    fn find_or_insert<'k, K: Borrow<Value>>(
-        &mut self,
-        probe: &[K],
-        stored: impl Fn(usize) -> &'k [Value],
-    ) -> Result<usize, usize> {
-        let mut hasher = self.hasher.build_hasher();
-        for v in probe {
-            self.linear |= !v.borrow().hash_canonical(&mut hasher);
-        }
-        let hash = hasher.finish();
-        let equal = |i: &usize| {
-            let key = stored(*i);
-            key.len() == probe.len()
-                && key.iter().zip(probe).all(|(a, b)| a.total_cmp(b.borrow()) == Ordering::Equal)
-        };
-        let n = self.next.len();
-        let found = if self.linear {
-            (0..n).find(equal)
-        } else {
-            let head = self.chains.get(&hash).map(|c| c.0);
-            std::iter::successors(head, |i| self.next[*i]).find(equal)
-        };
-        if let Some(i) = found {
-            return Ok(i);
-        }
-        self.next.push(None);
-        match self.chains.get_mut(&hash) {
-            Some((_, last)) => {
-                self.next[*last] = Some(n);
-                *last = n;
-            }
-            None => {
-                self.chains.insert(hash, (n, n));
-            }
-        }
-        Err(n)
-    }
-}
-
 impl Grouping<'_> {
     /// Groups `survivors` and appends one output row (and its ORDER BY keys)
     /// per group HAVING accepts, in order of the groups' first appearance.
@@ -625,15 +591,16 @@ impl Grouping<'_> {
     }
 }
 
-/// Puts `rows` into ORDER BY order. `keys` holds `order.len()` sort keys per
-/// row; ties keep enumeration order. With `top = Some(k)` only the first `k`
-/// rows of that order are produced (and only they are sorted).
-fn sort_rows(
-    mut rows: Vec<Row>,
+/// The ORDER BY order of `n` rows, as positions. `keys` holds `order.len()`
+/// sort keys per row; ties keep enumeration order. With `top = Some(k)` only
+/// the first `k` positions of that order are produced (and only they are
+/// sorted).
+fn sorted_order(
+    n: usize,
     keys: &[Cow<'_, Value>],
     order: &[SortOrder],
     top: Option<u64>,
-) -> Vec<Row> {
+) -> Vec<usize> {
     let by_keys = |a: &usize, b: &usize| {
         let (ka, kb) = (&keys[a * order.len()..], &keys[b * order.len()..]);
         for (i, dir) in order.iter().enumerate() {
@@ -645,16 +612,37 @@ fn sort_rows(
         }
         a.cmp(b)
     };
-    let mut perm: Vec<usize> = (0..rows.len()).collect();
-    let k = top.and_then(|k| usize::try_from(k).ok()).filter(|k| *k < perm.len());
-    if let Some(k) = k {
-        if k > 0 {
-            perm.select_nth_unstable_by(k - 1, by_keys);
+    let k = top.and_then(|k| usize::try_from(k).ok()).filter(|k| *k < n);
+    let mut perm: Vec<usize> = match k {
+        None => (0..n).collect(),
+        Some(0) => Vec::new(),
+        // Top-k in one pass and 2k positions: once k rows are known, a row
+        // that does not beat the k-th of them is dropped on one comparison.
+        Some(k) => {
+            let best_k = |kept: &mut Vec<usize>| {
+                kept.select_nth_unstable_by(k - 1, by_keys);
+                kept.truncate(k);
+                kept[k - 1]
+            };
+            let mut kept = Vec::with_capacity(2 * k);
+            let mut bar = None;
+            for i in 0..n {
+                if bar.is_some_and(|bar| by_keys(&i, &bar) != Ordering::Less) {
+                    continue;
+                }
+                kept.push(i);
+                if kept.len() == 2 * k {
+                    bar = Some(best_k(&mut kept));
+                }
+            }
+            if kept.len() > k {
+                best_k(&mut kept);
+            }
+            kept
         }
-        perm.truncate(k);
-    }
+    };
     perm.sort_unstable_by(by_keys);
-    perm.into_iter().map(|i| std::mem::take(&mut rows[i])).collect()
+    perm
 }
 
 fn resolve_table<'a>(db: &'a Database, tref: &TableRef) -> Result<&'a Table, DbError> {
@@ -932,8 +920,11 @@ fn index_join_matches(
             let (cb, cp) = if b == 0 { (c_left, c_right) } else { (c_right, c_left) };
             let col = sources[b].table.schema.columns[cb].name.as_str();
             let Some(idx) = sources[b].table.index_on(col, false) else { continue };
-            let pos: HashMap<RowId, usize> =
-                inputs[b].ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+            // Only this path reads row ids: a scanned source lists its own.
+            let pos: HashMap<RowId, usize> = match &inputs[b].probed {
+                Some(ids) => ids.iter().enumerate().map(|(i, &id)| (id, i)).collect(),
+                None => sources[b].table.iter().enumerate().map(|(i, (id, _))| (id, i)).collect(),
+            };
             let mut matches = Vec::new();
             let mut hits = 0u64;
             for (j, row) in inputs[p].rows.iter().enumerate() {
@@ -1378,6 +1369,73 @@ mod tests {
         let slow = execute_select_with(&db, &sel, &[], false).unwrap();
         assert_eq!(fast.rows, slow.rows);
         assert_eq!(fast.columns, slow.columns);
+    }
+
+    #[test]
+    fn top_k_is_the_head_of_the_full_sort() {
+        let mut state = 0xC0FF_EE11u64;
+        let mut below = |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for case in 0..300 {
+            let n = [0, 1, 2, 5, 40, 200][case % 6];
+            let order: Vec<SortOrder> = (0..1 + below(3))
+                .map(|_| if below(2) == 0 { SortOrder::Asc } else { SortOrder::Desc })
+                .collect();
+            // Few distinct values per key: ties everywhere, NULLs among them.
+            let keys: Vec<Cow<'_, Value>> = (0..n * order.len())
+                .map(|_| match below(5) {
+                    0 => Cow::Owned(Value::Null),
+                    v => Cow::Owned(Value::Int(v as i64)),
+                })
+                .collect();
+            // A stable sort of all the rows, ties in enumeration order.
+            let mut full: Vec<usize> = (0..n).collect();
+            full.sort_by(|a, b| {
+                let (ka, kb) = (&keys[a * order.len()..], &keys[b * order.len()..]);
+                (0..order.len())
+                    .map(|i| match order[i] {
+                        SortOrder::Asc => ka[i].total_cmp(&kb[i]),
+                        SortOrder::Desc => kb[i].total_cmp(&ka[i]),
+                    })
+                    .find(|o| *o != Ordering::Equal)
+                    .unwrap_or(Ordering::Equal)
+            });
+            assert_eq!(sorted_order(n, &keys, &order, None), full, "case {case}");
+            for k in [0, 1, 2, 3, 7, n / 2, n.saturating_sub(1), n, n + 1, 10 * n] {
+                let head = &full[..k.min(n)];
+                assert_eq!(
+                    sorted_order(n, &keys, &order, Some(k as u64)),
+                    head,
+                    "case {case}, {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn top_k_projects_only_what_it_keeps_unless_an_item_can_raise() {
+        let db = big_avis(300);
+        // Plain columns: the ten rows kept, whatever the rest would give.
+        let top = select(&db, "SELECT code, cartype FROM cars ORDER BY rate DESC, code LIMIT 10");
+        let all = select(&db, "SELECT code, cartype FROM cars ORDER BY rate DESC, code");
+        assert_eq!(top.rows, all.rows[..10]);
+        assert_eq!(select(&db, "SELECT code FROM cars ORDER BY rate LIMIT 0").rows.len(), 0);
+        assert_eq!(select(&db, "SELECT * FROM cars ORDER BY code DESC LIMIT 999").rows.len(), 300);
+        // An item that raises only for rows outside the top one (the product
+        // overflows from code 2 on) still fails the statement, as it does
+        // without the LIMIT.
+        for limit in ["", " LIMIT 1"] {
+            let sql = format!("SELECT code * 9223372036854775807 FROM cars ORDER BY code{limit}");
+            let cache = SubqueryCache::new();
+            let run = prepare_select(&db, &parse_select(&sql), None, &cache)
+                .and_then(|plan| plan.run(None, true, &AccessStats::default()));
+            assert!(
+                matches!(&run, Err(DbError::TypeError(e)) if e.contains("overflow")),
+                "{sql}: {run:?}"
+            );
+        }
     }
 
     #[test]

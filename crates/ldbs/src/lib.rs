@@ -41,6 +41,7 @@ pub mod eval;
 pub mod exec;
 pub mod failure;
 pub mod index;
+mod keyindex;
 pub mod profile;
 pub mod schema;
 pub mod stats;

@@ -62,8 +62,8 @@ impl Table {
     }
 
     /// Validates a row against the schema (arity, NOT NULL, type coercion)
-    /// and returns the coerced row.
-    pub fn validate(&self, row: Row) -> Result<Row, DbError> {
+    /// and returns it coerced — in place: no value is copied.
+    pub fn validate(&self, mut row: Row) -> Result<Row, DbError> {
         if row.len() != self.schema.arity() {
             return Err(DbError::TypeError(format!(
                 "table `{}` expects {} values, got {}",
@@ -72,19 +72,19 @@ impl Table {
                 row.len()
             )));
         }
-        let mut out = Vec::with_capacity(row.len());
-        for (value, col) in row.into_iter().zip(&self.schema.columns) {
+        for (value, col) in row.iter_mut().zip(&self.schema.columns) {
             if value.is_null() && col.not_null {
                 return Err(DbError::NullViolation(col.name.clone()));
             }
-            out.push(value.coerce_to(col.data_type).map_err(|_| {
+            let given = std::mem::replace(value, Value::Null);
+            *value = given.coerce_into(col.data_type).map_err(|given| {
                 DbError::TypeError(format!(
-                    "value {value} does not fit column `{}` ({})",
+                    "value {given} does not fit column `{}` ({})",
                     col.name, col.data_type
                 ))
-            })?);
+            })?;
         }
-        Ok(out)
+        Ok(row)
     }
 
     /// Inserts a validated row, returning its id.

@@ -16,6 +16,7 @@
 //! the Prepared state: execution success commits immediately.
 
 use crate::table::{Row, RowId, Table};
+use std::sync::Arc;
 
 /// Transaction identifier.
 pub type TxnId = u64;
@@ -62,24 +63,25 @@ impl TxnState {
 }
 
 /// One entry of the undo log. Applying the inverse operations in reverse
-/// order restores the pre-transaction state.
+/// order restores the pre-transaction state. The row-level entries of one
+/// statement share their two names.
 #[derive(Debug, Clone)]
 pub enum UndoOp {
     /// A row was inserted; undo removes it.
     Insert {
         /// Database name.
-        database: String,
+        database: Arc<str>,
         /// Table name.
-        table: String,
+        table: Arc<str>,
         /// The inserted row id.
         id: RowId,
     },
     /// A row was deleted; undo restores it.
     Delete {
         /// Database name.
-        database: String,
+        database: Arc<str>,
         /// Table name.
-        table: String,
+        table: Arc<str>,
         /// The deleted row id.
         id: RowId,
         /// The deleted row contents.
@@ -88,9 +90,9 @@ pub enum UndoOp {
     /// A row was updated; undo restores the old image.
     Update {
         /// Database name.
-        database: String,
+        database: Arc<str>,
         /// Table name.
-        table: String,
+        table: Arc<str>,
         /// The updated row id.
         id: RowId,
         /// The pre-update row contents.

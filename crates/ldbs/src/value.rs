@@ -221,16 +221,22 @@ impl Value {
     /// Coerces the value for storage in a column of type `ty`, widening Int
     /// to Float where necessary.
     pub fn coerce_to(&self, ty: DataType) -> Result<Value, DbError> {
+        self.clone()
+            .coerce_into(ty)
+            .map_err(|v| DbError::TypeError(format!("cannot store {v} in a {ty} column")))
+    }
+
+    /// [`Value::coerce_to`] by value — a string moves instead of being
+    /// copied — handing a value that does not fit back unchanged.
+    pub(crate) fn coerce_into(self, ty: DataType) -> Result<Value, Value> {
         match (self, ty) {
-            (Value::Null, _) => Ok(Value::Null),
-            (Value::Int(v), DataType::Float) => Ok(Value::Float(*v as f64)),
-            (Value::Int(v), DataType::Int) => Ok(Value::Int(*v)),
-            (Value::Float(v), DataType::Float) => Ok(Value::Float(*v)),
-            (Value::Str(s), DataType::Char(_)) | (Value::Str(s), DataType::Date) => {
-                Ok(Value::Str(s.clone()))
-            }
-            (Value::Bool(b), DataType::Bool) => Ok(Value::Bool(*b)),
-            (v, t) => Err(DbError::TypeError(format!("cannot store {v} in a {t} column"))),
+            (Value::Int(v), DataType::Float) => Ok(Value::Float(v as f64)),
+            (v @ Value::Null, _)
+            | (v @ Value::Int(_), DataType::Int)
+            | (v @ Value::Float(_), DataType::Float)
+            | (v @ Value::Str(_), DataType::Char(_) | DataType::Date)
+            | (v @ Value::Bool(_), DataType::Bool) => Ok(v),
+            (v, _) => Err(v),
         }
     }
 

@@ -284,3 +284,43 @@ fn update_with_uncorrelated_subquery_snapshot_semantics() {
     let got = rows(&mut e, "SELECT id FROM emp WHERE salary = 0");
     assert_eq!(got, vec![vec![Value::Int(5)]]);
 }
+
+/// Fastest of five runs, so a descheduled run does not count.
+fn fastest(mut f: impl FnMut()) -> std::time::Duration {
+    (0..5)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            f();
+            start.elapsed()
+        })
+        .min()
+        .unwrap()
+}
+
+#[test]
+fn a_literal_in_list_is_probed_not_walked() {
+    // A semi-join's key filter is `k IN (<the reducer's keys>)` over every
+    // row of the other site: its cost must follow the rows, not rows × keys.
+    let mut e = Engine::new("svc", DbmsProfile::oracle_like());
+    e.create_database("db").unwrap();
+    e.execute("db", "CREATE TABLE fact (k INT, v INT)").unwrap();
+    for chunk in (0..20_000).collect::<Vec<i64>>().chunks(500) {
+        let tuples: Vec<String> = chunk.iter().map(|i| format!("({}, {i})", i % 500)).collect();
+        e.execute("db", &format!("INSERT INTO fact VALUES {}", tuples.join(", "))).unwrap();
+    }
+    // Twenty keys that match, then keys no row holds: the same 800 rows pass.
+    let query = |keys: i64| {
+        let list: Vec<String> =
+            (0..keys).map(|i| (if i < 20 { i } else { 500 + i }).to_string()).collect();
+        format!("SELECT v FROM fact WHERE k IN ({})", list.join(", "))
+    };
+    let (short, long) = (query(20), query(2_000));
+    assert_eq!(rows(&mut e, &short), rows(&mut e, &long));
+    assert_eq!(rows(&mut e, &short).len(), 800);
+    let few = fastest(|| drop(rows(&mut e, &short)));
+    let many = fastest(|| drop(rows(&mut e, &long)));
+    assert!(
+        many < 4 * few,
+        "2 000 literals took {many:?}, 20 took {few:?}: the list is walked per row"
+    );
+}
