@@ -163,8 +163,8 @@ done
 echo "== fedbench: build + smoke =="
 # fedbench/ compiles against the crates' public API and may not be edited by
 # a change that claims a gain, so an API break must fail here, not in the
-# benchmark pipeline. Built before the bench smoke below; its own smoke test
-# runs every workload for a few passes and checks every result.
+# benchmark pipeline. Its own smoke test runs every workload for a few passes
+# and checks every result.
 cargo build --release --offline --manifest-path fedbench/Cargo.toml
 cargo test -q --offline --manifest-path fedbench/Cargo.toml
 # Two sessions running the same cross-database join must not share the
@@ -179,17 +179,19 @@ case "$collision" in
     ;;
 esac
 
-echo "== bench smoke (--test mode) =="
-# Every benchmark payload must still execute; no timing sweep. This includes
-# the summary sweeps of b9_cross_join, b10_local_index, b11_concurrency,
-# b12_wire_codec, b13_planner and b14_aggregate (the b12, b13 and b14 smokes
-# assert their ≥2x reductions inline) — which a smoke pass runs but does not
-# record: the six tracked BENCH_*.json are rewritten only by a real
-# `cargo bench`, never by whatever host runs CI.
-cargo bench --workspace -- --test
-git diff --quiet -- 'BENCH_*.json' || {
-    echo "the bench smoke rewrote a tracked BENCH_*.json" >&2
+echo "== one bench harness =="
+# fedbench is the only benchmark: what the experiments claim as counts (bytes
+# shipped, messages, successes) is asserted by tier-1 tests, and timings are
+# fedbench's per-layer metrics. No second harness and no tracked sweep file.
+for f in $(git ls-files '*Cargo.toml' | grep -v '^fedbench/'); do
+    if grep -n '^\[\[bench\]\]' "$f"; then
+        echo "$f declares a bench target outside fedbench/" >&2
+        exit 1
+    fi
+done
+if compgen -G 'BENCH_*.json' >/dev/null; then
+    echo "a BENCH_*.json sweep file is back at the repo root" >&2
     exit 1
-}
+fi
 
 echo "CI OK"

@@ -5,9 +5,11 @@
 use catalog::{GddColumn, GddTable};
 use ldbs::engine::{ColumnMeta, ResultSet};
 use ldbs::value::{DataType, Value};
-use mdbs::proto::{Request, Response, TaskMode};
+use mdbs::codec::{self, columnar};
+use mdbs::proto::{self, Request, Response, RowsResponse, TaskMode};
 use mdbs::wire;
 use msql_lang::TypeName;
+use netsim::BufferPool;
 use proptest::prelude::*;
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -178,4 +180,57 @@ fn a_result_set_decodes_in_under_three_encodes() {
     let encode = fastest(&|| drop(wire::encode_result_set(&rs)));
     let decode = fastest(&|| drop(wire::decode_result_set(&text)));
     assert!(decode < 3 * encode, "decoding took {decode:?}, encoding {encode:?}");
+}
+
+/// A partial a site would ship for a cross-database join: sequential keys, a
+/// float rate with some NULLs, and two low-cardinality strings where the
+/// dictionary encoding bites.
+fn partial_rows(rows: usize) -> ResultSet {
+    const STATUSES: [&str; 3] = ["available", "rented", "maintenance"];
+    const CITIES: [&str; 5] = ["Houston", "San Antonio", "Dallas", "Austin", "El Paso"];
+    let columns = [
+        ("fnu", DataType::Int),
+        ("rate", DataType::Float),
+        ("status", DataType::Char(12)),
+        ("source", DataType::Char(16)),
+    ]
+    .into_iter()
+    .map(|(name, data_type)| ColumnMeta { name: name.into(), data_type })
+    .collect();
+    let rows = (0..rows)
+        .map(|i| {
+            vec![
+                Value::Int(i as i64),
+                if i % 7 == 0 { Value::Null } else { Value::Float(40.0 + (i % 13) as f64) },
+                Value::Str(STATUSES[i % STATUSES.len()].to_string()),
+                Value::Str(CITIES[i % CITIES.len()].to_string()),
+            ]
+        })
+        .collect();
+    ResultSet { columns, rows }
+}
+
+#[test]
+fn the_binary_wire_ships_at_most_half_the_text_bytes() {
+    // Payload: the line codec against the columnar layout. Frame: the same
+    // rows as a complete correlated PARTIALDONE, the bytes a LAM puts on the
+    // wire in either format.
+    let pool = BufferPool::default();
+    for rows in [1_000, 10_000] {
+        let rs = partial_rows(rows);
+        let text = wire::encode_result_set(&rs).len();
+        let binary = columnar::encode_result_set(&rs).len();
+        assert!(text >= 2 * binary, "payload at {rows} rows: text {text} vs binary {binary}");
+
+        let resp = RowsResponse::PartialDone {
+            payload: Some(rs),
+            error: None,
+            full_rows: rows as u64,
+            full_bytes: 0,
+            access: Some("scan".into()),
+        };
+        let text = proto::encode_with_correlation(7, &resp.encode()).len();
+        let binary = codec::encode_response(&pool, Some(7), &resp).into_vec().len();
+        assert!(text >= 2 * binary, "frame at {rows} rows: text {text} vs binary {binary}");
+    }
 }

@@ -18,11 +18,14 @@
 
 mod common;
 
-use common::{engine_counters, table_rows, Tap};
+use common::{engine_counters, lam_bytes, table_rows, Tap};
+use ldbs::profile::DbmsProfile;
 use ldbs::value::Value;
+use ldbs::Engine;
 use mdbs::fixtures::paper_federation;
 use mdbs::proto::Request;
-use mdbs::WireFormat;
+use mdbs::{Federation, WireFormat};
+use netsim::Network;
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -376,6 +379,66 @@ fn pushed_site_queries_run_once_outside_explain() {
             }
             // EXPLAIN executed the statement again; nothing about it differs.
             assert_eq!(fed.execute(query).unwrap().into_table().unwrap().rows, plain.rows);
+        }
+    }
+}
+
+/// Two sites: `db0.fact` with `fact_rows` rows over 50 join keys and 10
+/// groups, `db1.dim` with the 50 dimension rows.
+fn star_federation(fact_rows: usize) -> Federation {
+    let mut fed = Federation::with_network(Network::new());
+    let mut e0 = Engine::new("svc0", DbmsProfile::oracle_like());
+    e0.create_database("db0").unwrap();
+    e0.execute("db0", "CREATE TABLE fact (k INT, g INT, v INT)").unwrap();
+    for r in 0..fact_rows {
+        e0.execute("db0", &format!("INSERT INTO fact VALUES ({}, {}, {r})", r % 50, r % 10))
+            .unwrap();
+    }
+    let mut e1 = Engine::new("svc1", DbmsProfile::oracle_like());
+    e1.create_database("db1").unwrap();
+    e1.execute("db1", "CREATE TABLE dim (code INT, w INT)").unwrap();
+    for r in 0..50 {
+        e1.execute("db1", &format!("INSERT INTO dim VALUES ({r}, {})", r * 3)).unwrap();
+    }
+    fed.add_service("svc0", "site0", e0).unwrap();
+    fed.add_service("svc1", "site1", e1).unwrap();
+    fed.execute("IMPORT DATABASE db0 FROM SERVICE svc0").unwrap();
+    fed.execute("IMPORT DATABASE db1 FROM SERVICE svc1").unwrap();
+    fed.execute("USE db0 db1").unwrap();
+    fed
+}
+
+/// A GROUP BY over a star join collapses to 10 groups whatever the fact
+/// cardinality, so the pushed plan ships per-group states instead of every
+/// matching row; a pure-product top-k ships at most `LIMIT` rows per site
+/// instead of both tables.
+#[test]
+fn pushed_plans_ship_at_most_half_the_unpushed_bytes() {
+    const GROUP_BY: &str = "SELECT f.g, COUNT(*), SUM(f.v), MIN(d.w)
+         FROM db0.fact f, db1.dim d WHERE f.k = d.code GROUP BY f.g";
+    const TOPK: &str = "SELECT f.v, d.w FROM db0.fact f, db1.dim d ORDER BY f.v DESC, d.w LIMIT 10";
+    for fact_rows in [1_000, 10_000] {
+        let [pushed, unpushed] = [true, false].map(|pushdown| {
+            let mut fed = star_federation(fact_rows);
+            fed.agg_pushdown = pushdown;
+            [GROUP_BY, TOPK].map(|query| {
+                fed.execute(query).unwrap(); // warm connections
+                let before = lam_bytes(&fed);
+                let mut rows = fed.execute(query).unwrap().into_table().unwrap().rows;
+                if query == GROUP_BY {
+                    // Pushed groups come out in key order, unpushed ones first-seen.
+                    rows.sort_by(|a, b| cmp_rows(a, b));
+                }
+                (rows, lam_bytes(&fed) - before)
+            })
+        });
+        for ((query, (rows, bytes)), (unpushed_rows, unpushed_bytes)) in
+            ["GROUP BY", "top-k"].into_iter().zip(pushed).zip(unpushed)
+        {
+            let at = format!("{query} at {fact_rows} fact rows");
+            assert_eq!(rows.len(), 10, "{at}");
+            assert_eq!(rows, unpushed_rows, "pushed and unpushed plans must agree: {at}");
+            assert!(bytes * 2 <= unpushed_bytes, "{at}: pushed {bytes}, unpushed {unpushed_bytes}");
         }
     }
 }

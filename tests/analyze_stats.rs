@@ -2,8 +2,11 @@
 //! statistics cache (fetch / hit / invalidate), and the costed planner's
 //! visibility in EXPLAIN.
 
+use ldbs::profile::DbmsProfile;
+use ldbs::Engine;
 use mdbs::fixtures::paper_federation;
-use mdbs::MsqlOutcome;
+use mdbs::{Federation, MsqlOutcome};
+use netsim::Network;
 
 /// Reads one counter from the session metrics, defaulting to zero.
 fn counter(fed: &mdbs::Federation, name: &str) -> u64 {
@@ -183,4 +186,66 @@ fn analyze_survives_rollback_semantics() {
     fed.execute("ANALYZE continental.flights").unwrap();
     let after = fed.execute(EQUI_JOIN).unwrap().into_table().unwrap();
     assert!(after.rows.len() > before.rows.len(), "new Houston flight joins delta rows");
+}
+
+/// Two sites: `db0.big` with `big_rows` wide rows (unique join keys), and
+/// `db1.small` with 10 rows whose keys hit only the first 10 of `big`.
+fn skewed_federation(big_rows: usize) -> Federation {
+    let mut fed = Federation::with_network(Network::new());
+    let mut e0 = Engine::new("svc0", DbmsProfile::oracle_like());
+    e0.create_database("db0").unwrap();
+    e0.execute("db0", "CREATE TABLE big (flnu INT, payload CHAR(40), rate FLOAT)").unwrap();
+    for r in 0..big_rows {
+        e0.execute(
+            "db0",
+            &format!("INSERT INTO big VALUES ({r}, 'payload-{r:032}', {}.5)", r % 97),
+        )
+        .unwrap();
+    }
+    let mut e1 = Engine::new("svc1", DbmsProfile::oracle_like());
+    e1.create_database("db1").unwrap();
+    e1.execute("db1", "CREATE TABLE small (k INT, tag CHAR(8))").unwrap();
+    for r in 0..10 {
+        e1.execute("db1", &format!("INSERT INTO small VALUES ({r}, 'tag{r}')")).unwrap();
+    }
+    fed.add_service("svc0", "site0", e0).unwrap();
+    fed.add_service("svc1", "site1", e1).unwrap();
+    fed.execute("IMPORT DATABASE db0 FROM SERVICE svc0").unwrap();
+    fed.execute("IMPORT DATABASE db1 FROM SERVICE svc1").unwrap();
+    fed.execute("USE db0 db1").unwrap();
+    fed
+}
+
+#[test]
+fn the_costed_plan_ships_at_most_half_the_heuristic_bytes() {
+    // Tiny `small` drives the join into wide `big`, whose two vacuous
+    // conjuncts bait conjunct counting into reducing from `big` — and past the
+    // key cap into not reducing at all. Statistics reduce from `small`.
+    const SKEWED_JOIN: &str = "SELECT s.k, b.payload FROM db1.small s, db0.big b
+         WHERE s.k = b.flnu AND b.rate >= 0 AND b.flnu >= 0 ORDER BY s.k";
+    let shipped = |fed: &Federation| -> u64 {
+        let counters = fed.metrics().counters;
+        counters.iter().filter(|(name, _)| name.starts_with("lam.bytes{")).map(|(_, v)| *v).sum()
+    };
+    for big_rows in [100, 400, 800] {
+        let [(costed, costed_bytes), (heuristic, heuristic_bytes)] = [true, false].map(|costed| {
+            let mut fed = skewed_federation(big_rows);
+            fed.cost_planner = costed;
+            if costed {
+                fed.execute("ANALYZE db0.big").unwrap();
+                fed.execute("ANALYZE db1.small").unwrap();
+            }
+            fed.execute(SKEWED_JOIN).unwrap(); // warm connections and the stats cache
+            let before = shipped(&fed);
+            let rows = fed.execute(SKEWED_JOIN).unwrap().into_table().unwrap().rows;
+            (rows, shipped(&fed) - before)
+        });
+        assert_eq!(costed.len(), 10, "{big_rows} big rows");
+        assert_eq!(costed, heuristic, "costed and heuristic plans must agree at {big_rows} rows");
+        assert!(
+            costed_bytes * 2 <= heuristic_bytes,
+            "at {big_rows} big rows the costed plan shipped {costed_bytes}, \
+             the heuristic {heuristic_bytes}"
+        );
+    }
 }

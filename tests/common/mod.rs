@@ -113,6 +113,13 @@ pub fn engine_counters(fed: &Federation, service: &str) -> (u64, u64) {
     (stats.statements, stats.rows_scanned)
 }
 
+/// The partial-result payload bytes the sites have shipped back so far:
+/// Σ `lam.bytes{db=}`.
+pub fn lam_bytes(fed: &Federation) -> u64 {
+    let counters = fed.metrics().counters;
+    counters.iter().filter(|(name, _)| name.starts_with("lam.bytes{")).map(|(_, v)| *v).sum()
+}
+
 /// Rows currently stored in `service`'s table `db.table`.
 pub fn table_rows(fed: &Federation, service: &str, db: &str, table: &str) -> u64 {
     let engine = fed.engine(service).expect("service engine");

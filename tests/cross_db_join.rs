@@ -5,11 +5,14 @@
 
 mod common;
 
-use common::{engine_counters, table_rows, Tap};
+use common::{engine_counters, lam_bytes, table_rows, Tap};
+use ldbs::profile::DbmsProfile;
 use ldbs::value::Value;
+use ldbs::Engine;
 use mdbs::fixtures::paper_federation;
 use mdbs::proto::Request;
-use mdbs::WireFormat;
+use mdbs::{Federation, WireFormat};
+use netsim::Network;
 
 #[test]
 fn join_flights_with_cars_across_databases() {
@@ -319,33 +322,95 @@ const THREE_SITE_JOIN: &str = "SELECT f.flnu, g.fnu, u.fn
        AND f.source = u.sour AND f.destination = u.dest AND f.rate > 90
      ORDER BY f.flnu, g.fnu, u.fn";
 
+/// `sites` databases `db0`, `db1`, … each holding a `flights` table of `rows`
+/// rows on its own service; a quarter of the flights leave Houston.
+fn airline_federation(sites: usize, rows: usize) -> Federation {
+    let mut fed = Federation::with_network(Network::new());
+    let mut scope = String::from("USE");
+    for i in 0..sites {
+        let db = format!("db{i}");
+        let mut engine = Engine::new(format!("svc{i}"), DbmsProfile::oracle_like());
+        engine.create_database(&db).unwrap();
+        engine
+            .execute(&db, "CREATE TABLE flights (flnu INT, source CHAR(20), rate FLOAT)")
+            .unwrap();
+        let cities = ["Houston", "Dallas", "Austin", "El Paso"];
+        for r in 0..rows {
+            let (source, rate) = (cities[r % cities.len()], 50 + r % 100);
+            engine
+                .execute(&db, &format!("INSERT INTO flights VALUES ({r}, '{source}', {rate})"))
+                .unwrap();
+        }
+        fed.add_service(&format!("svc{i}"), &format!("site{i}"), engine).unwrap();
+        fed.execute(&format!("IMPORT DATABASE {db} FROM SERVICE svc{i}")).unwrap();
+        scope += &format!(" {db}");
+    }
+    fed.execute(&scope).unwrap();
+    fed
+}
+
+/// Runs `query` once with the reduction on or off: its rows, the partial
+/// bytes the sites shipped back (Σ `lam.bytes{db=}`) and everything the
+/// network carried for the statement (`net.bytes`).
+fn shipped(mut fed: Federation, semijoin: bool, query: &str) -> (Vec<Vec<Value>>, u64, u64) {
+    fed.semijoin = semijoin;
+    let before = fed.metrics_registry().counter("net.bytes");
+    let rows = fed.execute(query).unwrap().into_table().unwrap().rows;
+    (rows, lam_bytes(&fed), fed.metrics_registry().counter("net.bytes") - before)
+}
+
 #[test]
 fn semijoin_reduces_shipped_bytes() {
     // `lam.bytes` counts the partial-result payloads shipped back from the
     // sites — the volume the semi-join reduction attacks. The coordinator's
     // own partial never ships, so it takes a third site to see it.
-    let run = |semijoin: bool| {
+    let three_sites = |semijoin: bool| {
         let mut fed = paper_federation();
-        fed.semijoin = semijoin;
         fed.execute("USE continental delta united").unwrap();
-        let rs = fed.execute(THREE_SITE_JOIN).unwrap().into_table().unwrap();
-        let shipped: u64 = fed
-            .metrics()
-            .counters
-            .iter()
-            .filter(|(name, _)| name.starts_with("lam.bytes{"))
-            .map(|(_, v)| *v)
-            .sum();
-        (rs, shipped)
+        shipped(fed, semijoin, THREE_SITE_JOIN)
     };
-    let (with, bytes_with) = run(true);
-    let (without, bytes_without) = run(false);
-    assert_eq!(with.rows, vec![vec![Value::Int(1), Value::Int(10), Value::Int(20)]]);
-    assert_eq!(with.rows, without.rows, "reduction must not change the result");
+    let (with, bytes_with, _) = three_sites(true);
+    let (without, bytes_without, _) = three_sites(false);
+    assert_eq!(with, vec![vec![Value::Int(1), Value::Int(10), Value::Int(20)]]);
+    assert_eq!(with, without, "reduction must not change the result");
     assert!(
         bytes_with < bytes_without,
         "semijoin should ship fewer partial bytes: {bytes_with} >= {bytes_without}"
     );
+
+    // A selective star join: `db0` reduces and travels, `db1` coordinates and
+    // `db2` ships everything or only what matches `db0`'s keys — fewer partial
+    // bytes, and fewer network bytes once the key list is paid for. With two
+    // sites the one reduced partial is the coordinator's, which stays home:
+    // the filter saves no wire bytes by itself. What it still decides is who
+    // travels — the selective reducer, not whichever site the FROM list names
+    // second.
+    for rows in [20, 80, 320] {
+        for sites in [2, 3] {
+            let at = format!("{sites} sites, {rows} rows/site");
+            let (from, edge) = match sites {
+                2 => ("", ""),
+                _ => (", db2.flights c", " AND a.flnu = c.flnu"),
+            };
+            let query = format!(
+                "SELECT a.flnu, b.rate FROM db0.flights a, db1.flights b{from}
+                 WHERE a.flnu = b.flnu{edge} AND a.source = 'Houston' ORDER BY a.flnu"
+            );
+            let run = |semijoin: bool| shipped(airline_federation(sites, rows), semijoin, &query);
+            let (with, bytes_with, wire_with) = run(true);
+            let (without, bytes_without, wire_without) = run(false);
+            assert_eq!(with.len(), rows / 4, "{at}");
+            assert_eq!(with, without, "reduction must not change the result: {at}");
+            let reduced = match sites {
+                2 => bytes_with <= bytes_without,
+                _ => bytes_with < bytes_without && wire_with < wire_without,
+            };
+            assert!(
+                reduced,
+                "{at}: partials {bytes_with} vs {bytes_without}, network {wire_with} vs {wire_without}"
+            );
+        }
+    }
 }
 
 #[test]

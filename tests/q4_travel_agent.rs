@@ -5,9 +5,13 @@
 //! two acceptable termination states in preference order:
 //! `continental AND national` then `delta AND avis`.
 
+use ldbs::failure::FailurePolicy;
+use ldbs::profile::DbmsProfile;
 use ldbs::value::Value;
+use ldbs::Engine;
 use mdbs::fixtures::paper_federation;
 use mdbs::Federation;
+use netsim::Network;
 
 const TRAVEL_AGENT: &str = "BEGIN MULTITRANSACTION
     USE continental delta
@@ -144,4 +148,63 @@ fn acceptable_state_with_unknown_database_is_rejected() {
          END MULTITRANSACTION",
     );
     assert!(matches!(err, Err(mdbs::MdbsError::Mtx(_))), "{err:?}");
+}
+
+/// A reservation multitransaction over `2·a` replicated databases: a seat on
+/// each even one ("flights") and on each odd one ("cars"); acceptable state
+/// `i` pairs flight `i` with car `i`.
+fn replicated_reservation(a: usize) -> String {
+    let update = "UPDATE seats SET sstat = 'TAKEN', client = 'wenders'
+         WHERE snu = (SELECT MIN(snu) FROM seats WHERE sstat = 'FREE');";
+    let scope = |parity: usize| {
+        (0..a).map(|i| format!("db{}", 2 * i + parity)).collect::<Vec<_>>().join(" ")
+    };
+    let states: Vec<String> = (0..a).map(|i| format!("db{} AND db{}", 2 * i, 2 * i + 1)).collect();
+    format!(
+        "BEGIN MULTITRANSACTION\nUSE {}\n{update}\nUSE {}\n{update}\nCOMMIT\n{}\nEND MULTITRANSACTION",
+        scope(0),
+        scope(1),
+        states.join(",\n")
+    )
+}
+
+/// Of 24 seeded trials, how many reach an acceptable state when each of the
+/// `2·a` databases fails a statement with probability `p`.
+fn successes(a: usize, p: f64) -> usize {
+    (0..24)
+        .filter(|trial| {
+            let mut fed = Federation::with_network(Network::new());
+            for i in 0..2 * a {
+                let db = format!("db{i}");
+                let mut engine = Engine::new(format!("svc{i}"), DbmsProfile::oracle_like());
+                engine.create_database(&db).unwrap();
+                engine
+                    .execute(&db, "CREATE TABLE seats (snu INT, sstat CHAR(8), client CHAR(20))")
+                    .unwrap();
+                for s in 0..8 {
+                    engine
+                        .execute(&db, &format!("INSERT INTO seats VALUES ({s}, 'FREE', NULL)"))
+                        .unwrap();
+                }
+                let seed = (trial * 31 + i) as u64;
+                engine.set_failure_policy(FailurePolicy::with_probabilities(seed, p, 0.0));
+                fed.add_service(&format!("svc{i}"), &format!("site{i}"), engine).unwrap();
+                fed.execute(&format!("IMPORT DATABASE {db} FROM SERVICE svc{i}")).unwrap();
+            }
+            let report = fed.execute(&replicated_reservation(a)).unwrap().into_mtx().unwrap();
+            report.achieved_state.is_some()
+        })
+        .count()
+}
+
+#[test]
+fn more_replicated_alternatives_reach_an_acceptable_state_more_often() {
+    // §3.4's flexible-transaction argument: function replication turns a
+    // member's failure into another acceptable state. Seeded, so the counts
+    // are exact; the shape is the claim.
+    for (p, pinned) in [(0.2, [15, 21, 23]), (0.4, [11, 16, 19])] {
+        let counts = [1, 2, 4].map(|a| successes(a, p));
+        assert_eq!(counts, pinned, "successes of 24 for 1/2/4 alternatives at p = {p}");
+        assert!(counts.windows(2).all(|w| w[0] <= w[1]) && counts[0] < counts[2], "{counts:?}");
+    }
 }
