@@ -75,17 +75,16 @@ done
 echo "== thread gate =="
 # After warm-up no statement starts a thread: a LAM serves each request on
 # the thread that received it and grows only when a request parks on a lock
-# wait; a session fans out on one long-lived worker set. Pinned three ways:
-# the thread gauges do not move over 500 warm statements (and contention
-# moves exactly one); the LAM keeps serving while requests are parked — each
-# of those tests hangs or fails on a server that never grows; and the only
-# thread-creation sites on the statement path are the LAM's server-thread
-# start and the worker-set module.
+# wait; a fan-out posts every request before it reads a reply, on the
+# statement's own thread. Pinned three ways: the thread gauges are the LAMs'
+# alone and do not move over 500 warm statements (and contention moves
+# exactly one); the LAM keeps serving while requests are parked — each of
+# those tests hangs or fails on a server that never grows; and the only
+# thread-creation site in the federation and the DOL engine, outside their
+# tests, is the LAM's server-thread start.
 cargo test -q --test thread_budget
 cargo test -q -p mdbs --lib lam::tests::
-cargo test -q -p dol --lib workers::
-for f in crates/core/src/{lam,lamclient,executor,federation}.rs crates/dol/src/*.rs; do
-    [ "$f" = crates/dol/src/workers.rs ] && continue
+for f in $(find crates/core/src crates/dol/src -name '*.rs'); do
     allowed=0
     [ "$f" = crates/core/src/lam.rs ] && allowed=1 # start_server_thread
     found=$(sed '/^#\[cfg(test)\]/,$d' "$f" | grep -cE 'thread::(spawn|scope|Builder)' || true)

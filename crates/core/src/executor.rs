@@ -16,14 +16,14 @@
 //!   and the DOL return code.
 
 use crate::error::MdbsError;
-use crate::lamclient::{LamFactory, PartialResult, TaskOutput, TaskOutputs};
+use crate::lamclient::{LamClient, LamFactory, PartialResult, Posted, TaskOutput, TaskOutputs};
 use crate::merge;
 use crate::multitable::{Multitable, MultitableEntry};
 use crate::planner::{Combine, JoinPlan, ReductionEdge, SitePlan};
 use crate::retry::{shared_stats, ExecStats, SharedExecStats};
 use crate::translate::{GeneratedPlan, PushdownPlan, MTX_FAILED};
 use crate::wal::{Wal, WalObserver, WalRecord};
-use dol::{DolEngine, DolOutcome, TaskStatus, WorkerSet};
+use dol::{DolEngine, DolOutcome, TaskStatus};
 use ldbs::engine::ResultSet;
 use ldbs::value::Value;
 use netsim::FaultKind;
@@ -159,8 +159,9 @@ pub struct Executor {
     /// pool, timeout, retry policy, wire format and metrics sink. Its
     /// `stats` cell is the session-level accounting every run merges into.
     pub lams: LamFactory,
-    /// Whether the services of a DOL task batch or settle list, and the
-    /// sites of a cross-database join's partials, work concurrently.
+    /// Whether the services of a DOL task batch or settle wave, and the
+    /// sites of a cross-database join's partials, work concurrently: every
+    /// request posted before any reply is read.
     pub parallel: bool,
     /// Where execution spans hang (disabled unless the federation is
     /// tracing the statement).
@@ -175,9 +176,6 @@ pub struct Executor {
     /// the settle decision, resolutions, END) so
     /// [`crate::Federation::recover`] can finish interrupted statements.
     pub wal: Option<Wal>,
-    /// The threads every fan-out of this executor runs on — the owning
-    /// session's, so they outlive the executor; its DOL engines share them.
-    pub(crate) workers: WorkerSet,
 }
 
 impl Executor {
@@ -195,7 +193,7 @@ impl Executor {
             outputs: TaskOutputs::clone(&outputs),
             ..self.lams.clone()
         };
-        let mut engine = DolEngine::new(&factory).with_workers(&self.workers);
+        let mut engine = DolEngine::new(&factory);
         engine.parallel = self.parallel;
         engine.trace = self.trace.clone();
         // Log the multitransaction BEGIN (tasks, states, oracle, the
@@ -357,9 +355,9 @@ impl Executor {
     /// * **which edges ship** — a reduction edge's rule is finished by the
     ///   reducer's actual key list ([`crate::planner::ReductionEdge::ships`]);
     ///   an edge that does not ship leaves its target on its full subquery;
-    /// * **whether sites overlap** — under [`Self::parallel`] the sites left
-    ///   after the reducer run concurrently, so N sites cost ≈1 round trip
-    ///   instead of N.
+    /// * **whether sites overlap** — under [`Self::parallel`] the requests of
+    ///   the sites left after the reducer are all posted before any reply is
+    ///   read, so N sites cost ≈1 round trip instead of N.
     pub fn run_join(&self, plan: &JoinPlan) -> Result<ResultSet, MdbsError> {
         let join_span = self.trace.child("join");
         let metrics = &self.lams.metrics;
@@ -376,7 +374,8 @@ impl Executor {
         let mut keys_shipped = 0u64;
         if let Some(reducer) = plan.reducer {
             let result =
-                run_site(&self.lams, &ctx, &plan.sites[reducer], None, self.measure_baseline)?;
+                SiteCall::post(&self.lams, &ctx, &plan.sites[reducer], None, self.measure_baseline)
+                    .and_then(|call| call.finish(&self.lams))?;
             let ship = |edge: &ReductionEdge| {
                 let keys = edge.keys(&result.rows)?;
                 let ships = edge.ships(&keys);
@@ -400,26 +399,25 @@ impl Executor {
         join_span.note("keys_shipped", keys_shipped);
         metrics.counter_add(&labeled("join.strategy", "strategy", &strategy), 1);
 
-        // 2. Run the other travelling sites — concurrently when allowed: the
-        // first on this thread, the others on the session's parked workers.
-        // When several fail, the error of the first one in site order wins,
-        // so serial and parallel runs report the same one.
-        let others: Vec<usize> =
-            (0..n).filter(|&i| Some(i) != plan.reducer && Some(i) != plan.home()).collect();
-        let jobs: Vec<_> = others
-            .iter()
-            .map(|&i| {
-                let (site, sql) = (plan.sites[i].clone(), reduced[i].take());
-                let (lams, ctx, baseline) = (self.lams.clone(), ctx.clone(), self.measure_baseline);
-                move || run_site(&lams, &ctx, &site, sql.as_deref(), baseline)
-            })
-            .collect();
-        let dispatched = if self.parallel {
-            self.workers.run(jobs)
-        } else {
-            jobs.into_iter().map(|job| job()).collect()
+        // 2. Run the other travelling sites — concurrently when allowed: every
+        // request posted before any reply is read. Every site runs either way,
+        // and when several fail the error of the first one in site order
+        // wins, so serial and parallel runs report the same one.
+        let finish = |(i, call): (usize, Result<SiteCall, MdbsError>)| {
+            (i, call.and_then(|call| call.finish(&self.lams)))
         };
-        for (i, partial) in others.into_iter().zip(dispatched) {
+        let (mut posted, mut dispatched) = (Vec::new(), Vec::new());
+        for i in (0..n).filter(|&i| Some(i) != plan.reducer && Some(i) != plan.home()) {
+            let (site, sql) = (&plan.sites[i], reduced[i].take());
+            let call =
+                SiteCall::post(&self.lams, &ctx, site, sql.as_deref(), self.measure_baseline);
+            posted.push((i, call));
+            if !self.parallel {
+                dispatched.extend(posted.drain(..).map(finish));
+            }
+        }
+        dispatched.extend(posted.into_iter().map(finish));
+        for (i, partial) in dispatched {
             travelled.push((i, partial?));
         }
         travelled.sort_by_key(|(i, _)| *i); // back into site order
@@ -502,39 +500,57 @@ fn partial_span(ctx: &SpanCtx, site: &SitePlan, route: &str, reduced: bool) -> S
     span
 }
 
-/// Evaluates one travelling site's share of a cross-database join at its
-/// LAM: the pushed site query of a pushdown plan, else `reduced` (the
-/// subquery with shipped key filters ANDed on), else the subquery as
-/// decomposed. Notes — when `baseline` had the LAM measure the decomposed
-/// subquery beside a rewritten one — what the rewrite kept off the wire, on
-/// the span and the metrics.
-fn run_site(
-    lams: &LamFactory,
-    ctx: &SpanCtx,
-    site: &SitePlan,
-    reduced: Option<&str>,
-    baseline: bool,
-) -> Result<PartialResult, MdbsError> {
-    let client = lams.checkout(&site.site, &site.database)?;
-    let span = partial_span(ctx, site, "shipped", reduced.is_some());
-    let (sql, pushed) = match (&site.pushed, reduced) {
-        (Some((_, sql)), _) => (sql.as_str(), true),
-        (None, Some(sql)) => (sql, false),
-        (None, None) => (site.sql.as_str(), false),
-    };
-    let baseline = (baseline && (pushed || reduced.is_some())).then_some(site.sql.as_str());
-    let result = client.run_partial(sql, baseline, pushed, &span)?;
-    if let Some(access) = &result.access {
-        span.note("access", access);
+/// One travelling site's share of a cross-database join, evaluated at its
+/// LAM: its request posted, its reply not yet read.
+struct SiteCall<'p> {
+    client: LamClient,
+    span: Span,
+    site: &'p SitePlan,
+    pushed: bool,
+    posted: Posted,
+}
+
+impl<'p> SiteCall<'p> {
+    /// Posts the site's pushed site query of a pushdown plan, else `reduced`
+    /// (the subquery with shipped key filters ANDed on), else the subquery as
+    /// decomposed. With `baseline` the LAM also measures the decomposed
+    /// subquery beside a rewritten one.
+    fn post(
+        lams: &LamFactory,
+        ctx: &SpanCtx,
+        site: &'p SitePlan,
+        reduced: Option<&str>,
+        baseline: bool,
+    ) -> Result<Self, MdbsError> {
+        let client = lams.checkout(&site.site, &site.database)?;
+        let span = partial_span(ctx, site, "shipped", reduced.is_some());
+        let (sql, pushed) = match (&site.pushed, reduced) {
+            (Some((_, sql)), _) => (sql.as_str(), true),
+            (None, Some(sql)) => (sql, false),
+            (None, None) => (site.sql.as_str(), false),
+        };
+        let baseline = (baseline && (pushed || reduced.is_some())).then_some(site.sql.as_str());
+        let posted = client.post_partial(sql, baseline, pushed, &span);
+        Ok(SiteCall { client, span, site, pushed, posted })
     }
-    if pushed && result.full_rows > 0 {
-        span.note("full_rows", result.full_rows);
+
+    /// Reads the site's rows. Notes — when a baseline was measured — what the
+    /// rewrite kept off the wire, on the span and the metrics.
+    fn finish(self, lams: &LamFactory) -> Result<PartialResult, MdbsError> {
+        let SiteCall { client, span, site, pushed, posted } = self;
+        let result = client.finish_partial(posted, &span)?;
+        if let Some(access) = &result.access {
+            span.note("access", access);
+        }
+        if pushed && result.full_rows > 0 {
+            span.note("full_rows", result.full_rows);
+        }
+        if let Some(saved) = result.saved {
+            span.note("saved", saved);
+            lams.metrics.counter_add(&labeled("lam.bytes_saved", "db", &site.database), saved);
+        }
+        Ok(result)
     }
-    if let Some(saved) = result.saved {
-        span.note("saved", saved);
-        lams.metrics.counter_add(&labeled("lam.bytes_saved", "db", &site.database), saved);
-    }
-    Ok(result)
 }
 
 #[cfg(test)]

@@ -31,7 +31,6 @@ use crate::wal::{Wal, WalDecision, WalRecord};
 use catalog::{
     apply_import, AuxiliaryDirectory, GddColumn, GddTable, GlobalDataDictionary, ServiceEntry,
 };
-use dol::WorkerSet;
 use ldbs::profile::StatementClass;
 use ldbs::Engine;
 use msql_lang::printer::print;
@@ -110,8 +109,11 @@ pub struct Session {
     /// True while [`Session::explain`] runs its target: the one time sites
     /// are asked to measure the subquery a rewrite replaced.
     explaining: bool,
-    /// Let the services of a DOL task batch or `COMMIT`/`ABORT` settle list,
-    /// and the sites of a join's partials, work concurrently (default true).
+    /// Overlap a fan-out's waits (default true): the services of a DOL task
+    /// batch or `COMMIT`/`ABORT` settle wave, and the sites of a join's
+    /// partials, each get their request before any reply is read — on the
+    /// statement's own thread. Off, every request waits for the reply of the
+    /// one before it.
     pub parallel: bool,
     /// Per-request network timeout.
     pub timeout: Duration,
@@ -158,10 +160,6 @@ pub struct Session {
     /// members hand their connections back when they resolve) and before
     /// `core`.
     pool: ConnectionPool,
-    /// The parked threads every fan-out of this session's statements runs
-    /// on (the calling thread takes the first share itself): started by the
-    /// first statement that needs them, joined with the session.
-    workers: WorkerSet,
     /// The tracer of the statement currently executing (None between
     /// statements; trigger actions reuse the active tracer).
     trace: Option<Tracer>,
@@ -269,7 +267,6 @@ impl Session {
             wire_format: WireFormat::default(),
             stats: shared_stats(),
             pool: ConnectionPool::new(core.net.clone()),
-            workers: WorkerSet::new(),
             trace: None,
             trace_ctx: SpanCtx::disabled(),
             last_trace: None,
@@ -314,8 +311,7 @@ impl Session {
     /// far (network traffic, per-LAM calls and payloads, per-phase
     /// latencies), with each service's local engine statistics and LAM server
     /// counters scraped into `ldbs.*{service=...}` / `lam.*{service=...}`
-    /// gauges, and the size of this session's worker set into
-    /// `session.worker_threads`, at call time.
+    /// gauges, at call time.
     pub fn metrics(&self) -> MetricsSnapshot {
         for (service, lam) in self.core.lams.read().iter() {
             let stats = lam.engine.lock().stats();
@@ -335,13 +331,6 @@ impl Session {
                 lam.stats.server_threads.load(std::sync::atomic::Ordering::Relaxed),
             );
         }
-        // This session's worker set; labeled like everything else a spawned
-        // session reports.
-        let workers = match self.id {
-            0 => "session.worker_threads".to_string(),
-            id => labeled("session.worker_threads", "session", &id.to_string()),
-        };
-        self.core.metrics.gauge_set(&workers, self.workers.threads() as i64);
         self.core.metrics.snapshot()
     }
 
@@ -473,7 +462,6 @@ impl Session {
             trace: self.trace_ctx.clone(),
             measure_baseline: self.explaining,
             wal: self.wal.clone(),
-            workers: self.workers.clone(),
         }
     }
 
@@ -628,7 +616,7 @@ impl Session {
     pub fn execute_dol(&mut self, program: &str) -> Result<dol::DolOutcome, MdbsError> {
         let parsed = dol::parse_program(program)?;
         let factory = self.lams();
-        let mut engine = dol::DolEngine::new(&factory).with_workers(&self.workers);
+        let mut engine = dol::DolEngine::new(&factory);
         engine.parallel = self.parallel;
         engine.trace = self.trace_ctx.clone();
         let mut out = engine.execute(&parsed)?;

@@ -213,7 +213,6 @@ mod tests {
             trace: obs::SpanCtx::disabled(),
             measure_baseline: false,
             wal: None,
-            workers: dol::WorkerSet::new(),
         }
     }
 

@@ -20,13 +20,13 @@ use crate::proto::{self, RowsRequest as Request, RowsResponse as Response, TaskM
 use crate::retry::{shared_stats, RetryPolicy, SharedExecStats};
 use dol::engine::TaskExecution;
 use dol::TaskStatus;
-use dol::{DolError, DolService, ServiceFactory};
+use dol::{DolError, DolService, ServiceFactory, Step};
 use ldbs::engine::ResultSet;
 use netsim::{Body, BufferPool, Endpoint, FaultKind, NetError, Network};
 use obs::{labeled, MetricsRegistry, Span};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -55,7 +55,7 @@ pub type TaskOutputs = Arc<Mutex<HashMap<String, TaskOutput>>>;
 /// result set on the wire (0 when it carried none).
 pub type Reply = (Response, usize);
 
-/// The outcome of one [`LamClient::run_partial`] call.
+/// The outcome of one site's partial of a cross-database join.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialResult {
     /// Result set of the (possibly reduced or pushed-down) subquery.
@@ -180,6 +180,12 @@ pub struct LamClient {
     /// late reply to the abandoned request may still arrive in its mailbox,
     /// and the next statement must never find it there.
     suspect: AtomicBool,
+    /// Requests posted and not yet finished. A connection with a reply still
+    /// unread is closed instead of pooled, like a suspect one.
+    unread: AtomicU32,
+    /// The step the DOL engine [posted](DolService::post), finished by the
+    /// engine's next call on this connection.
+    posted: Option<Posted>,
     site: String,
     /// The database this connection is opened on.
     pub database: String,
@@ -210,6 +216,21 @@ pub struct LamClient {
 enum AttemptError {
     Net(NetError),
     Fatal(MdbsError),
+}
+
+/// A logical request whose first attempt is on the wire and whose reply has
+/// not been read: what [`LamClient::post`] returns and [`LamClient::finish`]
+/// takes.
+pub(crate) struct Posted {
+    id: u64,
+    /// The encoded request; every attempt sends these bytes.
+    framed: Body,
+    max_attempts: u32,
+    /// No attempt starts after this instant.
+    deadline: Instant,
+    /// The first attempt's `rpc` span and its send: when it went out, or the
+    /// fault that stopped it. Taken by the first turn of the retry loop.
+    first: Option<(Span, Result<Instant, AttemptError>)>,
 }
 
 impl LamClient {
@@ -263,6 +284,8 @@ impl LamClient {
             link,
             home: None,
             suspect: AtomicBool::new(false),
+            unread: AtomicU32::new(0),
+            posted: None,
             site: site.to_string(),
             database: database.to_string(),
             timeout,
@@ -330,8 +353,17 @@ impl LamClient {
         req: &Request,
         span: &Span,
     ) -> (Result<Reply, MdbsError>, u32, Vec<FaultKind>) {
+        self.finish(self.post(req, span), span)
+    }
+
+    /// The first half of a call: encodes `req` once (every retry resends the
+    /// same bytes), takes its correlation id and makes the first attempt's
+    /// send under an `rpc` child of `span`. The reply is left for
+    /// [`Self::finish`], so a caller can post to several LAMs before it waits
+    /// for any. Until then the connection is not pooled again: a client
+    /// dropped with a reply unread is closed.
+    pub(crate) fn post(&self, req: &Request, span: &Span) -> Posted {
         let id = REQUEST_SEQ.fetch_add(1, Ordering::Relaxed);
-        // Encoded once per logical call; every retry resends the same bytes.
         let encode_start = Instant::now();
         let framed: Body = match self.wire_format {
             WireFormat::Text => Body::Text(proto::encode_with_correlation(id, &req.encode())),
@@ -343,24 +375,45 @@ impl LamClient {
         );
         let max_attempts =
             if matches!(req, Request::Shutdown) { 1 } else { self.retry.max_attempts.max(1) };
-        let overall_deadline = Instant::now() + self.retry.deadline;
+        let deadline = Instant::now() + self.retry.deadline;
+        self.unread.fetch_add(1, Ordering::Relaxed);
+        let rpc = span.child("rpc");
+        rpc.note("attempt", 1);
+        let sent = self.send(&framed);
+        Posted { id, framed, max_attempts, deadline, first: Some((rpc, sent)) }
+    }
+
+    /// The second half of a call: reads the reply of what [`Self::post`]
+    /// sent — the first attempt's timeout counts from its send — and runs
+    /// the retry loop from there, opening each further attempt's `rpc` span
+    /// under `span`.
+    pub(crate) fn finish(
+        &self,
+        mut posted: Posted,
+        span: &Span,
+    ) -> (Result<Reply, MdbsError>, u32, Vec<FaultKind>) {
+        self.unread.fetch_sub(1, Ordering::Relaxed);
         let mut faults: Vec<FaultKind> = Vec::new();
         let mut last_net: Option<NetError> = None;
         let mut attempts = 0u32;
-        while attempts < max_attempts {
-            if attempts > 0 {
-                let pause = self.retry.backoff(attempts + 1);
-                if !pause.is_zero() {
-                    std::thread::sleep(pause);
+        while attempts < posted.max_attempts {
+            let (rpc, sent) = match posted.first.take() {
+                Some(first) => first,
+                None => {
+                    let pause = self.retry.backoff(attempts + 1);
+                    if !pause.is_zero() {
+                        std::thread::sleep(pause);
+                    }
+                    if Instant::now() >= posted.deadline {
+                        break;
+                    }
+                    let rpc = span.child("rpc");
+                    rpc.note("attempt", attempts + 1);
+                    (rpc, self.send(&posted.framed))
                 }
-                if Instant::now() >= overall_deadline {
-                    break;
-                }
-            }
+            };
             attempts += 1;
-            let rpc = span.child("rpc");
-            rpc.note("attempt", attempts);
-            match self.attempt(id, &framed) {
+            match sent.and_then(|at| self.receive(posted.id, at)) {
                 Ok(resp) => {
                     drop(rpc);
                     self.stats.lock().record_call(attempts, &faults, true);
@@ -398,19 +451,24 @@ impl LamClient {
         (Err(err), attempts, faults)
     }
 
-    /// One send/receive round. Responses whose correlation id does not match
-    /// are stale replies to abandoned attempts and are discarded. Replies
-    /// are accepted in either wire format — the server mirrors the request's
-    /// format, but a stale text reply must not wedge a binary client.
-    fn attempt(&self, id: u64, framed: &Body) -> Result<Reply, AttemptError> {
+    /// One attempt's send; returns when it went out.
+    fn send(&self, framed: &Body) -> Result<Instant, AttemptError> {
         self.link.endpoint.send(&self.site, framed.clone()).map_err(AttemptError::Net)?;
-        let deadline = Instant::now() + self.timeout;
+        Ok(Instant::now())
+    }
+
+    /// One attempt's receive, for a request sent at `sent`. Responses whose
+    /// correlation id does not match are stale replies to abandoned attempts
+    /// and are discarded. Replies are accepted in either wire format — the
+    /// server mirrors the request's format, but a stale text reply must not
+    /// wedge a binary client.
+    fn receive(&self, id: u64, sent: Instant) -> Result<Reply, AttemptError> {
+        let deadline = sent + self.timeout;
         loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(AttemptError::Net(NetError::Timeout));
-            }
-            let msg = self.link.endpoint.recv_timeout(deadline - now).map_err(AttemptError::Net)?;
+            // A reply waiting in the mailbox is read even past the deadline:
+            // a caller that posted to several LAMs may come for it late.
+            let wait = deadline.saturating_duration_since(Instant::now());
+            let msg = self.link.endpoint.recv_timeout(wait).map_err(AttemptError::Net)?;
             let decode_start = Instant::now();
             let (matched, format) = match &msg.body {
                 Body::Text(text) => {
@@ -524,20 +582,20 @@ impl LamClient {
         }
     }
 
-    /// Evaluates one site subquery of a decomposed cross-database join on the
-    /// LAM and ships its result set back, annotating `span` and the `lam.*`
-    /// metrics with the shipped volume. `pushed` marks a pre-aggregating or
-    /// top-k site query of a pushdown plan (`PARTIALAGG`) rather than a plain,
-    /// possibly semi-join-reduced one (`PARTIAL`). When `baseline` is set —
-    /// `EXPLAIN` only — the LAM also measures, without shipping, the subquery
-    /// the classic plan would have run, so the savings are quantifiable.
-    pub fn run_partial(
+    /// Posts one site subquery of a decomposed cross-database join to the
+    /// LAM, whose reply [`Self::finish_partial`] reads. `pushed` marks a
+    /// pre-aggregating or top-k site query of a pushdown plan (`PARTIALAGG`)
+    /// rather than a plain, possibly semi-join-reduced one (`PARTIAL`). When
+    /// `baseline` is set — `EXPLAIN` only — the LAM also measures, without
+    /// shipping, the subquery the classic plan would have run, so the savings
+    /// are quantifiable.
+    pub(crate) fn post_partial(
         &self,
         sql: &str,
         baseline: Option<&str>,
         pushed: bool,
         span: &Span,
-    ) -> Result<PartialResult, MdbsError> {
+    ) -> Posted {
         let (database, sql, baseline) =
             (self.database.clone(), sql.to_string(), baseline.map(str::to_string));
         let req = if pushed {
@@ -545,7 +603,17 @@ impl LamClient {
         } else {
             Request::Partial { database, sql, baseline }
         };
-        let (result, attempts, faults) = self.call_traced(&req, span);
+        self.post(&req, span)
+    }
+
+    /// Reads a posted partial's result set, annotating `span` and the
+    /// `lam.*` metrics with the shipped volume.
+    pub(crate) fn finish_partial(
+        &self,
+        posted: Posted,
+        span: &Span,
+    ) -> Result<PartialResult, MdbsError> {
+        let (result, attempts, faults) = self.finish(posted, span);
         self.record_obs(span, attempts, &faults);
         let (resp, bytes) = result?;
         let (rows, full_rows, full_bytes, access) = match resp {
@@ -578,7 +646,7 @@ impl LamClient {
     /// this connection's database materialises `home` — `(temp table,
     /// subquery)`, its own partial — loads the travelled `parts`, evaluates Q′
     /// (`sql`) over the temporaries and drops them before replying. Returns
-    /// Q′'s rows and the bytes `baseline` (as in [`Self::run_partial`]) showed
+    /// Q′'s rows and the bytes `baseline` (as in [`Self::post_partial`]) showed
     /// the home key filter to save; `home_span` is the unshipped partial's.
     pub fn combine(
         &self,
@@ -638,29 +706,41 @@ impl LamClient {
         self.metrics.counter_add(&labeled("lam.bytes", "db", db), bytes as u64);
     }
 
-    /// Runs a task on the LAM; its affected-row count and rows go to
-    /// [`Self::outputs`] under the task's name. On a connection that
-    /// [holds](Self::held) the task's subtransaction open already, the
-    /// exchange is its [`Vote`].
-    fn run_task(&mut self, task: &dol::TaskDef, span: &Span) -> TaskExecution {
+    /// The request that runs `task` on this connection: the task itself, or
+    /// the [`Vote`] of the subtransaction the connection holds open.
+    fn task_request(&self, task: &dol::TaskDef) -> Request {
         let name = task.name.clone();
-        let req = match self.held {
-            None => Request::Task {
+        match self.held {
+            Some((Vote::Prepare, _)) => Request::Prepare { task: name },
+            Some((Vote::Abort, _)) => Request::Abort { task: name },
+            _ => Request::Task {
                 name,
                 mode: if task.nocommit { TaskMode::NoCommit } else { TaskMode::Auto },
                 database: self.database.clone(),
                 commands: task.commands.clone(),
             },
-            Some((Vote::Prepare, _)) => Request::Prepare { task: name },
-            Some((Vote::Abort, _)) => Request::Abort { task: name },
-            Some((Vote::Settled(status), affected)) => {
-                if status == TaskStatus::Committed {
-                    self.outputs.lock().insert(name, TaskOutput { affected, rows: None });
-                }
-                return TaskExecution { status, result: None, error: None };
+        }
+    }
+
+    /// Runs a task on the LAM — or reads the reply of the one
+    /// [posted](DolService::post) — its affected-row count and rows going to
+    /// [`Self::outputs`] under the task's name. On a connection that
+    /// [holds](Self::held) the task's subtransaction open already, the
+    /// exchange is its [`Vote`], and a member with nothing to ask sends
+    /// nothing.
+    fn run_task(&mut self, task: &dol::TaskDef, span: &Span) -> TaskExecution {
+        if let Some((Vote::Settled(status), affected)) = self.held {
+            if status == TaskStatus::Committed {
+                let output = TaskOutput { affected, rows: None };
+                self.outputs.lock().insert(task.name.clone(), output);
             }
+            return TaskExecution { status, result: None, error: None };
+        }
+        let posted = match self.posted.take() {
+            Some(posted) => posted,
+            None => LamClient::post(self, &self.task_request(task), span),
         };
-        let (result, attempts, faults) = self.call_traced(&req, span);
+        let (result, attempts, faults) = self.finish(posted, span);
         self.record_obs(span, attempts, &faults);
         self.stats.lock().record_task(&task.name, attempts, faults.last().copied());
         match result {
@@ -708,14 +788,19 @@ impl LamClient {
         }
     }
 
-    /// Sends an ack-only second-phase request, tracing its round trips.
+    /// Sends an ack-only second-phase request — or reads the reply of the
+    /// one [posted](DolService::post) — tracing its round trips.
     ///
     /// A `COMMIT` whose every acknowledgement is lost to *transient* faults
     /// (the site is still registered — the LAM may well have committed) is
     /// reported as [`DolError::InDoubt`], never as a plain service error:
     /// the caller must route it to recovery rather than presume abort.
     fn phase_two(&mut self, req: Request, span: &Span) -> Result<(), DolError> {
-        let (result, attempts, faults) = self.call_traced(&req, span);
+        let posted = match self.posted.take() {
+            Some(posted) => posted,
+            None => LamClient::post(self, &req, span),
+        };
+        let (result, attempts, faults) = self.finish(posted, span);
         self.record_obs(span, attempts, &faults);
         match (result.map(|(resp, _)| resp), &req) {
             (Ok(Response::Ok), _) => Ok(()),
@@ -779,11 +864,11 @@ fn fault_label(kind: FaultKind) -> &'static str {
 }
 
 impl Drop for LamClient {
-    /// Checks a healthy pooled link back in; anything else closes with the
-    /// last reference to the link.
+    /// Checks a healthy pooled link with no reply pending back in; anything
+    /// else closes with the last reference to the link.
     fn drop(&mut self) {
         if let Some(pool) = self.home.take() {
-            if !*self.suspect.get_mut() {
+            if !*self.suspect.get_mut() && *self.unread.get_mut() == 0 {
                 pool.put(&self.site, &self.database, Arc::clone(&self.link));
             }
         }
@@ -791,6 +876,16 @@ impl Drop for LamClient {
 }
 
 impl DolService for LamClient {
+    fn post(&mut self, step: Step<'_>, span: &Span) {
+        let req = match step {
+            Step::Execute(_) if matches!(self.held, Some((Vote::Settled(_), _))) => return,
+            Step::Execute(task) => self.task_request(task),
+            Step::Commit(task) => Request::Commit { task: task.to_string() },
+            Step::Abort(task) => Request::Abort { task: task.to_string() },
+        };
+        self.posted = Some(LamClient::post(self, &req, span));
+    }
+
     fn execute_task(&mut self, task: &dol::TaskDef) -> TaskExecution {
         self.run_task(task, &Span::disabled())
     }
@@ -1269,6 +1364,55 @@ mod tests {
             matches!(err, DolError::Service(ref m) if m.contains("unavailable")),
             "terminal fault is a plain service error, got {err:?}"
         );
+    }
+
+    #[test]
+    fn a_client_dropped_with_an_unread_posted_reply_is_closed_not_pooled() {
+        let (net, _lam) = setup();
+        let factory = LamFactory::new(net.clone(), TEST_TIMEOUT);
+        let read = factory.checkout("site1", "avis").unwrap();
+        let unread = factory.checkout("site1", "avis").unwrap();
+        let posted = read.post(&Request::Ping, &Span::disabled());
+        assert_eq!(read.finish(posted, &Span::disabled()).0.unwrap().0, Response::Ok);
+        let _abandoned = unread.post(&Request::Ping, &Span::disabled());
+        drop((read, unread));
+        // The reply still owed to the second client must never be found in a
+        // pooled mailbox by the next statement: only the first link is back.
+        assert_eq!(factory.pool.idle_connections(), 1);
+        let next = factory.checkout("site1", "avis").unwrap();
+        assert_eq!(next.call(Request::Ping).unwrap(), Response::Ok);
+
+        // The same holds for a step the DOL engine posted and never finished.
+        let mut svc = factory.checkout("site1", "avis").unwrap();
+        DolService::post(&mut svc, dol::Step::Commit("T9"), &Span::disabled());
+        drop((next, svc));
+        assert_eq!(factory.pool.idle_connections(), 1);
+    }
+
+    #[test]
+    fn a_posted_reply_that_never_arrives_is_a_net_fault_retried_per_policy() {
+        let (net, _lam) = setup_on(Network::with_seed(15));
+        let timeout = Duration::from_millis(100);
+        for (retry, recovers) in [(RetryPolicy::retries(3), true), (RetryPolicy::none(), false)] {
+            let client =
+                LamClient::connect_with(&net, "site1", "avis", timeout, retry, shared_stats())
+                    .unwrap();
+            net.drop_next("site1", client.link.endpoint.name(), 1);
+            let posted = client.post(&Request::Ping, &Span::disabled());
+            // The first attempt's timeout runs from its send: by now it has
+            // expired, and finishing does not wait for it again.
+            std::thread::sleep(timeout);
+            let start = Instant::now();
+            let (result, attempts, faults) = client.finish(posted, &Span::disabled());
+            assert!(start.elapsed() < timeout, "{:?}", start.elapsed());
+            assert_eq!(faults, vec![FaultKind::Transient]);
+            if recovers {
+                assert_eq!((result.unwrap().0, attempts), (Response::Ok, 2));
+            } else {
+                assert!(matches!(result, Err(MdbsError::Net(_))), "{result:?}");
+                assert_eq!(attempts, 1);
+            }
+        }
     }
 
     #[test]

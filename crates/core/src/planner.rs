@@ -161,8 +161,7 @@ impl PlannerContext {
     }
 }
 
-/// What one site of a cross-database join is sent. Owns its strings: a site's
-/// share of the join may run on a worker thread.
+/// What one site of a cross-database join is sent.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SitePlan {
     /// The database whose LAM evaluates the subquery.

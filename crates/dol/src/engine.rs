@@ -6,21 +6,17 @@
 //! the status conditions of `IF` statements, and drives the second commit
 //! phase (`COMMIT`/`ABORT` task lists) and compensation.
 //!
-//! Consecutive `TASK` statements form a *batch*. In parallel mode (the
-//! default, matching the paper's emphasis on data-flow parallelism) the
-//! services of a batch work concurrently, and so do those of a
-//! `COMMIT`/`ABORT` list that spans several: the engine's own thread drives
-//! the first service and parked threads of its [`WorkerSet`] the others, so
-//! a batch or list on one service — and everything in serial mode, where
-//! tasks and acknowledgements run one after another — involves no second
-//! thread. Benchmark B7 measures the difference. The set is the caller's
-//! when it passes one ([`DolEngine::with_workers`]: a session keeps one for
-//! all its statements, so none of them starts a thread), the engine's own
-//! otherwise.
+//! Consecutive `TASK` statements form a *batch*, consecutive `COMMIT` /
+//! `ABORT` statements a *wave*. In parallel mode (the default, matching the
+//! paper's emphasis on data-flow parallelism) the services of a batch or a
+//! wave work concurrently, and the engine needs no thread for that: it
+//! [posts](DolService::post) the first step of every service before it reads
+//! any reply, then reads the replies in order on the calling thread, so a
+//! batch or wave over k services waits one round trip, not k. In serial mode
+//! every step is sent and answered before the next one goes out.
 
 use crate::ast::{DolCond, DolProgram, DolStmt, TaskDef, TaskStatus};
 use crate::error::DolError;
-use crate::workers::WorkerSet;
 use obs::{Span, SpanCtx};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -53,6 +49,31 @@ impl TaskExecution {
     }
 }
 
+/// One exchange of the engine with a service: a task's first phase, or the
+/// second phase of a prepared task.
+#[derive(Debug, Clone, Copy)]
+pub enum Step<'a> {
+    /// [`DolService::execute_task`] of this task.
+    Execute(&'a TaskDef),
+    /// [`DolService::commit_task`] of this task.
+    Commit(&'a str),
+    /// [`DolService::abort_task`] of this task.
+    Abort(&'a str),
+}
+
+impl Step<'_> {
+    /// Opens the span the step runs under, on the service `alias`.
+    fn span(self, alias: &str, ctx: &SpanCtx) -> Span {
+        let span = ctx.child(match self {
+            Step::Execute(task) => format!("task:{}", task.name),
+            Step::Commit(name) => format!("commit:{name}"),
+            Step::Abort(name) => format!("abort:{name}"),
+        });
+        span.note("service", alias);
+        span
+    }
+}
+
 /// A connected service a DOL program can drive. Implemented by the
 /// multidatabase layer's LAM client (over the simulated network) and by mock
 /// services in tests.
@@ -74,6 +95,15 @@ pub trait DolService: Send {
 
     /// Releases the connection.
     fn close(&mut self);
+
+    /// Sends `step` without waiting for its reply. The next call the engine
+    /// makes on this service is the one `step` names, with the same `span`,
+    /// and that call reads the reply instead of sending: posting the steps of
+    /// several services before finishing any overlaps their waits on one
+    /// thread. The default posts nothing, so that call does all the work.
+    fn post(&mut self, step: Step<'_>, span: &Span) {
+        let _ = (step, span);
+    }
 
     /// Traced variant of [`execute_task`](DolService::execute_task): the
     /// engine hands the task's span so the service can annotate it (and open
@@ -157,9 +187,7 @@ impl DolOutcome {
 /// The DOL engine.
 pub struct DolEngine<'f> {
     factory: &'f dyn ServiceFactory,
-    /// The threads multi-service batches and settle lists fan out on.
-    workers: WorkerSet,
-    /// Run the services of a task batch or settle list concurrently
+    /// Overlap the waits of the services of a task batch or settle wave
     /// (default true).
     pub parallel: bool,
     /// Where to hang execution spans (disabled by default).
@@ -176,6 +204,15 @@ enum Settle {
 }
 
 impl Settle {
+    /// The action and task list of a `COMMIT` / `ABORT` statement.
+    fn of(stmt: &DolStmt) -> Option<(Settle, &[String])> {
+        match stmt {
+            DolStmt::Commit { tasks } => Some((Settle::Commit, tasks)),
+            DolStmt::Abort { tasks } => Some((Settle::Abort, tasks)),
+            _ => None,
+        }
+    }
+
     fn verb(self) -> &'static str {
         match self {
             Settle::Commit => "commit",
@@ -189,6 +226,21 @@ impl Settle {
             Settle::Abort => TaskStatus::Aborted,
         }
     }
+
+    fn step(self, task: &str) -> Step<'_> {
+        match self {
+            Settle::Commit => Step::Commit(task),
+            Settle::Abort => Step::Abort(task),
+        }
+    }
+
+    /// Sends (or, when it was posted, finishes) the second-phase message.
+    fn send(self, svc: &mut dyn DolService, task: &str, span: &Span) -> Result<(), DolError> {
+        match self {
+            Settle::Commit => svc.commit_task_traced(task, span),
+            Settle::Abort => svc.abort_task_traced(task, span),
+        }
+    }
 }
 
 struct RunState {
@@ -197,28 +249,48 @@ struct RunState {
     outcome: DolOutcome,
 }
 
+impl RunState {
+    /// Where `action` sends for the listed task `name`: `Ok(Some(alias))`
+    /// when the task is prepared; `Ok(None)` when there is nothing to do —
+    /// it is already where the statement wants it (`COMMIT` is idempotent on
+    /// `C`; `ABORT` is a no-op on `A`/`E`: the paper's else branch aborts the
+    /// whole vital set, members of which may have aborted on their own), or
+    /// the list named it before; `Err` when the plan is wrong about it.
+    fn settle_target(
+        &self,
+        action: Settle,
+        name: &str,
+        listed_before: bool,
+    ) -> Result<Option<String>, DolError> {
+        let def = self.defs.get(name).ok_or_else(|| DolError::UnknownTask(name.to_string()))?;
+        if listed_before {
+            return Ok(None);
+        }
+        match (self.outcome.task_statuses[name], action) {
+            (TaskStatus::Prepared, _) if self.services.contains_key(&def.service) => {
+                Ok(Some(def.service.clone()))
+            }
+            (TaskStatus::Prepared, _) => Err(DolError::UnknownService(def.service.clone())),
+            (TaskStatus::Committed, Settle::Commit)
+            | (TaskStatus::Aborted | TaskStatus::Error, Settle::Abort) => Ok(None),
+            (other, _) => Err(DolError::BadTaskStatus {
+                task: name.to_string(),
+                action: action.verb(),
+                status: other.code(),
+            }),
+        }
+    }
+}
+
 impl<'f> DolEngine<'f> {
     /// Creates an engine over a service factory (parallel batches enabled).
     pub fn new(factory: &'f dyn ServiceFactory) -> Self {
-        DolEngine {
-            factory,
-            workers: WorkerSet::new(),
-            parallel: true,
-            trace: SpanCtx::disabled(),
-            observer: None,
-        }
+        DolEngine { factory, parallel: true, trace: SpanCtx::disabled(), observer: None }
     }
 
     /// Creates an engine that executes task batches serially.
     pub fn serial(factory: &'f dyn ServiceFactory) -> Self {
         DolEngine { parallel: false, ..DolEngine::new(factory) }
-    }
-
-    /// Fans out on `workers` instead of a set of the engine's own, so the
-    /// threads outlive this engine and the next one finds them parked.
-    pub fn with_workers(mut self, workers: &WorkerSet) -> Self {
-        self.workers = workers.clone();
-        self
     }
 
     /// Executes a program to completion.
@@ -248,24 +320,29 @@ impl<'f> DolEngine<'f> {
     ) -> Result<(), DolError> {
         let mut i = 0;
         while i < stmts.len() {
-            match &stmts[i] {
-                DolStmt::Task(_) => {
-                    // Collect the whole consecutive batch.
-                    let mut batch = Vec::new();
-                    while i < stmts.len() {
-                        if let DolStmt::Task(t) = &stmts[i] {
-                            batch.push(t.clone());
-                            i += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    self.run_batch(batch, state, ctx)?;
-                }
-                other => {
-                    self.run_stmt(other, state, ctx)?;
+            if let DolStmt::Task(_) = &stmts[i] {
+                // Collect the whole consecutive batch.
+                let mut batch = Vec::new();
+                while let Some(DolStmt::Task(t)) = stmts.get(i) {
+                    batch.push(t.clone());
                     i += 1;
                 }
+                self.run_batch(batch, state, ctx)?;
+            } else if Settle::of(&stmts[i]).is_some() {
+                // Collect the wave, up to a statement that names a task the
+                // wave settles already: that one must see the first outcome.
+                let mut wave: Vec<(Settle, &[String])> = Vec::new();
+                while let Some((action, names)) = stmts.get(i).and_then(Settle::of) {
+                    if wave.iter().any(|(_, listed)| names.iter().any(|n| listed.contains(n))) {
+                        break;
+                    }
+                    wave.push((action, names));
+                    i += 1;
+                }
+                self.settle(&wave, state, ctx)?;
+            } else {
+                self.run_stmt(&stmts[i], state, ctx)?;
+                i += 1;
             }
         }
         Ok(())
@@ -289,7 +366,9 @@ impl<'f> DolEngine<'f> {
                 state.services.insert(alias.clone(), svc);
                 Ok(())
             }
-            DolStmt::Task(_) => unreachable!("tasks are batched in run_block"),
+            DolStmt::Task(_) | DolStmt::Commit { .. } | DolStmt::Abort { .. } => {
+                unreachable!("batches and waves are collected in run_block")
+            }
             DolStmt::If { cond, then_branch, else_branch } => {
                 if eval_cond(cond, &state.outcome.task_statuses)? {
                     self.run_block(then_branch, state, ctx)
@@ -297,8 +376,6 @@ impl<'f> DolEngine<'f> {
                     self.run_block(else_branch, state, ctx)
                 }
             }
-            DolStmt::Commit { tasks } => self.settle(Settle::Commit, tasks, state, ctx),
-            DolStmt::Abort { tasks } => self.settle(Settle::Abort, tasks, state, ctx),
             DolStmt::Compensate { task } => self.compensate_task(task, state, ctx),
             DolStmt::Decide(code) => {
                 if let Some(observer) = &self.observer {
@@ -340,45 +417,19 @@ impl<'f> DolEngine<'f> {
             state.defs.insert(t.name.clone(), t.clone());
         }
 
-        // Group tasks by service alias; tasks on the same service run in
-        // order on that service's connection.
-        let mut groups: Vec<(String, Vec<TaskDef>)> = Vec::new();
-        for t in batch {
-            match groups.iter_mut().find(|(alias, _)| *alias == t.service) {
-                Some((_, tasks)) => tasks.push(t),
-                None => groups.push((t.service.clone(), vec![t])),
-            }
-        }
-
-        // Opens, annotates and closes the span around one task execution.
-        fn traced_exec(
-            svc: &mut Box<dyn DolService>,
-            task: &TaskDef,
-            alias: &str,
-            ctx: &SpanCtx,
-        ) -> TaskExecution {
-            let span = ctx.child(format!("task:{}", task.name));
-            span.note("service", alias);
+        // Tasks on one service run in order on that service's connection;
+        // the services take their turns in order of first appearance.
+        let mut order: Vec<&TaskDef> = batch.iter().collect();
+        order.sort_by_key(|t| batch.iter().position(|first| first.service == t.service));
+        let steps = order.iter().map(|t| (t.service.as_str(), Step::Execute(t))).collect();
+        let posted = self.post_firsts(&mut state.services, steps, ctx);
+        let mut executions: Vec<(String, TaskExecution)> = Vec::with_capacity(order.len());
+        for (task, span) in order.into_iter().zip(posted) {
+            let span = span.unwrap_or_else(|| Step::Execute(task).span(&task.service, ctx));
+            let svc = state.services.get_mut(&task.service).expect("checked above");
             let exec = svc.execute_task_traced(task, &span);
             span.note("status", exec.status.code());
-            exec
-        }
-
-        let mut executions: Vec<(String, TaskExecution)> = Vec::new();
-        if self.parallel && groups.len() > 1 {
-            executions =
-                self.fan_out(&mut state.services, groups, ctx, |svc, alias, task: TaskDef, ctx| {
-                    let exec = traced_exec(svc, &task, alias, ctx);
-                    (task.name, exec)
-                });
-        } else {
-            for (alias, tasks) in groups {
-                let svc = state.services.get_mut(&alias).expect("checked above");
-                for task in &tasks {
-                    let exec = traced_exec(svc, task, &alias, ctx);
-                    executions.push((task.name.clone(), exec));
-                }
-            }
+            executions.push((task.name.clone(), exec));
         }
 
         for (name, exec) in executions {
@@ -396,112 +447,53 @@ impl<'f> DolEngine<'f> {
         Ok(())
     }
 
-    /// Drives the second phase for a `COMMIT`/`ABORT` task list.
+    /// Drives the second phase of a wave: consecutive `COMMIT`/`ABORT`
+    /// task lists.
     ///
-    /// Every listed task is attempted; the first error in list order is
-    /// returned. Tasks still prepared get the second-phase message, tasks
-    /// already where the statement wants them are skipped (`COMMIT` is
-    /// idempotent on `C`; `ABORT` is a no-op on `A`/`E` — the paper's else
-    /// branch aborts the whole vital set, members of which may have aborted
-    /// on their own), anything else is a plan error.
+    /// Every listed task is attempted, whatever became of the others; the
+    /// first error in statement-then-list order is returned. Tasks still
+    /// prepared get the second-phase message, tasks already where their
+    /// statement wants them are skipped, anything else is a plan error
+    /// ([`RunState::settle_target`]).
     ///
-    /// Serially, each message is followed by its status update and
-    /// [`TaskObserver::task_resolved`] before the next one goes out. In
-    /// parallel mode the messages of a list that spans several services go
-    /// out together, fanned out as in [`Self::run_batch`], and the updates
-    /// and observer calls follow in list order — so the log reads the same
-    /// either way and the list costs one round trip. An observer error (a
-    /// simulated coordinator crash) stops on the spot.
+    /// Status updates and [`TaskObserver::task_resolved`] follow
+    /// statement-then-list order in both modes, so the log reads the same
+    /// either way. Serially, each message is followed by its update and
+    /// observer call before the next one goes out. In parallel mode the first
+    /// message to every service goes out before any reply is read, so the
+    /// wave costs one round trip. An observer error (a simulated coordinator
+    /// crash) stops on the spot.
     fn settle(
         &self,
-        action: Settle,
-        names: &[String],
+        wave: &[(Settle, &[String])],
         state: &mut RunState,
         ctx: &SpanCtx,
     ) -> Result<(), DolError> {
-        // Per listed task: `Ok(Some(alias))` = prepared, message its service;
-        // `Ok(None)` = nothing to do; `Err` = the plan is wrong about it.
-        let targets: Vec<Result<Option<String>, DolError>> = names
+        let mut listed = Vec::new();
+        for &(action, names) in wave {
+            for (i, name) in names.iter().enumerate() {
+                let target = state.settle_target(action, name, names[..i].contains(name));
+                listed.push((action, name, target));
+            }
+        }
+        let steps = listed
             .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let def =
-                    state.defs.get(name).ok_or_else(|| DolError::UnknownTask(name.clone()))?;
-                if names[..i].contains(name) {
-                    return Ok(None); // listed twice: the first mention settles it
-                }
-                match (state.outcome.task_statuses[name], action) {
-                    (TaskStatus::Prepared, _) if state.services.contains_key(&def.service) => {
-                        Ok(Some(def.service.clone()))
-                    }
-                    (TaskStatus::Prepared, _) => Err(DolError::UnknownService(def.service.clone())),
-                    (TaskStatus::Committed, Settle::Commit)
-                    | (TaskStatus::Aborted | TaskStatus::Error, Settle::Abort) => Ok(None),
-                    (other, _) => Err(DolError::BadTaskStatus {
-                        task: name.clone(),
-                        action: action.verb(),
-                        status: other.code(),
-                    }),
-                }
+            .filter_map(|(action, name, target)| match target {
+                Ok(Some(alias)) => Some((alias.as_str(), action.step(name))),
+                _ => None,
             })
             .collect();
-
-        // Sends one task's second-phase message under its span.
-        fn send(
-            svc: &mut Box<dyn DolService>,
-            action: Settle,
-            name: &str,
-            alias: &str,
-            ctx: &SpanCtx,
-        ) -> Result<(), DolError> {
-            let span = ctx.child(format!("{}:{name}", action.verb()));
-            span.note("service", alias);
-            match action {
-                Settle::Commit => svc.commit_task_traced(name, &span),
-                Settle::Abort => svc.abort_task_traced(name, &span),
-            }
-        }
-
-        // In parallel mode, a list that spans several services sends all its
-        // messages now; tasks on one service share its connection, in order.
-        let mut sent: HashMap<usize, Result<(), DolError>> = HashMap::new();
-        if self.parallel {
-            let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
-            for (i, target) in targets.iter().enumerate() {
-                if let Ok(Some(alias)) = target {
-                    match groups.iter_mut().find(|(a, _)| a == alias) {
-                        Some((_, members)) => members.push(i),
-                        None => groups.push((alias.clone(), vec![i])),
-                    }
-                }
-            }
-            if groups.len() > 1 {
-                // A message may go out from a worker thread, so it owns what
-                // it needs: its place in the list, the verb, the task's name.
-                let owned = groups
-                    .into_iter()
-                    .map(|(alias, members)| {
-                        let members = members.into_iter().map(|i| (i, action, names[i].clone()));
-                        (alias, members.collect())
-                    })
-                    .collect();
-                sent = self
-                    .fan_out(&mut state.services, owned, ctx, |svc, alias, member, ctx| {
-                        let (i, action, name): (usize, Settle, String) = member;
-                        (i, send(svc, action, &name, alias, ctx))
-                    })
-                    .into_iter()
-                    .collect();
-            }
-        }
+        let mut posted = self.post_firsts(&mut state.services, steps, ctx).into_iter();
 
         let mut first_err = None;
-        for (i, (name, target)) in names.iter().zip(targets).enumerate() {
+        for (action, name, target) in listed {
             let result = match target {
-                Ok(Some(alias)) => sent.remove(&i).unwrap_or_else(|| {
+                Ok(Some(alias)) => {
+                    let span = posted.next().flatten();
+                    let span = span.unwrap_or_else(|| action.step(name).span(&alias, ctx));
                     let svc = state.services.get_mut(&alias).expect("checked above");
-                    send(svc, action, name, &alias, ctx)
-                }),
+                    action.send(svc.as_mut(), name, &span)
+                }
                 Ok(None) => continue,
                 Err(e) => Err(e),
             };
@@ -519,6 +511,33 @@ impl<'f> DolEngine<'f> {
             }
         }
         first_err.map_or(Ok(()), Err)
+    }
+
+    /// In parallel mode, posts the first of `steps` on every service they
+    /// touch — when they touch more than one — so the waits for those replies
+    /// overlap on this thread; a service's later steps go out as they are
+    /// finished. Returns, per step, the span a posted step's reply is to be
+    /// read under (`None`: the step is sent when it is finished). Callers
+    /// have checked that every alias is open.
+    fn post_firsts(
+        &self,
+        services: &mut HashMap<String, Box<dyn DolService>>,
+        steps: Vec<(&str, Step<'_>)>,
+        ctx: &SpanCtx,
+    ) -> Vec<Option<Span>> {
+        let mut posted: Vec<Option<Span>> = steps.iter().map(|_| None).collect();
+        let firsts: Vec<usize> = (0..steps.len())
+            .filter(|&i| steps[..i].iter().all(|(alias, _)| *alias != steps[i].0))
+            .collect();
+        if self.parallel && firsts.len() > 1 {
+            for i in firsts {
+                let (alias, step) = steps[i];
+                let span = step.span(alias, ctx);
+                services.get_mut(alias).expect("alias checked by the caller").post(step, &span);
+                posted[i] = Some(span);
+            }
+        }
+        posted
     }
 
     fn compensate_task(
@@ -555,44 +574,6 @@ impl<'f> DolEngine<'f> {
             }),
         }
     }
-
-    /// Runs `work` over every group's items, the groups concurrently on the
-    /// engine's [`WorkerSet`] — the first on this thread, the others on
-    /// parked workers. Each group's job owns its service for the duration
-    /// (the boxes go back into `services` afterwards) and a handle on `ctx`;
-    /// the items of one group run in order on that service's connection.
-    /// Results come back group by group, in `groups` order. Callers have
-    /// checked that every alias is open.
-    fn fan_out<I, T>(
-        &self,
-        services: &mut HashMap<String, Box<dyn DolService>>,
-        groups: Vec<(String, Vec<I>)>,
-        ctx: &SpanCtx,
-        work: fn(&mut Box<dyn DolService>, &str, I, &SpanCtx) -> T,
-    ) -> Vec<T>
-    where
-        I: Send + 'static,
-        T: Send + 'static,
-    {
-        let jobs: Vec<_> = groups
-            .into_iter()
-            .map(|(alias, items)| {
-                let mut svc = services.remove(&alias).expect("alias checked by the caller");
-                let ctx = ctx.clone();
-                move || {
-                    let results: Vec<T> =
-                        items.into_iter().map(|item| work(&mut svc, &alias, item, &ctx)).collect();
-                    (alias, svc, results)
-                }
-            })
-            .collect();
-        let mut out = Vec::new();
-        for (alias, svc, results) in self.workers.run(jobs) {
-            services.insert(alias, svc);
-            out.extend(results);
-        }
-        out
-    }
 }
 
 /// Evaluates a status condition.
@@ -614,7 +595,7 @@ mod tests {
     use crate::parser::parse_program;
     use parking_lot::Mutex;
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     /// A scripted in-memory service for engine tests.
     #[derive(Default)]
@@ -624,7 +605,7 @@ mod tests {
         delay: Option<Duration>,
         /// How long a second-phase acknowledgement takes.
         settle_delay: Option<Duration>,
-        /// The thread each `exec` / `commit` log line ran on.
+        /// The thread each `exec` / `commit` / `abort` log line ran on.
         threads: Vec<(String, std::thread::ThreadId)>,
     }
 
@@ -636,6 +617,27 @@ mod tests {
     struct MockService {
         service: String,
         state: Arc<Mutex<MockState>>,
+        /// The step posted and not yet finished, and when it was posted.
+        posted: Option<(String, Instant)>,
+    }
+
+    impl MockService {
+        /// Finishes `step` ("exec T1", "commit T1", …): a step that took
+        /// `delay` waits only for what is left of it since it was posted.
+        fn finish(&mut self, step: String, delay: Option<Duration>) {
+            let since = match self.posted.take() {
+                Some((posted, at)) => {
+                    assert_eq!(posted, step, "the call after a post finishes the posted step");
+                    at.elapsed()
+                }
+                None => Duration::ZERO,
+            };
+            if let Some(d) = delay {
+                std::thread::sleep(d.saturating_sub(since));
+            }
+            let mut st = self.state.lock();
+            st.threads.push((step, std::thread::current().id()));
+        }
     }
 
     impl ServiceFactory for MockFactory {
@@ -647,19 +649,27 @@ mod tests {
                 });
             }
             self.state.lock().log.push(format!("open {service}"));
-            Ok(Box::new(MockService { service: service.into(), state: Arc::clone(&self.state) }))
+            let state = Arc::clone(&self.state);
+            Ok(Box::new(MockService { service: service.into(), state, posted: None }))
         }
     }
 
     impl DolService for MockService {
+        fn post(&mut self, step: Step<'_>, _span: &Span) {
+            let step = match step {
+                Step::Execute(task) => format!("exec {}", task.name),
+                Step::Commit(name) => format!("commit {name}"),
+                Step::Abort(name) => format!("abort {name}"),
+            };
+            assert!(self.posted.is_none(), "one posted step per service at a time");
+            self.posted = Some((step, Instant::now()));
+        }
+
         fn execute_task(&mut self, task: &TaskDef) -> TaskExecution {
             let delay = self.state.lock().delay;
-            if let Some(d) = delay {
-                std::thread::sleep(d);
-            }
+            self.finish(format!("exec {}", task.name), delay);
             let mut st = self.state.lock();
             st.log.push(format!("exec {} on {}", task.name, self.service));
-            st.threads.push((format!("exec {}", task.name), std::thread::current().id()));
             if st.fail_tasks.contains(&task.name) {
                 return TaskExecution::aborted("scripted failure");
             }
@@ -672,16 +682,14 @@ mod tests {
 
         fn commit_task(&mut self, task_name: &str) -> Result<(), DolError> {
             let delay = self.state.lock().settle_delay;
-            if let Some(d) = delay {
-                std::thread::sleep(d);
-            }
-            let mut st = self.state.lock();
-            st.log.push(format!("commit {task_name}"));
-            st.threads.push((format!("commit {task_name}"), std::thread::current().id()));
+            self.finish(format!("commit {task_name}"), delay);
+            self.state.lock().log.push(format!("commit {task_name}"));
             Ok(())
         }
 
         fn abort_task(&mut self, task_name: &str) -> Result<(), DolError> {
+            let delay = self.state.lock().settle_delay;
+            self.finish(format!("abort {task_name}"), delay);
             self.state.lock().log.push(format!("abort {task_name}"));
             Ok(())
         }
@@ -869,10 +877,19 @@ mod tests {
         assert!(matches!(err, Err(DolError::UnknownTask(_))));
     }
 
+    /// Asserts that every step the factory's services finished ran on the
+    /// calling thread: overlapping waits takes no thread of its own.
+    fn all_on_this_thread(factory: &MockFactory) {
+        let me = std::thread::current().id();
+        let threads = factory.state.lock().threads.clone();
+        assert!(!threads.is_empty());
+        for (step, thread) in threads {
+            assert_eq!(thread, me, "{step} ran on another thread");
+        }
+    }
+
     #[test]
     fn parallel_batch_overlaps_task_latency() {
-        let factory = MockFactory::default();
-        factory.state.lock().delay = Some(Duration::from_millis(40));
         let program = parse_program(
             "DOLBEGIN
              OPEN a AT s1 AS a;
@@ -884,61 +901,21 @@ mod tests {
              DOLEND",
         )
         .unwrap();
-
-        let start = std::time::Instant::now();
-        DolEngine::new(&factory).execute(&program).unwrap();
-        let parallel_time = start.elapsed();
-
-        let start = std::time::Instant::now();
-        DolEngine::serial(&factory).execute(&program).unwrap();
-        let serial_time = start.elapsed();
-
+        let timed = |parallel: bool| {
+            let factory = MockFactory::default();
+            factory.state.lock().delay = Some(Duration::from_millis(40));
+            let mut engine = DolEngine::new(&factory);
+            engine.parallel = parallel;
+            let start = Instant::now();
+            engine.execute(&program).unwrap();
+            let elapsed = start.elapsed();
+            all_on_this_thread(&factory);
+            elapsed
+        };
+        let parallel_time = timed(true);
+        let serial_time = timed(false);
         assert!(parallel_time < Duration::from_millis(100), "parallel: {parallel_time:?}");
         assert!(serial_time >= Duration::from_millis(110), "serial: {serial_time:?}");
-    }
-
-    #[test]
-    fn the_first_group_runs_on_the_calling_thread_and_workers_are_reused() {
-        let program = parse_program(
-            "DOLBEGIN
-             OPEN a AT s1 AS a;
-             OPEN b AT s2 AS b;
-             OPEN c AT s3 AS c;
-             TASK Ta NOCOMMIT FOR a { UPDATE x SET y = 1 } ENDTASK;
-             TASK Tb NOCOMMIT FOR b { UPDATE x SET y = 2 } ENDTASK;
-             TASK Tc NOCOMMIT FOR c { UPDATE x SET y = 3 } ENDTASK;
-             COMMIT Ta, Tb, Tc;
-             DOLEND",
-        )
-        .unwrap();
-        let me = std::thread::current().id();
-        let workers = WorkerSet::new();
-        for parallel in [true, true, false] {
-            let factory = MockFactory::default();
-            let mut engine = DolEngine::new(&factory).with_workers(&workers);
-            engine.parallel = parallel;
-            engine.execute(&program).unwrap();
-            let threads = factory.state.lock().threads.clone();
-            let on = |what: &str| threads.iter().find(|(w, _)| w == what).unwrap().1;
-            // The batch's and the list's first group never leave this thread;
-            // in parallel mode the other groups run on workers.
-            assert_eq!((on("exec Ta"), on("commit Ta")), (me, me));
-            for other in ["exec Tb", "exec Tc", "commit Tb", "commit Tc"] {
-                assert_eq!(on(other) == me, !parallel, "{other}, parallel = {parallel}");
-            }
-            // Two engines and four fan-outs later the caller's set still holds
-            // the two threads the first batch started.
-            assert_eq!(workers.threads(), 2);
-        }
-        // A batch on one service, parallel or not, touches no worker.
-        let factory = MockFactory::default();
-        let workers = WorkerSet::new();
-        let single =
-            parse_program("DOLBEGIN OPEN a AT s1 AS a; TASK T1 FOR a { SELECT 1 } ENDTASK; DOLEND")
-                .unwrap();
-        DolEngine::new(&factory).with_workers(&workers).execute(&single).unwrap();
-        assert_eq!(factory.state.lock().threads, vec![("exec T1".to_string(), me)]);
-        assert_eq!(workers.threads(), 0);
     }
 
     #[test]
@@ -1019,10 +996,31 @@ mod tests {
         );
     }
 
+    /// Runs `program` with every acknowledgement taking 40 ms, checks that
+    /// the log resolves the tasks as `resolved` says, in that order, and
+    /// that every step ran on this thread; returns how long the run took.
+    fn timed_settle(program: &str, parallel: bool, resolved: &[&str]) -> Duration {
+        let factory = MockFactory::default();
+        factory.state.lock().settle_delay = Some(Duration::from_millis(40));
+        let observer = Arc::new(RecordingObserver::default());
+        let mut engine = DolEngine::new(&factory);
+        engine.parallel = parallel;
+        engine.observer = Some(Arc::clone(&observer) as Arc<dyn TaskObserver>);
+        let start = Instant::now();
+        engine.execute(&parse_program(program).unwrap()).unwrap();
+        let elapsed = start.elapsed();
+        // The log reads in statement-then-list order whichever way the acks
+        // raced.
+        let events = observer.events.lock().clone();
+        let logged: Vec<&str> = events.iter().filter_map(|e| e.strip_prefix("resolve ")).collect();
+        assert_eq!(logged, resolved, "parallel = {parallel}");
+        all_on_this_thread(&factory);
+        elapsed
+    }
+
     #[test]
     fn parallel_settle_list_costs_one_acknowledgement_not_one_per_task() {
-        let program = parse_program(
-            "DOLBEGIN
+        let program = "DOLBEGIN
              OPEN a AT s1 AS a;
              OPEN b AT s2 AS b;
              OPEN c AT s3 AS c;
@@ -1030,37 +1028,35 @@ mod tests {
              TASK Tb NOCOMMIT FOR b { UPDATE x SET y = 2 } ENDTASK;
              TASK Tc NOCOMMIT FOR c { UPDATE x SET y = 3 } ENDTASK;
              COMMIT Ta, Tb, Tc;
-             DOLEND",
-        )
-        .unwrap();
-        let timed = |parallel: bool| {
-            let factory = MockFactory::default();
-            factory.state.lock().settle_delay = Some(Duration::from_millis(40));
-            let observer = Arc::new(RecordingObserver::default());
-            let mut engine =
-                if parallel { DolEngine::new(&factory) } else { DolEngine::serial(&factory) };
-            engine.observer = Some(Arc::clone(&observer) as Arc<dyn TaskObserver>);
-            let start = std::time::Instant::now();
-            let out = engine.execute(&program).unwrap();
-            let elapsed = start.elapsed();
-            for task in ["Ta", "Tb", "Tc"] {
-                assert_eq!(out.status(task), Some(TaskStatus::Committed));
-            }
-            // The log reads in list order whichever way the acks raced.
-            let resolved: Vec<String> = observer
-                .events
-                .lock()
-                .iter()
-                .filter(|e| e.starts_with("resolve"))
-                .cloned()
-                .collect();
-            assert_eq!(resolved, vec!["resolve Ta C", "resolve Tb C", "resolve Tc C"]);
-            elapsed
-        };
-        let parallel_time = timed(true);
-        let serial_time = timed(false);
+             DOLEND";
+        let resolved = ["Ta C", "Tb C", "Tc C"];
+        let parallel_time = timed_settle(program, true, &resolved);
+        let serial_time = timed_settle(program, false, &resolved);
         assert!(parallel_time < Duration::from_millis(100), "parallel: {parallel_time:?}");
         assert!(serial_time >= Duration::from_millis(110), "serial: {serial_time:?}");
+    }
+
+    #[test]
+    fn a_commit_and_abort_wave_costs_one_settle_delay() {
+        // A §3.4 termination state: one COMMIT list, one ABORT list, four
+        // services — one acknowledgement's wait, not two.
+        let program = "DOLBEGIN
+             OPEN a AT s1 AS a;
+             OPEN b AT s2 AS b;
+             OPEN c AT s3 AS c;
+             OPEN d AT s4 AS d;
+             TASK Ta NOCOMMIT FOR a { UPDATE x SET y = 1 } ENDTASK;
+             TASK Tb NOCOMMIT FOR b { UPDATE x SET y = 2 } ENDTASK;
+             TASK Tc NOCOMMIT FOR c { UPDATE x SET y = 3 } ENDTASK;
+             TASK Td NOCOMMIT FOR d { UPDATE x SET y = 4 } ENDTASK;
+             COMMIT Ta, Tc;
+             ABORT Tb, Td;
+             DOLEND";
+        let resolved = ["Ta C", "Tc C", "Tb A", "Td A"];
+        let parallel_time = timed_settle(program, true, &resolved);
+        let serial_time = timed_settle(program, false, &resolved);
+        assert!(parallel_time < Duration::from_millis(70), "parallel: {parallel_time:?}");
+        assert!(serial_time >= Duration::from_millis(150), "serial: {serial_time:?}");
     }
 
     #[test]
@@ -1094,6 +1090,70 @@ mod tests {
             assert!(log.contains(&"commit Ta".to_string()), "{log:?}");
             assert!(log.contains(&"commit Tc".to_string()), "{log:?}");
         }
+    }
+
+    #[test]
+    fn an_error_in_the_commit_list_does_not_strand_the_abort_list() {
+        // Tb aborted locally, so `COMMIT Ta, Tb` fails on it; the ABORT list
+        // of the same wave still releases Tc and Td.
+        for parallel in [true, false] {
+            let factory = MockFactory::default();
+            factory.state.lock().fail_tasks.push("Tb".into());
+            let mut engine = DolEngine::new(&factory);
+            engine.parallel = parallel;
+            let err = engine.execute(
+                &parse_program(
+                    "DOLBEGIN
+                     OPEN a AT s1 AS a;
+                     OPEN b AT s2 AS b;
+                     OPEN c AT s3 AS c;
+                     OPEN d AT s4 AS d;
+                     TASK Ta NOCOMMIT FOR a { UPDATE x SET y = 1 } ENDTASK;
+                     TASK Tb NOCOMMIT FOR b { UPDATE x SET y = 2 } ENDTASK;
+                     TASK Tc NOCOMMIT FOR c { UPDATE x SET y = 3 } ENDTASK;
+                     TASK Td NOCOMMIT FOR d { UPDATE x SET y = 4 } ENDTASK;
+                     COMMIT Ta, Tb;
+                     ABORT Tc, Td;
+                     DOLSTATUS=0;
+                     DOLEND",
+                )
+                .unwrap(),
+            );
+            assert!(
+                matches!(&err, Err(DolError::BadTaskStatus { task, action: "commit", .. }) if task == "Tb"),
+                "{err:?}"
+            );
+            let log = factory.state.lock().log.clone();
+            for sent in ["commit Ta", "abort Tc", "abort Td"] {
+                assert!(log.contains(&sent.to_string()), "{sent}, parallel = {parallel}: {log:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_statement_that_names_a_settled_task_again_sees_its_outcome() {
+        // `ABORT T1` is not part of `COMMIT T1`'s wave: it finds T1
+        // committed, as it would run after it serially.
+        let factory = MockFactory::default();
+        let err = DolEngine::new(&factory).execute(
+            &parse_program(
+                "DOLBEGIN
+                 OPEN a AT s1 AS a;
+                 OPEN b AT s2 AS b;
+                 TASK T1 NOCOMMIT FOR a { UPDATE x SET y = 1 } ENDTASK;
+                 TASK T2 NOCOMMIT FOR b { UPDATE x SET y = 2 } ENDTASK;
+                 COMMIT T1, T2;
+                 ABORT T1;
+                 DOLEND",
+            )
+            .unwrap(),
+        );
+        assert!(
+            matches!(&err, Err(DolError::BadTaskStatus { task, action: "abort", status: 'C' }) if task == "T1"),
+            "{err:?}"
+        );
+        let log = factory.state.lock().log.clone();
+        assert!(!log.contains(&"abort T1".to_string()), "{log:?}");
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!   used in the paper's listings (task bodies are literal SQL between
 //!   braces);
 //! * the engine ([`engine::DolEngine`]): opens services, runs consecutive
-//!   `TASK` blocks serially or in parallel (the data-flow parallelism the
-//!   paper says global optimization should exploit) on a long-lived
-//!   [`workers::WorkerSet`], tracks task statuses
+//!   `TASK` blocks and consecutive `COMMIT`/`ABORT` lists serially or in
+//!   parallel (the data-flow parallelism the paper says global optimization
+//!   should exploit — every service's first request posted before any reply
+//!   is read, all on the calling thread), tracks task statuses
 //!   (`P`/`C`/`A`/`E`), evaluates status conditions, and drives
 //!   commit/abort/compensate against an abstract [`engine::DolService`] —
 //!   implemented over the network by the multidatabase layer's Local Access
@@ -28,11 +29,9 @@ pub mod engine;
 pub mod error;
 pub mod parser;
 pub mod printer;
-pub mod workers;
 
 pub use ast::{DolCond, DolProgram, DolStmt, TaskDef, TaskStatus};
-pub use engine::{DolEngine, DolOutcome, DolService, ServiceFactory, TaskObserver};
+pub use engine::{DolEngine, DolOutcome, DolService, ServiceFactory, Step, TaskObserver};
 pub use error::DolError;
 pub use parser::parse_program;
 pub use printer::print_program;
-pub use workers::WorkerSet;

@@ -679,3 +679,58 @@ fn one_lost_ack_among_parallel_commits_is_in_doubt_while_the_other_commits() {
     // The connection that lost the ack is not reused; the healthy one is.
     assert_eq!(factory.pool.idle_connections(), 1);
 }
+
+#[test]
+fn a_lost_commit_ack_does_not_strand_the_abort_list() {
+    // A §3.4 termination state: COMMIT one pair, ABORT the other. The lost
+    // ack makes the COMMIT list fail in doubt; the ABORT list is still sent,
+    // so no non-member is left prepared holding its locks until recovery.
+    for parallel in [true, false] {
+        let fed = paper_federation_with(Network::new(), FederationProfiles::default());
+        let factory = LamFactory::new(fed.network().clone(), Duration::from_millis(150));
+        let program = dol::parse_program(
+            "DOLBEGIN
+             OPEN continental AT site1 AS c;
+             OPEN delta AT site2 AS d;
+             OPEN national AT site5 AS n;
+             OPEN avis AT site4 AS a;
+             TASK T1 NOCOMMIT FOR c { UPDATE flights SET rate = 1 WHERE flnu = 1 } ENDTASK;
+             TASK T2 NOCOMMIT FOR d { UPDATE flight SET rate = 2 WHERE fnu = 10 } ENDTASK;
+             TASK T3 NOCOMMIT FOR n { UPDATE vehicle SET vstat = 'TAKEN' WHERE vcode = 7 } ENDTASK;
+             TASK T4 NOCOMMIT FOR a { UPDATE cars SET rate = 4 WHERE code = 1 } ENDTASK;
+             DECIDE 0;
+             COMMIT T1, T3;
+             ABORT T2, T4;
+             CLOSE c d n a;
+             DOLEND",
+        )
+        .unwrap();
+        let mut engine = dol::DolEngine::new(&factory);
+        engine.parallel = parallel;
+        engine.observer = Some(std::sync::Arc::new(DropAckAtDecision(fed.network().clone())));
+        let err = engine.execute(&program).unwrap_err();
+        assert!(
+            matches!(err, DolError::InDoubt { ref service, ref task } if service == "site1" && task == "T1"),
+            "parallel = {parallel}: {err:?}"
+        );
+        // T3 committed beside the lost ack …
+        assert_eq!(
+            rate(&fed, "svc_national", "national", "SELECT vstat FROM vehicle WHERE vcode = 7"),
+            Value::Str("TAKEN".into()),
+            "parallel = {parallel}"
+        );
+        // … and T2 and T4 were rolled back, not left prepared.
+        for service in ["svc_delta", "svc_avis", "svc_national"] {
+            let engine = fed.engine(service).unwrap();
+            assert!(engine.lock().prepared_txns().is_empty(), "{service}, parallel = {parallel}");
+        }
+        assert_eq!(
+            rate(&fed, "svc_delta", "delta", "SELECT rate FROM flight WHERE fnu = 10"),
+            Value::Float(95.0)
+        );
+        assert_eq!(
+            rate(&fed, "svc_avis", "avis", "SELECT rate FROM cars WHERE code = 1"),
+            Value::Float(39.5)
+        );
+    }
+}

@@ -13,9 +13,16 @@
 //!   and one exchange (COMBINE) at a join's coordinator.
 //!
 //! What a statement returns never depends on which of the two it was.
+//!
+//! Messages bound a statement's round trips from above; the suite also pins
+//! how many of them are *sequential*, by the clock: on a fabric where every
+//! message takes 25 ms a warm statement waits 50 ms per sequential round
+//! trip, whatever it overlaps.
 
 use mdbs::fixtures::paper_federation;
 use mdbs::{MsqlOutcome, Session, WireFormat};
+use netsim::LatencyModel;
+use std::time::{Duration, Instant};
 
 /// `(class, MSQL, cold messages, warm messages)`. The statements are the
 /// `paper_wan` / `paper_local` classes of the end-to-end benchmark.
@@ -94,6 +101,21 @@ const CLASSES: &[(&str, &str, u64, u64)] = &[
     ),
 ];
 
+/// `(class, sequential round trips warm)`: one per task batch or settle
+/// wave, one per step of a join.
+const SEQUENTIAL: &[(&str, u32)] = &[
+    ("q1_flights", 1),
+    ("q1_cars", 1),
+    ("q2_nonvital", 1),
+    // The three tasks, then the COMMIT list.
+    ("q2_vital", 2),
+    // The four tasks, then the COMMIT and ABORT lists as one wave.
+    ("q4_mtx", 2),
+    ("q4_reset", 1),
+    // The reducer's partial, then the COMBINE.
+    ("xjoin_small", 2),
+];
+
 /// What the user sees of an outcome, minus communication accounting (a cold
 /// run's `attempts` include its handshakes).
 fn visible(outcome: &MsqlOutcome) -> String {
@@ -157,6 +179,33 @@ fn text_wire_round_trips_are_pinned() {
 #[test]
 fn binary_wire_round_trips_are_pinned() {
     gate(WireFormat::Binary);
+}
+
+#[test]
+fn sequential_round_trips_are_pinned_by_the_clock() {
+    const ONE_WAY: Duration = Duration::from_millis(25);
+    let mut fed = paper_federation();
+    fed.execute("USE avis UPDATE cars SET rate = 80 WHERE code = 2").unwrap();
+    fed.execute(CLASSES.last().unwrap().1).unwrap();
+    fed.network().set_latency(LatencyModel::uniform(ONE_WAY));
+    let round_trip = (2 * ONE_WAY).as_secs_f64();
+    for &(class, k) in SEQUENTIAL {
+        let msql = CLASSES.iter().find(|c| c.0 == class).unwrap().1;
+        let mut session = fed.session();
+        // Warm up the connections, then take the best of three warm runs: a
+        // busy host can only add time, never take a round trip away.
+        session.execute(msql).unwrap();
+        let best = (0..3)
+            .map(|_| {
+                let start = Instant::now();
+                session.execute(msql).unwrap();
+                start.elapsed().as_secs_f64() / round_trip
+            })
+            .fold(f64::INFINITY, f64::min);
+        let k = f64::from(k);
+        assert!(k <= best && best < k + 0.6, "{class}: {best:.2} round trips, expected {k}");
+    }
+    fed.network().set_latency(LatencyModel::instant());
 }
 
 /// Client endpoints currently registered on the federation's network.

@@ -1,12 +1,13 @@
 //! The thread budget, gated exactly.
 //!
 //! A LAM is one long-lived server thread until two sessions contend for a
-//! lock there; a session fans out on one long-lived worker set. So once the
-//! paper mix has run twice, running it again — 500 statements, parallel or
-//! serial, text or binary wire — starts no thread anywhere: every
-//! `lam.server_threads{service=}` gauge (threads a LAM ever started) and the
-//! session's `session.worker_threads` read what they read after warm-up.
-//! Contention is the one thing that grows a LAM, and only the LAM it is at.
+//! lock there; a session has no threads at all — a fan-out posts every
+//! request before it reads a reply, on the statement's own thread. So once
+//! the paper mix has run twice, running it again — 500 statements, parallel
+//! or serial, text or binary wire — starts no thread anywhere: the only
+//! thread gauges are the LAMs' `lam.server_threads{service=}` (threads a LAM
+//! ever started), and they read what they read after warm-up. Contention is
+//! the one thing that grows a LAM, and only the LAM it is at.
 
 use mdbs::fixtures::paper_federation;
 use mdbs::{Session, WireFormat};
@@ -52,17 +53,10 @@ const MIX: &[&str] = &[
      WHERE c.rate = f.rate",
 ];
 
-/// The widest fan-out of the mix: the multitransaction's four-database task
-/// batch.
-const WIDEST_FAN_OUT: i64 = 4;
-
-/// Every thread gauge `session` can see: its own worker set's and each
-/// LAM's.
+/// Every thread gauge `session` can see.
 fn thread_gauges(session: &Session) -> BTreeMap<String, i64> {
     let mut gauges = session.metrics().gauges;
-    gauges.retain(|name, _| {
-        name.starts_with("lam.server_threads") || name.starts_with("session.worker_threads")
-    });
+    gauges.retain(|name, _| name.contains("thread"));
     gauges
 }
 
@@ -84,17 +78,10 @@ fn a_warm_session_starts_no_thread() {
             }
             assert_eq!(thread_gauges(&fed), warm, "{format:?}, parallel = {parallel}");
 
-            let lams: Vec<i64> = warm
-                .iter()
-                .filter(|(name, _)| name.starts_with("lam.server_threads"))
-                .map(|(_, &threads)| threads)
-                .collect();
-            assert_eq!(lams, vec![1; 5], "an uncontended LAM is one thread: {warm:?}");
-            // The caller runs the first share of every fan-out itself; serial
-            // mode never fans out.
-            let workers = warm["session.worker_threads"];
-            let expected = if parallel { WIDEST_FAN_OUT - 1 } else { 0 };
-            assert_eq!(workers, expected, "{format:?}, parallel = {parallel}");
+            // Only LAMs have threads, and an uncontended LAM is one thread.
+            assert!(warm.keys().all(|name| name.starts_with("lam.server_threads")), "{warm:?}");
+            let lams: Vec<i64> = warm.values().copied().collect();
+            assert_eq!(lams, vec![1; 5], "{format:?}, parallel = {parallel}: {warm:?}");
         }
     }
 }
