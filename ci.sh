@@ -159,6 +159,26 @@ for site in 'exec_with_wait(shared' '\.open\.insert(' '\.open\.remove('; do
     fi
 done
 
+echo "== one tree walk =="
+# An MSQL expression has one traversal: Expr::for_each_child and
+# for_each_child_mut (msql-lang/src/ast.rs). walk_columns, contains_aggregate,
+# the translator's scan and rewrites and the decomposer are built on it, so all
+# of them visit in printing order and a new Expr variant is one edit there. An
+# exhaustive match over Expr — marked by an `Expr::Between {` arm — may appear
+# outside tests only where a variant means something of its own: the AST, the
+# parser and printer, the local engine's binder and evaluator, and the
+# planner's selectivity.
+for f in $(find crates/*/src -name '*.rs'); do
+    case "$f" in
+    crates/msql-lang/src/ast.rs | crates/msql-lang/src/parser.rs | crates/msql-lang/src/printer.rs) continue ;;
+    crates/ldbs/src/eval.rs | crates/ldbs/src/exec/select.rs | crates/core/src/planner.rs) continue ;;
+    esac
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'Expr::Between {'; then
+        echo "$f walks Expr by hand; build on Expr::for_each_child" >&2
+        exit 1
+    fi
+done
+
 echo "== fedbench: build + smoke =="
 # fedbench/ compiles against the crates' public API and may not be edited by
 # a change that claims a gain, so an API break must fail here, not in the

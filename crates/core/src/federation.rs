@@ -1080,19 +1080,10 @@ impl Session {
         // insert-select, handled by the ordinary pipeline.
         for tref in &sel.from {
             let owner = match &tref.database {
-                Some(q) => self.scope.resolve(q.as_str()).map(|d| d.database.clone()),
-                None => {
-                    let mut found = None;
-                    for d in &self.scope.databases {
-                        if gdd.table(&d.database, tref.table.as_str()).is_ok() {
-                            found = Some(d.database.clone());
-                            break;
-                        }
-                    }
-                    found
-                }
+                Some(q) => self.scope.resolve(q.as_str()),
+                None => self.scope.owners(&gdd, tref.table.as_str()).first().copied(),
             };
-            if owner.as_deref() == Some(target.as_str()) {
+            if owner.is_some_and(|d| d.database == target) {
                 return Ok(None);
             }
         }
@@ -1402,17 +1393,13 @@ impl Session {
     ) -> Result<MsqlOutcome, MdbsError> {
         let database = match target {
             Some(t) => self.ddl_target(t)?,
-            None => match self.scope.databases.as_slice() {
-                [only] => only.database.clone(),
-                [] => return Err(MdbsError::EmptyScope),
-                _ => {
-                    return Err(MdbsError::Unsupported(
-                        "ANALYZE over a multi-database scope is ambiguous; name the table \
-                         or narrow the scope"
-                            .into(),
-                    ))
-                }
-            },
+            None => self
+                .scope
+                .only_database(
+                    "ANALYZE over a multi-database scope is ambiguous; name the table or \
+                     narrow the scope",
+                )?
+                .to_string(),
         };
         // Ship the ANALYZE with the qualifier stripped.
         let local = Statement::Analyze(target.map(|t| {
@@ -1542,13 +1529,10 @@ impl Session {
             }
             return Err(MdbsError::NotInScope(q.as_str().to_string()));
         }
-        match self.scope.databases.as_slice() {
-            [only] => Ok(only.database.clone()),
-            [] => Err(MdbsError::EmptyScope),
-            _ => Err(MdbsError::Unsupported(
-                "DDL over a multi-database scope is ambiguous; qualify the table name".into(),
-            )),
-        }
+        let only = self.scope.only_database(
+            "DDL over a multi-database scope is ambiguous; qualify the table name",
+        )?;
+        Ok(only.to_string())
     }
 }
 

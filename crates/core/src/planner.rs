@@ -470,7 +470,7 @@ fn pick_reducer(dec: &Decomposition, estimates: Option<&[Estimate]>) -> usize {
         }
         let score = match estimates {
             Some(est) => -est[i].rows,
-            None => conjunct_count(sub.select.where_clause.as_ref()) as f64,
+            None => sub.select.where_clause.iter().flat_map(Expr::conjuncts).count() as f64,
         };
         if score > best_score {
             (best, best_score) = (i, score);
@@ -498,17 +498,6 @@ fn pick_coordinator(
         .filter(|&i| Some(i) != reducer)
         .reduce(|best, i| if score(i) > score(best) { i } else { best })
         .expect("a decomposition has a subquery besides the reducer")
-}
-
-/// Counts the AND-ed conjuncts of a WHERE clause (0 when absent).
-fn conjunct_count(e: Option<&Expr>) -> usize {
-    fn walk(e: &Expr) -> usize {
-        match e {
-            Expr::Binary { left, op: BinaryOp::And, right } => walk(left) + walk(right),
-            _ => 1,
-        }
-    }
-    e.map_or(0, walk)
 }
 
 /// Rough encoded width of one value in a shipped partial, in bytes.

@@ -1,6 +1,7 @@
 //! Session scope: the current `USE` databases and `LET` semantic variables.
 
 use crate::error::MdbsError;
+use catalog::GlobalDataDictionary;
 use msql_lang::{LetStatement, SemanticVariable, UseStatement};
 
 /// One database in the current scope.
@@ -121,6 +122,24 @@ impl SessionScope {
     pub fn index_of(&self, name: &str) -> Option<usize> {
         let lower = name.to_ascii_lowercase();
         self.databases.iter().position(|d| d.key() == lower || d.database == lower)
+    }
+
+    /// The scope databases whose GDD entry exports `table`, in USE order.
+    /// Callers apply their own rule to the list: a join wants exactly one
+    /// owner, a transfer takes the first.
+    pub fn owners(&self, gdd: &GlobalDataDictionary, table: &str) -> Vec<&ScopeDb> {
+        self.databases.iter().filter(|d| gdd.table(&d.database, table).is_ok()).collect()
+    }
+
+    /// The one database in scope, for a statement that names none:
+    /// [`MdbsError::EmptyScope`] without one, `Unsupported(ambiguous)` with
+    /// several.
+    pub fn only_database(&self, ambiguous: &str) -> Result<&str, MdbsError> {
+        match self.databases.as_slice() {
+            [only] => Ok(&only.database),
+            [] => Err(MdbsError::EmptyScope),
+            _ => Err(MdbsError::Unsupported(ambiguous.into())),
+        }
     }
 
     /// The vital set: scope elements designated VITAL.

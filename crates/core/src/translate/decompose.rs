@@ -123,16 +123,7 @@ impl Decomposition {
         }
         let q = &mut self.global_query;
         q.from.iter_mut().for_each(|t| rename(&mut t.table));
-        let items = q.items.iter_mut().filter_map(|item| match item {
-            SelectItem::Expr { expr, .. } => Some(expr),
-            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => None,
-        });
-        let exprs = items
-            .chain(&mut q.where_clause)
-            .chain(&mut q.group_by)
-            .chain(&mut q.having)
-            .chain(q.order_by.iter_mut().map(|o| &mut o.expr));
-        for expr in exprs {
+        for expr in q.exprs_mut() {
             expr.walk_columns_mut(&mut |c| {
                 if let Some(table) = &mut c.table {
                     rename(table);
@@ -308,31 +299,22 @@ pub fn decompose(
                 .resolve(q.as_str())
                 .map(|d| d.database.clone())
                 .ok_or_else(|| MdbsError::NotInScope(q.as_str().to_string()))?,
-            None => {
-                // A unique scope database exporting this table.
-                let mut owners = Vec::new();
-                for d in &scope.databases {
-                    if gdd.table(&d.database, tref.table.as_str()).is_ok() {
-                        owners.push(d.database.clone());
-                    }
+            // A unique scope database exporting this table.
+            None => match scope.owners(gdd, tref.table.as_str()).as_slice() {
+                [only] => only.database.clone(),
+                [] => {
+                    return Err(MdbsError::NotPertinent(format!(
+                        "no database in scope exports table `{}`",
+                        tref.table
+                    )))
                 }
-                match owners.len() {
-                    1 => owners.remove(0),
-                    0 => {
-                        return Err(MdbsError::NotPertinent(format!(
-                            "no database in scope exports table `{}`",
-                            tref.table
-                        )))
-                    }
-                    _ => {
-                        return Err(MdbsError::NotPertinent(format!(
-                            "table `{}` is exported by several databases in scope; \
-                             qualify it",
-                            tref.table
-                        )))
-                    }
+                _ => {
+                    return Err(MdbsError::NotPertinent(format!(
+                        "table `{}` is exported by several databases in scope; qualify it",
+                        tref.table
+                    )))
                 }
-            }
+            },
         };
         let def = gdd
             .table(&database, tref.table.as_str())
@@ -361,76 +343,42 @@ pub fn decompose(
     // Split WHERE into conjuncts and classify them.
     let mut local_conjuncts: Vec<(String, Expr)> = Vec::new();
     let mut global_conjuncts: Vec<Expr> = Vec::new();
-    if let Some(w) = &sel.where_clause {
-        for conjunct in split_conjuncts(w) {
-            let used = used_databases(&conjunct, &bindings)?;
-            match used.as_slice() {
-                [] | [_] if !contains_subquery(&conjunct) => {
-                    if let [db] = used.as_slice() {
-                        local_conjuncts.push((db.clone(), strip_db_qualifiers(&conjunct)));
-                    } else {
-                        // Constant conjunct: give it to the global query.
-                        global_conjuncts.push(conjunct.clone());
-                    }
-                }
-                _ => {
-                    if contains_subquery(&conjunct) {
-                        return Err(MdbsError::Unsupported(
-                            "subqueries are not supported in cross-database joins".into(),
-                        ));
-                    }
-                    global_conjuncts.push(conjunct.clone());
-                }
-            }
+    for conjunct in sel.where_clause.iter().flat_map(Expr::conjuncts) {
+        let used = used_databases(conjunct, &bindings)?;
+        if contains_subquery(conjunct) {
+            return Err(MdbsError::Unsupported(
+                "subqueries are not supported in cross-database joins".into(),
+            ));
+        }
+        match used.as_slice() {
+            [db] => local_conjuncts.push((db.clone(), strip_db_qualifiers(conjunct))),
+            // A constant conjunct goes to the global query, like a
+            // cross-database one.
+            _ => global_conjuncts.push(conjunct.clone()),
         }
     }
 
-    // Needed columns per binding: everything the global phase references.
+    // Needed columns per binding: everything the global phase references —
+    // wildcard items first, then the columns of the item expressions, the
+    // global conjuncts, GROUP BY, HAVING and ORDER BY, in visit order.
     let mut needed: Vec<(String, String)> = Vec::new(); // (binding, column)
-    let mut pending: Vec<ColumnRef> = Vec::new();
     for item in &sel.items {
-        match item {
-            SelectItem::Wildcard => {
-                for b in &bindings {
-                    for c in &b.def.columns {
-                        let pair = (b.name.clone(), c.name.clone());
-                        if !needed.contains(&pair) {
-                            needed.push(pair);
-                        }
-                    }
+        for b in wildcard_bindings(item, &bindings)?.unwrap_or_default() {
+            for c in &b.def.columns {
+                let pair = (b.name.clone(), c.name.clone());
+                if !needed.contains(&pair) {
+                    needed.push(pair);
                 }
-            }
-            SelectItem::QualifiedWildcard(t) => {
-                let target = t.as_str();
-                let b =
-                    bindings.iter().find(|b| b.name == target || b.def.name == target).ok_or_else(
-                        || MdbsError::NotPertinent(format!("unknown binding `{target}`")),
-                    )?;
-                for c in &b.def.columns {
-                    let pair = (b.name.clone(), c.name.clone());
-                    if !needed.contains(&pair) {
-                        needed.push(pair);
-                    }
-                }
-            }
-            SelectItem::Expr { expr, .. } => {
-                expr.walk_columns(&mut |c| pending.push(c.clone()));
             }
         }
     }
-    for g in &global_conjuncts {
-        g.walk_columns(&mut |c| pending.push(c.clone()));
+    let mut pending: Vec<&ColumnRef> = Vec::new();
+    let clauses =
+        sel.group_by.iter().chain(&sel.having).chain(sel.order_by.iter().map(|o| &o.expr));
+    for e in sel.items.iter().filter_map(SelectItem::expr).chain(&global_conjuncts).chain(clauses) {
+        e.walk_columns(&mut |c| pending.push(c));
     }
-    for g in &sel.group_by {
-        g.walk_columns(&mut |c| pending.push(c.clone()));
-    }
-    if let Some(h) = &sel.having {
-        h.walk_columns(&mut |c| pending.push(c.clone()));
-    }
-    for o in &sel.order_by {
-        o.expr.walk_columns(&mut |c| pending.push(c.clone()));
-    }
-    for c in &pending {
+    for c in pending {
         let (b, col) = resolve_column(c, &bindings)?;
         let pair = (b.name.clone(), col);
         if !needed.contains(&pair) {
@@ -461,15 +409,11 @@ pub fn decompose(
                 optional: false,
             });
         }
-        let mut where_clause: Option<Expr> = None;
-        for (cdb, conj) in &local_conjuncts {
-            if cdb == db {
-                where_clause = Some(match where_clause {
-                    Some(acc) => acc.and(conj.clone()),
-                    None => conj.clone(),
-                });
-            }
-        }
+        let where_clause = local_conjuncts
+            .iter()
+            .filter(|(cdb, _)| cdb == db)
+            .map(|(_, conj)| conj.clone())
+            .reduce(Expr::and);
         subqueries.push(DbSubquery {
             database: db.clone(),
             select: Select {
@@ -503,63 +447,37 @@ pub fn decompose(
     let rewrite = |e: &Expr| rewrite_global(e, &bindings);
     let mut items = Vec::with_capacity(sel.items.len());
     for item in &sel.items {
-        match item {
-            SelectItem::Wildcard => {
-                for b in &bindings {
-                    for c in &b.def.columns {
-                        items.push(SelectItem::Expr {
-                            expr: Expr::Column(ColumnRef::with_table(
-                                format!("part_{}", b.database),
-                                part_column(&b.name, &c.name),
-                            )),
-                            alias: Some(c.name.clone()),
-                            optional: false,
-                        });
-                    }
+        if let SelectItem::Expr { expr, alias, .. } = item {
+            let alias = alias.clone().or_else(|| {
+                // Preserve the user-visible name of plain column items.
+                match expr {
+                    Expr::Column(c) => Some(c.column.as_str().to_string()),
+                    _ => None,
                 }
-            }
-            SelectItem::QualifiedWildcard(t) => {
-                let target = t.as_str();
-                let b = bindings
-                    .iter()
-                    .find(|b| b.name == target || b.def.name == target)
-                    .expect("validated above");
-                for c in &b.def.columns {
-                    items.push(SelectItem::Expr {
-                        expr: Expr::Column(ColumnRef::with_table(
-                            format!("part_{}", b.database),
-                            part_column(&b.name, &c.name),
-                        )),
-                        alias: Some(c.name.clone()),
-                        optional: false,
-                    });
-                }
-            }
-            SelectItem::Expr { expr, alias, .. } => {
-                let alias = alias.clone().or_else(|| {
-                    // Preserve the user-visible name of plain column items.
-                    match expr {
-                        Expr::Column(c) => Some(c.column.as_str().to_string()),
-                        _ => None,
-                    }
+            });
+            items.push(SelectItem::Expr { expr: rewrite(expr)?, alias, optional: false });
+            continue;
+        }
+        for b in wildcard_bindings(item, &bindings)?.unwrap_or_default() {
+            for c in &b.def.columns {
+                items.push(SelectItem::Expr {
+                    expr: Expr::Column(ColumnRef::with_table(
+                        format!("part_{}", b.database),
+                        part_column(&b.name, &c.name),
+                    )),
+                    alias: Some(c.name.clone()),
+                    optional: false,
                 });
-                items.push(SelectItem::Expr { expr: rewrite(expr)?, alias, optional: false });
             }
         }
     }
-    let mut where_clause: Option<Expr> = None;
-    for g in &global_conjuncts {
-        let rewritten = rewrite(g)?;
-        where_clause = Some(match where_clause {
-            Some(acc) => acc.and(rewritten),
-            None => rewritten,
-        });
-    }
+    let rewritten_conjuncts =
+        global_conjuncts.iter().map(rewrite).collect::<Result<Vec<_>, _>>()?;
     let global_query = Select {
         distinct: sel.distinct,
         items,
         from: subqueries.iter().map(|s| TableRef::named(s.part_table.clone())).collect(),
-        where_clause,
+        where_clause: rewritten_conjuncts.into_iter().reduce(Expr::and),
         group_by: sel.group_by.iter().map(&rewrite).collect::<Result<_, _>>()?,
         having: sel.having.as_ref().map(&rewrite).transpose()?,
         order_by: sel
@@ -898,40 +816,34 @@ fn plan_topk_pushdown(
     Some(TopKPushdown { sites, output, order_by, limit })
 }
 
+/// The bindings a wildcard item expands over: every one for `*`, the one it
+/// names for `t.*`; `None` for an expression item.
+fn wildcard_bindings<'b>(
+    item: &SelectItem,
+    bindings: &'b [Binding],
+) -> Result<Option<&'b [Binding]>, MdbsError> {
+    let target = match item {
+        SelectItem::Expr { .. } => return Ok(None),
+        SelectItem::Wildcard => return Ok(Some(bindings)),
+        SelectItem::QualifiedWildcard(t) => t.as_str(),
+    };
+    let i = bindings
+        .iter()
+        .position(|b| b.name == target || b.def.name == target)
+        .ok_or_else(|| MdbsError::NotPertinent(format!("unknown binding `{target}`")))?;
+    Ok(Some(&bindings[i..=i]))
+}
+
 /// `b_<binding>_<column>` — the renamed projection of a needed column.
 fn part_column(binding: &str, column: &str) -> String {
     format!("b_{binding}_{column}")
 }
 
-/// Flattens an AND tree into conjuncts.
-fn split_conjuncts(e: &Expr) -> Vec<Expr> {
-    match e {
-        Expr::Binary { left, op: BinaryOp::And, right } => {
-            let mut out = split_conjuncts(left);
-            out.extend(split_conjuncts(right));
-            out
-        }
-        other => vec![other.clone()],
-    }
-}
-
+/// True if `e` holds a nested SELECT anywhere outside another one.
 fn contains_subquery(e: &Expr) -> bool {
-    match e {
-        Expr::Subquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. } => true,
-        Expr::Unary { expr, .. } => contains_subquery(expr),
-        Expr::Binary { left, right, .. } => contains_subquery(left) || contains_subquery(right),
-        Expr::Aggregate { arg: Some(a), .. } => contains_subquery(a),
-        Expr::Function { args, .. } => args.iter().any(contains_subquery),
-        Expr::InList { expr, list, .. } => {
-            contains_subquery(expr) || list.iter().any(contains_subquery)
-        }
-        Expr::Between { expr, low, high, .. } => {
-            contains_subquery(expr) || contains_subquery(low) || contains_subquery(high)
-        }
-        Expr::IsNull { expr, .. } => contains_subquery(expr),
-        Expr::Like { expr, pattern, .. } => contains_subquery(expr) || contains_subquery(pattern),
-        _ => false,
-    }
+    let mut found = e.subquery().is_some();
+    e.for_each_child(|child| found = found || contains_subquery(child));
+    found
 }
 
 /// Resolves a column reference to its binding.
@@ -996,109 +908,30 @@ fn used_databases(e: &Expr, bindings: &[Binding]) -> Result<Vec<String>, MdbsErr
 
 /// Strips database qualifiers from column references (for pushdown).
 fn strip_db_qualifiers(e: &Expr) -> Expr {
-    match e {
-        Expr::Column(c) => Expr::Column(ColumnRef {
-            database: None,
-            table: c.table.clone(),
-            column: c.column.clone(),
-        }),
-        Expr::Unary { op, expr } => {
-            Expr::Unary { op: *op, expr: Box::new(strip_db_qualifiers(expr)) }
-        }
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(strip_db_qualifiers(left)),
-            op: *op,
-            right: Box::new(strip_db_qualifiers(right)),
-        },
-        Expr::Aggregate { kind, arg, distinct } => Expr::Aggregate {
-            kind: *kind,
-            arg: arg.as_ref().map(|a| Box::new(strip_db_qualifiers(a))),
-            distinct: *distinct,
-        },
-        Expr::Function { name, args } => Expr::Function {
-            name: name.clone(),
-            args: args.iter().map(strip_db_qualifiers).collect(),
-        },
-        Expr::InList { expr, list, negated } => Expr::InList {
-            expr: Box::new(strip_db_qualifiers(expr)),
-            list: list.iter().map(strip_db_qualifiers).collect(),
-            negated: *negated,
-        },
-        Expr::Between { expr, low, high, negated } => Expr::Between {
-            expr: Box::new(strip_db_qualifiers(expr)),
-            low: Box::new(strip_db_qualifiers(low)),
-            high: Box::new(strip_db_qualifiers(high)),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => {
-            Expr::IsNull { expr: Box::new(strip_db_qualifiers(expr)), negated: *negated }
-        }
-        Expr::Like { expr, pattern, negated } => Expr::Like {
-            expr: Box::new(strip_db_qualifiers(expr)),
-            pattern: Box::new(strip_db_qualifiers(pattern)),
-            negated: *negated,
-        },
-        other => other.clone(),
-    }
+    let mut out = e.clone();
+    out.walk_columns_mut(&mut |c| c.database = None);
+    out
 }
 
 /// Rewrites an expression for the global query: every column becomes
 /// `part_<db>.b_<binding>_<column>`.
 fn rewrite_global(e: &Expr, bindings: &[Binding]) -> Result<Expr, MdbsError> {
-    Ok(match e {
-        Expr::Column(c) => {
-            let (b, col) = resolve_column(c, bindings)?;
-            Expr::Column(ColumnRef::with_table(
-                format!("part_{}", b.database),
-                part_column(&b.name, &col),
-            ))
+    if contains_subquery(e) {
+        return Err(MdbsError::Unsupported(
+            "subqueries are not supported in cross-database joins".into(),
+        ));
+    }
+    let mut out = e.clone();
+    let mut err = None;
+    out.walk_columns_mut(&mut |c| match resolve_column(c, bindings) {
+        Ok((b, col)) => {
+            *c = ColumnRef::with_table(format!("part_{}", b.database), part_column(&b.name, &col))
         }
-        Expr::Unary { op, expr } => {
-            Expr::Unary { op: *op, expr: Box::new(rewrite_global(expr, bindings)?) }
+        Err(e) => {
+            err.get_or_insert(e);
         }
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(rewrite_global(left, bindings)?),
-            op: *op,
-            right: Box::new(rewrite_global(right, bindings)?),
-        },
-        Expr::Aggregate { kind, arg, distinct } => Expr::Aggregate {
-            kind: *kind,
-            arg: match arg {
-                Some(a) => Some(Box::new(rewrite_global(a, bindings)?)),
-                None => None,
-            },
-            distinct: *distinct,
-        },
-        Expr::Function { name, args } => Expr::Function {
-            name: name.clone(),
-            args: args.iter().map(|a| rewrite_global(a, bindings)).collect::<Result<_, _>>()?,
-        },
-        Expr::InList { expr, list, negated } => Expr::InList {
-            expr: Box::new(rewrite_global(expr, bindings)?),
-            list: list.iter().map(|x| rewrite_global(x, bindings)).collect::<Result<_, _>>()?,
-            negated: *negated,
-        },
-        Expr::Between { expr, low, high, negated } => Expr::Between {
-            expr: Box::new(rewrite_global(expr, bindings)?),
-            low: Box::new(rewrite_global(low, bindings)?),
-            high: Box::new(rewrite_global(high, bindings)?),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => {
-            Expr::IsNull { expr: Box::new(rewrite_global(expr, bindings)?), negated: *negated }
-        }
-        Expr::Like { expr, pattern, negated } => Expr::Like {
-            expr: Box::new(rewrite_global(expr, bindings)?),
-            pattern: Box::new(rewrite_global(pattern, bindings)?),
-            negated: *negated,
-        },
-        Expr::Subquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. } => {
-            return Err(MdbsError::Unsupported(
-                "subqueries are not supported in cross-database joins".into(),
-            ))
-        }
-        other => other.clone(),
-    })
+    });
+    err.map_or(Ok(out), Err)
 }
 
 #[cfg(test)]
@@ -1206,6 +1039,70 @@ mod tests {
             .replace("part_continental", "part_continental_s7");
         assert_eq!(print_select(&d.global_query), expected);
         assert_eq!(expected.matches("_s7").count(), before.matches("part_").count());
+    }
+
+    /// Pins the decomposer's output text: the projection lists follow the
+    /// pre-order, left-to-right visit of items → WHERE → GROUP BY → HAVING →
+    /// ORDER BY, through every expression shape a site column can hide in.
+    #[test]
+    fn every_clause_and_expression_shape_decomposes_to_pinned_text() {
+        let d = decompose(
+            &select(
+                "SELECT UPPER(c.cartype), c.rate + f.rate * 2 AS total, COUNT(*)
+                 FROM avis.cars c, continental.flights f
+                 WHERE f.destination BETWEEN f.flnu AND c.code
+                   AND f.source IN ('Houston', c.carst) AND c.carst LIKE 'av%'
+                   AND f.destination IS NOT NULL AND c.code IN (1, 2)
+                   AND LOWER(f.source) <> c.cartype AND c.code = f.flnu
+                 GROUP BY UPPER(c.cartype), c.rate + f.rate * 2
+                 HAVING MAX(f.rate) - MIN(c.rate) > 0 AND COUNT(c.code) IS NOT NULL
+                 ORDER BY UPPER(c.cartype) DESC, c.rate + f.rate * 2",
+            ),
+            &scope(),
+            &gdd(),
+        )
+        .unwrap();
+        let printed: Vec<(&str, String)> =
+            d.subqueries.iter().map(|s| (s.database.as_str(), print_select(&s.select))).collect();
+        assert_eq!(
+            printed,
+            vec![
+                (
+                    "avis",
+                    "SELECT c.cartype AS b_c_cartype, c.rate AS b_c_rate, c.code AS b_c_code, \
+                     c.carst AS b_c_carst FROM cars c \
+                     WHERE c.carst LIKE 'av%' AND c.code IN (1, 2)"
+                        .to_string()
+                ),
+                (
+                    "continental",
+                    "SELECT f.rate AS b_f_rate, f.destination AS b_f_destination, \
+                     f.flnu AS b_f_flnu, f.source AS b_f_source \
+                     FROM flights f WHERE f.destination IS NOT NULL"
+                        .to_string()
+                ),
+            ]
+        );
+        assert_eq!(
+            print_select(&d.global_query),
+            "SELECT upper(part_avis.b_c_cartype), \
+             part_avis.b_c_rate + part_continental.b_f_rate * 2 AS total, COUNT(*) \
+             FROM part_avis, part_continental \
+             WHERE part_continental.b_f_destination BETWEEN part_continental.b_f_flnu \
+             AND part_avis.b_c_code \
+             AND part_continental.b_f_source IN ('Houston', part_avis.b_c_carst) \
+             AND lower(part_continental.b_f_source) <> part_avis.b_c_cartype \
+             AND part_avis.b_c_code = part_continental.b_f_flnu \
+             GROUP BY upper(part_avis.b_c_cartype), \
+             part_avis.b_c_rate + part_continental.b_f_rate * 2 \
+             HAVING MAX(part_continental.b_f_rate) - MIN(part_avis.b_c_rate) > 0 \
+             AND COUNT(part_avis.b_c_code) IS NOT NULL \
+             ORDER BY upper(part_avis.b_c_cartype) DESC, \
+             part_avis.b_c_rate + part_continental.b_f_rate * 2"
+        );
+        assert_eq!(d.coordinator, "avis");
+        assert_eq!(d.join_keys.len(), 1);
+        assert!(d.pushdown.is_none());
     }
 
     #[test]

@@ -94,10 +94,9 @@ pub fn expand_for_db(
     db_index: usize,
 ) -> Result<Vec<Statement>, MdbsError> {
     let db_name = scope.databases[db_index].database.clone();
+    let Scan { tables: table_refs, wilds, .. } = Scan::body(body, scope, db_index);
 
     // Phase 1: per-table-reference substitution options, in traversal order.
-    let mut table_refs = Vec::new();
-    collect_table_refs(body, &mut table_refs);
     let mut per_ref_options: Vec<Vec<String>> = Vec::with_capacity(table_refs.len());
     for tref in &table_refs {
         let options = table_options(tref, scope, gdd, db_index)?;
@@ -105,6 +104,16 @@ pub fn expand_for_db(
             return Ok(Vec::new()); // not pertinent to this database
         }
         per_ref_options.push(options);
+    }
+
+    // The wild column identifiers, each once; `true` while every occurrence
+    // is optional.
+    let mut merged: Vec<(String, bool)> = Vec::new();
+    for w in wilds {
+        match merged.iter_mut().find(|(t, _)| *t == w.text) {
+            Some((_, only_opt)) => *only_opt &= w.optional,
+            None => merged.push((w.text, w.optional)),
+        }
     }
 
     // Phase 2: cartesian product over table choices.
@@ -119,16 +128,7 @@ pub fn expand_for_db(
             }
         }
 
-        // Phase 3: wild column identifiers and their options.
-        let mut wilds: Vec<WildOccurrence> = Vec::new();
-        collect_wild_columns(body, scope, db_index, false, &mut wilds);
-        let mut merged: Vec<(String, bool)> = Vec::new(); // (text, only_optional)
-        for w in &wilds {
-            match merged.iter_mut().find(|(t, _)| *t == w.text) {
-                Some((_, only_opt)) => *only_opt &= w.optional,
-                None => merged.push((w.text.clone(), w.optional)),
-            }
-        }
+        // Phase 3: the wild column identifiers' options.
         let mut wild_names: Vec<String> = Vec::new();
         let mut wild_options: Vec<Vec<Option<String>>> = Vec::new();
         let mut pertinent = true;
@@ -206,101 +206,90 @@ fn cartesian<T: Clone>(options: &[Vec<T>]) -> Vec<Vec<T>> {
     out
 }
 
-// ------------------------------------------------------- table-ref collection
+// ------------------------------------------------------------ the one scan
 
-fn collect_table_refs<'a>(body: &'a QueryBody, out: &mut Vec<&'a TableRef>) {
-    match body {
-        QueryBody::Select(s) => collect_select_tables(s, out),
-        QueryBody::Update(u) => {
-            out.push(&u.table);
-            for a in &u.assignments {
-                collect_expr_tables(&a.value, out);
-            }
-            if let Some(w) = &u.where_clause {
-                collect_expr_tables(w, out);
-            }
-        }
-        QueryBody::Insert(i) => {
-            out.push(&i.table);
-            match &i.source {
-                InsertSource::Values(rows) => {
-                    for row in rows {
-                        for e in row {
-                            collect_expr_tables(e, out);
-                        }
-                    }
+/// A wild column identifier and whether it occurs in an optional (`~`) item.
+struct WildOccurrence {
+    text: String,
+    optional: bool,
+}
+
+/// What substitution reads off a body before rewriting it, in one walk:
+/// the table references in the order [`Rewriter`] consumes its table
+/// assignments in, and the wild column identifiers — SET and INSERT targets,
+/// and column references no LET binding resolves. The walk enters nested
+/// SELECTs (FROM first, then the expression slots) and visits each
+/// expression pre-order, an `IN` probe before its subquery — the rewriter's
+/// order.
+struct Scan<'a> {
+    scope: &'a SessionScope,
+    db_index: usize,
+    tables: Vec<&'a TableRef>,
+    wilds: Vec<WildOccurrence>,
+}
+
+impl<'a> Scan<'a> {
+    fn body(body: &'a QueryBody, scope: &'a SessionScope, db_index: usize) -> Self {
+        let mut s = Scan { scope, db_index, tables: Vec::new(), wilds: Vec::new() };
+        match body {
+            QueryBody::Select(sel) => s.select(sel, false),
+            QueryBody::Update(u) => {
+                s.tables.push(&u.table);
+                for a in &u.assignments {
+                    s.target(&a.column);
+                    s.expr(&a.value, false);
                 }
-                InsertSource::Select(s) => collect_select_tables(s, out),
+                u.where_clause.iter().for_each(|w| s.expr(w, false));
+            }
+            QueryBody::Insert(i) => {
+                s.tables.push(&i.table);
+                i.columns.iter().for_each(|c| s.target(c));
+                match &i.source {
+                    InsertSource::Values(rows) => {
+                        rows.iter().flatten().for_each(|e| s.expr(e, false))
+                    }
+                    InsertSource::Select(sel) => s.select(sel, false),
+                }
+            }
+            QueryBody::Delete(d) => {
+                s.tables.push(&d.table);
+                d.where_clause.iter().for_each(|w| s.expr(w, false));
             }
         }
-        QueryBody::Delete(d) => {
-            out.push(&d.table);
-            if let Some(w) = &d.where_clause {
-                collect_expr_tables(w, out);
-            }
-        }
+        s
     }
-}
 
-fn collect_select_tables<'a>(s: &'a Select, out: &mut Vec<&'a TableRef>) {
-    for t in &s.from {
-        out.push(t);
-    }
-    for item in &s.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_expr_tables(expr, out);
+    /// A SET or INSERT target column.
+    fn target(&mut self, column: &WildName) {
+        if column.is_multiple() {
+            self.wilds.push(WildOccurrence { text: column.as_str().to_string(), optional: false });
         }
     }
-    if let Some(w) = &s.where_clause {
-        collect_expr_tables(w, out);
-    }
-    for g in &s.group_by {
-        collect_expr_tables(g, out);
-    }
-    if let Some(h) = &s.having {
-        collect_expr_tables(h, out);
-    }
-    for o in &s.order_by {
-        collect_expr_tables(&o.expr, out);
-    }
-}
 
-fn collect_expr_tables<'a>(e: &'a Expr, out: &mut Vec<&'a TableRef>) {
-    match e {
-        Expr::Subquery(s) => collect_select_tables(s, out),
-        Expr::InSubquery { expr, subquery, .. } => {
-            collect_expr_tables(expr, out);
-            collect_select_tables(subquery, out);
+    fn select(&mut self, s: &'a Select, optional: bool) {
+        self.tables.extend(&s.from);
+        let item_optional = s.items.iter().filter_map(|item| match item {
+            SelectItem::Expr { optional, .. } => Some(*optional),
+            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => None,
+        });
+        for (e, item_optional) in s.exprs().zip(item_optional.chain(std::iter::repeat(false))) {
+            self.expr(e, optional || item_optional);
         }
-        Expr::Exists { subquery, .. } => collect_select_tables(subquery, out),
-        Expr::Unary { expr, .. } => collect_expr_tables(expr, out),
-        Expr::Binary { left, right, .. } => {
-            collect_expr_tables(left, out);
-            collect_expr_tables(right, out);
-        }
-        Expr::Aggregate { arg: Some(a), .. } => collect_expr_tables(a, out),
-        Expr::Function { args, .. } => {
-            for a in args {
-                collect_expr_tables(a, out);
+    }
+
+    fn expr(&mut self, e: &'a Expr, optional: bool) {
+        if let Expr::Column(c) = e {
+            let head = c.table.as_ref().map(|t| t.as_str());
+            if c.column.is_multiple()
+                && self.scope.column_binding(head, c.column.as_str(), self.db_index).is_none()
+            {
+                self.wilds.push(WildOccurrence { text: c.column.as_str().to_string(), optional });
             }
         }
-        Expr::InList { expr, list, .. } => {
-            collect_expr_tables(expr, out);
-            for x in list {
-                collect_expr_tables(x, out);
-            }
+        e.for_each_child(|child| self.expr(child, optional));
+        if let Some(s) = e.subquery() {
+            self.select(s, optional);
         }
-        Expr::Between { expr, low, high, .. } => {
-            collect_expr_tables(expr, out);
-            collect_expr_tables(low, out);
-            collect_expr_tables(high, out);
-        }
-        Expr::IsNull { expr, .. } => collect_expr_tables(expr, out),
-        Expr::Like { expr, pattern, .. } => {
-            collect_expr_tables(expr, out);
-            collect_expr_tables(pattern, out);
-        }
-        _ => {}
     }
 }
 
@@ -342,137 +331,6 @@ fn table_options(
     })
 }
 
-// ------------------------------------------------ wild-column collection
-
-struct WildOccurrence {
-    text: String,
-    optional: bool,
-}
-
-fn collect_wild_columns(
-    body: &QueryBody,
-    scope: &SessionScope,
-    db_index: usize,
-    optional_ctx: bool,
-    out: &mut Vec<WildOccurrence>,
-) {
-    let mut push_col = |c: &ColumnRef, optional: bool, out: &mut Vec<WildOccurrence>| {
-        if c.column.is_multiple()
-            && scope
-                .column_binding(c.table.as_ref().map(|t| t.as_str()), c.column.as_str(), db_index)
-                .is_none()
-        {
-            out.push(WildOccurrence { text: c.column.as_str().to_string(), optional });
-        }
-    };
-    let mut walk_expr = ExprWalker { push: &mut push_col };
-    match body {
-        QueryBody::Select(s) => walk_expr.select(s, optional_ctx, out),
-        QueryBody::Update(u) => {
-            for a in &u.assignments {
-                if a.column.is_multiple() {
-                    out.push(WildOccurrence {
-                        text: a.column.as_str().to_string(),
-                        optional: false,
-                    });
-                }
-                walk_expr.expr(&a.value, false, out);
-            }
-            if let Some(w) = &u.where_clause {
-                walk_expr.expr(w, false, out);
-            }
-        }
-        QueryBody::Insert(i) => {
-            for c in &i.columns {
-                if c.is_multiple() {
-                    out.push(WildOccurrence { text: c.as_str().to_string(), optional: false });
-                }
-            }
-            match &i.source {
-                InsertSource::Values(rows) => {
-                    for row in rows {
-                        for e in row {
-                            walk_expr.expr(e, false, out);
-                        }
-                    }
-                }
-                InsertSource::Select(s) => walk_expr.select(s, false, out),
-            }
-        }
-        QueryBody::Delete(d) => {
-            if let Some(w) = &d.where_clause {
-                walk_expr.expr(w, false, out);
-            }
-        }
-    }
-}
-
-struct ExprWalker<'f> {
-    push: &'f mut dyn FnMut(&ColumnRef, bool, &mut Vec<WildOccurrence>),
-}
-
-impl<'f> ExprWalker<'f> {
-    fn select(&mut self, s: &Select, optional_ctx: bool, out: &mut Vec<WildOccurrence>) {
-        for item in &s.items {
-            if let SelectItem::Expr { expr, optional, .. } = item {
-                self.expr(expr, optional_ctx || *optional, out);
-            }
-        }
-        if let Some(w) = &s.where_clause {
-            self.expr(w, optional_ctx, out);
-        }
-        for g in &s.group_by {
-            self.expr(g, optional_ctx, out);
-        }
-        if let Some(h) = &s.having {
-            self.expr(h, optional_ctx, out);
-        }
-        for o in &s.order_by {
-            self.expr(&o.expr, optional_ctx, out);
-        }
-    }
-
-    fn expr(&mut self, e: &Expr, optional: bool, out: &mut Vec<WildOccurrence>) {
-        match e {
-            Expr::Column(c) => (self.push)(c, optional, out),
-            Expr::Subquery(s) => self.select(s, optional, out),
-            Expr::InSubquery { expr, subquery, .. } => {
-                self.expr(expr, optional, out);
-                self.select(subquery, optional, out);
-            }
-            Expr::Exists { subquery, .. } => self.select(subquery, optional, out),
-            Expr::Unary { expr, .. } => self.expr(expr, optional, out),
-            Expr::Binary { left, right, .. } => {
-                self.expr(left, optional, out);
-                self.expr(right, optional, out);
-            }
-            Expr::Aggregate { arg: Some(a), .. } => self.expr(a, optional, out),
-            Expr::Function { args, .. } => {
-                for a in args {
-                    self.expr(a, optional, out);
-                }
-            }
-            Expr::InList { expr, list, .. } => {
-                self.expr(expr, optional, out);
-                for x in list {
-                    self.expr(x, optional, out);
-                }
-            }
-            Expr::Between { expr, low, high, .. } => {
-                self.expr(expr, optional, out);
-                self.expr(low, optional, out);
-                self.expr(high, optional, out);
-            }
-            Expr::IsNull { expr, .. } => self.expr(expr, optional, out),
-            Expr::Like { expr, pattern, .. } => {
-                self.expr(expr, optional, out);
-                self.expr(pattern, optional, out);
-            }
-            _ => {}
-        }
-    }
-}
-
 // ----------------------------------------------------------------- rewriting
 
 struct Rewriter<'a> {
@@ -496,70 +354,52 @@ struct Rewriter<'a> {
 
 impl<'a> Rewriter<'a> {
     fn rewrite_body(&mut self, body: &QueryBody) -> Rw<Statement> {
-        match body {
-            QueryBody::Select(s) => {
-                let sel = self.rewrite_select(s, true)?;
-                Ok(Statement::select(sel))
-            }
+        let body = match body {
+            QueryBody::Select(s) => QueryBody::Select(self.rewrite_select(s, true)?),
             QueryBody::Update(u) => {
-                let table = self.rewrite_table(&u.table)?;
-                let target_name = table.table.as_str().to_string();
-                let mut assignments = Vec::with_capacity(u.assignments.len());
-                for a in &u.assignments {
-                    let column = self.rewrite_target_column(&a.column, &target_name)?;
-                    let value = self.rewrite_expr(&a.value)?;
-                    assignments.push(Assignment { column: WildName::new(column), value });
+                let mut u = u.clone();
+                u.table = self.rewrite_table(&u.table)?;
+                for a in &mut u.assignments {
+                    let column = self.rewrite_target_column(&a.column, u.table.table.as_str())?;
+                    a.column = WildName::new(column);
+                    self.rewrite_in_place(&mut a.value)?;
                 }
-                let where_clause = match &u.where_clause {
-                    Some(w) => Some(self.rewrite_expr(w)?),
-                    None => None,
-                };
-                Ok(Statement::update(Update { table, assignments, where_clause }))
+                if let Some(w) = &mut u.where_clause {
+                    self.rewrite_in_place(w)?;
+                }
+                QueryBody::Update(u)
             }
             QueryBody::Insert(i) => {
-                let table = self.rewrite_table(&i.table)?;
-                let target_name = table.table.as_str().to_string();
-                let mut columns = Vec::with_capacity(i.columns.len());
-                for c in &i.columns {
-                    columns.push(WildName::new(self.rewrite_target_column(c, &target_name)?));
+                let mut i = i.clone();
+                i.table = self.rewrite_table(&i.table)?;
+                for c in &mut i.columns {
+                    *c = WildName::new(self.rewrite_target_column(c, i.table.table.as_str())?);
                 }
-                let source = match &i.source {
+                match &mut i.source {
                     InsertSource::Values(rows) => {
-                        let mut out_rows = Vec::with_capacity(rows.len());
-                        for row in rows {
-                            let mut out_row = Vec::with_capacity(row.len());
-                            for e in row {
-                                out_row.push(self.rewrite_expr(e)?);
-                            }
-                            out_rows.push(out_row);
+                        for e in rows.iter_mut().flatten() {
+                            self.rewrite_in_place(e)?;
                         }
-                        InsertSource::Values(out_rows)
                     }
-                    InsertSource::Select(s) => {
-                        InsertSource::Select(Box::new(self.rewrite_select(s, false)?))
-                    }
-                };
-                Ok(Statement::Query(MsqlQuery {
-                    use_clause: None,
-                    lets: Vec::new(),
-                    body: QueryBody::Insert(Insert { table, columns, source }),
-                    comps: Vec::new(),
-                }))
+                    InsertSource::Select(s) => **s = self.rewrite_select(s, false)?,
+                }
+                QueryBody::Insert(i)
             }
             QueryBody::Delete(d) => {
-                let table = self.rewrite_table(&d.table)?;
-                let where_clause = match &d.where_clause {
-                    Some(w) => Some(self.rewrite_expr(w)?),
-                    None => None,
-                };
-                Ok(Statement::Query(MsqlQuery {
-                    use_clause: None,
-                    lets: Vec::new(),
-                    body: QueryBody::Delete(Delete { table, where_clause }),
-                    comps: Vec::new(),
-                }))
+                let mut d = d.clone();
+                d.table = self.rewrite_table(&d.table)?;
+                if let Some(w) = &mut d.where_clause {
+                    self.rewrite_in_place(w)?;
+                }
+                QueryBody::Delete(d)
             }
-        }
+        };
+        Ok(Statement::Query(MsqlQuery {
+            use_clause: None,
+            lets: Vec::new(),
+            body,
+            comps: Vec::new(),
+        }))
     }
 
     fn rewrite_table(&mut self, tref: &TableRef) -> Rw<TableRef> {
@@ -577,9 +417,9 @@ impl<'a> Rewriter<'a> {
     }
 
     fn rewrite_select(&mut self, s: &Select, top_level: bool) -> Rw<Select> {
-        let mut from = Vec::with_capacity(s.from.len());
-        for t in &s.from {
-            from.push(self.rewrite_table(t)?);
+        let mut out = s.clone();
+        for t in &mut out.from {
+            *t = self.rewrite_table(t)?;
         }
         if top_level {
             for item in &s.items {
@@ -589,27 +429,19 @@ impl<'a> Rewriter<'a> {
             }
         }
         let mut items = Vec::with_capacity(s.items.len());
-        for item in &s.items {
+        for item in std::mem::take(&mut out.items) {
             match item {
                 SelectItem::Wildcard => items.push(SelectItem::Wildcard),
                 SelectItem::QualifiedWildcard(t) => {
-                    let mapped = self
-                        .binding_map
-                        .get(t.as_str())
-                        .cloned()
-                        .unwrap_or_else(|| t.as_str().to_string());
+                    let mapped = self.map_qualifier(t.as_str());
                     items.push(SelectItem::QualifiedWildcard(WildName::new(mapped)));
                 }
-                SelectItem::Expr { expr, alias, optional } => {
-                    match self.rewrite_expr(expr) {
-                        Ok(e) => items.push(SelectItem::Expr {
-                            expr: e,
-                            alias: alias.clone(),
-                            // Once resolved, the column is no longer optional
-                            // in the local statement.
-                            optional: false,
-                        }),
-                        Err(Rejection::NotPertinent) if *optional => {
+                SelectItem::Expr { mut expr, alias, optional } => {
+                    match self.rewrite_in_place(&mut expr) {
+                        // Once resolved, the column is no longer optional in
+                        // the local statement.
+                        Ok(()) => items.push(SelectItem::Expr { expr, alias, optional: false }),
+                        Err(Rejection::NotPertinent) if optional => {
                             // Schema heterogeneity: this database lacks the
                             // optional column; drop the item (paper §2).
                             continue;
@@ -622,32 +454,12 @@ impl<'a> Rewriter<'a> {
         if items.is_empty() {
             return Err(Rejection::NotPertinent);
         }
-        let where_clause = match &s.where_clause {
-            Some(w) => Some(self.rewrite_expr(w)?),
-            None => None,
-        };
-        let mut group_by = Vec::with_capacity(s.group_by.len());
-        for g in &s.group_by {
-            group_by.push(self.rewrite_expr(g)?);
+        // The items are out, so the slots left are WHERE … ORDER BY.
+        for e in out.exprs_mut() {
+            self.rewrite_in_place(e)?;
         }
-        let having = match &s.having {
-            Some(h) => Some(self.rewrite_expr(h)?),
-            None => None,
-        };
-        let mut order_by = Vec::with_capacity(s.order_by.len());
-        for o in &s.order_by {
-            order_by.push(OrderByItem { expr: self.rewrite_expr(&o.expr)?, order: o.order });
-        }
-        Ok(Select {
-            distinct: s.distinct,
-            items,
-            from,
-            where_clause,
-            group_by,
-            having,
-            order_by,
-            limit: s.limit,
-        })
+        out.items = items;
+        Ok(out)
     }
 
     /// Rewrites a column that targets a specific table (SET / INSERT column
@@ -682,60 +494,25 @@ impl<'a> Rewriter<'a> {
         }
     }
 
-    fn rewrite_expr(&mut self, e: &Expr) -> Rw<Expr> {
-        Ok(match e {
-            Expr::Column(c) => Expr::Column(self.rewrite_column(c)?),
-            Expr::Literal(_) => e.clone(),
-            Expr::Unary { op, expr } => {
-                Expr::Unary { op: *op, expr: Box::new(self.rewrite_expr(expr)?) }
+    /// Rewrites `e`'s columns and nested SELECTs in [`Scan`]'s order, which
+    /// is the order the table assignments were collected in; stops at the
+    /// first rejection.
+    fn rewrite_in_place(&mut self, e: &mut Expr) -> Rw<()> {
+        if let Expr::Column(c) = e {
+            *c = self.rewrite_column(c)?;
+            return Ok(());
+        }
+        let mut result = Ok(());
+        e.for_each_child_mut(|child| {
+            if result.is_ok() {
+                result = self.rewrite_in_place(child);
             }
-            Expr::Binary { left, op, right } => Expr::Binary {
-                left: Box::new(self.rewrite_expr(left)?),
-                op: *op,
-                right: Box::new(self.rewrite_expr(right)?),
-            },
-            Expr::Aggregate { kind, arg, distinct } => Expr::Aggregate {
-                kind: *kind,
-                arg: match arg {
-                    Some(a) => Some(Box::new(self.rewrite_expr(a)?)),
-                    None => None,
-                },
-                distinct: *distinct,
-            },
-            Expr::Function { name, args } => Expr::Function {
-                name: name.clone(),
-                args: args.iter().map(|a| self.rewrite_expr(a)).collect::<Rw<Vec<_>>>()?,
-            },
-            Expr::Subquery(s) => Expr::Subquery(Box::new(self.rewrite_select(s, false)?)),
-            Expr::InSubquery { expr, subquery, negated } => Expr::InSubquery {
-                expr: Box::new(self.rewrite_expr(expr)?),
-                subquery: Box::new(self.rewrite_select(subquery, false)?),
-                negated: *negated,
-            },
-            Expr::Exists { subquery, negated } => Expr::Exists {
-                subquery: Box::new(self.rewrite_select(subquery, false)?),
-                negated: *negated,
-            },
-            Expr::InList { expr, list, negated } => Expr::InList {
-                expr: Box::new(self.rewrite_expr(expr)?),
-                list: list.iter().map(|x| self.rewrite_expr(x)).collect::<Rw<Vec<_>>>()?,
-                negated: *negated,
-            },
-            Expr::Between { expr, low, high, negated } => Expr::Between {
-                expr: Box::new(self.rewrite_expr(expr)?),
-                low: Box::new(self.rewrite_expr(low)?),
-                high: Box::new(self.rewrite_expr(high)?),
-                negated: *negated,
-            },
-            Expr::IsNull { expr, negated } => {
-                Expr::IsNull { expr: Box::new(self.rewrite_expr(expr)?), negated: *negated }
-            }
-            Expr::Like { expr, pattern, negated } => Expr::Like {
-                expr: Box::new(self.rewrite_expr(expr)?),
-                pattern: Box::new(self.rewrite_expr(pattern)?),
-                negated: *negated,
-            },
-        })
+        });
+        result?;
+        if let Some(s) = e.subquery_mut() {
+            *s = self.rewrite_select(s, false)?;
+        }
+        Ok(())
     }
 
     fn rewrite_column(&mut self, c: &ColumnRef) -> Rw<ColumnRef> {

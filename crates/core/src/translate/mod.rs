@@ -96,23 +96,12 @@ fn is_cross_db_join(sel: &Select, scope: &SessionScope, gdd: &GlobalDataDictiona
                 Some(d) => d.database.clone(),
                 None => return false, // let expansion raise the scope error
             },
-            None => {
-                let mut found: Option<String> = None;
-                for d in &scope.databases {
-                    if gdd.table(&d.database, tref.table.as_str()).is_ok() {
-                        if found.is_some() {
-                            // Owned by several databases: this is the
-                            // replication case (same table everywhere).
-                            return false;
-                        }
-                        found = Some(d.database.clone());
-                    }
-                }
-                match found {
-                    Some(db) => db,
-                    None => return false,
-                }
-            }
+            None => match scope.owners(gdd, tref.table.as_str()).as_slice() {
+                [only] => only.database.clone(),
+                // Owned by several databases: this is the replication case
+                // (same table everywhere).
+                _ => return false,
+            },
         };
         if !owners.contains(&owner) {
             owners.push(owner);

@@ -292,46 +292,104 @@ impl Expr {
         Expr::Binary { left: Box::new(self), op: BinaryOp::And, right: Box::new(other) }
     }
 
-    /// Visits every column reference in the expression tree.
+    /// Calls `f` on each direct sub-expression, in source (printing) order.
+    /// A nested `SELECT` is not entered — see [`Self::subquery`]; an
+    /// `IN (SELECT …)` hands out only its probe. [`Self::walk_columns`],
+    /// [`Self::contains_aggregate`] and the translator's walks are built on
+    /// this and [`Self::for_each_child_mut`], so they all visit in one order:
+    /// pre-order, left to right.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+        match self {
+            Expr::Column(_) | Expr::Literal(_) | Expr::Subquery(_) | Expr::Exists { .. } => {}
+            Expr::Unary { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::InSubquery { expr, .. } => f(expr),
+            Expr::Aggregate { arg, .. } => arg.iter().for_each(|a| f(a)),
+            Expr::Function { args, .. } => args.iter().for_each(f),
+            Expr::Binary { left: a, right: b, .. } | Expr::Like { expr: a, pattern: b, .. } => {
+                f(a);
+                f(b);
+            }
+            Expr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter().for_each(f);
+            }
+            Expr::Between { expr, low, high, .. } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+        }
+    }
+
+    /// [`Self::for_each_child`] with the sub-expressions handed out mutably.
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut Expr)) {
+        match self {
+            Expr::Column(_) | Expr::Literal(_) | Expr::Subquery(_) | Expr::Exists { .. } => {}
+            Expr::Unary { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::InSubquery { expr, .. } => f(expr),
+            Expr::Aggregate { arg, .. } => arg.iter_mut().for_each(|a| f(a)),
+            Expr::Function { args, .. } => args.iter_mut().for_each(f),
+            Expr::Binary { left: a, right: b, .. } | Expr::Like { expr: a, pattern: b, .. } => {
+                f(a);
+                f(b);
+            }
+            Expr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter_mut().for_each(f);
+            }
+            Expr::Between { expr, low, high, .. } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+        }
+    }
+
+    /// The nested `SELECT` of a scalar subquery, `IN (SELECT …)` or
+    /// `EXISTS`. A walk that enters subqueries visits it after the node's
+    /// children, so an `IN` probe comes before its subquery.
+    pub fn subquery(&self) -> Option<&Select> {
+        match self {
+            Expr::Subquery(s)
+            | Expr::InSubquery { subquery: s, .. }
+            | Expr::Exists { subquery: s, .. } => Some(s),
+            _ => None,
+        }
+    }
+
+    /// [`Self::subquery`], mutably.
+    pub fn subquery_mut(&mut self) -> Option<&mut Select> {
+        match self {
+            Expr::Subquery(s)
+            | Expr::InSubquery { subquery: s, .. }
+            | Expr::Exists { subquery: s, .. } => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The conjuncts of an AND tree, left to right; `self` alone when it is
+    /// not an `AND`.
+    pub fn conjuncts(&self) -> impl Iterator<Item = &Expr> {
+        let mut stack = vec![self];
+        std::iter::from_fn(move || loop {
+            match stack.pop()? {
+                Expr::Binary { left, op: BinaryOp::And, right } => {
+                    stack.push(right);
+                    stack.push(left);
+                }
+                other => return Some(other),
+            }
+        })
+    }
+
+    /// Visits every column reference in the expression tree (outside nested
+    /// subqueries), pre-order, left to right.
     pub fn walk_columns<'a>(&'a self, f: &mut impl FnMut(&'a ColumnRef)) {
         match self {
             Expr::Column(c) => f(c),
-            Expr::Literal(_) => {}
-            Expr::Unary { expr, .. } => expr.walk_columns(f),
-            Expr::Binary { left, right, .. } => {
-                left.walk_columns(f);
-                right.walk_columns(f);
-            }
-            Expr::Aggregate { arg, .. } => {
-                if let Some(a) = arg {
-                    a.walk_columns(f);
-                }
-            }
-            Expr::Function { args, .. } => {
-                for a in args {
-                    a.walk_columns(f);
-                }
-            }
-            Expr::Subquery(_) | Expr::Exists { .. } => {
-                // Subquery scopes are resolved separately.
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.walk_columns(f);
-                for e in list {
-                    e.walk_columns(f);
-                }
-            }
-            Expr::InSubquery { expr, .. } => expr.walk_columns(f),
-            Expr::Between { expr, low, high, .. } => {
-                expr.walk_columns(f);
-                low.walk_columns(f);
-                high.walk_columns(f);
-            }
-            Expr::IsNull { expr, .. } => expr.walk_columns(f),
-            Expr::Like { expr, pattern, .. } => {
-                expr.walk_columns(f);
-                pattern.walk_columns(f);
-            }
+            e => e.for_each_child(|child| child.walk_columns(f)),
         }
     }
 
@@ -339,33 +397,7 @@ impl Expr {
     pub fn walk_columns_mut(&mut self, f: &mut impl FnMut(&mut ColumnRef)) {
         match self {
             Expr::Column(c) => f(c),
-            Expr::Literal(_) | Expr::Subquery(_) | Expr::Exists { .. } => {}
-            Expr::Unary { expr, .. }
-            | Expr::IsNull { expr, .. }
-            | Expr::InSubquery { expr, .. } => expr.walk_columns_mut(f),
-            Expr::Binary { left, right, .. } => {
-                left.walk_columns_mut(f);
-                right.walk_columns_mut(f);
-            }
-            Expr::Aggregate { arg, .. } => {
-                if let Some(a) = arg {
-                    a.walk_columns_mut(f);
-                }
-            }
-            Expr::Function { args, .. } => args.iter_mut().for_each(|a| a.walk_columns_mut(f)),
-            Expr::InList { expr, list, .. } => {
-                expr.walk_columns_mut(f);
-                list.iter_mut().for_each(|e| e.walk_columns_mut(f));
-            }
-            Expr::Between { expr, low, high, .. } => {
-                expr.walk_columns_mut(f);
-                low.walk_columns_mut(f);
-                high.walk_columns_mut(f);
-            }
-            Expr::Like { expr, pattern, .. } => {
-                expr.walk_columns_mut(f);
-                pattern.walk_columns_mut(f);
-            }
+            e => e.for_each_child_mut(|child| child.walk_columns_mut(f)),
         }
     }
 
@@ -384,26 +416,9 @@ impl Expr {
     /// True if the expression contains an aggregate call at any depth
     /// (outside nested subqueries).
     pub fn contains_aggregate(&self) -> bool {
-        match self {
-            Expr::Aggregate { .. } => true,
-            Expr::Column(_) | Expr::Literal(_) | Expr::Subquery(_) | Expr::Exists { .. } => false,
-            Expr::Unary { expr, .. } => expr.contains_aggregate(),
-            Expr::Binary { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
-            }
-            Expr::Function { args, .. } => args.iter().any(Expr::contains_aggregate),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
-            }
-            Expr::InSubquery { expr, .. } => expr.contains_aggregate(),
-            Expr::Between { expr, low, high, .. } => {
-                expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate()
-            }
-            Expr::IsNull { expr, .. } => expr.contains_aggregate(),
-            Expr::Like { expr, pattern, .. } => {
-                expr.contains_aggregate() || pattern.contains_aggregate()
-            }
-        }
+        let mut found = matches!(self, Expr::Aggregate { .. });
+        self.for_each_child(|child| found = found || child.contains_aggregate());
+        found
     }
 }
 
@@ -425,6 +440,16 @@ pub enum SelectItem {
         /// participate, producing a table without it.
         optional: bool,
     },
+}
+
+impl SelectItem {
+    /// The projected expression; `None` for a wildcard.
+    pub fn expr(&self) -> Option<&Expr> {
+        match self {
+            SelectItem::Expr { expr, .. } => Some(expr),
+            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => None,
+        }
+    }
 }
 
 /// A table reference in a FROM clause.
@@ -503,6 +528,30 @@ impl Select {
             order_by: Vec::new(),
             limit: None,
         }
+    }
+
+    /// The expression slots in printing order: item expressions, WHERE,
+    /// GROUP BY, HAVING, ORDER BY. FROM holds no expression.
+    pub fn exprs(&self) -> impl Iterator<Item = &Expr> {
+        let items = self.items.iter().filter_map(SelectItem::expr);
+        items
+            .chain(&self.where_clause)
+            .chain(&self.group_by)
+            .chain(&self.having)
+            .chain(self.order_by.iter().map(|o| &o.expr))
+    }
+
+    /// [`Self::exprs`] with the slots handed out mutably.
+    pub fn exprs_mut(&mut self) -> impl Iterator<Item = &mut Expr> {
+        let items = self.items.iter_mut().filter_map(|item| match item {
+            SelectItem::Expr { expr, .. } => Some(expr),
+            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => None,
+        });
+        items
+            .chain(&mut self.where_clause)
+            .chain(&mut self.group_by)
+            .chain(&mut self.having)
+            .chain(self.order_by.iter_mut().map(|o| &mut o.expr))
     }
 }
 
@@ -967,6 +1016,17 @@ mod tests {
         e.walk_columns(&mut |c| seen.push(c.column.as_str().to_string()));
         assert_eq!(seen, vec!["a", "b%"]);
         assert!(e.has_multiple_identifier());
+    }
+
+    #[test]
+    fn conjuncts_flatten_the_and_spine_left_to_right() {
+        let col = |n: &str| Expr::col(ColumnRef::bare(n));
+        let or =
+            Expr::Binary { left: Box::new(col("c")), op: BinaryOp::Or, right: Box::new(col("d")) };
+        let e = col("a").and(col("b").and(or.clone())).and(col("e"));
+        let got: Vec<&Expr> = e.conjuncts().collect();
+        assert_eq!(got, vec![&col("a"), &col("b"), &or, &col("e")]);
+        assert_eq!(col("a").conjuncts().count(), 1);
     }
 
     #[test]

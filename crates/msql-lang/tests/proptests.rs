@@ -3,7 +3,10 @@
 //! * the iterative `%` wildcard matcher agrees with an exponential reference
 //!   implementation;
 //! * printing any generated expression/statement and reparsing the output
-//!   yields an identical AST (print → parse roundtrip).
+//!   yields an identical AST (print → parse roundtrip);
+//! * every walk of the tree visits in printing order: the columns
+//!   `walk_columns` hands out appear in `print` output in the same order, and
+//!   `for_each_child_mut` hands out the children `for_each_child` does.
 
 use msql_lang::ident::wild_match_reference;
 use msql_lang::printer::{print, print_expr};
@@ -150,8 +153,9 @@ fn column_strategy() -> impl Strategy<Value = ColumnRef> {
 
 fn expr_strategy() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
-        literal_strategy().prop_map(Expr::Literal),
-        column_strategy().prop_map(Expr::Column),
+        4 => literal_strategy().prop_map(Expr::Literal),
+        4 => column_strategy().prop_map(Expr::Column),
+        1 => Just(Expr::Aggregate { kind: AggregateKind::Count, arg: None, distinct: false }),
     ];
     leaf.prop_recursive(4, 48, 4, |inner| {
         prop_oneof![
@@ -185,6 +189,11 @@ fn expr_strategy() -> impl Strategy<Value = Expr> {
                     negated: n,
                 }
             ),
+            (inner.clone(), inner.clone(), prop::bool::ANY).prop_map(|(e, p, n)| Expr::Like {
+                expr: Box::new(e),
+                pattern: Box::new(p),
+                negated: n,
+            }),
             (inner.clone(), proptest::collection::vec(inner.clone(), 1..3), prop::bool::ANY)
                 .prop_map(|(e, list, n)| Expr::InList { expr: Box::new(e), list, negated: n }),
             (ident_strategy(), proptest::collection::vec(inner.clone(), 0..3))
@@ -206,46 +215,19 @@ fn expr_strategy() -> impl Strategy<Value = Expr> {
 /// Negative literals print as `-(n)` and reparse as unary negation; normalise
 /// both sides so structural comparison is meaningful.
 fn normalise(e: &Expr) -> Expr {
-    match e {
-        Expr::Unary { op: UnaryOp::Neg, expr } => match normalise(expr) {
-            Expr::Literal(Literal::Int(v)) => Expr::Literal(Literal::Int(-v)),
-            Expr::Literal(Literal::Float(v)) => Expr::Literal(Literal::Float(-v)),
-            inner => Expr::Unary { op: UnaryOp::Neg, expr: Box::new(inner) },
-        },
-        Expr::Unary { op, expr } => Expr::Unary { op: *op, expr: Box::new(normalise(expr)) },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(normalise(left)),
-            op: *op,
-            right: Box::new(normalise(right)),
-        },
-        Expr::Aggregate { kind, arg, distinct } => Expr::Aggregate {
-            kind: *kind,
-            arg: arg.as_ref().map(|a| Box::new(normalise(a))),
-            distinct: *distinct,
-        },
-        Expr::Function { name, args } => {
-            Expr::Function { name: name.clone(), args: args.iter().map(normalise).collect() }
+    let mut e = e.clone();
+    normalise_in_place(&mut e);
+    e
+}
+
+fn normalise_in_place(e: &mut Expr) {
+    e.for_each_child_mut(normalise_in_place);
+    if let Expr::Unary { op: UnaryOp::Neg, expr } = e {
+        match **expr {
+            Expr::Literal(Literal::Int(v)) => *e = Expr::Literal(Literal::Int(-v)),
+            Expr::Literal(Literal::Float(v)) => *e = Expr::Literal(Literal::Float(-v)),
+            _ => {}
         }
-        Expr::InList { expr, list, negated } => Expr::InList {
-            expr: Box::new(normalise(expr)),
-            list: list.iter().map(normalise).collect(),
-            negated: *negated,
-        },
-        Expr::Between { expr, low, high, negated } => Expr::Between {
-            expr: Box::new(normalise(expr)),
-            low: Box::new(normalise(low)),
-            high: Box::new(normalise(high)),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => {
-            Expr::IsNull { expr: Box::new(normalise(expr)), negated: *negated }
-        }
-        Expr::Like { expr, pattern, negated } => Expr::Like {
-            expr: Box::new(normalise(expr)),
-            pattern: Box::new(normalise(pattern)),
-            negated: *negated,
-        },
-        other => other.clone(),
     }
 }
 
@@ -344,5 +326,84 @@ proptest! {
         let Statement::Query(q) = reparsed else { panic!("not a query: {printed}") };
         let QueryBody::Select(back) = q.body else { panic!("not a select: {printed}") };
         prop_assert_eq!(normalise_select(&s), normalise_select(&back), "printed: {}", printed);
+    }
+}
+
+// -------------------------------------------------------------- visit order
+
+/// Renames the column of every reference `walk_columns_mut` visits, in visit
+/// order, to `#<n>#` — text no generated identifier or literal contains —
+/// and returns how many it renamed.
+fn number_columns<'a>(exprs: impl Iterator<Item = &'a mut Expr>) -> usize {
+    let mut n = 0;
+    for e in exprs {
+        e.walk_columns_mut(&mut |c| {
+            c.column = WildName::new(format!("#{n}#"));
+            n += 1;
+        });
+    }
+    n
+}
+
+/// The `#<n>#` markers of `printed`, in printed order.
+fn markers(printed: &str) -> Vec<usize> {
+    printed.split('#').skip(1).step_by(2).map(|m| m.parse().unwrap()).collect()
+}
+
+/// `walk_columns`' visit order as marker numbers.
+fn walked<'a>(exprs: impl Iterator<Item = &'a Expr>) -> Vec<usize> {
+    let mut out = Vec::new();
+    for e in exprs {
+        e.walk_columns(&mut |c| out.push(markers(c.column.as_str())[0]));
+    }
+    out
+}
+
+/// The pre-order node sequence `for_each_child` yields, each node printed.
+fn preorder(e: &Expr, out: &mut Vec<String>) {
+    out.push(print_expr(e));
+    e.for_each_child(|child| preorder(child, out));
+}
+
+/// Moves every node out and back in through `for_each_child_mut`, recording
+/// the same pre-order sequence as [`preorder`].
+fn preorder_mut(e: &mut Expr, out: &mut Vec<String>) {
+    out.push(print_expr(e));
+    e.for_each_child_mut(|child| {
+        let mut owned = std::mem::replace(child, Expr::Literal(Literal::Null));
+        preorder_mut(&mut owned, out);
+        *child = owned;
+    });
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn expr_columns_are_walked_in_printed_order(e in expr_strategy()) {
+        let mut e = e;
+        let n = number_columns(std::iter::once(&mut e));
+        let order: Vec<usize> = (0..n).collect();
+        prop_assert_eq!(walked(std::iter::once(&e)), order.clone());
+        prop_assert_eq!(markers(&print_expr(&e)), order);
+    }
+
+    #[test]
+    fn select_columns_are_walked_in_printed_order(s in select_strategy()) {
+        let mut s = s;
+        let n = number_columns(s.exprs_mut());
+        let order: Vec<usize> = (0..n).collect();
+        prop_assert_eq!(walked(s.exprs()), order.clone());
+        prop_assert_eq!(markers(&print(&Statement::select(s))), order);
+    }
+
+    #[test]
+    fn for_each_child_mut_hands_out_what_for_each_child_does(e in expr_strategy()) {
+        let (mut seen, mut seen_mut) = (Vec::new(), Vec::new());
+        preorder(&e, &mut seen);
+        let mut rebuilt = e.clone();
+        preorder_mut(&mut rebuilt, &mut seen_mut);
+        prop_assert_eq!(&rebuilt, &e);
+        prop_assert_eq!(seen, seen_mut);
     }
 }
