@@ -179,6 +179,29 @@ for f in $(find crates/*/src -name '*.rs'); do
     fi
 done
 
+echo "== one catalog writer =="
+# A session runs a repeated statement from its plan cache while the catalog
+# epoch it was translated at is current (DESIGN §3a.18), so every write to the
+# two dictionaries must bump it. Outside tests, `gdd.write()` and
+# `ad.write()` appear in crates/core/src once each, inside
+# FederationCore::write_catalog, which bumps the epoch. The plan-cache oracle
+# runs cached statements against fresh translations across CREATE / DROP
+# TABLE, IMPORT and INCORPORATE.
+echo "-- tests/plan_cache.rs"
+cargo test -q --test plan_cache
+writes='(^|[^A-Za-z0-9_])(gdd|ad)\.write\(\)'
+in_accessor=$(sed -n '/fn write_catalog/,/^    }$/p' crates/core/src/federation.rs |
+    tr -d ' \n' | grep -oE "$writes" | wc -l)
+everywhere=$(for f in $(find crates/core/src -name '*.rs'); do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | tr -d ' \n'
+    echo
+done | grep -oE "$writes" | wc -l)
+if [ "$in_accessor" != 2 ] || [ "$everywhere" != 2 ]; then
+    echo "gdd/ad written $everywhere time(s) in crates/core/src, $in_accessor in write_catalog;" \
+        "expected 2 and 2: go through FederationCore::write_catalog" >&2
+    exit 1
+fi
+
 echo "== fedbench: build + smoke =="
 # fedbench/ compiles against the crates' public API and may not be edited by
 # a change that claims a gain, so an API break must fail here, not in the

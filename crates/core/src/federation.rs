@@ -56,6 +56,14 @@ use std::time::Duration;
 /// succeeds; past the bound the retriable error surfaces to the caller.
 const DEADLOCK_RETRIES: u32 = 4;
 
+/// How many prepared statements a session keeps; past it, the oldest entry
+/// goes first (DESIGN §3a.18).
+pub const PLAN_CACHE_CAPACITY: usize = 128;
+
+/// A write to a table, as interdatabase triggers match it:
+/// `(database, table, event)`.
+type WriteEvent = (String, msql_lang::WildName, msql_lang::TriggerEvent);
+
 /// One registered interdatabase trigger.
 #[derive(Debug, Clone)]
 struct TriggerDef {
@@ -91,6 +99,26 @@ pub struct FederationCore {
     site_stats: RwLock<HashMap<String, Vec<crate::wire::SiteTableStats>>>,
     /// Next session id (the primary session is 0).
     session_seq: AtomicU64,
+    /// Bumped by every write to `gdd` / `ad` ([`FederationCore::write_catalog`]):
+    /// a prepared statement is valid while it reads what it was prepared at.
+    catalog_epoch: AtomicU64,
+}
+
+impl FederationCore {
+    /// The one way to change the catalog: runs `f` on both dictionaries under
+    /// their write locks and bumps the catalog epoch before they are released,
+    /// whether `f` succeeded or not — a write that fails half way may already
+    /// have changed something. A session reads the epoch before it reads the
+    /// dictionaries, so a plan tagged with the new epoch saw the new catalog.
+    fn write_catalog<T>(
+        &self,
+        f: impl FnOnce(&mut GlobalDataDictionary, &mut AuxiliaryDirectory) -> T,
+    ) -> T {
+        let (mut gdd, mut ad) = (self.gdd.write(), self.ad.write());
+        let out = f(&mut gdd, &mut ad);
+        self.catalog_epoch.fetch_add(1, Ordering::SeqCst);
+        out
+    }
 }
 
 /// One user session on a federation: private scope, deferred-commit state,
@@ -176,7 +204,82 @@ pub struct Session {
     /// This session's id (0 = the primary session; span notes and labeled
     /// metrics carry it for every spawned session).
     id: u64,
+    /// Statements this session translated, by text (DESIGN §3a.18).
+    plans: PlanCache,
     core: Arc<FederationCore>,
+}
+
+/// A statement translated and planned, ready to run: everything a repeat of
+/// its text skips (DESIGN §3a.18).
+struct Prepared {
+    /// The scope the statement leaves the session in (`None`: it leaves the
+    /// scope alone, as a multitransaction does).
+    scope: Option<SessionScope>,
+    plan: PreparedPlan,
+}
+
+enum PreparedPlan {
+    Retrieval(GeneratedPlan),
+    /// An update plan, with what each subquery writes, in subquery order,
+    /// for the triggers it may fire once committed.
+    Update {
+        plan: GeneratedPlan,
+        writes: Vec<Option<WriteEvent>>,
+    },
+    Mtx {
+        plan: GeneratedPlan,
+        states: usize,
+    },
+    /// A join is planned at run time, against the statistics of the moment.
+    Join {
+        dec: Box<Decomposition>,
+        routes: HashMap<String, DbRoute>,
+    },
+}
+
+/// What preparing a statement came to: a plan to run, or — for a statement
+/// that has none to keep — its outcome, already produced.
+enum Step {
+    Run(Prepared),
+    Done(MsqlOutcome),
+}
+
+/// A session's prepared statements by text, at most [`PLAN_CACHE_CAPACITY`].
+#[derive(Default)]
+struct PlanCache {
+    entries: HashMap<String, CachedPlan>,
+    inserted: u64,
+}
+
+struct CachedPlan {
+    /// The catalog epoch the statement was translated at.
+    epoch: u64,
+    /// The scope it was translated in; `None` when it opens with a `USE`
+    /// that replaces the scope, so it reads none of the scope it finds.
+    scope: Option<SessionScope>,
+    /// Insertion order: the smallest is evicted first.
+    seq: u64,
+    prepared: Arc<Prepared>,
+}
+
+impl PlanCache {
+    fn get(&self, text: &str, epoch: u64, scope: &SessionScope) -> Option<Arc<Prepared>> {
+        let entry = self.entries.get(text)?;
+        let fresh = entry.epoch == epoch && entry.scope.as_ref().is_none_or(|s| s == scope);
+        fresh.then(|| Arc::clone(&entry.prepared))
+    }
+
+    fn insert(&mut self, text: &str, epoch: u64, scope: Option<SessionScope>, prepared: Prepared) {
+        if self.entries.len() >= PLAN_CACHE_CAPACITY && !self.entries.contains_key(text) {
+            let oldest = self.entries.iter().min_by_key(|(_, e)| e.seq).map(|(t, _)| t.clone());
+            if let Some(oldest) = oldest {
+                self.entries.remove(&oldest);
+            }
+        }
+        self.inserted += 1;
+        let entry = CachedPlan { epoch, scope, seq: self.inserted, prepared: Arc::new(prepared) };
+        self.entries.insert(text.to_string(), entry);
+    }
 }
 
 // Sessions are handed to worker threads; keep that a compile-time guarantee.
@@ -243,6 +346,7 @@ impl Federation {
             metrics,
             site_stats: RwLock::new(HashMap::new()),
             session_seq: AtomicU64::new(1),
+            catalog_epoch: AtomicU64::new(0),
         });
         Federation { session: Session::with_core(core, 0) }
     }
@@ -272,6 +376,7 @@ impl Session {
             last_trace: None,
             wal: None,
             id,
+            plans: PlanCache::default(),
             core,
         }
     }
@@ -400,14 +505,16 @@ impl Session {
         }
         let profile = engine.profile.clone();
         let lam = spawn_lam(&self.core.net, &service, site, engine)?;
-        self.core.ad.write().insert(ServiceEntry {
-            name: service.clone(),
-            site: site.to_string(),
-            multi_database: profile.multi_database,
-            commit_mode: profile.capability_for(StatementClass::Dml),
-            create_mode: Some(profile.capability_for(StatementClass::Create)),
-            insert_mode: Some(profile.capability_for(StatementClass::Insert)),
-            drop_mode: Some(profile.capability_for(StatementClass::Drop)),
+        self.core.write_catalog(|_, ad| {
+            ad.insert(ServiceEntry {
+                name: service.clone(),
+                site: site.to_string(),
+                multi_database: profile.multi_database,
+                commit_mode: profile.capability_for(StatementClass::Dml),
+                create_mode: Some(profile.capability_for(StatementClass::Create)),
+                insert_mode: Some(profile.capability_for(StatementClass::Insert)),
+                drop_mode: Some(profile.capability_for(StatementClass::Drop)),
+            })
         });
         lams.insert(service, lam);
         Ok(())
@@ -425,7 +532,7 @@ impl Session {
             .create_database(database)
             .map_err(|e| MdbsError::Local { service: service.clone(), message: e.to_string() })?;
         drop(lams);
-        self.core.gdd.write().register_database(database, &service)?;
+        self.core.write_catalog(|gdd, _| gdd.register_database(database, &service))?;
         Ok(())
     }
 
@@ -518,7 +625,7 @@ impl Session {
         }
         root.end();
         self.core.metrics.observe("phase.recovery", self.core.clock.now().saturating_sub(started));
-        self.last_trace = Some(SpanTree::from_records(&tracer.records()));
+        self.last_trace = Some(SpanTree::from_records(tracer.take_records()));
         result
     }
 
@@ -682,8 +789,27 @@ impl Session {
     /// Parses and executes one MSQL statement. The parse itself runs under
     /// the statement's root span, so traces show the full lifecycle — of
     /// every attempt: a deadlock retry is the whole statement again.
+    ///
+    /// A query or multitransaction is prepared (parse → USE/LET → translate
+    /// → plan) and then run; outside deferred-commit mode the session keeps
+    /// what it prepared, and a later statement of the same text runs it
+    /// again without preparing while the catalog and, unless the statement
+    /// opens with a scope-replacing `USE`, the scope are those it was
+    /// prepared in (DESIGN §3a.18). Its root span is then noted
+    /// `plan=cached`.
     pub fn execute(&mut self, msql: &str) -> Result<MsqlOutcome, MdbsError> {
         self.run_retrying(text_note(msql), |fed, span| {
+            // Read before the catalog is: see `FederationCore::write_catalog`.
+            let epoch = fed.core.catalog_epoch.load(Ordering::SeqCst);
+            let cached = if fed.deferred { None } else { fed.plans.get(msql, epoch, &fed.scope) };
+            if let Some(prepared) = cached {
+                span.note("plan", "cached");
+                fed.core.metrics.counter_add("plan_cache.hits", 1);
+                if let Some(scope) = &prepared.scope {
+                    fed.scope.clone_from(scope);
+                }
+                return fed.run_prepared(&prepared);
+            }
             let stmt = fed.timed("phase.parse", || {
                 let parse = span.child("parse");
                 msql_lang::parse_statement(msql).map_err(|e| {
@@ -691,7 +817,17 @@ impl Session {
                     MdbsError::Parse(e.display_with_source(msql))
                 })
             })?;
-            fed.dispatch_statement(&stmt, span)
+            let scope = (!replaces_scope(&stmt)).then(|| fed.scope.clone());
+            let prepared = match fed.prepare(&stmt, span)? {
+                Step::Run(prepared) => prepared,
+                Step::Done(outcome) => return Ok(outcome),
+            };
+            let outcome = fed.run_prepared(&prepared)?;
+            if !fed.deferred {
+                fed.core.metrics.counter_add("plan_cache.misses", 1);
+                fed.plans.insert(msql, epoch, scope, prepared);
+            }
+            Ok(outcome)
         })
     }
 
@@ -768,7 +904,7 @@ impl Session {
         }
         if !nested {
             if let Some(tracer) = self.trace.take() {
-                self.last_trace = Some(SpanTree::from_records(&tracer.records()));
+                self.last_trace = Some(SpanTree::from_records(tracer.take_records()));
             }
         }
         result
@@ -793,7 +929,7 @@ impl Session {
             // trigger action): the target ran as a nested statement; report
             // on the spans collected so far.
             Some(tracer) => {
-                let mut tree = SpanTree::from_records(&tracer.records());
+                let mut tree = SpanTree::from_records(tracer.records());
                 tree.normalize();
                 tree
             }
@@ -824,78 +960,78 @@ impl Session {
         Ok(out)
     }
 
-    /// Executes a pre-parsed statement.
+    /// Executes a pre-parsed statement (never through the plan cache).
     pub fn execute_statement(&mut self, stmt: &Statement) -> Result<MsqlOutcome, MdbsError> {
         if let Statement::Explain(inner) = stmt {
             return self.explain(inner);
         }
-        self.run_retrying(text_note(&print(stmt)), |fed, span| fed.dispatch_statement(stmt, span))
+        self.run_retrying(text_note(&print(stmt)), |fed, span| match fed.prepare(stmt, span)? {
+            Step::Run(prepared) => fed.run_prepared(&prepared),
+            Step::Done(outcome) => Ok(outcome),
+        })
     }
 
-    /// The statement dispatcher proper, running under `span`.
-    fn dispatch_statement(
-        &mut self,
-        stmt: &Statement,
-        span: &Span,
-    ) -> Result<MsqlOutcome, MdbsError> {
-        match stmt {
+    /// Prepares a statement under `span`: a query or multitransaction becomes
+    /// a plan to run; every other statement — and a query with no plan worth
+    /// keeping (a data transfer, a deferred-mode update) — runs here.
+    fn prepare(&mut self, stmt: &Statement, span: &Span) -> Result<Step, MdbsError> {
+        let outcome = match stmt {
+            Statement::Query(q) => return self.prepare_query(q, span),
+            Statement::Multitransaction(m) => {
+                return self.prepare_multitransaction(m, span).map(Step::Run)
+            }
             Statement::Use(u) => {
                 // A scope change is a synchronization point (§3.2.2).
                 let settled = self.sync_point(false)?;
                 self.scope.apply_use(u)?;
-                if let Some(report) = settled {
-                    return Ok(MsqlOutcome::Update(report));
+                match settled {
+                    Some(report) => MsqlOutcome::Update(report),
+                    None => MsqlOutcome::Admin(format!(
+                        "scope: {}",
+                        self.scope
+                            .databases
+                            .iter()
+                            .map(|d| if d.vital {
+                                format!("{} VITAL", d.key())
+                            } else {
+                                d.key().to_string()
+                            })
+                            .collect::<Vec<_>>()
+                            .join(", ")
+                    )),
                 }
-                Ok(MsqlOutcome::Admin(format!(
-                    "scope: {}",
-                    self.scope
-                        .databases
-                        .iter()
-                        .map(|d| if d.vital {
-                            format!("{} VITAL", d.key())
-                        } else {
-                            d.key().to_string()
-                        })
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )))
             }
             Statement::Let(l) => {
                 self.scope.apply_let(l)?;
-                Ok(MsqlOutcome::Admin(format!(
-                    "{} semantic variable(s) declared",
-                    l.variables.len()
-                )))
+                MsqlOutcome::Admin(format!("{} semantic variable(s) declared", l.variables.len()))
             }
             Statement::Incorporate(inc) => {
-                let entry = self.core.ad.write().incorporate(inc).clone();
-                Ok(MsqlOutcome::Admin(format!(
+                let entry = self.core.write_catalog(|_, ad| ad.incorporate(inc).clone());
+                MsqlOutcome::Admin(format!(
                     "service `{}` incorporated at site `{}`",
                     entry.name, entry.site
-                )))
+                ))
             }
             Statement::Import(imp) => {
                 let entry = self.core.ad.read().service(&imp.service)?.clone();
                 let client = self.connect(&entry.site, &imp.database)?;
                 let schema = client.fetch_schema()?;
-                let imported = apply_import(&mut self.core.gdd.write(), imp, &schema)?;
-                Ok(MsqlOutcome::Admin(format!(
+                let imported = self.core.write_catalog(|gdd, _| apply_import(gdd, imp, &schema))?;
+                MsqlOutcome::Admin(format!(
                     "imported {} object(s) from `{}`: {}",
                     imported.len(),
                     imp.database,
                     imported.join(", ")
-                )))
+                ))
             }
-            Statement::Query(q) => self.execute_query(q, span),
-            Statement::Multitransaction(m) => self.execute_multitransaction(m, span),
-            Statement::Explain(inner) => self.explain(inner),
-            Statement::CreateTable(ct) => self.execute_create_table(ct),
-            Statement::DropTable(dt) => self.execute_drop_table(dt),
-            Statement::Analyze(target) => self.execute_analyze(target.as_ref()),
-            Statement::CreateIndex(ci) => self.execute_create_index(ci),
-            Statement::DropIndex(di) => self.execute_drop_index(di),
+            Statement::Explain(inner) => self.explain(inner)?,
+            Statement::CreateTable(ct) => self.execute_create_table(ct)?,
+            Statement::DropTable(dt) => self.execute_drop_table(dt)?,
+            Statement::Analyze(target) => self.execute_analyze(target.as_ref())?,
+            Statement::CreateIndex(ci) => self.execute_create_index(ci)?,
+            Statement::DropIndex(di) => self.execute_drop_index(di)?,
             Statement::CreateDatabase(_) | Statement::DropDatabase(_) => {
-                Err(MdbsError::Unsupported(
+                return Err(MdbsError::Unsupported(
                     "CREATE/DROP DATABASE must name a service; use \
                      Federation::create_database(service, name)"
                         .into(),
@@ -913,13 +1049,13 @@ impl Session {
                     event: t.event,
                     action: (*t.action).clone(),
                 });
-                Ok(MsqlOutcome::Admin(format!(
+                MsqlOutcome::Admin(format!(
                     "trigger `{}` created on {}.{} AFTER {}",
                     t.name,
                     t.database,
                     t.table,
                     t.event.name()
-                )))
+                ))
             }
             Statement::DropTrigger(name) => {
                 let mut triggers = self.core.triggers.write();
@@ -928,11 +1064,11 @@ impl Session {
                 if triggers.len() == before {
                     return Err(MdbsError::Catalog(format!("unknown trigger `{name}`")));
                 }
-                Ok(MsqlOutcome::Admin(format!("trigger `{name}` dropped")))
+                MsqlOutcome::Admin(format!("trigger `{name}` dropped"))
             }
             Statement::Commit | Statement::Rollback => {
                 let rollback = matches!(stmt, Statement::Rollback);
-                Ok(match self.sync_point(rollback)? {
+                match self.sync_point(rollback)? {
                     Some(report) => MsqlOutcome::Update(report),
                     None if rollback => MsqlOutcome::Admin(
                         "synchronization point: nothing pending to roll back".into(),
@@ -942,12 +1078,13 @@ impl Session {
                          aborts its vital set when it terminates, §3.2.2)"
                             .into(),
                     ),
-                })
+                }
             }
-        }
+        };
+        Ok(Step::Done(outcome))
     }
 
-    fn execute_query(&mut self, q: &MsqlQuery, span: &Span) -> Result<MsqlOutcome, MdbsError> {
+    fn prepare_query(&mut self, q: &MsqlQuery, span: &Span) -> Result<Step, MdbsError> {
         // USE/LET attached to the query update the session scope, which then
         // persists (interactive MSQL behaviour).
         if let Some(u) = &q.use_clause {
@@ -960,7 +1097,7 @@ impl Session {
         // a table of one database from a SELECT over other databases.
         if let QueryBody::Insert(ins) = &q.body {
             if let Some(target) = self.transfer_target(ins)? {
-                return self.execute_data_transfer(ins, &target);
+                return self.execute_data_transfer(ins, &target).map(Step::Done);
             }
         }
         let routes = self.routes()?;
@@ -968,7 +1105,7 @@ impl Session {
             let gdd = self.core.gdd.read();
             translate::translate_body_traced(&q.body, &self.scope, &gdd, span)
         })?;
-        match translated {
+        let plan = match translated {
             Translated::PerDb(locals) => match &q.body {
                 QueryBody::Select(_) => {
                     if !q.comps.is_empty() {
@@ -976,59 +1113,61 @@ impl Session {
                             "COMP applies to modification statements".into(),
                         ));
                     }
-                    let plan = {
-                        let pg = span.child("plangen");
-                        pg.note("shape", "retrieval");
-                        let plan = retrieval_plan(&locals, &routes)?;
-                        pg.note("tasks", plan.tasks.len());
-                        plan
-                    };
-                    let mt =
-                        self.timed("phase.execute", || self.executor().run_retrieval(&plan))?;
-                    Ok(MsqlOutcome::Multitable(mt))
+                    let pg = span.child("plangen");
+                    pg.note("shape", "retrieval");
+                    let plan = retrieval_plan(&locals, &routes)?;
+                    pg.note("tasks", plan.tasks.len());
+                    PreparedPlan::Retrieval(plan)
                 }
                 _ => {
                     let comps = self.comp_map(q, &locals)?;
                     if self.deferred {
-                        return self.run_deferred_update(&locals, &comps, &routes);
+                        return self.run_deferred_update(&locals, &comps, &routes).map(Step::Done);
                     }
-                    let plan = {
-                        let pg = span.child("plangen");
-                        pg.note("shape", "update");
-                        let plan = self.own_tasks(update_plan(&locals, &comps, &routes)?);
-                        pg.note("tasks", plan.tasks.len());
-                        plan
-                    };
-                    let report =
-                        self.timed("phase.execute", || self.executor().run_update(&plan))?;
-                    // Fire interdatabase triggers for committed subqueries.
-                    let mut events = Vec::new();
-                    for (local, outcome) in locals.iter().zip(&report.outcomes) {
-                        if outcome.status != dol::TaskStatus::Committed || outcome.affected == 0 {
-                            continue;
-                        }
-                        if let Statement::Query(inner) = &local.statement {
-                            let (event, table) = match &inner.body {
-                                QueryBody::Update(u) => {
-                                    (msql_lang::TriggerEvent::Update, u.table.table.clone())
-                                }
-                                QueryBody::Insert(i) => {
-                                    (msql_lang::TriggerEvent::Insert, i.table.table.clone())
-                                }
-                                QueryBody::Delete(d) => {
-                                    (msql_lang::TriggerEvent::Delete, d.table.table.clone())
-                                }
-                                QueryBody::Select(_) => continue,
-                            };
-                            events.push((local.database.clone(), table, event));
-                        }
-                    }
-                    self.fire_triggers(&events)?;
-                    Ok(MsqlOutcome::Update(report))
+                    let pg = span.child("plangen");
+                    pg.note("shape", "update");
+                    let plan = self.own_tasks(update_plan(&locals, &comps, &routes)?);
+                    pg.note("tasks", plan.tasks.len());
+                    PreparedPlan::Update { plan, writes: locals.iter().map(write_event).collect() }
                 }
             },
-            Translated::CrossDb(dec) => {
-                let rs = self.timed("phase.execute", || self.run_join(*dec, &routes))?;
+            Translated::CrossDb(mut dec) => {
+                self.own_parts(&mut dec);
+                PreparedPlan::Join { dec, routes }
+            }
+        };
+        Ok(Step::Run(Prepared { scope: Some(self.scope.clone()), plan }))
+    }
+
+    /// Runs a prepared statement — the one execution path of a query or a
+    /// multitransaction, whether it was prepared just now or by an earlier
+    /// statement of the same text — and fires the triggers its committed
+    /// writes match.
+    fn run_prepared(&mut self, prepared: &Prepared) -> Result<MsqlOutcome, MdbsError> {
+        match &prepared.plan {
+            PreparedPlan::Retrieval(plan) => {
+                let mt = self.timed("phase.execute", || self.executor().run_retrieval(plan))?;
+                Ok(MsqlOutcome::Multitable(mt))
+            }
+            PreparedPlan::Update { plan, writes } => {
+                let report = self.timed("phase.execute", || self.executor().run_update(plan))?;
+                // Fire interdatabase triggers for committed subqueries.
+                let events: Vec<WriteEvent> = writes
+                    .iter()
+                    .zip(&report.outcomes)
+                    .filter(|(_, o)| o.status == dol::TaskStatus::Committed && o.affected > 0)
+                    .filter_map(|(write, _)| write.clone())
+                    .collect();
+                self.fire_triggers(&events)?;
+                Ok(MsqlOutcome::Update(report))
+            }
+            PreparedPlan::Mtx { plan, states } => {
+                let report =
+                    self.timed("phase.execute", || self.executor().run_mtx(plan, *states))?;
+                Ok(MsqlOutcome::Mtx(report))
+            }
+            PreparedPlan::Join { dec, routes } => {
+                let rs = self.timed("phase.execute", || self.run_join(dec, routes))?;
                 Ok(MsqlOutcome::Table(rs))
             }
         }
@@ -1120,7 +1259,10 @@ impl Session {
                 let mt = self.executor().run_retrieval(&plan)?;
                 mt.tables.into_iter().next().map(|t| t.result).unwrap_or_default()
             }
-            Translated::CrossDb(dec) => self.run_join(*dec, &routes)?,
+            Translated::CrossDb(mut dec) => {
+                self.own_parts(&mut dec);
+                self.run_join(&dec, &routes)?
+            }
         };
 
         // 2. Ship the rows as batched INSERT statements.
@@ -1229,10 +1371,7 @@ impl Session {
     /// 4; a failing action fails the calling statement (the local updates
     /// have already committed — exactly the loose coupling the paper's
     /// compensation machinery exists for).
-    fn fire_triggers(
-        &mut self,
-        events: &[(String, msql_lang::WildName, msql_lang::TriggerEvent)],
-    ) -> Result<usize, MdbsError> {
+    fn fire_triggers(&mut self, events: &[WriteEvent]) -> Result<usize, MdbsError> {
         if events.is_empty() || self.trigger_depth >= 4 {
             return Ok(0);
         }
@@ -1274,11 +1413,11 @@ impl Session {
         run
     }
 
-    fn execute_multitransaction(
+    fn prepare_multitransaction(
         &mut self,
         m: &Multitransaction,
         span: &Span,
-    ) -> Result<MsqlOutcome, MdbsError> {
+    ) -> Result<Prepared, MdbsError> {
         let routes = self.routes()?;
         // Each component query manages its own scope; the session scope is
         // untouched by the block.
@@ -1322,18 +1461,13 @@ impl Session {
             .iter()
             .map(|s| s.databases.iter().map(|d| d.as_str().to_string()).collect())
             .collect();
-        let plan = {
-            let pg = span.child("plangen");
-            pg.note("shape", "multitransaction");
-            pg.note("queries", queries.len());
-            pg.note("states", states.len());
-            let plan = self.own_tasks(multitransaction_plan(&queries, &states, &routes)?);
-            pg.note("tasks", plan.tasks.len());
-            plan
-        };
-        let report =
-            self.timed("phase.execute", || self.executor().run_mtx(&plan, states.len()))?;
-        Ok(MsqlOutcome::Mtx(report))
+        let pg = span.child("plangen");
+        pg.note("shape", "multitransaction");
+        pg.note("queries", queries.len());
+        pg.note("states", states.len());
+        let plan = self.own_tasks(multitransaction_plan(&queries, &states, &routes)?);
+        pg.note("tasks", plan.tasks.len());
+        Ok(Prepared { scope: None, plan: PreparedPlan::Mtx { plan, states: states.len() } })
     }
 
     /// Ships one single-database statement — its qualifier already stripped —
@@ -1363,10 +1497,8 @@ impl Session {
         // Export the new table to the multidatabase level.
         let columns =
             ct.columns.iter().map(|c| GddColumn::new(c.name.clone(), c.type_name)).collect();
-        self.core
-            .gdd
-            .write()
-            .put_table(&database, GddTable::new(ct.table.table.as_str(), columns))?;
+        let table = GddTable::new(ct.table.table.as_str(), columns);
+        self.core.write_catalog(|gdd, _| gdd.put_table(&database, table))?;
         // DDL invalidates whatever statistics were cached for the
         // database — the next costed join re-pulls them.
         self.core.site_stats.write().remove(&database);
@@ -1378,7 +1510,8 @@ impl Session {
         let mut local = dt.clone();
         local.table.database = None;
         self.run_at(&database, "DDL", "DROP TABLE", &Statement::DropTable(local))?;
-        let _ = self.core.gdd.write().drop_table(&database, dt.table.table.as_str());
+        let _ =
+            self.core.write_catalog(|gdd, _| gdd.drop_table(&database, dt.table.table.as_str()));
         self.core.site_stats.write().remove(&database);
         Ok(MsqlOutcome::Admin(format!("table `{}` dropped from `{database}`", dt.table.table)))
     }
@@ -1462,26 +1595,29 @@ impl Session {
         }
     }
 
-    /// Plans a cross-database decomposition — with the cost planner's context
-    /// when the session has it enabled and statistics exist — and runs the
-    /// plan.
-    ///
-    /// Sessions share the coordinator database, so a spawned session gives
-    /// its partial-result tables names of its own (`part_<db>_s<id>`): it
-    /// runs one statement at a time, so they collide with nobody's, and a
-    /// crashed statement's leftovers are replaced by the same session's next
-    /// join exactly as the primary session's `part_<db>` are.
-    fn run_join(
-        &self,
-        mut dec: Decomposition,
-        routes: &HashMap<String, DbRoute>,
-    ) -> Result<ldbs::engine::ResultSet, MdbsError> {
+    /// Gives a decomposition's partial-result tables this session's names.
+    /// Sessions share the coordinator database, so a spawned session names
+    /// them its own (`part_<db>_s<id>`): it runs one statement at a time, so
+    /// they collide with nobody's, and a crashed statement's leftovers are
+    /// replaced by the same session's next join exactly as the primary
+    /// session's `part_<db>` are.
+    fn own_parts(&self, dec: &mut Decomposition) {
         if self.id != 0 {
             dec.suffix_part_tables(&session_suffix(self.id));
         }
-        let ctx = self.planner_context(&dec, routes);
+    }
+
+    /// Plans a cross-database decomposition — with the cost planner's context
+    /// when the session has it enabled and statistics exist — and runs the
+    /// plan.
+    fn run_join(
+        &self,
+        dec: &Decomposition,
+        routes: &HashMap<String, DbRoute>,
+    ) -> Result<ldbs::engine::ResultSet, MdbsError> {
+        let ctx = self.planner_context(dec, routes);
         let plan = plan_join(
-            &dec,
+            dec,
             routes,
             ctx.as_ref(),
             self.semijoin,
@@ -1547,6 +1683,31 @@ fn session_suffix(id: u64) -> String {
     } else {
         format!("_s{id}")
     }
+}
+
+/// True when `stmt` opens with a `USE` that replaces the scope (not `USE
+/// CURRENT`): nothing it prepares then reads the scope it finds, so its cache
+/// entry does not key on it. For a multitransaction that is its first member:
+/// every later member starts from the scope the one before it left.
+fn replaces_scope(stmt: &Statement) -> bool {
+    let first = match stmt {
+        Statement::Query(q) => Some(q),
+        Statement::Multitransaction(m) => m.queries.first(),
+        _ => None,
+    };
+    first.and_then(|q| q.use_clause.as_ref()).is_some_and(|u| !u.current)
+}
+
+/// What a local subquery writes, as the triggers it may fire match it.
+fn write_event(local: &translate::LocalQuery) -> Option<WriteEvent> {
+    let Statement::Query(inner) = &local.statement else { return None };
+    let (event, table) = match &inner.body {
+        QueryBody::Update(u) => (msql_lang::TriggerEvent::Update, &u.table.table),
+        QueryBody::Insert(i) => (msql_lang::TriggerEvent::Insert, &i.table.table),
+        QueryBody::Delete(d) => (msql_lang::TriggerEvent::Delete, &d.table.table),
+        QueryBody::Select(_) => return None,
+    };
+    Some((local.database.clone(), table.clone(), event))
 }
 
 impl Drop for Session {

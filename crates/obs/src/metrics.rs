@@ -70,13 +70,19 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Adds `delta` to a counter, creating it at zero first if needed.
+    /// Adds `delta` to a counter, creating it at zero first if needed. The
+    /// name is copied only the first time a series is written.
     pub fn counter_add(&self, name: &str, delta: u64) {
         if delta == 0 {
             return;
         }
         let mut inner = self.inner.lock();
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+        match inner.counters.get_mut(name) {
+            Some(count) => *count += delta,
+            None => {
+                inner.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Reads a counter (zero if never written).
@@ -86,7 +92,13 @@ impl MetricsRegistry {
 
     /// Sets a gauge to an absolute value.
     pub fn gauge_set(&self, name: &str, value: i64) {
-        self.inner.lock().gauges.insert(name.to_string(), value);
+        let mut inner = self.inner.lock();
+        match inner.gauges.get_mut(name) {
+            Some(gauge) => *gauge = value,
+            None => {
+                inner.gauges.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Reads a gauge (zero if never set).
@@ -97,7 +109,14 @@ impl MetricsRegistry {
     /// Records one observation into a histogram series.
     pub fn observe(&self, name: &str, value: u64) {
         let mut inner = self.inner.lock();
-        inner.histograms.entry(name.to_string()).or_default().observe(value);
+        match inner.histograms.get_mut(name) {
+            Some(histogram) => histogram.observe(value),
+            None => {
+                let mut histogram = Histogram::default();
+                histogram.observe(value);
+                inner.histograms.insert(name.to_string(), histogram);
+            }
+        }
     }
 
     /// Reads a histogram aggregate (all-zero if never observed).

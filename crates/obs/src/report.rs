@@ -27,26 +27,47 @@ pub struct SpanTree {
 }
 
 impl SpanTree {
-    /// Assembles the flat records of a tracer into a tree. Records arrive in
-    /// id order, so a parent always precedes its children. A span still open
-    /// at assembly time (end tick 0) is clamped to the latest tick observed,
-    /// keeping durations well-defined.
-    pub fn from_records(records: &[SpanRecord]) -> SpanTree {
+    /// Assembles the flat records of a tracer into a tree, moving their names
+    /// and notes into it. Records arrive as a [`Tracer`](crate::Tracer) keeps
+    /// them: each at the position of its id, a parent before its children;
+    /// children stay in record order. A span still open at assembly time (end
+    /// tick 0) is clamped to the latest tick observed, keeping durations
+    /// well-defined.
+    ///
+    /// One pass from the last record to the first: when a record is reached,
+    /// every child it has was reached before it and is already attached (in
+    /// reverse), so the node is complete and moves into its parent.
+    pub fn from_records(records: Vec<SpanRecord>) -> SpanTree {
         let horizon = records.iter().map(|r| r.start.max(r.end)).max().unwrap_or(0);
-        fn build(records: &[SpanRecord], parent: Option<u64>, horizon: u64) -> Vec<SpanNode> {
-            records
-                .iter()
-                .filter(|r| r.parent == parent)
-                .map(|r| SpanNode {
-                    name: r.name.clone(),
-                    start: r.start,
-                    end: if r.end == 0 { horizon } else { r.end },
-                    notes: r.notes.clone(),
-                    children: build(records, Some(r.id), horizon),
-                })
-                .collect()
+        let mut parents = Vec::with_capacity(records.len());
+        let mut nodes = Vec::with_capacity(records.len());
+        for r in records {
+            parents.push(r.parent);
+            nodes.push(Some(SpanNode {
+                name: r.name,
+                start: r.start,
+                end: if r.end == 0 { horizon } else { r.end },
+                notes: r.notes,
+                children: Vec::new(),
+            }));
         }
-        SpanTree { roots: build(records, None, horizon) }
+        let mut roots = Vec::new();
+        for id in (0..nodes.len()).rev() {
+            let mut node = nodes[id].take().expect("each record is visited once");
+            node.children.reverse();
+            match parents[id] {
+                None => roots.push(node),
+                // A parent precedes its child, so it is still waiting here; a
+                // record whose parent does not precede it has no place.
+                Some(parent) => {
+                    if let Some(Some(p)) = nodes.get_mut(parent as usize) {
+                        p.children.push(node);
+                    }
+                }
+            }
+        }
+        roots.reverse();
+        SpanTree { roots }
     }
 
     /// Makes the tree stable for snapshot comparison: children are sorted by
@@ -399,7 +420,64 @@ impl ExplainReport {
 mod tests {
     use super::*;
     use crate::clock::LogicalClock;
-    use crate::span::Tracer;
+    use crate::span::{SpanRecord, Tracer};
+
+    /// The builder `from_records` replaced: per node, a scan of every record
+    /// for its children. Kept as the reference the one-pass build must match.
+    fn reference_from_records(records: &[SpanRecord]) -> SpanTree {
+        let horizon = records.iter().map(|r| r.start.max(r.end)).max().unwrap_or(0);
+        fn build(records: &[SpanRecord], parent: Option<u64>, horizon: u64) -> Vec<SpanNode> {
+            records
+                .iter()
+                .filter(|r| r.parent == parent)
+                .map(|r| SpanNode {
+                    name: r.name.clone(),
+                    start: r.start,
+                    end: if r.end == 0 { horizon } else { r.end },
+                    notes: r.notes.clone(),
+                    children: build(records, Some(r.id), horizon),
+                })
+                .collect()
+        }
+        SpanTree { roots: build(records, None, horizon) }
+    }
+
+    /// A random forest as a tracer records one: ids in order, each parent an
+    /// earlier record (or none), some spans still open, a few notes.
+    fn random_records(seed: u64) -> Vec<SpanRecord> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound.max(1)
+        };
+        let len = next(40);
+        (0..len)
+            .map(|id| {
+                let parent = if id == 0 || next(5) == 0 { None } else { Some(next(id)) };
+                let start = 2 * id + 1;
+                let end = if next(6) == 0 { 0 } else { start + 1 + next(90) };
+                let notes =
+                    (0..next(3)).map(|k| (format!("k{k}"), format!("{}", next(9)))).collect();
+                SpanRecord { id, parent, name: format!("s{}", next(7)), start, end, notes }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_build_matches_the_reference_on_random_forests() {
+        for seed in 0..500 {
+            let records = random_records(seed);
+            let want = reference_from_records(&records);
+            let got = SpanTree::from_records(records.clone());
+            assert_eq!(got, want, "seed {seed}: {records:?}");
+            let (mut got, mut want) = (got, want);
+            got.normalize();
+            want.normalize();
+            assert_eq!(got.render(), want.render(), "seed {seed}");
+        }
+    }
 
     fn sample_tree() -> SpanTree {
         let tracer = Tracer::new(LogicalClock::new());
@@ -416,7 +494,7 @@ mod tests {
             task.note("access", "probe");
             drop(task);
         }
-        SpanTree::from_records(&tracer.records())
+        SpanTree::from_records(tracer.take_records())
     }
 
     #[test]
@@ -469,7 +547,7 @@ mod tests {
             b.note("est_rows", 7);
             b.note("rows", 7);
         }
-        let mut tree = SpanTree::from_records(&tracer.records());
+        let mut tree = SpanTree::from_records(tracer.take_records());
         tree.normalize();
         let report = ExplainReport::from_tree("SELECT 1", tree);
         let p = report.planner.as_ref().expect("planner summary extracted");
@@ -504,7 +582,7 @@ mod tests {
             b.note("est_rows", 25);
             b.note("rows", 5);
         }
-        let mut tree = SpanTree::from_records(&tracer.records());
+        let mut tree = SpanTree::from_records(tracer.take_records());
         tree.normalize();
         let report = ExplainReport::from_tree("SELECT 1", tree);
         let p = report.pushdown.as_ref().expect("pushdown summary extracted");
@@ -534,7 +612,7 @@ mod tests {
             join.note("keys_shipped", 3);
             join.note("bytes_saved", 128);
         }
-        let mut tree = SpanTree::from_records(&tracer.records());
+        let mut tree = SpanTree::from_records(tracer.take_records());
         tree.normalize();
         let report = ExplainReport::from_tree("SELECT 1", tree);
         let j = report.join.as_ref().expect("join summary extracted");

@@ -64,6 +64,12 @@ impl Tracer {
     pub fn records(&self) -> Vec<SpanRecord> {
         self.inner.spans.lock().clone()
     }
+
+    /// Moves every record collected so far out of the tracer, leaving it
+    /// empty — for a finished statement, whose spans nobody writes again.
+    pub fn take_records(&self) -> Vec<SpanRecord> {
+        std::mem::take(&mut *self.inner.spans.lock())
+    }
 }
 
 /// Owning span guard: closes (stamps its end tick) when dropped.
@@ -97,9 +103,10 @@ impl Span {
     /// Attaches a key/value annotation.
     pub fn note(&self, key: &str, value: impl Display) {
         if let Some(t) = &self.tracer {
-            let mut spans = t.inner.spans.lock();
-            let rec = &mut spans[self.id as usize];
-            rec.notes.push((key.to_string(), value.to_string()));
+            // A record taken out of its tracer (`take_records`) is gone.
+            if let Some(rec) = t.inner.spans.lock().get_mut(self.id as usize) {
+                rec.notes.push((key.to_string(), value.to_string()));
+            }
         }
     }
 
@@ -117,8 +124,9 @@ impl Drop for Span {
     fn drop(&mut self) {
         if let Some(t) = &self.tracer {
             let end = t.inner.clock.tick();
-            let mut spans = t.inner.spans.lock();
-            spans[self.id as usize].end = end;
+            if let Some(rec) = t.inner.spans.lock().get_mut(self.id as usize) {
+                rec.end = end;
+            }
         }
     }
 }

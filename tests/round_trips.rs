@@ -12,7 +12,9 @@
 //!   one reply per task, per settle acknowledgement, per travelling partial,
 //!   and one exchange (COMBINE) at a join's coordinator.
 //!
-//! What a statement returns never depends on which of the two it was.
+//! What a statement returns never depends on which of the two it was. The
+//! warm run repeats the cold run's text, so it runs the plan the session
+//! cached (DESIGN §3a.18); it sends what a freshly translated text sends.
 //!
 //! Messages bound a statement's round trips from above; the suite also pins
 //! how many of them are *sequential*, by the clock: on a fabric where every
@@ -154,11 +156,14 @@ fn gate(format: WireFormat) {
     // fill it here so neither measured run of the join pays the STATS fetch.
     fed.execute(CLASSES.last().unwrap().1).unwrap();
 
+    let hits = |session: &Session| session.metrics_registry().counter("plan_cache.hits");
     for &(class, msql, cold, warm) in CLASSES {
         // IMPORT warmed the primary session's pool; a new session is cold.
         let mut session = fed.session();
         let (cold_msgs, cold_answer) = measure(&mut session, msql);
+        let before = hits(&session);
         let (warm_msgs, warm_answer) = measure(&mut session, msql);
+        assert_eq!(hits(&session), before + 1, "{class}: the second run is a plan-cache hit");
         assert_eq!(cold_msgs, cold, "{class} cold, {format:?}");
         assert_eq!(warm_msgs, warm, "{class} warm, {format:?}");
         // (The reset's second run finds nothing left to free.)
@@ -168,6 +173,13 @@ fn gate(format: WireFormat) {
         // Every connection the session opened is back in its pool, and a
         // third run costs what the second did.
         assert_eq!(measure(&mut session, msql).0, warm, "{class} steady state, {format:?}");
+        // A hit sends exactly what translating afresh sends: the same text
+        // made new by a trailing space is prepared again, on the same warm
+        // connections.
+        let before = hits(&session);
+        let (miss_msgs, _) = measure(&mut session, &format!("{msql} "));
+        assert_eq!(hits(&session), before, "{class}: a new text is a miss");
+        assert_eq!(miss_msgs, warm, "{class} warm miss, {format:?}");
     }
 }
 
