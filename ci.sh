@@ -202,6 +202,25 @@ if [ "$in_accessor" != 2 ] || [ "$everywhere" != 2 ]; then
     exit 1
 fi
 
+echo "== one EXPLAIN rendering =="
+# EXPLAIN prints what ran once: the span tree plus one per-site cost table
+# (DESIGN §3a.2). A join's strategy, keys shipped and bytes saved, a partial's
+# estimated, actual and unpushed rows are notes on their spans, read with
+# SpanNode::note / SpanTree::find — not re-derived into summary structs, so
+# report.rs declares none outside its tests. Nor does the report carry a wire
+# section: the federation-wide net.bytes* counters hold every session's
+# traffic, so the facade reads none of them. The EXPLAIN goldens pin the render.
+echo "-- tests/t1_trace_golden.rs"
+cargo test -q --test t1_trace_golden
+if sed '/^#\[cfg(test)\]/,$d' crates/obs/src/report.rs | grep -nE 'struct [A-Za-z0-9_]*Summary'; then
+    echo "report.rs declares a summary struct beside the span tree and cost table" >&2
+    exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/federation.rs | grep -n 'net\.bytes'; then
+    echo "federation.rs reads a federation-wide net.bytes counter" >&2
+    exit 1
+fi
+
 echo "== fedbench: build + smoke =="
 # fedbench/ compiles against the crates' public API and may not be edited by
 # a change that claims a gain, so an API break must fail here, not in the

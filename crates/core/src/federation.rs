@@ -34,14 +34,11 @@ use catalog::{
 use ldbs::profile::StatementClass;
 use ldbs::Engine;
 use msql_lang::printer::print;
-use msql_lang::{
-    CreateIndex, CreateTable, DropIndex, DropTable, MsqlQuery, Multitransaction, QueryBody,
-    Statement,
-};
+use msql_lang::{MsqlQuery, Multitransaction, QueryBody, Statement};
 use netsim::Network;
 use obs::{
     labeled, ExplainReport, LogicalClock, MetricsRegistry, MetricsSnapshot, Span, SpanCtx,
-    SpanTree, Tracer, WireSummary,
+    SpanTree, Tracer,
 };
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::collections::HashMap;
@@ -159,15 +156,9 @@ pub struct Session {
     /// Per-edge cap on the distinct key values shipped as a semi-join
     /// filter; beyond it the edge falls back to full shipping. Applies only
     /// when the cost planner has no estimates for the edge — with fresh
-    /// statistics the decision is an estimated-bytes comparison instead.
+    /// `ANALYZE` statistics the decision is an estimated-bytes comparison
+    /// instead. Without statistics a join is planned heuristically.
     pub semijoin_cap: usize,
-    /// Cost-based planning of cross-database joins (default true): when the
-    /// coordinator holds fresh `ANALYZE` statistics for every table a join
-    /// reads, estimated row/byte counts pick the semi-join reducer, decide
-    /// each reduction edge by predicted benefit and order the modified
-    /// global query by ascending estimated cardinality. Databases without
-    /// statistics keep the heuristic path unchanged.
-    pub cost_planner: bool,
     /// Aggregate/top-k pushdown of cross-database joins (default true):
     /// when decomposition proves a 2-site query's aggregates decomposable
     /// (or it is a pure-product top-k), each site pre-aggregates (or limits)
@@ -366,7 +357,6 @@ impl Session {
             tolerate_unreachable: false,
             semijoin: true,
             semijoin_cap: DEFAULT_SEMIJOIN_CAP,
-            cost_planner: true,
             agg_pushdown: true,
             wire_format: WireFormat::default(),
             stats: shared_stats(),
@@ -394,7 +384,6 @@ impl Session {
         s.tolerate_unreachable = self.tolerate_unreachable;
         s.semijoin = self.semijoin;
         s.semijoin_cap = self.semijoin_cap;
-        s.cost_planner = self.cost_planner;
         s.agg_pushdown = self.agg_pushdown;
         s.wire_format = self.wire_format;
         s
@@ -918,8 +907,6 @@ impl Session {
     /// semi-join or pushdown rewrite replaced; every other statement runs
     /// each subquery once.
     pub fn explain(&mut self, stmt: &Statement) -> Result<MsqlOutcome, MdbsError> {
-        let text_before = self.core.metrics.counter("net.bytes_text");
-        let binary_before = self.core.metrics.counter("net.bytes_binary");
         let outer = std::mem::replace(&mut self.explaining, true);
         let run = self.execute_statement(stmt);
         self.explaining = outer;
@@ -936,16 +923,7 @@ impl Session {
             // The target was a top-level statement and left its tree behind.
             None => self.last_trace().unwrap_or_default(),
         };
-        let mut report = ExplainReport::from_tree(print(stmt), tree);
-        // What the statement alone put on the wire per format — populated
-        // only when binary frames actually shipped: the text default renders
-        // byte-identically to pre-codec reports, which the golden traces pin.
-        let bytes_binary = self.core.metrics.counter("net.bytes_binary") - binary_before;
-        report.wire = (bytes_binary > 0).then(|| WireSummary {
-            format: self.wire_format.label().to_string(),
-            bytes_text: self.core.metrics.counter("net.bytes_text") - text_before,
-            bytes_binary,
-        });
+        let report = ExplainReport::from_tree(print(stmt), tree);
         Ok(MsqlOutcome::Explain(Box::new(report)))
     }
 
@@ -1025,11 +1003,11 @@ impl Session {
                 ))
             }
             Statement::Explain(inner) => self.explain(inner)?,
-            Statement::CreateTable(ct) => self.execute_create_table(ct)?,
-            Statement::DropTable(dt) => self.execute_drop_table(dt)?,
-            Statement::Analyze(target) => self.execute_analyze(target.as_ref())?,
-            Statement::CreateIndex(ci) => self.execute_create_index(ci)?,
-            Statement::DropIndex(di) => self.execute_drop_index(di)?,
+            Statement::CreateTable(_)
+            | Statement::DropTable(_)
+            | Statement::CreateIndex(_)
+            | Statement::DropIndex(_)
+            | Statement::Analyze(_) => self.execute_local_ddl(stmt)?,
             Statement::CreateDatabase(_) | Statement::DropDatabase(_) => {
                 return Err(MdbsError::Unsupported(
                     "CREATE/DROP DATABASE must name a service; use \
@@ -1120,7 +1098,7 @@ impl Session {
                     PreparedPlan::Retrieval(plan)
                 }
                 _ => {
-                    let comps = self.comp_map(q, &locals)?;
+                    let comps = comp_map(&self.scope, q, &locals)?;
                     if self.deferred {
                         return self.run_deferred_update(&locals, &comps, &routes).map(Step::Done);
                     }
@@ -1171,36 +1149,6 @@ impl Session {
                 Ok(MsqlOutcome::Table(rs))
             }
         }
-    }
-
-    /// Validates COMP clauses against the locals and renders their
-    /// compensating statements as SQL.
-    fn comp_map(
-        &self,
-        q: &MsqlQuery,
-        locals: &[translate::LocalQuery],
-    ) -> Result<HashMap<String, Vec<String>>, MdbsError> {
-        let mut out: HashMap<String, Vec<String>> = HashMap::new();
-        for comp in &q.comps {
-            let name = comp.database.as_str();
-            let Some(scope_db) = self.scope.resolve(name) else {
-                return Err(MdbsError::BadCompClause(format!(
-                    "`{name}` is not in the current scope"
-                )));
-            };
-            let key = scope_db.key().to_string();
-            if !locals.iter().any(|l| l.key == key) {
-                return Err(MdbsError::BadCompClause(format!(
-                    "`{name}` has no pertinent subquery to compensate"
-                )));
-            }
-            let sql = match comp.statement.as_ref() {
-                Statement::Query(inner) => print(&Statement::Query(inner.clone())),
-                other => print(other),
-            };
-            out.entry(key).or_default().push(sql);
-        }
-        Ok(out)
     }
 
     /// Detects an inter-database transfer: an `INSERT ... SELECT` whose
@@ -1442,18 +1390,7 @@ impl Session {
                     ))
                 }
             };
-            // COMP validation against this component's scope.
-            let mut comps: HashMap<String, Vec<String>> = HashMap::new();
-            for comp in &q.comps {
-                let name = comp.database.as_str();
-                let Some(scope_db) = working.resolve(name) else {
-                    return Err(MdbsError::BadCompClause(format!(
-                        "`{name}` is not in the component query's scope"
-                    )));
-                };
-                let sql = print(comp.statement.as_ref());
-                comps.entry(scope_db.key().to_string()).or_default().push(sql);
-            }
+            let comps = comp_map(&working, q, &locals)?;
             queries.push(MtxQueryPlan { locals, comps });
         }
         let states: Vec<Vec<String>> = m
@@ -1488,44 +1425,30 @@ impl Session {
         Ok(reply.committed(database, what)?.affected)
     }
 
-    fn execute_create_table(&mut self, ct: &CreateTable) -> Result<MsqlOutcome, MdbsError> {
-        let database = self.ddl_target(&ct.table)?;
-        // Ship the CREATE with the qualifier stripped.
-        let mut local = ct.clone();
-        local.table.database = None;
-        self.run_at(&database, "DDL", "CREATE TABLE", &Statement::CreateTable(local))?;
-        // Export the new table to the multidatabase level.
-        let columns =
-            ct.columns.iter().map(|c| GddColumn::new(c.name.clone(), c.type_name)).collect();
-        let table = GddTable::new(ct.table.table.as_str(), columns);
-        self.core.write_catalog(|gdd, _| gdd.put_table(&database, table))?;
-        // DDL invalidates whatever statistics were cached for the
-        // database — the next costed join re-pulls them.
-        self.core.site_stats.write().remove(&database);
-        Ok(MsqlOutcome::Admin(format!("table `{}` created in `{database}`", ct.table.table)))
-    }
-
-    fn execute_drop_table(&mut self, dt: &DropTable) -> Result<MsqlOutcome, MdbsError> {
-        let database = self.ddl_target(&dt.table)?;
-        let mut local = dt.clone();
-        local.table.database = None;
-        self.run_at(&database, "DDL", "DROP TABLE", &Statement::DropTable(local))?;
-        let _ =
-            self.core.write_catalog(|gdd, _| gdd.drop_table(&database, dt.table.table.as_str()));
-        self.core.site_stats.write().remove(&database);
-        Ok(MsqlOutcome::Admin(format!("table `{}` dropped from `{database}`", dt.table.table)))
-    }
-
-    /// Ships an ANALYZE to the owning LAM (a qualified target names its
-    /// database; a bare `ANALYZE` requires a single-database scope), then
-    /// invalidates the coordinator's cached statistics for that database so
-    /// the next costed join re-pulls the fresh snapshot.
-    fn execute_analyze(
-        &mut self,
-        target: Option<&msql_lang::TableRef>,
-    ) -> Result<MsqlOutcome, MdbsError> {
+    /// Runs a statement that one database executes on its own — CREATE / DROP
+    /// TABLE, CREATE / DROP INDEX, ANALYZE — at the database it targets (a
+    /// qualified table names it; otherwise the scope must hold one database),
+    /// shipped with the qualifier stripped. A new or dropped table is then
+    /// exported to or removed from the GDD; an index is a local access path,
+    /// not a multidatabase object, so it registers nothing. A table change or
+    /// ANALYZE invalidates the statistics cached for the database, so the next
+    /// costed join re-pulls them.
+    fn execute_local_ddl(&mut self, stmt: &Statement) -> Result<MsqlOutcome, MdbsError> {
+        let mut local = stmt.clone();
+        let (target, task, what) = match &mut local {
+            Statement::CreateTable(s) => (Some(&mut s.table), "DDL", "CREATE TABLE"),
+            Statement::DropTable(s) => (Some(&mut s.table), "DDL", "DROP TABLE"),
+            Statement::CreateIndex(s) => (Some(&mut s.table), "DDL", "CREATE INDEX"),
+            Statement::DropIndex(s) => (Some(&mut s.table), "DDL", "DROP INDEX"),
+            Statement::Analyze(target) => (target.as_mut(), "ANALYZE", "ANALYZE"),
+            _ => return Err(MdbsError::Internal(format!("`{}` is not local DDL", print(stmt)))),
+        };
         let database = match target {
-            Some(t) => self.ddl_target(t)?,
+            Some(table) => {
+                let database = self.ddl_target(table)?;
+                table.database = None;
+                database
+            }
             None => self
                 .scope
                 .only_database(
@@ -1534,31 +1457,45 @@ impl Session {
                 )?
                 .to_string(),
         };
-        // Ship the ANALYZE with the qualifier stripped.
-        let local = Statement::Analyze(target.map(|t| {
-            let mut t = t.clone();
-            t.database = None;
-            t
-        }));
-        let affected = self.run_at(&database, "ANALYZE", "ANALYZE", &local)?;
-        self.core.site_stats.write().remove(&database);
-        Ok(MsqlOutcome::Admin(format!("analyzed {affected} table(s) in `{database}`")))
+        let affected = self.run_at(&database, task, what, &local)?;
+        let message = match stmt {
+            Statement::CreateTable(ct) => {
+                let columns =
+                    ct.columns.iter().map(|c| GddColumn::new(c.name.clone(), c.type_name));
+                let table = GddTable::new(ct.table.table.as_str(), columns.collect());
+                self.core.write_catalog(|gdd, _| gdd.put_table(&database, table))?;
+                format!("table `{}` created in `{database}`", ct.table.table)
+            }
+            Statement::DropTable(dt) => {
+                let table = dt.table.table.as_str();
+                let _ = self.core.write_catalog(|gdd, _| gdd.drop_table(&database, table));
+                format!("table `{table}` dropped from `{database}`")
+            }
+            Statement::CreateIndex(ci) => {
+                format!("index `{}` created on `{database}`.`{}`", ci.name, ci.table.table)
+            }
+            Statement::DropIndex(di) => {
+                format!("index `{}` dropped from `{database}`.`{}`", di.name, di.table.table)
+            }
+            _ => format!("analyzed {affected} table(s) in `{database}`"),
+        };
+        if !matches!(stmt, Statement::CreateIndex(_) | Statement::DropIndex(_)) {
+            self.core.site_stats.write().remove(&database);
+        }
+        Ok(MsqlOutcome::Admin(message))
     }
 
     /// Builds the statistics context for one decomposition: per involved
     /// database, the cached site statistics, pulled over the `STATS`
     /// exchange on first use. Failures degrade rather than fail — a
     /// database whose statistics cannot be fetched simply contributes no
-    /// estimates, which keeps its decisions heuristic. `None` when the
-    /// session has the cost planner off or nothing usable was found.
+    /// estimates, which keeps its decisions heuristic. `None` when nothing
+    /// usable was found.
     fn planner_context(
         &self,
         dec: &Decomposition,
         routes: &HashMap<String, DbRoute>,
     ) -> Option<PlannerContext> {
-        if !self.cost_planner {
-            return None;
-        }
         let mut ctx = PlannerContext::default();
         let mut dbs: Vec<&str> = dec.subqueries.iter().map(|s| s.database.as_str()).collect();
         dbs.sort_unstable();
@@ -1608,8 +1545,7 @@ impl Session {
     }
 
     /// Plans a cross-database decomposition — with the cost planner's context
-    /// when the session has it enabled and statistics exist — and runs the
-    /// plan.
+    /// when statistics exist — and runs the plan.
     fn run_join(
         &self,
         dec: &Decomposition,
@@ -1625,31 +1561,6 @@ impl Session {
             self.agg_pushdown,
         )?;
         self.executor().run_join(&plan)
-    }
-
-    /// Ships a CREATE INDEX to the owning LAM. Indexes are a local access
-    /// path, not a multidatabase object, so nothing is registered in the GDD.
-    fn execute_create_index(&mut self, ci: &CreateIndex) -> Result<MsqlOutcome, MdbsError> {
-        let database = self.ddl_target(&ci.table)?;
-        let mut local = ci.clone();
-        local.table.database = None;
-        self.run_at(&database, "DDL", "CREATE INDEX", &Statement::CreateIndex(local))?;
-        Ok(MsqlOutcome::Admin(format!(
-            "index `{}` created on `{database}`.`{}`",
-            ci.name, ci.table.table
-        )))
-    }
-
-    /// Ships a DROP INDEX to the owning LAM.
-    fn execute_drop_index(&mut self, di: &DropIndex) -> Result<MsqlOutcome, MdbsError> {
-        let database = self.ddl_target(&di.table)?;
-        let mut local = di.clone();
-        local.table.database = None;
-        self.run_at(&database, "DDL", "DROP INDEX", &Statement::DropIndex(local))?;
-        Ok(MsqlOutcome::Admin(format!(
-            "index `{}` dropped from `{database}`.`{}`",
-            di.name, di.table.table
-        )))
     }
 
     /// The database a DDL statement targets: the explicit qualifier, or the
@@ -1696,6 +1607,31 @@ fn replaces_scope(stmt: &Statement) -> bool {
         _ => None,
     };
     first.and_then(|q| q.use_clause.as_ref()).is_some_and(|u| !u.current)
+}
+
+/// Validates a query's COMP clauses against the scope it runs in and the
+/// local subqueries it was decomposed into, and renders each compensating
+/// statement as SQL, keyed by the scope key it compensates.
+fn comp_map(
+    scope: &SessionScope,
+    q: &MsqlQuery,
+    locals: &[translate::LocalQuery],
+) -> Result<HashMap<String, Vec<String>>, MdbsError> {
+    let mut out: HashMap<String, Vec<String>> = HashMap::new();
+    for comp in &q.comps {
+        let name = comp.database.as_str();
+        let Some(scope_db) = scope.resolve(name) else {
+            return Err(MdbsError::BadCompClause(format!("`{name}` is not in the current scope")));
+        };
+        let key = scope_db.key().to_string();
+        if !locals.iter().any(|l| l.key == key) {
+            return Err(MdbsError::BadCompClause(format!(
+                "`{name}` has no pertinent subquery to compensate"
+            )));
+        }
+        out.entry(key).or_default().push(print(&comp.statement));
+    }
+    Ok(out)
 }
 
 /// What a local subquery writes, as the triggers it may fire match it.

@@ -23,8 +23,5 @@ pub mod span;
 
 pub use clock::LogicalClock;
 pub use metrics::{labeled, quantile, Histogram, MetricsRegistry, MetricsSnapshot};
-pub use report::{
-    ExplainReport, JoinSummary, LamCost, PlannerRow, PlannerSummary, PushdownRow, PushdownSummary,
-    SpanNode, SpanTree, WireSummary,
-};
+pub use report::{ExplainReport, LamCost, SpanNode, SpanTree};
 pub use span::{Span, SpanCtx, SpanRecord, Tracer};

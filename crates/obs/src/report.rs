@@ -19,6 +19,13 @@ pub struct SpanNode {
     pub children: Vec<SpanNode>,
 }
 
+impl SpanNode {
+    /// The value of the first note named `key`.
+    pub fn note(&self, key: &str) -> Option<&str> {
+        self.notes.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+    }
+}
+
 /// A statement's spans assembled into a forest (usually a single root).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SpanTree {
@@ -147,6 +154,16 @@ impl SpanTree {
         }
         walk(&self.roots, f);
     }
+
+    /// The first node named `name`, depth first.
+    pub fn find(&self, name: &str) -> Option<&SpanNode> {
+        fn walk<'a>(nodes: &'a [SpanNode], name: &str) -> Option<&'a SpanNode> {
+            nodes
+                .iter()
+                .find_map(|n| if n.name == name { Some(n) } else { walk(&n.children, name) })
+        }
+        walk(&self.roots, name)
+    }
 }
 
 /// Aggregated cost of one LDBS as seen through its LAM spans.
@@ -171,80 +188,10 @@ pub struct LamCost {
     pub access: Vec<String>,
 }
 
-/// How a cross-database join was executed, as annotated on its `join` span.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct JoinSummary {
-    /// Strategy name (`hash`, `product`, optionally `semijoin+`-prefixed).
-    pub strategy: String,
-    /// Distinct join-key values shipped as semi-join filters.
-    pub keys_shipped: u64,
-    /// Partial-result bytes the semi-join reduction kept off the wire.
-    pub bytes_saved: u64,
-}
-
-/// One partial dispatched under cost-based planning: the optimizer's row
-/// estimate next to what the site actually returned.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PlannerRow {
-    /// Database the partial ran against.
-    pub database: String,
-    /// Rows the cost model predicted the partial would return.
-    pub est_rows: u64,
-    /// Rows the partial actually returned.
-    pub actual_rows: u64,
-}
-
-/// Estimated-versus-actual accounting for a costed cross-database statement,
-/// derived from `lam:partial:*` spans carrying an `est_rows` note. Absent
-/// when the statement ran on the heuristic (statistics-free) path, so
-/// renders and golden traces without ANALYZE are unchanged.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PlannerSummary {
-    /// Per-database rows, sorted by database name.
-    pub rows: Vec<PlannerRow>,
-}
-
-/// One site of an aggregate/top-k pushdown: the rows its rewritten (pre-
-/// aggregated or limited) subquery actually shipped, next to what shipping
-/// the full partial would have cost.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PushdownRow {
-    /// Database the pushed subquery ran against.
-    pub database: String,
-    /// Rows the pushed site query shipped across the wire.
-    pub shipped_rows: u64,
-    /// Rows the *unpushed* subquery would have shipped: the measured
-    /// baseline when the LAM reported one, the planner's estimate otherwise
-    /// (0 when neither is known).
-    pub unpushed_rows: u64,
-}
-
-/// Aggregate/top-k pushdown accounting, derived from `lam:partial:*` spans
-/// carrying a `pushed` note. Absent when the statement took the classic
-/// coordinator path, so existing renders and golden traces are unchanged.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PushdownSummary {
-    /// What was pushed: `agg` (decomposable aggregates) or `topk`
-    /// (pure-product ORDER BY/LIMIT).
-    pub kind: String,
-    /// Per-database rows, sorted by database name.
-    pub rows: Vec<PushdownRow>,
-}
-
-/// Wire-level accounting of one statement: which encoding its LAM traffic
-/// used and how many payload bytes each format put on the (simulated) wire.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WireSummary {
-    /// Negotiated format label (`text` or `binary`).
-    pub format: String,
-    /// Bytes shipped as line-oriented text during the statement.
-    pub bytes_text: u64,
-    /// Bytes shipped as binary columnar frames during the statement.
-    pub bytes_binary: u64,
-}
-
 /// The rendered product of an `EXPLAIN` statement: the statement's span tree
-/// plus a per-LAM cost table derived from the task spans.
+/// plus a per-LAM cost table derived from the task spans. Everything else a
+/// statement reports — a join's strategy, keys shipped and bytes saved, a
+/// partial's estimated, actual and unpushed rows — is a note on its span.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExplainReport {
     /// The statement text the report describes.
@@ -253,18 +200,6 @@ pub struct ExplainReport {
     pub tree: SpanTree,
     /// Per-database cost rows, sorted by database name.
     pub costs: Vec<LamCost>,
-    /// Join execution summary, when the statement ran a cross-database join.
-    pub join: Option<JoinSummary>,
-    /// Estimated-versus-actual planner rows — populated only when the
-    /// statement ran under cost-based planning (fresh statistics present).
-    pub planner: Option<PlannerSummary>,
-    /// Aggregate/top-k pushdown accounting — populated only when the
-    /// statement's sites pre-aggregated (or limited) before shipping.
-    pub pushdown: Option<PushdownSummary>,
-    /// Wire-format accounting — populated only when the statement shipped
-    /// binary frames, so text-mode renders (and golden traces) are
-    /// unchanged.
-    pub wire: Option<WireSummary>,
 }
 
 impl ExplainReport {
@@ -274,61 +209,18 @@ impl ExplainReport {
     /// (`shipped`, or `home` under the coordinator's `lam:combine:<db>`).
     pub fn from_tree(statement: impl Into<String>, tree: SpanTree) -> ExplainReport {
         let mut by_db: BTreeMap<String, LamCost> = BTreeMap::new();
-        let mut join: Option<JoinSummary> = None;
-        let mut planned: BTreeMap<String, PlannerRow> = BTreeMap::new();
-        let mut pushed_kind: Option<String> = None;
-        let mut pushed: BTreeMap<String, PushdownRow> = BTreeMap::new();
         tree.visit(&mut |node| {
-            let note =
-                |key: &str| node.notes.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
-            let num = |key: &str| note(key).and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
-            if node.name.starts_with("lam:partial:") && note("est_rows").is_some() {
-                if let Some(db) = note("db") {
-                    let row = planned.entry(db.to_string()).or_insert_with(|| PlannerRow {
-                        database: db.to_string(),
-                        ..PlannerRow::default()
-                    });
-                    row.est_rows += num("est_rows");
-                    row.actual_rows += num("rows");
-                }
-            }
-            if node.name.starts_with("lam:partial:") {
-                if let (Some(kind), Some(db)) = (note("pushed"), note("db")) {
-                    pushed_kind.get_or_insert_with(|| kind.to_string());
-                    let row = pushed.entry(db.to_string()).or_insert_with(|| PushdownRow {
-                        database: db.to_string(),
-                        ..PushdownRow::default()
-                    });
-                    row.shipped_rows += num("rows");
-                    // The measured unpushed baseline when the LAM reported
-                    // one, the planner's pre-pushdown estimate otherwise.
-                    row.unpushed_rows += if note("full_rows").is_some() {
-                        num("full_rows")
-                    } else {
-                        num("est_rows")
-                    };
-                }
-            }
-            if node.name == "join" {
-                if let Some(strategy) = note("strategy") {
-                    join = Some(JoinSummary {
-                        strategy: strategy.to_string(),
-                        keys_shipped: num("keys_shipped"),
-                        bytes_saved: num("bytes_saved"),
-                    });
-                }
-                return;
-            }
-            let Some(db) = note("db") else { return };
+            let Some(db) = node.note("db") else { return };
             if !(node.name.starts_with("task:") || node.name.starts_with("lam:")) {
                 return;
             }
+            let num = |key: &str| node.note(key).and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
             let cost = by_db
                 .entry(db.to_string())
                 .or_insert_with(|| LamCost { database: db.to_string(), ..LamCost::default() });
             // A `home` partial is no exchange of its own: it was materialised
             // inside its parent `lam:combine`, and no row of it was shipped.
-            if note("route") != Some("home") {
+            if node.note("route") != Some("home") {
                 cost.tasks += 1;
                 cost.attempts += num("attempts").max(1);
                 cost.faults += num("faults");
@@ -336,29 +228,17 @@ impl ExplainReport {
                 cost.bytes += num("bytes");
                 cost.latency += node.end - node.start;
             }
-            if let Some(access) = note("access") {
+            if let Some(access) = node.note("access") {
                 if !cost.access.iter().any(|a| a == access) {
                     cost.access.push(access.to_string());
                 }
             }
         });
-        ExplainReport {
-            statement: statement.into(),
-            tree,
-            costs: by_db.into_values().collect(),
-            join,
-            planner: if planned.is_empty() {
-                None
-            } else {
-                Some(PlannerSummary { rows: planned.into_values().collect() })
-            },
-            pushdown: pushed_kind
-                .map(|kind| PushdownSummary { kind, rows: pushed.into_values().collect() }),
-            wire: None,
-        }
+        ExplainReport { statement: statement.into(), tree, costs: by_db.into_values().collect() }
     }
 
-    /// Renders the full report: header, span tree, per-LAM cost table.
+    /// Renders the full report: header, span tree, per-LAM cost table (its
+    /// last column the local access paths, `-` where the engine named none).
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("EXPLAIN\n");
@@ -369,48 +249,16 @@ impl ExplainReport {
         out.push_str(&self.tree.render());
         if !self.costs.is_empty() {
             out.push('\n');
-            out.push_str("database      tasks  attempts  faults    rows   bytes  latency\n");
+            out.push_str(
+                "database      tasks  attempts  faults    rows   bytes  latency  access\n",
+            );
             for c in &self.costs {
+                let access = if c.access.is_empty() { "-".to_string() } else { c.access.join("+") };
                 out.push_str(&format!(
-                    "{:<12} {:>6} {:>9} {:>7} {:>7} {:>7} {:>8}\n",
-                    c.database, c.tasks, c.attempts, c.faults, c.rows, c.bytes, c.latency
+                    "{:<12} {:>6} {:>9} {:>7} {:>7} {:>7} {:>8}  {}\n",
+                    c.database, c.tasks, c.attempts, c.faults, c.rows, c.bytes, c.latency, access
                 ));
             }
-            for c in self.costs.iter().filter(|c| !c.access.is_empty()) {
-                out.push_str(&format!("access path [{}]: {}\n", c.database, c.access.join("+")));
-            }
-        }
-        if let Some(j) = &self.join {
-            out.push('\n');
-            out.push_str(&format!("join strategy: {}\n", j.strategy));
-            out.push_str(&format!("join keys shipped: {}\n", j.keys_shipped));
-            out.push_str(&format!("bytes saved by semijoin: {}\n", j.bytes_saved));
-        }
-        if let Some(p) = &self.planner {
-            out.push('\n');
-            out.push_str("planner estimates:\n");
-            for r in &p.rows {
-                out.push_str(&format!(
-                    "  [{}] est rows: {}  actual rows: {}\n",
-                    r.database, r.est_rows, r.actual_rows
-                ));
-            }
-        }
-        if let Some(p) = &self.pushdown {
-            out.push('\n');
-            out.push_str(&format!("aggregate pushdown: {}\n", p.kind));
-            for r in &p.rows {
-                out.push_str(&format!(
-                    "  [{}] shipped rows: {}  unpushed rows: {}\n",
-                    r.database, r.shipped_rows, r.unpushed_rows
-                ));
-            }
-        }
-        if let Some(w) = &self.wire {
-            out.push('\n');
-            out.push_str(&format!("wire format: {}\n", w.format));
-            out.push_str(&format!("wire bytes (text): {}\n", w.bytes_text));
-            out.push_str(&format!("wire bytes (binary): {}\n", w.bytes_binary));
         }
         out
     }
@@ -527,101 +375,39 @@ mod tests {
         assert_eq!(avis.access, vec!["probe".to_string()]);
         let text = report.render();
         assert!(text.contains("task:t1"));
-        assert!(text.contains("avis"));
-        assert!(text.contains("access path [avis]: probe"));
-        assert!(report.join.is_none(), "no join span, no join summary");
+        assert!(text.contains("latency  access\navis "), "{text}");
+        assert!(text.ends_with("  probe\n"), "the access column closes the table:\n{text}");
     }
 
     #[test]
-    fn explain_report_extracts_planner_summary() {
-        let tracer = Tracer::new(LogicalClock::new());
-        {
-            let root = tracer.root("statement");
-            let a = root.child("lam:partial:avis");
-            a.note("db", "avis");
-            a.note("est_rows", 3);
-            a.note("rows", 2);
-            drop(a);
-            let b = root.child("lam:partial:national");
-            b.note("db", "national");
-            b.note("est_rows", 7);
-            b.note("rows", 7);
-        }
-        let mut tree = SpanTree::from_records(tracer.take_records());
-        tree.normalize();
-        let report = ExplainReport::from_tree("SELECT 1", tree);
-        let p = report.planner.as_ref().expect("planner summary extracted");
-        assert_eq!(p.rows.len(), 2);
-        assert_eq!(p.rows[0].database, "avis");
-        assert_eq!(p.rows[0].est_rows, 3);
-        assert_eq!(p.rows[0].actual_rows, 2);
-        assert_eq!(p.rows[1].database, "national");
-        let text = report.render();
-        assert!(text.contains("planner estimates:"));
-        assert!(text.contains("[avis] est rows: 3  actual rows: 2"));
-        // Without est_rows notes the section stays absent.
-        let plain = ExplainReport::from_tree("SELECT 1", sample_tree());
-        assert!(plain.planner.is_none(), "no est_rows note, no planner section");
-        assert!(!plain.render().contains("planner estimates"));
-    }
-
-    #[test]
-    fn explain_report_extracts_pushdown_summary() {
-        let tracer = Tracer::new(LogicalClock::new());
-        {
-            let root = tracer.root("statement");
-            let a = root.child("lam:partial:avis");
-            a.note("db", "avis");
-            a.note("pushed", "agg");
-            a.note("rows", 3);
-            a.note("full_rows", 40);
-            drop(a);
-            let b = root.child("lam:partial:national");
-            b.note("db", "national");
-            b.note("pushed", "agg");
-            b.note("est_rows", 25);
-            b.note("rows", 5);
-        }
-        let mut tree = SpanTree::from_records(tracer.take_records());
-        tree.normalize();
-        let report = ExplainReport::from_tree("SELECT 1", tree);
-        let p = report.pushdown.as_ref().expect("pushdown summary extracted");
-        assert_eq!(p.kind, "agg");
-        assert_eq!(p.rows.len(), 2);
-        assert_eq!(p.rows[0].database, "avis");
-        assert_eq!(p.rows[0].shipped_rows, 3);
-        assert_eq!(p.rows[0].unpushed_rows, 40, "measured baseline wins");
-        assert_eq!(p.rows[1].database, "national");
-        assert_eq!(p.rows[1].unpushed_rows, 25, "falls back to the estimate");
-        let text = report.render();
-        assert!(text.contains("aggregate pushdown: agg"));
-        assert!(text.contains("[avis] shipped rows: 3  unpushed rows: 40"));
-        // Without a `pushed` note the section stays absent.
-        let plain = ExplainReport::from_tree("SELECT 1", sample_tree());
-        assert!(plain.pushdown.is_none(), "no pushed note, no pushdown section");
-        assert!(!plain.render().contains("aggregate pushdown"));
-    }
-
-    #[test]
-    fn explain_report_extracts_join_summary() {
+    fn notes_are_read_off_the_first_node_of_a_name() {
         let tracer = Tracer::new(LogicalClock::new());
         {
             let root = tracer.root("statement");
             let join = root.child("join");
             join.note("strategy", "semijoin+hash");
             join.note("keys_shipped", 3);
-            join.note("bytes_saved", 128);
+            let partial = join.child("lam:partial:national");
+            partial.note("db", "national");
+            partial.note("rows", 7);
+            drop(partial);
+            drop(join);
+            let later = root.child("lam:partial:national");
+            later.note("rows", 1);
         }
         let mut tree = SpanTree::from_records(tracer.take_records());
         tree.normalize();
+        let join = tree.find("join").expect("a join span");
+        assert_eq!(join.note("strategy"), Some("semijoin+hash"));
+        assert_eq!(join.note("keys_shipped"), Some("3"));
+        assert_eq!(join.note("bytes_saved"), None);
+        let partial = tree.find("lam:partial:national").expect("a partial span");
+        assert_eq!(partial.note("rows"), Some("7"), "depth first: the join's child comes first");
+        assert!(tree.find("lam:partial:avis").is_none());
+        // A database whose spans name no access path prints `-`.
         let report = ExplainReport::from_tree("SELECT 1", tree);
-        let j = report.join.as_ref().expect("join summary extracted");
-        assert_eq!(j.strategy, "semijoin+hash");
-        assert_eq!(j.keys_shipped, 3);
-        assert_eq!(j.bytes_saved, 128);
         let text = report.render();
-        assert!(text.contains("join strategy: semijoin+hash"));
-        assert!(text.contains("join keys shipped: 3"));
-        assert!(text.contains("bytes saved by semijoin: 128"));
+        let last = text.lines().last().expect("a cost row");
+        assert!(last.starts_with("national ") && last.ends_with("  -"), "{text}");
     }
 }

@@ -4,9 +4,9 @@
 //! pre-aggregates its own rows (grouped by join keys ∪ its group keys,
 //! shipping counts/sums/extrema state columns) and the MDBS layer merges
 //! the partial states — no full partials ever reach the coordinator.
-//! EXPLAIN names the strategy (`strategy=agg-pushdown`) and closes with an
-//! "aggregate pushdown" section comparing shipped vs unpushed rows per
-//! site. A pure-product ORDER BY … LIMIT k instead ships each site's local
+//! EXPLAIN names the strategy (`strategy=agg-pushdown`) on the join span and
+//! notes on each site's partial span the rows it shipped (`rows=`) next to the
+//! rows the unpushed subquery returns (`full_rows=`). A pure-product ORDER BY … LIMIT k instead ships each site's local
 //! top-k (`strategy=topk-pushdown`). Turning `Federation::agg_pushdown`
 //! off takes the classic ship-everything coordinator path; both paths must
 //! return identical rows, which this example asserts while printing the
@@ -61,7 +61,11 @@ fn main() {
         .expect("an explain report");
     let render = report.render();
     assert!(render.contains("strategy=agg-pushdown"), "join span must name the strategy");
-    assert!(render.contains("aggregate pushdown: agg"), "report must carry the section");
+    for db in ["continental", "delta"] {
+        let partial = report.tree.find(&format!("lam:partial:{db}")).expect("a partial per site");
+        assert_eq!(partial.note("pushed"), Some("agg"), "{db} must pre-aggregate");
+        assert!(partial.note("full_rows").is_some(), "{db} must measure its unpushed rows");
+    }
     println!("{render}");
 
     // Same rows with pushdown off, on fresh federations so the cumulative

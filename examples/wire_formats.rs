@@ -36,15 +36,11 @@ fn main() {
         println!("  as text frames:   {}", m.counter("net.bytes_text"));
         println!("  as binary frames: {}", m.counter("net.bytes_binary"));
 
-        // EXPLAIN re-runs the join; its report grows a wire section only
-        // when binary frames actually shipped.
+        // EXPLAIN re-runs the join; its cost table's `bytes` column is the
+        // payload each site shipped, in this session's format.
         let explain = fed.execute(&format!("EXPLAIN {QUERY}")).unwrap().into_explain().unwrap();
-        match &explain.wire {
-            Some(w) => println!(
-                "EXPLAIN wire section: format={} text={}B binary={}B",
-                w.format, w.bytes_text, w.bytes_binary
-            ),
-            None => println!("EXPLAIN wire section: absent (pure text run)"),
+        for c in &explain.costs {
+            println!("EXPLAIN payload bytes [{}]: {}", c.database, c.bytes);
         }
         println!();
         rendered.push(format!("{table:?}"));

@@ -366,16 +366,21 @@ fn pushed_site_queries_run_once_outside_explain() {
                 matches!(sent.as_slice(), [Request::PartialAgg { baseline: Some(_), .. }]),
                 "{what}: EXPLAIN sends the baseline, saw {sent:?}"
             );
-            assert_eq!(report.join.as_ref().map(|j| j.strategy.as_str()), Some(strategy));
-            let pushdown = report.pushdown.as_ref().expect("a pushdown summary");
-            let unpushed: Vec<u64> = pushdown.rows.iter().map(|r| r.unpushed_rows).collect();
+            let join = report.tree.find("join").expect("a join span");
+            assert_eq!(join.note("strategy"), Some(strategy));
+            // Each site's partial is pushed and measured its unpushed baseline.
+            let unpushed = ["continental", "delta"].map(|db| {
+                let partial = report.tree.find(&format!("lam:partial:{db}")).expect("a partial");
+                assert!(partial.note("pushed").is_some(), "{what}: {partial:?}");
+                partial.note("full_rows").expect("a measured baseline").parse::<u64>().unwrap()
+            });
             assert_eq!(unpushed, sizes.map(|(_, size)| size), "{what}: measured baselines");
             if (format, strategy) == (WireFormat::Text, "agg-pushdown") {
                 // The text-wire numbers tests/golden/aggregate_pushdown.trace pins.
                 let text = report.render();
                 assert!(text.contains("bytes=68 full_rows=3 saved=0}"), "{text}");
                 assert!(text.contains("bytes=73 full_rows=2 saved=6}"), "{text}");
-                assert!(text.contains("bytes saved by semijoin: 6"), "{text}");
+                assert_eq!(join.note("bytes_saved"), Some("6"), "{text}");
             }
             // EXPLAIN executed the statement again; nothing about it differs.
             assert_eq!(fed.execute(query).unwrap().into_table().unwrap().rows, plain.rows);

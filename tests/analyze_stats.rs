@@ -123,16 +123,14 @@ fn a_refused_statement_is_the_sites_local_error_and_changes_nothing() {
     assert_eq!(counter(&fed, "planner.stats_cache_hits"), hits + 2);
 }
 
-#[test]
-fn disabling_the_planner_skips_stats_fetches() {
-    let mut fed = paper_federation();
-    fed.cost_planner = false;
-    fed.execute("ANALYZE continental.flights").unwrap();
-    fed.execute("ANALYZE delta.flight").unwrap();
-    fed.execute("USE continental delta").unwrap();
-    fed.execute(EQUI_JOIN).unwrap();
-    assert_eq!(counter(&fed, "planner.stats_fetches"), 0);
-    assert_eq!(counter(&fed, "planner.costed_joins"), 0);
+/// The `est_rows` and `rows` notes of the join's two partials, continental's
+/// and delta's.
+fn partial_rows(report: &obs::ExplainReport) -> [(Option<u64>, u64); 2] {
+    ["continental", "delta"].map(|db| {
+        let span = report.tree.find(&format!("lam:partial:{db}")).expect("a partial per database");
+        let num = |key: &str| span.note(key).map(|v| v.parse::<u64>().unwrap());
+        (num("est_rows"), num("rows").expect("a rows note"))
+    })
 }
 
 #[test]
@@ -143,23 +141,19 @@ fn costed_explain_reports_estimated_vs_actual_rows() {
     fed.execute("ANALYZE delta.flight").unwrap();
     fed.execute("USE continental delta").unwrap();
     let report = fed.execute(&format!("EXPLAIN {EQUI_JOIN}")).unwrap().into_explain().unwrap();
-    let planner = report.planner.as_ref().expect("costed EXPLAIN carries planner estimates");
-    assert_eq!(planner.rows.len(), 2, "{planner:?}");
-    for row in &planner.rows {
-        assert!(row.actual_rows > 0, "paper fixture partials are non-empty: {row:?}");
+    for (est_rows, rows) in partial_rows(&report) {
+        assert!(est_rows.is_some(), "a costed partial notes its estimate:\n{}", report.render());
+        assert!(rows > 0, "paper fixture partials are non-empty:\n{}", report.render());
     }
-    let text = report.render();
-    assert!(text.contains("planner estimates:"), "{text}");
-    assert!(text.contains("est rows:"), "{text}");
 
-    // Without statistics the same EXPLAIN has no planner section at all —
-    // the heuristic path renders byte-identically to the pre-planner days.
+    // Without statistics no partial carries an estimate: the heuristic path
+    // renders as it did before the planner existed.
     let mut plain = paper_federation();
     plain.parallel = false;
     plain.execute("USE continental delta").unwrap();
     let report = plain.execute(&format!("EXPLAIN {EQUI_JOIN}")).unwrap().into_explain().unwrap();
-    assert!(report.planner.is_none());
-    assert!(!report.render().contains("planner estimates"));
+    assert!(partial_rows(&report).iter().all(|(est_rows, _)| est_rows.is_none()));
+    assert!(!report.render().contains("est_rows="), "{}", report.render());
 }
 
 #[test]
@@ -230,7 +224,6 @@ fn the_costed_plan_ships_at_most_half_the_heuristic_bytes() {
     for big_rows in [100, 400, 800] {
         let [(costed, costed_bytes), (heuristic, heuristic_bytes)] = [true, false].map(|costed| {
             let mut fed = skewed_federation(big_rows);
-            fed.cost_planner = costed;
             if costed {
                 fed.execute("ANALYZE db0.big").unwrap();
                 fed.execute("ANALYZE db1.small").unwrap();

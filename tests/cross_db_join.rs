@@ -463,13 +463,14 @@ fn explain_reports_join_strategy_and_bytes_saved() {
     fed.parallel = false; // deterministic trace
     fed.execute("USE continental delta").unwrap();
     let report = fed.execute(&format!("EXPLAIN {EQUI_JOIN}")).unwrap().into_explain().unwrap();
-    let join = report.join.as_ref().expect("cross-db EXPLAIN carries a join summary");
-    assert_eq!(join.strategy, "semijoin+hash");
-    assert!(join.keys_shipped > 0, "{join:?}");
-    assert!(join.bytes_saved > 0, "{join:?}");
+    let join = report.tree.find("join").expect("cross-db EXPLAIN has a join span");
+    let num = |key: &str| join.note(key).and_then(|v| v.parse::<u64>().ok());
+    assert_eq!(join.note("strategy"), Some("semijoin+hash"));
+    assert!(num("keys_shipped").is_some_and(|n| n > 0), "{join:?}");
+    assert!(num("bytes_saved").is_some_and(|n| n > 0), "{join:?}");
     let text = report.render();
-    assert!(text.contains("join strategy: semijoin+hash"), "{text}");
-    assert!(text.contains("bytes saved by semijoin:"), "{text}");
+    assert!(text.contains("{strategy=semijoin+hash keys_shipped="), "{text}");
+    assert!(text.contains(" bytes_saved="), "{text}");
 }
 
 #[test]
@@ -598,20 +599,19 @@ fn a_reduced_join_runs_each_subquery_once_outside_explain() {
         };
         assert!(!unreduced.contains(" IN ("), "{unreduced}");
         let text = report.render();
-        let join = report.join.as_ref().expect("a join summary");
-        assert!(
-            join.bytes_saved > 0 && text.contains(&format!("saved={}}}", join.bytes_saved)),
-            "{text}"
-        );
+        let join = report.tree.find("join").expect("a join span");
+        let bytes_saved: u64 =
+            join.note("bytes_saved").expect("a bytes_saved note").parse().unwrap();
+        assert!(bytes_saved > 0 && text.contains(&format!("saved={bytes_saved}}}")), "{text}");
         assert_eq!(
             fed.metrics_registry().counter("lam.bytes_saved{db=delta}"),
-            join.bytes_saved,
+            bytes_saved,
             "{format:?}"
         );
         if format == WireFormat::Text {
             // The text-wire numbers are the ones the goldens always showed.
             assert!(text.contains("access=scan saved=31}"), "{text}");
-            assert!(text.contains("bytes saved by semijoin: 31"), "{text}");
+            assert_eq!(bytes_saved, 31, "{text}");
         }
     }
 }

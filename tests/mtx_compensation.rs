@@ -126,3 +126,36 @@ fn total_failure_compensates_everything_committed() {
         Value::Str("FREE".into())
     );
 }
+
+#[test]
+fn refuses_a_comp_for_a_database_its_member_does_not_touch() {
+    // delta is in the member's scope, but the member's UPDATE touches only
+    // continental: there is nothing at delta to compensate, and the member is
+    // refused exactly as a single statement with the same clause is.
+    let member = "USE continental delta
+        UPDATE f838 SET seatstatus = 'TAKEN' WHERE seatnu = 2
+        COMP delta
+        UPDATE f747 SET sstat = 'FREE' WHERE snu = 1";
+    let mut fed = federation_with_autocommit_delta();
+    let err = fed.execute(member);
+    assert!(matches!(err, Err(MdbsError::BadCompClause(_))), "{err:?}");
+    let mtx = format!(
+        "BEGIN MULTITRANSACTION
+        {member};
+        COMMIT
+          continental
+        END MULTITRANSACTION"
+    );
+    let err = fed.execute(&mtx);
+    assert!(matches!(err, Err(MdbsError::BadCompClause(_))), "{err:?}");
+    // Refused before anything ran: continental's lowest free seat is free.
+    assert_eq!(
+        seat(
+            &fed,
+            "svc_continental",
+            "continental",
+            "SELECT seatstatus FROM f838 WHERE seatnu = 2"
+        ),
+        Value::Str("FREE".into())
+    );
+}

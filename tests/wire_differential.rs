@@ -3,11 +3,12 @@
 //!
 //! The same suite — Q1–Q4, the cross-database join suite, and a seeded
 //! fault-injection schedule — runs once under `WireFormat::Text` and once
-//! under `WireFormat::Binary`; results, `ExecStats` and the metric registry
-//! must match exactly, modulo the byte-volume counters and span notes
-//! (`net.bytes*`, `lam.bytes*`, `bytes=`, `saved=`, `bytes_saved=`: each
-//! is the size of what crossed the wire, so the formats honestly differ) and
-//! the wall-clock `wire.*` latency histograms. Golden traces stay pinned to
+//! under `WireFormat::Binary`; results, `ExecStats`, the metric registry and
+//! EXPLAIN's span tree and cost table must match exactly, modulo the
+//! byte-volume counters, span notes and cost column (`net.bytes*`,
+//! `lam.bytes*`, `bytes=`, `saved=`, `bytes_saved=`, `bytes`: each is the size
+//! of what crossed the wire, so the formats honestly differ) and the
+//! wall-clock `wire.*` latency histograms. Golden traces stay pinned to
 //! the text default and are exercised unchanged by
 //! `t1_trace_golden`/`d1_dol_golden`, so the text-wire values cannot move.
 //!
@@ -23,6 +24,7 @@ use ldbs::Engine;
 use mdbs::fixtures::{paper_federation_with, FederationProfiles};
 use mdbs::{ExecStats, Federation, RetryPolicy, WireFormat};
 use netsim::Network;
+use obs::LamCost;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -89,6 +91,7 @@ struct Observed {
     q4: String,
     joins: Vec<String>,
     explain_tree: String,
+    explain_costs: Vec<LamCost>,
     stats: ExecStats,
     metrics: Vec<String>,
 }
@@ -134,16 +137,10 @@ fn run_suite(format: WireFormat) -> Observed {
         .map(|q| format!("{:?}", fed.execute(q).unwrap().into_table().unwrap()))
         .collect();
     let explain = fed.execute(&format!("EXPLAIN {}", JOINS[0])).unwrap().into_explain().unwrap();
-    // The wire summary is *supposed* to differ: present exactly when binary
-    // frames shipped.
-    match format {
-        WireFormat::Text => assert!(explain.wire.is_none(), "{:?}", explain.wire),
-        WireFormat::Binary => {
-            let wire = explain.wire.as_ref().expect("binary EXPLAIN reports wire bytes");
-            assert_eq!(wire.format, "binary");
-            assert!(wire.bytes_binary > 0);
-        }
-    }
+    // Payload bytes are in the session's own format; every other column of
+    // the cost table is format-invariant.
+    assert!(explain.costs.iter().all(|c| c.bytes > 0), "{:?}", explain.costs);
+    let explain_costs = explain.costs.iter().map(|c| LamCost { bytes: 0, ..c.clone() }).collect();
     let stats = fed.exec_stats();
     let metrics = fed
         .metrics()
@@ -162,7 +159,7 @@ fn run_suite(format: WireFormat) -> Observed {
         explain_tree.contains("lam:combine:delta") && explain_tree.contains("route=home"),
         "{explain_tree}"
     );
-    Observed { q1, q2, q3, q4, joins, explain_tree, stats, metrics }
+    Observed { q1, q2, q3, q4, joins, explain_tree, explain_costs, stats, metrics }
 }
 
 #[test]
@@ -175,6 +172,7 @@ fn suite_is_identical_under_text_and_binary() {
     assert_eq!(text.q4, binary.q4);
     assert_eq!(text.joins, binary.joins);
     assert_eq!(text.explain_tree, binary.explain_tree, "normalized traces diverged");
+    assert_eq!(text.explain_costs, binary.explain_costs, "cost tables diverged beyond bytes");
     assert_eq!(text.stats, binary.stats);
     for (t, b) in text.metrics.iter().zip(binary.metrics.iter()) {
         assert_eq!(t, b, "format-invariant metric diverged");
