@@ -159,6 +159,28 @@ for site in 'exec_with_wait(shared' '\.open\.insert(' '\.open\.remove('; do
     fi
 done
 
+echo "== one plan generator =="
+# A vital update is a multitransaction with one acceptable state (DESIGN §2),
+# so every DOL program — retrieval, update, multitransaction, a deferred
+# synchronization point — is written by plangen::dol_plan, and one function
+# builds its settle branches. Outside tests, `DolStmt::Decide(` and
+# `DolStmt::Commit {` are constructed in one function in crates/core/src.
+# plangen.rs's differential test runs it against the generators it replaced.
+sites=$(for f in $(find crates/core/src -name '*.rs'); do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" '
+        /^[[:space:]]*\/\// { next }
+        match($0, /^(    )?(pub(\([a-z]+\))? )?fn [A-Za-z0-9_]+/) {
+            name = substr($0, RSTART, RLENGTH)
+            sub(/.*fn /, "", name)
+        }
+        /DolStmt::Decide\(|DolStmt::Commit \{/ { print f ": fn " name }'
+done | sort -u)
+if [ "$(echo "$sites" | grep -c .)" -gt 1 ]; then
+    echo "settle branches are built in more than one function:" >&2
+    echo "$sites" >&2
+    exit 1
+fi
+
 echo "== one tree walk =="
 # An MSQL expression has one traversal: Expr::for_each_child and
 # for_each_child_mut (msql-lang/src/ast.rs). walk_columns, contains_aggregate,

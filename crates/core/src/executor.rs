@@ -21,7 +21,7 @@ use crate::merge;
 use crate::multitable::{Multitable, MultitableEntry};
 use crate::planner::{Combine, JoinPlan, ReductionEdge, SitePlan};
 use crate::retry::{shared_stats, ExecStats, SharedExecStats};
-use crate::translate::{GeneratedPlan, PushdownPlan, MTX_FAILED};
+use crate::translate::{GeneratedPlan, PushdownPlan};
 use crate::wal::{Wal, WalObserver, WalRecord};
 use dol::{DolEngine, DolOutcome, TaskStatus};
 use ldbs::engine::ResultSet;
@@ -90,6 +90,15 @@ pub struct MtxReport {
     pub outcomes: Vec<DbOutcome>,
     /// Communication accounting for this statement.
     pub stats: ExecStats,
+}
+
+impl From<MtxReport> for UpdateReport {
+    /// A vital update is a multitransaction with one acceptable state, its
+    /// vitals: it succeeded when it reached that state.
+    fn from(r: MtxReport) -> Self {
+        let success = r.achieved_state.is_some();
+        UpdateReport { success, return_code: r.return_code, outcomes: r.outcomes, stats: r.stats }
+    }
 }
 
 /// The result of executing one MSQL statement.
@@ -317,29 +326,19 @@ impl Executor {
         Ok(Multitable { tables })
     }
 
-    /// Runs a vital update plan.
-    pub fn run_update(&self, plan: &GeneratedPlan) -> Result<UpdateReport, MdbsError> {
+    /// Runs a plan that settles on an acceptable state — a multitransaction,
+    /// a vital update (one state; convert the report with
+    /// [`UpdateReport::from`]) or a synchronization point. `DOLSTATUS` is the
+    /// `DECIDE` code of the branch the program took, which the plan's decision
+    /// table maps to the state it installed; a plan with no decision (a
+    /// vital-free update) always reaches its one, empty state.
+    pub fn run_settle(&self, plan: &GeneratedPlan) -> Result<MtxReport, MdbsError> {
         let (out, mut stats, outputs) = self.run_program(plan)?;
-        let outcomes = self.outcomes(plan, &out, &stats, &outputs);
-        let success = out.dolstatus == 0;
-        if success {
-            self.count_degraded(plan, &outcomes, &mut stats);
-        }
-        Ok(UpdateReport { success, return_code: out.dolstatus, outcomes, stats })
-    }
-
-    /// Runs a multitransaction plan. `n_states` is the number of acceptable
-    /// states (to map the DOL return code back to a state index).
-    pub fn run_mtx(&self, plan: &GeneratedPlan, n_states: usize) -> Result<MtxReport, MdbsError> {
-        let (out, mut stats, outputs) = self.run_program(plan)?;
-        let achieved_state = if out.dolstatus >= 0
-            && (out.dolstatus as usize) < n_states
-            && out.dolstatus != MTX_FAILED
-        {
-            Some(out.dolstatus as usize)
-        } else {
-            None
+        let achieved_state = match &plan.recovery {
+            Some(recovery) => recovery.decisions.get(&out.dolstatus).and_then(|d| d.state),
+            None => (out.dolstatus == 0).then_some(0),
         };
+        let achieved_state = achieved_state.map(|state| state as usize);
         let outcomes = self.outcomes(plan, &out, &stats, &outputs);
         if achieved_state.is_some() {
             self.count_degraded(plan, &outcomes, &mut stats);

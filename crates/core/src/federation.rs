@@ -211,15 +211,13 @@ struct Prepared {
 
 enum PreparedPlan {
     Retrieval(GeneratedPlan),
-    /// An update plan, with what each subquery writes, in subquery order,
-    /// for the triggers it may fire once committed.
-    Update {
+    /// A vital update or a multitransaction — one settle program — with what
+    /// each task writes, in task order, for the triggers it may fire once
+    /// committed; `mtx` picks the report it returns.
+    Settle {
         plan: GeneratedPlan,
         writes: Vec<Option<WriteEvent>>,
-    },
-    Mtx {
-        plan: GeneratedPlan,
-        states: usize,
+        mtx: bool,
     },
     /// A join is planned at run time, against the statistics of the moment.
     Join {
@@ -1106,7 +1104,8 @@ impl Session {
                     pg.note("shape", "update");
                     let plan = self.own_tasks(update_plan(&locals, &comps, &routes)?);
                     pg.note("tasks", plan.tasks.len());
-                    PreparedPlan::Update { plan, writes: locals.iter().map(write_event).collect() }
+                    let writes = locals.iter().map(write_event).collect();
+                    PreparedPlan::Settle { plan, writes, mtx: false }
                 }
             },
             Translated::CrossDb(mut dec) => {
@@ -1127,8 +1126,8 @@ impl Session {
                 let mt = self.timed("phase.execute", || self.executor().run_retrieval(plan))?;
                 Ok(MsqlOutcome::Multitable(mt))
             }
-            PreparedPlan::Update { plan, writes } => {
-                let report = self.timed("phase.execute", || self.executor().run_update(plan))?;
+            PreparedPlan::Settle { plan, writes, mtx } => {
+                let report = self.timed("phase.execute", || self.executor().run_settle(plan))?;
                 // Fire interdatabase triggers for committed subqueries.
                 let events: Vec<WriteEvent> = writes
                     .iter()
@@ -1137,12 +1136,7 @@ impl Session {
                     .filter_map(|(write, _)| write.clone())
                     .collect();
                 self.fire_triggers(&events)?;
-                Ok(MsqlOutcome::Update(report))
-            }
-            PreparedPlan::Mtx { plan, states } => {
-                let report =
-                    self.timed("phase.execute", || self.executor().run_mtx(plan, *states))?;
-                Ok(MsqlOutcome::Mtx(report))
+                Ok(if *mtx { MsqlOutcome::Mtx(report) } else { MsqlOutcome::Update(report.into()) })
             }
             PreparedPlan::Join { dec, routes } => {
                 let rs = self.timed("phase.execute", || self.run_join(dec, routes))?;
@@ -1282,10 +1276,7 @@ impl Session {
                 .ok_or_else(|| MdbsError::Catalog(format!("no route for `{}`", l.database)))?;
             let sql = print(&l.statement);
             let (status, affected, error) = if l.vital {
-                let compensation = comps.get(&l.key).cloned().unwrap_or_default();
-                if !route.supports_2pc && compensation.is_empty() {
-                    return Err(MdbsError::VitalWithoutCompensation { database: l.key.clone() });
-                }
+                let compensation = translate::plangen::vital_compensation(l, route, comps)?;
                 let client = self.connect(&route.site, &l.database)?;
                 let (status, affected) =
                     self.gtxn.execute_held(client, &l.key, route, sql, compensation)?;
@@ -1404,7 +1395,8 @@ impl Session {
         pg.note("states", states.len());
         let plan = self.own_tasks(multitransaction_plan(&queries, &states, &routes)?);
         pg.note("tasks", plan.tasks.len());
-        Ok(Prepared { scope: None, plan: PreparedPlan::Mtx { plan, states: states.len() } })
+        let writes = queries.iter().flat_map(|q| q.locals.iter().map(write_event)).collect();
+        Ok(Prepared { scope: None, plan: PreparedPlan::Settle { plan, writes, mtx: true } })
     }
 
     /// Ships one single-database statement — its qualifier already stripped —

@@ -23,7 +23,7 @@
 use crate::error::MdbsError;
 use crate::executor::{Executor, UpdateReport};
 use crate::lamclient::{LamClient, Vote};
-use crate::translate::{vital_set_plan, DbRoute, VitalTask};
+use crate::translate::plangen::{dol_plan, DbRoute, DolTask, UPDATE_FAILED};
 use dol::TaskStatus;
 use obs::Span;
 use std::collections::HashMap;
@@ -137,11 +137,11 @@ impl GlobalTransaction {
     }
 
     /// Resolves the global transaction at a synchronization point: its
-    /// members are one vital set, so their settle program is the plan every
-    /// vital update ends in ([`vital_set_plan`]), run by `executor` like any
-    /// other — logged, recoverable, traced, the votes and the second phase
-    /// one round trip each — over the connections the members hold, each
-    /// member's task being its [`Vote`].
+    /// members are one vital set, a multitransaction whose one acceptable
+    /// state is all of them, planned and run like any other — logged,
+    /// recoverable, traced, the votes and the second phase one round trip
+    /// each — over the connections the members hold, each member's task
+    /// being its [`Vote`].
     ///
     /// Every member with a prepared state votes; if all vote YES they all
     /// commit. Any NO vote takes the rollback path, and `rollback` — or a
@@ -167,21 +167,24 @@ impl GlobalTransaction {
             };
             m.client.held = Some((vote, m.affected));
             held.push(m.client);
-            set.push(VitalTask {
+            set.push(DolTask {
                 name: m.task,
                 database: m.route.database.clone(),
                 key: m.key,
+                nocommit: m.route.supports_2pc,
                 vital: true,
                 commands: Vec::new(),
                 compensation: m.compensation,
             });
             routes.insert(m.route.database.clone(), m.route);
         }
+        let state: Vec<String> = set.iter().map(|t| t.name.clone()).collect();
+        let plan = dol_plan(&set, &[state], UPDATE_FAILED, rollback, &routes)?;
         *executor.lams.held.lock() = held;
-        let report = executor.run_update(&vital_set_plan(set, &routes, rollback)?);
+        let report = executor.run_settle(&plan);
         // A connection the program never opened (it failed first) closes.
         executor.lams.held.lock().clear();
-        report
+        report.map(UpdateReport::from)
     }
 }
 

@@ -24,8 +24,8 @@ pub use decompose::{
 pub use disambiguate::disambiguate;
 pub use expand::{expand, LocalQuery};
 pub use plangen::{
-    multitransaction_plan, retrieval_plan, update_plan, vital_set_plan, DbRoute, GeneratedPlan,
-    MtxQueryPlan, PlanTask, VitalTask, MTX_FAILED,
+    multitransaction_plan, retrieval_plan, update_plan, DbRoute, GeneratedPlan, MtxQueryPlan,
+    PlanTask, MTX_FAILED,
 };
 
 /// The two execution shapes a query body can translate to.

@@ -38,6 +38,35 @@ fn update_trigger_replicates_into_another_database() {
 }
 
 #[test]
+fn a_multitransactions_committed_members_fire_their_triggers() {
+    let mut fed = paper_federation();
+    fed.execute("USE avis").unwrap();
+    fed.execute("CREATE TABLE avis.audit (note CHAR(40))").unwrap();
+    fed.execute(
+        "CREATE TRIGGER fare_watch ON continental.flights AFTER UPDATE EXECUTE
+         USE avis
+         INSERT INTO audit VALUES ('continental fares changed')",
+    )
+    .unwrap();
+
+    // A multitransaction settles like a vital update, and its committed
+    // writes fire the same triggers.
+    let report = fed
+        .execute(
+            "BEGIN MULTITRANSACTION
+               USE continental
+               UPDATE continental.flights SET rate = rate * 1.1 WHERE source = 'Houston';
+               COMMIT continental
+             END MULTITRANSACTION",
+        )
+        .unwrap()
+        .into_mtx()
+        .unwrap();
+    assert_eq!(report.achieved_state, Some(0), "{report:?}");
+    assert_eq!(count(&fed, "svc_avis", "avis", "SELECT COUNT(*) FROM audit"), 1);
+}
+
+#[test]
 fn trigger_does_not_fire_on_miss_or_other_events() {
     let mut fed = paper_federation();
     fed.execute("USE avis").unwrap();
