@@ -94,6 +94,36 @@ for f in $(find crates/core/src crates/dol/src -name '*.rs'); do
     fi
 done
 
+echo "== one fan-out =="
+# A fan-out posts every request before it reads any reply, on the statement's
+# own thread, and there is no second, serial way to run one (DESIGN §3a.12):
+# the goldens, the crash simulator and the fault suites run the path
+# production runs, and seeded loss replays on it because each link draws its
+# losses from a stream of its own. Outside tests, the federation and the DOL
+# engine declare no `parallel` switch and read none; no test, example or the
+# simulator sets one or asks for the serial engine (`DolEngine::serial` is an
+# alias of `new`, kept for fedbench until ROADMAP item 1(b)).
+for f in $(find crates/core/src crates/dol/src -name '*.rs'); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" |
+        grep -nE '^[[:space:]]*(pub(\([a-z]+\))? )?parallel[[:space:]]*:|\.parallel\b'; then
+        echo "$f keeps a fan-out switch outside its tests" >&2
+        exit 1
+    fi
+done
+switch='\.parallel[[:space:]]*=[^=]|DolEngine::serial\('
+for f in $(find tests examples crates/*/tests crates/sim -name '*.rs'); do
+    if grep -nE "$switch" "$f"; then
+        echo "$f runs a fan-out other than production's" >&2
+        exit 1
+    fi
+done
+for f in $(find crates/*/src -name '*.rs'); do
+    if sed -n '/^#\[cfg(test)\]/,$p' "$f" | grep -nE "$switch"; then
+        echo "$f's tests run a fan-out other than production's" >&2
+        exit 1
+    fi
+done
+
 echo "== single-execution gate =="
 # A site runs each subquery once: only EXPLAIN asks it to evaluate the
 # unreduced / unpushed baseline as well. Pinned on the wire (what PARTIAL /

@@ -168,10 +168,6 @@ pub struct Executor {
     /// pool, timeout, retry policy, wire format and metrics sink. Its
     /// `stats` cell is the session-level accounting every run merges into.
     pub lams: LamFactory,
-    /// Whether the services of a DOL task batch or settle wave, and the
-    /// sites of a cross-database join's partials, work concurrently: every
-    /// request posted before any reply is read.
-    pub parallel: bool,
     /// Where execution spans hang (disabled unless the federation is
     /// tracing the statement).
     pub trace: SpanCtx,
@@ -203,7 +199,6 @@ impl Executor {
             ..self.lams.clone()
         };
         let mut engine = DolEngine::new(&factory);
-        engine.parallel = self.parallel;
         engine.trace = self.trace.clone();
         // Log the multitransaction BEGIN (tasks, states, oracle, the
         // presumed-abort compensation set) before anything executes, and
@@ -349,14 +344,12 @@ impl Executor {
     /// Runs a planned cross-database join: [reducer] → [other travelling
     /// sites] → combine; a classic plan's coordinator is sent no partial
     /// request, its subquery (reduced like any other) rides inside the one
-    /// `COMBINE`. What it still decides, because only now can it be known:
-    ///
-    /// * **which edges ship** — a reduction edge's rule is finished by the
-    ///   reducer's actual key list ([`crate::planner::ReductionEdge::ships`]);
-    ///   an edge that does not ship leaves its target on its full subquery;
-    /// * **whether sites overlap** — under [`Self::parallel`] the requests of
-    ///   the sites left after the reducer are all posted before any reply is
-    ///   read, so N sites cost ≈1 round trip instead of N.
+    /// `COMBINE`. It still decides which edges ship, because only now can it
+    /// be known: a reduction edge's rule is finished by the reducer's actual
+    /// key list ([`crate::planner::ReductionEdge::ships`]), and an edge that
+    /// does not ship leaves its target on its full subquery. The requests of
+    /// the sites left after the reducer are all posted before any reply is
+    /// read, so N sites cost ≈1 round trip instead of N.
     pub fn run_join(&self, plan: &JoinPlan) -> Result<ResultSet, MdbsError> {
         let join_span = self.trace.child("join");
         let metrics = &self.lams.metrics;
@@ -398,25 +391,22 @@ impl Executor {
         join_span.note("keys_shipped", keys_shipped);
         metrics.counter_add(&labeled("join.strategy", "strategy", &strategy), 1);
 
-        // 2. Run the other travelling sites — concurrently when allowed: every
-        // request posted before any reply is read. Every site runs either way,
-        // and when several fail the error of the first one in site order
-        // wins, so serial and parallel runs report the same one.
-        let finish = |(i, call): (usize, Result<SiteCall, MdbsError>)| {
-            (i, call.and_then(|call| call.finish(&self.lams)))
-        };
-        let (mut posted, mut dispatched) = (Vec::new(), Vec::new());
+        // 2. Run the other travelling sites concurrently: every request is
+        // posted before any reply is read, and the replies are finished in
+        // site order. Every site runs; when several fail, the error of the
+        // first one in site order wins.
+        let mut posted = Vec::new();
         for i in (0..n).filter(|&i| Some(i) != plan.reducer && Some(i) != plan.home()) {
             let (site, sql) = (&plan.sites[i], reduced[i].take());
             let call =
                 SiteCall::post(&self.lams, &ctx, site, sql.as_deref(), self.measure_baseline);
             posted.push((i, call));
-            if !self.parallel {
-                dispatched.extend(posted.drain(..).map(finish));
-            }
         }
-        dispatched.extend(posted.into_iter().map(finish));
-        for (i, partial) in dispatched {
+        let finished: Vec<_> = posted
+            .into_iter()
+            .map(|(i, call)| (i, call.and_then(|call| call.finish(&self.lams))))
+            .collect();
+        for (i, partial) in finished {
             travelled.push((i, partial?));
         }
         travelled.sort_by_key(|(i, _)| *i); // back into site order

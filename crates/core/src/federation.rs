@@ -9,10 +9,9 @@
 //! * [`Session`] — one user's execution context: scope, deferred-commit
 //!   global transaction, per-session accounting, tracing and WAL. Cheap to
 //!   create ([`Session::session`]), `Send`, and independent — N threads run
-//!   N sessions against the same core at once.
-//! * [`Federation`] — the primary session plus ownership of the core, kept
-//!   as the single-user entry point. It derefs to its [`Session`], so all
-//!   pre-split code compiles unchanged.
+//!   N sessions against the same core at once. [`Federation`] is another
+//!   name for the primary session, the one [`Session::new`] creates with
+//!   its core.
 
 use crate::codec::WireFormat;
 use crate::error::MdbsError;
@@ -42,7 +41,6 @@ use obs::{
 };
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::collections::HashMap;
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -134,12 +132,6 @@ pub struct Session {
     /// True while [`Session::explain`] runs its target: the one time sites
     /// are asked to measure the subquery a rewrite replaced.
     explaining: bool,
-    /// Overlap a fan-out's waits (default true): the services of a DOL task
-    /// batch or `COMMIT`/`ABORT` settle wave, and the sites of a join's
-    /// partials, each get their request before any reply is read — on the
-    /// statement's own thread. Off, every request waits for the reply of the
-    /// one before it.
-    pub parallel: bool,
     /// Per-request network timeout.
     pub timeout: Duration,
     /// Transient-fault retry policy for every LAM request (default: a
@@ -277,24 +269,9 @@ const _: () = {
     assert_send::<Session>();
 };
 
-/// A running federation: the shared core plus its primary session. Derefs to
-/// [`Session`], so single-user code uses it exactly as before the split.
-pub struct Federation {
-    session: Session,
-}
-
-impl Deref for Federation {
-    type Target = Session;
-    fn deref(&self) -> &Session {
-        &self.session
-    }
-}
-
-impl DerefMut for Federation {
-    fn deref_mut(&mut self) -> &mut Session {
-        &mut self.session
-    }
-}
+/// A running federation: its primary session, which [`Session::new`] and
+/// [`Session::with_network`] create together with the shared core.
+pub type Federation = Session;
 
 /// Collapses statement text to a deterministic one-line span label.
 fn text_note(text: &str) -> String {
@@ -307,20 +284,21 @@ fn text_note(text: &str) -> String {
     }
 }
 
-impl Default for Federation {
+impl Default for Session {
     fn default() -> Self {
-        Federation::new()
+        Session::new()
     }
 }
 
-impl Federation {
-    /// Creates an empty federation on a fresh (zero-latency) network.
+impl Session {
+    /// Creates an empty federation on a fresh (zero-latency) network and
+    /// returns its primary session.
     pub fn new() -> Self {
-        Federation::with_network(Network::new())
+        Session::with_network(Network::new())
     }
 
     /// Creates a federation on an existing network (latency/failure models
-    /// installed by the caller).
+    /// installed by the caller) and returns its primary session.
     pub fn with_network(net: Network) -> Self {
         let clock = LogicalClock::new();
         let metrics = MetricsRegistry::new();
@@ -337,11 +315,9 @@ impl Federation {
             session_seq: AtomicU64::new(1),
             catalog_epoch: AtomicU64::new(0),
         });
-        Federation { session: Session::with_core(core, 0) }
+        Session::with_core(core, 0)
     }
-}
 
-impl Session {
     fn with_core(core: Arc<FederationCore>, id: u64) -> Session {
         Session {
             gtxn: GlobalTransaction::new(session_suffix(id)),
@@ -349,7 +325,6 @@ impl Session {
             scope: SessionScope::new(),
             trigger_depth: 0,
             explaining: false,
-            parallel: true,
             timeout: Duration::from_secs(10),
             retry: RetryPolicy::default(),
             tolerate_unreachable: false,
@@ -376,7 +351,6 @@ impl Session {
     pub fn session(&self) -> Session {
         let id = self.core.session_seq.fetch_add(1, Ordering::Relaxed);
         let mut s = Session::with_core(Arc::clone(&self.core), id);
-        s.parallel = self.parallel;
         s.timeout = self.timeout;
         s.retry = self.retry.clone();
         s.tolerate_unreachable = self.tolerate_unreachable;
@@ -552,7 +526,6 @@ impl Session {
     fn executor(&self) -> Executor {
         Executor {
             lams: self.lams(),
-            parallel: self.parallel,
             trace: self.trace_ctx.clone(),
             measure_baseline: self.explaining,
             wal: self.wal.clone(),
@@ -711,7 +684,6 @@ impl Session {
         let parsed = dol::parse_program(program)?;
         let factory = self.lams();
         let mut engine = dol::DolEngine::new(&factory);
-        engine.parallel = self.parallel;
         engine.trace = self.trace_ctx.clone();
         let mut out = engine.execute(&parsed)?;
         // DOL reports a retrieval task's result serialized; the text codec

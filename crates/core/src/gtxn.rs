@@ -212,7 +212,6 @@ mod tests {
     fn executor(net: &Network) -> Executor {
         Executor {
             lams: LamFactory::new(net.clone(), Duration::from_secs(5)),
-            parallel: true,
             trace: obs::SpanCtx::disabled(),
             measure_baseline: false,
             wal: None,

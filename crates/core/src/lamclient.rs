@@ -30,8 +30,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-static CLIENT_SEQ: AtomicU64 = AtomicU64::new(0);
-
 /// Correlation ids for logical requests. Each logical call gets one id; all
 /// of its retry attempts share it, so the LAM can deduplicate resends and
 /// the client can discard stale responses from abandoned attempts.
@@ -262,8 +260,7 @@ impl LamClient {
         retry: RetryPolicy,
         stats: SharedExecStats,
     ) -> Result<Self, MdbsError> {
-        let name = format!("__cli_{}_{}", site, CLIENT_SEQ.fetch_add(1, Ordering::Relaxed));
-        let endpoint = net.register(&name)?;
+        let endpoint = net.register_client(&format!("__cli_{site}_"))?;
         let link = Arc::new(Link { endpoint, net: net.clone() });
         let client = LamClient::over(link, site, database, timeout, retry, stats);
         client.handshake()?;

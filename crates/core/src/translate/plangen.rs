@@ -1243,15 +1243,14 @@ mod tests {
     /// status.
     type Settled = (Vec<String>, i32, BTreeMap<String, TaskStatus>);
 
-    /// Runs `program` serially with its tasks ending phase one as `statuses`
-    /// says.
+    /// Runs `program` with its tasks ending phase one as `statuses` says.
     fn run(
         program: &DolProgram,
         statuses: &HashMap<String, TaskStatus>,
     ) -> Result<Settled, String> {
         let log = Arc::new(Mutex::new(Vec::new()));
         let scripted = Arc::new(Scripted { statuses: statuses.clone(), log: Arc::clone(&log) });
-        let mut engine = DolEngine::serial(&*scripted);
+        let mut engine = DolEngine::new(&*scripted);
         engine.observer = Some(Arc::clone(&scripted) as Arc<dyn TaskObserver>);
         let out = engine.execute(program).map_err(|e| e.to_string())?;
         let finals = out.task_statuses.into_iter().collect();

@@ -20,11 +20,10 @@ const Q1: &str = "USE avis national
     LET car.type.status BE cars.cartype.carst vehicle.vty.vstat
     SELECT %code, type, ~rate FROM car WHERE status = 'available'";
 
-/// The paper federation on a seeded lossy network (serial execution, short
-/// timeouts, a bounded retry budget).
+/// The paper federation on a seeded lossy network (short timeouts, a bounded
+/// retry budget).
 fn lossy_federation(seed: u64, drop_pct: u8, max_attempts: u32) -> Federation {
     let mut fed = paper_federation_with(Network::with_seed(seed), Default::default());
-    fed.parallel = false;
     fed.timeout = Duration::from_millis(120);
     if max_attempts > 1 {
         fed.retry = RetryPolicy { max_attempts, ..RetryPolicy::retries(max_attempts) };
@@ -112,7 +111,6 @@ proptest! {
         vec!["available", "rented", "nosuch"],
     )) {
         let mut fed = paper_federation_with(Network::new(), Default::default());
-        fed.parallel = false;
         let msql = format!(
             "USE avis national
              LET car.type.status BE cars.cartype.carst vehicle.vty.vstat

@@ -7,13 +7,12 @@
 //! phase (`COMMIT`/`ABORT` task lists) and compensation.
 //!
 //! Consecutive `TASK` statements form a *batch*, consecutive `COMMIT` /
-//! `ABORT` statements a *wave*. In parallel mode (the default, matching the
-//! paper's emphasis on data-flow parallelism) the services of a batch or a
-//! wave work concurrently, and the engine needs no thread for that: it
-//! [posts](DolService::post) the first step of every service before it reads
-//! any reply, then reads the replies in order on the calling thread, so a
-//! batch or wave over k services waits one round trip, not k. In serial mode
-//! every step is sent and answered before the next one goes out.
+//! `ABORT` statements a *wave*. The services of a batch or a wave work
+//! concurrently (the paper's data-flow parallelism), and the engine needs no
+//! thread for that: it [posts](DolService::post) the first step of every
+//! service before it reads any reply, then reads the replies in order on the
+//! calling thread, so a batch or wave over k services waits one round trip,
+//! not k.
 
 use crate::ast::{DolCond, DolProgram, DolStmt, TaskDef, TaskStatus};
 use crate::error::DolError;
@@ -187,9 +186,6 @@ impl DolOutcome {
 /// The DOL engine.
 pub struct DolEngine<'f> {
     factory: &'f dyn ServiceFactory,
-    /// Overlap the waits of the services of a task batch or settle wave
-    /// (default true).
-    pub parallel: bool,
     /// Where to hang execution spans (disabled by default).
     pub trace: SpanCtx,
     /// Protocol-transition observer (the coordinator's WAL), if any.
@@ -283,14 +279,16 @@ impl RunState {
 }
 
 impl<'f> DolEngine<'f> {
-    /// Creates an engine over a service factory (parallel batches enabled).
+    /// Creates an engine over a service factory.
     pub fn new(factory: &'f dyn ServiceFactory) -> Self {
-        DolEngine { factory, parallel: true, trace: SpanCtx::disabled(), observer: None }
+        DolEngine { factory, trace: SpanCtx::disabled(), observer: None }
     }
 
-    /// Creates an engine that executes task batches serially.
+    /// The same as [`DolEngine::new`]: there is one fan-out. Kept only for
+    /// the benchmark's layer replay (`fedbench/src/layers.rs`), which goes
+    /// with ROADMAP item 1(b).
     pub fn serial(factory: &'f dyn ServiceFactory) -> Self {
-        DolEngine { parallel: false, ..DolEngine::new(factory) }
+        DolEngine::new(factory)
     }
 
     /// Executes a program to completion.
@@ -456,13 +454,11 @@ impl<'f> DolEngine<'f> {
     /// statement wants them are skipped, anything else is a plan error
     /// ([`RunState::settle_target`]).
     ///
-    /// Status updates and [`TaskObserver::task_resolved`] follow
-    /// statement-then-list order in both modes, so the log reads the same
-    /// either way. Serially, each message is followed by its update and
-    /// observer call before the next one goes out. In parallel mode the first
-    /// message to every service goes out before any reply is read, so the
-    /// wave costs one round trip. An observer error (a simulated coordinator
-    /// crash) stops on the spot.
+    /// The first message to every service goes out before any reply is
+    /// read, so the wave costs one round trip. Status updates and
+    /// [`TaskObserver::task_resolved`] follow statement-then-list order
+    /// whichever reply lands first. An observer error (a simulated
+    /// coordinator crash) stops on the spot.
     fn settle(
         &self,
         wave: &[(Settle, &[String])],
@@ -513,12 +509,12 @@ impl<'f> DolEngine<'f> {
         first_err.map_or(Ok(()), Err)
     }
 
-    /// In parallel mode, posts the first of `steps` on every service they
-    /// touch — when they touch more than one — so the waits for those replies
-    /// overlap on this thread; a service's later steps go out as they are
-    /// finished. Returns, per step, the span a posted step's reply is to be
-    /// read under (`None`: the step is sent when it is finished). Callers
-    /// have checked that every alias is open.
+    /// Posts the first of `steps` on every service they touch — when they
+    /// touch more than one — so the waits for those replies overlap on this
+    /// thread; a service's later steps go out as they are finished. Returns,
+    /// per step, the span a posted step's reply is to be read under (`None`:
+    /// the step is sent when it is finished). Callers have checked that every
+    /// alias is open.
     fn post_firsts(
         &self,
         services: &mut HashMap<String, Box<dyn DolService>>,
@@ -529,7 +525,7 @@ impl<'f> DolEngine<'f> {
         let firsts: Vec<usize> = (0..steps.len())
             .filter(|&i| steps[..i].iter().all(|(alias, _)| *alias != steps[i].0))
             .collect();
-        if self.parallel && firsts.len() > 1 {
+        if firsts.len() > 1 {
             for i in firsts {
                 let (alias, step) = steps[i];
                 let span = step.span(alias, ctx);
@@ -889,7 +885,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_overlaps_task_latency() {
+    fn a_batch_overlaps_task_latency() {
         let program = parse_program(
             "DOLBEGIN
              OPEN a AT s1 AS a;
@@ -901,25 +897,20 @@ mod tests {
              DOLEND",
         )
         .unwrap();
-        let timed = |parallel: bool| {
-            let factory = MockFactory::default();
-            factory.state.lock().delay = Some(Duration::from_millis(40));
-            let mut engine = DolEngine::new(&factory);
-            engine.parallel = parallel;
-            let start = Instant::now();
-            engine.execute(&program).unwrap();
-            let elapsed = start.elapsed();
-            all_on_this_thread(&factory);
-            elapsed
-        };
-        let parallel_time = timed(true);
-        let serial_time = timed(false);
-        assert!(parallel_time < Duration::from_millis(100), "parallel: {parallel_time:?}");
-        assert!(serial_time >= Duration::from_millis(110), "serial: {serial_time:?}");
+        let factory = MockFactory::default();
+        factory.state.lock().delay = Some(Duration::from_millis(40));
+        let start = Instant::now();
+        DolEngine::new(&factory).execute(&program).unwrap();
+        let elapsed = start.elapsed();
+        all_on_this_thread(&factory);
+        // Three services at 40 ms each: one wait, where one after another
+        // would take 120 ms.
+        assert!(elapsed >= Duration::from_millis(40), "{elapsed:?}");
+        assert!(elapsed < Duration::from_millis(100), "{elapsed:?}");
     }
 
     #[test]
-    fn tasks_on_same_service_run_in_order_even_in_parallel_mode() {
+    fn tasks_on_same_service_run_in_order() {
         let factory = MockFactory::default();
         let program = parse_program(
             "DOLBEGIN
@@ -985,7 +976,7 @@ mod tests {
     fn observer_sees_protocol_transitions_in_order() {
         let factory = MockFactory::default();
         let observer = Arc::new(RecordingObserver::default());
-        let mut engine = DolEngine::serial(&factory);
+        let mut engine = DolEngine::new(&factory);
         engine.observer = Some(Arc::clone(&observer) as Arc<dyn TaskObserver>);
         let out = engine.execute(&parse_program(OBSERVED).unwrap()).unwrap();
         assert_eq!(out.dolstatus, 0);
@@ -999,12 +990,11 @@ mod tests {
     /// Runs `program` with every acknowledgement taking 40 ms, checks that
     /// the log resolves the tasks as `resolved` says, in that order, and
     /// that every step ran on this thread; returns how long the run took.
-    fn timed_settle(program: &str, parallel: bool, resolved: &[&str]) -> Duration {
+    fn timed_settle(program: &str, resolved: &[&str]) -> Duration {
         let factory = MockFactory::default();
         factory.state.lock().settle_delay = Some(Duration::from_millis(40));
         let observer = Arc::new(RecordingObserver::default());
         let mut engine = DolEngine::new(&factory);
-        engine.parallel = parallel;
         engine.observer = Some(Arc::clone(&observer) as Arc<dyn TaskObserver>);
         let start = Instant::now();
         engine.execute(&parse_program(program).unwrap()).unwrap();
@@ -1013,13 +1003,13 @@ mod tests {
         // raced.
         let events = observer.events.lock().clone();
         let logged: Vec<&str> = events.iter().filter_map(|e| e.strip_prefix("resolve ")).collect();
-        assert_eq!(logged, resolved, "parallel = {parallel}");
+        assert_eq!(logged, resolved);
         all_on_this_thread(&factory);
         elapsed
     }
 
     #[test]
-    fn parallel_settle_list_costs_one_acknowledgement_not_one_per_task() {
+    fn a_settle_list_costs_one_acknowledgement_not_one_per_task() {
         let program = "DOLBEGIN
              OPEN a AT s1 AS a;
              OPEN b AT s2 AS b;
@@ -1029,11 +1019,10 @@ mod tests {
              TASK Tc NOCOMMIT FOR c { UPDATE x SET y = 3 } ENDTASK;
              COMMIT Ta, Tb, Tc;
              DOLEND";
-        let resolved = ["Ta C", "Tb C", "Tc C"];
-        let parallel_time = timed_settle(program, true, &resolved);
-        let serial_time = timed_settle(program, false, &resolved);
-        assert!(parallel_time < Duration::from_millis(100), "parallel: {parallel_time:?}");
-        assert!(serial_time >= Duration::from_millis(110), "serial: {serial_time:?}");
+        // Three acknowledgements at 40 ms each, waited for once.
+        let elapsed = timed_settle(program, &["Ta C", "Tb C", "Tc C"]);
+        assert!(elapsed >= Duration::from_millis(40), "{elapsed:?}");
+        assert!(elapsed < Duration::from_millis(100), "{elapsed:?}");
     }
 
     #[test]
@@ -1052,81 +1041,71 @@ mod tests {
              COMMIT Ta, Tc;
              ABORT Tb, Td;
              DOLEND";
-        let resolved = ["Ta C", "Tc C", "Tb A", "Td A"];
-        let parallel_time = timed_settle(program, true, &resolved);
-        let serial_time = timed_settle(program, false, &resolved);
-        assert!(parallel_time < Duration::from_millis(70), "parallel: {parallel_time:?}");
-        assert!(serial_time >= Duration::from_millis(150), "serial: {serial_time:?}");
+        let elapsed = timed_settle(program, &["Ta C", "Tc C", "Tb A", "Td A"]);
+        assert!(elapsed >= Duration::from_millis(40), "{elapsed:?}");
+        assert!(elapsed < Duration::from_millis(70), "{elapsed:?}");
     }
 
     #[test]
     fn every_listed_task_is_attempted_and_the_first_error_in_list_order_wins() {
         // Tb cannot be committed (it aborted locally): the list still settles
         // Ta and Tc, then reports Tb's error.
-        for parallel in [true, false] {
-            let factory = MockFactory::default();
-            factory.state.lock().fail_tasks.push("Tb".into());
-            let mut engine = DolEngine::new(&factory);
-            engine.parallel = parallel;
-            let err = engine.execute(
-                &parse_program(
-                    "DOLBEGIN
-                     OPEN a AT s1 AS a;
-                     OPEN b AT s2 AS b;
-                     OPEN c AT s3 AS c;
-                     TASK Ta NOCOMMIT FOR a { UPDATE x SET y = 1 } ENDTASK;
-                     TASK Tb NOCOMMIT FOR b { UPDATE x SET y = 2 } ENDTASK;
-                     TASK Tc NOCOMMIT FOR c { UPDATE x SET y = 3 } ENDTASK;
-                     COMMIT Ta, Tb, Tc;
-                     DOLEND",
-                )
-                .unwrap(),
-            );
-            assert!(
-                matches!(&err, Err(DolError::BadTaskStatus { task, action: "commit", .. }) if task == "Tb"),
-                "{err:?}"
-            );
-            let log = factory.state.lock().log.clone();
-            assert!(log.contains(&"commit Ta".to_string()), "{log:?}");
-            assert!(log.contains(&"commit Tc".to_string()), "{log:?}");
-        }
+        let factory = MockFactory::default();
+        factory.state.lock().fail_tasks.push("Tb".into());
+        let err = DolEngine::new(&factory).execute(
+            &parse_program(
+                "DOLBEGIN
+                 OPEN a AT s1 AS a;
+                 OPEN b AT s2 AS b;
+                 OPEN c AT s3 AS c;
+                 TASK Ta NOCOMMIT FOR a { UPDATE x SET y = 1 } ENDTASK;
+                 TASK Tb NOCOMMIT FOR b { UPDATE x SET y = 2 } ENDTASK;
+                 TASK Tc NOCOMMIT FOR c { UPDATE x SET y = 3 } ENDTASK;
+                 COMMIT Ta, Tb, Tc;
+                 DOLEND",
+            )
+            .unwrap(),
+        );
+        assert!(
+            matches!(&err, Err(DolError::BadTaskStatus { task, action: "commit", .. }) if task == "Tb"),
+            "{err:?}"
+        );
+        let log = factory.state.lock().log.clone();
+        assert!(log.contains(&"commit Ta".to_string()), "{log:?}");
+        assert!(log.contains(&"commit Tc".to_string()), "{log:?}");
     }
 
     #[test]
     fn an_error_in_the_commit_list_does_not_strand_the_abort_list() {
         // Tb aborted locally, so `COMMIT Ta, Tb` fails on it; the ABORT list
         // of the same wave still releases Tc and Td.
-        for parallel in [true, false] {
-            let factory = MockFactory::default();
-            factory.state.lock().fail_tasks.push("Tb".into());
-            let mut engine = DolEngine::new(&factory);
-            engine.parallel = parallel;
-            let err = engine.execute(
-                &parse_program(
-                    "DOLBEGIN
-                     OPEN a AT s1 AS a;
-                     OPEN b AT s2 AS b;
-                     OPEN c AT s3 AS c;
-                     OPEN d AT s4 AS d;
-                     TASK Ta NOCOMMIT FOR a { UPDATE x SET y = 1 } ENDTASK;
-                     TASK Tb NOCOMMIT FOR b { UPDATE x SET y = 2 } ENDTASK;
-                     TASK Tc NOCOMMIT FOR c { UPDATE x SET y = 3 } ENDTASK;
-                     TASK Td NOCOMMIT FOR d { UPDATE x SET y = 4 } ENDTASK;
-                     COMMIT Ta, Tb;
-                     ABORT Tc, Td;
-                     DOLSTATUS=0;
-                     DOLEND",
-                )
-                .unwrap(),
-            );
-            assert!(
-                matches!(&err, Err(DolError::BadTaskStatus { task, action: "commit", .. }) if task == "Tb"),
-                "{err:?}"
-            );
-            let log = factory.state.lock().log.clone();
-            for sent in ["commit Ta", "abort Tc", "abort Td"] {
-                assert!(log.contains(&sent.to_string()), "{sent}, parallel = {parallel}: {log:?}");
-            }
+        let factory = MockFactory::default();
+        factory.state.lock().fail_tasks.push("Tb".into());
+        let err = DolEngine::new(&factory).execute(
+            &parse_program(
+                "DOLBEGIN
+                 OPEN a AT s1 AS a;
+                 OPEN b AT s2 AS b;
+                 OPEN c AT s3 AS c;
+                 OPEN d AT s4 AS d;
+                 TASK Ta NOCOMMIT FOR a { UPDATE x SET y = 1 } ENDTASK;
+                 TASK Tb NOCOMMIT FOR b { UPDATE x SET y = 2 } ENDTASK;
+                 TASK Tc NOCOMMIT FOR c { UPDATE x SET y = 3 } ENDTASK;
+                 TASK Td NOCOMMIT FOR d { UPDATE x SET y = 4 } ENDTASK;
+                 COMMIT Ta, Tb;
+                 ABORT Tc, Td;
+                 DOLSTATUS=0;
+                 DOLEND",
+            )
+            .unwrap(),
+        );
+        assert!(
+            matches!(&err, Err(DolError::BadTaskStatus { task, action: "commit", .. }) if task == "Tb"),
+            "{err:?}"
+        );
+        let log = factory.state.lock().log.clone();
+        for sent in ["commit Ta", "abort Tc", "abort Td"] {
+            assert!(log.contains(&sent.to_string()), "{sent}: {log:?}");
         }
     }
 
@@ -1162,7 +1141,7 @@ mod tests {
         // Halt at the decision callback: votes are in, no settle message out.
         let observer =
             Arc::new(RecordingObserver { halt_at: Some(2), ..RecordingObserver::default() });
-        let mut engine = DolEngine::serial(&factory);
+        let mut engine = DolEngine::new(&factory);
         engine.observer = Some(Arc::clone(&observer) as Arc<dyn TaskObserver>);
         let err = engine.execute(&parse_program(OBSERVED).unwrap());
         assert!(matches!(err, Err(DolError::Halted(_))), "{err:?}");
@@ -1175,7 +1154,7 @@ mod tests {
     #[test]
     fn decide_without_observer_is_a_no_op() {
         let factory = MockFactory::default();
-        let out = DolEngine::serial(&factory)
+        let out = DolEngine::new(&factory)
             .execute(&parse_program("DOLBEGIN DECIDE 7; DOLSTATUS=0; DOLEND").unwrap())
             .unwrap();
         assert_eq!(out.dolstatus, 0);

@@ -15,10 +15,10 @@
 //!   used in the paper's listings (task bodies are literal SQL between
 //!   braces);
 //! * the engine ([`engine::DolEngine`]): opens services, runs consecutive
-//!   `TASK` blocks and consecutive `COMMIT`/`ABORT` lists serially or in
-//!   parallel (the data-flow parallelism the paper says global optimization
-//!   should exploit — every service's first request posted before any reply
-//!   is read, all on the calling thread), tracks task statuses
+//!   `TASK` blocks and consecutive `COMMIT`/`ABORT` lists in parallel (the
+//!   data-flow parallelism the paper says global optimization should exploit
+//!   — every service's first request posted before any reply is read, all on
+//!   the calling thread), tracks task statuses
 //!   (`P`/`C`/`A`/`E`), evaluates status conditions, and drives
 //!   commit/abort/compensate against an abstract [`engine::DolService`] —
 //!   implemented over the network by the multidatabase layer's Local Access

@@ -11,10 +11,11 @@
 //!   blocking/timeout receive;
 //! * **latency model** — a base one-way delay plus per-link overrides;
 //!   delivery time is enforced at the receiver, so messages in flight overlap
-//!   (this is what makes parallel vs. serial subquery execution measurable,
-//!   experiment B7);
+//!   (what a fan-out's parallel requests rely on);
 //! * **failure injection** — per-link partitions and seeded stochastic drops,
-//!   producing the timeout-driven abort paths of §3.2;
+//!   producing the timeout-driven abort paths of §3.2; each directed link
+//!   draws its losses from a stream of its own, so a fan-out replays from
+//!   the seed;
 //! * **traffic accounting** — message and byte counts per link, used by the
 //!   benchmarks to count 2PC rounds (experiment B3).
 

@@ -32,9 +32,16 @@ struct Fabric {
     link_drop_probability: RwLock<HashMap<(String, String), f64>>,
     /// Deterministic injection: the next N messages on a link are dropped.
     forced_drops: RwLock<HashMap<(String, String), u64>>,
-    rng: Mutex<Option<StdRng>>,
+    /// What every link's loss stream is derived from ([`Network::with_seed`]).
+    seed: u64,
+    /// One loss stream per directed link, created on its first lossy send:
+    /// a link's k-th message meets the same fate whatever other links
+    /// carry in between, so a fan-out replays from the seed.
+    link_rngs: Mutex<HashMap<(String, String), StdRng>>,
     stats: Mutex<NetStats>,
     seq: AtomicU64,
+    /// Next client endpoint number ([`Network::register_client`]).
+    clients: AtomicU64,
 }
 
 /// A simulated network shared by all sites of the federation. Cloning is
@@ -50,11 +57,11 @@ impl Network {
         Network::default()
     }
 
-    /// Creates a network with a seeded RNG for stochastic drops.
+    /// Creates a network whose stochastic drops are drawn from `seed` (a
+    /// plain [`Network::new`] draws from seed 0): each directed link has a
+    /// stream of its own, seeded from `seed` and the two endpoint names.
     pub fn with_seed(seed: u64) -> Self {
-        let net = Network::default();
-        *net.fabric.rng.lock() = Some(StdRng::seed_from_u64(seed));
-        net
+        Network { fabric: Arc::new(Fabric { seed, ..Fabric::default() }) }
     }
 
     /// Registers a site and returns its endpoint.
@@ -66,6 +73,14 @@ impl Network {
         }
         sites.insert(name.to_string(), tx);
         Ok(Endpoint { name: name.to_string(), rx, fabric: Arc::clone(&self.fabric) })
+    }
+
+    /// Registers a client endpoint named `<prefix><n>`, with `n` counted per
+    /// network in registration order: two networks built the same way name
+    /// — and so seed — their links the same.
+    pub fn register_client(&self, prefix: &str) -> Result<Endpoint, NetError> {
+        let n = self.fabric.clients.fetch_add(1, Ordering::Relaxed);
+        self.register(&format!("{prefix}{n}"))
     }
 
     /// Removes a site; pending messages to it are lost.
@@ -81,7 +96,6 @@ impl Network {
     /// Sets the probability that any message is silently dropped.
     pub fn set_drop_probability(&self, p: f64) {
         *self.fabric.drop_probability.write() = p.clamp(0.0, 1.0);
-        self.ensure_rng();
     }
 
     /// Sets a directional per-link drop probability. Where both a global
@@ -95,7 +109,6 @@ impl Network {
             .link_drop_probability
             .write()
             .insert((from.to_string(), to.to_string()), p.clamp(0.0, 1.0));
-        self.ensure_rng();
     }
 
     /// Sets the same drop probability in both directions.
@@ -127,13 +140,6 @@ impl Network {
     /// Clears an injected latency spike.
     pub fn clear_link_delay(&self, from: &str, to: &str) {
         self.fabric.latency.write().clear_spike(from, to);
-    }
-
-    fn ensure_rng(&self) {
-        let mut rng = self.fabric.rng.lock();
-        if rng.is_none() {
-            *rng = Some(StdRng::seed_from_u64(0));
-        }
     }
 
     /// Partitions two sites (both directions refuse sends).
@@ -275,13 +281,18 @@ impl Endpoint {
             global.max(per_link)
         };
         if p > 0.0 {
-            let mut rng = self.fabric.rng.lock();
-            if let Some(rng) = rng.as_mut() {
-                if rng.gen_bool(p) {
-                    self.fabric.stats.lock().record_drop(&self.name, to);
-                    self.probe_event("net.dropped", None);
-                    return Ok(());
-                }
+            let lost = {
+                let mut rngs = self.fabric.link_rngs.lock();
+                let link = (self.name.clone(), to.to_string());
+                let rng = rngs.entry(link).or_insert_with_key(|(from, to)| {
+                    StdRng::seed_from_u64(link_seed(self.fabric.seed, from, to))
+                });
+                rng.gen_bool(p)
+            };
+            if lost {
+                self.fabric.stats.lock().record_drop(&self.name, to);
+                self.probe_event("net.dropped", None);
+                return Ok(());
             }
         }
         let delay = self.fabric.latency.read().delay(&self.name, to);
@@ -323,6 +334,13 @@ impl Endpoint {
     pub fn has_mail(&self) -> bool {
         !self.rx.is_empty()
     }
+}
+
+/// The seed of the `from → to` loss stream: FNV-1a over the network seed and
+/// the two names, the same in every process and on every platform.
+fn link_seed(seed: u64, from: &str, to: &str) -> u64 {
+    let bytes = seed.to_le_bytes().into_iter().chain(from.bytes()).chain([0xFF]).chain(to.bytes());
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
 /// Waits out a dequeued message's simulated flight time (senders enqueue
@@ -437,6 +455,57 @@ mod tests {
         net.clear_link_drop_probability("a", "b");
         a.send("b", "healed").unwrap();
         assert_eq!(b.recv().unwrap().body, "healed");
+    }
+
+    /// The delivered (`true`) / dropped fate of each message `from` sends.
+    fn fates(net: &Network, from: &Endpoint, to: &str, sent: usize) -> Vec<bool> {
+        let mut dropped = net.stats().link_dropped(from.name(), to);
+        let mut fates = Vec::with_capacity(sent);
+        for _ in 0..sent {
+            from.send(to, "m").unwrap();
+            let now = net.stats().link_dropped(from.name(), to);
+            fates.push(now == dropped);
+            dropped = now;
+        }
+        fates
+    }
+
+    #[test]
+    fn a_links_losses_do_not_depend_on_other_links_traffic() {
+        let run = |alternate: bool| {
+            let net = Network::with_seed(42);
+            net.set_link_drop_probability("a", "x", 0.5);
+            net.set_link_drop_probability("b", "y", 0.5);
+            let (a, b) = (net.register("a").unwrap(), net.register("b").unwrap());
+            let (_x, _y) = (net.register("x").unwrap(), net.register("y").unwrap());
+            if alternate {
+                let (mut on_a, mut on_b) = (Vec::new(), Vec::new());
+                for _ in 0..64 {
+                    on_a.extend(fates(&net, &a, "x", 1));
+                    on_b.extend(fates(&net, &b, "y", 1));
+                }
+                (on_a, on_b)
+            } else {
+                (fates(&net, &a, "x", 64), fates(&net, &b, "y", 64))
+            }
+        };
+        let (a_first, alternating) = (run(false), run(true));
+        assert_eq!(a_first, alternating, "a link's k-th message meets the same fate");
+        for fates in [&a_first.0, &a_first.1] {
+            assert!(fates.contains(&true) && fates.contains(&false), "{fates:?}");
+        }
+        assert_ne!(a_first.0, a_first.1, "each link draws from its own stream");
+    }
+
+    #[test]
+    fn client_endpoints_are_numbered_per_network() {
+        for _ in 0..2 {
+            let net = Network::new();
+            let names: Vec<String> = (0..3)
+                .map(|_| net.register_client("__cli_s_").unwrap().name().to_string())
+                .collect();
+            assert_eq!(names, ["__cli_s_0", "__cli_s_1", "__cli_s_2"]);
+        }
     }
 
     #[test]

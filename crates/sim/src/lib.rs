@@ -15,10 +15,16 @@
 //!    transaction whose coordinator is gone
 //!    ([`ldbs::Engine::prepared_txns`] is empty everywhere).
 //!
-//! Everything is deterministic: the network RNG, the retry jitter and the
-//! logical clock are seeded, and tasks run serially. A failing schedule is
-//! fully described by its [`SimConfig`] — the panic message of every test
-//! prints the config plus the command that replays exactly that schedule.
+//! Everything is deterministic: the retry jitter and the logical clock are
+//! seeded, and every directed link draws its message losses from a stream of
+//! its own, seeded from the network seed and the link's endpoint names. The
+//! federation runs its fan-outs as production does — every request of a
+//! task batch or settle wave posted before any reply is read — and however
+//! the LAM threads' replies interleave, a link's k-th message meets the same
+//! fate. A failing schedule is fully described by its [`SimConfig`] — the
+//! panic message of every test prints the config plus the command that
+//! replays exactly that schedule; `random_schedules` checks that each lossy
+//! schedule replays.
 
 use mdbs::fixtures::{paper_federation_with, FederationProfiles};
 use mdbs::retry::RetryPolicy;
@@ -179,7 +185,7 @@ pub const CRASHABLE: &[Scenario] =
 /// every failure message does) is enough to replay it exactly.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Seed for the network RNG (message loss and latency jitter).
+    /// Seed of the network's per-link message-loss streams.
     pub seed: u64,
     /// Coordinator crash during statement execution, if any.
     pub crash: Option<CrashPlan>,
@@ -212,8 +218,9 @@ impl SimConfig {
     }
 }
 
-/// What one simulated schedule did.
-#[derive(Debug, Clone)]
+/// What one simulated schedule did. Two runs of one [`SimConfig`] return
+/// equal outcomes.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimOutcome {
     /// Whether an armed crash fired during execution.
     pub crashed: bool,
@@ -224,8 +231,10 @@ pub struct SimOutcome {
     pub recovered: usize,
     /// Recovery passes it took (more than one only under a recovery crash).
     pub recovery_passes: u32,
-    /// Total WAL records at the end.
-    pub wal_records: usize,
+    /// The WAL at the end, one encoded record per line.
+    pub wal: Vec<String>,
+    /// Messages the network dropped over the whole run.
+    pub dropped: u64,
 }
 
 fn build_federation(scenario: &Scenario, cfg: &SimConfig) -> Federation {
@@ -237,9 +246,9 @@ fn build_federation(scenario: &Scenario, cfg: &SimConfig) -> Federation {
     } else {
         FederationProfiles::default()
     };
+    // A seeded network (one loss stream per link) + the logical clock =
+    // reproducible runs of the production fan-out.
     let mut fed = paper_federation_with(Network::with_seed(cfg.seed), profiles);
-    // Serial tasks + seeded network + logical clock = reproducible runs.
-    fed.parallel = false;
     fed.timeout = Duration::from_millis(150);
     fed.retry = RetryPolicy::retries(4);
     fed.set_deferred_commit(scenario.deferred);
@@ -346,12 +355,14 @@ pub fn run(scenario: &Scenario, cfg: &SimConfig) -> Result<SimOutcome, String> {
         }
     }
 
+    let records = wal.records().map_err(|e| format!("[{}] WAL unreadable: {e}", scenario.name))?;
     Ok(SimOutcome {
         crashed,
         exec_error,
         recovered,
         recovery_passes: passes,
-        wal_records: wal.record_count(),
+        wal: records.iter().map(wal::WalRecord::encode).collect(),
+        dropped: fed.network().stats().dropped,
     })
 }
 

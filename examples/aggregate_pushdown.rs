@@ -39,7 +39,6 @@ fn shipped_bytes(fed: &mdbs::Federation) -> u64 {
 /// Runs `query` on a fresh federation and returns (rows, shipped bytes).
 fn run(query: &str, pushdown: bool) -> (Vec<Vec<ldbs::value::Value>>, u64) {
     let mut fed = paper_federation();
-    fed.parallel = false;
     fed.agg_pushdown = pushdown;
     fed.execute("USE continental delta").expect("scope");
     let rows = fed.execute(query).expect("query").into_table().expect("a table").rows;
@@ -48,9 +47,7 @@ fn run(query: &str, pushdown: bool) -> (Vec<Vec<ldbs::value::Value>>, u64) {
 }
 
 fn main() {
-    // Serial dispatch keeps the span tree in a deterministic order.
     let mut fed = paper_federation();
-    fed.parallel = false;
     fed.execute("USE continental delta").expect("scope");
 
     println!("-- EXPLAIN, aggregate pushdown on (the default) --");

@@ -7,7 +7,7 @@
 //! cargo run --example crash_recovery
 //! ```
 //!
-//! Deterministic: seeded network + serial execution; two runs print the
+//! Deterministic: a seeded network and a logical clock; two runs print the
 //! same transcript.
 
 use ldbs::profile::DbmsProfile;
@@ -27,15 +27,13 @@ WHERE source = 'Houston' AND destination = 'San Antonio'";
 /// Continental autocommits (no 2PC): its subquery settles at the LAM the
 /// moment it runs, so a crash before the decision forces compensation.
 fn federation() -> Federation {
-    let mut fed = paper_federation_with(
+    paper_federation_with(
         Network::with_seed(0xC3),
         FederationProfiles {
             continental: DbmsProfile::autocommit_only(),
             ..FederationProfiles::default()
         },
-    );
-    fed.parallel = false;
-    fed
+    )
 }
 
 fn continental_fare(fed: &Federation) -> String {

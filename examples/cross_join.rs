@@ -37,9 +37,7 @@ fn shipped_bytes(fed: &mdbs::Federation) -> u64 {
 }
 
 fn main() {
-    // Serial dispatch keeps the span tree in a deterministic order.
     let mut fed = paper_federation();
-    fed.parallel = false;
     fed.execute("USE continental delta").expect("scope");
 
     println!("-- EXPLAIN, semi-join reduction on (the default) --");
@@ -54,7 +52,6 @@ fn main() {
     // EXPLAIN above already executed the statement once).
     let run = |semijoin: bool| {
         let mut fed = paper_federation();
-        fed.parallel = false;
         fed.semijoin = semijoin;
         fed.execute("USE continental delta").expect("scope");
         let rows = fed.execute(QUERY).expect("join").into_table().expect("a table");
@@ -74,20 +71,11 @@ fn main() {
     println!("semijoin on:  {reduced_bytes}");
     println!("semijoin off: {full_bytes}");
 
-    // Parallel dispatch returns the same rows; only the wall clock differs.
-    let mut par = paper_federation();
-    par.execute("USE continental delta").expect("scope");
-    let parallel = par.execute(QUERY).expect("join").into_table().expect("a table");
-    assert_eq!(rows.rows, parallel.rows, "parallel dispatch must agree with serial");
-    println!();
-    println!("parallel dispatch returned the same {} row(s)", parallel.rows.len());
-
     // Index the column delta receives the shipped IN (…) filter on: the
     // reduced partial's access path flips from scan to probe.
     println!();
     println!("-- EXPLAIN again, after CREATE INDEX on the shipped join column --");
     let mut indexed = paper_federation();
-    indexed.parallel = false;
     indexed.execute("USE continental delta").expect("scope");
     indexed
         .execute("CREATE INDEX flight_source ON delta.flight (source) USING HASH")
@@ -109,7 +97,6 @@ fn main() {
     println!();
     println!("-- EXPLAIN again, costed: after ANALYZE on both sites --");
     let mut costed = paper_federation();
-    costed.parallel = false;
     costed.execute("USE continental delta").expect("scope");
     costed.execute("ANALYZE continental.flights").expect("ANALYZE continental");
     costed.execute("ANALYZE delta.flight").expect("ANALYZE delta");

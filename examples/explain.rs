@@ -18,8 +18,6 @@ use mdbs::fixtures::paper_federation;
 
 fn main() {
     let mut fed = paper_federation();
-    // Serial task execution keeps the span tree in a deterministic order.
-    fed.parallel = false;
 
     // The paper's §2 car-rental query (experiment Q1).
     let report = fed

@@ -22,11 +22,10 @@ const Q2: &str = "USE continental VITAL delta united VITAL
     WHERE sour% = 'Houston' AND dest% = 'San Antonio'";
 
 /// Paper federation on a seeded network with every link touching `sites`
-/// degraded with probability `p`. Serial execution keeps the seeded drop
-/// sequence deterministic across runs.
+/// degraded with probability `p`. Each link draws its drops from its own
+/// seeded stream, so the drop sequence is the same across runs.
 fn lossy_federation(seed: u64, sites: &[&str], p: f64) -> Federation {
     let mut fed = paper_federation_with(Network::with_seed(seed), FederationProfiles::default());
-    fed.parallel = false;
     fed.timeout = Duration::from_millis(150);
     for site in sites {
         fed.network().set_link_drop_probability("*", site, p);
@@ -125,7 +124,6 @@ fn main() {
 
     println!("=== 4. delta's site unreachable: NON VITAL degradation (§3.2) ===\n");
     let mut fed = paper_federation_with(Network::new(), FederationProfiles::default());
-    fed.parallel = false;
     fed.timeout = Duration::from_millis(300);
     fed.tolerate_unreachable = true;
     fed.network().deregister("site2");

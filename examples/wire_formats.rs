@@ -16,9 +16,8 @@ const QUERY: &str = "SELECT f.flnu, g.fnu
     ORDER BY f.flnu, g.fnu";
 
 fn federation(format: WireFormat) -> Federation {
-    // Same seed + serial dispatch ⇒ both runs see the identical schedule.
+    // Same seed ⇒ both runs see the identical per-link schedule.
     let mut fed = paper_federation_with(Network::with_seed(7), FederationProfiles::default());
-    fed.parallel = false;
     fed.wire_format = format;
     fed
 }

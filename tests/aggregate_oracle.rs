@@ -330,7 +330,6 @@ fn pushed_site_queries_run_once_outside_explain() {
         for (query, strategy) in [(PUSHED_GROUP_BY, "agg-pushdown"), (PUSHED_TOPK, "topk-pushdown")]
         {
             let mut fed = paper_federation();
-            fed.parallel = false;
             fed.wire_format = format;
             let tap = Tap::install(&mut fed, "svc_delta", "site2");
             fed.execute("USE continental delta").unwrap();

@@ -136,7 +136,6 @@ fn partial_rows(report: &obs::ExplainReport) -> [(Option<u64>, u64); 2] {
 #[test]
 fn costed_explain_reports_estimated_vs_actual_rows() {
     let mut fed = paper_federation();
-    fed.parallel = false; // deterministic trace
     fed.execute("ANALYZE continental.flights").unwrap();
     fed.execute("ANALYZE delta.flight").unwrap();
     fed.execute("USE continental delta").unwrap();
@@ -149,7 +148,6 @@ fn costed_explain_reports_estimated_vs_actual_rows() {
     // Without statistics no partial carries an estimate: the heuristic path
     // renders as it did before the planner existed.
     let mut plain = paper_federation();
-    plain.parallel = false;
     plain.execute("USE continental delta").unwrap();
     let report = plain.execute(&format!("EXPLAIN {EQUI_JOIN}")).unwrap().into_explain().unwrap();
     assert!(partial_rows(&report).iter().all(|(est_rows, _)| est_rows.is_none()));

@@ -129,7 +129,6 @@ fn a_failed_join_leaves_no_temporaries_at_the_coordinator() {
     use std::time::Duration;
 
     let mut fed = paper_federation();
-    fed.parallel = false;
     fed.timeout = Duration::from_millis(150);
     fed.execute("USE continental avis").unwrap();
 
@@ -460,7 +459,6 @@ fn tiny_key_cap_falls_back_to_full_shipping() {
 #[test]
 fn explain_reports_join_strategy_and_bytes_saved() {
     let mut fed = paper_federation();
-    fed.parallel = false; // deterministic trace
     fed.execute("USE continental delta").unwrap();
     let report = fed.execute(&format!("EXPLAIN {EQUI_JOIN}")).unwrap().into_explain().unwrap();
     let join = report.tree.find("join").expect("cross-db EXPLAIN has a join span");
@@ -471,24 +469,6 @@ fn explain_reports_join_strategy_and_bytes_saved() {
     let text = report.render();
     assert!(text.contains("{strategy=semijoin+hash keys_shipped="), "{text}");
     assert!(text.contains(" bytes_saved="), "{text}");
-}
-
-#[test]
-fn parallel_and_serial_dispatch_agree() {
-    let run = |parallel: bool| {
-        let mut fed = paper_federation();
-        fed.parallel = parallel;
-        fed.execute("USE continental delta avis").unwrap();
-        fed.execute(
-            "SELECT a.flnu, b.fnu, c.code
-             FROM continental.flights a, delta.flight b, avis.cars c
-             WHERE a.source = b.source AND c.code = 1 ORDER BY a.flnu, b.fnu",
-        )
-        .unwrap()
-        .into_table()
-        .unwrap()
-    };
-    assert_eq!(run(true).rows, run(false).rows);
 }
 
 #[test]
@@ -544,7 +524,6 @@ fn coordinator_requests_are_metered_like_every_other_request() {
 fn a_reduced_join_runs_each_subquery_once_outside_explain() {
     for format in [WireFormat::Text, WireFormat::Binary] {
         let mut fed = paper_federation();
-        fed.parallel = false;
         fed.wire_format = format;
         let tap = Tap::install(&mut fed, "svc_delta", "site2");
         fed.execute("USE continental delta").unwrap();

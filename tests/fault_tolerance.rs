@@ -5,8 +5,9 @@
 //! injected into the simulated fabric and assert the retry layer's
 //! guarantees:
 //!
-//! * with a retry policy, lossy links are survived deterministically
-//!   (seeded RNG + serial execution = reproducible drop pattern);
+//! * with a retry policy, lossy links are survived deterministically (each
+//!   link draws its losses from its own seeded stream, so the drop pattern
+//!   reproduces however a fan-out's replies interleave);
 //! * without retries, the same lossy links sink the statement;
 //! * an unreachable NON VITAL site degrades the statement instead of
 //!   failing it when the federation opts in (§3.2);
@@ -42,12 +43,11 @@ const Q2: &str = "USE continental VITAL delta united VITAL
 const DROP_P: f64 = 0.3;
 
 /// Builds the paper federation on a seeded network, then degrades every
-/// link touching `sites` (both directions) with probability `p`. Serial
-/// execution keeps the seeded drop sequence deterministic; the short
-/// timeout keeps lost messages cheap.
+/// link touching `sites` (both directions) with probability `p`. The seed
+/// fixes each link's drop sequence; the short timeout keeps lost messages
+/// cheap.
 fn lossy_federation(seed: u64, sites: &[&str], p: f64) -> Federation {
     let mut fed = paper_federation_with(Network::with_seed(seed), FederationProfiles::default());
-    fed.parallel = false;
     fed.timeout = Duration::from_millis(150);
     for site in sites {
         fed.network().set_link_drop_probability("*", site, p);
@@ -162,7 +162,6 @@ fn q2_fails_on_the_same_lossy_links_without_retries() {
 #[test]
 fn unreachable_nonvital_site_degrades_the_statement_when_tolerated() {
     let mut fed = paper_federation_with(Network::new(), FederationProfiles::default());
-    fed.parallel = false;
     fed.timeout = Duration::from_millis(300);
     fed.tolerate_unreachable = true;
     // delta's site vanishes (site2). Its subquery in Q2 is NON VITAL.
@@ -195,7 +194,6 @@ fn unreachable_nonvital_site_degrades_the_statement_when_tolerated() {
 #[test]
 fn unreachable_vital_site_still_fails_even_when_tolerated() {
     let mut fed = paper_federation_with(Network::new(), FederationProfiles::default());
-    fed.parallel = false;
     fed.timeout = Duration::from_millis(300);
     fed.tolerate_unreachable = true;
     // united's site vanishes (site3). Its subquery in Q2 is VITAL.
@@ -335,15 +333,13 @@ const Q3_UPDATE_WITH_COMP: &str = "USE continental VITAL delta united VITAL
 /// is settled at the LAM the moment it executes, so a coordinator crash
 /// before the decision forces recovery down the §3.3 compensation path.
 fn autocommit_continental_federation() -> Federation {
-    let mut fed = paper_federation_with(
+    paper_federation_with(
         Network::with_seed(0xC3),
         FederationProfiles {
             continental: DbmsProfile::autocommit_only(),
             ..FederationProfiles::default()
         },
-    );
-    fed.parallel = false;
-    fed
+    )
 }
 
 /// Crashes the Q3 coordinator immediately before it logs its decision,
@@ -394,8 +390,8 @@ fn recovery_trace() -> String {
 }
 
 /// Pins the recovery span tree against `tests/golden/recovery.trace`. Two
-/// fresh runs must render byte-identically (logical clock + serial
-/// execution); regenerate after an intentional change with
+/// fresh runs must render byte-identically (logical clock, and recovery
+/// resolves one task at a time); regenerate after an intentional change with
 /// `UPDATE_GOLDEN=1 cargo test --test fault_tolerance`.
 #[test]
 fn recovery_trace_is_golden() {
@@ -449,7 +445,6 @@ fn dead_lam_fails_fast_even_with_retries_enabled() {
 /// once: every database the scenarios below touch has a pooled connection.
 fn warm_federation() -> Federation {
     let mut fed = paper_federation_with(Network::new(), FederationProfiles::default());
-    fed.parallel = false;
     fed.timeout = Duration::from_millis(200);
     fed.execute(Q1).unwrap();
     assert!(fed.execute(Q2).unwrap().into_update().unwrap().success);
@@ -519,7 +514,6 @@ fn a_join_whose_coordinator_is_lost_fails_fast_or_retries_like_any_other_exchang
                 SELECT c.code, f.flnu, f.rate FROM avis.cars c, continental.flights f
                 WHERE c.rate = f.rate";
     let mut fed = paper_federation_with(Network::new(), FederationProfiles::default());
-    fed.parallel = false;
     fed.timeout = Duration::from_millis(200);
     fed.retry = RetryPolicy::retries(4);
     fed.execute("USE avis UPDATE cars SET rate = 80 WHERE code = 2").unwrap();
@@ -685,52 +679,48 @@ fn a_lost_commit_ack_does_not_strand_the_abort_list() {
     // A §3.4 termination state: COMMIT one pair, ABORT the other. The lost
     // ack makes the COMMIT list fail in doubt; the ABORT list is still sent,
     // so no non-member is left prepared holding its locks until recovery.
-    for parallel in [true, false] {
-        let fed = paper_federation_with(Network::new(), FederationProfiles::default());
-        let factory = LamFactory::new(fed.network().clone(), Duration::from_millis(150));
-        let program = dol::parse_program(
-            "DOLBEGIN
-             OPEN continental AT site1 AS c;
-             OPEN delta AT site2 AS d;
-             OPEN national AT site5 AS n;
-             OPEN avis AT site4 AS a;
-             TASK T1 NOCOMMIT FOR c { UPDATE flights SET rate = 1 WHERE flnu = 1 } ENDTASK;
-             TASK T2 NOCOMMIT FOR d { UPDATE flight SET rate = 2 WHERE fnu = 10 } ENDTASK;
-             TASK T3 NOCOMMIT FOR n { UPDATE vehicle SET vstat = 'TAKEN' WHERE vcode = 7 } ENDTASK;
-             TASK T4 NOCOMMIT FOR a { UPDATE cars SET rate = 4 WHERE code = 1 } ENDTASK;
-             DECIDE 0;
-             COMMIT T1, T3;
-             ABORT T2, T4;
-             CLOSE c d n a;
-             DOLEND",
-        )
-        .unwrap();
-        let mut engine = dol::DolEngine::new(&factory);
-        engine.parallel = parallel;
-        engine.observer = Some(std::sync::Arc::new(DropAckAtDecision(fed.network().clone())));
-        let err = engine.execute(&program).unwrap_err();
-        assert!(
-            matches!(err, DolError::InDoubt { ref service, ref task } if service == "site1" && task == "T1"),
-            "parallel = {parallel}: {err:?}"
-        );
-        // T3 committed beside the lost ack …
-        assert_eq!(
-            rate(&fed, "svc_national", "national", "SELECT vstat FROM vehicle WHERE vcode = 7"),
-            Value::Str("TAKEN".into()),
-            "parallel = {parallel}"
-        );
-        // … and T2 and T4 were rolled back, not left prepared.
-        for service in ["svc_delta", "svc_avis", "svc_national"] {
-            let engine = fed.engine(service).unwrap();
-            assert!(engine.lock().prepared_txns().is_empty(), "{service}, parallel = {parallel}");
-        }
-        assert_eq!(
-            rate(&fed, "svc_delta", "delta", "SELECT rate FROM flight WHERE fnu = 10"),
-            Value::Float(95.0)
-        );
-        assert_eq!(
-            rate(&fed, "svc_avis", "avis", "SELECT rate FROM cars WHERE code = 1"),
-            Value::Float(39.5)
-        );
+    let fed = paper_federation_with(Network::new(), FederationProfiles::default());
+    let factory = LamFactory::new(fed.network().clone(), Duration::from_millis(150));
+    let program = dol::parse_program(
+        "DOLBEGIN
+         OPEN continental AT site1 AS c;
+         OPEN delta AT site2 AS d;
+         OPEN national AT site5 AS n;
+         OPEN avis AT site4 AS a;
+         TASK T1 NOCOMMIT FOR c { UPDATE flights SET rate = 1 WHERE flnu = 1 } ENDTASK;
+         TASK T2 NOCOMMIT FOR d { UPDATE flight SET rate = 2 WHERE fnu = 10 } ENDTASK;
+         TASK T3 NOCOMMIT FOR n { UPDATE vehicle SET vstat = 'TAKEN' WHERE vcode = 7 } ENDTASK;
+         TASK T4 NOCOMMIT FOR a { UPDATE cars SET rate = 4 WHERE code = 1 } ENDTASK;
+         DECIDE 0;
+         COMMIT T1, T3;
+         ABORT T2, T4;
+         CLOSE c d n a;
+         DOLEND",
+    )
+    .unwrap();
+    let mut engine = dol::DolEngine::new(&factory);
+    engine.observer = Some(std::sync::Arc::new(DropAckAtDecision(fed.network().clone())));
+    let err = engine.execute(&program).unwrap_err();
+    assert!(
+        matches!(err, DolError::InDoubt { ref service, ref task } if service == "site1" && task == "T1"),
+        "{err:?}"
+    );
+    // T3 committed beside the lost ack …
+    assert_eq!(
+        rate(&fed, "svc_national", "national", "SELECT vstat FROM vehicle WHERE vcode = 7"),
+        Value::Str("TAKEN".into())
+    );
+    // … and T2 and T4 were rolled back, not left prepared.
+    for service in ["svc_delta", "svc_avis", "svc_national"] {
+        let engine = fed.engine(service).unwrap();
+        assert!(engine.lock().prepared_txns().is_empty(), "{service}");
     }
+    assert_eq!(
+        rate(&fed, "svc_delta", "delta", "SELECT rate FROM flight WHERE fnu = 10"),
+        Value::Float(95.0)
+    );
+    assert_eq!(
+        rate(&fed, "svc_avis", "avis", "SELECT rate FROM cars WHERE code = 1"),
+        Value::Float(39.5)
+    );
 }

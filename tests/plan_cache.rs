@@ -368,7 +368,6 @@ fn two_sessions_running_the_same_text_keep_their_own_task_names() {
 #[test]
 fn a_hit_skips_translation_and_says_so() {
     let mut fed = paper_federation();
-    fed.parallel = false;
     fed.execute(Q1_CARS).unwrap();
     let miss = fed.last_trace().unwrap().render();
     fed.execute(Q1_CARS).unwrap();
@@ -392,11 +391,9 @@ fn explain_is_never_cached() {
         other => panic!("EXPLAIN returned {other:?}"),
     };
     let mut fresh = paper_federation();
-    fresh.parallel = false;
     let want = explain(&mut fresh);
 
     let mut fed = paper_federation();
-    fed.parallel = false;
     assert_eq!(explain(&mut fed), want);
     assert_eq!(explain(&mut fed), want, "a second EXPLAIN is an EXPLAIN");
     fed.execute(Q1_CARS).unwrap();

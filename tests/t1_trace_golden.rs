@@ -68,12 +68,10 @@ const AGGREGATE_PUSHDOWN: &str = "USE continental delta
     WHERE f.source = g.source
     GROUP BY f.source";
 
-/// Executes `msql` on a freshly set-up federation (serial task execution,
-/// so the span tree is ordered deterministically) and renders the
-/// normalized trace.
+/// Executes `msql` on a freshly set-up federation and renders the normalized
+/// trace.
 fn run_trace(setup: &dyn Fn() -> Federation, msql: &str) -> String {
     let mut fed = setup();
-    fed.parallel = false;
     fed.execute(msql).expect("golden scenarios execute without a federation-level error");
     fed.last_trace().expect("every statement leaves a trace").render()
 }
@@ -178,7 +176,6 @@ fn aggregate_pushdown_explain_is_golden() {
     // strategy and each site's shipped `rows` next to its unpushed `full_rows`.
     let render = |_: ()| {
         let mut fed = paper_federation();
-        fed.parallel = false;
         fed.execute(&format!("EXPLAIN {AGGREGATE_PUSHDOWN}"))
             .expect("EXPLAIN pushed GROUP BY")
             .into_explain()
@@ -216,7 +213,6 @@ fn explain_q1_report_is_golden() {
     // the per-LAM cost table, rendered.
     let render = |_: ()| {
         let mut fed = paper_federation();
-        fed.parallel = false;
         fed.execute(&format!("EXPLAIN {Q1_CAR_QUERY}"))
             .expect("EXPLAIN Q1")
             .into_explain()
@@ -246,7 +242,6 @@ fn explain_indexed_join_report_is_golden() {
     // `access=probe` span note and the cost table's access column.
     let render = |_: ()| {
         let mut fed = paper_federation();
-        fed.parallel = false;
         fed.execute("CREATE INDEX flight_source ON delta.flight (source) USING HASH")
             .expect("CREATE INDEX on delta.flight");
         fed.execute(&format!("EXPLAIN {CROSS_DB_JOIN}"))

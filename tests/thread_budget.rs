@@ -3,8 +3,8 @@
 //! A LAM is one long-lived server thread until two sessions contend for a
 //! lock there; a session has no threads at all — a fan-out posts every
 //! request before it reads a reply, on the statement's own thread. So once
-//! the paper mix has run twice, running it again — 500 statements, parallel
-//! or serial, text or binary wire — starts no thread anywhere: the only
+//! the paper mix has run twice, running it again — 500 statements, text or
+//! binary wire — starts no thread anywhere: the only
 //! thread gauges are the LAMs' `lam.server_threads{service=}` (threads a LAM
 //! ever started), and they read what they read after warm-up. Contention is
 //! the one thing that grows a LAM, and only the LAM it is at.
@@ -63,26 +63,23 @@ fn thread_gauges(session: &Session) -> BTreeMap<String, i64> {
 #[test]
 fn a_warm_session_starts_no_thread() {
     for format in [WireFormat::Text, WireFormat::Binary] {
-        for parallel in [true, false] {
-            let mut fed = paper_federation();
-            fed.wire_format = format;
-            fed.parallel = parallel;
-            for _ in 0..2 {
-                for msql in MIX {
-                    fed.execute(msql).unwrap();
-                }
+        let mut fed = paper_federation();
+        fed.wire_format = format;
+        for _ in 0..2 {
+            for msql in MIX {
+                fed.execute(msql).unwrap();
             }
-            let warm = thread_gauges(&fed);
-            for i in 0..500 {
-                fed.execute(MIX[i % MIX.len()]).unwrap();
-            }
-            assert_eq!(thread_gauges(&fed), warm, "{format:?}, parallel = {parallel}");
-
-            // Only LAMs have threads, and an uncontended LAM is one thread.
-            assert!(warm.keys().all(|name| name.starts_with("lam.server_threads")), "{warm:?}");
-            let lams: Vec<i64> = warm.values().copied().collect();
-            assert_eq!(lams, vec![1; 5], "{format:?}, parallel = {parallel}: {warm:?}");
         }
+        let warm = thread_gauges(&fed);
+        for i in 0..500 {
+            fed.execute(MIX[i % MIX.len()]).unwrap();
+        }
+        assert_eq!(thread_gauges(&fed), warm, "{format:?}");
+
+        // Only LAMs have threads, and an uncontended LAM is one thread.
+        assert!(warm.keys().all(|name| name.starts_with("lam.server_threads")), "{warm:?}");
+        let lams: Vec<i64> = warm.values().copied().collect();
+        assert_eq!(lams, vec![1; 5], "{format:?}: {warm:?}");
     }
 }
 

@@ -120,7 +120,6 @@ fn mask_byte_volumes(tree: &str) -> String {
 
 fn fresh_federation(format: WireFormat) -> Federation {
     let mut fed = paper_federation_with(Network::with_seed(0x51), FederationProfiles::default());
-    fed.parallel = false; // deterministic order ⇒ comparable traces/metrics
     fed.wire_format = format;
     fed
 }
@@ -212,9 +211,11 @@ fn binary_ships_fewer_bytes_for_the_same_suite() {
 }
 
 /// The seeded fault-injection schedule: every link touching site4/site5
-/// drops 30% of messages. Same seed, same serial order ⇒ the same drop
-/// schedule hits both formats, and retries must converge to the same
-/// result with the same fault accounting.
+/// drops 30% of messages. Each link draws its losses from a stream of its
+/// own, seeded from the network seed and the link's endpoint names, so the
+/// same drop schedule hits both formats however the fan-out's replies
+/// interleave, and retries must converge to the same result with the same
+/// fault accounting.
 #[test]
 fn seeded_fault_schedule_is_identical_under_both_formats() {
     let sites = ["site4", "site5"];
@@ -222,7 +223,6 @@ fn seeded_fault_schedule_is_identical_under_both_formats() {
     for format in [WireFormat::Text, WireFormat::Binary] {
         let mut fed =
             paper_federation_with(Network::with_seed(0xA1), FederationProfiles::default());
-        fed.parallel = false;
         fed.timeout = Duration::from_millis(150);
         fed.wire_format = format;
         fed.retry = RetryPolicy::retries(5);
@@ -328,7 +328,6 @@ fn star_federation(format: WireFormat) -> Federation {
         dim.insert(dim_row(code)).unwrap();
     }
     let mut fed = Federation::with_network(Network::with_seed(0x7E));
-    fed.parallel = false;
     fed.wire_format = format;
     fed.add_service("svc0", "site0", e0).unwrap();
     fed.add_service("svc1", "site1", e1).unwrap();
