@@ -189,6 +189,30 @@ for site in 'exec_with_wait(shared' '\.open\.insert(' '\.open\.remove('; do
     fi
 done
 
+echo "== deferred statements are DOL programs =="
+# A deferred-mode statement is a DOL program without a settle phase: one TASK
+# batch whose member tasks open (`TASK … HOLD`) or continue (`EXEC`) their
+# transactions, run by the executor like any other (DESIGN §3a.16). A member
+# of the global transaction is a task name, so gtxn.rs holds no connection and
+# ships nothing by hand; nothing begins a transaction one request at a time;
+# and the facade ships a statement of its own only for a single database
+# (`run_at`) and a data transfer.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/gtxn.rs | grep -nE 'LamClient|run_commands|checkout'; then
+    echo "gtxn.rs talks to a LAM itself" >&2
+    exit 1
+fi
+for f in $(find crates/*/src -name '*.rs'); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'Request::Begin|begin_task|exec_in_task'; then
+        echo "$f begins a transaction one request at a time" >&2
+        exit 1
+    fi
+done
+shippers=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/federation.rs | grep -c 'run_commands(')
+if [ "$shippers" != 2 ]; then
+    echo "federation.rs calls run_commands $shippers times (expected 2: run_at and the transfer)" >&2
+    exit 1
+fi
+
 echo "== one plan generator =="
 # A vital update is a multitransaction with one acceptable state (DESIGN §2),
 # so every DOL program — retrieval, update, multitransaction, a deferred

@@ -9,9 +9,9 @@
 //! ```
 //!
 //! Requests use tags `0x01..=0x13` (declaration order in `proto.rs`, with
-//! later additions appended; `0x0B`/`0x0C` are retired and stay reserved),
-//! responses `0x81..=0x87`. Result-set payloads travel as *payload blocks*
-//! written and read by the message's [`Payload`] type: a result set ships
+//! later additions appended; `0x01`, `0x0B` and `0x0C` are retired and stay
+//! reserved), responses `0x81..=0x87`. Result-set payloads travel as *payload
+//! blocks* written and read by the message's [`Payload`] type: a result set ships
 //! columnar (`codec::columnar`); the `String` shim falls back to a verbatim
 //! length-prefixed string for texts that are not canonical result sets, so
 //! `decode(encode(x)) == x` holds for every input, bit for bit. Frames are
@@ -31,7 +31,6 @@ pub const VERSION: u8 = 0x01;
 
 const FLAG_CORRELATED: u8 = 0x01;
 
-const REQ_BEGIN: u8 = 0x01;
 const REQ_EXEC: u8 = 0x02;
 const REQ_PREPARE: u8 = 0x03;
 const REQ_TASK: u8 = 0x04;
@@ -41,9 +40,10 @@ const REQ_RESOLVE: u8 = 0x07;
 const REQ_COMPENSATE: u8 = 0x08;
 const REQ_PARTIAL: u8 = 0x09;
 const REQ_SCHEMA: u8 = 0x0A;
-/// `LOAD` / `DROPTEMP`, superseded by `LOADMANY` / `DROPMANY`: the numbers
-/// stay reserved so an old peer gets an error, never a misparse.
-const REQ_RETIRED: std::ops::RangeInclusive<u8> = 0x0B..=0x0C;
+/// `BEGIN`, folded into `TASK … HOLD`, and `LOAD` / `DROPTEMP`, superseded by
+/// `LOADMANY` / `DROPMANY`: the numbers stay reserved so an old peer gets an
+/// error, never a misparse.
+const REQ_RETIRED: [u8; 3] = [0x01, 0x0B, 0x0C];
 const REQ_LOADMANY: u8 = 0x0D;
 const REQ_DROPMANY: u8 = 0x0E;
 const REQ_PING: u8 = 0x0F;
@@ -201,11 +201,6 @@ pub fn encode_request<P: Payload>(
     let mut buf = pool.lease();
     write_header(&mut buf, corr);
     match req {
-        Request::Begin { name, database } => {
-            buf.push(REQ_BEGIN);
-            write_str(&mut buf, name);
-            write_str(&mut buf, database);
-        }
         Request::Exec { task, commands } => {
             buf.push(REQ_EXEC);
             write_str(&mut buf, task);
@@ -221,6 +216,7 @@ pub fn encode_request<P: Payload>(
             buf.push(match mode {
                 TaskMode::NoCommit => 0,
                 TaskMode::Auto => 1,
+                TaskMode::Hold => 2,
             });
             write_str(&mut buf, database);
             write_strings(&mut buf, commands);
@@ -308,7 +304,6 @@ pub fn decode_request_as<P: Payload>(bytes: &[u8]) -> Result<(Option<u64>, Reque
     let corr = read_header(&mut r)?;
     let tag = r.u8()?;
     let req = match tag {
-        REQ_BEGIN => Request::Begin { name: r.string()?, database: r.string()? },
         REQ_EXEC => Request::Exec { task: r.string()?, commands: read_strings(&mut r)? },
         REQ_PREPARE => Request::Prepare { task: r.string()? },
         REQ_TASK => {
@@ -316,6 +311,7 @@ pub fn decode_request_as<P: Payload>(bytes: &[u8]) -> Result<(Option<u64>, Reque
             let mode = match r.u8()? {
                 0 => TaskMode::NoCommit,
                 1 => TaskMode::Auto,
+                2 => TaskMode::Hold,
                 other => {
                     return Err(MdbsError::Wire(format!("unknown task mode byte {other}")));
                 }
@@ -522,7 +518,15 @@ mod tests {
 
     #[test]
     fn every_request_variant_roundtrips() {
-        roundtrip_request(Some(42), Request::Begin { name: "G1".into(), database: "avis".into() });
+        roundtrip_request(
+            Some(42),
+            Request::Task {
+                name: "G1".into(),
+                mode: TaskMode::Hold,
+                database: "avis".into(),
+                commands: vec!["UPDATE cars SET rate = 2".into()],
+            },
+        );
         roundtrip_request(
             None,
             Request::Exec { task: "G1".into(), commands: vec!["UPDATE cars SET rate = 1".into()] },

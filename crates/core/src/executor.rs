@@ -163,6 +163,7 @@ impl MsqlOutcome {
 /// Executes generated plans against the federation's network. Built per
 /// statement by the owning session; holds only what sequencing needs — every
 /// data-flow decision arrives inside the plan.
+#[derive(Clone)]
 pub struct Executor {
     /// How every LAM connection this executor uses is opened: the session's
     /// pool, timeout, retry policy, wire format and metrics sink. Its

@@ -15,10 +15,10 @@
 
 use crate::codec::WireFormat;
 use crate::error::MdbsError;
-use crate::executor::{DbOutcome, Executor, MsqlOutcome, UpdateReport};
+use crate::executor::{Executor, MsqlOutcome, UpdateReport};
 use crate::gtxn::GlobalTransaction;
 use crate::lam::{spawn_lam, LamHandle};
-use crate::lamclient::{ConnectionPool, LamClient, LamFactory, TaskReply};
+use crate::lamclient::{ConnectionPool, LamClient, LamFactory};
 use crate::planner::{plan_join, PlannerContext, DEFAULT_SEMIJOIN_CAP};
 use crate::retry::{shared_stats, ExecStats, RetryPolicy, SharedExecStats};
 use crate::scope::SessionScope;
@@ -167,9 +167,7 @@ pub struct Session {
     /// Session-level communication accounting.
     stats: SharedExecStats,
     /// This session's LAM connections: opened on first use, reused by every
-    /// later statement, closed with the session. Declared after `gtxn` (whose
-    /// members hand their connections back when they resolve) and before
-    /// `core`.
+    /// later statement, closed with the session. Declared before `core`.
     pool: ConnectionPool,
     /// The tracer of the statement currently executing (None between
     /// statements; trigger actions reuse the active tracer).
@@ -519,7 +517,7 @@ impl Session {
             tolerate_unreachable: self.tolerate_unreachable,
             wire_format: self.wire_format,
             outputs: Default::default(),
-            held: Default::default(),
+            votes: Default::default(),
         }
     }
 
@@ -1070,7 +1068,9 @@ impl Session {
                 _ => {
                     let comps = comp_map(&self.scope, q, &locals)?;
                     if self.deferred {
-                        return self.run_deferred_update(&locals, &comps, &routes).map(Step::Done);
+                        let executor = self.executor();
+                        let report = self.gtxn.execute(&locals, &comps, &routes, &executor)?;
+                        return Ok(Step::Done(MsqlOutcome::Update(report)));
                     }
                     let pg = span.child("plangen");
                     pg.note("shape", "update");
@@ -1228,51 +1228,6 @@ impl Session {
                 transferred,
                 None,
             )],
-            stats: Default::default(),
-        }))
-    }
-
-    /// Deferred-mode execution of a modification: vital subqueries are held
-    /// open by the global transaction; non-vital ones autocommit
-    /// immediately, as always.
-    fn run_deferred_update(
-        &mut self,
-        locals: &[translate::LocalQuery],
-        comps: &HashMap<String, Vec<String>>,
-        routes: &HashMap<String, DbRoute>,
-    ) -> Result<MsqlOutcome, MdbsError> {
-        let mut outcomes = Vec::with_capacity(locals.len());
-        for l in locals {
-            let route = routes
-                .get(&l.database)
-                .ok_or_else(|| MdbsError::Catalog(format!("no route for `{}`", l.database)))?;
-            let sql = print(&l.statement);
-            let (status, affected, error) = if l.vital {
-                let compensation = translate::plangen::vital_compensation(l, route, comps)?;
-                let client = self.connect(&route.site, &l.database)?;
-                let (status, affected) =
-                    self.gtxn.execute_held(client, &l.key, route, sql, compensation)?;
-                (status, affected, None)
-            } else {
-                let client = self.connect(&route.site, &l.database)?;
-                let name = format!("NV_{}", l.key);
-                match client.run_commands(&name, vec![sql], &Span::disabled())? {
-                    TaskReply { status: 'C', affected, .. } => {
-                        (dol::TaskStatus::Committed, affected, None)
-                    }
-                    TaskReply { error, .. } => (dol::TaskStatus::Aborted, 0, error),
-                }
-            };
-            let (database, key) = (l.database.clone(), l.key.clone());
-            outcomes.push(DbOutcome::new(database, key, status, affected, error));
-        }
-        // Interim report: success means the global transaction can still
-        // commit; vital members show their held (Prepared/Committed) status.
-        let committable = self.gtxn.all_committable();
-        Ok(MsqlOutcome::Update(UpdateReport {
-            success: committable,
-            return_code: if committable { 0 } else { 1 },
-            outcomes,
             stats: Default::default(),
         }))
     }

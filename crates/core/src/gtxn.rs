@@ -8,25 +8,32 @@
 //! Otherwise all VITAL subqueries will be rolled back (or compensated)."*
 //!
 //! In deferred-commit mode ([`crate::Federation::set_deferred_commit`]),
-//! vital subqueries join one open local transaction per database (one LAM
-//! connection each). Statements execute immediately inside those
+//! each vital database is a member: one local transaction, open at its LAM
+//! under the member's task name from the member's first statement to the
+//! synchronization point. Statements execute immediately inside those
 //! transactions; the *prepare* votes and the global decision happen only at
 //! the synchronization point. Autocommit-only members commit each statement
 //! right away and accumulate compensating commands, applied in reverse
 //! order on rollback.
 //!
-//! This module keeps the members; it runs no commit protocol of its own. The
-//! synchronization point is part of the evaluation plan: the members are a
-//! vital set, settled by the program every vital update ends in
+//! This module keeps the members; it sends nothing itself. Each statement is
+//! a DOL program without a settle phase, one `TASK` batch whose member tasks
+//! open (`HOLD`) or continue (`EXEC`) their transactions
+//! ([`GlobalTransaction::execute`]); the synchronization point is the
+//! members as a vital set, settled by the program every vital update ends in
 //! ([`GlobalTransaction::settle`], DESIGN §3a.16).
 
 use crate::error::MdbsError;
-use crate::executor::{Executor, UpdateReport};
-use crate::lamclient::{LamClient, Vote};
-use crate::translate::plangen::{dol_plan, DbRoute, DolTask, UPDATE_FAILED};
+use crate::executor::{Executor, MtxReport, UpdateReport};
+use crate::lamclient::Vote;
+use crate::translate::plangen::{
+    dol_plan, route_for, vital_compensation, DbRoute, DolTask, GeneratedPlan, UPDATE_FAILED,
+};
+use crate::translate::LocalQuery;
 use dol::TaskStatus;
-use obs::Span;
+use msql_lang::printer::print;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One vital database participating in the global transaction.
 struct Member {
@@ -37,9 +44,15 @@ struct Member {
     /// rollback means compensation.
     route: DbRoute,
     /// The member's task name: what its local transaction is open under at
-    /// the LAM, and its task in the synchronization point's settle program.
+    /// the LAM, its task in every statement's program and in the
+    /// synchronization point's settle program.
     task: String,
-    client: LamClient,
+    /// True once a `TASK … HOLD` may have opened the task: it was answered
+    /// `E`, or not at all. An `A` leaves nothing open under the name (the
+    /// LAM rolled the commands back, or refused a name someone else holds),
+    /// so the next statement holds again and the synchronization point sends
+    /// the member nothing.
+    open: bool,
     /// False once any statement on this member failed.
     healthy: bool,
     affected: u64,
@@ -73,62 +86,86 @@ impl GlobalTransaction {
         self.members.len()
     }
 
-    /// Executes one vital statement inside the global transaction. The
-    /// member for `key` is created on first use (using `client` — ignored
-    /// afterwards). Returns the interim status and rows affected.
-    pub fn execute_held(
+    /// Executes one modification inside the global transaction: a DOL
+    /// program with no settle phase, its tasks in one batch. A vital
+    /// subquery is its member's task — on a service with a prepared state
+    /// `TASK … HOLD` until the task is open, `EXEC` after; otherwise an
+    /// autocommit task under the member's name, so the LAM remembers that
+    /// name as committed and recovery's `RESOLVE` hears `C` and compensates.
+    /// A non-vital one autocommits as `NV_<key>`. Returns the interim
+    /// report: success means the global transaction can still commit.
+    ///
+    /// A statement that fails at `OPEN` has sent nothing and adds no member.
+    pub fn execute(
         &mut self,
-        client: LamClient,
-        key: &str,
-        route: &DbRoute,
-        sql: String,
-        mut compensation: Vec<String>,
-    ) -> Result<(TaskStatus, u64), MdbsError> {
-        let idx = match self.members.iter().position(|m| m.key == key) {
-            Some(i) => i,
-            None => {
-                self.seq += 1;
-                let task = format!("G{}_{key}{}", self.seq, self.suffix);
-                if route.supports_2pc {
-                    client.begin_task(&task)?;
+        locals: &[LocalQuery],
+        comps: &HashMap<String, Vec<String>>,
+        routes: &HashMap<String, DbRoute>,
+        executor: &Executor,
+    ) -> Result<UpdateReport, MdbsError> {
+        let known = self.members.len();
+        let ran = (|| -> Result<_, MdbsError> {
+            let (mut tasks, mut votes) = (Vec::with_capacity(locals.len()), HashMap::new());
+            for l in locals {
+                let route = route_for(routes, &l.database)?;
+                let compensation = vital_compensation(l, route, comps)?;
+                let mut name = format!("NV_{}", l.key);
+                if l.vital {
+                    let m = match self.members.iter().position(|m| m.key == l.key) {
+                        Some(i) => &self.members[i],
+                        None => {
+                            self.seq += 1;
+                            self.members.push(Member {
+                                key: l.key.clone(),
+                                route: route.clone(),
+                                task: format!("G{}_{}{}", self.seq, l.key, self.suffix),
+                                open: false,
+                                healthy: true,
+                                affected: 0,
+                                compensation: Vec::new(),
+                            });
+                            &self.members[self.members.len() - 1]
+                        }
+                    };
+                    if route.supports_2pc {
+                        let vote = if m.open { Vote::Exec } else { Vote::Hold };
+                        votes.insert(m.task.clone(), (vote, 0));
+                    }
+                    name = m.task.clone();
                 }
-                self.members.push(Member {
-                    key: key.to_string(),
-                    route: route.clone(),
-                    task,
-                    client,
-                    healthy: true,
-                    affected: 0,
-                    compensation: Vec::new(),
+                tasks.push(DolTask {
+                    name,
+                    database: l.database.clone(),
+                    key: l.key.clone(),
+                    nocommit: l.vital && route.supports_2pc,
+                    vital: l.vital,
+                    commands: vec![print(&l.statement)],
+                    compensation,
                 });
-                self.members.len() - 1
             }
-        };
-        let member = &mut self.members[idx];
-        let two_phase = member.route.supports_2pc;
-        let ran = if two_phase {
-            let ran = member.client.exec_in_task(&member.task, vec![sql]);
-            ran.map(|(status, affected, _err)| (status == 'E', affected))
-        } else {
-            // Every statement runs under the member's one task name, so the
-            // LAM remembers that name as committed: should the coordinator
-            // die inside the synchronization point, recovery's RESOLVE hears
-            // `C` and compensates.
-            let ran = member.client.run_commands(&member.task, vec![sql], &Span::disabled());
-            ran.map(|reply| (reply.status == 'C', reply.affected))
-        };
-        // A statement that failed, or whose fate is unknown, poisons the set.
-        let done = matches!(ran, Ok((true, _)));
-        member.healthy &= done;
-        let (_, affected) = ran?;
-        if !done {
-            return Ok((TaskStatus::Aborted, 0));
+            let plan = dol_plan(&tasks, &[], 0, false, routes)?;
+            Ok((run(executor.clone(), &plan, votes)?, tasks))
+        })();
+        let (report, tasks) = ran.inspect_err(|_| self.members.truncate(known))?;
+        for (t, o) in tasks.iter().zip(&report.outcomes).filter(|(t, _)| t.vital) {
+            let m = self.members.iter_mut().find(|m| m.task == t.name).expect("a member's task");
+            m.open |= t.nocommit && o.status != TaskStatus::Aborted;
+            let done = if t.nocommit { TaskStatus::Prepared } else { TaskStatus::Committed };
+            // A statement that failed, or whose fate is unknown, poisons the set.
+            m.healthy &= o.status == done;
+            if o.status == done {
+                m.affected += o.affected;
+                // Newest first: compensation undoes in reverse order.
+                m.compensation.splice(0..0, t.compensation.iter().rev().cloned());
+            }
         }
-        member.affected += affected;
-        // Newest first: compensation undoes in reverse order.
-        compensation.reverse();
-        member.compensation.splice(0..0, compensation);
-        Ok((if two_phase { TaskStatus::Prepared } else { TaskStatus::Committed }, affected))
+        let committable = self.all_committable();
+        Ok(UpdateReport {
+            success: committable,
+            return_code: if committable { 0 } else { UPDATE_FAILED },
+            outcomes: report.outcomes,
+            stats: report.stats,
+        })
     }
 
     /// True when every member can still commit.
@@ -140,14 +177,14 @@ impl GlobalTransaction {
     /// members are one vital set, a multitransaction whose one acceptable
     /// state is all of them, planned and run like any other — logged,
     /// recoverable, traced, the votes and the second phase one round trip
-    /// each — over the connections the members hold, each member's task
-    /// being its [`Vote`].
+    /// each — each member's task being its `Vote`.
     ///
     /// Every member with a prepared state votes; if all vote YES they all
     /// commit. Any NO vote takes the rollback path, and `rollback` — or a
-    /// member a statement failed on — takes it without a vote: open
-    /// transactions are rolled back, members that autocommitted are
-    /// compensated.
+    /// failed vital statement — takes it without a vote: open transactions
+    /// are rolled back, members that autocommitted are compensated.
+    /// The members leave `self` here, so a member whose site cannot be
+    /// opened fails its vote, not the program, and the others roll back.
     pub fn settle(
         &mut self,
         rollback: bool,
@@ -155,18 +192,18 @@ impl GlobalTransaction {
     ) -> Result<UpdateReport, MdbsError> {
         let rollback = rollback || !self.all_committable();
         let mut set = Vec::with_capacity(self.members.len());
-        let mut held = Vec::with_capacity(self.members.len());
+        let mut votes = HashMap::with_capacity(self.members.len());
         let mut routes = HashMap::new();
-        for mut m in self.members.drain(..) {
+        for m in self.members.drain(..) {
             let vote = match (m.route.supports_2pc, rollback) {
                 (true, false) => Vote::Prepare,
-                (true, true) => Vote::Abort,
-                // Nothing committed means nothing to undo.
+                (true, true) if m.open => Vote::Abort,
+                // Nothing open, or nothing committed, means nothing to undo.
+                (true, true) => Vote::Settled(TaskStatus::Aborted),
                 (false, true) if m.compensation.is_empty() => Vote::Settled(TaskStatus::Aborted),
                 (false, _) => Vote::Settled(TaskStatus::Committed),
             };
-            m.client.held = Some((vote, m.affected));
-            held.push(m.client);
+            votes.insert(m.task.clone(), (vote, m.affected));
             set.push(DolTask {
                 name: m.task,
                 database: m.route.database.clone(),
@@ -180,12 +217,21 @@ impl GlobalTransaction {
         }
         let state: Vec<String> = set.iter().map(|t| t.name.clone()).collect();
         let plan = dol_plan(&set, &[state], UPDATE_FAILED, rollback, &routes)?;
-        *executor.lams.held.lock() = held;
-        let report = executor.run_settle(&plan);
-        // A connection the program never opened (it failed first) closes.
-        executor.lams.held.lock().clear();
-        report.map(UpdateReport::from)
+        let mut executor = executor.clone();
+        executor.lams.tolerate_unreachable = true;
+        run(executor, &plan, votes).map(UpdateReport::from)
     }
+}
+
+/// Runs `plan` on `executor`, each task named in `votes` sending what its
+/// vote says instead of its own request.
+fn run(
+    mut executor: Executor,
+    plan: &GeneratedPlan,
+    votes: HashMap<String, (Vote, u64)>,
+) -> Result<MtxReport, MdbsError> {
+    executor.lams.votes = Arc::new(votes);
+    executor.run_settle(plan)
 }
 
 #[cfg(test)]
@@ -218,7 +264,8 @@ mod tests {
         }
     }
 
-    /// Runs `sql` (undone by `comp`, if given) as a held statement on `db`.
+    /// Runs `sql` (undone by `comp`, if given) as a vital statement on `db`
+    /// inside the global transaction; returns its interim outcome.
     fn hold(
         gt: &mut GlobalTransaction,
         net: &Network,
@@ -226,10 +273,13 @@ mod tests {
         sql: &str,
         comp: Option<&str>,
     ) -> (TaskStatus, u64) {
-        let client = LamClient::connect(net, "site1", "db", Duration::from_secs(5)).unwrap();
         let route = DbRoute { database: "db".into(), site: "site1".into(), supports_2pc };
-        let comp = comp.map(str::to_string).into_iter().collect();
-        gt.execute_held(client, "db", &route, sql.into(), comp).unwrap()
+        let routes = HashMap::from([("db".to_string(), route)]);
+        let statement = msql_lang::parse_statement(sql).unwrap();
+        let local = LocalQuery { database: "db".into(), key: "db".into(), vital: true, statement };
+        let comps = comp.map(|c| ("db".to_string(), vec![c.to_string()])).into_iter().collect();
+        let report = gt.execute(&[local], &comps, &routes, &executor(net)).unwrap();
+        (report.outcomes[0].status, report.outcomes[0].affected)
     }
 
     fn value(lam: &crate::lam::LamHandle) -> Value {
@@ -323,5 +373,25 @@ mod tests {
         assert_eq!(report.outcomes[0].status, TaskStatus::Committed);
         assert_eq!(report.outcomes[0].affected, 1);
         assert_eq!(value(&lam), Value::Float(5.0));
+    }
+
+    /// A first statement the LAM answers `A` opened nothing under the
+    /// member's name — here because another coordinator holds the name — so
+    /// the set is doomed, and its rollback sends the member nothing: the
+    /// other coordinator's transaction commits untouched.
+    #[test]
+    fn a_refused_hold_is_never_aborted() {
+        let (net, lam) = setup(DbmsProfile::oracle_like());
+        let (mut owner, mut other) = (GlobalTransaction::default(), GlobalTransaction::default());
+        hold(&mut owner, &net, true, "UPDATE t SET x = 2", None);
+        let (status, _) = hold(&mut other, &net, true, "UPDATE t SET x = 7", None);
+        assert_eq!(status, TaskStatus::Aborted, "`G1_db` is open already");
+        assert!(!other.all_committable());
+        let report = other.settle(false, &executor(&net)).unwrap();
+        assert!(!report.success);
+        assert_eq!(report.outcomes[0].attempts, 0, "nothing sent");
+        assert!(owner.settle(false, &executor(&net)).unwrap().success);
+        assert_eq!(value(&lam), Value::Float(2.0));
+        assert_eq!(lam.engine.lock().held_locks(), 0);
     }
 }

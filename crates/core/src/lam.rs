@@ -552,9 +552,10 @@ fn rollback_tolerant(shared: &SrvShared, txn: TxnId) -> Result<(), DbError> {
 }
 
 // One lifecycle for a subtransaction, whoever drives it: open → run … →
-// prepare → settle. `BEGIN`, `EXEC` and `PREPARE` are its steps one request
-// at a time (a deferred global transaction, §3.2.2), `TASK … NOCOMMIT` is the
-// first three in one request, `COMMIT` / `ABORT` / `RESOLVE` are the last.
+// prepare → settle. `TASK … NOCOMMIT` is the first three in one request;
+// a deferred global transaction's member (§3.2.2) takes them one statement at
+// a time — `TASK … HOLD` opens and runs, `EXEC` runs again, `PREPARE` votes;
+// `COMMIT` / `ABORT` / `RESOLVE` are the last.
 // The open-task table is keyed by name alone, so names are the coordinators'
 // to keep apart (DESIGN §3a.6): a name that is open is refused, never
 // replaced — replacing it would hand its `COMMIT` to the wrong transaction
@@ -648,6 +649,10 @@ fn task_done(
 /// decides whether to continue or roll back — unless it failed as a deadlock
 /// victim: that transaction is rolled back already, so the task is closed and
 /// the coordinator's abort sweep finds nothing to do.
+///
+/// `EXEC` on a name that is not open is an error, never an implicit open:
+/// otherwise a deadlock victim's next statement would silently begin a fresh
+/// transaction, and the statements before it would be lost.
 fn exec_task(shared: &Arc<SrvShared>, task: &str, commands: &[String]) -> Response {
     let (txn, database) = match open_entry(shared, task) {
         Ok(entry) => entry,
@@ -701,13 +706,18 @@ fn settle_task(shared: &SrvShared, task: &str, commit: bool) -> Result<Option<ch
 /// unit a requested baseline measurement is reported in.
 fn handle_request(shared: &Arc<SrvShared>, req: Request, format: WireFormat) -> Response {
     match req {
-        Request::Begin { name, database } => match open_task(shared, &name, &database) {
-            Ok(()) => Response::Ok,
-            Err(message) => Response::Err { message },
-        },
         Request::Exec { task, commands } => exec_task(shared, &task, &commands),
         Request::Prepare { task } => prepare_task(shared, &task),
-        Request::Task { name, mode: TaskMode::NoCommit, database, commands } => {
+        // Open → run; `NOCOMMIT` then prepares, `HOLD` leaves the task open
+        // and replies as `EXEC` does. Either way a task whose commands fail
+        // is rolled back and closed, so an `A` means nothing is open under
+        // the name — a refusal included: the name is someone else's.
+        Request::Task {
+            name,
+            mode: mode @ (TaskMode::NoCommit | TaskMode::Hold),
+            database,
+            commands,
+        } => {
             let engine = shared.engine.lock();
             if !engine.profile.supports_2pc {
                 let refusal =
@@ -719,7 +729,9 @@ fn handle_request(shared: &Arc<SrvShared>, req: Request, format: WireFormat) -> 
                 return task_done('A', 0, None, Some(refusal));
             }
             match exec_task(shared, &name, &commands) {
-                Response::TaskDone { status: 'E', affected, payload, .. } => {
+                Response::TaskDone { status: 'E', affected, payload, .. }
+                    if mode == TaskMode::NoCommit =>
+                {
                     match prepare_task(shared, &name) {
                         Response::TaskDone { status: 'P', .. } => {
                             task_done('P', affected, payload, None)
@@ -727,11 +739,11 @@ fn handle_request(shared: &Arc<SrvShared>, req: Request, format: WireFormat) -> 
                         failed => failed,
                     }
                 }
-                Response::TaskDone { error, .. } => {
+                Response::TaskDone { status: 'A', error, .. } => {
                     let _ = settle_task(shared, &name, false);
                     task_done('A', 0, None, error)
                 }
-                other => other,
+                held => held,
             }
         }
         Request::Task { name, mode: TaskMode::Auto, database, commands } => {
@@ -1189,6 +1201,41 @@ mod tests {
         assert!(matches!(retried, Response::TaskDone { status: 'P', affected: 1, .. }));
         assert_eq!(b.call(5, &Request::Abort { task: "T1".into() }), Response::Ok);
         assert_eq!(lam.engine.lock().held_locks(), 0);
+    }
+
+    /// `TASK … HOLD` is `BEGIN` and the first `EXEC` in one request: the task
+    /// stays open for `EXEC` and `PREPARE`. One whose commands fail is rolled
+    /// back and closed, so a later `EXEC` is refused, never a fresh begin.
+    #[test]
+    fn a_hold_task_stays_open_until_it_is_settled() {
+        let (_net, lam, client) = setup();
+        let hold = |name: &str, sql: &str| Request::Task {
+            name: name.into(),
+            mode: TaskMode::Hold,
+            database: "avis".into(),
+            commands: vec![sql.into()],
+        };
+        let exec =
+            |name: &str, sql: &str| Request::Exec { task: name.into(), commands: vec![sql.into()] };
+        let held = call(&client, hold("G1", "UPDATE cars SET rate = 99 WHERE code = 1"));
+        assert!(matches!(held, Response::TaskDone { status: 'E', affected: 1, .. }), "{held:?}");
+        assert!(lam.engine.lock().prepared_txns().is_empty(), "held, not prepared");
+        let again = call(&client, exec("G1", "UPDATE cars SET rate = rate + 1 WHERE code = 1"));
+        assert!(matches!(again, Response::TaskDone { status: 'E', affected: 1, .. }), "{again:?}");
+        let refused = call(&client, hold("G1", "UPDATE cars SET rate = 0"));
+        assert!(matches!(refused, Response::TaskDone { status: 'A', affected: 0, .. }));
+        let voted = call(&client, Request::Prepare { task: "G1".into() });
+        assert!(matches!(voted, Response::TaskDone { status: 'P', .. }), "{voted:?}");
+        assert_eq!(call(&client, Request::Commit { task: "G1".into() }), Response::Ok);
+        let rate = lam.engine.lock().execute("avis", "SELECT rate FROM cars WHERE code = 1");
+        let rate = rate.unwrap().into_result_set().unwrap().rows[0][0].clone();
+        assert_eq!(rate, ldbs::value::Value::Float(100.0));
+
+        let failed = call(&client, hold("G2", "UPDATE cars SET nonexistent = 1"));
+        assert!(matches!(failed, Response::TaskDone { status: 'A', .. }), "{failed:?}");
+        assert_eq!(lam.engine.lock().held_locks(), 0);
+        let after = call(&client, exec("G2", "UPDATE cars SET rate = 1"));
+        assert!(matches!(after, Response::Err { .. }), "{after:?}");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! requests over the simulated network, and adds the data-flow operations
 //! the executor needs (schema fetch, a join's partials and its combine at the
 //! coordinator). It is the only client-side module that names a protocol
-//! message: the facade, the executor and the global transaction call its
-//! typed methods and get Rust values back (`ci.sh` gates that).
+//! message: the facade and the executor call its typed methods and get Rust
+//! values back (`ci.sh` gates that), and a deferred global transaction's
+//! members are tasks of the executor's programs (`Vote`).
 //!
 //! Connections are session-scoped: a [`ConnectionPool`] keeps the links a
 //! session has opened, keyed by `(site, database)`, and
@@ -93,18 +94,30 @@ impl TaskReply {
     }
 }
 
-/// What running "its" task means to a connection that holds a subtransaction
-/// open for a deferred global transaction (§3.2.2), when the settle program
-/// of a synchronization point reaches it: the member's vote.
+/// What a task of a deferred global transaction's member (§3.2.2) sends in
+/// place of an ordinary `TASK`: its subtransaction stays open at the LAM
+/// across statements, under the task's name, whatever connection reaches it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Vote {
-    /// `PREPARE` the open subtransaction: `P`, or `A` when the vote fails.
+    /// The member's first statement: `TASK … HOLD` opens the subtransaction
+    /// and runs the commands in it (`E`, read as prepared, or `A`).
+    Hold,
+    /// A later statement: `EXEC` runs the commands in the open one.
+    Exec,
+    /// The synchronization point's vote: `PREPARE` it — `P`, or `A` when the
+    /// vote fails.
     Prepare,
     /// The coordinator is rolling back: abort it without asking.
     Abort,
-    /// Nothing to ask: the member's statements autocommitted as they ran.
+    /// Nothing to send: the task ends in this status (a member whose
+    /// statements autocommitted as they ran).
     Settled(TaskStatus),
 }
+
+/// A run's [`Vote`]s, by task name, each with the rows its member's
+/// statements affected so far — what a vote reports, since `PREPARE` carries
+/// no count. Empty for every program that is not a member's.
+pub(crate) type Votes = Arc<HashMap<String, (Vote, u64)>>;
 
 /// The part of a connection that outlives a checkout: the client endpoint
 /// registered on the network. It carries no per-request state (correlation
@@ -203,10 +216,8 @@ pub struct LamClient {
     /// Where the tasks this connection executes as a [`DolService`] leave
     /// their outputs (the factory's table when checked out from one).
     outputs: TaskOutputs,
-    /// Set on a connection that holds a subtransaction open across
-    /// statements, for the synchronization point that settles it: its vote,
-    /// and the rows its statements affected so far.
-    pub(crate) held: Option<(Vote, u64)>,
+    /// What the run's member tasks send (the factory's table).
+    votes: Votes,
 }
 
 /// One attempt's failure: a classified network fault, or a protocol error
@@ -292,7 +303,7 @@ impl LamClient {
             wire_format: WireFormat::default(),
             pool: BufferPool::default(),
             outputs: TaskOutputs::default(),
-            held: None,
+            votes: Votes::default(),
         }
     }
 
@@ -505,39 +516,10 @@ impl LamClient {
         }
     }
 
-    /// The reply of an exchange that only acknowledges.
-    fn acked(&self, what: &str, reply: Response) -> Result<(), MdbsError> {
-        match reply {
-            Response::Ok => Ok(()),
-            other => self.refused(what, other),
-        }
-    }
-
-    /// Opens a persistent local transaction under `name` (deferred global
-    /// transactions).
-    pub fn begin_task(&self, name: &str) -> Result<(), MdbsError> {
-        let req = Request::Begin { name: name.to_string(), database: self.database.clone() };
-        self.acked("begin", self.call(req)?)
-    }
-
-    /// Executes commands inside an open task. Returns `(status, affected,
-    /// error)` where status `'E'` means still active and `'A'` means the
-    /// statement failed (the transaction stays open).
-    pub fn exec_in_task(
-        &self,
-        task: &str,
-        commands: Vec<String>,
-    ) -> Result<(char, u64, Option<String>), MdbsError> {
-        match self.call(Request::Exec { task: task.to_string(), commands })? {
-            Response::TaskDone { status, affected, error, .. } => Ok((status, affected, error)),
-            other => self.refused("exec", other),
-        }
-    }
-
     /// Runs `commands` on this connection's database as one autocommit task
     /// named `name` — how the federation ships a statement that is no DOL
-    /// program: DDL, `ANALYZE`, a transfer's INSERT batches, a deferred
-    /// non-vital update. `span` gets the attempts spent.
+    /// program: DDL, `ANALYZE`, a transfer's INSERT batches. `span` gets the
+    /// attempts spent.
     pub fn run_commands(
         &self,
         name: &str,
@@ -703,35 +685,34 @@ impl LamClient {
         self.metrics.counter_add(&labeled("lam.bytes", "db", db), bytes as u64);
     }
 
+    /// The [`Vote`] of `task`, if it is a member's.
+    fn vote(&self, task: &str) -> Option<(Vote, u64)> {
+        self.votes.get(task).copied()
+    }
+
     /// The request that runs `task` on this connection: the task itself, or
-    /// the [`Vote`] of the subtransaction the connection holds open.
+    /// what its [`Vote`] sends instead.
     fn task_request(&self, task: &dol::TaskDef) -> Request {
-        let name = task.name.clone();
-        match self.held {
-            Some((Vote::Prepare, _)) => Request::Prepare { task: name },
-            Some((Vote::Abort, _)) => Request::Abort { task: name },
-            _ => Request::Task {
-                name,
-                mode: if task.nocommit { TaskMode::NoCommit } else { TaskMode::Auto },
-                database: self.database.clone(),
-                commands: task.commands.clone(),
-            },
-        }
+        let (name, commands) = (task.name.clone(), task.commands.clone());
+        let mode = match self.vote(&name) {
+            Some((Vote::Prepare, _)) => return Request::Prepare { task: name },
+            Some((Vote::Abort, _)) => return Request::Abort { task: name },
+            Some((Vote::Exec, _)) => return Request::Exec { task: name, commands },
+            Some((Vote::Hold, _)) => TaskMode::Hold,
+            _ if task.nocommit => TaskMode::NoCommit,
+            _ => TaskMode::Auto,
+        };
+        Request::Task { name, mode, database: self.database.clone(), commands }
     }
 
     /// Runs a task on the LAM — or reads the reply of the one
     /// [posted](DolService::post) — its affected-row count and rows going to
-    /// [`Self::outputs`] under the task's name. On a connection that
-    /// [holds](Self::held) the task's subtransaction open already, the
-    /// exchange is its [`Vote`], and a member with nothing to ask sends
-    /// nothing.
+    /// [`Self::outputs`] under the task's name. A member's task sends what
+    /// its [`Vote`] says, and one with nothing to send sends nothing.
     fn run_task(&mut self, task: &dol::TaskDef, span: &Span) -> TaskExecution {
-        if let Some((Vote::Settled(status), affected)) = self.held {
-            if status == TaskStatus::Committed {
-                let output = TaskOutput { affected, rows: None };
-                self.outputs.lock().insert(task.name.clone(), output);
-            }
-            return TaskExecution { status, result: None, error: None };
+        let vote = self.vote(&task.name);
+        if let Some((Vote::Settled(status), affected)) = vote {
+            return settled(&self.outputs, &task.name, status, affected);
         }
         let posted = match self.posted.take() {
             Some(posted) => posted,
@@ -742,16 +723,17 @@ impl LamClient {
         self.stats.lock().record_task(&task.name, attempts, faults.last().copied());
         match result {
             Ok((Response::TaskDone { status, affected, payload, error }, bytes)) => {
+                // `E`: a held subtransaction ran its commands and stays open.
                 let status = match status {
-                    'P' => TaskStatus::Prepared,
+                    'P' | 'E' => TaskStatus::Prepared,
                     'C' => TaskStatus::Committed,
                     'A' => TaskStatus::Aborted,
                     _ => TaskStatus::Error,
                 };
-                // A vote carries no count: what a held subtransaction's
-                // statements affected is known here.
-                let affected = match self.held {
-                    Some((_, held)) if status == TaskStatus::Prepared => held,
+                // A vote carries no count: what the member's statements
+                // affected is known here.
+                let affected = match vote {
+                    Some((Vote::Prepare, held)) if status == TaskStatus::Prepared => held,
                     _ => affected,
                 };
                 if affected > 0 {
@@ -766,7 +748,7 @@ impl LamClient {
                 TaskExecution { status, result: None, error }
             }
             // `ABORT` only acknowledges: the held subtransaction is rolled back.
-            Ok((Response::Ok, _)) if self.held.is_some() => {
+            Ok((Response::Ok, _)) if matches!(vote, Some((Vote::Abort, _))) => {
                 TaskExecution { status: TaskStatus::Aborted, result: None, error: None }
             }
             Ok((other, _)) => TaskExecution {
@@ -848,7 +830,10 @@ impl LamClient {
         };
         let (result, attempts, faults) = self.call_traced(&req, span);
         self.record_obs(span, attempts, &faults);
-        self.acked("compensate", result?.0)
+        match result?.0 {
+            Response::Ok => Ok(()),
+            other => self.refused("compensate", other),
+        }
     }
 }
 
@@ -875,7 +860,9 @@ impl Drop for LamClient {
 impl DolService for LamClient {
     fn post(&mut self, step: Step<'_>, span: &Span) {
         let req = match step {
-            Step::Execute(_) if matches!(self.held, Some((Vote::Settled(_), _))) => return,
+            Step::Execute(task) if matches!(self.vote(&task.name), Some((Vote::Settled(_), _))) => {
+                return
+            }
             Step::Execute(task) => self.task_request(task),
             Step::Commit(task) => Request::Commit { task: task.to_string() },
             Step::Abort(task) => Request::Abort { task: task.to_string() },
@@ -952,11 +939,8 @@ pub struct LamFactory {
     /// Where the tasks of the program this factory serves leave their
     /// outputs.
     pub(crate) outputs: TaskOutputs,
-    /// Connections that [hold](LamClient::held) a subtransaction open and
-    /// stand in for a checkout when a program `OPEN`s their database: a
-    /// synchronization point's settle program runs over the connections its
-    /// members were opened on.
-    pub(crate) held: Arc<Mutex<Vec<LamClient>>>,
+    /// What the member tasks of the program this factory serves send.
+    pub(crate) votes: Votes,
 }
 
 impl LamFactory {
@@ -972,7 +956,7 @@ impl LamFactory {
             tolerate_unreachable: false,
             wire_format: WireFormat::default(),
             outputs: TaskOutputs::default(),
-            held: Default::default(),
+            votes: Votes::default(),
         }
     }
 
@@ -1011,6 +995,7 @@ impl LamFactory {
         };
         client.home = Some(self.pool.clone());
         client.outputs = TaskOutputs::clone(&self.outputs);
+        client.votes = Votes::clone(&self.votes);
         client.set_metrics(self.metrics.clone());
         client.set_wire_format(self.wire_format);
         Ok(client)
@@ -1019,21 +1004,13 @@ impl LamFactory {
 
 impl ServiceFactory for LamFactory {
     fn connect(&self, service: &str, site: &str) -> Result<Box<dyn DolService>, DolError> {
-        let mut held = self.held.lock();
-        if let Some(i) = held.iter().position(|c| c.database == service && c.site == site) {
-            // Accounts to, and leaves its outputs with, this program's run.
-            let mut client = held.remove(i);
-            client.stats = SharedExecStats::clone(&self.stats);
-            client.outputs = TaskOutputs::clone(&self.outputs);
-            return Ok(Box::new(client));
-        }
-        drop(held);
         match self.checkout(site, service) {
             Ok(client) => Ok(Box::new(client)),
             Err(e) if self.tolerate_unreachable => Ok(Box::new(UnreachableService {
-                site: site.to_string(),
-                reason: e.to_string(),
+                error: format!("site `{site}` unreachable: {e}"),
                 stats: SharedExecStats::clone(&self.stats),
+                outputs: TaskOutputs::clone(&self.outputs),
+                votes: Votes::clone(&self.votes),
             })),
             Err(e) => {
                 Err(DolError::OpenFailed { service: service.to_string(), reason: e.to_string() })
@@ -1045,23 +1022,33 @@ impl ServiceFactory for LamFactory {
 /// Stand-in service for a LAM that could not be reached at OPEN time. Every
 /// task fails with an error status (never panics or hangs), so the DOL
 /// program's vital semantics decide the statement's fate; commit/abort of
-/// tasks that never ran are no-ops.
+/// tasks that never ran are no-ops, a compensation fails. A member's task
+/// whose [`Vote`] sends nothing ends as its vote says.
 struct UnreachableService {
-    site: String,
-    reason: String,
+    error: String,
     stats: SharedExecStats,
+    outputs: TaskOutputs,
+    votes: Votes,
+}
+
+/// A member's task whose [`Vote::Settled`] vote sends nothing: it ends in
+/// `status`, and a committed one reports what its statements affected.
+fn settled(outputs: &TaskOutputs, task: &str, status: TaskStatus, affected: u64) -> TaskExecution {
+    if status == TaskStatus::Committed {
+        outputs.lock().insert(task.to_string(), TaskOutput { affected, rows: None });
+    }
+    TaskExecution { status, result: None, error: None }
 }
 
 impl DolService for UnreachableService {
     fn execute_task(&mut self, task: &dol::TaskDef) -> TaskExecution {
+        if let Some(&(Vote::Settled(status), affected)) = self.votes.get(&task.name) {
+            return settled(&self.outputs, &task.name, status, affected);
+        }
         // The terminal fault itself was counted by the failed connect; here
         // we only pin the task-level telemetry.
         self.stats.lock().record_task(&task.name, 0, Some(FaultKind::Terminal));
-        TaskExecution {
-            status: TaskStatus::Error,
-            result: None,
-            error: Some(format!("site `{}` unreachable: {}", self.site, self.reason)),
-        }
+        TaskExecution { status: TaskStatus::Error, result: None, error: Some(self.error.clone()) }
     }
 
     fn commit_task(&mut self, _task_name: &str) -> Result<(), DolError> {
@@ -1073,7 +1060,7 @@ impl DolService for UnreachableService {
     }
 
     fn compensate_task(&mut self, _task: &dol::TaskDef) -> Result<(), DolError> {
-        Ok(())
+        Err(DolError::Service(self.error.clone()))
     }
 
     fn close(&mut self) {}

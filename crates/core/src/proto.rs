@@ -120,6 +120,10 @@ pub enum TaskMode {
     NoCommit,
     /// Autocommit each command.
     Auto,
+    /// Open the task's transaction, run the commands in it and leave it open
+    /// for later `EXEC`s and its `PREPARE` (a deferred global transaction's
+    /// member, §3.2.2): `BEGIN` and the first `EXEC` in one request.
+    Hold,
 }
 
 impl TaskMode {
@@ -127,6 +131,7 @@ impl TaskMode {
         match self {
             TaskMode::NoCommit => "NOCOMMIT",
             TaskMode::Auto => "AUTO",
+            TaskMode::Hold => "HOLD",
         }
     }
 }
@@ -134,22 +139,14 @@ impl TaskMode {
 /// A request to a LAM.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request<P = String> {
-    /// Open a persistent local transaction under a task name (deferred
-    /// global transactions, §3.2.2).
-    Begin {
-        /// Task name for later Exec/Prepare/Commit/Abort.
-        name: String,
-        /// Target database.
-        database: String,
-    },
-    /// Execute more commands inside a transaction opened with Begin.
+    /// Execute more commands inside a transaction a `TASK … HOLD` opened.
     Exec {
         /// The task.
         task: String,
         /// SQL commands.
         commands: Vec<String>,
     },
-    /// Vote: move a Begin-opened transaction to prepared-to-commit.
+    /// Vote: move a held transaction to prepared-to-commit.
     Prepare {
         /// The task.
         task: String,
@@ -427,7 +424,6 @@ impl<P: Payload> Request<P> {
     /// Encodes the request as a message body.
     pub fn encode(&self) -> String {
         match self {
-            Request::Begin { name, database } => format!("BEGIN {name} {database}"),
             Request::Exec { task, commands } => with_lines(format!("EXEC {task}"), commands),
             Request::Prepare { task } => format!("PREPARE {task}"),
             Request::Task { name, mode, database, commands } => {
@@ -496,9 +492,6 @@ impl<P: Payload> Request<P> {
             Ok((sql, lines.next()))
         };
         match words.as_slice() {
-            ["BEGIN", name, database] => {
-                Ok(Request::Begin { name: name.to_string(), database: database.to_string() })
-            }
             ["EXEC", task] => {
                 Ok(Request::Exec { task: task.to_string(), commands: decode_commands(payload)? })
             }
@@ -507,6 +500,7 @@ impl<P: Payload> Request<P> {
                 let mode = match *mode {
                     "NOCOMMIT" => TaskMode::NoCommit,
                     "AUTO" => TaskMode::Auto,
+                    "HOLD" => TaskMode::Hold,
                     other => {
                         return Err(MdbsError::Wire(format!("unknown task mode `{other}`")));
                     }
@@ -757,7 +751,12 @@ mod tests {
         roundtrip_request(Request::Stats { database: "avis".into(), table: Some("cars".into()) });
         roundtrip_request(Request::Ping);
         roundtrip_request(Request::Shutdown);
-        roundtrip_request(Request::Begin { name: "G1".into(), database: "avis".into() });
+        roundtrip_request(Request::Task {
+            name: "G1".into(),
+            mode: TaskMode::Hold,
+            database: "avis".into(),
+            commands: vec!["UPDATE cars SET rate = 2".into()],
+        });
         roundtrip_request(Request::Exec {
             task: "G1".into(),
             commands: vec!["UPDATE cars SET rate = 1".into()],

@@ -30,6 +30,7 @@
 //! |---|---|---|---|
 //! | [`retrieval_plan`] | `Q<n>`, autocommit | none | — |
 //! | [`update_plan`] | `T<n>`; a vital is `NOCOMMIT` on a 2PC service, else autocommit with its COMP (§3.3) | the vitals | `UPDATE_FAILED` |
+//! | a deferred-mode statement (`gtxn.rs`) | a vital is its member's task (`HOLD` / `EXEC` on a 2PC service, else autocommit under the member's name), a non-vital `NV_<key>` | none | — |
 //! | a deferred synchronization point (`gtxn.rs`) | the members' votes | all members; `ROLLBACK` plans the failure branch alone | `UPDATE_FAILED` |
 //! | [`multitransaction_plan`] | the scope keys; `NOCOMMIT` on 2PC services, else autocommit with their COMP | the user's | [`MTX_FAILED`] |
 //!
@@ -132,7 +133,7 @@ pub struct PlanRecovery {
     pub abort_compensate: Vec<String>,
 }
 
-fn route_for<'r>(
+pub(crate) fn route_for<'r>(
     routes: &'r HashMap<String, DbRoute>,
     database: &str,
 ) -> Result<&'r DbRoute, MdbsError> {

@@ -95,14 +95,13 @@ fn commands_strategy() -> impl Strategy<Value = Vec<String>> {
 /// one generated value exercises both codecs.
 fn request_strategy() -> impl Strategy<Value = Request> {
     prop_oneof![
-        (ident(), ident()).prop_map(|(name, database)| Request::Begin { name, database }),
         (ident(), commands_strategy())
             .prop_map(|(task, commands)| Request::Exec { task, commands }),
         ident().prop_map(|task| Request::Prepare { task }),
-        (ident(), any::<bool>(), ident(), commands_strategy()).prop_map(
-            |(name, nocommit, database, commands)| Request::Task {
+        (ident(), 0..3u8, ident(), commands_strategy()).prop_map(
+            |(name, mode, database, commands)| Request::Task {
                 name,
-                mode: if nocommit { TaskMode::NoCommit } else { TaskMode::Auto },
+                mode: [TaskMode::NoCommit, TaskMode::Auto, TaskMode::Hold][usize::from(mode)],
                 database,
                 commands,
             }

@@ -22,7 +22,12 @@ fn request_corpus() -> Vec<Vec<u8>> {
     let payload =
         "COLS code:int|rate:float|st:char(10)\nR I:1|F:40.0|S:available\nR I:2|N|S:rented\n";
     let reqs = vec![
-        Request::Begin { name: "g1".into(), database: "avis".into() },
+        Request::Task {
+            name: "g1".into(),
+            mode: TaskMode::Hold,
+            database: "avis".into(),
+            commands: vec!["UPDATE cars SET rate = 2".into()],
+        },
         Request::Exec { task: "g1".into(), commands: vec!["UPDATE cars SET rate = 1".into()] },
         Request::Prepare { task: "g1".into() },
         Request::Task {

@@ -305,3 +305,189 @@ fn leaving_deferred_mode_with_nothing_pending_leaves_it() {
     assert_eq!(report.outcomes[0].status, dol::TaskStatus::Committed);
     assert_eq!(fed.pending_vital_subqueries(), 0);
 }
+
+/// A deferred statement is one `TASK` batch, like the first phase of any
+/// update plan: every member's request goes out before any reply is read, so
+/// one round trip and two messages per member — `TASK … HOLD` the first
+/// time, `EXEC` after. One member after another, over a connection each,
+/// they were six round trips and twelve messages on three members.
+#[test]
+fn a_deferred_statement_takes_one_round_trip() {
+    use std::time::{Duration, Instant};
+    let one_way = Duration::from_millis(10);
+    let mut fed = paper_federation();
+    fed.execute("USE continental VITAL delta VITAL united VITAL").unwrap();
+    // Pooled connections: a warm link sends no PING.
+    fed.execute("SELECT sour% FROM flight%").unwrap();
+    fed.set_deferred_commit(true);
+
+    fed.network().set_latency(netsim::LatencyModel::uniform(one_way));
+    let mut runs = Vec::new();
+    for _ in 0..2 {
+        let before = fed.metrics_registry().counter("net.messages");
+        let started = Instant::now();
+        let interim = fed.execute("UPDATE flight% SET rate% = rate% + 1 WHERE sour% = 'Houston'");
+        let took = started.elapsed();
+        let messages = fed.metrics_registry().counter("net.messages") - before;
+        runs.push((interim.unwrap().into_update().unwrap(), took, messages));
+    }
+    fed.network().set_latency(netsim::LatencyModel::instant());
+    for (interim, took, messages) in runs {
+        assert!(interim.success, "{interim:?}");
+        assert!(interim.outcomes.iter().all(|o| o.status == dol::TaskStatus::Prepared));
+        assert!(took >= 2 * one_way, "a round trip: {took:?}");
+        assert!(took < 4 * one_way, "a 3-member statement took {took:?}: ≥ 2 round trips");
+        assert_eq!(messages, 6, "one request and one reply per member");
+    }
+    assert_eq!(fed.pending_vital_subqueries(), 3);
+    assert!(fed.execute("COMMIT").unwrap().into_update().unwrap().success);
+    assert_eq!(
+        rate(&fed, "svc_continental", "continental", "SELECT rate FROM flights WHERE flnu = 1"),
+        Value::Float(102.0)
+    );
+}
+
+/// A database that cannot be opened fails the statement before any task is
+/// sent: its partner's subquery does not run, so the next `COMMIT` has
+/// nothing of it to commit.
+#[test]
+fn a_statement_that_fails_at_open_applies_nothing() {
+    let mut fed = paper_federation();
+    fed.set_deferred_commit(true);
+    fed.execute("USE continental VITAL united VITAL").unwrap();
+    fed.network().deregister("site3");
+    let update = "UPDATE flight% SET rate% = rate% + 7 WHERE sour% = 'Houston'";
+    assert!(fed.execute(update).is_err(), "united is unreachable");
+    assert_eq!(fed.pending_vital_subqueries(), 0);
+    fed.execute("COMMIT").unwrap();
+    assert_eq!(
+        rate(&fed, "svc_continental", "continental", "SELECT rate FROM flights WHERE flnu = 1"),
+        Value::Float(100.0)
+    );
+}
+
+/// Deferred mode degrades like immediate mode: with `tolerate_unreachable`
+/// an unreachable non-vital database fails its own subquery, not the
+/// statement, and the vital member commits at the synchronization point.
+#[test]
+fn deferred_mode_tolerates_an_unreachable_non_vital_database() {
+    let mut fed = paper_federation();
+    fed.tolerate_unreachable = true;
+    fed.set_deferred_commit(true);
+    fed.execute("USE continental VITAL united").unwrap();
+    fed.network().deregister("site3");
+    let interim = fed
+        .execute("UPDATE flight% SET rate% = rate% + 7 WHERE sour% = 'Houston'")
+        .unwrap()
+        .into_update()
+        .unwrap();
+    assert!(interim.success, "{interim:?}");
+    let status = |key: &str| interim.outcomes.iter().find(|o| o.key == key).unwrap().status;
+    assert_eq!(status("united"), dol::TaskStatus::Error);
+    assert_eq!(status("continental"), dol::TaskStatus::Prepared);
+    assert_eq!(interim.stats.degraded, 1, "the lost non-vital subquery is accounted");
+
+    let report = fed.execute("COMMIT").unwrap().into_update().unwrap();
+    assert!(report.success, "{report:?}");
+    assert_eq!(report.outcomes[0].status, dol::TaskStatus::Committed);
+    assert_eq!(
+        rate(&fed, "svc_continental", "continental", "SELECT rate FROM flights WHERE flnu = 1"),
+        Value::Float(107.0)
+    );
+}
+
+/// A `TASK … HOLD` whose reply is lost may have opened its transaction: the
+/// member is kept, the set is doomed, and the `ROLLBACK` aborts it — no
+/// lock and no prepared transaction is left behind.
+#[test]
+fn a_lost_hold_reply_is_rolled_back_at_the_synchronization_point() {
+    let mut fed = paper_federation();
+    fed.timeout = std::time::Duration::from_millis(100);
+    fed.execute("USE continental VITAL").unwrap();
+    fed.execute("SELECT rate FROM flights").unwrap();
+    fed.set_deferred_commit(true);
+    fed.network().drop_next("site1", "*", 1);
+    let interim =
+        fed.execute("UPDATE flights SET rate = 1 WHERE flnu = 1").unwrap().into_update().unwrap();
+    assert!(!interim.success, "{interim:?}");
+    assert_eq!(interim.outcomes[0].status, dol::TaskStatus::Error);
+    assert_eq!(fed.pending_vital_subqueries(), 1);
+
+    let report = fed.execute("ROLLBACK").unwrap().into_update().unwrap();
+    assert!(!report.success);
+    assert_eq!(
+        rate(&fed, "svc_continental", "continental", "SELECT rate FROM flights WHERE flnu = 1"),
+        Value::Float(100.0)
+    );
+    let engine = fed.engine("svc_continental").unwrap();
+    assert_eq!(engine.lock().held_locks(), 0);
+    assert!(engine.lock().prepared_txns().is_empty());
+}
+
+/// A member whose site is gone by the synchronization point fails its vote;
+/// it does not fail the settle program, so the members that can be reached
+/// are rolled back — by `COMMIT`'s failed vote as by `ROLLBACK` — and hold
+/// no lock and no prepared transaction afterwards.
+#[test]
+fn an_unreachable_member_does_not_leave_the_others_open() {
+    for sync in ["COMMIT", "ROLLBACK"] {
+        let mut fed = paper_federation();
+        fed.set_deferred_commit(true);
+        fed.execute("USE continental VITAL united VITAL").unwrap();
+        let interim = fed
+            .execute("UPDATE flight% SET rate% = rate% + 7 WHERE sour% = 'Houston'")
+            .unwrap()
+            .into_update()
+            .unwrap();
+        assert!(interim.success, "{interim:?}");
+        assert_eq!(fed.pending_vital_subqueries(), 2);
+        fed.network().deregister("site3");
+
+        let report = fed.execute(sync).unwrap().into_update().unwrap();
+        assert!(!report.success, "{sync}: {report:?}");
+        let status = |key: &str| report.outcomes.iter().find(|o| o.key == key).unwrap().status;
+        assert_eq!(status("continental"), dol::TaskStatus::Aborted, "{sync}");
+        assert_eq!(status("united"), dol::TaskStatus::Error, "{sync}");
+        assert_eq!(fed.pending_vital_subqueries(), 0);
+        assert_eq!(
+            rate(&fed, "svc_continental", "continental", "SELECT rate FROM flights WHERE flnu = 1"),
+            Value::Float(100.0),
+            "{sync}"
+        );
+        let engine = fed.engine("svc_continental").unwrap();
+        assert_eq!(engine.lock().held_locks(), 0, "{sync}");
+        assert!(engine.lock().prepared_txns().is_empty(), "{sync}");
+    }
+}
+
+/// A member that autocommitted sends nothing at the synchronization point, so
+/// its site being gone by then does not fail its vote: the commit goes ahead.
+#[test]
+fn an_unreachable_autocommitted_member_still_commits() {
+    use mdbs::fixtures::{paper_federation_with, FederationProfiles};
+    let profiles = FederationProfiles {
+        continental: ldbs::profile::DbmsProfile::autocommit_only(),
+        ..FederationProfiles::default()
+    };
+    let mut fed = paper_federation_with(netsim::Network::new(), profiles);
+    fed.set_deferred_commit(true);
+    fed.execute("USE continental VITAL united VITAL").unwrap();
+    fed.execute(
+        "UPDATE flight% SET rate% = rate% + 7 WHERE sour% = 'Houston'
+         COMP continental UPDATE flights SET rate = rate - 7 WHERE source = 'Houston'",
+    )
+    .unwrap();
+    fed.network().deregister("site1");
+
+    let report = fed.execute("COMMIT").unwrap().into_update().unwrap();
+    assert!(report.success, "{report:?}");
+    assert!(report.outcomes.iter().all(|o| o.status == dol::TaskStatus::Committed));
+    assert_eq!(
+        rate(&fed, "svc_continental", "continental", "SELECT rate FROM flights WHERE flnu = 1"),
+        Value::Float(107.0)
+    );
+    assert_eq!(
+        rate(&fed, "svc_united", "united", "SELECT rates FROM flight WHERE fn = 20"),
+        Value::Float(117.0)
+    );
+}
