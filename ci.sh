@@ -171,11 +171,10 @@ done
 echo "== one two-phase commit =="
 # A synchronization point is a settle program like every vital set's: the
 # global transaction generates it and hands it to the executor. It sends no
-# vote and no second-phase message of its own — only DolEngine::settle (and
-# recovery's recover_images) do — so the next change to those messages lands
-# in one lifecycle.
+# vote and no second-phase message of its own — only DolEngine::settle does —
+# so the next change to those messages lands in one lifecycle.
 if sed '/^#\[cfg(test)\]/,$d' crates/core/src/gtxn.rs |
-    grep -nE 'prepare_task|commit_task|abort_task|compensate_commands'; then
+    grep -nE 'prepare_task|commit_task|abort_task|compensate_task'; then
     echo "gtxn.rs drives a commit protocol of its own" >&2
     exit 1
 fi
@@ -194,9 +193,8 @@ echo "== deferred statements are DOL programs =="
 # batch whose member tasks open (`TASK … HOLD`) or continue (`EXEC`) their
 # transactions, run by the executor like any other (DESIGN §3a.16). A member
 # of the global transaction is a task name, so gtxn.rs holds no connection and
-# ships nothing by hand; nothing begins a transaction one request at a time;
-# and the facade ships a statement of its own only for a single database
-# (`run_at`) and a data transfer.
+# ships nothing by hand; and nothing begins a transaction one request at a
+# time.
 if sed '/^#\[cfg(test)\]/,$d' crates/core/src/gtxn.rs | grep -nE 'LamClient|run_commands|checkout'; then
     echo "gtxn.rs talks to a LAM itself" >&2
     exit 1
@@ -207,11 +205,34 @@ for f in $(find crates/*/src -name '*.rs'); do
         exit 1
     fi
 done
-shippers=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/federation.rs | grep -c 'run_commands(')
-if [ "$shippers" != 2 ]; then
-    echo "federation.rs calls run_commands $shippers times (expected 2: run_at and the transfer)" >&2
+
+echo "== the coordinator ships nothing by hand =="
+# Everything the coordinator sends a LAM is a task of a DOL program run by the
+# executor (DESIGN §3a.14): a query, an update, a deferred statement, a
+# transfer, local DDL and ANALYZE, and recovery's RESOLVE / COMPENSATE waves,
+# whose tasks send what their `Vote` says. Outside tests the facade names no
+# LAM connection and no direct-command call (only the catalog reads and the
+# join's partials are typed calls of their own), only executor.rs runs a
+# DolEngine, and lamclient.rs builds each task-carrying request in one place —
+# where a statement stamp would go.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/federation.rs |
+    grep -nE 'run_commands|resolve_task_outcome|compensate_commands|LamClient'; then
+    echo "federation.rs ships a request by hand" >&2
     exit 1
 fi
+for f in $(find crates/core/src -name '*.rs' ! -name executor.rs); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'DolEngine::'; then
+        echo "$f runs a DOL program beside the executor" >&2
+        exit 1
+    fi
+done
+for request in 'Request::Task {' 'Request::Exec {' 'Request::Resolve {' 'Request::Compensate {'; do
+    found=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/lamclient.rs | grep -c "$request" || true)
+    if [ "$found" != 1 ]; then
+        echo "lamclient.rs builds '$request' at $found sites outside its tests, expected 1" >&2
+        exit 1
+    fi
+done
 
 echo "== one plan generator =="
 # A vital update is a multitransaction with one acceptable state (DESIGN §2),

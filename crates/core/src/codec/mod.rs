@@ -7,7 +7,7 @@
 //! into buffers leased from a [`netsim::BufferPool`].
 //!
 //! **Negotiation.** The client picks the format per connection
-//! ([`crate::lamclient::LamClient::set_wire_format`], threaded down from
+//! ([`crate::lamclient::LamFactory::wire_format`], threaded down from
 //! `Session.wire_format`); the LAM server simply mirrors whatever format a
 //! request arrived in, so mixed-format clients coexist and the bootstrap
 //! `PING` (sent before negotiation applies) always travels as text.

@@ -16,7 +16,9 @@
 //!   and the DOL return code.
 
 use crate::error::MdbsError;
-use crate::lamclient::{LamClient, LamFactory, PartialResult, Posted, TaskOutput, TaskOutputs};
+use crate::lamclient::{
+    LamClient, LamFactory, PartialResult, Posted, TaskOutput, TaskOutputs, Vote,
+};
 use crate::merge;
 use crate::multitable::{Multitable, MultitableEntry};
 use crate::planner::{Combine, JoinPlan, ReductionEdge, SitePlan};
@@ -49,19 +51,6 @@ pub struct DbOutcome {
     pub attempts: u32,
     /// The last network fault seen executing the subquery, if any.
     pub fault: Option<FaultKind>,
-}
-
-impl DbOutcome {
-    /// An outcome with no network telemetry attached.
-    pub fn new(
-        database: String,
-        key: String,
-        status: TaskStatus,
-        affected: u64,
-        error: Option<String>,
-    ) -> Self {
-        DbOutcome { database, key, status, affected, error, attempts: 0, fault: None }
-    }
 }
 
 /// Outcome of a vital multiple update (§3.2).
@@ -188,7 +177,7 @@ impl Executor {
     /// Runs the program, returning the DOL outcome, this run's own
     /// communication accounting (also merged into the session stats) and what
     /// its tasks produced, by task name.
-    fn run_program(
+    pub(crate) fn run_program(
         &self,
         plan: &GeneratedPlan,
     ) -> Result<(DolOutcome, ExecStats, HashMap<String, TaskOutput>), MdbsError> {
@@ -340,6 +329,18 @@ impl Executor {
             self.count_degraded(plan, &outcomes, &mut stats);
         }
         Ok(MtxReport { achieved_state, return_code: out.dolstatus, outcomes, stats })
+    }
+
+    /// [`Self::run_settle`], each task `votes` names sending what its [`Vote`]
+    /// says instead of its own request.
+    pub(crate) fn run_voted(
+        &self,
+        plan: &GeneratedPlan,
+        votes: HashMap<String, (Vote, u64)>,
+    ) -> Result<MtxReport, MdbsError> {
+        let mut executor = self.clone();
+        executor.lams.votes = Arc::new(votes);
+        executor.run_settle(plan)
     }
 
     /// Runs a planned cross-database join: [reducer] → [other travelling

@@ -15,18 +15,19 @@
 
 use crate::codec::WireFormat;
 use crate::error::MdbsError;
-use crate::executor::{Executor, MsqlOutcome, UpdateReport};
+use crate::executor::{DbOutcome, Executor, MsqlOutcome, MtxReport, UpdateReport};
 use crate::gtxn::GlobalTransaction;
-use crate::lam::{spawn_lam, LamHandle};
-use crate::lamclient::{ConnectionPool, LamClient, LamFactory};
+use crate::lam::{spawn_lam, LamHandle, LamServerStats};
+use crate::lamclient::{ConnectionPool, LamFactory, Vote};
 use crate::planner::{plan_join, PlannerContext, DEFAULT_SEMIJOIN_CAP};
 use crate::retry::{shared_stats, ExecStats, RetryPolicy, SharedExecStats};
 use crate::scope::SessionScope;
+use crate::translate::plangen::{dol_plan, DolTask};
 use crate::translate::{
     self, multitransaction_plan, retrieval_plan, update_plan, DbRoute, Decomposition,
     GeneratedPlan, MtxQueryPlan, Translated,
 };
-use crate::wal::{Wal, WalDecision, WalRecord};
+use crate::wal::{Wal, WalDecision, WalRecord, WalTask};
 use catalog::{
     apply_import, AuxiliaryDirectory, GddColumn, GddTable, GlobalDataDictionary, ServiceEntry,
 };
@@ -388,12 +389,9 @@ impl Session {
             gauge("ldbs.prepares", stats.prepares);
             gauge("ldbs.rows_scanned", stats.rows_scanned);
             gauge("ldbs.index_hits", stats.index_hits);
-            gauge("lam.served", lam.stats.served.load(std::sync::atomic::Ordering::Relaxed));
-            gauge("lam.replayed", lam.stats.replayed.load(std::sync::atomic::Ordering::Relaxed));
-            gauge(
-                "lam.server_threads",
-                lam.stats.server_threads.load(std::sync::atomic::Ordering::Relaxed),
-            );
+            gauge("lam.served", lam.stats.served.load(Ordering::Relaxed));
+            gauge("lam.replayed", lam.stats.replayed.load(Ordering::Relaxed));
+            gauge("lam.server_threads", lam.stats.server_threads.load(Ordering::Relaxed));
         }
         self.core.metrics.snapshot()
     }
@@ -445,6 +443,11 @@ impl Session {
     /// inject failures through this).
     pub fn engine(&self, service: &str) -> Option<Arc<Mutex<Engine>>> {
         self.core.lams.read().get(&service.to_ascii_lowercase()).map(|l| Arc::clone(&l.engine))
+    }
+
+    /// The live counters of a service's LAM server.
+    pub fn lam_stats(&self, service: &str) -> Option<Arc<LamServerStats>> {
+        self.core.lams.read().get(&service.to_ascii_lowercase()).map(|l| Arc::clone(&l.stats))
     }
 
     /// Registers a service: spawns its LAM at `site` and records an
@@ -564,11 +567,12 @@ impl Session {
 
     /// Finishes every multitransaction the log shows as interrupted: for
     /// each un-ended image, replays the logged decision (or presumes abort
-    /// when the coordinator died before deciding) and re-resolves every
-    /// unresolved task via `RESOLVE` — committing or rolling back prepared
-    /// subtransactions and compensating autocommitted ones. Idempotent and
-    /// re-enterable: every resolution is logged as it lands, so a crash
-    /// *during* recovery just leaves less for the next pass.
+    /// when the coordinator died before deciding) as two DOL programs — the
+    /// unresolved tasks' `RESOLVE`s, committing or rolling back prepared
+    /// subtransactions, then the `COMPENSATE`s of autocommitted ones the
+    /// decision undoes (DESIGN §3a.4). Idempotent and re-enterable: each
+    /// wave's resolutions are logged when it lands, so a crash *during*
+    /// recovery just leaves less for the next pass.
     pub fn recover(&mut self) -> Result<RecoveryReport, MdbsError> {
         let Some(wal) = self.wal.clone() else {
             return Ok(RecoveryReport::default());
@@ -619,41 +623,31 @@ impl Session {
                 .iter()
                 .map(|(task, &code)| (task.clone(), status_from_code(code)))
                 .collect();
-            for task in &image.tasks {
-                if image.resolved.contains_key(&task.name) {
-                    continue;
-                }
-                let tspan = span.child("resolve");
-                tspan.note("task", &task.name);
-                let should_commit = commit_set.contains(&task.name);
-                // A task logged 'C' is settled at its LAM already — no RPC
-                // needed unless it must be compensated below.
-                let code = if image.prepared.get(&task.name) == Some(&'C') {
-                    'C'
-                } else {
-                    let client = self.connect(&task.site, &task.database)?;
-                    client.resolve_task_outcome(&task.name, should_commit, &tspan)?
-                };
-                self.core.metrics.counter_add("recovery.resolved", 1);
-                // An autocommitted task that the decision excludes is undone
-                // semantically (§3.3). Idempotent at the LAM ('K' memory).
-                let code = if code == 'C' && !should_commit && compensate_set.contains(&task.name) {
-                    let client = self.connect(&task.site, &task.database)?;
-                    client.compensate_commands(&task.name, &task.compensation, &tspan)?;
-                    self.core.metrics.counter_add("recovery.compensated", 1);
-                    'K'
-                } else {
-                    code
-                };
-                tspan.note("status", code.to_string());
-                tspan.end();
-                wal.append(&WalRecord::TaskResolved {
-                    mtx_id: image.mtx_id,
-                    task: task.name.clone(),
-                    status: code,
-                })?;
-                statuses.insert(task.name.clone(), status_from_code(code));
-            }
+            // Wave 1: every unresolved task learns its fate. A task logged `C`
+            // autocommitted and is settled at its LAM: it sends nothing. The
+            // others RESOLVE per the decision, all at once.
+            let unresolved = image.tasks.iter().filter(|t| !image.resolved.contains_key(&t.name));
+            let resolve = unresolved
+                .clone()
+                .filter(|t| image.prepared.get(&t.name) != Some(&'C'))
+                .map(|t| (t, Vote::Resolve(commit_set.contains(&t.name))));
+            let mut outcomes = self.recovery_wave("resolve", resolve.collect(), &span)?;
+            // An autocommitted task that the decision excludes is undone
+            // semantically (§3.3) by wave 2, and logged only then: a crash in
+            // between leaves it to the next pass.
+            let (undo, settled): (Vec<&WalTask>, Vec<&WalTask>) = unresolved.partition(|t| {
+                outcomes.get(&t.name).is_none_or(|o| o.status == dol::TaskStatus::Committed)
+                    && !commit_set.contains(&t.name)
+                    && compensate_set.contains(&t.name)
+            });
+            self.core.metrics.counter_add("recovery.resolved", (undo.len() + settled.len()) as u64);
+            log_resolved(wal, image.mtx_id, &settled, &outcomes, &mut statuses)?;
+
+            // Wave 2: COMPENSATE them, all at once (idempotent: the LAM's `K` memory).
+            let compensate = undo.iter().map(|&t| (t, Vote::Compensate)).collect();
+            outcomes.extend(self.recovery_wave("compensate", compensate, &span)?);
+            log_resolved(wal, image.mtx_id, &undo, &outcomes, &mut statuses)?;
+            self.core.metrics.counter_add("recovery.compensated", undo.len() as u64);
             wal.append(&WalRecord::End { mtx_id: image.mtx_id })?;
             span.end();
             report.recovered.push(RecoveredMtx {
@@ -668,10 +662,42 @@ impl Session {
         Ok(report)
     }
 
-    /// A LAM client for direct (non-DOL) traffic, wired to the
-    /// federation's retry policy and accounting.
-    fn connect(&self, site: &str, database: &str) -> Result<LamClient, MdbsError> {
-        self.lams().checkout(site, database)
+    /// One recovery wave, under a `wave` child of `span`: a DOL program of
+    /// the logged tasks `votes` names, each sending what its [`Vote`] says,
+    /// all posted before any reply is read. Returns each task's outcome; a
+    /// site that cannot be opened fails its task, not the wave.
+    fn recovery_wave(
+        &self,
+        wave: &str,
+        votes: Vec<(&WalTask, Vote)>,
+        span: &Span,
+    ) -> Result<HashMap<String, DbOutcome>, MdbsError> {
+        if votes.is_empty() {
+            return Ok(HashMap::new());
+        }
+        let span = span.child(wave);
+        let (mut tasks, mut routes) = (Vec::new(), HashMap::new());
+        for (t, _) in &votes {
+            let (database, site) = (t.database.clone(), t.site.clone());
+            let route = DbRoute { database: database.clone(), site, supports_2pc: false };
+            routes.insert(database.clone(), route);
+            tasks.push(DolTask {
+                name: t.name.clone(),
+                key: database.clone(),
+                database,
+                nocommit: false,
+                vital: true,
+                commands: Vec::new(),
+                compensation: t.compensation.clone(),
+            });
+        }
+        let plan = dol_plan(&tasks, &[], 0, false, &routes)?;
+        let mut executor = self.executor();
+        executor.trace = span.ctx();
+        executor.lams.tolerate_unreachable = true;
+        let votes = votes.into_iter().map(|(t, vote)| (t.name.clone(), (vote, 0))).collect();
+        let report = executor.run_voted(&plan, votes)?;
+        Ok(plan.tasks.into_iter().map(|t| t.task).zip(report.outcomes).collect())
     }
 
     /// Parses and executes a raw DOL program against the federation's
@@ -679,14 +705,12 @@ impl Session {
     /// hand-written evaluation plans and tooling. `OPEN <database> AT
     /// <site>` statements resolve against the live network.
     pub fn execute_dol(&mut self, program: &str) -> Result<dol::DolOutcome, MdbsError> {
-        let parsed = dol::parse_program(program)?;
-        let factory = self.lams();
-        let mut engine = dol::DolEngine::new(&factory);
-        engine.trace = self.trace_ctx.clone();
-        let mut out = engine.execute(&parsed)?;
+        let program = dol::parse_program(program)?;
+        let plan = GeneratedPlan { program, tasks: Vec::new(), recovery: None };
+        let (mut out, _, outputs) = self.executor().run_program(&plan)?;
         // DOL reports a retrieval task's result serialized; the text codec
         // is the federation's readable format.
-        for (task, output) in factory.outputs.lock().drain() {
+        for (task, output) in outputs {
             if let Some(rows) = output.rows {
                 out.task_results.insert(task, crate::wire::encode_result_set(&rows));
             }
@@ -960,7 +984,7 @@ impl Session {
             }
             Statement::Import(imp) => {
                 let entry = self.core.ad.read().service(&imp.service)?.clone();
-                let client = self.connect(&entry.site, &imp.database)?;
+                let client = self.lams().checkout(&entry.site, &imp.database)?;
                 let schema = client.fetch_schema()?;
                 let imported = self.core.write_catalog(|gdd, _| apply_import(gdd, imp, &schema))?;
                 MsqlOutcome::Admin(format!(
@@ -1099,21 +1123,61 @@ impl Session {
                 Ok(MsqlOutcome::Multitable(mt))
             }
             PreparedPlan::Settle { plan, writes, mtx } => {
-                let report = self.timed("phase.execute", || self.executor().run_settle(plan))?;
-                // Fire interdatabase triggers for committed subqueries.
-                let events: Vec<WriteEvent> = writes
-                    .iter()
-                    .zip(&report.outcomes)
-                    .filter(|(_, o)| o.status == dol::TaskStatus::Committed && o.affected > 0)
-                    .filter_map(|(write, _)| write.clone())
-                    .collect();
-                self.fire_triggers(&events)?;
+                let report = self.run_settle(plan, writes)?;
                 Ok(if *mtx { MsqlOutcome::Mtx(report) } else { MsqlOutcome::Update(report.into()) })
             }
             PreparedPlan::Join { dec, routes } => {
                 let rs = self.timed("phase.execute", || self.run_join(dec, routes))?;
                 Ok(MsqlOutcome::Table(rs))
             }
+        }
+    }
+
+    /// Runs a program that writes, settling it if it has states, and fires
+    /// the interdatabase triggers its committed writes match: `writes` holds
+    /// what each task writes, in task order.
+    fn run_settle(
+        &mut self,
+        plan: &GeneratedPlan,
+        writes: &[Option<WriteEvent>],
+    ) -> Result<MtxReport, MdbsError> {
+        let report = self.timed("phase.execute", || self.executor().run_settle(plan))?;
+        let events: Vec<WriteEvent> = writes
+            .iter()
+            .zip(&report.outcomes)
+            .filter(|(_, o)| o.status == dol::TaskStatus::Committed && o.affected > 0)
+            .filter_map(|(write, _)| write.clone())
+            .collect();
+        self.fire_triggers(&events)?;
+        Ok(report)
+    }
+
+    /// Runs `command`, one statement, at `database` alone: the one autocommit
+    /// task `name` of a DOL program that [`Self::run_settle`] runs, so a
+    /// committed `write` fires its triggers. A task that does not commit
+    /// fails the statement in the site's words.
+    fn run_at(
+        &mut self,
+        database: &str,
+        name: &str,
+        command: String,
+        write: Option<WriteEvent>,
+    ) -> Result<MtxReport, MdbsError> {
+        let route = route_in(&self.core.gdd.read(), &self.core.ad.read(), database)?;
+        let task = DolTask {
+            name: name.to_string(),
+            database: database.to_string(),
+            key: database.to_string(),
+            nocommit: false,
+            vital: true,
+            commands: vec![command],
+            compensation: Vec::new(),
+        };
+        let plan = dol_plan(&[task], &[], 0, false, &HashMap::from([(database.into(), route)]))?;
+        let report = self.run_settle(&plan, &[write])?;
+        match &report.outcomes[0] {
+            o if o.status == dol::TaskStatus::Committed => Ok(report),
+            o => Err(task_failed(o)),
         }
     }
 
@@ -1145,7 +1209,7 @@ impl Session {
 
     /// Executes an inter-database transfer: evaluates the source SELECT
     /// (single database or cross-database join), then ships the rows to the
-    /// target as batched multi-row INSERTs.
+    /// target as one multi-row INSERT, run like any update.
     fn execute_data_transfer(
         &mut self,
         ins: &msql_lang::Insert,
@@ -1179,57 +1243,40 @@ impl Session {
             }
         };
 
-        // 2. Ship the rows as batched INSERT statements.
-        let route = routes
-            .get(target)
-            .ok_or_else(|| MdbsError::Catalog(format!("no route for `{target}`")))?;
-        let columns: Vec<msql_lang::WildName> = ins.columns.clone();
-        let mut commands = Vec::new();
-        for chunk in rows.rows.chunks(64) {
-            let values: Vec<Vec<msql_lang::Expr>> = chunk
-                .iter()
-                .map(|row| {
-                    row.iter()
-                        .map(|v| msql_lang::Expr::Literal(ldbs::eval::value_literal(v)))
-                        .collect()
-                })
-                .collect();
-            let insert = msql_lang::Insert {
-                table: msql_lang::TableRef {
-                    database: None,
-                    table: ins.table.table.clone(),
-                    alias: None,
-                },
-                columns: columns.clone(),
-                source: msql_lang::InsertSource::Values(values),
+        // 2. Ship the rows as one INSERT: one local statement, so one
+        // transaction at the target — a row it refuses applies none.
+        if rows.rows.is_empty() {
+            let (database, key) = (target.to_string(), target.to_string());
+            let status = dol::TaskStatus::Committed;
+            let nothing = DbOutcome {
+                database,
+                key,
+                status,
+                affected: 0,
+                error: None,
+                attempts: 0,
+                fault: None,
             };
-            commands.push(print(&Statement::Query(MsqlQuery {
-                use_clause: None,
-                lets: Vec::new(),
-                body: QueryBody::Insert(insert),
-                comps: Vec::new(),
-            })));
+            let stats = ExecStats::default();
+            let report =
+                UpdateReport { success: true, return_code: 0, outcomes: vec![nothing], stats };
+            return Ok(MsqlOutcome::Update(report));
         }
-        let transferred = rows.rows.len() as u64;
-        if !commands.is_empty() {
-            let client = self.connect(&route.site, target)?;
-            let span = self.trace_ctx.child(format!("transfer:{target}"));
-            span.note("db", target);
-            span.note("rows", transferred);
-            client.run_commands("TRANSFER", commands, &span)?.committed(target, "transfer")?;
-        }
-        Ok(MsqlOutcome::Update(crate::executor::UpdateReport {
-            success: true,
-            return_code: 0,
-            outcomes: vec![crate::executor::DbOutcome::new(
-                target.to_string(),
-                target.to_string(),
-                dol::TaskStatus::Committed,
-                transferred,
-                None,
-            )],
-            stats: Default::default(),
-        }))
+        let values = rows.rows.iter().map(|row| {
+            row.iter().map(|v| msql_lang::Expr::Literal(ldbs::eval::value_literal(v))).collect()
+        });
+        let mut insert = ins.clone();
+        (insert.table.database, insert.table.alias) = (None, None);
+        insert.source = msql_lang::InsertSource::Values(values.collect());
+        let command = print(&Statement::Query(MsqlQuery {
+            use_clause: None,
+            lets: Vec::new(),
+            body: QueryBody::Insert(insert),
+            comps: Vec::new(),
+        }));
+        let write = (target.to_string(), ins.table.table.clone(), msql_lang::TriggerEvent::Insert);
+        let report = self.run_at(target, "TRANSFER", command, Some(write))?;
+        Ok(MsqlOutcome::Update(report.into()))
     }
 
     /// Fires the interdatabase triggers matching the given
@@ -1326,24 +1373,6 @@ impl Session {
         Ok(Prepared { scope: None, plan: PreparedPlan::Settle { plan, writes, mtx: true } })
     }
 
-    /// Ships one single-database statement — its qualifier already stripped —
-    /// to the LAM of `database` as the autocommit task `name`, returning the
-    /// rows (for `ANALYZE`: tables) it affected. A site that refuses it fails
-    /// the statement with the site's own words, or "`what` failed".
-    fn run_at(
-        &self,
-        database: &str,
-        name: &str,
-        what: &str,
-        local: &Statement,
-    ) -> Result<u64, MdbsError> {
-        // Its own route, not the whole map a multi-database plan needs.
-        let route = route_in(&self.core.gdd.read(), &self.core.ad.read(), database)?;
-        let client = self.connect(&route.site, database)?;
-        let reply = client.run_commands(name, vec![print(local)], &Span::disabled())?;
-        Ok(reply.committed(database, what)?.affected)
-    }
-
     /// Runs a statement that one database executes on its own — CREATE / DROP
     /// TABLE, CREATE / DROP INDEX, ANALYZE — at the database it targets (a
     /// qualified table names it; otherwise the scope must hold one database),
@@ -1354,12 +1383,12 @@ impl Session {
     /// costed join re-pulls them.
     fn execute_local_ddl(&mut self, stmt: &Statement) -> Result<MsqlOutcome, MdbsError> {
         let mut local = stmt.clone();
-        let (target, task, what) = match &mut local {
-            Statement::CreateTable(s) => (Some(&mut s.table), "DDL", "CREATE TABLE"),
-            Statement::DropTable(s) => (Some(&mut s.table), "DDL", "DROP TABLE"),
-            Statement::CreateIndex(s) => (Some(&mut s.table), "DDL", "CREATE INDEX"),
-            Statement::DropIndex(s) => (Some(&mut s.table), "DDL", "DROP INDEX"),
-            Statement::Analyze(target) => (target.as_mut(), "ANALYZE", "ANALYZE"),
+        let (target, task) = match &mut local {
+            Statement::CreateTable(s) => (Some(&mut s.table), "DDL"),
+            Statement::DropTable(s) => (Some(&mut s.table), "DDL"),
+            Statement::CreateIndex(s) => (Some(&mut s.table), "DDL"),
+            Statement::DropIndex(s) => (Some(&mut s.table), "DDL"),
+            Statement::Analyze(target) => (target.as_mut(), "ANALYZE"),
             _ => return Err(MdbsError::Internal(format!("`{}` is not local DDL", print(stmt)))),
         };
         let database = match target {
@@ -1376,7 +1405,8 @@ impl Session {
                 )?
                 .to_string(),
         };
-        let affected = self.run_at(&database, task, what, &local)?;
+        let report = self.run_at(&database, task, print(&local), None)?;
+        let affected = report.outcomes[0].affected;
         let message = match stmt {
             Statement::CreateTable(ct) => {
                 let columns =
@@ -1428,7 +1458,7 @@ impl Session {
                 }
                 None => {
                     let Some(route) = routes.get(db) else { continue };
-                    let Ok(client) = self.connect(&route.site, db) else { continue };
+                    let Ok(client) = self.lams().checkout(&route.site, db) else { continue };
                     match client.fetch_stats() {
                         Ok(t) => {
                             self.core.metrics.counter_add("planner.stats_fetches", 1);
@@ -1585,6 +1615,37 @@ fn route_in(
         site: entry.site.clone(),
         supports_2pc: entry.supports_2pc(),
     })
+}
+
+/// Logs `RESOLVED` for each of `tasks` of multitransaction `mtx_id`, in the
+/// status its outcome holds — `C` for one logged committed, which had
+/// nothing to send. One that ended `E` logs nothing and fails the pass: its
+/// image stays open for the next.
+fn log_resolved(
+    wal: &Wal,
+    mtx_id: u64,
+    tasks: &[&WalTask],
+    outcomes: &HashMap<String, DbOutcome>,
+    statuses: &mut HashMap<String, dol::TaskStatus>,
+) -> Result<(), MdbsError> {
+    for task in tasks {
+        let outcome = outcomes.get(&task.name);
+        let status = outcome.map_or(dol::TaskStatus::Committed, |o| o.status);
+        if let (Some(o), dol::TaskStatus::Error) = (outcome, status) {
+            return Err(task_failed(o));
+        }
+        statuses.insert(task.name.clone(), status);
+        let task = task.name.clone();
+        wal.append(&WalRecord::TaskResolved { mtx_id, task, status: status.code() })?;
+    }
+    Ok(())
+}
+
+/// A task that did not end as its statement needs: its database's error, in
+/// the site's words (a task that did not end as asked always carries one).
+fn task_failed(outcome: &DbOutcome) -> MdbsError {
+    let message = outcome.error.clone().unwrap_or_default();
+    MdbsError::Local { service: outcome.database.clone(), message }
 }
 
 fn status_from_code(code: char) -> dol::TaskStatus {

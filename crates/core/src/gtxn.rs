@@ -24,16 +24,15 @@
 //! ([`GlobalTransaction::settle`], DESIGN §3a.16).
 
 use crate::error::MdbsError;
-use crate::executor::{Executor, MtxReport, UpdateReport};
+use crate::executor::{Executor, UpdateReport};
 use crate::lamclient::Vote;
 use crate::translate::plangen::{
-    dol_plan, route_for, vital_compensation, DbRoute, DolTask, GeneratedPlan, UPDATE_FAILED,
+    dol_plan, route_for, vital_compensation, DbRoute, DolTask, UPDATE_FAILED,
 };
 use crate::translate::LocalQuery;
 use dol::TaskStatus;
 use msql_lang::printer::print;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// One vital database participating in the global transaction.
 struct Member {
@@ -144,7 +143,7 @@ impl GlobalTransaction {
                 });
             }
             let plan = dol_plan(&tasks, &[], 0, false, routes)?;
-            Ok((run(executor.clone(), &plan, votes)?, tasks))
+            Ok((executor.run_voted(&plan, votes)?, tasks))
         })();
         let (report, tasks) = ran.inspect_err(|_| self.members.truncate(known))?;
         for (t, o) in tasks.iter().zip(&report.outcomes).filter(|(t, _)| t.vital) {
@@ -219,19 +218,8 @@ impl GlobalTransaction {
         let plan = dol_plan(&set, &[state], UPDATE_FAILED, rollback, &routes)?;
         let mut executor = executor.clone();
         executor.lams.tolerate_unreachable = true;
-        run(executor, &plan, votes).map(UpdateReport::from)
+        executor.run_voted(&plan, votes).map(UpdateReport::from)
     }
-}
-
-/// Runs `plan` on `executor`, each task named in `votes` sending what its
-/// vote says instead of its own request.
-fn run(
-    mut executor: Executor,
-    plan: &GeneratedPlan,
-    votes: HashMap<String, (Vote, u64)>,
-) -> Result<MtxReport, MdbsError> {
-    executor.lams.votes = Arc::new(votes);
-    executor.run_settle(plan)
 }
 
 #[cfg(test)]

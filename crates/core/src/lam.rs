@@ -145,6 +145,20 @@ pub struct LamServerStats {
     /// Server threads ever started: 1, plus one for every request that was
     /// parked on a lock wait while all the others were parked too.
     pub server_threads: AtomicU64,
+    /// Messages taken from the site's mailbox.
+    pub received: AtomicU64,
+    /// Received messages the server is done with — replied to, or dropped as
+    /// a retry of one still executing: `received` while none is in progress.
+    pub answered: AtomicU64,
+}
+
+/// A received message, answered when its turn of the serve loop ends.
+struct InProgress<'a>(&'a LamServerStats);
+
+impl Drop for InProgress<'_> {
+    fn drop(&mut self) {
+        self.0.answered.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
 /// A running LAM: owns the server threads and shares the engine with the
@@ -333,6 +347,8 @@ fn park(shared: &Arc<SrvShared>) -> Option<Parked<'_>> {
 fn serve(shared: &Arc<SrvShared>) {
     let endpoint = &shared.endpoint;
     while let Ok(msg) = endpoint.recv_blocking() {
+        shared.stats.received.fetch_add(1, Ordering::SeqCst);
+        let _in_progress = InProgress(&shared.stats);
         if !shared.alive.load(Ordering::SeqCst) {
             // Queued behind the shutdown: the site is gone, the client's
             // next attempt says so.

@@ -7,8 +7,10 @@
 //! the executor needs (schema fetch, a join's partials and its combine at the
 //! coordinator). It is the only client-side module that names a protocol
 //! message: the facade and the executor call its typed methods and get Rust
-//! values back (`ci.sh` gates that), and a deferred global transaction's
-//! members are tasks of the executor's programs (`Vote`).
+//! values back (`ci.sh` gates that). Past the catalog reads and the join,
+//! everything the coordinator ships is a task of a DOL program; a deferred
+//! global transaction's members and recovery's resolutions are tasks whose
+//! [`Vote`] says what they send.
 //!
 //! Connections are session-scoped: a [`ConnectionPool`] keeps the links a
 //! session has opened, keyed by `(site, database)`, and
@@ -69,34 +71,11 @@ pub struct PartialResult {
     pub access: Option<String>,
 }
 
-/// What one autocommit task came to at its LAM ([`LamClient::run_commands`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TaskReply {
-    /// The LAM's verdict: `'C'` committed, `'A'` aborted.
-    pub status: char,
-    /// Rows affected by the task's DML commands.
-    pub affected: u64,
-    /// The local error of an aborted task.
-    pub error: Option<String>,
-}
-
-impl TaskReply {
-    /// For a task that had to commit: an abort becomes `database`'s local
-    /// error, in the site's words (or "`what` failed" when it gave none).
-    pub fn committed(self, database: &str, what: &str) -> Result<Self, MdbsError> {
-        if self.status == 'C' {
-            return Ok(self);
-        }
-        Err(MdbsError::Local {
-            service: database.to_string(),
-            message: self.error.unwrap_or_else(|| format!("{what} failed")),
-        })
-    }
-}
-
-/// What a task of a deferred global transaction's member (§3.2.2) sends in
-/// place of an ordinary `TASK`: its subtransaction stays open at the LAM
-/// across statements, under the task's name, whatever connection reaches it.
+/// What a task sends in place of an ordinary `TASK` when it names a
+/// subtransaction that exists already: a deferred global transaction's member
+/// (§3.2.2), open at the LAM across statements under the task's name whatever
+/// connection reaches it, or a task of an interrupted multitransaction that
+/// recovery settles (DESIGN §3a.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Vote {
     /// The member's first statement: `TASK … HOLD` opens the subtransaction
@@ -112,11 +91,18 @@ pub(crate) enum Vote {
     /// Nothing to send: the task ends in this status (a member whose
     /// statements autocommitted as they ran).
     Settled(TaskStatus),
+    /// Recovery: `RESOLVE` the task per the logged decision — commit it if
+    /// set — and end in the status the LAM answers from its own state (`C`,
+    /// `A`, or `K` once compensated).
+    Resolve(bool),
+    /// Recovery: `COMPENSATE` the committed task with its logged commands
+    /// (`K`). The LAM's `K` memory makes a repeat harmless.
+    Compensate,
 }
 
 /// A run's [`Vote`]s, by task name, each with the rows its member's
 /// statements affected so far — what a vote reports, since `PREPARE` carries
-/// no count. Empty for every program that is not a member's.
+/// no count. Empty for every program that is not a member's or recovery's.
 pub(crate) type Votes = Arc<HashMap<String, (Vote, u64)>>;
 
 /// The part of a connection that outlives a checkout: the client endpoint
@@ -205,11 +191,12 @@ pub struct LamClient {
     retry: RetryPolicy,
     /// Shared fault/retry accounting.
     stats: SharedExecStats,
-    /// Metrics sink for `lam.*` series (a private registry unless attached
-    /// to a federation's via [`Self::set_metrics`]).
+    /// Metrics sink for `lam.*` series (a private registry unless checked
+    /// out from a [`LamFactory`], which attaches its own).
     metrics: MetricsRegistry,
     /// Encoding used for requests (the server mirrors it in replies). Text
-    /// unless negotiated up via [`Self::set_wire_format`].
+    /// unless checked out from a [`LamFactory`], which sets its own; the
+    /// LAM needs no coordination, so it may change between calls.
     wire_format: WireFormat,
     /// Lease pool for binary frame buffers.
     pool: BufferPool,
@@ -322,46 +309,19 @@ impl LamClient {
         SharedExecStats::clone(&self.stats)
     }
 
-    /// Points the client's `lam.*` metric series at a shared registry.
-    pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
-        self.metrics = metrics;
-    }
-
-    /// Switches the request encoding. The LAM mirrors whatever format each
-    /// request arrives in, so this needs no server-side coordination and may
-    /// change between calls.
-    pub fn set_wire_format(&mut self, format: WireFormat) {
-        self.wire_format = format;
-    }
-
-    /// The request encoding in use.
-    pub fn wire_format(&self) -> WireFormat {
-        self.wire_format
-    }
-
     /// Sends one logical request and waits for its response, retrying
-    /// transient faults per the client's [`RetryPolicy`].
-    pub fn call(&self, req: Request) -> Result<Response, MdbsError> {
-        self.call_traced(&req, &Span::disabled()).0.map(|(resp, _)| resp)
-    }
-
-    /// Like [`Self::call`], opening one `rpc` child of `span` per attempt
-    /// (annotated with the fault that killed it, if any) and also returning
-    /// how many attempts were spent, every fault observed across them, and
-    /// the wire size of the reply's payload block.
+    /// transient faults per the client's [`RetryPolicy`]: `finish(post(req))`,
+    /// untraced.
     ///
     /// Every attempt of one logical call shares a correlation id, so the
     /// LAM server executes the request at most once no matter how often it
     /// is resent — state-changing requests (`Task`, `Commit`, `Abort`,
     /// `Exec`, `Compensate`) are as safe to retry as reads. A lost
-    /// `Commit` acknowledgement in particular is re-asked here rather than
+    /// `Commit` acknowledgement in particular is re-asked rather than
     /// misreported as an abort. Only `Shutdown` is never retried.
-    pub fn call_traced(
-        &self,
-        req: &Request,
-        span: &Span,
-    ) -> (Result<Reply, MdbsError>, u32, Vec<FaultKind>) {
-        self.finish(self.post(req, span), span)
+    pub fn call(&self, req: Request) -> Result<Response, MdbsError> {
+        let off = Span::disabled();
+        self.finish(self.post(&req, &off), &off).0.map(|(resp, _)| resp)
     }
 
     /// The first half of a call: encodes `req` once (every retry resends the
@@ -394,7 +354,9 @@ impl LamClient {
     /// The second half of a call: reads the reply of what [`Self::post`]
     /// sent — the first attempt's timeout counts from its send — and runs
     /// the retry loop from there, opening each further attempt's `rpc` span
-    /// under `span`.
+    /// under `span` (noted with the fault that killed it, if any). Returns
+    /// the reply with its payload block's wire size, the attempts spent and
+    /// every fault seen.
     pub(crate) fn finish(
         &self,
         mut posted: Posted,
@@ -516,32 +478,6 @@ impl LamClient {
         }
     }
 
-    /// Runs `commands` on this connection's database as one autocommit task
-    /// named `name` — how the federation ships a statement that is no DOL
-    /// program: DDL, `ANALYZE`, a transfer's INSERT batches. `span` gets the
-    /// attempts spent.
-    pub fn run_commands(
-        &self,
-        name: &str,
-        commands: Vec<String>,
-        span: &Span,
-    ) -> Result<TaskReply, MdbsError> {
-        let req = Request::Task {
-            name: name.to_string(),
-            mode: TaskMode::Auto,
-            database: self.database.clone(),
-            commands,
-        };
-        let (result, attempts, _faults) = self.call_traced(&req, span);
-        span.note("attempts", attempts);
-        match result?.0 {
-            Response::TaskDone { status, affected, error, .. } => {
-                Ok(TaskReply { status, affected, error })
-            }
-            other => self.refused("task", other),
-        }
-    }
-
     /// Fetches the public Local Conceptual Schema of this connection's
     /// database (for IMPORT).
     pub fn fetch_schema(&self) -> Result<Vec<catalog::GddTable>, MdbsError> {
@@ -637,7 +573,7 @@ impl LamClient {
     ) -> Result<(ResultSet, u64), MdbsError> {
         let (database, baseline) = (self.database.clone(), baseline.map(str::to_string));
         let req = Request::Combine { database, home: Some(home), parts, sql: sql.into(), baseline };
-        let (result, attempts, faults) = self.call_traced(&req, span);
+        let (result, attempts, faults) = self.finish(self.post(&req, span), span);
         self.record_obs(span, attempts, &faults);
         match result? {
             (Response::CombineDone { payload, home_rows, access, saved }, bytes) => {
@@ -697,12 +633,24 @@ impl LamClient {
         let mode = match self.vote(&name) {
             Some((Vote::Prepare, _)) => return Request::Prepare { task: name },
             Some((Vote::Abort, _)) => return Request::Abort { task: name },
+            Some((Vote::Resolve(commit), _)) => return Request::Resolve { task: name, commit },
+            Some((Vote::Compensate, _)) => return self.compensate_request(task),
             Some((Vote::Exec, _)) => return Request::Exec { task: name, commands },
             Some((Vote::Hold, _)) => TaskMode::Hold,
             _ if task.nocommit => TaskMode::NoCommit,
             _ => TaskMode::Auto,
         };
         Request::Task { name, mode, database: self.database.clone(), commands }
+    }
+
+    /// The `COMPENSATE` that undoes `task` with its compensating commands: a
+    /// program's `COMPENSATE` step, or recovery's [`Vote::Compensate`].
+    fn compensate_request(&self, task: &dol::TaskDef) -> Request {
+        Request::Compensate {
+            task: task.name.clone(),
+            database: self.database.clone(),
+            commands: task.compensation.clone(),
+        }
     }
 
     /// Runs a task on the LAM — or reads the reply of the one
@@ -728,6 +676,7 @@ impl LamClient {
                     'P' | 'E' => TaskStatus::Prepared,
                     'C' => TaskStatus::Committed,
                     'A' => TaskStatus::Aborted,
+                    'K' => TaskStatus::Compensated,
                     _ => TaskStatus::Error,
                 };
                 // A vote carries no count: what the member's statements
@@ -747,9 +696,17 @@ impl LamClient {
                     .insert(task.name.clone(), TaskOutput { affected, rows: payload });
                 TaskExecution { status, result: None, error }
             }
-            // `ABORT` only acknowledges: the held subtransaction is rolled back.
+            // `ABORT` and `COMPENSATE` only acknowledge: the held
+            // subtransaction is rolled back, the committed one undone.
             Ok((Response::Ok, _)) if matches!(vote, Some((Vote::Abort, _))) => {
                 TaskExecution { status: TaskStatus::Aborted, result: None, error: None }
+            }
+            Ok((Response::Ok, _)) if matches!(vote, Some((Vote::Compensate, _))) => {
+                TaskExecution { status: TaskStatus::Compensated, result: None, error: None }
+            }
+            // A refusal, in the site's words.
+            Ok((Response::Err { message }, _)) => {
+                TaskExecution { status: TaskStatus::Error, result: None, error: Some(message) }
             }
             Ok((other, _)) => TaskExecution {
                 status: TaskStatus::Error,
@@ -790,49 +747,6 @@ impl LamClient {
                 Err(DolError::InDoubt { service: self.site.clone(), task: task.clone() })
             }
             (Err(e), _) => Err(DolError::Service(e.to_string())),
-        }
-    }
-
-    /// Recovery's outcome query: asks the LAM to settle `task` per the
-    /// coordinator's logged decision and report the status it ended in
-    /// (`'C'`/`'A'`). The LAM answers from its own state — committing or
-    /// rolling back a still-prepared subtransaction, repeating a recorded
-    /// outcome, or presuming abort for a task it never heard of.
-    pub fn resolve_task_outcome(
-        &self,
-        task: &str,
-        commit: bool,
-        span: &Span,
-    ) -> Result<char, MdbsError> {
-        let req = Request::Resolve { task: task.to_string(), commit };
-        let (result, attempts, faults) = self.call_traced(&req, span);
-        self.record_obs(span, attempts, &faults);
-        match result?.0 {
-            Response::TaskDone { status, .. } => Ok(status),
-            other => self.refused("resolve", other),
-        }
-    }
-
-    /// Recovery's compensation path: runs the logged compensating commands
-    /// for `task`. The LAM's `'K'` outcome memory makes this idempotent, so
-    /// a recovery pass that repeats it (after losing the resolution record)
-    /// cannot double-apply.
-    pub fn compensate_commands(
-        &self,
-        task: &str,
-        commands: &[String],
-        span: &Span,
-    ) -> Result<(), MdbsError> {
-        let req = Request::Compensate {
-            task: task.to_string(),
-            database: self.database.clone(),
-            commands: commands.to_vec(),
-        };
-        let (result, attempts, faults) = self.call_traced(&req, span);
-        self.record_obs(span, attempts, &faults);
-        match result?.0 {
-            Response::Ok => Ok(()),
-            other => self.refused("compensate", other),
         }
     }
 }
@@ -899,14 +813,7 @@ impl DolService for LamClient {
     }
 
     fn compensate_task_traced(&mut self, task: &dol::TaskDef, span: &Span) -> Result<(), DolError> {
-        self.phase_two(
-            Request::Compensate {
-                task: task.name.clone(),
-                database: self.database.clone(),
-                commands: task.compensation.clone(),
-            },
-            span,
-        )
+        self.phase_two(self.compensate_request(task), span)
     }
 
     fn close(&mut self) {
@@ -996,8 +903,8 @@ impl LamFactory {
         client.home = Some(self.pool.clone());
         client.outputs = TaskOutputs::clone(&self.outputs);
         client.votes = Votes::clone(&self.votes);
-        client.set_metrics(self.metrics.clone());
-        client.set_wire_format(self.wire_format);
+        client.metrics = self.metrics.clone();
+        client.wire_format = self.wire_format;
         Ok(client)
     }
 }
@@ -1317,7 +1224,8 @@ mod tests {
             if site == "site1" && task == "T1"));
         // The LAM really did commit — recovery's re-ask would find 'C'.
         net.set_link_drop_probability("site1", client.link.endpoint.name(), 0.0);
-        assert_eq!(client.resolve_task_outcome("T1", true, &Span::disabled()).unwrap(), 'C');
+        client.votes = Arc::new(HashMap::from([("T1".into(), (Vote::Resolve(true), 0))]));
+        assert_eq!(client.execute_task(&task).status, TaskStatus::Committed);
         let rate = {
             let mut e = lam.engine.lock();
             e.execute("avis", "SELECT rate FROM cars WHERE code = 1")

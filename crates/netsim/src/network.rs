@@ -226,7 +226,9 @@ impl Endpoint {
     /// Sends a message. Fails fast on partitions and unknown sites; a
     /// stochastic drop is reported as success (the sender cannot tell — it
     /// will observe a receive timeout instead), mirroring real datagram
-    /// behaviour.
+    /// behaviour. A message meets its link's fate before it finds out whether
+    /// anyone is there: the k-th message on a link is lost or not whether its
+    /// endpoint closed just before or just after it was sent.
     pub fn send(&self, to: &str, body: impl Into<Body>) -> Result<(), NetError> {
         let body = body.into();
         // The fault tables are empty on a healthy fabric: each is asked that
@@ -242,8 +244,6 @@ impl Endpoint {
             self.probe_event("net.refused", None);
             return Err(NetError::Partitioned { from: self.name.clone(), to: to.to_string() });
         }
-        let sites = self.fabric.sites.read();
-        let tx = sites.get(to).ok_or_else(|| NetError::UnknownSite(to.to_string()))?;
         // Exact match first, then wildcard sender, then wildcard receiver.
         let link_keys = || {
             [
@@ -295,6 +295,8 @@ impl Endpoint {
                 return Ok(());
             }
         }
+        let sites = self.fabric.sites.read();
+        let tx = sites.get(to).ok_or_else(|| NetError::UnknownSite(to.to_string()))?;
         let delay = self.fabric.latency.read().delay(&self.name, to);
         let seq = self.fabric.seq.fetch_add(1, Ordering::Relaxed);
         let message = Message { from: self.name.clone(), to: to.to_string(), body, seq };

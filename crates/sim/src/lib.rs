@@ -30,7 +30,8 @@ use mdbs::fixtures::{paper_federation_with, FederationProfiles};
 use mdbs::retry::RetryPolicy;
 use mdbs::{CrashPlan, CrashWhen, Federation};
 use netsim::Network;
-use std::time::Duration;
+use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
 
 pub use mdbs::wal;
 
@@ -259,6 +260,27 @@ fn build_federation(scenario: &Scenario, cfg: &SimConfig) -> Federation {
     fed
 }
 
+/// Waits until every LAM has taken and answered every message delivered to
+/// its site. A reply's loss is drawn when it is sent, and a request the
+/// coordinator gave up on may still be executing: its reply must meet the
+/// schedule's lossy links, not the healed ones.
+fn quiesce(fed: &Federation) {
+    let busy = || {
+        let sent = fed.network().stats().per_link;
+        !SERVICES.iter().zip(SITES).all(|(service, site)| {
+            let lam = fed.lam_stats(service).expect("fixture service exists");
+            let delivered: u64 =
+                sent.iter().filter(|((_, to), _)| to == site).map(|(_, n)| n).sum();
+            let received = lam.received.load(Ordering::SeqCst);
+            received == delivered && lam.answered.load(Ordering::SeqCst) == received
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while busy() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn heal(fed: &Federation, sites: &[&'static str]) {
     for site in sites {
         fed.network().clear_link_drop_probability("*", site);
@@ -297,6 +319,7 @@ pub fn run(scenario: &Scenario, cfg: &SimConfig) -> Result<SimOutcome, String> {
 
     // The operator fixes the network, then restarts the coordinator:
     // recovery runs loss-free. It is a no-op when nothing was interrupted.
+    quiesce(&fed);
     heal(&fed, &cfg.drop_sites);
     if let Some(plan) = cfg.recovery_crash {
         wal.arm_crash(plan);

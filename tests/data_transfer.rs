@@ -118,3 +118,83 @@ fn unknown_target_database_is_rejected() {
     let err = fed.execute("INSERT INTO hertz.fares SELECT flnu, rate FROM continental.flights");
     assert!(matches!(err, Err(mdbs::MdbsError::NotInScope(_))), "{err:?}");
 }
+
+fn count(fed: &mdbs::Federation, service: &str, db: &str, sql: &str) -> i64 {
+    let engine = fed.engine(service).unwrap();
+    let mut engine = engine.lock();
+    match engine.execute(db, sql).unwrap().into_result_set().unwrap().rows[0][0] {
+        Value::Int(n) => n,
+        ref other => panic!("{other:?}"),
+    }
+}
+
+/// A transfer's committed INSERT is a write like any other: it fires the
+/// `AFTER INSERT` triggers on its target, as a plain INSERT does.
+#[test]
+fn a_transfer_fires_the_insert_triggers_of_its_target() {
+    let mut fed = paper_federation();
+    fed.execute("USE continental avis").unwrap();
+    fed.execute("CREATE TABLE avis.fares (flnu INT, rate FLOAT)").unwrap();
+    fed.execute("CREATE TABLE avis.audit (note CHAR(40))").unwrap();
+    fed.execute(
+        "CREATE TRIGGER fare_feed ON avis.fares AFTER INSERT EXECUTE
+         USE avis
+         INSERT INTO audit VALUES ('fares loaded')",
+    )
+    .unwrap();
+    fed.execute("USE continental avis INSERT INTO avis.fares VALUES (0, 1.0)").unwrap();
+    assert_eq!(count(&fed, "svc_avis", "avis", "SELECT COUNT(*) FROM audit"), 1);
+
+    fed.execute(
+        "USE continental avis
+         INSERT INTO avis.fares (flnu, rate)
+         SELECT flnu, rate FROM continental.flights WHERE source = 'Houston'",
+    )
+    .unwrap();
+    assert_eq!(count(&fed, "svc_avis", "avis", "SELECT COUNT(*) FROM audit"), 2);
+}
+
+/// A transfer is one local statement at its target, so one row the target
+/// refuses applies none of them — however many rows travel.
+#[test]
+fn a_refused_transfer_applies_no_row() {
+    let mut fed = paper_federation();
+    fed.execute("USE continental avis").unwrap();
+    fed.execute("CREATE TABLE continental.src (a INT)").unwrap();
+    fed.execute("CREATE TABLE avis.dst (a INT NOT NULL)").unwrap();
+    {
+        let engine = fed.engine("svc_continental").unwrap();
+        let mut engine = engine.lock();
+        for i in 1..70 {
+            engine.execute("continental", &format!("INSERT INTO src VALUES ({i})")).unwrap();
+        }
+        engine.execute("continental", "INSERT INTO src VALUES (NULL)").unwrap();
+    }
+    let err = fed
+        .execute("USE continental avis INSERT INTO avis.dst (a) SELECT a FROM continental.src")
+        .unwrap_err();
+    assert!(
+        matches!(err, mdbs::MdbsError::Local { ref service, .. } if service == "avis"),
+        "{err:?}"
+    );
+    assert_eq!(count(&fed, "svc_avis", "avis", "SELECT COUNT(*) FROM dst"), 0);
+}
+
+/// A transfer reports what it sent, like every other modification.
+#[test]
+fn a_transfer_report_carries_its_accounting() {
+    let mut fed = paper_federation();
+    fed.execute("USE continental avis").unwrap();
+    fed.execute("CREATE TABLE avis.fares (flnu INT, rate FLOAT)").unwrap();
+    let report = fed
+        .execute(
+            "INSERT INTO avis.fares (flnu, rate)
+             SELECT flnu, rate FROM continental.flights WHERE source = 'Houston'",
+        )
+        .unwrap()
+        .into_update()
+        .unwrap();
+    assert!(report.success);
+    assert!(report.stats.calls >= 1, "{:?}", report.stats);
+    assert_eq!(report.outcomes[0].attempts, 1, "{report:?}");
+}

@@ -26,8 +26,8 @@ use mdbs::lam::spawn_lam;
 use mdbs::lamclient::{LamClient, LamFactory};
 use mdbs::proto::{Request, Response, TaskMode};
 use mdbs::retry::shared_stats;
-use mdbs::{CrashPlan, CrashWhen, Federation, MdbsError, RetryPolicy};
-use netsim::{FaultKind, Network};
+use mdbs::{CrashPlan, CrashWhen, Federation, MdbsError, RetryPolicy, Wal};
+use netsim::{FaultKind, LatencyModel, Network};
 use std::time::{Duration, Instant};
 
 const Q1: &str = "USE avis national
@@ -342,28 +342,35 @@ fn autocommit_continental_federation() -> Federation {
     )
 }
 
-/// Crashes the Q3 coordinator immediately before it logs its decision,
-/// recovers on a successor federation sharing the same log, and renders the
-/// recovery trace: presumed abort, delta/united rolled back via RESOLVE,
-/// autocommitted continental compensated.
-fn recovery_trace() -> String {
-    // Locate the decision record in a crash-free run of the same scenario.
+/// Runs `msql` on a federation `build` makes, with a log, and crashes the
+/// coordinator immediately before it logs the decision a crash-free run of
+/// the same scenario logs. The LAMs, being autonomous sites, survive.
+fn crash_before_decision(build: fn() -> Federation, msql: &str) -> (Federation, Wal) {
     let decide_at = {
-        let mut fed = autocommit_continental_federation();
+        let mut fed = build();
         let wal = fed.enable_wal();
-        fed.execute(Q3_UPDATE_WITH_COMP).unwrap();
+        fed.execute(msql).unwrap();
         wal.records()
             .unwrap()
             .iter()
             .position(|r| r.kind().starts_with("decision"))
             .expect("a settle-bearing statement logs a decision")
     };
-
-    let mut fed = autocommit_continental_federation();
+    let mut fed = build();
     let wal = fed.enable_wal();
     wal.arm_crash(CrashPlan { at: decide_at, when: CrashWhen::Before });
-    fed.execute(Q3_UPDATE_WITH_COMP).unwrap_err();
+    fed.execute(msql).unwrap_err();
     assert!(wal.crashed(), "the armed crash point fired");
+    (fed, wal)
+}
+
+/// Crashes the Q3 coordinator immediately before it logs its decision,
+/// recovers on a successor federation sharing the same log, and renders the
+/// recovery trace: presumed abort, united rolled back via RESOLVE,
+/// autocommitted continental compensated.
+fn recovery_trace() -> String {
+    let (mut fed, _wal) =
+        crash_before_decision(autocommit_continental_federation, Q3_UPDATE_WITH_COMP);
 
     // The restarted coordinator replays the log against the LAMs, which —
     // being autonomous sites — survived the coordinator's crash.
@@ -390,8 +397,8 @@ fn recovery_trace() -> String {
 }
 
 /// Pins the recovery span tree against `tests/golden/recovery.trace`. Two
-/// fresh runs must render byte-identically (logical clock, and recovery
-/// resolves one task at a time); regenerate after an intentional change with
+/// fresh runs must render byte-identically (logical clock, and each wave's
+/// replies are read in task order); regenerate after an intentional change with
 /// `UPDATE_GOLDEN=1 cargo test --test fault_tolerance`.
 #[test]
 fn recovery_trace_is_golden() {
@@ -413,6 +420,84 @@ fn recovery_trace_is_golden() {
         "golden recovery trace drift — if the change is intended, regenerate with \
          UPDATE_GOLDEN=1 cargo test --test fault_tolerance"
     );
+}
+
+/// A recovery pass that dies after its first wave has logged what it
+/// settled — but not continental, whose compensation is the second wave's —
+/// so the next pass still compensates it.
+#[test]
+fn a_recovery_crash_between_the_waves_still_compensates() {
+    let (mut fed, wal) =
+        crash_before_decision(autocommit_continental_federation, Q3_UPDATE_WITH_COMP);
+    // Two resolutions come first: delta's logged commit and united's
+    // rollback; continental's compensation is the last one.
+    let first_wave_done = wal.record_count() + 1;
+    wal.arm_crash(CrashPlan { at: first_wave_done, when: CrashWhen::After });
+    fed.recover().unwrap_err();
+    assert!(wal.crashed(), "the recovery pass died");
+
+    let report = fed.recover().unwrap();
+    assert_eq!(report.recovered.len(), 1);
+    let mtx = &report.recovered[0];
+    assert_eq!(mtx.statuses.get("T1"), Some(&TaskStatus::Compensated), "{mtx:?}");
+    assert!(mtx.is_consistent(), "{mtx:?}");
+    assert_eq!(
+        rate(&fed, "svc_continental", "continental", "SELECT rate FROM flights WHERE flnu = 1"),
+        Value::Float(100.0 * 1.1 / 1.1)
+    );
+    assert!(fed.recover().unwrap().recovered.is_empty(), "the image ended");
+}
+
+/// The vital update over three 2PC databases, crashed before its decision
+/// on warm connections: recovery rolls the three prepared tasks back with
+/// one `RESOLVE` each, all in flight at once — one round trip, not three.
+#[test]
+fn recovery_resolves_an_image_in_one_round_trip() {
+    fn federation() -> Federation {
+        paper_federation_with(Network::new(), FederationProfiles::default())
+    }
+    const ALL_VITAL: &str = "USE continental VITAL delta VITAL united VITAL
+        UPDATE flight%
+        SET rate% = rate% * 1.1
+        WHERE sour% = 'Houston' AND dest% = 'San Antonio'";
+    let (mut fed, _wal) = crash_before_decision(federation, ALL_VITAL);
+    const ONE_WAY: Duration = Duration::from_millis(10);
+    fed.network().set_latency(LatencyModel::uniform(ONE_WAY));
+    let sent = fed.network().stats().messages;
+    let start = Instant::now();
+    let report = fed.recover().unwrap();
+    let took = start.elapsed();
+    fed.network().set_latency(LatencyModel::instant());
+    let mtx = &report.recovered[0];
+    for task in ["T1", "T2", "T3"] {
+        assert_eq!(mtx.statuses.get(task), Some(&TaskStatus::Aborted), "{mtx:?}");
+    }
+    assert_eq!(fed.network().stats().messages - sent, 6, "one RESOLVE and its reply per task");
+    assert!(took < Duration::from_millis(40), "{took:?}: more than one round trip");
+}
+
+/// A task whose `RESOLVE` gets no answer logs nothing: the pass settles the
+/// others, leaves the image open and fails; the next pass finishes it.
+#[test]
+fn a_recovery_that_cannot_reach_a_site_leaves_its_task_to_the_next_pass() {
+    fn federation() -> Federation {
+        let mut fed = paper_federation_with(Network::new(), FederationProfiles::default());
+        fed.timeout = Duration::from_millis(100);
+        fed
+    }
+    let (mut fed, wal) = crash_before_decision(federation, Q2);
+    let logged = wal.record_count();
+    fed.network().set_link_drop_probability("*", "site3", 1.0);
+    fed.recover().unwrap_err();
+    let kinds: Vec<_> = wal.records().unwrap()[logged..].iter().map(|r| r.kind()).collect();
+    assert_eq!(kinds, ["resolved", "resolved"], "continental and delta, not united");
+
+    fed.network().clear_link_drop_probability("*", "site3");
+    let report = fed.recover().unwrap();
+    let mtx = &report.recovered[0];
+    assert_eq!(mtx.statuses.get("T3"), Some(&TaskStatus::Aborted), "{mtx:?}");
+    assert!(mtx.is_consistent(), "{mtx:?}");
+    assert!(fed.recover().unwrap().recovered.is_empty(), "the image ended");
 }
 
 #[test]
