@@ -299,6 +299,40 @@ if [ "$in_accessor" != 2 ] || [ "$everywhere" != 2 ]; then
     exit 1
 fi
 
+echo "== prepare does no I/O =="
+# Every statement is prepared, then run (DESIGN §3a.18). Preparing reads the
+# catalog, the scope and the session's settings and may open spans, but sends
+# nothing and changes nothing; `run_prepared` is the one place a statement
+# does either. Outside tests, every `fn prepare*` in federation.rs takes
+# `&self`, and none of their bodies names the executor, a LAM connection, a
+# synchronization point, a catalog, trigger or statistics write, or the global
+# transaction. On the commit before this gate it hit `prepare`,
+# `prepare_query` and `prepare_multitransaction` (`&mut self`) and nine lines
+# of their bodies: sync_point (2), write_catalog (2), lams().checkout,
+# triggers.write (2), executor() and gtxn.execute. federation.rs's unit tests
+# prepare one statement of every kind on a network that loses every message
+# and check that nothing moved.
+prepare=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/federation.rs | awk '
+    /^    (pub(\([a-z]+\))? )?fn prepare/ { on = 1; sig = ""; found++ }
+    on && sig !~ /\{$/ {
+        sig = sig $0
+        if (sig ~ /\{$/) {
+            s = sig
+            gsub(/[[:space:]]/, "", s)
+            if (s !~ /fnprepare[a-z_]*\(&self[,)]/) print NR ": not &self: " $0
+        }
+    }
+    on && /executor\(\)|lams\(\)|sync_point|write_catalog|fire_triggers|triggers\.write|site_stats\.write|gtxn\.|checkout/ {
+        print NR ": " $0
+    }
+    on && /^    }$/ { on = 0 }
+    END { if (!found) print "no fn prepare found" }')
+if [ -n "$prepare" ]; then
+    echo "$prepare" >&2
+    echo "federation.rs prepares a statement with a side effect" >&2
+    exit 1
+fi
+
 echo "== one EXPLAIN rendering =="
 # EXPLAIN prints what ran once: the span tree plus one per-site cost table
 # (DESIGN §3a.2). A join's strategy, keys shipped and bytes saved, a partial's
@@ -351,5 +385,16 @@ if compgen -G 'BENCH_*.json' >/dev/null; then
     echo "a BENCH_*.json sweep file is back at the repo root" >&2
     exit 1
 fi
+
+echo "== LOC ledger =="
+# Not a gate: the two numbers ROADMAP's LOC ledger records per change — every
+# line of crates/*/src, and the lines above each file's first #[cfg(test)].
+total=0
+outside=0
+for f in $(find crates/*/src -name '*.rs'); do
+    total=$((total + $(wc -l <"$f")))
+    outside=$((outside + $(sed '/^#\[cfg(test)\]/,$d' "$f" | wc -l)))
+done
+echo "crates/*/src: $total lines in total, $outside outside tests"
 
 echo "CI OK"

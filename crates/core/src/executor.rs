@@ -282,31 +282,24 @@ impl Executor {
 
     /// Runs a retrieval plan, assembling a multitable from the per-database
     /// partial results. A database whose task failed contributes no table;
-    /// if every database failed the query fails.
+    /// if every database failed the query fails with the first one's error,
+    /// in plan order and in the site's words.
     pub fn run_retrieval(&self, plan: &GeneratedPlan) -> Result<Multitable, MdbsError> {
-        let (out, _stats, mut outputs) = self.run_program(plan)?;
+        let (out, stats, mut outputs) = self.run_program(plan)?;
         let mut tables = Vec::new();
-        let mut last_error: Option<String> = None;
         for t in &plan.tasks {
-            match out.status(&t.task) {
-                Some(TaskStatus::Committed) => {
-                    let output = outputs.remove(&t.task).ok_or_else(|| {
-                        MdbsError::Internal(format!("task {} lost its result", t.task))
-                    })?;
-                    tables.push(MultitableEntry {
-                        database: t.database.clone(),
-                        result: output.rows.unwrap_or_default(),
-                    });
-                }
-                _ => {
-                    last_error = Some(format!("retrieval failed at `{}`", t.database));
-                }
+            if out.status(&t.task) == Some(TaskStatus::Committed) {
+                let output = outputs.remove(&t.task).ok_or_else(|| {
+                    MdbsError::Internal(format!("task {} lost its result", t.task))
+                })?;
+                tables.push(MultitableEntry {
+                    database: t.database.clone(),
+                    result: output.rows.unwrap_or_default(),
+                });
             }
         }
-        if tables.is_empty() {
-            if let Some(e) = last_error {
-                return Err(MdbsError::Local { service: "retrieval".into(), message: e });
-            }
+        if tables.is_empty() && !plan.tasks.is_empty() {
+            return Err(task_failed(&self.outcomes(plan, &out, &stats, &outputs)[0]));
         }
         Ok(Multitable { tables })
     }
@@ -471,6 +464,13 @@ impl Executor {
         }
         Ok(result)
     }
+}
+
+/// A task that did not end as its statement needs: its database's error, in
+/// the site's words (a task that did not end as asked always carries one).
+pub(crate) fn task_failed(outcome: &DbOutcome) -> MdbsError {
+    let message = outcome.error.clone().unwrap_or_default();
+    MdbsError::Local { service: outcome.database.clone(), message }
 }
 
 /// Opens the span of one site's partial under `ctx` and notes the plan's side

@@ -15,17 +15,17 @@
 
 use crate::codec::WireFormat;
 use crate::error::MdbsError;
-use crate::executor::{DbOutcome, Executor, MsqlOutcome, MtxReport, UpdateReport};
+use crate::executor::{task_failed, DbOutcome, Executor, MsqlOutcome, MtxReport, UpdateReport};
 use crate::gtxn::GlobalTransaction;
 use crate::lam::{spawn_lam, LamHandle, LamServerStats};
 use crate::lamclient::{ConnectionPool, LamFactory, Vote};
 use crate::planner::{plan_join, PlannerContext, DEFAULT_SEMIJOIN_CAP};
 use crate::retry::{shared_stats, ExecStats, RetryPolicy, SharedExecStats};
-use crate::scope::SessionScope;
+use crate::scope::{ScopeDb, SessionScope};
 use crate::translate::plangen::{dol_plan, DolTask};
 use crate::translate::{
     self, multitransaction_plan, retrieval_plan, update_plan, DbRoute, Decomposition,
-    GeneratedPlan, MtxQueryPlan, Translated,
+    GeneratedPlan, LocalQuery, MtxQueryPlan, Translated,
 };
 use crate::wal::{Wal, WalDecision, WalRecord, WalTask};
 use catalog::{
@@ -34,7 +34,7 @@ use catalog::{
 use ldbs::profile::StatementClass;
 use ldbs::Engine;
 use msql_lang::printer::print;
-use msql_lang::{MsqlQuery, Multitransaction, QueryBody, Statement};
+use msql_lang::{CreateTrigger, MsqlQuery, Multitransaction, QueryBody, Statement};
 use netsim::Network;
 use obs::{
     labeled, ExplainReport, LogicalClock, MetricsRegistry, MetricsSnapshot, Span, SpanCtx,
@@ -60,16 +60,6 @@ pub const PLAN_CACHE_CAPACITY: usize = 128;
 /// `(database, table, event)`.
 type WriteEvent = (String, msql_lang::WildName, msql_lang::TriggerEvent);
 
-/// One registered interdatabase trigger.
-#[derive(Debug, Clone)]
-struct TriggerDef {
-    name: String,
-    database: msql_lang::WildName,
-    table: msql_lang::WildName,
-    event: msql_lang::TriggerEvent,
-    action: Statement,
-}
-
 /// The shared substrate of a federation: everything that is one-per-server
 /// rather than one-per-user. All mutable pieces sit behind their own locks,
 /// so concurrent sessions only serialize on catalog *changes*, never on
@@ -81,7 +71,7 @@ pub struct FederationCore {
     lams: RwLock<HashMap<String, LamHandle>>,
     /// Interdatabase triggers (MSQL §2), fired after committed
     /// modifications in immediate (non-deferred) mode.
-    triggers: RwLock<Vec<TriggerDef>>,
+    triggers: RwLock<Vec<CreateTrigger>>,
     /// Deterministic logical clock, shared with the network probe and every
     /// statement tracer (no wall time: identical runs read identical ticks).
     clock: LogicalClock,
@@ -130,7 +120,7 @@ pub struct Session {
     scope: SessionScope,
     /// Recursion guard for cascading triggers.
     trigger_depth: u32,
-    /// True while [`Session::explain`] runs its target: the one time sites
+    /// True while an EXPLAIN runs its target: the one time sites
     /// are asked to measure the subquery a rewrite replaced.
     explaining: bool,
     /// Per-request network timeout.
@@ -191,8 +181,9 @@ pub struct Session {
     core: Arc<FederationCore>,
 }
 
-/// A statement translated and planned, ready to run: everything a repeat of
-/// its text skips (DESIGN §3a.18).
+/// A statement prepared to run (DESIGN §3a.18): all [`Session::run_prepared`]
+/// needs, and all a repeat of a cached text skips.
+#[derive(Debug, PartialEq)]
 struct Prepared {
     /// The scope the statement leaves the session in (`None`: it leaves the
     /// scope alone, as a multitransaction does).
@@ -200,6 +191,9 @@ struct Prepared {
     plan: PreparedPlan,
 }
 
+/// A DOL program or a join's decomposition, then — or alone — the typed step
+/// that follows it.
+#[derive(Debug, PartialEq)]
 enum PreparedPlan {
     Retrieval(GeneratedPlan),
     /// A vital update or a multitransaction — one settle program — with what
@@ -215,13 +209,46 @@ enum PreparedPlan {
         dec: Box<Decomposition>,
         routes: HashMap<String, DbRoute>,
     },
-}
-
-/// What preparing a statement came to: a plan to run, or — for a statement
-/// that has none to keep — its outcome, already produced.
-enum Step {
-    Run(Prepared),
-    Done(MsqlOutcome),
+    /// A deferred-mode modification: the global transaction's next `TASK`
+    /// batch, planned at run time against its members of the moment (§3a.16).
+    Deferred {
+        locals: Vec<LocalQuery>,
+        comps: HashMap<String, Vec<String>>,
+        routes: HashMap<String, DbRoute>,
+    },
+    /// A transfer: its source (a retrieval of one database, or a join), then
+    /// one task at `target` inserting the source's rows as `insert` says.
+    Transfer {
+        source: Box<PreparedPlan>,
+        target: DbRoute,
+        insert: msql_lang::Insert,
+    },
+    /// DDL or `ANALYZE`: the one-task program at `database`, then what the
+    /// committed `stmt` changes at the coordinator.
+    Local {
+        database: String,
+        plan: GeneratedPlan,
+        stmt: Box<Statement>,
+    },
+    /// A synchronization point (§3.2.2) — `USE`, `COMMIT`, `ROLLBACK` — whose
+    /// outcome is `idle` when nothing is pending.
+    SyncPoint {
+        rollback: bool,
+        idle: String,
+    },
+    /// Nothing to run (`LET`): the outcome.
+    Message(String),
+    /// A catalog write.
+    Incorporate(msql_lang::Incorporate),
+    /// The database's schema fetched from `site`, then written to the GDD.
+    Import {
+        import: msql_lang::Import,
+        site: String,
+    },
+    CreateTrigger(CreateTrigger),
+    DropTrigger(String),
+    /// EXPLAIN: its target is prepared and run as a statement nested in it.
+    Explain(Box<Statement>),
 }
 
 /// A session's prepared statements by text, at most [`PLAN_CACHE_CAPACITY`].
@@ -767,17 +794,17 @@ impl Session {
         }
     }
 
-    /// Parses and executes one MSQL statement. The parse itself runs under
-    /// the statement's root span, so traces show the full lifecycle — of
-    /// every attempt: a deadlock retry is the whole statement again.
+    /// Parses and executes one MSQL statement under a root span, which a
+    /// deadlock retry opens again: the retry is the whole statement again.
     ///
-    /// A query or multitransaction is prepared (parse → USE/LET → translate
-    /// → plan) and then run; outside deferred-commit mode the session keeps
-    /// what it prepared, and a later statement of the same text runs it
-    /// again without preparing while the catalog and, unless the statement
-    /// opens with a scope-replacing `USE`, the scope are those it was
-    /// prepared in (DESIGN §3a.18). Its root span is then noted
-    /// `plan=cached`.
+    /// Every statement is prepared — parse → USE/LET on a working scope →
+    /// translate → plan, sending and changing nothing — then run, which
+    /// installs the scope it leaves even if it then fails (DESIGN §3a.18).
+    /// Outside deferred-commit mode, a query's or multitransaction's prepared
+    /// statement (not a transfer's) is kept: a repeat of its text runs it
+    /// without preparing while the catalog and, unless it opens with a
+    /// scope-replacing `USE`, the scope are those it was prepared in. Its
+    /// root span is then noted `plan=cached`.
     pub fn execute(&mut self, msql: &str) -> Result<MsqlOutcome, MdbsError> {
         self.run_retrying(text_note(msql), |fed, span| {
             // Read before the catalog is: see `FederationCore::write_catalog`.
@@ -786,9 +813,6 @@ impl Session {
             if let Some(prepared) = cached {
                 span.note("plan", "cached");
                 fed.core.metrics.counter_add("plan_cache.hits", 1);
-                if let Some(scope) = &prepared.scope {
-                    fed.scope.clone_from(scope);
-                }
                 return fed.run_prepared(&prepared);
             }
             let stmt = fed.timed("phase.parse", || {
@@ -798,17 +822,7 @@ impl Session {
                     MdbsError::Parse(e.display_with_source(msql))
                 })
             })?;
-            let scope = (!replaces_scope(&stmt)).then(|| fed.scope.clone());
-            let prepared = match fed.prepare(&stmt, span)? {
-                Step::Run(prepared) => prepared,
-                Step::Done(outcome) => return Ok(outcome),
-            };
-            let outcome = fed.run_prepared(&prepared)?;
-            if !fed.deferred {
-                fed.core.metrics.counter_add("plan_cache.misses", 1);
-                fed.plans.insert(msql, epoch, scope, prepared);
-            }
-            Ok(outcome)
+            fed.run_statement(&stmt, span, Some((msql, epoch)))
         })
     }
 
@@ -891,34 +905,6 @@ impl Session {
         result
     }
 
-    /// Executes the statement with full tracing, then returns the measured
-    /// profile — span tree plus per-LAM cost table — instead of the
-    /// statement's own outcome. EXPLAIN *runs* its target (the paper's
-    /// simulated costs are observed, not estimated), and this is the one
-    /// execution during which sites are asked to measure the subqueries a
-    /// semi-join or pushdown rewrite replaced; every other statement runs
-    /// each subquery once.
-    pub fn explain(&mut self, stmt: &Statement) -> Result<MsqlOutcome, MdbsError> {
-        let outer = std::mem::replace(&mut self.explaining, true);
-        let run = self.execute_statement(stmt);
-        self.explaining = outer;
-        run?;
-        let tree = match &self.trace {
-            // Already inside a trace (this EXPLAIN arrived as text or as a
-            // trigger action): the target ran as a nested statement; report
-            // on the spans collected so far.
-            Some(tracer) => {
-                let mut tree = SpanTree::from_records(tracer.records());
-                tree.normalize();
-                tree
-            }
-            // The target was a top-level statement and left its tree behind.
-            None => self.last_trace().unwrap_or_default(),
-        };
-        let report = ExplainReport::from_tree(print(stmt), tree);
-        Ok(MsqlOutcome::Explain(Box::new(report)))
-    }
-
     /// Parses and executes a script, returning one outcome per statement.
     pub fn execute_script(&mut self, msql: &str) -> Result<Vec<MsqlOutcome>, MdbsError> {
         let script = msql_lang::parse_script(msql)
@@ -930,76 +916,73 @@ impl Session {
         Ok(out)
     }
 
-    /// Executes a pre-parsed statement (never through the plan cache).
+    /// Executes a pre-parsed statement: prepared and run as
+    /// [`Session::execute`] does, never through the plan cache.
     pub fn execute_statement(&mut self, stmt: &Statement) -> Result<MsqlOutcome, MdbsError> {
-        if let Statement::Explain(inner) = stmt {
-            return self.explain(inner);
-        }
-        self.run_retrying(text_note(&print(stmt)), |fed, span| match fed.prepare(stmt, span)? {
-            Step::Run(prepared) => fed.run_prepared(&prepared),
-            Step::Done(outcome) => Ok(outcome),
-        })
+        self.run_retrying(text_note(&print(stmt)), |fed, span| fed.run_statement(stmt, span, None))
     }
 
-    /// Prepares a statement under `span`: a query or multitransaction becomes
-    /// a plan to run; every other statement — and a query with no plan worth
-    /// keeping (a data transfer, a deferred-mode update) — runs here.
-    fn prepare(&mut self, stmt: &Statement, span: &Span) -> Result<Step, MdbsError> {
-        let outcome = match stmt {
+    /// The one body of [`Self::execute`] and [`Self::execute_statement`]:
+    /// prepares `stmt`, runs it and, given its text and the epoch read before
+    /// it was parsed, keeps a cacheable plan that ran without an error.
+    fn run_statement(
+        &mut self,
+        stmt: &Statement,
+        span: &Span,
+        keep: Option<(&str, u64)>,
+    ) -> Result<MsqlOutcome, MdbsError> {
+        let prepared = self.prepare(stmt, span)?;
+        let cacheable = matches!(
+            prepared.plan,
+            PreparedPlan::Retrieval(_) | PreparedPlan::Settle { .. } | PreparedPlan::Join { .. }
+        );
+        let keep = keep.filter(|_| cacheable && !self.deferred);
+        let Some((text, epoch)) = keep else {
+            return self.run_prepared(&prepared);
+        };
+        let scope = (!replaces_scope(stmt)).then(|| self.scope.clone());
+        let outcome = self.run_prepared(&prepared)?;
+        self.core.metrics.counter_add("plan_cache.misses", 1);
+        self.plans.insert(text, epoch, scope, prepared);
+        Ok(outcome)
+    }
+
+    /// Prepares a statement under `span` (DESIGN §3a.18). It reads the
+    /// catalog, the scope and the session's settings, and may open spans and
+    /// observe `phase.*`, but sends nothing and changes nothing: not the
+    /// catalog, the trigger list, the scope, the global transaction, the WAL
+    /// or the cached site statistics. [`Self::run_prepared`] does all that.
+    fn prepare(&self, stmt: &Statement, span: &Span) -> Result<Prepared, MdbsError> {
+        let plan = match stmt {
             Statement::Query(q) => return self.prepare_query(q, span),
-            Statement::Multitransaction(m) => {
-                return self.prepare_multitransaction(m, span).map(Step::Run)
-            }
+            Statement::Multitransaction(m) => self.prepare_multitransaction(m, span)?,
             Statement::Use(u) => {
+                let mut scope = self.scope.clone();
+                scope.apply_use(u)?;
+                let vital = |d: &ScopeDb| if d.vital { " VITAL" } else { "" };
+                let keys = scope.databases.iter().map(|d| format!("{}{}", d.key(), vital(d)));
+                let idle = format!("scope: {}", keys.collect::<Vec<_>>().join(", "));
                 // A scope change is a synchronization point (§3.2.2).
-                let settled = self.sync_point(false)?;
-                self.scope.apply_use(u)?;
-                match settled {
-                    Some(report) => MsqlOutcome::Update(report),
-                    None => MsqlOutcome::Admin(format!(
-                        "scope: {}",
-                        self.scope
-                            .databases
-                            .iter()
-                            .map(|d| if d.vital {
-                                format!("{} VITAL", d.key())
-                            } else {
-                                d.key().to_string()
-                            })
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )),
-                }
+                let plan = PreparedPlan::SyncPoint { rollback: false, idle };
+                return Ok(Prepared { scope: Some(scope), plan });
             }
             Statement::Let(l) => {
-                self.scope.apply_let(l)?;
-                MsqlOutcome::Admin(format!("{} semantic variable(s) declared", l.variables.len()))
+                let mut scope = self.scope.clone();
+                scope.apply_let(l)?;
+                let message = format!("{} semantic variable(s) declared", l.variables.len());
+                return Ok(Prepared { scope: Some(scope), plan: PreparedPlan::Message(message) });
             }
-            Statement::Incorporate(inc) => {
-                let entry = self.core.write_catalog(|_, ad| ad.incorporate(inc).clone());
-                MsqlOutcome::Admin(format!(
-                    "service `{}` incorporated at site `{}`",
-                    entry.name, entry.site
-                ))
-            }
+            Statement::Incorporate(inc) => PreparedPlan::Incorporate(inc.clone()),
             Statement::Import(imp) => {
-                let entry = self.core.ad.read().service(&imp.service)?.clone();
-                let client = self.lams().checkout(&entry.site, &imp.database)?;
-                let schema = client.fetch_schema()?;
-                let imported = self.core.write_catalog(|gdd, _| apply_import(gdd, imp, &schema))?;
-                MsqlOutcome::Admin(format!(
-                    "imported {} object(s) from `{}`: {}",
-                    imported.len(),
-                    imp.database,
-                    imported.join(", ")
-                ))
+                let site = self.core.ad.read().service(&imp.service)?.site.clone();
+                PreparedPlan::Import { import: imp.clone(), site }
             }
-            Statement::Explain(inner) => self.explain(inner)?,
+            Statement::Explain(target) => PreparedPlan::Explain(target.clone()),
             Statement::CreateTable(_)
             | Statement::DropTable(_)
             | Statement::CreateIndex(_)
             | Statement::DropIndex(_)
-            | Statement::Analyze(_) => self.execute_local_ddl(stmt)?,
+            | Statement::Analyze(_) => self.prepare_local(stmt)?,
             Statement::CreateDatabase(_) | Statement::DropDatabase(_) => {
                 return Err(MdbsError::Unsupported(
                     "CREATE/DROP DATABASE must name a service; use \
@@ -1007,27 +990,287 @@ impl Session {
                         .into(),
                 ))
             }
-            Statement::CreateTrigger(t) => {
+            Statement::CreateTrigger(t) => PreparedPlan::CreateTrigger(t.clone()),
+            Statement::DropTrigger(name) => PreparedPlan::DropTrigger(name.clone()),
+            Statement::Commit => PreparedPlan::SyncPoint {
+                rollback: false,
+                idle: "synchronization point: nothing pending (each MSQL statement commits or \
+                       aborts its vital set when it terminates, §3.2.2)"
+                    .into(),
+            },
+            Statement::Rollback => PreparedPlan::SyncPoint {
+                rollback: true,
+                idle: "synchronization point: nothing pending to roll back".into(),
+            },
+        };
+        Ok(Prepared { scope: None, plan })
+    }
+
+    /// Prepares a query: its USE / LET applied to a working scope, which the
+    /// query leaves the session in (interactive MSQL behaviour), then its
+    /// body — or a transfer's source — translated and planned there.
+    fn prepare_query(&self, q: &MsqlQuery, span: &Span) -> Result<Prepared, MdbsError> {
+        let mut scope = self.scope.clone();
+        apply_use_let(&mut scope, q)?;
+        // Inter-database data transfer (an MSQL §2 capability): INSERT INTO
+        // a table of one database from a SELECT over other databases.
+        let transfer = match &q.body {
+            QueryBody::Insert(ins) => self.transfer_target(&scope, ins)?.map(|t| (ins, t)),
+            _ => None,
+        };
+        let routes = self.routes()?;
+        let Some((ins, (target, source))) = transfer else {
+            let plan = self.prepare_body(&scope, &q.body, &q.comps, routes, span)?;
+            return Ok(Prepared { scope: Some(scope), plan });
+        };
+        // The source is a retrieval of one database, or a join.
+        let source =
+            self.prepare_body(&scope, &QueryBody::Select(source.clone()), &[], routes, span)?;
+        if let PreparedPlan::Retrieval(plan) = &source {
+            if plan.tasks.len() != 1 {
+                let sources: Vec<&str> = plan.tasks.iter().map(|t| t.database.as_str()).collect();
+                return Err(MdbsError::Unsupported(format!(
+                    "the transfer source must resolve to a single database; it is \
+                     pertinent to {sources:?} — qualify the source tables"
+                )));
+            }
+        }
+        let target = route_in(&self.core.gdd.read(), &self.core.ad.read(), &target)?;
+        let plan = PreparedPlan::Transfer { source: Box::new(source), target, insert: ins.clone() };
+        Ok(Prepared { scope: Some(scope), plan })
+    }
+
+    /// Translates `body` in `scope` (§4.3) and plans it: a retrieval or an
+    /// update as one DOL program (or a deferred batch), a cross-database
+    /// join as its decomposition. `comps` are the body's COMP clauses.
+    fn prepare_body(
+        &self,
+        scope: &SessionScope,
+        body: &QueryBody,
+        comps: &[msql_lang::CompClause],
+        routes: HashMap<String, DbRoute>,
+        span: &Span,
+    ) -> Result<PreparedPlan, MdbsError> {
+        let locals = match self.translate(body, scope, span)? {
+            Translated::PerDb(locals) => locals,
+            Translated::CrossDb(mut dec) => {
+                self.own_parts(&mut dec);
+                return Ok(PreparedPlan::Join { dec, routes });
+            }
+        };
+        if let QueryBody::Select(_) = body {
+            if !comps.is_empty() {
+                return Err(MdbsError::BadCompClause(
+                    "COMP applies to modification statements".into(),
+                ));
+            }
+            let pg = span.child("plangen");
+            pg.note("shape", "retrieval");
+            let plan = retrieval_plan(&locals, &routes)?;
+            pg.note("tasks", plan.tasks.len());
+            return Ok(PreparedPlan::Retrieval(plan));
+        }
+        let comps = comp_map(scope, comps, &locals)?;
+        if self.deferred {
+            return Ok(PreparedPlan::Deferred { locals, comps, routes });
+        }
+        let pg = span.child("plangen");
+        pg.note("shape", "update");
+        let plan = self.own_tasks(update_plan(&locals, &comps, &routes)?);
+        pg.note("tasks", plan.tasks.len());
+        let writes = locals.iter().map(write_event).collect();
+        Ok(PreparedPlan::Settle { plan, writes, mtx: false })
+    }
+
+    /// Translates `body` in `scope`, one span per §4.3 phase under `span`.
+    fn translate(
+        &self,
+        body: &QueryBody,
+        scope: &SessionScope,
+        span: &Span,
+    ) -> Result<Translated, MdbsError> {
+        self.timed("phase.translate", || {
+            translate::translate_body_traced(body, scope, &self.core.gdd.read(), span)
+        })
+    }
+
+    fn prepare_multitransaction(
+        &self,
+        m: &Multitransaction,
+        span: &Span,
+    ) -> Result<PreparedPlan, MdbsError> {
+        let routes = self.routes()?;
+        // Each component query manages its own scope; the session scope is
+        // untouched by the block.
+        let mut working = self.scope.clone();
+        let mut queries = Vec::with_capacity(m.queries.len());
+        for q in &m.queries {
+            apply_use_let(&mut working, q)?;
+            let Translated::PerDb(locals) = self.translate(&q.body, &working, span)? else {
+                return Err(MdbsError::Mtx(
+                    "cross-database joins are not allowed inside a multitransaction".into(),
+                ));
+            };
+            let comps = comp_map(&working, &q.comps, &locals)?;
+            queries.push(MtxQueryPlan { locals, comps });
+        }
+        let states: Vec<Vec<String>> = m
+            .acceptable_states
+            .iter()
+            .map(|s| s.databases.iter().map(|d| d.as_str().to_string()).collect())
+            .collect();
+        let pg = span.child("plangen");
+        pg.note("shape", "multitransaction");
+        pg.note("queries", queries.len());
+        pg.note("states", states.len());
+        let plan = self.own_tasks(multitransaction_plan(&queries, &states, &routes)?);
+        pg.note("tasks", plan.tasks.len());
+        let writes = queries.iter().flat_map(|q| q.locals.iter().map(write_event)).collect();
+        Ok(PreparedPlan::Settle { plan, writes, mtx: true })
+    }
+
+    /// Prepares a statement that one database executes on its own — CREATE /
+    /// DROP TABLE, CREATE / DROP INDEX, ANALYZE — as a one-task program at the
+    /// database it targets (a qualified table names it; otherwise the scope
+    /// must hold one database), shipped with the qualifier stripped.
+    fn prepare_local(&self, stmt: &Statement) -> Result<PreparedPlan, MdbsError> {
+        let mut local = stmt.clone();
+        let (target, task) = match &mut local {
+            Statement::CreateTable(s) => (Some(&mut s.table), "DDL"),
+            Statement::DropTable(s) => (Some(&mut s.table), "DDL"),
+            Statement::CreateIndex(s) => (Some(&mut s.table), "DDL"),
+            Statement::DropIndex(s) => (Some(&mut s.table), "DDL"),
+            Statement::Analyze(target) => (target.as_mut(), "ANALYZE"),
+            _ => return Err(MdbsError::Internal(format!("`{}` is not local DDL", print(stmt)))),
+        };
+        let ambiguous = if target.is_some() {
+            "DDL over a multi-database scope is ambiguous; qualify the table name"
+        } else {
+            "ANALYZE over a multi-database scope is ambiguous; name the table or narrow the scope"
+        };
+        let database = match target.and_then(|table| table.database.take()) {
+            Some(q) => self.named_database(&self.scope, q.as_str())?,
+            None => self.scope.only_database(ambiguous)?.to_string(),
+        };
+        let route = route_in(&self.core.gdd.read(), &self.core.ad.read(), &database)?;
+        let plan = local_plan(route, task, print(&local))?;
+        Ok(PreparedPlan::Local { database, plan, stmt: Box::new(stmt.clone()) })
+    }
+
+    /// Runs a statement prepared just now or, for a cached text, earlier: the
+    /// one place, with [`Self::run_plan`], where a statement has effects.
+    fn run_prepared(&mut self, prepared: &Prepared) -> Result<MsqlOutcome, MdbsError> {
+        if let Some(scope) = &prepared.scope {
+            self.scope.clone_from(scope);
+        }
+        self.run_plan(&prepared.plan)
+    }
+
+    /// Runs a prepared plan, firing the triggers its committed writes match.
+    fn run_plan(&mut self, plan: &PreparedPlan) -> Result<MsqlOutcome, MdbsError> {
+        Ok(match plan {
+            PreparedPlan::Retrieval(plan) => {
+                let mt = self.timed("phase.execute", || self.executor().run_retrieval(plan))?;
+                MsqlOutcome::Multitable(mt)
+            }
+            PreparedPlan::Settle { plan, writes, mtx } => {
+                let report = self.run_settle(plan, writes)?;
+                if *mtx {
+                    MsqlOutcome::Mtx(report)
+                } else {
+                    MsqlOutcome::Update(report.into())
+                }
+            }
+            PreparedPlan::Join { dec, routes } => {
+                let rows = self.timed("phase.execute", || {
+                    // With the cost planner's context when statistics exist.
+                    let ctx = self.planner_context(dec, routes);
+                    let (semijoin, cap, pushdown) =
+                        (self.semijoin, self.semijoin_cap, self.agg_pushdown);
+                    let plan = plan_join(dec, routes, ctx.as_ref(), semijoin, cap, pushdown)?;
+                    self.executor().run_join(&plan)
+                })?;
+                MsqlOutcome::Table(rows)
+            }
+            PreparedPlan::Deferred { locals, comps, routes } => {
+                let executor = self.executor();
+                MsqlOutcome::Update(self.gtxn.execute(locals, comps, routes, &executor)?)
+            }
+            PreparedPlan::Transfer { source, target, insert } => {
+                let rows = match self.run_plan(source)? {
+                    MsqlOutcome::Multitable(mt) => {
+                        mt.tables.into_iter().next().map(|t| t.result).unwrap_or_default()
+                    }
+                    joined => joined.into_table()?,
+                };
+                MsqlOutcome::Update(self.run_transfer(rows, target, insert)?)
+            }
+            // A new or dropped table is exported to or removed from the GDD;
+            // an index is a local access path, not a multidatabase object, so
+            // it registers nothing. A table change or ANALYZE invalidates the
+            // statistics cached for the database: the next costed join
+            // re-pulls them.
+            PreparedPlan::Local { database, plan, stmt } => {
+                let affected = self.run_local(plan, None)?.outcomes[0].affected;
+                let message = match &**stmt {
+                    Statement::CreateTable(ct) => {
+                        let columns =
+                            ct.columns.iter().map(|c| GddColumn::new(c.name.clone(), c.type_name));
+                        let table = GddTable::new(ct.table.table.as_str(), columns.collect());
+                        self.core.write_catalog(|gdd, _| gdd.put_table(database, table))?;
+                        format!("table `{}` created in `{database}`", ct.table.table)
+                    }
+                    Statement::DropTable(dt) => {
+                        let table = dt.table.table.as_str();
+                        let _ = self.core.write_catalog(|gdd, _| gdd.drop_table(database, table));
+                        format!("table `{table}` dropped from `{database}`")
+                    }
+                    Statement::CreateIndex(ci) => {
+                        format!("index `{}` created on `{database}`.`{}`", ci.name, ci.table.table)
+                    }
+                    Statement::DropIndex(di) => {
+                        format!(
+                            "index `{}` dropped from `{database}`.`{}`",
+                            di.name, di.table.table
+                        )
+                    }
+                    _ => format!("analyzed {affected} table(s) in `{database}`"),
+                };
+                if !matches!(**stmt, Statement::CreateIndex(_) | Statement::DropIndex(_)) {
+                    self.core.site_stats.write().remove(database);
+                }
+                MsqlOutcome::Admin(message)
+            }
+            PreparedPlan::SyncPoint { rollback, idle } => match self.sync_point(*rollback)? {
+                Some(report) => MsqlOutcome::Update(report),
+                None => MsqlOutcome::Admin(idle.clone()),
+            },
+            PreparedPlan::Message(message) => MsqlOutcome::Admin(message.clone()),
+            PreparedPlan::Incorporate(inc) => {
+                let entry = self.core.write_catalog(|_, ad| ad.incorporate(inc).clone());
+                MsqlOutcome::Admin(format!(
+                    "service `{}` incorporated at site `{}`",
+                    entry.name, entry.site
+                ))
+            }
+            PreparedPlan::Import { import, site } => {
+                let schema = self.lams().checkout(site, &import.database)?.fetch_schema()?;
+                let names = self.core.write_catalog(|gdd, _| apply_import(gdd, import, &schema))?;
+                let (n, db, names) = (names.len(), &import.database, names.join(", "));
+                MsqlOutcome::Admin(format!("imported {n} object(s) from `{db}`: {names}"))
+            }
+            PreparedPlan::CreateTrigger(t) => {
                 let mut triggers = self.core.triggers.write();
                 if triggers.iter().any(|existing| existing.name == t.name) {
                     return Err(MdbsError::Catalog(format!("trigger `{}` already exists", t.name)));
                 }
-                triggers.push(TriggerDef {
-                    name: t.name.clone(),
-                    database: t.database.clone(),
-                    table: t.table.clone(),
-                    event: t.event,
-                    action: (*t.action).clone(),
-                });
+                triggers.push(t.clone());
+                let (name, db, table, event) = (&t.name, &t.database, &t.table, t.event.name());
                 MsqlOutcome::Admin(format!(
-                    "trigger `{}` created on {}.{} AFTER {}",
-                    t.name,
-                    t.database,
-                    t.table,
-                    t.event.name()
+                    "trigger `{name}` created on {db}.{table} AFTER {event}"
                 ))
             }
-            Statement::DropTrigger(name) => {
+            PreparedPlan::DropTrigger(name) => {
                 let mut triggers = self.core.triggers.write();
                 let before = triggers.len();
                 triggers.retain(|t| &t.name != name);
@@ -1036,101 +1279,21 @@ impl Session {
                 }
                 MsqlOutcome::Admin(format!("trigger `{name}` dropped"))
             }
-            Statement::Commit | Statement::Rollback => {
-                let rollback = matches!(stmt, Statement::Rollback);
-                match self.sync_point(rollback)? {
-                    Some(report) => MsqlOutcome::Update(report),
-                    None if rollback => MsqlOutcome::Admin(
-                        "synchronization point: nothing pending to roll back".into(),
-                    ),
-                    None => MsqlOutcome::Admin(
-                        "synchronization point: nothing pending (each MSQL statement commits or \
-                         aborts its vital set when it terminates, §3.2.2)"
-                            .into(),
-                    ),
-                }
+            PreparedPlan::Explain(target) => {
+                // The one run during which sites are asked to measure the
+                // subqueries a semi-join or pushdown rewrite replaced.
+                let outer = std::mem::replace(&mut self.explaining, true);
+                let run = self.execute_statement(target);
+                self.explaining = outer;
+                run?;
+                // The target ran as a statement nested under this one's span:
+                // report on the spans collected so far.
+                let records = self.trace.as_ref().map(Tracer::records).unwrap_or_default();
+                let mut tree = SpanTree::from_records(records);
+                tree.normalize();
+                MsqlOutcome::Explain(Box::new(ExplainReport::from_tree(print(target), tree)))
             }
-        };
-        Ok(Step::Done(outcome))
-    }
-
-    fn prepare_query(&mut self, q: &MsqlQuery, span: &Span) -> Result<Step, MdbsError> {
-        // USE/LET attached to the query update the session scope, which then
-        // persists (interactive MSQL behaviour).
-        if let Some(u) = &q.use_clause {
-            self.scope.apply_use(u)?;
-        }
-        for l in &q.lets {
-            self.scope.apply_let(l)?;
-        }
-        // Inter-database data transfer (an MSQL §2 capability): INSERT INTO
-        // a table of one database from a SELECT over other databases.
-        if let QueryBody::Insert(ins) = &q.body {
-            if let Some(target) = self.transfer_target(ins)? {
-                return self.execute_data_transfer(ins, &target).map(Step::Done);
-            }
-        }
-        let routes = self.routes()?;
-        let translated = self.timed("phase.translate", || {
-            let gdd = self.core.gdd.read();
-            translate::translate_body_traced(&q.body, &self.scope, &gdd, span)
-        })?;
-        let plan = match translated {
-            Translated::PerDb(locals) => match &q.body {
-                QueryBody::Select(_) => {
-                    if !q.comps.is_empty() {
-                        return Err(MdbsError::BadCompClause(
-                            "COMP applies to modification statements".into(),
-                        ));
-                    }
-                    let pg = span.child("plangen");
-                    pg.note("shape", "retrieval");
-                    let plan = retrieval_plan(&locals, &routes)?;
-                    pg.note("tasks", plan.tasks.len());
-                    PreparedPlan::Retrieval(plan)
-                }
-                _ => {
-                    let comps = comp_map(&self.scope, q, &locals)?;
-                    if self.deferred {
-                        let executor = self.executor();
-                        let report = self.gtxn.execute(&locals, &comps, &routes, &executor)?;
-                        return Ok(Step::Done(MsqlOutcome::Update(report)));
-                    }
-                    let pg = span.child("plangen");
-                    pg.note("shape", "update");
-                    let plan = self.own_tasks(update_plan(&locals, &comps, &routes)?);
-                    pg.note("tasks", plan.tasks.len());
-                    let writes = locals.iter().map(write_event).collect();
-                    PreparedPlan::Settle { plan, writes, mtx: false }
-                }
-            },
-            Translated::CrossDb(mut dec) => {
-                self.own_parts(&mut dec);
-                PreparedPlan::Join { dec, routes }
-            }
-        };
-        Ok(Step::Run(Prepared { scope: Some(self.scope.clone()), plan }))
-    }
-
-    /// Runs a prepared statement — the one execution path of a query or a
-    /// multitransaction, whether it was prepared just now or by an earlier
-    /// statement of the same text — and fires the triggers its committed
-    /// writes match.
-    fn run_prepared(&mut self, prepared: &Prepared) -> Result<MsqlOutcome, MdbsError> {
-        match &prepared.plan {
-            PreparedPlan::Retrieval(plan) => {
-                let mt = self.timed("phase.execute", || self.executor().run_retrieval(plan))?;
-                Ok(MsqlOutcome::Multitable(mt))
-            }
-            PreparedPlan::Settle { plan, writes, mtx } => {
-                let report = self.run_settle(plan, writes)?;
-                Ok(if *mtx { MsqlOutcome::Mtx(report) } else { MsqlOutcome::Update(report.into()) })
-            }
-            PreparedPlan::Join { dec, routes } => {
-                let rs = self.timed("phase.execute", || self.run_join(dec, routes))?;
-                Ok(MsqlOutcome::Table(rs))
-            }
-        }
+        })
     }
 
     /// Runs a program that writes, settling it if it has states, and fires
@@ -1152,29 +1315,15 @@ impl Session {
         Ok(report)
     }
 
-    /// Runs `command`, one statement, at `database` alone: the one autocommit
-    /// task `name` of a DOL program that [`Self::run_settle`] runs, so a
-    /// committed `write` fires its triggers. A task that does not commit
-    /// fails the statement in the site's words.
-    fn run_at(
+    /// Runs a [`local_plan`] program with [`Self::run_settle`], so a committed
+    /// `write` fires its triggers. A task that does not commit fails the
+    /// statement in the site's words.
+    fn run_local(
         &mut self,
-        database: &str,
-        name: &str,
-        command: String,
+        plan: &GeneratedPlan,
         write: Option<WriteEvent>,
     ) -> Result<MtxReport, MdbsError> {
-        let route = route_in(&self.core.gdd.read(), &self.core.ad.read(), database)?;
-        let task = DolTask {
-            name: name.to_string(),
-            database: database.to_string(),
-            key: database.to_string(),
-            nocommit: false,
-            vital: true,
-            commands: vec![command],
-            compensation: Vec::new(),
-        };
-        let plan = dol_plan(&[task], &[], 0, false, &HashMap::from([(database.into(), route)]))?;
-        let report = self.run_settle(&plan, &[write])?;
+        let report = self.run_settle(plan, &[write])?;
         match &report.outcomes[0] {
             o if o.status == dol::TaskStatus::Committed => Ok(report),
             o => Err(task_failed(o)),
@@ -1182,101 +1331,69 @@ impl Session {
     }
 
     /// Detects an inter-database transfer: an `INSERT ... SELECT` whose
-    /// explicitly qualified target database differs from every database the
-    /// source SELECT reads. Returns the target database name.
-    fn transfer_target(&self, ins: &msql_lang::Insert) -> Result<Option<String>, MdbsError> {
+    /// explicitly qualified target database differs, in `scope`, from every
+    /// database the source SELECT reads. Returns the target and the source.
+    fn transfer_target<'q>(
+        &self,
+        scope: &SessionScope,
+        ins: &'q msql_lang::Insert,
+    ) -> Result<Option<(String, &'q msql_lang::Select)>, MdbsError> {
         let Some(tq) = &ins.table.database else { return Ok(None) };
         let msql_lang::InsertSource::Select(sel) = &ins.source else { return Ok(None) };
+        let target = self.named_database(scope, tq.as_str())?;
         let gdd = self.core.gdd.read();
-        let target = match self.scope.resolve(tq.as_str()) {
-            Some(d) => d.database.clone(),
-            None if gdd.has_database(tq.as_str()) => tq.as_str().to_string(),
-            None => return Err(MdbsError::NotInScope(tq.as_str().to_string())),
-        };
         // Does the source read the target database? Then it is a local
         // insert-select, handled by the ordinary pipeline.
         for tref in &sel.from {
             let owner = match &tref.database {
-                Some(q) => self.scope.resolve(q.as_str()),
-                None => self.scope.owners(&gdd, tref.table.as_str()).first().copied(),
+                Some(q) => scope.resolve(q.as_str()),
+                None => scope.owners(&gdd, tref.table.as_str()).first().copied(),
             };
             if owner.is_some_and(|d| d.database == target) {
                 return Ok(None);
             }
         }
-        Ok(Some(target))
+        Ok(Some((target, sel)))
     }
 
-    /// Executes an inter-database transfer: evaluates the source SELECT
-    /// (single database or cross-database join), then ships the rows to the
-    /// target as one multi-row INSERT, run like any update.
-    fn execute_data_transfer(
+    /// Ships a transfer's source rows to `target` as `insert` with one
+    /// multi-row `VALUES`, run like any update: one local statement, so one
+    /// transaction at the target — a row it refuses applies none.
+    fn run_transfer(
         &mut self,
-        ins: &msql_lang::Insert,
-        target: &str,
-    ) -> Result<MsqlOutcome, MdbsError> {
-        let msql_lang::InsertSource::Select(sel) = &ins.source else {
-            return Err(MdbsError::Internal("transfer without a SELECT source".into()));
-        };
-        let routes = self.routes()?;
-        // 1. Evaluate the source.
-        let translated = {
-            let gdd = self.core.gdd.read();
-            translate::translate_body(&QueryBody::Select((**sel).clone()), &self.scope, &gdd)?
-        };
-        let rows = match translated {
-            Translated::PerDb(locals) => {
-                let sources: Vec<&str> = locals.iter().map(|l| l.database.as_str()).collect();
-                if sources.len() != 1 {
-                    return Err(MdbsError::Unsupported(format!(
-                        "the transfer source must resolve to a single database; it is \
-                         pertinent to {sources:?} — qualify the source tables"
-                    )));
-                }
-                let plan = retrieval_plan(&locals, &routes)?;
-                let mt = self.executor().run_retrieval(&plan)?;
-                mt.tables.into_iter().next().map(|t| t.result).unwrap_or_default()
-            }
-            Translated::CrossDb(mut dec) => {
-                self.own_parts(&mut dec);
-                self.run_join(&dec, &routes)?
-            }
-        };
-
-        // 2. Ship the rows as one INSERT: one local statement, so one
-        // transaction at the target — a row it refuses applies none.
+        rows: ldbs::engine::ResultSet,
+        target: &DbRoute,
+        insert: &msql_lang::Insert,
+    ) -> Result<UpdateReport, MdbsError> {
+        let database = target.database.clone();
         if rows.rows.is_empty() {
-            let (database, key) = (target.to_string(), target.to_string());
-            let status = dol::TaskStatus::Committed;
             let nothing = DbOutcome {
+                key: database.clone(),
                 database,
-                key,
-                status,
+                status: dol::TaskStatus::Committed,
                 affected: 0,
                 error: None,
                 attempts: 0,
                 fault: None,
             };
-            let stats = ExecStats::default();
-            let report =
-                UpdateReport { success: true, return_code: 0, outcomes: vec![nothing], stats };
-            return Ok(MsqlOutcome::Update(report));
+            let (outcomes, stats) = (vec![nothing], ExecStats::default());
+            return Ok(UpdateReport { success: true, return_code: 0, outcomes, stats });
         }
         let values = rows.rows.iter().map(|row| {
             row.iter().map(|v| msql_lang::Expr::Literal(ldbs::eval::value_literal(v))).collect()
         });
-        let mut insert = ins.clone();
+        let mut insert = insert.clone();
         (insert.table.database, insert.table.alias) = (None, None);
         insert.source = msql_lang::InsertSource::Values(values.collect());
+        let write = (database, insert.table.table.clone(), msql_lang::TriggerEvent::Insert);
         let command = print(&Statement::Query(MsqlQuery {
             use_clause: None,
             lets: Vec::new(),
             body: QueryBody::Insert(insert),
             comps: Vec::new(),
         }));
-        let write = (target.to_string(), ins.table.table.clone(), msql_lang::TriggerEvent::Insert);
-        let report = self.run_at(target, "TRANSFER", command, Some(write))?;
-        Ok(MsqlOutcome::Update(report.into()))
+        let plan = local_plan(target.clone(), "TRANSFER", command)?;
+        Ok(self.run_local(&plan, Some(write))?.into())
     }
 
     /// Fires the interdatabase triggers matching the given
@@ -1326,114 +1443,6 @@ impl Session {
         run
     }
 
-    fn prepare_multitransaction(
-        &mut self,
-        m: &Multitransaction,
-        span: &Span,
-    ) -> Result<Prepared, MdbsError> {
-        let routes = self.routes()?;
-        // Each component query manages its own scope; the session scope is
-        // untouched by the block.
-        let mut working = self.scope.clone();
-        let mut queries = Vec::with_capacity(m.queries.len());
-        for q in &m.queries {
-            if let Some(u) = &q.use_clause {
-                working.apply_use(u)?;
-            }
-            for l in &q.lets {
-                working.apply_let(l)?;
-            }
-            let translated = {
-                let gdd = self.core.gdd.read();
-                translate::translate_body_traced(&q.body, &working, &gdd, span)?
-            };
-            let locals = match translated {
-                Translated::PerDb(locals) => locals,
-                Translated::CrossDb(_) => {
-                    return Err(MdbsError::Mtx(
-                        "cross-database joins are not allowed inside a multitransaction".into(),
-                    ))
-                }
-            };
-            let comps = comp_map(&working, q, &locals)?;
-            queries.push(MtxQueryPlan { locals, comps });
-        }
-        let states: Vec<Vec<String>> = m
-            .acceptable_states
-            .iter()
-            .map(|s| s.databases.iter().map(|d| d.as_str().to_string()).collect())
-            .collect();
-        let pg = span.child("plangen");
-        pg.note("shape", "multitransaction");
-        pg.note("queries", queries.len());
-        pg.note("states", states.len());
-        let plan = self.own_tasks(multitransaction_plan(&queries, &states, &routes)?);
-        pg.note("tasks", plan.tasks.len());
-        let writes = queries.iter().flat_map(|q| q.locals.iter().map(write_event)).collect();
-        Ok(Prepared { scope: None, plan: PreparedPlan::Settle { plan, writes, mtx: true } })
-    }
-
-    /// Runs a statement that one database executes on its own — CREATE / DROP
-    /// TABLE, CREATE / DROP INDEX, ANALYZE — at the database it targets (a
-    /// qualified table names it; otherwise the scope must hold one database),
-    /// shipped with the qualifier stripped. A new or dropped table is then
-    /// exported to or removed from the GDD; an index is a local access path,
-    /// not a multidatabase object, so it registers nothing. A table change or
-    /// ANALYZE invalidates the statistics cached for the database, so the next
-    /// costed join re-pulls them.
-    fn execute_local_ddl(&mut self, stmt: &Statement) -> Result<MsqlOutcome, MdbsError> {
-        let mut local = stmt.clone();
-        let (target, task) = match &mut local {
-            Statement::CreateTable(s) => (Some(&mut s.table), "DDL"),
-            Statement::DropTable(s) => (Some(&mut s.table), "DDL"),
-            Statement::CreateIndex(s) => (Some(&mut s.table), "DDL"),
-            Statement::DropIndex(s) => (Some(&mut s.table), "DDL"),
-            Statement::Analyze(target) => (target.as_mut(), "ANALYZE"),
-            _ => return Err(MdbsError::Internal(format!("`{}` is not local DDL", print(stmt)))),
-        };
-        let database = match target {
-            Some(table) => {
-                let database = self.ddl_target(table)?;
-                table.database = None;
-                database
-            }
-            None => self
-                .scope
-                .only_database(
-                    "ANALYZE over a multi-database scope is ambiguous; name the table or \
-                     narrow the scope",
-                )?
-                .to_string(),
-        };
-        let report = self.run_at(&database, task, print(&local), None)?;
-        let affected = report.outcomes[0].affected;
-        let message = match stmt {
-            Statement::CreateTable(ct) => {
-                let columns =
-                    ct.columns.iter().map(|c| GddColumn::new(c.name.clone(), c.type_name));
-                let table = GddTable::new(ct.table.table.as_str(), columns.collect());
-                self.core.write_catalog(|gdd, _| gdd.put_table(&database, table))?;
-                format!("table `{}` created in `{database}`", ct.table.table)
-            }
-            Statement::DropTable(dt) => {
-                let table = dt.table.table.as_str();
-                let _ = self.core.write_catalog(|gdd, _| gdd.drop_table(&database, table));
-                format!("table `{table}` dropped from `{database}`")
-            }
-            Statement::CreateIndex(ci) => {
-                format!("index `{}` created on `{database}`.`{}`", ci.name, ci.table.table)
-            }
-            Statement::DropIndex(di) => {
-                format!("index `{}` dropped from `{database}`.`{}`", di.name, di.table.table)
-            }
-            _ => format!("analyzed {affected} table(s) in `{database}`"),
-        };
-        if !matches!(stmt, Statement::CreateIndex(_) | Statement::DropIndex(_)) {
-            self.core.site_stats.write().remove(&database);
-        }
-        Ok(MsqlOutcome::Admin(message))
-    }
-
     /// Builds the statistics context for one decomposition: per involved
     /// database, the cached site statistics, pulled over the `STATS`
     /// exchange on first use. Failures degrade rather than fail — a
@@ -1474,11 +1483,7 @@ impl Session {
             };
             ctx.insert_db(db, tables);
         }
-        if ctx.is_empty() {
-            None
-        } else {
-            Some(ctx)
-        }
+        (!ctx.is_empty()).then_some(ctx)
     }
 
     /// Gives a decomposition's partial-result tables this session's names.
@@ -1493,42 +1498,14 @@ impl Session {
         }
     }
 
-    /// Plans a cross-database decomposition — with the cost planner's context
-    /// when statistics exist — and runs the plan.
-    fn run_join(
-        &self,
-        dec: &Decomposition,
-        routes: &HashMap<String, DbRoute>,
-    ) -> Result<ldbs::engine::ResultSet, MdbsError> {
-        let ctx = self.planner_context(dec, routes);
-        let plan = plan_join(
-            dec,
-            routes,
-            ctx.as_ref(),
-            self.semijoin,
-            self.semijoin_cap,
-            self.agg_pushdown,
-        )?;
-        self.executor().run_join(&plan)
-    }
-
-    /// The database a DDL statement targets: the explicit qualifier, or the
-    /// single database in scope.
-    fn ddl_target(&self, table: &msql_lang::TableRef) -> Result<String, MdbsError> {
-        if let Some(q) = &table.database {
-            if let Some(d) = self.scope.resolve(q.as_str()) {
-                return Ok(d.database.clone());
-            }
-            // DDL may target an imported database outside the scope too.
-            if self.core.gdd.read().has_database(q.as_str()) {
-                return Ok(q.as_str().to_string());
-            }
-            return Err(MdbsError::NotInScope(q.as_str().to_string()));
+    /// The database a qualifier names: a database in `scope`, or an
+    /// imported one outside it, which DDL and a transfer may target too.
+    fn named_database(&self, scope: &SessionScope, name: &str) -> Result<String, MdbsError> {
+        match scope.resolve(name) {
+            Some(d) => Ok(d.database.clone()),
+            None if self.core.gdd.read().has_database(name) => Ok(name.to_string()),
+            None => Err(MdbsError::NotInScope(name.to_string())),
         }
-        let only = self.scope.only_database(
-            "DDL over a multi-database scope is ambiguous; qualify the table name",
-        )?;
-        Ok(only.to_string())
     }
 }
 
@@ -1558,16 +1535,24 @@ fn replaces_scope(stmt: &Statement) -> bool {
     first.and_then(|q| q.use_clause.as_ref()).is_some_and(|u| !u.current)
 }
 
+/// Applies a query's USE and LET clauses to `scope`, in order.
+fn apply_use_let(scope: &mut SessionScope, q: &MsqlQuery) -> Result<(), MdbsError> {
+    if let Some(u) = &q.use_clause {
+        scope.apply_use(u)?;
+    }
+    q.lets.iter().try_for_each(|l| scope.apply_let(l))
+}
+
 /// Validates a query's COMP clauses against the scope it runs in and the
 /// local subqueries it was decomposed into, and renders each compensating
 /// statement as SQL, keyed by the scope key it compensates.
 fn comp_map(
     scope: &SessionScope,
-    q: &MsqlQuery,
-    locals: &[translate::LocalQuery],
+    comps: &[msql_lang::CompClause],
+    locals: &[LocalQuery],
 ) -> Result<HashMap<String, Vec<String>>, MdbsError> {
     let mut out: HashMap<String, Vec<String>> = HashMap::new();
-    for comp in &q.comps {
+    for comp in comps {
         let name = comp.database.as_str();
         let Some(scope_db) = scope.resolve(name) else {
             return Err(MdbsError::BadCompClause(format!("`{name}` is not in the current scope")));
@@ -1584,7 +1569,7 @@ fn comp_map(
 }
 
 /// What a local subquery writes, as the triggers it may fire match it.
-fn write_event(local: &translate::LocalQuery) -> Option<WriteEvent> {
+fn write_event(local: &LocalQuery) -> Option<WriteEvent> {
     let Statement::Query(inner) = &local.statement else { return None };
     let (event, table) = match &inner.body {
         QueryBody::Update(u) => (msql_lang::TriggerEvent::Update, &u.table.table),
@@ -1641,11 +1626,21 @@ fn log_resolved(
     Ok(())
 }
 
-/// A task that did not end as its statement needs: its database's error, in
-/// the site's words (a task that did not end as asked always carries one).
-fn task_failed(outcome: &DbOutcome) -> MdbsError {
-    let message = outcome.error.clone().unwrap_or_default();
-    MdbsError::Local { service: outcome.database.clone(), message }
+/// `command`, one statement, as the one autocommit task `name` of a DOL
+/// program at `route`'s database: the program of a transfer's INSERT, DDL
+/// and `ANALYZE` ([`Session::run_local`]).
+fn local_plan(route: DbRoute, name: &str, command: String) -> Result<GeneratedPlan, MdbsError> {
+    let database = route.database.clone();
+    let task = DolTask {
+        name: name.to_string(),
+        key: database.clone(),
+        database: database.clone(),
+        nocommit: false,
+        vital: true,
+        commands: vec![command],
+        compensation: Vec::new(),
+    };
+    dol_plan(&[task], &[], 0, false, &HashMap::from([(database, route)]))
 }
 
 fn status_from_code(code: char) -> dol::TaskStatus {
@@ -1692,4 +1687,241 @@ impl RecoveredMtx {
 pub struct RecoveryReport {
     /// One entry per interrupted multitransaction, in log order.
     pub recovered: Vec<RecoveredMtx>,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixtures::paper_federation;
+
+    const Q1: &str = "USE avis national
+        LET car.type.status BE cars.cartype.carst vehicle.vty.vstat
+        SELECT %code, type, ~rate FROM car WHERE status = 'available'";
+    const Q2: &str = "USE continental VITAL delta united VITAL
+        UPDATE flight% SET rate% = rate% * 1.1
+        WHERE sour% = 'Houston' AND dest% = 'San Antonio'";
+    const Q3: &str = "USE continental VITAL delta united VITAL
+        UPDATE flight% SET rate% = rate% * 1.1
+        WHERE sour% = 'Houston' AND dest% = 'San Antonio'
+        COMP continental UPDATE flights SET rate = rate / 1.1
+        WHERE source = 'Houston' AND destination = 'San Antonio'";
+    const Q4: &str = "BEGIN MULTITRANSACTION
+        USE continental delta
+        LET fltab.snu.sstat.clname BE
+            f838.seatnu.seatstatus.clientname f747.snu.sstat.passname
+        UPDATE fltab SET sstat = 'TAKEN', clname = 'wenders'
+        WHERE snu = ( SELECT MIN(snu) FROM fltab WHERE sstat = 'FREE');
+        USE avis national
+        LET cartab.ccode.cstat BE cars.code.carst vehicle.vcode.vstat
+        UPDATE cartab SET cstat = 'TAKEN', client = 'wenders'
+        WHERE ccode = ( SELECT MIN(ccode) FROM cartab WHERE cstat = 'available');
+        COMMIT continental AND national delta AND avis
+        END MULTITRANSACTION";
+    const JOIN: &str = "USE continental delta
+        SELECT f.flnu, g.fnu FROM continental.flights f, delta.flight g
+        WHERE f.source = g.source AND f.destination = g.dest";
+
+    /// One statement of every `Statement` variant (see [`variant`]), the
+    /// paper's Q1–Q4, a join, an aggregate pushdown, transfers from one
+    /// database and from a join, and an update that is deferred when the
+    /// session is. Those that do not open with a `USE` prepare in the scope
+    /// [`setup`] leaves: `continental VITAL`.
+    fn statements() -> Vec<String> {
+        let texts = [
+            Q1,
+            Q2,
+            Q3,
+            Q4,
+            JOIN,
+            "USE continental delta
+             SELECT f.source, COUNT(*), MIN(g.rate)
+             FROM continental.flights f, delta.flight g
+             WHERE f.source = g.source GROUP BY f.source",
+            "USE continental avis
+             INSERT INTO avis.cars (code, rate) SELECT flnu, rate FROM continental.flights",
+            "USE continental delta avis
+             INSERT INTO avis.cars (code) SELECT f.flnu
+             FROM continental.flights f, delta.flight g WHERE f.source = g.source",
+            "UPDATE flights SET rate = rate * 2 WHERE flnu = 2",
+            "USE continental delta",
+            "LET flt.src BE flights.source",
+            "INCORPORATE SERVICE svc_extra SITE site9 CONNECTMODE CONNECT COMMITMODE COMMIT",
+            "IMPORT DATABASE avis FROM SERVICE svc_avis",
+            "CREATE DATABASE extra",
+            "DROP DATABASE extra",
+            "CREATE TABLE scratch (x INT)",
+            "DROP TABLE flights",
+            "CREATE INDEX flights_src ON flights (source)",
+            "DROP INDEX flights_src ON flights",
+            "CREATE TRIGGER watch ON continental.flights AFTER UPDATE EXECUTE
+             USE continental UPDATE flights SET rate = rate",
+            "DROP TRIGGER fare_watch",
+            "COMMIT",
+            "ROLLBACK",
+            "ANALYZE",
+        ];
+        let mut out: Vec<String> = texts.iter().map(|t| t.to_string()).collect();
+        out.push(format!("EXPLAIN {Q1}"));
+        out
+    }
+
+    /// Which `Statement` variant `stmt` is. The match is exhaustive, so a new
+    /// variant fails to compile here until [`statements`] covers it.
+    fn variant(stmt: &Statement) -> usize {
+        match stmt {
+            Statement::Query(_) => 0,
+            Statement::Use(_) => 1,
+            Statement::Let(_) => 2,
+            Statement::Multitransaction(_) => 3,
+            Statement::Incorporate(_) => 4,
+            Statement::Import(_) => 5,
+            Statement::CreateDatabase(_) => 6,
+            Statement::DropDatabase(_) => 7,
+            Statement::CreateTable(_) => 8,
+            Statement::DropTable(_) => 9,
+            Statement::CreateIndex(_) => 10,
+            Statement::DropIndex(_) => 11,
+            Statement::CreateTrigger(_) => 12,
+            Statement::DropTrigger(_) => 13,
+            Statement::Commit => 14,
+            Statement::Rollback => 15,
+            Statement::Explain(_) => 16,
+            Statement::Analyze(_) => 17,
+        }
+    }
+    const VARIANTS: usize = 18;
+
+    /// The paper federation with a trigger, a WAL that holds records, cached
+    /// site statistics and, in deferred-commit mode, one pending vital member
+    /// — on a network that loses every message.
+    fn setup() -> Session {
+        let mut fed = paper_federation();
+        fed.enable_wal();
+        fed.execute(
+            "CREATE TRIGGER fare_watch ON continental.flights AFTER UPDATE EXECUTE
+             USE continental UPDATE flights SET rate = rate",
+        )
+        .unwrap();
+        fed.execute(JOIN).unwrap();
+        assert!(fed.execute(Q2).unwrap().into_update().unwrap().success);
+        fed.set_deferred_commit(true);
+        fed.execute("USE continental VITAL").unwrap();
+        fed.execute("UPDATE flights SET rate = rate * 2 WHERE flnu = 1").unwrap();
+        assert_eq!(fed.pending_vital_subqueries(), 1);
+        fed.network().set_drop_probability(1.0);
+        fed
+    }
+
+    /// Everything preparing must leave as it is.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        messages: u64,
+        dropped: u64,
+        epoch: u64,
+        triggers: Vec<CreateTrigger>,
+        site_stats: HashMap<String, Vec<crate::wire::SiteTableStats>>,
+        wal_records: usize,
+        scope: SessionScope,
+        pending: usize,
+    }
+
+    fn observe(fed: &Session) -> Observed {
+        let net = fed.network().stats();
+        Observed {
+            messages: net.messages,
+            dropped: net.dropped,
+            epoch: fed.core.catalog_epoch.load(Ordering::SeqCst),
+            triggers: fed.core.triggers.read().clone(),
+            site_stats: fed.core.site_stats.read().clone(),
+            wal_records: fed.wal().map_or(0, Wal::record_count),
+            scope: fed.scope.clone(),
+            pending: fed.pending_vital_subqueries(),
+        }
+    }
+
+    fn prepare(fed: &Session, msql: &str) -> Result<Prepared, MdbsError> {
+        let stmt = msql_lang::parse_statement(msql).unwrap();
+        fed.prepare(&stmt, &Span::disabled())
+    }
+
+    #[test]
+    fn preparing_sends_nothing_and_changes_nothing() {
+        let mut fed = setup();
+        let before = observe(&fed);
+        assert!(before.wal_records > 0 && !before.site_stats.is_empty());
+        let mut seen = [false; VARIANTS];
+        for deferred in [true, false] {
+            fed.deferred = deferred;
+            for msql in statements() {
+                seen[variant(&msql_lang::parse_statement(&msql).unwrap())] = true;
+                let prepared = prepare(&fed, &msql);
+                if msql.contains("DATABASE extra") {
+                    assert!(prepared.is_err(), "{msql}");
+                } else if let Err(e) = prepared {
+                    panic!("`{msql}` failed to prepare: {e}");
+                }
+                assert_eq!(observe(&fed), before, "preparing `{msql}` changed something");
+            }
+        }
+        assert_eq!(seen, [true; VARIANTS], "one statement of every variant");
+        // What the two modes prepare an update to.
+        fed.deferred = true;
+        let update = "UPDATE flights SET rate = rate * 2 WHERE flnu = 2";
+        assert!(matches!(prepare(&fed, update).unwrap().plan, PreparedPlan::Deferred { .. }));
+        fed.deferred = false;
+        assert!(matches!(prepare(&fed, update).unwrap().plan, PreparedPlan::Settle { .. }));
+        fed.deferred = true;
+        fed.network().set_drop_probability(0.0);
+    }
+
+    #[test]
+    fn preparing_twice_gives_equal_prepared_statements() {
+        let mut fed = setup();
+        for deferred in [true, false] {
+            fed.deferred = deferred;
+            for msql in statements() {
+                match (prepare(&fed, &msql), prepare(&fed, &msql)) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, b, "{msql}"),
+                    (a, b) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{msql}"),
+                }
+            }
+        }
+        fed.deferred = true;
+        fed.network().set_drop_probability(0.0);
+    }
+
+    fn scope_keys(fed: &Session) -> Vec<String> {
+        fed.scope().databases.iter().map(|d| d.key().to_string()).collect()
+    }
+
+    /// A statement that fails to prepare leaves the scope as it found it; one
+    /// that fails while it runs keeps the scope it set, as a cache hit does.
+    #[test]
+    fn only_a_statement_that_runs_changes_the_scope() {
+        let mut fed = paper_federation();
+        fed.execute("USE continental delta").unwrap();
+        fed.execute("USE avis SELECT nosuch FROM nosuchtable").unwrap_err();
+        assert_eq!(scope_keys(&fed), ["continental", "delta"]);
+        fed.execute("USE avis SELECT code + 'x' FROM cars").unwrap_err();
+        assert_eq!(scope_keys(&fed), ["avis"]);
+    }
+
+    /// A `USE` that fails to apply is no synchronization point: the pending
+    /// global transaction stays pending, and nothing is sent.
+    #[test]
+    fn a_use_that_fails_to_apply_runs_no_sync_point() {
+        let mut fed = paper_federation();
+        fed.set_deferred_commit(true);
+        fed.execute("USE continental VITAL").unwrap();
+        fed.execute("UPDATE flights SET rate = rate * 2 WHERE flnu = 1").unwrap();
+        let sent = fed.network().stats().messages;
+        let err = fed.execute("USE avis avis").unwrap_err();
+        assert!(err.to_string().contains("duplicate scope name"), "{err}");
+        assert_eq!(fed.pending_vital_subqueries(), 1);
+        assert_eq!(fed.network().stats().messages, sent);
+        assert_eq!(scope_keys(&fed), ["continental"]);
+        // A USE that applies is one.
+        assert!(fed.execute("USE avis").unwrap().into_update().unwrap().success);
+        assert_eq!(fed.pending_vital_subqueries(), 0);
+    }
 }

@@ -76,3 +76,24 @@ fn aggregates_run_locally_per_database() {
     assert_eq!(mt.table("avis").unwrap().rows[0][0], Value::Int(2));
     assert_eq!(mt.table("national").unwrap().rows[0][0], Value::Int(2));
 }
+
+/// A retrieval that fails at every database fails with the first failed
+/// database's own error, in plan order and in the site's words — not with a
+/// summary that names where it failed and drops why.
+#[test]
+fn a_failed_retrieval_keeps_the_sites_words() {
+    let mut fed = paper_federation();
+    let site_error = |fed: &mut mdbs::Federation, msql: &str| match fed.execute(msql) {
+        Err(mdbs::MdbsError::Local { service, message }) => (service, message),
+        other => panic!("expected a local error, got {other:?}"),
+    };
+    let (database, message) = site_error(&mut fed, "USE avis SELECT code + 'x' FROM cars");
+    assert_eq!(database, "avis");
+    assert_eq!(message, "type error: cannot apply + to 1 and 'x'");
+
+    // Both databases fail: the first in plan order (USE order) speaks.
+    let both = "LET car.c BE vehicle.vcode cars.code SELECT c + 'x' FROM car";
+    let (database, message) = site_error(&mut fed, &format!("USE national avis {both}"));
+    assert_eq!(database, "national");
+    assert_eq!(message, "type error: cannot apply + to 7 and 'x'");
+}
