@@ -209,10 +209,10 @@ done
 echo "== the coordinator ships nothing by hand =="
 # Everything the coordinator sends a LAM is a task of a DOL program run by the
 # executor (DESIGN §3a.14): a query, an update, a deferred statement, a
-# transfer, local DDL and ANALYZE, and recovery's RESOLVE / COMPENSATE waves,
-# whose tasks send what their `Vote` says. Outside tests the facade names no
-# LAM connection and no direct-command call (only the catalog reads and the
-# join's partials are typed calls of their own), only executor.rs runs a
+# transfer, local DDL and ANALYZE, recovery's RESOLVE / COMPENSATE waves and a
+# join's partials and COMBINE, whose tasks send what their `Vote` says. Outside
+# tests the facade names no LAM connection and no direct-command call (only the
+# catalog reads are typed calls of their own), only executor.rs runs a
 # DolEngine, and lamclient.rs builds each task-carrying request in one place —
 # where a statement stamp would go.
 if sed '/^#\[cfg(test)\]/,$d' crates/core/src/federation.rs |
@@ -226,13 +226,29 @@ for f in $(find crates/core/src -name '*.rs' ! -name executor.rs); do
         exit 1
     fi
 done
-for request in 'Request::Task {' 'Request::Exec {' 'Request::Resolve {' 'Request::Compensate {'; do
+for request in 'Request::Task {' 'Request::Exec {' 'Request::Resolve {' 'Request::Compensate {' \
+    'Request::Partial {' 'Request::PartialAgg {' 'Request::Combine {'; do
     found=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/lamclient.rs | grep -c "$request" || true)
     if [ "$found" != 1 ]; then
         echo "lamclient.rs builds '$request' at $found sites outside its tests, expected 1" >&2
         exit 1
     fi
 done
+
+echo "== one executor =="
+# A cross-database join is DOL programs too (DESIGN §3a.14): the reducer's
+# partial, then the others' with the coordinator's COMBINE, run by
+# Executor::run_program like every other statement's. So outside tests
+# executor.rs opens no connection and posts or reads no request of its own:
+# it names no `checkout`, no `LamClient` and no `.post(` / `.finish(`. On the
+# commit before this gate it hit seven lines: the module doc and the import
+# naming LamClient, the join's per-site call holding one, two checkouts (a
+# partial's and the combine's) and two `.finish(` of those calls.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/executor.rs |
+    grep -nE 'checkout|LamClient|\.post\(|\.finish\('; then
+    echo "executor.rs talks to a LAM beside the DOL engine" >&2
+    exit 1
+fi
 
 echo "== one plan generator =="
 # A vital update is a multitransaction with one acceptable state (DESIGN §2),

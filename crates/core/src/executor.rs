@@ -2,34 +2,34 @@
 //! plan → sequence → talk.
 //!
 //! The executor decides nothing about data flow and speaks no protocol. It
-//! runs what the planning layers produced — generated DOL programs
-//! ([`crate::translate::GeneratedPlan`]) through [`dol::DolEngine`], a
-//! cross-database join's [`JoinPlan`] through [`Executor::run_join`] — over
-//! the typed calls of [`crate::lamclient::LamClient`], then shapes the raw
-//! task statuses/results into user-facing reports:
+//! runs generated DOL programs ([`crate::translate::GeneratedPlan`]) through
+//! [`dol::DolEngine`] — one way, [`Executor::run_program`], whose tasks send
+//! what their [`Vote`] says over the session's LAM connections — then shapes
+//! the raw task statuses/results into user-facing reports:
 //!
 //! * retrievals become [`Multitable`]s (one table per database, §2);
-//! * cross-database joins are executed by shipping partial results to the
-//!   coordinator (the "partial results are collected in one database,
-//!   acting as the coordinator" flow of §4.1) and return a single table;
+//! * a cross-database join's [`JoinPlan`] becomes at most two programs that
+//!   ship the partial results to the coordinator (the "partial results are
+//!   collected in one database, acting as the coordinator" flow of §4.1),
+//!   and returns a single table;
 //! * updates and multitransactions report per-database termination states
 //!   and the DOL return code.
 
 use crate::error::MdbsError;
-use crate::lamclient::{
-    LamClient, LamFactory, PartialResult, Posted, TaskOutput, TaskOutputs, Vote,
-};
+use crate::lamclient::{LamFactory, TaskOutput, Vote};
 use crate::merge;
 use crate::multitable::{Multitable, MultitableEntry};
 use crate::planner::{Combine, JoinPlan, ReductionEdge, SitePlan};
 use crate::retry::{shared_stats, ExecStats, SharedExecStats};
+use crate::translate::plangen::autocommit_plan;
 use crate::translate::{GeneratedPlan, PushdownPlan};
 use crate::wal::{Wal, WalObserver, WalRecord};
-use dol::{DolEngine, DolOutcome, TaskStatus};
+use dol::{DolEngine, DolError, DolOutcome, TaskStatus};
 use ldbs::engine::ResultSet;
 use ldbs::value::Value;
 use netsim::FaultKind;
-use obs::{labeled, ExplainReport, Span, SpanCtx};
+use obs::{labeled, ExplainReport, SpanCtx};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -176,16 +176,18 @@ pub struct Executor {
 impl Executor {
     /// Runs the program, returning the DOL outcome, this run's own
     /// communication accounting (also merged into the session stats) and what
-    /// its tasks produced, by task name.
+    /// its tasks produced, by task name: the [`LamFactory`]'s outputs table,
+    /// emptied, with whatever the caller put there first (a join's reducer
+    /// partial, which travels on in the `COMBINE`). An `OPEN` that fails fails
+    /// the run with the error opening the connection gave.
     pub(crate) fn run_program(
         &self,
         plan: &GeneratedPlan,
     ) -> Result<(DolOutcome, ExecStats, HashMap<String, TaskOutput>), MdbsError> {
         let run_stats = shared_stats();
-        let outputs = TaskOutputs::default();
         let factory = LamFactory {
             stats: SharedExecStats::clone(&run_stats),
-            outputs: TaskOutputs::clone(&outputs),
+            open_error: Arc::default(),
             ..self.lams.clone()
         };
         let mut engine = DolEngine::new(&factory);
@@ -214,11 +216,15 @@ impl Executor {
             _ => None,
         };
         let result = engine.execute(&plan.program);
+        let outputs = std::mem::take(&mut *self.lams.outputs.lock());
         // Merge the run's accounting even when the program failed — the
         // faults that sank it are exactly what the session stats must show.
         let snapshot = run_stats.lock().clone();
         self.lams.stats.lock().merge(&snapshot);
-        let out = result?;
+        let out = result.map_err(|e| match (e, factory.open_error.lock().take()) {
+            (DolError::OpenFailed { .. }, Some(open_error)) => open_error,
+            (e, _) => e.into(),
+        })?;
         // END only once every subtransaction's fate is known. Any error
         // (including a simulated crash) leaves the image open so recovery
         // re-resolves it — and so does a task whose request went out but
@@ -232,7 +238,6 @@ impl Executor {
         if let (Some((wal, mtx_id)), false) = (logged, in_doubt) {
             wal.append(&WalRecord::End { mtx_id }).map_err(MdbsError::from)?;
         }
-        let outputs = std::mem::take(&mut *outputs.lock());
         Ok((out, snapshot, outputs))
     }
 
@@ -336,35 +341,36 @@ impl Executor {
         executor.run_settle(plan)
     }
 
-    /// Runs a planned cross-database join: [reducer] → [other travelling
-    /// sites] → combine; a classic plan's coordinator is sent no partial
-    /// request, its subquery (reduced like any other) rides inside the one
-    /// `COMBINE`. It still decides which edges ship, because only now can it
-    /// be known: a reduction edge's rule is finished by the reducer's actual
-    /// key list ([`crate::planner::ReductionEdge::ships`]), and an edge that
-    /// does not ship leaves its target on its full subquery. The requests of
-    /// the sites left after the reducer are all posted before any reply is
-    /// read, so N sites cost ≈1 round trip instead of N.
+    /// Runs a planned cross-database join as at most two DOL programs: the
+    /// reducer's partial, then the other travelling sites' and, behind an
+    /// `IF` on them all committing, a classic plan's `COMBINE` at the
+    /// coordinator, whose own subquery rides inside it (plangen's
+    /// [`autocommit_plan`], each task named after its database); a pushdown
+    /// plan's partials are merged here. The one
+    /// decision left between the two is which edges ship, because only then
+    /// can it be known: a reduction edge's rule is finished by the reducer's
+    /// actual key list ([`crate::planner::ReductionEdge::ships`]), and an
+    /// edge that does not ship leaves its target on its full subquery. A join
+    /// cannot degrade, so it runs with `tolerate_unreachable` off.
     pub fn run_join(&self, plan: &JoinPlan) -> Result<ResultSet, MdbsError> {
         let join_span = self.trace.child("join");
         let metrics = &self.lams.metrics;
         if plan.costed {
             metrics.counter_add("planner.costed_joins", 1);
         }
+        let mut executor = Executor { trace: join_span.ctx(), ..self.clone() };
+        executor.lams.tolerate_unreachable = false;
 
         // 1. Semi-join reduction: run the reducer, harvest its join keys and
         // rewrite the subquery of every site an edge ships them to.
         let n = plan.sites.len();
-        let ctx = join_span.ctx();
-        let mut travelled: Vec<(usize, PartialResult)> = Vec::with_capacity(n);
         let mut reduced: Vec<Option<String>> = vec![None; n];
-        let mut keys_shipped = 0u64;
+        let (mut keys_shipped, mut outputs) = (0u64, HashMap::new());
         if let Some(reducer) = plan.reducer {
-            let result =
-                SiteCall::post(&self.lams, &ctx, &plan.sites[reducer], None, self.measure_baseline)
-                    .and_then(|call| call.finish(&self.lams))?;
+            outputs = executor.join_step(plan, &[reducer], &mut reduced, false, outputs)?;
+            let rows = outputs[&plan.sites[reducer].database].rows.as_ref();
             let ship = |edge: &ReductionEdge| {
-                let keys = edge.keys(&result.rows)?;
+                let keys = edge.keys(rows?)?;
                 let ships = edge.ships(&keys);
                 if plan.costed && !keys.is_empty() {
                     let verdict =
@@ -378,7 +384,6 @@ impl Executor {
             let shipped: Vec<Option<Vec<Value>>> = plan.edges.iter().map(ship).collect();
             keys_shipped = shipped.iter().flatten().map(|keys| keys.len() as u64).sum();
             reduced = (0..n).map(|i| plan.reduced_sql(i, &shipped)).collect();
-            travelled.push((reducer, result));
         }
         let prefix = if reduced.iter().any(Option::is_some) { "semijoin+" } else { "" };
         let strategy = format!("{prefix}{}", plan.strategy);
@@ -386,32 +391,21 @@ impl Executor {
         join_span.note("keys_shipped", keys_shipped);
         metrics.counter_add(&labeled("join.strategy", "strategy", &strategy), 1);
 
-        // 2. Run the other travelling sites concurrently: every request is
-        // posted before any reply is read, and the replies are finished in
-        // site order. Every site runs; when several fail, the error of the
-        // first one in site order wins.
-        let mut posted = Vec::new();
-        for i in (0..n).filter(|&i| Some(i) != plan.reducer && Some(i) != plan.home()) {
-            let (site, sql) = (&plan.sites[i], reduced[i].take());
-            let call =
-                SiteCall::post(&self.lams, &ctx, site, sql.as_deref(), self.measure_baseline);
-            posted.push((i, call));
+        // 2. The other travelling sites, then the coordinator's COMBINE.
+        let mut others: Vec<usize> = (0..n).filter(|&i| Some(i) != plan.reducer).collect();
+        if let Combine::Coordinator { home, .. } = &plan.combine {
+            others.retain(|i| i != home);
         }
-        let finished: Vec<_> = posted
-            .into_iter()
-            .map(|(i, call)| (i, call.and_then(|call| call.finish(&self.lams))))
-            .collect();
-        for (i, partial) in finished {
-            travelled.push((i, partial?));
-        }
-        travelled.sort_by_key(|(i, _)| *i); // back into site order
-        let mut bytes_saved: u64 = travelled.iter().filter_map(|(_, p)| p.saved).sum();
+        let mut outputs = executor.join_step(plan, &others, &mut reduced, true, outputs)?;
+        let bytes_saved: u64 = outputs.values().filter_map(|o| o.saved).sum();
+        let mut rows = |task: &str| outputs.get_mut(task).and_then(|o| o.rows.take());
 
-        // 3. Combine the partials into the statement's one table.
+        // 3. The partials, or Q′'s answer, become the statement's one table.
         let result = match &plan.combine {
             Combine::Merge(pushdown) => {
                 metrics.counter_add("agg.pushdown", 1);
-                let parts: Vec<ResultSet> = travelled.into_iter().map(|(_, p)| p.rows).collect();
+                let parts = plan.sites.iter().map(|s| rows(&s.database).unwrap_or_default());
+                let parts: Vec<ResultSet> = parts.collect();
                 match pushdown {
                     PushdownPlan::Aggregate(p) => {
                         let rs = merge::merge_aggregate(p, &parts)?;
@@ -425,35 +419,16 @@ impl Executor {
                     }
                 }
             }
-            Combine::Coordinator { database, site, home, temps, sql, join_order } => {
+            Combine::Coordinator { database, labels, .. } => {
                 metrics.counter_add("join.keys_shipped", keys_shipped);
                 join_span.note("coordinator", database);
-                let span = join_span.child(format!("lam:combine:{database}"));
-                span.note("partials", temps.len());
-                if let Some(order) = join_order {
-                    span.note("join_order", order);
+                let mut rs = rows(database).unwrap_or_default();
+                for (column, label) in *labels {
+                    if let Some(column) = rs.columns.get_mut(*column) {
+                        column.name.clone_from(label);
+                    }
                 }
-                // The travelled rows move into the request as they are.
-                let home_site = &plan.sites[*home];
-                let home_sql = reduced[*home].take();
-                let baseline =
-                    (self.measure_baseline && home_sql.is_some()).then_some(home_site.sql.as_str());
-                let part = partial_span(&span.ctx(), home_site, "home", home_sql.is_some());
-                let home_sql = home_sql.unwrap_or_else(|| home_site.sql.clone());
-                let parts = travelled.into_iter().map(|(i, p)| (temps[i].to_string(), p.rows));
-                let (rows, saved) = self.lams.checkout(site, database)?.combine(
-                    (temps[*home].to_string(), home_sql),
-                    parts.collect(),
-                    sql,
-                    baseline,
-                    (&span, &part),
-                )?;
-                if baseline.is_some() {
-                    part.note("saved", saved);
-                    metrics.counter_add(&labeled("lam.bytes_saved", "db", database), saved);
-                    bytes_saved += saved;
-                }
-                rows
+                rs
             }
         };
         if self.measure_baseline {
@@ -464,6 +439,84 @@ impl Executor {
         }
         Ok(result)
     }
+
+    /// Runs one program of a join from `inputs`: the partials of `sites` and,
+    /// when `combine` is set, a classic plan's `COMBINE`. Returns the run's
+    /// outputs; the first task that did not commit fails the join, with its
+    /// exchange's own error when the wire failed it, else in the site's words.
+    fn join_step(
+        &self,
+        plan: &JoinPlan,
+        sites: &[usize],
+        reduced: &mut [Option<String>],
+        combine: bool,
+        inputs: HashMap<String, TaskOutput>,
+    ) -> Result<HashMap<String, TaskOutput>, MdbsError> {
+        let (mut reads, mut votes) = (Vec::with_capacity(sites.len()), HashMap::new());
+        for &i in sites {
+            let site = &plan.sites[i];
+            let (sql, baseline, notes) = self.partial(site, "shipped", reduced[i].take());
+            let pushed = site.pushed.is_some();
+            reads.push((site.database.clone(), site.database.clone(), sql));
+            votes.insert(site.database.clone(), (Vote::Partial { pushed, baseline, notes }, 0));
+        }
+        let last = match &plan.combine {
+            Combine::Coordinator { database, home, temps, sql, join_order, .. } if combine => {
+                let (home_sql, baseline, own) =
+                    self.partial(&plan.sites[*home], "home", reduced[*home].take());
+                let mut notes = vec![("partials", temps.len().to_string())];
+                notes.extend(join_order.iter().map(|order| ("join_order", order.clone())));
+                let parts = temps.iter().zip(&plan.sites).filter(|(_, s)| s.database != *database);
+                let vote = Vote::Combine {
+                    home: (temps[*home].to_string(), home_sql),
+                    baseline,
+                    parts: parts.map(|(temp, s)| (temp.to_string(), s.database.clone())).collect(),
+                    notes: [notes, own],
+                };
+                votes.insert(database.to_string(), (vote, 0));
+                Some((database.to_string(), database.to_string(), sql.clone()))
+            }
+            _ => None,
+        };
+        let program = autocommit_plan(reads, last, plan.routes)?;
+        let mut executor = self.clone();
+        executor.lams.votes = Arc::new(votes);
+        executor.lams.outputs = Arc::new(Mutex::new(inputs));
+        let (out, stats, mut outputs) = executor.run_program(&program)?;
+        let outcomes = self.outcomes(&program, &out, &stats, &outputs);
+        for (task, outcome) in program.tasks.iter().zip(outcomes) {
+            if outcome.status != TaskStatus::Committed {
+                let error = outputs.remove(&task.task).and_then(|o| o.error);
+                return Err(error.unwrap_or_else(|| task_failed(&outcome)));
+            }
+        }
+        Ok(outputs)
+    }
+
+    /// What `site` evaluates — its pushed site query, else `reduced` (its
+    /// subquery with the shipped key filters ANDed on), else its subquery as
+    /// decomposed — the baseline `EXPLAIN` has a rewritten site measure beside
+    /// it, and its span's notes: the row estimate (so EXPLAIN can show
+    /// estimated vs. actual), the `route` its rows take to the combine —
+    /// `shipped`, or `home`, materialised where it runs — and the rewrite.
+    fn partial(
+        &self,
+        site: &SitePlan,
+        route: &str,
+        reduced: Option<String>,
+    ) -> (String, Option<String>, Vec<(&'static str, String)>) {
+        let mut notes: Vec<(&'static str, String)> =
+            site.est_rows.iter().map(|est| ("est_rows", est.to_string())).collect();
+        notes.push(("route", route.to_string()));
+        let (sql, rewrite) = match (&site.pushed, reduced) {
+            (Some((kind, sql)), _) => (sql.clone(), Some(("pushed", *kind))),
+            (None, Some(sql)) => (sql, Some(("reduced", "semijoin"))),
+            (None, None) => (site.sql.clone(), None),
+        };
+        notes.extend(rewrite.map(|(key, value)| (key, value.to_string())));
+        let baseline = (self.measure_baseline && rewrite.is_some()).then(|| site.sql.clone());
+        (sql, baseline, notes)
+    }
 }
 
 /// A task that did not end as its statement needs: its database's error, in
@@ -471,77 +524,6 @@ impl Executor {
 pub(crate) fn task_failed(outcome: &DbOutcome) -> MdbsError {
     let message = outcome.error.clone().unwrap_or_default();
     MdbsError::Local { service: outcome.database.clone(), message }
-}
-
-/// Opens the span of one site's partial under `ctx` and notes the plan's side
-/// of it: the row estimate (so EXPLAIN can show estimated vs. actual), the
-/// `route` its rows take to the combine — `shipped` over the network, or
-/// `home`, materialised where the combine runs — and the rewrite, if any.
-fn partial_span(ctx: &SpanCtx, site: &SitePlan, route: &str, reduced: bool) -> Span {
-    let span = ctx.child(format!("lam:partial:{}", site.database));
-    if let Some(est) = site.est_rows {
-        span.note("est_rows", est);
-    }
-    span.note("route", route);
-    match &site.pushed {
-        Some((kind, _)) => span.note("pushed", kind),
-        None if reduced => span.note("reduced", "semijoin"),
-        None => {}
-    }
-    span
-}
-
-/// One travelling site's share of a cross-database join, evaluated at its
-/// LAM: its request posted, its reply not yet read.
-struct SiteCall<'p> {
-    client: LamClient,
-    span: Span,
-    site: &'p SitePlan,
-    pushed: bool,
-    posted: Posted,
-}
-
-impl<'p> SiteCall<'p> {
-    /// Posts the site's pushed site query of a pushdown plan, else `reduced`
-    /// (the subquery with shipped key filters ANDed on), else the subquery as
-    /// decomposed. With `baseline` the LAM also measures the decomposed
-    /// subquery beside a rewritten one.
-    fn post(
-        lams: &LamFactory,
-        ctx: &SpanCtx,
-        site: &'p SitePlan,
-        reduced: Option<&str>,
-        baseline: bool,
-    ) -> Result<Self, MdbsError> {
-        let client = lams.checkout(&site.site, &site.database)?;
-        let span = partial_span(ctx, site, "shipped", reduced.is_some());
-        let (sql, pushed) = match (&site.pushed, reduced) {
-            (Some((_, sql)), _) => (sql.as_str(), true),
-            (None, Some(sql)) => (sql, false),
-            (None, None) => (site.sql.as_str(), false),
-        };
-        let baseline = (baseline && (pushed || reduced.is_some())).then_some(site.sql.as_str());
-        let posted = client.post_partial(sql, baseline, pushed, &span);
-        Ok(SiteCall { client, span, site, pushed, posted })
-    }
-
-    /// Reads the site's rows. Notes — when a baseline was measured — what the
-    /// rewrite kept off the wire, on the span and the metrics.
-    fn finish(self, lams: &LamFactory) -> Result<PartialResult, MdbsError> {
-        let SiteCall { client, span, site, pushed, posted } = self;
-        let result = client.finish_partial(posted, &span)?;
-        if let Some(access) = &result.access {
-            span.note("access", access);
-        }
-        if pushed && result.full_rows > 0 {
-            span.note("full_rows", result.full_rows);
-        }
-        if let Some(saved) = result.saved {
-            span.note("saved", saved);
-            lams.metrics.counter_add(&labeled("lam.bytes_saved", "db", &site.database), saved);
-        }
-        Ok(result)
-    }
 }
 
 #[cfg(test)]

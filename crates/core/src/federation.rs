@@ -22,7 +22,7 @@ use crate::lamclient::{ConnectionPool, LamFactory, Vote};
 use crate::planner::{plan_join, PlannerContext, DEFAULT_SEMIJOIN_CAP};
 use crate::retry::{shared_stats, ExecStats, RetryPolicy, SharedExecStats};
 use crate::scope::{ScopeDb, SessionScope};
-use crate::translate::plangen::{dol_plan, DolTask};
+use crate::translate::plangen::{autocommit_plan, dol_plan, DolTask};
 use crate::translate::{
     self, multitransaction_plan, retrieval_plan, update_plan, DbRoute, Decomposition,
     GeneratedPlan, LocalQuery, MtxQueryPlan, Translated,
@@ -548,6 +548,7 @@ impl Session {
             wire_format: self.wire_format,
             outputs: Default::default(),
             votes: Default::default(),
+            open_error: Default::default(),
         }
     }
 
@@ -1630,17 +1631,8 @@ fn log_resolved(
 /// program at `route`'s database: the program of a transfer's INSERT, DDL
 /// and `ANALYZE` ([`Session::run_local`]).
 fn local_plan(route: DbRoute, name: &str, command: String) -> Result<GeneratedPlan, MdbsError> {
-    let database = route.database.clone();
-    let task = DolTask {
-        name: name.to_string(),
-        key: database.clone(),
-        database: database.clone(),
-        nocommit: false,
-        vital: true,
-        commands: vec![command],
-        compensation: Vec::new(),
-    };
-    dol_plan(&[task], &[], 0, false, &HashMap::from([(database, route)]))
+    let task = (name.to_string(), route.database.clone(), command);
+    autocommit_plan(vec![task], None, &HashMap::from([(route.database.clone(), route)]))
 }
 
 fn status_from_code(code: char) -> dol::TaskStatus {

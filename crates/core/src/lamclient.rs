@@ -3,13 +3,13 @@
 //!
 //! A [`LamClient`] is one open connection from the DOL engine to a remote
 //! LAM: it implements [`dol::DolService`] by shipping [`crate::proto`]
-//! requests over the simulated network, and adds the data-flow operations
-//! the executor needs (schema fetch, a join's partials and its combine at the
-//! coordinator). It is the only client-side module that names a protocol
-//! message: the facade and the executor call its typed methods and get Rust
-//! values back (`ci.sh` gates that). Past the catalog reads and the join,
-//! everything the coordinator ships is a task of a DOL program; a deferred
-//! global transaction's members and recovery's resolutions are tasks whose
+//! requests over the simulated network, and adds the catalog reads the
+//! facade needs (schema and statistics fetch). It is the only client-side
+//! module that names a protocol message: the facade and the executor call
+//! its typed methods and get Rust values back (`ci.sh` gates that). Past the
+//! catalog reads, everything the coordinator ships is a task of a DOL
+//! program; a deferred global transaction's members, recovery's resolutions
+//! and a cross-database join's partials and `COMBINE` are tasks whose
 //! [`Vote`] says what they send.
 //!
 //! Connections are session-scoped: a [`ConnectionPool`] keeps the links a
@@ -45,6 +45,12 @@ pub struct TaskOutput {
     pub affected: u64,
     /// Result set of its last SELECT, if any.
     pub rows: Option<ResultSet>,
+    /// Bytes a join task's rewrite kept off the wire, in the connection's wire
+    /// format, when `EXPLAIN` measured its baseline.
+    pub saved: Option<u64>,
+    /// The exchange's own error, when the wire rather than the site failed
+    /// the task.
+    pub error: Option<MdbsError>,
 }
 
 /// The outputs of one DOL program's tasks, by task name. The services one
@@ -56,27 +62,13 @@ pub type TaskOutputs = Arc<Mutex<HashMap<String, TaskOutput>>>;
 /// result set on the wire (0 when it carried none).
 pub type Reply = (Response, usize);
 
-/// The outcome of one site's partial of a cross-database join.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartialResult {
-    /// Result set of the (possibly reduced or pushed-down) subquery.
-    pub rows: ResultSet,
-    /// Rows the baseline subquery would have shipped (0 when unmeasured).
-    pub full_rows: u64,
-    /// Bytes the rewrite kept off the wire — the baseline's payload block
-    /// minus the one that carried `rows`, in the connection's wire format —
-    /// when a baseline was measured.
-    pub saved: Option<u64>,
-    /// Access path the local engine took (`probe` or `scan`), when reported.
-    pub access: Option<String>,
-}
-
-/// What a task sends in place of an ordinary `TASK` when it names a
-/// subtransaction that exists already: a deferred global transaction's member
-/// (§3.2.2), open at the LAM across statements under the task's name whatever
-/// connection reaches it, or a task of an interrupted multitransaction that
-/// recovery settles (DESIGN §3a.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a task sends in place of an ordinary `TASK`: a deferred global
+/// transaction's member (§3.2.2) names a subtransaction open at the LAM
+/// across statements under the task's name whatever connection reaches it, a
+/// task of an interrupted multitransaction is settled by recovery (DESIGN
+/// §3a.4), and a cross-database join's task evaluates a partial or combines
+/// them (§3a.14).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Vote {
     /// The member's first statement: `TASK … HOLD` opens the subtransaction
     /// and runs the commands in it (`E`, read as prepared, or `A`).
@@ -98,11 +90,27 @@ pub(crate) enum Vote {
     /// Recovery: `COMPENSATE` the committed task with its logged commands
     /// (`K`). The LAM's `K` memory makes a repeat harmless.
     Compensate,
+    /// A join site's partial: `PARTIAL` — `PARTIALAGG` when `pushed` — of the
+    /// task's command, `EXPLAIN` measuring `baseline` beside it. `notes` are
+    /// the plan's side of its `lam:partial:<db>` span.
+    Partial { pushed: bool, baseline: Option<String>, notes: Vec<(&'static str, String)> },
+    /// The join's coordinator: one `COMBINE` of Q′, the task's command, over
+    /// its own partial — `home`, `(temp table, subquery)`, measured like a
+    /// partial's — and the travelled ones, `(temp table, task name)`, whose
+    /// rows move out of the run's outputs. `notes` are its `lam:combine:<db>`
+    /// span's, then its own partial's.
+    Combine {
+        home: (String, String),
+        baseline: Option<String>,
+        parts: Vec<(String, String)>,
+        notes: [Vec<(&'static str, String)>; 2],
+    },
 }
 
 /// A run's [`Vote`]s, by task name, each with the rows its member's
 /// statements affected so far — what a vote reports, since `PREPARE` carries
-/// no count. Empty for every program that is not a member's or recovery's.
+/// no count. Empty for every program that is not a member's, recovery's or a
+/// join's.
 pub(crate) type Votes = Arc<HashMap<String, (Vote, u64)>>;
 
 /// The part of a connection that outlives a checkout: the client endpoint
@@ -181,8 +189,8 @@ pub struct LamClient {
     /// unread is closed instead of pooled, like a suspect one.
     unread: AtomicU32,
     /// The step the DOL engine [posted](DolService::post), finished by the
-    /// engine's next call on this connection.
-    posted: Option<Posted>,
+    /// engine's next call on this connection, with a join task's own spans.
+    posted: Option<(Posted, Vec<Span>)>,
     site: String,
     /// The database this connection is opened on.
     pub database: String,
@@ -217,7 +225,7 @@ enum AttemptError {
 /// A logical request whose first attempt is on the wire and whose reply has
 /// not been read: what [`LamClient::post`] returns and [`LamClient::finish`]
 /// takes.
-pub(crate) struct Posted {
+struct Posted {
     id: u64,
     /// The encoded request; every attempt sends these bytes.
     framed: Body,
@@ -330,7 +338,7 @@ impl LamClient {
     /// [`Self::finish`], so a caller can post to several LAMs before it waits
     /// for any. Until then the connection is not pooled again: a client
     /// dropped with a reply unread is closed.
-    pub(crate) fn post(&self, req: &Request, span: &Span) -> Posted {
+    fn post(&self, req: &Request, span: &Span) -> Posted {
         let id = REQUEST_SEQ.fetch_add(1, Ordering::Relaxed);
         let encode_start = Instant::now();
         let framed: Body = match self.wire_format {
@@ -357,7 +365,7 @@ impl LamClient {
     /// under `span` (noted with the fault that killed it, if any). Returns
     /// the reply with its payload block's wire size, the attempts spent and
     /// every fault seen.
-    pub(crate) fn finish(
+    fn finish(
         &self,
         mut posted: Posted,
         span: &Span,
@@ -467,12 +475,12 @@ impl LamClient {
     }
 
     /// How every typed call below ends when the reply is not the one it
-    /// asked for: a refusal (`ERR`) is this site's local error, anything else
+    /// asked for: a refusal (`ERR`) is its database's local error, anything else
     /// a protocol violation naming the exchange (`what`).
     fn refused<T>(&self, what: &str, reply: Response) -> Result<T, MdbsError> {
         match reply {
             Response::Err { message } => {
-                Err(MdbsError::Local { service: self.site.clone(), message })
+                Err(MdbsError::Local { service: self.database.clone(), message })
             }
             other => Err(MdbsError::Wire(format!("unexpected {what} reply: {other:?}"))),
         }
@@ -494,101 +502,6 @@ impl LamClient {
         match self.call(Request::Stats { database: self.database.clone(), table: None })? {
             Response::OkPayload { payload } => crate::wire::decode_stats(&payload),
             other => self.refused("stats", other),
-        }
-    }
-
-    /// Posts one site subquery of a decomposed cross-database join to the
-    /// LAM, whose reply [`Self::finish_partial`] reads. `pushed` marks a
-    /// pre-aggregating or top-k site query of a pushdown plan (`PARTIALAGG`)
-    /// rather than a plain, possibly semi-join-reduced one (`PARTIAL`). When
-    /// `baseline` is set — `EXPLAIN` only — the LAM also measures, without
-    /// shipping, the subquery the classic plan would have run, so the savings
-    /// are quantifiable.
-    pub(crate) fn post_partial(
-        &self,
-        sql: &str,
-        baseline: Option<&str>,
-        pushed: bool,
-        span: &Span,
-    ) -> Posted {
-        let (database, sql, baseline) =
-            (self.database.clone(), sql.to_string(), baseline.map(str::to_string));
-        let req = if pushed {
-            Request::PartialAgg { database, sql, baseline }
-        } else {
-            Request::Partial { database, sql, baseline }
-        };
-        self.post(&req, span)
-    }
-
-    /// Reads a posted partial's result set, annotating `span` and the
-    /// `lam.*` metrics with the shipped volume.
-    pub(crate) fn finish_partial(
-        &self,
-        posted: Posted,
-        span: &Span,
-    ) -> Result<PartialResult, MdbsError> {
-        let (result, attempts, faults) = self.finish(posted, span);
-        self.record_obs(span, attempts, &faults);
-        let (resp, bytes) = result?;
-        let (rows, full_rows, full_bytes, access) = match resp {
-            Response::PartialDone {
-                payload: Some(rows),
-                error: None,
-                full_rows,
-                full_bytes,
-                access,
-            } => (rows, full_rows, full_bytes, access),
-            Response::PartialAggDone {
-                payload: Some(rows),
-                error: None,
-                full_rows,
-                full_bytes,
-                ..
-            } => (rows, full_rows, full_bytes, None),
-            Response::PartialDone { error: Some(message), .. }
-            | Response::PartialAggDone { error: Some(message), .. } => {
-                return Err(MdbsError::Local { service: self.site.clone(), message });
-            }
-            other => return self.refused("partial", other),
-        };
-        self.record_shipped(span, &rows, bytes);
-        let saved = (full_bytes > 0).then(|| full_bytes.saturating_sub(bytes as u64));
-        Ok(PartialResult { rows, full_rows, saved, access })
-    }
-
-    /// The coordinator's share of a cross-database join in one `COMBINE`:
-    /// this connection's database materialises `home` — `(temp table,
-    /// subquery)`, its own partial — loads the travelled `parts`, evaluates Q′
-    /// (`sql`) over the temporaries and drops them before replying. Returns
-    /// Q′'s rows and the bytes `baseline` (as in [`Self::post_partial`]) showed
-    /// the home key filter to save; `home_span` is the unshipped partial's.
-    pub fn combine(
-        &self,
-        home: (String, String),
-        parts: Vec<(String, ResultSet)>,
-        sql: &str,
-        baseline: Option<&str>,
-        (span, home_span): (&Span, &Span),
-    ) -> Result<(ResultSet, u64), MdbsError> {
-        let (database, baseline) = (self.database.clone(), baseline.map(str::to_string));
-        let req = Request::Combine { database, home: Some(home), parts, sql: sql.into(), baseline };
-        let (result, attempts, faults) = self.finish(self.post(&req, span), span);
-        self.record_obs(span, attempts, &faults);
-        match result? {
-            (Response::CombineDone { payload, home_rows, access, saved }, bytes) => {
-                let rows = payload.unwrap_or_default();
-                span.note("bytes", bytes);
-                span.note("rows", rows.rows.len());
-                home_span.note("db", &self.database);
-                home_span.note("rows", home_rows);
-                home_span.note("bytes", 0);
-                if let Some(access) = access {
-                    home_span.note("access", access);
-                }
-                Ok((rows, saved))
-            }
-            (other, _) => self.refused("combine", other),
         }
     }
 }
@@ -621,26 +534,61 @@ impl LamClient {
         self.metrics.counter_add(&labeled("lam.bytes", "db", db), bytes as u64);
     }
 
-    /// The [`Vote`] of `task`, if it is a member's.
-    fn vote(&self, task: &str) -> Option<(Vote, u64)> {
-        self.votes.get(task).copied()
-    }
-
-    /// The request that runs `task` on this connection: the task itself, or
-    /// what its [`Vote`] sends instead.
-    fn task_request(&self, task: &dol::TaskDef) -> Request {
-        let (name, commands) = (task.name.clone(), task.commands.clone());
-        let mode = match self.vote(&name) {
-            Some((Vote::Prepare, _)) => return Request::Prepare { task: name },
-            Some((Vote::Abort, _)) => return Request::Abort { task: name },
-            Some((Vote::Resolve(commit), _)) => return Request::Resolve { task: name, commit },
-            Some((Vote::Compensate, _)) => return self.compensate_request(task),
-            Some((Vote::Exec, _)) => return Request::Exec { task: name, commands },
-            Some((Vote::Hold, _)) => TaskMode::Hold,
-            _ if task.nocommit => TaskMode::NoCommit,
-            _ => TaskMode::Auto,
+    /// The request that runs `task` on this connection — the task itself, or
+    /// what its [`Vote`] sends instead — and the spans a join's task opens
+    /// under `span` for its exchange, innermost first so that they close in
+    /// order: a partial's `lam:partial:<db>`, or the coordinator's own
+    /// partial's under its `lam:combine:<db>`.
+    fn task_request(&self, task: &dol::TaskDef, span: &Span) -> (Request, Vec<Span>) {
+        let (name, commands, database) =
+            (task.name.clone(), task.commands.clone(), self.database.clone());
+        let mut spans: Vec<Span> = Vec::new();
+        let mut open = |kind: &str, notes: &[(&str, String)]| {
+            let child = spans.first().unwrap_or(span).child(format!("lam:{kind}:{database}"));
+            notes.iter().for_each(|(key, value)| child.note(key, value));
+            spans.insert(0, child);
         };
-        Request::Task { name, mode, database: self.database.clone(), commands }
+        let req = match self.votes.get(&name) {
+            Some((Vote::Prepare, _)) => Request::Prepare { task: name },
+            Some((Vote::Abort, _)) => Request::Abort { task: name },
+            Some((Vote::Resolve(commit), _)) => Request::Resolve { task: name, commit: *commit },
+            Some((Vote::Compensate, _)) => self.compensate_request(task),
+            Some((Vote::Exec, _)) => Request::Exec { task: name, commands },
+            Some((Vote::Partial { pushed, baseline, notes }, _)) => {
+                open("partial", notes);
+                let (sql, baseline) = (commands.concat(), baseline.clone());
+                if *pushed {
+                    Request::PartialAgg { database, sql, baseline }
+                } else {
+                    Request::Partial { database, sql, baseline }
+                }
+            }
+            Some((Vote::Combine { home, baseline, parts, notes }, _)) => {
+                open("combine", &notes[0]);
+                open("partial", &notes[1]);
+                let mut outputs = self.outputs.lock();
+                let travelled = |(temp, task): &(String, String)| {
+                    let rows = outputs.get_mut(task).and_then(|o| o.rows.take());
+                    (temp.clone(), rows.unwrap_or_default())
+                };
+                Request::Combine {
+                    database,
+                    home: Some(home.clone()),
+                    parts: parts.iter().map(travelled).collect(),
+                    sql: commands.concat(),
+                    baseline: baseline.clone(),
+                }
+            }
+            vote => {
+                let mode = match vote {
+                    Some((Vote::Hold, _)) => TaskMode::Hold,
+                    _ if task.nocommit => TaskMode::NoCommit,
+                    _ => TaskMode::Auto,
+                };
+                Request::Task { name, mode, database, commands }
+            }
+        };
+        (req, spans)
     }
 
     /// The `COMPENSATE` that undoes `task` with its compensating commands: a
@@ -658,18 +606,25 @@ impl LamClient {
     /// [`Self::outputs`] under the task's name. A member's task sends what
     /// its [`Vote`] says, and one with nothing to send sends nothing.
     fn run_task(&mut self, task: &dol::TaskDef, span: &Span) -> TaskExecution {
-        let vote = self.vote(&task.name);
-        if let Some((Vote::Settled(status), affected)) = vote {
+        let vote = self.votes.get(&task.name);
+        if let Some(&(Vote::Settled(status), affected)) = vote {
             return settled(&self.outputs, &task.name, status, affected);
         }
-        let posted = match self.posted.take() {
+        let (posted, spans) = match self.posted.take() {
             Some(posted) => posted,
-            None => LamClient::post(self, &self.task_request(task), span),
+            None => {
+                let (req, spans) = self.task_request(task, span);
+                (LamClient::post(self, &req, spans.last().unwrap_or(span)), spans)
+            }
         };
-        let (result, attempts, faults) = self.finish(posted, span);
-        self.record_obs(span, attempts, &faults);
+        let traced = spans.last().unwrap_or(span);
+        let (result, attempts, faults) = self.finish(posted, traced);
+        self.record_obs(traced, attempts, &faults);
         self.stats.lock().record_task(&task.name, attempts, faults.last().copied());
         match result {
+            Ok((reply, bytes)) if !spans.is_empty() => {
+                self.join_done(task, vote, &spans, reply, bytes)
+            }
             Ok((Response::TaskDone { status, affected, payload, error }, bytes)) => {
                 // `E`: a held subtransaction ran its commands and stays open.
                 let status = match status {
@@ -682,7 +637,7 @@ impl LamClient {
                 // A vote carries no count: what the member's statements
                 // affected is known here.
                 let affected = match vote {
-                    Some((Vote::Prepare, held)) if status == TaskStatus::Prepared => held,
+                    Some(&(Vote::Prepare, held)) if status == TaskStatus::Prepared => held,
                     _ => affected,
                 };
                 if affected > 0 {
@@ -691,9 +646,8 @@ impl LamClient {
                 if let Some(rows) = &payload {
                     self.record_shipped(span, rows, bytes);
                 }
-                self.outputs
-                    .lock()
-                    .insert(task.name.clone(), TaskOutput { affected, rows: payload });
+                let output = TaskOutput { affected, rows: payload, ..TaskOutput::default() };
+                self.outputs.lock().insert(task.name.clone(), output);
                 TaskExecution { status, result: None, error }
             }
             // `ABORT` and `COMPENSATE` only acknowledge: the held
@@ -705,23 +659,73 @@ impl LamClient {
                 TaskExecution { status: TaskStatus::Compensated, result: None, error: None }
             }
             // A refusal, in the site's words.
-            Ok((Response::Err { message }, _)) => {
-                TaskExecution { status: TaskStatus::Error, result: None, error: Some(message) }
-            }
-            Ok((other, _)) => TaskExecution {
-                status: TaskStatus::Error,
-                result: None,
-                error: Some(format!("unexpected reply: {other:?}")),
-            },
+            Ok((Response::Err { message }, _)) => failed(message),
+            Ok((other, _)) => failed(format!("unexpected reply: {other:?}")),
             // Exhausted retries (or a terminal fault) surface as errors —
             // the global plan treats them like local aborts (paper §3.2:
-            // "one or more LDBMSs may be forced to abort").
-            Err(e) => TaskExecution {
-                status: TaskStatus::Error,
-                result: None,
-                error: Some(e.to_string()),
-            },
+            // "one or more LDBMSs may be forced to abort") — and the output
+            // keeps the exchange's own error for whoever cannot degrade.
+            Err(e) => {
+                let message = e.to_string();
+                let output = TaskOutput { error: Some(e), ..TaskOutput::default() };
+                self.outputs.lock().insert(task.name.clone(), output);
+                failed(message)
+            }
         }
+    }
+
+    /// A join task's reply, noted on its `spans`: a partial's rows, access
+    /// path and unpushed rows, or Q′'s answer from the `COMBINE`, whose own
+    /// partial crossed no network — the innermost span noting, with a measured
+    /// baseline, the bytes a rewrite kept off the wire. A reply naming an
+    /// error is the site's refusal, whatever else it carries.
+    fn join_done(
+        &self,
+        task: &dol::TaskDef,
+        vote: Option<&(Vote, u64)>,
+        spans: &[Span],
+        reply: Response,
+        bytes: usize,
+    ) -> TaskExecution {
+        let (span, own) = (&spans[spans.len() - 1], &spans[0]);
+        let saved_of = |full: u64| (full > 0).then(|| full.saturating_sub(bytes as u64));
+        let (rows, access, saved) = match reply {
+            Response::PartialDone { error: Some(message), .. }
+            | Response::PartialAggDone { error: Some(message), .. }
+            | Response::Err { message } => return failed(message),
+            Response::CombineDone { payload, home_rows, access, saved } => {
+                let rows = payload.unwrap_or_default();
+                span.note("bytes", bytes);
+                span.note("rows", rows.rows.len());
+                own.note("db", &self.database);
+                own.note("rows", home_rows);
+                own.note("bytes", 0);
+                let measured = matches!(vote, Some((Vote::Combine { baseline: Some(_), .. }, _)));
+                (rows, access, measured.then_some(saved))
+            }
+            Response::PartialDone { payload: Some(rows), full_bytes, access, .. } => {
+                self.record_shipped(span, &rows, bytes);
+                (rows, access, saved_of(full_bytes))
+            }
+            Response::PartialAggDone { payload: Some(rows), full_rows, full_bytes, .. } => {
+                self.record_shipped(span, &rows, bytes);
+                if full_rows > 0 {
+                    span.note("full_rows", full_rows);
+                }
+                (rows, None, saved_of(full_bytes))
+            }
+            other => return failed(format!("unexpected reply: {other:?}")),
+        };
+        if let Some(access) = access {
+            own.note("access", access);
+        }
+        if let Some(saved) = saved {
+            own.note("saved", saved);
+            self.metrics.counter_add(&labeled("lam.bytes_saved", "db", &self.database), saved);
+        }
+        let output = TaskOutput { rows: Some(rows), saved, ..TaskOutput::default() };
+        self.outputs.lock().insert(task.name.clone(), output);
+        TaskExecution::committed(None)
     }
 
     /// Sends an ack-only second-phase request — or reads the reply of the
@@ -733,7 +737,7 @@ impl LamClient {
     /// the caller must route it to recovery rather than presume abort.
     fn phase_two(&mut self, req: Request, span: &Span) -> Result<(), DolError> {
         let posted = match self.posted.take() {
-            Some(posted) => posted,
+            Some((posted, _)) => posted,
             None => LamClient::post(self, &req, span),
         };
         let (result, attempts, faults) = self.finish(posted, span);
@@ -749,6 +753,11 @@ impl LamClient {
             (Err(e), _) => Err(DolError::Service(e.to_string())),
         }
     }
+}
+
+/// A task that ended in `E`, `message` being its local error.
+fn failed(message: String) -> TaskExecution {
+    TaskExecution { status: TaskStatus::Error, result: None, error: Some(message) }
 }
 
 /// Stable lower-case label for fault annotations in spans and goldens.
@@ -773,15 +782,17 @@ impl Drop for LamClient {
 
 impl DolService for LamClient {
     fn post(&mut self, step: Step<'_>, span: &Span) {
-        let req = match step {
-            Step::Execute(task) if matches!(self.vote(&task.name), Some((Vote::Settled(_), _))) => {
+        let (req, spans) = match step {
+            Step::Execute(task)
+                if matches!(self.votes.get(&task.name), Some((Vote::Settled(_), _))) =>
+            {
                 return
             }
-            Step::Execute(task) => self.task_request(task),
-            Step::Commit(task) => Request::Commit { task: task.to_string() },
-            Step::Abort(task) => Request::Abort { task: task.to_string() },
+            Step::Execute(task) => self.task_request(task, span),
+            Step::Commit(task) => (Request::Commit { task: task.to_string() }, Vec::new()),
+            Step::Abort(task) => (Request::Abort { task: task.to_string() }, Vec::new()),
         };
-        self.posted = Some(LamClient::post(self, &req, span));
+        self.posted = Some((LamClient::post(self, &req, spans.last().unwrap_or(span)), spans));
     }
 
     fn execute_task(&mut self, task: &dol::TaskDef) -> TaskExecution {
@@ -822,8 +833,8 @@ impl DolService for LamClient {
 }
 
 /// How the federation opens LAM connections: every `OPEN <database> AT
-/// <site>` of a DOL program, every partial dispatch, coordinator collect and
-/// direct catalog request is one [`Self::checkout`].
+/// <site>` of a DOL program and every catalog read is one
+/// [`Self::checkout`].
 #[derive(Clone)]
 pub struct LamFactory {
     /// The owning session's connections.
@@ -844,10 +855,13 @@ pub struct LamFactory {
     /// Wire format handed to every client this factory opens.
     pub wire_format: WireFormat,
     /// Where the tasks of the program this factory serves leave their
-    /// outputs.
+    /// outputs, beside any an earlier program handed on; emptied by each run.
     pub(crate) outputs: TaskOutputs,
     /// What the member tasks of the program this factory serves send.
     pub(crate) votes: Votes,
+    /// Why the `OPEN` that failed the program this factory serves failed:
+    /// the checkout's own error.
+    pub(crate) open_error: Arc<Mutex<Option<MdbsError>>>,
 }
 
 impl LamFactory {
@@ -864,6 +878,7 @@ impl LamFactory {
             wire_format: WireFormat::default(),
             outputs: TaskOutputs::default(),
             votes: Votes::default(),
+            open_error: Arc::default(),
         }
     }
 
@@ -920,7 +935,9 @@ impl ServiceFactory for LamFactory {
                 votes: Votes::clone(&self.votes),
             })),
             Err(e) => {
-                Err(DolError::OpenFailed { service: service.to_string(), reason: e.to_string() })
+                let reason = e.to_string();
+                *self.open_error.lock() = Some(e);
+                Err(DolError::OpenFailed { service: service.to_string(), reason })
             }
         }
     }
@@ -942,7 +959,7 @@ struct UnreachableService {
 /// `status`, and a committed one reports what its statements affected.
 fn settled(outputs: &TaskOutputs, task: &str, status: TaskStatus, affected: u64) -> TaskExecution {
     if status == TaskStatus::Committed {
-        outputs.lock().insert(task.to_string(), TaskOutput { affected, rows: None });
+        outputs.lock().insert(task.to_string(), TaskOutput { affected, ..TaskOutput::default() });
     }
     TaskExecution { status, result: None, error: None }
 }
@@ -955,7 +972,7 @@ impl DolService for UnreachableService {
         // The terminal fault itself was counted by the failed connect; here
         // we only pin the task-level telemetry.
         self.stats.lock().record_task(&task.name, 0, Some(FaultKind::Terminal));
-        TaskExecution { status: TaskStatus::Error, result: None, error: Some(self.error.clone()) }
+        failed(self.error.clone())
     }
 
     fn commit_task(&mut self, _task_name: &str) -> Result<(), DolError> {

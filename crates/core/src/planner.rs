@@ -6,7 +6,9 @@
 //! coordinator combines partials — rather than individual database
 //! operations. [`plan_join`] makes every such decision before a row moves and
 //! returns it as a value, a [`JoinPlan`], which
-//! [`crate::executor::Executor::run_join`] then only sequences. It is a pure
+//! [`crate::executor::Executor::run_join`] writes as at most two DOL
+//! programs — the reducer's, then the other sites' with the coordinator's
+//! `COMBINE` — and runs like any other statement's. It is a pure
 //! function of the decomposition, the routes, the session's three data-flow
 //! switches and — the ingredient the heuristics lacked — per-site statistics.
 //! Each LDBS collects them locally with `ANALYZE` ([`ldbs::stats`]), the
@@ -37,6 +39,7 @@
 //! back to the pre-statistics heuristic, byte-for-byte.
 
 use crate::error::MdbsError;
+use crate::translate::plangen::route_for;
 use crate::translate::{DbRoute, DbSubquery, Decomposition, JoinKey, PushdownPlan};
 use crate::wire::SiteTableStats;
 use ldbs::engine::ResultSet;
@@ -166,8 +169,6 @@ impl PlannerContext {
 pub struct SitePlan {
     /// The database whose LAM evaluates the subquery.
     pub database: String,
-    /// The site that LAM listens at.
-    pub site: String,
     /// The subquery as decomposed. A site of a classic plan runs it as is
     /// unless a reduction edge ships it a key filter; either way it is the
     /// baseline `EXPLAIN` has a rewritten site measure as well.
@@ -264,20 +265,21 @@ impl ReductionEdge<'_> {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Combine<'a> {
     /// The classic flow of §4.1: the partials are collected as temporary
-    /// tables (`temps`, in site order) in one `database` at `site`, "acting
-    /// as the coordinator", which evaluates the modified global query Q′
+    /// tables (`temps`, in site order) in one `database`, "acting as the
+    /// coordinator", which evaluates the modified global query Q′
     /// (`sql`) over them. Site `home` *is* that database: it is sent no
     /// partial request — its subquery rides inside the combine and is
     /// materialised in place, so only the other sites' rows move. It is never
     /// the reducer, whose rows must reach the MDBS layer for their keys.
-    /// `join_order` is Q′'s FROM order, when the estimates changed it.
+    /// `join_order` is Q′'s FROM order, when the estimates changed it;
+    /// `labels` are [`Decomposition::labels`].
     Coordinator {
         database: &'a str,
-        site: &'a str,
         home: usize,
         temps: Vec<&'a str>,
         sql: String,
         join_order: Option<String>,
+        labels: &'a [(usize, String)],
     },
     /// Aggregate / top-k pushdown: the sites shipped pre-reduced partials and
     /// the MDBS layer merges them — no coordinator round trips.
@@ -307,17 +309,11 @@ pub struct JoinPlan<'a> {
     pub strategy: &'static str,
     /// Whether fresh estimates for *every* subquery drove the decisions.
     pub costed: bool,
+    /// Where each database's LAM listens.
+    pub routes: &'a HashMap<String, DbRoute>,
 }
 
 impl JoinPlan<'_> {
-    /// The site that coordinates a classic plan and so sends no partial.
-    pub fn home(&self) -> Option<usize> {
-        match &self.combine {
-            Combine::Coordinator { home, .. } => Some(*home),
-            Combine::Merge(_) => None,
-        }
-    }
-
     /// The subquery site `target` runs given what each edge shipped (`None`:
     /// nothing): its decomposed subquery with every shipped key set's filter
     /// ANDed on, or `None` when no edge into it shipped.
@@ -349,10 +345,6 @@ pub fn plan_join<'a>(
     semijoin_cap: usize,
     agg_pushdown: bool,
 ) -> Result<JoinPlan<'a>, MdbsError> {
-    let site_of = |database: &str| match routes.get(database) {
-        Some(route) => Ok(route.site.as_str()),
-        None => Err(MdbsError::Catalog(format!("no route for database `{database}`"))),
-    };
     // Estimates exist only when the context holds fresh statistics for
     // *every* table of *every* subquery — a single unanalyzed table keeps the
     // whole join on the heuristics.
@@ -361,9 +353,9 @@ pub fn plan_join<'a>(
     let costed = estimates.is_some();
     let mut sites = Vec::with_capacity(dec.subqueries.len());
     for (i, sub) in dec.subqueries.iter().enumerate() {
+        route_for(routes, &sub.database)?;
         sites.push(SitePlan {
             database: sub.database.clone(),
-            site: site_of(&sub.database)?.to_string(),
             sql: print_select(&sub.select),
             pushed: None,
             est_rows: estimates.as_ref().map(|e| e[i].rows.round() as u64),
@@ -385,8 +377,8 @@ pub fn plan_join<'a>(
         for (site, select) in sites.iter_mut().zip(selects) {
             site.pushed = Some((kind, print_select(select)));
         }
-        let combine = Combine::Merge(pushdown);
-        return Ok(JoinPlan { sites, reducer: None, edges: Vec::new(), combine, strategy, costed });
+        let (reducer, edges, combine) = (None, Vec::new(), Combine::Merge(pushdown));
+        return Ok(JoinPlan { sites, reducer, edges, combine, strategy, costed, routes });
     }
 
     let n = dec.subqueries.len();
@@ -447,14 +439,14 @@ pub fn plan_join<'a>(
     let database = dec.subqueries[home].database.as_str();
     let combine = Combine::Coordinator {
         database,
-        site: site_of(database)?,
         home,
         temps: dec.subqueries.iter().map(|s| s.part_table.as_str()).collect(),
         sql,
         join_order,
+        labels: &dec.labels,
     };
     let strategy = if n == 2 && !dec.join_keys.is_empty() { "hash" } else { "product" };
-    Ok(JoinPlan { sites, reducer, edges, combine, strategy, costed })
+    Ok(JoinPlan { sites, reducer, edges, combine, strategy, costed, routes })
 }
 
 /// Chooses the semi-join reducer: among the subqueries on at least one join
@@ -916,6 +908,7 @@ mod tests {
             ],
             coordinator: "avis".into(),
             global_query: select_of(global),
+            labels: Vec::new(),
             join_keys: vec![JoinKey { left: side("avis", "c"), right: side("hertz", "v") }],
             pushdown,
         }
@@ -995,17 +988,13 @@ mod tests {
         let coordinator = |global: &str, ctx| {
             let dec = join(global, None);
             let plan = plan_join(&dec, &routes, ctx, true, 256, true).unwrap();
-            let Combine::Coordinator { database, site, home, temps, sql, join_order } =
-                plan.combine
+            let Combine::Coordinator { database, home, temps, sql, join_order, .. } = plan.combine
             else {
                 panic!("classic plan expected")
             };
             // Whoever coordinates, the temporaries keep the sites' order.
             assert_eq!(temps, vec!["part_avis", "part_hertz"]);
-            assert_eq!(
-                (database, site),
-                (dec.subqueries[home].database.as_str(), routes[database].site.as_str())
-            );
+            assert_eq!(database, dec.subqueries[home].database.as_str());
             (database.to_string(), sql, join_order)
         };
         // hertz (10 rows) reduces, so avis stays home; Q′ starts small.
@@ -1060,6 +1049,7 @@ mod tests {
             subqueries: (0..n).map(sub).collect(),
             coordinator: "db0".into(),
             global_query: select_of(&format!("SELECT part_db0.b_t0_code FROM {}", from.join(", "))),
+            labels: Vec::new(),
             join_keys: (1..n).map(|i| JoinKey { left: side(i - 1), right: side(i) }).collect(),
             pushdown: None,
         };

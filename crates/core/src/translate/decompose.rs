@@ -24,6 +24,7 @@
 use crate::error::MdbsError;
 use crate::scope::SessionScope;
 use catalog::{GddTable, GlobalDataDictionary};
+use msql_lang::printer::print_expr;
 use msql_lang::*;
 
 /// One local subquery of a decomposition.
@@ -97,6 +98,9 @@ pub struct Decomposition {
     pub coordinator: String,
     /// The modified global query Q' over the `part_<db>` tables.
     pub global_query: Select,
+    /// `(column, name)` for each column of Q′'s answer the printed Q′ cannot
+    /// name: an unaliased expression, named as the user wrote it (`c.code + 1`).
+    pub labels: Vec<(usize, String)>,
     /// Cross-database equi-join edges extracted from the global conjuncts.
     pub join_keys: Vec<JoinKey>,
     /// Aggregation / top-k pushdown plan, when the query's shape allows the
@@ -446,8 +450,12 @@ pub fn decompose(
     // The modified global query Q'.
     let rewrite = |e: &Expr| rewrite_global(e, &bindings);
     let mut items = Vec::with_capacity(sel.items.len());
+    let mut labels = Vec::new();
     for item in &sel.items {
         if let SelectItem::Expr { expr, alias, .. } = item {
+            if alias.is_none() && !matches!(expr, Expr::Column(_) | Expr::Aggregate { .. }) {
+                labels.push((items.len(), print_expr(expr)));
+            }
             let alias = alias.clone().or_else(|| {
                 // Preserve the user-visible name of plain column items.
                 match expr {
@@ -530,7 +538,7 @@ pub fn decompose(
             .map(PushdownPlan::TopK)
     });
 
-    Ok(Decomposition { subqueries, coordinator, global_query, join_keys, pushdown })
+    Ok(Decomposition { subqueries, coordinator, global_query, labels, join_keys, pushdown })
 }
 
 /// Plans an aggregate pushdown, or `None` when the query's shape is not

@@ -33,6 +33,8 @@
 //! | a deferred-mode statement (`gtxn.rs`) | a vital is its member's task (`HOLD` / `EXEC` on a 2PC service, else autocommit under the member's name), a non-vital `NV_<key>` | none | — |
 //! | a deferred synchronization point (`gtxn.rs`) | the members' votes | all members; `ROLLBACK` plans the failure branch alone | `UPDATE_FAILED` |
 //! | [`multitransaction_plan`] | the scope keys; `NOCOMMIT` on 2PC services, else autocommit with their COMP | the user's | [`MTX_FAILED`] |
+//! | a transfer's INSERT, local DDL and `ANALYZE` ([`autocommit_plan`]) | one autocommit task: `TRANSFER`, `DDL` or `ANALYZE` | none | — |
+//! | a cross-database join ([`autocommit_plan`]) | the reducer's partial; then the others' and, behind an `IF` on them all committing, the coordinator's `COMBINE`, each named after its database | none | — |
 //!
 //! `DOLSTATUS` is the `DECIDE` code of the branch taken: `k` for state `k`
 //! (`0` is the preferred state, and an update's success), else the failure
@@ -333,6 +335,40 @@ pub fn retrieval_plan(
     dol_plan(&tasks, &[], 0, false, routes)
 }
 
+/// A program of autocommitted one-statement tasks, each `(name, database,
+/// statement)` on its database's own service: `tasks` in one `TASK` batch
+/// and then, when there is one, `last` behind an `IF` on all of them
+/// committing. A transfer's INSERT, local DDL and `ANALYZE` are one task; a
+/// cross-database join (DESIGN §3a.14) is its partials and, last, the
+/// coordinator's `COMBINE`, which needs all their rows.
+pub(crate) fn autocommit_plan(
+    tasks: Vec<(String, String, String)>,
+    last: Option<(String, String, String)>,
+    routes: &HashMap<String, DbRoute>,
+) -> Result<GeneratedPlan, MdbsError> {
+    let task = |(name, database, statement): (String, String, String)| DolTask {
+        name,
+        key: database.clone(),
+        database,
+        nocommit: false,
+        vital: true,
+        commands: vec![statement],
+        compensation: Vec::new(),
+    };
+    let names: Vec<String> = tasks.iter().map(|(name, ..)| name.clone()).collect();
+    let tasks: Vec<DolTask> = tasks.into_iter().chain(last).map(task).collect();
+    let mut plan = dol_plan(&tasks, &[], 0, false, routes)?;
+    if tasks.len() > names.len() && !names.is_empty() {
+        // `last` is the last `TASK`, before `DOLSTATUS` and `CLOSE`.
+        let statements = &mut plan.program.statements;
+        let then_branch = vec![statements.remove(statements.len() - 3)];
+        let cond = reachable(&tasks, &names);
+        let guarded = DolStmt::If { cond, then_branch, else_branch: Vec::new() };
+        statements.insert(statements.len() - 2, guarded);
+    }
+    Ok(plan)
+}
+
 /// The COMP clause of `local` in `comps` (empty without one) — refused for a
 /// vital subquery on a service without a prepared state, which nothing else
 /// could undo (§3.3): "our prototype MDBS raises an error condition and
@@ -549,6 +585,29 @@ mod tests {
         assert!(text.contains("CLOSE continental delta united;"), "{text}");
         // And it reparses.
         assert!(dol::parse_program(&text).is_ok());
+    }
+
+    #[test]
+    fn a_join_step_guards_its_combine_on_every_partial_committing() {
+        let routes = routes(&[("avis", false), ("national", false), ("delta", false)]);
+        let read = |db: &str| (db.to_string(), db.to_string(), format!("SELECT * FROM {db}_t"));
+        let combine = Some(read("delta"));
+        let plan = autocommit_plan(vec![read("avis"), read("national")], combine, &routes).unwrap();
+        let text = print_program(&plan.program);
+        let batch = text.find("TASK avis FOR avis").unwrap();
+        assert!(batch < text.find("TASK national FOR national").unwrap(), "{text}");
+        let guard = text.find("IF (avis=C) AND (national=C) THEN").expect(&text);
+        assert!(guard < text.find("TASK delta FOR delta").unwrap(), "{text}");
+        assert!(text.trim_end().ends_with("CLOSE avis national delta;\nDOLEND"), "{text}");
+        assert!(plan.recovery.is_none() && !text.contains("NOCOMMIT"), "{text}");
+        assert_eq!(dol::parse_program(&text).unwrap(), plan.program);
+        // With nothing left to travel, the COMBINE runs unguarded; a reducer's
+        // or a pushdown's step has no COMBINE at all.
+        let alone = autocommit_plan(Vec::new(), Some(read("delta")), &routes).unwrap();
+        assert!(!print_program(&alone.program).contains("IF"));
+        let reducer = autocommit_plan(vec![read("avis")], None, &routes).unwrap();
+        assert_eq!(reducer.tasks.len(), 1);
+        assert!(!print_program(&reducer.program).contains("IF"));
     }
 
     #[test]

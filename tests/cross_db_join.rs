@@ -287,6 +287,48 @@ fn concurrent_sessions_do_not_share_coordinator_temporaries() {
 }
 
 #[test]
+fn a_local_error_names_the_database_not_the_site() {
+    // `c.code + 'x'` is avis' own conjunct, so avis' partial is refused —
+    // in the site's words, named by the database as a retrieval's is, not by
+    // the site its LAM listens at. So is an IMPORT the site refuses.
+    let mut fed = paper_federation();
+    let service = |fed: &mut Federation, msql: &str, says: &str| match fed.execute(msql) {
+        Err(mdbs::MdbsError::Local { service, message }) => {
+            assert!(message.contains(says), "{msql}: {message}");
+            service
+        }
+        other => panic!("{msql}: expected the site's local error, got {other:?}"),
+    };
+    let retrieval = "USE avis SELECT code FROM cars WHERE code + 'x' = 1";
+    let join = "USE avis continental
+                SELECT c.code, f.flnu FROM avis.cars c, continental.flights f
+                WHERE c.rate = f.rate AND c.code + 'x' = 1";
+    assert_eq!(service(&mut fed, retrieval, "'x'"), "avis");
+    assert_eq!(service(&mut fed, join, "'x'"), "avis");
+    assert_eq!(
+        service(&mut fed, "IMPORT DATABASE nosuch FROM SERVICE svc_avis", "nosuch"),
+        "nosuch"
+    );
+}
+
+#[test]
+fn a_joins_column_names_do_not_depend_on_the_session() {
+    // An unaliased expression is named as the user wrote it, whatever the
+    // coordinator's temporaries are called in the session that ran it.
+    let mut fed = paper_federation();
+    fed.execute("USE avis UPDATE cars SET rate = 80 WHERE code = 2").unwrap();
+    let join = "USE avis continental
+                SELECT c.code + 1, f.flnu FROM avis.cars c, continental.flights f
+                WHERE c.rate = f.rate";
+    let primary = fed.execute(join).unwrap().into_table().unwrap();
+    let spawned = fed.session().execute(join).unwrap().into_table().unwrap();
+    assert_eq!(primary.rows, vec![vec![Value::Int(3), Value::Int(2)]]);
+    assert_eq!(primary.columns[0].name, "c.code + 1");
+    assert_eq!(primary.columns[1].name, "flnu");
+    assert_eq!(primary, spawned);
+}
+
+#[test]
 fn three_way_cross_database_join() {
     let mut fed = paper_federation();
     fed.execute("USE continental delta avis").unwrap();

@@ -141,7 +141,10 @@ fn open_to_wrong_site_fails_cleanly() {
          OPEN avis AT nonexistent_site AS a;
          DOLEND",
     );
-    assert!(matches!(err, Err(mdbs::MdbsError::Dol(_))), "{err:?}");
+    assert!(
+        matches!(err, Err(mdbs::MdbsError::LamUnavailable { ref site }) if site == "nonexistent_site"),
+        "{err:?}"
+    );
 }
 
 #[test]

@@ -97,7 +97,10 @@ fn unreachable_service_fails_the_plan_at_open() {
         "USE continental VITAL delta united VITAL
          UPDATE flight% SET rate% = rate% * 2 WHERE sour% = 'Houston'",
     );
-    assert!(matches!(err, Err(mdbs::MdbsError::Dol(_))), "{err:?}");
+    assert!(
+        matches!(err, Err(mdbs::MdbsError::LamUnavailable { ref site }) if site == "site3"),
+        "{err:?}"
+    );
 
     // continental was never touched.
     let engine = fed.engine("svc_continental").unwrap();
