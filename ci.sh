@@ -250,6 +250,25 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/executor.rs |
     exit 1
 fi
 
+echo "== one SQL evaluator =="
+# A pushed-down join's partials are re-aggregated by a Q′ that the local
+# engine's own SELECT evaluator runs (DESIGN §3a.9): merge.rs evaluates
+# nothing itself. Outside tests it names no value comparison (`total_cmp`,
+# `sql_cmp`), no map to group or join in, and no value arithmetic; and the
+# merge's own plan vocabulary (`AggKind`, `AggState`, `AggOutput`, `TopKOrder`)
+# is gone from crates/. On the commit before this gate merge.rs hit 15 lines
+# (its hash join, group map, accumulators, AVG division and two sorts) and the
+# vocabulary 70 lines in merge.rs, decompose.rs and translate/mod.rs.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/merge.rs |
+    grep -nE 'total_cmp|sql_cmp|BTreeMap|HashMap|\.mul\(|\.add\(|\.div\('; then
+    echo "merge.rs evaluates SQL beside the local engine" >&2
+    exit 1
+fi
+if grep -rnE 'AggKind|AggState|AggOutput|TopKOrder' crates; then
+    echo "the merge's own plan vocabulary is back" >&2
+    exit 1
+fi
+
 echo "== one plan generator =="
 # A vital update is a multitransaction with one acceptable state (DESIGN §2),
 # so every DOL program — retrieval, update, multitransaction, a deferred

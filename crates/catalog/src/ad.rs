@@ -53,11 +53,6 @@ impl ServiceEntry {
     pub fn insert_capability(&self) -> CommitCapability {
         self.insert_mode.unwrap_or(self.commit_mode)
     }
-
-    /// Effective commit mode for DROP.
-    pub fn drop_capability(&self) -> CommitCapability {
-        self.drop_mode.unwrap_or(self.commit_mode)
-    }
 }
 
 /// The Auxiliary Directory: `service name → entry`.

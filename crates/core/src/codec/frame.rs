@@ -65,13 +65,6 @@ pub(crate) const PAYLOAD_VERBATIM: u8 = 0;
 /// Payload block tag: a `codec::columnar` result set follows.
 pub(crate) const PAYLOAD_COLUMNAR: u8 = 1;
 
-/// True when the body starts like a binary frame (used by servers to pick a
-/// decode path; the `Body` enum already distinguishes, this is a guard for
-/// raw byte handling).
-pub fn looks_binary(bytes: &[u8]) -> bool {
-    bytes.first() == Some(&MAGIC)
-}
-
 fn write_header(buf: &mut Vec<u8>, corr: Option<u64>) {
     buf.push(MAGIC);
     buf.push(VERSION);

@@ -408,14 +408,14 @@ impl Executor {
                 let parts: Vec<ResultSet> = parts.collect();
                 match pushdown {
                     PushdownPlan::Aggregate(p) => {
-                        let rs = merge::merge_aggregate(p, &parts)?;
+                        let rs = merge::merge(p, parts)?;
                         metrics.counter_add("agg.groups_merged", rs.rows.len() as u64);
                         rs
                     }
                     PushdownPlan::TopK(p) => {
                         let shipped: u64 = parts.iter().map(|p| p.rows.len() as u64).sum();
                         metrics.counter_add("topk.rows_shipped", shipped);
-                        merge::merge_topk(p, &parts)?
+                        merge::merge(p, parts)?
                     }
                 }
             }

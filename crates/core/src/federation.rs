@@ -1054,10 +1054,7 @@ impl Session {
     ) -> Result<PreparedPlan, MdbsError> {
         let locals = match self.translate(body, scope, span)? {
             Translated::PerDb(locals) => locals,
-            Translated::CrossDb(mut dec) => {
-                self.own_parts(&mut dec);
-                return Ok(PreparedPlan::Join { dec, routes });
-            }
+            Translated::CrossDb(dec) => return Ok(PreparedPlan::Join { dec, routes }),
         };
         if let QueryBody::Select(_) = body {
             if !comps.is_empty() {
@@ -1487,18 +1484,6 @@ impl Session {
         (!ctx.is_empty()).then_some(ctx)
     }
 
-    /// Gives a decomposition's partial-result tables this session's names.
-    /// Sessions share the coordinator database, so a spawned session names
-    /// them its own (`part_<db>_s<id>`): it runs one statement at a time, so
-    /// they collide with nobody's, and a crashed statement's leftovers are
-    /// replaced by the same session's next join exactly as the primary
-    /// session's `part_<db>` are.
-    fn own_parts(&self, dec: &mut Decomposition) {
-        if self.id != 0 {
-            dec.suffix_part_tables(&session_suffix(self.id));
-        }
-    }
-
     /// The database a qualifier names: a database in `scope`, or an
     /// imported one outside it, which DDL and a transfer may target too.
     fn named_database(&self, scope: &SessionScope, name: &str) -> Result<String, MdbsError> {
@@ -1511,10 +1496,9 @@ impl Session {
 }
 
 /// What a session appends to the names it leaves at sites it shares with other
-/// sessions — its join temporaries, and the tasks of its plans that stay open
-/// at a LAM between their two phases, which LAMs key by name alone. Nothing
-/// for the primary session: single-user names, traces and goldens stay as they
-/// are.
+/// sessions — the tasks of its plans that stay open at a LAM between their two
+/// phases, which LAMs key by name alone. Nothing for the primary session:
+/// single-user names, traces and goldens stay as they are.
 fn session_suffix(id: u64) -> String {
     if id == 0 {
         String::new()

@@ -21,7 +21,6 @@ use crate::wire;
 use catalog::{GddColumn, GddTable};
 use ldbs::engine::{Engine, ExecOutcome, ResultSet};
 use ldbs::error::DbError;
-use ldbs::schema::{ColumnSchema, TableSchema};
 use ldbs::table::Table;
 use ldbs::txn::TxnId;
 use ldbs::value::DataType;
@@ -886,8 +885,9 @@ fn handle_request(shared: &Arc<SrvShared>, req: Request, format: WireFormat) -> 
         // `COMBINE`; served for `fedbench/src/layers.rs` until ROADMAP 1(b).
         Request::LoadMany { database, parts } => {
             let mut engine = shared.engine.lock();
-            let temps: Result<Vec<Table>, String> =
-                parts.into_iter().map(|(table, rows)| temp_table(&table, rows)).collect();
+            let temps: Result<Vec<Table>, DbError> =
+                parts.into_iter().map(|(table, rows)| Table::temporary(&table, rows)).collect();
+            let temps = temps.map_err(|e| e.to_string());
             match temps.and_then(|temps| install_temps(&mut engine, &database, temps)) {
                 Ok(()) => Response::Ok,
                 Err(message) => Response::Err { message },
@@ -962,7 +962,7 @@ fn combine(
 ) -> Result<Response, String> {
     let mut temps = Vec::with_capacity(parts.len() + 1);
     for (table, rows) in parts {
-        temps.push(temp_table(&table, rows)?);
+        temps.push(Table::temporary(&table, rows).map_err(|e| e.to_string())?);
     }
     let (mut home_rows, mut access, mut saved) = (0, None, 0);
     if let Some((table, home_sql)) = home {
@@ -972,7 +972,7 @@ fn combine(
         if sub.full_bytes > 0 {
             saved = sub.full_bytes.saturating_sub(format.payload_len(&sub.rows) as u64);
         }
-        temps.push(temp_table(&table, sub.rows)?);
+        temps.push(Table::temporary(&table, sub.rows).map_err(|e| e.to_string())?);
     }
     let names: Vec<String> = temps.iter().map(|t| t.schema.name.clone()).collect();
     install_temps(engine, database, temps)?;
@@ -985,20 +985,6 @@ fn combine(
         Ok(ExecOutcome::Affected(_)) => Err("global query did not produce rows".to_string()),
         Err(e) => Err(e.to_string()),
     }
-}
-
-/// A temporary table `table` holding `rs`, not exported to the multidatabase
-/// level.
-fn temp_table(table: &str, rs: ResultSet) -> Result<Table, String> {
-    let columns =
-        rs.columns.iter().map(|c| ColumnSchema::new(c.name.clone(), c.data_type)).collect();
-    let mut schema = TableSchema::new(table, columns);
-    schema.public = false;
-    let mut t = Table::new(schema);
-    for row in rs.rows {
-        t.insert(row).map_err(|e| e.to_string())?;
-    }
-    Ok(t)
 }
 
 /// Puts `temps` into `database`, all or none. The site is autonomous: a

@@ -366,16 +366,12 @@ pub fn plan_join<'a>(
     // eligible, skip the coordinator flow entirely. Any ineligible query
     // carries `pushdown: None` and takes the classic path unchanged.
     if let Some(pushdown) = dec.pushdown.as_ref().filter(|_| agg_pushdown) {
-        let (kind, strategy, selects): (_, _, Vec<&Select>) = match pushdown {
-            PushdownPlan::Aggregate(p) => {
-                ("agg", "agg-pushdown", p.sites.iter().map(|s| &s.select).collect())
-            }
-            PushdownPlan::TopK(p) => {
-                ("topk", "topk-pushdown", p.sites.iter().map(|s| &s.select).collect())
-            }
+        let (kind, strategy, p) = match pushdown {
+            PushdownPlan::Aggregate(p) => ("agg", "agg-pushdown", p),
+            PushdownPlan::TopK(p) => ("topk", "topk-pushdown", p),
         };
-        for (site, select) in sites.iter_mut().zip(selects) {
-            site.pushed = Some((kind, print_select(select)));
+        for (site, pushed) in sites.iter_mut().zip(&p.sites) {
+            site.pushed = Some((kind, print_select(&pushed.select)));
         }
         let (reducer, edges, combine) = (None, Vec::new(), Combine::Merge(pushdown));
         return Ok(JoinPlan { sites, reducer, edges, combine, strategy, costed, routes });
@@ -958,16 +954,18 @@ mod tests {
 
     #[test]
     fn pushdown_is_planned_iff_enabled_and_eligible() {
-        use crate::translate::{TopKPushdown, TopKSite};
-        let site = |sql| TopKSite { select: select_of(sql) };
-        let topk = PushdownPlan::TopK(TopKPushdown {
+        use crate::translate::Pushdown;
+        let site = |db: &str, sql| DbSubquery {
+            database: db.to_string(),
+            select: select_of(sql),
+            part_table: format!("part_{db}"),
+        };
+        let topk = PushdownPlan::TopK(Pushdown {
             sites: vec![
-                site("SELECT c.code FROM cars c LIMIT 3"),
-                site("SELECT v.code FROM cars v LIMIT 3"),
+                site("avis", "SELECT c.code FROM cars c LIMIT 3"),
+                site("hertz", "SELECT v.code FROM cars v LIMIT 3"),
             ],
-            output: Vec::new(),
-            order_by: Vec::new(),
-            limit: 3,
+            global: select_of("SELECT part_avis.b_c_code FROM part_avis, part_hertz LIMIT 3"),
         });
         let (eligible, not, routes) = (join(Q, Some(topk.clone())), join(Q, None), routes());
         let pushed = plan_join(&eligible, &routes, None, true, 256, true).unwrap();

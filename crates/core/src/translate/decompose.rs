@@ -111,161 +111,28 @@ pub struct Decomposition {
     pub pushdown: Option<PushdownPlan>,
 }
 
-impl Decomposition {
-    /// Appends `suffix` to the name of every partial-result table: on the
-    /// subqueries, in Q′'s FROM list and on Q′'s column qualifiers. (A
-    /// pushdown plan names partial *columns* only; it has no coordinator.)
-    pub fn suffix_part_tables(&mut self, suffix: &str) {
-        let old: Vec<String> = self.subqueries.iter().map(|s| s.part_table.clone()).collect();
-        let rename = |name: &mut WildName| {
-            if old.iter().any(|o| o == name.as_str()) {
-                *name = WildName::new(format!("{}{suffix}", name.as_str()));
-            }
-        };
-        for sub in &mut self.subqueries {
-            sub.part_table.push_str(suffix);
-        }
-        let q = &mut self.global_query;
-        q.from.iter_mut().for_each(|t| rename(&mut t.table));
-        for expr in q.exprs_mut() {
-            expr.walk_columns_mut(&mut |c| {
-                if let Some(table) = &mut c.table {
-                    rename(table);
-                }
-            });
-        }
-    }
-}
-
 /// A plan for answering a cross-database query from pre-reduced partials
 /// merged at the MDBS layer, instead of shipping raw rows to a coordinator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PushdownPlan {
     /// Decomposable GROUP BY aggregation: sites group by (join keys ∪ own
-    /// group keys) and ship partial states; groups are hash-merged here.
-    Aggregate(AggPushdown),
+    /// group keys) and ship partial states, which Q′ re-aggregates.
+    Aggregate(Pushdown),
     /// Site-local top-k under `ORDER BY … LIMIT k` on a pure product: each
-    /// site ships its own top k rows and the merge takes the global top k.
-    TopK(TopKPushdown),
+    /// site ships its own top k rows and Q′ keeps the top k of their pairings.
+    TopK(Pushdown),
 }
 
-/// The kind of a pushed aggregate, with its decomposable partial state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggKind {
-    /// `COUNT(*)` — derived from the per-group row counts alone.
-    CountStar,
-    /// `COUNT(col)` — per-group non-null count, scaled by the other side.
-    Count,
-    /// `SUM(col)` — per-group partial sum, scaled by the other side's count.
-    Sum,
-    /// `AVG(col)` — kept as an exact (sum, count) pair until the final merge.
-    Avg,
-    /// `MIN(col)` — per-group minimum, folded across matching groups.
-    Min,
-    /// `MAX(col)` — per-group maximum, folded across matching groups.
-    Max,
-}
-
-/// One aggregate of the global query and where its partial state lives.
+/// The queries of a pushdown: what each site runs instead of its decomposed
+/// subquery, and the global query that answers the user's from their
+/// partials.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AggState {
-    /// Aggregate kind.
-    pub kind: AggKind,
-    /// Index (into [`AggPushdown::sites`]) of the site owning the argument
-    /// column. Unused for `CountStar`, which reads both sites' row counts.
-    pub site: usize,
-    /// Shipped column holding the partial value (sum for `Sum`/`Avg`,
-    /// min/max for `Min`/`Max`). `None` for the count-only kinds.
-    pub value_col: Option<String>,
-    /// Shipped column holding the partial non-null count (`Count`, `Avg`).
-    pub count_col: Option<String>,
-}
-
-/// One column of the merged output, in user projection order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AggOutput {
-    /// A GROUP BY key, identified by its slot in the grouping tuple.
-    Key {
-        /// Position in the grouping tuple.
-        slot: usize,
-        /// User-visible column name.
-        name: String,
-    },
-    /// An aggregate, identified by its index in [`AggPushdown::aggs`].
-    Agg {
-        /// Index into [`AggPushdown::aggs`].
-        agg: usize,
-        /// User-visible column name.
-        name: String,
-    },
-}
-
-/// One site of an aggregate pushdown: the rewritten subquery plus the
-/// shipped-column names the merge reads back out of its partial.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggSite {
-    /// The site's rewritten subquery: GROUP BY (join keys ∪ own group keys)
-    /// projecting the keys, `COUNT(*)`, and the owned partial states.
-    pub select: Select,
-    /// Shipped aliases of this site's join-key columns, aligned with
-    /// [`Decomposition::join_keys`] edge order across both sites.
-    pub join_cols: Vec<String>,
-    /// Shipped aliases of this site's GROUP BY keys as `(slot, alias)`.
-    pub key_cols: Vec<(usize, String)>,
-    /// Shipped alias of the per-group `COUNT(*)`.
-    pub count_col: String,
-}
-
-/// A decomposable aggregation pushed down to the sites.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggPushdown {
-    /// One entry per decomposition subquery, same order.
-    pub sites: Vec<AggSite>,
-    /// Number of GROUP BY keys in the global grouping tuple.
-    pub slots: usize,
-    /// The global aggregates, in first-appearance order.
-    pub aggs: Vec<AggState>,
-    /// Output columns in user projection order.
-    pub output: Vec<AggOutput>,
-    /// `ORDER BY` over the merged output as `(output index, direction)`.
-    pub order_by: Vec<(usize, SortOrder)>,
-    /// `LIMIT` applied after the merge (never pushed below the grouping).
-    pub limit: Option<u64>,
-}
-
-/// One site of a top-k pushdown.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopKSite {
-    /// The site's subquery with its own ORDER BY components, deterministic
-    /// tie-breaks and `LIMIT k` appended.
-    pub select: Select,
-}
-
-/// One component of the global ORDER BY, pointing at a shipped column.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopKOrder {
-    /// Site owning the column.
-    pub site: usize,
-    /// Shipped (renamed) column alias.
-    pub col: String,
-    /// Sort direction.
-    pub order: SortOrder,
-}
-
-/// A site-local top-k pushdown for `ORDER BY … LIMIT k` over a pure product
-/// (no cross-database conjuncts): any global top-k row is the pairing of
-/// per-site rows that each survive their own site's top k.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopKPushdown {
-    /// One entry per decomposition subquery, same order.
-    pub sites: Vec<TopKSite>,
-    /// Output columns in user projection order as
-    /// `(site, shipped column, user-visible name)`.
-    pub output: Vec<(usize, String, String)>,
-    /// The global ORDER BY sequence over shipped columns.
-    pub order_by: Vec<TopKOrder>,
-    /// `LIMIT k`.
-    pub limit: u64,
+pub struct Pushdown {
+    /// One rewritten subquery per decomposition subquery, same order; Q′
+    /// reads its partial as `part_table`.
+    pub sites: Vec<DbSubquery>,
+    /// Q′ over the partials, with the user's answer columns.
+    pub global: Select,
 }
 
 #[derive(Debug, Clone)]
@@ -541,15 +408,19 @@ pub fn decompose(
     Ok(Decomposition { subqueries, coordinator, global_query, labels, join_keys, pushdown })
 }
 
+/// A column of one site as `(site, binding, column)`.
+type SiteColumn = (usize, String, String);
+
 /// Plans an aggregate pushdown, or `None` when the query's shape is not
 /// decomposable. Supported shape: exactly two sites, every global conjunct a
 /// cross-database equi-join edge, GROUP BY keys and aggregate arguments all
 /// plain columns, no DISTINCT / HAVING / `COUNT(DISTINCT …)`, and every
 /// ORDER BY expression matching a projected item. Each site then groups by
 /// (its join-key columns ∪ its GROUP BY keys) and ships per-group partial
-/// states that merge exactly (Yan-Larson eager aggregation): counts and sums
-/// scale by the other side's group cardinality, min/max fold, and AVG stays
-/// a (sum, count) pair until the end.
+/// states that merge exactly (Yan-Larson eager aggregation). Q′ joins the two
+/// partials on the join keys and re-aggregates them: a site's counts and
+/// sums scale by the other side's group cardinality `agg_cnt`, min/max fold,
+/// and AVG divides two such sums.
 fn plan_aggregate_pushdown(
     sel: &Select,
     bindings: &[Binding],
@@ -557,7 +428,7 @@ fn plan_aggregate_pushdown(
     subqueries: &[DbSubquery],
     global_conjuncts: &[Expr],
     join_keys: &[JoinKey],
-) -> Option<AggPushdown> {
+) -> Option<Pushdown> {
     if databases.len() != 2 || subqueries.len() != 2 {
         return None;
     }
@@ -570,90 +441,83 @@ fn plan_aggregate_pushdown(
         return None;
     }
     let site_of = |b: &Binding| databases.iter().position(|d| *d == b.database).unwrap();
+    let part = |site: usize, column: &str| {
+        Expr::Column(ColumnRef::with_table(subqueries[site].part_table.clone(), column.to_string()))
+    };
 
     // GROUP BY keys: plain resolvable columns only.
-    let mut slots: Vec<(usize, String, String)> = Vec::new(); // (site, binding, column)
+    let mut slots: Vec<SiteColumn> = Vec::new();
     for g in &sel.group_by {
         let Expr::Column(c) = g else { return None };
         let (b, col) = resolve_column(c, bindings).ok()?;
         slots.push((site_of(b), b.name.clone(), col));
     }
 
-    // Projected items: group keys and decomposable aggregates.
-    let mut aggs: Vec<AggState> = Vec::new();
-    let mut agg_args: Vec<Option<(usize, String, String)>> = Vec::new(); // (site, binding, col)
-    let mut output: Vec<AggOutput> = Vec::new();
+    // Projected items: group keys and decomposable aggregates, each becoming
+    // the Q′ item that re-aggregates it.
+    let mut aggs: Vec<(AggregateKind, Option<SiteColumn>)> = Vec::new(); // None: COUNT(*)
+    let mut items: Vec<SelectItem> = Vec::new();
     for item in &sel.items {
         let SelectItem::Expr { expr, alias, .. } = item else { return None };
-        match expr {
+        let (expr, name) = match expr {
             Expr::Column(c) => {
                 let (b, col) = resolve_column(c, bindings).ok()?;
-                let slot = slots
-                    .iter()
-                    .position(|(s, bn, cn)| *s == site_of(b) && *bn == b.name && *cn == col)?;
-                let name = alias.clone().unwrap_or_else(|| c.column.as_str().to_string());
-                output.push(AggOutput::Key { slot, name });
-            }
-            Expr::Aggregate { kind, arg, distinct } => {
-                if *distinct {
+                let site = site_of(b);
+                if !slots.iter().any(|(s, bn, cn)| *s == site && *bn == b.name && *cn == col) {
                     return None;
                 }
-                let (akind, arg_site) = match (kind, arg) {
-                    (AggregateKind::Count, None) => (AggKind::CountStar, None),
-                    (_, Some(a)) => {
-                        let Expr::Column(c) = a.as_ref() else { return None };
-                        let (b, col) = resolve_column(c, bindings).ok()?;
-                        let k = match kind {
-                            AggregateKind::Count => AggKind::Count,
-                            AggregateKind::Sum => AggKind::Sum,
-                            AggregateKind::Avg => AggKind::Avg,
-                            AggregateKind::Min => AggKind::Min,
-                            AggregateKind::Max => AggKind::Max,
-                        };
-                        (k, Some((site_of(b), b.name.clone(), col)))
-                    }
+                (part(site, &part_column(&b.name, &col)), c.column.as_str().to_string())
+            }
+            Expr::Aggregate { kind, arg, distinct: false } => {
+                let arg = match arg {
+                    None if *kind == AggregateKind::Count => None,
                     // SUM(*) etc. never parse; COUNT with no argument is the
                     // only argument-free aggregate.
-                    _ => return None,
+                    None => return None,
+                    Some(a) => {
+                        let Expr::Column(c) = a.as_ref() else { return None };
+                        let (b, col) = resolve_column(c, bindings).ok()?;
+                        Some((site_of(b), b.name.clone(), col))
+                    }
                 };
-                let i = aggs.len();
-                let (value_col, count_col) = match akind {
-                    AggKind::CountStar => (None, None),
-                    AggKind::Count => (None, Some(format!("agg{i}_c"))),
-                    AggKind::Sum => (Some(format!("agg{i}_s")), None),
-                    AggKind::Avg => (Some(format!("agg{i}_s")), Some(format!("agg{i}_c"))),
-                    AggKind::Min | AggKind::Max => (Some(format!("agg{i}_m")), None),
-                };
-                aggs.push(AggState {
-                    kind: akind,
-                    site: arg_site.as_ref().map(|(s, _, _)| *s).unwrap_or(0),
-                    value_col,
-                    count_col,
-                });
-                agg_args.push(arg_site);
-                let name = alias.clone().unwrap_or_else(|| kind.name().to_ascii_lowercase());
-                output.push(AggOutput::Agg { agg: i, name });
+                let expr = reaggregate(*kind, arg.as_ref().map(|a| a.0), aggs.len(), &part);
+                aggs.push((*kind, arg));
+                (expr, kind.name().to_ascii_lowercase())
             }
             _ => return None,
-        }
+        };
+        let alias = Some(alias.clone().unwrap_or(name));
+        items.push(SelectItem::Expr { expr, alias, optional: false });
     }
     // Not an aggregate query at all → nothing to push.
     if aggs.is_empty() && slots.is_empty() {
         return None;
     }
-    // The merge emits groups in sorted-key order, not the engine's
-    // first-seen order, so a bare LIMIT without ORDER BY would truncate a
-    // different prefix. ORDER BY itself must map onto projected items.
+    // Q′ emits its groups in their first-seen order over the partials, not
+    // the classic plan's over the raw rows, so a bare LIMIT without ORDER BY
+    // would truncate a different prefix. ORDER BY itself must map onto
+    // projected items.
     if sel.limit.is_some() && sel.order_by.is_empty() {
         return None;
     }
-    let mut order_by: Vec<(usize, SortOrder)> = Vec::new();
+    let mut order_by = Vec::with_capacity(sel.order_by.len());
     for o in &sel.order_by {
         let pos = sel.items.iter().position(|it| match it {
             SelectItem::Expr { expr, .. } => *expr == o.expr,
             _ => false,
         })?;
-        order_by.push((pos, o.order));
+        let SelectItem::Expr { expr, .. } = &items[pos] else { return None };
+        order_by.push(OrderByItem { expr: expr.clone(), order: o.order });
+    }
+
+    // Q′ joins the partials on the join keys.
+    let mut conjuncts = Vec::with_capacity(join_keys.len());
+    for k in join_keys {
+        let [left, right] = [0, 1].map(|si| {
+            let side = k.side_in(&subqueries[si].database)?;
+            Some(Box::new(part(si, &side.part_column)))
+        });
+        conjuncts.push(Expr::Binary { left: left?, op: BinaryOp::Eq, right: right? });
     }
 
     // Per-site rewritten subqueries.
@@ -677,7 +541,6 @@ fn plan_aggregate_pushdown(
             group_by.push(expr.clone());
             items.push(SelectItem::Expr { expr, alias: Some(alias), optional: false });
         };
-        let mut join_cols = Vec::with_capacity(join_keys.len());
         for k in join_keys {
             let side = k.side_in(db)?;
             push_key(
@@ -687,69 +550,119 @@ fn plan_aggregate_pushdown(
                 &side.column,
                 side.part_column.clone(),
             );
-            join_cols.push(side.part_column.clone());
         }
-        let mut key_cols = Vec::new();
-        for (slot, (s, bn, cn)) in slots.iter().enumerate() {
+        for (s, bn, cn) in &slots {
             if *s == si {
-                let alias = part_column(bn, cn);
-                push_key(&mut items, &mut group_by, bn, cn, alias.clone());
-                key_cols.push((slot, alias));
+                push_key(&mut items, &mut group_by, bn, cn, part_column(bn, cn));
             }
         }
-        let count_col = "agg_cnt".to_string();
         items.push(SelectItem::Expr {
             expr: Expr::Aggregate { kind: AggregateKind::Count, arg: None, distinct: false },
-            alias: Some(count_col.clone()),
+            alias: Some("agg_cnt".to_string()),
             optional: false,
         });
-        for (ai, (a, arg)) in aggs.iter().zip(&agg_args).enumerate() {
+        // A site query without GROUP BY answers an empty table with one
+        // state row, `agg_cnt = 0`, which stands for no rows: it must join
+        // nothing.
+        if group_by.is_empty() {
+            conjuncts.push(Expr::Binary {
+                left: Box::new(part(si, "agg_cnt")),
+                op: BinaryOp::Gt,
+                right: Box::new(Expr::Literal(Literal::Int(0))),
+            });
+        }
+        for (ai, (kind, arg)) in aggs.iter().enumerate() {
             let Some((arg_site, bn, cn)) = arg else { continue };
             if *arg_site != si {
                 continue;
             }
             let arg_expr = Expr::Column(ColumnRef::with_table(bn.clone(), cn.clone()));
-            let mut push_agg = |kind: AggregateKind, alias: &str| {
+            let mut push_agg = |kind: AggregateKind, alias: String| {
                 items.push(SelectItem::Expr {
                     expr: Expr::Aggregate {
                         kind,
                         arg: Some(Box::new(arg_expr.clone())),
                         distinct: false,
                     },
-                    alias: Some(alias.to_string()),
+                    alias: Some(alias),
                     optional: false,
                 });
             };
-            match a.kind {
-                AggKind::CountStar => {}
-                AggKind::Count => push_agg(AggregateKind::Count, &format!("agg{ai}_c")),
-                AggKind::Sum => push_agg(AggregateKind::Sum, &format!("agg{ai}_s")),
-                AggKind::Avg => {
-                    push_agg(AggregateKind::Sum, &format!("agg{ai}_s"));
-                    push_agg(AggregateKind::Count, &format!("agg{ai}_c"));
+            let [count, sum, extreme] = state_columns(ai);
+            match kind {
+                AggregateKind::Count => push_agg(AggregateKind::Count, count),
+                AggregateKind::Sum => push_agg(AggregateKind::Sum, sum),
+                AggregateKind::Avg => {
+                    push_agg(AggregateKind::Sum, sum);
+                    push_agg(AggregateKind::Count, count);
                 }
-                AggKind::Min => push_agg(AggregateKind::Min, &format!("agg{ai}_m")),
-                AggKind::Max => push_agg(AggregateKind::Max, &format!("agg{ai}_m")),
+                AggregateKind::Min | AggregateKind::Max => push_agg(*kind, extreme),
             }
         }
-        sites.push(AggSite {
-            select: Select {
-                distinct: false,
-                items,
-                from: sub.select.from.clone(),
-                where_clause: sub.select.where_clause.clone(),
-                group_by,
-                having: None,
-                order_by: Vec::new(),
-                limit: None,
-            },
-            join_cols,
-            key_cols,
-            count_col,
-        });
+        let select = Select {
+            distinct: false,
+            items,
+            from: sub.select.from.clone(),
+            where_clause: sub.select.where_clause.clone(),
+            group_by,
+            having: None,
+            order_by: Vec::new(),
+            limit: None,
+        };
+        let (database, part_table) = (sub.database.clone(), sub.part_table.clone());
+        sites.push(DbSubquery { database, select, part_table });
     }
 
-    Some(AggPushdown { sites, slots: slots.len(), aggs, output, order_by, limit: sel.limit })
+    let global = Select {
+        distinct: false,
+        items,
+        from: subqueries.iter().map(|s| TableRef::named(s.part_table.clone())).collect(),
+        where_clause: conjuncts.into_iter().reduce(Expr::and),
+        group_by: slots.iter().map(|(s, bn, cn)| part(*s, &part_column(bn, cn))).collect(),
+        having: None,
+        order_by,
+        limit: sel.limit,
+    };
+    Some(Pushdown { sites, global })
+}
+
+/// The partial-state columns a site ships for aggregate `i`: its non-null
+/// count, its sum and its extreme.
+fn state_columns(i: usize) -> [String; 3] {
+    [format!("agg{i}_c"), format!("agg{i}_s"), format!("agg{i}_m")]
+}
+
+/// Q′'s expression for aggregate `i` of kind `kind` over an argument of
+/// site `owner` (`None`: `COUNT(*)`), given `part(site, column)` for a
+/// partial's column. A site's state stands for its group's rows once per
+/// joined row of the other site, so counts and sums scale by the other
+/// side's `agg_cnt`; a count over no rows is 0, not SUM's NULL.
+fn reaggregate(
+    kind: AggregateKind,
+    owner: Option<usize>,
+    i: usize,
+    part: &impl Fn(usize, &str) -> Expr,
+) -> Expr {
+    let aggregate =
+        |kind, arg: Expr| Expr::Aggregate { kind, arg: Some(Box::new(arg)), distinct: false };
+    let binary =
+        |left, op, right| Expr::Binary { left: Box::new(left), op, right: Box::new(right) };
+    let [count, sum, extreme] = state_columns(i);
+    let scaled = |site: usize, column: &str| {
+        let product = binary(part(site, column), BinaryOp::Mul, part(1 - site, "agg_cnt"));
+        aggregate(AggregateKind::Sum, product)
+    };
+    let or_zero = |e| Expr::Function {
+        name: "coalesce".to_string(),
+        args: vec![e, Expr::Literal(Literal::Int(0))],
+    };
+    let Some(s) = owner else { return or_zero(scaled(0, "agg_cnt")) };
+    match kind {
+        AggregateKind::Count => or_zero(scaled(s, &count)),
+        AggregateKind::Sum => scaled(s, &sum),
+        AggregateKind::Avg => binary(scaled(s, &sum), BinaryOp::Div, scaled(s, &count)),
+        AggregateKind::Min | AggregateKind::Max => aggregate(kind, part(s, &extreme)),
+    }
 }
 
 /// Plans a top-k pushdown, or `None` when the shape does not allow one.
@@ -759,14 +672,14 @@ fn plan_aggregate_pushdown(
 /// machinery, and `LIMIT k`. Each site orders by its own components of the
 /// global sort (their relative order preserved), breaks ties over its
 /// remaining projected columns for determinism, and ships only its top k;
-/// the global top k is then a merge of the ≤ k×k candidate pairings.
+/// Q′ then takes the global top k of the ≤ k×k pairings.
 fn plan_topk_pushdown(
     sel: &Select,
     bindings: &[Binding],
     databases: &[String],
     subqueries: &[DbSubquery],
     global_conjuncts: &[Expr],
-) -> Option<TopKPushdown> {
+) -> Option<Pushdown> {
     if databases.len() != 2 || subqueries.len() != 2 {
         return None;
     }
@@ -780,32 +693,34 @@ fn plan_topk_pushdown(
         return None;
     }
     let limit = sel.limit?;
-    let site_of = |b: &Binding| databases.iter().position(|d| *d == b.database).unwrap();
+    // A column as its site's partial ships it, and as Q′ reads it.
+    let shipped = |c: &ColumnRef| {
+        let (b, col) = resolve_column(c, bindings).ok()?;
+        let site = databases.iter().position(|d| *d == b.database).unwrap();
+        let part =
+            ColumnRef::with_table(subqueries[site].part_table.clone(), part_column(&b.name, &col));
+        Some((site, ColumnRef::with_table(b.name.clone(), col), Expr::Column(part)))
+    };
 
-    let mut output: Vec<(usize, String, String)> = Vec::new();
+    let mut items = Vec::with_capacity(sel.items.len());
     for item in &sel.items {
         let SelectItem::Expr { expr: Expr::Column(c), alias, .. } = item else { return None };
-        let (b, col) = resolve_column(c, bindings).ok()?;
-        let name = alias.clone().unwrap_or_else(|| c.column.as_str().to_string());
-        output.push((site_of(b), part_column(&b.name, &col), name));
+        let (_, _, expr) = shipped(c)?;
+        let alias = Some(alias.clone().unwrap_or_else(|| c.column.as_str().to_string()));
+        items.push(SelectItem::Expr { expr, alias, optional: false });
     }
     // The global sort sequence, each component resolved to its owning site.
-    let mut order_by: Vec<TopKOrder> = Vec::new();
+    let mut order_by = Vec::with_capacity(sel.order_by.len());
     let mut site_orders: Vec<Vec<OrderByItem>> = vec![Vec::new(); subqueries.len()];
     for o in &sel.order_by {
         let Expr::Column(c) = &o.expr else { return None };
-        let (b, col) = resolve_column(c, bindings).ok()?;
-        let site = site_of(b);
-        order_by.push(TopKOrder { site, col: part_column(&b.name, &col), order: o.order });
-        site_orders[site].push(OrderByItem {
-            expr: Expr::Column(ColumnRef::with_table(b.name.clone(), col)),
-            order: o.order,
-        });
+        let (site, local, global) = shipped(c)?;
+        order_by.push(OrderByItem { expr: global, order: o.order });
+        site_orders[site].push(OrderByItem { expr: Expr::Column(local), order: o.order });
     }
 
     let mut sites = Vec::with_capacity(subqueries.len());
-    for (si, sub) in subqueries.iter().enumerate() {
-        let mut order = site_orders[si].clone();
+    for (sub, mut order) in subqueries.iter().zip(site_orders) {
         // Deterministic tie-break: every other shipped column, ascending, so
         // the site's kept prefix (and thus the shipped bytes) is stable
         // across runs even when the ordered components tie.
@@ -815,13 +730,23 @@ fn plan_topk_pushdown(
                 order.push(OrderByItem { expr: expr.clone(), order: SortOrder::Asc });
             }
         }
-        let mut select = sub.select.clone();
-        select.order_by = order;
-        select.limit = Some(limit);
-        sites.push(TopKSite { select });
+        let mut site = sub.clone();
+        site.select.order_by = order;
+        site.select.limit = Some(limit);
+        sites.push(site);
     }
 
-    Some(TopKPushdown { sites, output, order_by, limit })
+    let global = Select {
+        distinct: false,
+        items,
+        from: subqueries.iter().map(|s| TableRef::named(s.part_table.clone())).collect(),
+        where_clause: None,
+        group_by: Vec::new(),
+        having: None,
+        order_by,
+        limit: Some(limit),
+    };
+    Some(Pushdown { sites, global })
 }
 
 /// The bindings a wildcard item expands over: every one for `*`, the one it
@@ -1021,32 +946,6 @@ mod tests {
         assert!(g.contains("part_avis"), "{g}");
         assert!(g.contains("part_continental"), "{g}");
         assert!(g.contains("part_avis.b_c_rate < part_continental.b_f_rate"), "{g}");
-    }
-
-    #[test]
-    fn suffixing_the_part_tables_renames_them_everywhere_in_the_global_query() {
-        let mut d = decompose(
-            &select(
-                "SELECT c.cartype, MAX(c.rate) FROM avis.cars c, continental.flights f
-                 WHERE c.rate < f.rate GROUP BY c.cartype HAVING MAX(c.rate) > 1
-                 ORDER BY c.cartype",
-            ),
-            &scope(),
-            &gdd(),
-        )
-        .unwrap();
-        let before = print_select(&d.global_query);
-        let subqueries = d.subqueries.clone();
-        d.suffix_part_tables("_s7");
-        for (sub, was) in d.subqueries.iter().zip(&subqueries) {
-            assert_eq!(sub.part_table, format!("{}_s7", was.part_table));
-            assert_eq!(sub.select, was.select, "what the sites run does not change");
-        }
-        let expected = before
-            .replace("part_avis", "part_avis_s7")
-            .replace("part_continental", "part_continental_s7");
-        assert_eq!(print_select(&d.global_query), expected);
-        assert_eq!(expected.matches("_s7").count(), before.matches("part_").count());
     }
 
     /// Pins the decomposer's output text: the projection lists follow the
@@ -1251,12 +1150,6 @@ mod tests {
             panic!("expected aggregate pushdown: {:?}", d.pushdown)
         };
         assert_eq!(p.sites.len(), 2);
-        assert_eq!(p.slots, 1);
-        assert_eq!(p.aggs.len(), 3);
-        assert_eq!(p.aggs[0].kind, AggKind::CountStar);
-        assert_eq!(p.aggs[1].kind, AggKind::Sum);
-        assert_eq!(p.aggs[2].kind, AggKind::Avg);
-        assert!(p.aggs[2].value_col.is_some() && p.aggs[2].count_col.is_some());
         // Site 0 (avis) groups by its join key and the GROUP BY key, ships
         // COUNT(*) and the AVG partial; site 1 ships SUM's partial.
         let avis = print_select(&p.sites[0].select);
@@ -1266,13 +1159,19 @@ mod tests {
         assert!(avis.contains("COUNT(c.rate) AS agg2_c"), "{avis}");
         let cont = print_select(&p.sites[1].select);
         assert!(cont.contains("SUM(f.rate) AS agg1_s"), "{cont}");
-        assert_eq!(p.sites[0].join_cols, vec!["b_c_rate".to_string()]);
-        assert_eq!(p.sites[1].join_cols, vec!["b_f_rate".to_string()]);
-        assert_eq!(p.sites[0].key_cols, vec![(0, "b_c_cartype".to_string())]);
-        assert!(p.sites[1].key_cols.is_empty());
-        // Output order mirrors the projection.
-        assert_eq!(p.output[0], AggOutput::Key { slot: 0, name: "cartype".into() });
-        assert_eq!(p.output[1], AggOutput::Agg { agg: 0, name: "count".into() });
+        // Q′ joins the partials on the join key and re-aggregates them, its
+        // columns named as the user's query names them.
+        assert_eq!(
+            print_select(&p.global),
+            "SELECT part_avis.b_c_cartype AS cartype, \
+             coalesce(SUM(part_avis.agg_cnt * part_continental.agg_cnt), 0) AS count, \
+             SUM(part_continental.agg1_s * part_avis.agg_cnt) AS sum, \
+             SUM(part_avis.agg2_s * part_continental.agg_cnt) \
+             / SUM(part_avis.agg2_c * part_continental.agg_cnt) AS avg \
+             FROM part_avis, part_continental \
+             WHERE part_avis.b_c_rate = part_continental.b_f_rate \
+             GROUP BY part_avis.b_c_cartype"
+        );
         // The classic plan is still fully populated for fallback.
         assert!(print_select(&d.global_query).contains("part_avis"));
     }
@@ -1291,7 +1190,8 @@ mod tests {
         let Some(PushdownPlan::Aggregate(p)) = &d.pushdown else { panic!() };
         let avis = print_select(&p.sites[0].select);
         assert_eq!(avis.matches("b_c_rate").count(), 1, "{avis}");
-        assert_eq!(p.sites[0].key_cols, vec![(0, "b_c_rate".to_string())]);
+        let global = print_select(&p.global);
+        assert!(global.ends_with("GROUP BY part_avis.b_c_rate"), "{global}");
     }
 
     #[test]
@@ -1339,12 +1239,13 @@ mod tests {
         let Some(PushdownPlan::TopK(p)) = &d.pushdown else {
             panic!("expected top-k pushdown: {:?}", d.pushdown)
         };
-        assert_eq!(p.limit, 5);
-        assert_eq!(p.output.len(), 2);
-        assert_eq!(p.output[0], (0, "b_c_code".to_string(), "code".to_string()));
-        assert_eq!(p.order_by.len(), 2);
-        assert_eq!(p.order_by[0].site, 0);
-        assert_eq!(p.order_by[0].order, SortOrder::Desc);
+        // Q′ pairs the two sites' top k and keeps the global top k.
+        assert_eq!(
+            print_select(&p.global),
+            "SELECT part_avis.b_c_code AS code, part_continental.b_f_flnu AS flnu \
+             FROM part_avis, part_continental \
+             ORDER BY part_avis.b_c_code DESC, part_continental.b_f_flnu LIMIT 5"
+        );
         // Each site keeps its local filter, orders by its own components and
         // caps at k.
         let avis = print_select(&p.sites[0].select);

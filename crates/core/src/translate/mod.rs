@@ -18,8 +18,7 @@ use catalog::GlobalDataDictionary;
 use msql_lang::{QueryBody, Select};
 
 pub use decompose::{
-    decompose, AggKind, AggOutput, AggPushdown, AggSite, AggState, DbSubquery, Decomposition,
-    JoinKey, JoinSide, PushdownPlan, TopKOrder, TopKPushdown, TopKSite,
+    decompose, DbSubquery, Decomposition, JoinKey, JoinSide, Pushdown, PushdownPlan,
 };
 pub use disambiguate::disambiguate;
 pub use expand::{expand, LocalQuery};

@@ -1066,6 +1066,12 @@ fn infer_type(expr: &Expr, sources: &[ScopeSource<'_>]) -> Option<DataType> {
         Expr::Aggregate { kind: AggregateKind::Count, .. } => Some(DataType::Int),
         Expr::Aggregate { kind: AggregateKind::Avg, .. } => Some(DataType::Float),
         Expr::Aggregate { arg: Some(a), .. } => infer_type(a, sources),
+        // COALESCE answers one of its arguments: their type, if they agree.
+        Expr::Function { name, args } if name == "coalesce" => {
+            let mut types = args.iter().map(|a| infer_type(a, sources));
+            let first = types.next()??;
+            types.all(|t| t == Some(first)).then_some(first)
+        }
         Expr::Binary { left, op, right } => match op {
             op if op.is_comparison() => Some(DataType::Bool),
             BinaryOp::And | BinaryOp::Or => Some(DataType::Bool),
@@ -1208,6 +1214,17 @@ mod tests {
         assert_eq!(rs.rows.len(), 1);
         assert_eq!(rs.rows[0][0], Value::Int(0));
         assert_eq!(rs.rows[0][1], Value::Null);
+    }
+
+    #[test]
+    fn coalesce_is_typed_when_its_arguments_agree() {
+        let db = avis();
+        let sql = "SELECT COALESCE(SUM(code), 0), COALESCE(MIN(code), MIN(rate)) FROM cars \
+                   WHERE code > 99 GROUP BY cartype";
+        let rs = select(&db, sql);
+        assert!(rs.rows.is_empty());
+        let types: Vec<_> = rs.columns.iter().map(|c| c.data_type).collect();
+        assert_eq!(types, [DataType::Int, DataType::Char(0)], "no row to read a type from");
     }
 
     #[test]

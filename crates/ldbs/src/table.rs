@@ -4,9 +4,10 @@
 //! updates and deletes; a `BTreeMap` keeps iteration order deterministic,
 //! which makes query results and benchmarks reproducible.
 
+use crate::engine::ResultSet;
 use crate::error::DbError;
 use crate::index::Index;
-use crate::schema::{IndexDef, TableSchema};
+use crate::schema::{ColumnSchema, IndexDef, TableSchema};
 use crate::stats::{analyze_table, TableStats};
 use crate::value::Value;
 use std::collections::BTreeMap;
@@ -49,6 +50,21 @@ impl Table {
             stats: None,
             dml_since_analyze: 0,
         }
+    }
+
+    /// A temporary table `name` holding `rs`'s rows under its column names
+    /// and types, not exported to the multidatabase level: a partial result
+    /// that a global query reads.
+    pub fn temporary(name: &str, rs: ResultSet) -> Result<Table, DbError> {
+        let columns =
+            rs.columns.into_iter().map(|c| ColumnSchema::new(c.name, c.data_type)).collect();
+        let mut schema = TableSchema::new(name, columns);
+        schema.public = false;
+        let mut t = Table::new(schema);
+        for row in rs.rows {
+            t.insert(row)?;
+        }
+        Ok(t)
     }
 
     /// Number of live rows.

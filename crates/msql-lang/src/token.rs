@@ -59,14 +59,6 @@ pub enum TokenKind {
 }
 
 impl TokenKind {
-    /// Returns the identifier text if this token is an identifier.
-    pub fn as_ident(&self) -> Option<&str> {
-        match self {
-            TokenKind::Ident(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// True if the token is an identifier spelled like `kw` (ASCII
     /// case-insensitive). Used for keyword matching.
     pub fn is_kw(&self, kw: &str) -> bool {

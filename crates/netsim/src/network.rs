@@ -111,12 +111,6 @@ impl Network {
             .insert((from.to_string(), to.to_string()), p.clamp(0.0, 1.0));
     }
 
-    /// Sets the same drop probability in both directions.
-    pub fn set_link_drop_probability_symmetric(&self, a: &str, b: &str, p: f64) {
-        self.set_link_drop_probability(a, b, p);
-        self.set_link_drop_probability(b, a, p);
-    }
-
     /// Removes a per-link drop probability.
     pub fn clear_link_drop_probability(&self, from: &str, to: &str) {
         self.fabric.link_drop_probability.write().remove(&(from.to_string(), to.to_string()));
