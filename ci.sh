@@ -126,7 +126,7 @@ done
 
 echo "== single-execution gate =="
 # A site runs each subquery once: only EXPLAIN asks it to evaluate the
-# unreduced / unpushed baseline as well. Pinned on the wire (what PARTIAL /
+# unreduced / unpushed baseline as well. Pinned on the wire (what COMBINE /
 # PARTIALAGG carried) and in the engines' statements / rows_scanned counters,
 # for a semi-join-reduced join, a pushed GROUP BY and a pushed top-k, under
 # both wire formats.
@@ -214,7 +214,8 @@ echo "== the coordinator ships nothing by hand =="
 # tests the facade names no LAM connection and no direct-command call (only the
 # catalog reads are typed calls of their own), only executor.rs runs a
 # DolEngine, and lamclient.rs builds each task-carrying request in one place —
-# where a statement stamp would go.
+# where a statement stamp would go. (It builds no PARTIAL since a classic
+# join's partials travel LAM to LAM: the LAM still serves one.)
 if sed '/^#\[cfg(test)\]/,$d' crates/core/src/federation.rs |
     grep -nE 'run_commands|resolve_task_outcome|compensate_commands|LamClient'; then
     echo "federation.rs ships a request by hand" >&2
@@ -227,7 +228,7 @@ for f in $(find crates/core/src -name '*.rs' ! -name executor.rs); do
     fi
 done
 for request in 'Request::Task {' 'Request::Exec {' 'Request::Resolve {' 'Request::Compensate {' \
-    'Request::Partial {' 'Request::PartialAgg {' 'Request::Combine {'; do
+    'Request::PartialAgg {' 'Request::Combine {' 'Request::Ship {'; do
     found=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/lamclient.rs | grep -c "$request" || true)
     if [ "$found" != 1 ]; then
         echo "lamclient.rs builds '$request' at $found sites outside its tests, expected 1" >&2
@@ -236,9 +237,10 @@ for request in 'Request::Task {' 'Request::Exec {' 'Request::Resolve {' 'Request
 done
 
 echo "== one executor =="
-# A cross-database join is DOL programs too (DESIGN §3a.14): the reducer's
-# partial, then the others' with the coordinator's COMBINE, run by
-# Executor::run_program like every other statement's. So outside tests
+# A cross-database join is a DOL program too (DESIGN §3a.14): the
+# coordinator's COMBINE and the partials that travel straight to it (after a
+# program of the reducer's own when its keys filter another travelling site),
+# run by Executor::run_program like every other statement's. So outside tests
 # executor.rs opens no connection and posts or reads no request of its own:
 # it names no `checkout`, no `LamClient` and no `.post(` / `.finish(`. On the
 # commit before this gate it hit seven lines: the module doc and the import
@@ -247,6 +249,29 @@ echo "== one executor =="
 if sed '/^#\[cfg(test)\]/,$d' crates/core/src/executor.rs |
     grep -nE 'checkout|LamClient|\.post\(|\.finish\('; then
     echo "executor.rs talks to a LAM beside the DOL engine" >&2
+    exit 1
+fi
+
+echo "== a partial crosses once =="
+# A travelling partial goes from its LAM straight to the coordinator's LAM
+# (§4.1: partial results are "sent either to the engine or to other LAMs";
+# DESIGN §3a.14): no MDBS-side code moves a partial's rows into a request.
+# Outside tests, a COMBINE carries no rows — in proto.rs only LOADMANY, kept
+# for fedbench until ROADMAP item 1(b), declares `parts: Vec<(String, P)>` —
+# and lamclient.rs, the one module that builds requests on the MDBS side, has
+# no `travelled` closure, takes no task's rows out of the outputs table and
+# builds no PART (a LAM's frame alone). On c6c830c it flagged 4 lines:
+# proto.rs's second `parts: Vec<(String, P)>` (COMBINE's) and, in lamclient.rs,
+# the `travelled` closure, its `rows.take()` and the `map(travelled)` that
+# filled COMBINE's parts.
+found=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/proto.rs | grep -c 'parts: Vec<(String, P)>' || true)
+if [ "$found" != 1 ]; then
+    echo "proto.rs declares $found row-carrying part lists, expected 1 (LOADMANY's)" >&2
+    exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/lamclient.rs |
+    grep -nE 'let travelled|map\(travelled\)|\.rows\.take\(\)|Request::Part \{'; then
+    echo "lamclient.rs moves a partial's rows into a request" >&2
     exit 1
 fi
 

@@ -8,7 +8,7 @@
 //! tag byte · fields
 //! ```
 //!
-//! Requests use tags `0x01..=0x13` (declaration order in `proto.rs`, with
+//! Requests use tags `0x01..=0x15` (declaration order in `proto.rs`, with
 //! later additions appended; `0x01`, `0x0B` and `0x0C` are retired and stay
 //! reserved), responses `0x81..=0x87`. Result-set payloads travel as *payload
 //! blocks* written and read by the message's [`Payload`] type: a result set ships
@@ -18,9 +18,10 @@
 //! encoded into buffers leased from a [`BufferPool`] and must decode with
 //! exact consumption: trailing bytes are an error.
 
-use super::varint::{write_str, write_u64, Reader};
+use super::varint::{write_f64, write_str, write_u64, Reader};
 use crate::error::MdbsError;
-use crate::proto::{Payload, Request, Response, TaskMode};
+use crate::planner::EdgeRule;
+use crate::proto::{CombineReport, HomeEdge, PartDone, Payload, Request, Response, TaskMode};
 use netsim::{BufferPool, PooledBuf};
 
 /// First byte of every binary frame (never a printable ASCII byte, so text
@@ -51,6 +52,8 @@ const REQ_SHUTDOWN: u8 = 0x10;
 const REQ_STATS: u8 = 0x11;
 const REQ_PARTIALAGG: u8 = 0x12;
 const REQ_COMBINE: u8 = 0x13;
+const REQ_SHIP: u8 = 0x14;
+const REQ_PART: u8 = 0x15;
 
 const RESP_TASKDONE: u8 = 0x81;
 const RESP_PARTIALDONE: u8 = 0x82;
@@ -166,6 +169,57 @@ fn read_parts<P: Payload>(r: &mut Reader) -> Result<Vec<(String, P)>, MdbsError>
     Ok(parts)
 }
 
+fn write_edge(buf: &mut Vec<u8>, edge: &HomeEdge) {
+    for s in [&edge.reducer, &edge.key_column, &edge.binding, &edge.column] {
+        write_str(buf, s);
+    }
+    match edge.rule {
+        EdgeRule::Cap(cap) => {
+            buf.push(0);
+            write_u64(buf, cap as u64);
+        }
+        EdgeRule::Bytes { ndv, bytes } => {
+            buf.push(1);
+            match ndv {
+                Some(n) => {
+                    buf.push(1);
+                    write_u64(buf, n);
+                }
+                None => buf.push(0),
+            }
+            write_f64(buf, bytes);
+        }
+    }
+}
+
+fn read_edge(r: &mut Reader) -> Result<HomeEdge, MdbsError> {
+    let (reducer, key_column, binding, column) =
+        (r.string()?, r.string()?, r.string()?, r.string()?);
+    let rule = match r.u8()? {
+        0 => EdgeRule::Cap(r.u64()? as usize),
+        1 => {
+            let ndv = match r.u8()? {
+                0 => None,
+                1 => Some(r.u64()?),
+                other => return Err(MdbsError::Wire(format!("bad presence byte {other}"))),
+            };
+            EdgeRule::Bytes { ndv, bytes: r.f64()? }
+        }
+        other => return Err(MdbsError::Wire(format!("unknown reduction rule tag {other}"))),
+    };
+    Ok(HomeEdge { reducer, key_column, binding, column, rule })
+}
+
+/// Reads a count of items at least one byte each, refusing one larger than
+/// what is left of the frame.
+fn read_len(r: &mut Reader, what: &str) -> Result<usize, MdbsError> {
+    let n = r.u64()? as usize;
+    if n > r.remaining() {
+        return Err(MdbsError::Wire(format!("implausible {what} {n}")));
+    }
+    Ok(n)
+}
+
 fn write_strings(buf: &mut Vec<u8>, items: &[String]) {
     write_u64(buf, items.len() as u64);
     for s in items {
@@ -254,20 +308,33 @@ pub fn encode_request<P: Payload>(
             write_str(&mut buf, database);
             write_opt_str(&mut buf, table);
         }
-        Request::Combine { database, home, parts, sql, baseline } => {
+        Request::Combine { database, home, parts, edges, sql, measure } => {
             buf.push(REQ_COMBINE);
             write_str(&mut buf, database);
             write_str(&mut buf, sql);
-            match home {
-                Some((table, sql)) => {
-                    buf.push(1);
-                    write_str(&mut buf, table);
-                    write_str(&mut buf, sql);
-                }
-                None => buf.push(0),
-            }
+            write_opt_str(&mut buf, home);
+            write_strings(&mut buf, parts);
+            write_u64(&mut buf, edges.len() as u64);
+            edges.iter().for_each(|edge| write_edge(&mut buf, edge));
+            buf.push(u8::from(*measure));
+        }
+        Request::Ship { key, to, database, sql, baseline, echo } => {
+            buf.push(REQ_SHIP);
+            write_u64(&mut buf, *key);
+            write_str(&mut buf, to);
+            write_str(&mut buf, database);
+            write_str(&mut buf, sql);
             write_opt_str(&mut buf, baseline);
-            write_parts(&mut buf, parts);
+            buf.push(u8::from(*echo));
+        }
+        Request::Part { key, database, payload, access, error, full_bytes } => {
+            buf.push(REQ_PART);
+            write_u64(&mut buf, *key);
+            write_str(&mut buf, database);
+            write_u64(&mut buf, *full_bytes);
+            write_opt_str(&mut buf, access);
+            write_opt_str(&mut buf, error);
+            write_opt_payload(&mut buf, payload);
         }
         Request::LoadMany { database, parts } => {
             buf.push(REQ_LOADMANY);
@@ -293,7 +360,16 @@ pub fn decode_request(bytes: &[u8]) -> Result<(Option<u64>, Request), MdbsError>
 
 /// Decodes a request frame holding `P` payloads.
 pub fn decode_request_as<P: Payload>(bytes: &[u8]) -> Result<(Option<u64>, Request<P>), MdbsError> {
+    decode_request_sized(bytes).map(|(corr, req, _)| (corr, req))
+}
+
+/// [`decode_request_as`], plus the byte size of the payload block a
+/// [`Request::Part`] carried (0 for every other request).
+pub fn decode_request_sized<P: Payload>(
+    bytes: &[u8],
+) -> Result<(Option<u64>, Request<P>, usize), MdbsError> {
     let mut r = Reader::new(bytes);
+    let mut payload_bytes = 0;
     let corr = read_header(&mut r)?;
     let tag = r.u8()?;
     let req = match tag {
@@ -343,13 +419,27 @@ pub fn decode_request_as<P: Payload>(bytes: &[u8]) -> Result<(Option<u64>, Reque
         REQ_STATS => Request::Stats { database: r.string()?, table: read_opt_str(&mut r)? },
         REQ_COMBINE => {
             let (database, sql) = (r.string()?, r.string()?);
-            let home = match r.u8()? {
-                0 => None,
-                1 => Some((r.string()?, r.string()?)),
-                other => return Err(MdbsError::Wire(format!("bad presence byte {other}"))),
-            };
-            let baseline = read_opt_str(&mut r)?;
-            Request::Combine { database, home, parts: read_parts(&mut r)?, sql, baseline }
+            let (home, parts) = (read_opt_str(&mut r)?, read_strings(&mut r)?);
+            let edges = (0..read_len(&mut r, "edge count")?)
+                .map(|_| read_edge(&mut r))
+                .collect::<Result<Vec<_>, _>>()?;
+            let measure = read_flag(&mut r)?;
+            Request::Combine { database, home, parts, edges, sql, measure }
+        }
+        REQ_SHIP => Request::Ship {
+            key: r.u64()?,
+            to: r.string()?,
+            database: r.string()?,
+            sql: r.string()?,
+            baseline: read_opt_str(&mut r)?,
+            echo: read_flag(&mut r)?,
+        },
+        REQ_PART => {
+            let (key, database, full_bytes) = (r.u64()?, r.string()?, r.u64()?);
+            let (access, error) = (read_opt_str(&mut r)?, read_opt_str(&mut r)?);
+            let (payload, size) = read_opt_payload(&mut r)?;
+            payload_bytes = size;
+            Request::Part { key, database, payload, access, error, full_bytes }
         }
         REQ_LOADMANY => Request::LoadMany { database: r.string()?, parts: read_parts(&mut r)? },
         REQ_DROPMANY => Request::DropMany { database: r.string()?, tables: read_strings(&mut r)? },
@@ -363,7 +453,15 @@ pub fn decode_request_as<P: Payload>(bytes: &[u8]) -> Result<(Option<u64>, Reque
         }
     };
     r.finish()?;
-    Ok((corr, req))
+    Ok((corr, req, payload_bytes))
+}
+
+fn read_flag(r: &mut Reader) -> Result<bool, MdbsError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(MdbsError::Wire(format!("bad flag byte {other}"))),
+    }
 }
 
 /// Encodes a response frame into a pooled buffer.
@@ -398,11 +496,24 @@ pub fn encode_response<P: Payload>(
             write_opt_str(&mut buf, error);
             write_opt_payload(&mut buf, payload);
         }
-        Response::CombineDone { payload, home_rows, access, saved } => {
+        Response::CombineDone { payload, home_rows, access, saved, report } => {
+            let CombineReport { edges, parts } = &**report;
             buf.push(RESP_COMBINEDONE);
             write_u64(&mut buf, *home_rows);
             write_u64(&mut buf, *saved);
             write_opt_str(&mut buf, access);
+            write_u64(&mut buf, edges.len() as u64);
+            for (keys, reduced) in edges {
+                write_u64(&mut buf, (keys << 1) | u64::from(*reduced));
+            }
+            write_u64(&mut buf, parts.len() as u64);
+            for p in parts {
+                write_u64(&mut buf, p.rows);
+                write_u64(&mut buf, p.bytes);
+                write_u64(&mut buf, p.saved);
+                write_opt_str(&mut buf, &p.access);
+                write_opt_str(&mut buf, &p.error);
+            }
             write_opt_payload(&mut buf, payload);
         }
         Response::Ok => buf.push(RESP_OK),
@@ -466,12 +577,24 @@ pub fn decode_response_as<P: Payload>(
             error: read_opt_str(&mut r)?,
             payload: payload(&mut r)?,
         },
-        RESP_COMBINEDONE => Response::CombineDone {
-            home_rows: r.u64()?,
-            saved: r.u64()?,
-            access: read_opt_str(&mut r)?,
-            payload: payload(&mut r)?,
-        },
+        RESP_COMBINEDONE => {
+            let (home_rows, saved, access) = (r.u64()?, r.u64()?, read_opt_str(&mut r)?);
+            let edges = (0..read_len(&mut r, "edge count")?)
+                .map(|_| r.u64().map(|word| (word >> 1, word & 1 == 1)))
+                .collect::<Result<Vec<_>, _>>()?;
+            let mut parts = Vec::new();
+            for _ in 0..read_len(&mut r, "part count")? {
+                parts.push(PartDone {
+                    rows: r.u64()?,
+                    bytes: r.u64()?,
+                    saved: r.u64()?,
+                    access: read_opt_str(&mut r)?,
+                    error: read_opt_str(&mut r)?,
+                });
+            }
+            let report = Box::new(CombineReport { edges, parts });
+            Response::CombineDone { home_rows, saved, access, report, payload: payload(&mut r)? }
+        }
         RESP_OK => Response::Ok,
         RESP_OKPAYLOAD => Response::OkPayload { payload: r.string()? },
         RESP_ERR => Response::Err { message: r.string()? },
@@ -608,13 +731,26 @@ mod tests {
             Some(20),
             Request::Combine {
                 database: "avis".into(),
-                home: Some(("part_avis".into(), "SELECT code\nFROM cars".into())),
-                parts: vec![
-                    ("part_national".into(), "COLS code:int\nR I:1\n".into()),
-                    ("part_weird".into(), "not a result set at all".into()),
+                home: Some("SELECT code\nFROM cars".into()),
+                parts: vec!["national".into(), "hertz".into()],
+                edges: vec![
+                    HomeEdge {
+                        reducer: "national".into(),
+                        key_column: "b_v_vcode".into(),
+                        binding: "c".into(),
+                        column: "code".into(),
+                        rule: EdgeRule::Cap(100),
+                    },
+                    HomeEdge {
+                        reducer: "national".into(),
+                        key_column: "b_v_rate".into(),
+                        binding: "c".into(),
+                        column: "rate".into(),
+                        rule: EdgeRule::Bytes { ndv: None, bytes: 0.1 },
+                    },
                 ],
-                sql: "SELECT * FROM part_avis, part_national".into(),
-                baseline: Some("SELECT code FROM cars".into()),
+                sql: "SELECT * FROM part_avis, part_national, part_hertz".into(),
+                measure: true,
             },
         );
         roundtrip_request(
@@ -623,8 +759,53 @@ mod tests {
                 database: "a".into(),
                 home: None,
                 parts: vec![],
+                edges: vec![],
                 sql: String::new(),
+                measure: false,
+            },
+        );
+        roundtrip_request(
+            None,
+            Request::Ship {
+                key: u64::MAX,
+                to: "site2".into(),
+                database: "avis".into(),
+                sql: "SELECT code FROM cars".into(),
+                baseline: Some("SELECT code\nFROM cars".into()),
+                echo: false,
+            },
+        );
+        roundtrip_request(
+            Some(22),
+            Request::Ship {
+                key: 0,
+                to: "site2".into(),
+                database: "avis".into(),
+                sql: "SELECT 1".into(),
                 baseline: None,
+                echo: true,
+            },
+        );
+        roundtrip_request(
+            None,
+            Request::Part {
+                key: 23,
+                database: "avis".into(),
+                payload: Some("COLS code:int\nR I:1\n".into()),
+                access: Some("scan".into()),
+                error: None,
+                full_bytes: 340,
+            },
+        );
+        roundtrip_request(
+            None,
+            Request::Part {
+                key: 24,
+                database: "avis".into(),
+                payload: None,
+                access: None,
+                error: Some("unknown column | nope\nline2".into()),
+                full_bytes: 0,
             },
         );
         roundtrip_request(
@@ -703,11 +884,33 @@ mod tests {
                 home_rows: 12,
                 access: Some("scan".into()),
                 saved: 900,
+                report: Box::new(CombineReport {
+                    edges: vec![(4, true), (7, false)],
+                    parts: vec![PartDone {
+                        rows: 3,
+                        bytes: 72,
+                        access: Some("probe".into()),
+                        error: None,
+                        saved: 0,
+                    }],
+                }),
             },
         );
         roundtrip_response(
             Some(10),
-            Response::CombineDone { payload: None, home_rows: 0, access: None, saved: 0 },
+            Response::CombineDone {
+                payload: None,
+                home_rows: 0,
+                access: None,
+                saved: 0,
+                report: Box::new(CombineReport {
+                    edges: vec![],
+                    parts: vec![PartDone {
+                        error: Some("type error | x".into()),
+                        ..PartDone::default()
+                    }],
+                }),
+            },
         );
         roundtrip_response(
             Some(8),

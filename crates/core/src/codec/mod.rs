@@ -24,8 +24,8 @@ use crate::proto::Payload;
 use ldbs::engine::ResultSet;
 
 pub use frame::{
-    decode_request, decode_request_as, decode_response, decode_response_as, encode_request,
-    encode_response, peek_correlation,
+    decode_request, decode_request_as, decode_request_sized, decode_response, decode_response_as,
+    encode_request, encode_response, peek_correlation,
 };
 
 /// Which encoding a client uses for LAM requests.

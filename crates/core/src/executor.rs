@@ -8,18 +8,21 @@
 //! the raw task statuses/results into user-facing reports:
 //!
 //! * retrievals become [`Multitable`]s (one table per database, §2);
-//! * a cross-database join's [`JoinPlan`] becomes at most two programs that
-//!   ship the partial results to the coordinator (the "partial results are
-//!   collected in one database, acting as the coordinator" flow of §4.1),
-//!   and returns a single table;
+//! * a cross-database join's [`JoinPlan`] becomes one program — two only
+//!   when the reducer's keys must filter another travelling site — whose
+//!   partials travel straight to the coordinator's LAM (the "partial results
+//!   are collected in one database, acting as the coordinator" flow of §4.1,
+//!   results "sent … to other LAMs"), and returns a single table; nothing
+//!   here moves a partial's rows on to anyone;
 //! * updates and multitransactions report per-database termination states
 //!   and the DOL return code.
 
 use crate::error::MdbsError;
-use crate::lamclient::{LamFactory, TaskOutput, Vote};
+use crate::lamclient::{correlation_id, JoinReport, LamFactory, TaskOutput, Traveller, Vote};
 use crate::merge;
-use crate::multitable::{Multitable, MultitableEntry};
-use crate::planner::{Combine, JoinPlan, ReductionEdge, SitePlan};
+use crate::multitable::{Multitable, MultitableEntry, MultitableFailure};
+use crate::planner::{Combine, JoinPlan, SitePlan};
+use crate::proto::HomeEdge;
 use crate::retry::{shared_stats, ExecStats, SharedExecStats};
 use crate::translate::plangen::autocommit_plan;
 use crate::translate::{GeneratedPlan, PushdownPlan};
@@ -29,7 +32,6 @@ use ldbs::engine::ResultSet;
 use ldbs::value::Value;
 use netsim::FaultKind;
 use obs::{labeled, ExplainReport, SpanCtx};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -286,14 +288,15 @@ impl Executor {
     }
 
     /// Runs a retrieval plan, assembling a multitable from the per-database
-    /// partial results. A database whose task failed contributes no table;
-    /// if every database failed the query fails with the first one's error,
-    /// in plan order and in the site's words.
+    /// partial results. A database whose task failed contributes no table but
+    /// a record of its error, in plan order and in the site's words; if every
+    /// database failed the query fails with the first one's error.
     pub fn run_retrieval(&self, plan: &GeneratedPlan) -> Result<Multitable, MdbsError> {
         let (out, stats, mut outputs) = self.run_program(plan)?;
-        let mut tables = Vec::new();
-        for t in &plan.tasks {
-            if out.status(&t.task) == Some(TaskStatus::Committed) {
+        let outcomes = self.outcomes(plan, &out, &stats, &outputs);
+        let (mut tables, mut failed) = (Vec::new(), Vec::new());
+        for (t, outcome) in plan.tasks.iter().zip(&outcomes) {
+            if outcome.status == TaskStatus::Committed {
                 let output = outputs.remove(&t.task).ok_or_else(|| {
                     MdbsError::Internal(format!("task {} lost its result", t.task))
                 })?;
@@ -301,12 +304,15 @@ impl Executor {
                     database: t.database.clone(),
                     result: output.rows.unwrap_or_default(),
                 });
+            } else {
+                let error = outcome.error.clone().unwrap_or_default();
+                failed.push(MultitableFailure { database: t.database.clone(), error });
             }
         }
         if tables.is_empty() && !plan.tasks.is_empty() {
-            return Err(task_failed(&self.outcomes(plan, &out, &stats, &outputs)[0]));
+            return Err(task_failed(&outcomes[0]));
         }
-        Ok(Multitable { tables })
+        Ok(Multitable { tables, failed })
     }
 
     /// Runs a plan that settles on an acceptable state — a multitransaction,
@@ -341,17 +347,19 @@ impl Executor {
         executor.run_settle(plan)
     }
 
-    /// Runs a planned cross-database join as at most two DOL programs: the
-    /// reducer's partial, then the other travelling sites' and, behind an
-    /// `IF` on them all committing, a classic plan's `COMBINE` at the
-    /// coordinator, whose own subquery rides inside it (plangen's
-    /// [`autocommit_plan`], each task named after its database); a pushdown
-    /// plan's partials are merged here. The one
-    /// decision left between the two is which edges ship, because only then
-    /// can it be known: a reduction edge's rule is finished by the reducer's
-    /// actual key list ([`crate::planner::ReductionEdge::ships`]), and an
-    /// edge that does not ship leaves its target on its full subquery. A join
-    /// cannot degrade, so it runs with `tolerate_unreachable` off.
+    /// Runs a planned cross-database join. A classic plan is one DOL program
+    /// (plangen's [`autocommit_plan`], each task named after its database):
+    /// the coordinator's `COMBINE`, whose task also ships every other site's
+    /// partial straight to the coordinator's LAM, and a task per travelling
+    /// partial that ends as the `COMBINE`'s reply reports. The coordinator's
+    /// LAM applies the reduction edges into its own subquery itself. Only a
+    /// reducer whose keys must filter another travelling site runs first, in
+    /// a program of its own, its rows echoed here for those filters; an edge
+    /// whose rule does not ship ([`crate::planner::ReductionEdge::ships`],
+    /// finished by the reducer's actual key list) leaves its target on its
+    /// full subquery. A pushdown plan's partials come back here and are
+    /// merged. A join cannot degrade, so it runs with `tolerate_unreachable`
+    /// off.
     pub fn run_join(&self, plan: &JoinPlan) -> Result<ResultSet, MdbsError> {
         let join_span = self.trace.child("join");
         let metrics = &self.lams.metrics;
@@ -360,53 +368,25 @@ impl Executor {
         }
         let mut executor = Executor { trace: join_span.ctx(), ..self.clone() };
         executor.lams.tolerate_unreachable = false;
-
-        // 1. Semi-join reduction: run the reducer, harvest its join keys and
-        // rewrite the subquery of every site an edge ships them to.
-        let n = plan.sites.len();
-        let mut reduced: Vec<Option<String>> = vec![None; n];
-        let (mut keys_shipped, mut outputs) = (0u64, HashMap::new());
-        if let Some(reducer) = plan.reducer {
-            outputs = executor.join_step(plan, &[reducer], &mut reduced, false, outputs)?;
-            let rows = outputs[&plan.sites[reducer].database].rows.as_ref();
-            let ship = |edge: &ReductionEdge| {
-                let keys = edge.keys(rows?)?;
-                let ships = edge.ships(&keys);
-                if plan.costed && !keys.is_empty() {
-                    let verdict =
-                        if ships { "planner.edges_reduced" } else { "planner.edges_skipped" };
-                    metrics.counter_add(verdict, 1);
-                }
-                // Not shipping means predicted (or presumed) too expensive —
-                // the target runs its full subquery.
-                ships.then_some(keys)
-            };
-            let shipped: Vec<Option<Vec<Value>>> = plan.edges.iter().map(ship).collect();
-            keys_shipped = shipped.iter().flatten().map(|keys| keys.len() as u64).sum();
-            reduced = (0..n).map(|i| plan.reduced_sql(i, &shipped)).collect();
-        }
-        let prefix = if reduced.iter().any(Option::is_some) { "semijoin+" } else { "" };
-        let strategy = format!("{prefix}{}", plan.strategy);
-        join_span.note("strategy", &strategy);
-        join_span.note("keys_shipped", keys_shipped);
-        metrics.counter_add(&labeled("join.strategy", "strategy", &strategy), 1);
-
-        // 2. The other travelling sites, then the coordinator's COMBINE.
-        let mut others: Vec<usize> = (0..n).filter(|&i| Some(i) != plan.reducer).collect();
-        if let Combine::Coordinator { home, .. } = &plan.combine {
-            others.retain(|i| i != home);
-        }
-        let mut outputs = executor.join_step(plan, &others, &mut reduced, true, outputs)?;
-        let bytes_saved: u64 = outputs.values().filter_map(|o| o.saved).sum();
-        let mut rows = |task: &str| outputs.get_mut(task).and_then(|o| o.rows.take());
-
-        // 3. The partials, or Q′'s answer, become the statement's one table.
-        let result = match &plan.combine {
+        // Per reduction edge: the reducer's distinct keys and whether they
+        // shipped, once known.
+        let mut verdicts: Vec<Option<(u64, bool)>> = vec![None; plan.edges.len()];
+        let (result, outputs) = match &plan.combine {
             Combine::Merge(pushdown) => {
+                let mut tasks = Vec::new();
+                let mut votes = HashMap::new();
+                for site in &plan.sites {
+                    let (sql, baseline, notes) = self.partial(site, "shipped", None);
+                    tasks.push((site.database.clone(), site.database.clone(), sql));
+                    let vote = Vote::Partial { baseline, notes, echo: None };
+                    votes.insert(site.database.clone(), (vote, 0));
+                }
+                let mut outputs = executor.join_step(plan, tasks, votes)?;
                 metrics.counter_add("agg.pushdown", 1);
+                let mut rows = |task: &str| outputs.get_mut(task).and_then(|o| o.rows.take());
                 let parts = plan.sites.iter().map(|s| rows(&s.database).unwrap_or_default());
                 let parts: Vec<ResultSet> = parts.collect();
-                match pushdown {
+                let rs = match pushdown {
                     PushdownPlan::Aggregate(p) => {
                         let rs = merge::merge(p, parts)?;
                         metrics.counter_add("agg.groups_merged", rs.rows.len() as u64);
@@ -417,21 +397,41 @@ impl Executor {
                         metrics.counter_add("topk.rows_shipped", shipped);
                         merge::merge(p, parts)?
                     }
-                }
+                };
+                (rs, outputs)
             }
             Combine::Coordinator { database, labels, .. } => {
-                metrics.counter_add("join.keys_shipped", keys_shipped);
-                join_span.note("coordinator", database);
-                let mut rs = rows(database).unwrap_or_default();
+                let mut outputs = executor.coordinate(plan, &mut verdicts)?;
+                let rs = outputs.get_mut(*database).and_then(|o| o.rows.take());
+                let mut rs = rs.unwrap_or_default();
                 for (column, label) in *labels {
                     if let Some(column) = rs.columns.get_mut(*column) {
                         column.name.clone_from(label);
                     }
                 }
-                rs
+                (rs, outputs)
             }
         };
+        if plan.costed {
+            for (_, ships) in verdicts.iter().flatten().filter(|(keys, _)| *keys > 0) {
+                let verdict =
+                    if *ships { "planner.edges_reduced" } else { "planner.edges_skipped" };
+                metrics.counter_add(verdict, 1);
+            }
+        }
+        let shipped = verdicts.iter().flatten().filter(|(_, ships)| *ships);
+        let keys_shipped: u64 = shipped.clone().map(|(keys, _)| keys).sum();
+        let prefix = if shipped.count() > 0 { "semijoin+" } else { "" };
+        let strategy = format!("{prefix}{}", plan.strategy);
+        join_span.note("strategy", &strategy);
+        join_span.note("keys_shipped", keys_shipped);
+        metrics.counter_add(&labeled("join.strategy", "strategy", &strategy), 1);
+        if let Combine::Coordinator { database, .. } = &plan.combine {
+            metrics.counter_add("join.keys_shipped", keys_shipped);
+            join_span.note("coordinator", database);
+        }
         if self.measure_baseline {
+            let bytes_saved: u64 = outputs.values().filter_map(|o| o.saved).sum();
             join_span.note("bytes_saved", bytes_saved);
         }
         if plan.costed {
@@ -440,48 +440,113 @@ impl Executor {
         Ok(result)
     }
 
-    /// Runs one program of a join from `inputs`: the partials of `sites` and,
-    /// when `combine` is set, a classic plan's `COMBINE`. Returns the run's
-    /// outputs; the first task that did not commit fails the join, with its
-    /// exchange's own error when the wire failed it, else in the site's words.
+    /// A classic plan's data flow, its outputs by task name: the reducer
+    /// first when its keys must filter another travelling site — its rows
+    /// then also come back here, and go to the coordinator's LAM under the
+    /// `COMBINE`'s key — then the `COMBINE` with every other partial
+    /// travelling straight to it. Fills in `verdicts`: the MDBS layer's edges
+    /// here, the coordinator's from its reply.
+    fn coordinate(
+        &self,
+        plan: &JoinPlan,
+        verdicts: &mut [Option<(u64, bool)>],
+    ) -> Result<HashMap<String, TaskOutput>, MdbsError> {
+        let Combine::Coordinator { database, home, sql, join_order, .. } = &plan.combine else {
+            return Err(MdbsError::Internal("a pushdown plan has no coordinator".to_string()));
+        };
+        let (key, home) = (correlation_id(), *home);
+        let site_of = |database: &str| plan.routes.get(database).map(|r| r.site.clone());
+        let to = site_of(database).unwrap_or_default();
+        let relay = plan.reducer.filter(|_| plan.edges.iter().any(|e| e.target != home));
+        let mut reduced: Vec<Option<String>> = vec![None; plan.sites.len()];
+        if let Some(r) = relay {
+            let site = &plan.sites[r];
+            let (sql, baseline, notes) = self.partial(site, "shipped", None);
+            let echo = Some((to.clone(), key));
+            let vote = Vote::Partial { baseline, notes, echo };
+            let task = (site.database.clone(), site.database.clone(), sql);
+            let votes = HashMap::from([(site.database.clone(), (vote, 0))]);
+            let outputs = self.join_step(plan, vec![task], votes)?;
+            let rows = outputs[&site.database].rows.as_ref();
+            let mut shipped: Vec<Option<Vec<Value>>> = vec![None; plan.edges.len()];
+            for (i, edge) in plan.edges.iter().enumerate().filter(|(_, e)| e.target != home) {
+                let Some(keys) = rows.and_then(|rows| edge.keys(rows)) else { continue };
+                let ships = edge.ships(&keys);
+                verdicts[i] = Some((keys.len() as u64, ships));
+                shipped[i] = ships.then_some(keys);
+            }
+            reduced = (0..plan.sites.len()).map(|i| plan.reduced_sql(i, &shipped)).collect();
+        }
+
+        let mut tasks = vec![(database.to_string(), database.to_string(), sql.clone())];
+        let (mut travellers, mut votes) = (Vec::new(), HashMap::new());
+        for (i, site) in plan.sites.iter().enumerate().filter(|&(i, _)| i != home) {
+            let (sql, baseline, notes) = self.partial(site, "direct", reduced[i].take());
+            let posted = Some(i) != relay;
+            if posted {
+                let vote = Vote::Direct { measured: baseline.is_some(), notes };
+                votes.insert(site.database.clone(), (vote, 0));
+                tasks.push((site.database.clone(), site.database.clone(), sql.clone()));
+            }
+            let site_name = site_of(&site.database).unwrap_or_default();
+            let database = site.database.clone();
+            travellers.push(Traveller { site: site_name, database, sql, baseline, posted });
+        }
+        let edges: Vec<(usize, HomeEdge)> = plan
+            .edges
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.target == home)
+            .map(|(i, e)| {
+                let reducer = plan.reducer.map(|r| plan.sites[r].database.clone());
+                let edge = HomeEdge {
+                    reducer: reducer.unwrap_or_default(),
+                    key_column: e.key_column.to_string(),
+                    binding: e.binding.to_string(),
+                    column: e.column.to_string(),
+                    rule: e.rule,
+                };
+                (i, edge)
+            })
+            .collect();
+        let (_, _, own) = self.partial(&plan.sites[home], "home", None);
+        let mut notes = vec![("partials", plan.sites.len().to_string())];
+        notes.extend(join_order.iter().map(|order| ("join_order", order.clone())));
+        let vote = Vote::Combine {
+            key,
+            home: plan.sites[home].sql.clone(),
+            measure: self.measure_baseline && !edges.is_empty(),
+            travellers,
+            edges: edges.iter().map(|(_, e)| e.clone()).collect(),
+            notes: [notes, own],
+        };
+        votes.insert(database.to_string(), (vote, 0));
+        let outputs = self.join_step(plan, tasks, votes)?;
+        let reductions = match outputs.get(*database).and_then(|o| o.join.as_deref()) {
+            Some(JoinReport::Reduced(reductions)) => reductions.as_slice(),
+            _ => &[],
+        };
+        for ((i, _), &verdict) in edges.iter().zip(reductions) {
+            verdicts[*i] = Some(verdict);
+        }
+        Ok(outputs)
+    }
+
+    /// Runs one program of a join: `tasks`, each `(name, database,
+    /// statement)`, sending what `votes` say. Returns the run's outputs; the
+    /// first task that did not commit fails the join, with its exchange's own
+    /// error when the wire or a travelled partial failed it, else in the
+    /// site's words.
     fn join_step(
         &self,
         plan: &JoinPlan,
-        sites: &[usize],
-        reduced: &mut [Option<String>],
-        combine: bool,
-        inputs: HashMap<String, TaskOutput>,
+        tasks: Vec<(String, String, String)>,
+        votes: HashMap<String, (Vote, u64)>,
     ) -> Result<HashMap<String, TaskOutput>, MdbsError> {
-        let (mut reads, mut votes) = (Vec::with_capacity(sites.len()), HashMap::new());
-        for &i in sites {
-            let site = &plan.sites[i];
-            let (sql, baseline, notes) = self.partial(site, "shipped", reduced[i].take());
-            let pushed = site.pushed.is_some();
-            reads.push((site.database.clone(), site.database.clone(), sql));
-            votes.insert(site.database.clone(), (Vote::Partial { pushed, baseline, notes }, 0));
-        }
-        let last = match &plan.combine {
-            Combine::Coordinator { database, home, temps, sql, join_order, .. } if combine => {
-                let (home_sql, baseline, own) =
-                    self.partial(&plan.sites[*home], "home", reduced[*home].take());
-                let mut notes = vec![("partials", temps.len().to_string())];
-                notes.extend(join_order.iter().map(|order| ("join_order", order.clone())));
-                let parts = temps.iter().zip(&plan.sites).filter(|(_, s)| s.database != *database);
-                let vote = Vote::Combine {
-                    home: (temps[*home].to_string(), home_sql),
-                    baseline,
-                    parts: parts.map(|(temp, s)| (temp.to_string(), s.database.clone())).collect(),
-                    notes: [notes, own],
-                };
-                votes.insert(database.to_string(), (vote, 0));
-                Some((database.to_string(), database.to_string(), sql.clone()))
-            }
-            _ => None,
-        };
-        let program = autocommit_plan(reads, last, plan.routes)?;
+        let program = autocommit_plan(tasks, plan.routes)?;
         let mut executor = self.clone();
         executor.lams.votes = Arc::new(votes);
-        executor.lams.outputs = Arc::new(Mutex::new(inputs));
+        executor.lams.outputs = Arc::default();
         let (out, stats, mut outputs) = executor.run_program(&program)?;
         let outcomes = self.outcomes(&program, &out, &stats, &outputs);
         for (task, outcome) in program.tasks.iter().zip(outcomes) {
@@ -498,7 +563,8 @@ impl Executor {
     /// decomposed — the baseline `EXPLAIN` has a rewritten site measure beside
     /// it, and its span's notes: the row estimate (so EXPLAIN can show
     /// estimated vs. actual), the `route` its rows take to the combine —
-    /// `shipped`, or `home`, materialised where it runs — and the rewrite.
+    /// `shipped` back here, `direct` to the coordinator's LAM, or `home`,
+    /// materialised where it runs — and the rewrite.
     fn partial(
         &self,
         site: &SitePlan,

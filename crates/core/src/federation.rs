@@ -1616,7 +1616,7 @@ fn log_resolved(
 /// and `ANALYZE` ([`Session::run_local`]).
 fn local_plan(route: DbRoute, name: &str, command: String) -> Result<GeneratedPlan, MdbsError> {
     let task = (name.to_string(), route.database.clone(), command);
-    autocommit_plan(vec![task], None, &HashMap::from([(route.database.clone(), route)]))
+    autocommit_plan(vec![task], &HashMap::from([(route.database.clone(), route)]))
 }
 
 fn status_from_code(code: char) -> dol::TaskStatus {

@@ -3,20 +3,31 @@
 //! A LAM (paper §4.1) runs at a site, wraps one local DBMS engine, executes
 //! the commands the DOL engine ships to it, and sends partial results back.
 //! "LAMs execute local commands and produce partial results, which are sent
-//! either to the engine or to other LAMs." Of that sentence the first half is
-//! implemented and the second is not: a partial that leaves its site goes to
-//! the engine (the MDBS layer), which forwards it inside the coordinator's
-//! `COMBINE`; what no longer travels at all is the coordinator's own partial,
-//! materialised in place by that same request. A LAM → LAM hop is ROADMAP
-//! item 3(b). Here each LAM is a long-running
-//! server on a [`netsim`] mailbox speaking the [`crate::proto`] protocol: one
-//! thread that receives a request, executes it against the engine and sends
-//! the reply itself, joined by a second (third, …) identical thread only
-//! while a request is parked on a lock wait — see [`spawn_lam_with`].
+//! either to the engine or to other LAMs." Both halves hold. A task's rows
+//! go back to the engine (the MDBS layer). A cross-database join's partial
+//! goes to the other LAM: a `SHIP` makes this LAM run the subquery and send
+//! the rows as a `PART` straight to the coordinator's LAM, keyed by the
+//! coordinator's `COMBINE` correlation id, and nothing answers the sender
+//! (unless the MDBS layer also needs the reducer's keys, when the rows come
+//! back too). At the coordinator the `COMBINE` and its parts meet in a
+//! bounded stash: whichever frame arrives first waits there, no server thread
+//! waits for the others, and the thread that files the last one runs the
+//! combine and answers the `COMBINE`'s sender. The coordinator's own partial
+//! never travels at all: it is materialised in place, reduced by the
+//! reducer's keys along the plan's edges into it. Here each LAM is a
+//! long-running server on a [`netsim`] mailbox speaking the [`crate::proto`]
+//! protocol: one thread that receives a request, executes it against the
+//! engine and sends the reply itself, joined by a second (third, …)
+//! identical thread only while a request is parked on a lock wait — see
+//! [`spawn_lam_with`].
 
 use crate::codec::{self, WireFormat};
 use crate::error::MdbsError;
-use crate::proto::{self, RowsRequest as Request, RowsResponse as Response, TaskMode};
+use crate::planner::{and_filters, ReductionEdge};
+use crate::proto::{self, CombineReport, HomeEdge, PartDone};
+use crate::proto::{RowsRequest as Request, RowsResponse as Response};
+use crate::proto::{RowsResponse, TaskMode};
+use crate::translate::decompose::part_table;
 use crate::wire;
 use catalog::{GddColumn, GddTable};
 use ldbs::engine::{Engine, ExecOutcome, ResultSet};
@@ -278,6 +289,7 @@ pub fn spawn_lam_with(
             resolved: Fifo::new(1024),
             replies: Fifo::new(256),
             inflight: HashSet::new(),
+            stash: Fifo::new(256),
         }),
         config,
         pool: BufferPool::default(),
@@ -378,11 +390,13 @@ fn serve(shared: &Arc<SrvShared>) {
             }
         }
         let decoded = match &msg.body {
-            Body::Text(text) => Request::decode_as(proto::split_correlation(text).1),
-            Body::Binary(bytes) => codec::decode_request_as(bytes).map(|(_, req)| req),
+            Body::Text(text) => Request::decode_sized(proto::split_correlation(text).1),
+            Body::Binary(bytes) => {
+                codec::decode_request_sized(bytes).map(|(_, req, size)| (req, size))
+            }
         };
         let response = match decoded {
-            Ok(Request::Shutdown) => {
+            Ok((Request::Shutdown, _)) => {
                 let out = frame_reply(shared, corr, Response::Ok, format);
                 let _ = endpoint.send(&msg.from, out);
                 // Taking the site down disconnects the mailbox, which is
@@ -391,18 +405,49 @@ fn serve(shared: &Arc<SrvShared>) {
                 shared.net.deregister(&shared.site);
                 break;
             }
-            Ok(req) => {
+            Ok((req, size)) => {
                 shared.stats.served.fetch_add(1, Ordering::Relaxed);
-                handle_request(shared, req, format)
+                match req {
+                    Request::Ship { key, to, database, sql, baseline, echo } => {
+                        let part = Shipped { key, to, database, sql, baseline, echo };
+                        ship(shared, part, format)
+                    }
+                    Request::Part { key, database, payload, access, error, full_bytes } => {
+                        let arrived = Arrived { payload, bytes: size, access, error, full_bytes };
+                        gather(shared, key, Frame::Part(database, arrived))
+                    }
+                    Request::Combine { database, home, parts, edges, sql, measure } => {
+                        let spec = CombineSpec { database, home, parts, edges, sql, measure };
+                        let waiting = Waiting { from: msg.from.clone(), format, spec };
+                        match corr {
+                            Some(key) => gather(shared, key, Frame::Combine(waiting)),
+                            None => Some(run_combine(shared, waiting.spec, HashMap::new(), format)),
+                        }
+                    }
+                    req => Some(handle_request(shared, req, format)),
+                }
             }
-            Err(e) => Response::Err { message: e.to_string() },
+            // A reply that failed to decode as a request is not answered:
+            // two LAMs must never bounce errors at each other.
+            Err(_) if is_reply(&msg.body) => None,
+            Err(e) => Some(Response::Err { message: e.to_string() }),
         };
-        let out = frame_reply(shared, corr, response, format);
-        let _ = endpoint.send(&msg.from, out);
+        if let Some(response) = response {
+            let out = frame_reply(shared, corr, response, format);
+            let _ = endpoint.send(&msg.from, out);
+        }
     }
     // Shut down, or a terminal fault: the mailbox only disconnects when the
     // site is off the network. Either way the handle reads dead.
     shared.alive.store(false, Ordering::SeqCst);
+}
+
+/// Whether a message is a reply, which a LAM only ever receives by mistake.
+fn is_reply(body: &Body) -> bool {
+    match body {
+        Body::Text(text) => RowsResponse::decode_as(proto::split_correlation(text).1).is_ok(),
+        Body::Binary(bytes) => codec::decode_response_as::<ResultSet>(bytes).is_ok(),
+    }
 }
 
 /// Encodes a response, recording it in the reply cache and clearing the
@@ -472,10 +517,14 @@ impl<K: std::hash::Hash + Eq + Clone, V> Fifo<K, V> {
         }
     }
 
-    fn remove(&mut self, key: &K) {
-        if self.entries.remove(key).is_some() {
-            self.order.retain(|k| k != key);
-        }
+    fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.entries.get_mut(key)
+    }
+
+    fn remove(&mut self, key: &K) -> Option<V> {
+        let value = self.entries.remove(key)?;
+        self.order.retain(|k| k != key);
+        Some(value)
     }
 }
 
@@ -497,6 +546,65 @@ struct SrvState {
     /// Correlation ids currently executing; retries for them are dropped
     /// until the reply lands in the cache.
     inflight: HashSet<u64>,
+    /// Join frames waiting for their partners, by the `COMBINE`'s
+    /// correlation id ([`gather`]). Bounded like the reply cache: a join
+    /// whose client gave up is forgotten with the oldest entries.
+    stash: Fifo<u64, Stash>,
+}
+
+/// What one join's coordinator has received so far.
+#[derive(Default)]
+struct Stash {
+    /// The `COMBINE`, once it arrived.
+    combine: Option<Waiting>,
+    /// The parts that arrived, by database.
+    parts: HashMap<String, Arrived>,
+}
+
+/// A `COMBINE`, with who sent it and in what format: whoever runs it answers
+/// that sender.
+struct Waiting {
+    from: String,
+    format: WireFormat,
+    spec: CombineSpec,
+}
+
+/// The fields of a [`Request::Combine`].
+struct CombineSpec {
+    database: String,
+    home: Option<String>,
+    parts: Vec<String>,
+    edges: Vec<HomeEdge>,
+    sql: String,
+    measure: bool,
+}
+
+/// The fields of a [`Request::Part`], plus its payload block's wire size.
+struct Arrived {
+    payload: Option<ResultSet>,
+    bytes: usize,
+    access: Option<String>,
+    error: Option<String>,
+    full_bytes: u64,
+}
+
+/// The fields of a [`Request::Ship`].
+struct Shipped {
+    key: u64,
+    to: String,
+    database: String,
+    sql: String,
+    baseline: Option<String>,
+    echo: bool,
+}
+
+/// Per reduction edge: the reducer's distinct keys and whether they shipped.
+type Verdicts = Vec<(u64, bool)>;
+
+/// A join frame for the stash.
+enum Frame {
+    Combine(Waiting),
+    Part(String, Arrived),
 }
 
 /// Everything the server threads of one LAM share: the engine behind its own
@@ -600,10 +708,11 @@ fn close_task(shared: &SrvShared, name: &str, outcome: char) {
     state.resolved.insert(name.to_string(), outcome);
 }
 
-/// The transaction and database of open task `name`.
-fn open_entry(shared: &SrvShared, name: &str) -> Result<(TxnId, String), Response> {
+/// The transaction and database of open task `name`, or the refusal naming
+/// it.
+fn open_entry(shared: &SrvShared, name: &str) -> Result<(TxnId, String), String> {
     let entry = shared.state.lock().open.get(name).cloned();
-    entry.ok_or_else(|| Response::Err { message: format!("unknown open task `{name}`") })
+    entry.ok_or_else(|| format!("unknown open task `{name}`"))
 }
 
 /// What a run of commands came to: the rows affected by those that succeeded,
@@ -671,7 +780,7 @@ fn task_done(
 fn exec_task(shared: &Arc<SrvShared>, task: &str, commands: &[String]) -> Response {
     let (txn, database) = match open_entry(shared, task) {
         Ok(entry) => entry,
-        Err(refused) => return refused,
+        Err(message) => return Response::Err { message },
     };
     let ran = run_commands(shared, &database, commands, Some(txn));
     match ran.error {
@@ -689,7 +798,7 @@ fn exec_task(shared: &Arc<SrvShared>, task: &str, commands: &[String]) -> Respon
 fn prepare_task(shared: &SrvShared, task: &str) -> Response {
     let txn = match open_entry(shared, task) {
         Ok((txn, _)) => txn,
-        Err(refused) => return refused,
+        Err(message) => return Response::Err { message },
     };
     let result = shared.engine.lock().prepare(txn);
     match result {
@@ -876,10 +985,9 @@ fn handle_request(shared: &Arc<SrvShared>, req: Request, format: WireFormat) -> 
                 Err(e) => Response::Err { message: e.to_string() },
             }
         }
-        Request::Combine { database, home, parts, sql, baseline } => {
-            let mut engine = shared.engine.lock();
-            combine(&mut engine, &database, home, parts, &sql, baseline.as_deref(), format)
-                .unwrap_or_else(|message| Response::Err { message })
+        // Join frames meet in the stash before anything runs (`serve`).
+        Request::Combine { .. } | Request::Ship { .. } | Request::Part { .. } => {
+            Response::Err { message: "join frame outside the serve loop".to_string() }
         }
         // `LOADMANY` / `DROPMANY`: sent by no client of this crate since
         // `COMBINE`; served for `fedbench/src/layers.rs` until ROADMAP 1(b).
@@ -943,45 +1051,206 @@ fn run_subquery(
     Ok(Subquery { rows, access, full_rows, full_bytes })
 }
 
-/// Serves one `COMBINE` (§4.1's "partial results are collected in one
-/// database, acting as the coordinator", in one exchange): the home subquery
-/// is evaluated and materialised in place — a local copy; its rows cross no
-/// network — beside the partials that travelled, Q′ (`sql`) runs over the
-/// temporaries, and every one of them is gone again before the reply. The
-/// caller holds the engine throughout (every statement here is a snapshot
-/// read, so nothing waits for a lock): no other request sees a temporary, and
-/// none outlives this one — `Err` or not.
+/// Serves one `SHIP`: evaluates the subquery and sends its rows — or its
+/// error — straight to the coordinator's LAM as a `PART`, in the format the
+/// `SHIP` arrived in. Answers the sender only when asked to echo the rows.
+/// A resent `SHIP` (its `COMBINE` timed out) runs again: it is a snapshot
+/// read, and the coordinator drops a part that comes too late.
+fn ship(shared: &SrvShared, ship: Shipped, format: WireFormat) -> Option<Response> {
+    let Shipped { key, to, database, sql, baseline, echo } = ship;
+    let sub = run_subquery(&mut shared.engine.lock(), &database, &sql, baseline.as_deref(), format);
+    let (rows, access, error, full_rows, full_bytes) = match sub {
+        Ok(sub) => (Some(sub.rows), sub.access, None, sub.full_rows, sub.full_bytes),
+        Err(e) => (None, None, Some(e), 0, 0),
+    };
+    let echoed = echo.then(|| Response::PartialDone {
+        payload: rows.clone(),
+        error: error.clone(),
+        full_rows,
+        full_bytes,
+        access: access.clone(),
+    });
+    let part = Request::Part { key, database, payload: rows, access, error, full_bytes };
+    let body = match format {
+        WireFormat::Text => Body::Text(part.encode()),
+        WireFormat::Binary => Body::Binary(codec::encode_request(&shared.pool, None, &part)),
+    };
+    // A lost part is the coordinator's timeout, and its client resends.
+    let _ = shared.endpoint.send(&to, body);
+    echoed
+}
+
+/// Files a join frame under `key` and, once the `COMBINE` and every part it
+/// names are in, runs the combine: returned when the `COMBINE` itself
+/// completed the set, else sent from here to whoever sent the `COMBINE`. A
+/// part for a `COMBINE` that ran, or is running, is a late copy and dropped.
+/// A `COMBINE` that must wait leaves the inflight set, so its client's resend
+/// is filed again rather than dropped.
+fn gather(shared: &Arc<SrvShared>, key: u64, frame: Frame) -> Option<Response> {
+    let mut state = shared.state.lock();
+    let combine = matches!(frame, Frame::Combine(_));
+    if !combine && (state.replies.get(&key).is_some() || state.inflight.contains(&key)) {
+        return None;
+    }
+    if state.stash.get(&key).is_none() {
+        state.stash.insert(key, Stash::default());
+    }
+    let stash = state.stash.get_mut(&key).expect("filed above");
+    match frame {
+        Frame::Combine(waiting) => stash.combine = Some(waiting),
+        Frame::Part(database, arrived) => {
+            stash.parts.insert(database, arrived);
+        }
+    }
+    let complete = stash
+        .combine
+        .as_ref()
+        .is_some_and(|w| w.spec.parts.iter().all(|db| stash.parts.contains_key(db)));
+    if !complete {
+        state.inflight.remove(&key);
+        return None;
+    }
+    let Stash { combine: waiting, parts } = state.stash.remove(&key).expect("filed above");
+    state.inflight.insert(key);
+    drop(state);
+    let Waiting { from, format, spec } = waiting.expect("complete");
+    let response = run_combine(shared, spec, parts, format);
+    if combine {
+        return Some(response);
+    }
+    let out = frame_reply(shared, Some(key), response, format);
+    let _ = shared.endpoint.send(&from, out);
+    None
+}
+
+/// Serves one complete `COMBINE` (§4.1's "partial results are collected in
+/// one database, acting as the coordinator", in one exchange). A part that
+/// carries its site's error fails the join before anything runs here, and
+/// the reply says which.
+fn run_combine(
+    shared: &SrvShared,
+    spec: CombineSpec,
+    mut arrived: HashMap<String, Arrived>,
+    format: WireFormat,
+) -> Response {
+    let (mut reports, mut parts) = (Vec::new(), Vec::new());
+    for database in &spec.parts {
+        let Some(part) = arrived.remove(database) else {
+            return Response::Err { message: format!("no part from `{database}` arrived") };
+        };
+        let saved = part.full_bytes.saturating_sub(part.bytes as u64);
+        reports.push(PartDone {
+            rows: part.payload.as_ref().map_or(0, |rows| rows.rows.len() as u64),
+            bytes: part.bytes as u64,
+            access: part.access,
+            error: part.error,
+            saved: if part.full_bytes > 0 { saved } else { 0 },
+        });
+        parts.push((database.clone(), part.payload.unwrap_or_default()));
+    }
+    if reports.iter().any(|r| r.error.is_some()) {
+        let report = Box::new(CombineReport { edges: Vec::new(), parts: reports });
+        return Response::CombineDone {
+            payload: None,
+            home_rows: 0,
+            access: None,
+            saved: 0,
+            report,
+        };
+    }
+    match combine(&mut shared.engine.lock(), &spec, parts, format) {
+        Ok(Response::CombineDone { payload, home_rows, access, saved, mut report }) => {
+            report.parts = reports;
+            Response::CombineDone { payload, home_rows, access, saved, report }
+        }
+        Ok(other) => other,
+        Err(message) => Response::Err { message },
+    }
+}
+
+/// The home subquery as it runs: reduced by the reducer's keys along every
+/// edge whose rule ships them — the planner's own
+/// [`ReductionEdge::keys`] / [`ReductionEdge::ships`] / [`ReductionEdge::filter`],
+/// applied to the rows that arrived — or `None` when no edge ships; plus
+/// the edges' verdicts.
+fn reduce_home(
+    home: &str,
+    edges: &[HomeEdge],
+    parts: &[(String, ResultSet)],
+) -> Result<(Option<String>, Verdicts), String> {
+    if edges.is_empty() {
+        return Ok((None, Vec::new()));
+    }
+    let select = msql_lang::Parser::new(home).and_then(|mut p| p.parse_select());
+    let select = select.map_err(|e| e.to_string())?;
+    let (mut filters, mut done) = (Vec::new(), Vec::new());
+    for e in edges {
+        let edge = ReductionEdge {
+            key_column: &e.key_column,
+            target: 0,
+            select: &select,
+            binding: &e.binding,
+            column: &e.column,
+            rule: e.rule,
+        };
+        let rows = parts.iter().find(|(database, _)| *database == e.reducer);
+        match rows.and_then(|(_, rows)| edge.keys(rows)) {
+            Some(keys) if edge.ships(&keys) => {
+                done.push((keys.len() as u64, true));
+                filters.push(edge.filter(&keys));
+            }
+            keys => done.push((keys.map_or(0, |keys| keys.len() as u64), false)),
+        }
+    }
+    Ok(((!filters.is_empty()).then(|| and_filters(&select, filters)), done))
+}
+
+/// The combine itself: the home subquery is evaluated and materialised in
+/// place — a local copy; its rows cross no network — beside the partials
+/// that travelled, Q′ runs over the temporaries, and every one of them is
+/// gone again before the reply. The caller holds the engine throughout
+/// (every statement here is a snapshot read, so nothing waits for a lock):
+/// no other request sees a temporary, and none outlives this one — `Err` or
+/// not.
 fn combine(
     engine: &mut Engine,
-    database: &str,
-    home: Option<(String, String)>,
+    spec: &CombineSpec,
     parts: Vec<(String, ResultSet)>,
-    sql: &str,
-    baseline: Option<&str>,
     format: WireFormat,
 ) -> Result<Response, String> {
+    let database = spec.database.as_str();
+    let (reduced, edges) = match &spec.home {
+        Some(home) => reduce_home(home, &spec.edges, &parts)?,
+        None => (None, Vec::new()),
+    };
     let mut temps = Vec::with_capacity(parts.len() + 1);
     for (table, rows) in parts {
-        temps.push(Table::temporary(&table, rows).map_err(|e| e.to_string())?);
+        temps.push(Table::temporary(&part_table(&table), rows).map_err(|e| e.to_string())?);
     }
     let (mut home_rows, mut access, mut saved) = (0, None, 0);
-    if let Some((table, home_sql)) = home {
-        let sub = run_subquery(engine, database, &home_sql, baseline, format)?;
+    if let Some(home) = &spec.home {
+        let baseline = (spec.measure && reduced.is_some()).then_some(home.as_str());
+        let sql = reduced.as_deref().unwrap_or(home);
+        let sub = run_subquery(engine, database, sql, baseline, format)?;
         home_rows = sub.rows.rows.len() as u64;
         access = sub.access;
         if sub.full_bytes > 0 {
             saved = sub.full_bytes.saturating_sub(format.payload_len(&sub.rows) as u64);
         }
-        temps.push(Table::temporary(&table, sub.rows).map_err(|e| e.to_string())?);
+        temps.push(Table::temporary(&part_table(database), sub.rows).map_err(|e| e.to_string())?);
     }
     let names: Vec<String> = temps.iter().map(|t| t.schema.name.clone()).collect();
     install_temps(engine, database, temps)?;
-    let result = engine.execute(database, sql);
+    let result = engine.execute(database, &spec.sql);
     drop_temps(engine, database, &names)?;
     match result {
-        Ok(ExecOutcome::Rows(rs)) => {
-            Ok(Response::CombineDone { payload: Some(rs), home_rows, access, saved })
-        }
+        Ok(ExecOutcome::Rows(rs)) => Ok(Response::CombineDone {
+            payload: Some(rs),
+            home_rows,
+            access,
+            saved,
+            report: Box::new(CombineReport { edges, parts: Vec::new() }),
+        }),
         Ok(ExecOutcome::Affected(_)) => Err("global query did not produce rows".to_string()),
         Err(e) => Err(e.to_string()),
     }
@@ -1363,6 +1632,85 @@ mod tests {
         else {
             panic!("{resp:?}")
         };
+    }
+
+    /// Two LAMs of a join: avis (site1, the `setup` LAM) ships its cars to
+    /// continental (site2), which coordinates. Whichever of the `COMBINE`
+    /// and the `PART` reaches continental first waits in its stash, no
+    /// server thread waits for the other, and the `COMBINE`'s sender gets
+    /// one answer; a late copy of the part is dropped, unanswered.
+    #[test]
+    fn a_combine_and_its_part_meet_in_either_order() {
+        let (net, avis, client) = setup();
+        let mut engine = Engine::new("svc2", DbmsProfile::oracle_like());
+        engine.create_database("continental").unwrap();
+        engine.execute("continental", "CREATE TABLE flights (flnu INT, rate FLOAT)").unwrap();
+        engine.execute("continental", "INSERT INTO flights VALUES (7, 40.0)").unwrap();
+        let continental = spawn_lam(&net, "svc2", "site2", engine).unwrap();
+        let ship = |key: u64| Request::Ship {
+            key,
+            to: "site2".into(),
+            database: "avis".into(),
+            sql: "SELECT rate AS k FROM cars".into(),
+            baseline: None,
+            echo: false,
+        };
+        let combine = |key: u64| {
+            let combine = Request::Combine {
+                database: "continental".into(),
+                home: Some("SELECT f.flnu AS n, f.rate AS r FROM flights f".into()),
+                parts: vec!["avis".into()],
+                edges: vec![HomeEdge {
+                    reducer: "avis".into(),
+                    key_column: "k".into(),
+                    binding: "f".into(),
+                    column: "rate".into(),
+                    rule: crate::planner::EdgeRule::Cap(10),
+                }],
+                sql: "SELECT n FROM part_continental, part_avis WHERE r = k".into(),
+                measure: false,
+            };
+            proto::encode_with_correlation(key, &combine.encode())
+        };
+        let answer = |key: u64| {
+            let msg = client.recv_timeout(Duration::from_secs(5)).expect("one answer");
+            let (corr, body) = proto::split_correlation(msg.body.as_str());
+            assert_eq!(corr, Some(key));
+            Response::decode_as(body).unwrap().0
+        };
+        let served = |lam: &LamHandle| lam.stats.served.load(Ordering::SeqCst);
+        for (key, combine_first) in [(1u64, true), (2, false)] {
+            if combine_first {
+                client.send("site2", combine(key)).unwrap();
+                client.send("site1", ship(key).encode()).unwrap();
+            } else {
+                let before = served(&continental);
+                client.send("site1", ship(key).encode()).unwrap();
+                while served(&continental) == before {
+                    std::thread::yield_now(); // the part is filed
+                }
+                client.send("site2", combine(key)).unwrap();
+            }
+            let Response::CombineDone { payload: Some(rows), home_rows, report, .. } = answer(key)
+            else {
+                panic!("key {key}: no CombineDone")
+            };
+            let CombineReport { edges, parts } = *report;
+            assert_eq!(rows.rows, vec![vec![Value::Int(7)]], "key {key}");
+            assert_eq!(home_rows, 1, "key {key}: the home subquery was reduced to 40.0");
+            assert_eq!(edges, vec![(2, true)], "key {key}: avis' two distinct rates");
+            assert_eq!((parts[0].rows, parts[0].error.clone()), (2, None), "key {key}");
+        }
+        // A late copy of the part: filed nowhere, answered by no one.
+        let before = served(&continental);
+        client.send("site1", ship(1).encode()).unwrap();
+        while served(&continental) == before {
+            std::thread::yield_now();
+        }
+        assert!(!client.has_mail(), "a late part is not answered");
+        assert!(continental.shared.state.lock().stash.entries.is_empty());
+        assert_eq!(avis.shared.threads.lock().handles.len(), 1, "no thread waited");
+        assert_eq!(continental.shared.threads.lock().handles.len(), 1);
     }
 
     #[test]

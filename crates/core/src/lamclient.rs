@@ -10,7 +10,12 @@
 //! catalog reads, everything the coordinator ships is a task of a DOL
 //! program; a deferred global transaction's members, recovery's resolutions
 //! and a cross-database join's partials and `COMBINE` are tasks whose
-//! [`Vote`] says what they send.
+//! [`Vote`] says what they send. A join's `COMBINE` task sends more than its
+//! own request: it posts, beside it and under its correlation id, a `SHIP`
+//! to each partial's site that travels straight to the coordinator's LAM,
+//! and it resends all of them on a retry. No partial's rows pass through
+//! here on their way to the coordinator: a travelling partial's task reads
+//! what became of its rows from the `COMBINE`'s one reply.
 //!
 //! Connections are session-scoped: a [`ConnectionPool`] keeps the links a
 //! session has opened, keyed by `(site, database)`, and
@@ -19,7 +24,9 @@
 
 use crate::codec::{self, WireFormat};
 use crate::error::MdbsError;
-use crate::proto::{self, RowsRequest as Request, RowsResponse as Response, TaskMode};
+use crate::proto::TaskMode;
+use crate::proto::{self, CombineReport, HomeEdge, PartDone};
+use crate::proto::{RowsRequest as Request, RowsResponse as Response};
 use crate::retry::{shared_stats, RetryPolicy, SharedExecStats};
 use dol::engine::TaskExecution;
 use dol::TaskStatus;
@@ -38,6 +45,12 @@ use std::time::{Duration, Instant};
 /// the client can discard stale responses from abandoned attempts.
 static REQUEST_SEQ: AtomicU64 = AtomicU64::new(1);
 
+/// A fresh correlation id: what a join's `COMBINE` is sent under, taken
+/// before any of its partials leaves its site, because each is keyed by it.
+pub(crate) fn correlation_id() -> u64 {
+    REQUEST_SEQ.fetch_add(1, Ordering::Relaxed)
+}
+
 /// What a task produced besides its status.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskOutput {
@@ -49,8 +62,22 @@ pub struct TaskOutput {
     /// format, when `EXPLAIN` measured its baseline.
     pub saved: Option<u64>,
     /// The exchange's own error, when the wire rather than the site failed
-    /// the task.
+    /// the task — or a travelled partial's site failed the `COMBINE`.
     pub error: Option<MdbsError>,
+    /// What a join's `COMBINE` said besides Q′'s rows. Boxed: every task's
+    /// output is moved about, and only a join's carries this.
+    pub(crate) join: Option<Box<JoinReport>>,
+}
+
+/// A join's `COMBINE` reply, as its program's tasks leave it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum JoinReport {
+    /// On a partial that travelled straight to the coordinator, left under
+    /// the partial's task, with the attempts the exchange took.
+    Travelled(PartDone, u32),
+    /// On the edges into the home subquery, left under the `COMBINE`'s task:
+    /// the reducer's distinct keys on each and whether they reduced it.
+    Reduced(Vec<(u64, bool)>),
 }
 
 /// The outputs of one DOL program's tasks, by task name. The services one
@@ -90,21 +117,46 @@ pub(crate) enum Vote {
     /// Recovery: `COMPENSATE` the committed task with its logged commands
     /// (`K`). The LAM's `K` memory makes a repeat harmless.
     Compensate,
-    /// A join site's partial: `PARTIAL` — `PARTIALAGG` when `pushed` — of the
-    /// task's command, `EXPLAIN` measuring `baseline` beside it. `notes` are
-    /// the plan's side of its `lam:partial:<db>` span.
-    Partial { pushed: bool, baseline: Option<String>, notes: Vec<(&'static str, String)> },
-    /// The join's coordinator: one `COMBINE` of Q′, the task's command, over
-    /// its own partial — `home`, `(temp table, subquery)`, measured like a
-    /// partial's — and the travelled ones, `(temp table, task name)`, whose
-    /// rows move out of the run's outputs. `notes` are its `lam:combine:<db>`
-    /// span's, then its own partial's.
-    Combine {
-        home: (String, String),
+    /// A join site's partial whose rows come back here: a pushed-down site's
+    /// `PARTIALAGG` of the task's command, `EXPLAIN` measuring `baseline`
+    /// beside it — or, with `echo`, `(site, key)`, a reducer whose keys filter
+    /// another travelling site: a `SHIP … ECHO`, whose rows also travel
+    /// straight to the coordinator's LAM there, keyed for its `COMBINE`.
+    /// `notes` are the plan's side of its `lam:partial:<db>` span.
+    Partial {
         baseline: Option<String>,
-        parts: Vec<(String, String)>,
+        notes: Vec<(&'static str, String)>,
+        echo: Option<(String, u64)>,
+    },
+    /// A partial that travels straight to the coordinator's LAM: nothing to
+    /// send — the `COMBINE`'s task ships it — and it ends as the `COMBINE`'s
+    /// reply reports. `measured` when `EXPLAIN` sent its baseline.
+    Direct { measured: bool, notes: Vec<(&'static str, String)> },
+    /// The join's coordinator: one `COMBINE` of Q′, the task's command, under
+    /// correlation id `key`, over its own partial — `home`, reduced there
+    /// along `edges`, measured under `EXPLAIN` — and those of `travellers`,
+    /// each shipped straight to it. `notes` are its `lam:combine:<db>` span's,
+    /// then its own partial's.
+    Combine {
+        key: u64,
+        home: String,
+        measure: bool,
+        travellers: Vec<Traveller>,
+        edges: Vec<HomeEdge>,
         notes: [Vec<(&'static str, String)>; 2],
     },
+}
+
+/// A partial the `COMBINE`'s task ships: its site, database, subquery and
+/// the baseline `EXPLAIN` measures beside it. `posted` is false for one
+/// already on its way (a reducer's echo): only a resend ships it again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Traveller {
+    pub site: String,
+    pub database: String,
+    pub sql: String,
+    pub baseline: Option<String>,
+    pub posted: bool,
 }
 
 /// A run's [`Vote`]s, by task name, each with the rows its member's
@@ -191,6 +243,10 @@ pub struct LamClient {
     /// The step the DOL engine [posted](DolService::post), finished by the
     /// engine's next call on this connection, with a join task's own spans.
     posted: Option<(Posted, Vec<Span>)>,
+    /// The `lam:partial:<db>` span of a partial travelling straight to the
+    /// coordinator, opened when the engine posted its task: it is in flight
+    /// while the `COMBINE` is.
+    travelling: Option<Span>,
     site: String,
     /// The database this connection is opened on.
     pub database: String,
@@ -229,6 +285,9 @@ struct Posted {
     id: u64,
     /// The encoded request; every attempt sends these bytes.
     framed: Body,
+    /// `SHIP` frames to other sites that every attempt sends after the
+    /// request, the first attempt only those flagged.
+    ships: Vec<(String, Body, bool)>,
     max_attempts: u32,
     /// No attempt starts after this instant.
     deadline: Instant,
@@ -289,6 +348,7 @@ impl LamClient {
             suspect: AtomicBool::new(false),
             unread: AtomicU32::new(0),
             posted: None,
+            travelling: None,
             site: site.to_string(),
             database: database.to_string(),
             timeout,
@@ -339,24 +399,49 @@ impl LamClient {
     /// for any. Until then the connection is not pooled again: a client
     /// dropped with a reply unread is closed.
     fn post(&self, req: &Request, span: &Span) -> Posted {
-        let id = REQUEST_SEQ.fetch_add(1, Ordering::Relaxed);
-        let encode_start = Instant::now();
-        let framed: Body = match self.wire_format {
-            WireFormat::Text => Body::Text(proto::encode_with_correlation(id, &req.encode())),
-            WireFormat::Binary => Body::Binary(codec::encode_request(&self.pool, Some(id), req)),
-        };
-        self.metrics.observe(
-            &labeled("wire.encode_us", "format", self.wire_format.label()),
-            encode_start.elapsed().as_micros() as u64,
-        );
+        self.post_as(correlation_id(), req, Vec::new(), span)
+    }
+
+    /// [`Self::post`] under correlation id `id`, with `ships`: requests to
+    /// other sites, each sent uncorrelated after `req` on every attempt — on
+    /// the first only those flagged — and never answered.
+    fn post_as(
+        &self,
+        id: u64,
+        req: &Request,
+        ships: Vec<(String, Request, bool)>,
+        span: &Span,
+    ) -> Posted {
+        let ships =
+            ships.into_iter().map(|(site, ship, first)| (site, self.encode(None, &ship), first));
+        let ships = ships.collect();
+        let framed = self.encode(Some(id), req);
         let max_attempts =
             if matches!(req, Request::Shutdown) { 1 } else { self.retry.max_attempts.max(1) };
         let deadline = Instant::now() + self.retry.deadline;
         self.unread.fetch_add(1, Ordering::Relaxed);
         let rpc = span.child("rpc");
         rpc.note("attempt", 1);
-        let sent = self.send(&framed);
-        Posted { id, framed, max_attempts, deadline, first: Some((rpc, sent)) }
+        let mut posted = Posted { id, framed, ships, max_attempts, deadline, first: None };
+        posted.first = Some((rpc, self.send(&posted, true)));
+        posted
+    }
+
+    /// Encodes one frame in this connection's format, metered.
+    fn encode(&self, id: Option<u64>, req: &Request) -> Body {
+        let encode_start = Instant::now();
+        let framed = match (self.wire_format, id) {
+            (WireFormat::Text, Some(id)) => {
+                Body::Text(proto::encode_with_correlation(id, &req.encode()))
+            }
+            (WireFormat::Text, None) => Body::Text(req.encode()),
+            (WireFormat::Binary, id) => Body::Binary(codec::encode_request(&self.pool, id, req)),
+        };
+        self.metrics.observe(
+            &labeled("wire.encode_us", "format", self.wire_format.label()),
+            encode_start.elapsed().as_micros() as u64,
+        );
+        framed
     }
 
     /// The second half of a call: reads the reply of what [`Self::post`]
@@ -387,7 +472,7 @@ impl LamClient {
                     }
                     let rpc = span.child("rpc");
                     rpc.note("attempt", attempts + 1);
-                    (rpc, self.send(&posted.framed))
+                    (rpc, self.send(&posted, false))
                 }
             };
             attempts += 1;
@@ -429,10 +514,18 @@ impl LamClient {
         (Err(err), attempts, faults)
     }
 
-    /// One attempt's send; returns when it went out.
-    fn send(&self, framed: &Body) -> Result<Instant, AttemptError> {
-        self.link.endpoint.send(&self.site, framed.clone()).map_err(AttemptError::Net)?;
-        Ok(Instant::now())
+    /// One attempt's sends — the request, then the `SHIP`s, the `first`
+    /// attempt's only the flagged ones; returns when the request went out.
+    /// The request goes first, so the coordinator's LAM always takes its
+    /// `COMBINE` before the part a `SHIP` produces: which frame waits, and so
+    /// every message a lossy schedule draws, is the same on every run.
+    fn send(&self, posted: &Posted, first: bool) -> Result<Instant, AttemptError> {
+        self.link.endpoint.send(&self.site, posted.framed.clone()).map_err(AttemptError::Net)?;
+        let sent = Instant::now();
+        for (site, ship, _) in posted.ships.iter().filter(|(.., flagged)| *flagged || !first) {
+            self.link.endpoint.send(site, ship.clone()).map_err(AttemptError::Net)?;
+        }
+        Ok(sent)
     }
 
     /// One attempt's receive, for a request sent at `sent`. Responses whose
@@ -524,13 +617,14 @@ impl LamClient {
         self.metrics.counter_add(&labeled("lam.faults", "db", db), faults.len() as u64);
     }
 
-    /// Notes a shipped result set on `span` and the `lam.*` volume counters;
-    /// `bytes` is the size of the payload block that carried it.
-    fn record_shipped(&self, span: &Span, rows: &ResultSet, bytes: usize) {
-        span.note("rows", rows.rows.len());
+    /// Notes a shipped result set of `rows` rows on `span` and the `lam.*`
+    /// volume counters; `bytes` is the size of the payload block that carried
+    /// it.
+    fn record_shipped(&self, span: &Span, rows: usize, bytes: usize) {
+        span.note("rows", rows);
         span.note("bytes", bytes);
         let db = self.database.as_str();
-        self.metrics.counter_add(&labeled("lam.rows", "db", db), rows.rows.len() as u64);
+        self.metrics.counter_add(&labeled("lam.rows", "db", db), rows as u64);
         self.metrics.counter_add(&labeled("lam.bytes", "db", db), bytes as u64);
     }
 
@@ -554,29 +648,24 @@ impl LamClient {
             Some((Vote::Resolve(commit), _)) => Request::Resolve { task: name, commit: *commit },
             Some((Vote::Compensate, _)) => self.compensate_request(task),
             Some((Vote::Exec, _)) => Request::Exec { task: name, commands },
-            Some((Vote::Partial { pushed, baseline, notes }, _)) => {
+            Some((Vote::Partial { baseline, notes, echo }, _)) => {
                 open("partial", notes);
                 let (sql, baseline) = (commands.concat(), baseline.clone());
-                if *pushed {
-                    Request::PartialAgg { database, sql, baseline }
-                } else {
-                    Request::Partial { database, sql, baseline }
+                match echo {
+                    Some((to, key)) => ship_request(*key, to, database, sql, baseline, true),
+                    None => Request::PartialAgg { database, sql, baseline },
                 }
             }
-            Some((Vote::Combine { home, baseline, parts, notes }, _)) => {
+            Some((Vote::Combine { home, measure, travellers, edges, notes, .. }, _)) => {
                 open("combine", &notes[0]);
                 open("partial", &notes[1]);
-                let mut outputs = self.outputs.lock();
-                let travelled = |(temp, task): &(String, String)| {
-                    let rows = outputs.get_mut(task).and_then(|o| o.rows.take());
-                    (temp.clone(), rows.unwrap_or_default())
-                };
                 Request::Combine {
                     database,
                     home: Some(home.clone()),
-                    parts: parts.iter().map(travelled).collect(),
+                    parts: travellers.iter().map(|t| t.database.clone()).collect(),
+                    edges: edges.clone(),
                     sql: commands.concat(),
-                    baseline: baseline.clone(),
+                    measure: *measure,
                 }
             }
             vote => {
@@ -589,6 +678,26 @@ impl LamClient {
             }
         };
         (req, spans)
+    }
+
+    /// Posts `task`'s request under `span` — a `COMBINE` under its key, with
+    /// a `SHIP` to each travelling partial's site — and opens its spans.
+    fn post_task(&self, task: &dol::TaskDef, span: &Span) -> (Posted, Vec<Span>) {
+        let (req, spans) = self.task_request(task, span);
+        let traced = spans.last().unwrap_or(span);
+        let posted = match self.votes.get(&task.name) {
+            Some((Vote::Combine { key, travellers, .. }, _)) => {
+                let ship = |t: &Traveller| {
+                    let (database, sql, baseline) =
+                        (t.database.clone(), t.sql.clone(), t.baseline.clone());
+                    let ship = ship_request(*key, &self.site, database, sql, baseline, false);
+                    (t.site.clone(), ship, t.posted)
+                };
+                self.post_as(*key, &req, travellers.iter().map(ship).collect(), traced)
+            }
+            _ => LamClient::post(self, &req, traced),
+        };
+        (posted, spans)
     }
 
     /// The `COMPENSATE` that undoes `task` with its compensating commands: a
@@ -606,16 +715,20 @@ impl LamClient {
     /// [`Self::outputs`] under the task's name. A member's task sends what
     /// its [`Vote`] says, and one with nothing to send sends nothing.
     fn run_task(&mut self, task: &dol::TaskDef, span: &Span) -> TaskExecution {
-        let vote = self.votes.get(&task.name);
-        if let Some(&(Vote::Settled(status), affected)) = vote {
-            return settled(&self.outputs, &task.name, status, affected);
+        let votes = Votes::clone(&self.votes);
+        let vote = votes.get(&task.name);
+        match vote {
+            Some(&(Vote::Settled(status), affected)) => {
+                return settled(&self.outputs, &task.name, status, affected)
+            }
+            Some((Vote::Direct { measured, notes }, _)) => {
+                return self.direct_done(task, *measured, notes, span)
+            }
+            _ => {}
         }
         let (posted, spans) = match self.posted.take() {
             Some(posted) => posted,
-            None => {
-                let (req, spans) = self.task_request(task, span);
-                (LamClient::post(self, &req, spans.last().unwrap_or(span)), spans)
-            }
+            None => self.post_task(task, span),
         };
         let traced = spans.last().unwrap_or(span);
         let (result, attempts, faults) = self.finish(posted, traced);
@@ -623,7 +736,7 @@ impl LamClient {
         self.stats.lock().record_task(&task.name, attempts, faults.last().copied());
         match result {
             Ok((reply, bytes)) if !spans.is_empty() => {
-                self.join_done(task, vote, &spans, reply, bytes)
+                self.join_done(task, vote, &spans, reply, bytes, attempts)
             }
             Ok((Response::TaskDone { status, affected, payload, error }, bytes)) => {
                 // `E`: a held subtransaction ran its commands and stays open.
@@ -644,7 +757,7 @@ impl LamClient {
                     span.note("affected", affected);
                 }
                 if let Some(rows) = &payload {
-                    self.record_shipped(span, rows, bytes);
+                    self.record_shipped(span, rows.rows.len(), bytes);
                 }
                 let output = TaskOutput { affected, rows: payload, ..TaskOutput::default() };
                 self.outputs.lock().insert(task.name.clone(), output);
@@ -678,7 +791,9 @@ impl LamClient {
     /// path and unpushed rows, or Q′'s answer from the `COMBINE`, whose own
     /// partial crossed no network — the innermost span noting, with a measured
     /// baseline, the bytes a rewrite kept off the wire. A reply naming an
-    /// error is the site's refusal, whatever else it carries.
+    /// error is the site's refusal, whatever else it carries; a `COMBINE`'s
+    /// reports on the partials that travelled to it go to their tasks, and
+    /// the first that names its site's error fails it in that site's words.
     fn join_done(
         &self,
         task: &dol::TaskDef,
@@ -686,29 +801,60 @@ impl LamClient {
         spans: &[Span],
         reply: Response,
         bytes: usize,
+        attempts: u32,
     ) -> TaskExecution {
         let (span, own) = (&spans[spans.len() - 1], &spans[0]);
         let saved_of = |full: u64| (full > 0).then(|| full.saturating_sub(bytes as u64));
+        let mut join = None;
         let (rows, access, saved) = match reply {
             Response::PartialDone { error: Some(message), .. }
             | Response::PartialAggDone { error: Some(message), .. }
             | Response::Err { message } => return failed(message),
-            Response::CombineDone { payload, home_rows, access, saved } => {
+            Response::CombineDone { payload, home_rows, access, saved, report } => {
+                let CombineReport { edges, parts } = *report;
+                let Some((Vote::Combine { travellers, measure, .. }, _)) = vote else {
+                    return failed("a COMBINE reply to another request".to_string());
+                };
+                let mut outputs = self.outputs.lock();
+                let mut refused = None;
+                for (traveller, part) in travellers.iter().zip(parts) {
+                    if let (None, Some(message)) = (&refused, &part.error) {
+                        let service = traveller.database.clone();
+                        refused = Some(MdbsError::Local { service, message: message.clone() });
+                    }
+                    let output = TaskOutput {
+                        join: Some(Box::new(JoinReport::Travelled(part, attempts))),
+                        ..TaskOutput::default()
+                    };
+                    outputs.insert(traveller.database.clone(), output);
+                }
+                if let Some(error) = refused {
+                    let message = error.to_string();
+                    outputs.insert(
+                        task.name.clone(),
+                        TaskOutput { error: Some(error), ..TaskOutput::default() },
+                    );
+                    return failed(message);
+                }
                 let rows = payload.unwrap_or_default();
                 span.note("bytes", bytes);
                 span.note("rows", rows.rows.len());
+                let reduced = edges.iter().any(|&(_, reduced)| reduced);
+                if reduced {
+                    own.note("reduced", "semijoin");
+                }
                 own.note("db", &self.database);
                 own.note("rows", home_rows);
                 own.note("bytes", 0);
-                let measured = matches!(vote, Some((Vote::Combine { baseline: Some(_), .. }, _)));
-                (rows, access, measured.then_some(saved))
+                join = Some(Box::new(JoinReport::Reduced(edges)));
+                (rows, access, (*measure && reduced).then_some(saved))
             }
             Response::PartialDone { payload: Some(rows), full_bytes, access, .. } => {
-                self.record_shipped(span, &rows, bytes);
+                self.record_shipped(span, rows.rows.len(), bytes);
                 (rows, access, saved_of(full_bytes))
             }
             Response::PartialAggDone { payload: Some(rows), full_rows, full_bytes, .. } => {
-                self.record_shipped(span, &rows, bytes);
+                self.record_shipped(span, rows.rows.len(), bytes);
                 if full_rows > 0 {
                     span.note("full_rows", full_rows);
                 }
@@ -716,15 +862,58 @@ impl LamClient {
             }
             other => return failed(format!("unexpected reply: {other:?}")),
         };
+        self.note_partial(own, access, saved);
+        let output = TaskOutput { rows: Some(rows), saved, join, ..TaskOutput::default() };
+        self.outputs.lock().insert(task.name.clone(), output);
+        TaskExecution::committed(None)
+    }
+
+    /// Notes a partial's access path and — with a measured baseline — the
+    /// bytes its rewrite kept off the wire, on its span and in `lam.*`.
+    fn note_partial(&self, span: &Span, access: Option<String>, saved: Option<u64>) {
         if let Some(access) = access {
-            own.note("access", access);
+            span.note("access", access);
         }
         if let Some(saved) = saved {
-            own.note("saved", saved);
+            span.note("saved", saved);
             self.metrics.counter_add(&labeled("lam.bytes_saved", "db", &self.database), saved);
         }
-        let output = TaskOutput { rows: Some(rows), saved, ..TaskOutput::default() };
-        self.outputs.lock().insert(task.name.clone(), output);
+    }
+
+    /// Opens a travelling partial's `lam:partial:<db>` span under `span`.
+    fn open_partial(&self, notes: &[(&'static str, String)], span: &Span) -> Span {
+        let child = span.child(format!("lam:partial:{}", self.database));
+        notes.iter().for_each(|(key, value)| child.note(key, value));
+        child
+    }
+
+    /// A partial that travelled straight to the coordinator: sends nothing,
+    /// and ends as the `COMBINE`'s reply reported on it — noted on its
+    /// `lam:partial:<db>` span like a partial that came back here, the
+    /// `COMBINE`'s attempts being its own.
+    fn direct_done(
+        &mut self,
+        task: &dol::TaskDef,
+        measured: bool,
+        notes: &[(&'static str, String)],
+        span: &Span,
+    ) -> TaskExecution {
+        let child = self.travelling.take().unwrap_or_else(|| self.open_partial(notes, span));
+        let report = self.outputs.lock().get_mut(&task.name).and_then(|o| o.join.take());
+        let Some(JoinReport::Travelled(part, attempts)) = report.map(|report| *report) else {
+            return failed(format!("no report on the partial of `{}`", self.database));
+        };
+        self.record_obs(&child, attempts, &[]);
+        self.stats.lock().record_task(&task.name, attempts, None);
+        if let Some(message) = part.error {
+            return failed(message);
+        }
+        self.record_shipped(&child, part.rows as usize, part.bytes as usize);
+        let saved = measured.then_some(part.saved);
+        self.note_partial(&child, part.access, saved);
+        self.outputs
+            .lock()
+            .insert(task.name.clone(), TaskOutput { saved, ..TaskOutput::default() });
         TaskExecution::committed(None)
     }
 
@@ -755,6 +944,20 @@ impl LamClient {
     }
 }
 
+/// The `SHIP` that sends a partial's rows straight to the coordinator's LAM at
+/// site `to`, for the `COMBINE` under correlation id `key` — echoed back here
+/// too when `echo` is set.
+fn ship_request(
+    key: u64,
+    to: &str,
+    database: String,
+    sql: String,
+    baseline: Option<String>,
+    echo: bool,
+) -> Request {
+    Request::Ship { key, to: to.to_string(), database, sql, baseline, echo }
+}
+
 /// A task that ended in `E`, `message` being its local error.
 fn failed(message: String) -> TaskExecution {
     TaskExecution { status: TaskStatus::Error, result: None, error: Some(message) }
@@ -783,12 +986,17 @@ impl Drop for LamClient {
 impl DolService for LamClient {
     fn post(&mut self, step: Step<'_>, span: &Span) {
         let (req, spans) = match step {
-            Step::Execute(task)
-                if matches!(self.votes.get(&task.name), Some((Vote::Settled(_), _))) =>
-            {
-                return
-            }
-            Step::Execute(task) => self.task_request(task, span),
+            Step::Execute(task) => match self.votes.get(&task.name) {
+                Some((Vote::Settled(_), _)) => return,
+                Some((Vote::Direct { notes, .. }, _)) => {
+                    self.travelling = Some(self.open_partial(notes, span));
+                    return;
+                }
+                _ => {
+                    self.posted = Some(self.post_task(task, span));
+                    return;
+                }
+            },
             Step::Commit(task) => (Request::Commit { task: task.to_string() }, Vec::new()),
             Step::Abort(task) => (Request::Abort { task: task.to_string() }, Vec::new()),
         };

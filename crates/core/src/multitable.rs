@@ -19,11 +19,24 @@ pub struct MultitableEntry {
     pub result: ResultSet,
 }
 
-/// A set of tables, one per database that contributed a partial result.
+/// A database that contributed no table because its subquery failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MultitableFailure {
+    /// The database.
+    pub database: String,
+    /// Its error, in the site's words.
+    pub error: String,
+}
+
+/// A set of tables, one per database that contributed a partial result, and
+/// a record of each database that failed to.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Multitable {
     /// Member tables in scope order.
     pub tables: Vec<MultitableEntry>,
+    /// The databases whose subquery failed, in plan order: a partly failed
+    /// retrieval says which databases are missing and why.
+    pub failed: Vec<MultitableFailure>,
 }
 
 impl Multitable {
@@ -163,6 +176,9 @@ impl fmt::Display for Multitable {
             writeln!(f, "-- {} ({} rows)", entry.database, entry.result.rows.len())?;
             write!(f, "{}", render_result_set(&entry.result))?;
         }
+        for failure in &self.failed {
+            writeln!(f, "-- {} failed: {}", failure.database, failure.error)?;
+        }
         Ok(())
     }
 }
@@ -197,6 +213,7 @@ mod tests {
                     },
                 },
             ],
+            failed: Vec::new(),
         }
     }
 
@@ -224,6 +241,19 @@ mod tests {
         assert!(text.contains("-- national (2 rows)"));
         assert!(text.contains("| code | rate |"));
         assert!(text.contains("| 39.5 |"));
+    }
+
+    #[test]
+    fn display_names_each_failed_database_and_why() {
+        let mut mt = sample();
+        mt.tables.truncate(1);
+        mt.failed.push(MultitableFailure {
+            database: "national".into(),
+            error: "site `site5` unreachable".into(),
+        });
+        let text = mt.to_string();
+        assert!(text.contains("-- avis (1 rows)"), "{text}");
+        assert!(text.ends_with("-- national failed: site `site5` unreachable\n"), "{text}");
     }
 
     #[test]
@@ -265,6 +295,7 @@ mod tests {
                     },
                 },
             ],
+            failed: Vec::new(),
         }
     }
 

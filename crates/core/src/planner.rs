@@ -6,9 +6,10 @@
 //! coordinator combines partials — rather than individual database
 //! operations. [`plan_join`] makes every such decision before a row moves and
 //! returns it as a value, a [`JoinPlan`], which
-//! [`crate::executor::Executor::run_join`] writes as at most two DOL
-//! programs — the reducer's, then the other sites' with the coordinator's
-//! `COMBINE` — and runs like any other statement's. It is a pure
+//! [`crate::executor::Executor::run_join`] writes as one DOL program — the
+//! coordinator's `COMBINE` and the partials that travel straight to its LAM,
+//! after the reducer's own program only when its keys filter another
+//! travelling site — and runs like any other statement's. It is a pure
 //! function of the decomposition, the routes, the session's three data-flow
 //! switches and — the ingredient the heuristics lacked — per-site statistics.
 //! Each LDBS collects them locally with `ANALYZE` ([`ldbs::stats`]), the
@@ -195,6 +196,9 @@ pub enum EdgeRule {
     Bytes { ndv: Option<u64>, bytes: f64 },
 }
 
+/// An estimate is a finite number, so a rule always equals itself.
+impl Eq for EdgeRule {}
+
 /// One semi-join opportunity: the reducer's distinct values of `key_column`
 /// may travel to site `target` as a filter on its `binding.column`.
 #[derive(Debug, Clone, PartialEq)]
@@ -265,18 +269,18 @@ impl ReductionEdge<'_> {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Combine<'a> {
     /// The classic flow of §4.1: the partials are collected as temporary
-    /// tables (`temps`, in site order) in one `database`, "acting as the
+    /// tables (each `part_<database>`) in one `database`, "acting as the
     /// coordinator", which evaluates the modified global query Q′
     /// (`sql`) over them. Site `home` *is* that database: it is sent no
     /// partial request — its subquery rides inside the combine and is
-    /// materialised in place, so only the other sites' rows move. It is never
-    /// the reducer, whose rows must reach the MDBS layer for their keys.
+    /// materialised in place, reduced there by the reducer's keys, so only
+    /// the other sites' rows move, each straight to the coordinator's LAM.
+    /// It is never the reducer.
     /// `join_order` is Q′'s FROM order, when the estimates changed it;
     /// `labels` are [`Decomposition::labels`].
     Coordinator {
         database: &'a str,
         home: usize,
-        temps: Vec<&'a str>,
         sql: String,
         join_order: Option<String>,
         labels: &'a [(usize, String)],
@@ -318,18 +322,27 @@ impl JoinPlan<'_> {
     /// nothing): its decomposed subquery with every shipped key set's filter
     /// ANDed on, or `None` when no edge into it shipped.
     pub fn reduced_sql(&self, target: usize, shipped: &[Option<Vec<Value>>]) -> Option<String> {
-        let mut reduced: Option<Select> = None;
-        for (edge, keys) in self.edges.iter().zip(shipped) {
-            let Some(keys) = keys.as_ref().filter(|_| edge.target == target) else { continue };
-            let select = reduced.get_or_insert_with(|| edge.select.clone());
-            let filter = Box::new(edge.filter(keys));
-            select.where_clause = Some(match select.where_clause.take() {
-                Some(w) => Expr::Binary { left: Box::new(w), op: BinaryOp::And, right: filter },
-                None => *filter,
-            });
-        }
-        reduced.map(|select| print_select(&select))
+        let filters = self.edges.iter().zip(shipped).filter(|(edge, _)| edge.target == target);
+        let mut filters =
+            filters.filter_map(|(edge, keys)| Some((edge.select, edge.filter(keys.as_ref()?))));
+        let (select, first) = filters.next()?;
+        Some(and_filters(select, std::iter::once(first).chain(filters.map(|(_, f)| f))))
     }
+}
+
+/// `select` with every one of `filters` ANDed onto its WHERE clause, printed:
+/// the subquery a reduced site runs, whether the MDBS layer or the
+/// coordinator's LAM reduces it.
+pub fn and_filters(select: &Select, filters: impl IntoIterator<Item = Expr>) -> String {
+    let mut select = select.clone();
+    for filter in filters {
+        let filter = Box::new(filter);
+        select.where_clause = Some(match select.where_clause.take() {
+            Some(w) => Expr::Binary { left: Box::new(w), op: BinaryOp::And, right: filter },
+            None => *filter,
+        });
+    }
+    print_select(&select)
 }
 
 /// Plans a decomposed cross-database join. `ctx` carries the site statistics
@@ -433,14 +446,7 @@ pub fn plan_join<'a>(
     };
     let home = pick_coordinator(dec, estimates.as_deref(), reducer);
     let database = dec.subqueries[home].database.as_str();
-    let combine = Combine::Coordinator {
-        database,
-        home,
-        temps: dec.subqueries.iter().map(|s| s.part_table.as_str()).collect(),
-        sql,
-        join_order,
-        labels: &dec.labels,
-    };
+    let combine = Combine::Coordinator { database, home, sql, join_order, labels: &dec.labels };
     let strategy = if n == 2 && !dec.join_keys.is_empty() { "hash" } else { "product" };
     Ok(JoinPlan { sites, reducer, edges, combine, strategy, costed, routes })
 }
@@ -986,12 +992,9 @@ mod tests {
         let coordinator = |global: &str, ctx| {
             let dec = join(global, None);
             let plan = plan_join(&dec, &routes, ctx, true, 256, true).unwrap();
-            let Combine::Coordinator { database, home, temps, sql, join_order, .. } = plan.combine
-            else {
+            let Combine::Coordinator { database, home, sql, join_order, .. } = plan.combine else {
                 panic!("classic plan expected")
             };
-            // Whoever coordinates, the temporaries keep the sites' order.
-            assert_eq!(temps, vec!["part_avis", "part_hertz"]);
             assert_eq!(database, dec.subqueries[home].database.as_str());
             (database.to_string(), sql, join_order)
         };

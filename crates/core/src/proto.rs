@@ -14,6 +14,7 @@ use crate::codec::columnar;
 use crate::codec::frame::{PAYLOAD_COLUMNAR, PAYLOAD_VERBATIM};
 use crate::codec::varint::{write_str, Reader};
 use crate::error::MdbsError;
+use crate::planner::EdgeRule;
 use crate::wire::{self, escape, unescape};
 use ldbs::engine::ResultSet;
 
@@ -194,9 +195,10 @@ pub enum Request<P = String> {
     },
     /// Evaluate one local subquery of a decomposed cross-database join and
     /// return its result set. When `baseline` is present (the unreduced
-    /// subquery, sent only by `EXPLAIN`), the LAM also evaluates it and
-    /// reports its row/byte volume so semi-join savings can be measured
-    /// without shipping the unreduced rows.
+    /// subquery), the LAM also evaluates it and reports its row/byte volume
+    /// without shipping the unreduced rows. No client of this crate sends it
+    /// since a join's partials travel LAM to LAM ([`Request::Ship`]); the LAM
+    /// serves it for hand-written clients and `fedbench/src/layers.rs`.
     Partial {
         /// Target database.
         database: String,
@@ -234,24 +236,69 @@ pub enum Request<P = String> {
         table: Option<String>,
     },
     /// The coordinator's whole share of a cross-database join in one
-    /// exchange: materialise its own subquery in place, load the partials
-    /// that travelled, evaluate the modified global query Q′ over the
-    /// temporaries and drop every one of them again before replying — a
-    /// temporary never outlives the request that made it.
+    /// exchange: materialise its own subquery in place — reduced by the
+    /// reducer's keys along `edges` — beside the partials that travelled to it
+    /// straight from their LAMs, evaluate the modified global query Q′ over
+    /// the temporaries and drop every one of them again before replying — a
+    /// temporary never outlives the request that made it. Each travelled part
+    /// is a [`Request::Part`] keyed by this request's correlation id, and each
+    /// temporary is `part_<database>`.
     Combine {
         /// The coordinator database.
         database: String,
-        /// `(temp table, subquery)`: the coordinator's own subquery, whose
-        /// rows never cross the network. `None` when every partial travels.
-        home: Option<(String, String)>,
-        /// `(temp table, result set)` pairs shipped from the other sites.
-        parts: Vec<(String, P)>,
+        /// The coordinator's own subquery as decomposed, whose rows never
+        /// cross the network. `None` when every partial travels.
+        home: Option<String>,
+        /// The databases whose partials travel here, in plan order.
+        parts: Vec<String>,
+        /// The reducer's edges into the home subquery, applied here to the
+        /// reducer's part once it arrived.
+        edges: Vec<HomeEdge>,
         /// The modified global query Q′ over the temporaries.
         sql: String,
-        /// The home subquery as decomposed, sent only by `EXPLAIN` when
-        /// `home` carries a key filter: evaluated and measured beside it,
-        /// never materialised.
+        /// Set only by `EXPLAIN`: when an edge reduces the home subquery, the
+        /// unreduced one is evaluated and measured beside it, never
+        /// materialised.
+        measure: bool,
+    },
+    /// Evaluate one local subquery of a cross-database join and ship its rows
+    /// straight to the coordinator's LAM at site `to`, as a [`Request::Part`]
+    /// keyed by `key` (the coordinator's `COMBINE` correlation id). Unless
+    /// `echo` is set nothing answers the sender; with it, the rows also come
+    /// back as a [`Response::PartialDone`] (the reducer whose keys the MDBS
+    /// layer needs for another site's filter). `baseline` is as for
+    /// [`Request::Partial`].
+    Ship {
+        /// The coordinator's `COMBINE` correlation id.
+        key: u64,
+        /// The coordinator LAM's site.
+        to: String,
+        /// Target database.
+        database: String,
+        /// The subquery to evaluate.
+        sql: String,
+        /// Unreduced subquery to measure (result discarded, never shipped).
         baseline: Option<String>,
+        /// Also answer the sender with the rows.
+        echo: bool,
+    },
+    /// One LAM's partial, shipped straight to the coordinator's LAM: the
+    /// rows of a [`Request::Ship`]'s subquery (or its local error), for the
+    /// `COMBINE` whose correlation id is `key`. Nothing answers it.
+    Part {
+        /// The `COMBINE` it belongs to.
+        key: u64,
+        /// The database that produced it; it becomes `part_<database>`.
+        database: String,
+        /// The subquery's rows, when it succeeded.
+        payload: Option<P>,
+        /// Access path the local engine took.
+        access: Option<String>,
+        /// The local error, when the subquery failed.
+        error: Option<String>,
+        /// Payload bytes the unreduced baseline would have shipped (0 when
+        /// not asked for).
+        full_bytes: u64,
     },
     /// Create and load several temporary tables in one round trip. No client
     /// of this crate sends it since [`Request::Combine`]; it and
@@ -325,9 +372,11 @@ pub enum Response<P = String> {
         /// format of the connection that asked.
         full_bytes: u64,
     },
-    /// A [`Request::Combine`] succeeded (a failed one is an [`Response::Err`],
-    /// and no temporary remains either way): Q′'s result set, plus what
-    /// became of the home subquery (all zero / absent when it had none).
+    /// A [`Request::Combine`] finished (a failed home subquery or Q′ is an
+    /// [`Response::Err`], and no temporary remains either way): Q′'s result
+    /// set, what became of the home subquery (all zero / absent when it had
+    /// none) and of each edge into it, and the travelled parts' own reports.
+    /// A part that failed leaves `payload` empty: nothing was evaluated.
     CombineDone {
         /// Result set of Q′.
         payload: Option<P>,
@@ -338,6 +387,8 @@ pub enum Response<P = String> {
         /// Payload bytes, in the format of the connection that asked, by
         /// which the baseline exceeds the home rows (0 when unmeasured).
         saved: u64,
+        /// What became of the edges and the travelled parts.
+        report: Box<CombineReport>,
     },
     /// Generic success.
     Ok,
@@ -351,6 +402,49 @@ pub enum Response<P = String> {
         /// What went wrong.
         message: String,
     },
+}
+
+/// One reduction edge into the coordinator's home subquery, as a `COMBINE`
+/// carries it: the planner's [`crate::planner::ReductionEdge`] minus its
+/// target, which is the home subquery itself.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HomeEdge {
+    /// The reducer's database: whose part holds the keys.
+    pub reducer: String,
+    /// Column of the reducer's partial that holds the key values.
+    pub key_column: String,
+    /// FROM binding and name of the filtered column in the home subquery.
+    pub binding: String,
+    pub column: String,
+    /// Ship-or-not, up to the key list.
+    pub rule: EdgeRule,
+}
+
+/// What a [`Response::CombineDone`] reports of a join's edges and travelled
+/// parts. Boxed there, so no other reply grows by it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CombineReport {
+    /// Per edge of the request: the reducer's distinct keys and whether they
+    /// reduced the home subquery.
+    pub edges: Vec<(u64, bool)>,
+    /// Per travelled part of the request, in its order.
+    pub parts: Vec<PartDone>,
+}
+
+/// What became of one partial that travelled straight to the coordinator,
+/// as the coordinator's LAM saw it arrive.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PartDone {
+    /// Rows it carried.
+    pub rows: u64,
+    /// Its payload block's bytes on the wire.
+    pub bytes: u64,
+    /// Access path its site's engine took.
+    pub access: Option<String>,
+    /// Its site's local error.
+    pub error: Option<String>,
+    /// Payload bytes by which its baseline exceeds it (0 when unmeasured).
+    pub saved: u64,
 }
 
 /// A request as the LAM, its client and the executor hold it: result sets as
@@ -385,6 +479,26 @@ fn parse_opt_field(text: &str) -> Result<Option<String>, MdbsError> {
 
 fn parse_count(text: &str, what: &str) -> Result<u64, MdbsError> {
     text.parse().map_err(|_| MdbsError::Wire(format!("bad {what} `{text}`")))
+}
+
+/// A reduction rule as one word: `C<cap>`, or `B<ndv|->/<bytes>`.
+fn rule_word(rule: &EdgeRule) -> String {
+    match rule {
+        EdgeRule::Cap(cap) => format!("C{cap}"),
+        EdgeRule::Bytes { ndv, bytes } => {
+            format!("B{}/{bytes}", ndv.map_or_else(|| "-".to_string(), |n| n.to_string()))
+        }
+    }
+}
+
+fn parse_rule(word: &str) -> Result<EdgeRule, MdbsError> {
+    let bad = || MdbsError::Wire(format!("bad reduction rule `{word}`"));
+    if let Some(cap) = word.strip_prefix('C') {
+        return Ok(EdgeRule::Cap(parse_count(cap, "key cap")? as usize));
+    }
+    let (ndv, bytes) = word.strip_prefix('B').and_then(|b| b.split_once('/')).ok_or_else(bad)?;
+    let ndv = if ndv == "-" { None } else { Some(parse_count(ndv, "key NDV")?) };
+    Ok(EdgeRule::Bytes { ndv, bytes: bytes.parse().map_err(|_| bad())? })
 }
 
 /// Appends `(temp table, payload)` parts. Length-prefixed framing: payloads
@@ -448,19 +562,40 @@ impl<P: Payload> Request<P> {
                 Some(t) => format!("STATS {database} {t}"),
                 None => format!("STATS {database}"),
             },
-            Request::Combine { database, home, parts, sql, baseline } => {
-                // Q′, then the home and baseline lines (`-` when absent; the
-                // letter keeps a present one apart from it), then the parts.
-                let mut out = format!("COMBINE {database}\n{}\n", escape(sql));
+            Request::Combine { database, home, parts, edges, sql, measure } => {
+                // Q′, then the home line (`-` when absent; the letter keeps a
+                // present one apart from it), the travelled databases and
+                // one line per edge.
+                let measure = if *measure { " MEASURE" } else { "" };
+                let mut out = format!("COMBINE {database}{measure}\n{}\n", escape(sql));
                 match home {
-                    Some((table, sql)) => out.push_str(&format!("H {table} {}\n", escape(sql))),
+                    Some(sql) => out.push_str(&format!("H {}\n", escape(sql))),
                     None => out.push_str("-\n"),
                 }
-                match baseline {
-                    Some(sql) => out.push_str(&format!("B {}\n", escape(sql))),
-                    None => out.push_str("-\n"),
+                out.push('P');
+                parts.iter().for_each(|db| out.push_str(&format!(" {db}")));
+                out.push('\n');
+                for e in edges {
+                    let rule = rule_word(&e.rule);
+                    let HomeEdge { reducer, key_column, binding, column, .. } = e;
+                    out.push_str(&format!("E {reducer} {key_column} {binding} {column} {rule}\n"));
                 }
-                write_parts(&mut out, parts);
+                out
+            }
+            Request::Ship { key, to, database, sql, baseline, echo } => {
+                let echo = if *echo { " ECHO" } else { "" };
+                let header = format!("SHIP {key} {to} {database}{echo}");
+                with_lines(header, std::iter::once(sql).chain(baseline))
+            }
+            Request::Part { key, database, payload, access, error, full_bytes } => {
+                let mut out = format!(
+                    "PART {key} {database} {full_bytes} {} {}\n",
+                    opt_field(access),
+                    opt_field(error)
+                );
+                if let Some(p) = payload {
+                    p.write_text(&mut out);
+                }
                 out
             }
             Request::LoadMany { database, parts } => {
@@ -545,41 +680,62 @@ impl<P: Payload> Request<P> {
                 database: database.to_string(),
                 table: Some(table.to_string()),
             }),
-            ["COMBINE", database] => {
-                let mut rest = payload;
+            ["COMBINE", database, measure @ ..] => {
+                let measure = match measure {
+                    [] => false,
+                    ["MEASURE"] => true,
+                    _ => return Err(MdbsError::Wire(format!("malformed COMBINE `{header}`"))),
+                };
+                let mut lines = payload.split('\n');
                 let mut line = |what: &str| {
-                    let (line, tail) = rest
-                        .split_once('\n')
-                        .ok_or_else(|| MdbsError::Wire(format!("COMBINE without {what}")))?;
-                    rest = tail;
-                    Ok::<_, MdbsError>(line)
+                    lines.next().ok_or_else(|| MdbsError::Wire(format!("COMBINE without {what}")))
                 };
                 let sql = unescape(line("a global query")?)?;
                 let home = match line("a home line")? {
                     "-" => None,
-                    home => {
-                        let mut f = home.splitn(3, ' ');
-                        match (f.next(), f.next(), f.next()) {
-                            (Some("H"), Some(table), Some(sql)) => {
-                                Some((table.to_string(), unescape(sql)?))
-                            }
-                            _ => {
-                                return Err(MdbsError::Wire(format!(
-                                    "malformed COMBINE home line `{home}`"
-                                )))
-                            }
-                        }
-                    }
-                };
-                let baseline = match line("a baseline line")? {
-                    "-" => None,
-                    baseline => Some(unescape(baseline.strip_prefix("B ").ok_or_else(|| {
-                        MdbsError::Wire(format!("malformed COMBINE baseline line `{baseline}`"))
+                    home => Some(unescape(home.strip_prefix("H ").ok_or_else(|| {
+                        MdbsError::Wire(format!("malformed COMBINE home line `{home}`"))
                     })?)?),
                 };
-                let parts = read_parts(rest)?;
-                Ok(Request::Combine { database: database.to_string(), home, parts, sql, baseline })
+                let parts = match line("a parts line")?.split(' ').collect::<Vec<_>>().as_slice() {
+                    ["P", dbs @ ..] => dbs.iter().map(|db| db.to_string()).collect(),
+                    _ => return Err(MdbsError::Wire("malformed COMBINE parts line".to_string())),
+                };
+                let mut edges = Vec::new();
+                for edge in lines.filter(|l| !l.is_empty()) {
+                    let ["E", reducer, key_column, binding, column, rule] =
+                        edge.split(' ').collect::<Vec<_>>()[..]
+                    else {
+                        return Err(MdbsError::Wire(format!("malformed COMBINE edge `{edge}`")));
+                    };
+                    edges.push(HomeEdge {
+                        reducer: reducer.to_string(),
+                        key_column: key_column.to_string(),
+                        binding: binding.to_string(),
+                        column: column.to_string(),
+                        rule: parse_rule(rule)?,
+                    });
+                }
+                let database = database.to_string();
+                Ok(Request::Combine { database, home, parts, edges, sql, measure })
             }
+            ["SHIP", key, to, database, echo @ ..] => {
+                let echo = match echo {
+                    [] => false,
+                    ["ECHO"] => true,
+                    _ => return Err(MdbsError::Wire(format!("malformed SHIP `{header}`"))),
+                };
+                let (sql, baseline) = decode_subquery("SHIP")?;
+                Ok(Request::Ship {
+                    key: parse_count(key, "ship key")?,
+                    to: to.to_string(),
+                    database: database.to_string(),
+                    sql,
+                    baseline,
+                    echo,
+                })
+            }
+            ["PART", ..] => Ok(Self::decode_part(header, payload)?.0),
             ["LOADMANY", database] => Ok(Request::LoadMany {
                 database: database.to_string(),
                 parts: read_parts(payload)?,
@@ -592,6 +748,34 @@ impl<P: Payload> Request<P> {
             ["SHUTDOWN"] => Ok(Request::Shutdown),
             _ => Err(MdbsError::Wire(format!("unknown request `{header}`"))),
         }
+    }
+}
+
+impl<P: Payload> Request<P> {
+    /// [`Self::decode_as`], plus the byte size of the result-set payload a
+    /// [`Request::Part`] carried (0 for every other request).
+    pub fn decode_sized(body: &str) -> Result<(Self, usize), MdbsError> {
+        match body.split_once('\n') {
+            Some((header, payload)) if header.starts_with("PART ") => {
+                Self::decode_part(header, payload)
+            }
+            _ => Ok((Self::decode_as(body)?, 0)),
+        }
+    }
+
+    /// A `PART` header's fields — the error is the tail of the line and may
+    /// contain spaces — and the payload after it.
+    fn decode_part(header: &str, payload: &str) -> Result<(Self, usize), MdbsError> {
+        let mut f = header.splitn(6, ' ').skip(1);
+        let mut field = || f.next().unwrap_or("");
+        let key = parse_count(field(), "part key")?;
+        let database = field().to_string();
+        let full_bytes = parse_count(field(), "baseline bytes")?;
+        let access = parse_opt_field(field())?;
+        let error = parse_opt_field(f.next().unwrap_or("-"))?;
+        let rows = if payload.is_empty() { None } else { Some(P::from_text(payload)?) };
+        let part = Request::Part { key, database, payload: rows, access, error, full_bytes };
+        Ok((part, payload.len()))
     }
 }
 
@@ -621,8 +805,20 @@ impl<P: Payload> Response<P> {
                 format!("OK PARTIALAGG {groups} {full_rows} {full_bytes} {}\n", opt_field(error)),
                 payload,
             ),
-            Response::CombineDone { payload, home_rows, access, saved } => {
-                (format!("OK COMBINE {home_rows} {saved} {}\n", opt_field(access)), payload)
+            Response::CombineDone { payload, home_rows, access, saved, report } => {
+                let CombineReport { edges, parts } = &**report;
+                // The edges close the header line; one line per part follows.
+                let mut out =
+                    format!("OK COMBINE {home_rows} {saved} {} {}", opt_field(access), parts.len());
+                for (keys, reduced) in edges {
+                    out.push_str(&format!(" {keys}{}", if *reduced { '+' } else { '-' }));
+                }
+                out.push('\n');
+                for p in parts {
+                    let (access, error) = (opt_field(&p.access), opt_field(&p.error));
+                    out.push_str(&format!("{} {} {} {access} {error}\n", p.rows, p.bytes, p.saved));
+                }
+                (out, payload)
             }
             Response::Ok => return "OK".to_string(),
             Response::OkPayload { payload } => return format!("OK PAYLOAD\n{payload}"),
@@ -677,13 +873,40 @@ impl<P: Payload> Response<P> {
                 payload: rows()?,
             }
         } else if let Some(rest) = header.strip_prefix("OK COMBINE ") {
-            let mut f = rest.splitn(3, ' ');
-            Response::CombineDone {
-                home_rows: parse_count(f.next().unwrap_or(""), "home rows")?,
-                saved: parse_count(f.next().unwrap_or(""), "saved bytes")?,
-                access: parse_opt_field(f.next().unwrap_or("-"))?,
-                payload: rows()?,
+            let mut f = rest.split(' ');
+            let mut field = || f.next().unwrap_or("");
+            let home_rows = parse_count(field(), "home rows")?;
+            let saved = parse_count(field(), "saved bytes")?;
+            let access = parse_opt_field(field())?;
+            let n = parse_count(field(), "part count")?;
+            let edge = |word: &str| {
+                let (keys, reduced) = match word.strip_suffix('+') {
+                    Some(keys) => (keys, true),
+                    None => (word.strip_suffix('-').unwrap_or("?"), false),
+                };
+                Ok::<_, MdbsError>((parse_count(keys, "edge keys")?, reduced))
+            };
+            let edges = f.map(edge).collect::<Result<Vec<_>, _>>()?;
+            let (mut parts, mut rest) = (Vec::new(), payload);
+            for _ in 0..n {
+                let (line, tail) = rest
+                    .split_once('\n')
+                    .ok_or_else(|| MdbsError::Wire("COMBINE reply missing a part".to_string()))?;
+                let mut f = line.splitn(5, ' ');
+                let mut field = || f.next().unwrap_or("");
+                parts.push(PartDone {
+                    rows: parse_count(field(), "part rows")?,
+                    bytes: parse_count(field(), "part bytes")?,
+                    saved: parse_count(field(), "part saved bytes")?,
+                    access: parse_opt_field(field())?,
+                    error: parse_opt_field(f.next().unwrap_or("-"))?,
+                });
+                rest = tail;
             }
+            let payload = if rest.is_empty() { None } else { Some(P::from_text(rest)?) };
+            let report = Box::new(CombineReport { edges, parts });
+            let resp = Response::CombineDone { payload, home_rows, access, saved, report };
+            return Ok((resp, rest.len()));
         } else if let Some(rest) = header.strip_prefix("OK TASK ") {
             let mut f = rest.splitn(3, ' ');
             let status_text = f.next().unwrap_or("");
@@ -792,30 +1015,73 @@ mod tests {
                 ("part_empty".into(), String::new()),
             ],
         });
+        let edge = |rule| HomeEdge {
+            reducer: "national".into(),
+            key_column: "b_v_vcode".into(),
+            binding: "c".into(),
+            column: "code".into(),
+            rule,
+        };
         roundtrip_request(Request::Combine {
             database: "avis".into(),
-            home: Some(("part_avis".into(), "SELECT code AS b_c_code\nFROM cars | x".into())),
-            parts: vec![
-                ("part_national".into(), "COLS code:int\nR I:1\n".into()),
-                ("part_empty".into(), String::new()),
+            home: Some("SELECT code AS b_c_code\nFROM cars | x".into()),
+            parts: vec!["national".into(), "hertz".into()],
+            edges: vec![
+                edge(EdgeRule::Cap(100)),
+                edge(EdgeRule::Bytes { ndv: Some(12), bytes: 1234.5 }),
+                edge(EdgeRule::Bytes { ndv: None, bytes: 1e300 }),
             ],
             sql: "SELECT * FROM part_avis, part_national".into(),
-            baseline: Some("SELECT code AS b_c_code FROM cars".into()),
+            measure: true,
         });
-        // No home, no baseline, no parts; SQL that looks like an absent line.
+        // No home, no parts, no edges; SQL that looks like an absent line.
         roundtrip_request(Request::Combine {
             database: "avis".into(),
             home: None,
             parts: vec![],
+            edges: vec![],
             sql: "-".into(),
-            baseline: None,
+            measure: false,
         });
         roundtrip_request(Request::Combine {
             database: "avis".into(),
-            home: Some(("part_avis".into(), "-".into())),
-            parts: vec![],
+            home: Some("-".into()),
+            parts: vec!["P".into()],
+            edges: vec![],
             sql: String::new(),
-            baseline: Some("-".into()),
+            measure: false,
+        });
+        roundtrip_request(Request::Ship {
+            key: 42,
+            to: "site2".into(),
+            database: "avis".into(),
+            sql: "SELECT code\nFROM cars".into(),
+            baseline: None,
+            echo: false,
+        });
+        roundtrip_request(Request::Ship {
+            key: u64::MAX,
+            to: "site2".into(),
+            database: "avis".into(),
+            sql: "SELECT code FROM cars WHERE code IN (1)".into(),
+            baseline: Some("SELECT code FROM cars".into()),
+            echo: true,
+        });
+        roundtrip_request(Request::Part {
+            key: 42,
+            database: "avis".into(),
+            payload: Some("COLS code:int\nR I:1\n".into()),
+            access: Some("scan".into()),
+            error: None,
+            full_bytes: 17,
+        });
+        roundtrip_request(Request::Part {
+            key: 43,
+            database: "avis".into(),
+            payload: None,
+            access: None,
+            error: Some("type error: cannot apply + to 1 and 'x' | more\nline2".into()),
+            full_bytes: 0,
         });
         roundtrip_request(Request::DropMany { database: "avis".into(), tables: vec![] });
         roundtrip_request(Request::DropMany {
@@ -842,16 +1108,34 @@ mod tests {
 
     #[test]
     fn malformed_combine_is_rejected() {
-        // Q′ only; no home line; no baseline line.
+        // Q′ only; no home line; no parts line.
         assert!(Request::decode("COMBINE avis").is_err());
         assert!(Request::decode("COMBINE avis\nSELECT 1\n").is_err());
         assert!(Request::decode("COMBINE avis\nSELECT 1\n-\n").is_err());
-        // A home line without its table, a baseline line without its letter.
-        assert!(Request::decode("COMBINE avis\nSELECT 1\nH part_avis\n-\n").is_err());
-        assert!(Request::decode("COMBINE avis\nSELECT 1\n-\nSELECT 2\n").is_err());
-        // A part whose length points past the end of the body.
-        assert!(Request::decode("COMBINE avis\nSELECT 1\n-\n-\npart_t 99\nshort").is_err());
-        assert!(Request::decode("COMBINE avis\nSELECT 1\n-\n-\n").is_ok());
+        // A home line without its letter, a parts line without its own.
+        assert!(Request::decode("COMBINE avis\nSELECT 1\nSELECT 2\nP\n").is_err());
+        assert!(Request::decode("COMBINE avis\nSELECT 1\n-\nnational\n").is_err());
+        // An edge short of a field, an edge with an unknown rule, a flag
+        // that is not one.
+        assert!(Request::decode("COMBINE avis\nSELECT 1\n-\nP\nE n k c\n").is_err());
+        assert!(Request::decode("COMBINE avis\nSELECT 1\n-\nP\nE n k b c X9\n").is_err());
+        assert!(Request::decode("COMBINE avis NOW\nSELECT 1\n-\nP\n").is_err());
+        assert!(Request::decode("COMBINE avis\nSELECT 1\n-\nP\n").is_ok());
+        assert!(Request::decode("COMBINE avis MEASURE\nSELECT 1\n-\nP n\nE n k b c B-/2\n").is_ok());
+    }
+
+    #[test]
+    fn malformed_ship_and_part_are_rejected() {
+        assert!(Request::decode("SHIP 1 site2 avis").is_err(), "no subquery");
+        assert!(Request::decode("SHIP x site2 avis\nSELECT 1\n").is_err(), "no key");
+        assert!(Request::decode("SHIP 1 site2 avis LOUD\nSELECT 1\n").is_err());
+        assert!(Request::decode("PART x avis 0 - -\n").is_err(), "no key");
+        assert!(Request::decode("PART 1 avis x - -\n").is_err(), "no baseline count");
+        let rows = RowsRequest::decode_as("PART 1 avis 0 - -\nR I:1|extra\n");
+        assert!(rows.is_err(), "rows without columns");
+        // A part is not a reply, and a reply is not a part.
+        assert!(Response::decode("PART 1 avis 0 - -\n").is_err());
+        assert!(Request::decode("OK COMBINE 0 0 - 0\n").is_err());
     }
 
     #[test]
@@ -910,12 +1194,32 @@ mod tests {
             home_rows: 12,
             access: Some("probe".into()),
             saved: 900,
+            report: Box::new(CombineReport {
+                edges: vec![(4, true), (0, false)],
+                parts: vec![
+                    PartDone {
+                        rows: 3,
+                        bytes: 72,
+                        access: Some("scan".into()),
+                        error: None,
+                        saved: 5,
+                    },
+                    PartDone { rows: 0, bytes: 31, access: None, error: None, saved: 0 },
+                ],
+            }),
         });
         roundtrip_response(Response::CombineDone {
             payload: None,
             home_rows: 0,
             access: None,
             saved: 0,
+            report: Box::new(CombineReport {
+                edges: vec![],
+                parts: vec![PartDone {
+                    error: Some("type error: cannot apply + to 1 and 'x'".into()),
+                    ..PartDone::default()
+                }],
+            }),
         });
         roundtrip_response(Response::PartialAggDone {
             payload: None,

@@ -297,7 +297,7 @@ pub fn decompose(
                 order_by: Vec::new(),
                 limit: None,
             },
-            part_table: format!("part_{db}"),
+            part_table: part_table(db),
         });
     }
 
@@ -337,7 +337,7 @@ pub fn decompose(
             for c in &b.def.columns {
                 items.push(SelectItem::Expr {
                     expr: Expr::Column(ColumnRef::with_table(
-                        format!("part_{}", b.database),
+                        part_table(&b.database),
                         part_column(&b.name, &c.name),
                     )),
                     alias: Some(c.name.clone()),
@@ -765,6 +765,12 @@ fn wildcard_bindings<'b>(
         .position(|b| b.name == target || b.def.name == target)
         .ok_or_else(|| MdbsError::NotPertinent(format!("unknown binding `{target}`")))?;
     Ok(Some(&bindings[i..=i]))
+}
+
+/// The temporary a database's partial becomes at the coordinator — named
+/// here and re-derived there, never sent.
+pub fn part_table(database: &str) -> String {
+    format!("part_{database}")
 }
 
 /// `b_<binding>_<column>` — the renamed projection of a needed column.

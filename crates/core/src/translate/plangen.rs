@@ -34,7 +34,7 @@
 //! | a deferred synchronization point (`gtxn.rs`) | the members' votes | all members; `ROLLBACK` plans the failure branch alone | `UPDATE_FAILED` |
 //! | [`multitransaction_plan`] | the scope keys; `NOCOMMIT` on 2PC services, else autocommit with their COMP | the user's | [`MTX_FAILED`] |
 //! | a transfer's INSERT, local DDL and `ANALYZE` ([`autocommit_plan`]) | one autocommit task: `TRANSFER`, `DDL` or `ANALYZE` | none | — |
-//! | a cross-database join ([`autocommit_plan`]) | the reducer's partial; then the others' and, behind an `IF` on them all committing, the coordinator's `COMBINE`, each named after its database | none | — |
+//! | a cross-database join ([`autocommit_plan`]) | the coordinator's `COMBINE`, then each partial that travels straight to it, in one batch; a reducer whose keys the MDBS layer needs runs in a program of its own first. Each is named after its database | none | — |
 //!
 //! `DOLSTATUS` is the `DECIDE` code of the branch taken: `k` for state `k`
 //! (`0` is the preferred state, and an update's success), else the failure
@@ -336,14 +336,12 @@ pub fn retrieval_plan(
 }
 
 /// A program of autocommitted one-statement tasks, each `(name, database,
-/// statement)` on its database's own service: `tasks` in one `TASK` batch
-/// and then, when there is one, `last` behind an `IF` on all of them
-/// committing. A transfer's INSERT, local DDL and `ANALYZE` are one task; a
-/// cross-database join (DESIGN §3a.14) is its partials and, last, the
-/// coordinator's `COMBINE`, which needs all their rows.
+/// statement)` on its database's own service, in one `TASK` batch. A
+/// transfer's INSERT, local DDL and `ANALYZE` are one task; a cross-database
+/// join (DESIGN §3a.14) is the coordinator's `COMBINE` and the partials that
+/// travel straight to it.
 pub(crate) fn autocommit_plan(
     tasks: Vec<(String, String, String)>,
-    last: Option<(String, String, String)>,
     routes: &HashMap<String, DbRoute>,
 ) -> Result<GeneratedPlan, MdbsError> {
     let task = |(name, database, statement): (String, String, String)| DolTask {
@@ -355,18 +353,8 @@ pub(crate) fn autocommit_plan(
         commands: vec![statement],
         compensation: Vec::new(),
     };
-    let names: Vec<String> = tasks.iter().map(|(name, ..)| name.clone()).collect();
-    let tasks: Vec<DolTask> = tasks.into_iter().chain(last).map(task).collect();
-    let mut plan = dol_plan(&tasks, &[], 0, false, routes)?;
-    if tasks.len() > names.len() && !names.is_empty() {
-        // `last` is the last `TASK`, before `DOLSTATUS` and `CLOSE`.
-        let statements = &mut plan.program.statements;
-        let then_branch = vec![statements.remove(statements.len() - 3)];
-        let cond = reachable(&tasks, &names);
-        let guarded = DolStmt::If { cond, then_branch, else_branch: Vec::new() };
-        statements.insert(statements.len() - 2, guarded);
-    }
-    Ok(plan)
+    let tasks: Vec<DolTask> = tasks.into_iter().map(task).collect();
+    dol_plan(&tasks, &[], 0, false, routes)
 }
 
 /// The COMP clause of `local` in `comps` (empty without one) — refused for a
@@ -588,26 +576,20 @@ mod tests {
     }
 
     #[test]
-    fn a_join_step_guards_its_combine_on_every_partial_committing() {
+    fn a_join_is_one_batch_with_its_combine_first() {
         let routes = routes(&[("avis", false), ("national", false), ("delta", false)]);
         let read = |db: &str| (db.to_string(), db.to_string(), format!("SELECT * FROM {db}_t"));
-        let combine = Some(read("delta"));
-        let plan = autocommit_plan(vec![read("avis"), read("national")], combine, &routes).unwrap();
+        let plan =
+            autocommit_plan(vec![read("delta"), read("avis"), read("national")], &routes).unwrap();
         let text = print_program(&plan.program);
-        let batch = text.find("TASK avis FOR avis").unwrap();
-        assert!(batch < text.find("TASK national FOR national").unwrap(), "{text}");
-        let guard = text.find("IF (avis=C) AND (national=C) THEN").expect(&text);
-        assert!(guard < text.find("TASK delta FOR delta").unwrap(), "{text}");
-        assert!(text.trim_end().ends_with("CLOSE avis national delta;\nDOLEND"), "{text}");
+        let combine = text.find("TASK delta FOR delta").unwrap();
+        assert!(combine < text.find("TASK avis FOR avis").unwrap(), "{text}");
+        assert!(!text.contains("IF"), "nothing waits behind a guard: {text}");
+        assert!(text.trim_end().ends_with("CLOSE delta avis national;\nDOLEND"), "{text}");
         assert!(plan.recovery.is_none() && !text.contains("NOCOMMIT"), "{text}");
         assert_eq!(dol::parse_program(&text).unwrap(), plan.program);
-        // With nothing left to travel, the COMBINE runs unguarded; a reducer's
-        // or a pushdown's step has no COMBINE at all.
-        let alone = autocommit_plan(Vec::new(), Some(read("delta")), &routes).unwrap();
-        assert!(!print_program(&alone.program).contains("IF"));
-        let reducer = autocommit_plan(vec![read("avis")], None, &routes).unwrap();
+        let reducer = autocommit_plan(vec![read("avis")], &routes).unwrap();
         assert_eq!(reducer.tasks.len(), 1);
-        assert!(!print_program(&reducer.program).contains("IF"));
     }
 
     #[test]

@@ -9,10 +9,11 @@
 use ldbs::engine::{ColumnMeta, ResultSet};
 use ldbs::value::{DataType, Value};
 use mdbs::codec::{
-    columnar, decode_request, decode_request_as, decode_response, decode_response_as,
-    encode_request, encode_response, WireFormat,
+    columnar, decode_request, decode_request_as, decode_request_sized, decode_response,
+    decode_response_as, encode_request, encode_response, WireFormat,
 };
-use mdbs::proto::{Request, Response, TaskMode};
+use mdbs::planner::EdgeRule;
+use mdbs::proto::{CombineReport, HomeEdge, PartDone, Request, Response, TaskMode};
 use mdbs::wire;
 use netsim::BufferPool;
 use proptest::prelude::*;
@@ -123,21 +124,90 @@ fn request_strategy() -> impl Strategy<Value = Request> {
             .prop_map(|(database, tables)| Request::DropMany { database, tables }),
         (
             ident(),
-            proptest::option::of((ident(), nasty_string())),
-            proptest::collection::vec((ident(), payload_strategy()), 0..3),
-            nasty_string(),
             proptest::option::of(nasty_string()),
+            proptest::collection::vec(ident(), 0..3),
+            proptest::collection::vec(edge_strategy(), 0..3),
+            nasty_string(),
+            any::<bool>(),
         )
-            .prop_map(|(database, home, parts, sql, baseline)| Request::Combine {
+            .prop_map(|(database, home, parts, edges, sql, measure)| Request::Combine {
                 database,
                 home,
                 parts,
+                edges,
+                sql,
+                measure,
+            }),
+        (
+            any::<u64>(),
+            ident(),
+            ident(),
+            nasty_string(),
+            proptest::option::of(nasty_string()),
+            any::<bool>(),
+        )
+            .prop_map(|(key, to, database, sql, baseline, echo)| Request::Ship {
+                key,
+                to,
+                database,
                 sql,
                 baseline,
+                echo,
+            }),
+        (
+            any::<u64>(),
+            ident(),
+            proptest::option::of(payload_strategy()),
+            proptest::option::of(prop::sample::select(vec!["probe", "scan"])),
+            proptest::option::of(nasty_string()),
+            any::<u64>(),
+        )
+            .prop_map(|(key, database, payload, access, error, full_bytes)| {
+                // The text format cannot distinguish Some("") from None.
+                let payload = payload.filter(|p| !p.is_empty());
+                let access = access.map(str::to_string);
+                Request::Part { key, database, payload, access, error, full_bytes }
             }),
         Just(Request::Ping),
         Just(Request::Shutdown),
     ]
+}
+
+/// A reduction edge into a coordinator's home subquery: identifiers and
+/// either rule, a finite byte estimate included.
+fn edge_strategy() -> impl Strategy<Value = HomeEdge> {
+    let rule = prop_oneof![
+        (0..100_000usize).prop_map(EdgeRule::Cap),
+        (proptest::option::of(any::<u64>()), any::<f64>().prop_filter("finite", |f| f.is_finite()))
+            .prop_map(|(ndv, bytes)| EdgeRule::Bytes { ndv, bytes }),
+    ];
+    (ident(), ident(), ident(), ident(), rule).prop_map(
+        |(reducer, key_column, binding, column, rule)| HomeEdge {
+            reducer,
+            key_column,
+            binding,
+            column,
+            rule,
+        },
+    )
+}
+
+/// What a coordinator reports on one part that travelled to it.
+fn part_done_strategy() -> impl Strategy<Value = PartDone> {
+    (
+        any::<u64>(),
+        any::<u64>(),
+        proptest::option::of(prop::sample::select(vec!["probe", "scan"])),
+        proptest::option::of(nasty_string()),
+        any::<u64>(),
+    )
+        .prop_map(|(rows, bytes, access, error, saved)| PartDone {
+            rows,
+            bytes,
+            access: access.map(str::to_string),
+            error,
+            saved,
+        })
 }
 
 fn response_strategy() -> impl Strategy<Value = Response> {
@@ -186,11 +256,16 @@ fn response_strategy() -> impl Strategy<Value = Response> {
             any::<u64>(),
             proptest::option::of(prop::sample::select(vec!["probe", "scan"])),
             any::<u64>(),
+            // A key count is below 2^63: the binary frame packs its flag
+            // beside it.
+            proptest::collection::vec((0..u64::MAX >> 1, any::<bool>()), 0..3),
+            proptest::collection::vec(part_done_strategy(), 0..3),
         )
-            .prop_map(|(payload, home_rows, access, saved)| {
+            .prop_map(|(payload, home_rows, access, saved, edges, parts)| {
                 let payload = payload.filter(|p| !p.is_empty());
                 let access = access.map(str::to_string);
-                Response::CombineDone { payload, home_rows, access, saved }
+                let report = Box::new(CombineReport { edges, parts });
+                Response::CombineDone { payload, home_rows, access, saved, report }
             }),
         Just(Response::Ok),
         payload_strategy().prop_map(|payload| Response::OkPayload { payload }),
@@ -312,26 +387,21 @@ proptest! {
             &*encode_request(&pool, corr, &typed_req),
             &*encode_request(&pool, corr, &text_req)
         );
-        let home = Some(("p0".to_string(), "SELECT 1".to_string()));
-        let (sql, baseline) = ("SELECT * FROM p0, p1".to_string(), Some("SELECT 2".to_string()));
-        let typed_req = Request::Combine {
-            database: "db".into(),
-            home: home.clone(),
-            parts: vec![("p1".to_string(), rs.clone())],
-            sql: sql.clone(),
-            baseline: baseline.clone(),
-        };
-        let text_req = Request::Combine {
-            database: "db".into(),
-            home,
-            parts: vec![("p1".to_string(), text)],
-            sql,
-            baseline,
-        };
+        fn part<P>(payload: P) -> Request<P> {
+            Request::Part {
+                key: 7,
+                database: "db".into(),
+                payload: Some(payload),
+                access: Some("scan".to_string()),
+                error: None,
+                full_bytes: 0,
+            }
+        }
+        let (typed_req, text_req) = (part(rs.clone()), part(text));
         prop_assert_eq!(typed_req.encode(), text_req.encode());
         prop_assert_eq!(
-            &*encode_request(&pool, corr, &typed_req),
-            &*encode_request(&pool, corr, &text_req)
+            &*encode_request(&pool, None, &typed_req),
+            &*encode_request(&pool, None, &text_req)
         );
     }
 
@@ -360,15 +430,23 @@ proptest! {
         prop_assert_eq!(&got, &resp);
         prop_assert_eq!(size, WireFormat::Binary.payload_len(&rs));
 
-        let req = Request::Combine {
+        // A part, like a reply, reports the size of the block that carried
+        // its rows: the `bytes=` of the partial that travelled LAM to LAM.
+        let req = Request::Part {
+            key: 7,
             database: "db".into(),
-            home: Some(("h".to_string(), "SELECT 1".to_string())),
-            parts: vec![("p".to_string(), rs.clone())],
-            sql: "SELECT * FROM h, p".into(),
-            baseline: None,
+            payload: Some(rs.clone()),
+            access: None,
+            error: None,
+            full_bytes: 0,
         };
-        prop_assert_eq!(&Request::<ResultSet>::decode_as(&req.encode()).unwrap(), &req);
+        let (got, size) = Request::<ResultSet>::decode_sized(&req.encode()).unwrap();
+        prop_assert_eq!(&got, &req);
+        prop_assert_eq!(size, WireFormat::Text.payload_len(&rs));
         let frame = encode_request(&pool, corr, &req);
+        let (got_corr, got, size) = decode_request_sized::<ResultSet>(&frame).unwrap();
+        prop_assert_eq!((got_corr, &got), (corr, &req));
+        prop_assert_eq!(size, WireFormat::Binary.payload_len(&rs));
         prop_assert_eq!(decode_request_as::<ResultSet>(&frame).unwrap(), (corr, req));
         let req = Request::LoadMany { database: "db".into(), parts: vec![("p".to_string(), rs)] };
         prop_assert_eq!(&Request::<ResultSet>::decode_as(&req.encode()).unwrap(), &req);

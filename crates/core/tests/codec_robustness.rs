@@ -10,7 +10,8 @@ use mdbs::codec::{
     decode_request, decode_request_as, decode_response, decode_response_as, encode_request,
     encode_response,
 };
-use mdbs::proto::{Request, Response, TaskMode};
+use mdbs::planner::EdgeRule;
+use mdbs::proto::{CombineReport, HomeEdge, PartDone, Request, Response, TaskMode};
 use mdbs::MdbsError;
 use netsim::BufferPool;
 use rand::rngs::StdRng;
@@ -62,10 +63,50 @@ fn request_corpus() -> Vec<Vec<u8>> {
         Request::DropMany { database: "avis".into(), tables: vec!["p1".into(), "p2".into()] },
         Request::Combine {
             database: "avis".into(),
-            home: Some(("p0".into(), "SELECT code FROM cars WHERE code IN (1, 2)".into())),
-            parts: vec![("p1".into(), payload.to_string()), ("p2".into(), "COLS \n".to_string())],
-            sql: "SELECT * FROM p0, p1, p2".into(),
-            baseline: Some("SELECT code FROM cars".into()),
+            home: Some("SELECT c.code AS b_c_code FROM cars c".into()),
+            parts: vec!["national".into(), "hertz".into()],
+            edges: vec![
+                HomeEdge {
+                    reducer: "national".into(),
+                    key_column: "b_v_vcode".into(),
+                    binding: "c".into(),
+                    column: "code".into(),
+                    rule: EdgeRule::Cap(100),
+                },
+                HomeEdge {
+                    reducer: "national".into(),
+                    key_column: "b_v_rate".into(),
+                    binding: "c".into(),
+                    column: "rate".into(),
+                    rule: EdgeRule::Bytes { ndv: Some(7), bytes: 340.5 },
+                },
+            ],
+            sql: "SELECT * FROM part_avis, part_national, part_hertz".into(),
+            measure: true,
+        },
+        Request::Ship {
+            key: 41,
+            to: "site2".into(),
+            database: "avis".into(),
+            sql: "SELECT code FROM cars".into(),
+            baseline: Some("SELECT code FROM cars WHERE rate > 0".into()),
+            echo: true,
+        },
+        Request::Part {
+            key: 41,
+            database: "avis".into(),
+            payload: Some(payload.to_string()),
+            access: Some("scan".into()),
+            error: None,
+            full_bytes: 340,
+        },
+        Request::Part {
+            key: 42,
+            database: "avis".into(),
+            payload: None,
+            access: None,
+            error: Some("unknown column | nope".into()),
+            full_bytes: 0,
         },
         Request::Ping,
         Request::Shutdown,
@@ -80,7 +121,7 @@ fn request_corpus() -> Vec<Vec<u8>> {
 fn response_corpus() -> Vec<Vec<u8>> {
     let pool = BufferPool::default();
     let payload = "COLS code:int\nR I:1\nR I:2\nR N\n";
-    let resps: [Response; 8] = [
+    let resps: [Response; 9] = [
         Response::Ok,
         Response::OkPayload { payload: payload.into() },
         Response::Err { message: "lock conflict | details\nline2".into() },
@@ -110,6 +151,29 @@ fn response_corpus() -> Vec<Vec<u8>> {
             home_rows: 3,
             access: Some("scan".into()),
             saved: 340,
+            report: Box::new(CombineReport {
+                edges: vec![(4, true), (0, false)],
+                parts: vec![PartDone {
+                    rows: 3,
+                    bytes: 72,
+                    access: Some("probe".into()),
+                    error: None,
+                    saved: 9,
+                }],
+            }),
+        },
+        Response::CombineDone {
+            payload: None,
+            home_rows: 0,
+            access: None,
+            saved: 0,
+            report: Box::new(CombineReport {
+                edges: Vec::new(),
+                parts: vec![PartDone {
+                    error: Some("type error | x".into()),
+                    ..PartDone::default()
+                }],
+            }),
         },
     ];
     resps
@@ -263,7 +327,7 @@ fn seeded_bit_flip_sweep_never_panics_or_destabilizes() {
     // The sweep must actually exercise the rejection paths (and a strict
     // format rejects the overwhelming majority of random corruption).
     assert!(rejected > absorbed, "rejected={rejected} absorbed={absorbed}");
-    assert!(rejected + absorbed == 16 * 200 + 8 * 200);
+    assert!(rejected + absorbed == 19 * 200 + 9 * 200);
 }
 
 /// The typed decoders under the same mutants: rejected with

@@ -6,7 +6,7 @@
 //! given append. This crate drives a real federation — five LAM threads on
 //! a seeded simulated network — through the paper's queries under such
 //! crashes (optionally combined with seeded message loss), runs
-//! [`mdbs::Federation::recover`], and checks two invariants:
+//! [`mdbs::Federation::recover`], and checks four invariants:
 //!
 //! 1. **Consistency** (§3.4): for every interrupted statement, the oracle
 //!    task set either exactly realises one acceptable termination state or
@@ -14,6 +14,11 @@
 //! 2. **No orphans**: after recovery, no LDBS holds a prepared
 //!    transaction whose coordinator is gone
 //!    ([`ldbs::Engine::prepared_txns`] is empty everywhere).
+//! 3. **Right or failed**: a schedule that ends in a single table (a
+//!    cross-database join, whose partial travels LAM to LAM) either returns
+//!    the loss-free schedule's table or fails with an error.
+//! 4. **No stray temporaries**: no LAM database holds a `part_*` table its
+//!    DBA did not export.
 //!
 //! Everything is deterministic: the retry jitter and the logical clock are
 //! seeded, and every directed link draws its message losses from a stream of
@@ -28,7 +33,7 @@
 
 use mdbs::fixtures::{paper_federation_with, FederationProfiles};
 use mdbs::retry::RetryPolicy;
-use mdbs::{CrashPlan, CrashWhen, Federation};
+use mdbs::{CrashPlan, CrashWhen, Federation, MsqlOutcome};
 use netsim::Network;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -168,6 +173,21 @@ pub const DEFERRED_COMP: Scenario = Scenario {
     deferred: true,
 };
 
+/// The benchmark's `xjoin_small`: a two-site join whose reducer (avis, site4)
+/// ships its partial straight to the coordinator's LAM (continental, site1).
+/// It first gives the rented avis car a continental fare, as the benchmark
+/// does, so the join returns a row. Joins log nothing, so its crash-point
+/// space is empty; seeded loss on its two sites hits the LAM → LAM link too.
+pub const XJOIN_SMALL: Scenario = Scenario {
+    name: "xjoin_small",
+    msql: "USE avis UPDATE cars SET rate = 80 WHERE code = 2;
+        USE avis continental
+        SELECT c.code, f.flnu, f.rate FROM avis.cars c, continental.flights f
+        WHERE c.rate = f.rate",
+    autocommit_continental: false,
+    deferred: false,
+};
+
 /// Every scenario the sweeps cover.
 pub const SCENARIOS: &[Scenario] = &[
     Q1_RETRIEVAL,
@@ -176,6 +196,7 @@ pub const SCENARIOS: &[Scenario] = &[
     Q4_TRAVEL_AGENT,
     DEFERRED_COMMIT,
     DEFERRED_COMP,
+    XJOIN_SMALL,
 ];
 
 /// The scenarios with a settle phase — the ones a crash can interrupt.
@@ -236,6 +257,8 @@ pub struct SimOutcome {
     pub wal: Vec<String>,
     /// Messages the network dropped over the whole run.
     pub dropped: u64,
+    /// The script's last outcome when it is a single table (a join's).
+    pub answer: Option<String>,
 }
 
 fn build_federation(scenario: &Scenario, cfg: &SimConfig) -> Federation {
@@ -302,7 +325,13 @@ pub fn run(scenario: &Scenario, cfg: &SimConfig) -> Result<SimOutcome, String> {
     if let Some(plan) = cfg.crash {
         wal.arm_crash(plan);
     }
-    let exec_error = fed.execute_script(scenario.msql).err().map(|e| e.to_string());
+    let (answer, exec_error) = match fed.execute_script(scenario.msql) {
+        Ok(outcomes) => match outcomes.last() {
+            Some(MsqlOutcome::Table(table)) => (Some(format!("{table:?}")), None),
+            _ => (None, None),
+        },
+        Err(e) => (None, Some(e.to_string())),
+    };
     let crashed = wal.crashed();
     if cfg.crash.is_some() && cfg.drop_sites.is_empty() && !crashed {
         // A loss-free schedule must reach its crash point unless the point
@@ -320,6 +349,16 @@ pub fn run(scenario: &Scenario, cfg: &SimConfig) -> Result<SimOutcome, String> {
     // The operator fixes the network, then restarts the coordinator:
     // recovery runs loss-free. It is a no-op when nothing was interrupted.
     quiesce(&fed);
+    if let (Some(got), false) = (&answer, cfg.drop_sites.is_empty()) {
+        let clean = run(scenario, &SimConfig::clean(cfg.seed))?.answer;
+        if clean.as_ref() != Some(got) {
+            return Err(format!(
+                "[{}] WRONG ANSWER under loss: {got} instead of {clean:?}; cfg={cfg:?}",
+                scenario.name
+            ));
+        }
+    }
+    stray_temporaries(&fed).map_err(|e| format!("[{}] {e}; cfg={cfg:?}", scenario.name))?;
     heal(&fed, &cfg.drop_sites);
     if let Some(plan) = cfg.recovery_crash {
         wal.arm_crash(plan);
@@ -386,7 +425,28 @@ pub fn run(scenario: &Scenario, cfg: &SimConfig) -> Result<SimOutcome, String> {
         recovery_passes: passes,
         wal: records.iter().map(wal::WalRecord::encode).collect(),
         dropped: fed.network().stats().dropped,
+        answer,
     })
+}
+
+/// The `part_*` tables a LAM database holds that its DBA did not export: a
+/// join's temporaries, which must never outlive the `COMBINE` that made them.
+fn stray_temporaries(fed: &Federation) -> Result<(), String> {
+    for service in SERVICES {
+        let database = service.trim_start_matches("svc_");
+        let engine = fed.engine(service).expect("fixture service exists");
+        let engine = engine.lock();
+        let db = engine.database(database).map_err(|e| e.to_string())?;
+        let strays: Vec<String> = db
+            .table_names()
+            .into_iter()
+            .filter(|t| t.starts_with("part_") && db.table(t).is_ok_and(|t| !t.schema.public))
+            .collect();
+        if !strays.is_empty() {
+            return Err(format!("STRAY temporaries in `{database}`: {strays:?}"));
+        }
+    }
+    Ok(())
 }
 
 /// The crash-point space of a scenario: the number of WAL records a
@@ -496,6 +556,13 @@ mod tests {
     #[test]
     fn retrieval_has_no_crash_points() {
         assert_eq!(crash_point_count(&Q1_RETRIEVAL), 0, "retrievals never engage the WAL");
+    }
+
+    #[test]
+    fn the_clean_join_answers_its_one_row() {
+        let out = run(&XJOIN_SMALL, &SimConfig::clean(1)).unwrap();
+        let answer = out.answer.expect("a join ends in one table");
+        assert!(answer.contains("Int(2), Int(2), Float(80.0)"), "{answer}");
     }
 
     #[test]

@@ -8,9 +8,14 @@
 //! ```
 //!
 //! A second test runs every lossy schedule among seeds 0..40 twice and
-//! requires the two runs to agree: replay is checked, not assumed.
+//! requires the two runs to agree: replay is checked, not assumed. A third
+//! runs the benchmark's two-site join under seeded loss on both of its sites,
+//! the LAM → LAM link included.
 
-use sim::{crash_point_count, repro_command, run, schedule_for_seed, seed_range, CRASHABLE};
+use sim::{
+    crash_point_count, repro_command, run, schedule_for_seed, seed_range, SimConfig, SimRng,
+    CRASHABLE, XJOIN_SMALL,
+};
 
 #[test]
 fn seeded_schedules_keep_the_federation_consistent() {
@@ -67,4 +72,31 @@ fn lossy_schedules_replay_from_their_seed() {
     }
     assert!(lossy >= 10, "only {lossy} of seeds 0..40 are lossy — generator drifted");
     assert!(dropped > 0, "no lossy schedule lost a message");
+}
+
+#[test]
+fn lossy_joins_answer_right_or_fail() {
+    // Loss on avis' and continental's links: the SHIP, the PART that travels
+    // from avis' LAM to continental's, the COMBINE and its reply all meet
+    // it. `run` checks, after the federation quiesced, that every schedule
+    // returned the loss-free table or failed with an error, and that no stray
+    // temporary is left at any site; each schedule also replays exactly.
+    let (mut answered, mut failed, mut dropped) = (0u32, 0u32, 0u64);
+    for seed in seed_range(0..16) {
+        let mut rng = SimRng::new(seed);
+        let drop_p = [0.1, 0.2, 0.3][rng.below(3) as usize];
+        let cfg =
+            SimConfig { drop_sites: vec!["site1", "site4"], drop_p, ..SimConfig::clean(seed) };
+        let replay =
+            || run(&XJOIN_SMALL, &cfg).unwrap_or_else(|e| panic!("seed {seed} failed:\n{e}"));
+        let (first, second) = (replay(), replay());
+        assert_eq!(first, second, "seed {seed} did not replay: {cfg:?}");
+        match first.exec_error {
+            None => answered += 1,
+            Some(_) => failed += 1,
+        }
+        dropped += first.dropped;
+    }
+    assert!(dropped > 0, "no schedule lost a message");
+    assert!(answered > 0, "no lossy join answered (failed {failed})");
 }

@@ -1,11 +1,12 @@
 //! The cross-database join fast path, end to end.
 //!
 //! A selective equi-join between continental and delta is decomposed into
-//! two local subqueries; the executor picks continental as the semi-join
-//! *reducer*, ships its distinct join-key values to delta as an injected
-//! `IN (…)` filter (so only matching rows cross the wire), collects both
-//! partials at the coordinator in one batched round trip, and hash-joins
-//! the two-table Q' there. EXPLAIN names the strategy and the measured
+//! two local subqueries; the planner picks continental as the semi-join
+//! *reducer* and delta as the coordinator. Continental's partial travels
+//! straight from its LAM to delta's, whose LAM turns its distinct join-key
+//! values into an `IN (…)` filter on delta's own subquery (so only matching
+//! rows are materialised) and hash-joins the two-table Q' there — one DOL
+//! program, four messages. EXPLAIN names the strategy and the measured
 //! bytes the reduction saved; turning `Federation::semijoin` off shows the
 //! same rows shipping the full partials instead. Creating a secondary index
 //! on the reduced side's join column then flips its partial from a full

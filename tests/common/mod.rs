@@ -81,9 +81,9 @@ impl Tap {
     }
 
     /// The requests recorded since the last call that had the site evaluate
-    /// a join subquery — `PARTIAL` / `PARTIALAGG`, or a `COMBINE` carrying
-    /// its home subquery (handshakes, statistics fetches and the like are
-    /// dropped).
+    /// a join subquery — `PARTIAL` / `PARTIALAGG` / `SHIP`, or a `COMBINE`
+    /// carrying its home subquery (handshakes, statistics fetches, the parts
+    /// other LAMs ship here and the like are dropped).
     pub fn drain_partials(&self) -> Vec<RowsRequest> {
         let mut seen = std::mem::take(&mut *self.seen.lock().unwrap());
         seen.retain(|r| {
@@ -91,6 +91,7 @@ impl Tap {
                 r,
                 RowsRequest::Partial { .. }
                     | RowsRequest::PartialAgg { .. }
+                    | RowsRequest::Ship { .. }
                     | RowsRequest::Combine { .. }
             )
         });

@@ -123,8 +123,7 @@ fn leftover_temporaries(fed: &mdbs::Federation) -> Vec<String> {
 #[test]
 fn a_failed_join_leaves_no_temporaries_at_the_coordinator() {
     use ldbs::engine::{ColumnMeta, ResultSet};
-    use mdbs::lamclient::LamClient;
-    use mdbs::proto::RowsResponse;
+    use mdbs::proto::{self, RowsResponse};
     use mdbs::retry::RetryPolicy;
     use std::time::Duration;
 
@@ -144,40 +143,56 @@ fn a_failed_join_leaves_no_temporaries_at_the_coordinator() {
     assert!(matches!(err, mdbs::MdbsError::Local { .. }), "{err:?}");
     assert_eq!(leftover_temporaries(&fed), Vec::<String>::new(), "after a failed Q'");
 
-    // A COMBINE refused on its second part (a row wider than its columns: no
-    // well-formed message; a string in an INT column: no loadable table),
-    // and one whose home subquery fails: none installs anything.
-    let client =
-        LamClient::connect(fed.network(), "site1", "continental", Duration::from_secs(5)).unwrap();
-    let part = |row: Vec<Value>| ResultSet {
-        columns: vec![ColumnMeta { name: "k".into(), data_type: ldbs::value::DataType::Int }],
-        rows: vec![row],
+    // A COMBINE refused on its second part (a string in an INT column: no
+    // loadable table), and one whose home subquery fails: none installs
+    // anything. A part that is not even a well-formed message (a row wider
+    // than its columns) is refused to whoever sent it and never filed. Each
+    // part is a PART frame keyed by its COMBINE's correlation id, sent as the
+    // parts' LAMs send them.
+    let probe = fed.network().register("probe").unwrap();
+    let part = |key: u64, database: &str, row: Vec<Value>| Request::Part {
+        key,
+        database: database.into(),
+        payload: Some(ResultSet {
+            columns: vec![ColumnMeta { name: "k".into(), data_type: ldbs::value::DataType::Int }],
+            rows: vec![row],
+        }),
+        access: None,
+        error: None,
+        full_bytes: 0,
     };
-    let combine = |home_sql: &str, second: Vec<Value>| Request::Combine {
-        database: "continental".into(),
-        home: Some(("part_home".to_string(), home_sql.to_string())),
-        parts: vec![
-            ("part_one".to_string(), part(vec![Value::Int(1)])),
-            ("part_two".to_string(), part(second)),
-        ],
-        sql: "SELECT part_one.k FROM part_one, part_two, part_home".into(),
-        baseline: None,
+    let exchange = |key: u64, home_sql: &str, second: Vec<Value>| {
+        for part in [part(key, "one", vec![Value::Int(1)]), part(key, "two", second)] {
+            probe.send("site1", part.encode()).unwrap();
+        }
+        let combine = Request::<ResultSet>::Combine {
+            database: "continental".into(),
+            home: Some(home_sql.to_string()),
+            parts: vec!["one".into(), "two".into()],
+            edges: Vec::new(),
+            sql: "SELECT part_one.k FROM part_one, part_two, part_continental".into(),
+            measure: false,
+        };
+        probe.send("site1", proto::encode_with_correlation(key, &combine.encode())).unwrap();
+        let reply = probe.recv_timeout(Duration::from_secs(5)).unwrap();
+        let (id, body) = proto::split_correlation(reply.body.as_str());
+        assert_eq!(id, Some(key), "{:?}", reply.body);
+        RowsResponse::decode_as(body).unwrap().0
     };
-    let wide = vec![Value::Int(1), Value::Int(2)];
-    for (what, request, said) in [
-        ("a malformed part", combine("SELECT flnu FROM flights", wide), "2 values for 1 columns"),
-        (
-            "a refused part",
-            combine("SELECT flnu FROM flights", vec![Value::Str("x".into())]),
-            "'x'",
-        ),
-        (
-            "a failed home subquery",
-            combine("SELECT nope FROM flights", vec![Value::Int(1)]),
-            "nope",
-        ),
+    let wide = part(u64::MAX, "two", vec![Value::Int(1), Value::Int(2)]);
+    probe.send("site1", wide.encode()).unwrap();
+    let refused = probe.recv_timeout(Duration::from_secs(5)).unwrap();
+    let refused = RowsResponse::decode_as(refused.body.as_str()).unwrap().0;
+    assert!(
+        matches!(&refused, RowsResponse::Err { message } if message.contains("2 values for 1 columns")),
+        "a malformed part: {refused:?}"
+    );
+    assert_eq!(leftover_temporaries(&fed), Vec::<String>::new(), "after a malformed part");
+    for (key, what, home_sql, second, said) in [
+        (u64::MAX - 1, "a refused part", "SELECT flnu FROM flights", Value::Str("x".into()), "'x'"),
+        (u64::MAX - 2, "a failed home subquery", "SELECT nope FROM flights", Value::Int(1), "nope"),
     ] {
-        let refused = client.call(request).unwrap();
+        let refused = exchange(key, home_sql, vec![second]);
         assert!(
             matches!(&refused, RowsResponse::Err { message } if message.contains(said)),
             "{what}: {refused:?}"
@@ -185,12 +200,15 @@ fn a_failed_join_leaves_no_temporaries_at_the_coordinator() {
         assert_eq!(leftover_temporaries(&fed), Vec::<String>::new(), "after {what}");
     }
     // The same request, well-formed, is served — and cleans up as well.
-    let served = client.call(combine("SELECT flnu FROM flights", vec![Value::Int(1)])).unwrap();
-    let RowsResponse::CombineDone { payload: Some(rows), home_rows: 3, .. } = served else {
+    let served = exchange(u64::MAX - 3, "SELECT flnu FROM flights", vec![Value::Int(1)]);
+    let RowsResponse::CombineDone { payload: Some(rows), home_rows: 3, report, .. } = served else {
         panic!("{served:?}")
     };
     assert_eq!(rows.rows.len(), 3);
+    let parts: Vec<u64> = report.parts.iter().map(|p| p.rows).collect();
+    assert_eq!(parts, vec![1, 1], "each part's report");
     assert_eq!(leftover_temporaries(&fed), Vec::<String>::new(), "after a served COMBINE");
+    fed.network().deregister("probe");
 
     // COMBINE served but its reply lost (one attempt, so the statement fails
     // on the timeout): the LAM had dropped the temporaries before it replied.
@@ -550,18 +568,20 @@ fn coordinator_requests_are_metered_like_every_other_request() {
             count(&after) - count(&before)
         };
         let messages = after.counters["net.messages"] - before.counters["net.messages"];
-        // One partial travels, then the COMBINE at the coordinator.
+        // The COMBINE's task encodes its own request and the SHIP that sends
+        // the one travelling partial straight to the coordinator's LAM; only
+        // the COMBINE is answered. The partial's rows cross once, LAM to LAM.
         assert_eq!(grew(&series("wire.encode_us")), 2, "{format:?}");
-        assert_eq!(grew(&series("wire.decode_us")), 2, "{format:?}");
-        assert_eq!(messages, 4, "{format:?}: one request and one reply each");
+        assert_eq!(grew(&series("wire.decode_us")), 1, "{format:?}");
+        assert_eq!(messages, 4, "{format:?}: SHIP, PART, COMBINE and its reply");
     }
 }
 
 /// A site runs each subquery once. Only `EXPLAIN` asks the reduced site to
 /// evaluate the unreduced subquery as well, to report what the semi-join
-/// saved; a plain statement sends no baseline and scans no row for one —
-/// pinned on the wire (what `COMBINE` carried for the reduced home subquery)
-/// and in the engines' own counters, under both wire formats.
+/// saved; a plain statement asks for no baseline and scans no row for one —
+/// pinned on the wire (what `COMBINE` carried for the home subquery its LAM
+/// reduces) and in the engines' own counters, under both wire formats.
 #[test]
 fn a_reduced_join_runs_each_subquery_once_outside_explain() {
     for format in [WireFormat::Text, WireFormat::Binary] {
@@ -595,13 +615,14 @@ fn a_reduced_join_runs_each_subquery_once_outside_explain() {
             "{format:?}: one scan plus Q' over the partials"
         );
         let sent = tap.drain_partials();
-        let [Request::Combine { home: Some((_, sql)), baseline: None, parts, .. }] =
+        let [Request::Combine { home: Some(sql), measure: false, parts, edges, .. }] =
             sent.as_slice()
         else {
             panic!("{format:?}: delta should see one COMBINE without a baseline, saw {sent:?}");
         };
-        assert_eq!(parts.len(), 1, "only continental's partial travelled");
-        assert!(sql.contains(" IN ("), "the subquery was semi-join reduced: {sql}");
+        assert_eq!(parts, &["continental".to_string()], "only continental's partial travelled");
+        assert_eq!(edges.len(), 2, "delta reduces its own subquery by both keys");
+        assert!(!sql.contains(" IN ("), "the MDBS layer sent the subquery as decomposed: {sql}");
         assert_eq!(fed.metrics_registry().counter("lam.bytes_saved{db=delta}"), 0);
 
         // EXPLAIN of the same statement: delta also runs the unreduced
@@ -615,8 +636,9 @@ fn a_reduced_join_runs_each_subquery_once_outside_explain() {
             "{format:?}: the baseline scans the table again"
         );
         let sent = tap.drain_partials();
-        let [Request::Combine { baseline: Some(unreduced), .. }] = sent.as_slice() else {
-            panic!("{format:?}: EXPLAIN sends the baseline, saw {sent:?}");
+        let [Request::Combine { measure: true, home: Some(unreduced), .. }] = sent.as_slice()
+        else {
+            panic!("{format:?}: EXPLAIN asks for the baseline, saw {sent:?}");
         };
         assert!(!unreduced.contains(" IN ("), "{unreduced}");
         let text = report.render();

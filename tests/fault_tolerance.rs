@@ -627,6 +627,66 @@ fn a_join_whose_coordinator_is_lost_fails_fast_or_retries_like_any_other_exchang
     assert!(names.iter().all(|n| !n.starts_with("part_")), "{names:?}");
 }
 
+/// The paper join: avis reduces, and its partial travels straight from its
+/// LAM (site4) to continental's (site1), which coordinates.
+const XJOIN: &str = "USE avis continental
+                     SELECT c.code, f.flnu, f.rate FROM avis.cars c, continental.flights f
+                     WHERE c.rate = f.rate";
+
+fn xjoin_federation() -> (Federation, ldbs::engine::ResultSet) {
+    let mut fed = paper_federation_with(Network::new(), FederationProfiles::default());
+    fed.timeout = Duration::from_millis(150);
+    fed.retry = RetryPolicy::retries(3);
+    fed.execute("USE avis UPDATE cars SET rate = 80 WHERE code = 2").unwrap();
+    let expected = fed.execute(XJOIN).unwrap().into_table().unwrap();
+    assert_eq!(expected.rows.len(), 1);
+    (fed, expected)
+}
+
+#[test]
+fn a_lost_lam_to_lam_part_is_resent_and_the_join_answers() {
+    let (mut fed, expected) = xjoin_federation();
+    // avis' PART to continental is lost once: the COMBINE waits for it in
+    // continental's stash, times out at the client, and the retry resends
+    // the SHIP with the COMBINE; the second PART completes the join.
+    fed.network().drop_next("site4", "site1", 1);
+    let retries = fed.exec_stats().retries;
+    assert_eq!(fed.execute(XJOIN).unwrap().into_table().unwrap(), expected);
+    assert_eq!(fed.exec_stats().retries - retries, 1, "exactly one resend");
+    assert_eq!(fed.network().stats().dropped, 1);
+    // Nothing was left behind at the coordinator, and the next join is clean.
+    let continental = fed.engine("svc_continental").unwrap();
+    let names = continental.lock().database("continental").unwrap().table_names();
+    assert!(names.iter().all(|n| !n.starts_with("part_")), "{names:?}");
+    let retries = fed.exec_stats().retries;
+    assert_eq!(fed.execute(XJOIN).unwrap().into_table().unwrap(), expected);
+    assert_eq!(fed.exec_stats().retries, retries);
+}
+
+#[test]
+fn a_partitioned_reducer_and_coordinator_fail_the_join_within_the_retry_budget() {
+    let (mut fed, expected) = xjoin_federation();
+    // Both LAMs are up and reachable from the MDBS layer, but not from each
+    // other: every PART is lost. The COMBINE's client times out on each of
+    // its attempts and gives up, naming the coordinator's site — no hang.
+    fed.network().partition("site4", "site1");
+    let start = Instant::now();
+    let err = fed.execute(XJOIN).unwrap_err();
+    let elapsed = start.elapsed();
+    assert!(
+        matches!(&err, MdbsError::Net(message) if message.contains("site `site1`")),
+        "expected a timeout naming the coordinator's site, got {err:?}"
+    );
+    // Every attempt waited its 150 ms, and that was all: well under two
+    // seconds, backoff included.
+    let budget = fed.timeout * fed.retry.max_attempts;
+    assert!(elapsed >= budget, "every attempt waited: {elapsed:?} < {budget:?}");
+    assert!(elapsed < Duration::from_secs(2), "{elapsed:?}");
+    // Healed, the same join answers again.
+    fed.network().heal("site4", "site1");
+    assert_eq!(fed.execute(XJOIN).unwrap().into_table().unwrap(), expected);
+}
+
 #[test]
 fn a_respawned_lam_is_reconnected_transparently() {
     let net = Network::new();

@@ -97,3 +97,43 @@ fn a_failed_retrieval_keeps_the_sites_words() {
     assert_eq!(database, "national");
     assert_eq!(message, "type error: cannot apply + to 7 and 'x'");
 }
+
+/// A retrieval that fails at some databases and not others returns the
+/// tables it got and says which databases are missing and why — in plan
+/// order and in the site's words — instead of silently returning fewer
+/// tables.
+#[test]
+fn a_partly_failed_retrieval_names_each_missing_database() {
+    let mut fed = paper_federation();
+    fed.tolerate_unreachable = true;
+    fed.timeout = std::time::Duration::from_millis(300);
+    // national's site (site5) vanishes.
+    fed.network().deregister("site5");
+    let mt = fed
+        .execute(
+            "USE avis national
+             LET car.type.status BE cars.cartype.carst vehicle.vty.vstat
+             SELECT %code, type, ~rate FROM car WHERE status = 'available'",
+        )
+        .unwrap()
+        .into_multitable()
+        .unwrap();
+    assert_eq!(mt.tables.len(), 1);
+    assert_eq!(mt.tables[0].database, "avis");
+    assert_eq!(mt.failed.len(), 1, "{mt:?}");
+    assert_eq!(mt.failed[0].database, "national");
+    assert!(mt.failed[0].error.contains("site5"), "{:?}", mt.failed[0]);
+    assert!(mt.to_string().contains("-- national failed: "), "{mt}");
+
+    // A local error at one of the two is the site's own words.
+    let mut fed = paper_federation();
+    let mt = fed
+        .execute("USE avis national LET car.c BE cars.code vehicle.vty SELECT c + 1 FROM car")
+        .unwrap()
+        .into_multitable()
+        .unwrap();
+    assert_eq!(mt.tables.iter().map(|t| t.database.as_str()).collect::<Vec<_>>(), vec!["avis"]);
+    assert_eq!(mt.failed.len(), 1, "{mt:?}");
+    assert_eq!(mt.failed[0].database, "national");
+    assert!(mt.failed[0].error.contains("cannot apply +"), "{:?}", mt.failed[0]);
+}

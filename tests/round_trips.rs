@@ -9,17 +9,18 @@
 //!   `PING` handshake (2 messages) per database it opens;
 //! * **warm** — every later statement reuses the session's pooled
 //!   connections and sends only messages that carry work: one request and
-//!   one reply per task, per settle acknowledgement, per travelling partial,
-//!   and one exchange (COMBINE) at a join's coordinator.
+//!   one reply per task and per settle acknowledgement; a join sends a SHIP
+//!   and a PART per travelling partial, and one exchange (COMBINE) at its
+//!   coordinator.
 //!
 //! What a statement returns never depends on which of the two it was. The
 //! warm run repeats the cold run's text, so it runs the plan the session
 //! cached (DESIGN §3a.18); it sends what a freshly translated text sends.
 //!
 //! Messages bound a statement's round trips from above; the suite also pins
-//! how many of them are *sequential*, by the clock: on a fabric where every
-//! message takes 25 ms a warm statement waits 50 ms per sequential round
-//! trip, whatever it overlaps.
+//! how many of them are *sequential*, by the clock, in half round trips: on
+//! a fabric where every message takes 25 ms a warm statement waits 25 ms per
+//! sequential one-way hop, whatever it overlaps.
 
 use mdbs::fixtures::paper_federation;
 use mdbs::{MsqlOutcome, Session, WireFormat};
@@ -108,8 +109,10 @@ const CLASSES: &[(&str, &str, u64, u64)] = &[
         4,
     ),
     (
-        // Reducer partial, then COMBINE at the other site, whose own reduced
-        // subquery rides inside it. Cold, one handshake per site.
+        // A SHIP to the reducer and the COMBINE at the other site, whose own
+        // subquery rides inside it and is reduced there; the reducer's PART
+        // goes straight to the coordinator's LAM, and only the COMBINE is
+        // answered. Cold, one handshake per site.
         "xjoin_small",
         "USE avis continental
          SELECT c.code, f.flnu, f.rate FROM avis.cars c, continental.flights f
@@ -119,19 +122,20 @@ const CLASSES: &[(&str, &str, u64, u64)] = &[
     ),
 ];
 
-/// `(class, sequential round trips warm)`: one per task batch or settle
-/// wave, one per step of a join.
+/// `(class, sequential half round trips warm)` — one-way hops, by the clock:
+/// two per task batch or settle wave, three for a join.
 const SEQUENTIAL: &[(&str, u32)] = &[
-    ("q1_flights", 1),
-    ("q1_cars", 1),
-    ("q2_nonvital", 1),
+    ("q1_flights", 2),
+    ("q1_cars", 2),
+    ("q2_nonvital", 2),
     // The three tasks, then the COMMIT list.
-    ("q2_vital", 2),
+    ("q2_vital", 4),
     // The four tasks, then the COMMIT and ABORT lists as one wave.
-    ("q4_mtx", 2),
-    ("q4_reset", 1),
-    // The reducer's partial, then the COMBINE.
-    ("xjoin_small", 2),
+    ("q4_mtx", 4),
+    ("q4_reset", 2),
+    // The SHIP and the COMBINE out together, the PART from LAM to LAM, the
+    // COMBINE's reply back: one and a half round trips.
+    ("xjoin_small", 3),
 ];
 
 /// What the user sees of an outcome, minus communication accounting (a cold
@@ -220,7 +224,7 @@ fn sequential_round_trips_are_pinned_by_the_clock() {
     fed.execute(CLASSES.last().unwrap().1).unwrap();
     fed.network().set_latency(LatencyModel::uniform(ONE_WAY));
     let round_trip = (2 * ONE_WAY).as_secs_f64();
-    for &(class, k) in SEQUENTIAL {
+    for &(class, halves) in SEQUENTIAL {
         let msql = CLASSES.iter().find(|c| c.0 == class).unwrap().1;
         let mut session = fed.session();
         // Warm up the connections, then take the best of three warm runs: a
@@ -233,7 +237,7 @@ fn sequential_round_trips_are_pinned_by_the_clock() {
                 start.elapsed().as_secs_f64() / round_trip
             })
             .fold(f64::INFINITY, f64::min);
-        let k = f64::from(k);
+        let k = f64::from(halves) / 2.0;
         assert!(k <= best && best < k + 0.6, "{class}: {best:.2} round trips, expected {k}");
     }
     fed.network().set_latency(LatencyModel::instant());

@@ -14,9 +14,9 @@
 //!
 //! A second suite ships large and awkward result sets — thousands of rows,
 //! NULLs, signed zeros, empty strings, separators and escapes inside strings
-//! — through a retrieval, a semi-join-reduced join whose partial is forwarded
-//! to the coordinator and a pushed aggregate, and checks both formats against
-//! a plain-Rust evaluation of the generated data.
+//! — through a retrieval, a semi-join-reduced join whose partial travels
+//! straight to the coordinator's LAM and a pushed aggregate, and checks both
+//! formats against a plain-Rust evaluation of the generated data.
 
 use ldbs::profile::DbmsProfile;
 use ldbs::value::Value;
@@ -73,13 +73,19 @@ const JOINS: &[&str] = &[
     "SELECT a.flnu, b.fnu, c.code
      FROM continental.flights a, delta.flight b, avis.cars c
      WHERE a.source = b.source AND c.code = 1 ORDER BY a.flnu, b.fnu",
-    // Keys shipped both to the coordinator (inside its COMBINE) and to a site
-    // whose reduced partial travels.
+    // Keys that reduce both the coordinator (applied at its LAM) and a site
+    // whose reduced partial travels: the reducer's rows come back to the MDBS
+    // layer for that filter, and go to the coordinator too.
     "SELECT f.flnu, g.fnu, u.fn
      FROM continental.flights f, delta.flight g, united.flight u
      WHERE f.source = g.source AND f.destination = g.dest
        AND f.source = u.sour AND f.destination = u.dest ORDER BY f.flnu, g.fnu, u.fn",
 ];
+
+/// The paper join: avis (site4) reduces, and its partial travels to
+/// continental's LAM.
+const XJOIN: &str = "SELECT c.code, f.flnu, f.rate FROM avis.cars c, continental.flights f
+     WHERE c.rate = f.rate";
 
 /// Everything one suite run observes above the transport. Two runs that
 /// differ only in wire format must produce equal `Observed` values.
@@ -211,9 +217,10 @@ fn binary_ships_fewer_bytes_for_the_same_suite() {
 }
 
 /// The seeded fault-injection schedule: every link touching site4/site5
-/// drops 30% of messages. Each link draws its losses from a stream of its
-/// own, seeded from the network seed and the link's endpoint names, so the
-/// same drop schedule hits both formats however the fan-out's replies
+/// drops 30% of messages — avis' `PART` on its way from site4 to the
+/// coordinator's LAM included. Each link draws its losses from a stream of
+/// its own, seeded from the network seed and the link's endpoint names, so
+/// the same drop schedule hits both formats however the fan-out's replies
 /// interleave, and retries must converge to the same result with the same
 /// fault accounting.
 #[test]
@@ -231,9 +238,10 @@ fn seeded_fault_schedule_is_identical_under_both_formats() {
             fed.network().set_link_drop_probability(site, "*", 0.3);
         }
         let mt = fed.execute(Q1).unwrap().into_multitable().unwrap();
+        let join = fed.execute(&format!("USE avis continental {}", XJOIN)).unwrap();
         let dropped = fed.network().stats().dropped;
         assert!(dropped > 0, "the drop injection actually fired ({format:?})");
-        observed.push((format!("{mt:?}"), fed.exec_stats(), dropped));
+        observed.push((format!("{mt:?} {join:?}"), fed.exec_stats(), dropped));
         for site in &sites {
             fed.network().clear_link_drop_probability("*", site);
             fed.network().clear_link_drop_probability(site, "*");
