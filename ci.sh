@@ -158,9 +158,10 @@ for f in crates/core/src/{federation,executor,gtxn,planner}.rs; do
 done
 
 # LOADMANY / DROPMANY are retired from the client side: a join's coordinator is
-# one COMBINE. They stay decodable and served (proto.rs, codec/, lam.rs) only
-# because fedbench/src/layers.rs builds them field by field, and go with
-# ROADMAP item 1(b); nothing else in the crate may name them.
+# one COMBINE. They stay decodable (proto.rs, codec/) only because
+# fedbench/src/layers.rs builds them field by field, and go with ROADMAP item
+# 1(b); lam.rs names them only to refuse them, and nothing else in the crate
+# may name them.
 for f in $(find crates/core/src -name '*.rs' ! -path '*/codec/*' ! -name proto.rs ! -name lam.rs); do
     if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'Request::(LoadMany|DropMany)'; then
         echo "retired protocol message named in $f" >&2
@@ -215,7 +216,7 @@ echo "== the coordinator ships nothing by hand =="
 # catalog reads are typed calls of their own), only executor.rs runs a
 # DolEngine, and lamclient.rs builds each task-carrying request in one place —
 # where a statement stamp would go. (It builds no PARTIAL since a classic
-# join's partials travel LAM to LAM: the LAM still serves one.)
+# join's partials travel LAM to LAM, and the LAM refuses one.)
 if sed '/^#\[cfg(test)\]/,$d' crates/core/src/federation.rs |
     grep -nE 'run_commands|resolve_task_outcome|compensate_commands|LamClient'; then
     echo "federation.rs ships a request by hand" >&2
@@ -272,6 +273,36 @@ fi
 if sed '/^#\[cfg(test)\]/,$d' crates/core/src/lamclient.rs |
     grep -nE 'let travelled|map\(travelled\)|\.rows\.take\(\)|Request::Part \{'; then
     echo "lamclient.rs moves a partial's rows into a request" >&2
+    exit 1
+fi
+
+echo "== a join task sends a request =="
+# A classic join's program is `OPEN <coordinator>; TASK <COMBINE>` (DESIGN
+# §3a.15): a partial that travels straight to the coordinator's LAM is part of
+# the COMBINE's task, which posts its SHIP and writes its span from the one
+# reply — no task, no OPEN and no vote of its own. So outside tests the
+# traveller's do-nothing vote, the task that read its report, the span held
+# for it between post and finish, and the report left under its task name are
+# gone from crates/. On 0ada2a5 this flagged 12 lines: lamclient.rs's
+# `Travelled(PartDone, u32)` and two `JoinReport::Travelled`, three
+# `Vote::Direct` (one in executor.rs), two `direct_done` and four lines of the
+# `travelling` span.
+for f in $(find crates/*/src -name '*.rs'); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" |
+        grep -nE 'Vote::Direct|direct_done|\.travelling\b|travelling:|Travelled\('; then
+        echo "$f gives a travelling partial a task of its own" >&2
+        exit 1
+    fi
+done
+
+echo "== the LAM serves what clients send =="
+# No client sends PARTIAL, LOADMANY or DROPMANY: fedbench only frames them.
+# The LAM answers all three with an error naming the request, so outside tests
+# no pattern of them in lam.rs binds a field. On 0ada2a5 this flagged 3 lines,
+# the three executing arms.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/lam.rs |
+    grep -nE 'Request::(Partial|LoadMany|DropMany) \{ *[A-Za-z_]'; then
+    echo "lam.rs serves a request no client sends" >&2
     exit 1
 fi
 

@@ -10,15 +10,16 @@
 //! * retrievals become [`Multitable`]s (one table per database, §2);
 //! * a cross-database join's [`JoinPlan`] becomes one program — two only
 //!   when the reducer's keys must filter another travelling site — whose
-//!   partials travel straight to the coordinator's LAM (the "partial results
-//!   are collected in one database, acting as the coordinator" flow of §4.1,
-//!   results "sent … to other LAMs"), and returns a single table; nothing
-//!   here moves a partial's rows on to anyone;
+//!   one task is the coordinator's `COMBINE`: the partials it names travel
+//!   straight to the coordinator's LAM (the "partial results are collected
+//!   in one database, acting as the coordinator" flow of §4.1, results "sent
+//!   … to other LAMs"), and it returns a single table; nothing here moves a
+//!   partial's rows on to anyone;
 //! * updates and multitransactions report per-database termination states
 //!   and the DOL return code.
 
 use crate::error::MdbsError;
-use crate::lamclient::{correlation_id, JoinReport, LamFactory, TaskOutput, Traveller, Vote};
+use crate::lamclient::{correlation_id, LamFactory, TaskOutput, Traveller, Vote};
 use crate::merge;
 use crate::multitable::{Multitable, MultitableEntry, MultitableFailure};
 use crate::planner::{Combine, JoinPlan, SitePlan};
@@ -179,9 +180,8 @@ impl Executor {
     /// Runs the program, returning the DOL outcome, this run's own
     /// communication accounting (also merged into the session stats) and what
     /// its tasks produced, by task name: the [`LamFactory`]'s outputs table,
-    /// emptied, with whatever the caller put there first (a join's reducer
-    /// partial, which travels on in the `COMBINE`). An `OPEN` that fails fails
-    /// the run with the error opening the connection gave.
+    /// emptied. An `OPEN` that fails fails the run with the error opening the
+    /// connection gave.
     pub(crate) fn run_program(
         &self,
         plan: &GeneratedPlan,
@@ -348,10 +348,10 @@ impl Executor {
     }
 
     /// Runs a planned cross-database join. A classic plan is one DOL program
-    /// (plangen's [`autocommit_plan`], each task named after its database):
-    /// the coordinator's `COMBINE`, whose task also ships every other site's
-    /// partial straight to the coordinator's LAM, and a task per travelling
-    /// partial that ends as the `COMBINE`'s reply reports. The coordinator's
+    /// (plangen's [`autocommit_plan`], each task named after its database),
+    /// `OPEN <coordinator>; TASK <COMBINE>`: the coordinator's `COMBINE`,
+    /// whose task also ships every other site's partial straight to the
+    /// coordinator's LAM — a partial is no task of its own. The coordinator's
     /// LAM applies the reduction edges into its own subquery itself. Only a
     /// reducer whose keys must filter another travelling site runs first, in
     /// a program of its own, its rows echoed here for those filters; an edge
@@ -443,9 +443,10 @@ impl Executor {
     /// A classic plan's data flow, its outputs by task name: the reducer
     /// first when its keys must filter another travelling site — its rows
     /// then also come back here, and go to the coordinator's LAM under the
-    /// `COMBINE`'s key — then the `COMBINE` with every other partial
-    /// travelling straight to it. Fills in `verdicts`: the MDBS layer's edges
-    /// here, the coordinator's from its reply.
+    /// `COMBINE`'s key — then the `COMBINE`, the one task of its program,
+    /// with every other partial travelling straight to it. Fills in
+    /// `verdicts`: the MDBS layer's edges here, the coordinator's from its
+    /// reply.
     fn coordinate(
         &self,
         plan: &JoinPlan,
@@ -478,19 +479,12 @@ impl Executor {
             reduced = (0..plan.sites.len()).map(|i| plan.reduced_sql(i, &shipped)).collect();
         }
 
-        let mut tasks = vec![(database.to_string(), database.to_string(), sql.clone())];
-        let (mut travellers, mut votes) = (Vec::new(), HashMap::new());
+        let mut travellers = Vec::new();
         for (i, site) in plan.sites.iter().enumerate().filter(|&(i, _)| i != home) {
             let (sql, baseline, notes) = self.partial(site, "direct", reduced[i].take());
-            let posted = Some(i) != relay;
-            if posted {
-                let vote = Vote::Direct { measured: baseline.is_some(), notes };
-                votes.insert(site.database.clone(), (vote, 0));
-                tasks.push((site.database.clone(), site.database.clone(), sql.clone()));
-            }
-            let site_name = site_of(&site.database).unwrap_or_default();
-            let database = site.database.clone();
-            travellers.push(Traveller { site: site_name, database, sql, baseline, posted });
+            let (database, posted) = (site.database.clone(), Some(i) != relay);
+            let site = site_of(&database).unwrap_or_default();
+            travellers.push(Traveller { site, database, sql, baseline, notes, posted });
         }
         let edges: Vec<(usize, HomeEdge)> = plan
             .edges
@@ -520,13 +514,11 @@ impl Executor {
             edges: edges.iter().map(|(_, e)| e.clone()).collect(),
             notes: [notes, own],
         };
-        votes.insert(database.to_string(), (vote, 0));
-        let outputs = self.join_step(plan, tasks, votes)?;
-        let reductions = match outputs.get(*database).and_then(|o| o.join.as_deref()) {
-            Some(JoinReport::Reduced(reductions)) => reductions.as_slice(),
-            _ => &[],
-        };
-        for ((i, _), &verdict) in edges.iter().zip(reductions) {
+        let task = (database.to_string(), database.to_string(), sql.clone());
+        let votes = HashMap::from([(database.to_string(), (vote, 0))]);
+        let outputs = self.join_step(plan, vec![task], votes)?;
+        let reductions = outputs.get(*database).and_then(|o| o.join.as_deref());
+        for ((i, _), &verdict) in edges.iter().zip(reductions.map_or(&[][..], |r| &r.0)) {
             verdicts[*i] = Some(verdict);
         }
         Ok(outputs)
@@ -535,8 +527,8 @@ impl Executor {
     /// Runs one program of a join: `tasks`, each `(name, database,
     /// statement)`, sending what `votes` say. Returns the run's outputs; the
     /// first task that did not commit fails the join, with its exchange's own
-    /// error when the wire or a travelled partial failed it, else in the
-    /// site's words.
+    /// error when the wire, an unreachable traveller or a travelled partial
+    /// failed it, else in the site's words.
     fn join_step(
         &self,
         plan: &JoinPlan,

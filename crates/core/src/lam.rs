@@ -933,25 +933,6 @@ fn handle_request(shared: &Arc<SrvShared>, req: Request, format: WireFormat) -> 
                 }
             }
         }
-        Request::Partial { database, sql, baseline } => {
-            let mut engine = shared.engine.lock();
-            match run_subquery(&mut engine, &database, &sql, baseline.as_deref(), format) {
-                Ok(sub) => Response::PartialDone {
-                    payload: Some(sub.rows),
-                    error: None,
-                    full_rows: sub.full_rows,
-                    full_bytes: sub.full_bytes,
-                    access: sub.access,
-                },
-                Err(e) => Response::PartialDone {
-                    payload: None,
-                    error: Some(e),
-                    full_rows: 0,
-                    full_bytes: 0,
-                    access: None,
-                },
-            }
-        }
         Request::PartialAgg { database, sql, baseline } => {
             let mut engine = shared.engine.lock();
             match run_subquery(&mut engine, &database, &sql, baseline.as_deref(), format) {
@@ -989,23 +970,15 @@ fn handle_request(shared: &Arc<SrvShared>, req: Request, format: WireFormat) -> 
         Request::Combine { .. } | Request::Ship { .. } | Request::Part { .. } => {
             Response::Err { message: "join frame outside the serve loop".to_string() }
         }
-        // `LOADMANY` / `DROPMANY`: sent by no client of this crate since
-        // `COMBINE`; served for `fedbench/src/layers.rs` until ROADMAP 1(b).
-        Request::LoadMany { database, parts } => {
-            let mut engine = shared.engine.lock();
-            let temps: Result<Vec<Table>, DbError> =
-                parts.into_iter().map(|(table, rows)| Table::temporary(&table, rows)).collect();
-            let temps = temps.map_err(|e| e.to_string());
-            match temps.and_then(|temps| install_temps(&mut engine, &database, temps)) {
-                Ok(()) => Response::Ok,
-                Err(message) => Response::Err { message },
-            }
-        }
-        Request::DropMany { database, tables } => {
-            match drop_temps(&mut shared.engine.lock(), &database, &tables) {
-                Ok(()) => Response::Ok,
-                Err(message) => Response::Err { message },
-            }
+        // Sent by no client: a classic partial travels LAM to LAM, and the
+        // coordinator's temporaries are `COMBINE`'s own. Still decodable
+        // until ROADMAP 1(b), because fedbench frames them.
+        unserved @ (Request::Partial { .. }
+        | Request::LoadMany { .. }
+        | Request::DropMany { .. }) => {
+            let text = unserved.encode();
+            let name = text.split_whitespace().next().unwrap_or_default();
+            Response::Err { message: format!("{name} is not served: no client sends it") }
         }
         Request::Ping => Response::Ok,
         Request::Shutdown => Response::Ok,
@@ -1539,76 +1512,91 @@ mod tests {
     }
 
     #[test]
-    fn loadmany_and_dropmany() {
-        let (_net, _lam, client) = setup();
-        // A hand-written text client: the LAM reads the rows out of whatever
-        // format the request arrived in.
+    fn partial_loadmany_and_dropmany_are_refused_and_change_nothing() {
+        let (_net, lam, client) = setup();
+        let tables = || lam.engine.lock().database("avis").unwrap().table_names();
+        let before = tables();
+        let refusal = |body: &str, name: &str| {
+            let Response::Err { message } = Response::decode_as(body).unwrap().0 else {
+                panic!("{name} was served: {body}")
+            };
+            assert!(message.starts_with(name), "{message}");
+        };
+        // A hand-written text client: LOADMANY's rows decode, and go nowhere.
         let payload = "COLS x:int|y:char(0)\nR I:7|S:hello\n";
         client
             .send("site1", format!("LOADMANY avis\npart_t {}\n{payload}", payload.len()))
             .unwrap();
-        assert_eq!(client.recv().unwrap().body.as_str(), "OK");
+        refusal(client.recv().unwrap().body.as_str(), "LOADMANY");
+        let drop = Request::DropMany { database: "avis".into(), tables: vec!["cars".into()] };
+        client.send("site1", drop.encode()).unwrap();
+        refusal(client.recv().unwrap().body.as_str(), "DROPMANY");
+        let partial = Request::Partial {
+            database: "avis".into(),
+            sql: "SELECT code FROM cars".into(),
+            baseline: None,
+        };
+        client.send("site1", partial.encode()).unwrap();
+        refusal(client.recv().unwrap().body.as_str(), "PARTIAL");
+        assert_eq!(tables(), before, "nothing installed, nothing dropped");
         let resp = call(
             &client,
             Request::Task {
                 name: "Q".into(),
                 mode: TaskMode::Auto,
                 database: "avis".into(),
-                commands: vec!["SELECT x, y FROM part_t".into()],
+                commands: vec!["SELECT code FROM cars".into()],
             },
         );
         let Response::TaskDone { payload: Some(rs), .. } = resp else { panic!("{resp:?}") };
-        assert_eq!(rs.rows, vec![vec![Value::Int(7), Value::Str("hello".into())]]);
-        assert_eq!(
-            call(
-                &client,
-                Request::DropMany { database: "avis".into(), tables: vec!["part_t".into()] }
-            ),
-            Response::Ok
-        );
-        // The retired single-table requests are refused, not served.
+        assert_eq!(rs.rows.len(), 2, "the table the DROPMANY named is intact");
+        // The retired single-table requests are refused too.
         client.send("site1", format!("LOAD avis part_t\n{payload}")).unwrap();
         let refused = client.recv().unwrap();
         assert!(refused.body.as_str().starts_with("ERR "), "{:?}", refused.body);
     }
 
     #[test]
-    fn partial_ships_reduced_rows_and_measures_baseline() {
+    fn partialagg_ships_reduced_rows_and_measures_baseline() {
         let (_net, _lam, client) = setup();
         let resp = call(
             &client,
-            Request::Partial {
+            Request::PartialAgg {
                 database: "avis".into(),
                 sql: "SELECT code FROM cars WHERE code IN (1)".into(),
                 baseline: Some("SELECT code FROM cars".into()),
             },
         );
-        let Response::PartialDone { payload: Some(rs), error: None, full_rows, full_bytes, access } =
-            resp
+        let Response::PartialAggDone {
+            payload: Some(rs),
+            error: None,
+            groups,
+            full_rows,
+            full_bytes,
+        } = resp
         else {
             panic!("{resp:?}")
         };
-        assert_eq!(rs.rows.len(), 1, "reduced result ships one row");
+        assert_eq!((rs.rows.len(), groups), (1, 1), "reduced result ships one row");
         assert_eq!(full_rows, 2, "baseline measured both rows");
         assert!(
             full_bytes as usize > WireFormat::Text.payload_len(&rs),
             "baseline payload is larger"
         );
-        assert_eq!(access.as_deref(), Some("scan"), "no index exists, so the engine scanned");
     }
 
     #[test]
-    fn partial_error_and_bad_baseline_are_benign() {
+    fn partialagg_error_and_bad_baseline_are_benign() {
         let (_net, _lam, client) = setup();
         let resp = call(
             &client,
-            Request::Partial {
+            Request::PartialAgg {
                 database: "avis".into(),
                 sql: "SELECT nope FROM cars".into(),
                 baseline: None,
             },
         );
-        let Response::PartialDone { payload: None, error: Some(e), .. } = resp else {
+        let Response::PartialAggDone { payload: None, error: Some(e), .. } = resp else {
             panic!("{resp:?}")
         };
         assert!(e.contains("nope"));
@@ -1616,13 +1604,13 @@ mod tests {
         // request.
         let resp = call(
             &client,
-            Request::Partial {
+            Request::PartialAgg {
                 database: "avis".into(),
                 sql: "SELECT code FROM cars".into(),
                 baseline: Some("SELECT nope FROM cars".into()),
             },
         );
-        let Response::PartialDone {
+        let Response::PartialAggDone {
             payload: Some(_),
             error: None,
             full_rows: 0,

@@ -10,12 +10,14 @@
 //! catalog reads, everything the coordinator ships is a task of a DOL
 //! program; a deferred global transaction's members, recovery's resolutions
 //! and a cross-database join's partials and `COMBINE` are tasks whose
-//! [`Vote`] says what they send. A join's `COMBINE` task sends more than its
-//! own request: it posts, beside it and under its correlation id, a `SHIP`
-//! to each partial's site that travels straight to the coordinator's LAM,
-//! and it resends all of them on a retry. No partial's rows pass through
-//! here on their way to the coordinator: a travelling partial's task reads
-//! what became of its rows from the `COMBINE`'s one reply.
+//! [`Vote`] says what they send; every task sends one request. A join's
+//! `COMBINE` task sends more than its own request: it posts, beside it and
+//! under its correlation id, a `SHIP` to each partial's site that travels
+//! straight to the coordinator's LAM, and it resends all of them on a retry.
+//! Such a partial is no task: no `OPEN` reaches its LAM, whose link is read
+//! from the network's own tables before anything is sent, and no partial's
+//! rows pass through here on their way to the coordinator — the `COMBINE`'s
+//! one reply says what became of them, written under the `COMBINE`'s span.
 //!
 //! Connections are session-scoped: a [`ConnectionPool`] keeps the links a
 //! session has opened, keyed by `(site, database)`, and
@@ -69,16 +71,10 @@ pub struct TaskOutput {
     pub(crate) join: Option<Box<JoinReport>>,
 }
 
-/// A join's `COMBINE` reply, as its program's tasks leave it.
+/// What a join's `COMBINE` reply said of the edges into its home subquery:
+/// the reducer's distinct keys on each and whether they reduced it.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum JoinReport {
-    /// On a partial that travelled straight to the coordinator, left under
-    /// the partial's task, with the attempts the exchange took.
-    Travelled(PartDone, u32),
-    /// On the edges into the home subquery, left under the `COMBINE`'s task:
-    /// the reducer's distinct keys on each and whether they reduced it.
-    Reduced(Vec<(u64, bool)>),
-}
+pub(crate) struct JoinReport(pub Vec<(u64, bool)>);
 
 /// The outputs of one DOL program's tasks, by task name. The services one
 /// [`LamFactory`] opens share it, so a task's rows reach whoever ran the
@@ -128,15 +124,11 @@ pub(crate) enum Vote {
         notes: Vec<(&'static str, String)>,
         echo: Option<(String, u64)>,
     },
-    /// A partial that travels straight to the coordinator's LAM: nothing to
-    /// send — the `COMBINE`'s task ships it — and it ends as the `COMBINE`'s
-    /// reply reports. `measured` when `EXPLAIN` sent its baseline.
-    Direct { measured: bool, notes: Vec<(&'static str, String)> },
     /// The join's coordinator: one `COMBINE` of Q′, the task's command, under
     /// correlation id `key`, over its own partial — `home`, reduced there
     /// along `edges`, measured under `EXPLAIN` — and those of `travellers`,
-    /// each shipped straight to it. `notes` are its `lam:combine:<db>` span's,
-    /// then its own partial's.
+    /// each shipped straight to it by a `SHIP` the task posts beside it.
+    /// `notes` are its `lam:combine:<db>` span's, then its own partial's.
     Combine {
         key: u64,
         home: String,
@@ -147,15 +139,18 @@ pub(crate) enum Vote {
     },
 }
 
-/// A partial the `COMBINE`'s task ships: its site, database, subquery and
-/// the baseline `EXPLAIN` measures beside it. `posted` is false for one
-/// already on its way (a reducer's echo): only a resend ships it again.
+/// A partial the `COMBINE`'s task ships: its site, database, subquery, the
+/// baseline `EXPLAIN` measures beside it and the plan's side of its
+/// `lam:partial:<db>` span. `posted` is false for one already on its way (a
+/// reducer's echo, whose span is its own program's): only a resend ships it
+/// again.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Traveller {
     pub site: String,
     pub database: String,
     pub sql: String,
     pub baseline: Option<String>,
+    pub notes: Vec<(&'static str, String)>,
     pub posted: bool,
 }
 
@@ -241,12 +236,9 @@ pub struct LamClient {
     /// unread is closed instead of pooled, like a suspect one.
     unread: AtomicU32,
     /// The step the DOL engine [posted](DolService::post), finished by the
-    /// engine's next call on this connection, with a join task's own spans.
-    posted: Option<(Posted, Vec<Span>)>,
-    /// The `lam:partial:<db>` span of a partial travelling straight to the
-    /// coordinator, opened when the engine posted its task: it is in flight
-    /// while the `COMBINE` is.
-    travelling: Option<Span>,
+    /// engine's next call on this connection, with a join task's own spans —
+    /// or why it was posted nowhere.
+    posted: Option<Result<(Posted, Vec<Span>), MdbsError>>,
     site: String,
     /// The database this connection is opened on.
     pub database: String,
@@ -348,7 +340,6 @@ impl LamClient {
             suspect: AtomicBool::new(false),
             unread: AtomicU32::new(0),
             posted: None,
-            travelling: None,
             site: site.to_string(),
             database: database.to_string(),
             timeout,
@@ -600,16 +591,15 @@ impl LamClient {
 }
 
 impl LamClient {
-    /// Annotates a request's span with this client's communication telemetry
-    /// and folds it into the `lam.*` metrics.
-    fn record_obs(&self, span: &Span, attempts: u32, faults: &[FaultKind]) {
-        span.note("db", &self.database);
+    /// Annotates the span of a request on `db` with its communication
+    /// telemetry and folds it into the `lam.*` metrics.
+    fn record_obs(&self, span: &Span, db: &str, attempts: u32, faults: &[FaultKind]) {
+        span.note("db", db);
         span.note("attempts", attempts);
         if let Some(kind) = faults.last() {
             span.note("fault", fault_label(*kind));
             span.note("faults", faults.len());
         }
-        let db = self.database.as_str();
         self.metrics.counter_add(&labeled("lam.calls", "db", db), 1);
         self.metrics.counter_add(&labeled("lam.attempts", "db", db), u64::from(attempts.max(1)));
         self.metrics
@@ -617,13 +607,12 @@ impl LamClient {
         self.metrics.counter_add(&labeled("lam.faults", "db", db), faults.len() as u64);
     }
 
-    /// Notes a shipped result set of `rows` rows on `span` and the `lam.*`
-    /// volume counters; `bytes` is the size of the payload block that carried
-    /// it.
-    fn record_shipped(&self, span: &Span, rows: usize, bytes: usize) {
+    /// Notes a result set of `rows` rows that `db` shipped on `span` and the
+    /// `lam.*` volume counters; `bytes` is the size of the payload block that
+    /// carried it.
+    fn record_shipped(&self, span: &Span, db: &str, rows: usize, bytes: usize) {
         span.note("rows", rows);
         span.note("bytes", bytes);
-        let db = self.database.as_str();
         self.metrics.counter_add(&labeled("lam.rows", "db", db), rows as u64);
         self.metrics.counter_add(&labeled("lam.bytes", "db", db), bytes as u64);
     }
@@ -681,11 +670,21 @@ impl LamClient {
     }
 
     /// Posts `task`'s request under `span` — a `COMBINE` under its key, with
-    /// a `SHIP` to each travelling partial's site — and opens its spans.
-    fn post_task(&self, task: &dol::TaskDef, span: &Span) -> (Posted, Vec<Span>) {
+    /// a `SHIP` to each travelling partial's site — and opens its spans. A
+    /// `COMBINE` one of whose travellers this connection's endpoint cannot
+    /// reach is posted nowhere: it fails as a checkout of that site would.
+    fn post_task(
+        &self,
+        task: &dol::TaskDef,
+        span: &Span,
+    ) -> Result<(Posted, Vec<Span>), MdbsError> {
+        let vote = self.votes.get(&task.name);
+        if let Some((Vote::Combine { travellers, .. }, _)) = vote {
+            travellers.iter().try_for_each(|t| self.reach(&t.site))?;
+        }
         let (req, spans) = self.task_request(task, span);
         let traced = spans.last().unwrap_or(span);
-        let posted = match self.votes.get(&task.name) {
+        let posted = match vote {
             Some((Vote::Combine { key, travellers, .. }, _)) => {
                 let ship = |t: &Traveller| {
                     let (database, sql, baseline) =
@@ -697,7 +696,23 @@ impl LamClient {
             }
             _ => LamClient::post(self, &req, traced),
         };
-        (posted, spans)
+        Ok((posted, spans))
+    }
+
+    /// Whether a `SHIP` from this connection's endpoint reaches `site`, read
+    /// from the network's own tables as a pooled link's checkout reads them
+    /// (no message) — else the error that checkout would give: the LAM is
+    /// gone, or the site is partitioned from the endpoint.
+    fn reach(&self, site: &str) -> Result<(), MdbsError> {
+        let (net, from) = (&self.link.net, self.link.endpoint.name());
+        if net.link_is_up(from, site) {
+            Ok(())
+        } else if !net.site_names().iter().any(|name| name == site) {
+            Err(MdbsError::LamUnavailable { site: site.to_string() })
+        } else {
+            let cut = NetError::Partitioned { from: from.to_string(), to: site.to_string() };
+            Err(MdbsError::Net(format!("{cut} (site `{site}`)")))
+        }
     }
 
     /// The `COMPENSATE` that undoes `task` with its compensating commands: a
@@ -717,22 +732,20 @@ impl LamClient {
     fn run_task(&mut self, task: &dol::TaskDef, span: &Span) -> TaskExecution {
         let votes = Votes::clone(&self.votes);
         let vote = votes.get(&task.name);
-        match vote {
-            Some(&(Vote::Settled(status), affected)) => {
-                return settled(&self.outputs, &task.name, status, affected)
-            }
-            Some((Vote::Direct { measured, notes }, _)) => {
-                return self.direct_done(task, *measured, notes, span)
-            }
-            _ => {}
+        if let Some(&(Vote::Settled(status), affected)) = vote {
+            return settled(&self.outputs, &task.name, status, affected);
         }
-        let (posted, spans) = match self.posted.take() {
-            Some(posted) => posted,
-            None => self.post_task(task, span),
-        };
+        let (result, attempts, faults, spans) =
+            match self.posted.take().unwrap_or_else(|| self.post_task(task, span)) {
+                Ok((posted, spans)) => {
+                    let (result, attempts, faults) =
+                        self.finish(posted, spans.last().unwrap_or(span));
+                    (result, attempts, faults, spans)
+                }
+                Err(e) => (Err(e), 0, Vec::new(), Vec::new()),
+            };
         let traced = spans.last().unwrap_or(span);
-        let (result, attempts, faults) = self.finish(posted, traced);
-        self.record_obs(traced, attempts, &faults);
+        self.record_obs(traced, &self.database, attempts, &faults);
         self.stats.lock().record_task(&task.name, attempts, faults.last().copied());
         match result {
             Ok((reply, bytes)) if !spans.is_empty() => {
@@ -757,7 +770,7 @@ impl LamClient {
                     span.note("affected", affected);
                 }
                 if let Some(rows) = &payload {
-                    self.record_shipped(span, rows.rows.len(), bytes);
+                    self.record_shipped(span, &self.database, rows.rows.len(), bytes);
                 }
                 let output = TaskOutput { affected, rows: payload, ..TaskOutput::default() };
                 self.outputs.lock().insert(task.name.clone(), output);
@@ -792,8 +805,8 @@ impl LamClient {
     /// partial crossed no network — the innermost span noting, with a measured
     /// baseline, the bytes a rewrite kept off the wire. A reply naming an
     /// error is the site's refusal, whatever else it carries; a `COMBINE`'s
-    /// reports on the partials that travelled to it go to their tasks, and
-    /// the first that names its site's error fails it in that site's words.
+    /// reports on the partials it posted are written under its span, and the
+    /// first that names its site's error fails it in that site's words.
     fn join_done(
         &self,
         task: &dol::TaskDef,
@@ -805,7 +818,7 @@ impl LamClient {
     ) -> TaskExecution {
         let (span, own) = (&spans[spans.len() - 1], &spans[0]);
         let saved_of = |full: u64| (full > 0).then(|| full.saturating_sub(bytes as u64));
-        let mut join = None;
+        let (mut join, mut travelled) = (None, None);
         let (rows, access, saved) = match reply {
             Response::PartialDone { error: Some(message), .. }
             | Response::PartialAggDone { error: Some(message), .. }
@@ -815,25 +828,22 @@ impl LamClient {
                 let Some((Vote::Combine { travellers, measure, .. }, _)) = vote else {
                     return failed("a COMBINE reply to another request".to_string());
                 };
-                let mut outputs = self.outputs.lock();
                 let mut refused = None;
                 for (traveller, part) in travellers.iter().zip(parts) {
                     if let (None, Some(message)) = (&refused, &part.error) {
                         let service = traveller.database.clone();
                         refused = Some(MdbsError::Local { service, message: message.clone() });
                     }
-                    let output = TaskOutput {
-                        join: Some(Box::new(JoinReport::Travelled(part, attempts))),
-                        ..TaskOutput::default()
-                    };
-                    outputs.insert(traveller.database.clone(), output);
+                    if traveller.posted {
+                        if let Some(saved) = self.travelled(traveller, part, attempts, span) {
+                            *travelled.get_or_insert(0) += saved;
+                        }
+                    }
                 }
                 if let Some(error) = refused {
                     let message = error.to_string();
-                    outputs.insert(
-                        task.name.clone(),
-                        TaskOutput { error: Some(error), ..TaskOutput::default() },
-                    );
+                    let output = TaskOutput { error: Some(error), ..TaskOutput::default() };
+                    self.outputs.lock().insert(task.name.clone(), output);
                     return failed(message);
                 }
                 let rows = payload.unwrap_or_default();
@@ -846,15 +856,15 @@ impl LamClient {
                 own.note("db", &self.database);
                 own.note("rows", home_rows);
                 own.note("bytes", 0);
-                join = Some(Box::new(JoinReport::Reduced(edges)));
+                join = Some(Box::new(JoinReport(edges)));
                 (rows, access, (*measure && reduced).then_some(saved))
             }
             Response::PartialDone { payload: Some(rows), full_bytes, access, .. } => {
-                self.record_shipped(span, rows.rows.len(), bytes);
+                self.record_shipped(span, &self.database, rows.rows.len(), bytes);
                 (rows, access, saved_of(full_bytes))
             }
             Response::PartialAggDone { payload: Some(rows), full_rows, full_bytes, .. } => {
-                self.record_shipped(span, rows.rows.len(), bytes);
+                self.record_shipped(span, &self.database, rows.rows.len(), bytes);
                 if full_rows > 0 {
                     span.note("full_rows", full_rows);
                 }
@@ -862,59 +872,42 @@ impl LamClient {
             }
             other => return failed(format!("unexpected reply: {other:?}")),
         };
-        self.note_partial(own, access, saved);
+        self.note_partial(own, &self.database, access, saved);
+        // The task's saving is its own partial's and its travellers'.
+        let saved = saved.into_iter().chain(travelled).reduce(|a, b| a + b);
         let output = TaskOutput { rows: Some(rows), saved, join, ..TaskOutput::default() };
         self.outputs.lock().insert(task.name.clone(), output);
         TaskExecution::committed(None)
     }
 
-    /// Notes a partial's access path and — with a measured baseline — the
-    /// bytes its rewrite kept off the wire, on its span and in `lam.*`.
-    fn note_partial(&self, span: &Span, access: Option<String>, saved: Option<u64>) {
+    /// Notes the access path of `db`'s partial and — with a measured baseline
+    /// — the bytes its rewrite kept off the wire, on its span and in `lam.*`.
+    fn note_partial(&self, span: &Span, db: &str, access: Option<String>, saved: Option<u64>) {
         if let Some(access) = access {
             span.note("access", access);
         }
         if let Some(saved) = saved {
             span.note("saved", saved);
-            self.metrics.counter_add(&labeled("lam.bytes_saved", "db", &self.database), saved);
+            self.metrics.counter_add(&labeled("lam.bytes_saved", "db", db), saved);
         }
     }
 
-    /// Opens a travelling partial's `lam:partial:<db>` span under `span`.
-    fn open_partial(&self, notes: &[(&'static str, String)], span: &Span) -> Span {
-        let child = span.child(format!("lam:partial:{}", self.database));
-        notes.iter().for_each(|(key, value)| child.note(key, value));
-        child
-    }
-
-    /// A partial that travelled straight to the coordinator: sends nothing,
-    /// and ends as the `COMBINE`'s reply reported on it — noted on its
-    /// `lam:partial:<db>` span like a partial that came back here, the
-    /// `COMBINE`'s attempts being its own.
-    fn direct_done(
-        &mut self,
-        task: &dol::TaskDef,
-        measured: bool,
-        notes: &[(&'static str, String)],
-        span: &Span,
-    ) -> TaskExecution {
-        let child = self.travelling.take().unwrap_or_else(|| self.open_partial(notes, span));
-        let report = self.outputs.lock().get_mut(&task.name).and_then(|o| o.join.take());
-        let Some(JoinReport::Travelled(part, attempts)) = report.map(|report| *report) else {
-            return failed(format!("no report on the partial of `{}`", self.database));
-        };
-        self.record_obs(&child, attempts, &[]);
-        self.stats.lock().record_task(&task.name, attempts, None);
-        if let Some(message) = part.error {
-            return failed(message);
+    /// A partial that travelled straight to the coordinator, as the
+    /// `COMBINE`'s reply reported on it: its `lam:partial:<db>` span under the
+    /// `COMBINE`'s `span`, noted like a partial that came back here, the
+    /// `COMBINE`'s attempts being its own. Returns the bytes its rewrite kept
+    /// off the wire, when `EXPLAIN` measured its baseline.
+    fn travelled(&self, t: &Traveller, part: PartDone, attempts: u32, span: &Span) -> Option<u64> {
+        let child = span.child(format!("lam:partial:{}", t.database));
+        t.notes.iter().for_each(|(key, value)| child.note(key, value));
+        self.record_obs(&child, &t.database, attempts, &[]);
+        if part.error.is_some() {
+            return None;
         }
-        self.record_shipped(&child, part.rows as usize, part.bytes as usize);
-        let saved = measured.then_some(part.saved);
-        self.note_partial(&child, part.access, saved);
-        self.outputs
-            .lock()
-            .insert(task.name.clone(), TaskOutput { saved, ..TaskOutput::default() });
-        TaskExecution::committed(None)
+        self.record_shipped(&child, &t.database, part.rows as usize, part.bytes as usize);
+        let saved = t.baseline.as_ref().map(|_| part.saved);
+        self.note_partial(&child, &t.database, part.access, saved);
+        saved
     }
 
     /// Sends an ack-only second-phase request — or reads the reply of the
@@ -926,11 +919,11 @@ impl LamClient {
     /// the caller must route it to recovery rather than presume abort.
     fn phase_two(&mut self, req: Request, span: &Span) -> Result<(), DolError> {
         let posted = match self.posted.take() {
-            Some((posted, _)) => posted,
-            None => LamClient::post(self, &req, span),
+            Some(Ok((posted, _))) => posted,
+            _ => LamClient::post(self, &req, span),
         };
         let (result, attempts, faults) = self.finish(posted, span);
-        self.record_obs(span, attempts, &faults);
+        self.record_obs(span, &self.database, attempts, &faults);
         match (result.map(|(resp, _)| resp), &req) {
             (Ok(Response::Ok), _) => Ok(()),
             (Ok(Response::Err { message }), _) => Err(DolError::Service(message)),
@@ -985,22 +978,17 @@ impl Drop for LamClient {
 
 impl DolService for LamClient {
     fn post(&mut self, step: Step<'_>, span: &Span) {
-        let (req, spans) = match step {
-            Step::Execute(task) => match self.votes.get(&task.name) {
-                Some((Vote::Settled(_), _)) => return,
-                Some((Vote::Direct { notes, .. }, _)) => {
-                    self.travelling = Some(self.open_partial(notes, span));
-                    return;
-                }
-                _ => {
+        let req = match step {
+            Step::Execute(task) => {
+                if !matches!(self.votes.get(&task.name), Some((Vote::Settled(_), _))) {
                     self.posted = Some(self.post_task(task, span));
-                    return;
                 }
-            },
-            Step::Commit(task) => (Request::Commit { task: task.to_string() }, Vec::new()),
-            Step::Abort(task) => (Request::Abort { task: task.to_string() }, Vec::new()),
+                return;
+            }
+            Step::Commit(task) => Request::Commit { task: task.to_string() },
+            Step::Abort(task) => Request::Abort { task: task.to_string() },
         };
-        self.posted = Some((LamClient::post(self, &req, spans.last().unwrap_or(span)), spans));
+        self.posted = Some(Ok((LamClient::post(self, &req, span), Vec::new())));
     }
 
     fn execute_task(&mut self, task: &dol::TaskDef) -> TaskExecution {

@@ -335,13 +335,7 @@ impl JoinPlan<'_> {
 /// coordinator's LAM reduces it.
 pub fn and_filters(select: &Select, filters: impl IntoIterator<Item = Expr>) -> String {
     let mut select = select.clone();
-    for filter in filters {
-        let filter = Box::new(filter);
-        select.where_clause = Some(match select.where_clause.take() {
-            Some(w) => Expr::Binary { left: Box::new(w), op: BinaryOp::And, right: filter },
-            None => *filter,
-        });
-    }
+    select.where_clause = select.where_clause.take().into_iter().chain(filters).reduce(Expr::and);
     print_select(&select)
 }
 
@@ -691,7 +685,7 @@ fn comparison_selectivity(
     match (left, right) {
         // column op literal (and the mirrored literal op column).
         (Expr::Column(c), Expr::Literal(l)) => column_literal(c, op, l, bindings),
-        (Expr::Literal(l), Expr::Column(c)) => column_literal(c, mirror(op), l, bindings),
+        (Expr::Literal(l), Expr::Column(c)) => column_literal(c, op.mirrored(), l, bindings),
         // column = column: a local equi-join conjunct — 1 / max(NDV).
         (Expr::Column(a), Expr::Column(b)) if op == BinaryOp::Eq => {
             match (find_column(bindings, a), find_column(bindings, b)) {
@@ -726,17 +720,6 @@ fn column_literal(
             range_selectivity(ts, cs, op, &key)
         }
         _ => UNKNOWN_SELECTIVITY,
-    }
-}
-
-/// Mirrors a comparison across `=` for `literal op column` conjuncts.
-fn mirror(op: BinaryOp) -> BinaryOp {
-    match op {
-        BinaryOp::Lt => BinaryOp::Gt,
-        BinaryOp::LtEq => BinaryOp::GtEq,
-        BinaryOp::Gt => BinaryOp::Lt,
-        BinaryOp::GtEq => BinaryOp::LtEq,
-        other => other,
     }
 }
 

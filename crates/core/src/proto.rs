@@ -196,9 +196,10 @@ pub enum Request<P = String> {
     /// Evaluate one local subquery of a decomposed cross-database join and
     /// return its result set. When `baseline` is present (the unreduced
     /// subquery), the LAM also evaluates it and reports its row/byte volume
-    /// without shipping the unreduced rows. No client of this crate sends it
-    /// since a join's partials travel LAM to LAM ([`Request::Ship`]); the LAM
-    /// serves it for hand-written clients and `fedbench/src/layers.rs`.
+    /// without shipping the unreduced rows. No client sends it since a join's
+    /// partials travel LAM to LAM ([`Request::Ship`]), and the LAM refuses
+    /// it; it stays decodable in both codecs only because
+    /// `fedbench/src/layers.rs` frames it, until ROADMAP item 1(b).
     Partial {
         /// Target database.
         database: String,
@@ -301,17 +302,17 @@ pub enum Request<P = String> {
         full_bytes: u64,
     },
     /// Create and load several temporary tables in one round trip. No client
-    /// of this crate sends it since [`Request::Combine`]; it and
-    /// [`Request::DropMany`] stay decodable and served only because
-    /// `fedbench/src/layers.rs` builds them field by field, and go with
-    /// ROADMAP item 1(b).
+    /// sends it since [`Request::Combine`], and the LAM refuses it; it stays
+    /// decodable in both codecs only because `fedbench/src/layers.rs` frames
+    /// it, until ROADMAP item 1(b).
     LoadMany {
         /// Target database.
         database: String,
         /// `(temp table, result set)` pairs.
         parts: Vec<(String, P)>,
     },
-    /// Drop several temporary tables in one round trip.
+    /// Drop several temporary tables in one round trip. Refused, and kept
+    /// decodable for fedbench's frames, like [`Request::LoadMany`].
     DropMany {
         /// Target database.
         database: String,
@@ -339,9 +340,9 @@ pub enum Response<P = String> {
         /// Error description when the status is not `P`/`C`.
         error: Option<String>,
     },
-    /// A [`Request::Partial`] finished: the reduced result set (if the
-    /// subquery succeeded) plus the measured volume of the unreduced
-    /// baseline (zero when no baseline was requested or it failed).
+    /// A `SHIP … ECHO` (once a [`Request::Partial`]) finished: the reduced
+    /// result set (if the subquery succeeded) plus the measured volume of the
+    /// unreduced baseline (zero when no baseline was requested or it failed).
     PartialDone {
         /// Result set of the reduced subquery.
         payload: Option<P>,

@@ -694,7 +694,7 @@ fn collect_sargs(e: &Expr, sources: &[ScopeSource<'_>], out: &mut Vec<(usize, us
         {
             let (col, lit, op) = match (left.as_ref(), right.as_ref()) {
                 (Expr::Column(c), Expr::Literal(l)) => (c, l, *op),
-                (Expr::Literal(l), Expr::Column(c)) => (c, l, flip_cmp(*op)),
+                (Expr::Literal(l), Expr::Column(c)) => (c, l, op.mirrored()),
                 _ => return,
             };
             let Some((si, ci)) = resolve_key_column(col, sources) else { return };
@@ -733,17 +733,6 @@ fn collect_sargs(e: &Expr, sources: &[ScopeSource<'_>], out: &mut Vec<(usize, us
             }
         }
         _ => {}
-    }
-}
-
-/// Mirrors a comparison across `=`, for `literal op col` conjuncts.
-fn flip_cmp(op: BinaryOp) -> BinaryOp {
-    match op {
-        BinaryOp::Lt => BinaryOp::Gt,
-        BinaryOp::LtEq => BinaryOp::GtEq,
-        BinaryOp::Gt => BinaryOp::Lt,
-        BinaryOp::GtEq => BinaryOp::LtEq,
-        other => other,
     }
 }
 

@@ -85,6 +85,20 @@ impl BinaryOp {
                 | BinaryOp::GtEq
         )
     }
+
+    /// For a comparison, the one that says the same with its operands
+    /// swapped (`a < b` is `b > a`; `=` and `<>` are their own), so that
+    /// `literal op column` reads as `column op' literal`. Any other operator
+    /// is returned as it is.
+    pub fn mirrored(self) -> BinaryOp {
+        match self {
+            BinaryOp::Lt => BinaryOp::Gt,
+            BinaryOp::LtEq => BinaryOp::GtEq,
+            BinaryOp::Gt => BinaryOp::Lt,
+            BinaryOp::GtEq => BinaryOp::LtEq,
+            other => other,
+        }
+    }
 }
 
 /// Unary operators.

@@ -16,12 +16,14 @@
 //! * a session's pooled connections change none of this: a LAM that died,
 //!   came back or was cut off between two statements is found out at OPEN,
 //!   exactly as a first connection would find it, and a connection that saw
-//!   a fault is closed, never reused.
+//!   a fault is closed, never reused;
+//! * a join opens no connection to a travelling partial's LAM: one that is
+//!   gone fails the join before anything is sent, naming its site.
 
 use dol::{DolError, TaskDef, TaskStatus};
 use ldbs::profile::DbmsProfile;
 use ldbs::value::Value;
-use mdbs::fixtures::{paper_federation_with, FederationProfiles};
+use mdbs::fixtures::{avis_engine, paper_federation_with, FederationProfiles};
 use mdbs::lam::spawn_lam;
 use mdbs::lamclient::{LamClient, LamFactory};
 use mdbs::proto::{Request, Response, TaskMode};
@@ -661,6 +663,46 @@ fn a_lost_lam_to_lam_part_is_resent_and_the_join_answers() {
     let retries = fed.exec_stats().retries;
     assert_eq!(fed.execute(XJOIN).unwrap().into_table().unwrap(), expected);
     assert_eq!(fed.exec_stats().retries, retries);
+}
+
+#[test]
+fn a_join_whose_travelling_lam_is_gone_fails_fast_naming_its_site() {
+    // The session is warm: its pooled connection to continental, the
+    // coordinator, is reused, and the join sends nothing to avis but a SHIP.
+    let (mut fed, expected) = xjoin_federation();
+    let pooled = client_endpoints(&fed, "site1");
+    assert_eq!(pooled.len(), 1, "one pooled connection, the coordinator's: {pooled:?}");
+    let sent = fed.network().stats().messages;
+
+    // The connection that would send avis' SHIP is cut off from avis' site:
+    // refused at once, naming it, and nothing sent.
+    fed.network().partition(&pooled[0], "site4");
+    let err = fed.execute(XJOIN).unwrap_err().to_string();
+    assert!(err.contains("`site4`") && err.contains("partition"), "{err}");
+    assert_eq!(fed.network().stats().messages, sent, "nothing got through");
+    fed.network().heal(&pooled[0], "site4");
+
+    fed.network().deregister("site4"); // avis' LAM vanishes
+
+    let start = Instant::now();
+    let err = fed.execute(XJOIN).unwrap_err();
+    let elapsed = start.elapsed();
+    assert!(
+        matches!(err, MdbsError::LamUnavailable { ref site } if site == "site4"),
+        "expected LamUnavailable naming the traveller's site, got {err:?}"
+    );
+    assert!(elapsed < fed.timeout / 2, "found out locally, not by a timeout: {elapsed:?}");
+    assert_eq!(
+        fed.network().stats().messages,
+        sent,
+        "no COMBINE was sent, so nothing is left waiting at the coordinator's LAM"
+    );
+
+    // avis is back, on the same site, with the same data: the next join answers.
+    let mut avis = avis_engine(FederationProfiles::default().avis);
+    avis.execute("avis", "UPDATE cars SET rate = 80 WHERE code = 2").unwrap();
+    let _lam = spawn_lam(fed.network(), "svc_avis", "site4", avis).unwrap();
+    assert_eq!(fed.execute(XJOIN).unwrap().into_table().unwrap(), expected);
 }
 
 #[test]
