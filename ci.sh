@@ -39,9 +39,11 @@ done
 
 echo "== per-row kernels =="
 # The kernels a star statement spends its time in (DESIGN §3a.17), timed one
-# by one; the example asserts that every path it times returns what another
-# path returns. Their differential tests against the kernels they replaced ran
-# in the workspace pass. Two structural pins: the text decoder hands out field
+# by one, and a LAM's reply payload in each format both ways (a result set
+# collected and encoded, and rows written straight from the engine); the
+# example asserts that every path it times returns what another path returns.
+# Their differential tests against the kernels they replaced ran in the
+# workspace pass. Two structural pins: the text decoder hands out field
 # slices (no `split_fields` building a `Vec<String>` outside wire.rs's tests),
 # and a key is hashed once — keyindex.rs seeds and hashes in one place, and
 # neither select.rs nor eval.rs hashes a value on its own.
@@ -134,10 +136,13 @@ cargo test -q --test cross_db_join a_reduced_join_runs_each_subquery_once_outsid
 cargo test -q --test aggregate_oracle pushed_site_queries_run_once_outside_explain
 
 echo "== payload gate =="
-# Between the LAM's engine and the executor a result set is rows; only the
-# codec boundary (proto.rs / wire.rs / codec/columnar.rs) turns it into text
-# or bytes. A text encode/decode of a result set in these files, outside
-# their unit tests, means a re-parse crept back onto the data path.
+# There is no result set between the LAM's engine and the wire: the LAM runs
+# a SELECT into its reply format's row writer (wire.rs / codec/columnar.rs),
+# and its reply type (`proto::Response<Encoded>`) holds those bytes, so it
+# cannot carry rows. The MDBS side builds a result set once, where it decodes
+# the reply. A text encode/decode of a result set in these files, outside
+# their unit tests, means a re-encode or a re-parse crept back onto the data
+# path.
 for f in crates/core/src/{executor,lam,lamclient}.rs crates/core/src/codec/frame.rs; do
     if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '(encode|decode)_result_set'; then
         echo "result-set text codec call on the data path in $f" >&2

@@ -283,7 +283,7 @@ impl BoundSubquery<'_> {
         }
         self.cache.executions.set(self.cache.executions.get() + 1);
         // Like every subquery, not counted in the statement's access stats.
-        let rs = Rc::new(plan.run(Some(frame), true, &AccessStats::default())?);
+        let rs = Rc::new(plan.collect(Some(frame), true, &AccessStats::default())?);
         if !correlated {
             self.cache.entries.borrow_mut()[self.node] = Some(Rc::clone(&rs));
         }

@@ -49,7 +49,7 @@ pub mod table;
 pub mod txn;
 pub mod value;
 
-pub use engine::{Engine, ExecOutcome, ResultSet};
+pub use engine::{Engine, ExecOutcome, ResultSet, RowSink};
 pub use error::DbError;
 pub use profile::DbmsProfile;
 pub use schema::{ColumnSchema, IndexDef, IndexKind, TableSchema};

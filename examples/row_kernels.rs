@@ -6,20 +6,24 @@
 //! as medians of 30 runs: the engine's scan, the text and columnar codecs in
 //! both directions (ns per value), GROUP BY on one integer key and an
 //! ungrouped `COUNT(*)` (ns per row), a literal `IN` list of 20 and of 2 000
-//! keys (the probe must not grow with the list) and `ORDER BY … LIMIT 10`.
+//! keys (the probe must not grow with the list), `ORDER BY … LIMIT 10`, and
+//! a LAM's reply payload of the scan in each format both ways: collected
+//! into a result set and encoded, and written straight from the engine.
 //! Every timed path is checked against another one: a decode returns what
 //! was encoded, the aggregates, the `IN` filter and the top ten equal what
-//! plain Rust computes from the scanned rows.
+//! plain Rust computes from the scanned rows, and the two reply paths write
+//! the same bytes.
 //!
 //! ```sh
 //! cargo run --release --example row_kernels
 //! ```
 
-use ldbs::engine::{Engine, ResultSet};
+use ldbs::engine::{Engine, ExecOutcome, ResultSet};
 use ldbs::profile::DbmsProfile;
 use ldbs::value::Value;
 use mdbs::codec::columnar;
-use mdbs::wire;
+use mdbs::proto::Encoded;
+use mdbs::{wire, WireFormat};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -150,4 +154,28 @@ fn main() {
     let (ns, all) = median_ns(|| select("SELECT v, s FROM fact ORDER BY v DESC"));
     assert_eq!(all.rows[..10], top.rows[..]);
     report("   the same without the LIMIT", ns, "row", ROWS);
+
+    // A LAM's reply payload, both ways: the scan collected into a result set
+    // and encoded, then dropped (how a reply was built), and the rows
+    // written straight from the engine by the format's row writer (how it
+    // is built). The two must be the same bytes.
+    let scan_sql = "SELECT k, g, v, s FROM fact";
+    for format in [WireFormat::Text, WireFormat::Binary] {
+        let (ns, collected) = median_ns(|| {
+            let rs = engine.execute("db0", scan_sql).expect("select").into_result_set();
+            let rs = rs.expect("rows");
+            match format {
+                WireFormat::Text => Encoded::Text(wire::encode_result_set(&rs)),
+                WireFormat::Binary => Encoded::Columnar(columnar::encode_result_set(&rs)),
+            }
+        });
+        report(&format!("{} reply: execute + encode", format.label()), ns, "row", ROWS);
+        let (ns, written) =
+            median_ns(|| match engine.execute_with("db0", scan_sql, format.row_writer()) {
+                Ok(ExecOutcome::Rows(rows)) => rows.into_payload(),
+                other => panic!("the scan wrote no rows: {}", other.is_ok()),
+            });
+        assert_eq!(written, collected, "{} rows written from the engine", format.label());
+        report(&format!("{} reply: rows written", format.label()), ns, "row", ROWS);
+    }
 }
