@@ -174,6 +174,44 @@ for f in $(find crates/core/src -name '*.rs' ! -path '*/codec/*' ! -name proto.r
     fi
 done
 
+echo "== one framing module =="
+# Only codec/ knows how a message body is laid out in either format (DESIGN
+# §3a.7): the LAM and its client frame, peek and read bodies through
+# codec::{frame_request, frame_response, peek, read_request, read_response,
+# is_reply}, so a change of framing is a change there. Outside tests,
+# lam.rs and lamclient.rs match no `Body::Text` / `Body::Binary` and call
+# none of the per-format framing functions. On 0ffe594 this flagged 18
+# lines: 11 in lam.rs (serve's peek and decode, is_reply, frame_reply and
+# ship's PART) and 7 in lamclient.rs (encode and receive).
+for f in crates/core/src/lam.rs crates/core/src/lamclient.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" |
+        grep -nE 'Body::(Text|Binary)|split_correlation|encode_framed|peek_correlation|decode_request_sized|decode_response_as'; then
+        echo "$f frames or reads a body itself; go through codec" >&2
+        exit 1
+    fi
+done
+
+echo "== no buffer pool =="
+# A message body is the buffer its encoder wrote, shared behind an Arc
+# (DESIGN §3a.7): a resend or the reply cache copies no byte, and nothing
+# leases, pools or returns a buffer. Outside tests crates/*/src calls no
+# `lease(` and names `BufferPool` / `PooledBuf` only in the stateless shim
+# fedbench/src/layers.rs still calls (netsim's `pub struct BufferPool;`,
+# codec/mod.rs's import and the two `_: &BufferPool` parameters of
+# codec::encode_request / encode_response), until ROADMAP item 1(b). On
+# 0ffe594 this flagged 48 lines: netsim's pool.rs (26), message.rs (6) and
+# lib.rs (1), codec/frame.rs (8) and codec/mod.rs (1), lam.rs (3) and
+# lamclient.rs (3).
+shim='^[0-9]+:(pub struct BufferPool;|use netsim::\{Body, BufferPool\};|    _: &BufferPool,)$'
+for f in $(find crates/*/src -name '*.rs'); do
+    allow='^$'
+    case "$f" in crates/netsim/src/lib.rs | crates/core/src/codec/mod.rs) allow=$shim ;; esac
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'lease\(|BufferPool|PooledBuf' | grep -vE "$allow"; then
+        echo "$f pools message buffers" >&2
+        exit 1
+    fi
+done
+
 echo "== one two-phase commit =="
 # A synchronization point is a settle program like every vital set's: the
 # global transaction generates it and hands it to the executor. It sends no

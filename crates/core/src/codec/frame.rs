@@ -14,15 +14,14 @@
 //! blocks* written and read by the message's [`Payload`] type: a result set ships
 //! columnar (`codec::columnar`); the `String` shim falls back to a verbatim
 //! length-prefixed string for texts that are not canonical result sets, so
-//! `decode(encode(x)) == x` holds for every input, bit for bit. Frames are
-//! encoded into buffers leased from a [`BufferPool`] and must decode with
-//! exact consumption: trailing bytes are an error.
+//! `decode(encode(x)) == x` holds for every input, bit for bit. A frame is
+//! encoded into a buffer of its own, which becomes the message body, and must
+//! decode with exact consumption: trailing bytes are an error.
 
 use super::varint::{write_f64, write_str, write_u64, Reader};
 use crate::error::MdbsError;
 use crate::planner::EdgeRule;
 use crate::proto::{CombineReport, HomeEdge, PartDone, Payload, Request, Response, TaskMode};
-use netsim::{BufferPool, PooledBuf};
 
 /// First byte of every binary frame (never a printable ASCII byte, so text
 /// and binary bodies cannot be confused).
@@ -239,13 +238,10 @@ fn read_strings(r: &mut Reader) -> Result<Vec<String>, MdbsError> {
     Ok(out)
 }
 
-/// Encodes a request frame into a pooled buffer.
-pub fn encode_request<P: Payload>(
-    pool: &BufferPool,
-    corr: Option<u64>,
-    req: &Request<P>,
-) -> PooledBuf {
-    let mut buf = pool.lease();
+/// Encodes a request frame. Its payload block, if any, is written last, so
+/// the buffer grows to its final size once, as the block is appended.
+pub fn request_bytes<P: Payload>(corr: Option<u64>, req: &Request<P>) -> Vec<u8> {
+    let mut buf = Vec::new();
     write_header(&mut buf, corr);
     match req {
         Request::Exec { task, commands } => {
@@ -464,13 +460,9 @@ fn read_flag(r: &mut Reader) -> Result<bool, MdbsError> {
     }
 }
 
-/// Encodes a response frame into a pooled buffer.
-pub fn encode_response<P: Payload>(
-    pool: &BufferPool,
-    corr: Option<u64>,
-    resp: &Response<P>,
-) -> PooledBuf {
-    let mut buf = pool.lease();
+/// Encodes a response frame; like [`request_bytes`], payload block last.
+pub fn response_bytes<P: Payload>(corr: Option<u64>, resp: &Response<P>) -> Vec<u8> {
+    let mut buf = Vec::new();
     write_header(&mut buf, corr);
     match resp {
         Response::TaskDone { status, affected, payload, error } => {
@@ -612,12 +604,8 @@ mod tests {
     use ldbs::engine::{ColumnMeta, ResultSet};
     use ldbs::value::{DataType, Value};
 
-    fn pool() -> BufferPool {
-        BufferPool::new(8)
-    }
-
     fn roundtrip_request(corr: Option<u64>, req: Request) {
-        let frame = encode_request(&pool(), corr, &req);
+        let frame = request_bytes(corr, &req);
         assert_eq!(peek_correlation(&frame), corr);
         let (got_corr, got) = decode_request(&frame).unwrap();
         assert_eq!(got_corr, corr);
@@ -625,7 +613,7 @@ mod tests {
     }
 
     fn roundtrip_response(corr: Option<u64>, resp: Response) {
-        let frame = encode_response(&pool(), corr, &resp);
+        let frame = response_bytes(corr, &resp);
         assert_eq!(peek_correlation(&frame), corr);
         let (got_corr, got) = decode_response(&frame).unwrap();
         assert_eq!(got_corr, corr);
@@ -947,8 +935,7 @@ mod tests {
     fn canonical_payloads_ship_columnar() {
         let rows: String = (0..100).map(|i| format!("R I:{i}|S:available\n")).collect();
         let payload = format!("COLS code:int|status:char(16)\n{rows}");
-        let frame = encode_response(
-            &pool(),
+        let frame = response_bytes(
             Some(1),
             &Response::PartialDone {
                 payload: Some(payload.clone()),
@@ -968,25 +955,25 @@ mod tests {
 
     #[test]
     fn bad_frames_rejected() {
-        let frame = encode_request(&pool(), Some(1), &Request::<String>::Ping);
+        let frame = request_bytes(Some(1), &Request::<String>::Ping);
         // Wrong magic.
-        let mut bad = frame.clone().into_vec();
+        let mut bad = frame.clone();
         bad[0] = b'@';
         assert!(decode_request(&bad).is_err());
         // Wrong version.
-        let mut bad = frame.clone().into_vec();
+        let mut bad = frame.clone();
         bad[1] = 9;
         assert!(decode_request(&bad).is_err());
         // Unknown flags.
-        let mut bad = frame.clone().into_vec();
+        let mut bad = frame.clone();
         bad[2] = 0xF0;
         assert!(decode_request(&bad).is_err());
         // Trailing garbage.
-        let mut bad = frame.clone().into_vec();
+        let mut bad = frame.clone();
         bad.push(0);
         assert!(decode_request(&bad).is_err());
         // Unknown tag.
-        let mut bad = frame.clone().into_vec();
+        let mut bad = frame.clone();
         *bad.last_mut().unwrap() = 0x7F;
         assert!(decode_request(&bad).is_err());
         // A request frame is not a response frame.
@@ -1009,20 +996,11 @@ mod tests {
         let loose = format!("{}\n", crate::wire::encode_result_set(&rs));
         let req =
             Request::LoadMany { database: "avis".into(), parts: vec![("t".to_string(), loose)] };
-        let frame = encode_request(&pool(), None, &req);
+        let frame = request_bytes(None, &req);
         let (_, typed) = decode_request_as::<ResultSet>(&frame).unwrap();
         assert_eq!(
             typed,
             Request::LoadMany { database: "avis".into(), parts: vec![("t".to_string(), rs)] }
         );
-    }
-
-    #[test]
-    fn frames_reuse_pooled_buffers() {
-        let pool = pool();
-        drop(encode_request(&pool, Some(1), &Request::<String>::Ping));
-        assert_eq!(pool.idle(), 1);
-        drop(encode_request(&pool, Some(2), &Request::<String>::Ping));
-        assert_eq!(pool.reuses(), 1);
     }
 }

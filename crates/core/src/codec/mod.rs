@@ -1,10 +1,20 @@
-//! Binary wire codec: a negotiated alternative to the text proto.
+//! Message framing, in both wire formats: the one module that knows how a
+//! message body is laid out.
 //!
 //! The line-oriented text format in [`crate::proto`] / [`crate::wire`]
 //! remains the default — and the debug and golden-trace format. This module
 //! adds a compact binary frame grammar ([`frame`]) over LEB128 varints
-//! ([`varint`]) with columnar result-set payloads ([`columnar`]), encoded
-//! into buffers leased from a [`netsim::BufferPool`].
+//! ([`varint`]) with columnar result-set payloads ([`columnar`]).
+//!
+//! **Bodies.** [`frame_request`] / [`frame_response`] frame a message in
+//! either format, behind an optional correlation id, into the buffer that
+//! becomes its [`netsim::Body`]: the payload is written last, so the buffer
+//! grows to its final size once, and from there the body is shared — a
+//! resend and the LAM's reply cache copy no byte. [`peek`] reads a body's
+//! correlation id and format, [`read_request`] / [`read_response`] decode
+//! it, and [`is_reply`] tells a reply from a request. The LAM and its client
+//! frame and read bodies through these alone, so a change of framing is a
+//! change here.
 //!
 //! **Negotiation.** The client picks the format per connection
 //! ([`crate::lamclient::LamFactory::wire_format`], threaded down from
@@ -20,18 +30,94 @@ pub mod columnar;
 pub mod frame;
 pub mod varint;
 
-use crate::proto::{Encoded, Payload};
+use crate::error::MdbsError;
+use crate::proto::{self, Encoded, Payload, Request, Response};
 use crate::wire::TextRows;
 use columnar::ColumnarRows;
 use ldbs::engine::{ColumnMeta, ResultSet, RowSink};
 use ldbs::value::{DataType, Value};
+use netsim::{Body, BufferPool};
 use std::borrow::Cow;
 use std::vec::Drain;
 
 pub use frame::{
     decode_request, decode_request_as, decode_request_sized, decode_response, decode_response_as,
-    encode_request, encode_response, peek_correlation,
+    peek_correlation, request_bytes, response_bytes,
 };
+
+/// Frames `req` as a message body in `format`, behind correlation id `corr`
+/// if given.
+pub fn frame_request<P: Payload>(format: WireFormat, corr: Option<u64>, req: &Request<P>) -> Body {
+    match format {
+        WireFormat::Text => Body::from(req.encode_framed(corr)),
+        WireFormat::Binary => Body::from(request_bytes(corr, req)),
+    }
+}
+
+/// Frames `resp` as a message body in `format`, behind correlation id
+/// `corr` if given.
+pub fn frame_response<P: Payload>(
+    format: WireFormat,
+    corr: Option<u64>,
+    resp: &Response<P>,
+) -> Body {
+    match format {
+        WireFormat::Text => Body::from(resp.encode_framed(corr)),
+        WireFormat::Binary => Body::from(response_bytes(corr, resp)),
+    }
+}
+
+/// A body's correlation id, if it carries one, and its format — read from
+/// its prefix or frame header without decoding the rest.
+pub fn peek(body: &Body) -> (Option<u64>, WireFormat) {
+    match body {
+        Body::Text(text) => (proto::split_correlation(text).0, WireFormat::Text),
+        Body::Binary(bytes) => (peek_correlation(bytes), WireFormat::Binary),
+    }
+}
+
+/// Decodes a request body holding `P` payloads, with the byte size of the
+/// payload block a [`Request::Part`] carried (0 for every other request).
+pub fn read_request<P: Payload>(body: &Body) -> Result<(Request<P>, usize), MdbsError> {
+    match body {
+        Body::Text(text) => Request::decode_sized(proto::split_correlation(text).1),
+        Body::Binary(bytes) => decode_request_sized(bytes).map(|(_, req, size)| (req, size)),
+    }
+}
+
+/// Decodes a response body holding a `P` payload, with the byte size of the
+/// payload block it carried (0 when it carried none).
+pub fn read_response<P: Payload>(body: &Body) -> Result<(Response<P>, usize), MdbsError> {
+    match body {
+        Body::Text(text) => Response::decode_as(proto::split_correlation(text).1),
+        Body::Binary(bytes) => decode_response_as(bytes).map(|(_, resp, size)| (resp, size)),
+    }
+}
+
+/// Whether `body` is a reply, which a LAM only ever receives by mistake.
+pub fn is_reply(body: &Body) -> bool {
+    read_response::<ResultSet>(body).is_ok()
+}
+
+/// [`request_bytes`] behind the signature `fedbench/src/layers.rs` calls
+/// (the pool is stateless); kept for it until ROADMAP item 1(b).
+pub fn encode_request<P: Payload>(
+    _: &BufferPool,
+    corr: Option<u64>,
+    req: &Request<P>,
+) -> Box<[u8]> {
+    request_bytes(corr, req).into()
+}
+
+/// [`response_bytes`] behind the signature `fedbench/src/layers.rs` calls;
+/// kept for it until ROADMAP item 1(b).
+pub fn encode_response<P: Payload>(
+    _: &BufferPool,
+    corr: Option<u64>,
+    resp: &Response<P>,
+) -> Box<[u8]> {
+    response_bytes(corr, resp).into()
+}
 
 /// Which encoding a client uses for LAM requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

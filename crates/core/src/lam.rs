@@ -25,7 +25,7 @@ use crate::codec::{self, RowWriter, WireFormat};
 use crate::error::MdbsError;
 use crate::planner::{and_filters, ReductionEdge};
 use crate::proto::{self, CombineReport, Encoded, HomeEdge, PartDone};
-use crate::proto::{RowsRequest as Request, RowsResponse, TaskMode};
+use crate::proto::{RowsRequest as Request, TaskMode};
 use crate::translate::decompose::part_table;
 use crate::wire;
 use catalog::{GddColumn, GddTable};
@@ -35,7 +35,7 @@ use ldbs::table::Table;
 use ldbs::txn::TxnId;
 use ldbs::value::DataType;
 use msql_lang::TypeName;
-use netsim::{Body, BufferPool, Endpoint, Network};
+use netsim::{Body, Endpoint, Network};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
@@ -296,7 +296,6 @@ pub fn spawn_lam_with(
             stash: Fifo::new(256),
         }),
         config,
-        pool: BufferPool::default(),
         endpoint,
         net: net.clone(),
         site: site.to_string(),
@@ -373,36 +372,30 @@ fn serve(shared: &Arc<SrvShared>) {
         // mixed-format clients coexist on one LAM. The correlation id is
         // peeked *before* full decoding, keeping the cache-check →
         // inflight-insert → decode order that the at-most-once guarantee
-        // depends on.
-        let (corr, format) = match &msg.body {
-            Body::Text(text) => (proto::split_correlation(text).0, WireFormat::Text),
-            Body::Binary(bytes) => (codec::peek_correlation(bytes), WireFormat::Binary),
-        };
-        if let Some(id) = corr {
+        // depends on. A request is known by who sent it and its id: two
+        // clients that number their requests alike never share a reply.
+        let (corr, format) = codec::peek(&msg.body);
+        let asked: Option<ReplyKey> = corr.map(|id| (msg.from.as_str().into(), id));
+        if let Some(asked) = &asked {
             let mut state = shared.state.lock();
-            if let Some(cached) = state.replies.get(&id).cloned() {
+            if let Some(cached) = state.replies.get(asked).cloned() {
                 drop(state);
                 shared.stats.replayed.fetch_add(1, Ordering::Relaxed);
                 let _ = endpoint.send(&msg.from, cached);
                 continue;
             }
-            if !state.inflight.insert(id) {
+            if !state.inflight.insert(asked.clone()) {
                 // The original request is still executing on a sibling
                 // thread: drop this retry silently; the client's next retry
                 // will hit the reply cache.
                 continue;
             }
         }
-        let decoded = match &msg.body {
-            Body::Text(text) => Request::decode_sized(proto::split_correlation(text).1),
-            Body::Binary(bytes) => {
-                codec::decode_request_sized(bytes).map(|(_, req, size)| (req, size))
-            }
-        };
+        let decoded = codec::read_request(&msg.body);
+        let combine = matches!(decoded, Ok((Request::Combine { .. }, _)));
         let response = match decoded {
             Ok((Request::Shutdown, _)) => {
-                let out = frame_reply(shared, corr, Response::Ok, format);
-                let _ = endpoint.send(&msg.from, out);
+                reply(shared, &msg.from, corr, Response::Ok, format);
                 // Taking the site down disconnects the mailbox, which is
                 // what wakes the sibling threads.
                 shared.alive.store(false, Ordering::SeqCst);
@@ -422,10 +415,12 @@ fn serve(shared: &Arc<SrvShared>) {
                     }
                     Request::Combine { database, home, parts, edges, sql, measure } => {
                         let spec = CombineSpec { database, home, parts, edges, sql, measure };
-                        let waiting = Waiting { from: msg.from.clone(), format, spec };
-                        match corr {
-                            Some(key) => gather(shared, key, Frame::Combine(waiting)),
-                            None => Some(run_combine(shared, waiting.spec, HashMap::new(), format)),
+                        match &asked {
+                            Some(asked) => {
+                                let waiting = Waiting { asked: asked.clone(), format, spec };
+                                gather(shared, asked.1, Frame::Combine(waiting))
+                            }
+                            None => Some(run_combine(shared, spec, HashMap::new(), format)),
                         }
                     }
                     req => Some(handle_request(shared, req, format)),
@@ -433,12 +428,18 @@ fn serve(shared: &Arc<SrvShared>) {
             }
             // A reply that failed to decode as a request is not answered:
             // two LAMs must never bounce errors at each other.
-            Err(_) if is_reply(&msg.body) => None,
+            Err(_) if codec::is_reply(&msg.body) => None,
             Err(e) => Some(Response::Err { message: e.to_string() }),
         };
-        if let Some(response) = response {
-            let out = frame_reply(shared, corr, response, format);
-            let _ = endpoint.send(&msg.from, out);
+        match (response, asked) {
+            (Some(response), _) => reply(shared, &msg.from, corr, response, format),
+            // Not answered here. A `COMBINE` that waits left the inflight set
+            // in `gather`; anything else leaves it now, or every later
+            // request from its sender under its id would be dropped.
+            (None, Some(asked)) if !combine => {
+                shared.state.lock().inflight.remove(&asked);
+            }
+            (None, _) => {}
         }
     }
     // Shut down, or a terminal fault: the mailbox only disconnects when the
@@ -446,51 +447,29 @@ fn serve(shared: &Arc<SrvShared>) {
     shared.alive.store(false, Ordering::SeqCst);
 }
 
-/// Whether a message is a reply, which a LAM only ever receives by mistake.
-fn is_reply(body: &Body) -> bool {
-    match body {
-        Body::Text(text) => RowsResponse::decode_as(proto::split_correlation(text).1).is_ok(),
-        Body::Binary(bytes) => codec::decode_response_as::<ResultSet>(bytes).is_ok(),
+/// Frames a response to `to`'s request `corr` and sends it. A correlated
+/// reply goes into the reply cache — the body itself, shared, not a copy —
+/// and its inflight marker clears under the same lock, so a client retry can
+/// never slip between the two and re-execute.
+fn reply(shared: &SrvShared, to: &str, corr: Option<u64>, response: Response, format: WireFormat) {
+    let body = codec::frame_response(format, corr, &response);
+    if let Some(id) = corr {
+        let asked: ReplyKey = (to.into(), id);
+        let mut state = shared.state.lock();
+        state.inflight.remove(&asked);
+        state.replies.insert(asked, body.clone());
     }
-}
-
-/// Encodes a response, recording it in the reply cache and clearing the
-/// inflight marker when the request was correlated. The cache is populated
-/// *before* the marker clears, so a client retry can never slip between
-/// the two and re-execute.
-fn frame_reply(
-    shared: &SrvShared,
-    corr: Option<u64>,
-    response: Response,
-    format: WireFormat,
-) -> Body {
-    let encode = |corr: Option<u64>| -> Body {
-        match format {
-            WireFormat::Text => Body::Text(response.encode_framed(corr)),
-            WireFormat::Binary => {
-                Body::Binary(codec::encode_response(&shared.pool, corr, &response))
-            }
-        }
-    };
-    match corr {
-        Some(id) => {
-            let framed = encode(Some(id));
-            let mut state = shared.state.lock();
-            state.replies.insert(id, framed.clone());
-            state.inflight.remove(&id);
-            framed
-        }
-        None => encode(None),
-    }
+    let _ = shared.endpoint.send(to, body);
 }
 
 /// A map that remembers its newest `capacity` keys and forgets the oldest
 /// first, so a long-lived server's memory stays flat. Both things a LAM
 /// remembers about finished work are one: the framed replies it already sent
-/// (by correlation id — a retry is replayed verbatim, in the format the
-/// original request used) and the outcomes of settled tasks (by name — what
-/// recovery's `RESOLVE` and a repeated `COMPENSATE` are answered from). The
-/// retained window comfortably covers the horizon the retry paths need.
+/// (by sender and correlation id — a retry is replayed verbatim, in the
+/// format the original request used) and the outcomes of settled tasks (by
+/// name — what recovery's `RESOLVE` and a repeated `COMPENSATE` are answered
+/// from). The retained window comfortably covers the horizon the retry paths
+/// need.
 struct Fifo<K, V> {
     capacity: usize,
     entries: HashMap<K, V>,
@@ -518,6 +497,10 @@ impl<K: std::hash::Hash + Eq + Clone, V> Fifo<K, V> {
         }
     }
 
+    fn keys(&self) -> impl Iterator<Item = &K> {
+        self.entries.keys()
+    }
+
     fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         self.entries.get_mut(key)
     }
@@ -542,16 +525,22 @@ struct SrvState {
     /// re-asks and gets the recorded outcome instead of presumed abort.
     /// Entries are superseded when a task name is re-executed.
     resolved: Fifo<String, char>,
-    /// Correlated responses already sent (retry deduplication).
-    replies: Fifo<u64, Body>,
-    /// Correlation ids currently executing; retries for them are dropped
+    /// Correlated responses already sent (retry deduplication), by sender
+    /// and correlation id.
+    replies: Fifo<ReplyKey, Body>,
+    /// Correlated requests currently executing; retries of them are dropped
     /// until the reply lands in the cache.
-    inflight: HashSet<u64>,
+    inflight: HashSet<ReplyKey>,
     /// Join frames waiting for their partners, by the `COMBINE`'s
-    /// correlation id ([`gather`]). Bounded like the reply cache: a join
-    /// whose client gave up is forgotten with the oldest entries.
+    /// correlation id alone: a part comes from another LAM ([`gather`]).
+    /// Bounded like the reply cache: a join whose client gave up is
+    /// forgotten with the oldest entries.
     stash: Fifo<u64, Stash>,
 }
+
+/// Who sent a correlated request, and under which id. The name is shared by
+/// a cached reply's entry and its place in the eviction queue.
+type ReplyKey = (Arc<str>, u64);
 
 /// What one join's coordinator has received so far.
 #[derive(Default)]
@@ -562,10 +551,10 @@ struct Stash {
     parts: HashMap<String, Arrived>,
 }
 
-/// A `COMBINE`, with who sent it and in what format: whoever runs it answers
-/// that sender.
+/// A correlated `COMBINE`, with who sent it under which id and in what
+/// format: whoever runs it answers that sender.
 struct Waiting {
-    from: String,
+    asked: ReplyKey,
     format: WireFormat,
     spec: CombineSpec,
 }
@@ -614,9 +603,6 @@ struct SrvShared {
     engine: Arc<Mutex<Engine>>,
     state: Mutex<SrvState>,
     config: LamConfig,
-    /// Lease pool binary replies are encoded into; leases return when the
-    /// receiver drops the delivered frame.
-    pool: BufferPool,
     /// The site's mailbox.
     endpoint: Endpoint,
     net: Network,
@@ -1060,12 +1046,8 @@ fn ship(shared: &SrvShared, ship: Shipped, format: WireFormat) -> Option<Respons
         access: access.clone(),
     });
     let part = proto::Request::Part { key, database, payload: rows, access, error, full_bytes };
-    let body = match format {
-        WireFormat::Text => Body::Text(part.encode()),
-        WireFormat::Binary => Body::Binary(codec::encode_request(&shared.pool, None, &part)),
-    };
     // A lost part is the coordinator's timeout, and its client resends.
-    let _ = shared.endpoint.send(&to, body);
+    let _ = shared.endpoint.send(&to, codec::frame_request(format, None, &part));
     echoed
 }
 
@@ -1077,10 +1059,17 @@ fn ship(shared: &SrvShared, ship: Shipped, format: WireFormat) -> Option<Respons
 /// is filed again rather than dropped.
 fn gather(shared: &Arc<SrvShared>, key: u64, frame: Frame) -> Option<Response> {
     let mut state = shared.state.lock();
-    let combine = matches!(frame, Frame::Combine(_));
-    if !combine && (state.replies.get(&key).is_some() || state.inflight.contains(&key)) {
-        return None;
-    }
+    let combine = match &frame {
+        Frame::Combine(waiting) => Some(waiting.asked.clone()),
+        // A part comes from another LAM: its `COMBINE` is known by id alone.
+        Frame::Part(..) => {
+            let mut ran = state.inflight.iter().chain(state.replies.keys());
+            if ran.any(|(_, id)| *id == key) {
+                return None;
+            }
+            None
+        }
+    };
     if state.stash.get(&key).is_none() {
         state.stash.insert(key, Stash::default());
     }
@@ -1096,19 +1085,20 @@ fn gather(shared: &Arc<SrvShared>, key: u64, frame: Frame) -> Option<Response> {
         .as_ref()
         .is_some_and(|w| w.spec.parts.iter().all(|db| stash.parts.contains_key(db)));
     if !complete {
-        state.inflight.remove(&key);
+        if let Some(asked) = &combine {
+            state.inflight.remove(asked);
+        }
         return None;
     }
     let Stash { combine: waiting, parts } = state.stash.remove(&key).expect("filed above");
-    state.inflight.insert(key);
+    let Waiting { asked, format, spec } = waiting.expect("complete");
+    state.inflight.insert(asked.clone());
     drop(state);
-    let Waiting { from, format, spec } = waiting.expect("complete");
     let response = run_combine(shared, spec, parts, format);
-    if combine {
+    if combine.is_some() {
         return Some(response);
     }
-    let out = frame_reply(shared, Some(key), response, format);
-    let _ = shared.endpoint.send(&from, out);
+    reply(shared, &asked.0, Some(asked.1), response, format);
     None
 }
 
@@ -1299,14 +1289,15 @@ mod tests {
         mem.remove(&"t99".to_string());
         assert_eq!(get(&mem, "t99"), None);
         assert_eq!(mem.entries.len(), 3);
-        // The reply cache is the same map keyed by correlation id.
-        let mut replies: Fifo<u64, Body> = Fifo::new(2);
-        replies.insert(1, "a".into());
-        replies.insert(2, "b".into());
-        replies.insert(3, "c".into());
-        assert_eq!(replies.get(&1), None, "oldest evicted");
-        assert_eq!(replies.get(&2), Some(&"b".into()));
-        assert_eq!(replies.get(&3), Some(&"c".into()));
+        // The reply cache is the same map keyed by sender and correlation id.
+        let mut replies: Fifo<ReplyKey, Body> = Fifo::new(2);
+        let asked = |id: u64| -> ReplyKey { ("client".into(), id) };
+        replies.insert(asked(1), "a".into());
+        replies.insert(asked(2), "b".into());
+        replies.insert(asked(3), "c".into());
+        assert_eq!(replies.get(&asked(1)), None, "oldest evicted");
+        assert_eq!(replies.get(&asked(2)), Some(&"b".into()));
+        assert_eq!(replies.get(&asked(3)), Some(&"c".into()));
     }
 
     fn setup() -> (Network, LamHandle, netsim::Endpoint) {
@@ -1886,6 +1877,11 @@ mod tests {
         client.send("site1", framed).unwrap();
         let second = client.recv().unwrap();
         assert_eq!(first.body, second.body, "replayed verbatim");
+        assert_eq!(
+            first.body.as_str().as_ptr(),
+            second.body.as_str().as_ptr(),
+            "the cached reply is the body sent, not a copy"
+        );
         let (corr, body) = proto::split_correlation(second.body.as_str());
         assert_eq!(corr, Some(99));
         assert!(matches!(
@@ -1903,6 +1899,43 @@ mod tests {
                 .clone()
         };
         assert_eq!(rate, ldbs::value::Value::Float(41.0));
+    }
+
+    #[test]
+    fn one_correlation_id_from_two_senders_is_two_requests() {
+        let (net, _lam, _client) = setup();
+        let text = Peer::new(&net, "t", WireFormat::Text);
+        let binary = Peer::new(&net, "b", WireFormat::Binary);
+        let select = |column: &str| Request::Task {
+            name: format!("Q_{column}"),
+            mode: TaskMode::Auto,
+            database: "avis".into(),
+            commands: vec![format!("SELECT {column} FROM cars")],
+        };
+        // Each peer's `recv` checks the reply came in its own format.
+        let mut asked = [(&text, "code"), (&binary, "rate")];
+        for _ in 0..2 {
+            for (peer, column) in asked {
+                let reply = peer.call(7, &select(column));
+                let Response::TaskDone { payload: Some(rows), .. } = reply else {
+                    panic!("{reply:?}")
+                };
+                assert_eq!(rows.columns[0].name, column);
+            }
+            // The second round is answered from the cache, each its own.
+            asked.reverse();
+        }
+    }
+
+    #[test]
+    fn a_correlated_reply_sent_to_a_lam_leaves_its_id_free() {
+        let (net, _lam, _client) = setup();
+        for format in [WireFormat::Text, WireFormat::Binary] {
+            let peer = Peer::new(&net, &format!("p_{}", format.label()), format);
+            let stray = codec::frame_response(format, Some(3), &Response::Ok);
+            peer.endpoint.send("site1", stray).unwrap();
+            assert_eq!(peer.call(3, &Request::Ping), Response::Ok, "the request is served");
+        }
     }
 
     #[test]
@@ -1960,36 +1993,22 @@ mod tests {
     struct Peer {
         endpoint: netsim::Endpoint,
         format: WireFormat,
-        pool: BufferPool,
     }
 
     impl Peer {
         fn new(net: &Network, name: &str, format: WireFormat) -> Peer {
-            Peer { endpoint: net.register(name).unwrap(), format, pool: BufferPool::default() }
+            Peer { endpoint: net.register(name).unwrap(), format }
         }
 
         fn send(&self, id: u64, req: &Request) {
-            let body = match self.format {
-                WireFormat::Text => Body::Text(proto::encode_with_correlation(id, &req.encode())),
-                WireFormat::Binary => {
-                    Body::Binary(codec::encode_request(&self.pool, Some(id), req))
-                }
-            };
-            self.endpoint.send("site1", body).unwrap();
+            self.endpoint.send("site1", codec::frame_request(self.format, Some(id), req)).unwrap();
         }
 
         fn recv(&self) -> (u64, Response) {
             let msg = self.endpoint.recv_timeout(Duration::from_secs(5)).expect("request served");
-            match &msg.body {
-                Body::Text(text) => {
-                    let (id, body) = proto::split_correlation(text);
-                    (id.unwrap(), Response::decode_as(body).unwrap().0)
-                }
-                Body::Binary(bytes) => {
-                    let (id, resp, _) = codec::decode_response_as(bytes).unwrap();
-                    (id.unwrap(), resp)
-                }
-            }
+            let (id, format) = codec::peek(&msg.body);
+            assert_eq!(format, self.format, "answered in the request's format");
+            (id.unwrap(), codec::read_response(&msg.body).unwrap().0)
         }
 
         fn call(&self, id: u64, req: &Request) -> Response {

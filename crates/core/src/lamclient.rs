@@ -27,14 +27,14 @@
 use crate::codec::{self, WireFormat};
 use crate::error::MdbsError;
 use crate::proto::TaskMode;
-use crate::proto::{self, CombineReport, HomeEdge, PartDone};
+use crate::proto::{CombineReport, HomeEdge, PartDone};
 use crate::proto::{RowsRequest as Request, RowsResponse as Response};
 use crate::retry::{shared_stats, RetryPolicy, SharedExecStats};
 use dol::engine::TaskExecution;
 use dol::TaskStatus;
 use dol::{DolError, DolService, ServiceFactory, Step};
 use ldbs::engine::ResultSet;
-use netsim::{Body, BufferPool, Endpoint, FaultKind, NetError, Network};
+use netsim::{Body, Endpoint, FaultKind, NetError, Network};
 use obs::{labeled, MetricsRegistry, Span};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -254,8 +254,6 @@ pub struct LamClient {
     /// unless checked out from a [`LamFactory`], which sets its own; the
     /// LAM needs no coordination, so it may change between calls.
     wire_format: WireFormat,
-    /// Lease pool for binary frame buffers.
-    pool: BufferPool,
     /// Where the tasks this connection executes as a [`DolService`] leave
     /// their outputs (the factory's table when checked out from one).
     outputs: TaskOutputs,
@@ -347,7 +345,6 @@ impl LamClient {
             stats,
             metrics: MetricsRegistry::new(),
             wire_format: WireFormat::default(),
-            pool: BufferPool::default(),
             outputs: TaskOutputs::default(),
             votes: Votes::default(),
         }
@@ -421,10 +418,7 @@ impl LamClient {
     /// Encodes one frame in this connection's format, metered.
     fn encode(&self, id: Option<u64>, req: &Request) -> Body {
         let encode_start = Instant::now();
-        let framed = match self.wire_format {
-            WireFormat::Text => Body::Text(req.encode_framed(id)),
-            WireFormat::Binary => Body::Binary(codec::encode_request(&self.pool, id, req)),
-        };
+        let framed = codec::frame_request(self.wire_format, id, req);
         self.metrics.observe(
             &labeled("wire.encode_us", "format", self.wire_format.label()),
             encode_start.elapsed().as_micros() as u64,
@@ -537,23 +531,12 @@ impl LamClient {
                 .recv_timeout(wait)
                 .map_err(|e| AttemptError::Net(e, self.site.clone()))?;
             let decode_start = Instant::now();
-            let (matched, format) = match &msg.body {
-                Body::Text(text) => {
-                    let (corr, body) = proto::split_correlation(text);
-                    let matched = (corr == Some(id)).then(|| Response::decode_as(body));
-                    (matched, WireFormat::Text)
-                }
-                Body::Binary(bytes) => {
-                    let matched = (codec::peek_correlation(bytes) == Some(id)).then(|| {
-                        codec::decode_response_as(bytes).map(|(_, resp, size)| (resp, size))
-                    });
-                    (matched, WireFormat::Binary)
-                }
-            };
             // A reply to an earlier attempt or an earlier logical call is
             // skipped; the server's dedup cache already answered (or will
             // answer) the live id.
-            if let Some(result) = matched {
+            let (corr, format) = codec::peek(&msg.body);
+            if corr == Some(id) {
+                let result = codec::read_response(&msg.body);
                 self.metrics.observe(
                     &labeled("wire.decode_us", "format", format.label()),
                     decode_start.elapsed().as_micros() as u64,

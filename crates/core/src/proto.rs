@@ -1084,19 +1084,15 @@ mod tests {
             }
         }
         let want = done(rs.clone());
-        let pool = netsim::BufferPool::default();
         // Each form in its own format: the one a LAM writes for a request
         // that came in it.
         assert_eq!(done(text.clone()).encode_framed(Some(3)), want.encode_framed(Some(3)));
         assert_eq!(part(text).encode(), part(rs.clone()).encode());
         assert_eq!(
-            codec::encode_response(&pool, Some(3), &done(block.clone())).into_vec(),
-            codec::encode_response(&pool, Some(3), &want).into_vec()
+            codec::response_bytes(Some(3), &done(block.clone())),
+            codec::response_bytes(Some(3), &want)
         );
-        assert_eq!(
-            codec::encode_request(&pool, None, &part(block)).into_vec(),
-            codec::encode_request(&pool, None, &part(rs)).into_vec()
-        );
+        assert_eq!(codec::request_bytes(None, &part(block)), codec::request_bytes(None, &part(rs)));
     }
 
     #[test]

@@ -10,12 +10,11 @@ use ldbs::engine::{ColumnMeta, ResultSet};
 use ldbs::value::{DataType, Value};
 use mdbs::codec::{
     columnar, decode_request, decode_request_as, decode_request_sized, decode_response,
-    decode_response_as, encode_request, encode_response, WireFormat,
+    decode_response_as, request_bytes, response_bytes, WireFormat,
 };
 use mdbs::planner::EdgeRule;
 use mdbs::proto::{CombineReport, HomeEdge, PartDone, Request, Response, TaskMode};
 use mdbs::wire;
-use netsim::BufferPool;
 use proptest::prelude::*;
 
 /// Strings the *text* proto can carry in escaped positions (commands, SQL,
@@ -296,8 +295,7 @@ proptest! {
     /// correlation id.
     #[test]
     fn binary_request_roundtrip(req in request_strategy(), corr in proptest::option::of(any::<u64>())) {
-        let pool = BufferPool::default();
-        let frame = encode_request(&pool, corr, &req);
+        let frame = request_bytes(corr, &req);
         let (got_corr, got) = decode_request(&frame).unwrap();
         prop_assert_eq!(got_corr, corr);
         prop_assert_eq!(got, req);
@@ -306,8 +304,7 @@ proptest! {
     /// Binary frame roundtrip for every response variant.
     #[test]
     fn binary_response_roundtrip(resp in response_strategy(), corr in proptest::option::of(any::<u64>())) {
-        let pool = BufferPool::default();
-        let frame = encode_response(&pool, corr, &resp);
+        let frame = response_bytes(corr, &resp);
         let (got_corr, got) = decode_response(&frame).unwrap();
         prop_assert_eq!(got_corr, corr);
         prop_assert_eq!(got, resp);
@@ -334,9 +331,8 @@ proptest! {
     /// columnar transcoder kicked in.
     #[test]
     fn binary_frames_preserve_payload_bytes(payload in payload_strategy()) {
-        let pool = BufferPool::default();
         let resp: Response = Response::OkPayload { payload: payload.clone() };
-        let frame = encode_response(&pool, None, &resp);
+        let frame = response_bytes(None, &resp);
         let (_, got) = decode_response(&frame).unwrap();
         prop_assert_eq!(got, Response::OkPayload { payload });
     }
@@ -346,10 +342,9 @@ proptest! {
     /// to the verbatim block rather than misdecoding.
     #[test]
     fn binary_frames_preserve_arbitrary_payloads(payload in ".{0,120}") {
-        let pool = BufferPool::default();
         let parts = vec![("t".to_string(), payload)];
         let req = Request::LoadMany { database: "db".into(), parts };
-        let frame = encode_request(&pool, Some(7), &req);
+        let frame = request_bytes(Some(7), &req);
         let (corr, got) = decode_request(&frame).unwrap();
         prop_assert_eq!(corr, Some(7));
         prop_assert_eq!(got, req);
@@ -363,7 +358,6 @@ proptest! {
         rs in result_set_strategy(),
         corr in proptest::option::of(any::<u64>()),
     ) {
-        let pool = BufferPool::default();
         let text = wire::encode_result_set(&rs);
         let typed_resp =
             Response::TaskDone { status: 'C', affected: 1, payload: Some(rs.clone()), error: None };
@@ -371,8 +365,8 @@ proptest! {
             Response::TaskDone { status: 'C', affected: 1, payload: Some(text.clone()), error: None };
         prop_assert_eq!(typed_resp.encode(), text_resp.encode());
         prop_assert_eq!(
-            &*encode_response(&pool, corr, &typed_resp),
-            &*encode_response(&pool, corr, &text_resp)
+            &*response_bytes(corr, &typed_resp),
+            &*response_bytes(corr, &text_resp)
         );
         let typed_req = Request::LoadMany {
             database: "db".into(),
@@ -384,8 +378,8 @@ proptest! {
         };
         prop_assert_eq!(typed_req.encode(), text_req.encode());
         prop_assert_eq!(
-            &*encode_request(&pool, corr, &typed_req),
-            &*encode_request(&pool, corr, &text_req)
+            &*request_bytes(corr, &typed_req),
+            &*request_bytes(corr, &text_req)
         );
         fn part<P>(payload: P) -> Request<P> {
             Request::Part {
@@ -400,8 +394,8 @@ proptest! {
         let (typed_req, text_req) = (part(rs.clone()), part(text));
         prop_assert_eq!(typed_req.encode(), text_req.encode());
         prop_assert_eq!(
-            &*encode_request(&pool, None, &typed_req),
-            &*encode_request(&pool, None, &text_req)
+            &*request_bytes(None, &typed_req),
+            &*request_bytes(None, &text_req)
         );
     }
 
@@ -413,7 +407,6 @@ proptest! {
         rs in result_set_strategy(),
         corr in proptest::option::of(any::<u64>()),
     ) {
-        let pool = BufferPool::default();
         let resp = Response::PartialDone {
             payload: Some(rs.clone()),
             error: None,
@@ -424,7 +417,7 @@ proptest! {
         let (got, size) = Response::<ResultSet>::decode_as(&resp.encode()).unwrap();
         prop_assert_eq!(&got, &resp);
         prop_assert_eq!(size, WireFormat::Text.payload_len(&rs));
-        let frame = encode_response(&pool, corr, &resp);
+        let frame = response_bytes(corr, &resp);
         let (got_corr, got, size) = decode_response_as::<ResultSet>(&frame).unwrap();
         prop_assert_eq!(got_corr, corr);
         prop_assert_eq!(&got, &resp);
@@ -443,14 +436,14 @@ proptest! {
         let (got, size) = Request::<ResultSet>::decode_sized(&req.encode()).unwrap();
         prop_assert_eq!(&got, &req);
         prop_assert_eq!(size, WireFormat::Text.payload_len(&rs));
-        let frame = encode_request(&pool, corr, &req);
+        let frame = request_bytes(corr, &req);
         let (got_corr, got, size) = decode_request_sized::<ResultSet>(&frame).unwrap();
         prop_assert_eq!((got_corr, &got), (corr, &req));
         prop_assert_eq!(size, WireFormat::Binary.payload_len(&rs));
         prop_assert_eq!(decode_request_as::<ResultSet>(&frame).unwrap(), (corr, req));
         let req = Request::LoadMany { database: "db".into(), parts: vec![("p".to_string(), rs)] };
         prop_assert_eq!(&Request::<ResultSet>::decode_as(&req.encode()).unwrap(), &req);
-        let frame = encode_request(&pool, corr, &req);
+        let frame = request_bytes(corr, &req);
         prop_assert_eq!(decode_request_as::<ResultSet>(&frame).unwrap(), (corr, req));
     }
 }

@@ -7,19 +7,17 @@
 use ldbs::engine::ResultSet;
 use mdbs::codec::varint::{write_str, write_u64};
 use mdbs::codec::{
-    decode_request, decode_request_as, decode_response, decode_response_as, encode_request,
-    encode_response,
+    decode_request, decode_request_as, decode_response, decode_response_as, request_bytes,
+    response_bytes,
 };
 use mdbs::planner::EdgeRule;
 use mdbs::proto::{CombineReport, HomeEdge, PartDone, Request, Response, TaskMode};
 use mdbs::MdbsError;
-use netsim::BufferPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// One frame per request variant, payload-bearing ones included.
 fn request_corpus() -> Vec<Vec<u8>> {
-    let pool = BufferPool::default();
     let payload =
         "COLS code:int|rate:float|st:char(10)\nR I:1|F:40.0|S:available\nR I:2|N|S:rented\n";
     let reqs = vec![
@@ -113,13 +111,12 @@ fn request_corpus() -> Vec<Vec<u8>> {
     ];
     reqs.iter()
         .enumerate()
-        .map(|(i, r)| encode_request(&pool, (i % 2 == 0).then_some(i as u64 * 977), r).into_vec())
+        .map(|(i, r)| request_bytes((i % 2 == 0).then_some(i as u64 * 977), r))
         .collect()
 }
 
 /// One frame per response variant.
 fn response_corpus() -> Vec<Vec<u8>> {
-    let pool = BufferPool::default();
     let payload = "COLS code:int\nR I:1\nR I:2\nR N\n";
     let resps: [Response; 9] = [
         Response::Ok,
@@ -179,7 +176,7 @@ fn response_corpus() -> Vec<Vec<u8>> {
     resps
         .iter()
         .enumerate()
-        .map(|(i, r)| encode_response(&pool, (i % 2 == 1).then_some(i as u64), r).into_vec())
+        .map(|(i, r)| response_bytes((i % 2 == 1).then_some(i as u64), r))
         .collect()
 }
 
@@ -214,11 +211,10 @@ fn every_truncation_of_every_response_frame_is_rejected() {
 
 #[test]
 fn corrupt_tag_bytes_are_rejected() {
-    let pool = BufferPool::default();
-    let frame = encode_request(&pool, Some(5), &Request::<String>::Ping).into_vec();
+    let frame = request_bytes(Some(5), &Request::<String>::Ping);
     // The tag is the byte after magic/version/flags/varint-corr; locate it
     // by re-encoding without correlation (tag is then the last byte).
-    let tagless = encode_request(&pool, None, &Request::<String>::Ping).into_vec();
+    let tagless = request_bytes(None, &Request::<String>::Ping);
     let tag_at = tagless.len() - 1;
     for bad in [0u8, 0x11, 0x40, 0x7f, 0x80, 0x86, 0xff] {
         let mut corrupt = tagless.clone();
@@ -226,7 +222,7 @@ fn corrupt_tag_bytes_are_rejected() {
         assert_wire_err(decode_request(&corrupt), &format!("request tag {bad:#04x}"));
     }
     // A response tag in a request frame (and vice versa) is also corrupt.
-    let resp_frame = encode_response(&pool, None, &Response::<String>::Ok).into_vec();
+    let resp_frame = response_bytes(None, &Response::<String>::Ok);
     assert_wire_err(decode_request(&resp_frame), "response tag fed to request decoder");
     assert_wire_err(decode_response(&tagless), "request tag fed to response decoder");
     // Sanity: the untouched frames decode.
@@ -235,8 +231,7 @@ fn corrupt_tag_bytes_are_rejected() {
 
 #[test]
 fn overlong_and_oversized_varints_are_rejected() {
-    let pool = BufferPool::default();
-    let good = encode_request(&pool, Some(1), &Request::<String>::Ping).into_vec();
+    let good = request_bytes(Some(1), &Request::<String>::Ping);
     // Frame layout: magic, version, flags(=1), varint corr(=1 byte), tag.
     // Replace the 1-byte correlation varint with pathological encodings.
     let (head, tail) = (&good[..3], &good[4..]);
@@ -260,9 +255,8 @@ fn overlong_and_oversized_varints_are_rejected() {
 
 #[test]
 fn trailing_garbage_is_rejected() {
-    let pool = BufferPool::default();
     for extra in [&[0u8][..], &[0u8, 1, 2, 3][..]] {
-        let mut frame = encode_request(&pool, Some(9), &Request::<String>::Ping).into_vec();
+        let mut frame = request_bytes(Some(9), &Request::<String>::Ping);
         frame.extend_from_slice(extra);
         assert_wire_err(decode_request(&frame), "trailing bytes after a complete frame");
     }
@@ -275,7 +269,6 @@ fn trailing_garbage_is_rejected() {
 /// decode.
 #[test]
 fn seeded_bit_flip_sweep_never_panics_or_destabilizes() {
-    let pool = BufferPool::default();
     let mut rng = StdRng::seed_from_u64(0xB1_C0DEC);
     let mut rejected = 0u32;
     let mut absorbed = 0u32;
@@ -288,7 +281,7 @@ fn seeded_bit_flip_sweep_never_panics_or_destabilizes() {
                 let bit = rng.gen_range(0u32..8);
                 mutant[byte] ^= 1 << bit;
             }
-            typed_request_decode_is_stable(&pool, &mutant);
+            typed_request_decode_is_stable(&mutant);
             match decode_request(&mutant) {
                 Err(MdbsError::Wire(_)) => rejected += 1,
                 Err(other) => panic!("non-wire error from a corrupt frame: {other:?}"),
@@ -296,7 +289,7 @@ fn seeded_bit_flip_sweep_never_panics_or_destabilizes() {
                     // A flip inside a string/int field can yield a different
                     // but well-formed frame; its decode must be stable.
                     absorbed += 1;
-                    let re = encode_request(&pool, corr, &req);
+                    let re = request_bytes(corr, &req);
                     let (corr2, req2) = decode_request(&re).expect("re-encode of decoded mutant");
                     assert_eq!(corr2, corr);
                     assert_eq!(req2, req);
@@ -310,13 +303,13 @@ fn seeded_bit_flip_sweep_never_panics_or_destabilizes() {
             let byte = rng.gen_range(0usize..mutant.len());
             let bit = rng.gen_range(0u32..8);
             mutant[byte] ^= 1 << bit;
-            typed_response_decode_is_stable(&pool, &mutant);
+            typed_response_decode_is_stable(&mutant);
             match decode_response(&mutant) {
                 Err(MdbsError::Wire(_)) => rejected += 1,
                 Err(other) => panic!("non-wire error from a corrupt frame: {other:?}"),
                 Ok((corr, resp)) => {
                     absorbed += 1;
-                    let re = encode_response(&pool, corr, &resp);
+                    let re = response_bytes(corr, &resp);
                     let (corr2, resp2) = decode_response(&re).expect("re-encode of decoded mutant");
                     assert_eq!(corr2, corr);
                     assert_eq!(resp2, resp);
@@ -333,24 +326,24 @@ fn seeded_bit_flip_sweep_never_panics_or_destabilizes() {
 /// The typed decoders under the same mutants: rejected with
 /// `MdbsError::Wire`, or decoded to rows whose re-encoding decodes back to
 /// the same rows.
-fn typed_request_decode_is_stable(pool: &BufferPool, mutant: &[u8]) {
+fn typed_request_decode_is_stable(mutant: &[u8]) {
     match decode_request_as::<ResultSet>(mutant) {
         Err(MdbsError::Wire(_)) => {}
         Err(other) => panic!("non-wire error from a corrupt frame: {other:?}"),
         Ok((corr, req)) => {
-            let re = encode_request(pool, corr, &req);
+            let re = request_bytes(corr, &req);
             let again = decode_request_as::<ResultSet>(&re).expect("re-encode of decoded mutant");
             assert_eq!(again, (corr, req));
         }
     }
 }
 
-fn typed_response_decode_is_stable(pool: &BufferPool, mutant: &[u8]) {
+fn typed_response_decode_is_stable(mutant: &[u8]) {
     match decode_response_as::<ResultSet>(mutant) {
         Err(MdbsError::Wire(_)) => {}
         Err(other) => panic!("non-wire error from a corrupt frame: {other:?}"),
         Ok((corr, resp, _)) => {
-            let re = encode_response(pool, corr, &resp);
+            let re = response_bytes(corr, &resp);
             let (corr2, resp2, _) =
                 decode_response_as::<ResultSet>(&re).expect("re-encode of decoded mutant");
             assert_eq!((corr2, resp2), (corr, resp));
@@ -362,8 +355,7 @@ fn typed_response_decode_is_stable(pool: &BufferPool, mutant: &[u8]) {
 /// a peer still sending them gets a wire error from both decoders.
 #[test]
 fn retired_request_tags_are_rejected() {
-    let pool = BufferPool::default();
-    let ping = encode_request(&pool, None, &Request::<String>::Ping).into_vec();
+    let ping = request_bytes(None, &Request::<String>::Ping);
     for tag in [0x0Bu8, 0x0C] {
         let mut frame = ping.clone();
         *frame.last_mut().unwrap() = tag;

@@ -9,7 +9,6 @@ use mdbs::codec::{self, columnar};
 use mdbs::proto::{self, Request, Response, RowsResponse, TaskMode};
 use mdbs::wire;
 use msql_lang::TypeName;
-use netsim::BufferPool;
 use proptest::prelude::*;
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -215,7 +214,6 @@ fn the_binary_wire_ships_at_most_half_the_text_bytes() {
     // Payload: the line codec against the columnar layout. Frame: the same
     // rows as a complete correlated PARTIALDONE, the bytes a LAM puts on the
     // wire in either format.
-    let pool = BufferPool::default();
     for rows in [1_000, 10_000] {
         let rs = partial_rows(rows);
         let text = wire::encode_result_set(&rs).len();
@@ -230,7 +228,7 @@ fn the_binary_wire_ships_at_most_half_the_text_bytes() {
             access: Some("scan".into()),
         };
         let text = proto::encode_with_correlation(7, &resp.encode()).len();
-        let binary = codec::encode_response(&pool, Some(7), &resp).into_vec().len();
+        let binary = codec::response_bytes(Some(7), &resp).len();
         assert!(text >= 2 * binary, "frame at {rows} rows: text {text} vs binary {binary}");
     }
 }

@@ -2,13 +2,16 @@
 //!
 //! Stand-in for the TCP/IP + ISODE communication substrate of the Narada
 //! environment (paper §4.1). The multidatabase engine and the Local Access
-//! Managers run at named *sites* and exchange text messages ("messages, data
-//! and command files" in the paper's words) through this crate.
+//! Managers run at named *sites* and exchange messages ("messages, data and
+//! command files" in the paper's words) through this crate.
 //!
 //! Features the reproduction needs:
 //!
 //! * **mailbox endpoints** — register a site, get an [`Endpoint`] with
 //!   blocking/timeout receive;
+//! * **shared bodies** — a message [`Body`] (text or a binary frame) is the
+//!   buffer its encoder wrote, behind an `Arc`: sending, resending and
+//!   caching it copy no byte;
 //! * **latency model** — a base one-way delay plus per-link overrides;
 //!   delivery time is enforced at the receiver, so messages in flight overlap
 //!   (what a fan-out's parallel requests rely on);
@@ -23,12 +26,17 @@ pub mod error;
 pub mod latency;
 pub mod message;
 pub mod network;
-pub mod pool;
 pub mod stats;
 
 pub use error::{FaultKind, NetError};
 pub use latency::LatencyModel;
 pub use message::{Body, Message};
 pub use network::{Endpoint, Network};
-pub use pool::{BufferPool, PooledBuf};
 pub use stats::NetStats;
+
+/// Stateless, and kept only for `fedbench/src/layers.rs`, which hands one to
+/// `mdbs::codec::encode_request` / `encode_response`: a body is framed into a
+/// buffer of its own and shared from there, so nothing is pooled. It goes with
+/// ROADMAP item 1(b).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BufferPool;

@@ -1,16 +1,20 @@
 //! Messages exchanged between sites.
+//!
+//! A message body is written once, by its encoder, and never copied after:
+//! [`Body`] takes over the encoder's `String` or `Vec<u8>` behind an [`Arc`],
+//! so cloning a body — into a reply cache, for a resend — shares its bytes.
 
-use crate::pool::PooledBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A message payload: line-oriented text (the default and debug format) or a
-/// binary frame leased from a [`crate::pool::BufferPool`].
+/// binary frame, each an immutable buffer shared by every clone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Body {
     /// UTF-8 text (SQL, DOL commands, status codes, serialized tables).
-    Text(String),
+    Text(Arc<String>),
     /// A length-prefixed binary frame (see `mdbs::codec`).
-    Binary(PooledBuf),
+    Binary(Arc<Vec<u8>>),
 }
 
 impl Body {
@@ -30,7 +34,7 @@ impl Body {
     /// The text payload, if this is a text body.
     pub fn as_text(&self) -> Option<&str> {
         match self {
-            Body::Text(s) => Some(s),
+            Body::Text(s) => Some(s.as_str()),
             Body::Binary(_) => None,
         }
     }
@@ -39,13 +43,8 @@ impl Body {
     pub fn as_binary(&self) -> Option<&[u8]> {
         match self {
             Body::Text(_) => None,
-            Body::Binary(b) => Some(b),
+            Body::Binary(b) => Some(b.as_slice()),
         }
-    }
-
-    /// True for binary bodies.
-    pub fn is_binary(&self) -> bool {
-        matches!(self, Body::Binary(_))
     }
 
     /// The text payload; panics on a binary body. Convenience for tests and
@@ -55,33 +54,23 @@ impl Body {
     }
 }
 
+/// Takes the encoder's buffer over without copying it.
 impl From<String> for Body {
     fn from(s: String) -> Self {
-        Body::Text(s)
+        Body::Text(Arc::new(s))
     }
 }
 
 impl From<&str> for Body {
     fn from(s: &str) -> Self {
-        Body::Text(s.to_string())
+        Body::from(s.to_string())
     }
 }
 
-impl From<&String> for Body {
-    fn from(s: &String) -> Self {
-        Body::Text(s.clone())
-    }
-}
-
-impl From<PooledBuf> for Body {
-    fn from(b: PooledBuf) -> Self {
-        Body::Binary(b)
-    }
-}
-
+/// Takes the encoder's buffer over without copying it.
 impl From<Vec<u8>> for Body {
     fn from(b: Vec<u8>) -> Self {
-        Body::Binary(PooledBuf::detached(b))
+        Body::Binary(Arc::new(b))
     }
 }
 
@@ -155,18 +144,28 @@ mod tests {
         assert_eq!(b, "hello".to_string());
         assert_eq!(b.as_str(), "hello");
         assert_eq!(b.len(), 5);
-        assert!(!b.is_binary());
+        assert_eq!(b.as_binary(), None);
         assert_eq!(format!("{b}"), "hello");
     }
 
     #[test]
     fn body_binary_surface() {
         let b = Body::from(vec![0xB1u8, 0x01]);
-        assert!(b.is_binary());
         assert_eq!(b.as_binary(), Some(&[0xB1u8, 0x01][..]));
         assert_eq!(b.as_text(), None);
         assert_eq!(b.len(), 2);
         assert_eq!(format!("{b}"), "<binary 2 bytes>");
         assert_ne!(b, Body::from("text"));
+    }
+
+    #[test]
+    fn a_cloned_body_shares_its_bytes() {
+        let text = Body::from("hello".to_string());
+        assert_eq!(text.clone().as_str().as_ptr(), text.as_str().as_ptr());
+        let frame = vec![0xB1u8, 0x01, 0x00];
+        let at = frame.as_ptr();
+        let binary = Body::from(frame);
+        assert_eq!(binary.as_binary().unwrap().as_ptr(), at, "the encoder's buffer, not a copy");
+        assert_eq!(binary.clone().as_binary().unwrap().as_ptr(), at);
     }
 }

@@ -3,9 +3,8 @@
 //! assert on what actually crossed the wire in either format.
 
 use ldbs::engine::ResultSet;
-use mdbs::proto::{self, RowsRequest};
+use mdbs::proto::RowsRequest;
 use mdbs::{codec, Federation};
-use netsim::Body;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -37,23 +36,15 @@ impl Tap {
             let mut waiting: HashMap<u64, String> = HashMap::new();
             while !thread_stop.load(Ordering::SeqCst) {
                 let Ok(msg) = endpoint.recv_timeout(Duration::from_millis(20)) else { continue };
-                let corr = match &msg.body {
-                    Body::Text(text) => proto::split_correlation(text).0,
-                    Body::Binary(bytes) => codec::peek_correlation(bytes),
-                };
+                let (corr, _) = codec::peek(&msg.body);
                 if msg.from == real {
                     if let Some(client) = corr.and_then(|id| waiting.remove(&id)) {
                         let _ = endpoint.send(&client, msg.body);
                     }
                     continue;
                 }
-                let decoded = match &msg.body {
-                    Body::Text(text) => {
-                        proto::Request::<ResultSet>::decode_as(proto::split_correlation(text).1)
-                    }
-                    Body::Binary(bytes) => codec::decode_request_as(bytes).map(|(_, req)| req),
-                };
-                let decoded = decoded.expect("a well-formed request");
+                let (decoded, _) =
+                    codec::read_request::<ResultSet>(&msg.body).expect("a well-formed request");
                 // The LAM still gets (and serves) the request; with nobody
                 // waiting for its id the reply is dropped here. A resend of
                 // the same id is waited for again.

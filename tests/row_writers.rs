@@ -26,7 +26,7 @@ use mdbs::codec;
 use mdbs::lam::spawn_lam;
 use mdbs::proto::{CombineReport, Request, Response, TaskMode};
 use mdbs::WireFormat;
-use netsim::{Body, BufferPool, Endpoint, Network};
+use netsim::{Body, Endpoint, Network};
 
 type RowsRequest = Request<ResultSet>;
 type RowsResponse = Response<ResultSet>;
@@ -129,25 +129,18 @@ fn statements(rng: &mut Rng) -> Vec<String> {
 struct Peer {
     endpoint: Endpoint,
     format: WireFormat,
-    pool: BufferPool,
     next_id: u64,
 }
 
 impl Peer {
     /// The frame `req` travels as under correlation id `id`, if any.
     fn request_frame(&self, id: Option<u64>, req: &Request<ResultSet>) -> Body {
-        match self.format {
-            WireFormat::Text => Body::Text(req.encode_framed(id)),
-            WireFormat::Binary => Body::Binary(codec::encode_request(&self.pool, id, req)),
-        }
+        codec::frame_request(self.format, id, req)
     }
 
     /// The frame `resp` travels as under correlation id `id`.
     fn response_frame(&self, id: u64, resp: &RowsResponse) -> Body {
-        match self.format {
-            WireFormat::Text => Body::Text(resp.encode_framed(Some(id))),
-            WireFormat::Binary => Body::Binary(codec::encode_response(&self.pool, Some(id), resp)),
-        }
+        codec::frame_response(self.format, Some(id), resp)
     }
 
     /// Sends `req` and asserts that the reply is `want`'s frame.
@@ -288,9 +281,7 @@ fn a_lams_rows_are_the_bytes_of_the_result_set_in_both_formats() {
         let part_sink = net.register("site9").unwrap();
         for format in [WireFormat::Text, WireFormat::Binary] {
             let endpoint = net.register(&format!("client_{}", format.label())).unwrap();
-            // The LAM caches replies by correlation id: each peer has ids of its own.
-            let next_id = if format == WireFormat::Text { 0 } else { 1 << 20 };
-            let mut peer = Peer { endpoint, format, pool: BufferPool::default(), next_id };
+            let mut peer = Peer { endpoint, format, next_id: 0 };
             check(&mut peer, &part_sink, &mut reference, &sqls);
 
             // A writer holds `t`'s lock with changes of its own: every read
