@@ -254,7 +254,7 @@ echo "== the coordinator ships nothing by hand =="
 # Everything the coordinator sends a LAM is a task of a DOL program run by the
 # executor (DESIGN §3a.14): a query, an update, a deferred statement, a
 # transfer, local DDL and ANALYZE, recovery's RESOLVE / COMPENSATE waves and a
-# join's partials and COMBINE, whose tasks send what their `Vote` says. Outside
+# join's partials and COMBINE, each task sending what its verb says. Outside
 # tests the facade names no LAM connection and no direct-command call (only the
 # catalog reads are typed calls of their own), only executor.rs runs a
 # DolEngine, and lamclient.rs builds each task-carrying request in one place —
@@ -323,17 +323,32 @@ echo "== a join task sends a request =="
 # A classic join's program is `OPEN <coordinator>; TASK <COMBINE>` (DESIGN
 # §3a.15): a partial that travels straight to the coordinator's LAM is part of
 # the COMBINE's task, which posts its SHIP and writes its span from the one
-# reply — no task, no OPEN and no vote of its own. So outside tests the
-# traveller's do-nothing vote, the task that read its report, the span held
-# for it between post and finish, and the report left under its task name are
-# gone from crates/. On 0ada2a5 this flagged 12 lines: lamclient.rs's
-# `Travelled(PartDone, u32)` and two `JoinReport::Travelled`, three
-# `Vote::Direct` (one in executor.rs), two `direct_done` and four lines of the
-# `travelling` span.
+# reply — no task, no OPEN and no request of its own. So outside tests the
+# traveller's do-nothing entry in the (since deleted) per-task request table,
+# the task that read its report, the span held for it between post and
+# finish, and the report left under its task name are gone from crates/. On
+# 0ada2a5 this flagged 12 lines: lamclient.rs's `Travelled(PartDone, u32)`
+# and two `JoinReport::Travelled`, three uses of that table entry (one in
+# executor.rs), two `direct_done` and four lines of the `travelling` span.
 for f in $(find crates/*/src -name '*.rs'); do
     if sed '/^#\[cfg(test)\]/,$d' "$f" |
         grep -nE 'Vote::Direct|direct_done|\.travelling\b|travelling:|Travelled\('; then
         echo "$f gives a travelling partial a task of its own" >&2
+        exit 1
+    fi
+done
+
+echo "== a task says what it sends =="
+# What a task sends is its verb, written in the DOL program itself (DESIGN
+# §3a.14): the printed program is the whole plan, and there is no second table
+# beside it, keyed by task name, that a run consults. Outside tests and
+# comments, crates/*/src names no `Vote`, `Votes`, `votes` and no
+# `run_voted`. On c590b48 this flagged 69 lines: lamclient.rs (31), gtxn.rs
+# (13), executor.rs (16) and federation.rs (9).
+for f in $(find crates/*/src -name '*.rs'); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' |
+        grep -nE '\bVotes?\b|\bvotes\b|run_voted'; then
+        echo "$f keeps a per-task request table beside the program" >&2
         exit 1
     fi
 done

@@ -3,9 +3,10 @@
 //!
 //! The executor decides nothing about data flow and speaks no protocol. It
 //! runs generated DOL programs ([`crate::translate::GeneratedPlan`]) through
-//! [`dol::DolEngine`] — one way, [`Executor::run_program`], whose tasks send
-//! what their [`Vote`] says over the session's LAM connections — then shapes
-//! the raw task statuses/results into user-facing reports:
+//! [`dol::DolEngine`] — one way, [`Executor::run_program`], each task sending
+//! what its verb ([`dol::TaskVerb`]) says over the session's LAM connections:
+//! the program is the whole plan — then shapes the raw task statuses/results
+//! into user-facing reports:
 //!
 //! * retrievals become [`Multitable`]s (one table per database, §2);
 //! * a cross-database join's [`JoinPlan`] becomes one program — two only
@@ -19,16 +20,16 @@
 //!   and the DOL return code.
 
 use crate::error::MdbsError;
-use crate::lamclient::{correlation_id, LamFactory, TaskOutput, Traveller, Vote};
+use crate::lamclient::{correlation_id, LamFactory, TaskOutput};
 use crate::merge;
 use crate::multitable::{Multitable, MultitableEntry, MultitableFailure};
 use crate::planner::{Combine, JoinPlan, SitePlan};
-use crate::proto::HomeEdge;
 use crate::retry::{shared_stats, ExecStats, SharedExecStats};
 use crate::translate::plangen::autocommit_plan;
 use crate::translate::{GeneratedPlan, PushdownPlan};
 use crate::wal::{Wal, WalObserver, WalRecord};
-use dol::{DolEngine, DolError, DolOutcome, TaskStatus};
+use dol::Traveller;
+use dol::{DolEngine, DolError, DolOutcome, HomeEdge, Partial, TaskDef, TaskStatus, TaskVerb};
 use ldbs::engine::ResultSet;
 use ldbs::value::Value;
 use netsim::FaultKind;
@@ -186,6 +187,13 @@ impl Executor {
         &self,
         plan: &GeneratedPlan,
     ) -> Result<(DolOutcome, ExecStats, HashMap<String, TaskOutput>), MdbsError> {
+        // What runs is what prints: every program reparses to itself.
+        debug_assert_eq!(
+            dol::parse_program(&dol::print_program(&plan.program)).ok().as_ref(),
+            Some(&plan.program),
+            "{}",
+            dol::print_program(&plan.program)
+        );
         let run_stats = shared_stats();
         let factory = LamFactory {
             stats: SharedExecStats::clone(&run_stats),
@@ -335,18 +343,6 @@ impl Executor {
         Ok(MtxReport { achieved_state, return_code: out.dolstatus, outcomes, stats })
     }
 
-    /// [`Self::run_settle`], each task `votes` names sending what its [`Vote`]
-    /// says instead of its own request.
-    pub(crate) fn run_voted(
-        &self,
-        plan: &GeneratedPlan,
-        votes: HashMap<String, (Vote, u64)>,
-    ) -> Result<MtxReport, MdbsError> {
-        let mut executor = self.clone();
-        executor.lams.votes = Arc::new(votes);
-        executor.run_settle(plan)
-    }
-
     /// Runs a planned cross-database join. A classic plan is one DOL program
     /// (plangen's [`autocommit_plan`], each task named after its database),
     /// `OPEN <coordinator>; TASK <COMBINE>`: the coordinator's `COMBINE`,
@@ -373,15 +369,11 @@ impl Executor {
         let mut verdicts: Vec<Option<(u64, bool)>> = vec![None; plan.edges.len()];
         let (result, outputs) = match &plan.combine {
             Combine::Merge(pushdown) => {
-                let mut tasks = Vec::new();
-                let mut votes = HashMap::new();
-                for site in &plan.sites {
-                    let (sql, baseline, notes) = self.partial(site, "shipped", None);
-                    tasks.push((site.database.clone(), site.database.clone(), sql));
-                    let vote = Vote::Partial { baseline, notes, echo: None };
-                    votes.insert(site.database.clone(), (vote, 0));
-                }
-                let mut outputs = executor.join_step(plan, tasks, votes)?;
+                let tasks = plan.sites.iter().map(|site| {
+                    let (sql, partial) = self.partial(site, "shipped", None);
+                    join_task(&site.database, sql, TaskVerb::PartialAgg(partial))
+                });
+                let mut outputs = executor.join_step(plan, tasks.collect())?;
                 metrics.counter_add("agg.pushdown", 1);
                 let mut rows = |task: &str| outputs.get_mut(task).and_then(|o| o.rows.take());
                 let parts = plan.sites.iter().map(|s| rows(&s.database).unwrap_or_default());
@@ -462,12 +454,9 @@ impl Executor {
         let mut reduced: Vec<Option<String>> = vec![None; plan.sites.len()];
         if let Some(r) = relay {
             let site = &plan.sites[r];
-            let (sql, baseline, notes) = self.partial(site, "shipped", None);
-            let echo = Some((to.clone(), key));
-            let vote = Vote::Partial { baseline, notes, echo };
-            let task = (site.database.clone(), site.database.clone(), sql);
-            let votes = HashMap::from([(site.database.clone(), (vote, 0))]);
-            let outputs = self.join_step(plan, vec![task], votes)?;
+            let (sql, partial) = self.partial(site, "shipped", None);
+            let verb = TaskVerb::Ship { key, to: to.clone(), partial };
+            let outputs = self.join_step(plan, vec![join_task(&site.database, sql, verb)])?;
             let rows = outputs[&site.database].rows.as_ref();
             let mut shipped: Vec<Option<Vec<Value>>> = vec![None; plan.edges.len()];
             for (i, edge) in plan.edges.iter().enumerate().filter(|(_, e)| e.target != home) {
@@ -481,10 +470,10 @@ impl Executor {
 
         let mut travellers = Vec::new();
         for (i, site) in plan.sites.iter().enumerate().filter(|&(i, _)| i != home) {
-            let (sql, baseline, notes) = self.partial(site, "direct", reduced[i].take());
+            let (sql, partial) = self.partial(site, "direct", reduced[i].take());
             let (database, posted) = (site.database.clone(), Some(i) != relay);
             let site = site_of(&database).unwrap_or_default();
-            travellers.push(Traveller { site, database, sql, baseline, notes, posted });
+            travellers.push(Traveller { site, database, sql, posted, partial });
         }
         let edges: Vec<(usize, HomeEdge)> = plan
             .edges
@@ -503,20 +492,20 @@ impl Executor {
                 (i, edge)
             })
             .collect();
-        let (_, _, own) = self.partial(&plan.sites[home], "home", None);
-        let mut notes = vec![("partials", plan.sites.len().to_string())];
-        notes.extend(join_order.iter().map(|order| ("join_order", order.clone())));
-        let vote = Vote::Combine {
+        let (_, own) = self.partial(&plan.sites[home], "home", None);
+        let mut notes = vec![("partials".to_string(), plan.sites.len().to_string())];
+        notes.extend(join_order.iter().map(|order| ("join_order".to_string(), order.clone())));
+        let combine = dol::Combine {
             key,
-            home: plan.sites[home].sql.clone(),
             measure: self.measure_baseline && !edges.is_empty(),
-            travellers,
+            notes,
+            home: plan.sites[home].sql.clone(),
+            home_notes: own.notes,
             edges: edges.iter().map(|(_, e)| e.clone()).collect(),
-            notes: [notes, own],
+            travellers,
         };
-        let task = (database.to_string(), database.to_string(), sql.clone());
-        let votes = HashMap::from([(database.to_string(), (vote, 0))]);
-        let outputs = self.join_step(plan, vec![task], votes)?;
+        let verb = TaskVerb::Combine(Box::new(combine));
+        let outputs = self.join_step(plan, vec![join_task(database, sql.clone(), verb)])?;
         let reductions = outputs.get(*database).and_then(|o| o.join.as_deref());
         for ((i, _), &verdict) in edges.iter().zip(reductions.map_or(&[][..], |r| &r.0)) {
             verdicts[*i] = Some(verdict);
@@ -524,20 +513,17 @@ impl Executor {
         Ok(outputs)
     }
 
-    /// Runs one program of a join: `tasks`, each `(name, database,
-    /// statement)`, sending what `votes` say. Returns the run's outputs; the
-    /// first task that did not commit fails the join, with its exchange's own
-    /// error when the wire, an unreachable traveller or a travelled partial
-    /// failed it, else in the site's words.
+    /// Runs one program of a join, `tasks` ([`join_task`]s). Returns the
+    /// run's outputs; the first task that did not commit fails the join, with
+    /// its exchange's own error when the wire, an unreachable traveller or a
+    /// travelled partial failed it, else in the site's words.
     fn join_step(
         &self,
         plan: &JoinPlan,
-        tasks: Vec<(String, String, String)>,
-        votes: HashMap<String, (Vote, u64)>,
+        tasks: Vec<TaskDef>,
     ) -> Result<HashMap<String, TaskOutput>, MdbsError> {
         let program = autocommit_plan(tasks, plan.routes)?;
         let mut executor = self.clone();
-        executor.lams.votes = Arc::new(votes);
         executor.lams.outputs = Arc::default();
         let (out, stats, mut outputs) = executor.run_program(&program)?;
         let outcomes = self.outcomes(&program, &out, &stats, &outputs);
@@ -552,29 +538,30 @@ impl Executor {
 
     /// What `site` evaluates — its pushed site query, else `reduced` (its
     /// subquery with the shipped key filters ANDed on), else its subquery as
-    /// decomposed — the baseline `EXPLAIN` has a rewritten site measure beside
-    /// it, and its span's notes: the row estimate (so EXPLAIN can show
-    /// estimated vs. actual), the `route` its rows take to the combine —
-    /// `shipped` back here, `direct` to the coordinator's LAM, or `home`,
-    /// materialised where it runs — and the rewrite.
-    fn partial(
-        &self,
-        site: &SitePlan,
-        route: &str,
-        reduced: Option<String>,
-    ) -> (String, Option<String>, Vec<(&'static str, String)>) {
-        let mut notes: Vec<(&'static str, String)> =
-            site.est_rows.iter().map(|est| ("est_rows", est.to_string())).collect();
-        notes.push(("route", route.to_string()));
+    /// decomposed — and its [`Partial`]: the baseline `EXPLAIN` has a
+    /// rewritten site measure beside it, and its span's notes: the row
+    /// estimate (so EXPLAIN can show estimated vs. actual), the `route` its
+    /// rows take to the combine — `shipped` back here, `direct` to the
+    /// coordinator's LAM, or `home`, materialised where it runs — and the
+    /// rewrite.
+    fn partial(&self, site: &SitePlan, route: &str, reduced: Option<String>) -> (String, Partial) {
+        let mut notes: Vec<(String, String)> =
+            site.est_rows.iter().map(|est| ("est_rows".to_string(), est.to_string())).collect();
+        notes.push(("route".to_string(), route.to_string()));
         let (sql, rewrite) = match (&site.pushed, reduced) {
             (Some((kind, sql)), _) => (sql.clone(), Some(("pushed", *kind))),
             (None, Some(sql)) => (sql, Some(("reduced", "semijoin"))),
             (None, None) => (site.sql.clone(), None),
         };
-        notes.extend(rewrite.map(|(key, value)| (key, value.to_string())));
+        notes.extend(rewrite.map(|(key, value)| (key.to_string(), value.to_string())));
         let baseline = (self.measure_baseline && rewrite.is_some()).then(|| site.sql.clone());
-        (sql, baseline, notes)
+        (sql, Partial { baseline, notes })
     }
+}
+
+/// A join's task at `database`, named after it: `verb` over `sql`.
+fn join_task(database: &str, sql: String, verb: TaskVerb) -> TaskDef {
+    TaskDef { verb, ..TaskDef::new(database, database, vec![sql]) }
 }
 
 /// A task that did not end as its statement needs: its database's error, in

@@ -18,11 +18,11 @@ use crate::error::MdbsError;
 use crate::executor::{task_failed, DbOutcome, Executor, MsqlOutcome, MtxReport, UpdateReport};
 use crate::gtxn::GlobalTransaction;
 use crate::lam::{spawn_lam, LamHandle, LamServerStats};
-use crate::lamclient::{ConnectionPool, LamFactory, Vote};
+use crate::lamclient::{ConnectionPool, LamFactory};
 use crate::planner::{plan_join, PlannerContext, DEFAULT_SEMIJOIN_CAP};
 use crate::retry::{shared_stats, ExecStats, RetryPolicy, SharedExecStats};
 use crate::scope::{ScopeDb, SessionScope};
-use crate::translate::plangen::{autocommit_plan, dol_plan, DolTask};
+use crate::translate::plangen::autocommit_plan;
 use crate::translate::{
     self, multitransaction_plan, retrieval_plan, update_plan, DbRoute, Decomposition,
     GeneratedPlan, LocalQuery, MtxQueryPlan, Translated,
@@ -31,6 +31,7 @@ use crate::wal::{Wal, WalDecision, WalRecord, WalTask};
 use catalog::{
     apply_import, AuxiliaryDirectory, GddColumn, GddTable, GlobalDataDictionary, ServiceEntry,
 };
+use dol::{TaskDef, TaskVerb};
 use ldbs::profile::StatementClass;
 use ldbs::Engine;
 use msql_lang::printer::print;
@@ -547,7 +548,6 @@ impl Session {
             tolerate_unreachable: self.tolerate_unreachable,
             wire_format: self.wire_format,
             outputs: Default::default(),
-            votes: Default::default(),
             open_error: Default::default(),
         }
     }
@@ -658,7 +658,7 @@ impl Session {
             let resolve = unresolved
                 .clone()
                 .filter(|t| image.prepared.get(&t.name) != Some(&'C'))
-                .map(|t| (t, Vote::Resolve(commit_set.contains(&t.name))));
+                .map(|t| (t, TaskVerb::Resolve(commit_set.contains(&t.name))));
             let mut outcomes = self.recovery_wave("resolve", resolve.collect(), &span)?;
             // An autocommitted task that the decision excludes is undone
             // semantically (§3.3) by wave 2, and logged only then: a crash in
@@ -672,7 +672,7 @@ impl Session {
             log_resolved(wal, image.mtx_id, &settled, &outcomes, &mut statuses)?;
 
             // Wave 2: COMPENSATE them, all at once (idempotent: the LAM's `K` memory).
-            let compensate = undo.iter().map(|&t| (t, Vote::Compensate)).collect();
+            let compensate = undo.iter().map(|&t| (t, TaskVerb::Compensate)).collect();
             outcomes.extend(self.recovery_wave("compensate", compensate, &span)?);
             log_resolved(wal, image.mtx_id, &undo, &outcomes, &mut statuses)?;
             self.core.metrics.counter_add("recovery.compensated", undo.len() as u64);
@@ -691,40 +691,25 @@ impl Session {
     }
 
     /// One recovery wave, under a `wave` child of `span`: a DOL program of
-    /// the logged tasks `votes` names, each sending what its [`Vote`] says,
-    /// all posted before any reply is read. Returns each task's outcome; a
-    /// site that cannot be opened fails its task, not the wave.
+    /// the logged tasks `verbs` names, each task sending its verb (`RESOLVE`
+    /// or `COMPENSATE`), all posted before any reply is read. Returns each
+    /// task's outcome; a site that cannot be opened fails its task, not the
+    /// wave.
     fn recovery_wave(
         &self,
         wave: &str,
-        votes: Vec<(&WalTask, Vote)>,
+        verbs: Vec<(&WalTask, TaskVerb)>,
         span: &Span,
     ) -> Result<HashMap<String, DbOutcome>, MdbsError> {
-        if votes.is_empty() {
+        if verbs.is_empty() {
             return Ok(HashMap::new());
         }
         let span = span.child(wave);
-        let (mut tasks, mut routes) = (Vec::new(), HashMap::new());
-        for (t, _) in &votes {
-            let (database, site) = (t.database.clone(), t.site.clone());
-            let route = DbRoute { database: database.clone(), site, supports_2pc: false };
-            routes.insert(database.clone(), route);
-            tasks.push(DolTask {
-                name: t.name.clone(),
-                key: database.clone(),
-                database,
-                nocommit: false,
-                vital: true,
-                commands: Vec::new(),
-                compensation: t.compensation.clone(),
-            });
-        }
-        let plan = dol_plan(&tasks, &[], 0, false, &routes)?;
+        let plan = wave_plan(verbs)?;
         let mut executor = self.executor();
         executor.trace = span.ctx();
         executor.lams.tolerate_unreachable = true;
-        let votes = votes.into_iter().map(|(t, vote)| (t.name.clone(), (vote, 0))).collect();
-        let report = executor.run_voted(&plan, votes)?;
+        let report = executor.run_settle(&plan)?;
         Ok(plan.tasks.into_iter().map(|t| t.task).zip(report.outcomes).collect())
     }
 
@@ -1611,11 +1596,24 @@ fn log_resolved(
     Ok(())
 }
 
+/// The program of one recovery wave ([`Session::recovery_wave`]): each
+/// logged task in `verbs` sending its verb at its database.
+fn wave_plan(verbs: Vec<(&WalTask, TaskVerb)>) -> Result<GeneratedPlan, MdbsError> {
+    let (mut tasks, mut routes) = (Vec::new(), HashMap::new());
+    for (t, verb) in verbs {
+        let (database, site) = (t.database.clone(), t.site.clone());
+        routes.insert(database.clone(), DbRoute { database, site, supports_2pc: false });
+        let def = TaskDef::new(&t.name, &t.database, Vec::new());
+        tasks.push(TaskDef { verb, compensation: t.compensation.clone(), ..def });
+    }
+    autocommit_plan(tasks, &routes)
+}
+
 /// `command`, one statement, as the one autocommit task `name` of a DOL
 /// program at `route`'s database: the program of a transfer's INSERT, DDL
 /// and `ANALYZE` ([`Session::run_local`]).
 fn local_plan(route: DbRoute, name: &str, command: String) -> Result<GeneratedPlan, MdbsError> {
-    let task = (name.to_string(), route.database.clone(), command);
+    let task = TaskDef::new(name, &route.database, vec![command]);
     autocommit_plan(vec![task], &HashMap::from([(route.database.clone(), route)]))
 }
 
@@ -1899,5 +1897,62 @@ mod tests {
         // A USE that applies is one.
         assert!(fed.execute("USE avis").unwrap().into_update().unwrap().success);
         assert_eq!(fed.pending_vital_subqueries(), 0);
+    }
+
+    /// A recovery wave's program says what each logged task sends. Q3,
+    /// crashed before its decision, is presumed aborted: one wave
+    /// `RESOLVE`s its prepared task, the next `COMPENSATE`s the
+    /// autocommitted one with its logged COMP — the tasks recovery runs.
+    #[test]
+    fn a_recovery_wave_is_its_printed_program() {
+        use crate::fixtures::{paper_federation_with, FederationProfiles};
+        use crate::wal::{CrashPlan, CrashWhen};
+        let continental = ldbs::profile::DbmsProfile::autocommit_only();
+        let profiles = FederationProfiles { continental, ..Default::default() };
+        let mut fed = paper_federation_with(netsim::Network::new(), profiles);
+        let wal = fed.enable_wal();
+        // BEGIN and the three first-phase outcomes are logged; the decision is not.
+        wal.arm_crash(CrashPlan { at: 4, when: CrashWhen::Before });
+        fed.execute(Q3).unwrap_err();
+        let [image] = &wal.replay().unwrap()[..] else { panic!("one interrupted image") };
+        let task = |name: &str| image.tasks.iter().find(|t| t.name == name).unwrap();
+        let print = |verbs| dol::print_program(&wave_plan(verbs).unwrap().program);
+        let resolve = "\
+DOLBEGIN
+  OPEN united AT site3 AS united;
+  TASK T3 RESOLVE ABORT FOR united
+  {  }
+  ENDTASK;
+  DOLSTATUS=0;
+  CLOSE united;
+DOLEND
+";
+        assert_eq!(print(vec![(task("T3"), TaskVerb::Resolve(false))]), resolve);
+        let compensate = "\
+DOLBEGIN
+  OPEN continental AT site1 AS continental;
+  TASK T1 COMPENSATE FOR continental
+  {  }
+  COMP
+  { UPDATE flights SET rate = rate / 1.1 WHERE source = 'Houston' AND destination = 'San Antonio' }
+  ENDTASK;
+  DOLSTATUS=0;
+  CLOSE continental;
+DOLEND
+";
+        assert_eq!(print(vec![(task("T1"), TaskVerb::Compensate)]), compensate);
+
+        assert!(fed.recover().unwrap().recovered[0].presumed_abort);
+        let trace = fed.last_trace().unwrap();
+        let tasks = |wave: &str| {
+            let mut names = Vec::new();
+            let mut stack = vec![trace.find(wave).unwrap()];
+            while let Some(node) = stack.pop() {
+                names.extend(node.name.strip_prefix("task:").map(str::to_string));
+                stack.extend(&node.children);
+            }
+            names
+        };
+        assert_eq!((tasks("resolve"), tasks("compensate")), (vec!["T3".into()], vec!["T1".into()]));
     }
 }

@@ -18,19 +18,19 @@
 //!
 //! This module keeps the members; it sends nothing itself. Each statement is
 //! a DOL program without a settle phase, one `TASK` batch whose member tasks
-//! open (`HOLD`) or continue (`EXEC`) their transactions
+//! open (`TASK … HOLD`) or continue (`TASK … EXEC`) their transactions
 //! ([`GlobalTransaction::execute`]); the synchronization point is the
 //! members as a vital set, settled by the program every vital update ends in
-//! ([`GlobalTransaction::settle`], DESIGN §3a.16).
+//! ([`GlobalTransaction::settle`], DESIGN §3a.16), each member's task verb
+//! its vote: `PREPARE`, `ABORT`, or `SETTLED` when there is nothing to send.
 
 use crate::error::MdbsError;
 use crate::executor::{Executor, UpdateReport};
-use crate::lamclient::Vote;
 use crate::translate::plangen::{
     dol_plan, route_for, vital_compensation, DbRoute, DolTask, UPDATE_FAILED,
 };
-use crate::translate::LocalQuery;
-use dol::TaskStatus;
+use crate::translate::{GeneratedPlan, LocalQuery};
+use dol::{TaskDef, TaskStatus, TaskVerb};
 use msql_lang::printer::print;
 use std::collections::HashMap;
 
@@ -104,11 +104,11 @@ impl GlobalTransaction {
     ) -> Result<UpdateReport, MdbsError> {
         let known = self.members.len();
         let ran = (|| -> Result<_, MdbsError> {
-            let (mut tasks, mut votes) = (Vec::with_capacity(locals.len()), HashMap::new());
+            let mut tasks = Vec::with_capacity(locals.len());
             for l in locals {
                 let route = route_for(routes, &l.database)?;
                 let compensation = vital_compensation(l, route, comps)?;
-                let mut name = format!("NV_{}", l.key);
+                let (mut name, mut verb) = (format!("NV_{}", l.key), TaskVerb::Run);
                 if l.vital {
                     let m = match self.members.iter().position(|m| m.key == l.key) {
                         Some(i) => &self.members[i],
@@ -127,35 +127,30 @@ impl GlobalTransaction {
                         }
                     };
                     if route.supports_2pc {
-                        let vote = if m.open { Vote::Exec } else { Vote::Hold };
-                        votes.insert(m.task.clone(), (vote, 0));
+                        verb = if m.open { TaskVerb::Exec } else { TaskVerb::Hold };
                     }
                     name = m.task.clone();
                 }
-                tasks.push(DolTask {
-                    name,
-                    database: l.database.clone(),
-                    key: l.key.clone(),
-                    nocommit: l.vital && route.supports_2pc,
-                    vital: l.vital,
-                    commands: vec![print(&l.statement)],
-                    compensation,
-                });
+                let nocommit = l.vital && route.supports_2pc;
+                let def = TaskDef::new(name, &l.key, vec![print(&l.statement)]);
+                let def = TaskDef { nocommit, verb, compensation, ..def };
+                tasks.push(DolTask { def, database: l.database.clone(), vital: l.vital });
             }
             let plan = dol_plan(&tasks, &[], 0, false, routes)?;
-            Ok((executor.run_voted(&plan, votes)?, tasks))
+            Ok((executor.run_settle(&plan)?, tasks))
         })();
         let (report, tasks) = ran.inspect_err(|_| self.members.truncate(known))?;
         for (t, o) in tasks.iter().zip(&report.outcomes).filter(|(t, _)| t.vital) {
-            let m = self.members.iter_mut().find(|m| m.task == t.name).expect("a member's task");
-            m.open |= t.nocommit && o.status != TaskStatus::Aborted;
-            let done = if t.nocommit { TaskStatus::Prepared } else { TaskStatus::Committed };
+            let m =
+                self.members.iter_mut().find(|m| m.task == t.def.name).expect("a member's task");
+            m.open |= t.def.nocommit && o.status != TaskStatus::Aborted;
+            let done = if t.def.nocommit { TaskStatus::Prepared } else { TaskStatus::Committed };
             // A statement that failed, or whose fate is unknown, poisons the set.
             m.healthy &= o.status == done;
             if o.status == done {
                 m.affected += o.affected;
                 // Newest first: compensation undoes in reverse order.
-                m.compensation.splice(0..0, t.compensation.iter().rev().cloned());
+                m.compensation.splice(0..0, t.def.compensation.iter().rev().cloned());
             }
         }
         let committable = self.all_committable();
@@ -176,7 +171,7 @@ impl GlobalTransaction {
     /// members are one vital set, a multitransaction whose one acceptable
     /// state is all of them, planned and run like any other — logged,
     /// recoverable, traced, the votes and the second phase one round trip
-    /// each — each member's task being its `Vote`.
+    /// each — each member's task verb being its vote.
     ///
     /// Every member with a prepared state votes; if all vote YES they all
     /// commit. Any NO vote takes the rollback path, and `rollback` — or a
@@ -189,36 +184,47 @@ impl GlobalTransaction {
         rollback: bool,
         executor: &Executor,
     ) -> Result<UpdateReport, MdbsError> {
-        let rollback = rollback || !self.all_committable();
-        let mut set = Vec::with_capacity(self.members.len());
-        let mut votes = HashMap::with_capacity(self.members.len());
-        let mut routes = HashMap::new();
-        for m in self.members.drain(..) {
-            let vote = match (m.route.supports_2pc, rollback) {
-                (true, false) => Vote::Prepare,
-                (true, true) if m.open => Vote::Abort,
-                // Nothing open, or nothing committed, means nothing to undo.
-                (true, true) => Vote::Settled(TaskStatus::Aborted),
-                (false, true) if m.compensation.is_empty() => Vote::Settled(TaskStatus::Aborted),
-                (false, _) => Vote::Settled(TaskStatus::Committed),
-            };
-            votes.insert(m.task.clone(), (vote, m.affected));
-            set.push(DolTask {
-                name: m.task,
-                database: m.route.database.clone(),
-                key: m.key,
-                nocommit: m.route.supports_2pc,
-                vital: true,
-                commands: Vec::new(),
-                compensation: m.compensation,
-            });
-            routes.insert(m.route.database.clone(), m.route);
-        }
-        let state: Vec<String> = set.iter().map(|t| t.name.clone()).collect();
-        let plan = dol_plan(&set, &[state], UPDATE_FAILED, rollback, &routes)?;
+        let (plan, affected) = self.settle_plan(rollback)?;
         let mut executor = executor.clone();
         executor.lams.tolerate_unreachable = true;
-        executor.run_voted(&plan, votes).map(UpdateReport::from)
+        let mut report = executor.run_settle(&plan)?;
+        // A member that committed, or was undone after it did, affected what
+        // its statements did; one that rolled back affected nothing.
+        for (o, affected) in report.outcomes.iter_mut().zip(affected) {
+            if matches!(o.status, TaskStatus::Committed | TaskStatus::Compensated) {
+                o.affected = affected;
+            }
+        }
+        Ok(report.into())
+    }
+
+    /// The synchronization point's program ([`Self::settle`]), the members
+    /// drained into it, and each member's affected rows in task order.
+    fn settle_plan(&mut self, rollback: bool) -> Result<(GeneratedPlan, Vec<u64>), MdbsError> {
+        let rollback = rollback || !self.all_committable();
+        let mut set = Vec::with_capacity(self.members.len());
+        let mut affected = Vec::with_capacity(self.members.len());
+        let mut routes = HashMap::new();
+        for m in self.members.drain(..) {
+            let verb = match (m.route.supports_2pc, rollback) {
+                (true, false) => TaskVerb::Prepare,
+                (true, true) if m.open => TaskVerb::Abort,
+                // Nothing open, or nothing committed, means nothing to undo.
+                (true, true) => TaskVerb::Settled(TaskStatus::Aborted),
+                (false, true) if m.compensation.is_empty() => {
+                    TaskVerb::Settled(TaskStatus::Aborted)
+                }
+                (false, _) => TaskVerb::Settled(TaskStatus::Committed),
+            };
+            affected.push(m.affected);
+            let (nocommit, compensation) = (m.route.supports_2pc, m.compensation);
+            let def =
+                TaskDef { nocommit, verb, compensation, ..TaskDef::new(m.task, m.key, vec![]) };
+            set.push(DolTask { def, database: m.route.database.clone(), vital: true });
+            routes.insert(m.route.database.clone(), m.route);
+        }
+        let state: Vec<String> = set.iter().map(|t| t.def.name.clone()).collect();
+        Ok((dol_plan(&set, &[state], UPDATE_FAILED, rollback, &routes)?, affected))
     }
 }
 
@@ -235,12 +241,17 @@ mod tests {
 
     fn setup(profile: DbmsProfile) -> (Network, crate::lam::LamHandle) {
         let net = Network::new();
-        let mut engine = Engine::new("svc", profile);
-        engine.create_database("db").unwrap();
-        engine.execute("db", "CREATE TABLE t (x FLOAT)").unwrap();
-        engine.execute("db", "INSERT INTO t VALUES (1)").unwrap();
-        let lam = spawn_lam(&net, "svc", "site1", engine).unwrap();
+        let lam = spawn(&net, "db", "site1", profile);
         (net, lam)
+    }
+
+    /// A LAM at `site` whose database `db` holds `t (x)` = 1.
+    fn spawn(net: &Network, db: &str, site: &str, profile: DbmsProfile) -> crate::lam::LamHandle {
+        let mut engine = Engine::new(format!("svc_{db}"), profile);
+        engine.create_database(db).unwrap();
+        engine.execute(db, "CREATE TABLE t (x FLOAT)").unwrap();
+        engine.execute(db, "INSERT INTO t VALUES (1)").unwrap();
+        spawn_lam(net, &format!("svc_{db}"), site, engine).unwrap()
     }
 
     fn executor(net: &Network) -> Executor {
@@ -261,11 +272,23 @@ mod tests {
         sql: &str,
         comp: Option<&str>,
     ) -> (TaskStatus, u64) {
-        let route = DbRoute { database: "db".into(), site: "site1".into(), supports_2pc };
-        let routes = HashMap::from([("db".to_string(), route)]);
+        hold_at(gt, net, ("db", "site1"), supports_2pc, sql, comp)
+    }
+
+    /// [`hold`] on the database `db` at `site`.
+    fn hold_at(
+        gt: &mut GlobalTransaction,
+        net: &Network,
+        (db, site): (&str, &str),
+        supports_2pc: bool,
+        sql: &str,
+        comp: Option<&str>,
+    ) -> (TaskStatus, u64) {
+        let route = DbRoute { database: db.into(), site: site.into(), supports_2pc };
+        let routes = HashMap::from([(db.to_string(), route)]);
         let statement = msql_lang::parse_statement(sql).unwrap();
-        let local = LocalQuery { database: "db".into(), key: "db".into(), vital: true, statement };
-        let comps = comp.map(|c| ("db".to_string(), vec![c.to_string()])).into_iter().collect();
+        let local = LocalQuery { database: db.into(), key: db.into(), vital: true, statement };
+        let comps = comp.map(|c| (db.to_string(), vec![c.to_string()])).into_iter().collect();
         let report = gt.execute(&[local], &comps, &routes, &executor(net)).unwrap();
         (report.outcomes[0].status, report.outcomes[0].affected)
     }
@@ -348,7 +371,75 @@ mod tests {
         assert_eq!(value(&lam), Value::Float(6.0));
         let report = gt.settle(true, &executor(&net)).unwrap();
         assert_eq!(report.outcomes[0].status, TaskStatus::Compensated);
+        assert_eq!(report.outcomes[0].affected, 2, "what its statements did");
         assert_eq!(value(&lam), Value::Float(1.0));
+    }
+
+    /// A member that voted YES and was rolled back with its set, because
+    /// another member voted NO, reports no affected rows.
+    #[test]
+    fn a_member_rolled_back_after_its_yes_vote_affected_nothing() {
+        let (net, lam) = setup(DbmsProfile::oracle_like());
+        let other = spawn(&net, "db2", "site2", DbmsProfile::oracle_like());
+        let mut gt = GlobalTransaction::default();
+        hold(&mut gt, &net, true, "UPDATE t SET x = 2", None);
+        hold_at(&mut gt, &net, ("db2", "site2"), true, "UPDATE t SET x = 3", None);
+        *other.engine.lock().failure_policy_mut() =
+            ldbs::failure::FailurePolicy::with_probabilities(1, 0.0, 1.0);
+        let report = gt.settle(false, &executor(&net)).unwrap();
+        assert!(!report.success);
+        assert_eq!(report.outcomes[0].status, TaskStatus::Aborted);
+        assert_eq!(report.outcomes[0].affected, 0);
+        assert_eq!(lam.engine.lock().stats().prepares, 1, "it voted");
+        assert_eq!(value(&lam), Value::Float(1.0));
+    }
+
+    /// The synchronization point's program says what each member sends: a
+    /// member with a prepared state votes (`PREPARE`); an autocommitted one
+    /// sends nothing (`SETTLED C`) and carries the COMP the other branch
+    /// runs.
+    #[test]
+    fn the_synchronization_point_is_its_printed_program() {
+        let (net, _lam) = setup(DbmsProfile::oracle_like());
+        let _other = spawn(&net, "db2", "site2", DbmsProfile::autocommit_only());
+        let mut gt = GlobalTransaction::default();
+        hold(&mut gt, &net, true, "UPDATE t SET x = 2", None);
+        let undo = Some("UPDATE t SET x = 1");
+        hold_at(&mut gt, &net, ("db2", "site2"), false, "UPDATE t SET x = 3", undo);
+        let (plan, affected) = gt.settle_plan(false).unwrap();
+        assert_eq!(affected, [1, 1]);
+        let expected = "\
+DOLBEGIN
+  OPEN db AT site1 AS db;
+  OPEN db2 AT site2 AS db2;
+  TASK G1_db NOCOMMIT PREPARE FOR db
+  {  }
+  ENDTASK;
+  TASK G2_db2 SETTLED C FOR db2
+  {  }
+  COMP
+  { UPDATE t SET x = 1 }
+  ENDTASK;
+  IF (G1_db=P) AND (G2_db2=C) THEN
+  BEGIN
+    DECIDE 0;
+    COMMIT G1_db;
+    DOLSTATUS=0;
+  END;
+  ELSE
+  BEGIN
+    DECIDE 1;
+    ABORT G1_db;
+    IF (G2_db2=C) THEN
+    BEGIN
+      COMPENSATE G2_db2;
+    END;
+    DOLSTATUS=1;
+  END;
+  CLOSE db db2;
+DOLEND
+";
+        assert_eq!(dol::print_program(&plan.program), expected);
     }
 
     #[test]

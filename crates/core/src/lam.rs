@@ -294,6 +294,7 @@ pub fn spawn_lam_with(
             replies: Fifo::new(256),
             inflight: HashSet::new(),
             stash: Fifo::new(256),
+            ran: Fifo::new(256),
         }),
         config,
         endpoint,
@@ -463,13 +464,13 @@ fn reply(shared: &SrvShared, to: &str, corr: Option<u64>, response: Response, fo
 }
 
 /// A map that remembers its newest `capacity` keys and forgets the oldest
-/// first, so a long-lived server's memory stays flat. Both things a LAM
-/// remembers about finished work are one: the framed replies it already sent
-/// (by sender and correlation id — a retry is replayed verbatim, in the
-/// format the original request used) and the outcomes of settled tasks (by
-/// name — what recovery's `RESOLVE` and a repeated `COMPENSATE` are answered
-/// from). The retained window comfortably covers the horizon the retry paths
-/// need.
+/// first, so a long-lived server's memory stays flat. What a LAM remembers
+/// about finished work is one: the framed replies it already sent (by sender
+/// and correlation id — a retry is replayed verbatim, in the format the
+/// original request used), the outcomes of settled tasks (by name — what
+/// recovery's `RESOLVE` and a repeated `COMPENSATE` are answered from) and
+/// the ids of the joins it ran (a late part is dropped by them). The
+/// retained window comfortably covers the horizon the retry paths need.
 struct Fifo<K, V> {
     capacity: usize,
     entries: HashMap<K, V>,
@@ -495,10 +496,6 @@ impl<K: std::hash::Hash + Eq + Clone, V> Fifo<K, V> {
                 }
             }
         }
-    }
-
-    fn keys(&self) -> impl Iterator<Item = &K> {
-        self.entries.keys()
     }
 
     fn get_mut(&mut self, key: &K) -> Option<&mut V> {
@@ -536,6 +533,10 @@ struct SrvState {
     /// Bounded like the reply cache: a join whose client gave up is
     /// forgotten with the oldest entries.
     stash: Fifo<u64, Stash>,
+    /// The ids of the joins that ran (or are running), bounded apart from
+    /// the stash so they never evict a waiting join: a part for one of them
+    /// is a late copy.
+    ran: Fifo<u64, ()>,
 }
 
 /// Who sent a correlated request, and under which id. The name is shared by
@@ -1062,13 +1063,8 @@ fn gather(shared: &Arc<SrvShared>, key: u64, frame: Frame) -> Option<Response> {
     let combine = match &frame {
         Frame::Combine(waiting) => Some(waiting.asked.clone()),
         // A part comes from another LAM: its `COMBINE` is known by id alone.
-        Frame::Part(..) => {
-            let mut ran = state.inflight.iter().chain(state.replies.keys());
-            if ran.any(|(_, id)| *id == key) {
-                return None;
-            }
-            None
-        }
+        Frame::Part(..) if state.ran.get(&key).is_some() => return None,
+        Frame::Part(..) => None,
     };
     if state.stash.get(&key).is_none() {
         state.stash.insert(key, Stash::default());
@@ -1091,6 +1087,7 @@ fn gather(shared: &Arc<SrvShared>, key: u64, frame: Frame) -> Option<Response> {
         return None;
     }
     let Stash { combine: waiting, parts } = state.stash.remove(&key).expect("filed above");
+    state.ran.insert(key, ());
     let Waiting { asked, format, spec } = waiting.expect("complete");
     state.inflight.insert(asked.clone());
     drop(state);
@@ -1697,14 +1694,20 @@ mod tests {
             assert_eq!(edges, vec![(2, true)], "key {key}: avis' two distinct rates");
             assert_eq!((parts[0].rows, parts[0].error.clone()), (2, None), "key {key}");
         }
-        // A late copy of the part: filed nowhere, answered by no one.
-        let before = served(&continental);
-        client.send("site1", ship(1).encode()).unwrap();
-        while served(&continental) == before {
-            std::thread::yield_now();
+        // A late copy of either join's part: filed nowhere, answered by no
+        // one — the LAM remembers only that both joins ran.
+        for key in [1, 2] {
+            let before = served(&continental);
+            client.send("site1", ship(key).encode()).unwrap();
+            while served(&continental) == before {
+                std::thread::yield_now();
+            }
         }
         assert!(!client.has_mail(), "a late part is not answered");
-        assert!(continental.shared.state.lock().stash.entries.is_empty());
+        let state = continental.shared.state.lock();
+        assert!(state.stash.entries.is_empty());
+        assert_eq!(state.ran.entries.len(), 2);
+        drop(state);
         assert_eq!(avis.shared.threads.lock().handles.len(), 1, "no thread waited");
         assert_eq!(continental.shared.threads.lock().handles.len(), 1);
     }

@@ -4,20 +4,15 @@
 //! A [`LamClient`] is one open connection from the DOL engine to a remote
 //! LAM: it implements [`dol::DolService`] by shipping [`crate::proto`]
 //! requests over the simulated network, and adds the catalog reads the
-//! facade needs (schema and statistics fetch). It is the only client-side
-//! module that names a protocol message: the facade and the executor call
-//! its typed methods and get Rust values back (`ci.sh` gates that). Past the
-//! catalog reads, everything the coordinator ships is a task of a DOL
-//! program; a deferred global transaction's members, recovery's resolutions
-//! and a cross-database join's partials and `COMBINE` are tasks whose
-//! [`Vote`] says what they send; every task sends one request. A join's
-//! `COMBINE` task sends more than its own request: it posts, beside it and
-//! under its correlation id, a `SHIP` to each partial's site that travels
-//! straight to the coordinator's LAM, and it resends all of them on a retry.
-//! Such a partial is no task: no `OPEN` reaches its LAM, whose link is read
-//! from the network's own tables before anything is sent, and no partial's
-//! rows pass through here on their way to the coordinator — the `COMBINE`'s
-//! one reply says what became of them, written under the `COMBINE`'s span.
+//! facade needs. It is the only client-side module that names a protocol
+//! message (`ci.sh` gates that). Everything else the coordinator ships is a
+//! task of a DOL program, and the task's verb ([`dol::TaskVerb`]) is the one
+//! request it sends — `TASK`, `HOLD`, `EXEC`, `PREPARE`, `ABORT`, `RESOLVE`,
+//! `COMPENSATE`, `PARTIALAGG`, `SHIP … ECHO`, `COMBINE` — or, `SETTLED`, none.
+//! A `COMBINE` also posts a `SHIP` to each traveller's site under its
+//! correlation id, resent on every retry: the parts travel straight to the
+//! coordinator's LAM (no `OPEN` reaches a traveller), and the `COMBINE`'s one
+//! reply says what became of them.
 //!
 //! Connections are session-scoped: a [`ConnectionPool`] keeps the links a
 //! session has opened, keyed by `(site, database)`, and
@@ -27,12 +22,11 @@
 use crate::codec::{self, WireFormat};
 use crate::error::MdbsError;
 use crate::proto::TaskMode;
-use crate::proto::{CombineReport, HomeEdge, PartDone};
+use crate::proto::{CombineReport, PartDone};
 use crate::proto::{RowsRequest as Request, RowsResponse as Response};
 use crate::retry::{shared_stats, RetryPolicy, SharedExecStats};
 use dol::engine::TaskExecution;
-use dol::TaskStatus;
-use dol::{DolError, DolService, ServiceFactory, Step};
+use dol::{DolError, DolService, ServiceFactory, Step, TaskStatus, TaskVerb, Traveller};
 use ldbs::engine::ResultSet;
 use netsim::{Body, Endpoint, FaultKind, NetError, Network};
 use obs::{labeled, MetricsRegistry, Span};
@@ -85,80 +79,8 @@ pub type TaskOutputs = Arc<Mutex<HashMap<String, TaskOutput>>>;
 /// result set on the wire (0 when it carried none).
 pub type Reply = (Response, usize);
 
-/// What a task sends in place of an ordinary `TASK`: a deferred global
-/// transaction's member (§3.2.2) names a subtransaction open at the LAM
-/// across statements under the task's name whatever connection reaches it, a
-/// task of an interrupted multitransaction is settled by recovery (DESIGN
-/// §3a.4), and a cross-database join's task evaluates a partial or combines
-/// them (§3a.14).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Vote {
-    /// The member's first statement: `TASK … HOLD` opens the subtransaction
-    /// and runs the commands in it (`E`, read as prepared, or `A`).
-    Hold,
-    /// A later statement: `EXEC` runs the commands in the open one.
-    Exec,
-    /// The synchronization point's vote: `PREPARE` it — `P`, or `A` when the
-    /// vote fails.
-    Prepare,
-    /// The coordinator is rolling back: abort it without asking.
-    Abort,
-    /// Nothing to send: the task ends in this status (a member whose
-    /// statements autocommitted as they ran).
-    Settled(TaskStatus),
-    /// Recovery: `RESOLVE` the task per the logged decision — commit it if
-    /// set — and end in the status the LAM answers from its own state (`C`,
-    /// `A`, or `K` once compensated).
-    Resolve(bool),
-    /// Recovery: `COMPENSATE` the committed task with its logged commands
-    /// (`K`). The LAM's `K` memory makes a repeat harmless.
-    Compensate,
-    /// A join site's partial whose rows come back here: a pushed-down site's
-    /// `PARTIALAGG` of the task's command, `EXPLAIN` measuring `baseline`
-    /// beside it — or, with `echo`, `(site, key)`, a reducer whose keys filter
-    /// another travelling site: a `SHIP … ECHO`, whose rows also travel
-    /// straight to the coordinator's LAM there, keyed for its `COMBINE`.
-    /// `notes` are the plan's side of its `lam:partial:<db>` span.
-    Partial {
-        baseline: Option<String>,
-        notes: Vec<(&'static str, String)>,
-        echo: Option<(String, u64)>,
-    },
-    /// The join's coordinator: one `COMBINE` of Q′, the task's command, under
-    /// correlation id `key`, over its own partial — `home`, reduced there
-    /// along `edges`, measured under `EXPLAIN` — and those of `travellers`,
-    /// each shipped straight to it by a `SHIP` the task posts beside it.
-    /// `notes` are its `lam:combine:<db>` span's, then its own partial's.
-    Combine {
-        key: u64,
-        home: String,
-        measure: bool,
-        travellers: Vec<Traveller>,
-        edges: Vec<HomeEdge>,
-        notes: [Vec<(&'static str, String)>; 2],
-    },
-}
-
-/// A partial the `COMBINE`'s task ships: its site, database, subquery, the
-/// baseline `EXPLAIN` measures beside it and the plan's side of its
-/// `lam:partial:<db>` span. `posted` is false for one already on its way (a
-/// reducer's echo, whose span is its own program's): only a resend ships it
-/// again.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Traveller {
-    pub site: String,
-    pub database: String,
-    pub sql: String,
-    pub baseline: Option<String>,
-    pub notes: Vec<(&'static str, String)>,
-    pub posted: bool,
-}
-
-/// A run's [`Vote`]s, by task name, each with the rows its member's
-/// statements affected so far — what a vote reports, since `PREPARE` carries
-/// no count. Empty for every program that is not a member's, recovery's or a
-/// join's.
-pub(crate) type Votes = Arc<HashMap<String, (Vote, u64)>>;
+/// `SHIP`s posted beside a request: site, request, whether the first attempt sends it.
+type Ships = Vec<(String, Request, bool)>;
 
 /// The part of a connection that outlives a checkout: the client endpoint
 /// registered on the network. It carries no per-request state (correlation
@@ -257,8 +179,6 @@ pub struct LamClient {
     /// Where the tasks this connection executes as a [`DolService`] leave
     /// their outputs (the factory's table when checked out from one).
     outputs: TaskOutputs,
-    /// What the run's member tasks send (the factory's table).
-    votes: Votes,
 }
 
 /// One attempt's failure: a classified network fault and the site it hit,
@@ -346,7 +266,6 @@ impl LamClient {
             metrics: MetricsRegistry::new(),
             wire_format: WireFormat::default(),
             outputs: TaskOutputs::default(),
-            votes: Votes::default(),
         }
     }
 
@@ -393,13 +312,7 @@ impl LamClient {
     /// [`Self::post`] under correlation id `id`, with `ships`: requests to
     /// other sites, each sent uncorrelated after `req` on every attempt — on
     /// the first only those flagged — and never answered.
-    fn post_as(
-        &self,
-        id: u64,
-        req: &Request,
-        ships: Vec<(String, Request, bool)>,
-        span: &Span,
-    ) -> Posted {
+    fn post_as(&self, id: u64, req: &Request, ships: Ships, span: &Span) -> Posted {
         let ships =
             ships.into_iter().map(|(site, ship, first)| (site, self.encode(None, &ship), first));
         let ships = ships.collect();
@@ -605,56 +518,73 @@ impl LamClient {
         self.metrics.counter_add(&labeled("lam.bytes", "db", db), bytes as u64);
     }
 
-    /// The request that runs `task` on this connection — the task itself, or
-    /// what its [`Vote`] sends instead — and the spans a join's task opens
-    /// under `span` for its exchange, innermost first so that they close in
-    /// order: a partial's `lam:partial:<db>`, or the coordinator's own
-    /// partial's under its `lam:combine:<db>`.
-    fn task_request(&self, task: &dol::TaskDef, span: &Span) -> (Request, Vec<Span>) {
+    /// The request that runs `task` on this connection — what its verb sends
+    /// — with the `SHIP`s a `COMBINE` posts beside it, and the spans a join's
+    /// task opens under `span`, innermost first so that they close in order:
+    /// a partial's `lam:partial:<db>`, or the coordinator's own partial's
+    /// under its `lam:combine:<db>`. A settled task never gets here.
+    fn task_request(&self, task: &dol::TaskDef, span: &Span) -> (Request, Ships, Vec<Span>) {
         let (name, commands, database) =
             (task.name.clone(), task.commands.clone(), self.database.clone());
-        let mut spans: Vec<Span> = Vec::new();
-        let mut open = |kind: &str, notes: &[(&str, String)]| {
+        let ship = |key, to: &str, database, sql, baseline, echo| Request::Ship {
+            key,
+            to: to.to_string(),
+            database,
+            sql,
+            baseline,
+            echo,
+        };
+        let (mut spans, mut ships): (Vec<Span>, Ships) = (Vec::new(), Vec::new());
+        let mut open = |kind: &str, notes: &[(String, String)]| {
             let child = spans.first().unwrap_or(span).child(format!("lam:{kind}:{database}"));
             notes.iter().for_each(|(key, value)| child.note(key, value));
             spans.insert(0, child);
         };
-        let req = match self.votes.get(&name) {
-            Some((Vote::Prepare, _)) => Request::Prepare { task: name },
-            Some((Vote::Abort, _)) => Request::Abort { task: name },
-            Some((Vote::Resolve(commit), _)) => Request::Resolve { task: name, commit: *commit },
-            Some((Vote::Compensate, _)) => self.compensate_request(task),
-            Some((Vote::Exec, _)) => Request::Exec { task: name, commands },
-            Some((Vote::Partial { baseline, notes, echo }, _)) => {
-                open("partial", notes);
-                let (sql, baseline) = (commands.concat(), baseline.clone());
-                match echo {
-                    Some((to, key)) => ship_request(*key, to, database, sql, baseline, true),
-                    None => Request::PartialAgg { database, sql, baseline },
-                }
-            }
-            Some((Vote::Combine { home, measure, travellers, edges, notes, .. }, _)) => {
-                open("combine", &notes[0]);
-                open("partial", &notes[1]);
-                Request::Combine {
-                    database,
-                    home: Some(home.clone()),
-                    parts: travellers.iter().map(|t| t.database.clone()).collect(),
-                    edges: edges.clone(),
-                    sql: commands.concat(),
-                    measure: *measure,
-                }
-            }
-            vote => {
-                let mode = match vote {
-                    Some((Vote::Hold, _)) => TaskMode::Hold,
-                    _ if task.nocommit => TaskMode::NoCommit,
+        let req = match &task.verb {
+            TaskVerb::Run | TaskVerb::Hold => {
+                let mode = match (&task.verb, task.nocommit) {
+                    (TaskVerb::Hold, _) => TaskMode::Hold,
+                    (_, true) => TaskMode::NoCommit,
                     _ => TaskMode::Auto,
                 };
                 Request::Task { name, mode, database, commands }
             }
+            TaskVerb::Exec => Request::Exec { task: name, commands },
+            TaskVerb::Prepare => Request::Prepare { task: name },
+            TaskVerb::Abort => Request::Abort { task: name },
+            TaskVerb::Resolve(commit) => Request::Resolve { task: name, commit: *commit },
+            TaskVerb::Compensate => self.compensate_request(task),
+            TaskVerb::Settled(_) => unreachable!("a settled task sends nothing"),
+            TaskVerb::PartialAgg(partial) => {
+                open("partial", &partial.notes);
+                let (sql, baseline) = (commands.concat(), partial.baseline.clone());
+                Request::PartialAgg { database, sql, baseline }
+            }
+            TaskVerb::Ship { key, to, partial } => {
+                open("partial", &partial.notes);
+                let (sql, baseline) = (commands.concat(), partial.baseline.clone());
+                ship(*key, to, database, sql, baseline, true)
+            }
+            TaskVerb::Combine(c) => {
+                open("combine", &c.notes);
+                open("partial", &c.home_notes);
+                for t in &c.travellers {
+                    let (database, sql) = (t.database.clone(), t.sql.clone());
+                    let req =
+                        ship(c.key, &self.site, database, sql, t.partial.baseline.clone(), false);
+                    ships.push((t.site.clone(), req, t.posted));
+                }
+                Request::Combine {
+                    database,
+                    home: Some(c.home.clone()),
+                    parts: c.travellers.iter().map(|t| t.database.clone()).collect(),
+                    edges: c.edges.clone(),
+                    sql: commands.concat(),
+                    measure: c.measure,
+                }
+            }
         };
-        (req, spans)
+        (req, ships, spans)
     }
 
     /// Posts `task`'s request under `span` — a `COMBINE` under its key, with
@@ -666,25 +596,12 @@ impl LamClient {
         task: &dol::TaskDef,
         span: &Span,
     ) -> Result<(Posted, Vec<Span>), MdbsError> {
-        let vote = self.votes.get(&task.name);
-        if let Some((Vote::Combine { travellers, .. }, _)) = vote {
-            travellers.iter().try_for_each(|t| self.reach(&t.site))?;
+        if let TaskVerb::Combine(c) = &task.verb {
+            c.travellers.iter().try_for_each(|t| self.reach(&t.site))?;
         }
-        let (req, spans) = self.task_request(task, span);
-        let traced = spans.last().unwrap_or(span);
-        let posted = match vote {
-            Some((Vote::Combine { key, travellers, .. }, _)) => {
-                let ship = |t: &Traveller| {
-                    let (database, sql, baseline) =
-                        (t.database.clone(), t.sql.clone(), t.baseline.clone());
-                    let ship = ship_request(*key, &self.site, database, sql, baseline, false);
-                    (t.site.clone(), ship, t.posted)
-                };
-                self.post_as(*key, &req, travellers.iter().map(ship).collect(), traced)
-            }
-            _ => LamClient::post(self, &req, traced),
-        };
-        Ok((posted, spans))
+        let (req, ships, spans) = self.task_request(task, span);
+        let id = if let TaskVerb::Combine(c) = &task.verb { c.key } else { correlation_id() };
+        Ok((self.post_as(id, &req, ships, spans.last().unwrap_or(span)), spans))
     }
 
     /// Whether a `SHIP` from this connection's endpoint reaches `site`, read
@@ -704,7 +621,7 @@ impl LamClient {
     }
 
     /// The `COMPENSATE` that undoes `task` with its compensating commands: a
-    /// program's `COMPENSATE` step, or recovery's [`Vote::Compensate`].
+    /// program's `COMPENSATE` step, or a task whose verb is `COMPENSATE`.
     fn compensate_request(&self, task: &dol::TaskDef) -> Request {
         Request::Compensate {
             task: task.name.clone(),
@@ -715,13 +632,11 @@ impl LamClient {
 
     /// Runs a task on the LAM — or reads the reply of the one
     /// [posted](DolService::post) — its affected-row count and rows going to
-    /// [`Self::outputs`] under the task's name. A member's task sends what
-    /// its [`Vote`] says, and one with nothing to send sends nothing.
+    /// [`Self::outputs`] under the task's name. A task sends what its verb
+    /// says, and a settled one sends nothing.
     fn run_task(&mut self, task: &dol::TaskDef, span: &Span) -> TaskExecution {
-        let votes = Votes::clone(&self.votes);
-        let vote = votes.get(&task.name);
-        if let Some(&(Vote::Settled(status), affected)) = vote {
-            return settled(&self.outputs, &task.name, status, affected);
+        if let TaskVerb::Settled(status) = task.verb {
+            return TaskExecution { status, result: None, error: None };
         }
         let (result, attempts, faults, spans) =
             match self.posted.take().unwrap_or_else(|| self.post_task(task, span)) {
@@ -737,7 +652,7 @@ impl LamClient {
         self.stats.lock().record_task(&task.name, attempts, faults.last().copied());
         match result {
             Ok((reply, bytes)) if !spans.is_empty() => {
-                self.join_done(task, vote, &spans, reply, bytes, attempts)
+                self.join_done(task, &spans, reply, bytes, attempts)
             }
             Ok((Response::TaskDone { status, affected, payload, error }, bytes)) => {
                 // `E`: a held subtransaction ran its commands and stays open.
@@ -747,12 +662,6 @@ impl LamClient {
                     'A' => TaskStatus::Aborted,
                     'K' => TaskStatus::Compensated,
                     _ => TaskStatus::Error,
-                };
-                // A vote carries no count: what the member's statements
-                // affected is known here.
-                let affected = match vote {
-                    Some(&(Vote::Prepare, held)) if status == TaskStatus::Prepared => held,
-                    _ => affected,
                 };
                 if affected > 0 {
                     span.note("affected", affected);
@@ -766,10 +675,10 @@ impl LamClient {
             }
             // `ABORT` and `COMPENSATE` only acknowledge: the held
             // subtransaction is rolled back, the committed one undone.
-            Ok((Response::Ok, _)) if matches!(vote, Some((Vote::Abort, _))) => {
+            Ok((Response::Ok, _)) if task.verb == TaskVerb::Abort => {
                 TaskExecution { status: TaskStatus::Aborted, result: None, error: None }
             }
-            Ok((Response::Ok, _)) if matches!(vote, Some((Vote::Compensate, _))) => {
+            Ok((Response::Ok, _)) if task.verb == TaskVerb::Compensate => {
                 TaskExecution { status: TaskStatus::Compensated, result: None, error: None }
             }
             // A refusal, in the site's words.
@@ -798,7 +707,6 @@ impl LamClient {
     fn join_done(
         &self,
         task: &dol::TaskDef,
-        vote: Option<&(Vote, u64)>,
         spans: &[Span],
         reply: Response,
         bytes: usize,
@@ -813,11 +721,11 @@ impl LamClient {
             | Response::Err { message } => return failed(message),
             Response::CombineDone { payload, home_rows, access, saved, report } => {
                 let CombineReport { edges, parts } = *report;
-                let Some((Vote::Combine { travellers, measure, .. }, _)) = vote else {
+                let TaskVerb::Combine(c) = &task.verb else {
                     return failed("a COMBINE reply to another request".to_string());
                 };
                 let mut refused = None;
-                for (traveller, part) in travellers.iter().zip(parts) {
+                for (traveller, part) in c.travellers.iter().zip(parts) {
                     if let (None, Some(message)) = (&refused, &part.error) {
                         let service = traveller.database.clone();
                         refused = Some(MdbsError::Local { service, message: message.clone() });
@@ -845,7 +753,7 @@ impl LamClient {
                 own.note("rows", home_rows);
                 own.note("bytes", 0);
                 join = Some(Box::new(JoinReport(edges)));
-                (rows, access, (*measure && reduced).then_some(saved))
+                (rows, access, (c.measure && reduced).then_some(saved))
             }
             Response::PartialDone { payload: Some(rows), full_bytes, access, .. } => {
                 self.record_shipped(span, &self.database, rows.rows.len(), bytes);
@@ -887,13 +795,13 @@ impl LamClient {
     /// off the wire, when `EXPLAIN` measured its baseline.
     fn travelled(&self, t: &Traveller, part: PartDone, attempts: u32, span: &Span) -> Option<u64> {
         let child = span.child(format!("lam:partial:{}", t.database));
-        t.notes.iter().for_each(|(key, value)| child.note(key, value));
+        t.partial.notes.iter().for_each(|(key, value)| child.note(key, value));
         self.record_obs(&child, &t.database, attempts, &[]);
         if part.error.is_some() {
             return None;
         }
         self.record_shipped(&child, &t.database, part.rows as usize, part.bytes as usize);
-        let saved = t.baseline.as_ref().map(|_| part.saved);
+        let saved = t.partial.baseline.as_ref().map(|_| part.saved);
         self.note_partial(&child, &t.database, part.access, saved);
         saved
     }
@@ -925,20 +833,6 @@ impl LamClient {
     }
 }
 
-/// The `SHIP` that sends a partial's rows straight to the coordinator's LAM at
-/// site `to`, for the `COMBINE` under correlation id `key` — echoed back here
-/// too when `echo` is set.
-fn ship_request(
-    key: u64,
-    to: &str,
-    database: String,
-    sql: String,
-    baseline: Option<String>,
-    echo: bool,
-) -> Request {
-    Request::Ship { key, to: to.to_string(), database, sql, baseline, echo }
-}
-
 /// A task that ended in `E`, `message` being its local error.
 fn failed(message: String) -> TaskExecution {
     TaskExecution { status: TaskStatus::Error, result: None, error: Some(message) }
@@ -968,7 +862,7 @@ impl DolService for LamClient {
     fn post(&mut self, step: Step<'_>, span: &Span) {
         let req = match step {
             Step::Execute(task) => {
-                if !matches!(self.votes.get(&task.name), Some((Vote::Settled(_), _))) {
+                if !matches!(task.verb, TaskVerb::Settled(_)) {
                     self.posted = Some(self.post_task(task, span));
                 }
                 return;
@@ -1041,8 +935,6 @@ pub struct LamFactory {
     /// Where the tasks of the program this factory serves leave their
     /// outputs, beside any an earlier program handed on; emptied by each run.
     pub(crate) outputs: TaskOutputs,
-    /// What the member tasks of the program this factory serves send.
-    pub(crate) votes: Votes,
     /// Why the `OPEN` that failed the program this factory serves failed:
     /// the checkout's own error.
     pub(crate) open_error: Arc<Mutex<Option<MdbsError>>>,
@@ -1061,7 +953,6 @@ impl LamFactory {
             tolerate_unreachable: false,
             wire_format: WireFormat::default(),
             outputs: TaskOutputs::default(),
-            votes: Votes::default(),
             open_error: Arc::default(),
         }
     }
@@ -1101,7 +992,6 @@ impl LamFactory {
         };
         client.home = Some(self.pool.clone());
         client.outputs = TaskOutputs::clone(&self.outputs);
-        client.votes = Votes::clone(&self.votes);
         client.metrics = self.metrics.clone();
         client.wire_format = self.wire_format;
         Ok(client)
@@ -1115,8 +1005,6 @@ impl ServiceFactory for LamFactory {
             Err(e) if self.tolerate_unreachable => Ok(Box::new(UnreachableService {
                 error: format!("site `{site}` unreachable: {e}"),
                 stats: SharedExecStats::clone(&self.stats),
-                outputs: TaskOutputs::clone(&self.outputs),
-                votes: Votes::clone(&self.votes),
             })),
             Err(e) => {
                 let reason = e.to_string();
@@ -1130,28 +1018,17 @@ impl ServiceFactory for LamFactory {
 /// Stand-in service for a LAM that could not be reached at OPEN time. Every
 /// task fails with an error status (never panics or hangs), so the DOL
 /// program's vital semantics decide the statement's fate; commit/abort of
-/// tasks that never ran are no-ops, a compensation fails. A member's task
-/// whose [`Vote`] sends nothing ends as its vote says.
+/// tasks that never ran are no-ops, a compensation fails. A settled task
+/// sends nothing, so it ends as its verb says.
 struct UnreachableService {
     error: String,
     stats: SharedExecStats,
-    outputs: TaskOutputs,
-    votes: Votes,
-}
-
-/// A member's task whose [`Vote::Settled`] vote sends nothing: it ends in
-/// `status`, and a committed one reports what its statements affected.
-fn settled(outputs: &TaskOutputs, task: &str, status: TaskStatus, affected: u64) -> TaskExecution {
-    if status == TaskStatus::Committed {
-        outputs.lock().insert(task.to_string(), TaskOutput { affected, ..TaskOutput::default() });
-    }
-    TaskExecution { status, result: None, error: None }
 }
 
 impl DolService for UnreachableService {
     fn execute_task(&mut self, task: &dol::TaskDef) -> TaskExecution {
-        if let Some(&(Vote::Settled(status), affected)) = self.votes.get(&task.name) {
-            return settled(&self.outputs, &task.name, status, affected);
+        if let TaskVerb::Settled(status) = task.verb {
+            return TaskExecution { status, result: None, error: None };
         }
         // The terminal fault itself was counted by the failed connect; here
         // we only pin the task-level telemetry.
@@ -1206,6 +1083,7 @@ mod tests {
             name: "Q1".into(),
             service: "a".into(),
             nocommit: false,
+            verb: TaskVerb::Run,
             commands: vec!["SELECT code FROM cars".into()],
             compensation: vec![],
         };
@@ -1226,6 +1104,7 @@ mod tests {
             name: "T1".into(),
             service: "a".into(),
             nocommit: true,
+            verb: TaskVerb::Run,
             commands: vec!["UPDATE cars SET rate = 50 WHERE code = 1".into()],
             compensation: vec![],
         };
@@ -1260,6 +1139,7 @@ mod tests {
             name: "T1".into(),
             service: "a".into(),
             nocommit: false,
+            verb: TaskVerb::Run,
             commands: vec!["SELECT code FROM cars".into()],
             compensation: vec![],
         };
@@ -1286,6 +1166,7 @@ mod tests {
             name: "Q".into(),
             service: "a".into(),
             nocommit: false,
+            verb: TaskVerb::Run,
             commands: vec!["SELECT code FROM cars".into()],
             compensation: vec![],
         };
@@ -1303,6 +1184,7 @@ mod tests {
             name: "NV".into(),
             service: "v".into(),
             nocommit: false,
+            verb: TaskVerb::Run,
             commands: vec!["SELECT 1".into()],
             compensation: vec![],
         };
@@ -1407,6 +1289,7 @@ mod tests {
             name: "T1".into(),
             service: "a".into(),
             nocommit: true,
+            verb: TaskVerb::Run,
             commands: vec!["UPDATE cars SET rate = 60 WHERE code = 1".into()],
             compensation: vec![],
         };
@@ -1425,8 +1308,8 @@ mod tests {
             if site == "site1" && task == "T1"));
         // The LAM really did commit — recovery's re-ask would find 'C'.
         net.set_link_drop_probability("site1", client.link.endpoint.name(), 0.0);
-        client.votes = Arc::new(HashMap::from([("T1".into(), (Vote::Resolve(true), 0))]));
-        assert_eq!(client.execute_task(&task).status, TaskStatus::Committed);
+        let resolve = dol::TaskDef { verb: TaskVerb::Resolve(true), ..task };
+        assert_eq!(client.execute_task(&resolve).status, TaskStatus::Committed);
         let rate = {
             let mut e = lam.engine.lock();
             e.execute("avis", "SELECT rate FROM cars WHERE code = 1")
@@ -1447,6 +1330,7 @@ mod tests {
             name: "T1".into(),
             service: "a".into(),
             nocommit: true,
+            verb: TaskVerb::Run,
             commands: vec!["UPDATE cars SET rate = 70 WHERE code = 1".into()],
             compensation: vec![],
         };

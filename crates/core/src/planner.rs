@@ -182,22 +182,7 @@ pub struct SitePlan {
     pub est_rows: Option<u64>,
 }
 
-/// How one reduction edge's ship-or-not is finished once the reducer's keys
-/// are known.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EdgeRule {
-    /// No statistics: ship a key set of at most this many values.
-    Cap(usize),
-    /// Both ends estimated: ship iff the bytes the filter prunes from the
-    /// target's partial (`bytes`, estimated unreduced) exceed the key list's
-    /// own. `min(1, keys/ndv)` of the target's rows survive a k-key filter
-    /// under uniformity, `ndv` being the filtered column's distinct values
-    /// there; without one the filter is presumed to prune nothing.
-    Bytes { ndv: Option<u64>, bytes: f64 },
-}
-
-/// An estimate is a finite number, so a rule always equals itself.
-impl Eq for EdgeRule {}
+pub use dol::EdgeRule;
 
 /// One semi-join opportunity: the reducer's distinct values of `key_column`
 /// may travel to site `target` as a filter on its `binding.column`.

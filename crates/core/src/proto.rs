@@ -14,7 +14,6 @@ use crate::codec::columnar;
 use crate::codec::frame::{PAYLOAD_COLUMNAR, PAYLOAD_VERBATIM};
 use crate::codec::varint::{write_str, Reader};
 use crate::error::MdbsError;
-use crate::planner::EdgeRule;
 use crate::wire::{self, escape, unescape};
 use ldbs::engine::ResultSet;
 
@@ -475,18 +474,7 @@ pub enum Response<P = String> {
 /// One reduction edge into the coordinator's home subquery, as a `COMBINE`
 /// carries it: the planner's [`crate::planner::ReductionEdge`] minus its
 /// target, which is the home subquery itself.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HomeEdge {
-    /// The reducer's database: whose part holds the keys.
-    pub reducer: String,
-    /// Column of the reducer's partial that holds the key values.
-    pub key_column: String,
-    /// FROM binding and name of the filtered column in the home subquery.
-    pub binding: String,
-    pub column: String,
-    /// Ship-or-not, up to the key list.
-    pub rule: EdgeRule,
-}
+pub use dol::HomeEdge;
 
 /// What a [`Response::CombineDone`] reports of a join's edges and travelled
 /// parts. Boxed there, so no other reply grows by it.
@@ -547,26 +535,6 @@ fn parse_opt_field(text: &str) -> Result<Option<String>, MdbsError> {
 
 fn parse_count(text: &str, what: &str) -> Result<u64, MdbsError> {
     text.parse().map_err(|_| MdbsError::Wire(format!("bad {what} `{text}`")))
-}
-
-/// A reduction rule as one word: `C<cap>`, or `B<ndv|->/<bytes>`.
-fn rule_word(rule: &EdgeRule) -> String {
-    match rule {
-        EdgeRule::Cap(cap) => format!("C{cap}"),
-        EdgeRule::Bytes { ndv, bytes } => {
-            format!("B{}/{bytes}", ndv.map_or_else(|| "-".to_string(), |n| n.to_string()))
-        }
-    }
-}
-
-fn parse_rule(word: &str) -> Result<EdgeRule, MdbsError> {
-    let bad = || MdbsError::Wire(format!("bad reduction rule `{word}`"));
-    if let Some(cap) = word.strip_prefix('C') {
-        return Ok(EdgeRule::Cap(parse_count(cap, "key cap")? as usize));
-    }
-    let (ndv, bytes) = word.strip_prefix('B').and_then(|b| b.split_once('/')).ok_or_else(bad)?;
-    let ndv = if ndv == "-" { None } else { Some(parse_count(ndv, "key NDV")?) };
-    Ok(EdgeRule::Bytes { ndv, bytes: bytes.parse().map_err(|_| bad())? })
 }
 
 /// Appends `(temp table, payload)` parts. Length-prefixed framing: payloads
@@ -658,8 +626,7 @@ impl<P: Payload> Request<P> {
                 parts.iter().for_each(|db| out.push_str(&format!(" {db}")));
                 out.push('\n');
                 for e in edges {
-                    let rule = rule_word(&e.rule);
-                    let HomeEdge { reducer, key_column, binding, column, .. } = e;
+                    let HomeEdge { reducer, key_column, binding, column, rule } = e;
                     out.push_str(&format!("E {reducer} {key_column} {binding} {column} {rule}\n"));
                 }
                 return;
@@ -793,7 +760,7 @@ impl<P: Payload> Request<P> {
                         key_column: key_column.to_string(),
                         binding: binding.to_string(),
                         column: column.to_string(),
-                        rule: parse_rule(rule)?,
+                        rule: rule.parse().map_err(MdbsError::Wire)?,
                     });
                 }
                 let database = database.to_string();
@@ -1039,6 +1006,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::EdgeRule;
 
     fn roundtrip_request(r: Request) {
         let enc = r.encode();

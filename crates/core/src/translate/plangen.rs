@@ -31,10 +31,11 @@
 //! | [`retrieval_plan`] | `Q<n>`, autocommit | none | — |
 //! | [`update_plan`] | `T<n>`; a vital is `NOCOMMIT` on a 2PC service, else autocommit with its COMP (§3.3) | the vitals | `UPDATE_FAILED` |
 //! | a deferred-mode statement (`gtxn.rs`) | a vital is its member's task (`HOLD` / `EXEC` on a 2PC service, else autocommit under the member's name), a non-vital `NV_<key>` | none | — |
-//! | a deferred synchronization point (`gtxn.rs`) | the members' votes | all members; `ROLLBACK` plans the failure branch alone | `UPDATE_FAILED` |
+//! | a deferred synchronization point (`gtxn.rs`) | the members' votes: `PREPARE`, else `ABORT` or `SETTLED` | all members; `ROLLBACK` plans the failure branch alone | `UPDATE_FAILED` |
 //! | [`multitransaction_plan`] | the scope keys; `NOCOMMIT` on 2PC services, else autocommit with their COMP | the user's | [`MTX_FAILED`] |
 //! | a transfer's INSERT, local DDL and `ANALYZE` ([`autocommit_plan`]) | one autocommit task: `TRANSFER`, `DDL` or `ANALYZE` | none | — |
-//! | a cross-database join ([`autocommit_plan`]) | the coordinator's `COMBINE`, then each partial that travels straight to it, in one batch; a reducer whose keys the MDBS layer needs runs in a program of its own first. Each is named after its database | none | — |
+//! | a recovery wave (`federation.rs`) | each unresolved logged task's `RESOLVE`, or `COMPENSATE` | none | — |
+//! | a cross-database join ([`autocommit_plan`]) | the coordinator's `COMBINE` (a reducer whose keys the MDBS layer needs first `SHIP … ECHO`s in a program of its own), or each pushed site's `PARTIALAGG`; each named after its database | none | — |
 //!
 //! `DOLSTATUS` is the `DECIDE` code of the branch taken: `k` for state `k`
 //! (`0` is the preferred state, and an update's success), else the failure
@@ -167,26 +168,15 @@ fn open_statements<'a>(
     Ok((opens, aliases))
 }
 
-/// One task of a DOL program, as `dol_plan` takes it.
+/// One task of a DOL program, as `dol_plan` takes it: the task, on the
+/// service of its scope key, and its database. `vital` puts it in the oracle
+/// (a VITAL subquery, every subquery of a multitransaction): provenance only
+/// in a plan without states.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct DolTask {
-    /// DOL task name — the name its subtransaction is open under at the LAM.
-    pub name: String,
-    /// Target database.
+    pub def: TaskDef,
     pub database: String,
-    /// Scope key (alias or database name): the service it runs on.
-    pub key: String,
-    /// Runs `NOCOMMIT`: it stops prepared, and the settle phase commits or
-    /// aborts it. Otherwise it autocommits, and only its COMP undoes it.
-    pub nocommit: bool,
-    /// In the oracle: its outcome decides the statement (a VITAL subquery,
-    /// every subquery of a multitransaction). Provenance only in a plan
-    /// without states.
     pub vital: bool,
-    /// The subquery, as local SQL.
-    pub commands: Vec<String>,
-    /// Its COMP clause, as local SQL (empty without one).
-    pub compensation: Vec<String>,
 }
 
 /// Generates a DOL program (module docs): the `OPEN`s, the `TASK` batch
@@ -203,23 +193,15 @@ pub(crate) fn dol_plan(
     rollback: bool,
     routes: &HashMap<String, DbRoute>,
 ) -> Result<GeneratedPlan, MdbsError> {
-    let services = tasks.iter().map(|t| (t.key.as_str(), t.database.as_str()));
+    let services = tasks.iter().map(|t| (t.def.service.as_str(), t.database.as_str()));
     let (mut statements, aliases) = open_statements(services, routes)?;
-    statements.extend(tasks.iter().map(|t| {
-        DolStmt::Task(TaskDef {
-            name: t.name.clone(),
-            service: t.key.clone(),
-            nocommit: t.nocommit,
-            commands: t.commands.clone(),
-            compensation: t.compensation.clone(),
-        })
-    }));
+    statements.extend(tasks.iter().map(|t| DolStmt::Task(t.def.clone())));
     let plan_tasks: Vec<PlanTask> = tasks
         .iter()
         .map(|t| PlanTask {
-            task: t.name.clone(),
+            task: t.def.name.clone(),
             database: t.database.clone(),
-            key: t.key.clone(),
+            key: t.def.service.clone(),
             vital: t.vital,
         })
         .collect();
@@ -252,17 +234,17 @@ pub(crate) fn dol_plan(
     decisions.insert(failure, failed);
     let wal_task = |t: &DolTask| -> Result<WalTask, MdbsError> {
         Ok(WalTask {
-            name: t.name.clone(),
+            name: t.def.name.clone(),
             database: t.database.clone(),
             site: route_for(routes, &t.database)?.site.clone(),
-            compensation: t.compensation.clone(),
+            compensation: t.def.compensation.clone(),
         })
     };
     let recovery = PlanRecovery {
         tasks: tasks.iter().map(wal_task).collect::<Result<_, _>>()?,
         decisions,
         states: states.to_vec(),
-        oracle: tasks.iter().filter(|t| t.vital).map(|t| t.name.clone()).collect(),
+        oracle: tasks.iter().filter(|t| t.vital).map(|t| t.def.name.clone()).collect(),
         abort_compensate,
     };
     let program = DolProgram { statements };
@@ -277,13 +259,14 @@ pub(crate) fn dol_plan(
 /// autocommitted task cannot be aborted: it is compensated, and only if it
 /// committed.
 fn settle(tasks: &[DolTask], code: i32, state: Option<&[String]>) -> (Vec<DolStmt>, DecisionPlan) {
-    let member = |t: &DolTask| state.is_some_and(|s| s.contains(&t.name));
+    let member = |t: &DolTask| state.is_some_and(|s| s.contains(&t.def.name));
     let names = |keep: &dyn Fn(&DolTask) -> bool| -> Vec<String> {
-        tasks.iter().filter(|t| keep(t)).map(|t| t.name.clone()).collect()
+        tasks.iter().filter(|t| keep(t)).map(|t| t.def.name.clone()).collect()
     };
-    let commit = names(&|t| t.nocommit && member(t));
-    let abort = names(&|t| t.nocommit && t.vital && !member(t));
-    let compensate = names(&|t| !t.nocommit && t.vital && !member(t) && !t.compensation.is_empty());
+    let commit = names(&|t| t.def.nocommit && member(t));
+    let abort = names(&|t| t.def.nocommit && t.vital && !member(t));
+    let compensate =
+        names(&|t| !t.def.nocommit && t.vital && !member(t) && !t.def.compensation.is_empty());
     let mut branch = vec![DolStmt::Decide(code)];
     if !commit.is_empty() {
         branch.push(DolStmt::Commit { tasks: commit.clone() });
@@ -305,11 +288,11 @@ fn settle(tasks: &[DolTask], code: i32, state: Option<&[String]>) -> (Vec<DolStm
 /// ones, each in the state's order.
 fn reachable(tasks: &[DolTask], state: &[String]) -> DolCond {
     let mut members: Vec<&DolTask> =
-        state.iter().filter_map(|m| tasks.iter().find(|t| &t.name == m)).collect();
-    members.sort_by_key(|t| !t.nocommit);
+        state.iter().filter_map(|m| tasks.iter().find(|t| &t.def.name == m)).collect();
+    members.sort_by_key(|t| !t.def.nocommit);
     let voted = members.into_iter().map(|t| DolCond::StatusEq {
-        task: t.name.clone(),
-        status: if t.nocommit { TaskStatus::Prepared } else { TaskStatus::Committed },
+        task: t.def.name.clone(),
+        status: if t.def.nocommit { TaskStatus::Prepared } else { TaskStatus::Committed },
     });
     voted.reduce(|acc, c| DolCond::And(Box::new(acc), Box::new(c))).expect("state is not empty")
 }
@@ -322,39 +305,23 @@ pub fn retrieval_plan(
     let tasks: Vec<DolTask> = locals
         .iter()
         .enumerate()
-        .map(|(i, l)| DolTask {
-            name: format!("Q{}", i + 1),
-            database: l.database.clone(),
-            key: l.key.clone(),
-            nocommit: false,
-            vital: l.vital,
-            commands: vec![print(&l.statement)],
-            compensation: Vec::new(),
+        .map(|(i, l)| {
+            let def = TaskDef::new(format!("Q{}", i + 1), &l.key, vec![print(&l.statement)]);
+            DolTask { def, database: l.database.clone(), vital: l.vital }
         })
         .collect();
     dol_plan(&tasks, &[], 0, false, routes)
 }
 
-/// A program of autocommitted one-statement tasks, each `(name, database,
-/// statement)` on its database's own service, in one `TASK` batch. A
-/// transfer's INSERT, local DDL and `ANALYZE` are one task; a cross-database
-/// join (DESIGN §3a.14) is the coordinator's `COMBINE` and the partials that
-/// travel straight to it.
+/// A program of autocommitted tasks, each on the service of its database
+/// (`service`), in one `TASK` batch: a transfer's INSERT, local DDL or
+/// `ANALYZE`, a recovery wave, or a join's program (DESIGN §3a.14).
 pub(crate) fn autocommit_plan(
-    tasks: Vec<(String, String, String)>,
+    tasks: Vec<TaskDef>,
     routes: &HashMap<String, DbRoute>,
 ) -> Result<GeneratedPlan, MdbsError> {
-    let task = |(name, database, statement): (String, String, String)| DolTask {
-        name,
-        key: database.clone(),
-        database,
-        nocommit: false,
-        vital: true,
-        commands: vec![statement],
-        compensation: Vec::new(),
-    };
-    let tasks: Vec<DolTask> = tasks.into_iter().map(task).collect();
-    dol_plan(&tasks, &[], 0, false, routes)
+    let task = |def: TaskDef| DolTask { database: def.service.clone(), def, vital: true };
+    dol_plan(&tasks.into_iter().map(task).collect::<Vec<_>>(), &[], 0, false, routes)
 }
 
 /// The COMP clause of `local` in `comps` (empty without one) — refused for a
@@ -387,17 +354,15 @@ pub fn update_plan(
     let mut tasks = Vec::with_capacity(locals.len());
     for (i, l) in locals.iter().enumerate() {
         let route = route_for(routes, &l.database)?;
-        tasks.push(DolTask {
-            name: format!("T{}", i + 1),
-            database: l.database.clone(),
-            key: l.key.clone(),
+        let def = TaskDef {
             nocommit: l.vital && route.supports_2pc,
-            vital: l.vital,
-            commands: vec![print(&l.statement)],
             compensation: vital_compensation(l, route, comps)?,
-        });
+            ..TaskDef::new(format!("T{}", i + 1), &l.key, vec![print(&l.statement)])
+        };
+        tasks.push(DolTask { def, database: l.database.clone(), vital: l.vital });
     }
-    let vitals: Vec<String> = tasks.iter().filter(|t| t.vital).map(|t| t.name.clone()).collect();
+    let vitals: Vec<String> =
+        tasks.iter().filter(|t| t.vital).map(|t| t.def.name.clone()).collect();
     let states = if vitals.is_empty() { Vec::new() } else { vec![vitals] };
     dol_plan(&tasks, &states, UPDATE_FAILED, false, routes)
 }
@@ -472,15 +437,13 @@ pub fn multitransaction_plan(
                 l.key
             )));
         }
-        tasks.push(DolTask {
-            name: l.key.clone(),
-            database: l.database.clone(),
-            key: l.key.clone(),
+        let def = TaskDef {
             nocommit: route.supports_2pc,
-            vital: true, // every subquery matters to state selection
-            commands: vec![print(&l.statement)],
             compensation,
-        });
+            ..TaskDef::new(&l.key, &l.key, vec![print(&l.statement)])
+        };
+        // Every subquery matters to state selection.
+        tasks.push(DolTask { def, database: l.database.clone(), vital: true });
     }
     dol_plan(&tasks, states, MTX_FAILED, false, routes)
 }
@@ -578,7 +541,7 @@ mod tests {
     #[test]
     fn a_join_is_one_batch_with_its_combine_first() {
         let routes = routes(&[("avis", false), ("national", false), ("delta", false)]);
-        let read = |db: &str| (db.to_string(), db.to_string(), format!("SELECT * FROM {db}_t"));
+        let read = |db: &str| TaskDef::new(db, db, vec![format!("SELECT * FROM {db}_t")]);
         let plan =
             autocommit_plan(vec![read("delta"), read("avis"), read("national")], &routes).unwrap();
         let text = print_program(&plan.program);
@@ -883,6 +846,7 @@ mod tests {
                     name: name.clone(),
                     service: l.key.clone(),
                     nocommit: false,
+                    verb: dol::TaskVerb::Run,
                     commands: vec![print(&l.statement)],
                     compensation: Vec::new(),
                 }));
@@ -973,6 +937,7 @@ mod tests {
                     name: t.name,
                     service: t.key,
                     nocommit,
+                    verb: dol::TaskVerb::Run,
                     commands: t.commands,
                     compensation: t.compensation,
                 }));
@@ -1102,6 +1067,7 @@ mod tests {
                     name: l.key.clone(),
                     service: l.key.clone(),
                     nocommit,
+                    verb: dol::TaskVerb::Run,
                     commands: vec![print(&l.statement)],
                     compensation: compensation.clone(),
                 }));
@@ -1407,17 +1373,17 @@ mod tests {
                 .iter()
                 .zip(&shape)
                 .map(|(t, s)| DolTask {
-                    name: t.name.clone(),
+                    def: TaskDef {
+                        nocommit: t.vital && s.0,
+                        compensation: t.compensation.clone(),
+                        ..TaskDef::new(&t.name, &t.key, Vec::new())
+                    },
                     database: t.database.clone(),
-                    key: t.key.clone(),
-                    nocommit: t.vital && s.0,
                     vital: t.vital,
-                    commands: Vec::new(),
-                    compensation: t.compensation.clone(),
                 })
                 .collect();
             let vitals: Vec<String> =
-                tasks.iter().filter(|t| t.vital).map(|t| t.name.clone()).collect();
+                tasks.iter().filter(|t| t.vital).map(|t| t.def.name.clone()).collect();
             let one_state = if vitals.is_empty() { Vec::new() } else { vec![vitals] };
             let old = reference::vital_set_plan(set, &routes, rollback).unwrap();
             let new = dol_plan(&tasks, &one_state, UPDATE_FAILED, rollback, &routes).unwrap();

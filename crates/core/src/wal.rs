@@ -877,6 +877,7 @@ mod tests {
             name: "a".into(),
             service: "a".into(),
             nocommit: true,
+            verb: dol::TaskVerb::Run,
             commands: vec![],
             compensation: vec![],
         };

@@ -51,11 +51,144 @@ pub struct TaskDef {
     /// `NOCOMMIT`: run under 2PC and stop in the prepared state; otherwise
     /// the task autocommits on success.
     pub nocommit: bool,
+    /// What the task sends its service: the paper's plain `TASK` unless a
+    /// verb follows the name.
+    pub verb: TaskVerb,
     /// SQL statements to execute, in order.
     pub commands: Vec<String>,
     /// Compensating statements (the §3.3 extension), executed by
     /// `COMPENSATE <task>` after the task has committed.
     pub compensation: Vec<String>,
+}
+
+impl TaskDef {
+    /// The paper's plain `TASK`, autocommitted and with no COMP clause.
+    pub fn new(name: impl Into<String>, service: impl Into<String>, commands: Vec<String>) -> Self {
+        let (name, service, compensation) = (name.into(), service.into(), Vec::new());
+        TaskDef { name, service, nocommit: false, verb: TaskVerb::Run, commands, compensation }
+    }
+}
+
+/// What a task sends (`TASK <name> [NOCOMMIT] [<verb>] FOR …`): the paper's
+/// `TASK`, what a member of a deferred global transaction (§3.2.2) or
+/// recovery sends about a subtransaction open under the task's name at its
+/// service, or a cross-database join's partial or combine (§4.1).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub enum TaskVerb {
+    /// Run the commands, autocommitted or (`NOCOMMIT`) stopping prepared.
+    #[default]
+    Run,
+    /// `HOLD`: open the subtransaction and run the commands in it.
+    Hold,
+    /// `EXEC`: run the commands in the open subtransaction.
+    Exec,
+    /// `PREPARE`: vote on the open subtransaction.
+    Prepare,
+    /// `ABORT`: roll it back without a vote.
+    Abort,
+    /// `RESOLVE COMMIT | ABORT`: settle it per a logged decision.
+    Resolve(bool),
+    /// `COMPENSATE`: undo the committed task with its COMP commands.
+    Compensate,
+    /// `SETTLED <status>`: send nothing; the task ends in this status.
+    Settled(TaskStatus),
+    /// `PARTIALAGG`: a join's partial (the command), its rows coming back.
+    PartialAgg(Partial),
+    /// `SHIP <key> TO <site> ECHO`: a partial whose rows also go straight to
+    /// the join's coordinator at `site`, for its `COMBINE <key>`.
+    Ship { key: u64, to: String, partial: Partial },
+    /// `COMBINE <key> [MEASURE]`: the join's global query (the command).
+    Combine(Box<Combine>),
+}
+
+/// A join partial's `[BASELINE { sql }]`, measured beside it under `EXPLAIN`,
+/// and the notes for its span (`NOTE <key> '<value>'`).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Partial {
+    pub baseline: Option<String>,
+    pub notes: Vec<(String, String)>,
+}
+
+/// `COMBINE`'s arguments: its span's notes, `HOME { sql }` (the coordinator's
+/// own subquery) and its notes, its `EDGE`s and the `PART`s shipped to it.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Combine {
+    /// The correlation key every part of the join travels under.
+    pub key: u64,
+    /// `MEASURE`: size the home subquery's baseline too.
+    pub measure: bool,
+    pub notes: Vec<(String, String)>,
+    pub home: String,
+    pub home_notes: Vec<(String, String)>,
+    pub edges: Vec<HomeEdge>,
+    pub travellers: Vec<Traveller>,
+}
+
+/// `PART <database> AT <site> [ECHOED] { sql } …`: a partial shipped straight
+/// to the coordinator — by the `COMBINE`'s task unless `ECHOED` (`posted`
+/// false): a reducer's `SHIP … ECHO` sent it, and only a resend ships it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Traveller {
+    pub site: String,
+    pub database: String,
+    pub sql: String,
+    pub posted: bool,
+    pub partial: Partial,
+}
+
+/// `EDGE <reducer> <key_column> <binding> <column> '<rule>'`: the reducer's
+/// distinct keys (its part's `key_column`) may filter the home subquery's
+/// `binding.column`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HomeEdge {
+    pub reducer: String,
+    pub key_column: String,
+    pub binding: String,
+    pub column: String,
+    pub rule: EdgeRule,
+}
+
+/// How one reduction edge's ship-or-not is finished once the reducer's keys
+/// are known. Written as one word: `C<cap>`, or `B<ndv|->/<bytes>`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EdgeRule {
+    /// No statistics: ship a key set of at most this many values.
+    Cap(usize),
+    /// Both ends estimated: ship iff the bytes the filter prunes from the
+    /// target's partial (`bytes`, estimated unreduced) exceed the key list's
+    /// own. `min(1, keys/ndv)` of the target's rows survive a k-key filter
+    /// under uniformity, `ndv` being the filtered column's distinct values
+    /// there; without one the filter is presumed to prune nothing.
+    Bytes { ndv: Option<u64>, bytes: f64 },
+}
+
+/// An estimate is a finite number, so a rule always equals itself.
+impl Eq for EdgeRule {}
+
+impl std::fmt::Display for EdgeRule {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EdgeRule::Cap(cap) => write!(f, "C{cap}"),
+            EdgeRule::Bytes { ndv, bytes } => {
+                write!(f, "B{}/{bytes}", ndv.map_or("-".to_string(), |n| n.to_string()))
+            }
+        }
+    }
+}
+
+impl std::str::FromStr for EdgeRule {
+    type Err = String;
+
+    fn from_str(word: &str) -> Result<Self, String> {
+        let bad = || format!("bad reduction rule `{word}`");
+        if let Some(cap) = word.strip_prefix('C') {
+            return cap.parse().map(EdgeRule::Cap).map_err(|_| bad());
+        }
+        let (ndv, bytes) =
+            word.strip_prefix('B').and_then(|b| b.split_once('/')).ok_or_else(bad)?;
+        let ndv = if ndv == "-" { None } else { Some(ndv.parse().map_err(|_| bad())?) };
+        Ok(EdgeRule::Bytes { ndv, bytes: bytes.parse().map_err(|_| bad())? })
+    }
 }
 
 /// A status condition.
@@ -220,6 +353,7 @@ mod tests {
                 name: n.into(),
                 service: "s".into(),
                 nocommit: false,
+                verb: TaskVerb::Run,
                 commands: vec![],
                 compensation: vec![],
             })

@@ -10,7 +10,8 @@
 //!   FOR ... { sql } ENDTASK`, status tests `(T1=P)`, `IF/THEN/ELSE`,
 //!   `COMMIT`/`ABORT` task lists, `DOLSTATUS` return codes, `CLOSE` — plus
 //!   the compensation extension (`COMP { sql }` blocks on tasks and the
-//!   `COMPENSATE` statement) the paper's §3.3 semantics require;
+//!   `COMPENSATE` statement) the paper's §3.3 semantics require, and the
+//!   verb that says what a task sends ([`ast::TaskVerb`]);
 //! * a parser ([`parser`]) and printer ([`printer`]) for the concrete syntax
 //!   used in the paper's listings (task bodies are literal SQL between
 //!   braces);
@@ -30,7 +31,10 @@ pub mod error;
 pub mod parser;
 pub mod printer;
 
-pub use ast::{DolCond, DolProgram, DolStmt, TaskDef, TaskStatus};
+pub use ast::{
+    Combine, DolCond, DolProgram, DolStmt, EdgeRule, HomeEdge, Partial, TaskDef, TaskStatus,
+    TaskVerb, Traveller,
+};
 pub use engine::{DolEngine, DolOutcome, DolService, ServiceFactory, Step, TaskObserver};
 pub use error::DolError;
 pub use parser::parse_program;

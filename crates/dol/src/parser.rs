@@ -1,12 +1,17 @@
 //! Parser for the concrete DOL syntax used in the paper's listings.
 
-use crate::ast::{DolCond, DolProgram, DolStmt, TaskDef, TaskStatus};
+use crate::ast::{
+    Combine, DolCond, DolProgram, DolStmt, HomeEdge, Partial, TaskDef, TaskStatus, TaskVerb,
+    Traveller,
+};
 use crate::error::DolError;
 
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
     Word(String),
-    Int(i32),
+    Int(u64),
+    /// A quoted string, `''` read as one quote.
+    Str(String),
     Block(String),
     Semi,
     Comma,
@@ -67,11 +72,16 @@ impl<'a> Lexer<'a> {
                     self.pos += 1;
                 }
                 b'{' => {
+                    // A `}` inside a quoted SQL literal does not end the block.
                     let start = self.pos + 1;
                     let mut end = start;
-                    while end < self.bytes.len() && self.bytes[end] != b'}' {
+                    let mut quoted = false;
+                    while end < self.bytes.len() && (quoted || self.bytes[end] != b'}') {
                         if self.bytes[end] == b'\n' {
                             self.line += 1;
+                        }
+                        if self.bytes[end] == b'\'' {
+                            quoted = !quoted;
                         }
                         end += 1;
                     }
@@ -81,13 +91,29 @@ impl<'a> Lexer<'a> {
                     out.push((Tok::Block(self.src[start..end].trim().to_string()), self.line));
                     self.pos = end + 1;
                 }
+                b'\'' => {
+                    // A quote inside the string is doubled.
+                    let mut end = self.pos + 1;
+                    loop {
+                        match (self.bytes.get(end), self.bytes.get(end + 1)) {
+                            (None, _) => return Err(self.error("unterminated string")),
+                            (Some(b'\''), Some(b'\'')) => end += 2,
+                            (Some(b'\''), _) => break,
+                            _ => end += 1,
+                        }
+                    }
+                    let text = self.src[self.pos + 1..end].replace("''", "'");
+                    self.line += text.matches('\n').count();
+                    out.push((Tok::Str(text), self.line));
+                    self.pos = end + 1;
+                }
                 _ if b.is_ascii_digit() => {
                     let start = self.pos;
                     while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_digit() {
                         self.pos += 1;
                     }
                     let text = &self.src[start..self.pos];
-                    let v: i32 =
+                    let v: u64 =
                         text.parse().map_err(|_| self.error(format!("bad integer `{text}`")))?;
                     out.push((Tok::Int(v), self.line));
                 }
@@ -223,17 +249,11 @@ impl Parser {
             return Ok(DolStmt::Compensate { task: self.expect_word()? });
         }
         if self.eat_kw("decide") {
-            match self.bump() {
-                Some(Tok::Int(v)) => return Ok(DolStmt::Decide(v)),
-                other => return Err(self.error(format!("expected a code, found {other:?}"))),
-            }
+            return Ok(DolStmt::Decide(self.expect_code()?));
         }
         if self.eat_kw("dolstatus") {
             self.expect(&Tok::Eq)?;
-            match self.bump() {
-                Some(Tok::Int(v)) => return Ok(DolStmt::SetStatus(v)),
-                other => return Err(self.error(format!("expected a code, found {other:?}"))),
-            }
+            return Ok(DolStmt::SetStatus(self.expect_code()?));
         }
         if self.eat_kw("close") {
             let mut aliases = Vec::new();
@@ -257,27 +277,142 @@ impl Parser {
         Ok(names)
     }
 
+    fn expect_int(&mut self) -> Result<u64, DolError> {
+        match self.bump() {
+            Some(Tok::Int(v)) => Ok(v),
+            other => Err(self.error(format!("expected a number, found {other:?}"))),
+        }
+    }
+
+    /// A `DECIDE` or `DOLSTATUS` code.
+    fn expect_code(&mut self) -> Result<i32, DolError> {
+        let v = self.expect_int()?;
+        i32::try_from(v).map_err(|_| self.error(format!("code {v} out of range")))
+    }
+
+    fn expect_string(&mut self) -> Result<String, DolError> {
+        match self.bump() {
+            Some(Tok::Str(s)) => Ok(s),
+            other => Err(self.error(format!("expected a quoted string, found {other:?}"))),
+        }
+    }
+
+    fn expect_block(&mut self, what: &str) -> Result<String, DolError> {
+        match self.bump() {
+            Some(Tok::Block(b)) => Ok(b),
+            other => Err(self.error(format!("expected {what}, found {other:?}"))),
+        }
+    }
+
+    /// A one-letter status code.
+    fn expect_status(&mut self) -> Result<TaskStatus, DolError> {
+        let status_word = self.expect_word()?;
+        if status_word.len() != 1 {
+            return Err(self.error(format!("expected a status code, found `{status_word}`")));
+        }
+        TaskStatus::from_code(status_word.chars().next().unwrap())
+            .ok_or_else(|| self.error(format!("unknown status code `{status_word}`")))
+    }
+
     fn parse_task(&mut self) -> Result<DolStmt, DolError> {
         let name = self.expect_word()?;
         let nocommit = self.eat_kw("nocommit");
+        let mut verb = self.parse_verb()?;
         self.expect_kw("for")?;
         let service = self.expect_word()?;
-        let commands = match self.bump() {
-            Some(Tok::Block(b)) => split_commands(&b),
-            other => {
-                return Err(self.error(format!("expected a `{{ sql }}` block, found {other:?}")))
+        let commands = split_commands(&self.expect_block("a `{ sql }` block")?);
+        match &mut verb {
+            TaskVerb::PartialAgg(partial) | TaskVerb::Ship { partial, .. } => {
+                *partial = self.parse_partial()?;
             }
-        };
+            TaskVerb::Combine(c) => {
+                c.notes = self.parse_notes()?;
+                self.expect_kw("home")?;
+                c.home = self.expect_block("a HOME block")?;
+                c.home_notes = self.parse_notes()?;
+                while self.eat_kw("edge") {
+                    let reducer = self.expect_word()?;
+                    let key_column = self.expect_word()?;
+                    let binding = self.expect_word()?;
+                    let column = self.expect_word()?;
+                    let rule = self.expect_string()?.parse().map_err(|e: String| self.error(e))?;
+                    c.edges.push(HomeEdge { reducer, key_column, binding, column, rule });
+                }
+                while self.eat_kw("part") {
+                    let database = self.expect_word()?;
+                    self.expect_kw("at")?;
+                    let site = self.expect_word()?;
+                    let posted = !self.eat_kw("echoed");
+                    let sql = self.expect_block("a PART block")?;
+                    let partial = self.parse_partial()?;
+                    c.travellers.push(Traveller { site, database, sql, posted, partial });
+                }
+            }
+            _ => {}
+        }
         let compensation = if self.eat_kw("comp") {
-            match self.bump() {
-                Some(Tok::Block(b)) => split_commands(&b),
-                other => return Err(self.error(format!("expected a COMP block, found {other:?}"))),
-            }
+            split_commands(&self.expect_block("a COMP block")?)
         } else {
             Vec::new()
         };
         self.expect_kw("endtask")?;
-        Ok(DolStmt::Task(TaskDef { name, service, nocommit, commands, compensation }))
+        Ok(DolStmt::Task(TaskDef { name, service, nocommit, verb, commands, compensation }))
+    }
+
+    /// The verb between a task's name (and `NOCOMMIT`) and `FOR`; the
+    /// arguments after the command block are left to [`Self::parse_task`].
+    fn parse_verb(&mut self) -> Result<TaskVerb, DolError> {
+        let word = match self.peek() {
+            Some(Tok::Word(w)) if !w.eq_ignore_ascii_case("for") => w.to_ascii_lowercase(),
+            _ => return Ok(TaskVerb::Run),
+        };
+        self.pos += 1;
+        let verb = match word.as_str() {
+            "hold" => TaskVerb::Hold,
+            "exec" => TaskVerb::Exec,
+            "prepare" => TaskVerb::Prepare,
+            "abort" => TaskVerb::Abort,
+            "compensate" => TaskVerb::Compensate,
+            "resolve" if self.eat_kw("commit") => TaskVerb::Resolve(true),
+            "resolve" => {
+                self.expect_kw("abort")?;
+                TaskVerb::Resolve(false)
+            }
+            "settled" => TaskVerb::Settled(self.expect_status()?),
+            "partialagg" => TaskVerb::PartialAgg(Partial::default()),
+            "ship" => {
+                let key = self.expect_int()?;
+                self.expect_kw("to")?;
+                let to = self.expect_word()?;
+                self.expect_kw("echo")?;
+                TaskVerb::Ship { key, to, partial: Partial::default() }
+            }
+            "combine" => {
+                let key = self.expect_int()?;
+                let measure = self.eat_kw("measure");
+                TaskVerb::Combine(Box::new(Combine { key, measure, ..Default::default() }))
+            }
+            _ => return Err(self.error(format!("expected FOR or a task verb, found `{word}`"))),
+        };
+        Ok(verb)
+    }
+
+    /// A partial's `[BASELINE { sql }]` and its `NOTE`s.
+    fn parse_partial(&mut self) -> Result<Partial, DolError> {
+        let baseline = if self.eat_kw("baseline") {
+            Some(self.expect_block("a BASELINE block")?)
+        } else {
+            None
+        };
+        Ok(Partial { baseline, notes: self.parse_notes()? })
+    }
+
+    fn parse_notes(&mut self) -> Result<Vec<(String, String)>, DolError> {
+        let mut notes = Vec::new();
+        while self.eat_kw("note") {
+            notes.push((self.expect_word()?, self.expect_string()?));
+        }
+        Ok(notes)
     }
 
     fn parse_if(&mut self) -> Result<DolStmt, DolError> {
@@ -337,13 +472,7 @@ impl Parser {
         }
         let task = self.expect_word()?;
         self.expect(&Tok::Eq)?;
-        let status_word = self.expect_word()?;
-        if status_word.len() != 1 {
-            return Err(self.error(format!("expected a status code, found `{status_word}`")));
-        }
-        let status = TaskStatus::from_code(status_word.chars().next().unwrap())
-            .ok_or_else(|| self.error(format!("unknown status code `{status_word}`")))?;
-        Ok(DolCond::StatusEq { task, status })
+        Ok(DolCond::StatusEq { task, status: self.expect_status()? })
     }
 }
 
@@ -496,6 +625,44 @@ mod tests {
         .unwrap();
         assert_eq!(p.tasks()[0].commands.len(), 1);
         assert!(p.tasks()[0].commands[0].contains("a;b"));
+        // Nor does a brace end the block.
+        let p = parse_program(
+            "DOLBEGIN TASK T1 FOR db { UPDATE t SET note = 'a}b'; DELETE FROM t } ENDTASK; DOLEND",
+        )
+        .unwrap();
+        assert_eq!(p.tasks()[0].commands, vec!["UPDATE t SET note = 'a}b'", "DELETE FROM t"]);
+    }
+
+    #[test]
+    fn parses_verbs_and_their_arguments() {
+        let p = parse_program(
+            "DOLBEGIN
+             TASK G1 NOCOMMIT HOLD FOR db { UPDATE t SET x = 1 } ENDTASK;
+             TASK G2 SETTLED k FOR db {  } ENDTASK;
+             TASK R1 RESOLVE ABORT FOR db {  } ENDTASK;
+             TASK delta SHIP 7 TO site1 ECHO FOR delta { SELECT 1 }
+             BASELINE { SELECT 2 } NOTE route 'it''s shipped'
+             ENDTASK;
+             DOLEND",
+        )
+        .unwrap();
+        let verbs: Vec<&TaskVerb> = p.tasks().iter().map(|t| &t.verb).collect();
+        let partial = Partial {
+            baseline: Some("SELECT 2".into()),
+            notes: vec![("route".into(), "it's shipped".into())],
+        };
+        assert_eq!(
+            verbs,
+            [
+                &TaskVerb::Hold,
+                &TaskVerb::Settled(TaskStatus::Compensated),
+                &TaskVerb::Resolve(false),
+                &TaskVerb::Ship { key: 7, to: "site1".into(), partial },
+            ]
+        );
+        assert!(p.tasks()[0].nocommit);
+        assert!(parse_program("DOLBEGIN TASK T1 SETTLED X FOR db { } ENDTASK; DOLEND").is_err());
+        assert!(parse_program("DOLBEGIN TASK T1 COMBINE 1 FOR db { } ENDTASK; DOLEND").is_err());
     }
 
     #[test]

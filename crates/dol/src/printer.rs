@@ -4,7 +4,7 @@
 //! the layout style of the listing in §4.3, which the golden-file experiment
 //! D1 compares against.
 
-use crate::ast::{DolCond, DolProgram, DolStmt, TaskDef};
+use crate::ast::{DolCond, DolProgram, DolStmt, HomeEdge, Partial, TaskDef, TaskVerb, Traveller};
 use std::fmt::Write as _;
 
 /// Renders a program.
@@ -80,16 +80,56 @@ fn write_stmt(out: &mut String, stmt: &DolStmt, level: usize) {
 }
 
 fn write_task(out: &mut String, task: &TaskDef, level: usize) {
+    let verb = match &task.verb {
+        TaskVerb::Run => String::new(),
+        TaskVerb::Hold => " HOLD".into(),
+        TaskVerb::Exec => " EXEC".into(),
+        TaskVerb::Prepare => " PREPARE".into(),
+        TaskVerb::Abort => " ABORT".into(),
+        TaskVerb::Resolve(true) => " RESOLVE COMMIT".into(),
+        TaskVerb::Resolve(false) => " RESOLVE ABORT".into(),
+        TaskVerb::Compensate => " COMPENSATE".into(),
+        TaskVerb::Settled(status) => format!(" SETTLED {}", status.code()),
+        TaskVerb::PartialAgg(_) => " PARTIALAGG".into(),
+        TaskVerb::Ship { key, to, .. } => format!(" SHIP {key} TO {to} ECHO"),
+        TaskVerb::Combine(c) => {
+            format!(" COMBINE {}{}", c.key, if c.measure { " MEASURE" } else { "" })
+        }
+    };
     indent(out, level);
     let _ = writeln!(
         out,
-        "TASK {}{} FOR {}",
+        "TASK {}{}{} FOR {}",
         task.name,
         if task.nocommit { " NOCOMMIT" } else { "" },
+        verb,
         task.service
     );
     indent(out, level);
     let _ = writeln!(out, "{{ {} }}", task.commands.join("; "));
+    match &task.verb {
+        TaskVerb::PartialAgg(partial) | TaskVerb::Ship { partial, .. } => {
+            write_partial(out, partial, level);
+        }
+        TaskVerb::Combine(c) => {
+            write_notes(out, &c.notes, level);
+            indent(out, level);
+            let _ = writeln!(out, "HOME {{ {} }}", c.home);
+            write_notes(out, &c.home_notes, level);
+            for HomeEdge { reducer, key_column, binding, column, rule } in &c.edges {
+                indent(out, level);
+                let rule = quote(&rule.to_string());
+                let _ = writeln!(out, "EDGE {reducer} {key_column} {binding} {column} {rule}");
+            }
+            for Traveller { site, database, sql, posted, partial } in &c.travellers {
+                indent(out, level);
+                let echoed = if *posted { "" } else { " ECHOED" };
+                let _ = writeln!(out, "PART {database} AT {site}{echoed} {{ {sql} }}");
+                write_partial(out, partial, level);
+            }
+        }
+        _ => {}
+    }
     if !task.compensation.is_empty() {
         indent(out, level);
         out.push_str("COMP\n");
@@ -98,6 +138,26 @@ fn write_task(out: &mut String, task: &TaskDef, level: usize) {
     }
     indent(out, level);
     out.push_str("ENDTASK;\n");
+}
+
+fn write_partial(out: &mut String, partial: &Partial, level: usize) {
+    if let Some(baseline) = &partial.baseline {
+        indent(out, level);
+        let _ = writeln!(out, "BASELINE {{ {baseline} }}");
+    }
+    write_notes(out, &partial.notes, level);
+}
+
+fn write_notes(out: &mut String, notes: &[(String, String)], level: usize) {
+    for (key, value) in notes {
+        indent(out, level);
+        let _ = writeln!(out, "NOTE {key} {}", quote(value));
+    }
+}
+
+/// A quoted string, each `'` doubled.
+fn quote(text: &str) -> String {
+    format!("'{}'", text.replace('\'', "''"))
 }
 
 /// Renders a status condition. `AND` chains print left-associatively (the

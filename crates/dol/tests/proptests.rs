@@ -79,6 +79,81 @@ fn command_strategy() -> impl Strategy<Value = String> {
     })
 }
 
+/// Note values and rule-free strings: any printable text, quotes included.
+fn notes_strategy() -> impl Strategy<Value = Vec<(String, String)>> {
+    proptest::collection::vec((name_strategy(), "[ -~]{0,12}"), 0..3)
+}
+
+fn partial_strategy() -> impl Strategy<Value = Partial> {
+    (proptest::option::of(command_strategy()), notes_strategy())
+        .prop_map(|(baseline, notes)| Partial { baseline, notes })
+}
+
+fn rule_strategy() -> impl Strategy<Value = EdgeRule> {
+    prop_oneof![
+        (0usize..10_000).prop_map(EdgeRule::Cap),
+        (proptest::option::of(0u64..1000), 0u64..1 << 40, 1u64..1000).prop_map(
+            |(ndv, whole, parts)| EdgeRule::Bytes { ndv, bytes: whole as f64 / parts as f64 }
+        ),
+    ]
+}
+
+/// Every verb a task can carry, a join's with its arguments.
+fn verb_strategy() -> impl Strategy<Value = TaskVerb> {
+    let edge =
+        (name_strategy(), name_strategy(), name_strategy(), name_strategy(), rule_strategy())
+            .prop_map(|(reducer, key_column, binding, column, rule)| HomeEdge {
+                reducer,
+                key_column,
+                binding,
+                column,
+                rule,
+            });
+    let traveller =
+        (name_strategy(), name_strategy(), command_strategy(), any::<bool>(), partial_strategy())
+            .prop_map(|(site, database, sql, posted, partial)| Traveller {
+                site,
+                database,
+                sql,
+                posted,
+                partial,
+            });
+    let combine = (
+        any::<u64>(),
+        any::<bool>(),
+        notes_strategy(),
+        command_strategy(),
+        notes_strategy(),
+        proptest::collection::vec(edge, 0..3),
+        proptest::collection::vec(traveller, 0..3),
+    )
+        .prop_map(|(key, measure, notes, home, home_notes, edges, travellers)| {
+            TaskVerb::Combine(Box::new(Combine {
+                key,
+                measure,
+                notes,
+                home,
+                home_notes,
+                edges,
+                travellers,
+            }))
+        });
+    prop_oneof![
+        Just(TaskVerb::Run),
+        Just(TaskVerb::Hold),
+        Just(TaskVerb::Exec),
+        Just(TaskVerb::Prepare),
+        Just(TaskVerb::Abort),
+        any::<bool>().prop_map(TaskVerb::Resolve),
+        Just(TaskVerb::Compensate),
+        status_strategy().prop_map(TaskVerb::Settled),
+        partial_strategy().prop_map(TaskVerb::PartialAgg),
+        (any::<u64>(), name_strategy(), partial_strategy())
+            .prop_map(|(key, to, partial)| TaskVerb::Ship { key, to, partial }),
+        combine,
+    ]
+}
+
 fn stmt_strategy() -> impl Strategy<Value = DolStmt> {
     let open = (name_strategy(), name_strategy(), name_strategy())
         .prop_map(|(service, site, alias)| DolStmt::Open { service, site, alias });
@@ -86,11 +161,12 @@ fn stmt_strategy() -> impl Strategy<Value = DolStmt> {
         task_name_strategy(),
         name_strategy(),
         any::<bool>(),
+        verb_strategy(),
         proptest::collection::vec(command_strategy(), 1..3),
         proptest::collection::vec(command_strategy(), 0..2),
     )
-        .prop_map(|(name, service, nocommit, commands, compensation)| {
-            DolStmt::Task(TaskDef { name, service, nocommit, commands, compensation })
+        .prop_map(|(name, service, nocommit, verb, commands, compensation)| {
+            DolStmt::Task(TaskDef { name, service, nocommit, verb, commands, compensation })
         });
     let commit = proptest::collection::vec(task_name_strategy(), 1..3)
         .prop_map(|tasks| DolStmt::Commit { tasks });

@@ -154,3 +154,77 @@ fn parse_error_is_reported_with_line() {
     let Err(mdbs::MdbsError::Dol(msg)) = err else { panic!("{err:?}") };
     assert!(msg.contains("line"), "{msg}");
 }
+
+/// The program the translator generates for the query `msql` in `fed`'s
+/// catalog and directory: the plan the statement runs.
+fn plan_of(fed: &mdbs::Federation, msql: &str) -> dol::DolProgram {
+    use mdbs::translate::{self, DbRoute, Translated};
+    let Ok(msql_lang::Statement::Query(q)) = msql_lang::parse_statement(msql) else { panic!() };
+    let mut scope = mdbs::SessionScope::new();
+    scope.apply_use(q.use_clause.as_ref().unwrap()).unwrap();
+    q.lets.iter().for_each(|l| scope.apply_let(l).unwrap());
+    let (gdd, ad) = (fed.gdd(), fed.ad());
+    let routes = gdd
+        .database_names()
+        .into_iter()
+        .map(|db| {
+            let entry = ad.service(gdd.service_of(db).unwrap()).unwrap();
+            let (site, supports_2pc) = (entry.site.clone(), entry.supports_2pc());
+            (db.to_string(), DbRoute { database: db.to_string(), site, supports_2pc })
+        })
+        .collect();
+    let Translated::PerDb(locals) = translate::translate_body(&q.body, &scope, &gdd).unwrap()
+    else {
+        panic!("{msql}: one subquery per database")
+    };
+    let plan = match &q.body {
+        msql_lang::QueryBody::Select(_) => translate::retrieval_plan(&locals, &routes),
+        _ => translate::update_plan(&locals, &Default::default(), &routes),
+    };
+    plan.unwrap().program
+}
+
+/// The program a statement runs is its whole plan: printed and handed to
+/// `execute_dol` on a federation built the same way, it reaches the same
+/// statuses, rows and return code with the same messages on the wire.
+#[test]
+fn a_printed_plan_runs_as_its_statement() {
+    const Q1: &str = "USE avis national
+        LET car.type.status BE cars.cartype.carst vehicle.vty.vstat
+        SELECT %code, type, ~rate FROM car WHERE status = 'available'";
+    const Q2: &str = "USE continental VITAL delta united VITAL
+        UPDATE flight% SET rate% = rate% * 1.1
+        WHERE sour% = 'Houston' AND dest% = 'San Antonio'";
+    for msql in [Q1, Q2] {
+        let mut fed = paper_federation();
+        let program = plan_of(&fed, msql);
+        let tasks: Vec<String> = program.tasks().iter().map(|t| t.name.clone()).collect();
+        let sent = fed.network().stats().messages;
+        let outcome = fed.execute(msql).unwrap();
+        let messages = fed.network().stats().messages - sent;
+        assert!(messages > 0);
+
+        let mut again = paper_federation();
+        let sent = again.network().stats().messages;
+        let out = again.execute_dol(&dol::print_program(&program)).unwrap();
+        assert_eq!(again.network().stats().messages - sent, messages, "{msql}");
+        match outcome {
+            mdbs::MsqlOutcome::Multitable(mt) => {
+                assert_eq!(out.dolstatus, 0);
+                assert_eq!(mt.tables.len(), tasks.len());
+                for (table, task) in mt.tables.iter().zip(&tasks) {
+                    let rows = mdbs::wire::decode_result_set(&out.task_results[task]).unwrap();
+                    assert_eq!(rows.rows, table.result.rows, "{task}");
+                }
+            }
+            mdbs::MsqlOutcome::Update(report) => {
+                assert_eq!(out.dolstatus, report.return_code);
+                assert_eq!(report.outcomes.len(), tasks.len());
+                for (o, task) in report.outcomes.iter().zip(&tasks) {
+                    assert_eq!(out.status(task), Some(o.status), "{task}");
+                }
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+}
