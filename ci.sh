@@ -303,7 +303,7 @@ echo "== a partial crosses once =="
 # Outside tests, a COMBINE carries no rows — in proto.rs only LOADMANY, kept
 # for fedbench until ROADMAP item 1(b), declares `parts: Vec<(String, P)>` —
 # and lamclient.rs, the one module that builds requests on the MDBS side, has
-# no `travelled` closure, takes no task's rows out of the outputs table and
+# no `travelled` closure, takes no task's rows out of another task's output and
 # builds no PART (a LAM's frame alone). On c6c830c it flagged 4 lines:
 # proto.rs's second `parts: Vec<(String, P)>` (COMBINE's) and, in lamclient.rs,
 # the `travelled` closure, its `rows.take()` and the `map(travelled)` that
@@ -345,10 +345,22 @@ echo "== a task says what it sends =="
 # comments, crates/*/src names no `Vote`, `Votes`, `votes` and no
 # `run_voted`. On c590b48 this flagged 69 lines: lamclient.rs (31), gtxn.rs
 # (13), executor.rs (16) and federation.rs (9).
+# And what a task produced — its rows, affected count, the exchange's error,
+# attempts and last fault — comes back with its status, in the run's
+# DolOutcome: no output table beside the engine and no per-task telemetry in
+# the stats. So crates/*/src names no `TaskOutputs`, `outputs.lock(`,
+# `.outputs`, `record_task`, `per_task` and no `TaskTelemetry`. On c4a94de
+# that flagged 23 lines: lamclient.rs (12), retry.rs (8), executor.rs (2) and
+# lib.rs (1).
 for f in $(find crates/*/src -name '*.rs'); do
     if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' |
         grep -nE '\bVotes?\b|\bvotes\b|run_voted'; then
         echo "$f keeps a per-task request table beside the program" >&2
+        exit 1
+    fi
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' |
+        grep -nE 'TaskOutputs|outputs\.lock\(|\.outputs\b|record_task|per_task|TaskTelemetry'; then
+        echo "$f keeps a per-task output table beside the DOL outcome" >&2
         exit 1
     fi
 done

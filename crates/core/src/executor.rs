@@ -5,8 +5,9 @@
 //! runs generated DOL programs ([`crate::translate::GeneratedPlan`]) through
 //! [`dol::DolEngine`] — one way, [`Executor::run_program`], each task sending
 //! what its verb ([`dol::TaskVerb`]) says over the session's LAM connections:
-//! the program is the whole plan — then shapes the raw task statuses/results
-//! into user-facing reports:
+//! the program is the whole plan — and reads what each task produced from the
+//! run's [`DolOutcome`] alone (its [`TaskOutput`] under the task's name), then
+//! shapes the task statuses and outputs into user-facing reports:
 //!
 //! * retrievals become [`Multitable`]s (one table per database, §2);
 //! * a cross-database join's [`JoinPlan`] becomes one program — two only
@@ -178,15 +179,15 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Runs the program, returning the DOL outcome, this run's own
-    /// communication accounting (also merged into the session stats) and what
-    /// its tasks produced, by task name: the [`LamFactory`]'s outputs table,
-    /// emptied. An `OPEN` that fails fails the run with the error opening the
-    /// connection gave.
+    /// Runs the program, returning the DOL outcome — each task's status and,
+    /// under its name, the [`TaskOutput`] it handed back — and this run's own
+    /// communication accounting (also merged into the session stats). An
+    /// `OPEN` that fails fails the run with the error opening the connection
+    /// gave.
     pub(crate) fn run_program(
         &self,
         plan: &GeneratedPlan,
-    ) -> Result<(DolOutcome, ExecStats, HashMap<String, TaskOutput>), MdbsError> {
+    ) -> Result<(DolOutcome<TaskOutput>, ExecStats), MdbsError> {
         // What runs is what prints: every program reparses to itself.
         debug_assert_eq!(
             dol::parse_program(&dol::print_program(&plan.program)).ok().as_ref(),
@@ -226,7 +227,6 @@ impl Executor {
             _ => None,
         };
         let result = engine.execute(&plan.program);
-        let outputs = std::mem::take(&mut *self.lams.outputs.lock());
         // Merge the run's accounting even when the program failed — the
         // faults that sank it are exactly what the session stats must show.
         let snapshot = run_stats.lock().clone();
@@ -243,35 +243,27 @@ impl Executor {
         // recovery's RESOLVE can find out.
         let in_doubt = plan.tasks.iter().any(|t| {
             out.status(&t.task) == Some(TaskStatus::Error)
-                && snapshot.task(&t.task).is_some_and(|m| m.attempts > 0)
+                && out.task_results.get(&t.task).is_some_and(|o| o.attempts > 0)
         });
         if let (Some((wal, mtx_id)), false) = (logged, in_doubt) {
             wal.append(&WalRecord::End { mtx_id }).map_err(MdbsError::from)?;
         }
-        Ok((out, snapshot, outputs))
+        Ok((out, snapshot))
     }
 
-    fn outcomes(
-        &self,
-        plan: &GeneratedPlan,
-        out: &DolOutcome,
-        stats: &ExecStats,
-        outputs: &HashMap<String, TaskOutput>,
-    ) -> Vec<DbOutcome> {
+    fn outcomes(&self, plan: &GeneratedPlan, out: &DolOutcome<TaskOutput>) -> Vec<DbOutcome> {
         plan.tasks
             .iter()
             .map(|t| {
-                let status = out.status(&t.task).unwrap_or(TaskStatus::Error);
-                let affected = outputs.get(&t.task).map_or(0, |o| o.affected);
-                let telemetry = stats.task(&t.task);
+                let output = out.task_results.get(&t.task);
                 DbOutcome {
                     database: t.database.clone(),
                     key: t.key.clone(),
-                    status,
-                    affected,
+                    status: out.status(&t.task).unwrap_or(TaskStatus::Error),
+                    affected: output.map_or(0, |o| o.affected),
                     error: out.error(&t.task).map(str::to_string),
-                    attempts: telemetry.map(|m| m.attempts).unwrap_or(0),
-                    fault: telemetry.and_then(|m| m.fault),
+                    attempts: output.map_or(0, |o| o.attempts),
+                    fault: output.and_then(|o| o.fault),
                 }
             })
             .collect()
@@ -300,12 +292,12 @@ impl Executor {
     /// a record of its error, in plan order and in the site's words; if every
     /// database failed the query fails with the first one's error.
     pub fn run_retrieval(&self, plan: &GeneratedPlan) -> Result<Multitable, MdbsError> {
-        let (out, stats, mut outputs) = self.run_program(plan)?;
-        let outcomes = self.outcomes(plan, &out, &stats, &outputs);
+        let (mut out, _) = self.run_program(plan)?;
+        let outcomes = self.outcomes(plan, &out);
         let (mut tables, mut failed) = (Vec::new(), Vec::new());
         for (t, outcome) in plan.tasks.iter().zip(&outcomes) {
             if outcome.status == TaskStatus::Committed {
-                let output = outputs.remove(&t.task).ok_or_else(|| {
+                let output = out.task_results.remove(&t.task).ok_or_else(|| {
                     MdbsError::Internal(format!("task {} lost its result", t.task))
                 })?;
                 tables.push(MultitableEntry {
@@ -330,13 +322,13 @@ impl Executor {
     /// table maps to the state it installed; a plan with no decision (a
     /// vital-free update) always reaches its one, empty state.
     pub fn run_settle(&self, plan: &GeneratedPlan) -> Result<MtxReport, MdbsError> {
-        let (out, mut stats, outputs) = self.run_program(plan)?;
+        let (out, mut stats) = self.run_program(plan)?;
         let achieved_state = match &plan.recovery {
             Some(recovery) => recovery.decisions.get(&out.dolstatus).and_then(|d| d.state),
             None => (out.dolstatus == 0).then_some(0),
         };
         let achieved_state = achieved_state.map(|state| state as usize);
-        let outcomes = self.outcomes(plan, &out, &stats, &outputs);
+        let outcomes = self.outcomes(plan, &out);
         if achieved_state.is_some() {
             self.count_degraded(plan, &outcomes, &mut stats);
         }
@@ -513,8 +505,8 @@ impl Executor {
         Ok(outputs)
     }
 
-    /// Runs one program of a join, `tasks` ([`join_task`]s). Returns the
-    /// run's outputs; the first task that did not commit fails the join, with
+    /// Runs one program of a join, `tasks` ([`join_task`]s). Returns its
+    /// tasks' outputs; the first task that did not commit fails the join, with
     /// its exchange's own error when the wire, an unreachable traveller or a
     /// travelled partial failed it, else in the site's words.
     fn join_step(
@@ -523,17 +515,14 @@ impl Executor {
         tasks: Vec<TaskDef>,
     ) -> Result<HashMap<String, TaskOutput>, MdbsError> {
         let program = autocommit_plan(tasks, plan.routes)?;
-        let mut executor = self.clone();
-        executor.lams.outputs = Arc::default();
-        let (out, stats, mut outputs) = executor.run_program(&program)?;
-        let outcomes = self.outcomes(&program, &out, &stats, &outputs);
-        for (task, outcome) in program.tasks.iter().zip(outcomes) {
+        let (mut out, _) = self.run_program(&program)?;
+        for (task, outcome) in program.tasks.iter().zip(self.outcomes(&program, &out)) {
             if outcome.status != TaskStatus::Committed {
-                let error = outputs.remove(&task.task).and_then(|o| o.error);
-                return Err(error.unwrap_or_else(|| task_failed(&outcome)));
+                let error = out.task_results.remove(&task.task).and_then(|o| o.error);
+                return Err(error.map_or_else(|| task_failed(&outcome), |e| *e));
             }
         }
-        Ok(outputs)
+        Ok(out.task_results)
     }
 
     /// What `site` evaluates — its pushed site query, else `reduced` (its

@@ -18,7 +18,7 @@ use crate::error::MdbsError;
 use crate::executor::{task_failed, DbOutcome, Executor, MsqlOutcome, MtxReport, UpdateReport};
 use crate::gtxn::GlobalTransaction;
 use crate::lam::{spawn_lam, LamHandle, LamServerStats};
-use crate::lamclient::{ConnectionPool, LamFactory};
+use crate::lamclient::{ConnectionPool, LamFactory, TaskOutput};
 use crate::planner::{plan_join, PlannerContext, DEFAULT_SEMIJOIN_CAP};
 use crate::retry::{shared_stats, ExecStats, RetryPolicy, SharedExecStats};
 use crate::scope::{ScopeDb, SessionScope};
@@ -547,7 +547,6 @@ impl Session {
             metrics: self.core.metrics.clone(),
             tolerate_unreachable: self.tolerate_unreachable,
             wire_format: self.wire_format,
-            outputs: Default::default(),
             open_error: Default::default(),
         }
     }
@@ -716,19 +715,12 @@ impl Session {
     /// Parses and executes a raw DOL program against the federation's
     /// services — the paper's intermediate language, exposed directly for
     /// hand-written evaluation plans and tooling. `OPEN <database> AT
-    /// <site>` statements resolve against the live network.
-    pub fn execute_dol(&mut self, program: &str) -> Result<dol::DolOutcome, MdbsError> {
+    /// <site>` statements resolve against the live network. A retrieval
+    /// task's rows are in its [`TaskOutput`] under the task's name.
+    pub fn execute_dol(&mut self, program: &str) -> Result<dol::DolOutcome<TaskOutput>, MdbsError> {
         let program = dol::parse_program(program)?;
         let plan = GeneratedPlan { program, tasks: Vec::new(), recovery: None };
-        let (mut out, _, outputs) = self.executor().run_program(&plan)?;
-        // DOL reports a retrieval task's result serialized; the text codec
-        // is the federation's readable format.
-        for (task, output) in outputs {
-            if let Some(rows) = output.rows {
-                out.task_results.insert(task, crate::wire::encode_result_set(&rows));
-            }
-        }
-        Ok(out)
+        Ok(self.executor().run_program(&plan)?.0)
     }
 
     /// Switches §3.2.2 deferred-commit mode on or off. In deferred mode,

@@ -313,7 +313,7 @@ mod tests {
         assert!(report.success);
         assert_eq!(report.outcomes[0].status, TaskStatus::Committed);
         assert_eq!(report.outcomes[0].affected, 2);
-        assert_eq!(report.stats.per_task.len(), 1, "the vote is accounted like any task");
+        assert_eq!(report.outcomes[0].attempts, 1, "the vote reached its LAM in one attempt");
         assert_eq!(value(&lam), Value::Float(3.0));
         assert_eq!(lam.engine.lock().held_locks(), 0);
     }

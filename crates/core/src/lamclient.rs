@@ -3,7 +3,9 @@
 //!
 //! A [`LamClient`] is one open connection from the DOL engine to a remote
 //! LAM: it implements [`dol::DolService`] by shipping [`crate::proto`]
-//! requests over the simulated network, and adds the catalog reads the
+//! requests over the simulated network, handing each task's [`TaskOutput`]
+//! — its rows, affected count, the exchange's error, attempts and last fault
+//! — back to the engine with its status, and adds the catalog reads the
 //! facade needs. It is the only client-side module that names a protocol
 //! message (`ci.sh` gates that). Everything else the coordinator ships is a
 //! task of a DOL program, and the task's verb ([`dol::TaskVerb`]) is the one
@@ -47,7 +49,8 @@ pub(crate) fn correlation_id() -> u64 {
     REQUEST_SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
-/// What a task produced besides its status.
+/// What a task produced besides its status, handed back to the DOL engine
+/// with it ([`dol::DolOutcome::task_results`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskOutput {
     /// Rows affected by the task's DML commands.
@@ -58,8 +61,14 @@ pub struct TaskOutput {
     /// format, when `EXPLAIN` measured its baseline.
     pub saved: Option<u64>,
     /// The exchange's own error, when the wire rather than the site failed
-    /// the task — or a travelled partial's site failed the `COMBINE`.
-    pub error: Option<MdbsError>,
+    /// the task — or a travelled partial's site failed the `COMBINE`. Boxed,
+    /// like `join`: only a failed task carries one.
+    pub error: Option<Box<MdbsError>>,
+    /// Network attempts spent on the task (0 = its LAM was never reached,
+    /// or the task sends nothing; 1 = no retries).
+    pub attempts: u32,
+    /// The last network fault seen running the task, if any.
+    pub fault: Option<FaultKind>,
     /// What a join's `COMBINE` said besides Q′'s rows. Boxed: every task's
     /// output is moved about, and only a join's carries this.
     pub(crate) join: Option<Box<JoinReport>>,
@@ -69,11 +78,6 @@ pub struct TaskOutput {
 /// the reducer's distinct keys on each and whether they reduced it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct JoinReport(pub Vec<(u64, bool)>);
-
-/// The outputs of one DOL program's tasks, by task name. The services one
-/// [`LamFactory`] opens share it, so a task's rows reach whoever ran the
-/// program as rows — DOL itself only carries statuses and errors.
-pub type TaskOutputs = Arc<Mutex<HashMap<String, TaskOutput>>>;
 
 /// A decoded reply plus the byte size of the payload block that carried its
 /// result set on the wire (0 when it carried none).
@@ -176,9 +180,6 @@ pub struct LamClient {
     /// unless checked out from a [`LamFactory`], which sets its own; the
     /// LAM needs no coordination, so it may change between calls.
     wire_format: WireFormat,
-    /// Where the tasks this connection executes as a [`DolService`] leave
-    /// their outputs (the factory's table when checked out from one).
-    outputs: TaskOutputs,
 }
 
 /// One attempt's failure: a classified network fault and the site it hit,
@@ -265,7 +266,6 @@ impl LamClient {
             stats,
             metrics: MetricsRegistry::new(),
             wire_format: WireFormat::default(),
-            outputs: TaskOutputs::default(),
         }
     }
 
@@ -631,10 +631,10 @@ impl LamClient {
     }
 
     /// Runs a task on the LAM — or reads the reply of the one
-    /// [posted](DolService::post) — its affected-row count and rows going to
-    /// [`Self::outputs`] under the task's name. A task sends what its verb
-    /// says, and a settled one sends nothing.
-    fn run_task(&mut self, task: &dol::TaskDef, span: &Span) -> TaskExecution {
+    /// [posted](DolService::post) — and hands back its status with its
+    /// [`TaskOutput`]. A task sends what its verb says, and a settled one
+    /// sends nothing and produces nothing.
+    fn run_task(&mut self, task: &dol::TaskDef, span: &Span) -> TaskExecution<TaskOutput> {
         if let TaskVerb::Settled(status) = task.verb {
             return TaskExecution { status, result: None, error: None };
         }
@@ -649,10 +649,11 @@ impl LamClient {
             };
         let traced = spans.last().unwrap_or(span);
         self.record_obs(traced, &self.database, attempts, &faults);
-        self.stats.lock().record_task(&task.name, attempts, faults.last().copied());
+        let output =
+            TaskOutput { attempts, fault: faults.last().copied(), ..TaskOutput::default() };
         match result {
             Ok((reply, bytes)) if !spans.is_empty() => {
-                self.join_done(task, &spans, reply, bytes, attempts)
+                self.join_done(task, &spans, reply, bytes, output)
             }
             Ok((Response::TaskDone { status, affected, payload, error }, bytes)) => {
                 // `E`: a held subtransaction ran its commands and stays open.
@@ -669,31 +670,26 @@ impl LamClient {
                 if let Some(rows) = &payload {
                     self.record_shipped(span, &self.database, rows.rows.len(), bytes);
                 }
-                let output = TaskOutput { affected, rows: payload, ..TaskOutput::default() };
-                self.outputs.lock().insert(task.name.clone(), output);
-                TaskExecution { status, result: None, error }
+                let result = Some(TaskOutput { affected, rows: payload, ..output });
+                TaskExecution { status, result, error }
             }
             // `ABORT` and `COMPENSATE` only acknowledge: the held
             // subtransaction is rolled back, the committed one undone.
             Ok((Response::Ok, _)) if task.verb == TaskVerb::Abort => {
-                TaskExecution { status: TaskStatus::Aborted, result: None, error: None }
+                TaskExecution { status: TaskStatus::Aborted, result: Some(output), error: None }
             }
             Ok((Response::Ok, _)) if task.verb == TaskVerb::Compensate => {
-                TaskExecution { status: TaskStatus::Compensated, result: None, error: None }
+                let status = TaskStatus::Compensated;
+                TaskExecution { status, result: Some(output), error: None }
             }
             // A refusal, in the site's words.
-            Ok((Response::Err { message }, _)) => failed(message),
-            Ok((other, _)) => failed(format!("unexpected reply: {other:?}")),
+            Ok((Response::Err { message }, _)) => failed(message, output),
+            Ok((other, _)) => failed(format!("unexpected reply: {other:?}"), output),
             // Exhausted retries (or a terminal fault) surface as errors —
             // the global plan treats them like local aborts (paper §3.2:
             // "one or more LDBMSs may be forced to abort") — and the output
             // keeps the exchange's own error for whoever cannot degrade.
-            Err(e) => {
-                let message = e.to_string();
-                let output = TaskOutput { error: Some(e), ..TaskOutput::default() };
-                self.outputs.lock().insert(task.name.clone(), output);
-                failed(message)
-            }
+            Err(e) => failed(e.to_string(), TaskOutput { error: Some(Box::new(e)), ..output }),
         }
     }
 
@@ -704,25 +700,26 @@ impl LamClient {
     /// error is the site's refusal, whatever else it carries; a `COMBINE`'s
     /// reports on the partials it posted are written under its span, and the
     /// first that names its site's error fails it in that site's words.
+    /// `output` holds the exchange's attempts and last fault.
     fn join_done(
         &self,
         task: &dol::TaskDef,
         spans: &[Span],
         reply: Response,
         bytes: usize,
-        attempts: u32,
-    ) -> TaskExecution {
+        output: TaskOutput,
+    ) -> TaskExecution<TaskOutput> {
         let (span, own) = (&spans[spans.len() - 1], &spans[0]);
         let saved_of = |full: u64| (full > 0).then(|| full.saturating_sub(bytes as u64));
         let (mut join, mut travelled) = (None, None);
         let (rows, access, saved) = match reply {
             Response::PartialDone { error: Some(message), .. }
             | Response::PartialAggDone { error: Some(message), .. }
-            | Response::Err { message } => return failed(message),
+            | Response::Err { message } => return failed(message, output),
             Response::CombineDone { payload, home_rows, access, saved, report } => {
                 let CombineReport { edges, parts } = *report;
                 let TaskVerb::Combine(c) = &task.verb else {
-                    return failed("a COMBINE reply to another request".to_string());
+                    return failed("a COMBINE reply to another request".to_string(), output);
                 };
                 let mut refused = None;
                 for (traveller, part) in c.travellers.iter().zip(parts) {
@@ -731,16 +728,15 @@ impl LamClient {
                         refused = Some(MdbsError::Local { service, message: message.clone() });
                     }
                     if traveller.posted {
-                        if let Some(saved) = self.travelled(traveller, part, attempts, span) {
+                        if let Some(saved) = self.travelled(traveller, part, output.attempts, span)
+                        {
                             *travelled.get_or_insert(0) += saved;
                         }
                     }
                 }
                 if let Some(error) = refused {
                     let message = error.to_string();
-                    let output = TaskOutput { error: Some(error), ..TaskOutput::default() };
-                    self.outputs.lock().insert(task.name.clone(), output);
-                    return failed(message);
+                    return failed(message, TaskOutput { error: Some(Box::new(error)), ..output });
                 }
                 let rows = payload.unwrap_or_default();
                 span.note("bytes", bytes);
@@ -766,14 +762,12 @@ impl LamClient {
                 }
                 (rows, None, saved_of(full_bytes))
             }
-            other => return failed(format!("unexpected reply: {other:?}")),
+            other => return failed(format!("unexpected reply: {other:?}"), output),
         };
         self.note_partial(own, &self.database, access, saved);
         // The task's saving is its own partial's and its travellers'.
         let saved = saved.into_iter().chain(travelled).reduce(|a, b| a + b);
-        let output = TaskOutput { rows: Some(rows), saved, join, ..TaskOutput::default() };
-        self.outputs.lock().insert(task.name.clone(), output);
-        TaskExecution::committed(None)
+        TaskExecution::committed(Some(TaskOutput { rows: Some(rows), saved, join, ..output }))
     }
 
     /// Notes the access path of `db`'s partial and — with a measured baseline
@@ -833,9 +827,9 @@ impl LamClient {
     }
 }
 
-/// A task that ended in `E`, `message` being its local error.
-fn failed(message: String) -> TaskExecution {
-    TaskExecution { status: TaskStatus::Error, result: None, error: Some(message) }
+/// A task that ended in `E` with `output`, `message` being its local error.
+fn failed(message: String, output: TaskOutput) -> TaskExecution<TaskOutput> {
+    TaskExecution { status: TaskStatus::Error, result: Some(output), error: Some(message) }
 }
 
 /// Stable lower-case label for fault annotations in spans and goldens.
@@ -858,7 +852,7 @@ impl Drop for LamClient {
     }
 }
 
-impl DolService for LamClient {
+impl DolService<TaskOutput> for LamClient {
     fn post(&mut self, step: Step<'_>, span: &Span) {
         let req = match step {
             Step::Execute(task) => {
@@ -873,11 +867,15 @@ impl DolService for LamClient {
         self.posted = Some(Ok((LamClient::post(self, &req, span), Vec::new())));
     }
 
-    fn execute_task(&mut self, task: &dol::TaskDef) -> TaskExecution {
+    fn execute_task(&mut self, task: &dol::TaskDef) -> TaskExecution<TaskOutput> {
         self.run_task(task, &Span::disabled())
     }
 
-    fn execute_task_traced(&mut self, task: &dol::TaskDef, span: &Span) -> TaskExecution {
+    fn execute_task_traced(
+        &mut self,
+        task: &dol::TaskDef,
+        span: &Span,
+    ) -> TaskExecution<TaskOutput> {
         self.run_task(task, span)
     }
 
@@ -932,9 +930,6 @@ pub struct LamFactory {
     pub tolerate_unreachable: bool,
     /// Wire format handed to every client this factory opens.
     pub wire_format: WireFormat,
-    /// Where the tasks of the program this factory serves leave their
-    /// outputs, beside any an earlier program handed on; emptied by each run.
-    pub(crate) outputs: TaskOutputs,
     /// Why the `OPEN` that failed the program this factory serves failed:
     /// the checkout's own error.
     pub(crate) open_error: Arc<Mutex<Option<MdbsError>>>,
@@ -952,7 +947,6 @@ impl LamFactory {
             metrics: MetricsRegistry::new(),
             tolerate_unreachable: false,
             wire_format: WireFormat::default(),
-            outputs: TaskOutputs::default(),
             open_error: Arc::default(),
         }
     }
@@ -991,20 +985,22 @@ impl LamFactory {
             )?,
         };
         client.home = Some(self.pool.clone());
-        client.outputs = TaskOutputs::clone(&self.outputs);
         client.metrics = self.metrics.clone();
         client.wire_format = self.wire_format;
         Ok(client)
     }
 }
 
-impl ServiceFactory for LamFactory {
-    fn connect(&self, service: &str, site: &str) -> Result<Box<dyn DolService>, DolError> {
+impl ServiceFactory<TaskOutput> for LamFactory {
+    fn connect(
+        &self,
+        service: &str,
+        site: &str,
+    ) -> Result<Box<dyn DolService<TaskOutput>>, DolError> {
         match self.checkout(site, service) {
             Ok(client) => Ok(Box::new(client)),
             Err(e) if self.tolerate_unreachable => Ok(Box::new(UnreachableService {
                 error: format!("site `{site}` unreachable: {e}"),
-                stats: SharedExecStats::clone(&self.stats),
             })),
             Err(e) => {
                 let reason = e.to_string();
@@ -1022,18 +1018,17 @@ impl ServiceFactory for LamFactory {
 /// sends nothing, so it ends as its verb says.
 struct UnreachableService {
     error: String,
-    stats: SharedExecStats,
 }
 
-impl DolService for UnreachableService {
-    fn execute_task(&mut self, task: &dol::TaskDef) -> TaskExecution {
+impl DolService<TaskOutput> for UnreachableService {
+    fn execute_task(&mut self, task: &dol::TaskDef) -> TaskExecution<TaskOutput> {
         if let TaskVerb::Settled(status) = task.verb {
             return TaskExecution { status, result: None, error: None };
         }
-        // The terminal fault itself was counted by the failed connect; here
-        // we only pin the task-level telemetry.
-        self.stats.lock().record_task(&task.name, 0, Some(FaultKind::Terminal));
-        failed(self.error.clone())
+        // The terminal fault itself was counted by the failed connect; the
+        // task reached no LAM, so it spent no attempt.
+        let fault = Some(FaultKind::Terminal);
+        failed(self.error.clone(), TaskOutput { fault, ..TaskOutput::default() })
     }
 
     fn commit_task(&mut self, _task_name: &str) -> Result<(), DolError> {
@@ -1089,10 +1084,9 @@ mod tests {
         };
         let exec = client.execute_task(&task);
         assert_eq!(exec.status, TaskStatus::Committed);
-        // DOL carries the status; the rows wait under the task's name.
-        assert_eq!(exec.result, None);
-        let output = client.outputs.lock().remove("Q1").unwrap();
-        assert_eq!(output.affected, 0);
+        // The rows come back with the status, as the task's output.
+        let output = exec.result.unwrap();
+        assert_eq!((output.affected, output.attempts, output.fault), (0, 1, None));
         assert_eq!(output.rows.unwrap().rows, vec![vec![ldbs::value::Value::Int(1)]]);
     }
 
@@ -1191,10 +1185,10 @@ mod tests {
         let exec = svc.execute_task(&task);
         assert_eq!(exec.status, TaskStatus::Error);
         assert!(exec.error.unwrap().contains("unreachable"));
+        let output = exec.result.unwrap();
+        assert_eq!((output.attempts, output.fault), (0, Some(FaultKind::Terminal)));
         assert!(svc.commit_task("NV").is_ok(), "no-op on a task that never ran");
-        let stats = factory.stats.lock();
-        assert_eq!(stats.terminal_faults, 1);
-        assert_eq!(stats.task("NV").unwrap().fault, Some(netsim::FaultKind::Terminal));
+        assert_eq!(factory.stats.lock().terminal_faults, 1);
     }
 
     #[test]

@@ -93,6 +93,6 @@ pub use executor::{DbOutcome, MsqlOutcome, MtxReport, UpdateReport};
 pub use federation::{Federation, FederationCore, RecoveredMtx, RecoveryReport, Session};
 pub use multitable::Multitable;
 pub use planner::PlannerContext;
-pub use retry::{ExecStats, RetryPolicy, TaskTelemetry};
+pub use retry::{ExecStats, RetryPolicy};
 pub use scope::SessionScope;
 pub use wal::{CrashPlan, CrashWhen, Wal};

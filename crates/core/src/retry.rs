@@ -9,7 +9,6 @@
 
 use netsim::FaultKind;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -90,15 +89,6 @@ fn splitmix64(seed: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Communication telemetry for one named task.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TaskTelemetry {
-    /// Network attempts spent executing the task (1 = no retries).
-    pub attempts: u32,
-    /// The last fault observed while executing the task, if any.
-    pub fault: Option<FaultKind>,
-}
-
 /// Execution-level fault and retry counters, aggregated across every LAM
 /// request a plan (or session) issues. Exposed on
 /// [`crate::executor::UpdateReport`] / [`crate::executor::MtxReport`] and via
@@ -121,9 +111,6 @@ pub struct ExecStats {
     /// Non-vital subqueries tolerated as failed (graceful degradation,
     /// §3.2's "the multiquery can succeed without them").
     pub degraded: u64,
-    /// Per-task attempt/fault telemetry, keyed by DOL task name. Ordered so
-    /// `Debug`/render output is deterministic and diffable.
-    pub per_task: BTreeMap<String, TaskTelemetry>,
 }
 
 impl ExecStats {
@@ -149,20 +136,8 @@ impl ExecStats {
         }
     }
 
-    /// Records task-level telemetry (merged into
-    /// [`crate::executor::DbOutcome`] by the executor).
-    pub fn record_task(&mut self, task: &str, attempts: u32, fault: Option<FaultKind>) {
-        self.per_task.insert(task.to_string(), TaskTelemetry { attempts, fault });
-    }
-
-    /// Telemetry for a task, if the executor talked to its LAM.
-    pub fn task(&self, task: &str) -> Option<TaskTelemetry> {
-        self.per_task.get(task).copied()
-    }
-
     /// Folds another stats cell into this one (per-run → per-session
-    /// aggregation). Per-task entries of `other` win on name collision
-    /// (they are newer).
+    /// aggregation).
     pub fn merge(&mut self, other: &ExecStats) {
         self.calls += other.calls;
         self.attempts += other.attempts;
@@ -171,9 +146,6 @@ impl ExecStats {
         self.terminal_faults += other.terminal_faults;
         self.recovered += other.recovered;
         self.degraded += other.degraded;
-        for (task, telemetry) in &other.per_task {
-            self.per_task.insert(task.clone(), *telemetry);
-        }
     }
 }
 
@@ -234,16 +206,5 @@ mod tests {
         assert_eq!(s.transient_faults, 3);
         assert_eq!(s.terminal_faults, 1);
         assert_eq!(s.recovered, 1);
-    }
-
-    #[test]
-    fn task_telemetry_is_keyed_by_name() {
-        let mut s = ExecStats::default();
-        s.record_task("T1", 4, Some(FaultKind::Transient));
-        assert_eq!(
-            s.task("T1"),
-            Some(TaskTelemetry { attempts: 4, fault: Some(FaultKind::Transient) })
-        );
-        assert_eq!(s.task("T2"), None);
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! The engine plays the role of Narada's distributed engine (paper §4.1): it
 //! opens services through a [`ServiceFactory`], submits `TASK` blocks to
-//! them, records the status each task reaches (`P`/`C`/`A`/`E`), evaluates
-//! the status conditions of `IF` statements, and drives the second commit
-//! phase (`COMMIT`/`ABORT` task lists) and compensation.
+//! them, records the status each task reaches (`P`/`C`/`A`/`E`) and what it
+//! produced (the service's output type `O`, filed under the task's name in
+//! [`DolOutcome::task_results`]: partial results are "sent … to the engine"),
+//! evaluates the status conditions of `IF` statements, and drives the second
+//! commit phase (`COMMIT`/`ABORT` task lists) and compensation.
 //!
 //! Consecutive `TASK` statements form a *batch*, consecutive `COMMIT` /
 //! `ABORT` statements a *wave*. The services of a batch or a wave work
@@ -20,25 +22,27 @@ use obs::{Span, SpanCtx};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Result of running one task on a service.
+/// Result of running one task on a service: its status and what it produced,
+/// in the service's output type `O`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskExecution {
+pub struct TaskExecution<O = String> {
     /// The status the task reached.
     pub status: TaskStatus,
-    /// Serialized partial result (for retrieval tasks), if any.
-    pub result: Option<String>,
+    /// What the task produced (a retrieval's partial result, a service's
+    /// account of the exchange), if anything.
+    pub result: Option<O>,
     /// Error description when the status is `Aborted`/`Error`.
     pub error: Option<String>,
 }
 
-impl TaskExecution {
+impl<O> TaskExecution<O> {
     /// A successful prepared execution.
     pub fn prepared() -> Self {
         TaskExecution { status: TaskStatus::Prepared, result: None, error: None }
     }
 
     /// A successful committed execution.
-    pub fn committed(result: Option<String>) -> Self {
+    pub fn committed(result: Option<O>) -> Self {
         TaskExecution { status: TaskStatus::Committed, result, error: None }
     }
 
@@ -73,15 +77,15 @@ impl Step<'_> {
     }
 }
 
-/// A connected service a DOL program can drive. Implemented by the
-/// multidatabase layer's LAM client (over the simulated network) and by mock
-/// services in tests.
-pub trait DolService: Send {
+/// A connected service a DOL program can drive, handing back what each task
+/// produced as an `O`. Implemented by the multidatabase layer's LAM client
+/// (over the simulated network) and by mock services in tests.
+pub trait DolService<O = String>: Send {
     /// Executes a task's commands. `nocommit` tasks must stop in the
     /// prepared state; others autocommit. Failures are reported through the
     /// returned status, not an `Err` — a local abort is a normal outcome for
     /// the plan logic.
-    fn execute_task(&mut self, task: &TaskDef) -> TaskExecution;
+    fn execute_task(&mut self, task: &TaskDef) -> TaskExecution<O>;
 
     /// Second commit phase for a prepared task.
     fn commit_task(&mut self, task_name: &str) -> Result<(), DolError>;
@@ -108,7 +112,7 @@ pub trait DolService: Send {
     /// engine hands the task's span so the service can annotate it (and open
     /// per-attempt children). Default implementations ignore the span, so
     /// mocks and simple services need not care about tracing.
-    fn execute_task_traced(&mut self, task: &TaskDef, span: &Span) -> TaskExecution {
+    fn execute_task_traced(&mut self, task: &TaskDef, span: &Span) -> TaskExecution<O> {
         let _ = span;
         self.execute_task(task)
     }
@@ -133,9 +137,9 @@ pub trait DolService: Send {
 }
 
 /// Connects service names (from `OPEN service AT site`) to live services.
-pub trait ServiceFactory {
+pub trait ServiceFactory<O = String> {
     /// Opens a connection to `service` at `site`.
-    fn connect(&self, service: &str, site: &str) -> Result<Box<dyn DolService>, DolError>;
+    fn connect(&self, service: &str, site: &str) -> Result<Box<dyn DolService<O>>, DolError>;
 }
 
 /// Observer of the engine's protocol transitions — implemented by the
@@ -159,19 +163,30 @@ pub trait TaskObserver: Send + Sync {
 }
 
 /// Outcome of one DOL program run.
-#[derive(Debug, Clone, Default)]
-pub struct DolOutcome {
+#[derive(Debug, Clone)]
+pub struct DolOutcome<O = String> {
     /// Final `DOLSTATUS` (0 = success by the paper's convention).
     pub dolstatus: i32,
     /// Status reached by every executed task.
     pub task_statuses: HashMap<String, TaskStatus>,
-    /// Serialized partial results of retrieval tasks.
-    pub task_results: HashMap<String, String>,
+    /// What every task that produced something handed back, by task name.
+    pub task_results: HashMap<String, O>,
     /// Local error message of every task that failed.
     pub task_errors: HashMap<String, String>,
 }
 
-impl DolOutcome {
+impl<O> Default for DolOutcome<O> {
+    fn default() -> Self {
+        DolOutcome {
+            dolstatus: 0,
+            task_statuses: HashMap::new(),
+            task_results: HashMap::new(),
+            task_errors: HashMap::new(),
+        }
+    }
+}
+
+impl<O> DolOutcome<O> {
     /// Status of a task, if it ran.
     pub fn status(&self, task: &str) -> Option<TaskStatus> {
         self.task_statuses.get(task).copied()
@@ -183,9 +198,9 @@ impl DolOutcome {
     }
 }
 
-/// The DOL engine.
-pub struct DolEngine<'f> {
-    factory: &'f dyn ServiceFactory,
+/// The DOL engine over services whose tasks hand back an `O`.
+pub struct DolEngine<'f, O = String> {
+    factory: &'f dyn ServiceFactory<O>,
     /// Where to hang execution spans (disabled by default).
     pub trace: SpanCtx,
     /// Protocol-transition observer (the coordinator's WAL), if any.
@@ -231,7 +246,7 @@ impl Settle {
     }
 
     /// Sends (or, when it was posted, finishes) the second-phase message.
-    fn send(self, svc: &mut dyn DolService, task: &str, span: &Span) -> Result<(), DolError> {
+    fn send<O>(self, svc: &mut dyn DolService<O>, task: &str, span: &Span) -> Result<(), DolError> {
         match self {
             Settle::Commit => svc.commit_task_traced(task, span),
             Settle::Abort => svc.abort_task_traced(task, span),
@@ -239,13 +254,13 @@ impl Settle {
     }
 }
 
-struct RunState {
-    services: HashMap<String, Box<dyn DolService>>,
+struct RunState<O> {
+    services: HashMap<String, Box<dyn DolService<O>>>,
     defs: HashMap<String, TaskDef>,
-    outcome: DolOutcome,
+    outcome: DolOutcome<O>,
 }
 
-impl RunState {
+impl<O> RunState<O> {
     /// Where `action` sends for the listed task `name`: `Ok(Some(alias))`
     /// when the task is prepared; `Ok(None)` when there is nothing to do —
     /// it is already where the statement wants it (`COMMIT` is idempotent on
@@ -278,21 +293,21 @@ impl RunState {
     }
 }
 
-impl<'f> DolEngine<'f> {
+impl<'f, O> DolEngine<'f, O> {
     /// Creates an engine over a service factory.
-    pub fn new(factory: &'f dyn ServiceFactory) -> Self {
+    pub fn new(factory: &'f dyn ServiceFactory<O>) -> Self {
         DolEngine { factory, trace: SpanCtx::disabled(), observer: None }
     }
 
     /// The same as [`DolEngine::new`]: there is one fan-out. Kept only for
     /// the benchmark's layer replay (`fedbench/src/layers.rs`), which goes
     /// with ROADMAP item 1(b).
-    pub fn serial(factory: &'f dyn ServiceFactory) -> Self {
+    pub fn serial(factory: &'f dyn ServiceFactory<O>) -> Self {
         DolEngine::new(factory)
     }
 
     /// Executes a program to completion.
-    pub fn execute(&self, program: &DolProgram) -> Result<DolOutcome, DolError> {
+    pub fn execute(&self, program: &DolProgram) -> Result<DolOutcome<O>, DolError> {
         let mut state = RunState {
             services: HashMap::new(),
             defs: HashMap::new(),
@@ -313,7 +328,7 @@ impl<'f> DolEngine<'f> {
     fn run_block(
         &self,
         stmts: &[DolStmt],
-        state: &mut RunState,
+        state: &mut RunState<O>,
         ctx: &SpanCtx,
     ) -> Result<(), DolError> {
         let mut i = 0;
@@ -349,7 +364,7 @@ impl<'f> DolEngine<'f> {
     fn run_stmt(
         &self,
         stmt: &DolStmt,
-        state: &mut RunState,
+        state: &mut RunState<O>,
         ctx: &SpanCtx,
     ) -> Result<(), DolError> {
         match stmt {
@@ -399,7 +414,7 @@ impl<'f> DolEngine<'f> {
     fn run_batch(
         &self,
         batch: Vec<TaskDef>,
-        state: &mut RunState,
+        state: &mut RunState<O>,
         ctx: &SpanCtx,
     ) -> Result<(), DolError> {
         for (i, t) in batch.iter().enumerate() {
@@ -421,7 +436,7 @@ impl<'f> DolEngine<'f> {
         order.sort_by_key(|t| batch.iter().position(|first| first.service == t.service));
         let steps = order.iter().map(|t| (t.service.as_str(), Step::Execute(t))).collect();
         let posted = self.post_firsts(&mut state.services, steps, ctx);
-        let mut executions: Vec<(String, TaskExecution)> = Vec::with_capacity(order.len());
+        let mut executions: Vec<(String, TaskExecution<O>)> = Vec::with_capacity(order.len());
         for (task, span) in order.into_iter().zip(posted) {
             let span = span.unwrap_or_else(|| Step::Execute(task).span(&task.service, ctx));
             let svc = state.services.get_mut(&task.service).expect("checked above");
@@ -462,7 +477,7 @@ impl<'f> DolEngine<'f> {
     fn settle(
         &self,
         wave: &[(Settle, &[String])],
-        state: &mut RunState,
+        state: &mut RunState<O>,
         ctx: &SpanCtx,
     ) -> Result<(), DolError> {
         let mut listed = Vec::new();
@@ -517,7 +532,7 @@ impl<'f> DolEngine<'f> {
     /// alias is open.
     fn post_firsts(
         &self,
-        services: &mut HashMap<String, Box<dyn DolService>>,
+        services: &mut HashMap<String, Box<dyn DolService<O>>>,
         steps: Vec<(&str, Step<'_>)>,
         ctx: &SpanCtx,
     ) -> Vec<Option<Span>> {
@@ -539,7 +554,7 @@ impl<'f> DolEngine<'f> {
     fn compensate_task(
         &self,
         name: &str,
-        state: &mut RunState,
+        state: &mut RunState<O>,
         ctx: &SpanCtx,
     ) -> Result<(), DolError> {
         let def =

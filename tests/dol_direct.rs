@@ -71,8 +71,7 @@ fn dol_retrieval_returns_serialized_partials() {
              DOLEND",
         )
         .unwrap();
-    let raw = out.task_results.get("Q1").expect("partial result");
-    let rs = mdbs::wire::decode_result_set(raw).unwrap();
+    let rs = out.task_results["Q1"].rows.as_ref().expect("partial result");
     assert_eq!(rs.rows.len(), 2);
     assert_eq!(rs.columns[0].name, "code");
 }
@@ -213,7 +212,7 @@ fn a_printed_plan_runs_as_its_statement() {
                 assert_eq!(out.dolstatus, 0);
                 assert_eq!(mt.tables.len(), tasks.len());
                 for (table, task) in mt.tables.iter().zip(&tasks) {
-                    let rows = mdbs::wire::decode_result_set(&out.task_results[task]).unwrap();
+                    let rows = out.task_results[task].rows.as_ref().unwrap();
                     assert_eq!(rows.rows, table.result.rows, "{task}");
                 }
             }

@@ -502,6 +502,82 @@ fn a_recovery_that_cannot_reach_a_site_leaves_its_task_to_the_next_pass() {
     assert!(fed.recover().unwrap().recovered.is_empty(), "the image ended");
 }
 
+/// A task's attempts and last fault come back with what it produced: one
+/// lost reply, retried, is two attempts and a transient fault.
+#[test]
+fn a_task_retried_after_one_lost_reply_reports_two_attempts_and_the_fault() {
+    let mut fed = paper_federation_with(Network::new(), FederationProfiles::default());
+    fed.timeout = Duration::from_millis(150);
+    fed.retry = RetryPolicy::retries(3);
+    let bump = "USE continental UPDATE flights SET rate = rate + 1 WHERE flnu = 1";
+    let warm = fed.execute(bump).unwrap().into_update().unwrap();
+    assert_eq!((warm.outcomes[0].attempts, warm.outcomes[0].fault), (1, None), "{warm:?}");
+
+    // continental's reply to the task is lost once; the resend is answered
+    // from its LAM's reply cache.
+    fed.network().drop_next("site1", "*", 1);
+    let report = fed.execute(bump).unwrap().into_update().unwrap();
+    let outcome = &report.outcomes[0];
+    assert_eq!(outcome.status, TaskStatus::Committed, "{outcome:?}");
+    assert_eq!((outcome.affected, outcome.attempts), (1, 2), "{outcome:?}");
+    assert_eq!(outcome.fault, Some(FaultKind::Transient), "{outcome:?}");
+    assert_eq!(
+        rate(&fed, "svc_continental", "continental", "SELECT rate FROM flights WHERE flnu = 1"),
+        Value::Float(102.0),
+        "the resent task ran once"
+    );
+}
+
+/// The END rule: a logged statement ends only once every subtransaction's
+/// fate is known. A vital task whose request went out and whose reply was
+/// lost (no retries) is `E` to the plan, yet its LAM holds it prepared: the
+/// image stays open, and recovery's `RESOLVE` rolls it back.
+#[test]
+fn a_task_whose_reply_was_lost_holds_the_end_record_back_for_recovery() {
+    let mut fed = paper_federation_with(Network::new(), FederationProfiles::default());
+    fed.timeout = Duration::from_millis(150);
+    let wal = fed.enable_wal();
+    let bump = "USE continental VITAL UPDATE flights SET rate = 1 WHERE flnu = 1";
+    fed.execute("USE continental SELECT rate FROM flights WHERE flnu = 1").unwrap();
+
+    fed.network().drop_next("site1", "*", 1);
+    let report = fed.execute(bump).unwrap().into_update().unwrap();
+    assert!(!report.success, "{report:?}");
+    let outcome = &report.outcomes[0];
+    assert_eq!((outcome.status, outcome.attempts), (TaskStatus::Error, 1), "{outcome:?}");
+    let kinds: Vec<_> = wal.records().unwrap().iter().map(|r| r.kind()).collect();
+    assert!(!kinds.contains(&"end"), "{kinds:?}");
+    let continental = fed.engine("svc_continental").unwrap();
+    assert_eq!(continental.lock().prepared_txns().len(), 1, "the lost reply's task is prepared");
+
+    let recovery = fed.recover().unwrap();
+    assert_eq!(recovery.recovered.len(), 1, "{recovery:?}");
+    assert!(continental.lock().prepared_txns().is_empty(), "recovery rolled it back");
+    assert_eq!(
+        rate(&fed, "svc_continental", "continental", "SELECT rate FROM flights WHERE flnu = 1"),
+        Value::Float(100.0)
+    );
+}
+
+/// The other side of the END rule: a task whose LAM was unreachable at OPEN
+/// sent nothing (0 attempts), so its `E` is certain and the statement ends.
+#[test]
+fn a_task_unreachable_at_open_does_not_hold_the_end_record_back() {
+    let mut fed = paper_federation_with(Network::new(), FederationProfiles::default());
+    fed.timeout = Duration::from_millis(150);
+    fed.tolerate_unreachable = true;
+    let wal = fed.enable_wal();
+    fed.network().deregister("site2"); // NON VITAL delta's LAM
+
+    let report = fed.execute(Q2).unwrap().into_update().unwrap();
+    assert!(report.success, "{report:?}");
+    let delta = report.outcomes.iter().find(|o| o.key == "delta").unwrap();
+    assert_eq!((delta.status, delta.attempts), (TaskStatus::Error, 0), "{delta:?}");
+    let kinds: Vec<_> = wal.records().unwrap().iter().map(|r| r.kind()).collect();
+    assert_eq!(kinds.last(), Some(&"end"), "{kinds:?}");
+    assert!(fed.recover().unwrap().recovered.is_empty(), "nothing left to recover");
+}
+
 #[test]
 fn dead_lam_fails_fast_even_with_retries_enabled() {
     let net = Network::new();
