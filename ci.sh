@@ -365,6 +365,22 @@ for f in $(find crates/*/src -name '*.rs'); do
     fi
 done
 
+echo "== a decision is its code =="
+# The log records a decision as its program's DECIDE code (DESIGN §3a.4):
+# what it commits and compensates is derived on replay from the BEGIN and
+# PREP records (MtxImage::settlement), so neither the plan nor the record
+# carries a decision table. Outside tests and comments crates/*/src names no
+# DECIDE-COMMIT / DECIDE-ABORT record and no `WalDecision`, `DecisionCommit`
+# or `DecisionAbort`. On 24facdb this flagged 23 lines: wal.rs (20) and
+# federation.rs (3).
+for f in $(find crates/*/src -name '*.rs'); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' |
+        grep -nE 'DECIDE-COMMIT|DECIDE-ABORT|WalDecision|DecisionCommit|DecisionAbort'; then
+        echo "$f keeps a decision table beside the DECIDE code" >&2
+        exit 1
+    fi
+done
+
 echo "== the LAM serves what clients send =="
 # No client sends PARTIAL, LOADMANY or DROPMANY: fedbench only frames them.
 # The LAM answers all three with an error naming the request, so outside tests

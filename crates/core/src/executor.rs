@@ -28,7 +28,7 @@ use crate::planner::{Combine, JoinPlan, SitePlan};
 use crate::retry::{shared_stats, ExecStats, SharedExecStats};
 use crate::translate::plangen::autocommit_plan;
 use crate::translate::{GeneratedPlan, PushdownPlan};
-use crate::wal::{Wal, WalObserver, WalRecord};
+use crate::wal::{installed_state, Wal, WalObserver, WalRecord};
 use dol::Traveller;
 use dol::{DolEngine, DolError, DolOutcome, HomeEdge, Partial, TaskDef, TaskStatus, TaskVerb};
 use ldbs::engine::ResultSet;
@@ -217,11 +217,7 @@ impl Executor {
                     abort_compensate: recovery.abort_compensate.clone(),
                 })
                 .map_err(MdbsError::from)?;
-                engine.observer = Some(Arc::new(WalObserver::new(
-                    wal.clone(),
-                    mtx_id,
-                    recovery.decisions.clone(),
-                )));
+                engine.observer = Some(Arc::new(WalObserver::new(wal.clone(), mtx_id, ())));
                 Some((wal.clone(), mtx_id))
             }
             _ => None,
@@ -318,16 +314,15 @@ impl Executor {
     /// Runs a plan that settles on an acceptable state — a multitransaction,
     /// a vital update (one state; convert the report with
     /// [`UpdateReport::from`]) or a synchronization point. `DOLSTATUS` is the
-    /// `DECIDE` code of the branch the program took, which the plan's decision
-    /// table maps to the state it installed; a plan with no decision (a
+    /// `DECIDE` code of the branch the program took: state `k` when
+    /// `k < states.len()`, else the failure code; a plan with no decision (a
     /// vital-free update) always reaches its one, empty state.
     pub fn run_settle(&self, plan: &GeneratedPlan) -> Result<MtxReport, MdbsError> {
         let (out, mut stats) = self.run_program(plan)?;
         let achieved_state = match &plan.recovery {
-            Some(recovery) => recovery.decisions.get(&out.dolstatus).and_then(|d| d.state),
+            Some(recovery) => installed_state(out.dolstatus, recovery.states.len()),
             None => (out.dolstatus == 0).then_some(0),
         };
-        let achieved_state = achieved_state.map(|state| state as usize);
         let outcomes = self.outcomes(plan, &out);
         if achieved_state.is_some() {
             self.count_degraded(plan, &outcomes, &mut stats);

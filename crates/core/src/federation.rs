@@ -27,7 +27,7 @@ use crate::translate::{
     self, multitransaction_plan, retrieval_plan, update_plan, DbRoute, Decomposition,
     GeneratedPlan, LocalQuery, MtxQueryPlan, Translated,
 };
-use crate::wal::{Wal, WalDecision, WalRecord, WalTask};
+use crate::wal::{Wal, WalRecord, WalTask};
 use catalog::{
     apply_import, AuxiliaryDirectory, GddColumn, GddTable, GlobalDataDictionary, ServiceEntry,
 };
@@ -424,8 +424,8 @@ impl Session {
         self.core.metrics.snapshot()
     }
 
-    /// The live metrics registry (to reset between phases or to share with
-    /// external components).
+    /// The live metrics registry (to snapshot between phases or to share
+    /// with external components).
     pub fn metrics_registry(&self) -> &MetricsRegistry {
         &self.core.metrics
     }
@@ -630,21 +630,15 @@ impl Session {
             // The decision rules the settle phase. No decision record means
             // the coordinator died first: presume abort (§3.4 semantics —
             // prepared tasks roll back, autocommitted ones are compensated).
-            let (commit_set, compensate_set, achieved_state) = match &image.decision {
-                Some(WalDecision::Commit { state, commit, compensate }) => {
-                    span.note("decision", format!("commit-state-{state}"));
-                    (commit.clone(), compensate.clone(), Some(*state as usize))
-                }
-                Some(WalDecision::Abort { compensate }) => {
-                    span.note("decision", "abort");
-                    (Vec::new(), compensate.clone(), None)
-                }
-                None => {
+            let (achieved_state, commit_set, compensate_set) = image.settlement();
+            match (image.decision, achieved_state) {
+                (_, Some(state)) => span.note("decision", format!("commit-state-{state}")),
+                (Some(_), None) => span.note("decision", "abort"),
+                (None, None) => {
                     span.note("decision", "presumed-abort");
                     self.core.metrics.counter_add("recovery.presumed_abort", 1);
-                    (Vec::new(), image.abort_compensate.clone(), None)
                 }
-            };
+            }
             let mut statuses: HashMap<String, dol::TaskStatus> = image
                 .resolved
                 .iter()

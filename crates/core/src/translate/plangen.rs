@@ -20,9 +20,12 @@
 //!
 //! The oracle is the set of tasks whose outcome decides the statement: a
 //! non-vital update subquery autocommits outside it, under either decision.
-//! The `DECIDE` table recovery replays ([`PlanRecovery`]) is built from the
-//! same branches, so a decision's `commit` list is its `COMMIT` list —
-//! `NOCOMMIT` members only: an autocommitted member committed in phase one.
+//! The plan keeps no table of what each `DECIDE` code means: the executor
+//! reads `DOLSTATUS = k < states.len()` as state `k` installed, and recovery
+//! derives a logged code's `COMMIT` and `COMPENSATE` sets from the `BEGIN`
+//! and `PREP` records (`wal::MtxImage::settlement`) by the same
+//! rule the branches follow. So a failure code must index no state: a
+//! multitransaction takes at most [`MTX_FAILED`] states.
 //!
 //! The callers differ only in what they hand it:
 //!
@@ -43,7 +46,7 @@
 
 use crate::error::MdbsError;
 use crate::translate::expand::LocalQuery;
-use crate::wal::{DecisionPlan, WalTask};
+use crate::wal::{installed_state, WalTask};
 use dol::{DolCond, DolProgram, DolStmt, TaskDef, TaskStatus};
 use msql_lang::printer::print;
 use std::collections::HashMap;
@@ -106,26 +109,24 @@ impl GeneratedPlan {
         self.tasks.iter_mut().for_each(|t| rename(&mut t.task));
         if let Some(recovery) = &mut self.recovery {
             recovery.tasks.iter_mut().for_each(|t| rename(&mut t.name));
-            let decisions = recovery.decisions.values_mut();
-            let lists = decisions.flat_map(|d| [&mut d.commit, &mut d.compensate]);
-            lists
-                .chain(&mut recovery.states)
+            recovery
+                .states
+                .iter_mut()
                 .chain([&mut recovery.oracle, &mut recovery.abort_compensate])
                 .for_each(|list| list.iter_mut().for_each(rename));
         }
     }
 }
 
-/// Everything the executor logs at BEGIN plus the DECIDE-code translation
-/// table — precomputed here so recovery never has to re-derive settle
-/// semantics from DOL text.
+/// Everything the executor logs at BEGIN: with the `PREP` records and the
+/// `DECIDE` code, all recovery needs to settle the statement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanRecovery {
     /// Every task with its routing and compensation, in task order.
     pub tasks: Vec<WalTask>,
-    /// What each `DECIDE` code means: which tasks commit, which are
-    /// compensated, which acceptable state (if any) is installed.
-    pub decisions: HashMap<i32, DecisionPlan>,
+    /// Unread: fedbench still hands it to `WalObserver::new` (ROADMAP item
+    /// 1(b) deletes both).
+    pub decisions: (),
     /// Acceptable termination states in preference order (task names). For
     /// vital updates: the single all-vitals state.
     pub states: Vec<Vec<String>>,
@@ -214,24 +215,23 @@ pub(crate) fn dol_plan(
     }
 
     // The IF chain, built from the last resort outwards; each branch's
-    // DECIDE logs its entry of the decision table before any second-phase
-    // message goes out, and recovery replays it after a coordinator crash.
-    let (mut chain, failed) = settle(tasks, failure, None);
-    let mut decisions = HashMap::with_capacity(states.len() + 1);
-    for (k, state) in states.iter().enumerate().rev() {
-        let (branch, decision) = settle(tasks, k as i32, Some(state));
-        decisions.insert(k as i32, decision);
-        if !rollback {
+    // DECIDE is logged before any second-phase message goes out, and
+    // recovery replays it after a coordinator crash.
+    debug_assert!(
+        installed_state(failure, states.len()).is_none(),
+        "failure code {failure} is the index of one of {} states",
+        states.len()
+    );
+    let mut chain = settle(tasks, failure, None);
+    if !rollback {
+        for (k, state) in states.iter().enumerate().rev() {
             let cond = reachable(tasks, state);
-            chain = vec![DolStmt::If { cond, then_branch: branch, else_branch: chain }];
+            let then_branch = settle(tasks, k as i32, Some(state));
+            chain = vec![DolStmt::If { cond, then_branch, else_branch: chain }];
         }
     }
     statements.extend(chain);
     statements.push(DolStmt::Close { aliases });
-    // Presumed abort — no decision record at all — undoes what the failure
-    // branch would.
-    let abort_compensate = failed.compensate.clone();
-    decisions.insert(failure, failed);
     let wal_task = |t: &DolTask| -> Result<WalTask, MdbsError> {
         Ok(WalTask {
             name: t.def.name.clone(),
@@ -242,45 +242,55 @@ pub(crate) fn dol_plan(
     };
     let recovery = PlanRecovery {
         tasks: tasks.iter().map(wal_task).collect::<Result<_, _>>()?,
-        decisions,
+        decisions: (),
         states: states.to_vec(),
         oracle: tasks.iter().filter(|t| t.vital).map(|t| t.def.name.clone()).collect(),
-        abort_compensate,
+        // Presumed abort — no decision record at all — undoes what the
+        // failure branch would.
+        abort_compensate: tasks
+            .iter()
+            .filter(|t| compensable(t))
+            .map(|t| t.def.name.clone())
+            .collect(),
     };
     let program = DolProgram { statements };
     Ok(GeneratedPlan { program, tasks: plan_tasks, recovery: Some(recovery) })
 }
 
 /// The branch that installs `state` (`None`: no state, the failure branch)
-/// under `DECIDE code`, and its entry of the decision table. One `COMMIT`
-/// list and one `ABORT` list, so each costs a single round trip when the
-/// engine fans it out; the engine skips a listed task already where the list
-/// wants it (`ABORT` on `A`/`E`), so no per-task guard is needed. An
-/// autocommitted task cannot be aborted: it is compensated, and only if it
-/// committed.
-fn settle(tasks: &[DolTask], code: i32, state: Option<&[String]>) -> (Vec<DolStmt>, DecisionPlan) {
+/// under `DECIDE code`. One `COMMIT` list and one `ABORT` list, so each costs
+/// a single round trip when the engine fans it out; the engine skips a listed
+/// task already where the list wants it (`ABORT` on `A`/`E`), so no per-task
+/// guard is needed. An autocommitted task cannot be aborted: it is
+/// compensated, and only if it committed.
+fn settle(tasks: &[DolTask], code: i32, state: Option<&[String]>) -> Vec<DolStmt> {
     let member = |t: &DolTask| state.is_some_and(|s| s.contains(&t.def.name));
     let names = |keep: &dyn Fn(&DolTask) -> bool| -> Vec<String> {
         tasks.iter().filter(|t| keep(t)).map(|t| t.def.name.clone()).collect()
     };
     let commit = names(&|t| t.def.nocommit && member(t));
     let abort = names(&|t| t.def.nocommit && t.vital && !member(t));
-    let compensate =
-        names(&|t| !t.def.nocommit && t.vital && !member(t) && !t.def.compensation.is_empty());
+    let compensate = names(&|t| compensable(t) && !member(t));
     let mut branch = vec![DolStmt::Decide(code)];
     if !commit.is_empty() {
-        branch.push(DolStmt::Commit { tasks: commit.clone() });
+        branch.push(DolStmt::Commit { tasks: commit });
     }
     if !abort.is_empty() {
         branch.push(DolStmt::Abort { tasks: abort });
     }
-    branch.extend(compensate.iter().map(|t| DolStmt::If {
+    branch.extend(compensate.into_iter().map(|t| DolStmt::If {
         cond: DolCond::StatusEq { task: t.clone(), status: TaskStatus::Committed },
-        then_branch: vec![DolStmt::Compensate { task: t.clone() }],
+        then_branch: vec![DolStmt::Compensate { task: t }],
         else_branch: Vec::new(),
     }));
     branch.push(DolStmt::SetStatus(code));
-    (branch, DecisionPlan { state: state.map(|_| code), commit, compensate })
+    branch
+}
+
+/// An oracle task that autocommits with a COMP clause: the failure branch
+/// compensates it, and so does every state it is not a member of.
+fn compensable(t: &DolTask) -> bool {
+    !t.def.nocommit && t.vital && !t.def.compensation.is_empty()
 }
 
 /// `state` is reachable when every member reached the status its mode can
@@ -406,9 +416,16 @@ pub fn multitransaction_plan(
         return Err(MdbsError::Mtx("multitransaction has no pertinent subqueries".into()));
     }
 
-    // Validate acceptable states.
+    // Validate acceptable states: at least one, and fewer than the failure
+    // code, which no state's index may equal.
     if states.is_empty() {
         return Err(MdbsError::Mtx("multitransaction has no acceptable state".into()));
+    }
+    if states.len() > MTX_FAILED as usize {
+        return Err(MdbsError::Mtx(format!(
+            "multitransaction has {} acceptable states; at most {MTX_FAILED} are allowed",
+            states.len()
+        )));
     }
     for state in states {
         if state.is_empty() {
@@ -451,6 +468,7 @@ pub fn multitransaction_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::{Wal, WalRecord};
     use dol::engine::TaskExecution;
     use dol::{print_program, DolEngine, DolError, DolService, ServiceFactory, TaskObserver};
     use msql_lang::parse_statement;
@@ -732,7 +750,7 @@ mod tests {
             &routes(&[("continental", false), ("delta", true), ("united", true)]),
         )
         .unwrap();
-        let rec = plan.recovery.expect("vital update has recovery material");
+        let rec = plan.recovery.clone().expect("vital update has recovery material");
         assert_eq!(rec.tasks.len(), 3, "all tasks are logged for routing");
         assert_eq!(rec.tasks[0].site, "site1");
         assert!(!rec.tasks[0].compensation.is_empty());
@@ -741,10 +759,9 @@ mod tests {
         assert_eq!(rec.oracle, vec!["T1".to_string(), "T3".to_string()]);
         // DECIDE 0 commits the prepared vital; DECIDE 1 compensates the
         // autocommitted one. Presumed abort matches DECIDE 1.
-        assert_eq!(rec.decisions[&0].state, Some(0));
-        assert_eq!(rec.decisions[&0].commit, vec!["T3".to_string()]);
-        assert_eq!(rec.decisions[&1].state, None);
-        assert_eq!(rec.decisions[&1].compensate, vec!["T1".to_string()]);
+        assert_eq!(settled(&plan, Some(0)), (Some(0), vec!["T3".to_string()], vec![]));
+        assert_eq!(settled(&plan, Some(1)), (None, vec![], vec!["T1".to_string()]));
+        assert_eq!(settled(&plan, None), settled(&plan, Some(1)));
         assert_eq!(rec.abort_compensate, vec!["T1".to_string()]);
     }
 
@@ -759,7 +776,7 @@ mod tests {
     }
 
     #[test]
-    fn mtx_recovery_translates_each_decide_code() {
+    fn mtx_recovery_derives_each_decide_code() {
         let mut queries = travel_agent_queries();
         // avis becomes autocommit-only with a COMP clause.
         queries[1].comps.insert(
@@ -792,7 +809,7 @@ mod tests {
             assert!(text.contains(settle), "missing `{settle}` in {text}");
         }
         assert!(!text.contains("ABORT delta, avis"), "{text}");
-        let rec = plan.recovery.expect("multitransactions always have recovery material");
+        let rec = plan.recovery.clone().expect("multitransactions always have recovery material");
         assert_eq!(rec.states, states);
         assert_eq!(
             rec.oracle,
@@ -805,16 +822,42 @@ mod tests {
         );
         // State 0 (continental+national): avis is an autocommitted
         // non-member, so it is compensated.
-        assert_eq!(rec.decisions[&0].commit, states[0]);
-        assert_eq!(rec.decisions[&0].compensate, vec!["avis".to_string()]);
+        let avis = vec!["avis".to_string()];
+        assert_eq!(settled(&plan, Some(0)), (Some(0), states[0].clone(), avis.clone()));
         // State 1 (delta+avis): avis is a member — nothing to compensate,
         // and nothing to commit either: it committed in phase one.
-        assert_eq!(rec.decisions[&1].commit, vec!["delta".to_string()]);
-        assert!(rec.decisions[&1].compensate.is_empty());
+        assert_eq!(settled(&plan, Some(1)), (Some(1), vec!["delta".to_string()], vec![]));
         // Failure and presumed abort compensate every COMP-bearing task.
-        assert_eq!(rec.decisions[&MTX_FAILED].state, None);
-        assert_eq!(rec.decisions[&MTX_FAILED].compensate, vec!["avis".to_string()]);
-        assert_eq!(rec.abort_compensate, vec!["avis".to_string()]);
+        assert_eq!(settled(&plan, Some(MTX_FAILED)), (None, vec![], avis.clone()));
+        assert_eq!(settled(&plan, None), settled(&plan, Some(MTX_FAILED)));
+        assert_eq!(rec.abort_compensate, avis);
+    }
+
+    /// State 99's `DECIDE 99` would be the failure branch's too, and a run
+    /// that installed it would read as failed: 99 states is the most a
+    /// multitransaction takes.
+    #[test]
+    fn a_multitransaction_takes_at_most_99_states() {
+        let keys = ["continental", "delta", "avis", "national"];
+        let routes = routes(&keys.map(|k| (k, true)));
+        let states: Vec<Vec<String>> = (0..100).map(|i| vec![keys[i % 4].to_string()]).collect();
+        let err = multitransaction_plan(&travel_agent_queries(), &states, &routes);
+        assert!(matches!(err, Err(MdbsError::Mtx(_))), "{err:?}");
+        let plan = multitransaction_plan(&travel_agent_queries(), &states[..99], &routes).unwrap();
+        let text = print_program(&plan.program);
+        assert_eq!(text.matches(&format!("DECIDE {MTX_FAILED};")).count(), 1, "{text}");
+        assert_eq!(settled(&plan, Some(98)).0, Some(98));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "failure code 1 is the index of one of 2 states")]
+    fn a_failure_code_that_indexes_a_state_is_a_planner_bug() {
+        let routes = routes(&[("delta", true)]);
+        let def = TaskDef { nocommit: true, ..TaskDef::new("T1", "delta", vec![]) };
+        let tasks = [DolTask { def, database: "delta".into(), vital: true }];
+        let states = vec![vec!["T1".to_string()]; 2];
+        let _ = dol_plan(&tasks, &states, UPDATE_FAILED, false, &routes);
     }
 
     #[test]
@@ -829,9 +872,23 @@ mod tests {
 
     /// The generators as they were before `dol_plan` — a vital set and a
     /// multitransaction each written out — kept as the definition of the
-    /// settle rule (`PlanTask` has lost its unread `compensated` field).
+    /// settle rule (`PlanTask` has lost its unread `compensated` field), with
+    /// the decision table each built beside its plan: the oracle for what
+    /// recovery derives from the log.
     mod reference {
         use super::*;
+
+        /// What one `DECIDE` code meant: the state it installs (`None`: the
+        /// failure branch), the tasks it commits and those it compensates.
+        #[derive(Debug)]
+        pub struct DecisionPlan {
+            pub state: Option<i32>,
+            pub commit: Vec<String>,
+            pub compensate: Vec<String>,
+        }
+
+        /// A plan's decision table, keyed by `DECIDE` code.
+        pub type Decisions = HashMap<i32, DecisionPlan>;
 
         pub fn retrieval_plan(
             locals: &[LocalQuery],
@@ -875,7 +932,7 @@ mod tests {
             locals: &[LocalQuery],
             comps: &HashMap<String, Vec<String>>,
             routes: &HashMap<String, DbRoute>,
-        ) -> Result<GeneratedPlan, MdbsError> {
+        ) -> Result<(GeneratedPlan, Decisions), MdbsError> {
             let mut tasks = Vec::with_capacity(locals.len());
             for (i, l) in locals.iter().enumerate() {
                 let compensation = comps.get(&l.key).cloned().unwrap_or_default();
@@ -901,7 +958,7 @@ mod tests {
             set: Vec<VitalTask>,
             routes: &HashMap<String, DbRoute>,
             rollback: bool,
-        ) -> Result<GeneratedPlan, MdbsError> {
+        ) -> Result<(GeneratedPlan, Decisions), MdbsError> {
             let services = set.iter().map(|t| (t.key.as_str(), t.database.as_str()));
             let (mut statements, aliases) = open_statements(services, routes)?;
             let mut tasks = Vec::new();
@@ -980,42 +1037,45 @@ mod tests {
                 }
             }
             statements.push(DolStmt::Close { aliases });
-            let recovery = if vitals.is_empty() {
-                None
+            let (recovery, decisions) = if vitals.is_empty() {
+                (None, Decisions::new())
             } else {
-                Some(PlanRecovery {
+                let decisions = HashMap::from([
+                    (
+                        0,
+                        DecisionPlan {
+                            state: Some(0),
+                            commit: prepared_vitals,
+                            compensate: Vec::new(),
+                        },
+                    ),
+                    (
+                        1,
+                        DecisionPlan {
+                            state: None,
+                            commit: Vec::new(),
+                            compensate: compensated_vitals.clone(),
+                        },
+                    ),
+                ]);
+                let recovery = PlanRecovery {
                     tasks: wal_tasks,
-                    decisions: HashMap::from([
-                        (
-                            0,
-                            DecisionPlan {
-                                state: Some(0),
-                                commit: prepared_vitals,
-                                compensate: Vec::new(),
-                            },
-                        ),
-                        (
-                            1,
-                            DecisionPlan {
-                                state: None,
-                                commit: Vec::new(),
-                                compensate: compensated_vitals.clone(),
-                            },
-                        ),
-                    ]),
+                    decisions: (),
                     states: vec![vitals.clone()],
                     oracle: vitals,
                     abort_compensate: compensated_vitals,
-                })
+                };
+                (Some(recovery), decisions)
             };
-            Ok(GeneratedPlan { program: DolProgram { statements }, tasks, recovery })
+            let plan = GeneratedPlan { program: DolProgram { statements }, tasks, recovery };
+            Ok((plan, decisions))
         }
 
         pub fn multitransaction_plan(
             queries: &[MtxQueryPlan],
             states: &[Vec<String>],
             routes: &HashMap<String, DbRoute>,
-        ) -> Result<GeneratedPlan, MdbsError> {
+        ) -> Result<(GeneratedPlan, Decisions), MdbsError> {
             let mut all: Vec<(&LocalQuery, &HashMap<String, Vec<String>>)> = Vec::new();
             for q in queries {
                 for l in &q.locals {
@@ -1152,12 +1212,12 @@ mod tests {
             );
             let recovery = Some(PlanRecovery {
                 tasks: wal_tasks,
-                decisions,
+                decisions: (),
                 states: states.to_vec(),
                 oracle: all_keys.clone(),
                 abort_compensate: comp_keys(&all_keys),
             });
-            Ok(GeneratedPlan { program: DolProgram { statements }, tasks, recovery })
+            Ok((GeneratedPlan { program: DolProgram { statements }, tasks, recovery }, decisions))
         }
 
         fn settle_branch(
@@ -1286,6 +1346,61 @@ mod tests {
         vectors
     }
 
+    /// What recovery settles for `plan` after `decision` is logged (`None`:
+    /// the coordinator died first), every task having reached its phase-one
+    /// success — `P` after `NOCOMMIT`, `C` after autocommit — as the branch
+    /// of a state requires of its members.
+    fn settled(
+        plan: &GeneratedPlan,
+        decision: Option<i32>,
+    ) -> (Option<usize>, Vec<String>, Vec<String>) {
+        let rec = plan.recovery.as_ref().expect("a plan with a settle phase");
+        let mtx_id = 1;
+        let begin = WalRecord::Begin {
+            mtx_id,
+            tasks: rec.tasks.clone(),
+            states: rec.states.clone(),
+            oracle: rec.oracle.clone(),
+            abort_compensate: rec.abort_compensate.clone(),
+        };
+        let prepared = plan.program.tasks().into_iter().map(|t| WalRecord::TaskPrepared {
+            mtx_id,
+            task: t.name.clone(),
+            status: if t.nocommit { 'P' } else { 'C' },
+        });
+        let decide = decision.map(|code| WalRecord::Decide { mtx_id, code });
+        let wal = Wal::in_memory();
+        for record in std::iter::once(begin).chain(prepared).chain(decide) {
+            wal.append(&record).unwrap();
+        }
+        let [image] = &wal.replay().unwrap()[..] else { panic!("one image") };
+        image.settlement()
+    }
+
+    /// Requires recovery to derive, from a log of `new`, each entry of the
+    /// decision table the reference generator built beside it, and the
+    /// failure code's entry when no decision was logged — under DESIGN
+    /// §3a.4's rule that a decision commits `NOCOMMIT` tasks only and
+    /// compensates autocommitted ones only.
+    fn derives_table(new: &GeneratedPlan, table: &reference::Decisions, failure: i32, case: &str) {
+        if table.is_empty() {
+            assert!(new.recovery.is_none(), "{case}");
+            return;
+        }
+        let nocommit: HashMap<&str, bool> =
+            new.program.tasks().into_iter().map(|t| (t.name.as_str(), t.nocommit)).collect();
+        let only = |list: &[String], two_phase: bool| -> Vec<String> {
+            list.iter().filter(|t| nocommit[t.as_str()] == two_phase).cloned().collect()
+        };
+        for (&code, d) in table {
+            let state = d.state.map(|k| k as usize);
+            let expected = (state, only(&d.commit, true), only(&d.compensate, false));
+            assert_eq!(settled(new, Some(code)), expected, "{case}\nDECIDE {code}");
+        }
+        assert!(table[&failure].state.is_none(), "{case}");
+        assert_eq!(settled(new, None), settled(new, Some(failure)), "{case}\npresumed abort");
+    }
+
     /// Requires `old` and `new` to settle alike on every phase-one outcome.
     fn settles_alike(old: &GeneratedPlan, new: &GeneratedPlan, case: &str) {
         assert_eq!(old.tasks, new.tasks, "{case}");
@@ -1346,12 +1461,13 @@ mod tests {
 
             // Updates and retrievals print byte for byte as they did, and
             // carry the same provenance and recovery material.
-            let (old, new) = (
+            let ((old, table), new) = (
                 reference::update_plan(&locals, &comps, &routes).unwrap(),
                 update_plan(&locals, &comps, &routes).unwrap(),
             );
             assert_eq!(print_program(&old.program), print_program(&new.program), "{label}");
             assert_eq!(old, new, "{label}");
+            derives_table(&new, &table, UPDATE_FAILED, &label);
             let old = reference::retrieval_plan(&locals, &routes).unwrap();
             let new = retrieval_plan(&locals, &routes).unwrap();
             assert_eq!(print_program(&old.program), print_program(&new.program), "{label}");
@@ -1385,10 +1501,11 @@ mod tests {
             let vitals: Vec<String> =
                 tasks.iter().filter(|t| t.vital).map(|t| t.def.name.clone()).collect();
             let one_state = if vitals.is_empty() { Vec::new() } else { vec![vitals] };
-            let old = reference::vital_set_plan(set, &routes, rollback).unwrap();
+            let (old, table) = reference::vital_set_plan(set, &routes, rollback).unwrap();
             let new = dol_plan(&tasks, &one_state, UPDATE_FAILED, rollback, &routes).unwrap();
             assert_eq!(print_program(&old.program), print_program(&new.program), "{label}");
             settles_alike(&old, &new, &label);
+            derives_table(&new, &table, UPDATE_FAILED, &label);
 
             // The same tasks as a multitransaction, one component query each.
             let queries: Vec<MtxQueryPlan> = locals
@@ -1405,7 +1522,10 @@ mod tests {
             let old = reference::multitransaction_plan(&queries, &states, &routes);
             let new = multitransaction_plan(&queries, &states, &routes);
             match (old, new) {
-                (Ok(old), Ok(new)) => settles_alike(&old, &new, &label),
+                (Ok((old, table)), Ok(new)) => {
+                    settles_alike(&old, &new, &label);
+                    derives_table(&new, &table, MTX_FAILED, &label);
+                }
                 (old, new) => assert_eq!(old.err(), new.err(), "{label}"),
             }
         }

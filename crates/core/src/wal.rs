@@ -11,16 +11,22 @@
 //! ```text
 //! BEGIN <id> S <states> O <oracle> K <abort-comp> T <task>...
 //! PREP <id> <task> <P|C>
-//! DECIDE-COMMIT <id> <state> <commit-list> <compensate-list>
-//! DECIDE-ABORT <id> <compensate-list>
+//! DECIDE <id> <code>
 //! RESOLVED <id> <task> <C|A|K|E>
 //! END <id>
 //! ```
 //!
+//! A decision is its program's `DECIDE` code (§4.3) and nothing more: the
+//! rest of it is already on the log. `MtxImage::settlement` derives it —
+//! code `k < states.len()` installs `states[k]`, committing its members
+//! logged `PREP … P` and compensating `abort_compensate` outside it; any
+//! other code is the failure branch.
+//!
 //! The recovery rule is **presumed abort**: a multitransaction whose log has
-//! no `DECIDE-*` record is rolled back — prepared subtransactions abort,
-//! autocommitted ones are compensated. Only a logged commit decision can
-//! make recovery commit anything.
+//! no `DECIDE` record is settled as the failure branch would be — prepared
+//! subtransactions abort, autocommitted ones in `abort_compensate` are
+//! compensated. Only a logged decision installing a state can make recovery
+//! commit anything.
 //!
 //! Crash points are expressed against this log: a [`CrashPlan`] kills the
 //! coordinator immediately **before** or **after** appending record `k`.
@@ -53,20 +59,6 @@ pub struct WalTask {
     pub compensation: Vec<String>,
 }
 
-/// What the settle phase does under one `DECIDE` code — precomputed by the
-/// planner so the decision record carries its own semantics and recovery
-/// never has to re-derive them from the plan.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct DecisionPlan {
-    /// The acceptable-state index this decision realises; `None` marks the
-    /// abort decision.
-    pub state: Option<i32>,
-    /// Tasks whose prepared subtransactions commit under this decision.
-    pub commit: Vec<String>,
-    /// Already-committed (autocommit) tasks compensated under this decision.
-    pub compensate: Vec<String>,
-}
-
 /// One multitransaction lifecycle record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
@@ -97,25 +89,15 @@ pub enum WalRecord {
         /// `'P'` or `'C'`.
         status: char,
     },
-    /// The coordinator decided to commit acceptable state `state`. Written
-    /// *before* any second-phase message.
-    DecisionCommit {
+    /// The coordinator took the settle branch of `DECIDE code`. Written
+    /// *before* any second-phase message; what it commits and compensates
+    /// is derived on replay (`MtxImage::settlement`).
+    Decide {
         /// Owning multitransaction.
         mtx_id: u64,
-        /// Index of the acceptable state being installed.
-        state: i32,
-        /// Tasks whose prepared subtransactions commit.
-        commit: Vec<String>,
-        /// Autocommitted non-member tasks to compensate.
-        compensate: Vec<String>,
-    },
-    /// The coordinator decided to abort. Written *before* any second-phase
-    /// message.
-    DecisionAbort {
-        /// Owning multitransaction.
-        mtx_id: u64,
-        /// Autocommitted tasks to compensate.
-        compensate: Vec<String>,
+        /// The branch's `DECIDE` code: an acceptable state's index, or the
+        /// plan's failure code.
+        code: i32,
     },
     /// A task's fate is settled at its LAM (second phase acknowledged, or
     /// re-resolved during recovery).
@@ -237,8 +219,7 @@ impl WalRecord {
         match self {
             WalRecord::Begin { mtx_id, .. }
             | WalRecord::TaskPrepared { mtx_id, .. }
-            | WalRecord::DecisionCommit { mtx_id, .. }
-            | WalRecord::DecisionAbort { mtx_id, .. }
+            | WalRecord::Decide { mtx_id, .. }
             | WalRecord::TaskResolved { mtx_id, .. }
             | WalRecord::End { mtx_id } => *mtx_id,
         }
@@ -249,8 +230,7 @@ impl WalRecord {
         match self {
             WalRecord::Begin { .. } => "begin",
             WalRecord::TaskPrepared { .. } => "prepared",
-            WalRecord::DecisionCommit { .. } => "decision_commit",
-            WalRecord::DecisionAbort { .. } => "decision_abort",
+            WalRecord::Decide { .. } => "decision",
             WalRecord::TaskResolved { .. } => "resolved",
             WalRecord::End { .. } => "end",
         }
@@ -271,16 +251,7 @@ impl WalRecord {
             WalRecord::TaskPrepared { mtx_id, task, status } => {
                 format!("PREP {mtx_id} {} {status}", esc(task))
             }
-            WalRecord::DecisionCommit { mtx_id, state, commit, compensate } => {
-                format!(
-                    "DECIDE-COMMIT {mtx_id} {state} {} {}",
-                    enc_list(commit),
-                    enc_list(compensate)
-                )
-            }
-            WalRecord::DecisionAbort { mtx_id, compensate } => {
-                format!("DECIDE-ABORT {mtx_id} {}", enc_list(compensate))
-            }
+            WalRecord::Decide { mtx_id, code } => format!("DECIDE {mtx_id} {code}"),
             WalRecord::TaskResolved { mtx_id, task, status } => {
                 format!("RESOLVED {mtx_id} {} {status}", esc(task))
             }
@@ -311,17 +282,11 @@ impl WalRecord {
                 task: unesc(task)?,
                 status: parse_status(status)?,
             }),
-            ["DECIDE-COMMIT", id, state, commit, compensate] => Ok(WalRecord::DecisionCommit {
+            ["DECIDE", id, code] => Ok(WalRecord::Decide {
                 mtx_id: parse_id(id)?,
-                state: state
+                code: code
                     .parse()
-                    .map_err(|_| MdbsError::Wire(format!("bad wal state `{state}`")))?,
-                commit: dec_list(commit)?,
-                compensate: dec_list(compensate)?,
-            }),
-            ["DECIDE-ABORT", id, compensate] => Ok(WalRecord::DecisionAbort {
-                mtx_id: parse_id(id)?,
-                compensate: dec_list(compensate)?,
+                    .map_err(|_| MdbsError::Wire(format!("bad wal decide code `{code}`")))?,
             }),
             ["RESOLVED", id, task, status] => Ok(WalRecord::TaskResolved {
                 mtx_id: parse_id(id)?,
@@ -551,41 +516,28 @@ impl Wal {
             .collect()
     }
 
-    /// Groups the log into per-multitransaction images, in first-seen order.
+    /// Groups the log into per-multitransaction images, in first-seen order,
+    /// in one pass over the records.
     pub fn replay(&self) -> Result<Vec<MtxImage>, MdbsError> {
         let mut images: Vec<MtxImage> = Vec::new();
+        let mut at: HashMap<u64, usize> = HashMap::new();
         for record in self.records()? {
             let id = record.mtx_id();
-            let image = match images.iter_mut().find(|i| i.mtx_id == id) {
-                Some(i) => i,
-                None => {
-                    images.push(MtxImage::new(id));
-                    images.last_mut().expect("just pushed")
-                }
-            };
-            image.apply(record);
+            let i = *at.entry(id).or_insert_with(|| {
+                images.push(MtxImage::new(id));
+                images.len() - 1
+            });
+            images[i].apply(record);
         }
         Ok(images)
     }
 }
 
-/// The decision a log image holds for one multitransaction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalDecision {
-    /// Commit acceptable state `state`.
-    Commit {
-        /// Index of the acceptable state.
-        state: i32,
-        /// Tasks whose prepared subtransactions commit.
-        commit: Vec<String>,
-        /// Autocommitted non-member tasks to compensate.
-        compensate: Vec<String>,
-    },
-    /// Abort (roll back / compensate everything).
-    Abort {
-        /// Autocommitted tasks to compensate.
-        compensate: Vec<String>,
-    },
+/// The acceptable state `DECIDE code` installs: `states[code]` when `code`
+/// indexes one of the `states` acceptable states, none for any other code
+/// (the plan's failure branch).
+pub(crate) fn installed_state(code: i32, states: usize) -> Option<usize> {
+    usize::try_from(code).ok().filter(|&k| k < states)
 }
 
 /// Everything the log knows about one multitransaction — the input to
@@ -604,8 +556,8 @@ pub struct MtxImage {
     pub abort_compensate: Vec<String>,
     /// First-phase outcomes logged so far (`'P'` / `'C'`).
     pub prepared: HashMap<String, char>,
-    /// The logged decision, if the coordinator got that far.
-    pub decision: Option<WalDecision>,
+    /// The logged `DECIDE` code, if the coordinator got that far.
+    pub decision: Option<i32>,
     /// Final statuses logged so far.
     pub resolved: HashMap<String, char>,
     /// Whether `END` was logged (nothing left to recover).
@@ -638,17 +590,27 @@ impl MtxImage {
             WalRecord::TaskPrepared { task, status, .. } => {
                 self.prepared.insert(task, status);
             }
-            WalRecord::DecisionCommit { state, commit, compensate, .. } => {
-                self.decision = Some(WalDecision::Commit { state, commit, compensate });
-            }
-            WalRecord::DecisionAbort { compensate, .. } => {
-                self.decision = Some(WalDecision::Abort { compensate });
-            }
+            WalRecord::Decide { code, .. } => self.decision = Some(code),
             WalRecord::TaskResolved { task, status, .. } => {
                 self.resolved.insert(task, status);
             }
             WalRecord::End { .. } => self.ended = true,
         }
+    }
+
+    /// What the logged decision settles (DESIGN §3a.4): the acceptable state
+    /// it installs, the tasks whose prepared subtransactions commit, and the
+    /// autocommitted tasks compensated. `DECIDE k` with `k < states.len()`
+    /// commits the members of `states[k]` logged `P` — an autocommitted
+    /// member committed in phase one — and compensates `abort_compensate`
+    /// outside `states[k]`. Any other code, or no decision at all (presumed
+    /// abort), commits nothing and compensates `abort_compensate`.
+    pub(crate) fn settlement(&self) -> (Option<usize>, Vec<String>, Vec<String>) {
+        let state = self.decision.and_then(|code| installed_state(code, self.states.len()));
+        let members = state.map_or(&[][..], |k| &self.states[k]);
+        let commit = members.iter().filter(|t| self.prepared.get(*t) == Some(&'P'));
+        let compensate = self.abort_compensate.iter().filter(|t| !members.contains(t));
+        (state, commit.cloned().collect(), compensate.cloned().collect())
     }
 }
 
@@ -657,14 +619,14 @@ impl MtxImage {
 pub struct WalObserver {
     wal: Wal,
     mtx_id: u64,
-    decisions: HashMap<i32, DecisionPlan>,
 }
 
 impl WalObserver {
-    /// An observer logging against `wal` under `mtx_id`, translating DECIDE
-    /// codes via the plan's decision table.
-    pub fn new(wal: Wal, mtx_id: u64, decisions: HashMap<i32, DecisionPlan>) -> Self {
-        WalObserver { wal, mtx_id, decisions }
+    /// An observer logging against `wal` under `mtx_id`. The third
+    /// parameter is unread: fedbench still passes `PlanRecovery::decisions`
+    /// (ROADMAP item 1(b) deletes both).
+    pub fn new(wal: Wal, mtx_id: u64, _decisions: ()) -> Self {
+        WalObserver { wal, mtx_id }
     }
 }
 
@@ -686,23 +648,7 @@ impl dol::TaskObserver for WalObserver {
     }
 
     fn decision(&self, code: i32) -> Result<(), DolError> {
-        let plan = self
-            .decisions
-            .get(&code)
-            .ok_or_else(|| DolError::Service(format!("no recovery plan for DECIDE {code}")))?;
-        let record = match plan.state {
-            Some(state) => WalRecord::DecisionCommit {
-                mtx_id: self.mtx_id,
-                state,
-                commit: plan.commit.clone(),
-                compensate: plan.compensate.clone(),
-            },
-            None => WalRecord::DecisionAbort {
-                mtx_id: self.mtx_id,
-                compensate: plan.compensate.clone(),
-            },
-        };
-        self.wal.append(&record)
+        self.wal.append(&WalRecord::Decide { mtx_id: self.mtx_id, code })
     }
 
     fn task_resolved(&self, task: &str, status: TaskStatus) -> Result<(), DolError> {
@@ -742,14 +688,9 @@ mod tests {
             },
             WalRecord::TaskPrepared { mtx_id: 1, task: "avis".into(), status: 'P' },
             WalRecord::TaskPrepared { mtx_id: 1, task: "continental".into(), status: 'C' },
-            WalRecord::DecisionCommit {
-                mtx_id: 1,
-                state: 0,
-                commit: vec!["continental".into()],
-                compensate: vec![],
-            },
+            WalRecord::Decide { mtx_id: 1, code: 0 },
             WalRecord::TaskResolved { mtx_id: 1, task: "continental".into(), status: 'C' },
-            WalRecord::DecisionAbort { mtx_id: 2, compensate: vec!["continental".into()] },
+            WalRecord::Decide { mtx_id: 2, code: 99 },
             WalRecord::End { mtx_id: 1 },
         ]
     }
@@ -785,6 +726,8 @@ mod tests {
         assert!(WalRecord::decode("HELLO world").is_err());
         assert!(WalRecord::decode("PREP x t P").is_err());
         assert!(WalRecord::decode("PREP 1 t ?").is_err());
+        assert!(WalRecord::decode("DECIDE 1 x").is_err());
+        assert!(WalRecord::decode("DECIDE-ABORT 1 -").is_err());
         assert!(WalRecord::decode("").is_err());
     }
 
@@ -802,12 +745,12 @@ mod tests {
         assert_eq!(one.tasks.len(), 2);
         assert_eq!(one.prepared.get("avis"), Some(&'P'));
         assert_eq!(one.prepared.get("continental"), Some(&'C'));
-        assert!(matches!(one.decision, Some(WalDecision::Commit { state: 0, .. })));
+        assert_eq!(one.decision, Some(0));
         assert_eq!(one.resolved.get("continental"), Some(&'C'));
         let two = &images[1];
         assert_eq!(two.mtx_id, 2);
         assert!(!two.ended);
-        assert!(matches!(two.decision, Some(WalDecision::Abort { .. })));
+        assert_eq!(two.decision, Some(99));
     }
 
     #[test]
@@ -858,20 +801,9 @@ mod tests {
     }
 
     #[test]
-    fn observer_translates_decide_codes() {
+    fn observer_logs_decide_codes() {
         let wal = Wal::in_memory();
-        let decisions = HashMap::from([
-            (
-                0,
-                DecisionPlan {
-                    state: Some(0),
-                    commit: vec!["a".into()],
-                    compensate: vec!["b".into()],
-                },
-            ),
-            (99, DecisionPlan { state: None, commit: vec![], compensate: vec!["b".into()] }),
-        ]);
-        let obs = WalObserver::new(wal.clone(), 5, decisions);
+        let obs = WalObserver::new(wal.clone(), 5, ());
         use dol::TaskObserver;
         let def = TaskDef {
             name: "a".into(),
@@ -886,12 +818,31 @@ mod tests {
         obs.decision(0).unwrap();
         obs.decision(99).unwrap();
         obs.task_resolved("a", TaskStatus::Committed).unwrap();
-        assert!(obs.decision(42).is_err(), "unknown code is a planner bug");
-        let records = wal.records().unwrap();
-        assert_eq!(records.len(), 4);
-        assert!(matches!(records[0], WalRecord::TaskPrepared { status: 'P', .. }));
-        assert!(matches!(records[1], WalRecord::DecisionCommit { state: 0, .. }));
-        assert!(matches!(records[2], WalRecord::DecisionAbort { .. }));
-        assert!(matches!(records[3], WalRecord::TaskResolved { status: 'C', .. }));
+        let lines = wal.inner.store.load().unwrap();
+        assert_eq!(lines, ["PREP 5 a P", "DECIDE 5 0", "DECIDE 5 99", "RESOLVED 5 a C"]);
+        assert_eq!(wal.records().unwrap()[1], WalRecord::Decide { mtx_id: 5, code: 0 });
+    }
+
+    /// `DECIDE k` installs `states[k]`: its members logged `P` commit, and
+    /// the presumed-abort set outside it is compensated. The failure code,
+    /// any code that indexes no state and a missing decision settle alike.
+    #[test]
+    fn a_decision_is_derived_from_its_code() {
+        let image = |decision: Option<i32>| {
+            let mut image = MtxImage::new(1);
+            image.states = vec![vec!["a".into(), "c".into()], vec!["b".into()]];
+            image.abort_compensate = vec!["b".into(), "c".into()];
+            image.prepared = HashMap::from(
+                [('a', 'P'), ('b', 'C'), ('c', 'C')].map(|(t, s)| (t.to_string(), s)),
+            );
+            image.decision = decision;
+            image.settlement()
+        };
+        let names = |n: &[&str]| n.iter().map(|t| t.to_string()).collect::<Vec<_>>();
+        assert_eq!(image(Some(0)), (Some(0), names(&["a"]), names(&["b"])));
+        assert_eq!(image(Some(1)), (Some(1), names(&[]), names(&["c"])));
+        for failed in [None, Some(2), Some(99), Some(-1)] {
+            assert_eq!(image(failed), (None, names(&[]), names(&["b", "c"])), "{failed:?}");
+        }
     }
 }

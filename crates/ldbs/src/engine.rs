@@ -400,16 +400,8 @@ impl Engine {
         self.execute_stmt_with(database, &stmt, sink)
     }
 
-    /// Executes a pre-parsed statement in autocommit mode.
-    pub fn execute_stmt(
-        &mut self,
-        database: &str,
-        stmt: &Statement,
-    ) -> Result<ExecOutcome, DbError> {
-        self.execute_stmt_with(database, stmt, ResultSet::default())
-    }
-
-    /// [`Engine::execute_stmt`] with a SELECT's rows written into `sink`.
+    /// Executes a pre-parsed statement in autocommit mode, a SELECT's rows
+    /// written into `sink`.
     fn execute_stmt_with<S: RowSink>(
         &mut self,
         database: &str,
@@ -460,31 +452,10 @@ impl Engine {
         txn: TxnId,
         database: &str,
         sql: &str,
-        sink: S,
-    ) -> Result<ExecOutcome<S>, DbError> {
-        let stmt = parse_local_sql(sql)?;
-        self.execute_stmt_in_with(txn, database, &stmt, sink)
-    }
-
-    /// Executes a pre-parsed statement inside a transaction.
-    pub fn execute_stmt_in(
-        &mut self,
-        txn: TxnId,
-        database: &str,
-        stmt: &Statement,
-    ) -> Result<ExecOutcome, DbError> {
-        self.execute_stmt_in_with(txn, database, stmt, ResultSet::default())
-    }
-
-    /// [`Engine::execute_stmt_in`] with a SELECT's rows written into `sink`.
-    fn execute_stmt_in_with<S: RowSink>(
-        &mut self,
-        txn: TxnId,
-        database: &str,
-        stmt: &Statement,
         mut sink: S,
     ) -> Result<ExecOutcome<S>, DbError> {
-        Ok(self.run_stmt(txn, database, stmt, &mut sink)?.map(|()| sink))
+        let stmt = parse_local_sql(sql)?;
+        Ok(self.run_stmt(txn, database, &stmt, &mut sink)?.map(|()| sink))
     }
 
     /// The one way a statement runs, inside `txn`: a SELECT reads the

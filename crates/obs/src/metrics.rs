@@ -124,14 +124,6 @@ impl MetricsRegistry {
         self.inner.lock().histograms.get(name).copied().unwrap_or_default()
     }
 
-    /// Clears every series.
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock();
-        inner.counters.clear();
-        inner.gauges.clear();
-        inner.histograms.clear();
-    }
-
     /// Point-in-time copy of every series, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.lock();

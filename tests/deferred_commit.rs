@@ -260,7 +260,7 @@ fn a_synchronization_point_is_logged_and_recovered() {
     assert!(fed.execute("COMMIT").unwrap().into_update().unwrap().success);
     assert_eq!(
         kinds(&wal),
-        ["begin", "prepared", "prepared", "decision_commit", "resolved", "resolved", "end"]
+        ["begin", "prepared", "prepared", "decision", "resolved", "resolved", "end"]
     );
 
     // Again, dying right after the decision is on the log.
